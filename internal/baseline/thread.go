@@ -164,6 +164,15 @@ func (a *barena) takeBlock(t *Thread, class int) (*bslab, int) {
 	return s, idx
 }
 
+// logEntry appends e to l and fences it. walog leaves the ordering fence
+// to the operation that owns the crash-ordering argument; the schemes
+// modelled here order every log entry on its own, so that is one fence
+// per entry.
+func (t *Thread) logEntry(l *walog.Log, e walog.Entry) {
+	l.Append(t.ctx, e)
+	t.ctx.Fence()
+}
+
 // commitAlloc persists the allocation per the configured style.
 func (t *Thread) commitAlloc(s *bslab, idx int) {
 	h := t.h
@@ -171,8 +180,8 @@ func (t *Thread) commitAlloc(s *bslab, idx int) {
 	switch h.cfg.Persist {
 	case PersistTxnWAL:
 		a.res.Acquire(t.ctx)
-		a.wal.Append(t.ctx, walog.Entry{Op: walog.OpAllocBit, Addr: s.base, Aux: uint64(idx)})
-		a.wal.Append(t.ctx, walog.Entry{Op: walog.OpNone, Addr: s.base}) // commit record
+		t.logEntry(a.wal, walog.Entry{Op: walog.OpAllocBit, Addr: s.base, Aux: uint64(idx)})
+		t.logEntry(a.wal, walog.Entry{Op: walog.OpNone, Addr: s.base}) // commit record
 		s.mu.Lock()
 		s.reserved--
 		s.allocated++
@@ -181,7 +190,7 @@ func (t *Thread) commitAlloc(s *bslab, idx int) {
 		a.res.Release(t.ctx)
 	case PersistWAL:
 		a.res.Acquire(t.ctx)
-		a.wal.Append(t.ctx, walog.Entry{Op: walog.OpAllocBit, Addr: s.base, Aux: uint64(idx)})
+		t.logEntry(a.wal, walog.Entry{Op: walog.OpAllocBit, Addr: s.base, Aux: uint64(idx)})
 		s.mu.Lock()
 		s.reserved--
 		s.allocated++
@@ -191,7 +200,7 @@ func (t *Thread) commitAlloc(s *bslab, idx int) {
 	case PersistMicroLog:
 		// PAllocator: 2-byte slot write plus a micro-log entry in the
 		// thread-private log (no cross-thread lock).
-		a.wal.Append(t.ctx, walog.Entry{Op: walog.OpAllocBit, Addr: s.base, Aux: uint64(idx)})
+		t.logEntry(a.wal, walog.Entry{Op: walog.OpAllocBit, Addr: s.base, Aux: uint64(idx)})
 		s.mu.Lock()
 		s.reserved--
 		s.allocated++
@@ -218,7 +227,7 @@ func (t *Thread) mallocLarge(size uint64) (pmem.PAddr, error) {
 		t.ctx.Charge(pmem.CatSearch, int64(n)*90)
 	}
 	for i := 0; i < h.cfg.LargeTxnFlushes; i++ {
-		h.largeWAL.Append(t.ctx, walog.Entry{Op: walog.OpAllocBit, Aux: size})
+		t.logEntry(h.largeWAL, walog.Entry{Op: walog.OpAllocBit, Aux: size})
 	}
 	addr, err := h.large.Alloc(t.ctx, size, 0, false)
 	if err != nil {
@@ -262,14 +271,14 @@ func (t *Thread) freeSmall(s *bslab, idx int) {
 	s.mu.Lock()
 	switch h.cfg.Persist {
 	case PersistTxnWAL:
-		a.wal.Append(t.ctx, walog.Entry{Op: walog.OpFreeBit, Addr: s.base, Aux: uint64(idx)})
-		a.wal.Append(t.ctx, walog.Entry{Op: walog.OpNone, Addr: s.base})
+		t.logEntry(a.wal, walog.Entry{Op: walog.OpFreeBit, Addr: s.base, Aux: uint64(idx)})
+		t.logEntry(a.wal, walog.Entry{Op: walog.OpNone, Addr: s.base})
 		s.persistMeta(h, t.ctx, idx, false)
 	case PersistWAL:
-		a.wal.Append(t.ctx, walog.Entry{Op: walog.OpFreeBit, Addr: s.base, Aux: uint64(idx)})
+		t.logEntry(a.wal, walog.Entry{Op: walog.OpFreeBit, Addr: s.base, Aux: uint64(idx)})
 		s.persistMeta(h, t.ctx, idx, false)
 	case PersistMicroLog:
-		a.wal.Append(t.ctx, walog.Entry{Op: walog.OpFreeBit, Addr: s.base, Aux: uint64(idx)})
+		t.logEntry(a.wal, walog.Entry{Op: walog.OpFreeBit, Addr: s.base, Aux: uint64(idx)})
 		s.persistMeta(h, t.ctx, idx, false)
 	default:
 		// Embedded freelist push: the link lives in the freed block
@@ -313,7 +322,7 @@ func (t *Thread) freeLarge(addr pmem.PAddr) error {
 	h.large.Res.Acquire(t.ctx)
 	defer h.large.Res.Release(t.ctx)
 	for i := 0; i < h.cfg.LargeTxnFlushes; i++ {
-		h.largeWAL.Append(t.ctx, walog.Entry{Op: walog.OpFreeBit, Aux: uint64(addr)})
+		t.logEntry(h.largeWAL, walog.Entry{Op: walog.OpFreeBit, Aux: uint64(addr)})
 	}
 	if err := h.large.Free(t.ctx, addr); err != nil {
 		return alloc.ErrBadAddress
@@ -330,7 +339,7 @@ func (t *Thread) MallocTo(slot pmem.PAddr, size uint64) (pmem.PAddr, error) {
 	if t.h.cfg.Persist != PersistNone {
 		a := t.ar
 		a.res.Acquire(t.ctx)
-		a.wal.Append(t.ctx, walog.Entry{Op: walog.OpMallocTo, Addr: slot, Aux: uint64(addr)})
+		t.logEntry(a.wal, walog.Entry{Op: walog.OpMallocTo, Addr: slot, Aux: uint64(addr)})
 		a.res.Release(t.ctx)
 	}
 	t.ctx.PersistU64(pmem.CatOther, slot, uint64(addr))
@@ -347,7 +356,7 @@ func (t *Thread) FreeFrom(slot pmem.PAddr) error {
 	if t.h.cfg.Persist != PersistNone {
 		a := t.ar
 		a.res.Acquire(t.ctx)
-		a.wal.Append(t.ctx, walog.Entry{Op: walog.OpFreeFrom, Addr: slot, Aux: uint64(addr)})
+		t.logEntry(a.wal, walog.Entry{Op: walog.OpFreeFrom, Addr: slot, Aux: uint64(addr)})
 		a.res.Release(t.ctx)
 	}
 	t.ctx.PersistU64(pmem.CatOther, slot, 0)

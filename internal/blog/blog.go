@@ -137,8 +137,11 @@ func (v *vchunk) set(slot int)        { v.bits[slot/64] |= 1 << (slot % 64); v.l
 func (v *vchunk) clear(slot int)      { v.bits[slot/64] &^= 1 << (slot % 64); v.live-- }
 func (v *vchunk) valid(slot int) bool { return v.bits[slot/64]&(1<<(slot%64)) != 0 }
 
-// Log is the bookkeeping log. Callers serialize access (the large
-// allocator holds its resource lock across log operations).
+// Log is one shard of the bookkeeping log: a self-contained chunk chain
+// over its own sub-region. It offers no record API of its own — Sharded
+// reserves and publishes entry slots and owns the fences — and is not
+// goroutine-safe: Sharded holds the shard's resource around every call
+// except publish.
 type Log struct {
 	dev     pmem.Mem
 	base    pmem.PAddr
@@ -181,7 +184,7 @@ type Log struct {
 	gc *gcState
 
 	// outstanding counts reserved-but-unpublished entry slots (see
-	// reserve/publish). Sharded appenders bump it under the shard lock
+	// reserve/publish). Sharded's record calls bump it under the shard lock
 	// around out-of-lock publishes; GC must only run when it is zero, so
 	// it never snapshots, copies or reconciles a slot whose entry word
 	// has not been written yet.
@@ -196,29 +199,6 @@ type Log struct {
 	// snapshotted, copied or reconciled an entry word that had not been
 	// written yet. Exposed for the race tests.
 	gcWhileOutstanding uint64
-}
-
-// RegionSize returns a reasonable region size for a heap of the given
-// byte capacity (the paper provisions 100 MB for terabyte-class heaps;
-// we scale at ~1.5% with a floor).
-func RegionSize(heapBytes uint64) uint64 {
-	r := heapBytes / 64
-	if r < 64*ChunkSize {
-		r = 64 * ChunkSize
-	}
-	return (r + ChunkSize - 1) &^ (ChunkSize - 1)
-}
-
-// New formats a fresh log over [base, base+size).
-func New(dev pmem.Mem, base pmem.PAddr, size uint64, stripes int) *Log {
-	// Formatting is lazy: a fresh (zeroed) region already reads as a valid
-	// empty log — zero chain pointers and alt word unseal as zero, and a
-	// zero break word means "nothing carved yet" (see readBreak). The
-	// header's first persistent write happens with the first chunk carve,
-	// so creating a log that is never appended to costs nothing. Like
-	// walog.New, this assumes a fresh device: Create never reformats a
-	// region holding a previous image.
-	return newLog(dev, base, size, stripes)
 }
 
 func newLog(dev pmem.Mem, base pmem.PAddr, size uint64, stripes int) *Log {
@@ -246,10 +226,6 @@ func newLog(dev pmem.Mem, base pmem.PAddr, size uint64, stripes int) *Log {
 
 // EntriesPerChunk returns this log's per-chunk entry capacity.
 func (l *Log) EntriesPerChunk() int { return l.perChunk }
-
-// DataOffset implements extent.Bookkeeper: the log lives in its own
-// region, so heap chunks carry no per-chunk reservation.
-func (l *Log) DataOffset() uint64 { return 0 }
 
 func (l *Log) entryAddr(chunk pmem.PAddr, slot int) pmem.PAddr {
 	return chunk + chunkHdrSize + pmem.PAddr(l.im.ByteOffset(slot))
@@ -351,28 +327,6 @@ func (l *Log) initAndLink(c *pmem.Ctx, addr pmem.PAddr) {
 	l.tail = addr
 }
 
-func (l *Log) append(c *pmem.Ctx, e uint64) (entryRef, error) {
-	ref, err := l.appendNoFence(c, e)
-	if err != nil {
-		return entryRef{}, err
-	}
-	c.Fence()
-	return ref, nil
-}
-
-// appendNoFence writes and flushes one entry without the trailing fence;
-// batch appends issue a single fence after the last entry. Each entry is
-// still individually flushed, so a crash mid-batch persists an
-// independently valid prefix.
-func (l *Log) appendNoFence(c *pmem.Ctx, e uint64) (entryRef, error) {
-	ref, err := l.reserve(c)
-	if err != nil {
-		return entryRef{}, err
-	}
-	l.publish(c, ref, e)
-	return ref, nil
-}
-
 // reserve claims the next entry slot (carving a new chunk when the
 // current one is full) and marks its validity bit, leaving the
 // persistent entry word zero. Callers hold the log's lock; publish may
@@ -393,96 +347,16 @@ func (l *Log) reserve(c *pmem.Ctx) (entryRef, error) {
 	return entryRef{chunk: l.current.addr, slot: slot}, nil
 }
 
-// publish writes and flushes a reserved slot's entry word (no fence).
-// Safe outside the log's lock: the slot is privately owned by the
+// publish writes and flushes a reserved slot's entry word. It never
+// fences: the record call that reserved the slot (or the whole group of
+// slots) issues the one trailing fence. Each entry is flushed
+// individually, so a crash mid-group persists an independently valid
+// prefix. Safe outside the log's lock: the slot is privately owned by the
 // reserver, an 8-byte aligned store is atomic on the media, and the
 // device's line locks order the flush against neighboring slots' writes
 // in the same cache line.
 func (l *Log) publish(c *pmem.Ctx, ref entryRef, e uint64) {
 	c.PersistU64(pmem.CatMeta, l.entryAddr(ref.chunk, ref.slot), e)
-}
-
-// RecordAlloc appends a normal entry for a newly live extent.
-func (l *Log) RecordAlloc(c *pmem.Ctx, addr pmem.PAddr, size uint64, slab bool) error {
-	t := TypeExtent
-	if slab {
-		t = TypeSlab
-	}
-	ref, err := l.append(c, encode(addr, size, t))
-	if err != nil {
-		return err
-	}
-	l.index[addr] = ref
-	return nil
-}
-
-// RecordFree appends a tombstone for addr and invalidates its normal
-// entry's vbit. It is an error to free an unrecorded address.
-func (l *Log) RecordFree(c *pmem.Ctx, addr pmem.PAddr) error {
-	ref, ok := l.index[addr]
-	if !ok {
-		return fmt.Errorf("blog: free of unrecorded extent %#x", addr)
-	}
-	if _, err := l.append(c, encode(addr, 0, TypeTombstone)); err != nil {
-		return err
-	}
-	delete(l.index, addr)
-	if v, ok := l.chunks.Get(ref.chunk); ok {
-		v.clear(ref.slot)
-		l.noteEmpty(v)
-	}
-	return nil
-}
-
-// RecordAllocBatch appends normal entries for a group of newly live
-// extents with one trailing fence. A crash mid-batch persists a prefix
-// of independently valid records, so callers must only batch records
-// whose partial persistence is safe.
-func (l *Log) RecordAllocBatch(c *pmem.Ctx, recs []Record) error {
-	if len(recs) == 0 {
-		return nil
-	}
-	for _, r := range recs {
-		t := TypeExtent
-		if r.Slab {
-			t = TypeSlab
-		}
-		ref, err := l.appendNoFence(c, encode(r.Addr, r.Size, t))
-		if err != nil {
-			c.Fence() // order whatever prefix made it out
-			return err
-		}
-		l.index[r.Addr] = ref
-	}
-	c.Fence()
-	return nil
-}
-
-// RecordFreeBatch appends tombstones for a group of addresses with one
-// trailing fence (see RecordAllocBatch for the mid-batch crash
-// contract). Every address must have a live record.
-func (l *Log) RecordFreeBatch(c *pmem.Ctx, addrs []pmem.PAddr) error {
-	if len(addrs) == 0 {
-		return nil
-	}
-	for _, addr := range addrs {
-		ref, ok := l.index[addr]
-		if !ok {
-			c.Fence()
-			return fmt.Errorf("blog: free of unrecorded extent %#x", addr)
-		}
-		if _, err := l.appendNoFence(c, encode(addr, 0, TypeTombstone)); err != nil {
-			c.Fence()
-			return err
-		}
-		delete(l.index, addr)
-		if v, ok := l.chunks.Get(ref.chunk); ok {
-			v.clear(ref.slot)
-			l.noteEmpty(v)
-		}
-	}
-	c.Fence()
-	return nil
 }
 
 // noteEmpty queues a fully invalidated chunk for fast GC.

@@ -149,7 +149,7 @@ func TestSlowGCAbortAndRestart(t *testing.T) {
 // interleaves single-chunk slow-GC steps with appends and frees, so crash
 // boundaries land between arbitrary copy steps of the new chain.
 func gcInterleaveRun(dev *pmem.Device) []uint64 {
-	l := New(dev.Mem(), 4096, testRegion, 6)
+	l := oneShard(New(dev.Mem(), 4096, testRegion, 6, 1))
 	c := dev.NewCtx()
 	per := l.EntriesPerChunk()
 

@@ -15,7 +15,7 @@ func (l *Log) validChunkAddr(a pmem.PAddr) bool {
 	return (uint64(a)-uint64(l.base)-headerSize)%ChunkSize == 0
 }
 
-// Open reopens an existing log after a restart or crash. It walks the
+// openLog reopens one shard after a restart or crash. It walks the
 // active chunk chain, replays normal and tombstone entries in activation
 // order, rebuilds the volatile vchunks/index/free structures, and returns
 // the records of every live extent. Recovery work is charged to c.
@@ -26,7 +26,7 @@ func (l *Log) validChunkAddr(a pmem.PAddr) bool {
 // silently truncated chain. The region break self-heals: it is raised to
 // cover every chunk the chain reaches and persisted back if the stored
 // value is torn or stale.
-func Open(dev pmem.Dev, base pmem.PAddr, size uint64, stripes int) (*Log, []Record, error) {
+func openLog(dev pmem.Dev, base pmem.PAddr, size uint64, stripes int) (*Log, []Record, error) {
 	l := newLog(dev.Mem(), base, size, stripes)
 	c := dev.NewCtx()
 	defer c.Merge()

@@ -2,29 +2,26 @@ package blog
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"nvalloc/internal/pmem"
 )
 
-// Sharded is N independent, persistently self-contained bookkeeping
-// logs behind one Bookkeeper facade. Each shard owns an equal slice of
-// the log region — its own header (chain pointers, alt bit, break) and
-// chunk chain — plus its own resource, so record and tombstone appends
-// routed to different shards never serialize. Records are routed by a
-// deterministic hash of the extent address (a stable proxy for the
-// owning arena, whose extents are arena-private), which guarantees a
-// free finds the shard its record went to.
+// Sharded is the bookkeeping log: N independent, persistently
+// self-contained shards (N = 1 is simply a log with one shard) behind
+// the extent layer's Bookkeeper interface. Each shard owns an equal
+// slice of the log region — its own header (chain pointers, alt bit,
+// break) and chunk chain — plus its own resource, so record and
+// tombstone appends routed to different shards never serialize. Records
+// are routed by a deterministic hash of the extent address (a stable
+// proxy for the owning arena, whose extents are arena-private), which
+// guarantees a free finds the shard its record went to.
 //
-// Unlike *Log, Sharded serializes itself: callers do NOT wrap calls in
-// an external resource (see SelfLocked). GC also runs inline, per
-// shard, inside the same shard section as the free that triggered it.
+// Sharded serializes itself: callers do NOT wrap calls in an external
+// resource (see SelfLocked). GC also runs inline, per shard, inside the
+// same shard section as the free that triggered it.
 type Sharded struct {
-	dev     pmem.Mem
-	base    pmem.PAddr
-	size    uint64 // per-shard region size
-	stripes int
-
 	shards []*Log
 	res    []pmem.Resource
 }
@@ -50,15 +47,15 @@ func ShardIndex(addr pmem.PAddr, n int) int {
 	return int((h >> 33) % uint64(n))
 }
 
-// ShardedRegionSize returns the total log-region size for a heap of the
-// given byte capacity split over n shards: the single-log provision
-// divided evenly, with each shard floored at the minimum useful region
-// and chunk-aligned.
-func ShardedRegionSize(heapBytes uint64, n int) uint64 {
+// RegionSize returns the total log-region size for a heap of the given
+// byte capacity split over n shards: a chunk-aligned ~1.5% of the heap
+// (the paper provisions 100 MB for terabyte-class heaps) divided evenly,
+// with each shard floored at the minimum useful region and chunk-aligned.
+func RegionSize(heapBytes uint64, n int) uint64 {
 	if n < 1 {
 		n = 1
 	}
-	per := RegionSize(heapBytes) / uint64(n)
+	per := (heapBytes/64 + ChunkSize - 1) &^ (ChunkSize - 1) / uint64(n)
 	if per < 64*ChunkSize {
 		per = 64 * ChunkSize
 	}
@@ -66,44 +63,49 @@ func ShardedRegionSize(heapBytes uint64, n int) uint64 {
 	return per * uint64(n)
 }
 
-func shardedLayout(size uint64, n int) uint64 {
+// shardLayout splits a size-byte region into n equal chunk-aligned
+// sub-regions (n < 1 reads as 1), returning the shard count and the
+// per-shard size; shard i starts at base + i*per.
+func shardLayout(size uint64, n int) (int, uint64) {
+	if n < 1 {
+		n = 1
+	}
 	per := (size / uint64(n)) &^ (ChunkSize - 1)
 	if per < headerSize+ChunkSize {
 		panic(fmt.Sprintf("blog: region %d too small for %d shards", size, n))
 	}
-	return per
+	return n, per
 }
 
-// NewSharded formats n fresh log shards over [base, base+size). The
-// region is split into n equal chunk-aligned sub-regions.
-func NewSharded(dev pmem.Mem, base pmem.PAddr, size uint64, stripes, n int) *Sharded {
-	if n < 1 {
-		n = 1
-	}
-	per := shardedLayout(size, n)
-	s := &Sharded{dev: dev, base: base, size: per, stripes: stripes,
-		shards: make([]*Log, n), res: make([]pmem.Resource, n)}
-	for i := 0; i < n; i++ {
-		s.shards[i] = New(dev, base+pmem.PAddr(uint64(i)*per), per, stripes)
+// New formats n fresh log shards over [base, base+size).
+//
+// Formatting is lazy: a fresh (zeroed) region already reads as n valid
+// empty shards — zero chain pointers and alt word unseal as zero, and a
+// zero break word means "nothing carved yet" (see readBreak). A shard's
+// first persistent write happens with its first chunk carve, so creating
+// a log that is never appended to costs nothing. Like walog.New, this
+// assumes a fresh device: Create never reformats a region holding a
+// previous image.
+func New(dev pmem.Mem, base pmem.PAddr, size uint64, stripes, n int) *Sharded {
+	n, per := shardLayout(size, n)
+	s := &Sharded{shards: make([]*Log, n), res: make([]pmem.Resource, n)}
+	for i := range s.shards {
+		s.shards[i] = newLog(dev, base+pmem.PAddr(uint64(i)*per), per, stripes)
 	}
 	return s
 }
 
-// OpenSharded reopens n log shards after a restart or crash. Every
-// shard recovers independently (each is persistently self-contained),
-// and the per-shard live sets are merged into one deterministic,
-// address-ordered record list. A crash with any subset of shards
-// mid-append recovers each shard's valid prefix.
-func OpenSharded(dev pmem.Dev, base pmem.PAddr, size uint64, stripes, n int) (*Sharded, []Record, error) {
-	if n < 1 {
-		n = 1
-	}
-	per := shardedLayout(size, n)
-	s := &Sharded{dev: dev.Mem(), base: base, size: per, stripes: stripes,
-		shards: make([]*Log, n), res: make([]pmem.Resource, n)}
+// Open reopens n log shards after a restart or crash. Every shard
+// recovers independently (each is persistently self-contained), and the
+// per-shard live sets are merged into one deterministic, address-ordered
+// record list. A crash with any subset of shards mid-append recovers
+// each shard's valid prefix.
+func Open(dev pmem.Dev, base pmem.PAddr, size uint64, stripes, n int) (*Sharded, []Record, error) {
+	n, per := shardLayout(size, n)
+	s := &Sharded{shards: make([]*Log, n), res: make([]pmem.Resource, n)}
 	var all []Record
-	for i := 0; i < n; i++ {
-		l, recs, err := Open(dev, base+pmem.PAddr(uint64(i)*per), per, stripes)
+	for i := range s.shards {
+		l, recs, err := openLog(dev, base+pmem.PAddr(uint64(i)*per), per, stripes)
 		if err != nil {
 			return nil, nil, fmt.Errorf("blog shard %d: %w", i, err)
 		}
@@ -116,10 +118,9 @@ func OpenSharded(dev pmem.Dev, base pmem.PAddr, size uint64, stripes, n int) (*S
 	return s, all, nil
 }
 
-// SelfLocked marks Sharded as serializing its own bookkeeper calls;
-// the extent layer skips its external bookkeeper resource when the
-// bookkeeper provides one (see extent.SelfLockedBookkeeper).
-func (s *Sharded) SelfLocked() {}
+// SelfLocked implements extent.Bookkeeper: Sharded serializes its own
+// calls, so the extent layer takes no external bookkeeper resource.
+func (s *Sharded) SelfLocked() bool { return true }
 
 // DataOffset implements extent.Bookkeeper: shards live in their own
 // region, so heap chunks carry no per-chunk reservation.
@@ -160,128 +161,44 @@ func (s *Sharded) RecordAlloc(c *pmem.Ctx, addr pmem.PAddr, size uint64, slab bo
 	return nil
 }
 
-// RecordFree persists a tombstone for addr in its shard and lets that
-// shard run (incremental) GC inside the same section. Like RecordAlloc,
-// the tombstone's flush and fence run outside the shard resource; the
-// index removal and vbit invalidation happen at reservation time.
-func (s *Sharded) RecordFree(c *pmem.Ctx, addr pmem.PAddr) error {
-	e := encode(addr, 0, TypeTombstone)
-	i := ShardIndex(addr, len(s.shards))
-	l := s.shards[i]
-	s.res[i].Acquire(c)
-	if l.outstanding == 0 {
-		l.MaybeGC(c)
+// RecordFree persists a tombstone for every address, one group per
+// shard with one trailing fence per group, and lets each touched shard
+// run (incremental) GC at the start of its section. A single free is a
+// group of one. It returns how many tombstones it persisted: on an error
+// (unrecorded address, region exhausted) the groups already written and
+// the failing group's valid prefix stay persisted and fenced, and —
+// since grouping may reorder addrs — they are exactly addrs[:n] as the
+// slice reads on return.
+func (s *Sharded) RecordFree(c *pmem.Ctx, addrs []pmem.PAddr) (int, error) {
+	n := len(s.shards)
+	if n > 1 && len(addrs) > 1 {
+		// Stable, so each shard's tombstones keep the caller's order.
+		slices.SortStableFunc(addrs, func(a, b pmem.PAddr) int { return ShardIndex(a, n) - ShardIndex(b, n) })
 	}
-	ref, ok := l.index[addr]
-	if !ok {
-		s.res[i].Release(c)
-		return fmt.Errorf("blog: free of unrecorded extent %#x", addr)
-	}
-	tref, err := l.reserve(c)
-	if err != nil {
-		s.res[i].Release(c)
-		return err
-	}
-	delete(l.index, addr)
-	if v, ok := l.chunks.Get(ref.chunk); ok {
-		v.clear(ref.slot)
-		l.noteEmpty(v)
-	}
-	l.outstanding++
-	s.res[i].Release(c)
-	l.publish(c, tref, e)
-	c.Fence()
-	s.res[i].Lock()
-	l.outstanding--
-	s.res[i].Unlock()
-	return nil
-}
-
-// MaybeGC implements extent.Bookkeeper. GC runs inline per shard on the
-// free paths (under the shard's own resource), so the external hook is
-// a no-op.
-func (s *Sharded) MaybeGC(c *pmem.Ctx) {}
-
-// recordAllocGroup reserves slots for a same-shard group of records
-// under the shard resource, then publishes every entry and fences once
-// outside it. On a reservation failure (region exhausted) the already
-// reserved prefix is still published and fenced — the same valid-prefix
-// contract as Log.RecordAllocBatch.
-func (s *Sharded) recordAllocGroup(c *pmem.Ctx, i int, recs []Record) error {
-	l := s.shards[i]
-	words := make([]uint64, len(recs))
-	for k, r := range recs {
-		t := TypeExtent
-		if r.Slab {
-			t = TypeSlab
+	done := 0
+	for done < len(addrs) {
+		i := ShardIndex(addrs[done], n)
+		end := done + 1
+		for end < len(addrs) && ShardIndex(addrs[end], n) == i {
+			end++
 		}
-		words[k] = encode(r.Addr, r.Size, t)
-	}
-	refs := make([]entryRef, 0, len(recs))
-	s.res[i].Acquire(c)
-	var err error
-	for _, r := range recs {
-		var ref entryRef
-		if ref, err = l.reserve(c); err != nil {
-			break
-		}
-		l.index[r.Addr] = ref
-		refs = append(refs, ref)
-	}
-	if len(refs) > 0 {
-		l.outstanding++ // one increment covers the whole group
-	}
-	s.res[i].Release(c)
-	if len(refs) == 0 {
-		return err
-	}
-	for k, ref := range refs {
-		l.publish(c, ref, words[k])
-	}
-	c.Fence()
-	s.res[i].Lock()
-	l.outstanding--
-	s.res[i].Unlock()
-	return err
-}
-
-// RecordAllocBatch persists a group of records, grouped by shard with
-// one fence per touched shard (see recordAllocGroup for the mid-batch
-// crash contract).
-func (s *Sharded) RecordAllocBatch(c *pmem.Ctx, recs []Record) error {
-	if len(recs) == 0 {
-		return nil
-	}
-	if len(s.shards) == 1 {
-		return s.recordAllocGroup(c, 0, recs)
-	}
-	groups := make(map[int][]Record)
-	for _, r := range recs {
-		i := ShardIndex(r.Addr, len(s.shards))
-		groups[i] = append(groups[i], r)
-	}
-	for i := 0; i < len(s.shards); i++ {
-		if g := groups[i]; len(g) > 0 {
-			if err := s.recordAllocGroup(c, i, g); err != nil {
-				return err
-			}
+		k, err := s.freeGroup(c, i, addrs[done:end])
+		done += k
+		if err != nil {
+			return done, err
 		}
 	}
-	return nil
+	return done, nil
 }
 
-// recordFreeGroup is recordAllocGroup's tombstone counterpart: index
-// removals and vbit invalidations happen at reservation time under the
-// shard resource, publishes and the single fence outside it, with the
-// shard's (incremental) GC run at section start when no publish is in
-// flight.
-func (s *Sharded) recordFreeGroup(c *pmem.Ctx, i int, addrs []pmem.PAddr) error {
+// freeGroup tombstones a same-shard group. Like RecordAlloc, only slot
+// reservation — with the index removals and vbit invalidations — runs
+// under the shard resource; the publishes and the single fence run
+// outside it.
+func (s *Sharded) freeGroup(c *pmem.Ctx, i int, addrs []pmem.PAddr) (int, error) {
 	l := s.shards[i]
-	words := make([]uint64, len(addrs))
-	for k, a := range addrs {
-		words[k] = encode(a, 0, TypeTombstone)
-	}
-	refs := make([]entryRef, 0, len(addrs))
+	var buf [8]entryRef // a small group's slots never leave the stack
+	refs := buf[:0]
 	s.res[i].Acquire(c)
 	if l.outstanding == 0 {
 		l.MaybeGC(c)
@@ -305,45 +222,26 @@ func (s *Sharded) recordFreeGroup(c *pmem.Ctx, i int, addrs []pmem.PAddr) error 
 		refs = append(refs, tref)
 	}
 	if len(refs) > 0 {
-		l.outstanding++
+		l.outstanding++ // one increment covers the whole group
 	}
 	s.res[i].Release(c)
 	if len(refs) == 0 {
-		return err
+		return 0, err
 	}
 	for k, tref := range refs {
-		l.publish(c, tref, words[k])
+		l.publish(c, tref, encode(addrs[k], 0, TypeTombstone))
 	}
 	c.Fence()
 	s.res[i].Lock()
 	l.outstanding--
 	s.res[i].Unlock()
-	return err
+	return len(refs), err
 }
 
-// RecordFreeBatch persists tombstones for each addr, grouped by shard
-// with one fence per touched shard, running each shard's GC inline.
-func (s *Sharded) RecordFreeBatch(c *pmem.Ctx, addrs []pmem.PAddr) error {
-	if len(addrs) == 0 {
-		return nil
-	}
-	if len(s.shards) == 1 {
-		return s.recordFreeGroup(c, 0, addrs)
-	}
-	groups := make(map[int][]pmem.PAddr)
-	for _, a := range addrs {
-		i := ShardIndex(a, len(s.shards))
-		groups[i] = append(groups[i], a)
-	}
-	for i := 0; i < len(s.shards); i++ {
-		if g := groups[i]; len(g) > 0 {
-			if err := s.recordFreeGroup(c, i, g); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
-}
+// MaybeGC implements extent.Bookkeeper. GC runs inline per shard on the
+// free paths (under the shard's own resource), so the external hook is
+// a no-op.
+func (s *Sharded) MaybeGC(c *pmem.Ctx) {}
 
 // SetSlowGCThreshold divides a whole-log slow-GC threshold evenly over
 // the shards (floored at one chunk so an aggressive threshold still
@@ -421,34 +319,28 @@ func (s *Sharded) GCCounts() (fast, slow uint64) {
 	return fast, slow
 }
 
-// ScrubSharded repairs every shard of a damaged sharded log region in
-// place (see Scrub), prefixing each repair with its shard index.
-func ScrubSharded(dev pmem.Dev, base pmem.PAddr, size uint64, stripes, n int) []string {
-	if n < 1 {
-		n = 1
-	}
-	per := shardedLayout(size, n)
+// Scrub repairs every shard of a damaged log region in place (see
+// scrubLog), prefixing each repair with its shard index.
+func Scrub(dev pmem.Dev, base pmem.PAddr, size uint64, stripes, n int) []string {
+	n, per := shardLayout(size, n)
 	var done []string
 	for i := 0; i < n; i++ {
-		for _, m := range Scrub(dev, base+pmem.PAddr(uint64(i)*per), per, stripes) {
+		for _, m := range scrubLog(dev, base+pmem.PAddr(uint64(i)*per), per, stripes) {
 			done = append(done, fmt.Sprintf("shard %d: %s", i, m))
 		}
 	}
 	return done
 }
 
-// DropRecordSharded zeroes every normal entry for addr across all
-// shards (see DropRecord). The walk covers every shard rather than just
-// addr's routed shard, so it stays correct even against images written
-// with a different routing function.
-func DropRecordSharded(dev pmem.Dev, base pmem.PAddr, size uint64, stripes, n int, addr pmem.PAddr) int {
-	if n < 1 {
-		n = 1
-	}
-	per := shardedLayout(size, n)
+// DropRecord zeroes every normal entry for addr across all shards (see
+// dropRecordLog). The walk covers every shard rather than just addr's
+// routed shard, so it stays correct even against images written with a
+// different routing function.
+func DropRecord(dev pmem.Dev, base pmem.PAddr, size uint64, stripes, n int, addr pmem.PAddr) int {
+	n, per := shardLayout(size, n)
 	dropped := 0
 	for i := 0; i < n; i++ {
-		dropped += DropRecord(dev, base+pmem.PAddr(uint64(i)*per), per, stripes, addr)
+		dropped += dropRecordLog(dev, base+pmem.PAddr(uint64(i)*per), per, stripes, addr)
 	}
 	return dropped
 }

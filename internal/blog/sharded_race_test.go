@@ -27,7 +27,7 @@ func TestShardedAppendersRaceIncrementalGC(t *testing.T) {
 		keep    = 2 // live extents retained per round per worker
 	)
 	dev := pmem.New(pmem.Config{Size: 8 << 20, Strict: true})
-	s := NewSharded(dev.Mem(), 4096, testShardedSize, 6, testShards)
+	s := New(dev.Mem(), 4096, testShardedSize, 6, testShards)
 	// Escalate to slow GC after ~4 chunks per shard and advance it one
 	// chunk at a time, so compaction interleaves with appends as finely
 	// as the implementation allows.
@@ -63,7 +63,7 @@ func TestShardedAppendersRaceIncrementalGC(t *testing.T) {
 				}
 				// Free all but `keep`, driving the inline incremental GC.
 				for _, a := range batchAddrs[keep:] {
-					if err := s.RecordFree(c, a); err != nil {
+					if err := freeOne(s, c, a); err != nil {
 						t.Errorf("worker %d: RecordFree(%#x): %v", w, a, err)
 						return
 					}
@@ -105,7 +105,7 @@ func TestShardedAppendersRaceIncrementalGC(t *testing.T) {
 	}
 	// Everything above was fenced before the workers joined: recovery
 	// must reproduce the tracked live set exactly.
-	_, recs, err := OpenSharded(dev, 4096, testShardedSize, 6, testShards)
+	_, recs, err := Open(dev, 4096, testShardedSize, 6, testShards)
 	if err != nil {
 		t.Fatalf("recovery after churn: %v", err)
 	}

@@ -16,7 +16,7 @@ const (
 func newTestSharded(t *testing.T) (*pmem.Device, *Sharded) {
 	t.Helper()
 	dev := pmem.New(pmem.Config{Size: 8 << 20, Strict: true})
-	return dev, NewSharded(dev.Mem(), 4096, testShardedSize, 6, testShards)
+	return dev, New(dev.Mem(), 4096, testShardedSize, 6, testShards)
 }
 
 // shardedAddr returns the i-th test address, one routing granule apart
@@ -68,13 +68,13 @@ func TestShardedRecordRecoverMergedUnion(t *testing.T) {
 		}
 	}
 	for i := 0; i < n; i += 3 {
-		if err := s.RecordFree(c, shardedAddr(i)); err != nil {
+		if err := freeOne(s, c, shardedAddr(i)); err != nil {
 			t.Fatal(err)
 		}
 	}
 	c.Merge()
 
-	_, recs, err := OpenSharded(dev, 4096, testShardedSize, 6, testShards)
+	_, recs, err := Open(dev, 4096, testShardedSize, 6, testShards)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,7 +110,7 @@ func TestShardedConcurrentAppendCrashSweep(t *testing.T) {
 	for _, cut := range []int64{1, 2, 5, 9, 17, 33, 70, 151, 400} {
 		t.Run(fmt.Sprintf("cut%d", cut), func(t *testing.T) {
 			dev := pmem.New(pmem.Config{Size: 8 << 20, Strict: true})
-			s := NewSharded(dev.Mem(), 4096, testShardedSize, 6, testShards)
+			s := New(dev.Mem(), 4096, testShardedSize, 6, testShards)
 
 			// Phase 1 (pre-crash, durable): record a base set and free a
 			// deterministic subset; everything here is fenced before the
@@ -123,7 +123,7 @@ func TestShardedConcurrentAppendCrashSweep(t *testing.T) {
 				}
 			}
 			for i := 0; i < 24; i += 2 {
-				if err := s.RecordFree(c, shardedAddr(i)); err != nil {
+				if err := freeOne(s, c, shardedAddr(i)); err != nil {
 					t.Fatal(err)
 				}
 				tombstoned[shardedAddr(i)] = true
@@ -152,7 +152,7 @@ func TestShardedConcurrentAppendCrashSweep(t *testing.T) {
 			wg.Wait()
 			dev.Crash()
 
-			_, recs, err := OpenSharded(dev, 4096, testShardedSize, 6, testShards)
+			_, recs, err := Open(dev, 4096, testShardedSize, 6, testShards)
 			if err != nil {
 				t.Fatalf("cut=%d: merged recovery failed: %v", cut, err)
 			}
@@ -195,12 +195,12 @@ func TestShardedConcurrentAppendCrashSweep(t *testing.T) {
 func TestShardedLazyFormatCostsNothing(t *testing.T) {
 	dev := pmem.New(pmem.Config{Size: 8 << 20, Strict: true})
 	before := dev.Stats().Flushes
-	NewSharded(dev.Mem(), 4096, testShardedSize, 6, testShards)
+	New(dev.Mem(), 4096, testShardedSize, 6, testShards)
 	if after := dev.Stats().Flushes; after != before {
-		t.Fatalf("NewSharded flushed %d lines, want 0", after-before)
+		t.Fatalf("New flushed %d lines, want 0", after-before)
 	}
 	// And an untouched sharded region still opens as empty.
-	_, recs, err := OpenSharded(dev, 4096, testShardedSize, 6, testShards)
+	_, recs, err := Open(dev, 4096, testShardedSize, 6, testShards)
 	if err != nil {
 		t.Fatal(err)
 	}

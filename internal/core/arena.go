@@ -25,7 +25,7 @@ type arena struct {
 	// freelist pointers below.
 	_   [48]byte
 	res pmem.Resource
-	wal   *walog.Log // nil in the GC variant's runtime path? (kept for morph records)
+	wal *walog.Log // opened in every variant; appended to only by LOG
 
 	// cache is the arena-local slab-extent cache (nil when disabled):
 	// newSlab and releaseSlab trade extents with it so the global large
@@ -233,13 +233,90 @@ func (a *arena) fillLocked(c *pmem.Ctx, class int, tc *tcache.Cache, want int) i
 	return got
 }
 
+// transition names the persistent state change of one small block.
+type transition uint8
+
+const (
+	commitAlloc transition = iota // reserved in a tcache -> allocated
+	freeToCache                   // allocated -> reserved in a tcache
+	freeToSlab                    // allocated -> free
+)
+
+// blockRef names one small block. class is the size class idx was
+// resolved under: it is logged as Aux2 so replay never applies the index
+// to a slab that has since morphed.
+type blockRef struct {
+	s     *slab.Slab
+	idx   int
+	class int
+}
+
+// commit is the one place a small-block state change becomes durable. a
+// is the arena owning every block in ops. The order is the whole of the
+// crash-consistency argument for the small path:
+//
+//  1. one WAL entry per block, written and flushed (LOG variant only);
+//  2. each block's bitmap bit, written and — unless the variant defers
+//     bitmap persistence to post-crash GC — flushed;
+//  3. one trailing fence, if anything was flushed.
+//
+// Durability follows flush order, not fence count, so no crash boundary
+// sees a bit persistent without the entry that covers it; and a persisted
+// entry replays idempotently over whatever state the bit reached, so a
+// crash anywhere inside a group of n leaves a valid prefix of entries
+// whose replay re-applies their bits. A missing or torn entry means the
+// operation was never acknowledged. The fence stays inside the caller's
+// arena-resource section, which in the LOG variant every caller holds
+// (the ring is guarded by it): a log therefore never has more than one
+// commit in flight, its at most one torn slot is the last one written,
+// and that is exactly the one invalid slot walog.Replay tolerates.
+//
+// Callers that revalidated a geometry snapshot hold the slab's Mu across
+// the call (lockSlabs false). drainRemote's group spans slabs none of
+// which it holds, so commit takes each in turn (lockSlabs true). A free
+// may also drop its slab below the morph threshold; that is noted here,
+// under the same Mu, in the order the bits clear.
+func (a *arena) commit(c *pmem.Ctx, tr transition, ops []blockRef, lockSlabs bool) {
+	h := a.h
+	if h.useWAL {
+		op := walog.OpFreeBit
+		if tr == commitAlloc {
+			op = walog.OpAllocBit
+		}
+		for _, b := range ops {
+			a.wal.Append(c, walog.Entry{Op: op, Addr: b.s.Base, Aux: uint64(b.idx), Aux2: uint32(b.class)})
+		}
+	}
+	for _, b := range ops {
+		if lockSlabs {
+			b.s.Mu.Lock()
+		}
+		switch tr {
+		case commitAlloc:
+			b.s.CommitAlloc(c, b.idx, h.persistSmall)
+		case freeToCache:
+			b.s.CommitFreeToCache(c, b.idx, h.persistSmall)
+		case freeToSlab:
+			b.s.FreeBlock(c, b.idx, h.persistSmall)
+		}
+		if tr != commitAlloc && b.s.UsageBelowMille(h.suMille) {
+			a.noteCandidate(b.s)
+		}
+		if lockSlabs {
+			b.s.Mu.Unlock()
+		}
+	}
+	if h.persistSmall {
+		c.Fence()
+	}
+}
+
 // fillAndCommit refills tc and, in the WAL variant, pops and commits the
-// first block (WAL append + bitmap bit) under the same arena-resource
-// acquisition — mallocSmall would otherwise release the arena only to
-// re-acquire it immediately for the commit. The charge sequence is
-// identical to fill-then-commit; only the redundant handoff disappears.
-// Returns the committed block's address, or ok=false when the heap is
-// exhausted.
+// first block under the same arena-resource acquisition — mallocSmall
+// would otherwise release the arena only to re-acquire it immediately for
+// the commit. The charge sequence is identical to fill-then-commit; only
+// the redundant handoff disappears. Returns the committed block's
+// address, or ok=false when the heap is exhausted.
 func (a *arena) fillAndCommit(c *pmem.Ctx, class int, tc *tcache.Cache, want int) (pmem.PAddr, bool) {
 	a.res.Acquire(c)
 	defer a.res.Release(c)
@@ -251,13 +328,7 @@ func (a *arena) fillAndCommit(c *pmem.Ctx, class int, tc *tcache.Cache, want int
 		return pmem.Null, false
 	}
 	s := b.Slab.(*slab.Slab)
-	s.Mu.Lock()
-	// Aux2 records the geometry the entry was logged under; entry and bit
-	// share one trailing fence (see mallocSmall).
-	a.wal.AppendNoFence(c, walog.Entry{Op: walog.OpAllocBit, Addr: s.Base, Aux: uint64(b.Idx), Aux2: uint32(s.Class)})
-	s.CommitAllocBatched(c, b.Idx, true)
-	c.Fence()
-	s.Mu.Unlock()
+	a.commit(c, commitAlloc, []blockRef{{s, b.Idx, s.Class}}, true)
 	return s.BlockAddr(b.Idx), true
 }
 
@@ -348,8 +419,9 @@ func (a *arena) morphInto(c *pmem.Ctx, class int) *slab.Slab {
 			}
 			continue
 		}
-		if a.wal != nil && h.useWAL {
+		if h.useWAL {
 			a.wal.Append(c, walog.Entry{Op: walog.OpMorph, Addr: s.Base, Aux: uint64(class)})
+			c.Fence()
 		}
 		a.freelistRemove(s)
 		// The morph transform is control metadata, not deferrable "small
@@ -493,19 +565,14 @@ func (a *arena) freeBypass(c *pmem.Ctx, s *slab.Slab, idx int, fromCache bool, g
 	}
 	if fromCache {
 		s.Unreserve(idx)
-	} else if a.wal != nil && a.h.useWAL {
-		// One merged trailing fence for entry + bit (see mallocSmall).
-		a.wal.AppendNoFence(c, walog.Entry{Op: walog.OpFreeBit, Addr: s.Base, Aux: uint64(idx), Aux2: uint32(s.Class)})
-		s.FreeBlockBatched(c, idx, a.h.persistSmall)
-		c.Fence()
+		if s.UsageBelowMille(a.h.suMille) {
+			a.noteCandidate(s)
+		}
 	} else {
-		s.FreeBlock(c, idx, a.h.persistSmall)
+		a.commit(c, freeToSlab, []blockRef{{s, idx, s.Class}}, false)
 	}
 	empty := s.Allocated == 0 && s.Reserved == 0
 	wasOff := !a.onFreelist(s)
-	if s.UsageBelowMille(a.h.suMille) {
-		a.noteCandidate(s)
-	}
 	s.Mu.Unlock()
 	if wasOff && !empty {
 		a.freelistPush(s)

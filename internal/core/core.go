@@ -279,7 +279,7 @@ func Create(dev pmem.Dev, opts Options) (*Heap, error) {
 	c.Fence()
 	// Fresh persistent structures.
 	if opts.LogBookkeeping {
-		h.blog = blog.NewSharded(dev.Mem(), h.blogBase(), h.blogSize(), h.walStripesForBlog(), opts.BookShards)
+		h.blog = blog.New(dev.Mem(), h.blogBase(), h.blogSize(), h.walStripesForBlog(), opts.BookShards)
 		if !opts.BlogGC {
 			h.blog.SetSlowGCThreshold(^uint64(0) >> 1)
 		} else if opts.BlogGCThreshold > 0 {
@@ -315,7 +315,7 @@ func layout(dev pmem.Dev, opts Options) (*Heap, error) {
 	walBytes := uint64(opts.Arenas) * uint64(walog.RegionSize(opts.WALEntries, opts.Stripes))
 	walBase := uint64(8192)
 	blogBase := (walBase + walBytes + 4095) &^ 4095
-	blogSize := blog.ShardedRegionSize(dev.Size(), opts.BookShards)
+	blogSize := blog.RegionSize(dev.Size(), opts.BookShards)
 	heapBase := (blogBase + blogSize + extent.ChunkSize - 1) &^ (extent.ChunkSize - 1)
 	if heapBase+extent.ChunkSize > dev.Size() {
 		return nil, fmt.Errorf("core: device too small (%d bytes) for metadata regions", dev.Size())

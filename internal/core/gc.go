@@ -13,8 +13,10 @@ import (
 // is the exact start address of a slab block or extent keeps that object
 // alive. Unreachable small blocks have their bitmap bits cleared;
 // unreachable (non-slab) extents are freed. Interior pointers are not
-// chased (objects must be referenced by their start address).
-func (h *Heap) conservativeGC(c *pmem.Ctx) {
+// chased (objects must be referenced by their start address). An error
+// means the bookkeeper could not tombstone every leaked extent; the ones
+// it did tombstone are freed, the rest stay allocated and recorded.
+func (h *Heap) conservativeGC(c *pmem.Ctx) error {
 	type object struct {
 		addr pmem.PAddr
 		size uint64
@@ -73,21 +75,13 @@ func (h *Heap) conservativeGC(c *pmem.Ctx) {
 		a := h.arenas[s.Owner]
 		wasFree := s.FreeCount() > 0
 		for idx := 0; idx < s.Blocks; idx++ {
-			addr := s.BlockAddr(idx)
-			allocated := s.BlockAllocated(idx)
-			reachable := marked[addr]
 			if s.IsSlabIn() {
 				// Blocks pinned by live old-class data stay allocated.
 				if cnt := s.OverlapCount(idx); cnt > 0 {
 					continue
 				}
 			}
-			switch {
-			case reachable && !allocated:
-				s.AllocBlock(c, idx, true)
-			case !reachable && allocated:
-				s.FreeBlock(c, idx, true)
-			}
+			h.forceBit(c, s, idx, marked[s.BlockAddr(idx)])
 		}
 		// Old-class blocks: sweep via the index table.
 		if s.IsSlabIn() {
@@ -116,5 +110,5 @@ func (h *Heap) conservativeGC(c *pmem.Ctx) {
 	// Batched tombstones: one fence for the whole leak sweep. Safe here
 	// because a crash mid-batch just leaves some leaks for the next
 	// recovery's GC to re-find (idempotent).
-	_ = h.large.FreeBatch(c, leaked)
+	return h.large.FreeBatch(c, leaked)
 }

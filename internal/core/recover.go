@@ -115,7 +115,7 @@ func Open(dev pmem.Dev, opts Options) (*Heap, int64, error) {
 	if opts.LogBookkeeping {
 		// Every shard recovers independently; the merged record list is
 		// address-ordered across shards.
-		bl, recs, err := blog.OpenSharded(dev, h.blogBase(), h.blogSize(), h.walStripes, opts.BookShards)
+		bl, recs, err := blog.Open(dev, h.blogBase(), h.blogSize(), h.walStripes, opts.BookShards)
 		if err != nil {
 			return nil, 0, err
 		}
@@ -216,7 +216,9 @@ func Open(dev pmem.Dev, opts Options) (*Heap, int64, error) {
 				return nil, 0, err
 			}
 		case GC:
-			h.conservativeGC(c)
+			if err := h.conservativeGC(c); err != nil {
+				return nil, 0, err
+			}
 		case IC:
 			// Internal collection: the eagerly persisted bitmaps are the
 			// truth; crash-time leaks stay allocated until the application
@@ -359,7 +361,10 @@ func (h *Heap) forceBit(c *pmem.Ctx, s *slab.Slab, idx int, val bool) {
 		s.AllocBlock(c, idx, true)
 	case !val && allocated:
 		s.FreeBlock(c, idx, true)
+	default:
+		return
 	}
+	c.Fence()
 }
 
 // forceFreeBlock frees addr whether it is a slab block or an extent, if

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"slices"
+
 	"nvalloc/internal/alloc"
 	"nvalloc/internal/extent"
 	"nvalloc/internal/pmem"
@@ -26,10 +28,9 @@ type Thread struct {
 
 	// drainRemote scratch, reused across drains so the steady-state
 	// remote-free path allocates nothing.
-	drainEntries []walog.Entry
-	drainStale   []tcache.RemoteFree
-	drainApply   []tcache.RemoteFree
-	drainSlabs   []*slab.Slab
+	drainStale []tcache.RemoteFree
+	drainApply []blockRef
+	drainSlabs []*slab.Slab
 }
 
 var (
@@ -38,8 +39,8 @@ var (
 )
 
 // remoteBatch bounds each per-owner-arena remote-free buffer: a drain
-// amortizes one owner-resource acquisition and two fences (one for the
-// WAL batch, one for the bitmap clears) over up to this many frees.
+// amortizes one owner-resource acquisition and one fence over up to this
+// many frees.
 const remoteBatch = 16
 
 // NewThread registers a worker with the heap, assigning it to the arena
@@ -126,27 +127,13 @@ func (t *Thread) mallocSmall(class int) (pmem.PAddr, error) {
 	s := b.Slab.(*slab.Slab)
 	// Persist the allocation: WAL entry (LOG) plus the interleaved bitmap
 	// bit (LOG and IC); the GC variant commits in DRAM only.
-	switch {
-	case t.h.useWAL:
-		a := t.h.arenas[s.Owner]
+	a := t.h.arenas[s.Owner]
+	if t.h.useWAL {
 		a.res.Acquire(t.ctx)
-		s.Mu.Lock()
-		// Aux2 records the geometry the entry was logged under: replay
-		// must not apply this block index to a since-morphed slab.
-		// Entry flush and bitmap flush share one trailing fence: durability
-		// follows flush order, so no crash boundary sees the bit without
-		// its entry, and a persisted entry replays idempotently. The fence
-		// stays inside the critical section so at most one append per log
-		// is ever in flight (replay tolerates exactly one torn slot).
-		a.wal.AppendNoFence(t.ctx, walog.Entry{Op: walog.OpAllocBit, Addr: s.Base, Aux: uint64(b.Idx), Aux2: uint32(s.Class)})
-		s.CommitAllocBatched(t.ctx, b.Idx, true)
-		t.ctx.Fence()
-		s.Mu.Unlock()
+	}
+	a.commit(t.ctx, commitAlloc, []blockRef{{s, b.Idx, s.Class}}, true)
+	if t.h.useWAL {
 		a.res.Release(t.ctx)
-	default:
-		s.Mu.Lock()
-		s.CommitAlloc(t.ctx, b.Idx, t.h.persistSmall)
-		s.Mu.Unlock()
 	}
 	return s.BlockAddr(b.Idx), nil
 }
@@ -246,17 +233,7 @@ func (t *Thread) freeSmall(s *slab.Slab, addr pmem.PAddr, buffer bool) error {
 			}
 			continue
 		}
-		if t.h.useWAL {
-			// One merged trailing fence for entry + bit, as in mallocSmall.
-			owner.wal.AppendNoFence(t.ctx, walog.Entry{Op: walog.OpFreeBit, Addr: s.Base, Aux: uint64(idx), Aux2: uint32(g.Class)})
-			s.CommitFreeToCacheBatched(t.ctx, idx, t.h.persistSmall)
-			t.ctx.Fence()
-		} else {
-			s.CommitFreeToCache(t.ctx, idx, t.h.persistSmall)
-		}
-		if s.UsageBelowMille(t.h.suMille) {
-			owner.noteCandidate(s)
-		}
+		owner.commit(t.ctx, freeToCache, []blockRef{{s, idx, g.Class}}, false)
 		s.Mu.Unlock()
 		if t.h.useWAL {
 			owner.res.Release(t.ctx)
@@ -337,13 +314,12 @@ func (t *Thread) bufferRemoteFree(s *slab.Slab, g *slab.Geom, addr pmem.PAddr, i
 }
 
 // drainRemote applies every buffered free for owner arena ai in one
-// owner-resource critical section: one batched WAL append (per-entry
-// flush), then the bitmap clears (per-line flush), closed by a single
-// trailing fence for the whole batch. A crash
-// between the two persists a valid prefix of WAL entries whose replay
-// re-clears the bits, so partially drained frees are never lost once
-// their WAL entry is in. Entries whose slab morphed since buffering are
-// retried through the unbuffered path afterwards.
+// owner-resource critical section and one commit: the group's WAL
+// entries, then its bitmap clears, closed by a single trailing fence. A
+// crash inside the group persists a valid prefix of WAL entries whose
+// replay re-clears the bits, so partially drained frees are never lost
+// once their WAL entry is in. Entries whose slab morphed since buffering
+// are retried through the unbuffered path afterwards.
 func (t *Thread) drainRemote(ai int) {
 	frees := t.remote[ai].Take()
 	if len(frees) == 0 {
@@ -351,23 +327,19 @@ func (t *Thread) drainRemote(ai int) {
 	}
 	owner := t.h.arenas[ai]
 	stale, apply := t.drainStale[:0], t.drainApply[:0]
-	entries := t.drainEntries[:0]
 	owner.res.Acquire(t.ctx)
 	for _, f := range frees {
-		s := f.Slab.(*slab.Slab)
+		s, g := f.Slab.(*slab.Slab), f.Geom.(*slab.Geom)
 		// Geometry only changes under the owner's resource (morphs run in
 		// morphInto), which we hold: one snapshot comparison decides each
 		// entry for the whole drain.
-		if s.Geometry() != f.Geom.(*slab.Geom) {
+		if s.Geometry() != g {
 			stale = append(stale, f)
 			continue
 		}
-		entries = append(entries, walog.Entry{
-			Op: walog.OpFreeBit, Addr: s.Base, Aux: uint64(f.Idx), Aux2: uint32(f.Geom.(*slab.Geom).Class),
-		})
-		apply = append(apply, f)
+		apply = append(apply, blockRef{s, f.Idx, g.Class})
 	}
-	t.drainStale, t.drainApply, t.drainEntries = stale, apply, entries
+	t.drainStale, t.drainApply = stale, apply
 	if len(apply) == 0 {
 		owner.res.Release(t.ctx)
 		for _, f := range stale {
@@ -375,31 +347,13 @@ func (t *Thread) drainRemote(ai int) {
 		}
 		return
 	}
-	// The batch's entry flushes and the bitmap clears below share the one
-	// trailing fence after the clears (see mallocSmall's merge argument):
-	// one fence per drain instead of two.
-	owner.wal.AppendBatchNoFence(t.ctx, entries)
+	owner.commit(t.ctx, freeToSlab, apply, true)
 	slabs := t.drainSlabs[:0]
-	for _, f := range apply {
-		s := f.Slab.(*slab.Slab)
-		s.Mu.Lock()
-		s.FreeBlockBatched(t.ctx, f.Idx, t.h.persistSmall)
-		if s.UsageBelowMille(t.h.suMille) {
-			owner.noteCandidate(s)
-		}
-		s.Mu.Unlock()
-		seen := false
-		for _, x := range slabs {
-			if x == s {
-				seen = true
-				break
-			}
-		}
-		if !seen {
-			slabs = append(slabs, s)
+	for _, b := range apply {
+		if !slices.Contains(slabs, b.s) {
+			slabs = append(slabs, b.s)
 		}
 	}
-	t.ctx.Fence()
 	// Per-slab list maintenance, mirroring freeBypass: refreshed slabs
 	// rejoin their freelist, and a fully empty slab beyond the per-class
 	// spare is released (outside the resource, like every release).
@@ -481,6 +435,7 @@ func (t *Thread) MallocTo(slot pmem.PAddr, size uint64) (pmem.PAddr, error) {
 		a.wal.Append(t.ctx, walog.Entry{
 			Op: walog.OpMallocTo, Addr: slot, Aux: uint64(addr), Aux2: uint32(size),
 		})
+		t.ctx.Fence() // the publish record is durable before the slot write it guards
 		a.res.Release(t.ctx)
 	}
 	t.ctx.PersistU64(pmem.CatOther, slot, uint64(addr))
@@ -499,6 +454,7 @@ func (t *Thread) FreeFrom(slot pmem.PAddr) error {
 		a := t.arena
 		a.res.Acquire(t.ctx)
 		a.wal.Append(t.ctx, walog.Entry{Op: walog.OpFreeFrom, Addr: slot, Aux: uint64(addr)})
+		t.ctx.Fence() // the retraction record is durable before the slot clear and the free
 		a.res.Release(t.ctx)
 	}
 	t.ctx.PersistU64(pmem.CatOther, slot, 0)

@@ -40,7 +40,7 @@ func TestSlabCacheBatchAmortization(t *testing.T) {
 	}
 	// Unrecorded: nothing was recorded, so the bookkeeping log must hold
 	// zero live records despite the activated extents.
-	if n := a.book.(*blog.Log).Live(); n != 0 {
+	if n := a.book.(*blog.Sharded).Live(); n != 0 {
 		t.Fatalf("cache gets produced %d bookkeeping records, want 0", n)
 	}
 }
@@ -117,7 +117,7 @@ func TestCachedExtentsFreeAfterCrash(t *testing.T) {
 	c.Merge()
 	dev.Crash()
 
-	bk, recs, err := blog.Open(dev, logBase, logSize, 6)
+	bk, recs, err := blog.Open(dev, logBase, logSize, 6, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -223,7 +223,7 @@ func TestShardSubAllocsSurviveCrash(t *testing.T) {
 	c.Merge()
 	dev.Crash()
 
-	bk, recs, err := blog.Open(dev, logBase, logSize, 6)
+	bk, recs, err := blog.Open(dev, logBase, logSize, 6, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -279,7 +279,7 @@ func TestFreeBatchTombstones(t *testing.T) {
 	}
 	c.Merge()
 	dev.Crash()
-	_, recs, err := blog.Open(dev, logBase, logSize, 6)
+	_, recs, err := blog.Open(dev, logBase, logSize, 6, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

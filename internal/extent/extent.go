@@ -10,6 +10,7 @@ package extent
 
 import (
 	"fmt"
+	"slices"
 	"sync/atomic"
 
 	"nvalloc/internal/pmem"
@@ -50,43 +51,36 @@ type VEH struct {
 // End returns the first address past the extent.
 func (v *VEH) End() pmem.PAddr { return v.Addr + pmem.PAddr(v.Size) }
 
-// Bookkeeper persists which extents are live. Implementations: *blog.Log
-// (NVAlloc's log-structured bookkeeping) and *InPlace (classic region
-// headers).
+// Bookkeeper persists which extents are live. Implementations:
+// *blog.Sharded (NVAlloc's log-structured bookkeeping) and *InPlace
+// (classic region headers).
 type Bookkeeper interface {
-	// RecordAlloc persists that [addr,addr+size) is live.
+	// RecordAlloc persists that [addr,addr+size) is live, fenced. Alloc
+	// records are never grouped: each must follow its own extent's
+	// initialization.
 	RecordAlloc(c *pmem.Ctx, addr pmem.PAddr, size uint64, slab bool) error
-	// RecordFree persists that addr is no longer live.
-	RecordFree(c *pmem.Ctx, addr pmem.PAddr) error
+	// RecordFree persists that each addr is no longer live. Tombstones are
+	// written and flushed individually and closed by one trailing fence
+	// per group (the whole call, or one group per log shard), so a crash
+	// mid-call persists a prefix of independently valid records — callers
+	// only pass several addresses where that is safe (idempotent recovery
+	// sweeps). It returns how many tombstones it persisted; on an error
+	// that valid prefix stays persisted and fenced. The bookkeeper may
+	// reorder addrs (grouping by shard): the persisted ones are addrs[:n]
+	// as the slice reads on return.
+	RecordFree(c *pmem.Ctx, addrs []pmem.PAddr) (n int, err error)
 	// MaybeGC lets the bookkeeper compact itself.
 	MaybeGC(c *pmem.Ctx)
 	// DataOffset returns how many bytes at the start of each fresh chunk
 	// the bookkeeper reserves for itself (0 for the log; a header table
 	// for in-place bookkeeping).
 	DataOffset() uint64
-}
-
-// SelfLockedBookkeeper marks bookkeepers that serialize their own calls
-// internally (the sharded log takes a per-shard resource inside each
-// record append). The allocator skips its external BookRes for such
-// bookkeepers, so appends routed to different shards never serialize.
-type SelfLockedBookkeeper interface {
-	// SelfLocked is a marker; implementations serialize every Bookkeeper
-	// method themselves and may be called concurrently.
-	SelfLocked()
-}
-
-// BatchBookkeeper is implemented by bookkeepers that can persist a group
-// of tombstones with a single trailing fence. Entries are still written
-// and flushed individually, so a crash mid-batch persists a prefix —
-// each record is independently valid, and callers only batch where
-// partial persistence is safe (idempotent recovery sweeps). Both
-// bookkeepers also offer a RecordAllocBatch with the same contract,
-// outside this interface because the allocator itself never batches
-// alloc records (a record must follow its extent's initialization).
-type BatchBookkeeper interface {
-	// RecordFreeBatch persists tombstones for each addr.
-	RecordFreeBatch(c *pmem.Ctx, addrs []pmem.PAddr) error
+	// SelfLocked reports whether the bookkeeper serializes its own calls
+	// (the sharded log takes a per-shard resource inside each record
+	// append) and may be called concurrently. The allocator skips its
+	// external BookRes for such bookkeepers, so appends routed to
+	// different shards never serialize.
+	SelfLocked() bool
 }
 
 type sizeKey struct {
@@ -126,6 +120,11 @@ type Allocator struct {
 	heapBase       pmem.PAddr
 	heapEnd        pmem.PAddr
 	brkAddr        pmem.PAddr // persistent cell holding the heap break
+
+	// freeOne is Free's one-address group for RecordFree, guarded by Res
+	// like the rest of Free: handing the bookkeeper a slice of a local
+	// through the interface would cost a heap allocation per free.
+	freeOne [1]pmem.PAddr
 
 	activated map[pmem.PAddr]*VEH
 	bySize    [2]*rbtree.Tree[sizeKey, *VEH] // [Reclaimed-?], indexed by state-1... see idx()
@@ -208,7 +207,7 @@ func newAllocator(dev pmem.Dev, book Bookkeeper, cfg Config) *Allocator {
 	a.bySize[1] = rbtree.New[sizeKey, *VEH](sizeLess)
 	a.decay.init()
 	a.peak = a.metaBytes
-	_, a.bookSelfLocked = book.(SelfLockedBookkeeper)
+	a.bookSelfLocked = book.SelfLocked()
 	return a
 }
 
@@ -505,8 +504,14 @@ func (a *Allocator) RecordExtent(c *pmem.Ctx, addr pmem.PAddr, size uint64, slab
 // later record for overlapping space can never coexist with the old one
 // after a crash.
 func (a *Allocator) TombstoneExtent(c *pmem.Ctx, addr pmem.PAddr) error {
+	return a.tombstone(c, []pmem.PAddr{addr})
+}
+
+// tombstone is TombstoneExtent on a caller-owned one-address group (the
+// shard pools keep one under their own lock; see Allocator.freeOne).
+func (a *Allocator) tombstone(c *pmem.Ctx, one []pmem.PAddr) error {
 	a.bookAcquire(c)
-	err := a.book.RecordFree(c, addr)
+	_, err := a.book.RecordFree(c, one)
 	if err == nil {
 		a.book.MaybeGC(c)
 	}
@@ -521,8 +526,9 @@ func (a *Allocator) Free(c *pmem.Ctx, addr pmem.PAddr) error {
 	if !ok {
 		return fmt.Errorf("extent: free of unknown extent %#x", addr)
 	}
+	a.freeOne[0] = addr
 	a.bookAcquire(c)
-	err := a.book.RecordFree(c, addr)
+	_, err := a.book.RecordFree(c, a.freeOne[:])
 	a.bookRelease(c)
 	if err != nil {
 		return err
@@ -539,12 +545,15 @@ func (a *Allocator) Free(c *pmem.Ctx, addr pmem.PAddr) error {
 }
 
 // FreeBatch frees a group of extents with their tombstones persisted as
-// one batch (a single trailing fence when the bookkeeper supports it).
-// Like recovery-time Free calls, the caller serializes access itself;
-// a crash mid-batch leaves a prefix of the tombstones persisted, which
-// is safe wherever the batch is idempotent (recovery GC re-runs).
+// one RecordFree group (one trailing fence per log shard). Like
+// recovery-time Free calls, the caller serializes access itself; a crash
+// mid-batch leaves a prefix of the tombstones persisted, which is safe
+// wherever the batch is idempotent (recovery GC re-runs). If the
+// bookkeeper fails mid-batch, exactly the extents whose tombstones it
+// did persist are freed before the error is returned: an extent must
+// never stay activated without a record.
 func (a *Allocator) FreeBatch(c *pmem.Ctx, addrs []pmem.PAddr) error {
-	var vs []*VEH
+	vs := make([]*VEH, 0, len(addrs))
 	for _, addr := range addrs {
 		v, ok := a.activated[addr]
 		if !ok {
@@ -555,23 +564,21 @@ func (a *Allocator) FreeBatch(c *pmem.Ctx, addrs []pmem.PAddr) error {
 	if len(vs) == 0 {
 		return nil
 	}
+	// The bookkeeper may regroup its argument; the volatile frees below
+	// keep the caller's (address) order, which recovery relies on for
+	// deterministic free lists.
+	routed := slices.Clone(addrs)
 	a.bookAcquire(c)
-	var err error
-	if bb, ok := a.book.(BatchBookkeeper); ok {
-		err = bb.RecordFreeBatch(c, addrs)
-	} else {
-		for _, addr := range addrs {
-			if err = a.book.RecordFree(c, addr); err != nil {
-				break
-			}
-		}
-	}
+	n, err := a.book.RecordFree(c, routed)
 	if err == nil {
 		a.book.MaybeGC(c)
 	}
 	a.bookRelease(c)
 	if err != nil {
-		return err
+		vs = vs[:0]
+		for _, addr := range routed[:n] {
+			vs = append(vs, a.activated[addr])
+		}
 	}
 	for _, v := range vs {
 		delete(a.activated, v.Addr)
@@ -580,7 +587,7 @@ func (a *Allocator) FreeBatch(c *pmem.Ctx, addrs []pmem.PAddr) error {
 		a.coalesce(c, v)
 	}
 	a.maybeDecay(c)
-	return nil
+	return err
 }
 
 // AllocSlabBatch carves up to n extents of the given size (aligned to

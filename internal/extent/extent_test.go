@@ -18,7 +18,7 @@ const (
 func newAlloc(t *testing.T, devSize uint64) (*pmem.Device, *Allocator, *pmem.Ctx) {
 	t.Helper()
 	dev := pmem.New(pmem.Config{Size: devSize, Strict: true})
-	bk := blog.New(dev.Mem(), logBase, logSize, 6)
+	bk := blog.New(dev.Mem(), logBase, logSize, 6, 1)
 	a := New(dev, bk, Config{
 		HeapBase: heapBase,
 		HeapEnd:  pmem.PAddr(dev.Size()),
@@ -156,7 +156,7 @@ func TestCoalesceNeighbors(t *testing.T) {
 
 func TestHeapExhaustion(t *testing.T) {
 	dev := pmem.New(pmem.Config{Size: 16 << 20})
-	bk := blog.New(dev.Mem(), logBase, logSize, 6)
+	bk := blog.New(dev.Mem(), logBase, logSize, 6, 1)
 	a := New(dev, bk, Config{HeapBase: heapBase, HeapEnd: 12 << 20, BreakPtr: brkPtr})
 	c := dev.NewCtx()
 	if _, err := a.Alloc(c, 4<<20, 0, false); err != nil {
@@ -300,7 +300,7 @@ func TestRebuildFromRecords(t *testing.T) {
 	dev.Crash()
 
 	// Recover the bookkeeping log and rebuild.
-	bk, recs, err := blog.Open(dev, logBase, logSize, 6)
+	bk, recs, err := blog.Open(dev, logBase, logSize, 6, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -376,7 +376,7 @@ func TestInPlaceWritesAreRandomFlushes(t *testing.T) {
 		dev := pmem.New(pmem.Config{Size: 256 << 20})
 		var bk Bookkeeper
 		if useLog {
-			bk = blog.New(dev.Mem(), logBase, logSize, 6)
+			bk = blog.New(dev.Mem(), logBase, logSize, 6, 1)
 		} else {
 			bk = NewInPlace(dev, heapBase, brkPtr)
 		}
@@ -415,7 +415,7 @@ func TestInPlaceWritesAreRandomFlushes(t *testing.T) {
 
 func TestFirstFitSelection(t *testing.T) {
 	dev := pmem.New(pmem.Config{Size: 64 << 20})
-	bk := blog.New(dev.Mem(), logBase, logSize, 6)
+	bk := blog.New(dev.Mem(), logBase, logSize, 6, 1)
 	a := New(dev, bk, Config{HeapBase: heapBase, HeapEnd: pmem.PAddr(dev.Size()), BreakPtr: brkPtr})
 	a.FirstFit = true
 	c := dev.NewCtx()

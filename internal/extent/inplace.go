@@ -66,57 +66,27 @@ func (b *InPlace) RecordAlloc(c *pmem.Ctx, addr pmem.PAddr, size uint64, slab bo
 	return nil
 }
 
-// RecordFree clears the extent's header slot in place.
-func (b *InPlace) RecordFree(c *pmem.Ctx, addr pmem.PAddr) error {
-	s, err := b.slot(addr)
-	if err != nil {
-		return err
-	}
-	c.PersistU64(pmem.CatMeta, s, 0)
-	c.Fence()
-	return nil
-}
-
-// RecordAllocBatch writes a group of header slots with one trailing
-// fence. Slots are flushed individually, so a crash mid-batch persists
-// an independently valid prefix (see BatchBookkeeper).
-func (b *InPlace) RecordAllocBatch(c *pmem.Ctx, recs []LiveRecord) error {
-	if len(recs) == 0 {
-		return nil
-	}
-	for _, r := range recs {
-		s, err := b.slot(r.Addr)
-		if err != nil {
-			c.Fence()
-			return err
-		}
-		v := uint64(ipLive) | r.Size
-		if r.Slab {
-			v |= ipSlab
-		}
-		c.PersistU64(pmem.CatMeta, s, v)
-	}
-	c.Fence()
-	return nil
-}
-
-// RecordFreeBatch clears a group of header slots with one trailing
-// fence.
-func (b *InPlace) RecordFreeBatch(c *pmem.Ctx, addrs []pmem.PAddr) error {
-	if len(addrs) == 0 {
-		return nil
-	}
+// RecordFree clears each extent's header slot in place, with one
+// trailing fence for the group. Slots are flushed individually, so a
+// crash mid-group persists an independently valid prefix.
+func (b *InPlace) RecordFree(c *pmem.Ctx, addrs []pmem.PAddr) (n int, err error) {
 	for _, addr := range addrs {
-		s, err := b.slot(addr)
-		if err != nil {
-			c.Fence()
-			return err
+		var s pmem.PAddr
+		if s, err = b.slot(addr); err != nil {
+			break
 		}
 		c.PersistU64(pmem.CatMeta, s, 0)
+		n++
 	}
-	c.Fence()
-	return nil
+	if n > 0 {
+		c.Fence()
+	}
+	return n, err
 }
+
+// SelfLocked reports false: the allocator serializes in-place header
+// updates through its BookRes.
+func (b *InPlace) SelfLocked() bool { return false }
 
 // MaybeGC is a no-op: in-place headers need no compaction.
 func (b *InPlace) MaybeGC(*pmem.Ctx) {}

@@ -18,10 +18,10 @@ func newInPlaceAlloc(t *testing.T, devSize uint64) (*pmem.Device, *InPlace, *All
 	return dev, bk, a, dev.NewCtx()
 }
 
-// TestInPlaceRecordBatches: the in-place bookkeeper's batch entry points
-// persist a group of header slots under one trailing fence, and Recover
-// sees exactly the surviving records.
-func TestInPlaceRecordBatches(t *testing.T) {
+// TestInPlaceRecordGroups: the in-place bookkeeper fences every alloc
+// record on its own, clears a group of header slots under one trailing
+// fence, and Recover sees exactly the surviving records.
+func TestInPlaceRecordGroups(t *testing.T) {
 	dev, bk, _, c := newInPlaceAlloc(t, 64<<20)
 	data := heapBase + pmem.PAddr(HeaderBytes)
 	recs := []LiveRecord{
@@ -30,18 +30,20 @@ func TestInPlaceRecordBatches(t *testing.T) {
 		{Addr: data + 16384, Size: 4096},
 	}
 	f0 := c.Local().Fences
-	if err := bk.RecordAllocBatch(c, recs); err != nil {
-		t.Fatal(err)
+	for _, r := range recs {
+		if err := bk.RecordAlloc(c, r.Addr, r.Size, r.Slab); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if fences := c.Local().Fences - f0; fences != 1 {
-		t.Fatalf("alloc batch of %d issued %d fences, want 1", len(recs), fences)
+	if fences := c.Local().Fences - f0; fences != uint64(len(recs)) {
+		t.Fatalf("%d alloc records issued %d fences, want one each", len(recs), fences)
 	}
 	f0 = c.Local().Fences
-	if err := bk.RecordFreeBatch(c, []pmem.PAddr{data, data + 16384}); err != nil {
-		t.Fatal(err)
+	if n, err := bk.RecordFree(c, []pmem.PAddr{data, data + 16384}); err != nil || n != 2 {
+		t.Fatalf("free group persisted %d of 2: %v", n, err)
 	}
 	if fences := c.Local().Fences - f0; fences != 1 {
-		t.Fatalf("free batch issued %d fences, want 1", fences)
+		t.Fatalf("free group issued %d fences, want 1", fences)
 	}
 	dev.Crash()
 	live := bk.Recover(dev.NewCtx())
@@ -50,9 +52,9 @@ func TestInPlaceRecordBatches(t *testing.T) {
 	}
 }
 
-// TestInPlaceFreeBatchThroughAllocator: Allocator.FreeBatch takes the
-// BatchBookkeeper fast path for the in-place scheme too — all records die,
-// the space coalesces, and fences stay amortized.
+// TestInPlaceFreeBatchThroughAllocator: Allocator.FreeBatch groups the
+// tombstones for the in-place scheme too — all records die, the space
+// coalesces, and fences stay amortized.
 func TestInPlaceFreeBatchThroughAllocator(t *testing.T) {
 	dev, bk, a, c := newInPlaceAlloc(t, 64<<20)
 	var ps []pmem.PAddr

@@ -77,6 +77,7 @@ type Shard struct {
 	id        int
 	leases    []*lease
 	allocated map[pmem.PAddr]uint64 // live sub-allocation sizes
+	freeOne   [1]pmem.PAddr         // Free's one-address tombstone group (see Allocator.freeOne)
 
 	allocs, frees, leasesTaken, leasesReturned uint64
 }
@@ -245,7 +246,8 @@ func (s *Shards) Free(c *pmem.Ctx, addr pmem.PAddr) (handled bool, err error) {
 			sh.Res.Release(c)
 			return true, fmt.Errorf("extent: shard free of unknown extent %#x", addr)
 		}
-		if err := s.a.TombstoneExtent(c, addr); err != nil {
+		sh.freeOne[0] = addr
+		if err := s.a.tombstone(c, sh.freeOne[:]); err != nil {
 			sh.Res.Release(c)
 			return true, err
 		}

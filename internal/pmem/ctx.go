@@ -189,16 +189,10 @@ func (c *Ctx) Flush(cat Category, addr PAddr, size int) {
 	}
 }
 
-// FlushU64 is the common case: persist the single line holding an 8-byte
-// store at addr.
+// FlushU64 persists the single cache line containing addr. It is Flush
+// for stores the caller knows cannot cross a line boundary (an aligned
+// 8-byte word, a bitmap byte, a WAL slot), skipping the range setup.
 func (c *Ctx) FlushU64(cat Category, addr PAddr) {
-	c.flushLine(cat, uint64(addr)/LineSize)
-}
-
-// FlushLineOf persists the single cache line containing addr. It is
-// Flush for stores the caller knows cannot cross a line boundary (a
-// bitmap byte, a line-aligned WAL slot), skipping the range setup.
-func (c *Ctx) FlushLineOf(cat Category, addr PAddr) {
 	c.flushLine(cat, uint64(addr)/LineSize)
 }
 
@@ -327,13 +321,13 @@ func (c *Ctx) flushLine(cat Category, line uint64) {
 		off := line * LineSize
 		mu := d.lineLock(line)
 		mu.Lock()
-		copy(d.media[off:off+LineSize], d.mem[off:off+LineSize])
+		copy(d.media[off:off+LineSize], d.data[off:off+LineSize])
 		if d.journalOn {
 			fd := FlushDelta{Line: line, Cat: cat, Thread: c.ThreadID, Step: -1}
 			if c.hook != nil {
 				fd.Step = c.hook.Step()
 			}
-			copy(fd.Data[:], d.mem[off:off+LineSize])
+			copy(fd.Data[:], d.data[off:off+LineSize])
 			mu.Unlock()
 			d.journalMu.Lock()
 			d.journalAppend(fd)

@@ -34,10 +34,11 @@ type Dev interface {
 	Direct() bool
 
 	// Mem returns the concrete image view hot paths hold by value to
-	// avoid interface dispatch on every typed access.
+	// avoid interface dispatch on every typed access. Both devices embed
+	// it, which is where the accessors below come from.
 	Mem() Mem
 
-	// Bytes returns a mutable view of [addr, addr+n); see Device.Bytes for
+	// Bytes returns a mutable view of [addr, addr+n); see Mem.Bytes for
 	// the flushing and synchronization contract.
 	Bytes(addr PAddr, n int) []byte
 	ReadU64(addr PAddr) uint64
@@ -69,16 +70,6 @@ type Dev interface {
 
 // Direct reports that *Device is the simulated implementation.
 func (d *Device) Direct() bool { return false }
-
-func (d *Device) mergeStats(local *Stats, flushIssued uint64, now int64) {
-	d.statsMu.Lock()
-	d.stats.add(local)
-	d.flushTotal += flushIssued
-	if now > d.stats.MaxClockNS {
-		d.stats.MaxClockNS = now
-	}
-	d.statsMu.Unlock()
-}
 
 var (
 	_ Dev = (*Device)(nil)

@@ -1,9 +1,6 @@
 package pmem
 
-import (
-	"fmt"
-	"sync"
-)
+import "fmt"
 
 // DirectDev is the real-concurrency device: the heap region is plain
 // memory — anonymous by default, or an mmap'd file when DirectConfig.Path
@@ -20,15 +17,13 @@ import (
 // Crash/recovery experiments stay on *Device (crashmc is unaffected by
 // this mode).
 type DirectDev struct {
+	image // no line locks: every accessor reduces to a checked slice access
+	devStats
+
 	size uint64
-	mem  []byte
 
 	// unmap releases a file mapping on Close (nil for anonymous memory).
 	unmap func() error
-
-	statsMu    sync.Mutex
-	stats      Stats
-	flushTotal uint64
 }
 
 // DirectConfig configures a DirectDev.
@@ -49,14 +44,14 @@ func NewDirect(cfg DirectConfig) (*DirectDev, error) {
 	cfg.Size = (cfg.Size + 4095) &^ 4095
 	d := &DirectDev{size: cfg.Size}
 	if cfg.Path == "" {
-		d.mem = make([]byte, cfg.Size)
+		d.data = make([]byte, cfg.Size)
 		return d, nil
 	}
 	mem, unmap, err := mapFile(cfg.Path, cfg.Size)
 	if err != nil {
 		return nil, fmt.Errorf("pmem: direct device on %s: %w", cfg.Path, err)
 	}
-	d.mem = mem
+	d.data = mem
 	d.unmap = unmap
 	return d, nil
 }
@@ -68,7 +63,7 @@ func (d *DirectDev) Close() error {
 	}
 	u := d.unmap
 	d.unmap = nil
-	d.mem = nil
+	d.data = nil
 	return u()
 }
 
@@ -88,81 +83,9 @@ func (d *DirectDev) Strict() bool { return false }
 // Direct reports that this is the real-concurrency device.
 func (d *DirectDev) Direct() bool { return true }
 
-// The accessors delegate to the Mem view (the canonical bounds-check
-// logic); with no line locks every call reduces to a checked slice access.
-
-// Bytes returns a mutable view of [addr, addr+n).
-func (d *DirectDev) Bytes(addr PAddr, n int) []byte { return d.Mem().Bytes(addr, n) }
-
-// ReadU64 loads a little-endian uint64.
-func (d *DirectDev) ReadU64(addr PAddr) uint64 { return d.Mem().ReadU64(addr) }
-
-// WriteU64 stores a little-endian uint64.
-func (d *DirectDev) WriteU64(addr PAddr, v uint64) { d.Mem().WriteU64(addr, v) }
-
-// ReadU32 loads a little-endian uint32.
-func (d *DirectDev) ReadU32(addr PAddr) uint32 { return d.Mem().ReadU32(addr) }
-
-// WriteU32 stores a little-endian uint32.
-func (d *DirectDev) WriteU32(addr PAddr, v uint32) { d.Mem().WriteU32(addr, v) }
-
-// ReadU16 loads a little-endian uint16.
-func (d *DirectDev) ReadU16(addr PAddr) uint16 { return d.Mem().ReadU16(addr) }
-
-// WriteU16 stores a little-endian uint16.
-func (d *DirectDev) WriteU16(addr PAddr, v uint16) { d.Mem().WriteU16(addr, v) }
-
-// ReadU8 loads one byte.
-func (d *DirectDev) ReadU8(addr PAddr) byte { return d.Mem().ReadU8(addr) }
-
-// WriteU8 stores one byte.
-func (d *DirectDev) WriteU8(addr PAddr, v byte) { d.Mem().WriteU8(addr, v) }
-
-// Write copies p into the device at addr.
-func (d *DirectDev) Write(addr PAddr, p []byte) { d.Mem().Write(addr, p) }
-
-// Read copies n bytes at addr into a fresh slice.
-func (d *DirectDev) Read(addr PAddr, n int) []byte { return d.Mem().Read(addr, n) }
-
-// Zero clears [addr, addr+n).
-func (d *DirectDev) Zero(addr PAddr, n int) { d.Mem().Zero(addr, n) }
-
 // NewCtx creates a worker context for the device. Direct contexts count
 // flushes and fences but never advance virtual time or touch bank or
 // line-lock state.
 func (d *DirectDev) NewCtx() *Ctx {
 	return &Ctx{dev: d, direct: true, mem: d.Mem()}
-}
-
-// Stats returns a snapshot of the merged device statistics. In direct
-// mode only the operation counters (Flushes, Fences, CatFlush) are
-// meaningful; the virtual-time fields stay zero.
-func (d *DirectDev) Stats() Stats {
-	d.statsMu.Lock()
-	defer d.statsMu.Unlock()
-	return d.stats
-}
-
-// ResetStats clears merged statistics.
-func (d *DirectDev) ResetStats() {
-	d.statsMu.Lock()
-	d.stats = Stats{}
-	d.statsMu.Unlock()
-}
-
-// FlushTotal returns the number of flush calls issued by merged contexts.
-func (d *DirectDev) FlushTotal() uint64 {
-	d.statsMu.Lock()
-	defer d.statsMu.Unlock()
-	return d.flushTotal
-}
-
-func (d *DirectDev) mergeStats(local *Stats, flushIssued uint64, now int64) {
-	d.statsMu.Lock()
-	d.stats.add(local)
-	d.flushTotal += flushIssued
-	if now > d.stats.MaxClockNS {
-		d.stats.MaxClockNS = now
-	}
-	d.statsMu.Unlock()
 }

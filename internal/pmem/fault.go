@@ -160,7 +160,7 @@ func (d *Device) tearLine(line, seed uint64) {
 	mu.Lock()
 	for w := uint64(0); w < LineSize/8; w++ {
 		if mask&(1<<w) != 0 {
-			copy(d.media[off+w*8:off+w*8+8], d.mem[off+w*8:off+w*8+8])
+			copy(d.media[off+w*8:off+w*8+8], d.data[off+w*8:off+w*8+8])
 		}
 	}
 	mu.Unlock()
@@ -216,7 +216,7 @@ func (d *Device) applyFlips(fs *faultState) {
 // for read-only consistency checks against a live image.
 func (d *Device) Clone() *Device {
 	nd := New(Config{Size: d.size, Mode: d.mode, Strict: d.strict, Banks: len(d.banks)})
-	copy(nd.mem, d.mem)
+	copy(nd.data, d.data)
 	if d.strict {
 		copy(nd.media, d.media)
 	}

@@ -107,7 +107,7 @@ func (d *Device) Restore(img []byte) {
 	if uint64(len(img)) != d.size {
 		panic("pmem: Restore image size mismatch")
 	}
-	copy(d.mem, img)
+	copy(d.data, img)
 	if d.strict {
 		copy(d.media, img)
 	}
@@ -124,12 +124,7 @@ func (d *Device) Restore(img []byte) {
 		d.banks[i].xplines = [xpLinesPerBank]uint64{}
 		d.banks[i].mu.Unlock()
 	}
-	d.traceMu.Lock()
-	d.trace = nil
-	d.traceMu.Unlock()
-	d.statsMu.Lock()
-	d.stats = Stats{}
-	d.statsMu.Unlock()
+	d.ResetStats() // statistics and trace
 	d.journalMu.Lock()
 	d.journal = nil
 	d.journalBase = 0
@@ -216,7 +211,7 @@ func (c *ImageCursor) MaterializeTornInto(d *Device, seed uint64) bool {
 	off := fd.Line * LineSize
 	for w := uint64(0); w < LineSize/8; w++ {
 		if mask&(1<<w) != 0 {
-			copy(d.mem[off+w*8:off+w*8+8], fd.Data[w*8:w*8+8])
+			copy(d.data[off+w*8:off+w*8+8], fd.Data[w*8:w*8+8])
 			if d.strict {
 				copy(d.media[off+w*8:off+w*8+8], fd.Data[w*8:w*8+8])
 			}

@@ -15,20 +15,25 @@ import (
 // alias the same storage, and the view stays valid across simulated
 // crashes (Crash and LoadImage copy into the backing array in place).
 //
-// The accessor semantics are identical to the device's: stores take the
-// covering line-lock stripes when present, so strict-mode flushes observe
-// consistent lines; Bytes bypasses the stripes (see Device.Bytes).
+// Both devices embed their Mem, so the accessors below are also the
+// devices' own (promoted) accessors: stores take the covering line-lock
+// stripes when present, so strict-mode flushes observe consistent lines;
+// Bytes bypasses the stripes.
 type Mem struct {
 	data []byte
 	// lineLocks stripe-locks cache lines (strict simulated devices only).
 	lineLocks []sync.Mutex
 }
 
-// Mem returns the device's concrete image view.
-func (d *Device) Mem() Mem { return Mem{data: d.mem, lineLocks: d.lineLocks} }
+// image is Mem under the name the devices embed it by: a field called
+// Mem would collide with the Mem() method Dev requires.
+type image = Mem
 
 // Mem returns the device's concrete image view.
-func (d *DirectDev) Mem() Mem { return Mem{data: d.mem} }
+func (d *Device) Mem() Mem { return d.image }
+
+// Mem returns the device's concrete image view.
+func (d *DirectDev) Mem() Mem { return d.image }
 
 func (m Mem) check(addr PAddr, n int) {
 	if uint64(addr)+uint64(n) > uint64(len(m.data)) {
@@ -66,8 +71,11 @@ func (m Mem) lockSpan(addr PAddr, n int) func() {
 	return func() { b.Unlock(); a.Unlock() }
 }
 
-// Bytes returns a mutable view of [addr, addr+n); the caller is
-// responsible for flushing stores done through it.
+// Bytes returns a mutable view of [addr, addr+n) in the cache image. The
+// caller is responsible for flushing any stores it performs through the
+// view, and — since the view bypasses the line-lock stripes — for its own
+// line-level synchronization if it shares lines across goroutines. This
+// is the bulk-access escape hatch; prefer the typed accessors.
 func (m Mem) Bytes(addr PAddr, n int) []byte {
 	m.check(addr, n)
 	return m.data[addr : uint64(addr)+uint64(n) : uint64(addr)+uint64(n)]

@@ -116,20 +116,22 @@ type Config struct {
 
 // Device is a simulated persistent memory DIMM.
 type Device struct {
+	// image is the cache image — what loads and stores observe — and its
+	// typed accessors (Bytes, ReadU64, ... Zero), which Device promotes.
+	// Its lineLocks, allocated only in strict mode, stripe-lock cache
+	// lines: every typed store takes its line's stripe so the whole-line
+	// media copy in flushLine observes a consistent line even while
+	// another worker writes a neighbouring word of the same line. Bytes()
+	// views bypass the stripes — bulk users must do their own line-level
+	// synchronization if they share lines across goroutines.
+	image
+	devStats
+
 	mode   Mode
 	strict bool
 	size   uint64
 
-	mem   []byte // cache image: what loads and stores observe
 	media []byte // persisted image (strict mode only)
-
-	// lineLocks, allocated only in strict mode, stripe-locks cache lines:
-	// every typed store takes its line's stripe so the whole-line media
-	// copy in flushLine observes a consistent line even while another
-	// worker writes a neighbouring word of the same line. Bytes() views
-	// bypass the stripes — bulk users must do their own line-level
-	// synchronization if they share lines across goroutines.
-	lineLocks []sync.Mutex
 
 	banks []bank
 
@@ -145,12 +147,6 @@ type Device struct {
 	// if they ordered before it, exactly as with the individual atomics.
 	flushArmed atomic.Bool
 
-	// flushTotal aggregates per-Ctx flush-issue counts folded in by
-	// Ctx.Merge; guarded by statsMu. Kept out of the flush hot path: a
-	// shared atomic increment per flush costs more than the flush model
-	// itself.
-	flushTotal uint64
-
 	traceMu  sync.Mutex
 	trace    []FlushRecord
 	traceCap int
@@ -161,9 +157,6 @@ type Device struct {
 	journalCkpt int    // fold interval K (0 = unbounded)
 	journalBase int    // boundary of journal[0]
 	journalImg  []byte // media image at journalBase (nil while base is 0)
-
-	statsMu sync.Mutex
-	stats   Stats
 }
 
 // bank models one internal media bank: a resource clock plus a tiny LRU of
@@ -199,7 +192,7 @@ func New(cfg Config) *Device {
 		mode:      cfg.Mode,
 		strict:    cfg.Strict,
 		size:      cfg.Size,
-		mem:       make([]byte, cfg.Size),
+		image:     image{data: make([]byte, cfg.Size)},
 		banks:     make([]bank, nb),
 		traceCap:  cfg.TraceFlushes,
 		journalOn: cfg.Journal,
@@ -234,58 +227,6 @@ func (d *Device) Strict() bool { return d.strict }
 // EADR reports whether the device persistence domain includes the caches.
 func (d *Device) EADR() bool { return d.mode == ModeEADR }
 
-func (d *Device) check(addr PAddr, n int) {
-	if uint64(addr)+uint64(n) > d.size {
-		panic(fmt.Sprintf("pmem: access [%#x,+%d) out of device bounds %#x", addr, n, d.size))
-	}
-}
-
-// Bytes returns a mutable view of [addr, addr+n) in the cache image. The
-// caller is responsible for flushing any stores it performs through the
-// view. This is the bulk-access escape hatch; prefer the typed accessors.
-func (d *Device) Bytes(addr PAddr, n int) []byte { return d.Mem().Bytes(addr, n) }
-
-// lineLock returns the stripe lock covering line (strict mode only).
-func (d *Device) lineLock(line uint64) *sync.Mutex {
-	return &d.lineLocks[line%uint64(len(d.lineLocks))]
-}
-
-// The typed accessors delegate to the Mem view, which holds the canonical
-// bounds-check and strict-mode line-locking logic.
-
-// ReadU64 loads a little-endian uint64.
-func (d *Device) ReadU64(addr PAddr) uint64 { return d.Mem().ReadU64(addr) }
-
-// WriteU64 stores a little-endian uint64 to the cache image.
-func (d *Device) WriteU64(addr PAddr, v uint64) { d.Mem().WriteU64(addr, v) }
-
-// ReadU32 loads a little-endian uint32.
-func (d *Device) ReadU32(addr PAddr) uint32 { return d.Mem().ReadU32(addr) }
-
-// WriteU32 stores a little-endian uint32.
-func (d *Device) WriteU32(addr PAddr, v uint32) { d.Mem().WriteU32(addr, v) }
-
-// ReadU16 loads a little-endian uint16.
-func (d *Device) ReadU16(addr PAddr) uint16 { return d.Mem().ReadU16(addr) }
-
-// WriteU16 stores a little-endian uint16.
-func (d *Device) WriteU16(addr PAddr, v uint16) { d.Mem().WriteU16(addr, v) }
-
-// ReadU8 loads one byte.
-func (d *Device) ReadU8(addr PAddr) byte { return d.Mem().ReadU8(addr) }
-
-// WriteU8 stores one byte.
-func (d *Device) WriteU8(addr PAddr, v byte) { d.Mem().WriteU8(addr, v) }
-
-// Write copies p into the cache image at addr.
-func (d *Device) Write(addr PAddr, p []byte) { d.Mem().Write(addr, p) }
-
-// Read copies n bytes at addr into a fresh slice.
-func (d *Device) Read(addr PAddr, n int) []byte { return d.Mem().Read(addr, n) }
-
-// Zero clears [addr, addr+n) in the cache image.
-func (d *Device) Zero(addr PAddr, n int) { d.Mem().Zero(addr, n) }
-
 // CrashAfterFlushes arms fault injection: after n more successful line
 // flushes the device "loses power" — subsequent flushes stop persisting and
 // the device reports itself crashed. Combine with Crash to test recovery at
@@ -297,18 +238,6 @@ func (d *Device) CrashAfterFlushes(n int64) {
 
 // Crashed reports whether armed fault injection has triggered.
 func (d *Device) Crashed() bool { return d.crashed.Load() }
-
-// FlushTotal returns the number of line flushes issued over the device's
-// lifetime by contexts that have merged (Ctx.Merge), including flushes
-// dropped after an armed crash fired. It is the coordinate system
-// CrashAfterFlushes cuts in: call it after the workload's contexts have
-// merged and the value equals the number of flushLine invocations the
-// countdown saw.
-func (d *Device) FlushTotal() uint64 {
-	d.statsMu.Lock()
-	defer d.statsMu.Unlock()
-	return d.flushTotal
-}
 
 // Crash simulates power loss: in strict ADR mode the cache image is
 // replaced by the persisted image, discarding every unflushed store. On
@@ -322,16 +251,16 @@ func (d *Device) Crash() {
 	fs := d.fault.Swap(nil)
 	if d.mode == ModeEADR {
 		// Whole cache is in the persistence domain.
-		copy(d.media, d.mem)
+		copy(d.media, d.data)
 		if fs != nil {
 			d.applyFlips(fs)
 		}
-		copy(d.mem, d.media)
+		copy(d.data, d.media)
 	} else {
 		if fs != nil {
 			d.applyFlips(fs)
 		}
-		copy(d.mem, d.media)
+		copy(d.data, d.media)
 	}
 	d.crashed.Store(false)
 	d.crashAfter.Store(-1)
@@ -351,7 +280,7 @@ func (d *Device) Crash() {
 // written to a temporary file in the same directory and renamed into
 // place, so a host crash mid-save can never leave a torn image behind.
 func (d *Device) SaveImage(path string) error {
-	src := d.mem
+	src := d.data
 	if d.strict {
 		src = d.media
 	}
@@ -397,7 +326,7 @@ func (d *Device) LoadImage(path string) error {
 	if uint64(len(b)) > d.size {
 		return fmt.Errorf("pmem: image has %d trailing garbage bytes beyond device size %d", uint64(len(b))-d.size, d.size)
 	}
-	copy(d.mem, b)
+	copy(d.data, b)
 	if d.strict {
 		copy(d.media, b)
 	}

@@ -1,5 +1,7 @@
 package pmem
 
+import "sync"
+
 // Stats aggregates flush and timing counters. Each Ctx accumulates a local
 // Stats and folds it into the device with Merge.
 type Stats struct {
@@ -66,18 +68,59 @@ func (s *Stats) ReflushRatio() float64 {
 	return float64(s.Reflushes) / float64(s.Flushes)
 }
 
-// Stats returns a snapshot of the merged device statistics.
-func (d *Device) Stats() Stats {
-	d.statsMu.Lock()
-	defer d.statsMu.Unlock()
-	return d.stats
+// devStats is the merged-statistics block both devices embed: the totals
+// finished workers fold in through Ctx.Merge. It is kept out of the flush
+// hot path — a shared atomic increment per flush costs more than the
+// flush model itself — so everything here is guarded by one mutex.
+type devStats struct {
+	statsMu sync.Mutex
+	stats   Stats
+	// flushTotal aggregates per-Ctx flush-issue counts.
+	flushTotal uint64
+}
+
+// Stats returns a snapshot of the merged device statistics. On a
+// DirectDev only the operation counters (Flushes, Fences, CatFlush) are
+// meaningful; the virtual-time fields stay zero.
+func (s *devStats) Stats() Stats {
+	s.statsMu.Lock()
+	defer s.statsMu.Unlock()
+	return s.stats
+}
+
+// ResetStats clears merged statistics.
+func (s *devStats) ResetStats() {
+	s.statsMu.Lock()
+	s.stats = Stats{}
+	s.statsMu.Unlock()
+}
+
+// FlushTotal returns the number of line flushes issued over the device's
+// lifetime by contexts that have merged (Ctx.Merge), including flushes
+// dropped after an armed crash fired. It is the coordinate system
+// CrashAfterFlushes cuts in: call it after the workload's contexts have
+// merged and the value equals the number of flushLine invocations the
+// countdown saw.
+func (s *devStats) FlushTotal() uint64 {
+	s.statsMu.Lock()
+	defer s.statsMu.Unlock()
+	return s.flushTotal
+}
+
+// mergeStats folds a finishing worker's local counters into the totals.
+func (s *devStats) mergeStats(local *Stats, flushIssued uint64, now int64) {
+	s.statsMu.Lock()
+	s.stats.add(local)
+	s.flushTotal += flushIssued
+	if now > s.stats.MaxClockNS {
+		s.stats.MaxClockNS = now
+	}
+	s.statsMu.Unlock()
 }
 
 // ResetStats clears merged statistics (trace included).
 func (d *Device) ResetStats() {
-	d.statsMu.Lock()
-	d.stats = Stats{}
-	d.statsMu.Unlock()
+	d.devStats.ResetStats()
 	d.traceMu.Lock()
 	d.trace = nil
 	d.traceMu.Unlock()

@@ -247,6 +247,12 @@ func (s *Slab) FreeOldBlock(c *pmem.Ctx, idx int, persist bool) (done bool, err 
 		s.cntBlock[nb]--
 		if s.cntBlock[nb] == 0 {
 			s.FreeBlock(c, int(nb), persist)
+			// Fenced per bit: sharing one trailing fence with the flag
+			// commit below would need its own crashmc trace (demotion is
+			// not part of FenceElisionTrace).
+			if persist {
+				c.Fence()
+			}
 		}
 	}
 	if s.CntSlab == 0 {

@@ -185,8 +185,8 @@ type Slab struct {
 	cntBlock   []uint16    // per new block: old blocks occupying it
 
 	// Intrusive links managed by the owning arena.
-	LRUPrev, LRUNext   *Slab // arena LRU list (morph candidates)
-	FreePrev, FreeNext *Slab // per-class freelist of partially full slabs
+	LRUPrev, LRUNext   *Slab       // arena LRU list (morph candidates)
+	FreePrev, FreeNext *Slab       // per-class freelist of partially full slabs
 	Owner              int         // arena index owning this slab
 	MorphCand          atomic.Bool // queued in the arena's morph-candidate list
 	Dead               bool        // released back to the large allocator
@@ -386,15 +386,13 @@ func (s *Slab) BlockReserved(idx int) bool {
 	return s.resBits[idx/64]&(1<<(idx%64)) != 0
 }
 
-// setPersistentBit updates one interleaved bitmap bit in PM and optionally
-// flushes its cache line (attributed to FlushMeta).
-func (s *Slab) setPersistentBit(c *pmem.Ctx, idx int, val, persist bool) {
-	s.writePersistentBit(c, idx, val, persist, true)
-}
-
-// writePersistentBit is setPersistentBit with the trailing fence under
-// caller control: batched clears flush each line but fence once.
-func (s *Slab) writePersistentBit(c *pmem.Ctx, idx int, val, persist, fence bool) {
+// writePersistentBit updates one interleaved bitmap bit in PM and, when
+// persist is true, flushes its cache line (attributed to FlushMeta). Like
+// every persistent-write primitive it never fences: durability follows
+// flush order, and the operation that owns the crash-ordering argument
+// issues the one trailing fence (core's commit for the allocation paths,
+// the recovery sweeps and FreeOldBlock for their own bits).
+func (s *Slab) writePersistentBit(c *pmem.Ctx, idx int, val, persist bool) {
 	off := int(s.lay.off[idx])
 	addr := s.Base + pmem.PAddr(s.bitmapBase) + pmem.PAddr(off/8)
 	b := s.dev.ReadU8(addr)
@@ -405,10 +403,7 @@ func (s *Slab) writePersistentBit(c *pmem.Ctx, idx int, val, persist, fence bool
 	}
 	s.dev.WriteU8(addr, b)
 	if persist {
-		c.FlushLineOf(pmem.CatMeta, addr)
-		if fence {
-			c.Fence()
-		}
+		c.FlushU64(pmem.CatMeta, addr)
 	}
 }
 
@@ -422,10 +417,12 @@ func (s *Slab) AllocBlock(c *pmem.Ctx, idx int, persist bool) {
 	s.free.Set(idx)
 	s.fresh = false // idx may sit above bump; the prefix invariant is gone
 	s.Allocated++
-	s.setPersistentBit(c, idx, true, persist)
+	s.writePersistentBit(c, idx, true, persist)
 }
 
-// FreeBlock marks block idx free (volatile + persistent bit).
+// FreeBlock marks block idx free (volatile + persistent bit). A caller
+// clearing a whole batch of bits fences once after the last: each bit's
+// line is flushed individually, so a crash mid-batch persists a prefix.
 func (s *Slab) FreeBlock(c *pmem.Ctx, idx int, persist bool) {
 	if !s.bitTest(idx) {
 		panic(fmt.Sprintf("slab %#x: double free of block %d", s.Base, idx))
@@ -433,22 +430,7 @@ func (s *Slab) FreeBlock(c *pmem.Ctx, idx int, persist bool) {
 	s.free.Clear(idx)
 	s.fresh = false
 	s.Allocated--
-	s.setPersistentBit(c, idx, false, persist)
-}
-
-// FreeBlockBatched is FreeBlock without the trailing fence: the
-// remote-free drain clears a whole batch of bits and fences once after
-// the last flush. Each bit's line is still flushed individually, so a
-// crash mid-batch persists a prefix — safe, because every cleared bit
-// is covered by an already-fenced WAL entry that replay reapplies.
-func (s *Slab) FreeBlockBatched(c *pmem.Ctx, idx int, persist bool) {
-	if !s.bitTest(idx) {
-		panic(fmt.Sprintf("slab %#x: double free of block %d", s.Base, idx))
-	}
-	s.free.Clear(idx)
-	s.fresh = false
-	s.Allocated--
-	s.writePersistentBit(c, idx, false, persist, false)
+	s.writePersistentBit(c, idx, false, persist)
 }
 
 // Reserve takes up to n free blocks out of the volatile bitmap without
@@ -524,19 +506,7 @@ func (s *Slab) CommitAlloc(c *pmem.Ctx, idx int, persist bool) {
 	s.resBits[idx/64] &^= 1 << (idx % 64)
 	s.Reserved--
 	s.Allocated++
-	s.setPersistentBit(c, idx, true, persist)
-}
-
-// CommitAllocBatched is CommitAlloc without the trailing fence: the
-// caller merges it with the fence of an adjacent metadata write (the
-// covering WAL entry, flushed immediately before) into one trailing
-// fence per operation. Durability still follows flush order, so at any
-// crash boundary the bit is never persistent without its entry.
-func (s *Slab) CommitAllocBatched(c *pmem.Ctx, idx int, persist bool) {
-	s.resBits[idx/64] &^= 1 << (idx % 64)
-	s.Reserved--
-	s.Allocated++
-	s.writePersistentBit(c, idx, true, persist, false)
+	s.writePersistentBit(c, idx, true, persist)
 }
 
 // CommitFreeToCache clears the persistent bit of an allocated block that
@@ -545,16 +515,7 @@ func (s *Slab) CommitFreeToCache(c *pmem.Ctx, idx int, persist bool) {
 	s.resBits[idx/64] |= 1 << (idx % 64)
 	s.Allocated--
 	s.Reserved++
-	s.setPersistentBit(c, idx, false, persist)
-}
-
-// CommitFreeToCacheBatched is CommitFreeToCache with the trailing fence
-// left to the caller (see CommitAllocBatched).
-func (s *Slab) CommitFreeToCacheBatched(c *pmem.Ctx, idx int, persist bool) {
-	s.resBits[idx/64] |= 1 << (idx % 64)
-	s.Allocated--
-	s.Reserved++
-	s.writePersistentBit(c, idx, false, persist, false)
+	s.writePersistentBit(c, idx, false, persist)
 }
 
 // SyncBitmap rewrites the whole persistent bitmap from the volatile one

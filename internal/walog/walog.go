@@ -121,14 +121,23 @@ func New(dev pmem.Mem, base pmem.PAddr, n, stripes int) (*Log, error) {
 
 func (l *Log) slotAddr(slot int) pmem.PAddr { return l.addrs[slot] }
 
-// appendOne assigns the next sequence number to e, writes and flushes
-// its interleaved slot (attributed to CatWAL), and returns the sequence.
-// The ordering fence is the caller's responsibility. The slot is encoded
-// through one raw Bytes view rather than per-field typed writes: WAL
-// lines are written and flushed only under the owning arena's resource,
-// so the strict-mode line locks the typed accessors take have nothing to
-// exclude here.
-func (l *Log) appendOne(c *pmem.Ctx, e Entry) uint64 {
+// Append assigns the next sequence number to e, writes its interleaved
+// slot and flushes it (attributed to CatWAL), and returns the sequence.
+// It never fences: the operation that owns the crash-ordering argument
+// closes the entry, and whatever metadata write it covers, with its own
+// trailing fence. Until that fence the entry's durability is unordered
+// with later flushes — safe because crash recovery accepts every order:
+// a missing or torn entry means the operation was never acknowledged,
+// and a persisted entry replays idempotently over whatever state the
+// metadata reached. Callers that append several entries before fencing
+// rely on each being flushed individually, so a crash persists a valid
+// prefix plus at most the one torn slot Replay tolerates.
+//
+// The slot is encoded through one raw Bytes view rather than per-field
+// typed writes: WAL lines are written and flushed only under the owning
+// arena's resource, so the strict-mode line locks the typed accessors
+// take have nothing to exclude here.
+func (l *Log) Append(c *pmem.Ctx, e Entry) uint64 {
 	e.Seq = l.seq
 	l.seq++
 	slot := l.cursor
@@ -157,53 +166,8 @@ func (l *Log) appendOne(c *pmem.Ctx, e Entry) uint64 {
 	buf[31] = byte(crc >> 16)
 	// Slots are 32 B units packed two per cache line, so an entry never
 	// crosses a line boundary: one single-line flush covers it.
-	c.FlushLineOf(pmem.CatWAL, a)
+	c.FlushU64(pmem.CatWAL, a)
 	return e.Seq
-}
-
-// Append persists a WAL entry (one interleaved slot write + flush) and
-// fences, returning its sequence number.
-func (l *Log) Append(c *pmem.Ctx, e Entry) uint64 {
-	seq := l.appendOne(c, e)
-	c.Fence()
-	return seq
-}
-
-// AppendNoFence persists a WAL entry (write + flush) but leaves the
-// ordering fence to the caller, so a commit path can close the entry and
-// the metadata write it covers with a single trailing fence. Until that
-// fence the entry's durability is unordered with later flushes — safe
-// here because crash recovery accepts every order: a missing or torn
-// entry means the operation was never acknowledged, and a persisted
-// entry replays idempotently over whatever state the bitmap reached.
-func (l *Log) AppendNoFence(c *pmem.Ctx, e Entry) uint64 {
-	return l.appendOne(c, e)
-}
-
-// AppendBatch appends a group of entries with a single trailing fence:
-// each entry is written and flushed individually (so replay's torn-entry
-// tolerance still sees at most one in-flight slot per fence gap), but
-// the fence cost is amortized over the batch. Returns the sequence
-// number of the last entry. Entries must describe operations whose
-// partial persistence is individually safe — the same idempotent-replay
-// contract Append already imposes.
-func (l *Log) AppendBatch(c *pmem.Ctx, es []Entry) uint64 {
-	seq := l.AppendBatchNoFence(c, es)
-	c.Fence()
-	return seq
-}
-
-// AppendBatchNoFence is AppendBatch with the trailing fence left to the
-// caller (see AppendNoFence for the safety contract).
-func (l *Log) AppendBatchNoFence(c *pmem.Ctx, es []Entry) uint64 {
-	if len(es) == 0 {
-		return l.seq
-	}
-	var last uint64
-	for _, e := range es {
-		last = l.appendOne(c, e)
-	}
-	return last
 }
 
 // setCheckpoint persists the replay lower bound (sealed).

@@ -274,7 +274,18 @@ func min(a, b int) int {
 	return b
 }
 
-func TestAppendBatchRoundtripSingleFence(t *testing.T) {
+// appendGroup is the commit shape core uses: every entry written and
+// flushed by Append, one trailing fence owned by the caller.
+func appendGroup(l *Log, c *pmem.Ctx, es []Entry) uint64 {
+	var last uint64
+	for _, e := range es {
+		last = l.Append(c, e)
+	}
+	c.Fence()
+	return last
+}
+
+func TestAppendGroupRoundtripSingleFence(t *testing.T) {
 	dev, l := newLog(t, 64, 6)
 	c := dev.NewCtx()
 	es := []Entry{
@@ -285,9 +296,9 @@ func TestAppendBatchRoundtripSingleFence(t *testing.T) {
 		{Addr: 0x5000, Aux: 5, Op: OpAllocBit},
 	}
 	f0 := c.Local().Fences
-	last := l.AppendBatch(c, es)
+	last := appendGroup(l, c, es)
 	if fences := c.Local().Fences - f0; fences != 1 {
-		t.Fatalf("batch of %d entries issued %d fences, want 1", len(es), fences)
+		t.Fatalf("group of %d entries issued %d fences, want 1 (Append itself never fences)", len(es), fences)
 	}
 	if last != uint64(len(es)) {
 		t.Fatalf("last seq %d, want %d", last, len(es))
@@ -306,9 +317,9 @@ func TestAppendBatchRoundtripSingleFence(t *testing.T) {
 	}
 }
 
-func TestAppendBatchCrashMidBatchKeepsPrefix(t *testing.T) {
-	// Entries inside a batch are flushed individually (the fence is what
-	// gets amortized), so cutting power mid-batch must leave a replayable
+func TestAppendGroupCrashMidGroupKeepsPrefix(t *testing.T) {
+	// Entries of a group are flushed individually (the fence is what gets
+	// amortized), so cutting power mid-group must leave a replayable
 	// prefix — never a corrupt log.
 	for cut := int64(1); cut <= 6; cut++ {
 		dev := pmem.New(pmem.Config{Size: 1 << 20, Strict: true})
@@ -319,16 +330,16 @@ func TestAppendBatchCrashMidBatchKeepsPrefix(t *testing.T) {
 			es[i] = Entry{Addr: pmem.PAddr(0x1000 + i), Op: OpAllocBit}
 		}
 		dev.CrashAfterFlushes(cut)
-		l.AppendBatch(c, es)
+		appendGroup(l, c, es)
 		dev.Crash()
 		l2 := mustNew(t, dev, 4096, 64, 6)
 		var got []Entry
 		n, err := l2.Replay(dev.NewCtx(), func(e Entry) { got = append(got, e) })
 		if err != nil {
-			t.Fatalf("cut=%d: mid-batch crash corrupted log: %v", cut, err)
+			t.Fatalf("cut=%d: mid-group crash corrupted log: %v", cut, err)
 		}
 		if n > len(es) {
-			t.Fatalf("cut=%d: replayed %d entries from a %d-entry batch", cut, n, len(es))
+			t.Fatalf("cut=%d: replayed %d entries from a %d-entry group", cut, n, len(es))
 		}
 		for i, e := range got {
 			if e.Addr != es[i].Addr {
