@@ -15,7 +15,9 @@
 // -heap loads the mmap'd device file behind `nvkv serve` (size inferred
 // from the file itself); since a kill -9'd server leaves a dirty state
 // flag, the open performs crash recovery before inspection, and -check /
-// -repair work on heap files the same way they do on images.
+// -repair work on heap files the same way they do on images. After the
+// heap census -heap attaches the store's index and prints its key count,
+// or exits 1 naming the format if an older build wrote it.
 package main
 
 import (
@@ -26,6 +28,7 @@ import (
 
 	"nvalloc"
 	"nvalloc/internal/core"
+	"nvalloc/internal/nvkv"
 	"nvalloc/internal/sizeclass"
 )
 
@@ -84,6 +87,17 @@ func main() {
 	}
 
 	inspect(heap)
+	if *heapFile != "" {
+		// `nvkv serve` keeps its store's index at root slot 0. An index in
+		// a layout this build does not read is reported by name
+		// (*phash.FormatError) after the heap census, which does not
+		// depend on it.
+		st, err := nvkv.OpenStore(heap.Heap, 0, nvkv.StoreConfig{})
+		if err != nil {
+			fatal(err)
+		}
+		fmt.Printf("\nnvkv store:       %d keys\n", st.Len())
+	}
 }
 
 // runCheck reports every problem a scavenge would repair (on a clone of

@@ -146,3 +146,30 @@ func (t *checkedThread) FreeFrom(slot pmem.PAddr) error {
 	}
 	return err
 }
+
+// CountingThread wraps a Thread and counts the allocator calls made
+// through it, for tests that pin how many a higher-level operation costs.
+type CountingThread struct {
+	Thread
+	Mallocs, Frees int
+}
+
+func (t *CountingThread) Malloc(size uint64) (pmem.PAddr, error) {
+	t.Mallocs++
+	return t.Thread.Malloc(size)
+}
+
+func (t *CountingThread) Free(addr pmem.PAddr) error {
+	t.Frees++
+	return t.Thread.Free(addr)
+}
+
+func (t *CountingThread) MallocTo(slot pmem.PAddr, size uint64) (pmem.PAddr, error) {
+	t.Mallocs++
+	return t.Thread.MallocTo(slot, size)
+}
+
+func (t *CountingThread) FreeFrom(slot pmem.PAddr) error {
+	t.Frees++
+	return t.Thread.FreeFrom(slot)
+}

@@ -6,6 +6,7 @@ import (
 
 	"nvalloc/internal/alloc"
 	"nvalloc/internal/phash"
+	"nvalloc/internal/pmem"
 	"nvalloc/internal/workload"
 )
 
@@ -15,8 +16,11 @@ func init() {
 
 // hashIndexExp is an extension beyond the paper: the persistent hash
 // index (internal/phash, in the spirit of the level-hashing/Dash work the
-// paper cites) as an allocator workload — every insert allocates a value
-// blob and possibly an overflow bucket; every delete frees one.
+// paper cites) as an allocator workload. The index stores 8-byte values
+// inline, so the workload keeps a 64-byte payload per key out of line, the
+// way a session store would: every put allocates one (and frees the one
+// it supersedes, and possibly chains an overflow bucket), every delete
+// frees one.
 func hashIndexExp(cfg Config) []*Table {
 	cfg = cfg.withDefaults()
 	sets := []struct {
@@ -65,37 +69,71 @@ func hashIndexExp(cfg Config) []*Table {
 	return tables
 }
 
+// hashPayloadBytes is the out-of-line value hashIndexRun hangs off each key.
+const hashPayloadBytes = 64
+
 func hashIndexRun(cfg Config, name string, threads int) float64 {
 	h, err := OpenHeap(name, cfg)
 	if err != nil {
 		panic(err)
 	}
 	th0 := h.NewThread()
-	m, err := phash.Create(h, th0, 0, 4096, 64)
+	m, err := phash.Create(h, th0, 0, 4096, 0)
 	if err != nil {
 		panic(err)
 	}
 	th0.Close()
+	dev := h.Device()
 	keys := uint64(cfg.ops(40000))
 	opsPer := cfg.ops(20000)
+	// Workers race on keys and the index serializes single operations only,
+	// so the look-up of the payload a put or delete supersedes and the
+	// publish that supersedes it run under a workload-level stripe. The
+	// allocator calls stay outside it: a payload is built before it is
+	// published and freed after it is unreachable.
+	var stripes [64]pmem.Resource
 	r := workload.Run("hashindex", h, threads, func(w int, th alloc.Thread, rng *rand.Rand) uint64 {
+		c := th.Ctx()
 		ops := uint64(0)
 		for i := 0; i < opsPer; i++ {
 			k := rng.Uint64() % keys
-			switch rng.Intn(4) {
-			case 0, 1:
-				if m.Put(th, k, k) == nil {
-					ops++
-				}
-			case 2:
-				if _, ok := m.Get(th, k); ok || true {
-					ops++
-				}
-			default:
-				if _, err := m.Delete(th, k); err == nil {
-					ops++
-				}
+			kind := rng.Intn(4)
+			if kind == 2 {
+				m.Get(th, k)
+				ops++
+				continue
 			}
+			put := kind < 2
+			var p pmem.PAddr
+			if put {
+				var err error
+				if p, err = th.Malloc(hashPayloadBytes); err != nil {
+					continue
+				}
+				dev.WriteU64(p, k)
+				c.Flush(pmem.CatOther, p, hashPayloadBytes)
+				c.Fence()
+			}
+			lk := &stripes[k%uint64(len(stripes))]
+			lk.Acquire(c)
+			old, had := m.Get(th, k)
+			var err error
+			if put {
+				err = m.Put(th, k, uint64(p))
+			} else if had {
+				_, err = m.Delete(th, k)
+			}
+			lk.Release(c)
+			if err != nil {
+				if put {
+					_ = th.Free(p) // never published
+				}
+				continue
+			}
+			if had && th.Free(pmem.PAddr(old)) != nil {
+				continue
+			}
+			ops++
 		}
 		return ops
 	})

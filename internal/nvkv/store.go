@@ -14,10 +14,11 @@ import (
 )
 
 // The persistent layout. Each key-value pair is one allocator-backed
-// record blob, reached through the phash index: the index maps
-// hash64(key bytes) -> record PAddr, and the record carries the full key
-// so hits are verified byte-for-byte (a 64-bit digest collision is
-// detected, never silently conflated).
+// record blob, reached through the phash index: the index entry holds
+// (hash64(key bytes), record PAddr) inline — the record is the only
+// allocation a pair costs — and the record carries the full key so hits
+// are verified byte-for-byte (a 64-bit digest collision is detected,
+// never silently conflated).
 //
 // Record blob (16 + klen + vlen + 4 bytes, allocated via Thread.Malloc):
 //
@@ -27,12 +28,19 @@ import (
 //	[16+klen,...+vlen) value bytes
 //	last 4             CRC32 (IEEE) of key||value
 //
-// Consistency: the record is written and fenced before the index entry
-// publishes it (phash's presence-bit or in-place pointer commit, both
-// 8-byte atomic persists). A crash between publish and the free of a
-// superseded record leaks the old blob — a leak, never corruption; the
-// GC variant's conservative scan reclaims it, and under LOG/IC it is
+// Consistency: the record is written and fenced before the index
+// publishes it — phash's fingerprint-word commit for a new key, the
+// in-place persist of the entry's value word for a replaced one, both
+// 8-byte atomic persists. Three windows leak a record and none corrupts:
+// a crash after a new record's allocation and before its publish leaks
+// the new record, a crash between a replace's publish and the free of
+// the superseded record leaks the old one, and a crash between a
+// delete's fingerprint clear and the free leaks the deleted one. In each
+// the record is allocated and unreachable from the index; the GC
+// variant's conservative scan reclaims it, and under LOG/IC it is
 // visible to a Heap.Objects walk (DESIGN.md §10 discusses the window).
+// The index itself allocates nothing per key, so there is nothing else
+// to leak.
 const (
 	recHeader = 0
 	recExpiry = 8
@@ -104,9 +112,7 @@ func (c StoreConfig) withDefaults() StoreConfig {
 // heap's rootSlot.
 func CreateStore(h alloc.Heap, th alloc.Thread, rootSlot int, cfg StoreConfig) (*Store, error) {
 	cfg = cfg.withDefaults()
-	// The phash blob (its per-entry allocation) holds exactly the pair
-	// (key digest, record PAddr): 16 bytes.
-	idx, err := phash.Create(h, th, rootSlot, cfg.Buckets, 16)
+	idx, err := phash.Create(h, th, rootSlot, cfg.Buckets, 0)
 	if err != nil {
 		return nil, err
 	}
@@ -314,7 +320,7 @@ func (s *Store) delLocked(th alloc.Thread, k64 uint64, key []byte) (bool, error)
 	if err != nil || !found {
 		return false, err
 	}
-	// The presence-bit clear inside Delete is the commit point; it is
+	// The fingerprint clear inside Delete is the commit point; it is
 	// fenced before Delete returns, so a nil return is a durable delete.
 	if _, err := s.idx.Delete(th, k64); err != nil {
 		return false, err

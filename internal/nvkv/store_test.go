@@ -9,6 +9,7 @@ import (
 
 	"nvalloc/internal/alloc"
 	"nvalloc/internal/core"
+	"nvalloc/internal/phash"
 	"nvalloc/internal/pmem"
 )
 
@@ -232,5 +233,80 @@ func TestStoreConcurrent(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+	}
+}
+
+// TestStorePersistSchedule pins what each store mutation costs on the
+// simulated device with a record that fits one cache line: the record's
+// malloc (WAL + bitmap, one fence) and its flush and fence, the index's
+// commit (phash's TestIndexPersistSchedule), and the free of the record a
+// replace or delete supersedes (WAL + bitmap, one fence). The record is
+// the only allocation a key costs: with the index's per-entry blob a new
+// key read 9 flushes, 5 fences, 2 mallocs and a delete 5/3 and 2 frees.
+func TestStorePersistSchedule(t *testing.T) {
+	type cost struct{ flushes, fences, reflushes, mallocs, frees int }
+	_, _, inner, st := newStore(t)
+	th := &alloc.CountingThread{Thread: inner}
+	defer th.Close()
+
+	// 16 header + 4 key + 40 value + 4 CRC = one 64-byte block.
+	val := bytes.Repeat([]byte("v"), 40)
+	key := func(i int) []byte { return []byte(fmt.Sprintf("k%03d", i)) }
+	// Warm-up pays the 64-byte class's slab format and lease.
+	for i := 0; i < 4; i++ {
+		if err := st.Set(th, 1, key(i), val, 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	scratch, err := th.Malloc(8 * pmem.LineSize)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := th.Ctx()
+	measure := func(fn func() error) cost {
+		t.Helper()
+		// Empty the reflush window so only the operation's own count.
+		c.Flush(pmem.CatOther, scratch, 4*pmem.LineSize)
+		before, mallocs, frees := c.Local(), th.Mallocs, th.Frees
+		if err := fn(); err != nil {
+			t.Fatal(err)
+		}
+		after := c.Local()
+		return cost{
+			int(after.Flushes - before.Flushes), int(after.Fences - before.Fences),
+			int(after.Reflushes - before.Reflushes), th.Mallocs - mallocs, th.Frees - frees,
+		}
+	}
+	expect := func(what string, got, want cost) {
+		t.Helper()
+		if got != want {
+			t.Errorf("%s: %+v, want %+v", what, got, want)
+		}
+	}
+
+	expect("Set new", measure(func() error { return st.Set(th, 1, key(100), val, 0) }),
+		cost{flushes: 5, fences: 4, mallocs: 1})
+	expect("Set replace", measure(func() error { return st.Set(th, 1, key(0), val, 0) }),
+		cost{flushes: 6, fences: 4, mallocs: 1, frees: 1})
+	expect("Expire", measure(func() error { _, err := st.Expire(th, 1, key(1), 1000); return err }),
+		cost{flushes: 1, fences: 1})
+	expect("Del", measure(func() error { _, err := st.Del(th, key(2)); return err }),
+		cost{flushes: 3, fences: 2, frees: 1})
+	if st.Len() != 4 {
+		t.Fatalf("Len %d, want 4", st.Len())
+	}
+}
+
+// TestOpenStoreRejectsOldIndexLayout: the format guard of phash.Open must
+// reach the caller of OpenStore as a typed error.
+func TestOpenStoreRejectsOldIndexLayout(t *testing.T) {
+	dev, h, th, _ := newStore(t)
+	defer th.Close()
+	header := pmem.PAddr(dev.ReadU64(h.RootSlot(0)))
+	dev.WriteU64(header, 0x5048415348363421) // "PHASH64!", the blob-per-entry layout
+	_, err := OpenStore(h, 0, StoreConfig{})
+	var fe *phash.FormatError
+	if !errors.As(err, &fe) {
+		t.Fatalf("OpenStore: %v, want a *phash.FormatError", err)
 	}
 }

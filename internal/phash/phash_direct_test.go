@@ -30,7 +30,7 @@ func TestConcurrentDeleteOverwriteDirect(t *testing.T) {
 		t.Fatal(err)
 	}
 	setup := h.NewThread()
-	m, err := Create(h, setup, 0, 128, 64)
+	m, err := Create(h, setup, 0, 128, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

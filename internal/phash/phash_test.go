@@ -1,7 +1,9 @@
 package phash
 
 import (
+	"errors"
 	"math/rand"
+	"strings"
 	"sync"
 	"testing"
 
@@ -18,7 +20,7 @@ func newMap(t *testing.T, buckets int) (*pmem.Device, alloc.Heap, alloc.Thread, 
 		t.Fatal(err)
 	}
 	th := h.NewThread()
-	m, err := Create(h, th, 0, buckets, 64)
+	m, err := Create(h, th, 0, buckets, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -189,7 +191,7 @@ func TestCrashMidInsertNeverTearsIndex(t *testing.T) {
 			t.Fatal(err)
 		}
 		th := h.NewThread()
-		m, err := Create(h, th, 0, 32, 64)
+		m, err := Create(h, th, 0, 32, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -214,7 +216,7 @@ func TestCrashMidInsertNeverTearsIndex(t *testing.T) {
 			}
 			t.Fatalf("cut=%d: index open: %v", cut, err)
 		}
-		// Every present entry must be fully intact (key matches blob).
+		// Every present entry must be fully intact (its own value).
 		for k := uint64(0); k < 300; k++ {
 			if v, ok := m2.Get(th2, k); ok && v != k^0xFFFF {
 				t.Fatalf("cut=%d: torn entry for key %d: %d", cut, k, v)
@@ -275,5 +277,47 @@ func TestOpenWithoutIndex(t *testing.T) {
 	}
 	if _, err := Open(h, 7); err == nil {
 		t.Fatal("open of empty slot must error")
+	}
+}
+
+// TestOpenRejectsOldLayout builds, by hand, the header the blob-per-entry
+// layout wrote (magic "PHASH64!", bucket count, directory, blob size). Its
+// buckets kept a presence bitmap where this layout keeps fingerprints, so
+// Open must name the format and refuse, not misread it.
+func TestOpenRejectsOldLayout(t *testing.T) {
+	dev := pmem.New(pmem.Config{Size: 64 << 20})
+	h, err := core.Create(dev, core.DefaultOptions(core.LOG))
+	if err != nil {
+		t.Fatal(err)
+	}
+	th := h.NewThread()
+	defer th.Close()
+	dir, err := th.Malloc(4 * 160)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dev.Zero(dir, 4*160)
+	dev.WriteU64(dir, 0b1) // bucket 0: presence bit of slot 0
+	header, err := th.MallocTo(h.RootSlot(3), 4096)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dev.WriteU64(header+0, 0x5048415348363421)
+	dev.WriteU64(header+8, 4)
+	dev.WriteU64(header+16, uint64(dir))
+	dev.WriteU64(header+24, 16)
+
+	_, err = Open(h, 3)
+	var fe *FormatError
+	if !errors.As(err, &fe) {
+		t.Fatalf("Open of an old-layout index: %v, want a *FormatError", err)
+	}
+	if fe.RootSlot != 3 || fe.Magic != 0x5048415348363421 || !strings.Contains(err.Error(), `"PHASH64!"`) {
+		t.Fatalf("error does not name the format: %v", err)
+	}
+	// Garbage that is neither layout stays "no index".
+	dev.WriteU64(header+0, 0xDEADBEEF)
+	if _, err := Open(h, 3); err == nil || errors.As(err, &fe) {
+		t.Fatalf("Open of a non-index: %v", err)
 	}
 }
