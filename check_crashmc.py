@@ -119,6 +119,39 @@ if fence:
         print(f"{who}: {b} boundaries (floor {fence['min_boundaries']}), "
               f"{e} explored, {v} violations, classes {cls}")
 
+# Table 5: the write-back family. NVAlloc-LOG leaves bitmap bits in the
+# cache image until its WAL checkpoint moves; this trace wraps the minimum
+# ring through every kind of commit, and recovery itself is crashed after
+# each of its flushes. Besides coverage and violations, the trace must
+# still reach the events the argument rests on.
+wback = base.get("write_back")
+if wback:
+    rows = [r for r in csv.DictReader(open(f"{outdir}/crashmc_table5.csv"))
+            if r["allocator"]]
+    if not rows:
+        fail.append("write-back family missing from report")
+    for r in rows:
+        who = f"{r['allocator']}/write-back"
+        try:
+            b, e, v = int(r["boundaries"]), int(r["explored"]), int(r["violations"])
+            got = {"min_boundaries": b,
+                   "min_checkpoint_moves": int(r["checkpoint_moves"]),
+                   "min_morphs": int(r["morphs"]),
+                   "min_foreign_reformats": int(r["foreign_reformats"]),
+                   "min_recovery_cuts": int(r["recovery_cuts"])}
+        except ValueError:
+            fail.append(f"{who}: {r['boundaries']}")
+            continue
+        for key, val in got.items():
+            if val < wback[key]:
+                fail.append(f"{who}: {key[4:]} {val} < baseline floor {wback[key]}")
+        if e < b:
+            fail.append(f"{who}: coverage {e}/{b} < 100%")
+        if v and base["require_zero_violations"]:
+            fail.append(f"{who}: {v} oracle violations")
+        print(f"{who}: {b} boundaries, {e} explored, {v} violations, "
+              + ", ".join(f"{k[4:]} {n} (floor {wback[k]})" for k, n in got.items() if k != "min_boundaries"))
+
 if fail:
     sys.exit("crashmc coverage regression:\n  " + "\n  ".join(fail))
 print("coverage baseline satisfied")

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"cmp"
+	"slices"
 	"sync"
 
 	"nvalloc/internal/extent"
@@ -26,6 +28,10 @@ type arena struct {
 	_   [48]byte
 	res pmem.Resource
 	wal *walog.Log // opened in every variant; appended to only by LOG
+
+	// dirty lists the slabs whose write-back mask went non-zero since the
+	// last writeBack (LOG variant; see commit). Guarded by res.
+	dirty []*slab.Slab
 
 	// cache is the arena-local slab-extent cache (nil when disabled):
 	// newSlab and releaseSlab trade extents with it so the global large
@@ -256,20 +262,32 @@ type blockRef struct {
 // crash-consistency argument for the small path:
 //
 //  1. one WAL entry per block, written and flushed (LOG variant only);
-//  2. each block's bitmap bit, written and — unless the variant defers
-//     bitmap persistence to post-crash GC — flushed;
+//  2. each block's bitmap bit, written in the cache image. IC, which has
+//     no log, flushes the bit's line now; GC never flushes it; LOG marks
+//     the line dirty and leaves the flush to the WAL (writeBack);
 //  3. one trailing fence, if anything was flushed.
 //
-// Durability follows flush order, not fence count, so no crash boundary
-// sees a bit persistent without the entry that covers it; and a persisted
-// entry replays idempotently over whatever state the bit reached, so a
-// crash anywhere inside a group of n leaves a valid prefix of entries
-// whose replay re-applies their bits. A missing or torn entry means the
-// operation was never acknowledged. The fence stays inside the caller's
-// arena-resource section, which in the LOG variant every caller holds
-// (the ring is guarded by it): a log therefore never has more than one
-// commit in flight, its at most one torn slot is the last one written,
-// and that is exactly the one invalid slot walog.Replay tolerates.
+// In LOG the entry is the durable record of the bit. The entry is flushed
+// before the bit is written, so no crash boundary sees a bit without the
+// entry that covers it. The bit's line may lag on media only while the
+// entry is above the ring's checkpoint, where replay re-applies it
+// idempotently; before the checkpoint word moves (ring wrap, Close, the
+// end of replay) walog runs writeBack and fences it, so the checkpoint
+// never passes an entry whose line is not on media — nor an entry of the
+// group in flight here, whose bits are not even written yet: a move lands
+// half a ring behind the append that triggers it, and MinWALEntries keeps
+// half a ring longer than any group. A crash anywhere inside a group of n
+// leaves a valid prefix of entries whose replay applies their bits; a
+// missing or torn entry means the operation was never acknowledged. A
+// completed morph persists the whole new bitmap from the volatile truth
+// and older entries are skipped by their class tag; an undone morph
+// restores the old geometry, over which the surviving entries replay.
+//
+// The fence stays inside the caller's arena-resource section, which in
+// the LOG variant every caller holds (the ring and the dirty list are
+// guarded by it): a log therefore never has more than one commit in
+// flight, its at most one torn slot is the last one written, and that is
+// exactly the one invalid slot walog.Replay tolerates.
 //
 // Callers that revalidated a geometry snapshot hold the slab's Mu across
 // the call (lockSlabs false). drainRemote's group spans slabs none of
@@ -287,17 +305,21 @@ func (a *arena) commit(c *pmem.Ctx, tr transition, ops []blockRef, lockSlabs boo
 			a.wal.Append(c, walog.Entry{Op: op, Addr: b.s.Base, Aux: uint64(b.idx), Aux2: uint32(b.class)})
 		}
 	}
+	flushNow := h.persistSmall && !h.useWAL
 	for _, b := range ops {
 		if lockSlabs {
 			b.s.Mu.Lock()
 		}
 		switch tr {
 		case commitAlloc:
-			b.s.CommitAlloc(c, b.idx, h.persistSmall)
+			b.s.CommitAlloc(c, b.idx, flushNow)
 		case freeToCache:
-			b.s.CommitFreeToCache(c, b.idx, h.persistSmall)
+			b.s.CommitFreeToCache(c, b.idx, flushNow)
 		case freeToSlab:
-			b.s.FreeBlock(c, b.idx, h.persistSmall)
+			b.s.FreeBlock(c, b.idx, flushNow)
+		}
+		if h.useWAL {
+			a.noteDirty(b.s, b.idx)
 		}
 		if tr != commitAlloc && b.s.UsageBelowMille(h.suMille) {
 			a.noteCandidate(b.s)
@@ -309,6 +331,48 @@ func (a *arena) commit(c *pmem.Ctx, tr transition, ops []blockRef, lockSlabs boo
 	if h.persistSmall {
 		c.Fence()
 	}
+}
+
+// noteDirty records that block idx's bitmap line in s was written without
+// a flush under an entry of this arena's ring. Caller holds the arena
+// resource.
+func (a *arena) noteDirty(s *slab.Slab, idx int) {
+	if s.MarkDirty(idx) {
+		a.dirty = append(a.dirty, s)
+	}
+}
+
+// writeBack flushes every bitmap line noteDirty recorded, slab by slab in
+// address order, and reports whether it flushed anything. It does not
+// fence: walog calls it ahead of every checkpoint move and fences between
+// the two; Close fences it before sealing the closing state. A slab that
+// was retired or morphed since it was listed has an empty mask and costs
+// nothing. Caller holds the arena resource.
+func (a *arena) writeBack(c *pmem.Ctx) bool {
+	slices.SortFunc(a.dirty, func(x, y *slab.Slab) int { return cmp.Compare(x.Base, y.Base) })
+	flushed := false
+	for _, s := range a.dirty {
+		flushed = s.FlushDirty(c) || flushed
+	}
+	clear(a.dirty)
+	a.dirty = a.dirty[:0]
+	return flushed
+}
+
+// retire prepares a slab for release in the LOG variant. Another arena
+// may format the same base in the same class while this ring still holds
+// bit entries for it, and replay runs rings in arena order, not time
+// order, so those entries must not outlive the slab: its dirty lines are
+// flushed (the bitmap on media is then final) and an OpRetire entry voids
+// every earlier bit entry of this ring for the base. Fenced here, inside
+// the resource section, like every entry. Caller holds the arena resource.
+func (a *arena) retire(c *pmem.Ctx, s *slab.Slab) {
+	if !a.h.useWAL {
+		return
+	}
+	s.FlushDirty(c)
+	a.wal.Append(c, walog.Entry{Op: walog.OpRetire, Addr: s.Base})
+	c.Fence()
 }
 
 // fillAndCommit refills tc and, in the WAL variant, pops and commits the
@@ -585,6 +649,7 @@ func (a *arena) freeBypass(c *pmem.Ctx, s *slab.Slab, idx int, fromCache bool, g
 				a.freelistRemove(s)
 			}
 			a.lruRemove(s)
+			a.retire(c, s)
 			a.res.Release(c)
 			a.releaseSlab(c, s)
 			return true

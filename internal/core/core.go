@@ -26,8 +26,10 @@ type Variant int
 
 // Consistency variants.
 const (
-	// LOG is NVAlloc-LOG: every metadata update goes through a WAL and is
-	// flushed eagerly (strongly consistent).
+	// LOG is NVAlloc-LOG: every metadata update goes through a WAL whose
+	// entry is flushed and fenced before the operation returns (strongly
+	// consistent); the bitmap line an entry covers is written back before
+	// the ring's checkpoint passes the entry.
 	LOG Variant = iota
 	// GC is NVAlloc-GC: the small-allocation path persists nothing;
 	// recovery runs a conservative GC from the root slots (weakly
@@ -134,6 +136,9 @@ func (o Options) withDefaults() Options {
 	if o.WALEntries <= 0 {
 		o.WALEntries = 1024
 	}
+	if o.WALEntries < MinWALEntries {
+		o.WALEntries = MinWALEntries
+	}
 	if o.LargeShards <= 0 {
 		o.LargeShards = 8
 	}
@@ -142,6 +147,15 @@ func (o Options) withDefaults() Options {
 	}
 	return o
 }
+
+// MinWALEntries is the smallest legal WAL ring: Create rounds a smaller
+// Options.WALEntries up to it and Open refuses an image that claims less.
+// A checkpoint move lands half a ring behind the append that triggers it
+// and must never pass an entry of the commit group in flight (its bits are
+// not written yet, see arena.commit); the largest group is a remote-free
+// drain of remoteBatch entries, and four groups per ring leave that margin
+// a group wide.
+const MinWALEntries = 4 * remoteBatch
 
 // Superblock layout (at device page 1; page 0 is the null guard).
 const (
@@ -196,7 +210,8 @@ const (
 	stateShutdown = 2
 	stateRecovery = 3
 	// stateClosing: Close has begun checkpointing WALs. Every operation
-	// acknowledged before Close is already durably applied, but the
+	// acknowledged before Close is already durably applied (Close writes
+	// the dirty bitmap lines back before sealing this state), but the
 	// arena-by-arena checkpoints destroy cross-arena superseding
 	// witnesses (a checkpointed OpMallocTo no longer shields another
 	// arena's surviving OpFreeFrom for the same reused address), so a
@@ -216,7 +231,7 @@ type Heap struct {
 	bitmapStripes int // 1 when bitmap interleaving is off
 	tcacheStripes int
 	walStripes    int
-	persistSmall  bool // LOG and IC variants flush small metadata
+	persistSmall  bool // LOG and IC persist small metadata (IC per op, LOG per WAL checkpoint)
 	useWAL        bool // LOG variant only
 	suMille       int  // opts.SU quantized to per-mille for the hot paths
 
@@ -366,7 +381,11 @@ func (h *Heap) newWAL(i int, fresh bool) (*walog.Log, error) {
 	if fresh {
 		h.dev.Zero(base, walog.RegionSize(h.opts.WALEntries, h.opts.Stripes))
 	}
-	return walog.New(h.mem, base, h.opts.WALEntries, h.walStripes)
+	wal, err := walog.New(h.mem, base, h.opts.WALEntries, h.walStripes)
+	if err == nil && h.useWAL {
+		wal.WriteBack = h.arenas[i].writeBack
+	}
+	return wal, err
 }
 
 // Device returns the underlying device.
@@ -527,6 +546,19 @@ func (h *Heap) Close() error {
 			s.Mu.Unlock()
 			return true
 		})
+	}
+	// A crash once "closing" is sealed recovers without replaying WALs,
+	// so every bit a ring still covers goes to media first.
+	if h.useWAL {
+		flushed := false
+		for _, a := range h.arenas {
+			a.res.Acquire(c)
+			flushed = a.writeBack(c) || flushed
+			a.res.Release(c)
+		}
+		if flushed {
+			c.Fence()
+		}
 	}
 	// Seal "no operation is in flight" before the first checkpoint: WAL
 	// rings are truncated one arena at a time, and replaying the survivors

@@ -81,7 +81,7 @@ func (h *Heap) conservativeGC(c *pmem.Ctx) error {
 					continue
 				}
 			}
-			h.forceBit(c, s, idx, marked[s.BlockAddr(idx)])
+			h.forceBit(c, s, idx, marked[s.BlockAddr(idx)], nil)
 		}
 		// Old-class blocks: sweep via the index table.
 		if s.IsSlabIn() {

@@ -4,13 +4,16 @@ import (
 	"testing"
 
 	"nvalloc/internal/pmem"
+	"nvalloc/internal/slab"
 )
 
 // TestPersistSchedulePerOp pins the number of line flushes and store
 // fences each steady-state operation issues, per consistency variant.
 // The golden tables catch a moved flush only as a changed latency; this
 // catches it — and a doubled or dropped fence — as a count, next to the
-// code that issues it.
+// code that issues it. LOG's small-path rows are the WAL entry alone: the
+// bitmap line is written back at the ring's checkpoint, whose cost
+// TestWriteBackSchedule pins.
 func TestPersistSchedulePerOp(t *testing.T) {
 	type cost struct{ flushes, fences uint64 }
 	measure := func(th *Thread, fn func()) cost {
@@ -44,7 +47,7 @@ func TestPersistSchedulePerOp(t *testing.T) {
 				must(t, th.Free(p))
 				return measure(th, func() { _, err = th.Malloc(64) })
 			},
-			want: map[Variant]cost{LOG: {2, 1}, GC: {0, 0}, IC: {1, 1}},
+			want: map[Variant]cost{LOG: {1, 1}, GC: {0, 0}, IC: {1, 1}},
 		},
 		{
 			name: "small free to tcache",
@@ -60,7 +63,7 @@ func TestPersistSchedulePerOp(t *testing.T) {
 				}
 				return c
 			},
-			want: map[Variant]cost{LOG: {2, 1}, GC: {0, 0}, IC: {1, 1}},
+			want: map[Variant]cost{LOG: {1, 1}, GC: {0, 0}, IC: {1, 1}},
 		},
 		{
 			// 24 frees fill the tcache and four evictions of 12 fill the
@@ -86,7 +89,7 @@ func TestPersistSchedulePerOp(t *testing.T) {
 				}
 				return c
 			},
-			want: map[Variant]cost{LOG: {2, 1}, GC: {0, 0}, IC: {1, 1}},
+			want: map[Variant]cost{LOG: {1, 1}, GC: {0, 0}, IC: {1, 1}},
 		},
 		{
 			// Sixteen frees of another arena's blocks: LOG buffers fifteen
@@ -112,7 +115,7 @@ func TestPersistSchedulePerOp(t *testing.T) {
 					}
 				})
 			},
-			want: map[Variant]cost{LOG: {32, 1}, GC: {0, 0}, IC: {16, 16}},
+			want: map[Variant]cost{LOG: {16, 1}, GC: {0, 0}, IC: {16, 16}},
 		},
 		{
 			name: "large alloc",
@@ -151,5 +154,138 @@ func TestPersistSchedulePerOp(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// TestWriteBackSchedule pins what LOG's deferred bitmap flushes cost when
+// they do happen. A checkpoint period is the n/2+1 appends between two
+// moves of the ring's checkpoint word. The trace frees and reallocates
+// with nothing else live; the striped tcache hands out one block per
+// stripe in turn, so a period dirties one bitmap line per stripe: 513
+// entry flushes, six write-back flushes and the checkpoint word, with a
+// fence per commit plus one after the write-back and one after the word.
+// (An eager bitmap flush per commit reads 1027 flushes.)
+func TestWriteBackSchedule(t *testing.T) {
+	_, h := newHeap(t, LOG, nil)
+	th := h.NewThread().(*Thread)
+	defer th.Close()
+	p, err := th.Malloc(64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// step issues the next op of the trace and reports whether the
+	// checkpoint moved inside it (any op that flushes more than its entry).
+	alloc := false
+	step := func() bool {
+		before := th.Ctx().Local().Flushes
+		if alloc {
+			p, err = th.Malloc(64)
+		} else {
+			err = th.Free(p)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		alloc = !alloc
+		return th.Ctx().Local().Flushes-before > 1
+	}
+	for i := 0; !step(); i++ {
+		if i > 2*h.opts.WALEntries {
+			t.Fatal("checkpoint never moved")
+		}
+	}
+	before := th.Ctx().Local()
+	ops := 1
+	for ; !step(); ops++ {
+	}
+	after := th.Ctx().Local()
+	period := h.opts.WALEntries/2 + 1
+	if ops != period {
+		t.Fatalf("checkpoint period of %d ops, want %d", ops, period)
+	}
+	lines := h.opts.Stripes
+	if f, want := after.Flushes-before.Flushes, uint64(period+lines+1); f != want {
+		t.Errorf("%d flushes per checkpoint period, want %d", f, want)
+	}
+	if f, want := after.Fences-before.Fences, uint64(period+2); f != want {
+		t.Errorf("%d fences per checkpoint period, want %d", f, want)
+	}
+	if m, want := after.CatFlush[pmem.CatMeta]-before.CatFlush[pmem.CatMeta], uint64(lines); m != want {
+		t.Errorf("%d bitmap lines written back, want %d", m, want)
+	}
+}
+
+// TestReplayWritesEachLineOnce: sequence-order replay flips a toggled
+// block's bit once per surviving entry, but only in the cache image; the
+// write-back ahead of the ring's checkpoint flushes each distinct bitmap
+// line once, and the ring costs one more flush for its checkpoint word.
+func TestReplayWritesEachLineOnce(t *testing.T) {
+	dev := pmem.New(pmem.Config{Size: 64 << 20, Strict: true, Journal: true})
+	opts := DefaultOptions(LOG)
+	opts.Arenas = 2
+	h, err := Create(dev, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	th := h.NewThread()
+	var keep []pmem.PAddr
+	for i := 0; i < 40; i++ {
+		p, err := th.Malloc(64)
+		if err != nil {
+			t.Fatal(err)
+		}
+		keep = append(keep, p)
+	}
+	for i := 0; i < 150; i++ { // 300 entries toggling one bit
+		p, err := th.Malloc(64)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := th.Free(p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	th.Ctx().Merge()
+	dev.Crash()
+	start := dev.JournalLen()
+	h2, _, err := Open(dev, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range keep {
+		if !h2.BlockAllocated(p) {
+			t.Fatalf("block %#x lost", p)
+		}
+	}
+	var regions struct{ wal, heap pmem.Range }
+	for _, r := range Regions(dev) {
+		switch r.Name {
+		case "wal":
+			regions.wal = r.Range
+		case "heap":
+			regions.heap = r.Range
+		}
+	}
+	bitmap := map[uint64]int{}
+	walFlushes := 0
+	for _, fd := range dev.JournalSnapshot()[start-dev.JournalBase():] {
+		addr := pmem.PAddr(fd.Line * pmem.LineSize)
+		switch {
+		case addr >= regions.wal.Start && addr < regions.wal.End:
+			walFlushes++
+		case addr >= regions.heap.Start && fd.Cat == pmem.CatMeta && (addr-regions.heap.Start)%slab.Size >= pmem.LineSize:
+			bitmap[fd.Line]++
+		}
+	}
+	if len(bitmap) == 0 {
+		t.Fatal("replay wrote no bitmap line back: the crash lost nothing?")
+	}
+	for line, n := range bitmap {
+		if n != 1 {
+			t.Errorf("bitmap line %#x flushed %d times during recovery, want once", line*pmem.LineSize, n)
+		}
+	}
+	if walFlushes != 1 {
+		t.Errorf("%d WAL-region flushes during recovery, want 1 (the replayed ring's checkpoint word)", walFlushes)
 	}
 }

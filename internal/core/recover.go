@@ -41,7 +41,7 @@ func validateSuper(dev pmem.Dev) error {
 		return pmem.Corrupt("superblock", superBase+sbVariant, "unknown variant %d", variant)
 	case bookMode > 1:
 		return pmem.Corrupt("superblock", superBase+sbBookMode, "unknown bookkeeping mode %d", bookMode)
-	case walEnts < 1 || walEnts > 1<<20:
+	case walEnts < MinWALEntries || walEnts > 1<<20:
 		return pmem.Corrupt("superblock", superBase+sbWALEnts, "WAL ring capacity %d out of range", walEnts)
 	case walStripes < 1 || walStripes > 64:
 		return pmem.Corrupt("superblock", superBase+sbWALStripes, "WAL stripe count %d out of range", walStripes)
@@ -94,6 +94,9 @@ func Open(dev pmem.Dev, opts Options) (*Heap, int64, error) {
 	h.heapBase = pmem.PAddr(dev.ReadU64(superBase + sbHeapBase))
 	h.initVolatile(dev, opts)
 
+	// A reopen is a new session: its contexts start at virtual time 0 and
+	// must not queue behind the bank load the previous session left.
+	dev.ResetTimeline()
 	c := dev.NewCtx()
 	state, ok := pmem.UnsealU64(dev.ReadU64(superBase + sbState))
 	if !ok {
@@ -262,9 +265,16 @@ func (h *Heap) replayWALs(c *pmem.Ctx) error {
 	pubs := map[pmem.PAddr][]tagged{}     // OpMallocTo entries by block address
 	slotPubs := map[pmem.PAddr][]tagged{} // OpMallocTo entries by slot address
 	rets := map[pair][]tagged{}           // OpFreeFrom entries by (slot, block)
+	// retired[i] maps a slab base to the latest OpRetire of ring i for it:
+	// the ring's earlier bit entries name a slab that was released, and
+	// whatever sits at that base now belongs to a later owner.
+	retired := make([]map[pmem.PAddr]uint64, len(h.arenas))
 	for i, a := range h.arenas {
+		retired[i] = map[pmem.PAddr]uint64{}
 		_, err := a.wal.Replay(c, func(e walog.Entry) {
 			switch e.Op {
+			case walog.OpRetire:
+				retired[i][e.Addr] = e.Seq
 			case walog.OpMallocTo:
 				p := pmem.PAddr(e.Aux)
 				pubs[p] = append(pubs[p], tagged{i, e.Seq})
@@ -289,21 +299,22 @@ func (h *Heap) replayWALs(c *pmem.Ctx) error {
 		return false
 	}
 
+	// Bits are applied to the cache image and their lines listed on the
+	// replaying arena (slab ownership was just reassigned, so it is the
+	// ring, not the owner, that covers them); the write-back ahead of the
+	// ring's checkpoint then persists each distinct line once, however
+	// often sequence-order replay flipped its bits back and forth.
 	for i, a := range h.arenas {
 		_, err := a.wal.Replay(c, func(e walog.Entry) {
 			switch e.Op {
-			case walog.OpAllocBit:
+			case walog.OpAllocBit, walog.OpFreeBit:
 				// Aux2 names the size class the entry was logged under; a
 				// mismatch means the slab has since completed a morph whose
 				// step-3 bitmap snapshot already captured this operation —
 				// applying the stale index to the new geometry would flip
 				// an unrelated block.
-				if s := h.slabs.Lookup(e.Addr); s != nil && int(e.Aux2) == s.Class {
-					h.forceBit(c, s, int(e.Aux), true)
-				}
-			case walog.OpFreeBit:
-				if s := h.slabs.Lookup(e.Addr); s != nil && int(e.Aux2) == s.Class {
-					h.forceBit(c, s, int(e.Aux), false)
+				if s := h.slabs.Lookup(e.Addr); s != nil && int(e.Aux2) == s.Class && e.Seq > retired[i][e.Addr] {
+					h.forceBit(c, s, int(e.Aux), e.Op == walog.OpAllocBit, a)
 				}
 			case walog.OpMallocTo:
 				// A later retraction of this very pair means the slot must
@@ -335,7 +346,7 @@ func (h *Heap) replayWALs(c *pmem.Ctx) error {
 				if pmem.PAddr(h.dev.ReadU64(e.Addr)) == pmem.PAddr(e.Aux) {
 					c.PersistU64(pmem.CatMeta, e.Addr, 0)
 				}
-				h.forceFreeBlock(c, pmem.PAddr(e.Aux))
+				h.forceFreeBlock(c, pmem.PAddr(e.Aux), a)
 			case walog.OpMorph:
 				// Morph steps are sealed by the slab's own flag field;
 				// slab.Load already undid or kept the transform.
@@ -350,30 +361,36 @@ func (h *Heap) replayWALs(c *pmem.Ctx) error {
 }
 
 // forceBit sets the allocation state of a slab block to val regardless of
-// its current state (idempotent WAL replay helper).
-func (h *Heap) forceBit(c *pmem.Ctx, s *slab.Slab, idx int, val bool) {
+// its current state (idempotent). WAL replay passes the arena whose ring
+// covers the bit: the line is then listed for that ring's write-back
+// instead of being flushed and fenced here, as the GC sweep (wb nil) does.
+func (h *Heap) forceBit(c *pmem.Ctx, s *slab.Slab, idx int, val bool, wb *arena) {
 	if idx < 0 || idx >= s.Blocks {
 		return
 	}
 	allocated := s.BlockAllocated(idx)
 	switch {
 	case val && !allocated:
-		s.AllocBlock(c, idx, true)
+		s.AllocBlock(c, idx, wb == nil)
 	case !val && allocated:
-		s.FreeBlock(c, idx, true)
+		s.FreeBlock(c, idx, wb == nil)
 	default:
+		return
+	}
+	if wb != nil {
+		wb.noteDirty(s, idx)
 		return
 	}
 	c.Fence()
 }
 
 // forceFreeBlock frees addr whether it is a slab block or an extent, if
-// it is currently allocated.
-func (h *Heap) forceFreeBlock(c *pmem.Ctx, addr pmem.PAddr) {
+// it is currently allocated (replay of ring wb's OpFreeFrom).
+func (h *Heap) forceFreeBlock(c *pmem.Ctx, addr pmem.PAddr, wb *arena) {
 	base := addr &^ (slab.Size - 1)
 	if s := h.slabs.Lookup(base); s != nil {
 		if idx := s.BlockIndex(addr); idx >= 0 {
-			h.forceBit(c, s, idx, false)
+			h.forceBit(c, s, idx, false, wb)
 		}
 		return
 	}

@@ -43,9 +43,13 @@ func Check(dev *pmem.Device, opts Options) []string {
 // success it returns the opened heap and a description of every repair.
 func Scavenge(dev pmem.Dev, opts Options) (*Heap, []string, error) {
 	var repairs []string
+	walReset := false
 	for round := 0; round < maxScavengeRounds; round++ {
 		h, _, err := Open(dev, opts)
 		if err == nil {
+			if walReset && h.useWAL {
+				repairs = append(repairs, h.pinFreeBlocks())
+			}
 			repairs = append(repairs, h.scrubRoots()...)
 			return h, repairs, nil
 		}
@@ -57,6 +61,7 @@ func Scavenge(dev pmem.Dev, opts Options) (*Heap, []string, error) {
 		if !ok {
 			return nil, repairs, err
 		}
+		walReset = walReset || ce.Region == "wal"
 		repairs = append(repairs, fmt.Sprintf("%s — %s", err, did))
 	}
 	return nil, repairs, fmt.Errorf("core: scavenge did not converge after %d rounds", maxScavengeRounds)
@@ -82,9 +87,10 @@ func repairOne(dev pmem.Dev, ce *pmem.CorruptError) (string, bool) {
 		return "", false
 
 	case "wal":
-		// Reset the damaged ring. Its entries are lost, which matches a
-		// crash before any of them were appended: the operations they
-		// guarded simply stay un-redone.
+		// Reset the damaged ring. Its entries are lost. In GC and IC the
+		// ring is unused; in LOG it was the only record of the bitmap bits
+		// written since its checkpoint, which Scavenge answers by pinning
+		// (pinFreeBlocks) once the heap opens.
 		walBase := dev.ReadU64(superBase + sbWALBase)
 		ents := int(dev.ReadU64(superBase + sbWALEnts))
 		stripes := int(dev.ReadU64(superBase + sbStripes))
@@ -145,6 +151,38 @@ func repairOne(dev pmem.Dev, ce *pmem.CorruptError) (string, bool) {
 		return fmt.Sprintf("cleared in-place header record for %#x", ce.Addr), true
 	}
 	return "", false
+}
+
+// pinFreeBlocks marks every free small block allocated, on media. A LOG
+// heap leaves bitmap bits in the cache image under the cover of its WAL
+// rings, so once a ring has been reset a block that reads free may be a
+// live block whose entry was lost — and a lost entry can name any slab
+// (ownership is volatile), so nothing that reads free can be vouched for.
+// Surviving entries are not applied first: every bit they could set is
+// set here, and every bit they could clear would be pinned again. The
+// blocks leak; no live block is handed out a second time. Runs on a
+// freshly opened heap, before any thread exists.
+func (h *Heap) pinFreeBlocks() string {
+	c := h.dev.NewCtx()
+	defer c.Merge()
+	pinned := 0
+	h.slabs.Range(func(_ pmem.PAddr, s *slab.Slab) bool {
+		before := pinned
+		for idx := 0; idx < s.Blocks; idx++ {
+			if !s.BlockAllocated(idx) {
+				s.AllocBlock(c, idx, false)
+				pinned++
+			}
+		}
+		if pinned > before {
+			s.SyncBitmap(c)
+		}
+		if a := h.arenas[s.Owner]; a.onFreelist(s) {
+			a.freelistRemove(s)
+		}
+		return true
+	})
+	return fmt.Sprintf("pinned %d free small blocks as allocated (a reset WAL ring may have covered them)", pinned)
 }
 
 // scrubRoots clears root-pointer slots that do not reference a live

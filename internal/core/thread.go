@@ -125,8 +125,8 @@ func (t *Thread) mallocSmall(class int) (pmem.PAddr, error) {
 		return pmem.Null, alloc.ErrOutOfMemory
 	}
 	s := b.Slab.(*slab.Slab)
-	// Persist the allocation: WAL entry (LOG) plus the interleaved bitmap
-	// bit (LOG and IC); the GC variant commits in DRAM only.
+	// Persist the allocation: a WAL entry (LOG) or the interleaved bitmap
+	// bit's line (IC); the GC variant commits in DRAM only.
 	a := t.h.arenas[s.Owner]
 	if t.h.useWAL {
 		a.res.Acquire(t.ctx)
@@ -374,6 +374,7 @@ func (t *Thread) drainRemote(ai int) {
 					owner.freelistRemove(s)
 				}
 				owner.lruRemove(s)
+				owner.retire(t.ctx, s)
 				release = append(release, s)
 				continue
 			}

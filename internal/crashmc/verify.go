@@ -7,6 +7,7 @@ import (
 
 	"nvalloc/internal/alloc"
 	"nvalloc/internal/pmem"
+	"nvalloc/internal/sizeclass"
 	"nvalloc/internal/torture"
 )
 
@@ -135,12 +136,12 @@ func Verify(rec *Recording, cfg Config) *Report {
 		ks = append(ks, k)
 	}
 	report := &Report{
-		Target:     rec.Target.Name,
-		Trace:      rec.Trace.Name,
-		Boundaries: rec.Boundaries(),
-		Classes:    map[string]int{},
+		Target:      rec.Target.Name,
+		Trace:       rec.Trace.Name,
+		Boundaries:  rec.Boundaries(),
+		Classes:     map[string]int{},
 		TornClasses: map[string]int{},
-		Paths:      map[string]int{},
+		Paths:       map[string]int{},
 	}
 	if len(ks) == 0 {
 		return report
@@ -160,12 +161,7 @@ func Verify(rec *Recording, cfg Config) *Report {
 			TornClasses: map[string]int{},
 			Paths:       map[string]int{},
 		}
-		var cursor *pmem.ImageCursor
-		if rec.BaseImage != nil {
-			cursor = pmem.NewImageCursorAt(rec.JournalBase, rec.BaseImage, rec.Journal)
-		} else {
-			cursor = pmem.NewImageCursor(rec.DeviceBytes, rec.Journal)
-		}
+		cursor := rec.newCursor()
 		scratch := pmem.New(pmem.Config{Size: rec.DeviceBytes})
 		for i := lo; i < hi; i++ {
 			k := ks[i]
@@ -208,6 +204,15 @@ func Verify(rec *Recording, cfg Config) *Report {
 		report.merge(part)
 	}
 	return report
+}
+
+// newCursor returns an image cursor at the recording's first
+// reconstructible boundary.
+func (rec *Recording) newCursor() *pmem.ImageCursor {
+	if rec.BaseImage != nil {
+		return pmem.NewImageCursorAt(rec.JournalBase, rec.BaseImage, rec.Journal)
+	}
+	return pmem.NewImageCursor(rec.DeviceBytes, rec.Journal)
 }
 
 // violation builds a Violation carrying full reproduction provenance:
@@ -316,6 +321,25 @@ func verifyImage(rec *Recording, cfg Config, hist map[int][]slotOp, part *Report
 			lb.marker = ops[durableIdx].marker
 		}
 		live = append(live, lb)
+	}
+
+	// A surviving published small block must read allocated in its slab.
+	// Free (below) cannot tell: it clears the bit without looking, so a bit
+	// that recovery lost — the failure the LOG variant's deferred bitmap
+	// write-back must never produce — would otherwise surface only if a
+	// probe of the right class happened to collide.
+	// Such a block is dropped from the live set: freeing it would panic
+	// the slab's double-free guard and mask the report.
+	if ba, ok := h2.(interface{ BlockAllocated(pmem.PAddr) bool }); ok {
+		kept := live[:0]
+		for _, lb := range live {
+			if sizeclass.IsSmall(lb.size) && !ba.BlockAllocated(pmem.PAddr(lb.addr)) {
+				fail("published block %#x (slot %d) reads free after recovery", lb.addr, lb.slot)
+				continue
+			}
+			kept = append(kept, lb)
+		}
+		live = kept
 	}
 
 	// Durable data markers: a fully persisted publish must still carry

@@ -25,7 +25,8 @@ func init() {
 // × line class) the enumeration actually drove. The fourth table is the
 // concurrent checker: each conflicting-pair trace family is enumerated
 // under DPOR-reduced preemptive schedules on the NVAlloc targets, with
-// the candidate/conflict/pruning accounting the baseline enforces.
+// the candidate/conflict/pruning accounting the baseline enforces. The
+// fifth is the fence-elision family, the sixth the write-back family.
 func runCrashMC(cfg Config) []*Table {
 	targets := crashmc.Targets()
 	seed := uint64(42)
@@ -131,11 +132,82 @@ func runCrashMC(cfg Config) []*Table {
 
 	conc := runCrashMCConc(cfg, targets, seed, bl)
 	fence := runCrashMCFence(cfg, targets, seed, bl)
+	wb := runCrashMCWriteBack(cfg, bl)
 
 	if cfg.CrashMCBaselineOut != "" {
 		bl.write(cfg.CrashMCBaselineOut)
 	}
-	return []*Table{head, classes, paths, conc, fence}
+	return []*Table{head, classes, paths, conc, fence, wb}
+}
+
+// runCrashMCWriteBack enumerates the write-back family: NVAlloc-LOG on
+// the smallest legal WAL ring, a trace that wraps both rings several
+// times through every kind of small commit, a morph, and a slab released
+// by one arena and formatted by the other. Every boundary is verified
+// clean and torn; then power is cut a second time after every flush of
+// the recoveries that start from a full, unwritten ring (recovery_cuts).
+// The shape columns are gated too: the coverage argument rests on the
+// trace still reaching those events.
+func runCrashMCWriteBack(cfg Config, bl *baselineBuild) *Table {
+	wb := &Table{
+		ID: "crashmc-write-back",
+		Title: "write-back family: minimum WAL ring, every boundary + torn variants, " +
+			"and a second crash after every flush of recovery",
+		Columns: []string{"allocator", "boundaries", "explored", "coverage", "torn",
+			"checkpoint_moves", "morphs", "foreign_reformats", "recovery_cuts", "violations"},
+	}
+	name := crashmc.WriteBackTarget().Name
+	rec, err := crashmc.RecordWriteBack()
+	if err != nil {
+		wb.Rows = append(wb.Rows, []string{name, "record failed: " + err.Error(),
+			"", "", "", "", "", "", "", ""})
+		bl.refuse("%s/write-back: record failed: %v", name, err)
+		return wb
+	}
+	vcfg := crashmc.Config{Torn: true, TornSeed: 0xDECAF, CheckEvery: 64, Pool: cfg.RunCells}
+	ks := rec.WriteBackStarts()
+	if cfg.Scale < 1 {
+		vcfg.MaxBoundaries = cfg.ops(200)
+		if len(ks) > 1 {
+			ks = ks[len(ks)-1:]
+		}
+	}
+	rep := crashmc.Verify(rec, vcfg)
+	cuts := crashmc.VerifyRecoveryCrashes(rec, ks, crashmc.Config{})
+	shape := rec.WriteBackShape()
+	bl.WriteBack = &writeBackBaseline{
+		MinBoundaries:       rep.Boundaries * 7 / 10 / 10 * 10,
+		MinCheckpointMoves:  shape.CheckpointMoves * 7 / 10,
+		MinMorphs:           1,
+		MinForeignReformats: 1,
+		MinRecoveryCuts:     cuts.Explored * 7 / 10 / 10 * 10,
+	}
+	if rep.Explored < rep.Boundaries {
+		bl.refuse("%s/write-back: sampled %d/%d boundaries", name, rep.Explored, rep.Boundaries)
+	}
+	if n := rep.ViolationCount + cuts.ViolationCount; n > 0 {
+		bl.refuse("%s/write-back: %d oracle violations", name, n)
+	}
+	if shape.Morphs == 0 || shape.ForeignReformats == 0 {
+		bl.refuse("%s/write-back: trace shape %+v lost a morph or a foreign re-format", name, shape)
+	}
+	wb.Rows = append(wb.Rows, []string{
+		name,
+		fmt.Sprint(rep.Boundaries),
+		fmt.Sprint(rep.Explored),
+		pct(rep.Coverage()),
+		fmt.Sprint(rep.TornExplored),
+		fmt.Sprint(shape.CheckpointMoves),
+		fmt.Sprint(shape.Morphs),
+		fmt.Sprint(shape.ForeignReformats),
+		fmt.Sprint(cuts.Explored),
+		fmt.Sprint(rep.ViolationCount + cuts.ViolationCount),
+	})
+	for _, v := range append(rep.Violations, cuts.Violations...) {
+		wb.Rows = append(wb.Rows, []string{"", "  " + v.String(),
+			"", "", "", "", "", "", "", ""})
+	}
+	return wb
 }
 
 // runCrashMCFence enumerates the fence-elision family on the LOG target:
@@ -308,6 +380,20 @@ type crashBaseline struct {
 	RequiredTornClasses   map[string][]string `json:"required_torn_classes"`
 	Concurrent            *concBaseline       `json:"concurrent,omitempty"`
 	FenceElision          *fenceBaseline      `json:"fence_elision,omitempty"`
+	WriteBack             *writeBackBaseline  `json:"write_back,omitempty"`
+}
+
+// writeBackBaseline gates the write-back family: floors (~70% of the
+// measured counts) on its boundaries, on the checkpoint moves its trace
+// drives and on the second-crash cuts inside recovery, plus the two
+// events the trace must still reach. Coverage and zero violations are
+// inherited from the top level.
+type writeBackBaseline struct {
+	MinBoundaries       int `json:"min_boundaries"`
+	MinCheckpointMoves  int `json:"min_checkpoint_moves"`
+	MinMorphs           int `json:"min_morphs"`
+	MinForeignReformats int `json:"min_foreign_reformats"`
+	MinRecoveryCuts     int `json:"min_recovery_cuts"`
 }
 
 // fenceBaseline gates the fence-elision family: a boundary floor for the
@@ -334,6 +420,7 @@ type baselineBuild struct {
 	TornClasses     map[string][]string
 	Conc            []*crashmc.ConcReport
 	FenceBoundaries int
+	WriteBack       *writeBackBaseline
 	Refusals        []string
 }
 
@@ -360,7 +447,9 @@ func (b *baselineBuild) write(path string) {
 			"than min_conflicts, DPOR pruning below min_pruning, or any schedule-variant violation. " +
 			"The fence_elision section gates the dedicated merged-fence trace family: boundary " +
 			"floor, 100% coverage, zero violations, and both at-risk line classes (wal-entry, " +
-			"bitmap-stripe) explored clean and torn. " +
+			"bitmap-stripe) explored clean and torn. The write_back section gates the family recorded " +
+			"on the minimum WAL ring: boundary, checkpoint-move and recovery-cut floors, and a trace that " +
+			"still morphs a slab and has one arena format a base the other released. " +
 			"Regenerate with: go run ./cmd/nvbench -exp crashmc -crashmc.update",
 		RequireCoverage:       1.0,
 		RequireZeroViolations: true,
@@ -400,6 +489,7 @@ func (b *baselineBuild) write(path string) {
 			RequireClassesTorn:  []string{"bitmap-stripe", "wal-entry"},
 		}
 	}
+	doc.WriteBack = b.WriteBack
 	data, err := json.MarshalIndent(&doc, "", "  ")
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "crashmc: encoding baseline: %v\n", err)

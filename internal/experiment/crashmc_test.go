@@ -14,8 +14,8 @@ import (
 // scaled-down run asserts the same floors as CI's full enumeration.
 func TestCrashMCConcTableShape(t *testing.T) {
 	tabs := runCrashMC(Config{Threads: []int{1}, Scale: 0.05, DeviceBytes: 256 << 20}.withDefaults())
-	if len(tabs) != 5 {
-		t.Fatalf("runCrashMC produced %d tables, want 5", len(tabs))
+	if len(tabs) != 6 {
+		t.Fatalf("runCrashMC produced %d tables, want 6", len(tabs))
 	}
 	conc := tabs[3]
 	if conc.ID != "crashmc-concurrent" {
@@ -34,6 +34,21 @@ func TestCrashMCConcTableShape(t *testing.T) {
 	}
 	if v := cell(t, fence, 0, colIndex(t, fence, "violations")); v != 0 {
 		t.Errorf("fence-elision: %.0f oracle violations", v)
+	}
+	wb := tabs[5]
+	if wb.ID != "crashmc-write-back" {
+		t.Fatalf("sixth table is %q", wb.ID)
+	}
+	if len(wb.Rows) != 1 || wb.Rows[0][0] != "NVAlloc-LOG" {
+		t.Fatalf("write-back table rows: %v, want one NVAlloc-LOG row", wb.Rows)
+	}
+	for col, min := range map[string]float64{"checkpoint_moves": 8, "morphs": 1, "foreign_reformats": 1, "recovery_cuts": 10} {
+		if v := cell(t, wb, 0, colIndex(t, wb, col)); v < min {
+			t.Errorf("write-back: %s = %.0f, want >= %.0f", col, v, min)
+		}
+	}
+	if v := cell(t, wb, 0, colIndex(t, wb, "violations")); v != 0 {
+		t.Errorf("write-back: %.0f oracle violations", v)
 	}
 	for ri, row := range conc.Rows {
 		who := row[0] + "/" + row[1]

@@ -238,9 +238,10 @@ func TestStoreConcurrent(t *testing.T) {
 
 // TestStorePersistSchedule pins what each store mutation costs on the
 // simulated device with a record that fits one cache line: the record's
-// malloc (WAL + bitmap, one fence) and its flush and fence, the index's
-// commit (phash's TestIndexPersistSchedule), and the free of the record a
-// replace or delete supersedes (WAL + bitmap, one fence). The record is
+// malloc (one WAL entry, one fence; the bitmap line is written back at the
+// ring's checkpoint) and its flush and fence, the index's commit (phash's
+// TestIndexPersistSchedule), and the free of the record a replace or
+// delete supersedes (one WAL entry, one fence). The record is
 // the only allocation a key costs: with the index's per-entry blob a new
 // key read 9 flushes, 5 fences, 2 mallocs and a delete 5/3 and 2 frees.
 func TestStorePersistSchedule(t *testing.T) {
@@ -285,13 +286,13 @@ func TestStorePersistSchedule(t *testing.T) {
 	}
 
 	expect("Set new", measure(func() error { return st.Set(th, 1, key(100), val, 0) }),
-		cost{flushes: 5, fences: 4, mallocs: 1})
+		cost{flushes: 4, fences: 4, mallocs: 1})
 	expect("Set replace", measure(func() error { return st.Set(th, 1, key(0), val, 0) }),
-		cost{flushes: 6, fences: 4, mallocs: 1, frees: 1})
+		cost{flushes: 4, fences: 4, mallocs: 1, frees: 1})
 	expect("Expire", measure(func() error { _, err := st.Expire(th, 1, key(1), 1000); return err }),
 		cost{flushes: 1, fences: 1})
 	expect("Del", measure(func() error { _, err := st.Del(th, key(2)); return err }),
-		cost{flushes: 3, fences: 2, frees: 1})
+		cost{flushes: 2, fences: 2, frees: 1})
 	if st.Len() != 4 {
 		t.Fatalf("Len %d, want 4", st.Len())
 	}

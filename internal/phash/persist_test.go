@@ -34,7 +34,7 @@ func TestIndexPersistSchedule(t *testing.T) {
 		t.Fatalf("directory at %#x is not line-aligned", m.dir)
 	}
 	// Pay the 160-byte class's first-use costs (slab format, lease) now, so
-	// the chained Put below sees a steady-state malloc (2 flushes, 1 fence).
+	// the chained Put below sees a steady-state malloc (1 flush, 1 fence).
 	warm, err := th.Malloc(BucketBytes)
 	if err != nil {
 		t.Fatal(err)
@@ -82,9 +82,9 @@ func TestIndexPersistSchedule(t *testing.T) {
 	for k := uint64(6); k < 8; k++ {
 		expect("Put new, slot on the commit word's line", measure(put(k, k)), cost{flushes: 2, fences: 2, reflushes: 1})
 	}
-	// Malloc (WAL + bitmap, one fence), the 160-byte bucket with the entry
+	// Malloc (one WAL entry, one fence), the 160-byte bucket with the entry
 	// in it (three lines, one fence), the link (one line, one fence).
-	expect("Put new, chaining an overflow bucket", measure(put(8, 8)), cost{flushes: 6, fences: 3, mallocs: 1})
+	expect("Put new, chaining an overflow bucket", measure(put(8, 8)), cost{flushes: 5, fences: 3, mallocs: 1})
 	expect("Put new, into the overflow bucket", measure(put(9, 9)), cost{flushes: 2, fences: 2})
 	expect("Put update", measure(put(3, 33)), cost{flushes: 1, fences: 1})
 	expect("Put update, in the overflow bucket", measure(put(8, 88)), cost{flushes: 1, fences: 1})

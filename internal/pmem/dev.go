@@ -62,6 +62,9 @@ type Dev interface {
 	Stats() Stats
 	// ResetStats clears merged statistics.
 	ResetStats()
+	// ResetTimeline starts a fresh virtual timeline (a reboot); a no-op
+	// on the direct device, which has no virtual time.
+	ResetTimeline()
 
 	// mergeStats folds a finishing worker's local counters into the device
 	// totals (Ctx.Merge). Unexported: it seals the interface.

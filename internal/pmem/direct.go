@@ -83,6 +83,9 @@ func (d *DirectDev) Strict() bool { return false }
 // Direct reports that this is the real-concurrency device.
 func (d *DirectDev) Direct() bool { return true }
 
+// ResetTimeline is a no-op: there is no virtual time to restart.
+func (d *DirectDev) ResetTimeline() {}
+
 // NewCtx creates a worker context for the device. Direct contexts count
 // flushes and fences but never advance virtual time or touch bank or
 // line-lock state.

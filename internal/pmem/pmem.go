@@ -265,8 +265,15 @@ func (d *Device) Crash() {
 	d.crashed.Store(false)
 	d.crashAfter.Store(-1)
 	d.armFlushGate()
-	// A reboot starts a fresh timeline: bank clocks and the
-	// write-combining buffer do not survive power loss.
+	d.ResetTimeline()
+}
+
+// ResetTimeline starts a fresh virtual timeline, as a reboot does: bank
+// clocks and the write-combining buffer do not survive power loss or a
+// process restart. Recovery (core.Open) calls it so that a new session's
+// contexts, which start at virtual time 0, do not queue behind the bank
+// load of every flush the previous session issued.
+func (d *Device) ResetTimeline() {
 	for i := range d.banks {
 		d.banks[i].mu.Lock()
 		d.banks[i].clock = 0

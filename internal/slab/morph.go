@@ -145,6 +145,11 @@ func (s *Slab) MorphTo(c *pmem.Ctx, newClass int, persist bool) error {
 		c.Fence()
 	}
 	s.persistFlag(c, flagSlabIn, persist) // transformation complete
+	if persist {
+		// The whole new bitmap is on media; lines still marked for
+		// write-back belong to the old geometry, which is gone.
+		s.dirty = 0
+	}
 
 	// Install the volatile view.
 	s.Class = newClass

@@ -168,6 +168,14 @@ type Slab struct {
 	free       *bitfit.Bitmap // logical-index bitmap: 1 = allocated or reserved (leaf + summary)
 	resBits    []uint64       // logical-index bitmap: 1 = reserved in a tcache
 
+	// dirty is the write-back set of the LOG variant: bit i means line i of
+	// the bitmap region was written in the cache image by a WAL-covered
+	// commit and not flushed since. A bitmap spans at most 64 lines (the
+	// 64-stripe layout of the smallest class; 18 with the default six
+	// stripes), so one word covers it. Guarded by the owning arena's
+	// resource, like the WAL whose checkpoint drains it.
+	dirty uint64
+
 	// Bump-pointer fast path for freshly formatted slabs: while fresh is
 	// true no block has ever been released, so the occupied blocks are
 	// exactly the prefix [0, bump) and Reserve can carve [bump, bump+n)
@@ -407,9 +415,31 @@ func (s *Slab) writePersistentBit(c *pmem.Ctx, idx int, val, persist bool) {
 	}
 }
 
+// MarkDirty records that block idx's bitmap line was written without a
+// flush and reports whether this is the slab's first dirty line since its
+// last FlushDirty — the caller's cue to queue the slab for write-back.
+func (s *Slab) MarkDirty(idx int) (first bool) {
+	first = s.dirty == 0
+	s.dirty |= 1 << (s.lay.off[idx] / (8 * pmem.LineSize))
+	return first
+}
+
+// FlushDirty flushes every line MarkDirty recorded, in address order,
+// forgets them, and reports whether there were any. It never fences (see
+// writePersistentBit).
+func (s *Slab) FlushDirty(c *pmem.Ctx) (flushed bool) {
+	bitmap := s.Base + pmem.PAddr(s.bitmapBase) // line-aligned
+	for m := s.dirty; m != 0; m &= m - 1 {
+		c.FlushU64(pmem.CatMeta, bitmap+pmem.PAddr(bits.TrailingZeros64(m)*pmem.LineSize))
+	}
+	flushed = s.dirty != 0
+	s.dirty = 0
+	return flushed
+}
+
 // AllocBlock marks block idx allocated (volatile + persistent bit).
-// persist controls whether the bitmap line is flushed (LOG) or deferred
-// to post-crash GC.
+// persist controls whether the bitmap line is flushed now or left to the
+// caller's write-back (LOG replay) or to post-crash GC.
 func (s *Slab) AllocBlock(c *pmem.Ctx, idx int, persist bool) {
 	if s.bitTest(idx) {
 		panic(fmt.Sprintf("slab %#x: double allocation of block %d", s.Base, idx))
@@ -499,9 +529,9 @@ func (s *Slab) Unreserve(idx int) {
 }
 
 // CommitAlloc turns a reserved block into an allocated one: the
-// persistent bitmap bit is set and, when persist is true, flushed. This
-// is the per-malloc metadata write whose cache line the interleaved
-// mapping varies.
+// persistent bitmap bit is set and, when persist is true, flushed (IC;
+// LOG passes false and calls MarkDirty). This is the per-malloc metadata
+// write whose cache line the interleaved mapping varies.
 func (s *Slab) CommitAlloc(c *pmem.Ctx, idx int, persist bool) {
 	s.resBits[idx/64] &^= 1 << (idx % 64)
 	s.Reserved--

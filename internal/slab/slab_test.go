@@ -515,3 +515,63 @@ func TestReservedBitsTracking(t *testing.T) {
 		t.Fatal("freed-to-cache block must be reserved")
 	}
 }
+
+// TestDirtyMaskCoversEveryLegalBitmap: the write-back mask is one word, so
+// no legal stripe count may spread a bitmap over more than 64 lines, and
+// the bitmap must start on a line boundary for FlushDirty's arithmetic.
+func TestDirtyMaskCoversEveryLegalBitmap(t *testing.T) {
+	for stripes := 1; stripes <= 64; stripes++ {
+		for class := 0; class < sizeclass.NumClasses(); class++ {
+			_, bitmapBase, dataOff := geometry(class, stripes)
+			if bitmapBase%pmem.LineSize != 0 {
+				t.Fatalf("class %d, %d stripes: bitmap at %d is not line-aligned", class, stripes, bitmapBase)
+			}
+			if lines := (dataOff - bitmapBase + pmem.LineSize - 1) / pmem.LineSize; lines > 64 {
+				t.Fatalf("class %d, %d stripes: bitmap spans %d lines", class, stripes, lines)
+			}
+		}
+	}
+}
+
+// TestMarkDirtyFlushDirty: bits written without a flush reach the media
+// exactly when FlushDirty runs, one flush per distinct line, in address
+// order; the first mark after a flush reports the slab as newly dirty.
+func TestMarkDirtyFlushDirty(t *testing.T) {
+	dev, c, s := newSlab(t, 4, 6)
+	idxs := s.Reserve(14, nil)
+	lines := map[pmem.PAddr]bool{}
+	for i, idx := range idxs {
+		s.CommitAlloc(c, idx, false)
+		if first := s.MarkDirty(idx); first != (i == 0) {
+			t.Fatalf("MarkDirty #%d reported first=%v", i, first)
+		}
+		off := s.m.BitOffset(idx)
+		lines[(s.Base+pmem.PAddr(s.bitmapBase)+pmem.PAddr(off/8))&^(pmem.LineSize-1)] = true
+	}
+	before := c.Local()
+	s.FlushDirty(c)
+	after := c.Local()
+	if got := int(after.Flushes - before.Flushes); got != len(lines) {
+		t.Fatalf("%d flushes for %d distinct lines", got, len(lines))
+	}
+	if len(lines) > 1 && after.SeqFlushes-before.SeqFlushes != uint64(len(lines)-1) {
+		t.Errorf("%d of %d flushes sequential: lines of one stripe group are adjacent and must go out in address order",
+			after.SeqFlushes-before.SeqFlushes, len(lines))
+	}
+	if after.Fences != before.Fences {
+		t.Fatal("FlushDirty fenced")
+	}
+	dev.Crash()
+	s2, err := Load(dev.Mem(), dev.NewCtx(), slabBase)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, idx := range idxs {
+		if !s2.BlockAllocated(idx) {
+			t.Fatalf("block %d lost after write-back", idx)
+		}
+	}
+	if !s.MarkDirty(idxs[0]) {
+		t.Fatal("mask not cleared by FlushDirty")
+	}
+}

@@ -46,6 +46,7 @@ const (
 	OpMallocTo    // atomic malloc_to: Addr=user slot, Aux=block, Aux2=size
 	OpFreeFrom    // atomic free_from: Addr=user slot, Aux=block
 	OpMorph       // slab morph step: Addr=slab, Aux=step
+	OpRetire      // slab released: Addr=slab; voids this ring's earlier bit entries for it
 )
 
 // Entry is one decoded WAL record.
@@ -72,6 +73,14 @@ type Log struct {
 	// arithmetic costs two hardware divisions, paid once here instead of
 	// on every append.
 	addrs []pmem.PAddr
+
+	// WriteBack, when set, is the first step of every checkpoint move. A
+	// log whose entries are the only durable record of a metadata write
+	// (NVAlloc-LOG leaves bitmap bits in the cache image) sets it to flush
+	// — not fence — every such line, and reports whether it flushed any;
+	// the checkpoint word moves only after that write-back is fenced, so
+	// the checkpoint never passes an entry whose effect is not on media.
+	WriteBack func(c *pmem.Ctx) (flushed bool)
 }
 
 // RegionSize returns the PM bytes needed for a log of n entries.
@@ -170,10 +179,14 @@ func (l *Log) Append(c *pmem.Ctx, e Entry) uint64 {
 	return e.Seq
 }
 
-// setCheckpoint persists the replay lower bound (sealed).
+// setCheckpoint persists the replay lower bound (sealed), after writing
+// back whatever the retired entries were the only record of.
 func (l *Log) setCheckpoint(c *pmem.Ctx, seq uint64) {
 	if seq <= l.ckpt {
 		return
+	}
+	if l.WriteBack != nil && l.WriteBack(c) {
+		c.Fence()
 	}
 	l.ckpt = seq
 	c.PersistU64(pmem.CatWAL, l.base, pmem.SealU64(seq))

@@ -348,3 +348,54 @@ func TestAppendGroupCrashMidGroupKeepsPrefix(t *testing.T) {
 		}
 	}
 }
+
+// TestWriteBackPrecedesCheckpointWord: the write-back hook runs inside
+// every checkpoint move — ring wrap and explicit Checkpoint — before the
+// checkpoint word is written, and its flushes are fenced before the
+// word's; a move that retires nothing calls nothing.
+func TestWriteBackPrecedesCheckpointWord(t *testing.T) {
+	dev := pmem.New(pmem.Config{Size: 1 << 20, Strict: true, Journal: true})
+	l := mustNew(t, dev, 4096, 8, 1)
+	c := dev.NewCtx()
+	const victim = pmem.PAddr(64 << 10)
+	calls := 0
+	l.WriteBack = func(c *pmem.Ctx) bool {
+		calls++
+		if got, _ := pmem.UnsealU64(dev.ReadU64(4096)); got != uint64(l.ckpt) {
+			t.Errorf("checkpoint word %d moved ahead of the write-back (ckpt %d)", got, l.ckpt)
+		}
+		dev.WriteU64(victim, uint64(calls))
+		c.FlushU64(pmem.CatMeta, victim)
+		return true
+	}
+	for i := 0; i < 8; i++ {
+		l.Append(c, Entry{Op: OpAllocBit, Addr: 0x1000, Aux: uint64(i)})
+	}
+	if calls != 0 {
+		t.Fatalf("write-back ran %d times before the ring wrapped", calls)
+	}
+	fences := c.Local().Fences
+	start := dev.JournalLen()
+	l.Append(c, Entry{Op: OpAllocBit, Addr: 0x1000, Aux: 8}) // wraps: checkpoint moves to 5
+	if calls != 1 {
+		t.Fatalf("write-back ran %d times at the wrap, want 1", calls)
+	}
+	if got := c.Local().Fences - fences; got != 2 {
+		t.Errorf("%d fences in the move, want 2 (after the write-back, after the word)", got)
+	}
+	var lines []pmem.PAddr
+	for _, fd := range dev.JournalSnapshot()[start:] {
+		lines = append(lines, pmem.PAddr(fd.Line*pmem.LineSize))
+	}
+	if len(lines) != 3 || lines[0] != victim || lines[1] != 4096 {
+		t.Errorf("flush order %#x, want write-back line %#x, checkpoint word 0x1000, then the entry", lines, victim)
+	}
+	l.Checkpoint(c)
+	if calls != 2 {
+		t.Errorf("write-back ran %d times after Checkpoint, want 2", calls)
+	}
+	l.Checkpoint(c) // nothing left to retire
+	if calls != 2 {
+		t.Errorf("a checkpoint that moves nothing ran the write-back (%d calls)", calls)
+	}
+}
