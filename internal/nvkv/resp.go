@@ -12,7 +12,9 @@
 // Acknowledged durability is the service contract: a reply is written
 // only after the operation's commit point (the index entry's 8-byte
 // atomic persist, plus the allocator's WAL/bitmap commits) has been
-// fenced. See DESIGN.md §10.
+// fenced. See DESIGN.md §10, which also walks the request path: each
+// connection owns one command buffer and one value scratch, and serving
+// a command in the steady state allocates nothing on the Go heap.
 package nvkv
 
 import (
@@ -21,11 +23,15 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
 	"strconv"
 )
 
-// Wire-protocol limits. Oversized frames are rejected before any
-// allocation is sized by attacker-controlled input.
+// Wire-protocol limits. A frame above them is rejected on its header,
+// and the server sizes no allocation from a header at all: a command's
+// bytes are appended to the connection's buffer as they arrive (see
+// commandReader.bulk). ReadReply, the client side, does allocate the
+// announced length; it reads from a server it chose to connect to.
 const (
 	// MaxArgs is the maximum elements in one command array.
 	MaxArgs = 8
@@ -94,24 +100,50 @@ func parseInt(b []byte) (int64, error) {
 	return n, nil
 }
 
-// ReadCommand reads one client command: either a RESP array of bulk
-// strings (*N\r\n$len\r\npayload\r\n...) or a space-separated inline
-// line. It returns the argument vector; the first element is the
-// command name. Limits: at most MaxArgs arguments, at most MaxBulk
-// bytes per argument. Every parse failure wraps ErrProtocol; the
-// function never panics.
-func ReadCommand(br *bufio.Reader) ([][]byte, error) {
-	first, err := br.ReadByte()
+// retainBytes is the largest buffer a connection keeps between commands:
+// the command buffer and the GET value scratch are both grow-only up to
+// it. 256 KiB keeps a 128 KiB value plus its key on the reuse path with
+// room for append's 1.25x growth overshoot; a command or value above it
+// gets a one-off buffer that is dropped before the next command is
+// parsed, so a connection waiting for input never pins more than
+// 2 x retainBytes of Go heap.
+const retainBytes = 256 << 10
+
+// readStep bounds how far the command buffer is grown ahead of the
+// bytes that have actually arrived.
+const readStep = 64 << 10
+
+// commandReader parses client commands into one reusable buffer.
+type commandReader struct {
+	br *bufio.Reader
+	// buf holds the argument bytes of the current command back to back.
+	buf  []byte
+	args [MaxArgs][]byte
+}
+
+// next reads one client command: either a RESP array of bulk strings
+// (*N\r\n$len\r\npayload\r\n...) or a space-separated inline line. It
+// returns the argument vector; the first element is the command name.
+// The arguments alias the reader's buffer and are valid until the next
+// call. Limits: at most MaxArgs arguments, at most MaxBulk bytes per
+// argument. Every parse failure wraps ErrProtocol; next never panics.
+func (r *commandReader) next() ([][]byte, error) {
+	if cap(r.buf) > retainBytes {
+		// args still points into it: both go.
+		r.buf, r.args = nil, [MaxArgs][]byte{}
+	}
+	r.buf = r.buf[:0]
+	first, err := r.br.ReadByte()
 	if err != nil {
 		return nil, err
 	}
 	if first != '*' {
-		if err := br.UnreadByte(); err != nil {
+		if err := r.br.UnreadByte(); err != nil {
 			return nil, err
 		}
-		return readInline(br)
+		return r.inline()
 	}
-	header, err := readLine(br)
+	header, err := readLine(r.br)
 	if err != nil {
 		return nil, err
 	}
@@ -122,61 +154,82 @@ func ReadCommand(br *bufio.Reader) ([][]byte, error) {
 	if n < 1 || n > MaxArgs {
 		return nil, protoErrf("array of %d elements (limit %d)", n, MaxArgs)
 	}
-	args := make([][]byte, 0, n)
-	for i := int64(0); i < n; i++ {
-		arg, err := readBulk(br)
-		if err != nil {
+	// ends[i] is where argument i ends in buf (it starts at ends[i-1]):
+	// offsets, not slices, because buf may move until the last byte is in.
+	var ends [MaxArgs]int
+	for i := 0; i < int(n); i++ {
+		if err := r.bulk(); err != nil {
 			if err == io.EOF {
 				return nil, io.ErrUnexpectedEOF
 			}
 			return nil, err
 		}
-		args = append(args, arg)
+		ends[i] = len(r.buf)
 	}
-	return args, nil
+	start := 0
+	for i, end := range ends[:n] {
+		r.args[i] = r.buf[start:end:end]
+		start = end
+	}
+	return r.args[:n], nil
 }
 
-// readBulk reads one $len\r\npayload\r\n frame.
-func readBulk(br *bufio.Reader) ([]byte, error) {
-	prefix, err := br.ReadByte()
+// bulk appends the payload of one $len\r\npayload\r\n frame to buf. The
+// header only bounds the loop: buf grows by at most readStep beyond the
+// bytes received, so a peer that announces MaxBulk and stalls holds one
+// step, not the announced size.
+func (r *commandReader) bulk() error {
+	prefix, err := r.br.ReadByte()
 	if err != nil {
-		return nil, err
+		return err
 	}
 	if prefix != '$' {
-		return nil, protoErrf("expected bulk string, got %q", prefix)
+		return protoErrf("expected bulk string, got %q", prefix)
 	}
-	header, err := readLine(br)
+	header, err := readLine(r.br)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	n, err := parseInt(header)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	if n < 0 || n > MaxBulk {
-		return nil, protoErrf("bulk of %d bytes (limit %d)", n, MaxBulk)
+		return protoErrf("bulk of %d bytes (limit %d)", n, MaxBulk)
 	}
-	payload := make([]byte, n+2)
-	if _, err := io.ReadFull(br, payload); err != nil {
-		if err == io.EOF {
-			return nil, io.ErrUnexpectedEOF
+	for need := int(n) + 2; need > 0; {
+		if len(r.buf) == cap(r.buf) {
+			r.buf = slices.Grow(r.buf, min(need, readStep))
 		}
-		return nil, err
+		chunk := r.buf[len(r.buf):min(len(r.buf)+need, cap(r.buf))]
+		if _, err := io.ReadFull(r.br, chunk); err != nil {
+			if err == io.EOF {
+				return io.ErrUnexpectedEOF
+			}
+			return err
+		}
+		r.buf = r.buf[:len(r.buf)+len(chunk)]
+		need -= len(chunk)
 	}
-	if payload[n] != '\r' || payload[n+1] != '\n' {
-		return nil, protoErrf("bulk payload not CRLF-terminated")
+	end := len(r.buf) - 2
+	if r.buf[end] != '\r' || r.buf[end+1] != '\n' {
+		return protoErrf("bulk payload not CRLF-terminated")
 	}
-	return payload[:n], nil
+	r.buf = r.buf[:end]
+	return nil
 }
 
-// readInline parses a space-separated inline command line (telnet
+// inline parses a space-separated inline command line (telnet
 // convenience; also the framing the fuzzer stresses hardest).
-func readInline(br *bufio.Reader) ([][]byte, error) {
-	line, err := readLine(br)
+func (r *commandReader) inline() ([][]byte, error) {
+	line, err := readLine(r.br)
 	if err != nil {
 		return nil, err
 	}
-	var args [][]byte
+	// The line lives in the bufio buffer only until the next read.
+	r.buf = append(r.buf, line...)
+	line = r.buf
+	n := 0
 	i := 0
 	for i < len(line) {
 		for i < len(line) && line[i] == ' ' {
@@ -187,18 +240,24 @@ func readInline(br *bufio.Reader) ([][]byte, error) {
 			i++
 		}
 		if i > start {
-			if len(args) == MaxArgs {
+			if n == MaxArgs {
 				return nil, protoErrf("inline command exceeds %d arguments", MaxArgs)
 			}
-			arg := make([]byte, i-start)
-			copy(arg, line[start:i])
-			args = append(args, arg)
+			r.args[n] = line[start:i:i]
+			n++
 		}
 	}
-	if len(args) == 0 {
+	if n == 0 {
 		return nil, protoErrf("empty inline command")
 	}
-	return args, nil
+	return r.args[:n], nil
+}
+
+// ReadCommand reads one client command with a reader of its own, so the
+// returned arguments belong to the caller. See commandReader.next for
+// the framing and the limits.
+func ReadCommand(br *bufio.Reader) ([][]byte, error) {
+	return (&commandReader{br: br}).next()
 }
 
 // WriteCommand writes args as a RESP array of bulk strings (the client
@@ -318,15 +377,18 @@ func writeErrorReply(bw *bufio.Writer, msg string) {
 	bw.WriteString("\r\n")
 }
 
+// The integer writers format into the writer's own spare capacity, so a
+// reply builds no temporary string.
+
 func writeInt(bw *bufio.Writer, n int64) {
 	bw.WriteByte(':')
-	bw.WriteString(strconv.FormatInt(n, 10))
+	bw.Write(strconv.AppendInt(bw.AvailableBuffer(), n, 10))
 	bw.WriteString("\r\n")
 }
 
 func writeBulk(bw *bufio.Writer, b []byte) {
 	bw.WriteByte('$')
-	bw.WriteString(strconv.Itoa(len(b)))
+	bw.Write(strconv.AppendInt(bw.AvailableBuffer(), int64(len(b)), 10))
 	bw.WriteString("\r\n")
 	bw.Write(b)
 	bw.WriteString("\r\n")

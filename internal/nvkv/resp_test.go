@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"errors"
 	"io"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -184,5 +185,103 @@ func FuzzRESPParse(f *testing.F) {
 				t.Fatalf("reply kind %d out of contract", rep.Kind)
 			}
 		}
+	})
+}
+
+// chunkReader hands out at most n bytes per Read, so a frame's bytes
+// arrive in pieces and the parser's read loop takes more than one step.
+type chunkReader struct {
+	data []byte
+	n    int
+}
+
+func (r *chunkReader) Read(p []byte) (int, error) {
+	if len(r.data) == 0 {
+		return 0, io.EOF
+	}
+	n := copy(p[:min(len(p), r.n)], r.data)
+	r.data = r.data[n:]
+	return n, nil
+}
+
+// errClass folds an error to what callers may tell apart: nothing, a
+// malformed frame, a clean close, a close mid-frame.
+func errClass(t *testing.T, err error) string {
+	switch {
+	case err == nil:
+		return "ok"
+	case errors.Is(err, ErrProtocol):
+		return "protocol"
+	case err == io.EOF, err == io.ErrUnexpectedEOF:
+		return err.Error()
+	}
+	t.Fatalf("untyped error: %v", err)
+	return ""
+}
+
+// checkReuse holds the connection's reusing parser to the one-shot
+// ReadCommand over data, command by command: same argument vectors, same
+// error class, and the arguments of a command intact — whatever the
+// reader has buffered since, and wherever the buffer moved while it grew
+// or was dropped at the retention limit — until the next command is
+// asked for. The reusing side gets its bytes chunk at a time.
+func checkReuse(t *testing.T, data []byte, chunk int) {
+	const size = 4096
+	one := bufio.NewReaderSize(bytes.NewReader(data), size)
+	cr := commandReader{br: bufio.NewReaderSize(&chunkReader{data, chunk}, size)}
+	for k := 0; k < 8; k++ {
+		want, wantErr := ReadCommand(one)
+		got, gotErr := cr.next()
+		// Make the reader shuffle its own buffer under the arguments
+		// before they are looked at.
+		cr.br.Peek(size)
+		if w, g := errClass(t, wantErr), errClass(t, gotErr); w != g {
+			t.Fatalf("command %d: reusing parser: %v, one-shot: %v", k, gotErr, wantErr)
+		}
+		if wantErr != nil {
+			return
+		}
+		if len(got) != len(want) {
+			t.Fatalf("command %d: %d arguments, one-shot %d", k, len(got), len(want))
+		}
+		for i := range want {
+			if !bytes.Equal(got[i], want[i]) {
+				t.Fatalf("command %d argument %d: %.40q, one-shot %.40q", k, i, got[i], want[i])
+			}
+		}
+		if cap(cr.buf) > retainBytes && len(cr.buf) <= retainBytes/2 {
+			t.Fatalf("command %d: %d-byte command in a retained buffer of %d", k, len(cr.buf), cap(cr.buf))
+		}
+	}
+}
+
+// TestCommandReaderRetention walks the reusing parser across the
+// retention limit and back (too large for a fuzz seed: the mutator
+// crawls on a 600 KiB input).
+func TestCommandReaderRetention(t *testing.T) {
+	big := bytes.Repeat([]byte{'x'}, retainBytes+retainBytes/2)
+	script := slices.Concat(
+		encode("SET", "k", string(big)),
+		encode("GET", "k"),
+		[]byte("get k\r\n"),
+		encode("SET", "k2", string(big[:readStep+1])),
+		encode("GET", "k2"),
+	)
+	for _, chunk := range []int{1 << 20, readStep, 4096, 7} {
+		checkReuse(t, script, chunk)
+	}
+}
+
+func FuzzRESPReuse(f *testing.F) {
+	for _, s := range []string{
+		"*3\r\n$3\r\nSET\r\n$1\r\nk\r\n$5\r\nhello\r\n*2\r\n$3\r\nGET\r\n$1\r\nk\r\nGET k\r\n",
+		"a b c\r\n  d \r\n*1\r\n$4\r\nPING\r\n*2\r\n$3\r\nGET\r\n$0\r\n\r\n",
+		"*2\r\n$3\r\nGET\r\n$1\r\nk\r\n*1\r\n$5\r\nab",
+		"PING\r\n*1\r\n$2\r\nabXX",
+	} {
+		f.Add([]byte(s), uint8(3))
+	}
+	f.Fuzz(func(t *testing.T, data []byte, chunk uint8) {
+		checkReuse(t, data, int(chunk)+1)
 	})
 }

@@ -2,7 +2,6 @@ package nvkv
 
 import (
 	"bufio"
-	"bytes"
 	"errors"
 	"fmt"
 	"math"
@@ -165,11 +164,17 @@ func (s *Server) ServeConn(conn net.Conn) {
 		th.Close()
 		s.snapMu.RUnlock()
 	}()
-	br := bufio.NewReaderSize(conn, 64<<10)
 	bw := bufio.NewWriterSize(conn, 64<<10)
+	// The connection owns both request-path buffers: cr's command
+	// buffer, which the arguments of the current command alias until the
+	// next one is read, and val, the GET scratch. dispatch has finished
+	// with both (bw has copied or written the reply) before either is
+	// reused.
+	cr := commandReader{br: bufio.NewReaderSize(conn, 64<<10)}
+	var val []byte
 	served := 0
 	for {
-		args, err := ReadCommand(br)
+		args, err := cr.next()
 		if err != nil {
 			if errors.Is(err, ErrProtocol) {
 				writeErrorReply(bw, err.Error())
@@ -177,7 +182,10 @@ func (s *Server) ServeConn(conn net.Conn) {
 			}
 			return
 		}
-		quit := s.dispatch(bw, th, args)
+		quit := s.dispatch(bw, th, args, &val)
+		if cap(val) > retainBytes {
+			val = nil
+		}
 		s.ops.Add(1)
 		served++
 		if served%flushEvery == 0 {
@@ -189,7 +197,7 @@ func (s *Server) ServeConn(conn net.Conn) {
 		}
 		// Pipelining: only pay the write syscall when no further
 		// command is already buffered.
-		if br.Buffered() == 0 || quit {
+		if cr.br.Buffered() == 0 || quit {
 			if err := bw.Flush(); err != nil {
 				return
 			}
@@ -200,11 +208,30 @@ func (s *Server) ServeConn(conn net.Conn) {
 	}
 }
 
-// dispatch executes one command and writes its reply. It reports
-// whether the connection should close (QUIT).
-func (s *Server) dispatch(bw *bufio.Writer, th alloc.Thread, args [][]byte) bool {
-	cmd := asciiUpper(args[0])
-	if cmd == "SNAPSHOT" {
+// commandIs reports whether name is cmd (upper-case ASCII) in any case.
+func commandIs(name []byte, cmd string) bool {
+	if len(name) != len(cmd) {
+		return false
+	}
+	for i, c := range name {
+		if 'a' <= c && c <= 'z' {
+			c -= 'a' - 'A'
+		}
+		if c != cmd[i] {
+			return false
+		}
+	}
+	return true
+}
+
+// dispatch executes one command and writes its reply. A GET's value
+// goes through *val, the connection's scratch, reusing its capacity: the
+// copy out of the heap happens inside the store, under the key's stripe
+// lock, and the write to bw after it, so a slow peer never holds a
+// stripe. dispatch reports whether the connection should close (QUIT).
+func (s *Server) dispatch(bw *bufio.Writer, th alloc.Thread, args [][]byte, val *[]byte) bool {
+	name := args[0]
+	if commandIs(name, "SNAPSHOT") {
 		// Drain this thread's deferred buffers under the read lock,
 		// then let Snapshot take the write lock (RWMutex does not
 		// upgrade, so SNAPSHOT stays outside the RLock'd switch).
@@ -222,31 +249,32 @@ func (s *Server) dispatch(bw *bufio.Writer, th alloc.Thread, args [][]byte) bool
 	}
 	s.snapMu.RLock()
 	defer s.snapMu.RUnlock()
-	switch cmd {
-	case "PING":
+	switch {
+	case commandIs(name, "PING"):
 		writeStatus(bw, "PONG")
-	case "GET":
+	case commandIs(name, "GET"):
 		if len(args) != 2 {
 			writeErrorReply(bw, "GET needs 1 argument")
 			return false
 		}
-		val, ok, err := s.store.Get(th, s.now(), args[1])
+		v, ok, err := s.store.AppendGet(th, s.now(), (*val)[:0], args[1])
+		*val = v
 		switch {
 		case err != nil:
 			writeErrorReply(bw, err.Error())
 		case !ok:
 			writeNil(bw)
 		default:
-			writeBulk(bw, val)
+			writeBulk(bw, v)
 		}
-	case "SET":
+	case commandIs(name, "SET"):
 		if len(args) != 3 && len(args) != 5 {
 			writeErrorReply(bw, "SET needs key value [TTL ms]")
 			return false
 		}
 		var ttl int64
 		if len(args) == 5 {
-			if asciiUpper(args[3]) != "TTL" {
+			if !commandIs(args[3], "TTL") {
 				writeErrorReply(bw, "SET option must be TTL")
 				return false
 			}
@@ -262,7 +290,7 @@ func (s *Server) dispatch(bw *bufio.Writer, th alloc.Thread, args [][]byte) bool
 			return false
 		}
 		writeStatus(bw, "OK")
-	case "DEL":
+	case commandIs(name, "DEL"):
 		if len(args) != 2 {
 			writeErrorReply(bw, "DEL needs 1 argument")
 			return false
@@ -273,7 +301,7 @@ func (s *Server) dispatch(bw *bufio.Writer, th alloc.Thread, args [][]byte) bool
 			return false
 		}
 		writeInt(bw, b2i(ok))
-	case "EXPIRE":
+	case commandIs(name, "EXPIRE"):
 		if len(args) != 3 {
 			writeErrorReply(bw, "EXPIRE needs key and ms")
 			return false
@@ -295,16 +323,16 @@ func (s *Server) dispatch(bw *bufio.Writer, th alloc.Thread, args [][]byte) bool
 			return false
 		}
 		writeInt(bw, b2i(ok))
-	case "STATS":
+	case commandIs(name, "STATS"):
 		if f, ok := th.(alloc.Flusher); ok {
 			f.Flush()
 		}
 		writeBulk(bw, []byte(s.store.StatsText()))
-	case "QUIT":
+	case commandIs(name, "QUIT"):
 		writeStatus(bw, "OK")
 		return true
 	default:
-		writeErrorReply(bw, fmt.Sprintf("unknown command %q", cmd))
+		writeErrorReply(bw, fmt.Sprintf("unknown command %q", name))
 	}
 	return false
 }
@@ -355,23 +383,6 @@ func (s *Server) Snapshot() error {
 		}
 		return os.Rename(name, s.snapshotPath)
 	}
-}
-
-// asciiUpper upper-cases a short command word without allocating for
-// the common already-upper case.
-func asciiUpper(b []byte) string {
-	upper := true
-	for _, c := range b {
-		if c >= 'a' && c <= 'z' {
-			upper = false
-			break
-		}
-	}
-	if upper {
-		return string(b)
-	}
-	u := bytes.ToUpper(b)
-	return string(u)
 }
 
 func b2i(b bool) int64 {

@@ -150,39 +150,48 @@ func (s *Store) lockFor(k64 uint64) *sync.Mutex {
 	return &s.locks[k64%storeStripes]
 }
 
-// readRecordMeta loads and sanity-checks a record header, returning key
-// and value geometry.
-func (s *Store) readRecordMeta(rec pmem.PAddr) (klen, vlen uint64, expiry int64, err error) {
-	hdr := s.dev.ReadU64(rec + recHeader)
-	if hdr>>48 != recMagic {
-		return 0, 0, 0, fmt.Errorf("%w: bad magic %#x at %#x", ErrRecordCorrupt, hdr>>48, rec)
-	}
-	klen = (hdr >> 32) & 0xFFFF
-	vlen = hdr & 0xFFFFFFFF
-	if klen == 0 || klen > MaxKeyLen || vlen > MaxBulk {
-		return 0, 0, 0, fmt.Errorf("%w: geometry klen=%d vlen=%d at %#x", ErrRecordCorrupt, klen, vlen, rec)
-	}
-	return klen, vlen, int64(s.dev.ReadU64(rec + recExpiry)), nil
+// recMeta is a record's decoded, sanity-checked header.
+type recMeta struct {
+	klen, vlen uint64
+	expiry     int64
 }
 
-// lookup resolves key to its record, verifying the stored key bytes.
-// Caller holds the stripe lock. found=false with rec!=Null never
-// happens; a digest collision reports collision=true.
-func (s *Store) lookup(th alloc.Thread, k64 uint64, key []byte) (rec pmem.PAddr, expiry int64, found, collision bool, err error) {
+// expired reports whether the record is past its expiry at now.
+func (m recMeta) expired(now int64) bool { return m.expiry != 0 && m.expiry <= now }
+
+// readRecordMeta loads and sanity-checks a record header.
+func (s *Store) readRecordMeta(rec pmem.PAddr) (recMeta, error) {
+	hdr := s.dev.ReadU64(rec + recHeader)
+	if hdr>>48 != recMagic {
+		return recMeta{}, fmt.Errorf("%w: bad magic %#x at %#x", ErrRecordCorrupt, hdr>>48, rec)
+	}
+	m := recMeta{klen: (hdr >> 32) & 0xFFFF, vlen: hdr & 0xFFFFFFFF}
+	if m.klen == 0 || m.klen > MaxKeyLen || m.vlen > MaxBulk {
+		return recMeta{}, fmt.Errorf("%w: geometry klen=%d vlen=%d at %#x", ErrRecordCorrupt, m.klen, m.vlen, rec)
+	}
+	m.expiry = int64(s.dev.ReadU64(rec + recExpiry))
+	return m, nil
+}
+
+// lookup resolves key to its record and the header it decoded on the
+// way, verifying the stored key bytes. Caller holds the stripe lock.
+// found=false with rec!=Null never happens; a digest collision reports
+// collision=true.
+func (s *Store) lookup(th alloc.Thread, k64 uint64, key []byte) (rec pmem.PAddr, m recMeta, found, collision bool, err error) {
 	v, ok := s.idx.Get(th, k64)
 	if !ok {
-		return pmem.Null, 0, false, false, nil
+		return pmem.Null, recMeta{}, false, false, nil
 	}
 	rec = pmem.PAddr(v)
-	klen, _, exp, err := s.readRecordMeta(rec)
+	m, err = s.readRecordMeta(rec)
 	if err != nil {
-		return pmem.Null, 0, false, false, err
+		return pmem.Null, recMeta{}, false, false, err
 	}
-	if klen != uint64(len(key)) || string(s.dev.Bytes(rec+recKey, int(klen))) != string(key) {
+	if m.klen != uint64(len(key)) || string(s.dev.Bytes(rec+recKey, int(m.klen))) != string(key) {
 		s.collisions.Add(1)
-		return pmem.Null, 0, false, true, nil
+		return pmem.Null, recMeta{}, false, true, nil
 	}
-	return rec, exp, true, false, nil
+	return rec, m, true, false, nil
 }
 
 // writeRecord allocates, writes, flushes and fences a record blob. The
@@ -268,12 +277,22 @@ func (s *Store) Set(th alloc.Thread, now int64, key, val []byte, ttl int64) erro
 	return nil
 }
 
-// Get returns the value stored under key, or ok=false when the key is
-// absent or expired at now. Expired records are left in place (lazy
-// expiry): a later Set or Del reclaims them, keeping Get read-only.
+// Get returns the value stored under key in a fresh slice; see
+// AppendGet.
 func (s *Store) Get(th alloc.Thread, now int64, key []byte) ([]byte, bool, error) {
+	return s.AppendGet(th, now, nil, key)
+}
+
+// AppendGet appends the value stored under key to dst and returns the
+// extended slice, or dst unchanged and ok=false when the key is absent
+// or expired at now. The record is CRC-checked where it lies in the
+// mapped heap and its value copied out once, under the stripe lock, so
+// the caller owns the bytes it gets and may write them to a socket after
+// the lock is gone. Expired records are left in place (lazy expiry): a
+// later Set or Del reclaims them, keeping Get read-only.
+func (s *Store) AppendGet(th alloc.Thread, now int64, dst, key []byte) ([]byte, bool, error) {
 	if len(key) == 0 || len(key) > MaxKeyLen {
-		return nil, false, ErrKeyTooLarge
+		return dst, false, ErrKeyTooLarge
 	}
 	k64 := hashKey(key)
 	lk := s.lockFor(k64)
@@ -281,25 +300,16 @@ func (s *Store) Get(th alloc.Thread, now int64, key []byte) ([]byte, bool, error
 	defer lk.Unlock()
 	s.gets.Add(1)
 
-	rec, expiry, found, _, err := s.lookup(th, k64, key)
-	if err != nil || !found {
-		return nil, false, err
+	rec, m, found, _, err := s.lookup(th, k64, key)
+	if err != nil || !found || m.expired(now) {
+		return dst, false, err
 	}
-	if expiry != 0 && expiry <= now {
-		return nil, false, nil
-	}
-	klen, vlen, _, err := s.readRecordMeta(rec)
-	if err != nil {
-		return nil, false, err
-	}
-	val := s.dev.Read(rec+recKey+pmem.PAddr(klen), int(vlen))
-	crc := crc32.ChecksumIEEE(s.dev.Bytes(rec+recKey, int(klen)))
-	crc = crc32.Update(crc, crc32.IEEETable, val)
-	if got := s.dev.ReadU32(rec + recKey + pmem.PAddr(klen+vlen)); got != crc {
-		return nil, false, fmt.Errorf("%w: CRC mismatch at %#x", ErrRecordCorrupt, rec)
+	body := s.dev.Bytes(rec+recKey, int(m.klen+m.vlen))
+	if got := s.dev.ReadU32(rec + recKey + pmem.PAddr(m.klen+m.vlen)); got != crc32.ChecksumIEEE(body) {
+		return dst, false, fmt.Errorf("%w: CRC mismatch at %#x", ErrRecordCorrupt, rec)
 	}
 	s.hits.Add(1)
-	return val, true, nil
+	return append(dst, body[m.klen:]...), true, nil
 }
 
 // Del removes key, reporting whether it was present (expired keys count
@@ -312,22 +322,24 @@ func (s *Store) Del(th alloc.Thread, key []byte) (bool, error) {
 	lk := s.lockFor(k64)
 	lk.Lock()
 	defer lk.Unlock()
-	return s.delLocked(th, k64, key)
-}
-
-func (s *Store) delLocked(th alloc.Thread, k64 uint64, key []byte) (bool, error) {
 	rec, _, found, _, err := s.lookup(th, k64, key)
 	if err != nil || !found {
 		return false, err
 	}
+	return true, s.delRecord(th, k64, rec)
+}
+
+// delRecord unpublishes and frees the record lookup found for k64.
+// Caller holds the stripe lock.
+func (s *Store) delRecord(th alloc.Thread, k64 uint64, rec pmem.PAddr) error {
 	// The fingerprint clear inside Delete is the commit point; it is
 	// fenced before Delete returns, so a nil return is a durable delete.
 	if _, err := s.idx.Delete(th, k64); err != nil {
-		return false, err
+		return err
 	}
 	s.dels.Add(1)
 	s.liveKeys.Add(-1)
-	return true, th.Free(rec)
+	return th.Free(rec)
 }
 
 // Expire re-arms key's expiry to now+ttl. A ttl <= 0 deletes the key
@@ -342,15 +354,12 @@ func (s *Store) Expire(th alloc.Thread, now int64, key []byte, ttl int64) (bool,
 	lk.Lock()
 	defer lk.Unlock()
 
-	rec, expiry, found, _, err := s.lookup(th, k64, key)
-	if err != nil || !found {
+	rec, m, found, _, err := s.lookup(th, k64, key)
+	if err != nil || !found || m.expired(now) {
 		return false, err
 	}
-	if expiry != 0 && expiry <= now {
-		return false, nil
-	}
 	if ttl <= 0 {
-		return s.delLocked(th, k64, key)
+		return true, s.delRecord(th, k64, rec)
 	}
 	c := th.Ctx()
 	// An 8-byte atomic persist: the expiry flips in one commit.

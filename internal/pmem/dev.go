@@ -51,8 +51,6 @@ type Dev interface {
 	WriteU8(addr PAddr, v byte)
 	// Write copies p into the device at addr.
 	Write(addr PAddr, p []byte)
-	// Read copies n bytes at addr into a fresh slice.
-	Read(addr PAddr, n int) []byte
 	// Zero clears [addr, addr+n).
 	Zero(addr PAddr, n int)
 

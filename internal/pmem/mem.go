@@ -168,14 +168,6 @@ func (m Mem) Write(addr PAddr, p []byte) {
 	copy(m.data[addr:], p)
 }
 
-// Read copies n bytes at addr into a fresh slice.
-func (m Mem) Read(addr PAddr, n int) []byte {
-	m.check(addr, n)
-	out := make([]byte, n)
-	copy(out, m.data[addr:])
-	return out
-}
-
 // Zero clears [addr, addr+n).
 func (m Mem) Zero(addr PAddr, n int) {
 	m.check(addr, n)

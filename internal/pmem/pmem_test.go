@@ -37,11 +37,11 @@ func TestTypedAccessors(t *testing.T) {
 		t.Fatalf("u8 roundtrip: %#x", got)
 	}
 	d.Write(512, []byte("hello"))
-	if string(d.Read(512, 5)) != "hello" {
+	if string(d.Bytes(512, 5)) != "hello" {
 		t.Fatal("bulk roundtrip failed")
 	}
 	d.Zero(512, 5)
-	for _, b := range d.Read(512, 5) {
+	for _, b := range d.Bytes(512, 5) {
 		if b != 0 {
 			t.Fatal("zero did not clear")
 		}
