@@ -9,7 +9,10 @@ Enforced (see the baseline's comment field):
   - concurrent families: per-family conflicting-pair floors, DPOR
     pruning at or above min_pruning, at least min_schedules_run variant
     schedules executed, and zero violations across every explored
-    schedule x boundary.
+    schedule x boundary;
+  - fence-elision, write-back and publish families: their own boundary
+    floors, 100% coverage, zero violations, and the events each trace
+    must still reach.
 
 Exits non-zero with a list of regressions. Regenerate the baseline
 (never in CI) with: go run ./cmd/nvbench -exp crashmc -crashmc.update
@@ -151,6 +154,37 @@ if wback:
             fail.append(f"{who}: {v} oracle violations")
         print(f"{who}: {b} boundaries, {e} explored, {v} violations, "
               + ", ".join(f"{k[4:]} {n} (floor {wback[k]})" for k, n in got.items() if k != "min_boundaries"))
+
+# Table 6: the publish family. One WAL entry names a slot, the block it
+# gains and the block it supersedes; the trace drives every kind of such
+# group over the minimum ring and the oracle demands that the recovered
+# heap's objects are exactly the blocks the trace holds.
+pub = base.get("publish")
+if pub:
+    rows = [r for r in csv.DictReader(open(f"{outdir}/crashmc_table6.csv"))
+            if r["allocator"]]
+    if not rows:
+        fail.append("publish family missing from report")
+    for r in rows:
+        who = f"{r['allocator']}/publish"
+        try:
+            b, e, v = int(r["boundaries"]), int(r["explored"]), int(r["violations"])
+            got = {"min_boundaries": b}
+            for key in pub:
+                if key != "min_boundaries":
+                    got[key] = int(r[key[4:]])
+        except (ValueError, KeyError):
+            fail.append(f"{who}: {r['boundaries']}")
+            continue
+        for key, val in got.items():
+            if val < pub[key]:
+                fail.append(f"{who}: {key[4:]} {val} < baseline floor {pub[key]}")
+        if e < b:
+            fail.append(f"{who}: coverage {e}/{b} < 100%")
+        if v and base["require_zero_violations"]:
+            fail.append(f"{who}: {v} oracle violations")
+        print(f"{who}: {b} boundaries, {e} explored, {v} violations, "
+              + ", ".join(f"{k[4:]} {n} (floor {pub[k]})" for k, n in got.items() if k != "min_boundaries"))
 
 if fail:
     sys.exit("crashmc coverage regression:\n  " + "\n  ".join(fail))

@@ -29,13 +29,28 @@ type Thread interface {
 	Malloc(size uint64) (pmem.PAddr, error)
 	// Free releases a previously allocated block or extent.
 	Free(addr pmem.PAddr) error
+	// Reserve takes size bytes out of the heap for this thread to fill,
+	// with no persistent effect where the allocator can defer one: a crash
+	// before Publish leaves the space free. A reservation ends in Publish
+	// or Unreserve.
+	Reserve(size uint64) (pmem.PAddr, error)
+	// Unreserve returns a reservation that was never published.
+	Unreserve(addr pmem.PAddr) error
+	// Publish makes the 8-byte persistent word at slot reference new in
+	// place of old, new allocated and old free, in one step: a strongly
+	// consistent allocator leaves either all of it or none of it after a
+	// crash. new is a reservation (or Null, to detach old); old is the
+	// block slot referenced until now (or Null). Whatever the caller
+	// flushed before the call is durable when Publish returns nil.
+	Publish(slot, new, old pmem.PAddr) error
 	// MallocTo atomically allocates size bytes and persists the result's
 	// address into the persistent pointer slot at slot, so that a crash
 	// leaves either no allocation or a reachable one (the paper's
-	// nvalloc_malloc_to).
+	// nvalloc_malloc_to): Reserve, then Publish(slot, block, Null).
 	MallocTo(slot pmem.PAddr, size uint64) (pmem.PAddr, error)
 	// FreeFrom atomically frees the block referenced by the persistent
-	// pointer slot and clears the slot (the paper's nvalloc_free_from).
+	// pointer slot and clears the slot (the paper's nvalloc_free_from):
+	// Publish(slot, Null, *slot).
 	FreeFrom(slot pmem.PAddr) error
 	// Ctx exposes the worker's pmem context for instrumentation.
 	Ctx() *pmem.Ctx

@@ -110,18 +110,40 @@ func (t *checkedThread) Malloc(size uint64) (pmem.PAddr, error) {
 }
 
 func (t *checkedThread) Free(addr pmem.PAddr) error {
-	// Deregister BEFORE the underlying free: once the allocator releases
-	// the block, another thread may legally receive the same address, and
-	// its noteAlloc must not race with our deregistration.
-	known := t.c.noteFree(addr)
-	err := t.Thread.Free(addr)
+	return t.release(addr, func() error { return t.Thread.Free(addr) })
+}
+
+// release deregisters addr BEFORE free runs: once the allocator releases
+// the block, another thread may legally receive the same address, and its
+// noteAlloc must not race with our deregistration. A failed free restores
+// the registration.
+func (t *checkedThread) release(addr pmem.PAddr, free func() error) error {
+	known := addr != pmem.Null && t.c.noteFree(addr)
+	err := free()
 	if err != nil && known {
-		// The free failed; restore the registration.
 		t.c.mu.Lock()
 		t.c.live[addr] = 0
 		t.c.mu.Unlock()
 	}
 	return err
+}
+
+// A reservation counts as live from Reserve on: no other thread may be
+// handed its bytes while it is being filled.
+func (t *checkedThread) Reserve(size uint64) (pmem.PAddr, error) {
+	p, err := t.Thread.Reserve(size)
+	if err == nil {
+		t.c.noteAlloc(p, size)
+	}
+	return p, err
+}
+
+func (t *checkedThread) Unreserve(addr pmem.PAddr) error {
+	return t.release(addr, func() error { return t.Thread.Unreserve(addr) })
+}
+
+func (t *checkedThread) Publish(slot, new, old pmem.PAddr) error {
+	return t.release(old, func() error { return t.Thread.Publish(slot, new, old) })
 }
 
 func (t *checkedThread) MallocTo(slot pmem.PAddr, size uint64) (pmem.PAddr, error) {
@@ -134,24 +156,25 @@ func (t *checkedThread) MallocTo(slot pmem.PAddr, size uint64) (pmem.PAddr, erro
 
 func (t *checkedThread) FreeFrom(slot pmem.PAddr) error {
 	addr := pmem.PAddr(t.c.Device().ReadU64(slot))
-	known := false
-	if addr != pmem.Null {
-		known = t.c.noteFree(addr)
-	}
-	err := t.Thread.FreeFrom(slot)
-	if err != nil && known {
-		t.c.mu.Lock()
-		t.c.live[addr] = 0
-		t.c.mu.Unlock()
-	}
-	return err
+	return t.release(addr, func() error { return t.Thread.FreeFrom(slot) })
 }
 
 // CountingThread wraps a Thread and counts the allocator calls made
 // through it, for tests that pin how many a higher-level operation costs.
 type CountingThread struct {
 	Thread
-	Mallocs, Frees int
+	Mallocs, Frees      int
+	Reserves, Publishes int
+}
+
+func (t *CountingThread) Reserve(size uint64) (pmem.PAddr, error) {
+	t.Reserves++
+	return t.Thread.Reserve(size)
+}
+
+func (t *CountingThread) Publish(slot, new, old pmem.PAddr) error {
+	t.Publishes++
+	return t.Thread.Publish(slot, new, old)
 }
 
 func (t *CountingThread) Malloc(size uint64) (pmem.PAddr, error) {

@@ -336,15 +336,7 @@ func (t *Thread) MallocTo(slot pmem.PAddr, size uint64) (pmem.PAddr, error) {
 	if err != nil {
 		return pmem.Null, err
 	}
-	if t.h.cfg.Persist != PersistNone {
-		a := t.ar
-		a.res.Acquire(t.ctx)
-		t.logEntry(a.wal, walog.Entry{Op: walog.OpMallocTo, Addr: slot, Aux: uint64(addr)})
-		a.res.Release(t.ctx)
-	}
-	t.ctx.PersistU64(pmem.CatOther, slot, uint64(addr))
-	t.ctx.Fence()
-	return addr, nil
+	return addr, t.Publish(slot, addr, pmem.Null)
 }
 
 // FreeFrom frees the block referenced by the slot and clears it.
@@ -353,15 +345,41 @@ func (t *Thread) FreeFrom(slot pmem.PAddr) error {
 	if addr == pmem.Null {
 		return alloc.ErrBadAddress
 	}
+	return t.Publish(slot, pmem.Null, addr)
+}
+
+// Reserve, Unreserve and Publish give the baselines the shape of
+// alloc.Thread without changing what they model: none of them can defer an
+// allocation's persistence, so a reservation is a plain Malloc, and Publish
+// is the malloc → persist → free composition of MallocTo and FreeFrom,
+// with the leak windows that composition has.
+func (t *Thread) Reserve(size uint64) (pmem.PAddr, error) { return t.Malloc(size) }
+
+// Unreserve frees a reservation.
+func (t *Thread) Unreserve(addr pmem.PAddr) error { return t.Free(addr) }
+
+// Publish logs the slot update — a publish record when there is a new
+// block, a retraction otherwise — persists the slot and then frees old.
+func (t *Thread) Publish(slot, new, old pmem.PAddr) error {
+	if new == pmem.Null && old == pmem.Null {
+		return alloc.ErrBadAddress
+	}
 	if t.h.cfg.Persist != PersistNone {
+		e := walog.Entry{Op: walog.OpMallocTo, Addr: slot, Aux: uint64(new)}
+		if new == pmem.Null {
+			e = walog.Entry{Op: walog.OpFreeFrom, Addr: slot, Aux: uint64(old)}
+		}
 		a := t.ar
 		a.res.Acquire(t.ctx)
-		t.logEntry(a.wal, walog.Entry{Op: walog.OpFreeFrom, Addr: slot, Aux: uint64(addr)})
+		t.logEntry(a.wal, e)
 		a.res.Release(t.ctx)
 	}
-	t.ctx.PersistU64(pmem.CatOther, slot, 0)
+	t.ctx.PersistU64(pmem.CatOther, slot, uint64(new))
 	t.ctx.Fence()
-	return t.Free(addr)
+	if old == pmem.Null {
+		return nil
+	}
+	return t.Free(old)
 }
 
 // Close drains the thread cache and merges statistics.

@@ -30,8 +30,12 @@ type arena struct {
 	wal *walog.Log // opened in every variant; appended to only by LOG
 
 	// dirty lists the slabs whose write-back mask went non-zero since the
-	// last writeBack (LOG variant; see commit). Guarded by res.
+	// last writeBack (LOG variant; see commit), and snaps holds what each of
+	// their dirty lines read when it went dirty (slab.MarkDirty): one line
+	// per line dirtied since the last writeBack, which empties both.
+	// Guarded by res.
 	dirty []*slab.Slab
+	snaps []byte
 
 	// cache is the arena-local slab-extent cache (nil when disabled):
 	// newSlab and releaseSlab trade extents with it so the global large
@@ -294,21 +298,27 @@ type blockRef struct {
 // which it holds, so commit takes each in turn (lockSlabs true). A free
 // may also drop its slab below the morph threshold; that is noted here,
 // under the same Mu, in the order the bits clear.
-func (a *arena) commit(c *pmem.Ctx, tr transition, ops []blockRef, lockSlabs bool) {
+//
+// covered is set by publish (LOG only), whose one OpPublish entry, already
+// flushed and fenced, stands for steps 1 and 3 of every block it names.
+func (a *arena) commit(c *pmem.Ctx, tr transition, ops []blockRef, lockSlabs, covered bool) {
 	h := a.h
-	if h.useWAL {
+	if h.useWAL && !covered {
 		op := walog.OpFreeBit
 		if tr == commitAlloc {
 			op = walog.OpAllocBit
 		}
 		for _, b := range ops {
-			a.wal.Append(c, walog.Entry{Op: op, Addr: b.s.Base, Aux: uint64(b.idx), Aux2: uint32(b.class)})
+			a.wal.Append(c, walog.Entry{Op: op, Addr: b.s.Base, Aux: uint64(b.idx), Aux2: uint16(b.class)})
 		}
 	}
 	flushNow := h.persistSmall && !h.useWAL
 	for _, b := range ops {
 		if lockSlabs {
 			b.s.Mu.Lock()
+		}
+		if h.useWAL {
+			a.noteDirty(b.s, b.idx)
 		}
 		switch tr {
 		case commitAlloc:
@@ -318,9 +328,6 @@ func (a *arena) commit(c *pmem.Ctx, tr transition, ops []blockRef, lockSlabs boo
 		case freeToSlab:
 			b.s.FreeBlock(c, b.idx, flushNow)
 		}
-		if h.useWAL {
-			a.noteDirty(b.s, b.idx)
-		}
 		if tr != commitAlloc && b.s.UsageBelowMille(h.suMille) {
 			a.noteCandidate(b.s)
 		}
@@ -328,16 +335,16 @@ func (a *arena) commit(c *pmem.Ctx, tr transition, ops []blockRef, lockSlabs boo
 			b.s.Mu.Unlock()
 		}
 	}
-	if h.persistSmall {
+	if h.persistSmall && !covered {
 		c.Fence()
 	}
 }
 
-// noteDirty records that block idx's bitmap line in s was written without
-// a flush under an entry of this arena's ring. Caller holds the arena
-// resource.
+// noteDirty records that block idx's bitmap line in s is about to be
+// written without a flush under an entry of this arena's ring (before the
+// write: see slab.MarkDirty). Caller holds the arena resource.
 func (a *arena) noteDirty(s *slab.Slab, idx int) {
-	if s.MarkDirty(idx) {
+	if s.MarkDirty(idx, &a.snaps) {
 		a.dirty = append(a.dirty, s)
 	}
 }
@@ -352,10 +359,11 @@ func (a *arena) writeBack(c *pmem.Ctx) bool {
 	slices.SortFunc(a.dirty, func(x, y *slab.Slab) int { return cmp.Compare(x.Base, y.Base) })
 	flushed := false
 	for _, s := range a.dirty {
-		flushed = s.FlushDirty(c) || flushed
+		flushed = s.FlushDirty(c, a.snaps) || flushed
 	}
 	clear(a.dirty)
 	a.dirty = a.dirty[:0]
+	a.snaps = a.snaps[:0]
 	return flushed
 }
 
@@ -370,7 +378,7 @@ func (a *arena) retire(c *pmem.Ctx, s *slab.Slab) {
 	if !a.h.useWAL {
 		return
 	}
-	s.FlushDirty(c)
+	s.FlushDirty(c, a.snaps)
 	a.wal.Append(c, walog.Entry{Op: walog.OpRetire, Addr: s.Base})
 	c.Fence()
 }
@@ -392,7 +400,7 @@ func (a *arena) fillAndCommit(c *pmem.Ctx, class int, tc *tcache.Cache, want int
 		return pmem.Null, false
 	}
 	s := b.Slab.(*slab.Slab)
-	a.commit(c, commitAlloc, []blockRef{{s, b.Idx, s.Class}}, true)
+	a.commit(c, commitAlloc, []blockRef{{s, b.Idx, s.Class}}, true, false)
 	return s.BlockAddr(b.Idx), true
 }
 
@@ -613,27 +621,48 @@ func (a *arena) releaseSlab(c *pmem.Ctx, s *slab.Slab) {
 	h.large.Res.Release(c)
 }
 
+// origin says what state a block returning to its slab is in.
+type origin uint8
+
+const (
+	fromCache   origin = iota // reserved in a tcache or depot: nothing persistent changes
+	fromUser                  // allocated: the free is logged and committed here
+	fromPublish               // allocated, and the caller's publish entry already covers the free
+)
+
 // freeBypass returns a block straight to its slab (tcache full or
 // drained). Caller does not hold locks. When g is non-nil it is the
 // geometry snapshot idx was resolved against; the call reports false
 // without acting if the slab morphed since (caller re-resolves).
 // Tcache drains pass g == nil: their blocks are Reserved, and
 // reservations pin the geometry (CanMorphTo requires Reserved == 0).
-func (a *arena) freeBypass(c *pmem.Ctx, s *slab.Slab, idx int, fromCache bool, g *slab.Geom) bool {
+func (a *arena) freeBypass(c *pmem.Ctx, s *slab.Slab, idx int, from origin, g *slab.Geom) bool {
 	a.res.Acquire(c)
+	ok, release := a.returnToSlab(c, s, idx, from, g)
+	a.res.Release(c)
+	if release {
+		a.releaseSlab(c, s)
+	}
+	return ok
+}
+
+// returnToSlab is freeBypass's body; caller holds the arena resource. When
+// release is true the slab came back completely empty with a spare of its
+// class left: it is off every list and retired, and the caller hands it to
+// releaseSlab once the resource is dropped.
+func (a *arena) returnToSlab(c *pmem.Ctx, s *slab.Slab, idx int, from origin, g *slab.Geom) (ok, release bool) {
 	s.Mu.Lock()
 	if g != nil && s.Geometry() != g {
 		s.Mu.Unlock()
-		a.res.Release(c)
-		return false
+		return false, false
 	}
-	if fromCache {
+	if from == fromCache {
 		s.Unreserve(idx)
 		if s.UsageBelowMille(a.h.suMille) {
 			a.noteCandidate(s)
 		}
 	} else {
-		a.commit(c, freeToSlab, []blockRef{{s, idx, s.Class}}, false)
+		a.commit(c, freeToSlab, []blockRef{{s, idx, s.Class}}, false, from == fromPublish)
 	}
 	empty := s.Allocated == 0 && s.Reserved == 0
 	wasOff := !a.onFreelist(s)
@@ -650,16 +679,13 @@ func (a *arena) freeBypass(c *pmem.Ctx, s *slab.Slab, idx int, fromCache bool, g
 			}
 			a.lruRemove(s)
 			a.retire(c, s)
-			a.res.Release(c)
-			a.releaseSlab(c, s)
-			return true
+			return true, true
 		}
 		if wasOff {
 			a.freelistPush(s)
 		}
 	}
-	a.res.Release(c)
-	return true
+	return true, false
 }
 
 // drainDepots unreserves every depot-magazine block back into its slab,
@@ -685,7 +711,7 @@ func (a *arena) drainDepots(c *pmem.Ctx) {
 		for i := 0; i < m.N; i++ {
 			b := m.Blocks[i]
 			s := b.Slab.(*slab.Slab)
-			a.h.arenas[s.Owner].freeBypass(c, s, b.Idx, true, nil)
+			a.h.arenas[s.Owner].freeBypass(c, s, b.Idx, fromCache, nil)
 			m.Blocks[i] = tcache.Block{}
 		}
 		m.N = 0

@@ -179,9 +179,24 @@ const (
 	sbChecksum   = 120 // CRC-32C over [0,120) with state and break zeroed
 	sbRoots      = 128 // alloc.NumRootSlots * 8 bytes
 
-	superMagic   = 0x4E56414C4C4F4321 // "NVALLOC!"
-	superVersion = 3
+	superMagic = 0x4E56414C4C4F4321 // "NVALLOC!"
+	// superVersion 4: WAL entries carry three 48-bit addresses and the
+	// publish op replaces the malloc_to/free_from pair (walog.OpPublish).
+	// A version 3 ring holds op codes and a field layout this build would
+	// misread, so Open refuses it (FormatError).
+	superVersion = 4
 )
+
+// FormatError is returned by Open for a heap whose superblock is intact
+// but was written in a format version this build does not read.
+type FormatError struct {
+	Version uint64
+}
+
+func (e *FormatError) Error() string {
+	return fmt.Sprintf("core: heap has format version %d (written by another build: its WAL rings use a different entry layout and op codes); this build reads only version %d and cannot convert it",
+		e.Version, uint64(superVersion))
+}
 
 var crcTable = crc32.MakeTable(crc32.Castagnoli)
 
@@ -211,11 +226,9 @@ const (
 	stateRecovery = 3
 	// stateClosing: Close has begun checkpointing WALs. Every operation
 	// acknowledged before Close is already durably applied (Close writes
-	// the dirty bitmap lines back before sealing this state), but the
-	// arena-by-arena checkpoints destroy cross-arena superseding
-	// witnesses (a checkpointed OpMallocTo no longer shields another
-	// arena's surviving OpFreeFrom for the same reused address), so a
-	// crash in this window must recover WITHOUT replaying WALs.
+	// the dirty bitmap lines back before sealing this state), so a crash
+	// in this window recovers without replaying WALs: there is nothing to
+	// redo, and no ring is left half-truncated for replay to reason about.
 	stateClosing = 4
 )
 
@@ -334,6 +347,9 @@ func layout(dev pmem.Dev, opts Options) (*Heap, error) {
 	heapBase := (blogBase + blogSize + extent.ChunkSize - 1) &^ (extent.ChunkSize - 1)
 	if heapBase+extent.ChunkSize > dev.Size() {
 		return nil, fmt.Errorf("core: device too small (%d bytes) for metadata regions", dev.Size())
+	}
+	if dev.Size() > 1<<walog.AddrBits {
+		return nil, fmt.Errorf("core: device of %d bytes exceeds the %d-bit addresses a WAL entry holds", dev.Size(), walog.AddrBits)
 	}
 	dev.WriteU64(superBase+sbWALBase, walBase)
 	dev.WriteU64(superBase+sbWALEnts, uint64(opts.WALEntries))
@@ -561,9 +577,8 @@ func (h *Heap) Close() error {
 		}
 	}
 	// Seal "no operation is in flight" before the first checkpoint: WAL
-	// rings are truncated one arena at a time, and replaying the survivors
-	// of a partial truncation can free a block whose republication witness
-	// sat in an already-truncated ring (see stateClosing).
+	// rings are truncated one arena at a time, and recovery must not have
+	// to replay the survivors of a partial truncation (see stateClosing).
 	c.PersistU64(pmem.CatMeta, superBase+sbState, pmem.SealU64(stateClosing))
 	c.Fence()
 	for i, a := range h.arenas {

@@ -143,6 +143,70 @@ func TestPersistSchedulePerOp(t *testing.T) {
 			},
 			want: map[Variant]cost{LOG: {1, 1}, GC: {1, 1}, IC: {1, 1}},
 		},
+		{
+			// LOG: the publish entry and its fence, the slot and its fence;
+			// the block's bit is written under the entry. IC flushes the bit
+			// instead of an entry; GC persists the slot alone.
+			name: "small MallocTo",
+			run: func(t *testing.T, h *Heap) cost {
+				th := h.NewThread().(*Thread)
+				defer th.Close()
+				p, err := th.Malloc(64)
+				must(t, err)
+				must(t, th.Free(p))
+				return measure(th, func() { _, err = th.MallocTo(h.RootSlot(0), 64) })
+			},
+			want: map[Variant]cost{LOG: {2, 2}, GC: {1, 1}, IC: {2, 2}},
+		},
+		{
+			name: "small FreeFrom",
+			run: func(t *testing.T, h *Heap) cost {
+				th := h.NewThread().(*Thread)
+				defer th.Close()
+				_, err := th.MallocTo(h.RootSlot(0), 64)
+				must(t, err)
+				c := measure(th, func() { err = th.FreeFrom(h.RootSlot(0)) })
+				must(t, err)
+				return c
+			},
+			want: map[Variant]cost{LOG: {2, 2}, GC: {1, 1}, IC: {2, 2}},
+		},
+		{
+			// One entry names the slot, the new block and the one it
+			// supersedes; GC and IC compose a malloc_to and a free.
+			name: "small replace through Publish",
+			run: func(t *testing.T, h *Heap) cost {
+				th := h.NewThread().(*Thread)
+				defer th.Close()
+				old, err := th.MallocTo(h.RootSlot(0), 64)
+				must(t, err)
+				p, err := th.Reserve(64)
+				must(t, err)
+				c := measure(th, func() { err = th.Publish(h.RootSlot(0), p, old) })
+				must(t, err)
+				if !h.BlockAllocated(p) || h.dev.ReadU64(h.RootSlot(0)) != uint64(p) {
+					t.Fatal("replace did not take")
+				}
+				return c
+			},
+			want: map[Variant]cost{LOG: {2, 2}, GC: {1, 1}, IC: {3, 3}},
+		},
+		{
+			name: "Reserve then Unreserve",
+			run: func(t *testing.T, h *Heap) cost {
+				th := h.NewThread().(*Thread)
+				defer th.Close()
+				p, err := th.Malloc(64)
+				must(t, err)
+				must(t, th.Free(p))
+				return measure(th, func() {
+					p, err = th.Reserve(64)
+					must(t, err)
+					must(t, th.Unreserve(p))
+				})
+			},
+			want: map[Variant]cost{LOG: {0, 0}, GC: {0, 0}, IC: {0, 0}},
+		},
 	}
 	for _, op := range ops {
 		for _, v := range []Variant{LOG, GC, IC} {
@@ -161,10 +225,14 @@ func TestPersistSchedulePerOp(t *testing.T) {
 // they do happen. A checkpoint period is the n/2+1 appends between two
 // moves of the ring's checkpoint word. The trace frees and reallocates
 // with nothing else live; the striped tcache hands out one block per
-// stripe in turn, so a period dirties one bitmap line per stripe: 513
-// entry flushes, six write-back flushes and the checkpoint word, with a
-// fence per commit plus one after the write-back and one after the word.
-// (An eager bitmap flush per commit reads 1027 flushes.)
+// stripe in turn, so a period dirties one bitmap line per stripe — but
+// every free is undone by the next malloc of the same block, and a line
+// whose bytes are back to what the media holds is not written back. The
+// period's 513 appends are odd, so one block ends it in the other state
+// than it began: 513 entry flushes, one write-back flush and the
+// checkpoint word, with a fence per commit plus one after the write-back
+// and one after the word. (Writing every dirty line back reads six; an
+// eager bitmap flush per commit reads 1027 flushes.)
 func TestWriteBackSchedule(t *testing.T) {
 	_, h := newHeap(t, LOG, nil)
 	th := h.NewThread().(*Thread)
@@ -203,7 +271,7 @@ func TestWriteBackSchedule(t *testing.T) {
 	if ops != period {
 		t.Fatalf("checkpoint period of %d ops, want %d", ops, period)
 	}
-	lines := h.opts.Stripes
+	const lines = 1
 	if f, want := after.Flushes-before.Flushes, uint64(period+lines+1); f != want {
 		t.Errorf("%d flushes per checkpoint period, want %d", f, want)
 	}

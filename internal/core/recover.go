@@ -9,9 +9,10 @@ import (
 )
 
 // validateSuper checks the superblock before any of its fields are
-// trusted: magic, version, checksum, parameter ranges and the region
+// trusted: magic, checksum, version, parameter ranges and the region
 // layout. A zeroed, truncated or bit-flipped image yields a typed
-// CorruptError here instead of a panic (or an absurd allocation) later.
+// CorruptError here instead of a panic (or an absurd allocation) later,
+// an intact heap of another format version a FormatError.
 func validateSuper(dev pmem.Dev) error {
 	if dev.Size() < uint64(superBase)+4096 {
 		return pmem.Corrupt("superblock", superBase, "device too small (%d bytes) for a superblock page", dev.Size())
@@ -19,11 +20,13 @@ func validateSuper(dev pmem.Dev) error {
 	if m := dev.ReadU64(superBase + sbMagic); m != superMagic {
 		return pmem.Corrupt("superblock", superBase+sbMagic, "bad magic %#x (no heap on device)", m)
 	}
-	if v := dev.ReadU64(superBase + sbVersion); v != superVersion {
-		return pmem.Corrupt("superblock", superBase+sbVersion, "unsupported heap version %d", v)
-	}
 	if got, want := dev.ReadU64(superBase+sbChecksum), uint64(superCRC(dev)); got != want {
 		return pmem.Corrupt("superblock", superBase+sbChecksum, "checksum %#x, want %#x", got, want)
+	}
+	// After the checksum: a flipped version bit is corruption, an intact
+	// superblock of another version is a heap some other build wrote.
+	if v := dev.ReadU64(superBase + sbVersion); v != superVersion {
+		return &FormatError{Version: v}
 	}
 	arenas := dev.ReadU64(superBase + sbArenas)
 	stripes := dev.ReadU64(superBase + sbStripes)
@@ -202,13 +205,10 @@ func Open(dev pmem.Dev, opts Options) (*Heap, int64, error) {
 		case LOG:
 			if closing {
 				// The crash hit Close's checkpoint window: every logged
-				// operation already persisted in full before Close began, and
-				// some rings may be truncated. Replaying the remainder could
-				// apply an OpFreeFrom whose superseding OpMallocTo (another
-				// arena, same recycled address) was checkpointed away — so
-				// retire the surviving entries unapplied. Replay with a no-op
-				// visitor still CRC-validates the rings and advances each
-				// log's sequence so the checkpoint lands past the survivors.
+				// operation already persisted in full before Close began, so
+				// the surviving entries are retired unapplied. Replay with a
+				// no-op visitor still CRC-validates the rings and advances
+				// each log's sequence so the checkpoint lands past them.
 				for _, a := range h.arenas {
 					if _, err := a.wal.Replay(c, func(walog.Entry) {}); err != nil {
 						return nil, 0, err
@@ -241,62 +241,28 @@ func Open(dev pmem.Dev, opts Options) (*Heap, int64, error) {
 }
 
 // replayWALs applies every un-checkpointed WAL entry idempotently
-// (NVAlloc-LOG failure recovery, "replay WALs as in nvm_malloc").
-// Entry payloads are CRC-protected, but the 24-bit checksum is thin, so
-// every address acted on is bounds-checked against the device first.
-//
-// A pre-pass collects the live publish/retract entries so that replaying
-// a stale entry can never clobber a later reuse: after FreeFrom's space
-// is re-allocated (extent addresses recycle quickly through the shard
-// pools), the old OpMallocTo must not resurrect the retracted slot, and
-// the old OpFreeFrom must not free the new allocation living at the same
-// address. "Later" is precise within one arena (WAL sequence numbers);
-// across arenas — where sequences are incomparable — the skip is applied
-// conservatively, trading a possible leak of an unacknowledged operation
-// for the impossibility of a dangling root.
+// (NVAlloc-LOG failure recovery, "replay WALs as in nvm_malloc"), ring by
+// ring in arena order and in sequence order within a ring. That order is
+// enough because every bit change of a block is logged in the ring of the
+// arena that owned its slab (arena.commit, Thread.Publish), so the last
+// entry naming a block is also the latest. Entry payloads are
+// CRC-protected, but the 24-bit checksum is thin, so every address acted
+// on is bounds-checked against the device first.
 func (h *Heap) replayWALs(c *pmem.Ctx) error {
-	inDev := func(a pmem.PAddr) bool { return uint64(a)+8 <= h.dev.Size() }
-
-	type tagged struct {
-		arena int
-		seq   uint64
-	}
-	type pair struct{ slot, addr pmem.PAddr }
-	pubs := map[pmem.PAddr][]tagged{}     // OpMallocTo entries by block address
-	slotPubs := map[pmem.PAddr][]tagged{} // OpMallocTo entries by slot address
-	rets := map[pair][]tagged{}           // OpFreeFrom entries by (slot, block)
 	// retired[i] maps a slab base to the latest OpRetire of ring i for it:
-	// the ring's earlier bit entries name a slab that was released, and
-	// whatever sits at that base now belongs to a later owner.
+	// the ring's earlier entries name blocks of a slab that was released,
+	// and whatever sits at that base now belongs to a later owner.
 	retired := make([]map[pmem.PAddr]uint64, len(h.arenas))
 	for i, a := range h.arenas {
 		retired[i] = map[pmem.PAddr]uint64{}
 		_, err := a.wal.Replay(c, func(e walog.Entry) {
-			switch e.Op {
-			case walog.OpRetire:
+			if e.Op == walog.OpRetire {
 				retired[i][e.Addr] = e.Seq
-			case walog.OpMallocTo:
-				p := pmem.PAddr(e.Aux)
-				pubs[p] = append(pubs[p], tagged{i, e.Seq})
-				slotPubs[e.Addr] = append(slotPubs[e.Addr], tagged{i, e.Seq})
-			case walog.OpFreeFrom:
-				k := pair{e.Addr, pmem.PAddr(e.Aux)}
-				rets[k] = append(rets[k], tagged{i, e.Seq})
 			}
 		})
 		if err != nil {
 			return err
 		}
-	}
-	// supersededBy: a conflicting entry exists in another arena, or in the
-	// same arena with a higher sequence number.
-	supersededBy := func(ts []tagged, arena int, seq uint64) bool {
-		for _, t := range ts {
-			if t.arena != arena || t.seq > seq {
-				return true
-			}
-		}
-		return false
 	}
 
 	// Bits are applied to the cache image and their lines listed on the
@@ -305,6 +271,7 @@ func (h *Heap) replayWALs(c *pmem.Ctx) error {
 	// ring's checkpoint then persists each distinct line once, however
 	// often sequence-order replay flipped its bits back and forth.
 	for i, a := range h.arenas {
+		last := a.wal.Seq() - 1 // the first pass left the ring's head here
 		_, err := a.wal.Replay(c, func(e walog.Entry) {
 			switch e.Op {
 			case walog.OpAllocBit, walog.OpFreeBit:
@@ -316,37 +283,8 @@ func (h *Heap) replayWALs(c *pmem.Ctx) error {
 				if s := h.slabs.Lookup(e.Addr); s != nil && int(e.Aux2) == s.Class && e.Seq > retired[i][e.Addr] {
 					h.forceBit(c, s, int(e.Aux), e.Op == walog.OpAllocBit, a)
 				}
-			case walog.OpMallocTo:
-				// A later retraction of this very pair means the slot must
-				// stay clear — completing the publish would resurrect it.
-				// Likewise a later publish of a *different* block to the same
-				// slot (MallocTo overwrites occupied slots): completing this
-				// one would clobber the newer root with a stale address.
-				if supersededBy(rets[pair{e.Addr, pmem.PAddr(e.Aux)}], i, e.Seq) ||
-					supersededBy(slotPubs[e.Addr], i, e.Seq) {
-					return
-				}
-				// Complete the publish if the slot write was lost.
-				if inDev(e.Addr) && pmem.PAddr(h.dev.ReadU64(e.Addr)) != pmem.PAddr(e.Aux) {
-					c.PersistU64(pmem.CatMeta, e.Addr, e.Aux)
-				}
-			case walog.OpFreeFrom:
-				if !inDev(e.Addr) || !inDev(pmem.PAddr(e.Aux)) {
-					return
-				}
-				// The block was published again after this retraction: the
-				// retraction's free completed (reallocation requires it) and
-				// whatever is allocated at this address now is the new
-				// object. Touch nothing.
-				if supersededBy(pubs[pmem.PAddr(e.Aux)], i, e.Seq) {
-					return
-				}
-				// Complete the retraction: clear the slot and free the
-				// block if still marked allocated.
-				if pmem.PAddr(h.dev.ReadU64(e.Addr)) == pmem.PAddr(e.Aux) {
-					c.PersistU64(pmem.CatMeta, e.Addr, 0)
-				}
-				h.forceFreeBlock(c, pmem.PAddr(e.Aux), a)
+			case walog.OpPublish:
+				h.replayPublish(c, a, e, e.Seq == last, retired[i])
 			case walog.OpMorph:
 				// Morph steps are sealed by the slab's own flag field;
 				// slab.Load already undid or kept the transform.
@@ -360,6 +298,74 @@ func (h *Heap) replayWALs(c *pmem.Ctx) error {
 	return nil
 }
 
+// replayPublish completes or drops one OpPublish entry of ring a. Publish
+// holds the arena resource from its append to its last bit, so every entry
+// a ring holds except its last is known to have run to completion and its
+// bits are re-applied like a bit entry's. The last one may have been cut
+// anywhere, and the slot word decides: if it holds new, the slot persist
+// happened and the publish is completed; otherwise the publish was never
+// acknowledged and nothing of it is applied.
+//
+// An extent is acted on only through the ring's last entry. Publish moves
+// the checkpoint past an entry that names one before it returns, so such
+// an entry is replayed only with its publish in flight — which is what
+// makes it safe to free by address: the space cannot have been reused.
+func (h *Heap) replayPublish(c *pmem.Ctx, a *arena, e walog.Entry, last bool, retired map[pmem.PAddr]uint64) {
+	slot, new, old := e.Addr, pmem.PAddr(e.Aux), e.Old
+	newTag, oldTag := int(e.Aux2>>8), int(e.Aux2&0xFF)
+	if uint64(slot)+8 > h.dev.Size() {
+		return
+	}
+	done := !last || pmem.PAddr(h.dev.ReadU64(slot)) == new
+	small := func(p pmem.PAddr, tag int, val bool) {
+		if tag == 0 || tag == tagLarge {
+			return
+		}
+		if s := h.slabs.Lookup(p &^ (slab.Size - 1)); s != nil && e.Seq > retired[s.Base] {
+			h.replayBit(c, a, s, p, tag-1, val)
+		}
+	}
+	if done {
+		small(new, newTag, true)
+		small(old, oldTag, false)
+	}
+	if !last {
+		return
+	}
+	// new's record precedes the slot persist and old's tombstone follows
+	// it: a completed publish may still owe the tombstone, a dropped one
+	// may have left the record.
+	owed, tag := new, newTag
+	if done {
+		owed, tag = old, oldTag
+	}
+	if tag == tagLarge {
+		if _, ok := h.large.Lookup(owed); ok {
+			_ = h.large.Free(c, owed) // a bookkeeper failure leaves the extent allocated: a leak, as before the replay
+		}
+	}
+}
+
+// replayBit brings the block at p of slab s, which a publish entry named
+// by address, to state val. class is the size class p was a block of when
+// the entry was logged; as for a bit entry, a slab that has since morphed
+// away from it is left alone — unless p is one of the morph's surviving
+// old-class blocks, whose free goes to the index table.
+func (h *Heap) replayBit(c *pmem.Ctx, a *arena, s *slab.Slab, p pmem.PAddr, class int, val bool) {
+	if !val && s.OldClass == class {
+		if oi := s.OldBlockIndex(p); oi >= 0 {
+			_, _ = s.FreeOldBlock(c, oi, true) // cannot fail: oi was just resolved
+			return
+		}
+	}
+	if s.Class != class {
+		return
+	}
+	if idx := s.BlockIndex(p); idx >= 0 {
+		h.forceBit(c, s, idx, val, a)
+	}
+}
+
 // forceBit sets the allocation state of a slab block to val regardless of
 // its current state (idempotent). WAL replay passes the arena whose ring
 // covers the bit: the line is then listed for that ring's write-back
@@ -369,32 +375,18 @@ func (h *Heap) forceBit(c *pmem.Ctx, s *slab.Slab, idx int, val bool, wb *arena)
 		return
 	}
 	allocated := s.BlockAllocated(idx)
-	switch {
-	case val && !allocated:
-		s.AllocBlock(c, idx, wb == nil)
-	case !val && allocated:
-		s.FreeBlock(c, idx, wb == nil)
-	default:
+	if val == allocated {
 		return
 	}
 	if wb != nil {
 		wb.noteDirty(s, idx)
-		return
 	}
-	c.Fence()
-}
-
-// forceFreeBlock frees addr whether it is a slab block or an extent, if
-// it is currently allocated (replay of ring wb's OpFreeFrom).
-func (h *Heap) forceFreeBlock(c *pmem.Ctx, addr pmem.PAddr, wb *arena) {
-	base := addr &^ (slab.Size - 1)
-	if s := h.slabs.Lookup(base); s != nil {
-		if idx := s.BlockIndex(addr); idx >= 0 {
-			h.forceBit(c, s, idx, false, wb)
-		}
-		return
+	if val {
+		s.AllocBlock(c, idx, wb == nil)
+	} else {
+		s.FreeBlock(c, idx, wb == nil)
 	}
-	if _, ok := h.large.Lookup(addr); ok {
-		_ = h.large.Free(c, addr)
+	if wb == nil {
+		c.Fence()
 	}
 }

@@ -31,6 +31,9 @@ type Thread struct {
 	drainStale []tcache.RemoteFree
 	drainApply []blockRef
 	drainSlabs []*slab.Slab
+	// tombOne is Publish's one-address tombstone group (see
+	// extent.Allocator.Tombstone).
+	tombOne [1]pmem.PAddr
 }
 
 var (
@@ -100,7 +103,7 @@ func (t *Thread) Malloc(size uint64) (pmem.PAddr, error) {
 	}
 	t.ctx.Charge(pmem.CatOther, opBaseNS)
 	if !sizeclass.IsSmall(size) {
-		return t.mallocLarge(size)
+		return t.mallocLarge(size, true)
 	}
 	return t.mallocSmall(sizeclass.Class(uint32(size)))
 }
@@ -131,20 +134,30 @@ func (t *Thread) mallocSmall(class int) (pmem.PAddr, error) {
 	if t.h.useWAL {
 		a.res.Acquire(t.ctx)
 	}
-	a.commit(t.ctx, commitAlloc, []blockRef{{s, b.Idx, s.Class}}, true)
+	a.commit(t.ctx, commitAlloc, []blockRef{{s, b.Idx, s.Class}}, true, false)
 	if t.h.useWAL {
 		a.res.Release(t.ctx)
 	}
 	return s.BlockAddr(b.Idx), nil
 }
 
-func (t *Thread) mallocLarge(size uint64) (pmem.PAddr, error) {
+// mallocLarge carves an extent and, when record is set, persists its
+// bookkeeping record. Reserve passes false: the extent then exists in this
+// process only (a crash returns its space) until publish records it.
+func (t *Thread) mallocLarge(size uint64, record bool) (pmem.PAddr, error) {
 	h := t.h
 	// Moderate sizes go through the thread's shard pool — its own lock,
 	// leases refilled from the global allocator — so parallel large
 	// allocations stop serializing on large.Res.
 	if h.shards != nil && size <= extent.MaxShardAlloc {
-		addr, err := h.shards.Pool(t.arena.index).Alloc(t.ctx, size)
+		pool := h.shards.Pool(t.arena.index)
+		var addr pmem.PAddr
+		var err error
+		if record {
+			addr, err = pool.Alloc(t.ctx, size)
+		} else {
+			addr, err = pool.Reserve(t.ctx, size)
+		}
 		if err == nil {
 			return addr, nil
 		}
@@ -153,12 +166,39 @@ func (t *Thread) mallocLarge(size uint64) (pmem.PAddr, error) {
 		h.flushExtentCaches(t.ctx, nil)
 	}
 	h.large.Res.Acquire(t.ctx)
-	addr, err := h.large.Alloc(t.ctx, size, 0, false)
+	addr, err := h.large.AllocDeferRecord(t.ctx, size, 0, false)
+	if err == nil && record {
+		err = h.large.Record(t.ctx, addr)
+	}
 	h.large.Res.Release(t.ctx)
 	if err != nil {
 		return pmem.Null, alloc.ErrOutOfMemory
 	}
 	return addr, nil
+}
+
+// recordLarge persists the bookkeeping record of an extent Reserve carved.
+func (t *Thread) recordLarge(addr pmem.PAddr) error {
+	h := t.h
+	if h.shards != nil {
+		if handled, err := h.shards.Record(t.ctx, addr); handled {
+			return err
+		}
+	}
+	h.large.Res.Acquire(t.ctx)
+	defer h.large.Res.Release(t.ctx)
+	return h.large.Record(t.ctx, addr)
+}
+
+// largeLive reports whether addr is the start of a live extent.
+func (h *Heap) largeLive(addr pmem.PAddr) bool {
+	if h.shards != nil && h.shards.Resolves(addr) {
+		return true
+	}
+	h.large.Res.Lock()
+	defer h.large.Res.Unlock()
+	v, ok := h.large.Lookup(addr)
+	return ok && !v.Slab
 }
 
 // Free releases a block or extent.
@@ -171,7 +211,7 @@ func (t *Thread) Free(addr pmem.PAddr) error {
 	// lookup (the address index the paper implements with an R-tree).
 	s := t.h.slabs.Lookup(addr &^ (slab.Size - 1))
 	if s == nil {
-		return t.freeLarge(addr)
+		return t.freeLarge(addr, true)
 	}
 	return t.freeSmall(s, addr, true)
 }
@@ -216,7 +256,7 @@ func (t *Thread) freeSmall(s *slab.Slab, addr pmem.PAddr, buffer bool) error {
 		tc := t.cache(g.Class)
 		if tc.Full() && !t.evictMagazine(tc, g.Class) {
 			// Depot full too: return directly to the slab.
-			if !owner.freeBypass(t.ctx, s, idx, false, g) {
+			if !owner.freeBypass(t.ctx, s, idx, fromUser, g) {
 				continue
 			}
 			return nil
@@ -233,7 +273,7 @@ func (t *Thread) freeSmall(s *slab.Slab, addr pmem.PAddr, buffer bool) error {
 			}
 			continue
 		}
-		owner.commit(t.ctx, freeToCache, []blockRef{{s, idx, g.Class}}, false)
+		owner.commit(t.ctx, freeToCache, []blockRef{{s, idx, g.Class}}, false, false)
 		s.Mu.Unlock()
 		if t.h.useWAL {
 			owner.res.Release(t.ctx)
@@ -251,10 +291,16 @@ func (t *Thread) freeSmall(s *slab.Slab, addr pmem.PAddr, buffer bool) error {
 // free space. Returns false when the depot is full, sending the caller
 // down the per-block bypass path instead.
 func (t *Thread) evictMagazine(tc *tcache.Cache, class int) bool {
+	t.arena.res.Acquire(t.ctx)
+	defer t.arena.res.Release(t.ctx)
+	return t.evictMagazineLocked(tc, class)
+}
+
+// evictMagazineLocked is evictMagazine's body; caller holds the thread's
+// arena resource.
+func (t *Thread) evictMagazineLocked(tc *tcache.Cache, class int) bool {
 	a := t.arena
-	a.res.Acquire(t.ctx)
 	if !a.depotRoom(class) {
-		a.res.Release(t.ctx)
 		return false
 	}
 	m := a.takeSpareMag()
@@ -267,17 +313,20 @@ func (t *Thread) evictMagazine(tc *tcache.Cache, class int) bool {
 	}
 	if tc.PopMagazine(m, k) == 0 {
 		a.spareMag(m)
-		a.res.Release(t.ctx)
 		return false
 	}
 	a.depotPush(class, m)
-	a.res.Release(t.ctx)
 	return true
 }
 
 func (t *Thread) freeOld(owner *arena, s *slab.Slab, oldIdx int) error {
 	owner.res.Acquire(t.ctx)
 	defer owner.res.Release(t.ctx)
+	return t.freeOldLocked(owner, s, oldIdx)
+}
+
+// freeOldLocked is freeOld's body; caller holds the owner's resource.
+func (t *Thread) freeOldLocked(owner *arena, s *slab.Slab, oldIdx int) error {
 	s.Mu.Lock()
 	done, err := s.FreeOldBlock(t.ctx, oldIdx, t.h.persistSmall)
 	if err == nil && s.UsageBelowMille(t.h.suMille) {
@@ -304,8 +353,9 @@ func (t *Thread) freeOld(owner *arena, s *slab.Slab, oldIdx int) error {
 // crash leaks the block (the block stays allocated on media, exactly as
 // if the free had never been called), while a clean Close — and any
 // explicit Flush — always drains. Callers that need the stronger
-// "freed-before-crash" guarantee use FreeFrom, whose own WAL record is
-// fenced before this buffering ever runs.
+// "freed-before-crash" guarantee use FreeFrom, which logs the free in the
+// owner's ring itself and never comes here. A publish whose old block
+// another arena owns does: that block is freed when the buffer drains.
 func (t *Thread) bufferRemoteFree(s *slab.Slab, g *slab.Geom, addr pmem.PAddr, idx int) {
 	ai := s.Owner
 	if t.remote[ai].Add(tcache.RemoteFree{Slab: s, Geom: g, Addr: uint64(addr), Idx: idx}) >= remoteBatch {
@@ -347,7 +397,7 @@ func (t *Thread) drainRemote(ai int) {
 		}
 		return
 	}
-	owner.commit(t.ctx, freeToSlab, apply, true)
+	owner.commit(t.ctx, freeToSlab, apply, true, false)
 	slabs := t.drainSlabs[:0]
 	for _, b := range apply {
 		if !slices.Contains(slabs, b.s) {
@@ -400,13 +450,23 @@ func (t *Thread) Flush() {
 	}
 }
 
-func (t *Thread) freeLarge(addr pmem.PAddr) error {
+// freeLarge returns an extent to the large allocator. tombstone is false
+// when the extent has no live record to kill: a reservation that was never
+// published, or an extent publish has already tombstoned.
+func (t *Thread) freeLarge(addr pmem.PAddr, tombstone bool) error {
 	h := t.h
 	// A lease-map hit routes the free back to its shard; a miss (including
 	// shard sub-allocations from before a crash, rebuilt as ordinary
 	// extents) falls through to the global allocator.
 	if h.shards != nil {
-		if handled, err := h.shards.Free(t.ctx, addr); handled {
+		var handled bool
+		var err error
+		if tombstone {
+			handled, err = h.shards.Free(t.ctx, addr)
+		} else {
+			handled, err = h.shards.Release(t.ctx, addr)
+		}
+		if handled {
 			if err != nil {
 				return alloc.ErrBadAddress
 			}
@@ -415,52 +475,277 @@ func (t *Thread) freeLarge(addr pmem.PAddr) error {
 	}
 	h.large.Res.Acquire(t.ctx)
 	defer h.large.Res.Release(t.ctx)
-	if err := h.large.Free(t.ctx, addr); err != nil {
+	var err error
+	if tombstone {
+		err = h.large.Free(t.ctx, addr)
+	} else {
+		err = h.large.Release(t.ctx, addr)
+	}
+	if err != nil {
 		return alloc.ErrBadAddress
 	}
 	return nil
 }
 
-// MallocTo atomically allocates and publishes the result into the
-// persistent pointer slot (the paper's nvalloc_malloc_to): in the LOG
-// variant a WAL record makes the pair {slot, block} recoverable; in the
-// GC variant reachability from the slot is what keeps the block alive.
+// Reserve takes size bytes out of the thread's cache (or an extent out of
+// the large allocator) with no persistent effect: the block is this
+// thread's to fill, and a crash before Publish returns it to the heap
+// without any recovery work. A reservation ends in Publish or Unreserve.
+func (t *Thread) Reserve(size uint64) (pmem.PAddr, error) {
+	if size == 0 {
+		return pmem.Null, alloc.ErrBadSize
+	}
+	t.ctx.Charge(pmem.CatOther, opBaseNS)
+	if !sizeclass.IsSmall(size) {
+		return t.mallocLarge(size, false)
+	}
+	class := sizeclass.Class(uint32(size))
+	tc := t.cache(class)
+	if tc.Empty() && t.arena.fill(t.ctx, class, tc, tc.Cap()) == 0 {
+		return pmem.Null, alloc.ErrOutOfMemory
+	}
+	b, ok := tc.Pop()
+	if !ok {
+		return pmem.Null, alloc.ErrOutOfMemory
+	}
+	return b.Slab.(*slab.Slab).BlockAddr(b.Idx), nil
+}
+
+// reserved resolves a small reservation to its block. A reservation pins
+// its slab's geometry (CanMorphTo requires Reserved == 0), so the index is
+// stable from Reserve to Publish or Unreserve.
+func reserved(s *slab.Slab, addr pmem.PAddr) (int, bool) {
+	idx := s.BlockIndex(addr)
+	if idx < 0 {
+		return 0, false
+	}
+	s.Mu.Lock()
+	ok := s.BlockReserved(idx)
+	s.Mu.Unlock()
+	return idx, ok
+}
+
+// Unreserve returns a reservation that was never published: back into the
+// thread's cache, or to its slab when the cache is full. It writes nothing
+// persistent.
+func (t *Thread) Unreserve(addr pmem.PAddr) error {
+	if addr == pmem.Null {
+		return alloc.ErrBadAddress
+	}
+	t.ctx.Charge(pmem.CatOther, opBaseNS)
+	s := t.h.slabs.Lookup(addr &^ (slab.Size - 1))
+	if s == nil {
+		return t.freeLarge(addr, false)
+	}
+	idx, ok := reserved(s, addr)
+	if !ok {
+		return alloc.ErrBadAddress
+	}
+	owner := t.h.arenas[s.Owner]
+	if tc := t.cache(s.Class); !tc.Full() {
+		tc.Push(owner.tcacheStripe(s, idx), tcache.Block{Slab: s, Idx: idx})
+		return nil
+	}
+	owner.freeBypass(t.ctx, s, idx, fromCache, nil)
+	return nil
+}
+
+// tagLarge marks a block of a publish entry as an extent; a small block
+// is tagged with its size class plus one, an absent one with zero.
+const tagLarge = 0xFF
+
+// Publish makes the persistent word at slot reference new in place of old,
+// and new allocated and old free, as one crash-atomic step: after a crash
+// either all three hold or none does. new is a reservation of this thread
+// (or Null, to detach old), old the allocated block slot referenced until
+// now (or Null). When Publish returns nil the step is durable, and so is
+// everything the caller flushed before the call: the first fence inside
+// covers it.
+//
+// LOG: one OpPublish entry names slot, new and old; it is fenced, then
+// slot is persisted and fenced, then both blocks' bits are written in the
+// cache image under the entry like any commit's (arena.commit). The entry
+// goes to the ring of the arena that owns new's slab — old's, when new is
+// Null or an extent — because replay orders a block's bit changes by ring
+// sequence alone; an old block another arena owns is therefore left out
+// of the entry and takes the buffered remote-free route afterwards. The
+// arena resource is held from the append to the last bit, so every entry
+// a ring holds but its last belongs to a publish that ran to completion;
+// for the last, replay lets the slot word decide (replayPublish).
+//
+// An extent's allocation state stays in the bookkeeping log, which has no
+// order against ring entries, so its record is written inside the group —
+// new's before the slot persist, old's tombstone after it — and the ring's
+// checkpoint is moved past the entry before old's space is released for
+// reuse: replay only ever sees such an entry with its publish in flight.
+//
+// GC and IC have no log to bind the three writes; they commit new, persist
+// slot and free old in that order, as their consistency models allow.
+func (t *Thread) Publish(slot, new, old pmem.PAddr) error {
+	if new == pmem.Null && old == pmem.Null {
+		return alloc.ErrBadAddress
+	}
+	t.ctx.Charge(pmem.CatOther, opBaseNS)
+	h, c := t.h, t.ctx
+	var ns, os *slab.Slab
+	if new != pmem.Null {
+		ns = h.slabs.Lookup(new &^ (slab.Size - 1))
+	}
+	if old != pmem.Null {
+		os = h.slabs.Lookup(old &^ (slab.Size - 1))
+	}
+	newLarge, oldLarge := new != pmem.Null && ns == nil, old != pmem.Null && os == nil
+
+	var nb blockRef
+	if ns != nil {
+		idx, ok := reserved(ns, new)
+		if !ok {
+			return alloc.ErrBadAddress
+		}
+		nb = blockRef{ns, idx, ns.Class}
+	}
+	if !h.useWAL {
+		// Commit new, persist the slot, free old: three steps, as GC and
+		// IC allow.
+		if ns != nil {
+			h.arenas[ns.Owner].commit(c, commitAlloc, []blockRef{nb}, true, false)
+		} else if newLarge && t.recordLarge(new) != nil {
+			return alloc.ErrOutOfMemory
+		}
+		c.PersistU64(pmem.CatOther, slot, uint64(new))
+		c.Fence()
+		if old == pmem.Null {
+			return nil
+		}
+		return t.Free(old)
+	}
+	if oldLarge && !h.largeLive(old) {
+		return alloc.ErrBadAddress
+	}
+
+	ring := t.arena
+	if ns != nil {
+		ring = h.arenas[ns.Owner]
+	} else if os != nil {
+		ring = h.arenas[os.Owner]
+	}
+	remoteOld := os != nil && h.arenas[os.Owner] != ring
+	e := walog.Entry{Op: walog.OpPublish, Addr: slot, Aux: uint64(new)}
+	switch {
+	case ns != nil:
+		e.Aux2 = uint16(ns.Class+1) << 8
+	case newLarge:
+		e.Aux2 = tagLarge << 8
+	}
+
+	ring.res.Acquire(c)
+	// Resolve old under the resource: its slab's geometry only changes
+	// there (morphInto, freeOld's demotion).
+	var ob blockRef
+	oldIdx := -1 // old's index as a block_before of a morphed slab
+	if os != nil && !remoteOld {
+		os.Mu.Lock()
+		if i := os.OldBlockIndex(old); i >= 0 {
+			oldIdx = i
+			e.Aux2 |= uint16(os.OldClass + 1)
+		} else if i := os.BlockIndex(old); i >= 0 && os.BlockAllocated(i) && !os.BlockReserved(i) && os.OverlapCount(i) == 0 {
+			ob = blockRef{os, i, os.Class}
+			e.Aux2 |= uint16(os.Class + 1)
+		}
+		os.Mu.Unlock()
+		if oldIdx < 0 && ob.s == nil {
+			ring.res.Release(c)
+			return alloc.ErrBadAddress
+		}
+		e.Old = old
+	} else if oldLarge {
+		e.Old = old
+		e.Aux2 |= tagLarge
+	}
+
+	ring.wal.Append(c, e)
+	if newLarge {
+		// RecordAlloc fences its record, and the entry with it.
+		if err := t.recordLarge(new); err != nil {
+			// The entry names an extent that will never exist: retire it
+			// before anything can follow it in the ring.
+			ring.wal.Checkpoint(c)
+			ring.res.Release(c)
+			return alloc.ErrOutOfMemory
+		}
+	} else {
+		c.Fence()
+	}
+	c.PersistU64(pmem.CatOther, slot, uint64(new))
+	c.Fence()
+
+	if ns != nil {
+		ring.commit(c, commitAlloc, []blockRef{nb}, true, true)
+	}
+	var err error
+	var release *slab.Slab
+	switch {
+	case oldIdx >= 0:
+		err = t.freeOldLocked(ring, os, oldIdx)
+	case ob.s != nil:
+		// Own-arena blocks go back into the thread's cache, like Free's.
+		var tc *tcache.Cache
+		if ring == t.arena {
+			if tc = t.cache(ob.class); tc.Full() && !t.evictMagazineLocked(tc, ob.class) {
+				tc = nil
+			}
+		}
+		if tc != nil {
+			ring.commit(c, freeToCache, []blockRef{ob}, true, true)
+			tc.Push(ring.tcacheStripe(os, ob.idx), tcache.Block{Slab: os, Idx: ob.idx})
+		} else if _, rel := ring.returnToSlab(c, os, ob.idx, fromPublish, nil); rel {
+			release = os
+		}
+	case oldLarge:
+		// RecordFree fences the tombstone.
+		t.tombOne[0] = old
+		err = h.large.Tombstone(c, t.tombOne[:])
+	}
+	if newLarge || oldLarge {
+		ring.wal.Checkpoint(c)
+	}
+	ring.res.Release(c)
+
+	if release != nil {
+		ring.releaseSlab(c, release)
+	}
+	if oldLarge && err == nil {
+		err = t.freeLarge(old, false)
+	}
+	if remoteOld {
+		err = t.freeSmall(os, old, true)
+	}
+	return err
+}
+
+// MallocTo allocates size bytes and publishes the block into the
+// persistent pointer slot (the paper's nvalloc_malloc_to): a crash leaves
+// either no allocation or one slot references.
 func (t *Thread) MallocTo(slot pmem.PAddr, size uint64) (pmem.PAddr, error) {
-	addr, err := t.Malloc(size)
+	addr, err := t.Reserve(size)
 	if err != nil {
 		return pmem.Null, err
 	}
-	if t.h.useWAL {
-		a := t.arena
-		a.res.Acquire(t.ctx)
-		a.wal.Append(t.ctx, walog.Entry{
-			Op: walog.OpMallocTo, Addr: slot, Aux: uint64(addr), Aux2: uint32(size),
-		})
-		t.ctx.Fence() // the publish record is durable before the slot write it guards
-		a.res.Release(t.ctx)
+	if err := t.Publish(slot, addr, pmem.Null); err != nil {
+		_ = t.Unreserve(addr) // Publish's error is the one to report
+		return pmem.Null, err
 	}
-	t.ctx.PersistU64(pmem.CatOther, slot, uint64(addr))
-	t.ctx.Fence()
 	return addr, nil
 }
 
-// FreeFrom atomically frees the block referenced by the persistent slot
-// and clears the slot.
+// FreeFrom frees the block the persistent slot references and clears the
+// slot, atomically (the paper's nvalloc_free_from).
 func (t *Thread) FreeFrom(slot pmem.PAddr) error {
 	addr := pmem.PAddr(t.h.dev.ReadU64(slot))
 	if addr == pmem.Null {
 		return alloc.ErrBadAddress
 	}
-	if t.h.useWAL {
-		a := t.arena
-		a.res.Acquire(t.ctx)
-		a.wal.Append(t.ctx, walog.Entry{Op: walog.OpFreeFrom, Addr: slot, Aux: uint64(addr)})
-		t.ctx.Fence() // the retraction record is durable before the slot clear and the free
-		a.res.Release(t.ctx)
-	}
-	t.ctx.PersistU64(pmem.CatOther, slot, 0)
-	t.ctx.Fence()
-	return t.Free(addr)
+	return t.Publish(slot, pmem.Null, addr)
 }
 
 // Close drains the thread's tcaches back to their slabs and merges its
@@ -477,7 +762,7 @@ func (t *Thread) Close() {
 		}
 		for _, b := range tc.Drain() {
 			s := b.Slab.(*slab.Slab)
-			t.h.arenas[s.Owner].freeBypass(t.ctx, s, b.Idx, true, nil)
+			t.h.arenas[s.Owner].freeBypass(t.ctx, s, b.Idx, fromCache, nil)
 		}
 	}
 	t.h.threadsMu.Lock()

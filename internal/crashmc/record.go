@@ -13,14 +13,14 @@ import (
 // accounting after it completed.
 type OpRecord struct {
 	Op   Op
-	Addr pmem.PAddr // result of OpMalloc/OpMallocTo (0 on error or skip)
+	Addr pmem.PAddr // result of OpMalloc/OpMallocTo/OpPublish (0 on error or skip)
 	Err  bool       // the op returned an error (or was skipped)
 	// FlushStart and FlushEnd bound the op's journaled flushes: the
 	// journal indices before and after the op ran. A crash boundary k
 	// with FlushStart < k < FlushEnd caught this op in flight.
 	FlushStart, FlushEnd int
 	UsedAfter            uint64
-	Marker               uint64 // data marker persisted in the block (OpMallocTo)
+	Marker               uint64 // data marker persisted in the block (OpMallocTo, OpPublish)
 	Probe                uint64 // RecordOptions.Probe value after the op
 }
 
@@ -158,6 +158,20 @@ func Record(tg torture.Target, tr Trace, opts RecordOptions) (*Recording, error)
 			}
 		case OpFreeFrom:
 			or.Err = th.FreeFrom(h.RootSlot(op.Slot)) != nil
+		case OpPublish:
+			a, err := th.Reserve(op.Size)
+			if err == nil {
+				// The marker is part of the reservation's fill: wherever
+				// the publish is found done, the block must carry it.
+				or.Marker = markerFor(i)
+				dev.WriteU64(a, or.Marker)
+				th.Ctx().Flush(pmem.CatOther, a, 8)
+				slot := h.RootSlot(op.Slot)
+				if err = th.Publish(slot, a, pmem.PAddr(dev.ReadU64(slot))); err != nil {
+					_ = th.Unreserve(a) // the publish error is what the record keeps
+				}
+			}
+			or.Addr, or.Err = a, err != nil
 		case OpFlush:
 			if f, ok := th.(alloc.Flusher); ok {
 				f.Flush()

@@ -19,6 +19,11 @@ const (
 	// OpFlush drains the thread's deferred buffers (batched remote
 	// frees), making every acknowledged operation durable.
 	OpFlush
+	// OpPublish reserves Size bytes, writes and flushes a data marker into
+	// the reservation, and publishes it into root slot Slot over whatever
+	// block the slot holds (none: an insert; one: a replace that frees it
+	// in the same step).
+	OpPublish
 )
 
 func (k OpKind) String() string {
@@ -33,6 +38,8 @@ func (k OpKind) String() string {
 		return "free_from"
 	case OpFlush:
 		return "flush"
+	case OpPublish:
+		return "publish"
 	}
 	return fmt.Sprintf("OpKind(%d)", int(k))
 }
@@ -44,8 +51,8 @@ func (k OpKind) String() string {
 type Op struct {
 	Kind   OpKind
 	Thread int    // thread-handle index, < Trace.Threads
-	Slot   int    // root-slot index (OpMallocTo / OpFreeFrom)
-	Size   uint64 // request bytes (OpMalloc / OpMallocTo)
+	Slot   int    // root-slot index (OpMallocTo / OpFreeFrom / OpPublish)
+	Size   uint64 // request bytes (OpMalloc / OpMallocTo / OpPublish)
 	Ref    int    // OpFree: index of the OpMalloc being freed
 }
 

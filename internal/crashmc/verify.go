@@ -76,6 +76,9 @@ type slotOp struct {
 	pre, post uint64
 	marker    uint64 // post block's durable data marker (publishes only)
 	size      uint64 // post block's requested size
+	// filled: the marker was flushed before the publish (OpPublish), so it
+	// is owed even by a publish found rolled forward mid-flight.
+	filled bool
 }
 
 // slotHistory derives every root slot's transition sequence from the
@@ -88,11 +91,12 @@ func slotHistory(rec *Recording) map[int][]slotOp {
 			continue
 		}
 		switch or.Op.Kind {
-		case OpMallocTo:
+		case OpMallocTo, OpPublish:
 			s := or.Op.Slot
 			hist[s] = append(hist[s], slotOp{
 				opIdx: i, pre: cur[s], post: uint64(or.Addr),
 				marker: or.Marker, size: or.Op.Size,
+				filled: or.Op.Kind == OpPublish,
 			})
 			cur[s] = uint64(or.Addr)
 		case OpFreeFrom:
@@ -314,8 +318,12 @@ func verifyImage(rec *Recording, cfg Config, hist map[int][]slotOp, part *Report
 		lb := liveBlock{slot: s, addr: actual}
 		if inflight != nil && actual == inflight.post {
 			// Rolled forward mid-publish: live, but the marker flush may
-			// have been the part that was cut off.
+			// have been the part that was cut off — unless it preceded
+			// the publish.
 			lb.size = inflight.size
+			if inflight.filled {
+				lb.marker = inflight.marker
+			}
 		} else if durableIdx >= 0 && actual == durable {
 			lb.size = ops[durableIdx].size
 			lb.marker = ops[durableIdx].marker
@@ -374,6 +382,14 @@ func verifyImage(rec *Recording, cfg Config, hist map[int][]slotOp, part *Report
 		}
 	}
 
+	// Per-test invariants see the heap as recovery left it, before the
+	// probes below allocate from it and free its roots.
+	if cfg.Extra != nil {
+		for _, p := range cfg.Extra(h2, k, torn) {
+			fail("%s", p)
+		}
+	}
+
 	// Fresh allocations must not collide with surviving roots, and the
 	// checker must observe no overlaps among them.
 	if cfg.ProbeAllocs > 0 {
@@ -408,9 +424,4 @@ func verifyImage(rec *Recording, cfg Config, hist map[int][]slotOp, part *Report
 		thRaw.Close()
 	}
 
-	if cfg.Extra != nil {
-		for _, p := range cfg.Extra(h2, k, torn) {
-			fail("%s", p)
-		}
-	}
 }

@@ -3,6 +3,7 @@ package crashmc
 import (
 	"errors"
 	"fmt"
+	"runtime"
 
 	"nvalloc/internal/alloc"
 	"nvalloc/internal/core"
@@ -235,53 +236,75 @@ func (rec *Recording) WriteBackShape() WriteBackShape {
 // recovery of that image issues — state word, replayed publishes, each
 // line of the write-back, the checkpoint word of each ring, the final
 // flags — and runs the full oracle on the second recovery. Explored
-// counts the (boundary, cut) pairs verified.
+// counts the (boundary, cut) pairs verified. Like Verify, it spreads
+// contiguous shares of ks over cfg.Pool when one is given.
 func VerifyRecoveryCrashes(rec *Recording, ks []int, cfg Config) *Report {
 	cfg = cfg.withDefaults(rec)
 	hist := slotHistory(rec)
 	cl := newClassifier(rec)
-	report := &Report{
-		Target:      rec.Target.Name,
-		Trace:       rec.Trace.Name + "/recovery-crash",
-		Classes:     map[string]int{},
-		TornClasses: map[string]int{},
-		Paths:       map[string]int{},
+	newReport := func() *Report {
+		return &Report{
+			Target:      rec.Target.Name,
+			Trace:       rec.Trace.Name + "/recovery-crash",
+			Classes:     map[string]int{},
+			TornClasses: map[string]int{},
+			Paths:       map[string]int{},
+		}
 	}
-	cursor := rec.newCursor()
-	scratch := pmem.New(pmem.Config{Size: rec.DeviceBytes, Strict: true})
-	for _, k := range ks {
-		cursor.Advance(k)
-		class := "end-of-trace"
-		if k-rec.JournalBase < len(rec.Journal) {
-			class = cl.classify(&rec.Journal[k-rec.JournalBase])
-		}
-		// One uninterrupted recovery measures how many flushes there are
-		// to cut after.
-		cursor.MaterializeInto(scratch)
-		before := scratch.Stats().Flushes
-		if _, err := torture.OpenGuarded(rec.Target, scratch); err != nil {
-			report.addViolation(rec.violation(k, false, class, "recovery failed: "+err.Error()))
-			continue
-		}
-		cuts := int64(scratch.Stats().Flushes - before)
-		report.Boundaries += int(cuts)
-		for j := int64(0); j < cuts; j++ {
-			cursor.MaterializeInto(scratch)
-			scratch.CrashAfterFlushes(j)
-			if _, err := torture.OpenGuarded(rec.Target, scratch); err != nil {
-				var pe *torture.PanicError
-				if errors.As(err, &pe) {
-					report.addViolation(rec.violation(k, false, class, fmt.Sprintf("recovery cut after %d flushes panicked: %v", j, pe.Value)))
-					continue
-				}
-				// A typed failure of the interrupted run is fine: the
-				// media is intact and the second recovery must cope.
+	nChunk := 1
+	if cfg.Pool != nil {
+		nChunk = max(1, min(runtime.GOMAXPROCS(0), len(ks)))
+	}
+	parts := make([]*Report, nChunk)
+	run := func(ci int) {
+		part := newReport()
+		cursor := rec.newCursor()
+		scratch := pmem.New(pmem.Config{Size: rec.DeviceBytes, Strict: true})
+		for _, k := range ks[ci*len(ks)/nChunk : (ci+1)*len(ks)/nChunk] {
+			cursor.Advance(k)
+			class := "end-of-trace"
+			if k-rec.JournalBase < len(rec.Journal) {
+				class = cl.classify(&rec.Journal[k-rec.JournalBase])
 			}
-			scratch.Crash()
-			report.Explored++
-			report.Paths[rec.phase(k)+"@"+class]++
-			verifyImage(rec, cfg, hist, report, scratch, k, false, class)
+			// One uninterrupted recovery measures how many flushes there
+			// are to cut after.
+			cursor.MaterializeInto(scratch)
+			before := scratch.Stats().Flushes
+			if _, err := torture.OpenGuarded(rec.Target, scratch); err != nil {
+				part.addViolation(rec.violation(k, false, class, "recovery failed: "+err.Error()))
+				continue
+			}
+			cuts := int64(scratch.Stats().Flushes - before)
+			part.Boundaries += int(cuts)
+			for j := int64(0); j < cuts; j++ {
+				cursor.MaterializeInto(scratch)
+				scratch.CrashAfterFlushes(j)
+				if _, err := torture.OpenGuarded(rec.Target, scratch); err != nil {
+					var pe *torture.PanicError
+					if errors.As(err, &pe) {
+						part.addViolation(rec.violation(k, false, class, fmt.Sprintf("recovery cut after %d flushes panicked: %v", j, pe.Value)))
+						continue
+					}
+					// A typed failure of the interrupted run is fine: the
+					// media is intact and the second recovery must cope.
+				}
+				scratch.Crash()
+				part.Explored++
+				part.Paths[rec.phase(k)+"@"+class]++
+				verifyImage(rec, cfg, hist, part, scratch, k, false, class)
+			}
 		}
+		parts[ci] = part
+	}
+	if nChunk == 1 {
+		run(0)
+	} else {
+		cfg.Pool(nChunk, run)
+	}
+	report := newReport()
+	for _, part := range parts {
+		report.merge(part)
+		report.Boundaries += part.Boundaries
 	}
 	return report
 }

@@ -133,11 +133,93 @@ func runCrashMC(cfg Config) []*Table {
 	conc := runCrashMCConc(cfg, targets, seed, bl)
 	fence := runCrashMCFence(cfg, targets, seed, bl)
 	wb := runCrashMCWriteBack(cfg, bl)
+	pub := runCrashMCPublish(cfg, bl)
 
 	if cfg.CrashMCBaselineOut != "" {
 		bl.write(cfg.CrashMCBaselineOut)
 	}
-	return []*Table{head, classes, paths, conc, fence, wb}
+	return []*Table{head, classes, paths, conc, fence, wb, pub}
+}
+
+// runCrashMCPublish enumerates the publish family: NVAlloc-LOG on the
+// write-back family's target, a trace of inserts, replaces and deletes
+// through Thread.Publish on recycled slots — own and cross-arena old
+// blocks, extents, a morph in between — with the rings wrapping
+// underneath. Every boundary is verified clean and torn against the
+// shared oracle plus the live-set oracle (the heap's objects are exactly
+// the blocks the trace holds); then power is cut a second time after
+// every flush of every recovery that finds a publish group in flight.
+func runCrashMCPublish(cfg Config, bl *baselineBuild) *Table {
+	pub := &Table{
+		ID: "crashmc-publish",
+		Title: "publish family: reserve → fill → publish groups on the minimum WAL ring, every boundary + " +
+			"torn variants against the live-set oracle, and a second crash after every flush of recovery",
+		Columns: []string{"allocator", "boundaries", "explored", "coverage", "torn", "checkpoint_moves",
+			"morphs", "replaces", "cross_arena", "republished", "extents", "recovery_cuts", "violations"},
+	}
+	name := crashmc.WriteBackTarget().Name
+	fail := func(msg string) *Table {
+		pub.Rows = append(pub.Rows, append([]string{name, msg}, make([]string, len(pub.Columns)-2)...))
+		return pub
+	}
+	rec, err := crashmc.RecordPublish()
+	if err != nil {
+		bl.refuse("%s/publish: record failed: %v", name, err)
+		return fail("record failed: " + err.Error())
+	}
+	oracle := crashmc.LiveSetOracle(rec)
+	vcfg := crashmc.Config{Torn: true, TornSeed: 0xDECAF, CheckEvery: 64, Pool: cfg.RunCells, Extra: oracle}
+	ks := rec.PublishWindows()
+	if cfg.Scale < 1 {
+		vcfg.MaxBoundaries = cfg.ops(200)
+		thin := ks[:0:0]
+		for i := 0; i < len(ks); i += 50 {
+			thin = append(thin, ks[i])
+		}
+		ks = thin
+	}
+	rep := crashmc.Verify(rec, vcfg)
+	cuts := crashmc.VerifyRecoveryCrashes(rec, ks, crashmc.Config{Pool: cfg.RunCells, Extra: oracle})
+	shape := rec.PublishShape()
+	floor := func(n int) int { return n * 7 / 10 }
+	bl.Publish = &publishBaseline{
+		MinBoundaries:      floor(rep.Boundaries) / 10 * 10,
+		MinCheckpointMoves: floor(shape.CheckpointMoves),
+		MinMorphs:          1,
+		MinReplaces:        floor(shape.Replaces),
+		MinCrossArena:      floor(shape.CrossArena),
+		MinRepublished:     floor(shape.Republished),
+		MinExtents:         floor(shape.Extents),
+		MinRecoveryCuts:    floor(cuts.Explored) / 10 * 10,
+	}
+	if rep.Explored < rep.Boundaries {
+		bl.refuse("%s/publish: sampled %d/%d boundaries", name, rep.Explored, rep.Boundaries)
+	}
+	if n := rep.ViolationCount + cuts.ViolationCount; n > 0 {
+		bl.refuse("%s/publish: %d oracle violations", name, n)
+	}
+	if shape.Morphs == 0 || shape.CrossArena == 0 || shape.Republished == 0 || shape.Extents == 0 {
+		bl.refuse("%s/publish: trace shape %+v lost one of its events", name, shape)
+	}
+	pub.Rows = append(pub.Rows, []string{
+		name,
+		fmt.Sprint(rep.Boundaries),
+		fmt.Sprint(rep.Explored),
+		pct(rep.Coverage()),
+		fmt.Sprint(rep.TornExplored),
+		fmt.Sprint(shape.CheckpointMoves),
+		fmt.Sprint(shape.Morphs),
+		fmt.Sprint(shape.Replaces),
+		fmt.Sprint(shape.CrossArena),
+		fmt.Sprint(shape.Republished),
+		fmt.Sprint(shape.Extents),
+		fmt.Sprint(cuts.Explored),
+		fmt.Sprint(rep.ViolationCount + cuts.ViolationCount),
+	})
+	for _, v := range append(rep.Violations, cuts.Violations...) {
+		pub.Rows = append(pub.Rows, append([]string{"", "  " + v.String()}, make([]string, len(pub.Columns)-2)...))
+	}
+	return pub
 }
 
 // runCrashMCWriteBack enumerates the write-back family: NVAlloc-LOG on
@@ -173,7 +255,7 @@ func runCrashMCWriteBack(cfg Config, bl *baselineBuild) *Table {
 		}
 	}
 	rep := crashmc.Verify(rec, vcfg)
-	cuts := crashmc.VerifyRecoveryCrashes(rec, ks, crashmc.Config{})
+	cuts := crashmc.VerifyRecoveryCrashes(rec, ks, crashmc.Config{Pool: cfg.RunCells})
 	shape := rec.WriteBackShape()
 	bl.WriteBack = &writeBackBaseline{
 		MinBoundaries:       rep.Boundaries * 7 / 10 / 10 * 10,
@@ -381,6 +463,21 @@ type crashBaseline struct {
 	Concurrent            *concBaseline       `json:"concurrent,omitempty"`
 	FenceElision          *fenceBaseline      `json:"fence_elision,omitempty"`
 	WriteBack             *writeBackBaseline  `json:"write_back,omitempty"`
+	Publish               *publishBaseline    `json:"publish,omitempty"`
+}
+
+// publishBaseline gates the publish family like writeBackBaseline gates
+// its own: floors (~70% of the measured counts) on boundaries and
+// recovery cuts, and on each kind of event the trace must still drive.
+type publishBaseline struct {
+	MinBoundaries      int `json:"min_boundaries"`
+	MinCheckpointMoves int `json:"min_checkpoint_moves"`
+	MinMorphs          int `json:"min_morphs"`
+	MinReplaces        int `json:"min_replaces"`
+	MinCrossArena      int `json:"min_cross_arena"`
+	MinRepublished     int `json:"min_republished"`
+	MinExtents         int `json:"min_extents"`
+	MinRecoveryCuts    int `json:"min_recovery_cuts"`
 }
 
 // writeBackBaseline gates the write-back family: floors (~70% of the
@@ -421,6 +518,7 @@ type baselineBuild struct {
 	Conc            []*crashmc.ConcReport
 	FenceBoundaries int
 	WriteBack       *writeBackBaseline
+	Publish         *publishBaseline
 	Refusals        []string
 }
 
@@ -449,7 +547,10 @@ func (b *baselineBuild) write(path string) {
 			"floor, 100% coverage, zero violations, and both at-risk line classes (wal-entry, " +
 			"bitmap-stripe) explored clean and torn. The write_back section gates the family recorded " +
 			"on the minimum WAL ring: boundary, checkpoint-move and recovery-cut floors, and a trace that " +
-			"still morphs a slab and has one arena format a base the other released. " +
+			"still morphs a slab and has one arena format a base the other released. The publish section " +
+			"gates the reserve-fill-publish family on the same ring, held to the live-set oracle: the same " +
+			"floors plus one per kind of publish the trace must still drive (replaces, cross-arena and " +
+			"republished old blocks, extents). " +
 			"Regenerate with: go run ./cmd/nvbench -exp crashmc -crashmc.update",
 		RequireCoverage:       1.0,
 		RequireZeroViolations: true,
@@ -490,6 +591,7 @@ func (b *baselineBuild) write(path string) {
 		}
 	}
 	doc.WriteBack = b.WriteBack
+	doc.Publish = b.Publish
 	data, err := json.MarshalIndent(&doc, "", "  ")
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "crashmc: encoding baseline: %v\n", err)

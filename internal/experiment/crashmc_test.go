@@ -14,8 +14,8 @@ import (
 // scaled-down run asserts the same floors as CI's full enumeration.
 func TestCrashMCConcTableShape(t *testing.T) {
 	tabs := runCrashMC(Config{Threads: []int{1}, Scale: 0.05, DeviceBytes: 256 << 20}.withDefaults())
-	if len(tabs) != 6 {
-		t.Fatalf("runCrashMC produced %d tables, want 6", len(tabs))
+	if len(tabs) != 7 {
+		t.Fatalf("runCrashMC produced %d tables, want 7", len(tabs))
 	}
 	conc := tabs[3]
 	if conc.ID != "crashmc-concurrent" {
@@ -49,6 +49,22 @@ func TestCrashMCConcTableShape(t *testing.T) {
 	}
 	if v := cell(t, wb, 0, colIndex(t, wb, "violations")); v != 0 {
 		t.Errorf("write-back: %.0f oracle violations", v)
+	}
+	pub := tabs[6]
+	if pub.ID != "crashmc-publish" {
+		t.Fatalf("seventh table is %q", pub.ID)
+	}
+	if len(pub.Rows) != 1 || pub.Rows[0][0] != "NVAlloc-LOG" {
+		t.Fatalf("publish table rows: %v, want one NVAlloc-LOG row", pub.Rows)
+	}
+	for col, min := range map[string]float64{"checkpoint_moves": 8, "morphs": 1, "replaces": 100,
+		"cross_arena": 6, "republished": 50, "extents": 8, "recovery_cuts": 40} {
+		if v := cell(t, pub, 0, colIndex(t, pub, col)); v < min {
+			t.Errorf("publish: %s = %.0f, want >= %.0f", col, v, min)
+		}
+	}
+	if v := cell(t, pub, 0, colIndex(t, pub, "violations")); v != 0 {
+		t.Errorf("publish: %.0f oracle violations", v)
 	}
 	for ri, row := range conc.Rows {
 		who := row[0] + "/" + row[1]

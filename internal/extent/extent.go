@@ -504,12 +504,14 @@ func (a *Allocator) RecordExtent(c *pmem.Ctx, addr pmem.PAddr, size uint64, slab
 // later record for overlapping space can never coexist with the old one
 // after a crash.
 func (a *Allocator) TombstoneExtent(c *pmem.Ctx, addr pmem.PAddr) error {
-	return a.tombstone(c, []pmem.PAddr{addr})
+	return a.Tombstone(c, []pmem.PAddr{addr})
 }
 
-// tombstone is TombstoneExtent on a caller-owned one-address group (the
-// shard pools keep one under their own lock; see Allocator.freeOne).
-func (a *Allocator) tombstone(c *pmem.Ctx, one []pmem.PAddr) error {
+// Tombstone is TombstoneExtent on a caller-owned one-address group, for
+// paths that must not allocate: the group escapes into the bookkeeper, so
+// a literal would be a heap allocation per call (the shard pools and core's
+// threads keep one each; see Allocator.freeOne).
+func (a *Allocator) Tombstone(c *pmem.Ctx, one []pmem.PAddr) error {
 	a.bookAcquire(c)
 	_, err := a.book.RecordFree(c, one)
 	if err == nil {
@@ -522,8 +524,7 @@ func (a *Allocator) tombstone(c *pmem.Ctx, one []pmem.PAddr) error {
 // Free returns an extent to the reclaimed list and coalesces it with free
 // neighbours. The caller holds Res.
 func (a *Allocator) Free(c *pmem.Ctx, addr pmem.PAddr) error {
-	v, ok := a.activated[addr]
-	if !ok {
+	if _, ok := a.activated[addr]; !ok {
 		return fmt.Errorf("extent: free of unknown extent %#x", addr)
 	}
 	a.freeOne[0] = addr
@@ -532,6 +533,17 @@ func (a *Allocator) Free(c *pmem.Ctx, addr pmem.PAddr) error {
 	a.bookRelease(c)
 	if err != nil {
 		return err
+	}
+	return a.Release(c, addr)
+}
+
+// Release is Free for an extent that has no live record: one carved with
+// AllocDeferRecord and never recorded, or whose tombstone the caller has
+// already persisted (TombstoneExtent). The caller holds Res.
+func (a *Allocator) Release(c *pmem.Ctx, addr pmem.PAddr) error {
+	v, ok := a.activated[addr]
+	if !ok {
+		return fmt.Errorf("extent: free of unknown extent %#x", addr)
 	}
 	delete(a.activated, addr)
 	a.activatedBytes -= v.Size

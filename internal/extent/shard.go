@@ -117,6 +117,17 @@ func (s *Shards) NumPools() int { return len(s.pools) }
 // persisted before Alloc returns, so an acknowledged allocation survives
 // a crash even though the lease around it does not.
 func (sh *Shard) Alloc(c *pmem.Ctx, size uint64) (pmem.PAddr, error) {
+	return sh.alloc(c, size, true)
+}
+
+// Reserve is Alloc without the record: the sub-allocation exists in this
+// process only, and a crash returns its space. The caller makes it durable
+// with Shards.Record or hands it back with Shards.Release.
+func (sh *Shard) Reserve(c *pmem.Ctx, size uint64) (pmem.PAddr, error) {
+	return sh.alloc(c, size, false)
+}
+
+func (sh *Shard) alloc(c *pmem.Ctx, size uint64, record bool) (pmem.PAddr, error) {
 	if size == 0 {
 		return pmem.Null, fmt.Errorf("extent: zero-size allocation")
 	}
@@ -138,12 +149,14 @@ func (sh *Shard) Alloc(c *pmem.Ctx, size uint64) (pmem.PAddr, error) {
 		}
 	}
 	sh.allocated[addr] = size
-	if err := sh.owner.a.RecordExtent(c, addr, size, false); err != nil {
-		// Bookkeeping exhausted: undo the (volatile) carve and fail.
-		delete(sh.allocated, addr)
-		sh.uncarve(addr, size)
-		sh.Res.Release(c)
-		return pmem.Null, err
+	if record {
+		if err := sh.owner.a.RecordExtent(c, addr, size, false); err != nil {
+			// Bookkeeping exhausted: undo the (volatile) carve and fail.
+			delete(sh.allocated, addr)
+			sh.uncarve(addr, size)
+			sh.Res.Release(c)
+			return pmem.Null, err
+		}
 	}
 	// The carved bytes hold live data now; the rest of the lease stays
 	// counted as overhead.
@@ -228,6 +241,17 @@ func (sh *Shard) dropLease(c *pmem.Ctx, l *lease) {
 // reusable, so a crash can never observe a new record overlapping the
 // old one.
 func (s *Shards) Free(c *pmem.Ctx, addr pmem.PAddr) (handled bool, err error) {
+	return s.free(c, addr, true)
+}
+
+// Release is Free for a sub-allocation that has no live record: one that
+// was reserved and never recorded, or whose tombstone the caller has
+// already persisted (TombstoneExtent).
+func (s *Shards) Release(c *pmem.Ctx, addr pmem.PAddr) (handled bool, err error) {
+	return s.free(c, addr, false)
+}
+
+func (s *Shards) free(c *pmem.Ctx, addr pmem.PAddr, tombstone bool) (handled bool, err error) {
 	for {
 		l := s.byAddr.Lookup(addr)
 		if l == nil {
@@ -246,10 +270,12 @@ func (s *Shards) Free(c *pmem.Ctx, addr pmem.PAddr) (handled bool, err error) {
 			sh.Res.Release(c)
 			return true, fmt.Errorf("extent: shard free of unknown extent %#x", addr)
 		}
-		sh.freeOne[0] = addr
-		if err := s.a.tombstone(c, sh.freeOne[:]); err != nil {
-			sh.Res.Release(c)
-			return true, err
+		if tombstone {
+			sh.freeOne[0] = addr
+			if err := s.a.Tombstone(c, sh.freeOne[:]); err != nil {
+				sh.Res.Release(c)
+				return true, err
+			}
 		}
 		delete(sh.allocated, addr)
 		l.insert(uint32(addr-l.base), uint32(size))
@@ -262,6 +288,23 @@ func (s *Shards) Free(c *pmem.Ctx, addr pmem.PAddr) (handled bool, err error) {
 		sh.Res.Release(c)
 		return true, nil
 	}
+}
+
+// Record persists the bookkeeping record of a sub-allocation made with
+// Reserve. handled is false when addr is not inside any lease.
+func (s *Shards) Record(c *pmem.Ctx, addr pmem.PAddr) (handled bool, err error) {
+	l := s.byAddr.Lookup(addr)
+	if l == nil {
+		return false, nil
+	}
+	sh := l.shard
+	sh.Res.Lock()
+	size, ok := sh.allocated[addr]
+	sh.Res.Unlock()
+	if !ok {
+		return true, fmt.Errorf("extent: shard record of unknown extent %#x", addr)
+	}
+	return true, s.a.RecordExtent(c, addr, size, false)
 }
 
 // spareEmptyLease reports whether another fully-free lease besides l

@@ -193,6 +193,28 @@ func checkImage(scratch *pmem.Device, rec *recording, model traffic.Model, i, k 
 		}
 	}
 
+	// Allocated == reachable: whichever state the op in flight recovered
+	// to, the heap holds the index's blocks and the records it references
+	// and nothing else. A record a crash left allocated but unbound, or
+	// bound but free, fails here at the boundary that did it.
+	reachable := map[pmem.PAddr]bool{}
+	st.References(func(a pmem.PAddr) { reachable[a] = true })
+	var stray error
+	h.Objects(func(o core.Object) bool {
+		if !reachable[o.Addr] {
+			stray = fmt.Errorf("leak: %d-byte object at %#x is allocated and unreachable from the index", o.Size, o.Addr)
+			return false
+		}
+		delete(reachable, o.Addr)
+		return true
+	})
+	if stray != nil {
+		return stray
+	}
+	for a := range reachable {
+		return fmt.Errorf("dangling: the index references %#x, which is not an allocated object", a)
+	}
+
 	if inflight != nil {
 		// The in-flight op's key must be in its pre- or post-state —
 		// nothing in between, nothing else.

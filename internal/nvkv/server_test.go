@@ -3,15 +3,19 @@ package nvkv
 import (
 	"bufio"
 	"bytes"
+	"errors"
 	"fmt"
 	"io"
 	"net"
 	"runtime"
 	"strconv"
+	"strings"
+	"sync/atomic"
 	"testing"
 
 	"nvalloc/internal/alloc"
 	"nvalloc/internal/core"
+	"nvalloc/internal/phash"
 	"nvalloc/internal/pmem"
 )
 
@@ -264,5 +268,198 @@ func BenchmarkServeConn(b *testing.B) {
 				srv.ServeConn(&loopConn{cmds: [][]byte{cmd}, rounds: b.N})
 			})
 		}
+	}
+}
+
+// reservingHeap hands out threads that keep the books on reservations —
+// every Reserve must end in a Publish or an Unreserve — and, once
+// noBuckets is set, refuse to reserve an index bucket, which is what a
+// heap too full for another slab of that class does.
+type reservingHeap struct {
+	alloc.Heap
+	outstanding atomic.Int64
+	noBuckets   atomic.Bool
+}
+
+func (h *reservingHeap) NewThread() alloc.Thread {
+	return &reservingThread{Thread: h.Heap.NewThread(), h: h}
+}
+
+type reservingThread struct {
+	alloc.Thread
+	h *reservingHeap
+}
+
+func (t *reservingThread) Reserve(size uint64) (pmem.PAddr, error) {
+	if size == phash.BucketBytes && t.h.noBuckets.Load() {
+		return pmem.Null, alloc.ErrOutOfMemory
+	}
+	p, err := t.Thread.Reserve(size)
+	if err == nil {
+		t.h.outstanding.Add(1)
+	}
+	return p, err
+}
+
+func (t *reservingThread) Unreserve(addr pmem.PAddr) error {
+	err := t.Thread.Unreserve(addr)
+	if err == nil {
+		t.h.outstanding.Add(-1)
+	}
+	return err
+}
+
+func (t *reservingThread) Publish(slot, new, old pmem.PAddr) error {
+	err := t.Thread.Publish(slot, new, old)
+	if err == nil && new != pmem.Null {
+		t.h.outstanding.Add(-1)
+	}
+	return err
+}
+
+// TestStoreFullHeap drives SET against a heap with no room left, through
+// a connection. A SET the heap cannot hold is answered with the
+// allocator's typed error, changes nothing — Used() reads what it read
+// before the command, the heap's objects are still exactly what the store
+// references, no reservation is left behind — and leaves the server
+// serving. Deleting every key returns every record, and the heap holds as
+// many keys again. The second half saturates a one-bucket directory and
+// makes the ninth key's overflow bucket unobtainable: that SET fails after
+// its record was reserved and written, and the record must go back.
+func TestStoreFullHeap(t *testing.T) {
+	dev := pmem.New(pmem.Config{Size: 12 << 20})
+	opts := core.DefaultOptions(core.LOG)
+	opts.Arenas = 2
+	ch, err := core.Create(dev, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := &reservingHeap{Heap: ch}
+	th := h.NewThread()
+	store, err := CreateStore(h, th, 0, StoreConfig{Buckets: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	th.Close()
+	// live sums the heap's objects and fails unless they are exactly the
+	// blocks the store references and no reservation is outstanding.
+	live := func(when string) (bytes uint64) {
+		t.Helper()
+		refs := map[pmem.PAddr]bool{}
+		store.References(func(a pmem.PAddr) { refs[a] = true })
+		ch.Objects(func(o core.Object) bool {
+			if !refs[o.Addr] {
+				t.Fatalf("%s: %d-byte object at %#x is allocated and not referenced by the store", when, o.Size, o.Addr)
+			}
+			delete(refs, o.Addr)
+			bytes += o.Size
+			return true
+		})
+		if len(refs) != 0 {
+			t.Fatalf("%s: the store references %d blocks that are not allocated", when, len(refs))
+		}
+		if n := h.outstanding.Load(); n != 0 {
+			t.Fatalf("%s: %d reservations neither published nor returned", when, n)
+		}
+		return bytes
+	}
+	baseline := live("empty store")
+
+	srv := NewServer(store, ServerConfig{})
+	client, done := pipeClient(srv)
+	br, bw := bufio.NewReader(client), bufio.NewWriter(client)
+	val := string(bytes.Repeat([]byte{'v'}, 3000))
+	key := func(i int) string { return "key-" + strconv.Itoa(i) }
+	refused := func(rep Reply) bool {
+		t.Helper()
+		if rep.Kind == ReplyStatus {
+			return false
+		}
+		if rep.Kind != ReplyError || !strings.Contains(rep.Status, alloc.ErrOutOfMemory.Error()) {
+			t.Fatalf("SET on a full heap: reply %+v, want an error naming %q", rep, alloc.ErrOutOfMemory)
+		}
+		return true
+	}
+	// set sends one SET and, if it is refused, checks that it moved nothing.
+	set := func(k, v string) bool {
+		t.Helper()
+		used := ch.Used()
+		if !refused(roundTrip(t, br, bw, "SET", k, v)) {
+			return true
+		}
+		if got := ch.Used(); got != used {
+			t.Fatalf("refused SET moved Used() from %d to %d", used, got)
+		}
+		return false
+	}
+	n := 0
+	for set(key(n), val) {
+		if n++; n > 1<<16 {
+			t.Fatal("a 12 MiB heap never filled up")
+		}
+	}
+	full := live("after the first refused SET")
+	t.Logf("heap full after %d keys: %d live bytes, Used() %d", n, full, ch.Used())
+	// The server keeps serving: reads, and more refusals, of new keys and
+	// of replacements (whose old record stays until the publish).
+	if rep := roundTrip(t, br, bw, "GET", key(0)); rep.Kind != ReplyBulk || string(rep.Bulk) != val {
+		t.Fatalf("GET after a refused SET: %+v", rep)
+	}
+	for i := 0; i < 32; i++ {
+		if set(key(n+1+i), val+val) || set(key(i), val+val) {
+			t.Fatal("a 6000-byte SET was accepted by a heap that refused a 3000-byte one")
+		}
+	}
+	live("after 64 more refused SETs")
+	for i := 0; i < n; i++ {
+		if rep := roundTrip(t, br, bw, "DEL", key(i)); rep.Kind != ReplyInt || rep.Int != 1 {
+			t.Fatalf("DEL %d: %+v", i, rep)
+		}
+	}
+	if store.Len() != 0 {
+		t.Fatalf("%d keys left", store.Len())
+	}
+	// What is left is the index: header and directory as at the start, and
+	// the overflow buckets the keys chained, which an index never unchains.
+	drained := live("after deleting every key")
+	if over := drained - baseline; over != uint64((n-1)/phash.Slots)*phash.BucketBytes {
+		t.Fatalf("live bytes: %d empty, %d full, %d drained: not the empty store plus %d overflow buckets", baseline, full, drained, (n-1)/phash.Slots)
+	}
+	// Everything a refused SET reserved went back: the same keys fit again.
+	for i := 0; i < n; i++ {
+		if !set(key(i), val) {
+			t.Fatalf("second fill refused at key %d of the %d the heap held before", i, n)
+		}
+	}
+	client.Close()
+	<-done
+
+	// A saturated directory: the keys of one full chain, then one more
+	// whose overflow bucket cannot be had.
+	for i := 0; i < n; i++ {
+		th := h.NewThread()
+		if _, err := store.Del(th, []byte(key(i))); err != nil {
+			t.Fatal(err)
+		}
+		th.Close()
+	}
+	th = h.NewThread()
+	defer th.Close()
+	slots := (1 + (n-1)/phash.Slots) * phash.Slots
+	for i := 0; i < slots; i++ {
+		if err := store.Set(th, 1, []byte(key(i)), []byte("v"), 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	h.noBuckets.Store(true)
+	used, before := ch.Used(), live("chain full")
+	if err := store.Set(th, 1, []byte(key(slots)), []byte("v"), 0); !errors.Is(err, alloc.ErrOutOfMemory) {
+		t.Fatalf("SET into a full chain with no bucket to be had: %v, want ErrOutOfMemory", err)
+	}
+	if after := live("after the bucketless SET"); after != before || ch.Used() != used {
+		t.Fatalf("refused SET moved live bytes %d -> %d, Used() %d -> %d", before, after, used, ch.Used())
+	}
+	if err := store.Set(th, 1, []byte(key(0)), []byte("w"), 0); err != nil {
+		t.Fatalf("replacement in a full chain: %v", err)
 	}
 }

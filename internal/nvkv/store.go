@@ -20,7 +20,7 @@ import (
 // are verified byte-for-byte (a 64-bit digest collision is detected,
 // never silently conflated).
 //
-// Record blob (16 + klen + vlen + 4 bytes, allocated via Thread.Malloc):
+// Record blob (16 + klen + vlen + 4 bytes, an alloc.Thread reservation):
 //
 //	[0,8)              header: magic(16) | klen(16) | vlen(32)
 //	[8,16)             expiry, absolute ns (0 = no expiry)
@@ -28,19 +28,18 @@ import (
 //	[16+klen,...+vlen) value bytes
 //	last 4             CRC32 (IEEE) of key||value
 //
-// Consistency: the record is written and fenced before the index
-// publishes it — phash's fingerprint-word commit for a new key, the
-// in-place persist of the entry's value word for a replaced one, both
-// 8-byte atomic persists. Three windows leak a record and none corrupts:
-// a crash after a new record's allocation and before its publish leaks
-// the new record, a crash between a replace's publish and the free of
-// the superseded record leaks the old one, and a crash between a
-// delete's fingerprint clear and the free leaks the deleted one. In each
-// the record is allocated and unreachable from the index; the GC
-// variant's conservative scan reclaims it, and under LOG/IC it is
-// visible to a Heap.Objects walk (DESIGN.md §10 discusses the window).
-// The index itself allocates nothing per key, so there is nothing else
-// to leak.
+// Consistency: every mutation is one reserve → fill → publish group. Set
+// reserves the record (nothing persistent happens), writes and flushes it,
+// and hands it to phash.Map.Publish, which runs alloc.Thread.Publish on
+// the index entry's value word: one WAL entry names that word, the new
+// record and the record it supersedes; one fence makes the entry, the
+// record and the index key durable; one 8-byte persist of the value word
+// commits. Del publishes Null over the record the same way. After a crash
+// at any point the index entry, the new record's allocation and the old
+// record's release have all happened or none has, so a record is always
+// either reachable from the index or free: nothing leaks, and a
+// Heap.Objects walk finds exactly the index and the records it references
+// (DESIGN.md §10 states the two exceptions a multi-arena server has).
 const (
 	recHeader = 0
 	recExpiry = 8
@@ -71,8 +70,8 @@ const storeStripes = 256
 // Store is the persistent KV engine: a phash directory of record blobs
 // on an NVAlloc heap. It is safe for concurrent use; every read-modify-
 // write on a key holds that key's service-level stripe lock around the
-// whole lookup/allocate/publish/free sequence (phash's own bucket locks
-// only cover single index operations).
+// whole lookup/reserve/publish sequence (phash's own bucket locks only
+// cover single index operations).
 type Store struct {
 	heap   alloc.Heap
 	dev    pmem.Dev
@@ -194,12 +193,13 @@ func (s *Store) lookup(th alloc.Thread, k64 uint64, key []byte) (rec pmem.PAddr,
 	return rec, m, true, false, nil
 }
 
-// writeRecord allocates, writes, flushes and fences a record blob. The
-// fence guarantees the record is durable before any index publish that
-// could make it reachable.
+// writeRecord reserves a record blob, writes it and flushes it. It does
+// not fence: the first fence of the publish that makes the record
+// reachable covers these flushes. Until then the reservation has no
+// persistent existence, and an error path returns it with Unreserve.
 func (s *Store) writeRecord(th alloc.Thread, key, val []byte, expiry int64) (pmem.PAddr, error) {
 	n := uint64(recKey) + uint64(len(key)) + uint64(len(val)) + 4
-	rec, err := th.Malloc(n)
+	rec, err := th.Reserve(n)
 	if err != nil {
 		return pmem.Null, err
 	}
@@ -211,9 +211,7 @@ func (s *Store) writeRecord(th alloc.Thread, key, val []byte, expiry int64) (pme
 	crc := crc32.ChecksumIEEE(key)
 	crc = crc32.Update(crc, crc32.IEEETable, val)
 	s.dev.WriteU32(rec+pmem.PAddr(n-4), crc)
-	c := th.Ctx()
-	c.Flush(pmem.CatOther, rec, int(n))
-	c.Fence()
+	th.Ctx().Flush(pmem.CatOther, rec, int(n))
 	return rec, nil
 }
 
@@ -229,9 +227,9 @@ func expiryAt(now, ttl int64) int64 {
 
 // Set inserts or replaces key with val. A ttl of 0 stores without
 // expiry; ttl > 0 expires the key at now+ttl (both in ns). The reply
-// contract: when Set returns nil the pair is durable — the record was
-// fenced before the index entry's atomic commit, which phash fences
-// before returning.
+// contract: when Set returns nil the pair is durable, and the record it
+// replaced is free; when it returns an error nothing changed, in the heap
+// or in the index.
 func (s *Store) Set(th alloc.Thread, now int64, key, val []byte, ttl int64) error {
 	if len(key) == 0 || len(key) > MaxKeyLen {
 		return ErrKeyTooLarge
@@ -259,19 +257,12 @@ func (s *Store) Set(th alloc.Thread, now int64, key, val []byte, ttl int64) erro
 	if err != nil {
 		return err
 	}
-	if err := s.idx.Put(th, k64, uint64(rec)); err != nil {
-		// The record never became reachable; return it.
-		_ = th.Free(rec)
-		return err
+	if err := s.idx.Publish(th, k64, rec, old); err != nil {
+		// The record never became reachable; the reservation goes back.
+		return errors.Join(err, th.Unreserve(rec))
 	}
 	s.sets.Add(1)
-	if found {
-		// The old record is unreachable from the index now; a crash
-		// before this free merely leaks it.
-		if err := th.Free(old); err != nil {
-			return err
-		}
-	} else {
+	if !found {
 		s.liveKeys.Add(1)
 	}
 	return nil
@@ -329,17 +320,16 @@ func (s *Store) Del(th alloc.Thread, key []byte) (bool, error) {
 	return true, s.delRecord(th, k64, rec)
 }
 
-// delRecord unpublishes and frees the record lookup found for k64.
-// Caller holds the stripe lock.
+// delRecord unpublishes and frees the record lookup found for k64, as one
+// publish of Null over it: a nil return is a durable delete with the
+// record free. Caller holds the stripe lock.
 func (s *Store) delRecord(th alloc.Thread, k64 uint64, rec pmem.PAddr) error {
-	// The fingerprint clear inside Delete is the commit point; it is
-	// fenced before Delete returns, so a nil return is a durable delete.
-	if _, err := s.idx.Delete(th, k64); err != nil {
+	if err := s.idx.Publish(th, k64, pmem.Null, rec); err != nil {
 		return err
 	}
 	s.dels.Add(1)
 	s.liveKeys.Add(-1)
-	return th.Free(rec)
+	return nil
 }
 
 // Expire re-arms key's expiry to now+ttl. A ttl <= 0 deletes the key
@@ -387,6 +377,12 @@ func (s *Store) StatsText() string {
 		s.sets.Load(), s.gets.Load(), s.hits.Load(), s.dels.Load(),
 		s.expires.Load(), s.collisions.Load())
 }
+
+// References calls fn with the address of every heap block the store can
+// reach: the index's own blocks and every record. Set, Del and Expire keep
+// a record either reachable or free across a crash, so on a heap that holds
+// nothing but the store these are exactly its allocated objects.
+func (s *Store) References(fn func(addr pmem.PAddr)) { s.idx.References(fn) }
 
 // Heap exposes the backing heap (STATS, snapshots, tests).
 func (s *Store) Heap() alloc.Heap { return s.heap }

@@ -237,15 +237,16 @@ func TestStoreConcurrent(t *testing.T) {
 }
 
 // TestStorePersistSchedule pins what each store mutation costs on the
-// simulated device with a record that fits one cache line: the record's
-// malloc (one WAL entry, one fence; the bitmap line is written back at the
-// ring's checkpoint) and its flush and fence, the index's commit (phash's
-// TestIndexPersistSchedule), and the free of the record a replace or
-// delete supersedes (one WAL entry, one fence). The record is
-// the only allocation a key costs: with the index's per-entry blob a new
-// key read 9 flushes, 5 fences, 2 mallocs and a delete 5/3 and 2 frees.
+// simulated device with a record that fits one cache line. Every mutation
+// is one reserve → fill → publish group: the record's line (Set), the
+// index key's line (a new key), one WAL entry, a fence over all of them,
+// the index value word and its fence. Nothing else is flushed — the
+// records' bitmap lines are written back at the ring's checkpoint — and no
+// Malloc or Free is called: the group's one entry allocates the new record
+// and frees the one it supersedes. With a malloc, an index Put and a free
+// per Set this read 4/4 for a new key and 4/4 for a replace.
 func TestStorePersistSchedule(t *testing.T) {
-	type cost struct{ flushes, fences, reflushes, mallocs, frees int }
+	type cost struct{ flushes, fences, reflushes, mallocs, frees, reserves, publishes int }
 	_, _, inner, st := newStore(t)
 	th := &alloc.CountingThread{Thread: inner}
 	defer th.Close()
@@ -268,14 +269,15 @@ func TestStorePersistSchedule(t *testing.T) {
 		t.Helper()
 		// Empty the reflush window so only the operation's own count.
 		c.Flush(pmem.CatOther, scratch, 4*pmem.LineSize)
-		before, mallocs, frees := c.Local(), th.Mallocs, th.Frees
+		before, calls := c.Local(), *th
 		if err := fn(); err != nil {
 			t.Fatal(err)
 		}
 		after := c.Local()
 		return cost{
 			int(after.Flushes - before.Flushes), int(after.Fences - before.Fences),
-			int(after.Reflushes - before.Reflushes), th.Mallocs - mallocs, th.Frees - frees,
+			int(after.Reflushes - before.Reflushes), th.Mallocs - calls.Mallocs, th.Frees - calls.Frees,
+			th.Reserves - calls.Reserves, th.Publishes - calls.Publishes,
 		}
 	}
 	expect := func(what string, got, want cost) {
@@ -286,15 +288,17 @@ func TestStorePersistSchedule(t *testing.T) {
 	}
 
 	expect("Set new", measure(func() error { return st.Set(th, 1, key(100), val, 0) }),
-		cost{flushes: 4, fences: 4, mallocs: 1})
+		cost{flushes: 4, fences: 2, reserves: 1, publishes: 1})
 	expect("Set replace", measure(func() error { return st.Set(th, 1, key(0), val, 0) }),
-		cost{flushes: 4, fences: 4, mallocs: 1, frees: 1})
+		cost{flushes: 3, fences: 2, reserves: 1, publishes: 1})
 	expect("Expire", measure(func() error { _, err := st.Expire(th, 1, key(1), 1000); return err }),
 		cost{flushes: 1, fences: 1})
 	expect("Del", measure(func() error { _, err := st.Del(th, key(2)); return err }),
-		cost{flushes: 2, fences: 2, frees: 1})
-	if st.Len() != 4 {
-		t.Fatalf("Len %d, want 4", st.Len())
+		cost{flushes: 2, fences: 2, publishes: 1})
+	expect("Expire now", measure(func() error { _, err := st.Expire(th, 1, key(3), 0); return err }),
+		cost{flushes: 2, fences: 2, publishes: 1})
+	if st.Len() != 3 {
+		t.Fatalf("Len %d, want 3", st.Len())
 	}
 }
 
@@ -304,10 +308,15 @@ func TestOpenStoreRejectsOldIndexLayout(t *testing.T) {
 	dev, h, th, _ := newStore(t)
 	defer th.Close()
 	header := pmem.PAddr(dev.ReadU64(h.RootSlot(0)))
-	dev.WriteU64(header, 0x5048415348363421) // "PHASH64!", the blob-per-entry layout
-	_, err := OpenStore(h, 0, StoreConfig{})
-	var fe *phash.FormatError
-	if !errors.As(err, &fe) {
-		t.Fatalf("OpenStore: %v, want a *phash.FormatError", err)
+	for _, magic := range []uint64{
+		0x5048415348363421, // "PHASH64!", the blob-per-entry layout
+		0x5048415348763221, // "PHASHv2!", the fingerprint-word layout
+	} {
+		dev.WriteU64(header, magic)
+		_, err := OpenStore(h, 0, StoreConfig{})
+		var fe *phash.FormatError
+		if !errors.As(err, &fe) || fe.Magic != magic {
+			t.Fatalf("OpenStore over magic %#x: %v, want a *phash.FormatError naming it", magic, err)
+		}
 	}
 }

@@ -6,46 +6,30 @@ import (
 	"math/bits"
 	"reflect"
 	"testing"
-	"testing/quick"
 
 	"nvalloc/internal/core"
 	"nvalloc/internal/pmem"
 )
 
-// TestFingerprintNeverZero: a zero byte in the fingerprint word is the
-// on-media encoding of an empty slot, so no key may hash to it.
-func TestFingerprintNeverZero(t *testing.T) {
-	if err := quick.Check(func(h uint64) bool { return fp(h) != 0 }, nil); err != nil {
-		t.Fatal(err)
-	}
-	// The hashes quick.Check all but never draws: top byte already zero.
-	if err := quick.Check(func(h uint64) bool { return fp(h>>8) != 0 }, nil); err != nil {
-		t.Fatal(err)
-	}
-	for _, h := range []uint64{0, 1, 1<<56 - 1} {
-		if fp(h) == 0 {
-			t.Fatalf("fp(%#x) = 0", h)
-		}
-	}
-}
-
 // TestCrashSlotReuseEveryBoundary cuts power at every persistence
 // boundary, and under every tearing of the line in flight, of the
-// sequence the single-word commit has to get right: insert k1, delete it,
-// insert k2 into the slot k1 vacated, update k2 in place. Recovery must
-// see the state before or after the operation in flight and nothing else
-// — never k1's stale entry revived, never k2's key over k1's value — with
-// the settled keys around them untouched.
+// sequence the value-word commit has to get right: insert k1, delete it,
+// insert k2 into the slot k1 vacated, update k2 in place, delete k2 and
+// put it back into the slot that still holds its key. Recovery must see
+// the state before or after the operation in flight and nothing else —
+// never k1's stale key revived, never k2's key over k1's value — with the
+// settled keys around them untouched.
 //
-// The three placements put the contested slot on a line of its own, on
-// the commit word's line, and in an overflow bucket that the first insert
-// chains (so the chaining commit is swept as well).
+// The three placements put the contested slot in the middle of the
+// directory bucket, at its end, and in an overflow bucket that the first
+// insert chains (so the chaining publish is swept as well).
 func TestCrashSlotReuseEveryBoundary(t *testing.T) {
 	const (
 		devBytes = 24 << 20
 		k1, v1   = uint64(1001), uint64(0x1111)
 		k2, v2   = uint64(2002), uint64(0x2222)
 		v2b      = uint64(0x2B2B)
+		v2c      = uint64(0x2C2C)
 	)
 	type state map[uint64]uint64
 	for _, tc := range []struct {
@@ -54,9 +38,9 @@ func TestCrashSlotReuseEveryBoundary(t *testing.T) {
 		slot     int
 		overflow bool
 	}{
-		{"own line", 1, 6, false},
-		{"commit word's line", 7, 0, false},
-		{"overflow bucket", 8, 7, true},
+		{"directory bucket", 3, 3, false},
+		{"last slot", 7, 7, false},
+		{"overflow bucket", 8, 0, true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			dev := pmem.New(pmem.Config{Size: devBytes, Strict: true, Journal: true})
@@ -86,9 +70,11 @@ func TestCrashSlotReuseEveryBoundary(t *testing.T) {
 				func() error { _, err := m.Delete(th, k1); return err },
 				func() error { return m.Put(th, k2, v2) },
 				func() error { return m.Put(th, k2, v2b) },
+				func() error { _, err := m.Delete(th, k2); return err },
+				func() error { return m.Put(th, k2, v2c) },
 			}
-			states := []state{{}, {k1: v1}, {}, {k2: v2}, {k2: v2b}}
-			inserted := map[int]uint64{0: k1, 2: k2} // op index -> key it inserts
+			states := []state{{}, {k1: v1}, {}, {k2: v2}, {k2: v2b}, {}, {k2: v2c}}
+			inserted := map[int]uint64{0: k1, 2: k2, 5: k2} // op index -> key it inserts
 			marks := []int{dev.JournalLen()}
 			for i, op := range ops {
 				if err := op(); err != nil {
@@ -97,10 +83,10 @@ func TestCrashSlotReuseEveryBoundary(t *testing.T) {
 				marks = append(marks, dev.JournalLen())
 				if key, ok := inserted[i]; ok {
 					// k1, then k2, must sit in the contested slot.
-					b, slot, found, _, _ := m.findSlot(th.Ctx(), key, fp(hash64(key)))
-					if !found || slot != tc.slot || (b != m.bucketAddr(0)) != tc.overflow {
-						t.Fatalf("key %d in bucket %#x slot %d (found %v), want slot %d, overflow %v",
-							key, b, slot, found, tc.slot, tc.overflow)
+					p := m.findSlot(th.Ctx(), key)
+					if !p.live || p.slot != tc.slot || (p.b != m.bucketAddr(0)) != tc.overflow {
+						t.Fatalf("key %d in bucket %#x slot %d (live %v), want slot %d, overflow %v",
+							key, p.b, p.slot, p.live, tc.slot, tc.overflow)
 					}
 				}
 			}

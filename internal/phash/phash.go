@@ -1,45 +1,45 @@
 // Package phash implements a crash-consistent persistent hash index in
 // the spirit of the persistent hashing schemes the paper cites as
 // allocator consumers (level hashing, Dash): a fixed bucket directory in
-// persistent memory with 8-slot buckets, one-byte fingerprints to avoid
-// probing full keys, 8-byte values stored inline in the entry, and
+// persistent memory with 8-slot buckets, 8-byte values stored inline, and
 // overflow buckets chained through the allocator. The directory and the
 // overflow buckets are the index's only allocations: an insert into a
 // bucket with a free slot, an update and a delete make no allocator call.
 //
 // Persistent bucket layout (160 B, 2.5 cache lines):
 //
-//	[0,8)    fingerprint word, one byte per slot, 0 = empty slot
-//	[8,16)   overflow bucket PAddr (0 = none)
-//	[16,32)  reserved
-//	[32,160) 8 entries x (key u64, value u64)
+//	[0,64)    8 key words
+//	[64,128)  8 value words, 0 = empty slot
+//	[128,136) overflow bucket PAddr (0 = none)
+//	[136,160) reserved
 //
-// Consistency: the fingerprint word is the commit word. An insert writes
-// the entry, flushes and fences it, and then publishes it with one 8-byte
-// atomic persist that sets the slot's fingerprint byte; an update is one
-// 8-byte atomic persist of the entry's value word; a delete is one 8-byte
-// atomic persist that clears the fingerprint byte (the stale entry stays
-// behind, unreachable, until an insert overwrites it — again before its
-// fingerprint is set). A slot is therefore either empty or whole after a
-// crash at any flush boundary and under any 8-byte tearing of a line.
+// Consistency: a slot's value word is its commit word, for insert, update
+// and delete alike, and every commit is one 8-byte atomic persist. An
+// insert writes the key, flushes it, and then publishes the slot by
+// persisting a non-zero value; an update persists the new value; a delete
+// persists zero (the stale key stays behind, unreachable, until an insert
+// overwrites it — while the value is still zero). A slot is therefore
+// either empty or whole after a crash at any flush boundary and under any
+// 8-byte tearing of a line. The value 0 is stored as the word ^0, which
+// makes ^0 the one value Put refuses.
 //
-// The entry and the commit word are kept on different cache lines so the
-// commit does not re-flush the line the entry flush just wrote (800 ns
-// against 250 ns on the paper's device, PAPER.md §3.1). Buckets are 160
-// bytes, so they start alternately at offset 0 and 32 of a line: at
-// offset 32 the header shares its line with the previous bucket only, at
-// offset 0 it shares it with slots 0 and 1, which is why findSlot hands
-// out the highest free slot first and slots 0 and 1 last.
+// A slot's key and value words are exactly one cache line apart, whatever
+// the bucket's alignment, so the commit never re-flushes the line the key
+// flush just wrote (800 ns against 250 ns on the paper's device, PAPER.md
+// §3.1) and follows it as a sequential flush.
 //
-// A bucket chained as overflow is built off to the side — zeroed, its
-// first entry and fingerprint written, flushed and fenced — and becomes
-// reachable, entry included, with the one persist of its predecessor's
-// overflow word. A crash before that persist leaves a recorded-but-
-// unreachable 160-byte block that WAL replay or an Objects walk resolves.
+// Because the commit word is a plain 8-byte slot, it can be the slot of
+// an alloc.Thread.Publish: Map.Publish binds a key to an allocator block
+// — and unbinds the block it supersedes — under one WAL entry, which is
+// how nvkv.Store keeps every record either reachable or free. A bucket
+// chained as overflow is attached the same way: reserved, zeroed with its
+// first key in place, flushed, and published into its predecessor's
+// overflow word.
 package phash
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 
 	"nvalloc/internal/alloc"
@@ -54,11 +54,9 @@ const BucketBytes = 160
 
 // Bucket field offsets.
 const (
-	bFPs      = 0
-	bOverflow = 8
-	bEntries  = 32
-
-	entryBytes = 16
+	bKeys     = 0
+	bValues   = 64
+	bOverflow = 128
 )
 
 // Header layout (one page, referenced from the root slot).
@@ -67,13 +65,40 @@ const (
 	hNBuckets = 8
 	hDir      = 16
 
-	phashMagic = 0x5048415348763221 // "PHASHv2!"
-	// v1Magic marked the layout this one replaces: a presence bitmap at
-	// bucket offset 0, fingerprints at 8 and entries pointing at separately
-	// allocated values. Its offsets mean other things now, so Open refuses
-	// it.
+	phashMagic = 0x5048415348763321 // "PHASHv3!"
+	// Earlier layouts, whose bucket offsets mean other things: v2 committed
+	// through a fingerprint word at bucket offset 0 with (key, value) pairs
+	// from offset 32; v1 kept a presence bitmap there and pointed at
+	// separately allocated values. Open refuses both.
+	v2Magic = 0x5048415348763221 // "PHASHv2!"
 	v1Magic = 0x5048415348363421 // "PHASH64!"
 )
+
+// ErrReservedValue is returned by Put for the value ^0: that word stands
+// for the value 0, a zero word being the persistent encoding of an empty
+// slot.
+var ErrReservedValue = errors.New("phash: ^0 is not a storable value")
+
+// zeroWord is the value word of a slot that holds the value 0.
+const zeroWord = ^uint64(0)
+
+func toWord(v uint64) uint64 {
+	if v == 0 {
+		return zeroWord
+	}
+	return v
+}
+
+func fromWord(w uint64) uint64 {
+	if w == zeroWord {
+		return 0
+	}
+	return w
+}
+
+// ErrStale is returned by Publish when the index does not hold, for the
+// key, the block the caller says it supersedes.
+var ErrStale = errors.New("phash: key is not bound to the block to supersede")
 
 // FormatError is returned by Open for an index written in a bucket layout
 // this build does not read.
@@ -83,7 +108,7 @@ type FormatError struct {
 }
 
 func (e *FormatError) Error() string {
-	return fmt.Sprintf("phash: index at root slot %d has format %q (presence bitmap and out-of-line values, written by an older build); this build reads only %q and cannot convert it",
+	return fmt.Sprintf("phash: index at root slot %d has format %q, the bucket layout of an older build; this build reads only %q and cannot convert it",
 		e.RootSlot, magicString(e.Magic), magicString(phashMagic))
 }
 
@@ -97,8 +122,10 @@ const lockStripes = 64
 
 // Map is a persistent hash index bound to a heap.
 type Map struct {
-	heap     alloc.Heap
-	dev      pmem.Dev
+	dev pmem.Dev
+	// mem is dev's concrete image view: a chain scan reads sixteen words a
+	// bucket, through one bounds check instead of sixteen interface calls.
+	mem      pmem.Mem
 	header   pmem.PAddr
 	dir      pmem.PAddr
 	nBuckets uint64
@@ -112,16 +139,6 @@ func hash64(key uint64) uint64 {
 	key *= 0xC4CEB9FE1A85EC53
 	key ^= key >> 33
 	return key
-}
-
-// fp is a key's one-byte fingerprint. It is never 0: a zero byte in the
-// fingerprint word is the persistent encoding of an empty slot.
-func fp(h uint64) byte {
-	b := byte(h >> 56)
-	if b == 0 {
-		b = 1
-	}
-	return b
 }
 
 // Create builds an empty index with nBuckets (rounded up to a power of
@@ -146,7 +163,7 @@ func Create(h alloc.Heap, th alloc.Thread, rootSlot int, nBuckets int, _ uint64)
 
 	header, err := th.MallocTo(h.RootSlot(rootSlot), 4096)
 	if err != nil {
-		_ = th.Free(dir)
+		_ = th.Free(dir) // the MallocTo error is the one to report
 		return nil, err
 	}
 	dev.WriteU64(header+hMagic, phashMagic)
@@ -155,11 +172,11 @@ func Create(h alloc.Heap, th alloc.Thread, rootSlot int, nBuckets int, _ uint64)
 	c.Flush(pmem.CatOther, header, 24)
 	c.Fence()
 
-	return &Map{heap: h, dev: dev, header: header, dir: dir, nBuckets: n}, nil
+	return &Map{dev: dev, mem: dev.Mem(), header: header, dir: dir, nBuckets: n}, nil
 }
 
 // Open attaches to an existing index via the heap's root slot. An index
-// in the older out-of-line-value layout yields a *FormatError.
+// in an older bucket layout yields a *FormatError.
 func Open(h alloc.Heap, rootSlot int) (*Map, error) {
 	dev := h.Device()
 	header := pmem.PAddr(dev.ReadU64(h.RootSlot(rootSlot)))
@@ -169,14 +186,14 @@ func Open(h alloc.Heap, rootSlot int) (*Map, error) {
 	}
 	switch magic {
 	case phashMagic:
-	case v1Magic:
+	case v2Magic, v1Magic:
 		return nil, &FormatError{RootSlot: rootSlot, Magic: magic}
 	default:
 		return nil, fmt.Errorf("phash: no index at root slot %d", rootSlot)
 	}
 	return &Map{
-		heap:     h,
 		dev:      dev,
+		mem:      dev.Mem(),
 		header:   header,
 		dir:      pmem.PAddr(dev.ReadU64(header + hDir)),
 		nBuckets: dev.ReadU64(header + hNBuckets),
@@ -187,104 +204,157 @@ func (m *Map) bucketAddr(i uint64) pmem.PAddr {
 	return m.dir + pmem.PAddr(i*BucketBytes)
 }
 
-func entryAddr(b pmem.PAddr, slot int) pmem.PAddr {
-	return b + bEntries + pmem.PAddr(slot*entryBytes)
-}
+func keyAddr(b pmem.PAddr, slot int) pmem.PAddr   { return b + bKeys + pmem.PAddr(slot*8) }
+func valueAddr(b pmem.PAddr, slot int) pmem.PAddr { return b + bValues + pmem.PAddr(slot*8) }
 
 func (m *Map) lockFor(h uint64) *pmem.Resource {
 	return &m.locks[(h&(m.nBuckets-1))%lockStripes]
 }
 
-// findSlot scans the bucket chain for key. It returns the bucket and slot
-// holding it, or (with found=false) the chain's last bucket and the free
-// slot an insert should take: in the first bucket that has one, the
-// highest-numbered (see the package comment), freeSlot=-1 when the chain
-// is full. Caller holds the stripe lock.
-func (m *Map) findSlot(c *pmem.Ctx, key uint64, f byte) (b pmem.PAddr, slot int, found bool, freeB pmem.PAddr, freeSlot int) {
-	freeB, freeSlot = pmem.Null, -1
-	b = m.bucketAddr(hash64(key) & (m.nBuckets - 1))
+// place is where findSlot says key lives or should go.
+type place struct {
+	b    pmem.PAddr // bucket of slot; the chain's last bucket when slot < 0
+	slot int        // -1: key is absent and the chain has no empty slot
+	// live: the slot holds key with a non-zero value. Otherwise it is an
+	// empty slot an insert may take; keyed says it already holds key (the
+	// key was deleted from it), so the insert need not write the key.
+	live, keyed bool
+}
+
+// findSlot scans key's bucket chain. An absent key is given the empty slot
+// it was last deleted from if there is one, else the chain's first empty
+// slot. Caller holds the stripe lock.
+func (m *Map) findSlot(c *pmem.Ctx, key uint64) place {
+	free := place{slot: -1}
+	b := m.bucketAddr(hash64(key) & (m.nBuckets - 1))
 	for {
-		fps := m.dev.ReadU64(b + bFPs)
 		c.Charge(pmem.CatSearch, 10)
-		for s := Slots - 1; s >= 0; s-- {
-			switch byte(fps >> (8 * s)) {
-			case 0:
-				if freeSlot < 0 {
-					freeB, freeSlot = b, s
-				}
-			case f:
+		// Reads only: every writer of this bucket holds the stripe lock.
+		words := m.mem.Bytes(b, bOverflow+8)
+		for s := 0; s < Slots; s++ {
+			v := binary.LittleEndian.Uint64(words[bValues+8*s:])
+			isKey := binary.LittleEndian.Uint64(words[bKeys+8*s:]) == key
+			switch {
+			case v != 0 && isKey:
 				c.Charge(pmem.CatSearch, 4)
-				if m.dev.ReadU64(entryAddr(b, s)) == key {
-					return b, s, true, freeB, freeSlot
-				}
+				return place{b: b, slot: s, live: true}
+			case v == 0 && isKey && !free.keyed:
+				free = place{b: b, slot: s, keyed: true}
+			case v == 0 && free.slot < 0:
+				free = place{b: b, slot: s}
 			}
 		}
-		next := pmem.PAddr(m.dev.ReadU64(b + bOverflow))
+		next := pmem.PAddr(binary.LittleEndian.Uint64(words[bOverflow:]))
 		if next == pmem.Null {
-			return b, -1, false, freeB, freeSlot
+			if free.slot < 0 {
+				free.b = b
+			}
+			return free
 		}
 		b = next
 	}
 }
 
-// Put inserts or updates key with value.
-func (m *Map) Put(th alloc.Thread, key, value uint64) error {
+// claim readies an empty slot for key and returns its value word, still
+// zero: the slot findSlot offered, with the key written and flushed — not
+// fenced; the caller's commit sequence fences before it persists the
+// value — or slot 0 of a fresh overflow bucket when the chain is full. value
+// is what a chained bucket is built with in that slot: Put passes the
+// value itself (the link is then the commit), Publish zero.
+func (m *Map) claim(th alloc.Thread, key uint64, p place, value uint64) (pmem.PAddr, error) {
 	c := th.Ctx()
-	h := hash64(key)
-	f := fp(h)
-	lk := m.lockFor(h)
+	if p.slot >= 0 {
+		if !p.keyed {
+			m.dev.WriteU64(keyAddr(p.b, p.slot), key)
+			c.FlushU64(pmem.CatOther, keyAddr(p.b, p.slot))
+		}
+		return valueAddr(p.b, p.slot), nil
+	}
+	nb, err := th.Reserve(BucketBytes)
+	if err != nil {
+		return pmem.Null, err
+	}
+	m.dev.Zero(nb, BucketBytes)
+	m.dev.WriteU64(keyAddr(nb, 0), key)
+	m.dev.WriteU64(valueAddr(nb, 0), value)
+	c.Flush(pmem.CatOther, nb, BucketBytes)
+	if err := th.Publish(p.b+bOverflow, nb, pmem.Null); err != nil {
+		return pmem.Null, errors.Join(err, th.Unreserve(nb))
+	}
+	return valueAddr(nb, 0), nil
+}
+
+// Put inserts or updates key with value, which must not be ^0.
+func (m *Map) Put(th alloc.Thread, key, value uint64) error {
+	if value == zeroWord {
+		return ErrReservedValue
+	}
+	value = toWord(value)
+	c := th.Ctx()
+	lk := m.lockFor(hash64(key))
 	lk.Acquire(c)
 	defer lk.Release(c)
 
-	lastB, slot, found, freeB, freeSlot := m.findSlot(c, key, f)
-	if found {
-		c.PersistU64(pmem.CatOther, entryAddr(lastB, slot)+8, value)
-		c.Fence()
-		return nil
-	}
-	if freeSlot < 0 {
-		// Chain a fresh overflow bucket that already holds the entry; the
-		// persist of the link publishes both.
-		nb, err := th.Malloc(BucketBytes)
-		if err != nil {
-			return err
+	p := m.findSlot(c, key)
+	var va pmem.PAddr
+	if p.live {
+		va = valueAddr(p.b, p.slot)
+	} else {
+		var err error
+		if va, err = m.claim(th, key, p, value); err != nil || p.slot < 0 {
+			return err // a chained bucket came with the value in it
 		}
-		const s = Slots - 1
-		m.dev.Zero(nb, BucketBytes)
-		m.dev.WriteU64(entryAddr(nb, s), key)
-		m.dev.WriteU64(entryAddr(nb, s)+8, value)
-		m.dev.WriteU64(nb+bFPs, uint64(f)<<(8*s))
-		c.Flush(pmem.CatOther, nb, BucketBytes)
-		c.Fence()
-		c.PersistU64(pmem.CatMeta, lastB+bOverflow, uint64(nb))
-		c.Fence()
-		return nil
+		if !p.keyed {
+			c.Fence()
+		}
 	}
-
-	ea := entryAddr(freeB, freeSlot)
-	m.dev.WriteU64(ea, key)
-	m.dev.WriteU64(ea+8, value)
-	c.Flush(pmem.CatOther, ea, entryBytes)
-	c.Fence()
 	// Commit point.
-	fps := m.dev.ReadU64(freeB + bFPs)
-	c.PersistU64(pmem.CatMeta, freeB+bFPs, fps|uint64(f)<<(8*freeSlot))
+	c.PersistU64(pmem.CatOther, va, value)
 	c.Fence()
 	return nil
+}
+
+// Publish binds key to the allocator block new in place of old, through
+// th.Publish on the slot's value word: the index entry, new's allocation
+// and old's release commit or vanish together. new is a reservation of th
+// the caller has filled and flushed (Null deletes the key); old is the
+// block the key is bound to now (Null when it is absent). On an error the
+// reservation is still the caller's.
+func (m *Map) Publish(th alloc.Thread, key uint64, new, old pmem.PAddr) error {
+	c := th.Ctx()
+	lk := m.lockFor(hash64(key))
+	lk.Acquire(c)
+	defer lk.Release(c)
+
+	p := m.findSlot(c, key)
+	var va pmem.PAddr
+	if p.live {
+		if va = valueAddr(p.b, p.slot); pmem.PAddr(m.dev.ReadU64(va)) != old {
+			return ErrStale
+		}
+	} else {
+		if old != pmem.Null {
+			return ErrStale
+		}
+		var err error
+		if va, err = m.claim(th, key, p, 0); err != nil {
+			return err
+		}
+	}
+	return th.Publish(va, new, old)
 }
 
 // Get returns the value stored under key.
 func (m *Map) Get(th alloc.Thread, key uint64) (uint64, bool) {
 	c := th.Ctx()
-	h := hash64(key)
-	lk := m.lockFor(h)
+	lk := m.lockFor(hash64(key))
 	lk.Acquire(c)
 	defer lk.Release(c)
-	b, slot, found, _, _ := m.findSlot(c, key, fp(h))
-	if !found {
+	p := m.findSlot(c, key)
+	if !p.live {
 		return 0, false
 	}
-	return m.dev.ReadU64(entryAddr(b, slot) + 8), true
+	return fromWord(m.dev.ReadU64(valueAddr(p.b, p.slot))), true
 }
 
 // Delete removes key and reports whether it was present. It makes no
@@ -292,17 +362,15 @@ func (m *Map) Get(th alloc.Thread, key uint64) (uint64, bool) {
 // written against the older, freeing index.
 func (m *Map) Delete(th alloc.Thread, key uint64) (bool, error) {
 	c := th.Ctx()
-	h := hash64(key)
-	lk := m.lockFor(h)
+	lk := m.lockFor(hash64(key))
 	lk.Acquire(c)
 	defer lk.Release(c)
-	b, slot, found, _, _ := m.findSlot(c, key, fp(h))
-	if !found {
+	p := m.findSlot(c, key)
+	if !p.live {
 		return false, nil
 	}
-	// Clearing the fingerprint byte is the atomic delete.
-	fps := m.dev.ReadU64(b + bFPs)
-	c.PersistU64(pmem.CatMeta, b+bFPs, fps&^(0xFF<<(8*slot)))
+	// Zeroing the value word is the atomic delete.
+	c.PersistU64(pmem.CatOther, valueAddr(p.b, p.slot), 0)
 	c.Fence()
 	return true, nil
 }
@@ -310,14 +378,43 @@ func (m *Map) Delete(th alloc.Thread, key uint64) (bool, error) {
 // Len counts live entries by walking every bucket chain.
 func (m *Map) Len() int {
 	n := 0
-	for i := uint64(0); i < m.nBuckets; i++ {
-		for b := m.bucketAddr(i); b != pmem.Null; b = pmem.PAddr(m.dev.ReadU64(b + bOverflow)) {
-			for fps := m.dev.ReadU64(b + bFPs); fps != 0; fps >>= 8 {
-				if byte(fps) != 0 {
-					n++
-				}
+	m.walk(func(b pmem.PAddr) {
+		for s := 0; s < Slots; s++ {
+			if m.dev.ReadU64(valueAddr(b, s)) != 0 {
+				n++
 			}
 		}
-	}
+	})
 	return n
+}
+
+// References calls fn with the address of every heap block the index
+// holds a pointer to: its header, its directory, each overflow bucket and,
+// read as block addresses, the values (what Publish bound). For an index
+// used through Publish alone that is the application's whole reachable
+// set: after recovery the heap's allocated objects must be exactly these.
+func (m *Map) References(fn func(addr pmem.PAddr)) {
+	fn(m.header)
+	fn(m.dir)
+	end := m.bucketAddr(m.nBuckets)
+	m.walk(func(b pmem.PAddr) {
+		if b < m.dir || b >= end {
+			fn(b)
+		}
+		for s := 0; s < Slots; s++ {
+			if v := m.dev.ReadU64(valueAddr(b, s)); v != 0 && v != zeroWord {
+				fn(pmem.PAddr(v))
+			}
+		}
+	})
+}
+
+// walk calls fn on every bucket, directory buckets and overflow buckets
+// alike.
+func (m *Map) walk(fn func(b pmem.PAddr)) {
+	for i := uint64(0); i < m.nBuckets; i++ {
+		for b := m.bucketAddr(i); b != pmem.Null; b = pmem.PAddr(m.dev.ReadU64(b + bOverflow)) {
+			fn(b)
+		}
+	}
 }

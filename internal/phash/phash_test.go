@@ -60,13 +60,38 @@ func TestPutGetDeleteBasic(t *testing.T) {
 	}
 }
 
+// TestZeroValueRoundTrips: a zero value word is the persistent encoding of
+// an empty slot, so the value 0 is stored as the word ^0 — Put, Get, Len
+// and Delete must not tell — and ^0 is the one value Put refuses.
+func TestZeroValueRoundTrips(t *testing.T) {
+	_, _, th, m := newMap(t, 4)
+	defer th.Close()
+	if err := m.Put(th, 9, ^uint64(0)); !errors.Is(err, ErrReservedValue) {
+		t.Fatalf("Put(9, ^0): %v, want ErrReservedValue", err)
+	}
+	if _, ok := m.Get(th, 9); ok || m.Len() != 0 {
+		t.Fatal("refused Put left an entry behind")
+	}
+	for _, v := range []uint64{0, 7, 0} {
+		if err := m.Put(th, 9, v); err != nil {
+			t.Fatal(err)
+		}
+		if got, ok := m.Get(th, 9); !ok || got != v || m.Len() != 1 {
+			t.Fatalf("after Put(9, %d): Get = %d, %v; Len %d", v, got, ok, m.Len())
+		}
+	}
+	if ok, _ := m.Delete(th, 9); !ok || m.Len() != 0 {
+		t.Fatal("a key holding 0 did not delete")
+	}
+}
+
 func TestOverflowChains(t *testing.T) {
 	// A tiny directory forces long overflow chains.
 	_, _, th, m := newMap(t, 2)
 	defer th.Close()
 	const n = 500
 	for k := uint64(0); k < n; k++ {
-		if err := m.Put(th, k, k*3); err != nil {
+		if err := m.Put(th, k, k*3+1); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -74,7 +99,7 @@ func TestOverflowChains(t *testing.T) {
 		t.Fatalf("len %d, want %d", m.Len(), n)
 	}
 	for k := uint64(0); k < n; k++ {
-		if v, ok := m.Get(th, k); !ok || v != k*3 {
+		if v, ok := m.Get(th, k); !ok || v != k*3+1 {
 			t.Fatalf("key %d: %d %v", k, v, ok)
 		}
 	}
@@ -239,11 +264,11 @@ func TestConcurrentPutGet(t *testing.T) {
 			defer th.Close()
 			base := uint64(w) << 32
 			for i := uint64(0); i < 2000; i++ {
-				if err := m.Put(th, base|i, i); err != nil {
+				if err := m.Put(th, base|i, i+1); err != nil {
 					errs <- err
 					return
 				}
-				if v, ok := m.Get(th, base|i); !ok || v != i {
+				if v, ok := m.Get(th, base|i); !ok || v != i+1 {
 					errs <- errTorn
 					return
 				}
@@ -280,10 +305,11 @@ func TestOpenWithoutIndex(t *testing.T) {
 	}
 }
 
-// TestOpenRejectsOldLayout builds, by hand, the header the blob-per-entry
-// layout wrote (magic "PHASH64!", bucket count, directory, blob size). Its
-// buckets kept a presence bitmap where this layout keeps fingerprints, so
-// Open must name the format and refuse, not misread it.
+// TestOpenRejectsOldLayout builds, by hand, the headers the two earlier
+// layouts wrote: "PHASH64!" (bucket count, directory, blob size; a presence
+// bitmap at bucket offset 0) and "PHASHv2!" (a fingerprint word there).
+// This layout keeps keys at that offset, so Open must name the format and
+// refuse, not misread it.
 func TestOpenRejectsOldLayout(t *testing.T) {
 	dev := pmem.New(pmem.Config{Size: 64 << 20})
 	h, err := core.Create(dev, core.DefaultOptions(core.LOG))
@@ -307,13 +333,16 @@ func TestOpenRejectsOldLayout(t *testing.T) {
 	dev.WriteU64(header+16, uint64(dir))
 	dev.WriteU64(header+24, 16)
 
-	_, err = Open(h, 3)
 	var fe *FormatError
-	if !errors.As(err, &fe) {
-		t.Fatalf("Open of an old-layout index: %v, want a *FormatError", err)
-	}
-	if fe.RootSlot != 3 || fe.Magic != 0x5048415348363421 || !strings.Contains(err.Error(), `"PHASH64!"`) {
-		t.Fatalf("error does not name the format: %v", err)
+	for magic, name := range map[uint64]string{0x5048415348363421: `"PHASH64!"`, 0x5048415348763221: `"PHASHv2!"`} {
+		dev.WriteU64(header+0, magic)
+		_, err = Open(h, 3)
+		if !errors.As(err, &fe) {
+			t.Fatalf("Open of a %s index: %v, want a *FormatError", name, err)
+		}
+		if fe.RootSlot != 3 || fe.Magic != magic || !strings.Contains(err.Error(), name) {
+			t.Fatalf("error does not name the format %s: %v", name, err)
+		}
 	}
 	// Garbage that is neither layout stays "no index".
 	dev.WriteU64(header+0, 0xDEADBEEF)

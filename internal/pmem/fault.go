@@ -46,12 +46,15 @@ func SealU64(v uint64) uint64 {
 	if v == 0 {
 		return 0
 	}
-	var b [6]byte
+	// The bytewise table loop of crc32.Checksum(b[:6], castagnoli), spelled
+	// out: handing the package a stack buffer makes it escape (the
+	// Castagnoli path is chosen at run time), and a seal sits on every
+	// checkpoint move.
+	crc := ^uint32(0)
 	for i := 0; i < 6; i++ {
-		b[i] = byte(v >> (8 * i))
+		crc = castagnoli[byte(crc)^byte(v>>(8*i))] ^ crc>>8
 	}
-	crc := uint64(crc32.Checksum(b[:], castagnoli) & 0xFFFF)
-	return v | crc<<48
+	return v | uint64(^crc&0xFFFF)<<48
 }
 
 // UnsealU64 validates and unpacks a word written by SealU64. ok is false

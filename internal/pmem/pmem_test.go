@@ -1,6 +1,7 @@
 package pmem
 
 import (
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"sync"
@@ -425,5 +426,34 @@ func TestStrictConcurrentLineNeighbors(t *testing.T) {
 		if got := dev.ReadU64(addr); got != uint64(w)<<32|iters {
 			t.Fatalf("worker %d: final value %#x, want %#x", w, got, uint64(w)<<32|iters)
 		}
+	}
+}
+
+// TestSealU64: the seal is the low 16 bits of CRC-32C over the value's six
+// bytes (the on-media format of every checkpoint and state word), it
+// round-trips, a flipped bit breaks it, and computing it allocates nothing
+// — it runs on every WAL checkpoint move.
+func TestSealU64(t *testing.T) {
+	table := crc32.MakeTable(crc32.Castagnoli)
+	for _, v := range []uint64{1, 2, 0xFF, 1 << 20, 0xA5A5A5A5A5A5, 1<<48 - 1} {
+		b := []byte{byte(v), byte(v >> 8), byte(v >> 16), byte(v >> 24), byte(v >> 32), byte(v >> 40)}
+		want := v | uint64(crc32.Checksum(b, table)&0xFFFF)<<48
+		w := SealU64(v)
+		if w != want {
+			t.Fatalf("SealU64(%#x) = %#x, want %#x", v, w, want)
+		}
+		if got, ok := UnsealU64(w); !ok || got != v {
+			t.Fatalf("UnsealU64(%#x) = %#x, %v", w, got, ok)
+		}
+		if _, ok := UnsealU64(w ^ 1<<7); ok {
+			t.Fatalf("UnsealU64 accepted %#x with a flipped bit", w)
+		}
+	}
+	if SealU64(0) != 0 {
+		t.Fatal("zero must seal to zero")
+	}
+	var sink uint64
+	if n := testing.AllocsPerRun(100, func() { sink += SealU64(sink&0xFFFF + 1) }); n != 0 {
+		t.Fatalf("SealU64 allocates %v objects per call", n)
 	}
 }

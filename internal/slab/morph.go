@@ -157,6 +157,7 @@ func (s *Slab) MorphTo(c *pmem.Ctx, newClass int, persist bool) error {
 	s.Blocks = blocks
 	s.DataOff = dataOff
 	s.bitmapBase = bitmapBase
+	s.snapAt = nil // sized to the old bitmap
 	s.m = m
 	s.lay = layoutFor(blocks, s.m.Stripes(), m)
 	s.free = free
@@ -221,25 +222,21 @@ func (s *Slab) OldBlockAddr(idx int) pmem.PAddr {
 	return s.Base + pmem.PAddr(s.OldDataOff) + pmem.PAddr(idx)*pmem.PAddr(sizeclass.Size(s.OldClass))
 }
 
-// FreeOldBlock releases a block_before: its index-table state is set to
-// free and persisted, occupancy counters are updated, and any new-class
-// block it exclusively occupied becomes allocatable. It reports whether
-// the slab just finished morphing (no old blocks remain), in which case
-// the caller reinserts it into the LRU list as a regular slab.
+// FreeOldBlock releases a block_before: every new-class block it alone
+// occupied becomes allocatable, then its index-table state is set to free
+// and persisted, and the occupancy counters are updated. The index-table
+// word is the free's commit point and goes last: a crash before it leaves
+// the block live — Load pins the new-class blocks under a live index entry
+// again, whatever their bits say — so the free either did not happen or,
+// for a caller that logged it, is simply run again by replay; nothing is
+// left allocated that no block covers. It reports whether the slab just
+// finished morphing (no old blocks remain), in which case the caller
+// reinserts it into the LRU list as a regular slab.
 func (s *Slab) FreeOldBlock(c *pmem.Ctx, idx int, persist bool) (done bool, err error) {
 	slot, ok := s.oldIdx[idx]
 	if !ok {
 		return false, fmt.Errorf("slab %#x: free of unknown old block %d", s.Base, idx)
 	}
-	a := s.Base + pmem.PAddr(idxBase+2*slot)
-	s.dev.WriteU16(a, uint16(idx)) // allocated bit cleared
-	if persist {
-		c.Flush(pmem.CatMeta, a, 2)
-		c.Fence()
-	}
-	delete(s.oldIdx, idx)
-	s.CntSlab--
-
 	oldSize := int64(sizeclass.Size(s.OldClass))
 	lo := int64(s.OldDataOff) + int64(idx)*oldSize
 	hi := lo + oldSize - 1
@@ -252,14 +249,23 @@ func (s *Slab) FreeOldBlock(c *pmem.Ctx, idx int, persist bool) (done bool, err 
 		s.cntBlock[nb]--
 		if s.cntBlock[nb] == 0 {
 			s.FreeBlock(c, int(nb), persist)
-			// Fenced per bit: sharing one trailing fence with the flag
-			// commit below would need its own crashmc trace (demotion is
+			// Fenced per bit: sharing one trailing fence with the index
+			// word below would need its own crashmc trace (demotion is
 			// not part of FenceElisionTrace).
 			if persist {
 				c.Fence()
 			}
 		}
 	}
+	a := s.Base + pmem.PAddr(idxBase+2*slot)
+	s.dev.WriteU16(a, uint16(idx)) // allocated bit cleared
+	if persist {
+		c.Flush(pmem.CatMeta, a, 2)
+		c.Fence()
+	}
+	delete(s.oldIdx, idx)
+	s.CntSlab--
+
 	if s.CntSlab == 0 {
 		// The slab_in becomes a regular slab_after. The demotion is a
 		// single atomic flag commit; the old-class fields go stale but are

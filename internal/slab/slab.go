@@ -21,6 +21,7 @@
 package slab
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
@@ -169,12 +170,20 @@ type Slab struct {
 	resBits    []uint64       // logical-index bitmap: 1 = reserved in a tcache
 
 	// dirty is the write-back set of the LOG variant: bit i means line i of
-	// the bitmap region was written in the cache image by a WAL-covered
-	// commit and not flushed since. A bitmap spans at most 64 lines (the
-	// 64-stripe layout of the smallest class; 18 with the default six
-	// stripes), so one word covers it. Guarded by the owning arena's
-	// resource, like the WAL whose checkpoint drains it.
-	dirty uint64
+	// the bitmap region may differ from what is on media, because a
+	// WAL-covered commit wrote it in the cache image without flushing. A
+	// bitmap spans at most 64 lines (the 64-stripe layout of the smallest
+	// class; 18 with the default six stripes), so one word covers it.
+	// snapAt[i] locates, for a dirty line i, its bytes as they were when it
+	// went dirty — which is what the media holds, every other line being
+	// clean — so FlushDirty can skip a line whose writes cancelled out. The
+	// snapshots themselves live in a pool the caller of MarkDirty owns (the
+	// arena whose ring covers the writes): it grows by one line per line
+	// dirtied and is emptied at every write-back, so it is bounded by one
+	// checkpoint period, not by the number of slabs. Both fields are guarded
+	// by that arena's resource, like the WAL whose checkpoint drains them.
+	dirty  uint64
+	snapAt []uint32
 
 	// Bump-pointer fast path for freshly formatted slabs: while fresh is
 	// true no block has ever been released, so the occupied blocks are
@@ -412,29 +421,67 @@ func (s *Slab) writePersistentBit(c *pmem.Ctx, idx int, val, persist bool) {
 	s.dev.WriteU8(addr, b)
 	if persist {
 		c.FlushU64(pmem.CatMeta, addr)
+		// The eager flush carried the line's deferred bits along: it is
+		// clean now, and its snapshot is no longer what the media holds.
+		s.dirty &^= 1 << (off / (8 * pmem.LineSize))
 	}
 }
 
-// MarkDirty records that block idx's bitmap line was written without a
-// flush and reports whether this is the slab's first dirty line since its
-// last FlushDirty — the caller's cue to queue the slab for write-back.
-func (s *Slab) MarkDirty(idx int) (first bool) {
+// bitmapLine returns the cache-image bytes of line i of the bitmap region
+// (which starts on a line boundary).
+func (s *Slab) bitmapLine(i int) []byte {
+	return s.dev.Bytes(s.Base+pmem.PAddr(s.bitmapBase)+pmem.PAddr(i*pmem.LineSize), pmem.LineSize)
+}
+
+// MarkDirty announces that block idx's bitmap bit is about to be written
+// without a flush. It must precede the write: a line going dirty is
+// snapshotted, into pool, as the media still has it. It reports whether
+// this is the slab's first dirty line since its last FlushDirty — the
+// caller's cue to queue the slab for write-back. The same pool goes to
+// FlushDirty, and may be emptied once every slab marked into it has been
+// flushed.
+func (s *Slab) MarkDirty(idx int, pool *[]byte) (first bool) {
+	line := int(s.lay.off[idx]) / (8 * pmem.LineSize)
+	if s.dirty&(1<<line) != 0 {
+		return false
+	}
 	first = s.dirty == 0
-	s.dirty |= 1 << (s.lay.off[idx] / (8 * pmem.LineSize))
+	s.dirty |= 1 << line
+	if s.snapAt == nil {
+		s.snapAt = make([]uint32, (s.DataOff-s.bitmapBase+pmem.LineSize-1)/pmem.LineSize)
+	}
+	s.snapAt[line] = uint32(len(*pool) / pmem.LineSize)
+	*pool = append(*pool, s.bitmapLine(line)...)
 	return first
 }
 
-// FlushDirty flushes every line MarkDirty recorded, in address order,
-// forgets them, and reports whether there were any. It never fences (see
-// writePersistentBit).
-func (s *Slab) FlushDirty(c *pmem.Ctx) (flushed bool) {
-	bitmap := s.Base + pmem.PAddr(s.bitmapBase) // line-aligned
+// FlushDirty writes back, in address order, every dirty line whose bytes
+// differ from what the media holds — a block freed and allocated again
+// between two write-backs leaves its line as it was and costs nothing —
+// forgets them all, and reports whether it flushed any. It never fences
+// (see writePersistentBit).
+func (s *Slab) FlushDirty(c *pmem.Ctx, pool []byte) (flushed bool) {
 	for m := s.dirty; m != 0; m &= m - 1 {
-		c.FlushU64(pmem.CatMeta, bitmap+pmem.PAddr(bits.TrailingZeros64(m)*pmem.LineSize))
+		line := bits.TrailingZeros64(m)
+		at := int(s.snapAt[line]) * pmem.LineSize
+		if !bytes.Equal(s.bitmapLine(line), pool[at:at+pmem.LineSize]) {
+			c.FlushU64(pmem.CatMeta, s.Base+pmem.PAddr(s.bitmapBase)+pmem.PAddr(line*pmem.LineSize))
+			flushed = true
+		}
 	}
-	flushed = s.dirty != 0
 	s.dirty = 0
 	return flushed
+}
+
+// DirtyLines returns the write-back mask: bit i set means line i of the
+// bitmap region may differ from the media. For tests of the invariant
+// net-change write-back rests on: every other line is on media as it is
+// in the cache image.
+func (s *Slab) DirtyLines() uint64 { return s.dirty }
+
+// BitmapRange returns the slab's bitmap region.
+func (s *Slab) BitmapRange() pmem.Range {
+	return pmem.Range{Start: s.Base + pmem.PAddr(s.bitmapBase), End: s.Base + pmem.PAddr(s.DataOff)}
 }
 
 // AllocBlock marks block idx allocated (volatile + persistent bit).
@@ -530,7 +577,7 @@ func (s *Slab) Unreserve(idx int) {
 
 // CommitAlloc turns a reserved block into an allocated one: the
 // persistent bitmap bit is set and, when persist is true, flushed (IC;
-// LOG passes false and calls MarkDirty). This is the per-malloc metadata
+// LOG passes false, having called MarkDirty). This is the per-malloc metadata
 // write whose cache line the interleaved mapping varies.
 func (s *Slab) CommitAlloc(c *pmem.Ctx, idx int, persist bool) {
 	s.resBits[idx/64] &^= 1 << (idx % 64)
@@ -572,6 +619,7 @@ func (s *Slab) SyncBitmap(c *pmem.Ctx) {
 	}
 	c.Flush(pmem.CatMeta, s.Base+pmem.PAddr(s.bitmapBase), int(s.DataOff-s.bitmapBase))
 	c.Fence()
+	s.dirty = 0 // the whole bitmap is on media
 }
 
 // FreeCount returns the number of blocks neither allocated nor reserved.

@@ -1,6 +1,7 @@
 package slab
 
 import (
+	"math/bits"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -540,16 +541,17 @@ func TestMarkDirtyFlushDirty(t *testing.T) {
 	dev, c, s := newSlab(t, 4, 6)
 	idxs := s.Reserve(14, nil)
 	lines := map[pmem.PAddr]bool{}
+	var pool []byte
 	for i, idx := range idxs {
-		s.CommitAlloc(c, idx, false)
-		if first := s.MarkDirty(idx); first != (i == 0) {
+		if first := s.MarkDirty(idx, &pool); first != (i == 0) {
 			t.Fatalf("MarkDirty #%d reported first=%v", i, first)
 		}
+		s.CommitAlloc(c, idx, false)
 		off := s.m.BitOffset(idx)
 		lines[(s.Base+pmem.PAddr(s.bitmapBase)+pmem.PAddr(off/8))&^(pmem.LineSize-1)] = true
 	}
 	before := c.Local()
-	s.FlushDirty(c)
+	s.FlushDirty(c, pool)
 	after := c.Local()
 	if got := int(after.Flushes - before.Flushes); got != len(lines) {
 		t.Fatalf("%d flushes for %d distinct lines", got, len(lines))
@@ -571,7 +573,96 @@ func TestMarkDirtyFlushDirty(t *testing.T) {
 			t.Fatalf("block %d lost after write-back", idx)
 		}
 	}
-	if !s.MarkDirty(idxs[0]) {
+	if pool = pool[:0]; !s.MarkDirty(idxs[0], &pool) {
 		t.Fatal("mask not cleared by FlushDirty")
+	}
+}
+
+// mediaEqualsCache reports whether the slab's bitmap region reads the same
+// on the media as in the cache image.
+func mediaEqualsCache(dev *pmem.Device, s *Slab) bool {
+	media := dev.Clone()
+	media.Crash()
+	r := s.BitmapRange()
+	return string(dev.Bytes(r.Start, int(r.End-r.Start))) == string(media.Bytes(r.Start, int(r.End-r.Start)))
+}
+
+// TestFlushDirtySkipsNetZeroLines: a line whose deferred writes cancelled
+// out — a block freed and allocated again, as a tcache does between two
+// write-backs — is not flushed, a line that did change is, and either way
+// the media ends up equal to the cache image.
+func TestFlushDirtySkipsNetZeroLines(t *testing.T) {
+	dev, c, s := newSlab(t, 4, 6)
+	idxs := s.Reserve(12, nil)
+	for _, idx := range idxs {
+		s.CommitAlloc(c, idx, true) // eager: the media holds all twelve
+	}
+	c.Fence()
+	// Toggle one block per stripe line back and forth; leave one freed.
+	var pool []byte
+	for i, idx := range idxs[:6] {
+		s.MarkDirty(idx, &pool)
+		s.CommitFreeToCache(c, idx, false)
+		if i > 0 {
+			s.MarkDirty(idx, &pool)
+			s.CommitAlloc(c, idx, false)
+		}
+	}
+	if len(pool) != 6*pmem.LineSize {
+		t.Fatalf("pool holds %d bytes, want one line per dirty line", len(pool))
+	}
+	if n := bits.OnesCount64(s.DirtyLines()); n != 6 {
+		t.Fatalf("%d dirty lines, want one per stripe", n)
+	}
+	before := c.Local().Flushes
+	if !s.FlushDirty(c, pool) {
+		t.Fatal("FlushDirty reported nothing flushed with a changed line")
+	}
+	if f := c.Local().Flushes - before; f != 1 {
+		t.Fatalf("%d lines written back, want the one that changed", f)
+	}
+	if s.DirtyLines() != 0 || !mediaEqualsCache(dev, s) {
+		t.Fatal("write-back left the media behind the cache image")
+	}
+	// Nothing but cancelled writes: no flush at all.
+	pool = pool[:0]
+	s.MarkDirty(idxs[7], &pool)
+	s.CommitFreeToCache(c, idxs[7], false)
+	s.MarkDirty(idxs[7], &pool)
+	s.CommitAlloc(c, idxs[7], false)
+	before = c.Local().Flushes
+	if s.FlushDirty(c, pool) || c.Local().Flushes != before {
+		t.Fatal("FlushDirty flushed a line whose bytes are what the media holds")
+	}
+	if !mediaEqualsCache(dev, s) {
+		t.Fatal("media differs from the cache image")
+	}
+}
+
+// TestEagerFlushCleansDirtyLine: an eager flush of a line that holds
+// deferred bits (a block_before's demotion does one) carries them to the
+// media, so the line's snapshot is void. Keeping it would let a later
+// write-back compare against bytes the media no longer holds and skip a
+// line that differs.
+func TestEagerFlushCleansDirtyLine(t *testing.T) {
+	dev, c, s := newSlab(t, 4, 1) // one stripe: every bit in the first line
+	a, b := 3, 5
+	var pool []byte
+	s.AllocBlock(c, b, true) // media: {b}
+	s.MarkDirty(a, &pool)    // snapshot {b}
+	s.AllocBlock(c, a, false)
+	s.FreeBlock(c, b, true) // eager: media {a}, and the line is clean
+	if s.DirtyLines() != 0 {
+		t.Fatal("line still dirty after an eager flush of it")
+	}
+	s.MarkDirty(a, &pool)
+	s.FreeBlock(c, a, false)
+	s.MarkDirty(b, &pool)
+	s.AllocBlock(c, b, false) // cache image {b}: what the void snapshot held
+	if !s.FlushDirty(c, pool) {
+		t.Fatal("FlushDirty skipped a line that differs from the media")
+	}
+	if !mediaEqualsCache(dev, s) {
+		t.Fatal("media differs from the cache image")
 	}
 }

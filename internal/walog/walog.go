@@ -4,6 +4,17 @@
 // slab bitmaps (Section 5.1 of the paper, applied to WALs), so that
 // consecutive transactions flush different cache lines.
 //
+// Entry layout (32 B, little endian; addresses are 48-bit, so a publish
+// entry can name a slot and two blocks):
+//
+//	[0,8)   Seq
+//	[8,14)  Addr
+//	[14,20) Aux
+//	[20,26) Old
+//	[26,28) Aux2
+//	[28]    Op
+//	[29,32) 24-bit checksum over everything before it
+//
 // The log is a ring. Every entry carries a monotonically increasing
 // sequence number; a persisted checkpoint sequence bounds replay: entries
 // with Seq <= checkpoint have fully persisted effects and are skipped.
@@ -38,24 +49,53 @@ const headerSize = pmem.LineSize
 // Op identifies what a WAL entry records.
 type Op uint8
 
-// WAL operation codes.
+// WAL operation codes. OpMallocTo and OpFreeFrom are the two-call
+// publish records of the paper's baseline allocators (internal/baseline);
+// NVAlloc itself logs OpPublish.
 const (
 	OpNone     Op = iota
 	OpAllocBit    // small block allocated: set bitmap bit
 	OpFreeBit     // small block freed: clear bitmap bit
-	OpMallocTo    // atomic malloc_to: Addr=user slot, Aux=block, Aux2=size
-	OpFreeFrom    // atomic free_from: Addr=user slot, Aux=block
+	OpMallocTo    // baseline malloc_to: Addr=user slot, Aux=block
+	OpFreeFrom    // baseline free_from: Addr=user slot, Aux=block
 	OpMorph       // slab morph step: Addr=slab, Aux=step
 	OpRetire      // slab released: Addr=slab; voids this ring's earlier bit entries for it
+	OpPublish     // slot commit: Addr=slot, Aux=new block, Old=superseded block (either may be 0), Aux2=their class tags
 )
+
+// AddrBits is the width of the three address fields of an entry. Append
+// panics on a wider value: a heap lays its device out below 1<<AddrBits.
+const AddrBits = 48
 
 // Entry is one decoded WAL record.
 type Entry struct {
 	Seq  uint64
 	Addr pmem.PAddr
 	Aux  uint64
-	Aux2 uint32
+	Old  pmem.PAddr
+	Aux2 uint16
 	Op   Op
+}
+
+// pack lays e's fields after Seq out as three words, checksum excluded.
+func (e *Entry) pack() (w1, w2, w3 uint64) {
+	if (uint64(e.Addr)|e.Aux|uint64(e.Old))>>AddrBits != 0 {
+		panic("walog: entry field wider than 48 bits")
+	}
+	w1 = uint64(e.Addr) | e.Aux<<48
+	w2 = e.Aux>>16 | uint64(e.Old)<<32
+	w3 = uint64(e.Old)>>32 | uint64(e.Aux2)<<16 | uint64(e.Op)<<32
+	return
+}
+
+// unpack is pack's inverse; w3's checksum byte positions are ignored.
+func (e *Entry) unpack(w1, w2, w3 uint64) {
+	const mask = 1<<AddrBits - 1
+	e.Addr = pmem.PAddr(w1 & mask)
+	e.Aux = (w1>>48 | w2<<16) & mask
+	e.Old = pmem.PAddr((w2>>32 | w3<<32) & mask)
+	e.Aux2 = uint16(w3 >> 16)
+	e.Op = Op(w3 >> 32)
 }
 
 // Log is a write-ahead log over a fixed PM region. It is not
@@ -89,16 +129,23 @@ func RegionSize(n, stripes int) int {
 }
 
 // entryCheck computes the 24-bit integrity checksum over an entry's
-// payload fields. It is a multiplicative mix rather than a table CRC:
-// the simulated device tears at 8-byte-word granularity, so any stale or
+// payload words. It is a multiplicative mix rather than a table CRC: the
+// simulated device tears at 8-byte-word granularity, so any stale or
 // zeroed word changes the mix with ~2^-24 collision probability — the
 // same detection strength a CRC24 gives against tears — at a fraction of
-// the cost on a path every malloc and free runs through.
-func entryCheck(seq, addr, aux uint64, aux2 uint32, op byte) uint32 {
+// the cost on a path every malloc and free runs through. Each round folds
+// its high half down before the next multiply: a product only carries
+// differences upwards, and the packed layout puts the low 16 bits of Aux —
+// what differs between two entries that reuse a ring slot for the same
+// slot word — in the top bits of a word, where without the fold they
+// would reach just eight bits of the result.
+func entryCheck(seq, w1, w2, w3 uint64) uint32 {
 	x := seq
-	x = (x ^ addr) * 0x9E3779B97F4A7C15
-	x = (x ^ aux) * 0xBF58476D1CE4E5B9
-	x = (x ^ uint64(aux2)<<8 ^ uint64(op)) * 0x94D049BB133111EB
+	x = (x ^ w1) * 0x9E3779B97F4A7C15
+	x ^= x >> 32
+	x = (x ^ w2) * 0xBF58476D1CE4E5B9
+	x ^= x >> 32
+	x = (x ^ w3) * 0x94D049BB133111EB
 	x ^= x >> 32
 	return uint32(x) & 0xFFFFFF
 }
@@ -164,15 +211,11 @@ func (l *Log) Append(c *pmem.Ctx, e Entry) uint64 {
 
 	a := l.slotAddr(slot)
 	buf := l.dev.Bytes(a, EntrySize)
+	w1, w2, w3 := e.pack()
 	binary.LittleEndian.PutUint64(buf[0:], e.Seq)
-	binary.LittleEndian.PutUint64(buf[8:], uint64(e.Addr))
-	binary.LittleEndian.PutUint64(buf[16:], e.Aux)
-	binary.LittleEndian.PutUint32(buf[24:], e.Aux2)
-	buf[28] = byte(e.Op)
-	crc := entryCheck(e.Seq, uint64(e.Addr), e.Aux, e.Aux2, byte(e.Op))
-	buf[29] = byte(crc)
-	buf[30] = byte(crc >> 8)
-	buf[31] = byte(crc >> 16)
+	binary.LittleEndian.PutUint64(buf[8:], w1)
+	binary.LittleEndian.PutUint64(buf[16:], w2)
+	binary.LittleEndian.PutUint64(buf[24:], w3|uint64(entryCheck(e.Seq, w1, w2, w3))<<40)
 	// Slots are 32 B units packed two per cache line, so an entry never
 	// crosses a line boundary: one single-line flush covers it.
 	c.FlushU64(pmem.CatWAL, a)
@@ -230,13 +273,13 @@ func (l *Log) Replay(c *pmem.Ctx, fn func(Entry)) (int, error) {
 		if zero {
 			continue // never written
 		}
-		crc := uint32(raw[29]) | uint32(raw[30])<<8 | uint32(raw[31])<<16
-		seq := l.dev.ReadU64(a)
-		addr := l.dev.ReadU64(a + 8)
-		aux := l.dev.ReadU64(a + 16)
-		aux2 := l.dev.ReadU32(a + 24)
-		op := l.dev.ReadU8(a + 28)
-		if entryCheck(seq, addr, aux, aux2, op) != crc || seq == 0 || int((seq-1)%uint64(l.n)) != slot {
+		seq := binary.LittleEndian.Uint64(raw[0:])
+		w1 := binary.LittleEndian.Uint64(raw[8:])
+		w2 := binary.LittleEndian.Uint64(raw[16:])
+		w3 := binary.LittleEndian.Uint64(raw[24:])
+		crc := uint32(w3 >> 40)
+		w3 &= 1<<40 - 1
+		if entryCheck(seq, w1, w2, w3) != crc || seq == 0 || int((seq-1)%uint64(l.n)) != slot {
 			if invalid >= 0 {
 				return 0, pmem.Corrupt("wal", a, "multiple invalid entries (slots %d and %d)", invalid, slot)
 			}
@@ -246,13 +289,9 @@ func (l *Log) Replay(c *pmem.Ctx, fn func(Entry)) (int, error) {
 		if seq <= ckpt {
 			continue
 		}
-		live = append(live, Entry{
-			Seq:  seq,
-			Addr: pmem.PAddr(addr),
-			Aux:  aux,
-			Aux2: aux2,
-			Op:   Op(op),
-		})
+		e := Entry{Seq: seq}
+		e.unpack(w1, w2, w3)
+		live = append(live, e)
 		if seq > maxSeq {
 			maxSeq = seq
 		}

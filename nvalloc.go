@@ -33,6 +33,14 @@
 //	// ... crash ...
 //	heap, recoveryNS, err := nvalloc.Open(dev, nvalloc.Options{})
 //	p = nvalloc.PAddr(dev.ReadU64(heap.RootSlot(0))) // still valid
+//
+// MallocTo is Reserve followed by Publish. Used apart, they replace what
+// any persistent 8-byte word references in one crash-atomic step, with the
+// new block filled before it becomes reachable:
+//
+//	p, err := th.Reserve(128)      // nothing persistent happens yet
+//	// ... write the block, flush it ...
+//	err = th.Publish(slot, p, old) // slot -> p, p allocated, old freed: all or nothing
 package nvalloc
 
 import (
