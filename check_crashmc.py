@@ -10,9 +10,9 @@ Enforced (see the baseline's comment field):
     pruning at or above min_pruning, at least min_schedules_run variant
     schedules executed, and zero violations across every explored
     schedule x boundary;
-  - fence-elision, write-back and publish families: their own boundary
-    floors, 100% coverage, zero violations, and the events each trace
-    must still reach.
+  - fence-elision, write-back, publish and compaction families: their own
+    boundary floors, 100% coverage, zero violations, and the events each
+    trace must still reach.
 
 Exits non-zero with a list of regressions. Regenerate the baseline
 (never in CI) with: go run ./cmd/nvbench -exp crashmc -crashmc.update
@@ -155,36 +155,47 @@ if wback:
         print(f"{who}: {b} boundaries, {e} explored, {v} violations, "
               + ", ".join(f"{k[4:]} {n} (floor {wback[k]})" for k, n in got.items() if k != "min_boundaries"))
 
-# Table 6: the publish family. One WAL entry names a slot, the block it
-# gains and the block it supersedes; the trace drives every kind of such
-# group over the minimum ring and the oracle demands that the recovered
-# heap's objects are exactly the blocks the trace holds.
-pub = base.get("publish")
-if pub:
-    rows = [r for r in csv.DictReader(open(f"{outdir}/crashmc_table6.csv"))
+# Tables 6 and 7: the publish and compaction families. Each section of the
+# baseline names, as min_<column>, a floor on a column of the family's
+# table.
+#
+# Publish: one WAL entry names a slot, the block it gains and the block it
+# supersedes; the trace drives every kind of such group over the minimum
+# ring and the oracle demands that the recovered heap's objects are exactly
+# the blocks the trace holds.
+#
+# Compaction: Open compacts a bookkeeping-log shard only when it is over
+# its slow-GC threshold; the trace holds the log there for long runs of
+# operations, and every recovery that compacts is itself crashed after
+# each of its flushes.
+for section, table in (("publish", 6), ("compaction", 7)):
+    floors = base.get(section)
+    if not floors:
+        continue
+    rows = [r for r in csv.DictReader(open(f"{outdir}/crashmc_table{table}.csv"))
             if r["allocator"]]
     if not rows:
-        fail.append("publish family missing from report")
+        fail.append(f"{section} family missing from report")
     for r in rows:
-        who = f"{r['allocator']}/publish"
+        who = f"{r['allocator']}/{section}"
         try:
             b, e, v = int(r["boundaries"]), int(r["explored"]), int(r["violations"])
             got = {"min_boundaries": b}
-            for key in pub:
+            for key in floors:
                 if key != "min_boundaries":
                     got[key] = int(r[key[4:]])
         except (ValueError, KeyError):
             fail.append(f"{who}: {r['boundaries']}")
             continue
         for key, val in got.items():
-            if val < pub[key]:
-                fail.append(f"{who}: {key[4:]} {val} < baseline floor {pub[key]}")
+            if val < floors[key]:
+                fail.append(f"{who}: {key[4:]} {val} < baseline floor {floors[key]}")
         if e < b:
             fail.append(f"{who}: coverage {e}/{b} < 100%")
         if v and base["require_zero_violations"]:
             fail.append(f"{who}: {v} oracle violations")
         print(f"{who}: {b} boundaries, {e} explored, {v} violations, "
-              + ", ".join(f"{k[4:]} {n} (floor {pub[k]})" for k, n in got.items() if k != "min_boundaries"))
+              + ", ".join(f"{k[4:]} {n} (floor {floors[k]})" for k, n in got.items() if k != "min_boundaries"))
 
 if fail:
     sys.exit("crashmc coverage regression:\n  " + "\n  ".join(fail))

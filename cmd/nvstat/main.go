@@ -74,11 +74,11 @@ func main() {
 		case *repair:
 			heap = runRepair(dev, path)
 		default:
-			h, ns, err := nvalloc.Open(dev, nvalloc.Options{})
+			h, _, err := nvalloc.Open(dev, nvalloc.Options{})
 			if err != nil {
 				fatal(err)
 			}
-			fmt.Printf("opened image %s (recovery: %.2f ms virtual)\n\n", path, float64(ns)/1e6)
+			fmt.Printf("opened image %s\nrecovery:         %v\n\n", path, h.Recovery())
 			heap = h
 		}
 	default:

@@ -149,7 +149,7 @@ func Open(dev pmem.Dev, cfg Config) (*Heap, int64, error) {
 			if err != nil {
 				return nil, 0, err
 			}
-			if _, err := w.Replay(rc, func(e walog.Entry) { h.applyWAL(rc, e) }); err != nil {
+			if err := h.replayRing(rc, w); err != nil {
 				return nil, 0, err
 			}
 			w.Checkpoint(rc)
@@ -202,11 +202,11 @@ func Open(dev pmem.Dev, cfg Config) (*Heap, int64, error) {
 		// crashed sweep above already paid the WAL travel after a crash).
 		if !crashed {
 			for _, a := range h.arenas {
-				if _, err := a.wal.Replay(c, func(e walog.Entry) { h.applyWAL(c, e) }); err != nil {
+				if err := h.replayRing(c, a.wal); err != nil {
 					return nil, 0, err
 				}
 			}
-			if _, err := h.largeWAL.Replay(c, func(walog.Entry) {}); err != nil {
+			if _, err := h.largeWAL.Replay(c); err != nil {
 				return nil, 0, err
 			}
 		}
@@ -306,6 +306,18 @@ func (h *Heap) rebuildFreelists() {
 		s.rebuildFreelist()
 		return true
 	})
+}
+
+// replayRing scans w and re-applies its live entries in sequence order.
+func (h *Heap) replayRing(c *pmem.Ctx, w *walog.Log) error {
+	ents, err := w.Replay(c)
+	if err != nil {
+		return err
+	}
+	for _, e := range ents {
+		h.applyWAL(c, e)
+	}
+	return nil
 }
 
 // applyWAL re-applies a small-allocation WAL record idempotently.

@@ -256,17 +256,24 @@ func (s *Sharded) SetSlowGCThreshold(total uint64) {
 	}
 }
 
-// SlowGCAll drives a full slow GC on every shard (recovery-time
-// compaction). Shards that cannot shrink (capacity check) or that have
-// a publish in flight are skipped.
-func (s *Sharded) SlowGCAll(c *pmem.Ctx) {
+// MaybeGCAll runs every shard's GC policy once (Log.MaybeGC, what a free
+// routed to the shard would run first) and returns how many shards were
+// over their slow-GC threshold. Open calls it on the reopened log, so a
+// shard is compacted at open only when its next free would have begun the
+// same compaction. A shard with a publish in flight is skipped.
+func (s *Sharded) MaybeGCAll(c *pmem.Ctx) (slow int) {
 	for i, l := range s.shards {
 		s.res[i].Acquire(c)
 		if l.outstanding == 0 {
-			_, _ = l.SlowGC(c)
+			before := l.slowGCs
+			l.MaybeGC(c)
+			if l.gc != nil || l.slowGCs != before {
+				slow++
+			}
 		}
 		s.res[i].Release(c)
 	}
+	return slow
 }
 
 // NumShards returns the shard count.

@@ -83,7 +83,13 @@ func TestShardedAppendersRaceIncrementalGC(t *testing.T) {
 		c := dev.NewCtx()
 		defer c.Merge()
 		for i := 0; i < 64; i++ {
-			s.SlowGCAll(c)
+			for j, l := range s.shards {
+				s.res[j].Acquire(c)
+				if l.outstanding == 0 {
+					_, _ = l.SlowGC(c)
+				}
+				s.res[j].Release(c)
+			}
 		}
 	}()
 	wg.Wait()

@@ -217,8 +217,10 @@ func superCRC(dev pmem.Dev) uint32 {
 	return crc32.Checksum(buf[:], crcTable)
 }
 
-// Heap run-state values (the paper's per-arena flag, kept globally plus
-// per arena).
+// Heap run-state values. The paper keeps the flag per arena; here the one
+// sealed superblock word covers them all. Superblock bytes [1024,1024+8*
+// arenas) once held a per-arena copy that nothing ever read; they stay
+// reserved.
 const (
 	stateFresh    = 0
 	stateRunning  = 1
@@ -231,9 +233,6 @@ const (
 	// redo, and no ring is left half-truncated for replay to reason about.
 	stateClosing = 4
 )
-
-// arenaFlagsBase: per-arena run-state flags live in the superblock page.
-const arenaFlagsBase = superBase + 1024
 
 // Heap is an NVAlloc heap instance.
 type Heap struct {
@@ -268,6 +267,8 @@ type Heap struct {
 	closed    bool
 
 	heapBase pmem.PAddr
+
+	recovery Recovery // what Open did; zero on a heap Create formatted
 }
 
 var _ alloc.Heap = (*Heap)(nil)
@@ -331,7 +332,6 @@ func Create(dev pmem.Dev, opts Options) (*Heap, error) {
 			return nil, err
 		}
 		h.arenas[i].wal = wal
-		c.PersistU64(pmem.CatMeta, arenaFlagsBase+pmem.PAddr(i*8), stateRunning)
 	}
 	return h, nil
 }
@@ -581,13 +581,12 @@ func (h *Heap) Close() error {
 	// to replay the survivors of a partial truncation (see stateClosing).
 	c.PersistU64(pmem.CatMeta, superBase+sbState, pmem.SealU64(stateClosing))
 	c.Fence()
-	for i, a := range h.arenas {
+	for _, a := range h.arenas {
 		if a.wal != nil {
 			a.res.Acquire(c)
 			a.wal.Checkpoint(c)
 			a.res.Release(c)
 		}
-		c.PersistU64(pmem.CatMeta, arenaFlagsBase+pmem.PAddr(i*8), stateShutdown)
 	}
 	c.PersistU64(pmem.CatMeta, superBase+sbState, pmem.SealU64(stateShutdown))
 	c.Fence()

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"fmt"
+
 	"nvalloc/internal/blog"
 	"nvalloc/internal/extent"
 	"nvalloc/internal/pmem"
@@ -67,13 +69,54 @@ func validateSuper(dev pmem.Dev) error {
 	return nil
 }
 
+// Recovery is what one Open did, phase by phase in the order it ran them.
+// The *NS fields are virtual nanoseconds of Open's own context and add up
+// to the figure Open returns (reading the bookkeeping log back is charged
+// to a context of the log's own and appears in neither).
+type Recovery struct {
+	// Crashed: the previous session did not Close; the variant's failure
+	// recovery (WAL replay for LOG, conservative GC for GC) ran.
+	Crashed bool
+
+	BookLogNS int64 // bookkeeping-log GC policy, or the in-place header scan
+	ExtentNS  int64 // extent tree and free lists from the live records
+	SlabNS    int64 // slab headers and volatile bitmaps, morph undo
+	WALNS     int64 // ring scans, replay, write-back and checkpoints (or the GC variant's mark and sweep)
+	StateNS   int64 // the two run-state word commits
+
+	ShardsCompacted  int // bookkeeping-log shards found over their slow-GC threshold
+	SlabsLoaded      int
+	EntriesReplayed  int // live WAL entries the ring scans returned
+	EntriesRetired   int // of those, dropped unapplied: voided by a later slab release, or all of them after a crash inside Close
+	LinesWrittenBack int // bitmap lines flushed ahead of the rings' checkpoints
+}
+
+// TotalNS is the recovery's virtual time: what Open returned.
+func (r Recovery) TotalNS() int64 {
+	return r.BookLogNS + r.ExtentNS + r.SlabNS + r.WALNS + r.StateNS
+}
+
+func (r Recovery) String() string {
+	us := func(ns int64) float64 { return float64(ns) / 1e3 }
+	return fmt.Sprintf("%.1f us virtual (book log %.1f, extents %.1f, slabs %.1f, wal %.1f, state %.1f); "+
+		"crashed=%v, %d shards compacted, %d slabs loaded, %d wal entries (%d retired), %d lines written back",
+		us(r.TotalNS()), us(r.BookLogNS), us(r.ExtentNS), us(r.SlabNS), us(r.WALNS), us(r.StateNS),
+		r.Crashed, r.ShardsCompacted, r.SlabsLoaded, r.EntriesReplayed, r.EntriesRetired, r.LinesWrittenBack)
+}
+
+// Recovery reports what the Open that produced this heap did. It is the
+// zero value on a heap Create formatted.
+func (h *Heap) Recovery() Recovery { return h.recovery }
+
 // Open reopens an existing heap after a restart or crash (Section 4.4).
-// It performs the normal-shutdown recovery — recreate arenas, reopen
-// heap/log regions, slow-GC the bookkeeping log, rebuild vslabs and
-// VEHs — and, if the persisted state flag shows the previous run did not
-// shut down cleanly, additionally resolves leaks per the variant's
-// consistency model: WAL replay for NVAlloc-LOG, conservative GC for
-// NVAlloc-GC. It returns the recovery's virtual nanoseconds.
+// It does each recovery job once: reopen the bookkeeping log and run its
+// GC policy, rebuild the extent tree from the live records, load every
+// slab (morph undo inside slab.Load), reopen the WAL rings and, if the
+// persisted state word shows the previous run did not shut down cleanly,
+// resolve leaks per the variant's consistency model: one scan of each
+// ring and a replay for NVAlloc-LOG, conservative GC for NVAlloc-GC. It
+// returns the recovery's virtual nanoseconds; Heap.Recovery breaks them
+// down.
 func Open(dev pmem.Dev, opts Options) (*Heap, int64, error) {
 	if err := validateSuper(dev); err != nil {
 		return nil, 0, err
@@ -101,12 +144,21 @@ func Open(dev pmem.Dev, opts Options) (*Heap, int64, error) {
 	// must not queue behind the bank load the previous session left.
 	dev.ResetTimeline()
 	c := dev.NewCtx()
+	// lap closes a phase: the virtual time since the previous lap.
+	var lapped int64
+	lap := func() int64 {
+		d := c.Now - lapped
+		lapped = c.Now
+		return d
+	}
+	rep := &h.recovery
 	state, ok := pmem.UnsealU64(dev.ReadU64(superBase + sbState))
 	if !ok {
 		return nil, 0, pmem.Corrupt("superblock", superBase+sbState, "run-state word fails seal check")
 	}
 	crashed := state != stateShutdown
 	closing := state == stateClosing
+	rep.Crashed = crashed
 	// Mark recovery in progress so a crash *during* recovery is detected.
 	// A closing-state crash keeps its marker instead: recovery from it is
 	// idempotent, and downgrading to stateRecovery would re-arm WAL replay
@@ -115,6 +167,7 @@ func Open(dev pmem.Dev, opts Options) (*Heap, int64, error) {
 		c.PersistU64(pmem.CatMeta, superBase+sbState, pmem.SealU64(stateRecovery))
 		c.Fence()
 	}
+	rep.StateNS = lap()
 
 	// Reopen the bookkeeper and enumerate live extents.
 	var records []extent.LiveRecord
@@ -130,11 +183,13 @@ func Open(dev pmem.Dev, opts Options) (*Heap, int64, error) {
 		} else if opts.BlogGCThreshold > 0 {
 			bl.SetSlowGCThreshold(opts.BlogGCThreshold)
 		}
-		// Normal-shutdown recovery performs a slow GC to drop tombstones
-		// (Section 4.4).
-		if opts.BlogGC {
-			bl.SlowGCAll(c)
-		}
+		// The paper compacts the log at every open (Section 4.4). Here a
+		// shard is compacted only when it is over its threshold, which is
+		// when its next free would have begun the same compaction:
+		// tombstones come only from frees, and every free runs this
+		// policy, so the log stays bounded without an unconditional
+		// rewrite at open.
+		rep.ShardsCompacted = bl.MaybeGCAll(c)
 		h.blog = bl
 		h.book = bl
 		for _, r := range recs {
@@ -145,6 +200,7 @@ func Open(dev pmem.Dev, opts Options) (*Heap, int64, error) {
 		h.book = ib
 		records = ib.Recover(c)
 	}
+	rep.BookLogNS = lap()
 
 	// Rebuild the large allocator (gaps become reclaimed extents).
 	large, live, err := extent.Rebuild(dev, h.book, extent.Config{
@@ -162,6 +218,7 @@ func Open(dev pmem.Dev, opts Options) (*Heap, int64, error) {
 	// extents never survive a restart: unrecorded space was rebuilt as
 	// free, recorded shard sub-allocations as ordinary global extents.
 	h.initExtentLayer()
+	rep.ExtentNS = lap()
 
 	// Rebuild vslabs; morph undo happens inside slab.Load.
 	next := 0
@@ -190,6 +247,8 @@ func Open(dev pmem.Dev, opts Options) (*Heap, int64, error) {
 			a.lruPushTail(s)
 		}
 	}
+	rep.SlabsLoaded = next
+	rep.SlabNS = lap()
 
 	// Reopen the WALs.
 	for i := range h.arenas {
@@ -206,16 +265,19 @@ func Open(dev pmem.Dev, opts Options) (*Heap, int64, error) {
 			if closing {
 				// The crash hit Close's checkpoint window: every logged
 				// operation already persisted in full before Close began, so
-				// the surviving entries are retired unapplied. Replay with a
-				// no-op visitor still CRC-validates the rings and advances
-				// each log's sequence so the checkpoint lands past them.
+				// the surviving entries are retired unapplied. The scan still
+				// CRC-validates the rings and advances each log's sequence so
+				// the checkpoint lands past them.
 				for _, a := range h.arenas {
-					if _, err := a.wal.Replay(c, func(walog.Entry) {}); err != nil {
+					ents, err := a.wal.Replay(c)
+					if err != nil {
 						return nil, 0, err
 					}
+					rep.EntriesReplayed += len(ents)
+					rep.EntriesRetired += len(ents)
 					a.wal.Checkpoint(c)
 				}
-			} else if err := h.replayWALs(c); err != nil {
+			} else if err := h.replayWALs(c, rep); err != nil {
 				return nil, 0, err
 			}
 		case GC:
@@ -229,12 +291,12 @@ func Open(dev pmem.Dev, opts Options) (*Heap, int64, error) {
 		}
 	}
 
+	rep.WALNS = lap()
+
 	// Back in business.
-	for i := range h.arenas {
-		c.PersistU64(pmem.CatMeta, arenaFlagsBase+pmem.PAddr(i*8), stateRunning)
-	}
 	c.PersistU64(pmem.CatMeta, superBase+sbState, pmem.SealU64(stateRunning))
 	c.Fence()
+	rep.StateNS += lap()
 	ns := c.Now
 	c.Merge()
 	return h, ns, nil
@@ -248,21 +310,17 @@ func Open(dev pmem.Dev, opts Options) (*Heap, int64, error) {
 // entry naming a block is also the latest. Entry payloads are
 // CRC-protected, but the 24-bit checksum is thin, so every address acted
 // on is bounds-checked against the device first.
-func (h *Heap) replayWALs(c *pmem.Ctx) error {
-	// retired[i] maps a slab base to the latest OpRetire of ring i for it:
-	// the ring's earlier entries name blocks of a slab that was released,
-	// and whatever sits at that base now belongs to a later owner.
-	retired := make([]map[pmem.PAddr]uint64, len(h.arenas))
+func (h *Heap) replayWALs(c *pmem.Ctx, rep *Recovery) error {
+	// Every ring is scanned, once, before anything is applied: a damaged
+	// ring fails the open with the heap as the crash left it.
+	rings := make([][]walog.Entry, len(h.arenas))
 	for i, a := range h.arenas {
-		retired[i] = map[pmem.PAddr]uint64{}
-		_, err := a.wal.Replay(c, func(e walog.Entry) {
-			if e.Op == walog.OpRetire {
-				retired[i][e.Addr] = e.Seq
-			}
-		})
+		ents, err := a.wal.Replay(c)
 		if err != nil {
 			return err
 		}
+		rings[i] = ents
+		rep.EntriesReplayed += len(ents)
 	}
 
 	// Bits are applied to the cache image and their lines listed on the
@@ -271,29 +329,43 @@ func (h *Heap) replayWALs(c *pmem.Ctx) error {
 	// ring's checkpoint then persists each distinct line once, however
 	// often sequence-order replay flipped its bits back and forth.
 	for i, a := range h.arenas {
-		last := a.wal.Seq() - 1 // the first pass left the ring's head here
-		_, err := a.wal.Replay(c, func(e walog.Entry) {
+		ents := rings[i]
+		// retired maps a slab base to the ring's latest OpRetire for it: the
+		// ring's earlier entries name blocks of a slab that was released,
+		// and whatever sits at that base now belongs to a later owner.
+		retired := map[pmem.PAddr]uint64{}
+		for _, e := range ents {
+			if e.Op == walog.OpRetire {
+				retired[e.Addr] = e.Seq
+			}
+		}
+		for k, e := range ents {
 			switch e.Op {
 			case walog.OpAllocBit, walog.OpFreeBit:
+				if e.Seq <= retired[e.Addr] {
+					rep.EntriesRetired++
+					continue
+				}
 				// Aux2 names the size class the entry was logged under; a
 				// mismatch means the slab has since completed a morph whose
 				// step-3 bitmap snapshot already captured this operation —
 				// applying the stale index to the new geometry would flip
 				// an unrelated block.
-				if s := h.slabs.Lookup(e.Addr); s != nil && int(e.Aux2) == s.Class && e.Seq > retired[i][e.Addr] {
+				if s := h.slabs.Lookup(e.Addr); s != nil && int(e.Aux2) == s.Class {
 					h.forceBit(c, s, int(e.Aux), e.Op == walog.OpAllocBit, a)
 				}
 			case walog.OpPublish:
-				h.replayPublish(c, a, e, e.Seq == last, retired[i])
+				h.replayPublish(c, a, e, k == len(ents)-1, retired)
 			case walog.OpMorph:
 				// Morph steps are sealed by the slab's own flag field;
 				// slab.Load already undid or kept the transform.
 			}
-		})
-		if err != nil {
-			return err
 		}
+		// Checkpoint's CatMeta flushes are the write-back's bitmap lines;
+		// its own word is a CatWAL flush.
+		lines := c.Local().CatFlush[pmem.CatMeta]
 		a.wal.Checkpoint(c)
+		rep.LinesWrittenBack += int(c.Local().CatFlush[pmem.CatMeta] - lines)
 	}
 	return nil
 }

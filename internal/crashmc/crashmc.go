@@ -74,13 +74,19 @@ func Target(name string, v core.Variant) torture.Target {
 // what the checker exercises.
 func TargetOpts(name string, mk func() core.Options) torture.Target {
 	v := mk().Variant
+	return target(name, mk, func() core.Options { return core.DefaultOptions(v) })
+}
+
+// target builds an NVAlloc target that creates with create() and recovers
+// (and checks) with open().
+func target(name string, create, open func() core.Options) torture.Target {
 	return torture.Target{
 		Name: name,
 		Create: func(dev *pmem.Device) (alloc.Heap, error) {
-			return core.Create(dev, mk())
+			return core.Create(dev, create())
 		},
 		Open: func(dev *pmem.Device) (alloc.Heap, error) {
-			h, _, err := core.Open(dev, core.DefaultOptions(v))
+			h, _, err := core.Open(dev, open())
 			if err != nil {
 				return nil, err
 			}
@@ -90,7 +96,7 @@ func TargetOpts(name string, mk func() core.Options) torture.Target {
 			return core.MetaRanges(dev)
 		},
 		Check: func(dev *pmem.Device) []string {
-			return core.Check(dev, core.DefaultOptions(v))
+			return core.Check(dev, open())
 		},
 	}
 }

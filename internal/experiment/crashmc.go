@@ -26,7 +26,8 @@ func init() {
 // concurrent checker: each conflicting-pair trace family is enumerated
 // under DPOR-reduced preemptive schedules on the NVAlloc targets, with
 // the candidate/conflict/pruning accounting the baseline enforces. The
-// fifth is the fence-elision family, the sixth the write-back family.
+// fifth is the fence-elision family, then the write-back, publish and
+// compaction families.
 func runCrashMC(cfg Config) []*Table {
 	targets := crashmc.Targets()
 	seed := uint64(42)
@@ -134,11 +135,83 @@ func runCrashMC(cfg Config) []*Table {
 	fence := runCrashMCFence(cfg, targets, seed, bl)
 	wb := runCrashMCWriteBack(cfg, bl)
 	pub := runCrashMCPublish(cfg, bl)
+	comp := runCrashMCCompaction(cfg, bl)
 
 	if cfg.CrashMCBaselineOut != "" {
 		bl.write(cfg.CrashMCBaselineOut)
 	}
-	return []*Table{head, classes, paths, conc, fence, wb, pub}
+	return []*Table{head, classes, paths, conc, fence, wb, pub, comp}
+}
+
+// runCrashMCCompaction enumerates the compaction family: NVAlloc-LOG with
+// one bookkeeping shard, opened with the low slow-GC threshold it was
+// created with, on a trace that holds the log over that threshold for long
+// runs of operations. Every boundary is verified clean and torn against
+// the shared and the live-set oracle; then power is cut a second time
+// after every flush of every recovery that compacts the log.
+func runCrashMCCompaction(cfg Config, bl *baselineBuild) *Table {
+	comp := &Table{
+		ID: "crashmc-compaction",
+		Title: "compaction family: bookkeeping log over its slow-GC threshold, every boundary + torn variants " +
+			"against the live-set oracle, and a second crash after every flush of a recovery that compacts",
+		Columns: []string{"allocator", "boundaries", "explored", "coverage", "torn",
+			"over_threshold", "runtime_compactions", "recovery_cuts", "violations"},
+	}
+	name := crashmc.CompactionTarget().Name
+	fail := func(msg string) *Table {
+		comp.Rows = append(comp.Rows, append([]string{name, msg}, make([]string, len(comp.Columns)-2)...))
+		return comp
+	}
+	rec, err := crashmc.RecordCompaction()
+	if err != nil {
+		bl.refuse("%s/compaction: record failed: %v", name, err)
+		return fail("record failed: " + err.Error())
+	}
+	oracle := crashmc.LiveSetOracle(rec)
+	vcfg := crashmc.Config{Torn: true, TornSeed: 0xDECAF, CheckEvery: 64, Pool: cfg.RunCells, Extra: oracle}
+	ks := rec.CompactionWindows()
+	if cfg.Scale < 1 {
+		vcfg.MaxBoundaries = cfg.ops(200)
+		thin := ks[:0:0]
+		for i := 0; i < len(ks); i += 50 {
+			thin = append(thin, ks[i])
+		}
+		ks = thin
+	}
+	rep := crashmc.Verify(rec, vcfg)
+	cuts := crashmc.VerifyRecoveryCrashes(rec, ks, crashmc.Config{Pool: cfg.RunCells, Extra: oracle})
+	shape := rec.CompactionShape()
+	floor := func(n int) int { return n * 7 / 10 }
+	bl.Compaction = &compactionBaseline{
+		MinBoundaries:         floor(rep.Boundaries) / 10 * 10,
+		MinOverThreshold:      floor(shape.OverThreshold),
+		MinRuntimeCompactions: 2,
+		MinRecoveryCuts:       floor(cuts.Explored) / 10 * 10,
+	}
+	if rep.Explored < rep.Boundaries {
+		bl.refuse("%s/compaction: sampled %d/%d boundaries", name, rep.Explored, rep.Boundaries)
+	}
+	if n := rep.ViolationCount + cuts.ViolationCount; n > 0 {
+		bl.refuse("%s/compaction: %d oracle violations", name, n)
+	}
+	if shape.OverThreshold == 0 || shape.RuntimeCompactions < 2 {
+		bl.refuse("%s/compaction: trace shape %+v no longer holds the log over its threshold", name, shape)
+	}
+	comp.Rows = append(comp.Rows, []string{
+		name,
+		fmt.Sprint(rep.Boundaries),
+		fmt.Sprint(rep.Explored),
+		pct(rep.Coverage()),
+		fmt.Sprint(rep.TornExplored),
+		fmt.Sprint(shape.OverThreshold),
+		fmt.Sprint(shape.RuntimeCompactions),
+		fmt.Sprint(cuts.Explored),
+		fmt.Sprint(rep.ViolationCount + cuts.ViolationCount),
+	})
+	for _, v := range append(rep.Violations, cuts.Violations...) {
+		comp.Rows = append(comp.Rows, append([]string{"", "  " + v.String()}, make([]string, len(comp.Columns)-2)...))
+	}
+	return comp
 }
 
 // runCrashMCPublish enumerates the publish family: NVAlloc-LOG on the
@@ -464,6 +537,18 @@ type crashBaseline struct {
 	FenceElision          *fenceBaseline      `json:"fence_elision,omitempty"`
 	WriteBack             *writeBackBaseline  `json:"write_back,omitempty"`
 	Publish               *publishBaseline    `json:"publish,omitempty"`
+	Compaction            *compactionBaseline `json:"compaction,omitempty"`
+}
+
+// compactionBaseline gates the compaction family: floors (~70% of the
+// measured counts) on its boundaries, on those at which the log is over
+// its threshold and on the second-crash cuts inside the recoveries that
+// compact it; the trace must still compact at run time from both threads.
+type compactionBaseline struct {
+	MinBoundaries         int `json:"min_boundaries"`
+	MinOverThreshold      int `json:"min_over_threshold"`
+	MinRuntimeCompactions int `json:"min_runtime_compactions"`
+	MinRecoveryCuts       int `json:"min_recovery_cuts"`
 }
 
 // publishBaseline gates the publish family like writeBackBaseline gates
@@ -519,6 +604,7 @@ type baselineBuild struct {
 	FenceBoundaries int
 	WriteBack       *writeBackBaseline
 	Publish         *publishBaseline
+	Compaction      *compactionBaseline
 	Refusals        []string
 }
 
@@ -550,7 +636,9 @@ func (b *baselineBuild) write(path string) {
 			"still morphs a slab and has one arena format a base the other released. The publish section " +
 			"gates the reserve-fill-publish family on the same ring, held to the live-set oracle: the same " +
 			"floors plus one per kind of publish the trace must still drive (replaces, cross-arena and " +
-			"republished old blocks, extents). " +
+			"republished old blocks, extents). The compaction section gates the family whose recoveries " +
+			"compact the bookkeeping log: boundary, over-threshold-boundary and recovery-cut floors and " +
+			"two compactions at run time. " +
 			"Regenerate with: go run ./cmd/nvbench -exp crashmc -crashmc.update",
 		RequireCoverage:       1.0,
 		RequireZeroViolations: true,
@@ -592,6 +680,7 @@ func (b *baselineBuild) write(path string) {
 	}
 	doc.WriteBack = b.WriteBack
 	doc.Publish = b.Publish
+	doc.Compaction = b.Compaction
 	data, err := json.MarshalIndent(&doc, "", "  ")
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "crashmc: encoding baseline: %v\n", err)

@@ -14,8 +14,8 @@ import (
 // scaled-down run asserts the same floors as CI's full enumeration.
 func TestCrashMCConcTableShape(t *testing.T) {
 	tabs := runCrashMC(Config{Threads: []int{1}, Scale: 0.05, DeviceBytes: 256 << 20}.withDefaults())
-	if len(tabs) != 7 {
-		t.Fatalf("runCrashMC produced %d tables, want 7", len(tabs))
+	if len(tabs) != 8 {
+		t.Fatalf("runCrashMC produced %d tables, want 8", len(tabs))
 	}
 	conc := tabs[3]
 	if conc.ID != "crashmc-concurrent" {
@@ -65,6 +65,21 @@ func TestCrashMCConcTableShape(t *testing.T) {
 	}
 	if v := cell(t, pub, 0, colIndex(t, pub, "violations")); v != 0 {
 		t.Errorf("publish: %.0f oracle violations", v)
+	}
+	comp := tabs[7]
+	if comp.ID != "crashmc-compaction" {
+		t.Fatalf("eighth table is %q", comp.ID)
+	}
+	if len(comp.Rows) != 1 || comp.Rows[0][0] != "NVAlloc-LOG" {
+		t.Fatalf("compaction table rows: %v, want one NVAlloc-LOG row", comp.Rows)
+	}
+	for col, min := range map[string]float64{"over_threshold": 100, "runtime_compactions": 2, "recovery_cuts": 60} {
+		if v := cell(t, comp, 0, colIndex(t, comp, col)); v < min {
+			t.Errorf("compaction: %s = %.0f, want >= %.0f", col, v, min)
+		}
+	}
+	if v := cell(t, comp, 0, colIndex(t, comp, "violations")); v != 0 {
+		t.Errorf("compaction: %.0f oracle violations", v)
 	}
 	for ri, row := range conc.Rows {
 		who := row[0] + "/" + row[1]

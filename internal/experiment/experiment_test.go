@@ -2,6 +2,7 @@ package experiment
 
 import (
 	"bytes"
+	"sort"
 	"strconv"
 	"strings"
 	"testing"
@@ -218,12 +219,26 @@ func TestFig19EADRFlat(t *testing.T) {
 	}
 }
 
+// TestFig17GCOverheadSmall holds each row to the median of five runs. The
+// workloads run four free-running goroutines whose real interleaving orders
+// the virtual clocks: Larson-large reads 24.0 % in about 19 runs of 20 and
+// anything from 17 % to 28.5 % in the rest, more often on a loaded machine.
+// One run failed the 25 % limit in 2 of 50 loops on two idle cores, the
+// median of three in 1 of 50 with the whole suite running beside it.
 func TestFig17GCOverheadSmall(t *testing.T) {
-	tabs := fig17(tiny)
-	drop := colIndex(t, tabs[0], "drop")
-	for r := range tabs[0].Rows {
-		if d := cell(t, tabs[0], r, drop); d > 25 {
-			t.Errorf("GC overhead too high: %s = %.1f%%", tabs[0].Rows[r][0], d)
+	var runs [5]*Table
+	for i := range runs {
+		runs[i] = fig17(tiny)[0]
+	}
+	drop := colIndex(t, runs[0], "drop")
+	for r := range runs[0].Rows {
+		d := make([]float64, len(runs))
+		for i, tab := range runs {
+			d[i] = cell(t, tab, r, drop)
+		}
+		sort.Float64s(d)
+		if med := d[len(d)/2]; med > 25 {
+			t.Errorf("GC overhead too high: %s = %.1f%% (median of %v)", runs[0].Rows[r][0], med, d)
 		}
 	}
 }

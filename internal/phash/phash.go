@@ -378,9 +378,9 @@ func (m *Map) Delete(th alloc.Thread, key uint64) (bool, error) {
 // Len counts live entries by walking every bucket chain.
 func (m *Map) Len() int {
 	n := 0
-	m.walk(func(b pmem.PAddr) {
+	m.walk(func(_ pmem.PAddr, values []byte) {
 		for s := 0; s < Slots; s++ {
-			if m.dev.ReadU64(valueAddr(b, s)) != 0 {
+			if binary.LittleEndian.Uint64(values[8*s:]) != 0 {
 				n++
 			}
 		}
@@ -397,12 +397,12 @@ func (m *Map) References(fn func(addr pmem.PAddr)) {
 	fn(m.header)
 	fn(m.dir)
 	end := m.bucketAddr(m.nBuckets)
-	m.walk(func(b pmem.PAddr) {
+	m.walk(func(b pmem.PAddr, values []byte) {
 		if b < m.dir || b >= end {
 			fn(b)
 		}
 		for s := 0; s < Slots; s++ {
-			if v := m.dev.ReadU64(valueAddr(b, s)); v != 0 && v != zeroWord {
+			if v := binary.LittleEndian.Uint64(values[8*s:]); v != 0 && v != zeroWord {
 				fn(pmem.PAddr(v))
 			}
 		}
@@ -410,11 +410,14 @@ func (m *Map) References(fn func(addr pmem.PAddr)) {
 }
 
 // walk calls fn on every bucket, directory buckets and overflow buckets
-// alike.
-func (m *Map) walk(fn func(b pmem.PAddr)) {
+// alike, with the bucket's eight value words. Like findSlot it reads a
+// bucket through one view; the caller excludes writers.
+func (m *Map) walk(fn func(b pmem.PAddr, values []byte)) {
 	for i := uint64(0); i < m.nBuckets; i++ {
-		for b := m.bucketAddr(i); b != pmem.Null; b = pmem.PAddr(m.dev.ReadU64(b + bOverflow)) {
-			fn(b)
+		for b := m.bucketAddr(i); b != pmem.Null; {
+			words := m.mem.Bytes(b, bOverflow+8)
+			fn(b, words[bValues:bValues+8*Slots])
+			b = pmem.PAddr(binary.LittleEndian.Uint64(words[bOverflow:]))
 		}
 	}
 }

@@ -358,10 +358,11 @@ func Load(dev pmem.Mem, c *pmem.Ctx, base pmem.PAddr) (*Slab, error) {
 	}
 	s.lay = layoutFor(blocks, stripes, s.m)
 	// Rebuild the volatile bitmap (leaf + summary index) from the
-	// persistent interleaved one.
-	for idx := 0; idx < blocks; idx++ {
-		off := s.m.BitOffset(idx)
-		if dev.ReadU8(base+pmem.PAddr(bitmapBase)+pmem.PAddr(off/8))&(1<<(off%8)) != 0 {
+	// persistent interleaved one, read through one view of the region:
+	// nothing else touches the slab until Load returns it.
+	bitmap := dev.Bytes(base+pmem.PAddr(bitmapBase), int(dataOff-bitmapBase))
+	for idx, off := range s.lay.off {
+		if bitmap[off>>3]&(1<<(off&7)) != 0 {
 			s.free.Set(idx)
 			s.Allocated++
 		}

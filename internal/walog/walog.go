@@ -244,17 +244,18 @@ func (l *Log) Checkpoint(c *pmem.Ctx) {
 	}
 }
 
-// Replay scans the ring and invokes fn on every valid entry with
-// Seq > checkpoint, in sequence order. Every nonzero slot is CRC-checked
-// and must sit at ring position (Seq-1) mod capacity. One invalid slot is
-// tolerated if it is exactly where the next append would have landed (a
-// torn in-flight append; its operation was never acknowledged) and is
-// dropped; any other invalid or misplaced slot is reported as corruption.
-// It returns the number of entries replayed.
-func (l *Log) Replay(c *pmem.Ctx, fn func(Entry)) (int, error) {
+// Replay is the one scan of the ring recovery makes: it returns every valid
+// entry with Seq > checkpoint, in sequence order, and leaves the log ready
+// to append after the highest sequence seen. Every nonzero slot is
+// CRC-checked and must sit at ring position (Seq-1) mod capacity. One
+// invalid slot is tolerated if it is exactly where the next append would
+// have landed (a torn in-flight append; its operation was never
+// acknowledged) and is dropped; any other invalid or misplaced slot is
+// reported as corruption.
+func (l *Log) Replay(c *pmem.Ctx) ([]Entry, error) {
 	ckpt, ok := pmem.UnsealU64(l.dev.ReadU64(l.base))
 	if !ok {
-		return 0, pmem.Corrupt("wal", l.base, "checkpoint word fails seal check")
+		return nil, pmem.Corrupt("wal", l.base, "checkpoint word fails seal check")
 	}
 	var live []Entry
 	maxSeq := ckpt
@@ -281,7 +282,7 @@ func (l *Log) Replay(c *pmem.Ctx, fn func(Entry)) (int, error) {
 		w3 &= 1<<40 - 1
 		if entryCheck(seq, w1, w2, w3) != crc || seq == 0 || int((seq-1)%uint64(l.n)) != slot {
 			if invalid >= 0 {
-				return 0, pmem.Corrupt("wal", a, "multiple invalid entries (slots %d and %d)", invalid, slot)
+				return nil, pmem.Corrupt("wal", a, "multiple invalid entries (slots %d and %d)", invalid, slot)
 			}
 			invalid = slot
 			continue
@@ -297,23 +298,20 @@ func (l *Log) Replay(c *pmem.Ctx, fn func(Entry)) (int, error) {
 		}
 	}
 	if invalid >= 0 && invalid != int(maxSeq%uint64(l.n)) {
-		return 0, pmem.Corrupt("wal", l.slotAddr(invalid),
+		return nil, pmem.Corrupt("wal", l.slotAddr(invalid),
 			"invalid entry at slot %d, not the in-flight append slot %d", invalid, int(maxSeq%uint64(l.n)))
 	}
 	sort.Slice(live, func(i, j int) bool { return live[i].Seq < live[j].Seq })
 	for i := 1; i < len(live); i++ {
 		if live[i].Seq == live[i-1].Seq {
-			return 0, pmem.Corrupt("wal", l.base, "duplicate sequence %d", live[i].Seq)
+			return nil, pmem.Corrupt("wal", l.base, "duplicate sequence %d", live[i].Seq)
 		}
-	}
-	for _, e := range live {
-		fn(e)
 	}
 	// Resume appending after the highest sequence seen.
 	l.seq = maxSeq + 1
 	l.ckpt = ckpt
 	l.cursor = int(maxSeq % uint64(l.n))
-	return len(live), nil
+	return live, nil
 }
 
 // Seq returns the next sequence number (for tests).

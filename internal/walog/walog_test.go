@@ -18,11 +18,14 @@ func mustNew(t *testing.T, dev *pmem.Device, base pmem.PAddr, n, stripes int) *L
 
 func mustReplay(t *testing.T, l *Log, c *pmem.Ctx, fn func(Entry)) int {
 	t.Helper()
-	n, err := l.Replay(c, fn)
+	ents, err := l.Replay(c)
 	if err != nil {
 		t.Fatalf("walog.Replay: %v", err)
 	}
-	return n
+	for _, e := range ents {
+		fn(e)
+	}
+	return len(ents)
 }
 
 func newLog(t *testing.T, n, stripes int) (*pmem.Device, *Log) {
@@ -243,7 +246,7 @@ func TestReplayDetectsFlippedEntry(t *testing.T) {
 		dev.WriteU8(a+8, dev.ReadU8(a+8)^0x04)
 	}
 	l2 := mustNew(t, dev, 4096, 16, 2)
-	_, err := l2.Replay(dev.NewCtx(), func(Entry) {})
+	_, err := l2.Replay(dev.NewCtx())
 	if !errors.Is(err, pmem.ErrCorrupted) {
 		t.Fatalf("flipped entries not detected: %v", err)
 	}
@@ -260,11 +263,11 @@ func TestReplayDropsTornInFlightAppend(t *testing.T) {
 	l.Append(c, Entry{Addr: 0x9999, Op: OpFreeBit})
 	dev.Crash()
 	l2 := mustNew(t, dev, 4096, 16, 2)
-	var got []Entry
-	n, err := l2.Replay(dev.NewCtx(), func(e Entry) { got = append(got, e) })
+	got, err := l2.Replay(dev.NewCtx())
 	if err != nil {
 		t.Fatalf("torn in-flight append must be tolerated: %v", err)
 	}
+	n := len(got)
 	if n > 7 {
 		t.Fatalf("replayed %d entries, expected at most 7", n)
 	}
@@ -354,11 +357,11 @@ func TestAppendGroupCrashMidGroupKeepsPrefix(t *testing.T) {
 		appendGroup(l, c, es)
 		dev.Crash()
 		l2 := mustNew(t, dev, 4096, 64, 6)
-		var got []Entry
-		n, err := l2.Replay(dev.NewCtx(), func(e Entry) { got = append(got, e) })
+		got, err := l2.Replay(dev.NewCtx())
 		if err != nil {
 			t.Fatalf("cut=%d: mid-group crash corrupted log: %v", cut, err)
 		}
+		n := len(got)
 		if n > len(es) {
 			t.Fatalf("cut=%d: replayed %d entries from a %d-entry group", cut, n, len(es))
 		}
