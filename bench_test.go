@@ -227,11 +227,10 @@ func BenchmarkMallocFreeSmall(b *testing.B) {
 }
 
 // BenchmarkMallocFreeClass sweeps the malloc/free pair cost across
-// representative size classes — the per-class trajectory CI records in
-// BENCH_pr7.json and diffs against the committed snapshot, so a change
-// that speeds up one class by slowing another (bitmap geometry, refill
-// batch size, magazine capacity are all class-dependent) cannot hide
-// inside a single-size headline number. Sizes cover the small-class
+// representative size classes, so a change that speeds up one class by
+// slowing another (bitmap geometry, refill batch size, magazine capacity
+// are all class-dependent) cannot hide inside a single-size headline
+// number. Sizes cover the small-class
 // spectrum from the minimum class through SmallMax, plus one shard-pool
 // extent size for the large path.
 func BenchmarkMallocFreeClass(b *testing.B) {
@@ -298,19 +297,8 @@ func BenchmarkMallocFreeParallel(b *testing.B) {
 	b.RunParallel(func(pb *testing.PB) {
 		th := h.NewThread()
 		defer th.Close()
-		i := 0
-		for pb.Next() {
-			size := uint64(64)
-			if i%8 == 7 {
-				size = 40 << 10 // shard-pool path
-			}
-			i++
-			p, err := th.Malloc(size)
-			if err != nil {
-				b.Error(err)
-				return
-			}
-			if err := th.Free(p); err != nil {
+		for i := 0; pb.Next(); i++ {
+			if err := mallocFreePair(th, i); err != nil {
 				b.Error(err)
 				return
 			}
@@ -318,12 +306,50 @@ func BenchmarkMallocFreeParallel(b *testing.B) {
 	})
 }
 
+// mallocFreePair is the i-th operation of BenchmarkMallocFreeParallel's
+// loop: seven 64 B pairs, then one 40 KiB pair through a shard pool.
+func mallocFreePair(th alloc.Thread, i int) error {
+	size := uint64(64)
+	if i%8 == 7 {
+		size = 40 << 10 // shard-pool path
+	}
+	p, err := th.Malloc(size)
+	if err != nil {
+		return err
+	}
+	return th.Free(p)
+}
+
+// TestMallocFreeLoopAllocatesNothing holds BenchmarkMallocFreeParallel's
+// loop to 0 allocs/op, as the benchmark prints it: whole allocations per
+// op, so a new bookkeeping-log chunk every few hundred pairs does not count
+// and one Go object per pair does.
+func TestMallocFreeLoopAllocatesNothing(t *testing.T) {
+	dev := pmem.New(pmem.Config{Size: 512 << 20})
+	h, err := core.Create(dev, core.DefaultOptions(core.LOG))
+	if err != nil {
+		t.Fatal(err)
+	}
+	th := h.NewThread()
+	defer th.Close()
+	i := 0
+	allocs := testing.AllocsPerRun(20000, func() {
+		if err := mallocFreePair(th, i); err != nil {
+			t.Fatal(err)
+		}
+		i++
+	})
+	if allocs != 0 {
+		t.Fatalf("the malloc/free loop allocates %v Go objects per pair, want 0", allocs)
+	}
+}
+
 // BenchmarkRealMallocFreeParallel is BenchmarkMallocFreeParallel on the
 // direct device: no virtual-time model, no per-line simulation locks,
 // flushes as counters. The delta against the simulated variant is the
 // cost of the simulator itself; the number's own trend across commits is
-// the real-concurrency hot path (reported in BENCH_pr8.json, not gated —
-// wall-clock on shared CI is too noisy for a hard threshold).
+// the real-concurrency hot path (printed by CI, not gated — wall-clock on
+// shared CI is too noisy for a hard threshold).
 func BenchmarkRealMallocFreeParallel(b *testing.B) {
 	dev, err := pmem.NewDirect(pmem.DirectConfig{Size: 512 << 20})
 	if err != nil {
@@ -338,19 +364,8 @@ func BenchmarkRealMallocFreeParallel(b *testing.B) {
 	b.RunParallel(func(pb *testing.PB) {
 		th := h.NewThread()
 		defer th.Close()
-		i := 0
-		for pb.Next() {
-			size := uint64(64)
-			if i%8 == 7 {
-				size = 40 << 10 // shard-pool path
-			}
-			i++
-			p, err := th.Malloc(size)
-			if err != nil {
-				b.Error(err)
-				return
-			}
-			if err := th.Free(p); err != nil {
+		for i := 0; pb.Next(); i++ {
+			if err := mallocFreePair(th, i); err != nil {
 				b.Error(err)
 				return
 			}

@@ -170,7 +170,8 @@ func inspect(heap *nvalloc.Heap) {
 	fmt.Printf("stripes:          %d (bitmap IM %v, tcache IM %v, WAL IM %v)\n",
 		opts.Stripes, opts.InterleaveBitmap, opts.InterleaveTcache, opts.InterleaveWAL)
 	fmt.Printf("slab morphing:    %v (SU %.0f%%)\n", opts.Morphing, opts.SU*100)
-	fmt.Printf("bookkeeping:      log=%v\n", opts.LogBookkeeping)
+	fmt.Printf("bookkeeping:      log=%v (%d shards)\n", opts.LogBookkeeping, opts.BookShards)
+	fmt.Printf("wal:              %d entries per arena\n", opts.WALEntries)
 	fmt.Printf("used:             %.1f MiB (peak %.1f MiB, lease overhead %.1f MiB)\n",
 		float64(heap.Used())/(1<<20), float64(heap.Peak())/(1<<20),
 		float64(heap.LeaseOverhead())/(1<<20))

@@ -150,10 +150,13 @@ type Heap struct {
 	cfg  Config
 	dev  pmem.Dev
 	book *extent.InPlace
-	// large is guarded by its own Res.
+	// large is built without slab caches and shard pools: every verb is
+	// one critical section of the global pool. Large objects go to that
+	// pool directly (large.Global), so its Res can be held across the
+	// charges that model each baseline's large path.
 	large *extent.Allocator
 	// largeWAL records transactional large-path metadata (PMDK-style);
-	// guarded by large.Res.
+	// guarded by the global pool's Res.
 	largeWAL *walog.Log
 
 	arenasMu sync.Mutex
@@ -203,7 +206,7 @@ func New(dev pmem.Dev, cfg Config) (*Heap, error) {
 		HeapEnd:   pmem.PAddr(dev.Size()),
 		BreakPtr:  superBase + sbBreak,
 		MetaBytes: heapBase,
-	})
+	}, extent.Tiers{})
 	largeWAL, err := walog.New(dev.Mem(), pmem.PAddr(walBase), walEntriesPerArena, 1)
 	if err != nil {
 		return nil, err
@@ -263,25 +266,13 @@ func (h *Heap) RootSlot(i int) pmem.PAddr {
 }
 
 // Used returns committed persistent memory.
-func (h *Heap) Used() uint64 {
-	h.large.Res.Acquire(h.dev.NewCtx())
-	defer h.large.Res.Release(h.dev.NewCtx())
-	return h.large.Used()
-}
+func (h *Heap) Used() uint64 { return h.large.Used() }
 
 // Peak returns the usage high-water mark.
-func (h *Heap) Peak() uint64 {
-	h.large.Res.Acquire(h.dev.NewCtx())
-	defer h.large.Res.Release(h.dev.NewCtx())
-	return h.large.Peak()
-}
+func (h *Heap) Peak() uint64 { return h.large.Peak() }
 
 // ResetPeak restarts peak tracking.
-func (h *Heap) ResetPeak() {
-	h.large.Res.Acquire(h.dev.NewCtx())
-	defer h.large.Res.Release(h.dev.NewCtx())
-	h.large.ResetPeak()
-}
+func (h *Heap) ResetPeak() { h.large.ResetPeak() }
 
 // Close performs a clean shutdown: freelist allocators sync their
 // shutdown images, WALs checkpoint, and the state flag persists.
@@ -351,6 +342,3 @@ func (h *Heap) ArenaLoads() []int64 {
 	}
 	return out
 }
-
-// LargeLoad returns the large allocator lock's accumulated load (ns).
-func (h *Heap) LargeLoad() int64 { return h.large.Res.Load() }

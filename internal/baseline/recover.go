@@ -89,7 +89,7 @@ func Open(dev pmem.Dev, cfg Config) (*Heap, int64, error) {
 		HeapEnd:   pmem.PAddr(dev.Size()),
 		BreakPtr:  superBase + sbBreak,
 		MetaBytes: uint64(heapBase),
-	}, c, records)
+	}, extent.Tiers{}, c, records)
 	if err != nil {
 		return nil, 0, err
 	}
@@ -378,10 +378,8 @@ func (h *Heap) conservativeGC(c *pmem.Ctx, full bool) {
 			}
 			return 0, 0, false
 		}
-		if v, ok := h.large.Lookup(p); ok && v.Addr == p && !v.Slab {
-			return p, v.Size, true
-		}
-		return 0, 0, false
+		size, ok := h.large.Live(p)
+		return p, size, ok
 	}
 	type obj struct {
 		addr pmem.PAddr
@@ -426,13 +424,13 @@ func (h *Heap) conservativeGC(c *pmem.Ctx, full bool) {
 		return true
 	})
 	var leaked []pmem.PAddr
-	for addr, v := range h.large.Activated() {
-		if !v.Slab && !marked[addr] {
+	h.large.Each(func(addr pmem.PAddr, _ uint64) {
+		if !marked[addr] {
 			leaked = append(leaked, addr)
 		}
-	}
+	})
 	sort.Slice(leaked, func(i, j int) bool { return leaked[i] < leaked[j] })
 	for _, addr := range leaked {
-		_ = h.large.Free(c, addr)
+		_ = h.large.Free(c, 0, addr, false)
 	}
 }

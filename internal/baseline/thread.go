@@ -215,21 +215,17 @@ func (t *Thread) commitAlloc(s *bslab, idx int) {
 }
 
 func (t *Thread) mallocLarge(size uint64) (pmem.PAddr, error) {
-	h := t.h
-	h.large.Res.Acquire(t.ctx)
-	defer h.large.Res.Release(t.ctx)
+	h, pool := t.h, t.h.large.Global()
+	pool.Res.Acquire(t.ctx)
+	defer pool.Res.Release(t.ctx)
 	if h.cfg.SlowLargeSearch {
 		// Persistent first-fit over live extent headers.
-		n := len(h.large.Activated())
-		if n > 400 {
-			n = 400
-		}
-		t.ctx.Charge(pmem.CatSearch, int64(n)*90)
+		t.ctx.Charge(pmem.CatSearch, int64(min(pool.Len(), 400))*90)
 	}
 	for i := 0; i < h.cfg.LargeTxnFlushes; i++ {
 		t.logEntry(h.largeWAL, walog.Entry{Op: walog.OpAllocBit, Aux: size})
 	}
-	addr, err := h.large.Alloc(t.ctx, size, 0, false)
+	addr, err := pool.Alloc(t.ctx, size, 0, false)
 	if err != nil {
 		return pmem.Null, alloc.ErrOutOfMemory
 	}
@@ -318,13 +314,13 @@ func (t *Thread) freeSmall(s *bslab, idx int) {
 }
 
 func (t *Thread) freeLarge(addr pmem.PAddr) error {
-	h := t.h
-	h.large.Res.Acquire(t.ctx)
-	defer h.large.Res.Release(t.ctx)
+	h, pool := t.h, t.h.large.Global()
+	pool.Res.Acquire(t.ctx)
+	defer pool.Res.Release(t.ctx)
 	for i := 0; i < h.cfg.LargeTxnFlushes; i++ {
 		t.logEntry(h.largeWAL, walog.Entry{Op: walog.OpFreeBit, Aux: uint64(addr)})
 	}
-	if err := h.large.Free(t.ctx, addr); err != nil {
+	if err := pool.Free(t.ctx, addr); err != nil {
 		return alloc.ErrBadAddress
 	}
 	return nil
@@ -445,9 +441,7 @@ func (a *barena) onFreelist(s *bslab, class int) bool {
 // arena lock.
 func (h *Heap) newSlab(c *pmem.Ctx, a *barena, class int) *bslab {
 	// Same crash ordering as NVAlloc: header before bookkeeping record.
-	h.large.Res.Acquire(c)
-	base, err := h.large.AllocDeferRecord(c, SlabSize, SlabSize, true)
-	h.large.Res.Release(c)
+	base, err := h.large.Carve(c, 0, SlabSize, true)
 	if err != nil {
 		return nil
 	}
@@ -476,13 +470,8 @@ func (h *Heap) newSlab(c *pmem.Ctx, a *barena, class int) *bslab {
 	h.dev.Zero(base+bsMetaOff, int(dataOff)-bsMetaOff)
 	c.Flush(pmem.CatMeta, base, int(dataOff))
 	c.Fence()
-	h.large.Res.Acquire(c)
-	recErr := h.large.Record(c, base)
-	h.large.Res.Release(c)
-	if recErr != nil {
-		h.large.Res.Acquire(c)
-		_ = h.large.Free(c, base)
-		h.large.Res.Release(c)
+	if h.large.Record(c, 0, base, true) != nil {
+		_ = h.large.Release(c, 0, base, true) // cannot fail: base was just carved
 		return nil
 	}
 	h.slabs.Store(base, s)
@@ -493,9 +482,7 @@ func (h *Heap) newSlab(c *pmem.Ctx, a *barena, class int) *bslab {
 // releaseSlab returns an empty slab to the large allocator.
 func (h *Heap) releaseSlab(c *pmem.Ctx, s *bslab) {
 	h.slabs.Delete(s.base)
-	h.large.Res.Acquire(c)
-	_ = h.large.Free(c, s.base)
-	h.large.Res.Release(c)
+	_ = h.large.Free(c, 0, s.base, true)
 }
 
 // compile-time use of slab constant parity (baseline slabs must match the

@@ -238,11 +238,6 @@ func (s *Sharded) freeGroup(c *pmem.Ctx, i int, addrs []pmem.PAddr) (int, error)
 	return len(refs), err
 }
 
-// MaybeGC implements extent.Bookkeeper. GC runs inline per shard on the
-// free paths (under the shard's own resource), so the external hook is
-// a no-op.
-func (s *Sharded) MaybeGC(c *pmem.Ctx) {}
-
 // SetSlowGCThreshold divides a whole-log slow-GC threshold evenly over
 // the shards (floored at one chunk so an aggressive threshold still
 // triggers per-shard GC).

@@ -5,7 +5,6 @@ import (
 	"slices"
 	"sync"
 
-	"nvalloc/internal/extent"
 	"nvalloc/internal/pmem"
 	"nvalloc/internal/sizeclass"
 	"nvalloc/internal/slab"
@@ -36,11 +35,6 @@ type arena struct {
 	// Guarded by res.
 	dirty []*slab.Slab
 	snaps []byte
-
-	// cache is the arena-local slab-extent cache (nil when disabled):
-	// newSlab and releaseSlab trade extents with it so the global large
-	// lock is touched only on batched refills and overflow flushes.
-	cache *extent.SlabCache
 
 	// slabsCreated counts newSlab successes (amortization diagnostics).
 	slabsCreated uint64
@@ -532,35 +526,16 @@ func (a *arena) newSlab(c *pmem.Ctx, class int) *slab.Slab {
 	h := a.h
 	// Crash ordering: carve the extent, format the slab header, and only
 	// then persist the bookkeeping record — recovery must never see a
-	// recorded slab without a valid header. With the arena extent cache
-	// the carve happened at refill time (batched, still unrecorded), so
-	// the same ordering holds: a crash before RecordExtent leaves free
-	// space, never a recorded slab with a garbage header.
-	base, ok := a.slabExtent(c)
-	if !ok {
+	// recorded slab without a valid header. A crash before the record
+	// leaves free space.
+	base, err := h.large.Carve(c, a.index, slab.Size, true)
+	if err != nil {
 		return nil
 	}
 	s := slab.Format(h.mem, c, base, class, h.bitmapStripes, h.persistSmall)
-	var err error
-	if a.cache != nil {
-		// Record under BookRes alone: the global large lock stays free.
-		err = h.large.RecordExtent(c, base, slab.Size, true)
-	} else {
-		h.large.Res.Acquire(c)
-		err = h.large.Record(c, base)
-		h.large.Res.Release(c)
-	}
-	if err != nil {
-		// Bookkeeping exhausted: surface as allocation failure; the extent
-		// goes back to the cache (still activated, unrecorded) or the free
-		// lists.
-		if a.cache != nil {
-			a.cache.Put(c, base)
-		} else {
-			h.large.Res.Acquire(c)
-			_ = h.large.Free(c, base)
-			h.large.Res.Release(c)
-		}
+	if h.large.Record(c, a.index, base, true) != nil {
+		// Bookkeeping exhausted: surface as allocation failure.
+		_ = h.large.Release(c, a.index, base, true) // cannot fail: base was just carved
 		return nil
 	}
 	s.Owner = a.index
@@ -573,52 +548,14 @@ func (a *arena) newSlab(c *pmem.Ctx, class int) *slab.Slab {
 	return s
 }
 
-// slabExtent produces one activated, unrecorded slab-sized extent: from
-// the arena cache when enabled (amortized <1 global-lock acquisition per
-// slab), else straight from the global allocator.
-func (a *arena) slabExtent(c *pmem.Ctx) (pmem.PAddr, bool) {
-	h := a.h
-	if a.cache != nil {
-		if base, ok := a.cache.Get(c); ok {
-			return base, true
-		}
-		// The heap could not refill this cache, but sibling arenas may be
-		// sitting on cached extents: flush them and retry once.
-		if h.flushExtentCaches(c, a) {
-			if base, ok := a.cache.Get(c); ok {
-				return base, true
-			}
-		}
-		return pmem.Null, false
-	}
-	h.large.Res.Acquire(c)
-	base, err := h.large.AllocDeferRecord(c, slab.Size, slab.Size, true)
-	h.large.Res.Release(c)
-	if err != nil {
-		return pmem.Null, false
-	}
-	return base, true
-}
-
-// releaseSlab returns a completely empty slab to the large allocator (or
-// the arena cache). The slab is already off every list and unpublished.
+// releaseSlab returns a completely empty slab to the large allocator. The
+// slab is already off every list and unpublished.
 func (a *arena) releaseSlab(c *pmem.Ctx, s *slab.Slab) {
-	h := a.h
 	s.Dead = true
-	h.slabs.Delete(s.Base)
-	if a.cache != nil {
-		// Tombstone before the extent becomes reusable: a new record for
-		// overlapping space must never coexist with the old one after a
-		// crash. On tombstone failure the extent stays recorded+activated
-		// (leaked until shutdown), matching the legacy path's behavior.
-		if h.large.TombstoneExtent(c, s.Base) == nil {
-			a.cache.Put(c, s.Base)
-		}
-		return
-	}
-	h.large.Res.Acquire(c)
-	_ = h.large.Free(c, s.Base)
-	h.large.Res.Release(c)
+	a.h.slabs.Delete(s.Base)
+	// If the tombstone cannot be written the extent stays recorded and
+	// activated: leaked until restart.
+	_ = a.h.large.Free(c, a.index, s.Base, true)
 }
 
 // origin says what state a block returning to its slab is in.

@@ -47,22 +47,10 @@ func (h *Heap) Objects(fn func(Object) bool) {
 		return true
 	})
 
-	h.large.Res.Lock()
-	exts := make([]Object, 0, len(h.large.Activated()))
-	for addr, v := range h.large.Activated() {
-		if !v.Slab {
-			exts = append(exts, Object{Addr: addr, Size: v.Size, Slab: false})
-		}
-	}
-	h.large.Res.Unlock()
-	// Shard sub-allocations live inside leases whose VEHs are hidden from
-	// the activated walk; enumerate them through their own pools.
-	if h.shards != nil {
-		h.shards.Objects(func(addr pmem.PAddr, size uint64) bool {
-			exts = append(exts, Object{Addr: addr, Size: size, Slab: false})
-			return true
-		})
-	}
+	var exts []Object
+	h.large.Each(func(addr pmem.PAddr, size uint64) {
+		exts = append(exts, Object{Addr: addr, Size: size, Slab: false})
+	})
 	sort.Slice(exts, func(i, j int) bool { return exts[i].Addr < exts[j].Addr })
 
 	ei := 0

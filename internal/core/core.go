@@ -77,26 +77,21 @@ type Options struct {
 	// SU is the slab space-utilization threshold below which a slab may
 	// morph (paper default 0.20).
 	SU float64
-	// TcacheCap is the per-class tcache capacity in blocks.
-	TcacheCap int
 	// WALEntries is the per-arena WAL ring capacity.
 	WALEntries int
-	// BlogGC enables the bookkeeping log's garbage collection.
-	BlogGC bool
 	// BlogGCThreshold overrides the active-chain byte size that triggers
-	// slow GC (0 = the log's default of 3/4 of its region; the paper's
-	// Usage_pmem is a small fraction of the heap).
+	// the bookkeeping log's slow GC (0 = the log's default of 3/4 of its
+	// region; the paper's Usage_pmem is a small fraction of the heap).
+	// BlogGCNever turns the slow GC off.
 	BlogGCThreshold uint64
 	// FirstFitExtents switches the large allocator to address-ordered
 	// first fit (ablation).
 	FirstFitExtents bool
-	// NoExtentCache disables the arena-local slab-extent caches and the
-	// sharded large-allocation pools, restoring the PR 2 behavior of one
-	// global critical section per extent operation (contention baseline).
+	// NoExtentCache builds the large allocator without arena slab caches
+	// and shard pools: one global critical section per extent operation,
+	// and a slab one arena releases is at once another's to format
+	// (contention reference, crashmc's write-back family).
 	NoExtentCache bool
-	// LargeShards is the number of address-partitioned large-allocation
-	// pools (default 8). Ignored when NoExtentCache is set.
-	LargeShards int
 	// BookShards is the number of independent bookkeeping-log shards
 	// (default: one per arena). Ignored with in-place bookkeeping.
 	BookShards int
@@ -114,11 +109,20 @@ func DefaultOptions(v Variant) Options {
 		LogBookkeeping:   true,
 		Morphing:         true,
 		SU:               0.20,
-		TcacheCap:        24,
 		WALEntries:       1024,
-		BlogGC:           true,
 	}
 }
+
+// BlogGCNever is the BlogGCThreshold no bookkeeping log ever reaches.
+const BlogGCNever = ^uint64(0) >> 1
+
+const (
+	// tcacheCap is the per-class tcache capacity in blocks.
+	tcacheCap = 24
+	// largeShards is the number of shard pools in front of the global
+	// extent pool.
+	largeShards = 8
+)
 
 func (o Options) withDefaults() Options {
 	if o.Arenas <= 0 {
@@ -130,17 +134,11 @@ func (o Options) withDefaults() Options {
 	if o.SU <= 0 {
 		o.SU = 0.20
 	}
-	if o.TcacheCap <= 0 {
-		o.TcacheCap = 24
-	}
 	if o.WALEntries <= 0 {
 		o.WALEntries = 1024
 	}
 	if o.WALEntries < MinWALEntries {
 		o.WALEntries = MinWALEntries
-	}
-	if o.LargeShards <= 0 {
-		o.LargeShards = 8
 	}
 	if o.BookShards <= 0 {
 		o.BookShards = o.Arenas
@@ -251,10 +249,6 @@ type Heap struct {
 	large  *extent.Allocator
 	book   extent.Bookkeeper
 	blog   *blog.Sharded // non-nil iff LogBookkeeping
-	// shards are the address-partitioned large-allocation pools (nil when
-	// NoExtentCache is set); requests up to extent.MaxShardAlloc route
-	// through them instead of the global allocator lock.
-	shards *extent.Shards
 
 	// slabs maps slab base addresses to vslabs through a lock-free
 	// two-level page map: Free resolves an address to its slab with two
@@ -309,23 +303,14 @@ func Create(dev pmem.Dev, opts Options) (*Heap, error) {
 	// Fresh persistent structures.
 	if opts.LogBookkeeping {
 		h.blog = blog.New(dev.Mem(), h.blogBase(), h.blogSize(), h.walStripesForBlog(), opts.BookShards)
-		if !opts.BlogGC {
-			h.blog.SetSlowGCThreshold(^uint64(0) >> 1)
-		} else if opts.BlogGCThreshold > 0 {
+		if opts.BlogGCThreshold > 0 {
 			h.blog.SetSlowGCThreshold(opts.BlogGCThreshold)
 		}
 		h.book = h.blog
 	} else {
 		h.book = extent.NewInPlace(dev, h.heapBase, superBase+sbBreak)
 	}
-	h.large = extent.New(dev, h.book, extent.Config{
-		HeapBase:  h.heapBase,
-		HeapEnd:   pmem.PAddr(dev.Size()),
-		BreakPtr:  superBase + sbBreak,
-		MetaBytes: uint64(h.heapBase),
-	})
-	h.large.FirstFit = opts.FirstFitExtents
-	h.initExtentLayer()
+	h.large = extent.New(dev, h.book, h.extentConfig(), opts.extentTiers())
 	for i := range h.arenas {
 		wal, err := h.newWAL(i, true)
 		if err != nil {
@@ -418,61 +403,34 @@ func (h *Heap) RootSlot(i int) pmem.PAddr {
 	return superBase + sbRoots + pmem.PAddr(i*8)
 }
 
-// Used returns committed persistent memory (see extent.Allocator.Used).
-// Lock-only acquisition: reading a counter is not an allocator operation
-// and must neither allocate a throwaway context nor perturb virtual time.
-func (h *Heap) Used() uint64 {
-	h.large.Res.Lock()
-	defer h.large.Res.Unlock()
-	return h.large.Used()
+// extentConfig places the large allocator on the device.
+func (h *Heap) extentConfig() extent.Config {
+	return extent.Config{
+		HeapBase:  h.heapBase,
+		HeapEnd:   pmem.PAddr(h.dev.Size()),
+		BreakPtr:  superBase + sbBreak,
+		MetaBytes: uint64(h.heapBase),
+		FirstFit:  h.opts.FirstFitExtents,
+	}
 }
+
+// extentTiers says what the large allocator is built with in front of its
+// global pool: a slab cache per arena and the shard pools, or nothing.
+func (o Options) extentTiers() extent.Tiers {
+	if o.NoExtentCache {
+		return extent.Tiers{}
+	}
+	return extent.Tiers{Caches: o.Arenas, SlabSize: slab.Size, Pools: largeShards}
+}
+
+// Used returns committed persistent memory (see extent.Allocator.Used).
+func (h *Heap) Used() uint64 { return h.large.Used() }
 
 // Peak returns the high-water mark of Used.
-func (h *Heap) Peak() uint64 {
-	h.large.Res.Lock()
-	defer h.large.Res.Unlock()
-	return h.large.Peak()
-}
+func (h *Heap) Peak() uint64 { return h.large.Peak() }
 
 // ResetPeak restarts peak tracking.
-func (h *Heap) ResetPeak() {
-	h.large.Res.Lock()
-	defer h.large.Res.Unlock()
-	h.large.ResetPeak()
-}
-
-// initExtentLayer attaches the arena-local slab-extent caches and the
-// sharded large-allocation pools to a heap whose large allocator is
-// ready. Called by both Create and Open (after recovery has rebuilt the
-// extent tree, before threads run).
-func (h *Heap) initExtentLayer() {
-	if h.opts.NoExtentCache {
-		return
-	}
-	for _, a := range h.arenas {
-		a.cache = extent.NewSlabCache(h.large, slab.Size)
-	}
-	h.shards = extent.NewShards(h.large, h.dev.Size(), h.opts.LargeShards)
-}
-
-// flushExtentCaches returns every sibling arena's cached extents to the
-// global allocator — exhaustion back-pressure, so a heap that still has
-// free space spread across caches cannot report OOM. except's own cache
-// has already been tried by the caller. Must not be called while holding
-// large.Res (Flush acquires it). Reports whether anything was flushed.
-func (h *Heap) flushExtentCaches(c *pmem.Ctx, except *arena) bool {
-	flushed := false
-	for _, a := range h.arenas {
-		if a == except || a.cache == nil {
-			continue
-		}
-		if a.cache.Len() > 0 {
-			a.cache.Flush(c)
-			flushed = true
-		}
-	}
-	return flushed
-}
+func (h *Heap) ResetPeak() { h.large.ResetPeak() }
 
 // Blog exposes the sharded bookkeeping log (nil when in-place
 // bookkeeping is configured); used by GC-overhead experiments.
@@ -502,9 +460,7 @@ func (h *Heap) BlockAllocated(addr pmem.PAddr) bool {
 func (h *Heap) LeaseOverhead() uint64 { return h.large.LeaseOverhead() }
 
 // LargeStats returns split/coalesce/grow counters.
-func (h *Heap) LargeStats() (splits, coalesces, grows uint64) {
-	return h.large.Splits, h.large.Coalesces, h.large.Grows
-}
+func (h *Heap) LargeStats() (splits, coalesces, grows uint64) { return h.large.Stats() }
 
 // MorphStats returns total morphs and refused candidates across arenas.
 func (h *Heap) MorphStats() (morphs, refusals uint64) {
@@ -603,9 +559,6 @@ func (h *Heap) ArenaLoads() []int64 {
 	return out
 }
 
-// LargeLoad returns the large allocator lock's accumulated load (ns).
-func (h *Heap) LargeLoad() int64 { return h.large.Res.Load() }
-
 // ResourceLoad is one lock's contention record: total virtual time spent
 // inside its critical sections (LoadNS), total virtual time threads spent
 // waiting for it (WaitNS), and how many times it was acquired.
@@ -618,19 +571,17 @@ type ResourceLoad struct {
 
 // Contention returns the per-resource load table for the heap: the
 // global large-allocator lock, the bookkeeper lock, each shard pool, and
-// each arena (the contention-breakdown report of the PR 3 acceptance
-// criteria).
+// each arena.
 func (h *Heap) Contention() []ResourceLoad {
 	row := func(name string, r *pmem.Resource) ResourceLoad {
 		return ResourceLoad{Name: name, LoadNS: r.Load(), WaitNS: r.WaitNS(), Acquires: r.Acquires()}
 	}
-	out := []ResourceLoad{
-		row("large", &h.large.Res),
-	}
+	global, book, shards := h.large.Locks()
+	out := []ResourceLoad{row("large", global)}
 	if h.blog != nil {
 		// The sharded log serializes itself per shard; the "book" row
-		// aggregates all shards (comparable to the old single BookRes)
-		// and each shard also reports its own row.
+		// aggregates all shards (comparable to the in-place scheme's one
+		// book lock) and each shard also reports its own row.
 		agg := ResourceLoad{Name: "book"}
 		for i := 0; i < h.blog.NumShards(); i++ {
 			r := h.blog.Res(i)
@@ -643,12 +594,10 @@ func (h *Heap) Contention() []ResourceLoad {
 			out = append(out, row(fmt.Sprintf("book%d", i), h.blog.Res(i)))
 		}
 	} else {
-		out = append(out, row("book", &h.large.BookRes))
+		out = append(out, row("book", book))
 	}
-	if h.shards != nil {
-		for i := 0; i < h.shards.NumPools(); i++ {
-			out = append(out, row(fmt.Sprintf("shard%d", i), &h.shards.Pool(i).Res))
-		}
+	for i, r := range shards {
+		out = append(out, row(fmt.Sprintf("shard%d", i), r))
 	}
 	for i, a := range h.arenas {
 		out = append(out, row(fmt.Sprintf("arena%d", i), &a.res))
@@ -670,13 +619,4 @@ func (h *Heap) SlabCreates() uint64 {
 // CacheStats aggregates the arena slab-cache counters: cache hits,
 // batched refills, overflow/back-pressure flushes, and total extents
 // carved through the batched path.
-func (h *Heap) CacheStats() (hits, refills, flushes, carved uint64) {
-	for _, a := range h.arenas {
-		if a.cache == nil {
-			continue
-		}
-		ch, cr, cf, cc := a.cache.Stats()
-		hits, refills, flushes, carved = hits+ch, refills+cr, flushes+cf, carved+cc
-	}
-	return
-}
+func (h *Heap) CacheStats() (hits, refills, flushes, carved uint64) { return h.large.CacheStats() }

@@ -1,8 +1,10 @@
 package core
 
 import (
+	"errors"
 	"testing"
 
+	"nvalloc/internal/alloc"
 	"nvalloc/internal/extent"
 	"nvalloc/internal/pmem"
 )
@@ -86,8 +88,8 @@ func TestExtentCacheDeterminism(t *testing.T) {
 }
 
 // TestGlobalLockAmortization: the number of global large-allocator lock
-// acquisitions per slab created must be amortized below 1 (the legacy
-// path took 3 per slab: AllocDeferRecord + Record + Free).
+// acquisitions per slab created must be amortized below 1 (the degenerate
+// construction takes 3 per slab: carve, record, free).
 func TestGlobalLockAmortization(t *testing.T) {
 	dev := pmem.New(pmem.Config{Size: 256 << 20})
 	h, err := Create(dev, DefaultOptions(LOG))
@@ -205,3 +207,84 @@ func TestCacheBackPressure(t *testing.T) {
 // The shard-heavy crash sweep (40–480 KiB published objects across power
 // cuts) now runs at every flush boundary in the crash-point model
 // checker: internal/crashmc's TestCrashSweepShards.
+
+// refusingBook is a bookkeeper whose alloc records can be refused, as a
+// full log region refuses them.
+type refusingBook struct {
+	extent.Bookkeeper
+	refuse bool
+}
+
+func (b *refusingBook) RecordAlloc(c *pmem.Ctx, addr pmem.PAddr, size uint64, slab bool) error {
+	if b.refuse {
+		return errors.New("log region exhausted")
+	}
+	return b.Bookkeeper.RecordAlloc(c, addr, size, slab)
+}
+
+// TestMallocUndoesCarveWhenRecordFails: an allocation whose bookkeeping
+// record cannot be written leaves nothing behind on any route — an extent
+// from the global pool, one from a shard pool, a slab refill with and
+// without the arena cache. The parent commit left the global-pool extent
+// and the cache-less slab's 64 KiB activated, unrecorded and unreachable.
+func TestMallocUndoesCarveWhenRecordFails(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		nocache bool
+		size    uint64
+	}{
+		{"global pool", false, 600 << 10},
+		{"shard pool", false, 40 << 10},
+		{"slab refill", false, 64},
+		{"global pool, no cache", true, 600 << 10},
+		{"slab refill, no cache", true, 64},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dev := pmem.New(pmem.Config{Size: 256 << 20})
+			opts := DefaultOptions(LOG)
+			opts.NoExtentCache = tc.nocache
+			h, err := Create(dev, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			book := &refusingBook{Bookkeeper: h.book}
+			h.large = extent.New(dev, book, h.extentConfig(), h.opts.extentTiers())
+			th := h.NewThread()
+			defer th.Close()
+
+			objects := func() (n int) {
+				h.Objects(func(Object) bool { n++; return true })
+				return
+			}
+			// A leaked carve moves bytes from the free lists to the activated
+			// set, which Used cannot see until the heap has to grow for the
+			// next one: fail often enough to outgrow a 4 MiB chunk.
+			committed := func() uint64 { return h.Used() + h.LeaseOverhead() }
+			p, err := th.Malloc(600 << 10) // the heap's first growth
+			if err != nil {
+				t.Fatal(err)
+			}
+			before := committed()
+			book.refuse = true
+			for i := 0; i < 200; i++ {
+				if _, err := th.Malloc(tc.size); !errors.Is(err, alloc.ErrOutOfMemory) {
+					t.Fatalf("Malloc with records refused: %v", err)
+				}
+			}
+			if n := objects(); n != 1 || committed() != before {
+				t.Fatalf("200 failed allocations left %d objects beside the live one and grew the heap %d -> %d bytes", n-1, before, committed())
+			}
+			if err := th.Free(p); err != nil {
+				t.Fatal(err)
+			}
+			book.refuse = false
+			p, err = th.Malloc(tc.size)
+			if err != nil {
+				t.Fatalf("Malloc with records accepted again: %v", err)
+			}
+			if err := th.Free(p); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+}

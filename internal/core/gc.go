@@ -37,10 +37,8 @@ func (h *Heap) conservativeGC(c *pmem.Ctx) error {
 			}
 			return object{}, false
 		}
-		if v, ok := h.large.Lookup(p); ok && v.Addr == p && !v.Slab {
-			return object{addr: p, size: v.Size}, true
-		}
-		return object{}, false
+		size, ok := h.large.Live(p)
+		return object{addr: p, size: size}, ok
 	}
 
 	marked := make(map[pmem.PAddr]bool)
@@ -101,11 +99,11 @@ func (h *Heap) conservativeGC(c *pmem.Ctx) error {
 	// Sweep extents: unreachable non-slab extents are leaks; free them in
 	// address order so the rebuilt extent freelists are deterministic.
 	var leaked []pmem.PAddr
-	for addr, v := range h.large.Activated() {
-		if !v.Slab && !marked[addr] {
+	h.large.Each(func(addr pmem.PAddr, _ uint64) {
+		if !marked[addr] {
 			leaked = append(leaked, addr)
 		}
-	}
+	})
 	sort.Slice(leaked, func(i, j int) bool { return leaked[i] < leaked[j] })
 	// Batched tombstones: one fence for the whole leak sweep. Safe here
 	// because a crash mid-batch just leaves some leaks for the next

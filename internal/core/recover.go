@@ -178,9 +178,7 @@ func Open(dev pmem.Dev, opts Options) (*Heap, int64, error) {
 		if err != nil {
 			return nil, 0, err
 		}
-		if !opts.BlogGC {
-			bl.SetSlowGCThreshold(^uint64(0) >> 1)
-		} else if opts.BlogGCThreshold > 0 {
+		if opts.BlogGCThreshold > 0 {
 			bl.SetSlowGCThreshold(opts.BlogGCThreshold)
 		}
 		// The paper compacts the log at every open (Section 4.4). Here a
@@ -203,21 +201,14 @@ func Open(dev pmem.Dev, opts Options) (*Heap, int64, error) {
 	rep.BookLogNS = lap()
 
 	// Rebuild the large allocator (gaps become reclaimed extents).
-	large, live, err := extent.Rebuild(dev, h.book, extent.Config{
-		HeapBase:  h.heapBase,
-		HeapEnd:   pmem.PAddr(dev.Size()),
-		BreakPtr:  superBase + sbBreak,
-		MetaBytes: uint64(h.heapBase),
-	}, c, records)
+	// Slab caches and shard pools start empty: leases and cached extents
+	// never survive a restart. Unrecorded space is rebuilt as free, recorded
+	// shard sub-allocations as ordinary global extents.
+	large, live, err := extent.Rebuild(dev, h.book, h.extentConfig(), opts.extentTiers(), c, records)
 	if err != nil {
 		return nil, 0, err
 	}
 	h.large = large
-	h.large.FirstFit = opts.FirstFitExtents
-	// Attach the (empty) extent caches and shard pools. Leases and cached
-	// extents never survive a restart: unrecorded space was rebuilt as
-	// free, recorded shard sub-allocations as ordinary global extents.
-	h.initExtentLayer()
 	rep.ExtentNS = lap()
 
 	// Rebuild vslabs; morph undo happens inside slab.Load.
@@ -412,9 +403,10 @@ func (h *Heap) replayPublish(c *pmem.Ctx, a *arena, e walog.Entry, last bool, re
 		owed, tag = old, oldTag
 	}
 	if tag == tagLarge {
-		if _, ok := h.large.Lookup(owed); ok {
-			_ = h.large.Free(c, owed) // a bookkeeper failure leaves the extent allocated: a leak, as before the replay
-		}
+		// An extent the replayed half already freed is unknown by now; a
+		// bookkeeper failure leaves it allocated: a leak, as before the
+		// replay.
+		_ = h.large.Free(c, a.index, owed, false)
 	}
 }
 

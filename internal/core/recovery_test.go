@@ -191,7 +191,7 @@ func TestOpenCompactsOnlyOverThreshold(t *testing.T) {
 			}
 		}
 		start := dev.JournalLen()
-		h, _, err := Open(dev, Options{BlogGC: true, BlogGCThreshold: threshold})
+		h, _, err := Open(dev, Options{BlogGCThreshold: threshold})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -220,9 +220,6 @@ func (h *Heap) resolvesLive(p pmem.PAddr) bool {
 		}
 		return s.OldBlockIndex(p) >= 0
 	}
-	if h.shards != nil && h.shards.Resolves(p) {
-		return true
-	}
-	v, ok := h.large.Lookup(p)
-	return ok && v.Addr == p && !v.Slab
+	_, ok := h.large.Live(p)
+	return ok
 }

@@ -4,7 +4,6 @@ import (
 	"slices"
 
 	"nvalloc/internal/alloc"
-	"nvalloc/internal/extent"
 	"nvalloc/internal/pmem"
 	"nvalloc/internal/sizeclass"
 	"nvalloc/internal/slab"
@@ -81,7 +80,7 @@ func (t *Thread) Ctx() *pmem.Ctx { return t.ctx }
 func (t *Thread) cache(class int) *tcache.Cache {
 	c := t.caches[class]
 	if c == nil {
-		cap := t.h.opts.TcacheCap
+		cap := tcacheCap
 		// Large classes cache fewer blocks (bounded bytes).
 		if bs := int(sizeclass.Size(class)); bs > 1024 {
 			cap = 8
@@ -103,7 +102,7 @@ func (t *Thread) Malloc(size uint64) (pmem.PAddr, error) {
 	}
 	t.ctx.Charge(pmem.CatOther, opBaseNS)
 	if !sizeclass.IsSmall(size) {
-		return t.mallocLarge(size, true)
+		return oom(t.h.large.Alloc(t.ctx, t.arena.index, size))
 	}
 	return t.mallocSmall(sizeclass.Class(uint32(size)))
 }
@@ -141,64 +140,20 @@ func (t *Thread) mallocSmall(class int) (pmem.PAddr, error) {
 	return s.BlockAddr(b.Idx), nil
 }
 
-// mallocLarge carves an extent and, when record is set, persists its
-// bookkeeping record. Reserve passes false: the extent then exists in this
-// process only (a crash returns its space) until publish records it.
-func (t *Thread) mallocLarge(size uint64, record bool) (pmem.PAddr, error) {
-	h := t.h
-	// Moderate sizes go through the thread's shard pool — its own lock,
-	// leases refilled from the global allocator — so parallel large
-	// allocations stop serializing on large.Res.
-	if h.shards != nil && size <= extent.MaxShardAlloc {
-		pool := h.shards.Pool(t.arena.index)
-		var addr pmem.PAddr
-		var err error
-		if record {
-			addr, err = pool.Alloc(t.ctx, size)
-		} else {
-			addr, err = pool.Reserve(t.ctx, size)
-		}
-		if err == nil {
-			return addr, nil
-		}
-		// Lease refill failed (heap nearly full): spill cached extents back
-		// to the global pool and fall through to the global path.
-		h.flushExtentCaches(t.ctx, nil)
-	}
-	h.large.Res.Acquire(t.ctx)
-	addr, err := h.large.AllocDeferRecord(t.ctx, size, 0, false)
-	if err == nil && record {
-		err = h.large.Record(t.ctx, addr)
-	}
-	h.large.Res.Release(t.ctx)
+// oom reports a failed extent carve or record as the heap being full.
+func oom(addr pmem.PAddr, err error) (pmem.PAddr, error) {
 	if err != nil {
 		return pmem.Null, alloc.ErrOutOfMemory
 	}
 	return addr, nil
 }
 
-// recordLarge persists the bookkeeping record of an extent Reserve carved.
-func (t *Thread) recordLarge(addr pmem.PAddr) error {
-	h := t.h
-	if h.shards != nil {
-		if handled, err := h.shards.Record(t.ctx, addr); handled {
-			return err
-		}
+// badAddr reports a failed extent free or release as a bad address.
+func badAddr(err error) error {
+	if err != nil {
+		return alloc.ErrBadAddress
 	}
-	h.large.Res.Acquire(t.ctx)
-	defer h.large.Res.Release(t.ctx)
-	return h.large.Record(t.ctx, addr)
-}
-
-// largeLive reports whether addr is the start of a live extent.
-func (h *Heap) largeLive(addr pmem.PAddr) bool {
-	if h.shards != nil && h.shards.Resolves(addr) {
-		return true
-	}
-	h.large.Res.Lock()
-	defer h.large.Res.Unlock()
-	v, ok := h.large.Lookup(addr)
-	return ok && !v.Slab
+	return nil
 }
 
 // Free releases a block or extent.
@@ -211,7 +166,7 @@ func (t *Thread) Free(addr pmem.PAddr) error {
 	// lookup (the address index the paper implements with an R-tree).
 	s := t.h.slabs.Lookup(addr &^ (slab.Size - 1))
 	if s == nil {
-		return t.freeLarge(addr, true)
+		return badAddr(t.h.large.Free(t.ctx, t.arena.index, addr, false))
 	}
 	return t.freeSmall(s, addr, true)
 }
@@ -450,43 +405,6 @@ func (t *Thread) Flush() {
 	}
 }
 
-// freeLarge returns an extent to the large allocator. tombstone is false
-// when the extent has no live record to kill: a reservation that was never
-// published, or an extent publish has already tombstoned.
-func (t *Thread) freeLarge(addr pmem.PAddr, tombstone bool) error {
-	h := t.h
-	// A lease-map hit routes the free back to its shard; a miss (including
-	// shard sub-allocations from before a crash, rebuilt as ordinary
-	// extents) falls through to the global allocator.
-	if h.shards != nil {
-		var handled bool
-		var err error
-		if tombstone {
-			handled, err = h.shards.Free(t.ctx, addr)
-		} else {
-			handled, err = h.shards.Release(t.ctx, addr)
-		}
-		if handled {
-			if err != nil {
-				return alloc.ErrBadAddress
-			}
-			return nil
-		}
-	}
-	h.large.Res.Acquire(t.ctx)
-	defer h.large.Res.Release(t.ctx)
-	var err error
-	if tombstone {
-		err = h.large.Free(t.ctx, addr)
-	} else {
-		err = h.large.Release(t.ctx, addr)
-	}
-	if err != nil {
-		return alloc.ErrBadAddress
-	}
-	return nil
-}
-
 // Reserve takes size bytes out of the thread's cache (or an extent out of
 // the large allocator) with no persistent effect: the block is this
 // thread's to fill, and a crash before Publish returns it to the heap
@@ -497,7 +415,7 @@ func (t *Thread) Reserve(size uint64) (pmem.PAddr, error) {
 	}
 	t.ctx.Charge(pmem.CatOther, opBaseNS)
 	if !sizeclass.IsSmall(size) {
-		return t.mallocLarge(size, false)
+		return oom(t.h.large.Carve(t.ctx, t.arena.index, size, false))
 	}
 	class := sizeclass.Class(uint32(size))
 	tc := t.cache(class)
@@ -535,7 +453,7 @@ func (t *Thread) Unreserve(addr pmem.PAddr) error {
 	t.ctx.Charge(pmem.CatOther, opBaseNS)
 	s := t.h.slabs.Lookup(addr &^ (slab.Size - 1))
 	if s == nil {
-		return t.freeLarge(addr, false)
+		return badAddr(t.h.large.Release(t.ctx, t.arena.index, addr, false))
 	}
 	idx, ok := reserved(s, addr)
 	if !ok {
@@ -609,7 +527,7 @@ func (t *Thread) Publish(slot, new, old pmem.PAddr) error {
 		// IC allow.
 		if ns != nil {
 			h.arenas[ns.Owner].commit(c, commitAlloc, []blockRef{nb}, true, false)
-		} else if newLarge && t.recordLarge(new) != nil {
+		} else if newLarge && h.large.Record(c, t.arena.index, new, false) != nil {
 			return alloc.ErrOutOfMemory
 		}
 		c.PersistU64(pmem.CatOther, slot, uint64(new))
@@ -619,8 +537,10 @@ func (t *Thread) Publish(slot, new, old pmem.PAddr) error {
 		}
 		return t.Free(old)
 	}
-	if oldLarge && !h.largeLive(old) {
-		return alloc.ErrBadAddress
+	if oldLarge {
+		if _, live := h.large.Live(old); !live {
+			return alloc.ErrBadAddress
+		}
 	}
 
 	ring := t.arena
@@ -666,7 +586,7 @@ func (t *Thread) Publish(slot, new, old pmem.PAddr) error {
 	ring.wal.Append(c, e)
 	if newLarge {
 		// RecordAlloc fences its record, and the entry with it.
-		if err := t.recordLarge(new); err != nil {
+		if err := h.large.Record(c, t.arena.index, new, false); err != nil {
 			// The entry names an extent that will never exist: retire it
 			// before anything can follow it in the ring.
 			ring.wal.Checkpoint(c)
@@ -715,7 +635,7 @@ func (t *Thread) Publish(slot, new, old pmem.PAddr) error {
 		ring.releaseSlab(c, release)
 	}
 	if oldLarge && err == nil {
-		err = t.freeLarge(old, false)
+		err = badAddr(h.large.Release(c, t.arena.index, old, false))
 	}
 	if remoteOld {
 		err = t.freeSmall(os, old, true)

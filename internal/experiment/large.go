@@ -141,10 +141,12 @@ func fig17(cfg Config) []*Table {
 		gc := gi == 1
 		dev := pmem.New(pmem.Config{Size: cfg.DeviceBytes})
 		opts := core.DefaultOptions(core.LOG)
-		opts.BlogGC = gc
 		// The paper sets Usage_pmem to a small fraction of the heap so
 		// slow GC actually triggers during the run.
 		opts.BlogGCThreshold = 16 * 1024
+		if !gc {
+			opts.BlogGCThreshold = core.BlogGCNever
+		}
 		h, err := core.Create(dev, opts)
 		if err != nil {
 			panic(err)

@@ -1,6 +1,7 @@
 package extent
 
 import (
+	"fmt"
 	"sync"
 
 	"nvalloc/internal/pmem"
@@ -14,50 +15,53 @@ const (
 	maxSlabBatch = 8
 )
 
-// SlabCache is an arena-local cache of equally sized extents (one slab
-// footprint each) standing between the arena and the global large
-// allocator. It exists to break the hot path's last global serialization
-// point: instead of taking Allocator.Res three times per slab
-// (AllocDeferRecord + Record + the eventual Free), the arena refills the
-// cache in batches — one Res critical section carves minSlabBatch..
-// maxSlabBatch extents — and the per-slab record/tombstone traffic runs
-// under BookRes alone.
+// slabCache is an arena-local cache of equally sized extents (one slab
+// footprint each): the tier that serves an arena's slab extents. It exists
+// to break the hot path's last global serialization point: instead of
+// taking the global pool's Res three times per slab (carve, record, free),
+// the arena refills the cache in batches — one Res critical section carves
+// minSlabBatch..maxSlabBatch extents — and the per-slab record and
+// tombstone run under the book resource alone.
 //
-// Invariant: every extent in the cache is *activated and unrecorded* —
-// its VEH sits in the allocator's activated map (with Slab set, hiding
-// it from object walks and GC sweeps) but no bookkeeping record exists.
-// After a crash, Rebuild therefore sees the space as free: a cached
-// extent can never resurrect stale contents, and the crash-ordering
-// argument of AllocDeferRecord (header formatted before record) carries
-// over unchanged to the batched path.
-type SlabCache struct {
-	a    *Allocator
+// Invariant: every extent in the cache is carved and idle (Pool.lease) —
+// activated, unrecorded. After a crash, Rebuild therefore sees the space
+// as free: a cached extent can never resurrect stale contents, and the
+// crash-ordering argument of Pool.carve (header formatted before record)
+// carries over unchanged to the batched path.
+type slabCache struct {
+	pool *Pool
 	size uint64
 
-	mu     sync.Mutex
+	mu     sync.Mutex   // the tier lock: arena-local, so not modelled in virtual time
 	free   []pmem.PAddr // LIFO: most recently returned extent reused first
 	batch  int
 	streak int // consecutive refills since the last flush
+	oneAddr
 
 	hits, refills, flushes, carved uint64
 }
 
-// NewSlabCache creates a cache of size-byte extents over a.
-func NewSlabCache(a *Allocator, size uint64) *SlabCache {
-	return &SlabCache{a: a, size: size, batch: minSlabBatch}
-}
+func (sc *slabCache) lock(*pmem.Ctx)   { sc.mu.Lock() }
+func (sc *slabCache) unlock(*pmem.Ctx) { sc.mu.Unlock() }
 
-// Get pops a cached extent, refilling the cache from the global
-// allocator when empty. ok is false only when the heap cannot supply a
-// single extent. The returned extent is activated and unrecorded; the
-// caller formats it and then persists its record via RecordExtent.
-func (sc *SlabCache) Get(c *pmem.Ctx) (pmem.PAddr, bool) {
-	sc.mu.Lock()
-	defer sc.mu.Unlock()
+// lookup: every extent this tier hands out has its size and is a slab's.
+func (sc *slabCache) lookup(pmem.PAddr) (size uint64, slab, ok bool) { return sc.size, true, true }
+
+// carve pops a cached extent, refilling the cache from the global pool
+// when empty. It fails only when the heap cannot supply a single extent.
+func (sc *slabCache) carve(c *pmem.Ctx, _ uint64, _ pmem.PAddr, _ bool) (pmem.PAddr, error) {
 	if len(sc.free) == 0 {
-		sc.refillLocked(c)
+		sc.free = sc.pool.lease(c, sc.size, pmem.PAddr(sc.size), sc.batch, sc.free)
+		sc.refills++
+		sc.carved += uint64(len(sc.free))
+		// Demand adaptation: back-to-back refills (no flush in between) mean
+		// the arena is churning through slabs — double the batch up to the
+		// cap so the global lock is touched even less often.
+		if sc.streak++; sc.streak > 1 && sc.batch < maxSlabBatch {
+			sc.batch = min(2*sc.batch, maxSlabBatch)
+		}
 		if len(sc.free) == 0 {
-			return pmem.Null, false
+			return pmem.Null, fmt.Errorf("extent: heap cannot supply a %d-byte slab extent", sc.size)
 		}
 	} else {
 		sc.hits++
@@ -65,81 +69,42 @@ func (sc *SlabCache) Get(c *pmem.Ctx) (pmem.PAddr, bool) {
 	addr := sc.free[len(sc.free)-1]
 	sc.free = sc.free[:len(sc.free)-1]
 	// Leaving the cache to become a live slab: no longer overhead.
-	sc.a.cacheOverhead.Add(-int64(sc.size))
-	return addr, true
+	sc.pool.cacheOverhead.Add(-int64(sc.size))
+	return addr, nil
 }
 
-// Put returns an extent (activated, unrecorded) to the cache. When the
-// cache overflows its working set, the oldest extents are handed back to
-// the global allocator in one critical section.
-func (sc *SlabCache) Put(c *pmem.Ctx, addr pmem.PAddr) {
-	sc.mu.Lock()
-	defer sc.mu.Unlock()
+// release takes an extent back into the cache. When the cache overflows
+// its working set, the oldest extents are handed back to the global pool
+// in one critical section.
+func (sc *slabCache) release(c *pmem.Ctx, addr pmem.PAddr) error {
 	sc.free = append(sc.free, addr)
 	// Back in the cache: idle again. (Extents dropped by the overflow
-	// flush are un-counted inside releaseUnrecorded.)
-	sc.a.cacheOverhead.Add(int64(sc.size))
+	// flush are un-counted inside reclaim.)
+	sc.pool.cacheOverhead.Add(int64(sc.size))
 	if len(sc.free) > 2*sc.batch {
-		keep := sc.batch
-		drop := len(sc.free) - keep
-		sc.a.ReleaseUnrecordedBatch(c, sc.free[:drop])
-		sc.free = append(sc.free[:0], sc.free[drop:]...)
-		sc.flushes++
-		sc.streak = 0
-		sc.batch = minSlabBatch
+		sc.drop(c, len(sc.free)-sc.batch)
 	}
+	return nil
 }
 
-// refillLocked carves a batch of extents under one Res acquisition.
-// Caller holds sc.mu.
-func (sc *SlabCache) refillLocked(c *pmem.Ctx) {
-	sc.free = sc.a.AllocSlabBatch(c, sc.size, sc.batch, sc.free)
-	sc.refills++
-	sc.carved += uint64(len(sc.free))
-	// Demand adaptation: back-to-back refills (no flush in between) mean
-	// the arena is churning through slabs — double the batch up to the
-	// cap so the global lock is touched even less often.
-	sc.streak++
-	if sc.streak > 1 && sc.batch < maxSlabBatch {
-		sc.batch *= 2
-		if sc.batch > maxSlabBatch {
-			sc.batch = maxSlabBatch
-		}
-	}
-}
-
-// Flush returns every cached extent to the global allocator (exhaustion
-// back-pressure and shutdown).
-func (sc *SlabCache) Flush(c *pmem.Ctx) {
-	sc.mu.Lock()
-	defer sc.mu.Unlock()
-	if len(sc.free) == 0 {
-		return
-	}
-	sc.a.ReleaseUnrecordedBatch(c, sc.free)
-	sc.free = sc.free[:0]
+// drop hands the n oldest cached extents back to the global pool and
+// restarts the demand adaptation.
+func (sc *slabCache) drop(c *pmem.Ctx, n int) {
+	sc.pool.reclaim(c, sc.free[:n])
+	sc.free = append(sc.free[:0], sc.free[n:]...)
 	sc.flushes++
 	sc.streak = 0
 	sc.batch = minSlabBatch
 }
 
-// Len returns the number of cached extents.
-func (sc *SlabCache) Len() int {
+// flush returns every cached extent to the global pool (exhaustion
+// back-pressure) and reports whether there was any.
+func (sc *slabCache) flush(c *pmem.Ctx) bool {
 	sc.mu.Lock()
 	defer sc.mu.Unlock()
-	return len(sc.free)
-}
-
-// Batch returns the current adaptive batch size.
-func (sc *SlabCache) Batch() int {
-	sc.mu.Lock()
-	defer sc.mu.Unlock()
-	return sc.batch
-}
-
-// Stats returns (hits, refills, flushes, extents carved).
-func (sc *SlabCache) Stats() (hits, refills, flushes, carved uint64) {
-	sc.mu.Lock()
-	defer sc.mu.Unlock()
-	return sc.hits, sc.refills, sc.flushes, sc.carved
+	if len(sc.free) == 0 {
+		return false
+	}
+	sc.drop(c, len(sc.free))
+	return true
 }

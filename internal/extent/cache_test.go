@@ -1,6 +1,7 @@
 package extent
 
 import (
+	"sync"
 	"testing"
 
 	"nvalloc/internal/blog"
@@ -9,114 +10,99 @@ import (
 
 const slabSize = 64 << 10
 
-// TestSlabCacheBatchAmortization: N slab Gets must cost far fewer global
+// TestSlabCacheBatchAmortization: N slab carves must cost far fewer global
 // Res acquisitions than N — one per batched refill — and every returned
 // extent must be activated, slab-flagged and unrecorded.
 func TestSlabCacheBatchAmortization(t *testing.T) {
-	_, a, c := newAlloc(t, 64<<20)
-	sc := NewSlabCache(a, slabSize)
+	_, a, c := newTiered(t, 64<<20, Tiers{Caches: 1, SlabSize: slabSize})
+	sc := a.caches[0]
 
-	before := a.Res.Acquires()
+	before := a.pool.Res.Acquires()
 	const n = 16
-	var got []pmem.PAddr
 	for i := 0; i < n; i++ {
-		p, ok := sc.Get(c)
-		if !ok {
-			t.Fatalf("get %d failed", i)
+		p, err := a.Carve(c, 0, slabSize, true)
+		if err != nil {
+			t.Fatalf("carve %d: %v", i, err)
 		}
-		got = append(got, p)
-		v, ok := a.Lookup(p)
+		v, ok := a.pool.activated[p]
 		if !ok || !v.Slab || v.Size != slabSize {
 			t.Fatalf("cached extent %#x not an activated slab VEH: %+v %v", p, v, ok)
 		}
 	}
-	acq := a.Res.Acquires() - before
+	acq := a.pool.Res.Acquires() - before
 	if acq >= n {
-		t.Fatalf("%d gets cost %d global acquisitions; batching broken", n, acq)
+		t.Fatalf("%d carves cost %d global acquisitions; batching broken", n, acq)
 	}
 	// Adaptive growth: back-to-back refills must have raised the batch.
-	if sc.Batch() <= minSlabBatch {
-		t.Fatalf("batch still %d after %d churn gets", sc.Batch(), n)
+	if sc.batch <= minSlabBatch {
+		t.Fatalf("batch still %d after %d churn carves", sc.batch, n)
 	}
 	// Unrecorded: nothing was recorded, so the bookkeeping log must hold
 	// zero live records despite the activated extents.
-	if n := a.book.(*blog.Sharded).Live(); n != 0 {
-		t.Fatalf("cache gets produced %d bookkeeping records, want 0", n)
+	if n := a.pool.book.(*blog.Sharded).Live(); n != 0 {
+		t.Fatalf("cache carves produced %d bookkeeping records, want 0", n)
 	}
 }
 
-// TestSlabCachePutOverflowAndFlush: overflowing Put hands extents back to
-// the global free pool (reusable by Alloc) and resets the batch; Flush
-// empties the cache entirely.
+// TestSlabCachePutOverflowAndFlush: a release that overflows the cache
+// hands extents back to the global free pool (reusable by Alloc) and resets
+// the batch; a flush empties the cache entirely.
 func TestSlabCachePutOverflowAndFlush(t *testing.T) {
-	_, a, c := newAlloc(t, 64<<20)
-	sc := NewSlabCache(a, slabSize)
+	_, a, c := newTiered(t, 64<<20, Tiers{Caches: 1, SlabSize: slabSize})
+	sc := a.caches[0]
 
 	var ps []pmem.PAddr
 	for i := 0; i < maxSlabBatch*3; i++ {
-		p, ok := sc.Get(c)
-		if !ok {
-			t.Fatal("get failed")
+		p, err := a.Carve(c, 0, slabSize, true)
+		if err != nil {
+			t.Fatal(err)
 		}
 		ps = append(ps, p)
 	}
 	for _, p := range ps {
-		sc.Put(c, p)
+		if err := a.Release(c, 0, p, true); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if sc.Len() > 2*maxSlabBatch {
-		t.Fatalf("cache holds %d extents after overflow puts", sc.Len())
+	if len(sc.free) > 2*maxSlabBatch {
+		t.Fatalf("cache holds %d extents after overflow puts", len(sc.free))
 	}
-	if sc.Batch() != minSlabBatch {
-		t.Fatalf("overflow flush must reset batch, got %d", sc.Batch())
+	if sc.batch != minSlabBatch {
+		t.Fatalf("overflow flush must reset batch, got %d", sc.batch)
 	}
 	// Overflowed extents were deactivated; exactly the cached ones remain.
 	active := 0
 	for _, p := range ps {
-		if _, ok := a.Lookup(p); ok {
+		if _, ok := a.pool.activated[p]; ok {
 			active++
 		}
 	}
-	if active != sc.Len() {
-		t.Fatalf("%d extents activated but %d cached after overflow", active, sc.Len())
+	if active != len(sc.free) {
+		t.Fatalf("%d extents activated but %d cached after overflow", active, len(sc.free))
 	}
-	sc.Flush(c)
-	if sc.Len() != 0 {
-		t.Fatalf("flush left %d extents cached", sc.Len())
+	if !a.flushCaches(c, -1) || len(sc.free) != 0 {
+		t.Fatalf("flush left %d extents cached", len(sc.free))
 	}
 	for _, p := range ps {
-		if _, ok := a.Lookup(p); ok {
+		if _, ok := a.pool.activated[p]; ok {
 			t.Fatalf("flushed extent %#x still activated", p)
 		}
 	}
+	if a.LeaseOverhead() != 0 {
+		t.Fatalf("an empty cache still counts %d bytes of overhead", a.LeaseOverhead())
+	}
 	// The space is genuinely reusable.
-	if _, err := a.Alloc(c, slabSize, 0, false); err != nil {
+	if _, err := a.Alloc(c, 0, slabSize); err != nil {
 		t.Fatalf("alloc after flush: %v", err)
 	}
 }
 
-// TestCachedExtentsFreeAfterCrash: cached (activated-but-unrecorded)
-// extents must not survive a crash — Rebuild sees only recorded extents,
-// and the cached space is free again.
-func TestCachedExtentsFreeAfterCrash(t *testing.T) {
-	dev, a, c := newAlloc(t, 64<<20)
-	sc := NewSlabCache(a, slabSize)
-
-	// One recorded extent, several cached ones.
-	rec, err := a.Alloc(c, 128<<10, 0, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var cached []pmem.PAddr
-	for i := 0; i < 6; i++ {
-		p, ok := sc.Get(c)
-		if !ok {
-			t.Fatal("get failed")
-		}
-		cached = append(cached, p)
-	}
+// reopen crashes dev and rebuilds the degenerate allocator from the
+// bookkeeping log, as recovery does.
+func reopen(t *testing.T, dev *pmem.Device, c *pmem.Ctx) (*Allocator, []*VEH, *pmem.Ctx) {
+	t.Helper()
 	c.Merge()
 	dev.Crash()
-
 	bk, recs, err := blog.Open(dev, logBase, logSize, 6, 1)
 	if err != nil {
 		t.Fatal(err)
@@ -130,15 +116,38 @@ func TestCachedExtentsFreeAfterCrash(t *testing.T) {
 		HeapBase: heapBase,
 		HeapEnd:  pmem.PAddr(dev.Size()),
 		BreakPtr: brkPtr,
-	}, c2, records)
+	}, Tiers{}, c2, records)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := a2.Lookup(rec); !ok {
+	return a2, live, c2
+}
+
+// TestCachedExtentsFreeAfterCrash: cached (activated-but-unrecorded)
+// extents must not survive a crash — Rebuild sees only recorded extents,
+// and the cached space is free again.
+func TestCachedExtentsFreeAfterCrash(t *testing.T) {
+	dev, a, c := newTiered(t, 64<<20, Tiers{Caches: 1, SlabSize: slabSize})
+
+	// One recorded extent, several cached ones.
+	rec, err := a.Alloc(c, 0, 128<<10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var cached []pmem.PAddr
+	for i := 0; i < 6; i++ {
+		p, err := a.Carve(c, 0, slabSize, true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cached = append(cached, p)
+	}
+	a2, live, _ := reopen(t, dev, c)
+	if _, ok := a2.pool.activated[rec]; !ok {
 		t.Fatalf("recorded extent %#x lost in rebuild", rec)
 	}
 	for _, p := range cached {
-		if _, ok := a2.Lookup(p); ok {
+		if _, ok := a2.pool.activated[p]; ok {
 			t.Fatalf("cached extent %#x resurrected by rebuild", p)
 		}
 	}
@@ -153,54 +162,58 @@ func TestCachedExtentsFreeAfterCrash(t *testing.T) {
 
 // TestShardAllocFreeLifecycle covers the shard pool: lease acquisition,
 // in-lease carve/coalesce, the lease page map, keep-one-spare hysteresis
-// and fallthrough for foreign addresses.
+// and fallthrough to the global pool for foreign addresses and oversized
+// requests.
 func TestShardAllocFreeLifecycle(t *testing.T) {
-	_, a, c := newAlloc(t, 128<<20)
-	s := NewShards(a, 128<<20, 2)
-	sh := s.Pool(0)
+	_, a, c := newTiered(t, 128<<20, Tiers{Pools: 2})
+	sh := a.shards[0]
 
 	var ps []pmem.PAddr
 	for i := 0; i < 8; i++ {
-		p, err := sh.Alloc(c, 48<<10)
+		p, err := a.Alloc(c, 0, 48<<10)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !s.Resolves(p) {
+		if size, ok := a.Live(p); !ok || size != 48<<10 || a.leases.Lookup(p) == nil {
 			t.Fatalf("lease map does not resolve %#x", p)
 		}
 		ps = append(ps, p)
 	}
 	// The lease VEH is hidden (Slab=true), the sub-allocs are recorded.
-	allocs, _, taken, _ := sh.Stats()
-	if allocs != 8 || taken == 0 {
-		t.Fatalf("stats allocs=%d leases=%d", allocs, taken)
+	if len(sh.allocated) != 8 || sh.leasesTaken == 0 {
+		t.Fatalf("shard holds %d sub-allocations in %d leases", len(sh.allocated), sh.leasesTaken)
 	}
-	// Foreign address: not handled.
-	if handled, _ := s.Free(c, heapBase+pmem.PAddr(64<<20)); handled {
-		t.Fatal("free of non-lease address claimed handled")
+	if n := a.pool.book.(*blog.Sharded).Live(); n != 8 {
+		t.Fatalf("%d bookkeeping records for 8 sub-allocations", n)
 	}
-	// Frees return space; unknown in-lease addresses error but are handled.
+	// Foreign address: the global pool's to refuse, not the shard's.
+	acq := sh.Res.Acquires()
+	if err := a.Free(c, 0, heapBase+pmem.PAddr(64<<20), false); err == nil || sh.Res.Acquires() != acq {
+		t.Fatalf("free of a non-lease address: err=%v, shard acquired %d times", err, sh.Res.Acquires()-acq)
+	}
+	// Frees return space; unknown in-lease addresses error.
 	for _, p := range ps {
-		handled, err := s.Free(c, p)
-		if !handled || err != nil {
-			t.Fatalf("free %#x: handled=%v err=%v", p, handled, err)
+		if err := a.Free(c, 0, p, false); err != nil {
+			t.Fatalf("free %#x: %v", p, err)
 		}
 	}
-	if handled, err := s.Free(c, ps[0]); handled && err == nil {
+	if err := a.Free(c, 0, ps[0], false); err == nil {
 		t.Fatal("double free through shard must error")
 	}
 	// After freeing everything the shard keeps at most one spare empty
 	// lease per hysteresis; allocating again must not take a new lease.
-	_, _, takenBefore, _ := sh.Stats()
-	if _, err := sh.Alloc(c, 48<<10); err != nil {
+	takenBefore := sh.leasesTaken
+	if _, err := a.Alloc(c, 0, 48<<10); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, takenAfter, _ := sh.Stats(); takenAfter != takenBefore {
+	if sh.leasesTaken != takenBefore {
 		t.Fatal("alloc after frees leased again despite spare lease")
 	}
-	// Oversized requests are rejected (the caller falls back to global).
-	if _, err := sh.Alloc(c, MaxShardAlloc+1); err == nil {
-		t.Fatal("oversized shard alloc must fail")
+	// Oversized requests are the global pool's.
+	acq = sh.Res.Acquires()
+	p, err := a.Alloc(c, 0, MaxShardAlloc+1)
+	if _, global := a.pool.activated[p]; err != nil || !global || sh.Res.Acquires() != acq {
+		t.Fatalf("oversized alloc: err=%v, in global pool=%v, shard acquired %d times", err, global, sh.Res.Acquires()-acq)
 	}
 }
 
@@ -208,40 +221,19 @@ func TestShardAllocFreeLifecycle(t *testing.T) {
 // rebuilt as ordinary global extents; the dissolved lease's remainder is
 // free space.
 func TestShardSubAllocsSurviveCrash(t *testing.T) {
-	dev, a, c := newAlloc(t, 128<<20)
-	s := NewShards(a, 128<<20, 1)
-	sh := s.Pool(0)
+	dev, a, c := newTiered(t, 128<<20, Tiers{Pools: 1})
 
-	p1, err := sh.Alloc(c, 40<<10)
+	p1, err := a.Alloc(c, 0, 40<<10)
 	if err != nil {
 		t.Fatal(err)
 	}
-	p2, err := sh.Alloc(c, 200<<10)
+	p2, err := a.Alloc(c, 0, 200<<10)
 	if err != nil {
 		t.Fatal(err)
 	}
-	c.Merge()
-	dev.Crash()
-
-	bk, recs, err := blog.Open(dev, logBase, logSize, 6, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var records []LiveRecord
-	for _, r := range recs {
-		records = append(records, LiveRecord{Addr: r.Addr, Size: r.Size, Slab: r.Slab})
-	}
-	c2 := dev.NewCtx()
-	a2, _, err := Rebuild(dev, bk, Config{
-		HeapBase: heapBase,
-		HeapEnd:  pmem.PAddr(dev.Size()),
-		BreakPtr: brkPtr,
-	}, c2, records)
-	if err != nil {
-		t.Fatal(err)
-	}
-	v1, ok1 := a2.Lookup(p1)
-	v2, ok2 := a2.Lookup(p2)
+	a2, _, c2 := reopen(t, dev, c)
+	v1, ok1 := a2.pool.activated[p1]
+	v2, ok2 := a2.pool.activated[p2]
 	if !ok1 || v1.Size != 40<<10 || v1.Slab {
 		t.Fatalf("sub-alloc %#x: %+v %v", p1, v1, ok1)
 	}
@@ -249,10 +241,10 @@ func TestShardSubAllocsSurviveCrash(t *testing.T) {
 		t.Fatalf("sub-alloc %#x: %+v %v", p2, v2, ok2)
 	}
 	// They free through the ordinary global path now.
-	if err := a2.Free(c2, p1); err != nil {
+	if err := a2.Free(c2, 0, p1, false); err != nil {
 		t.Fatal(err)
 	}
-	if err := a2.Free(c2, p2); err != nil {
+	if err := a2.Free(c2, 0, p2, false); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -263,7 +255,7 @@ func TestFreeBatchTombstones(t *testing.T) {
 	dev, a, c := newAlloc(t, 64<<20)
 	var ps []pmem.PAddr
 	for i := 0; i < 5; i++ {
-		p, err := a.Alloc(c, 32<<10, 0, false)
+		p, err := a.Alloc(c, 0, 32<<10)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -273,7 +265,7 @@ func TestFreeBatchTombstones(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, p := range ps {
-		if _, ok := a.Lookup(p); ok {
+		if _, ok := a.pool.activated[p]; ok {
 			t.Fatalf("%#x still activated after FreeBatch", p)
 		}
 	}
@@ -289,5 +281,52 @@ func TestFreeBatchTombstones(t *testing.T) {
 				t.Fatalf("batch-freed extent %#x still recorded", p)
 			}
 		}
+	}
+}
+
+// TestLeaseDropRacesFree: a free finds its lease without a lock and must
+// revalidate it under the shard's, because the lease may have been dropped —
+// or leased again — in between. Workers allocate lease-filling extents and
+// hand them to a neighbour to free, so leases are taken and dropped under
+// the lookups all the time (run with -race).
+func TestLeaseDropRacesFree(t *testing.T) {
+	dev, a, _ := newTiered(t, 256<<20, Tiers{Pools: 1})
+	const workers, rounds, perLease = 4, 200, LeaseSize / MaxShardAlloc
+	pipes := make([]chan pmem.PAddr, workers)
+	for i := range pipes {
+		pipes[i] = make(chan pmem.PAddr, perLease) // a round's extents, so no sender waits on its own receiver
+	}
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			c := dev.NewCtx()
+			next := pipes[(w+1)%workers]
+			for r := 0; r < rounds; r++ {
+				for i := 0; i < perLease; i++ {
+					p, err := a.Alloc(c, w, MaxShardAlloc)
+					if err != nil {
+						t.Errorf("worker %d: %v", w, err)
+						return
+					}
+					next <- p
+				}
+				for i := 0; i < perLease; i++ {
+					if err := a.Free(c, w, <-pipes[w], false); err != nil {
+						t.Errorf("worker %d: %v", w, err)
+						return
+					}
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	sh := a.shards[0]
+	if len(sh.allocated) != 0 || sh.leasesReturned == 0 {
+		t.Fatalf("%d sub-allocations left, %d leases dropped", len(sh.allocated), sh.leasesReturned)
+	}
+	if got, want := a.LeaseOverhead(), uint64(len(sh.leases))*LeaseSize; got != want {
+		t.Fatalf("%d idle bytes with %d empty leases held", got, len(sh.leases))
 	}
 }

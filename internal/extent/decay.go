@@ -30,31 +30,23 @@ func Smootherstep(t float64) float64 {
 	return t * t * t * (t*(t*6-15) + 10)
 }
 
-type decayState struct {
-	lastTick int64
-}
-
-func (d *decayState) init() {
-	d.lastTick = 0
-}
-
 // maybeDecay runs the decay pass if a full epoch of virtual time has
 // passed. Callers hold Res.
-func (a *Allocator) maybeDecay(c *pmem.Ctx) {
-	if c.Now-a.decay.lastTick < DecayEpochNS {
+func (p *Pool) maybeDecay(c *pmem.Ctx) {
+	if c.Now-p.lastDecay < DecayEpochNS {
 		return
 	}
-	a.decay.lastTick = c.Now
-	a.DecayTick(c)
+	p.lastDecay = c.Now
+	p.decayTick(c)
 }
 
-// DecayTick forces one decay pass. The allowed bytes TH_decay of a free
+// decayTick runs one decay pass. The allowed bytes TH_decay of a free
 // list is the sum over its extents of size*(1-Smootherstep(age/window)):
 // freshly freed extents contribute their full size, fully aged extents
 // contribute nothing. While the list holds more than TH_decay, the
 // oldest extents are demoted — reclaimed to retained ("unmap physical"),
 // retained to released ("return to OS").
-func (a *Allocator) DecayTick(c *pmem.Ctx) {
+func (p *Pool) decayTick(c *pmem.Ctx) {
 	now := c.Now
 	// limit computes the allowed bytes and, as a side effect, compacts
 	// the FIFO: entries whose extents were reactivated or merged since
@@ -66,7 +58,7 @@ func (a *Allocator) DecayTick(c *pmem.Ctx) {
 		q := *fifo
 		kept := q[:0]
 		for _, v := range q {
-			cur, ok := a.byAddr.Get(v.Addr)
+			cur, ok := p.byAddr.Get(v.Addr)
 			if !ok || cur != v || v.State != want {
 				continue
 			}
@@ -78,24 +70,24 @@ func (a *Allocator) DecayTick(c *pmem.Ctx) {
 		return uint64(allowed)
 	}
 
-	th := limit(&a.fifoReclaimed, Reclaimed)
-	a.drainFIFO(&a.fifoReclaimed, Reclaimed, func(v *VEH) bool {
-		if a.reclaimedBytes <= th {
+	th := limit(&p.fifoReclaimed, Reclaimed)
+	p.drainFIFO(&p.fifoReclaimed, Reclaimed, func(v *VEH) bool {
+		if p.reclaimedBytes <= th {
 			return false
 		}
-		a.removeFree(v)
-		a.insertFree(v, Retained, now)
+		p.removeFree(v)
+		p.insertFree(v, Retained, now)
 		c.Charge(pmem.CatOther, 40) // madvise-equivalent cost
 		return true
 	})
 
-	th = limit(&a.fifoRetained, Retained)
-	a.drainFIFO(&a.fifoRetained, Retained, func(v *VEH) bool {
-		if a.retainedBytes <= th {
+	th = limit(&p.fifoRetained, Retained)
+	p.drainFIFO(&p.fifoRetained, Retained, func(v *VEH) bool {
+		if p.retainedBytes <= th {
 			return false
 		}
-		a.removeFree(v)
-		a.insertFree(v, Released, now)
+		p.removeFree(v)
+		p.insertFree(v, Released, now)
 		c.Charge(pmem.CatOther, 60) // munmap-equivalent cost
 		return true
 	})
@@ -104,12 +96,12 @@ func (a *Allocator) DecayTick(c *pmem.Ctx) {
 // drainFIFO pops entries from the front of a free-extent FIFO in
 // insertion (age) order, skipping stale entries (extents that were
 // reactivated or merged since). fn returns false to stop.
-func (a *Allocator) drainFIFO(fifo *[]*VEH, want State, fn func(*VEH) bool) {
+func (p *Pool) drainFIFO(fifo *[]*VEH, want State, fn func(*VEH) bool) {
 	q := *fifo
 	i := 0
 	for ; i < len(q); i++ {
 		v := q[i]
-		cur, ok := a.byAddr.Get(v.Addr)
+		cur, ok := p.byAddr.Get(v.Addr)
 		if !ok || cur != v || v.State != want {
 			continue // stale entry
 		}
@@ -122,21 +114,23 @@ func (a *Allocator) drainFIFO(fifo *[]*VEH, want State, fn func(*VEH) bool) {
 
 // Rebuild reconstructs the allocator's volatile state during recovery:
 // the records are the live extents (from the bookkeeper), and every gap
-// between them inside [heapBase, break) becomes a reclaimed free extent.
-// It returns the VEHs of the live extents in address order.
+// between them inside [heapBase, break) becomes a reclaimed free extent —
+// slab caches and shard pools start empty, because what they held was
+// carved and never recorded. It returns the VEHs of the live extents in
+// address order.
 //
 // The record set is validated before it is trusted — each record must be
 // page-aligned, inside the heap and non-overlapping — and the stored
 // break self-heals: if it is torn or flipped it is rewritten to the
 // smallest chunk-aligned value covering every live record.
-func Rebuild(dev pmem.Dev, book Bookkeeper, cfg Config, c *pmem.Ctx, records []LiveRecord) (*Allocator, []*VEH, error) {
-	a := newAllocator(dev, book, cfg)
+func Rebuild(dev pmem.Dev, book Bookkeeper, cfg Config, t Tiers, c *pmem.Ctx, records []LiveRecord) (*Allocator, []*VEH, error) {
+	p := newPool(dev, book, cfg)
 	sort.Slice(records, func(i, j int) bool { return records[i].Addr < records[j].Addr })
 
-	check := a.heapBase
+	check := p.heapBase
 	for _, r := range records {
-		if r.Addr < a.heapBase || r.Addr%PageSize != 0 {
-			return nil, nil, pmem.Corrupt("extent", r.Addr, "live record misaligned or below heap base %#x", a.heapBase)
+		if r.Addr < p.heapBase || r.Addr%PageSize != 0 {
+			return nil, nil, pmem.Corrupt("extent", r.Addr, "live record misaligned or below heap base %#x", p.heapBase)
 		}
 		if r.Size == 0 || uint64(r.Addr)+r.Size > uint64(cfg.HeapEnd) {
 			return nil, nil, pmem.Corrupt("extent", r.Addr, "live record size %d reaches past heap end %#x", r.Size, cfg.HeapEnd)
@@ -146,23 +140,23 @@ func Rebuild(dev pmem.Dev, book Bookkeeper, cfg Config, c *pmem.Ctx, records []L
 		}
 		check = r.Addr + pmem.PAddr(r.Size)
 	}
-	minBrk := a.heapBase + pmem.PAddr((uint64(check-a.heapBase)+ChunkSize-1)&^uint64(ChunkSize-1))
+	minBrk := p.heapBase + pmem.PAddr((uint64(check-p.heapBase)+ChunkSize-1)&^uint64(ChunkSize-1))
 	brk := pmem.PAddr(dev.ReadU64(cfg.BreakPtr))
-	if brk < minBrk || brk > cfg.HeapEnd || uint64(brk-a.heapBase)%ChunkSize != 0 {
+	if brk < minBrk || brk > cfg.HeapEnd || uint64(brk-p.heapBase)%ChunkSize != 0 {
 		brk = minBrk
 		c.PersistU64(pmem.CatMeta, cfg.BreakPtr, uint64(brk))
 		c.Fence()
 	}
-	res := a.book.DataOffset()
+	res := p.book.DataOffset()
 	if res > 0 {
 		// Header reservations at the start of every grown chunk are
 		// metadata, not free space.
-		n := uint64(brk-a.heapBase) / ChunkSize
-		a.metaBytes += n * res
+		n := uint64(brk-p.heapBase) / ChunkSize
+		p.metaBytes += n * res
 	}
 
 	live := make([]*VEH, 0, len(records))
-	cursor := a.heapBase
+	cursor := p.heapBase
 	flushGap := func(from, to pmem.PAddr) {
 		for from < to {
 			// Carve out bookkeeper reservations chunk by chunk.
@@ -179,8 +173,8 @@ func Rebuild(dev pmem.Dev, book Bookkeeper, cfg Config, c *pmem.Ctx, records []L
 			}
 			if end > from {
 				v := &VEH{Addr: from, Size: uint64(end - from)}
-				a.insertFree(v, Reclaimed, 0)
-				a.coalesce(c, v)
+				p.insertFree(v, Reclaimed, 0)
+				p.coalesce(c, v)
 			}
 			from = end
 		}
@@ -190,8 +184,8 @@ func Rebuild(dev pmem.Dev, book Bookkeeper, cfg Config, c *pmem.Ctx, records []L
 			flushGap(cursor, r.Addr)
 		}
 		v := &VEH{Addr: r.Addr, Size: r.Size, State: Activated, Slab: r.Slab}
-		a.activated[r.Addr] = v
-		a.activatedBytes += r.Size
+		p.activated[r.Addr] = v
+		p.activatedBytes += r.Size
 		live = append(live, v)
 		cursor = v.End()
 		c.Charge(pmem.CatSearch, 30)
@@ -199,8 +193,8 @@ func Rebuild(dev pmem.Dev, book Bookkeeper, cfg Config, c *pmem.Ctx, records []L
 	if cursor < brk {
 		flushGap(cursor, brk)
 	}
-	a.notePeak()
-	return a, live, nil
+	p.notePeak()
+	return newAllocator(p, t), live, nil
 }
 
 // LiveRecord is a live-extent record handed to Rebuild (mirrors

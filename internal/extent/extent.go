@@ -6,6 +6,35 @@
 // extents using a smootherstep threshold, and pluggable persistent
 // bookkeeping: the log-structured bookkeeping log (package blog) or the
 // classic in-place region headers the paper's baselines use.
+//
+// An extent is free, then carved (activated, volatile), then recorded
+// (persistent), then tombstoned (persistent), then released (volatile) and
+// free again; a carved extent that has no record is free after a crash.
+// Allocator is the one door to that state machine: it routes a request to
+// the tier that serves it — an arena's slab cache, a shard pool, the global
+// best-fit Pool — and takes every lock the tier needs. DESIGN.md §8.4 has
+// the diagram, the routing and the lock order. The mutating entry points,
+// all of them:
+//
+//	Allocator.Carve      free -> carved
+//	Allocator.Record     carved -> recorded
+//	Allocator.Tombstone  recorded -> tombstoned
+//	Allocator.Release    carved or tombstoned -> free
+//	Allocator.Alloc      Carve + Record, the carve undone by Release if the record fails
+//	Allocator.Free       Tombstone + Release
+//	Allocator.FreeBatch  Free of a group under one fence per log shard (recovery sweeps)
+//	Pool.Alloc, Pool.Free  the same two compositions on the global pool alone,
+//	                       for a caller that holds Pool.Res across sections of
+//	                       its own (package baseline)
+//
+// Everything else exported reads or constructs. Allocator: Live, Each,
+// Used, Peak, ResetPeak (restarts a statistic), LeaseOverhead, Stats,
+// CacheStats, Locks, Global. Pool: the field Res, and Len. Constructors: New,
+// Rebuild (recovery), NewInPlace. Types: Config, Tiers, VEH, State,
+// LiveRecord, the Bookkeeper interface and InPlace, which implements it
+// (Recover lists the records its header tables hold). Constants of the
+// geometry (PageSize, ChunkSize, HeaderBytes, LeaseSize, LeaseAlign,
+// MaxShardAlloc) and of decay (DecayEpochNS, DecayWindowNS, Smootherstep).
 package extent
 
 import (
@@ -69,17 +98,15 @@ type Bookkeeper interface {
 	// reorder addrs (grouping by shard): the persisted ones are addrs[:n]
 	// as the slice reads on return.
 	RecordFree(c *pmem.Ctx, addrs []pmem.PAddr) (n int, err error)
-	// MaybeGC lets the bookkeeper compact itself.
-	MaybeGC(c *pmem.Ctx)
 	// DataOffset returns how many bytes at the start of each fresh chunk
 	// the bookkeeper reserves for itself (0 for the log; a header table
 	// for in-place bookkeeping).
 	DataOffset() uint64
 	// SelfLocked reports whether the bookkeeper serializes its own calls
 	// (the sharded log takes a per-shard resource inside each record
-	// append) and may be called concurrently. The allocator skips its
-	// external BookRes for such bookkeepers, so appends routed to
-	// different shards never serialize.
+	// append) and may be called concurrently. The pool skips its own
+	// book resource for such bookkeepers, so appends routed to different
+	// shards never serialize.
 	SelfLocked() bool
 }
 
@@ -95,24 +122,40 @@ func sizeLess(a, b sizeKey) bool {
 	return a.addr < b.addr
 }
 
-// Allocator is the large allocator. All methods require the caller to
-// hold Res (the global large-allocation lock) unless documented
-// otherwise: the bookkeeping record layer is serialized by its own
-// resource (BookRes) so record persistence can run off the global lock.
-type Allocator struct {
-	// Res serializes the large allocator's volatile structures (trees,
-	// lists, VEH map) and models its lock in virtual time.
-	Res pmem.Resource
+// oneAddr is the one-address group a tier's frees hand the bookkeeper,
+// guarded by the tier's lock. The group escapes through the interface, so a
+// literal would be a heap allocation per free.
+type oneAddr [1]pmem.PAddr
 
-	// BookRes serializes the persistent bookkeeper (record appends, GC).
-	// Every bookkeeper call goes through it; legacy paths that hold Res
-	// nest BookRes inside it (lock order: Res before BookRes), while the
-	// arena extent cache and the shard pools take BookRes alone. Because
-	// a nested section's virtual span is a subset of the enclosing Res
-	// section, nesting adds zero wait in workloads that only use the
-	// legacy paths — the split only shows up when record traffic actually
-	// moves off the global lock.
-	BookRes pmem.Resource
+func (g *oneAddr) group(addr pmem.PAddr) []pmem.PAddr {
+	g[0] = addr
+	return g[:]
+}
+
+// held is what the global pool and every shard pool embed: the resource
+// that serializes the tier and models its lock in virtual time, and the
+// tier's tombstone group.
+type held struct {
+	Res pmem.Resource
+	oneAddr
+}
+
+func (h *held) lock(c *pmem.Ctx)   { h.Res.Acquire(c) }
+func (h *held) unlock(c *pmem.Ctx) { h.Res.Release(c) }
+
+// Pool is the global best-fit pool: the trees, lists and VEH map of Section
+// 4.3, plus the persistent bookkeeper every tier records through. It is the
+// tier of last resort behind an Allocator, which takes Res around every
+// call; a caller that reaches it through Allocator.Global holds Res itself.
+type Pool struct {
+	held
+
+	// bookRes serializes a bookkeeper that does not lock itself (record
+	// writes of the in-place scheme). A section that already holds Res
+	// nests it inside (lock order: Res before bookRes); the slab caches and
+	// shard pools take it alone. A nested section's virtual span is a subset
+	// of the enclosing one, so nesting adds no wait of its own.
+	bookRes pmem.Resource
 
 	dev            pmem.Dev
 	book           Bookkeeper
@@ -120,11 +163,6 @@ type Allocator struct {
 	heapBase       pmem.PAddr
 	heapEnd        pmem.PAddr
 	brkAddr        pmem.PAddr // persistent cell holding the heap break
-
-	// freeOne is Free's one-address group for RecordFree, guarded by Res
-	// like the rest of Free: handing the bookkeeper a slice of a local
-	// through the interface would cost a heap allocation per free.
-	freeOne [1]pmem.PAddr
 
 	activated map[pmem.PAddr]*VEH
 	bySize    [2]*rbtree.Tree[sizeKey, *VEH] // [Reclaimed-?], indexed by state-1... see idx()
@@ -149,90 +187,94 @@ type Allocator struct {
 	// shard paths adjust it without holding Res.
 	cacheOverhead atomic.Int64
 
-	decay decayState
+	lastDecay int64 // virtual time of the last decay pass
 
-	// FirstFit switches extent selection from best-fit (size-ordered
-	// tree) to address-ordered first-fit (ablation experiments).
-	FirstFit bool
+	firstFit bool // Config.FirstFit
 
-	// Stats
-	Splits, Coalesces, Grows uint64
+	splits, coalesces, grows uint64
 }
 
-func (a *Allocator) idx(s State) *rbtree.Tree[sizeKey, *VEH] {
+func (p *Pool) idx(s State) *rbtree.Tree[sizeKey, *VEH] {
 	switch s {
 	case Reclaimed:
-		return a.bySize[0]
+		return p.bySize[0]
 	case Retained:
-		return a.bySize[1]
+		return p.bySize[1]
 	default:
 		panic("extent: no size index for state")
 	}
 }
 
-// Config configures a large allocator.
+// Config places a large allocator on its device.
 type Config struct {
 	HeapBase pmem.PAddr // first usable heap byte (chunk aligned)
 	HeapEnd  pmem.PAddr // one past the last usable heap byte
 	BreakPtr pmem.PAddr // persistent 8-byte cell storing the heap break
 	// MetaBytes is counted into Used (superblock, WAL and log regions).
 	MetaBytes uint64
+	// FirstFit switches extent selection from best fit (size-ordered tree)
+	// to address-ordered first fit (ablation experiments).
+	FirstFit bool
 }
 
-// New creates a large allocator over a fresh heap region.
-func New(dev pmem.Dev, book Bookkeeper, cfg Config) *Allocator {
-	a := newAllocator(dev, book, cfg)
-	c := dev.NewCtx()
-	c.PersistU64(pmem.CatMeta, cfg.BreakPtr, uint64(cfg.HeapBase))
-	c.Merge()
-	return a
-}
-
-func newAllocator(dev pmem.Dev, book Bookkeeper, cfg Config) *Allocator {
+func newPool(dev pmem.Dev, book Bookkeeper, cfg Config) *Pool {
 	if cfg.HeapBase%ChunkSize != 0 {
 		panic(fmt.Sprintf("extent: heap base %#x must be %d-aligned", cfg.HeapBase, ChunkSize))
 	}
-	a := &Allocator{
-		dev:       dev,
-		book:      book,
-		heapBase:  cfg.HeapBase,
-		heapEnd:   cfg.HeapEnd,
-		brkAddr:   cfg.BreakPtr,
-		activated: make(map[pmem.PAddr]*VEH),
-		byAddr:    rbtree.New[pmem.PAddr, *VEH](func(x, y pmem.PAddr) bool { return x < y }),
-		released:  rbtree.New[sizeKey, *VEH](sizeLess),
-		metaBytes: cfg.MetaBytes,
+	p := &Pool{
+		dev:            dev,
+		book:           book,
+		bookSelfLocked: book.SelfLocked(),
+		heapBase:       cfg.HeapBase,
+		heapEnd:        cfg.HeapEnd,
+		brkAddr:        cfg.BreakPtr,
+		activated:      make(map[pmem.PAddr]*VEH),
+		byAddr:         rbtree.New[pmem.PAddr, *VEH](func(x, y pmem.PAddr) bool { return x < y }),
+		released:       rbtree.New[sizeKey, *VEH](sizeLess),
+		metaBytes:      cfg.MetaBytes,
+		peak:           cfg.MetaBytes,
+		firstFit:       cfg.FirstFit,
 	}
-	a.bySize[0] = rbtree.New[sizeKey, *VEH](sizeLess)
-	a.bySize[1] = rbtree.New[sizeKey, *VEH](sizeLess)
-	a.decay.init()
-	a.peak = a.metaBytes
-	a.bookSelfLocked = book.SelfLocked()
-	return a
+	p.bySize[0] = rbtree.New[sizeKey, *VEH](sizeLess)
+	p.bySize[1] = rbtree.New[sizeKey, *VEH](sizeLess)
+	return p
 }
 
-// bookAcquire serializes a bookkeeper call through BookRes unless the
-// bookkeeper locks itself (the sharded log).
-func (a *Allocator) bookAcquire(c *pmem.Ctx) {
-	if !a.bookSelfLocked {
-		a.BookRes.Acquire(c)
+// record persists that [addr,addr+size) is live: carved -> recorded. The
+// extent's own initialization (slab header, object contents) must be
+// persistent first — the record is what makes the space survive recovery.
+func (p *Pool) record(c *pmem.Ctx, addr pmem.PAddr, size uint64, slab bool) error {
+	if !p.bookSelfLocked {
+		p.bookRes.Acquire(c)
+		defer p.bookRes.Release(c)
 	}
+	return p.book.RecordAlloc(c, addr, size, slab)
 }
 
-func (a *Allocator) bookRelease(c *pmem.Ctx) {
-	if !a.bookSelfLocked {
-		a.BookRes.Release(c)
+// tombstone persists that the extents of the group are no longer live
+// (recorded -> tombstoned) and returns how many it persisted: all of them
+// unless err is set. Whoever holds an extent must not let its space be
+// reused before this returns, so a later record for overlapping space can
+// never coexist with the old one after a crash. The group escapes into the
+// bookkeeper (which may reorder it), so a caller with one address owns a
+// one-address group (oneAddr, a core thread's tombOne) instead of
+// paying a heap allocation per call.
+func (p *Pool) tombstone(c *pmem.Ctx, group []pmem.PAddr) (int, error) {
+	if !p.bookSelfLocked {
+		p.bookRes.Acquire(c)
+		defer p.bookRes.Release(c)
 	}
+	return p.book.RecordFree(c, group)
 }
 
-// Used returns committed bytes: metadata regions, live extents and dirty
+// used returns committed bytes: metadata regions, live extents and dirty
 // (reclaimed) free extents, minus cache/lease overhead — activated space
 // parked in slab caches and shard leases holds no live data and would
 // otherwise inflate usage by whole 2 MiB leases. Retained and released
 // memory is unmapped and not counted.
-func (a *Allocator) Used() uint64 {
-	u := a.metaBytes + a.activatedBytes + a.reclaimedBytes
-	if ov := a.cacheOverhead.Load(); ov > 0 {
+func (p *Pool) used() uint64 {
+	u := p.metaBytes + p.activatedBytes + p.reclaimedBytes
+	if ov := p.cacheOverhead.Load(); ov > 0 {
 		if uint64(ov) >= u {
 			return 0
 		}
@@ -241,86 +283,72 @@ func (a *Allocator) Used() uint64 {
 	return u
 }
 
-// LeaseOverhead returns the bytes of activated-but-idle space currently
-// parked in arena slab caches and shard-pool leases (the amount Used
-// subtracts).
-func (a *Allocator) LeaseOverhead() uint64 {
-	if ov := a.cacheOverhead.Load(); ov > 0 {
-		return uint64(ov)
-	}
-	return 0
-}
-
-// Peak returns the high-water mark of Used.
-func (a *Allocator) Peak() uint64 { return a.peak }
-
-// ResetPeak restarts peak tracking.
-func (a *Allocator) ResetPeak() { a.peak = a.Used() }
-
-func (a *Allocator) notePeak() {
-	if u := a.Used(); u > a.peak {
-		a.peak = u
+func (p *Pool) notePeak() {
+	if u := p.used(); u > p.peak {
+		p.peak = u
 	}
 }
 
-// Lookup returns the activated VEH at addr.
-func (a *Allocator) Lookup(addr pmem.PAddr) (*VEH, bool) {
-	v, ok := a.activated[addr]
-	return v, ok
-}
+// Len returns the number of activated extents.
+func (p *Pool) Len() int { return len(p.activated) }
 
-// Activated exposes the live-extent map for recovery sweeps; callers
-// must hold Res and must not mutate it.
-func (a *Allocator) Activated() map[pmem.PAddr]*VEH { return a.activated }
+// lookup returns the size and kind of the activated extent at addr.
+func (p *Pool) lookup(addr pmem.PAddr) (size uint64, slab, ok bool) {
+	v, ok := p.activated[addr]
+	if !ok {
+		return 0, false, false
+	}
+	return v.Size, v.Slab, true
+}
 
 func align(v, al pmem.PAddr) pmem.PAddr { return (v + al - 1) &^ (al - 1) }
 
 // removeFree detaches a free VEH from the size and address indexes.
-func (a *Allocator) removeFree(v *VEH) {
+func (p *Pool) removeFree(v *VEH) {
 	switch v.State {
 	case Reclaimed:
-		a.reclaimedBytes -= v.Size
+		p.reclaimedBytes -= v.Size
 	case Retained:
-		a.retainedBytes -= v.Size
+		p.retainedBytes -= v.Size
 	case Released:
-		a.released.Delete(sizeKey{v.Size, v.Addr})
-		a.byAddr.Delete(v.Addr)
+		p.released.Delete(sizeKey{v.Size, v.Addr})
+		p.byAddr.Delete(v.Addr)
 		return
 	}
-	a.idx(v.State).Delete(sizeKey{v.Size, v.Addr})
-	a.byAddr.Delete(v.Addr)
+	p.idx(v.State).Delete(sizeKey{v.Size, v.Addr})
+	p.byAddr.Delete(v.Addr)
 }
 
 // insertFree registers a free VEH under the given state.
-func (a *Allocator) insertFree(v *VEH, s State, now int64) {
+func (p *Pool) insertFree(v *VEH, s State, now int64) {
 	v.State = s
 	v.LastFree = now
 	v.Slab = false
 	switch s {
 	case Reclaimed:
-		a.reclaimedBytes += v.Size
-		a.fifoReclaimed = append(a.fifoReclaimed, v)
-		a.idx(s).Put(sizeKey{v.Size, v.Addr}, v)
+		p.reclaimedBytes += v.Size
+		p.fifoReclaimed = append(p.fifoReclaimed, v)
+		p.idx(s).Put(sizeKey{v.Size, v.Addr}, v)
 	case Retained:
-		a.retainedBytes += v.Size
-		a.fifoRetained = append(a.fifoRetained, v)
-		a.idx(s).Put(sizeKey{v.Size, v.Addr}, v)
+		p.retainedBytes += v.Size
+		p.fifoRetained = append(p.fifoRetained, v)
+		p.idx(s).Put(sizeKey{v.Size, v.Addr}, v)
 	case Released:
-		a.released.Put(sizeKey{v.Size, v.Addr}, v)
+		p.released.Put(sizeKey{v.Size, v.Addr}, v)
 	}
-	a.byAddr.Put(v.Addr, v)
+	p.byAddr.Put(v.Addr, v)
 }
 
 // bestFit finds the smallest free extent in the given state that can hold
 // size bytes at the requested alignment. Returns nil if none fits. With
-// FirstFit set it instead scans the address index in order, charging one
+// Config.FirstFit it instead scans the address index in order, charging one
 // probe per candidate (the classic algorithm's cost profile).
-func (a *Allocator) bestFit(tree *rbtree.Tree[sizeKey, *VEH], size uint64, al pmem.PAddr, c *pmem.Ctx) *VEH {
-	if a.FirstFit {
+func (p *Pool) bestFit(tree *rbtree.Tree[sizeKey, *VEH], size uint64, al pmem.PAddr, c *pmem.Ctx) *VEH {
+	if p.firstFit {
 		var hit *VEH
-		wantReclaimed := tree == a.bySize[0]
-		wantRetained := tree == a.bySize[1]
-		a.byAddr.Ascend(func(_ pmem.PAddr, v *VEH) bool {
+		wantReclaimed := tree == p.bySize[0]
+		wantRetained := tree == p.bySize[1]
+		p.byAddr.Ascend(func(_ pmem.PAddr, v *VEH) bool {
 			c.Charge(pmem.CatSearch, 20)
 			switch {
 			case wantReclaimed && v.State != Reclaimed:
@@ -355,92 +383,79 @@ func (a *Allocator) bestFit(tree *rbtree.Tree[sizeKey, *VEH], size uint64, al pm
 	}
 }
 
-// carve splits the free extent v so that [start,start+size) becomes an
+// split cuts the free extent v so that [start,start+size) becomes an
 // activated extent; any head or tail remainder stays free in v's former
 // state.
-func (a *Allocator) carve(c *pmem.Ctx, v *VEH, start pmem.PAddr, size uint64, now int64) *VEH {
+func (p *Pool) split(v *VEH, start pmem.PAddr, size uint64, now int64) *VEH {
 	state := v.State
-	a.removeFree(v)
+	p.removeFree(v)
 	if start > v.Addr {
 		head := &VEH{Addr: v.Addr, Size: uint64(start - v.Addr)}
-		a.insertFree(head, state, now)
-		a.Splits++
+		p.insertFree(head, state, now)
+		p.splits++
 	}
 	if end := start + pmem.PAddr(size); end < v.End() {
 		tail := &VEH{Addr: end, Size: uint64(v.End() - end)}
-		a.insertFree(tail, state, now)
-		a.Splits++
+		p.insertFree(tail, state, now)
+		p.splits++
 	}
 	nv := &VEH{Addr: start, Size: size, State: Activated}
-	a.activated[start] = nv
-	a.activatedBytes += size
+	p.activated[start] = nv
+	p.activatedBytes += size
 	return nv
 }
 
 // grow extends the heap break by at least `need` bytes (in ChunkSize
 // units) and returns the new free extent covering the data part of the
 // growth.
-func (a *Allocator) grow(c *pmem.Ctx, need uint64, now int64) (*VEH, error) {
-	brk := pmem.PAddr(a.dev.ReadU64(a.brkAddr))
-	res := a.book.DataOffset()
+func (p *Pool) grow(c *pmem.Ctx, need uint64, now int64) (*VEH, error) {
+	brk := pmem.PAddr(p.dev.ReadU64(p.brkAddr))
+	res := p.book.DataOffset()
 	g := uint64(ChunkSize)
 	for g < need+res {
 		g += ChunkSize
 	}
-	if uint64(brk)+g > uint64(a.heapEnd) {
-		return nil, fmt.Errorf("extent: heap exhausted (break %#x + %d > %#x)", brk, g, a.heapEnd)
+	if uint64(brk)+g > uint64(p.heapEnd) {
+		return nil, fmt.Errorf("extent: heap exhausted (break %#x + %d > %#x)", brk, g, p.heapEnd)
 	}
 	nbrk := brk + pmem.PAddr(g)
-	c.PersistU64(pmem.CatMeta, a.brkAddr, uint64(nbrk))
+	c.PersistU64(pmem.CatMeta, p.brkAddr, uint64(nbrk))
 	c.Fence()
-	a.Grows++
+	p.grows++
 	if res > 0 {
-		a.metaBytes += res * (g / ChunkSize)
+		p.metaBytes += res * (g / ChunkSize)
 	}
 	// Each chunk in the growth may reserve a bookkeeper header.
 	var first *VEH
 	for off := uint64(0); off < g; off += ChunkSize {
 		v := &VEH{Addr: brk + pmem.PAddr(off+res), Size: ChunkSize - res}
-		a.insertFree(v, Reclaimed, now)
+		p.insertFree(v, Reclaimed, now)
 		if first == nil {
 			first = v
 		} else {
 			// Adjacent chunks coalesce unless a header separates them.
 			if res == 0 {
-				a.coalesce(c, v)
+				p.coalesce(c, v)
 			}
 		}
 	}
 	// Re-fetch: coalescing may have merged `first` away.
 	if res == 0 {
-		if _, v, ok := a.byAddr.Floor(brk); ok && v.State == Reclaimed && v.End() >= nbrk {
+		if _, v, ok := p.byAddr.Floor(brk); ok && v.State == Reclaimed && v.End() >= nbrk {
 			return v, nil
 		}
 	}
 	return first, nil
 }
 
-// Alloc serves a large allocation: best-fit over the reclaimed list, then
-// the retained list, then OS-released ranges, then heap growth. The
-// caller holds Res.
-func (a *Allocator) Alloc(c *pmem.Ctx, size uint64, alignTo pmem.PAddr, slabExtent bool) (pmem.PAddr, error) {
-	addr, err := a.AllocDeferRecord(c, size, alignTo, slabExtent)
-	if err != nil {
-		return pmem.Null, err
-	}
-	if err := a.Record(c, addr); err != nil {
-		return pmem.Null, err
-	}
-	return addr, nil
-}
-
-// AllocDeferRecord carves an extent without persisting its bookkeeping
-// record. Slab allocation uses it so the persistent record is written
-// only *after* the slab header is formatted and flushed — a crash in
-// between leaves unrecorded (and therefore free) space instead of a
-// recorded slab with a garbage header. Callers must invoke Record once
-// the extent's own initialization is persistent.
-func (a *Allocator) AllocDeferRecord(c *pmem.Ctx, size uint64, alignTo pmem.PAddr, slabExtent bool) (pmem.PAddr, error) {
+// carve takes an extent off the free lists: best fit over the reclaimed
+// list, then the retained list, then OS-released ranges, then heap growth.
+// Free -> carved: the extent is activated in this process only, and a crash
+// before its record returns the space. Slabs are carved this way so that the
+// record is written only after the slab header is formatted and flushed — a
+// crash in between leaves free space, never a recorded slab with a garbage
+// header.
+func (p *Pool) carve(c *pmem.Ctx, size uint64, alignTo pmem.PAddr, slab bool) (pmem.PAddr, error) {
 	if size == 0 {
 		return pmem.Null, fmt.Errorf("extent: zero-size allocation")
 	}
@@ -449,175 +464,134 @@ func (a *Allocator) AllocDeferRecord(c *pmem.Ctx, size uint64, alignTo pmem.PAdd
 		alignTo = PageSize
 	}
 	now := c.Now
-	v := a.bestFit(a.idx(Reclaimed), size, alignTo, c)
+	v := p.bestFit(p.idx(Reclaimed), size, alignTo, c)
 	if v == nil {
-		v = a.bestFit(a.idx(Retained), size, alignTo, c)
+		v = p.bestFit(p.idx(Retained), size, alignTo, c)
 	}
 	if v == nil {
-		v = a.bestFit(a.released, size, alignTo, c)
+		v = p.bestFit(p.released, size, alignTo, c)
 	}
 	if v == nil {
-		nv, err := a.grow(c, size+uint64(alignTo), now)
+		nv, err := p.grow(c, size+uint64(alignTo), now)
 		if err != nil {
 			return pmem.Null, err
 		}
 		v = nv
 	}
-	start := align(v.Addr, alignTo)
-	nv := a.carve(c, v, start, size, now)
-	nv.Slab = slabExtent
-	a.notePeak()
-	a.maybeDecay(c)
+	nv := p.split(v, align(v.Addr, alignTo), size, now)
+	nv.Slab = slab
+	p.notePeak()
+	p.maybeDecay(c)
 	return nv.Addr, nil
 }
 
-// Record persists the bookkeeping record of an extent carved with
-// AllocDeferRecord.
-func (a *Allocator) Record(c *pmem.Ctx, addr pmem.PAddr) error {
-	v, ok := a.activated[addr]
+// deactivate returns the activated extent at addr to the reclaimed list and
+// coalesces it with free neighbours.
+func (p *Pool) deactivate(c *pmem.Ctx, addr pmem.PAddr) (size uint64, err error) {
+	v, ok := p.activated[addr]
 	if !ok {
-		return fmt.Errorf("extent: record of unknown extent %#x", addr)
+		return 0, fmt.Errorf("extent: free of unknown extent %#x", addr)
 	}
-	a.bookAcquire(c)
-	err := a.book.RecordAlloc(c, v.Addr, v.Size, v.Slab)
-	a.bookRelease(c)
+	delete(p.activated, addr)
+	p.activatedBytes -= v.Size
+	size = v.Size // coalesce may grow v
+	p.insertFree(v, Reclaimed, c.Now)
+	p.coalesce(c, v)
+	return size, nil
+}
+
+// release frees an extent that has no live record: carved and never
+// recorded, or tombstoned. Carved or tombstoned -> free.
+func (p *Pool) release(c *pmem.Ctx, addr pmem.PAddr) error {
+	_, err := p.deactivate(c, addr)
+	p.maybeDecay(c)
 	return err
 }
 
-// RecordExtent persists a bookkeeping record for an extent the caller
-// already owns (carved earlier via AllocDeferRecord, a cache refill, or
-// a shard lease) without touching the allocator's volatile structures:
-// only BookRes is taken, so the global lock stays free. The caller must
-// have persisted the extent's own initialization (slab header, object
-// contents) first — the record makes the space survive recovery.
-func (a *Allocator) RecordExtent(c *pmem.Ctx, addr pmem.PAddr, size uint64, slab bool) error {
-	a.bookAcquire(c)
-	err := a.book.RecordAlloc(c, addr, size, slab)
-	a.bookRelease(c)
-	return err
-}
-
-// TombstoneExtent persists a free record for addr without touching the
-// allocator's volatile structures (BookRes only). The caller keeps
-// ownership of the space — typically to reinsert it into an arena cache
-// or a shard free run — and must not reuse it before this returns, so a
-// later record for overlapping space can never coexist with the old one
-// after a crash.
-func (a *Allocator) TombstoneExtent(c *pmem.Ctx, addr pmem.PAddr) error {
-	return a.Tombstone(c, []pmem.PAddr{addr})
-}
-
-// Tombstone is TombstoneExtent on a caller-owned one-address group, for
-// paths that must not allocate: the group escapes into the bookkeeper, so
-// a literal would be a heap allocation per call (the shard pools and core's
-// threads keep one each; see Allocator.freeOne).
-func (a *Allocator) Tombstone(c *pmem.Ctx, one []pmem.PAddr) error {
-	a.bookAcquire(c)
-	_, err := a.book.RecordFree(c, one)
-	if err == nil {
-		a.book.MaybeGC(c)
+// alloc is carve + record on tier t, whose lock the caller holds; a carve
+// that cannot be recorded is undone by release, so a failed allocation
+// leaves nothing activated.
+func (p *Pool) alloc(c *pmem.Ctx, t tier, size uint64, alignTo pmem.PAddr, slab bool) (pmem.PAddr, error) {
+	addr, err := t.carve(c, size, alignTo, slab)
+	if err != nil {
+		return pmem.Null, err
 	}
-	a.bookRelease(c)
-	return err
+	size, slab, _ = t.lookup(addr)
+	if err := p.record(c, addr, size, slab); err != nil {
+		_ = t.release(c, addr) // cannot fail: addr was carved under this lock
+		return pmem.Null, err
+	}
+	return addr, nil
 }
 
-// Free returns an extent to the reclaimed list and coalesces it with free
-// neighbours. The caller holds Res.
-func (a *Allocator) Free(c *pmem.Ctx, addr pmem.PAddr) error {
-	if _, ok := a.activated[addr]; !ok {
+// free is tombstone + release on tier t, whose lock the caller holds. The
+// tombstone is persistent before the space becomes reusable; if it cannot
+// be written the extent stays recorded and activated.
+func (p *Pool) free(c *pmem.Ctx, t tier, addr pmem.PAddr) error {
+	if _, _, ok := t.lookup(addr); !ok {
 		return fmt.Errorf("extent: free of unknown extent %#x", addr)
 	}
-	a.freeOne[0] = addr
-	a.bookAcquire(c)
-	_, err := a.book.RecordFree(c, a.freeOne[:])
-	a.bookRelease(c)
-	if err != nil {
+	if _, err := p.tombstone(c, t.group(addr)); err != nil {
 		return err
 	}
-	return a.Release(c, addr)
+	return t.release(c, addr)
 }
 
-// Release is Free for an extent that has no live record: one carved with
-// AllocDeferRecord and never recorded, or whose tombstone the caller has
-// already persisted (TombstoneExtent). The caller holds Res.
-func (a *Allocator) Release(c *pmem.Ctx, addr pmem.PAddr) error {
-	v, ok := a.activated[addr]
-	if !ok {
-		return fmt.Errorf("extent: free of unknown extent %#x", addr)
-	}
-	delete(a.activated, addr)
-	a.activatedBytes -= v.Size
-	a.insertFree(v, Reclaimed, c.Now)
-	a.coalesce(c, v)
-	a.bookAcquire(c)
-	a.book.MaybeGC(c)
-	a.bookRelease(c)
-	a.maybeDecay(c)
-	return nil
+// Alloc is carve + record on the global pool. The caller holds Res.
+func (p *Pool) Alloc(c *pmem.Ctx, size uint64, alignTo pmem.PAddr, slab bool) (pmem.PAddr, error) {
+	return p.alloc(c, p, size, alignTo, slab)
 }
 
-// FreeBatch frees a group of extents with their tombstones persisted as
-// one RecordFree group (one trailing fence per log shard). Like
-// recovery-time Free calls, the caller serializes access itself; a crash
+// Free is tombstone + release on the global pool. The caller holds Res.
+func (p *Pool) Free(c *pmem.Ctx, addr pmem.PAddr) error { return p.free(c, p, addr) }
+
+// freeBatch frees a group of extents with their tombstones persisted as
+// one RecordFree group (one trailing fence per log shard). A crash
 // mid-batch leaves a prefix of the tombstones persisted, which is safe
 // wherever the batch is idempotent (recovery GC re-runs). If the
 // bookkeeper fails mid-batch, exactly the extents whose tombstones it
 // did persist are freed before the error is returned: an extent must
 // never stay activated without a record.
-func (a *Allocator) FreeBatch(c *pmem.Ctx, addrs []pmem.PAddr) error {
-	vs := make([]*VEH, 0, len(addrs))
+func (p *Pool) freeBatch(c *pmem.Ctx, addrs []pmem.PAddr) error {
 	for _, addr := range addrs {
-		v, ok := a.activated[addr]
-		if !ok {
+		if _, ok := p.activated[addr]; !ok {
 			return fmt.Errorf("extent: free of unknown extent %#x", addr)
 		}
-		vs = append(vs, v)
 	}
-	if len(vs) == 0 {
+	if len(addrs) == 0 {
 		return nil
 	}
 	// The bookkeeper may regroup its argument; the volatile frees below
 	// keep the caller's (address) order, which recovery relies on for
 	// deterministic free lists.
+	dead := addrs
 	routed := slices.Clone(addrs)
-	a.bookAcquire(c)
-	n, err := a.book.RecordFree(c, routed)
-	if err == nil {
-		a.book.MaybeGC(c)
-	}
-	a.bookRelease(c)
+	n, err := p.tombstone(c, routed)
 	if err != nil {
-		vs = vs[:0]
-		for _, addr := range routed[:n] {
-			vs = append(vs, a.activated[addr])
-		}
+		dead = routed[:n]
 	}
-	for _, v := range vs {
-		delete(a.activated, v.Addr)
-		a.activatedBytes -= v.Size
-		a.insertFree(v, Reclaimed, c.Now)
-		a.coalesce(c, v)
+	for _, addr := range dead {
+		_, _ = p.deactivate(c, addr) // cannot fail: checked above
 	}
-	a.maybeDecay(c)
+	p.maybeDecay(c)
 	return err
 }
 
-// AllocSlabBatch carves up to n extents of the given size (aligned to
-// their own size) in one Res critical section, appending them to out.
-// The extents are activated but unrecorded — exactly the state the arena
-// extent cache holds them in; a crash before RecordExtent makes them
-// free again at recovery. Fewer than n extents (or none) are returned
-// when the heap cannot satisfy the batch.
-func (a *Allocator) AllocSlabBatch(c *pmem.Ctx, size uint64, n int, out []pmem.PAddr) []pmem.PAddr {
-	a.Res.Acquire(c)
-	defer a.Res.Release(c)
+// lease carves up to n extents (fewer, or none, when the heap cannot supply
+// them) in one Res critical section, appending them to out. They are carved
+// and idle — what a slab cache and a shard pool hold: activated, flagged as
+// slabs so object walks and GC sweeps skip them, counted as overhead, and
+// free again after a crash.
+func (p *Pool) lease(c *pmem.Ctx, size uint64, alignTo pmem.PAddr, n int, out []pmem.PAddr) []pmem.PAddr {
+	p.lock(c)
+	defer p.unlock(c)
 	for i := 0; i < n; i++ {
-		// Counted as overhead before the carve so the cache-bound extent
-		// never spikes the peak (it holds no live data yet).
-		a.cacheOverhead.Add(int64(size))
-		addr, err := a.AllocDeferRecord(c, size, pmem.PAddr(size), true)
+		// Counted as overhead before the carve so the idle extent never
+		// spikes the peak (it holds no live data yet).
+		p.cacheOverhead.Add(int64(size))
+		addr, err := p.carve(c, size, alignTo, true)
 		if err != nil {
-			a.cacheOverhead.Add(-int64(size))
+			p.cacheOverhead.Add(-int64(size))
 			break
 		}
 		out = append(out, addr)
@@ -625,74 +599,43 @@ func (a *Allocator) AllocSlabBatch(c *pmem.Ctx, size uint64, n int, out []pmem.P
 	return out
 }
 
-// AllocLease carves one activated-but-unrecorded, overhead-counted
-// extent in a single Res critical section — the shard pools' lease
-// primitive. Like cached slab extents, a lease dissolves at recovery;
-// only its recorded sub-allocations survive.
-func (a *Allocator) AllocLease(c *pmem.Ctx, size uint64, alignTo pmem.PAddr) (pmem.PAddr, error) {
-	a.Res.Acquire(c)
-	defer a.Res.Release(c)
-	a.cacheOverhead.Add(int64(size))
-	addr, err := a.AllocDeferRecord(c, size, alignTo, true)
-	if err != nil {
-		a.cacheOverhead.Add(-int64(size))
-		return pmem.Null, err
-	}
-	return addr, nil
-}
-
-// ReleaseUnrecordedBatch returns activated-but-unrecorded extents (cache
-// overflow, returned shard leases) to the free lists in one Res critical
-// section. No tombstone is written — there is no record to kill.
-func (a *Allocator) ReleaseUnrecordedBatch(c *pmem.Ctx, addrs []pmem.PAddr) {
+// reclaim takes idle extents back from a slab cache or a shard pool (cache
+// overflow and flush, a returned lease) in one Res critical section.
+func (p *Pool) reclaim(c *pmem.Ctx, addrs []pmem.PAddr) {
 	if len(addrs) == 0 {
 		return
 	}
-	a.Res.Acquire(c)
-	defer a.Res.Release(c)
+	p.lock(c)
+	defer p.unlock(c)
 	for _, addr := range addrs {
-		a.releaseUnrecorded(c, addr)
+		if size, err := p.deactivate(c, addr); err == nil {
+			p.cacheOverhead.Add(-int64(size))
+		}
 	}
-	a.maybeDecay(c)
-}
-
-// releaseUnrecorded puts one activated extent back on the free lists
-// without bookkeeping. Caller holds Res.
-func (a *Allocator) releaseUnrecorded(c *pmem.Ctx, addr pmem.PAddr) {
-	v, ok := a.activated[addr]
-	if !ok {
-		return // defensive: double release is a no-op
-	}
-	delete(a.activated, addr)
-	a.activatedBytes -= v.Size
-	// Every unrecorded release comes from a cache or a lease, whose
-	// bytes were counted as overhead on entry.
-	a.cacheOverhead.Add(-int64(v.Size))
-	a.insertFree(v, Reclaimed, c.Now)
-	a.coalesce(c, v)
+	p.maybeDecay(c)
 }
 
 // coalesce merges v with its free neighbours of the same state.
-func (a *Allocator) coalesce(c *pmem.Ctx, v *VEH) {
+func (p *Pool) coalesce(c *pmem.Ctx, v *VEH) {
 	for {
 		merged := false
-		if k, left, ok := a.byAddr.Floor(v.Addr - 1); ok && left.End() == v.Addr && left.State == v.State {
+		if k, left, ok := p.byAddr.Floor(v.Addr - 1); ok && left.End() == v.Addr && left.State == v.State {
 			_ = k
-			a.removeFree(left)
-			a.removeFree(v)
+			p.removeFree(left)
+			p.removeFree(v)
 			left.Size += v.Size
-			a.insertFree(left, v.State, maxI64(left.LastFree, v.LastFree))
+			p.insertFree(left, v.State, maxI64(left.LastFree, v.LastFree))
 			v = left
-			a.Coalesces++
+			p.coalesces++
 			merged = true
 			c.Charge(pmem.CatSearch, 30)
 		}
-		if _, right, ok := a.byAddr.Ceiling(v.End()); ok && right.Addr == v.End() && right.State == v.State {
-			a.removeFree(right)
-			a.removeFree(v)
+		if _, right, ok := p.byAddr.Ceiling(v.End()); ok && right.Addr == v.End() && right.State == v.State {
+			p.removeFree(right)
+			p.removeFree(v)
 			v.Size += right.Size
-			a.insertFree(v, v.State, maxI64(v.LastFree, right.LastFree))
-			a.Coalesces++
+			p.insertFree(v, v.State, maxI64(v.LastFree, right.LastFree))
+			p.coalesces++
 			merged = true
 			c.Charge(pmem.CatSearch, 30)
 		}
@@ -707,20 +650,4 @@ func maxI64(a, b int64) int64 {
 		return a
 	}
 	return b
-}
-
-// FreeBytes returns (reclaimed, retained) byte totals for tests and
-// space-breakdown experiments.
-func (a *Allocator) FreeBytes() (reclaimed, retained uint64) {
-	return a.reclaimedBytes, a.retainedBytes
-}
-
-// ActivatedBytes returns the bytes of live extents.
-func (a *Allocator) ActivatedBytes() uint64 { return a.activatedBytes }
-
-// AddMetaBytes grows the accounted metadata footprint (used by the heap
-// to charge WAL/log regions).
-func (a *Allocator) AddMetaBytes(n uint64) {
-	a.metaBytes += n
-	a.notePeak()
 }

@@ -15,7 +15,13 @@ const (
 	logSize  = 512 * blog.ChunkSize
 )
 
+// newAlloc builds the degenerate front door: every verb is one critical
+// section of the global pool.
 func newAlloc(t *testing.T, devSize uint64) (*pmem.Device, *Allocator, *pmem.Ctx) {
+	return newTiered(t, devSize, Tiers{})
+}
+
+func newTiered(t *testing.T, devSize uint64, tiers Tiers) (*pmem.Device, *Allocator, *pmem.Ctx) {
 	t.Helper()
 	dev := pmem.New(pmem.Config{Size: devSize, Strict: true})
 	bk := blog.New(dev.Mem(), logBase, logSize, 6, 1)
@@ -23,56 +29,56 @@ func newAlloc(t *testing.T, devSize uint64) (*pmem.Device, *Allocator, *pmem.Ctx
 		HeapBase: heapBase,
 		HeapEnd:  pmem.PAddr(dev.Size()),
 		BreakPtr: brkPtr,
-	})
+	}, tiers)
 	return dev, a, dev.NewCtx()
 }
 
 func TestAllocFreeRoundtrip(t *testing.T) {
 	_, a, c := newAlloc(t, 64<<20)
-	p1, err := a.Alloc(c, 32<<10, 0, false)
+	p1, err := a.Alloc(c, 0, 32<<10)
 	if err != nil {
 		t.Fatal(err)
 	}
-	p2, err := a.Alloc(c, 128<<10, 0, false)
+	p2, err := a.Alloc(c, 0, 128<<10)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if p1 == p2 || p1 < heapBase || p2 < heapBase {
 		t.Fatalf("bad extents %#x %#x", p1, p2)
 	}
-	v1, ok := a.Lookup(p1)
+	v1, ok := a.pool.activated[p1]
 	if !ok || v1.Size != 32<<10 {
 		t.Fatalf("lookup: %+v %v", v1, ok)
 	}
-	if err := a.Free(c, p1); err != nil {
+	if err := a.Free(c, 0, p1, false); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := a.Lookup(p1); ok {
+	if _, ok := a.pool.activated[p1]; ok {
 		t.Fatal("freed extent still activated")
 	}
-	if err := a.Free(c, p1); err == nil {
+	if err := a.Free(c, 0, p1, false); err == nil {
 		t.Fatal("double free must error")
 	}
 }
 
 func TestSizeRoundingAndAlignment(t *testing.T) {
 	_, a, c := newAlloc(t, 64<<20)
-	p, err := a.Alloc(c, 100, 0, false) // rounds to one page
+	p, err := a.Alloc(c, 0, 100) // rounds to one page
 	if err != nil {
 		t.Fatal(err)
 	}
-	if v, _ := a.Lookup(p); v.Size != PageSize {
+	if v, _ := a.pool.activated[p]; v.Size != PageSize {
 		t.Fatalf("size not page rounded: %d", v.Size)
 	}
 	// Slab extents need 64 KiB alignment.
-	s, err := a.Alloc(c, 64<<10, 64<<10, true)
+	s, err := a.Global().Alloc(c, 64<<10, 64<<10, true)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if s%(64<<10) != 0 {
 		t.Fatalf("slab extent %#x not aligned", s)
 	}
-	if v, _ := a.Lookup(s); !v.Slab {
+	if v, _ := a.pool.activated[s]; !v.Slab {
 		t.Fatal("slab flag lost")
 	}
 }
@@ -82,7 +88,7 @@ func TestBestFitPrefersSmallest(t *testing.T) {
 	// Create free extents of 32K, 64K, 128K via alloc+free.
 	var ptrs []pmem.PAddr
 	for _, sz := range []uint64{32 << 10, 64 << 10, 128 << 10, 1 << 20} {
-		p, err := a.Alloc(c, sz, 0, false)
+		p, err := a.Alloc(c, 0, sz)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -90,14 +96,14 @@ func TestBestFitPrefersSmallest(t *testing.T) {
 	}
 	// Free the 64K and 128K ones; they are not adjacent (32K & 1M stay
 	// live between them).
-	if err := a.Free(c, ptrs[1]); err != nil {
+	if err := a.Free(c, 0, ptrs[1], false); err != nil {
 		t.Fatal(err)
 	}
-	if err := a.Free(c, ptrs[2]); err != nil {
+	if err := a.Free(c, 0, ptrs[2], false); err != nil {
 		t.Fatal(err)
 	}
 	// A 48K request must reuse the 64K hole (best fit), not the 128K one.
-	p, err := a.Alloc(c, 48<<10, 0, false)
+	p, err := a.Alloc(c, 0, 48<<10)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,48 +114,48 @@ func TestBestFitPrefersSmallest(t *testing.T) {
 
 func TestSplitProducesTailRemainder(t *testing.T) {
 	_, a, c := newAlloc(t, 64<<20)
-	p, err := a.Alloc(c, 128<<10, 0, false)
+	p, err := a.Alloc(c, 0, 128<<10)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := a.Free(c, p); err != nil {
+	if err := a.Free(c, 0, p, false); err != nil {
 		t.Fatal(err)
 	}
-	splits := a.Splits
-	q, err := a.Alloc(c, 32<<10, 0, false)
+	splits := a.pool.splits
+	q, err := a.Alloc(c, 0, 32<<10)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if q != p {
 		t.Fatalf("should reuse freed extent head: %#x vs %#x", q, p)
 	}
-	if a.Splits <= splits {
+	if a.pool.splits <= splits {
 		t.Fatal("no split recorded")
 	}
 }
 
 func TestCoalesceNeighbors(t *testing.T) {
 	_, a, c := newAlloc(t, 64<<20)
-	p1, _ := a.Alloc(c, 64<<10, 0, false)
-	p2, _ := a.Alloc(c, 64<<10, 0, false)
-	p3, _ := a.Alloc(c, 64<<10, 0, false)
+	p1, _ := a.Alloc(c, 0, 64<<10)
+	p2, _ := a.Alloc(c, 0, 64<<10)
+	p3, _ := a.Alloc(c, 0, 64<<10)
 	if p2 != p1+64<<10 || p3 != p2+64<<10 {
 		t.Skipf("extents not adjacent (%#x %#x %#x)", p1, p2, p3)
 	}
 	for _, p := range []pmem.PAddr{p1, p3, p2} {
-		if err := a.Free(c, p); err != nil {
+		if err := a.Free(c, 0, p, false); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if a.Coalesces == 0 {
+	if a.pool.coalesces == 0 {
 		t.Fatal("no coalescing happened")
 	}
 	// The merged hole must satisfy one big allocation without growing.
-	grows := a.Grows
-	if _, err := a.Alloc(c, 192<<10, 0, false); err != nil {
+	grows := a.pool.grows
+	if _, err := a.Alloc(c, 0, 192<<10); err != nil {
 		t.Fatal(err)
 	}
-	if a.Grows != grows {
+	if a.pool.grows != grows {
 		t.Fatal("coalesced hole not reused")
 	}
 }
@@ -157,15 +163,15 @@ func TestCoalesceNeighbors(t *testing.T) {
 func TestHeapExhaustion(t *testing.T) {
 	dev := pmem.New(pmem.Config{Size: 16 << 20})
 	bk := blog.New(dev.Mem(), logBase, logSize, 6, 1)
-	a := New(dev, bk, Config{HeapBase: heapBase, HeapEnd: 12 << 20, BreakPtr: brkPtr})
+	a := New(dev, bk, Config{HeapBase: heapBase, HeapEnd: 12 << 20, BreakPtr: brkPtr}, Tiers{})
 	c := dev.NewCtx()
-	if _, err := a.Alloc(c, 4<<20, 0, false); err != nil {
+	if _, err := a.Alloc(c, 0, 4<<20); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := a.Alloc(c, 8<<20, 0, false); err == nil {
+	if _, err := a.Alloc(c, 0, 8<<20); err == nil {
 		t.Fatal("expected exhaustion")
 	}
-	if _, err := a.Alloc(c, 0, 0, false); err == nil {
+	if _, err := a.Alloc(c, 0, 0); err == nil {
 		t.Fatal("zero-size alloc must error")
 	}
 }
@@ -173,12 +179,12 @@ func TestHeapExhaustion(t *testing.T) {
 func TestUsedAndPeakAccounting(t *testing.T) {
 	_, a, c := newAlloc(t, 64<<20)
 	u0 := a.Used()
-	p, _ := a.Alloc(c, 1<<20, 0, false)
+	p, _ := a.Alloc(c, 0, 1<<20)
 	if a.Used() <= u0 {
 		t.Fatal("Used must grow on alloc")
 	}
 	peak := a.Peak()
-	if err := a.Free(c, p); err != nil {
+	if err := a.Free(c, 0, p, false); err != nil {
 		t.Fatal(err)
 	}
 	if a.Peak() != peak {
@@ -192,18 +198,18 @@ func TestUsedAndPeakAccounting(t *testing.T) {
 
 func TestDecayDemotesIdleExtents(t *testing.T) {
 	_, a, c := newAlloc(t, 64<<20)
-	p, _ := a.Alloc(c, 1<<20, 0, false)
-	if err := a.Free(c, p); err != nil {
+	p, _ := a.Alloc(c, 0, 1<<20)
+	if err := a.Free(c, 0, p, false); err != nil {
 		t.Fatal(err)
 	}
-	rec0, ret0 := a.FreeBytes()
+	rec0, ret0 := a.pool.reclaimedBytes, a.pool.retainedBytes
 	if rec0 == 0 {
 		t.Fatal("freed bytes must be reclaimed")
 	}
 	// Let a full decay window of virtual time pass.
 	c.Charge(pmem.CatOther, DecayWindowNS+DecayEpochNS)
-	a.DecayTick(c)
-	rec1, ret1 := a.FreeBytes()
+	a.pool.decayTick(c)
+	rec1, ret1 := a.pool.reclaimedBytes, a.pool.retainedBytes
 	if rec1 >= rec0 {
 		t.Fatalf("decay did not demote reclaimed bytes: %d -> %d", rec0, rec1)
 	}
@@ -212,35 +218,35 @@ func TestDecayDemotesIdleExtents(t *testing.T) {
 	}
 	// And Used drops, because retained memory is unmapped.
 	// (metaBytes unchanged, activated unchanged.)
-	if a.Used() > a.metaBytes+a.activatedBytes+rec1 {
+	if a.Used() > a.pool.metaBytes+a.pool.activatedBytes+rec1 {
 		t.Fatal("used accounting inconsistent")
 	}
 	// A second full window releases retained memory to the OS.
 	c.Charge(pmem.CatOther, DecayWindowNS+DecayEpochNS)
-	a.DecayTick(c)
-	if _, ret2 := a.FreeBytes(); ret2 >= ret1 && ret1 > 0 {
+	a.pool.decayTick(c)
+	if ret2 := a.pool.retainedBytes; ret2 >= ret1 && ret1 > 0 {
 		t.Fatalf("retained bytes not released: %d -> %d", ret1, ret2)
 	}
 }
 
 func TestRetainedAndReleasedAreReusable(t *testing.T) {
 	_, a, c := newAlloc(t, 64<<20)
-	p, _ := a.Alloc(c, 1<<20, 0, false)
-	if err := a.Free(c, p); err != nil {
+	p, _ := a.Alloc(c, 0, 1<<20)
+	if err := a.Free(c, 0, p, false); err != nil {
 		t.Fatal(err)
 	}
 	c.Charge(pmem.CatOther, 2*DecayWindowNS)
-	a.DecayTick(c)
+	a.pool.decayTick(c)
 	c.Charge(pmem.CatOther, 2*DecayWindowNS)
-	a.DecayTick(c)
-	grows := a.Grows
+	a.pool.decayTick(c)
+	grows := a.pool.grows
 	// Everything is retained/released now, but allocation must still
 	// succeed without growing the heap (remap).
-	q, err := a.Alloc(c, 1<<20, 0, false)
+	q, err := a.Alloc(c, 0, 1<<20)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if a.Grows != grows {
+	if a.pool.grows != grows {
 		t.Fatalf("allocation grew the heap instead of reusing unmapped extents (%#x)", q)
 	}
 }
@@ -277,7 +283,7 @@ func TestRebuildFromRecords(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	for i := 0; i < 60; i++ {
 		sz := uint64(rng.Intn(64)+4) << 12
-		p, err := a.Alloc(c, sz, 0, rng.Intn(5) == 0)
+		p, err := a.Global().Alloc(c, sz, 0, rng.Intn(5) == 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -286,7 +292,7 @@ func TestRebuildFromRecords(t *testing.T) {
 	}
 	// Free a third.
 	for i := 0; i < len(all); i += 3 {
-		if err := a.Free(c, all[i]); err != nil {
+		if err := a.Free(c, 0, all[i], false); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -313,7 +319,7 @@ func TestRebuildFromRecords(t *testing.T) {
 		HeapBase: heapBase,
 		HeapEnd:  pmem.PAddr(dev.Size()),
 		BreakPtr: brkPtr,
-	}, c2, lrs)
+	}, Tiers{}, c2, lrs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -321,7 +327,7 @@ func TestRebuildFromRecords(t *testing.T) {
 		t.Fatalf("rebuilt %d live extents, want %d", len(vehs), len(want))
 	}
 	for _, e := range want {
-		v, ok := a2.Lookup(e.addr)
+		v, ok := a2.pool.activated[e.addr]
 		if !ok || v.Size != e.size {
 			t.Fatalf("extent %#x missing or wrong size after rebuild", e.addr)
 		}
@@ -333,11 +339,11 @@ func TestRebuildFromRecords(t *testing.T) {
 		t.Fatalf("rebuild lost free-space accounting: %d vs %d", a2.Used(), usedBefore)
 	}
 	// The rebuilt allocator must be able to allocate from recovered gaps.
-	if _, err := a2.Alloc(c2, 32<<10, 0, false); err != nil {
+	if _, err := a2.Alloc(c2, 0, 32<<10); err != nil {
 		t.Fatal(err)
 	}
 	// And freeing a recovered extent works.
-	if err := a2.Free(c2, want[0].addr); err != nil {
+	if err := a2.Free(c2, 0, want[0].addr, false); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -345,17 +351,17 @@ func TestRebuildFromRecords(t *testing.T) {
 func TestInPlaceBookkeeper(t *testing.T) {
 	dev := pmem.New(pmem.Config{Size: 64 << 20, Strict: true})
 	bk := NewInPlace(dev, heapBase, brkPtr)
-	a := New(dev, bk, Config{HeapBase: heapBase, HeapEnd: pmem.PAddr(dev.Size()), BreakPtr: brkPtr})
+	a := New(dev, bk, Config{HeapBase: heapBase, HeapEnd: pmem.PAddr(dev.Size()), BreakPtr: brkPtr}, Tiers{})
 	c := dev.NewCtx()
-	p1, err := a.Alloc(c, 64<<10, 0, false)
+	p1, err := a.Alloc(c, 0, 64<<10)
 	if err != nil {
 		t.Fatal(err)
 	}
-	p2, err := a.Alloc(c, 32<<10, 0, true)
+	p2, err := a.Global().Alloc(c, 32<<10, 0, true)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := a.Free(c, p1); err != nil {
+	if err := a.Free(c, 0, p1, false); err != nil {
 		t.Fatal(err)
 	}
 	dev.Crash()
@@ -380,20 +386,20 @@ func TestInPlaceWritesAreRandomFlushes(t *testing.T) {
 		} else {
 			bk = NewInPlace(dev, heapBase, brkPtr)
 		}
-		a := New(dev, bk, Config{HeapBase: heapBase, HeapEnd: pmem.PAddr(dev.Size()), BreakPtr: brkPtr})
+		a := New(dev, bk, Config{HeapBase: heapBase, HeapEnd: pmem.PAddr(dev.Size()), BreakPtr: brkPtr}, Tiers{})
 		c := dev.NewCtx()
 		rng := rand.New(rand.NewSource(5))
 		var held []pmem.PAddr
 		for i := 0; i < 2000; i++ {
 			if len(held) == 0 || rng.Intn(100) < 55 {
-				p, err := a.Alloc(c, uint64(rng.Intn(120)+8)<<12, 0, false)
+				p, err := a.Alloc(c, 0, uint64(rng.Intn(120)+8)<<12)
 				if err != nil {
 					break
 				}
 				held = append(held, p)
 			} else {
 				i := rng.Intn(len(held))
-				if err := a.Free(c, held[i]); err != nil {
+				if err := a.Free(c, 0, held[i], false); err != nil {
 					break
 				}
 				held[i] = held[len(held)-1]
@@ -416,27 +422,26 @@ func TestInPlaceWritesAreRandomFlushes(t *testing.T) {
 func TestFirstFitSelection(t *testing.T) {
 	dev := pmem.New(pmem.Config{Size: 64 << 20})
 	bk := blog.New(dev.Mem(), logBase, logSize, 6, 1)
-	a := New(dev, bk, Config{HeapBase: heapBase, HeapEnd: pmem.PAddr(dev.Size()), BreakPtr: brkPtr})
-	a.FirstFit = true
+	a := New(dev, bk, Config{HeapBase: heapBase, HeapEnd: pmem.PAddr(dev.Size()), BreakPtr: brkPtr, FirstFit: true}, Tiers{})
 	c := dev.NewCtx()
 	var ptrs []pmem.PAddr
 	for _, sz := range []uint64{128 << 10, 32 << 10, 64 << 10, 1 << 20} {
-		p, err := a.Alloc(c, sz, 0, false)
+		p, err := a.Alloc(c, 0, sz)
 		if err != nil {
 			t.Fatal(err)
 		}
 		ptrs = append(ptrs, p)
 	}
 	// Free the 128K (lowest address) and the 64K holes.
-	if err := a.Free(c, ptrs[0]); err != nil {
+	if err := a.Free(c, 0, ptrs[0], false); err != nil {
 		t.Fatal(err)
 	}
-	if err := a.Free(c, ptrs[2]); err != nil {
+	if err := a.Free(c, 0, ptrs[2], false); err != nil {
 		t.Fatal(err)
 	}
 	// First fit must take the lowest-address hole that fits, even though
 	// the 64K hole is the better (best) fit for a 48K request.
-	p, err := a.Alloc(c, 48<<10, 0, false)
+	p, err := a.Alloc(c, 0, 48<<10)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -23,12 +23,12 @@ func TestFreeBatchAppliesPersistedPrefix(t *testing.T) {
 			dev := pmem.New(pmem.Config{Size: 64 << 20, Strict: true})
 			size := uint64(shards) * 5 * blog.ChunkSize // header + 4 chunks per shard
 			bk := blog.New(dev.Mem(), logBase, size, 6, shards)
-			a := New(dev, bk, Config{HeapBase: heapBase, HeapEnd: pmem.PAddr(dev.Size()), BreakPtr: brkPtr})
+			a := New(dev, bk, Config{HeapBase: heapBase, HeapEnd: pmem.PAddr(dev.Size()), BreakPtr: brkPtr}, Tiers{})
 			c := dev.NewCtx()
 			nearlyFull := 4*bk.EntriesPerChunk() - bk.EntriesPerChunk()/2
 			var ps []pmem.PAddr
 			for fullest := 0; fullest < nearlyFull; {
-				p, err := a.Alloc(c, 32<<10, 0, false)
+				p, err := a.Alloc(c, 0, 32<<10)
 				if err != nil {
 					t.Fatalf("alloc %d: %v", len(ps), err)
 				}
@@ -43,7 +43,7 @@ func TestFreeBatchAppliesPersistedPrefix(t *testing.T) {
 			}
 			freed := 0
 			for _, p := range ps {
-				if _, ok := a.Lookup(p); !ok {
+				if _, ok := a.pool.activated[p]; !ok {
 					freed++
 				}
 			}
@@ -62,7 +62,7 @@ func TestFreeBatchAppliesPersistedPrefix(t *testing.T) {
 				recorded[r.Addr] = true
 			}
 			for _, p := range ps {
-				if _, activated := a.Lookup(p); activated != recorded[p] {
+				if _, activated := a.pool.activated[p]; activated != recorded[p] {
 					t.Fatalf("extent %#x: activated=%v but recorded=%v", p, activated, recorded[p])
 				}
 			}
@@ -79,20 +79,20 @@ func TestFreeBatchAppliesPersistedPrefix(t *testing.T) {
 		dev, bk, a, c := newInPlaceAlloc(t, 64<<20)
 		var ps []pmem.PAddr
 		for i := 0; i < 6; i++ {
-			p, err := a.Alloc(c, 16<<10, 0, false)
+			p, err := a.Alloc(c, 0, 16<<10)
 			if err != nil {
 				t.Fatal(err)
 			}
 			ps = append(ps, p)
 		}
 		bad := heapBase + PageSize
-		a.activated[bad] = &VEH{Addr: bad, Size: PageSize}
+		a.pool.activated[bad] = &VEH{Addr: bad, Size: PageSize}
 		batch := append(append(append([]pmem.PAddr{}, ps[:3]...), bad), ps[3:]...)
 		if err := a.FreeBatch(c, batch); err == nil {
 			t.Fatal("FreeBatch accepted an address with no header slot")
 		}
 		for i, p := range ps {
-			if _, activated := a.Lookup(p); activated != (i >= 3) {
+			if _, activated := a.pool.activated[p]; activated != (i >= 3) {
 				t.Fatalf("extent %d: activated=%v, want the three before the failure freed and the rest kept", i, activated)
 			}
 		}

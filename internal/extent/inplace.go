@@ -84,12 +84,9 @@ func (b *InPlace) RecordFree(c *pmem.Ctx, addrs []pmem.PAddr) (n int, err error)
 	return n, err
 }
 
-// SelfLocked reports false: the allocator serializes in-place header
-// updates through its BookRes.
+// SelfLocked reports false: the pool serializes in-place header updates
+// through its own book resource.
 func (b *InPlace) SelfLocked() bool { return false }
-
-// MaybeGC is a no-op: in-place headers need no compaction.
-func (b *InPlace) MaybeGC(*pmem.Ctx) {}
 
 // Recover scans every chunk header table in the heap region and returns
 // the live extents. The scan deliberately ignores the stored break: a

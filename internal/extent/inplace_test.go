@@ -14,7 +14,7 @@ func newInPlaceAlloc(t *testing.T, devSize uint64) (*pmem.Device, *InPlace, *All
 		HeapBase: heapBase,
 		HeapEnd:  pmem.PAddr(dev.Size()),
 		BreakPtr: brkPtr,
-	})
+	}, Tiers{})
 	return dev, bk, a, dev.NewCtx()
 }
 
@@ -59,7 +59,7 @@ func TestInPlaceFreeBatchThroughAllocator(t *testing.T) {
 	dev, bk, a, c := newInPlaceAlloc(t, 64<<20)
 	var ps []pmem.PAddr
 	for i := 0; i < 6; i++ {
-		p, err := a.Alloc(c, 16<<10, 0, false)
+		p, err := a.Alloc(c, 0, 16<<10)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -68,7 +68,7 @@ func TestInPlaceFreeBatchThroughAllocator(t *testing.T) {
 	perFree := func() uint64 {
 		// One extent freed individually costs at least one fence.
 		f0 := c.Local().Fences
-		if err := a.Free(c, ps[0]); err != nil {
+		if err := a.Free(c, 0, ps[0], false); err != nil {
 			t.Fatal(err)
 		}
 		return c.Local().Fences - f0
@@ -83,7 +83,7 @@ func TestInPlaceFreeBatchThroughAllocator(t *testing.T) {
 			len(ps)-1, batchFences, perFree)
 	}
 	for _, p := range ps {
-		if _, ok := a.Lookup(p); ok {
+		if _, ok := a.pool.activated[p]; ok {
 			t.Fatalf("%#x still activated after batch free", p)
 		}
 	}
