@@ -167,8 +167,25 @@ func inspect(heap *nvalloc.Heap) {
 	opts := heap.Options()
 	fmt.Printf("variant:          %v\n", opts.Variant)
 	fmt.Printf("arenas:           %d\n", opts.Arenas)
-	fmt.Printf("stripes:          %d (bitmap IM %v, tcache IM %v, WAL IM %v)\n",
-		opts.Stripes, opts.InterleaveBitmap, opts.InterleaveTcache, opts.InterleaveWAL)
+	// What the image holds, not what this open would format next: the WAL
+	// stripe count from the superblock, bitmap stripe counts from the slab
+	// headers.
+	lay := heap.Layout()
+	fmt.Printf("stripes:          %d; WAL and bookkeeping log %d-way\n", opts.Stripes, lay.WAL)
+	census := heap.LayoutCensus()
+	counts := make([]int, 0, len(census))
+	for n := range census {
+		counts = append(counts, n)
+	}
+	sort.Ints(counts)
+	fmt.Printf("slab bitmaps:    ")
+	for _, n := range counts {
+		fmt.Printf(" %d slabs %d-way", census[n], n)
+	}
+	if len(counts) == 0 {
+		fmt.Printf(" no slabs")
+	}
+	fmt.Printf(" (new slabs: %d-way)\n", lay.Bitmap)
 	fmt.Printf("slab morphing:    %v (SU %.0f%%)\n", opts.Morphing, opts.SU*100)
 	fmt.Printf("bookkeeping:      log=%v (%d shards)\n", opts.LogBookkeeping, opts.BookShards)
 	fmt.Printf("wal:              %d entries per arena\n", opts.WALEntries)

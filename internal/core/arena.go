@@ -277,8 +277,9 @@ type blockRef struct {
 // half a ring longer than any group. A crash anywhere inside a group of n
 // leaves a valid prefix of entries whose replay applies their bits; a
 // missing or torn entry means the operation was never acknowledged. A
-// completed morph persists the whole new bitmap from the volatile truth
-// and older entries are skipped by their class tag; an undone morph
+// completed morph persists the whole new bitmap and the index table from
+// the volatile truth, and replay takes the ring's OpMorph entry as the
+// line: the slab's earlier entries are void (replayWALs); an undone morph
 // restores the old geometry, over which the surviving entries replay.
 //
 // The fence stays inside the caller's arena-resource section, which in
@@ -399,7 +400,7 @@ func (a *arena) fillAndCommit(c *pmem.Ctx, class int, tc *tcache.Cache, want int
 }
 
 func (a *arena) tcacheStripe(s *slab.Slab, idx int) int {
-	if a.h.tcacheStripes == 1 {
+	if a.h.lay.Tcache == 1 {
 		return 0
 	}
 	return s.Stripe(idx)
@@ -408,7 +409,7 @@ func (a *arena) tcacheStripe(s *slab.Slab, idx int) int {
 // tcacheStripeGeom is tcacheStripe against a geometry snapshot, for
 // callers that resolved the block index lock-free.
 func (a *arena) tcacheStripeGeom(g *slab.Geom, idx int) int {
-	if a.h.tcacheStripes == 1 {
+	if a.h.lay.Tcache == 1 {
 		return 0
 	}
 	return g.Stripe(idx)
@@ -474,7 +475,7 @@ func (a *arena) morphInto(c *pmem.Ctx, class int) *slab.Slab {
 			continue
 		}
 		s.Mu.Lock()
-		if s.Class == class || !s.UsageBelowMille(h.suMille) || !s.CanMorphTo(class) {
+		if s.Class == class || !s.UsageBelowMille(h.suMille) || !s.CanMorphTo(class, h.lay.Bitmap) {
 			// Not usable for this class; keep it queued if it remains a
 			// plausible candidate for other classes.
 			requeue := s.OldClass < 0 && s.UsageBelowMille(h.suMille)
@@ -495,7 +496,7 @@ func (a *arena) morphInto(c *pmem.Ctx, class int) *slab.Slab {
 		// table) must be durable in every variant, or a crash reverts the
 		// slab to pre-morph geometry underneath live new-class blocks.
 		// Variants with persistSmall=false only defer bitmap persistence.
-		err := s.MorphTo(c, class, true)
+		err := s.MorphTo(c, class, h.lay.Bitmap, true)
 		s.Mu.Unlock()
 		if err != nil {
 			a.freelistPush(s)
@@ -532,7 +533,7 @@ func (a *arena) newSlab(c *pmem.Ctx, class int) *slab.Slab {
 	if err != nil {
 		return nil
 	}
-	s := slab.Format(h.mem, c, base, class, h.bitmapStripes, h.persistSmall)
+	s := slab.Format(h.mem, c, base, class, h.lay.Bitmap, h.persistSmall)
 	if h.large.Record(c, a.index, base, true) != nil {
 		// Bookkeeping exhausted: surface as allocation failure.
 		_ = h.large.Release(c, a.index, base, true) // cannot fail: base was just carved

@@ -1,6 +1,6 @@
 // Package core assembles NVAlloc from its substrates: per-core arenas
 // with per-class slab freelists and an LRU list of morph candidates,
-// per-thread interleaved tcaches, per-arena write-ahead logs, the global
+// per-thread tcaches, per-arena write-ahead logs, the global
 // large allocator with log-structured bookkeeping, slab morphing, and
 // the two consistency variants of the paper — NVAlloc-LOG (WAL-based)
 // and NVAlloc-GC (post-crash conservative garbage collection).
@@ -54,21 +54,16 @@ func (v Variant) String() string {
 }
 
 // Options configures a heap. The zero value is completed by
-// (&Options{}).withDefaults(); feature toggles exist so the Figure 11
-// ablations (Base, +Interleaved, +Log) can be built from the same code.
+// (&Options{}).withDefaults().
 type Options struct {
 	Variant Variant
 	// Arenas is the number of per-core arenas (the paper binds one arena
 	// per CPU core on a 40-core machine). Default 16.
 	Arenas int
-	// Stripes is the interleaved-mapping stripe count (paper default 6).
+	// Stripes is the interleaved-mapping stripe count (paper default 6);
+	// 1 turns interleaving off everywhere. Which structures are spread
+	// over it is the variant's business, not an option: see layout.
 	Stripes int
-	// InterleaveBitmap applies interleaved mapping to slab bitmaps.
-	InterleaveBitmap bool
-	// InterleaveTcache splits tcaches into per-stripe sub-tcaches.
-	InterleaveTcache bool
-	// InterleaveWAL applies interleaved mapping to WAL entries.
-	InterleaveWAL bool
 	// LogBookkeeping uses the log-structured bookkeeping log for large
 	// allocations; false falls back to classic in-place chunk headers.
 	LogBookkeeping bool
@@ -100,17 +95,45 @@ type Options struct {
 // DefaultOptions returns the paper's configuration for a variant.
 func DefaultOptions(v Variant) Options {
 	return Options{
-		Variant:          v,
-		Arenas:           16,
-		Stripes:          6,
-		InterleaveBitmap: true,
-		InterleaveTcache: true,
-		InterleaveWAL:    true,
-		LogBookkeeping:   true,
-		Morphing:         true,
-		SU:               0.20,
-		WALEntries:       1024,
+		Variant:        v,
+		Arenas:         16,
+		Stripes:        6,
+		LogBookkeeping: true,
+		Morphing:       true,
+		SU:             0.20,
+		WALEntries:     1024,
 	}
+}
+
+// Layout is over how many stripes a heap spreads each of its interleavable
+// structures; 1 is the sequential layout. Bitmap is the count slabs are
+// formatted (and morph targets laid out) with — a slab's header records
+// its own, so slabs of different counts coexist in one heap — and Tcache
+// the number of sub-tcaches per size class. WAL covers the WAL rings and
+// the bookkeeping log's entries and is persisted in the superblock.
+type Layout struct {
+	Bitmap, Tcache, WAL int
+}
+
+// layout is the one place that decides what is interleaved: a structure is
+// spread over Stripes lines exactly when the variant flushes one of its
+// lines per operation, because interleaving exists so that back-to-back
+// flushes never hit the same line (Section 5.1) and buys nothing for a
+// line that is not flushed per op. NVAlloc-IC flushes a block's bitmap
+// line on every small malloc and free, so its bitmaps are interleaved and
+// its tcache hands blocks out stripe by stripe. NVAlloc-LOG flushes a WAL
+// entry instead and writes bitmap lines back once per checkpoint, where
+// what counts is how few lines a slab's changed bits sit in: the bitmap is
+// sequential (one line per slab for every class of 128 bytes and up) and
+// the tcache a plain LIFO. NVAlloc-GC flushes nothing on the small path
+// and takes the same. Every variant flushes a bookkeeping-log entry per
+// large operation, and that log shares the WAL's setting.
+func (o Options) layout() Layout {
+	l := Layout{Bitmap: 1, Tcache: 1, WAL: o.Stripes}
+	if o.Variant == IC {
+		l.Bitmap, l.Tcache = o.Stripes, o.Stripes
+	}
+	return l
 }
 
 // BlogGCNever is the BlogGCThreshold no bookkeeping log ever reaches.
@@ -238,12 +261,10 @@ type Heap struct {
 	mem  pmem.Mem // dev's concrete image view, for dispatch-free hot paths
 	opts Options
 
-	bitmapStripes int // 1 when bitmap interleaving is off
-	tcacheStripes int
-	walStripes    int
-	persistSmall  bool // LOG and IC persist small metadata (IC per op, LOG per WAL checkpoint)
-	useWAL        bool // LOG variant only
-	suMille       int  // opts.SU quantized to per-mille for the hot paths
+	lay          Layout
+	persistSmall bool // LOG and IC persist small metadata (IC per op, LOG per WAL checkpoint)
+	useWAL       bool // LOG variant only
+	suMille      int  // opts.SU quantized to per-mille for the hot paths
 
 	arenas []*arena
 	large  *extent.Allocator
@@ -270,7 +291,18 @@ var _ alloc.Heap = (*Heap)(nil)
 // Create formats the device as a fresh NVAlloc heap.
 func Create(dev pmem.Dev, opts Options) (*Heap, error) {
 	opts = opts.withDefaults()
-	h, err := layout(dev, opts)
+	return CreateLayout(dev, opts, opts.layout())
+}
+
+// CreateLayout is Create with the layout given instead of derived from the
+// variant. It exists for the experiments that reproduce the paper's
+// ablations (Figure 11's Base and +Interleaved steps, Figure 16(a)'s sweep
+// with every structure striped) and for tests that need a heap of slabs
+// formatted under another layout. Only WAL is persistent: a reopened heap
+// formats new slabs and builds tcaches by its variant's rule.
+func CreateLayout(dev pmem.Dev, opts Options, lay Layout) (*Heap, error) {
+	opts = opts.withDefaults()
+	h, err := regions(dev, opts)
 	if err != nil {
 		return nil, err
 	}
@@ -295,14 +327,14 @@ func Create(dev pmem.Dev, opts Options) (*Heap, error) {
 	w(sbBookShards, uint64(opts.BookShards))
 	dev.Zero(superBase+sbRoots, alloc.NumRootSlots*8)
 
-	h.initVolatile(dev, opts)
-	w(sbWALStripes, uint64(h.walStripes))
+	h.initVolatile(dev, opts, lay)
+	w(sbWALStripes, uint64(h.lay.WAL))
 	w(sbChecksum, uint64(superCRC(dev)))
 	c.Flush(pmem.CatMeta, superBase, 4096)
 	c.Fence()
 	// Fresh persistent structures.
 	if opts.LogBookkeeping {
-		h.blog = blog.New(dev.Mem(), h.blogBase(), h.blogSize(), h.walStripesForBlog(), opts.BookShards)
+		h.blog = blog.New(dev.Mem(), h.blogBase(), h.blogSize(), h.lay.WAL, opts.BookShards)
 		if opts.BlogGCThreshold > 0 {
 			h.blog.SetSlowGCThreshold(opts.BlogGCThreshold)
 		}
@@ -321,9 +353,9 @@ func Create(dev pmem.Dev, opts Options) (*Heap, error) {
 	return h, nil
 }
 
-// layout computes region addresses for a fresh heap and records them in
+// regions computes region addresses for a fresh heap and records them in
 // the (not yet flushed) superblock.
-func layout(dev pmem.Dev, opts Options) (*Heap, error) {
+func regions(dev pmem.Dev, opts Options) (*Heap, error) {
 	h := &Heap{dev: dev, mem: dev.Mem(), opts: opts}
 	walBytes := uint64(opts.Arenas) * uint64(walog.RegionSize(opts.WALEntries, opts.Stripes))
 	walBase := uint64(8192)
@@ -348,23 +380,8 @@ func (h *Heap) blogBase() pmem.PAddr { return pmem.PAddr(h.dev.ReadU64(superBase
 func (h *Heap) blogSize() uint64     { return h.dev.ReadU64(superBase + sbBlogSize) }
 func (h *Heap) walBase() pmem.PAddr  { return pmem.PAddr(h.dev.ReadU64(superBase + sbWALBase)) }
 
-// walStripesForBlog: the bookkeeping log uses the same stripe setting as
-// WALs (interleaved mapping toggle applies to both, per Table 2).
-func (h *Heap) walStripesForBlog() int { return h.walStripes }
-
-func (h *Heap) initVolatile(dev pmem.Dev, opts Options) {
-	h.bitmapStripes = 1
-	if opts.InterleaveBitmap {
-		h.bitmapStripes = opts.Stripes
-	}
-	h.tcacheStripes = 1
-	if opts.InterleaveTcache {
-		h.tcacheStripes = opts.Stripes
-	}
-	h.walStripes = 1
-	if opts.InterleaveWAL {
-		h.walStripes = opts.Stripes
-	}
+func (h *Heap) initVolatile(dev pmem.Dev, opts Options, lay Layout) {
+	h.lay = lay
 	h.persistSmall = opts.Variant == LOG || opts.Variant == IC
 	h.useWAL = opts.Variant == LOG
 	// The morph-candidate threshold compares integers on the hot free
@@ -382,7 +399,7 @@ func (h *Heap) newWAL(i int, fresh bool) (*walog.Log, error) {
 	if fresh {
 		h.dev.Zero(base, walog.RegionSize(h.opts.WALEntries, h.opts.Stripes))
 	}
-	wal, err := walog.New(h.mem, base, h.opts.WALEntries, h.walStripes)
+	wal, err := walog.New(h.mem, base, h.opts.WALEntries, h.lay.WAL)
 	if err == nil && h.useWAL {
 		wal.WriteBack = h.arenas[i].writeBack
 	}
@@ -394,6 +411,24 @@ func (h *Heap) Device() pmem.Dev { return h.dev }
 
 // Options returns the heap's effective options.
 func (h *Heap) Options() Options { return h.opts }
+
+// Layout returns the layout the heap runs with: what it formats new slabs
+// and builds tcaches with, and the persisted WAL stripe count. Slabs
+// formatted earlier keep their own (LayoutCensus).
+func (h *Heap) Layout() Layout { return h.lay }
+
+// LayoutCensus counts the heap's slabs by the bitmap stripe count in their
+// headers.
+func (h *Heap) LayoutCensus() map[int]int {
+	census := map[int]int{}
+	h.slabs.Range(func(_ pmem.PAddr, s *slab.Slab) bool {
+		s.Mu.Lock()
+		census[s.Stripes()]++
+		s.Mu.Unlock()
+		return true
+	})
+	return census
+}
 
 // RootSlot returns the persistent address of root pointer slot i.
 func (h *Heap) RootSlot(i int) pmem.PAddr {

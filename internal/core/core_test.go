@@ -577,15 +577,14 @@ func TestCloseIdempotenceAndOpenBadDevice(t *testing.T) {
 }
 
 func TestInterleavingEliminatesReflushes(t *testing.T) {
-	// The headline mechanism check: consecutive small mallocs with
-	// interleaving on vs off.
-	run := func(on bool) float64 {
+	// The headline mechanism check: consecutive small mallocs with the
+	// structure the variant flushes per op — LOG's WAL entries, IC's bitmap
+	// lines — interleaved over six stripes vs laid out sequentially.
+	run := func(v Variant, stripes int) float64 {
 		dev := pmem.New(pmem.Config{Size: 128 << 20})
-		opts := DefaultOptions(LOG)
+		opts := DefaultOptions(v)
 		opts.Arenas = 1
-		opts.InterleaveBitmap = on
-		opts.InterleaveTcache = on
-		opts.InterleaveWAL = on
+		opts.Stripes = stripes
 		h, err := Create(dev, opts)
 		if err != nil {
 			t.Fatal(err)
@@ -600,14 +599,16 @@ func TestInterleavingEliminatesReflushes(t *testing.T) {
 		s := dev.Stats()
 		return s.ReflushRatio()
 	}
-	with, without := run(true), run(false)
-	if with >= without {
-		t.Fatalf("interleaving must cut the reflush ratio: %f vs %f", with, without)
+	for _, v := range []Variant{LOG, IC} {
+		with, without := run(v, 6), run(v, 1)
+		if with >= without {
+			t.Fatalf("%v: interleaving must cut the reflush ratio: %f vs %f", v, with, without)
+		}
+		if without < 0.3 {
+			t.Fatalf("%v: baseline reflush ratio suspiciously low: %f", v, without)
+		}
+		t.Logf("%v reflush ratio: interleaved %.3f, sequential %.3f", v, with, without)
 	}
-	if without < 0.3 {
-		t.Fatalf("baseline reflush ratio suspiciously low: %f", without)
-	}
-	t.Logf("reflush ratio: interleaved %.3f, sequential %.3f", with, without)
 }
 
 func TestGCVariantFlushesAlmostNothingOnSmallPath(t *testing.T) {

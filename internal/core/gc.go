@@ -12,7 +12,14 @@ import (
 // Makalu. Any 8-byte-aligned word inside a reachable object whose value
 // is the exact start address of a slab block or extent keeps that object
 // alive. Unreachable small blocks have their bitmap bits cleared;
-// unreachable (non-slab) extents are freed. Interior pointers are not
+// unreachable (non-slab) extents are freed. The sweep writes the bits in
+// the cache image and flushes each bitmap line it changed once, under one
+// fence, when it is through: the variant never flushed a bit at run time,
+// so a crash leaves nearly every live block's bit to set, and a flush per
+// bit of a sequential bitmap would hit the same line again and again. A
+// crash inside the sweep is covered by the run-state word, which still
+// says recovery: the next Open marks and sweeps from the roots again,
+// whatever part of the bitmaps reached the media. Interior pointers are not
 // chased (objects must be referenced by their start address). An error
 // means the bookkeeper could not tombstone every leaked extent; the ones
 // it did tombstone are freed, the rest stay allocated and recorded.
@@ -79,7 +86,7 @@ func (h *Heap) conservativeGC(c *pmem.Ctx) error {
 					continue
 				}
 			}
-			h.forceBit(c, s, idx, marked[s.BlockAddr(idx)], nil)
+			h.forceBit(c, s, idx, marked[s.BlockAddr(idx)], a)
 		}
 		// Old-class blocks: sweep via the index table.
 		if s.IsSlabIn() {
@@ -95,6 +102,13 @@ func (h *Heap) conservativeGC(c *pmem.Ctx) error {
 		c.Charge(pmem.CatSearch, int64(s.Blocks)/8)
 		return true
 	})
+	flushed := false
+	for _, a := range h.arenas {
+		flushed = a.writeBack(c) || flushed
+	}
+	if flushed {
+		c.Fence()
+	}
 
 	// Sweep extents: unreachable non-slab extents are leaks; free them in
 	// address order so the rebuilt extent freelists are deterministic.

@@ -224,15 +224,14 @@ func TestPersistSchedulePerOp(t *testing.T) {
 // TestWriteBackSchedule pins what LOG's deferred bitmap flushes cost when
 // they do happen. A checkpoint period is the n/2+1 appends between two
 // moves of the ring's checkpoint word. The trace frees and reallocates
-// with nothing else live; the striped tcache hands out one block per
-// stripe in turn, so a period dirties one bitmap line per stripe — but
-// every free is undone by the next malloc of the same block, and a line
-// whose bytes are back to what the media holds is not written back. The
-// period's 513 appends are odd, so one block ends it in the other state
-// than it began: 513 entry flushes, one write-back flush and the
+// with nothing else live; the LIFO tcache hands the freed block straight
+// back, so every free is undone by the next malloc of the same block, and
+// a line whose bytes are back to what the media holds is not written back.
+// The period's 513 appends are odd, so the block ends it in the other
+// state than it began: 513 entry flushes, one write-back flush and the
 // checkpoint word, with a fence per commit plus one after the write-back
-// and one after the word. (Writing every dirty line back reads six; an
-// eager bitmap flush per commit reads 1027 flushes.)
+// and one after the word. (An eager bitmap flush per commit reads 1027
+// flushes.)
 func TestWriteBackSchedule(t *testing.T) {
 	_, h := newHeap(t, LOG, nil)
 	th := h.NewThread().(*Thread)

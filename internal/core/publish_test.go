@@ -346,3 +346,104 @@ func TestOpenRefusesOtherFormatVersion(t *testing.T) {
 		t.Fatalf("Scavenge of a version 3 heap: %v after repairs %q, want the *FormatError and no repair", err, repairs)
 	}
 }
+
+// TestReplaySkipsEntriesAMorphAbsorbed: a publish supersedes a block, the
+// block is published again under another slot, and then its slab — drained
+// by the other arena's thread — morphs around it, all inside one checkpoint
+// period of the owner's ring. The morph's index table holds the block as
+// live. Replaying the first entry's free against that table would release
+// it, and the entry that allocated it again carries the old class and is
+// not replayed over the new geometry: the completed morph must void both.
+// (This is the heap a kv store leaves when values change size class; found
+// as an acknowledged key whose delete failed after a kill -9.)
+func TestReplaySkipsEntriesAMorphAbsorbed(t *testing.T) {
+	dev, h := newHeap(t, LOG, func(o *Options) { o.Arenas = 2 })
+	remote := h.NewThread().(*Thread) // arena 0
+	owner := h.NewThread().(*Thread)  // arena 1
+	keep, err := owner.MallocTo(h.RootSlot(0), 1024)
+	if err != nil {
+		t.Fatal(err)
+	}
+	x := keep &^ (slab.Size - 1)
+	// Fill the slab and move on to the next, so the owner's cache holds no
+	// reservation in it.
+	var anon []pmem.PAddr
+	for in := true; in || len(anon) < 70; {
+		p, err := owner.Malloc(1024)
+		if err != nil {
+			t.Fatal(err)
+		}
+		in = p&^(slab.Size-1) == x
+		anon = append(anon, p)
+	}
+	for _, p := range anon {
+		if p&^(slab.Size-1) == x {
+			if err := remote.Free(p); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	remote.Flush()
+
+	// Supersede the one block left in the slab, then publish it again.
+	n, err := owner.Reserve(1024)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := owner.Publish(h.RootSlot(0), n, keep); err != nil {
+		t.Fatal(err)
+	}
+	// Reserve until the cache hands the superseded block out again (at
+	// once from a LIFO cache, within a turn of the cursor from a striped
+	// one) and give the others back.
+	var others []pmem.PAddr
+	for {
+		p, err := owner.Reserve(1024)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if p == keep {
+			break
+		}
+		if others = append(others, p); len(others) > 24 {
+			t.Fatalf("the cache never handed out %#x, the block just freed into it", keep)
+		}
+	}
+	if err := owner.Publish(h.RootSlot(1), keep, pmem.Null); err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range others {
+		if err := owner.Unreserve(p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	morphs, _ := h.MorphStats()
+	if _, err := owner.MallocTo(h.RootSlot(2), 1536); err != nil {
+		t.Fatal(err)
+	}
+	if after, _ := h.MorphStats(); after != morphs+1 {
+		t.Fatal("the drained slab did not morph")
+	}
+	if s := h.slabs.Lookup(x); s.OldBlockIndex(keep) < 0 {
+		t.Fatal("the morph did not carry the republished block over")
+	}
+	owner.Ctx().Merge()
+	remote.Ctx().Merge()
+	dev.Crash()
+
+	h2, _, err := Open(dev, DefaultOptions(LOG))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if h2.Recovery().EntriesReplayed == 0 {
+		t.Fatal("nothing to replay: the ring's checkpoint passed the entries")
+	}
+	if !h2.BlockAllocated(keep) {
+		t.Fatalf("block %#x, published under root slot 1, reads free after replay", keep)
+	}
+	th := h2.NewThread()
+	defer th.Close()
+	if err := th.FreeFrom(h2.RootSlot(1)); err != nil {
+		t.Fatalf("deleting the republished block after recovery: %v", err)
+	}
+}

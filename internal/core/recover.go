@@ -128,8 +128,6 @@ func Open(dev pmem.Dev, opts Options) (*Heap, int64, error) {
 	opts.Variant = Variant(dev.ReadU64(superBase + sbVariant))
 	opts.LogBookkeeping = dev.ReadU64(superBase+sbBookMode) == 1
 	opts.WALEntries = int(dev.ReadU64(superBase + sbWALEnts))
-	walStripes := int(dev.ReadU64(superBase + sbWALStripes))
-	opts.InterleaveWAL = walStripes > 1
 	if opts.LogBookkeeping {
 		// The shard count determines the region split and the record
 		// routing, so the persisted value always wins.
@@ -138,7 +136,12 @@ func Open(dev pmem.Dev, opts Options) (*Heap, int64, error) {
 
 	h := &Heap{dev: dev, mem: dev.Mem(), opts: opts}
 	h.heapBase = pmem.PAddr(dev.ReadU64(superBase + sbHeapBase))
-	h.initVolatile(dev, opts)
+	// Slabs carry their own stripe counts and tcaches are volatile, so a
+	// reopened heap takes its variant's layout whatever it was created
+	// with; the WAL rings and the bookkeeping log are read as written.
+	lay := opts.layout()
+	lay.WAL = int(dev.ReadU64(superBase + sbWALStripes))
+	h.initVolatile(dev, opts, lay)
 
 	// A reopen is a new session: its contexts start at virtual time 0 and
 	// must not queue behind the bank load the previous session left.
@@ -174,7 +177,7 @@ func Open(dev pmem.Dev, opts Options) (*Heap, int64, error) {
 	if opts.LogBookkeeping {
 		// Every shard recovers independently; the merged record list is
 		// address-ordered across shards.
-		bl, recs, err := blog.Open(dev, h.blogBase(), h.blogSize(), h.walStripes, opts.BookShards)
+		bl, recs, err := blog.Open(dev, h.blogBase(), h.blogSize(), h.lay.WAL, opts.BookShards)
 		if err != nil {
 			return nil, 0, err
 		}
@@ -321,32 +324,47 @@ func (h *Heap) replayWALs(c *pmem.Ctx, rep *Recovery) error {
 	// often sequence-order replay flipped its bits back and forth.
 	for i, a := range h.arenas {
 		ents := rings[i]
-		// retired maps a slab base to the ring's latest OpRetire for it: the
-		// ring's earlier entries name blocks of a slab that was released,
-		// and whatever sits at that base now belongs to a later owner.
-		retired := map[pmem.PAddr]uint64{}
+		// void maps a slab base to the sequence number up to which the
+		// ring's entries naming its blocks are dead. An OpRetire voids them
+		// because the slab was released, and whatever sits at that base now
+		// belongs to a later owner. An OpMorph whose target class the slab
+		// has voids them because the morph completed: its step-3 bitmap and
+		// index table were built from the volatile truth, which had every
+		// earlier operation in it. The class tag alone does not say so for
+		// a publish entry's old block — freed before the morph, or freed
+		// after it through the index table, it carries the same old class —
+		// and re-running the earlier free would release a block that was
+		// allocated again in between and that the morph carried over as
+		// live. An OpMorph for another class is a morph that was undone (or
+		// one of an earlier incarnation): the entries around it stand.
+		void := map[pmem.PAddr]uint64{}
 		for _, e := range ents {
-			if e.Op == walog.OpRetire {
-				retired[e.Addr] = e.Seq
+			switch e.Op {
+			case walog.OpRetire:
+				void[e.Addr] = e.Seq
+			case walog.OpMorph:
+				if s := h.slabs.Lookup(e.Addr); s != nil && int(e.Aux) == s.Class {
+					void[e.Addr] = e.Seq
+				}
 			}
 		}
 		for k, e := range ents {
 			switch e.Op {
 			case walog.OpAllocBit, walog.OpFreeBit:
-				if e.Seq <= retired[e.Addr] {
+				if e.Seq <= void[e.Addr] {
 					rep.EntriesRetired++
 					continue
 				}
 				// Aux2 names the size class the entry was logged under; a
 				// mismatch means the slab has since completed a morph whose
-				// step-3 bitmap snapshot already captured this operation —
-				// applying the stale index to the new geometry would flip
-				// an unrelated block.
+				// OpMorph entry the checkpoint has passed — applying the
+				// stale index to the new geometry would flip an unrelated
+				// block.
 				if s := h.slabs.Lookup(e.Addr); s != nil && int(e.Aux2) == s.Class {
 					h.forceBit(c, s, int(e.Aux), e.Op == walog.OpAllocBit, a)
 				}
 			case walog.OpPublish:
-				h.replayPublish(c, a, e, k == len(ents)-1, retired)
+				h.replayPublish(c, a, e, k == len(ents)-1, void)
 			case walog.OpMorph:
 				// Morph steps are sealed by the slab's own flag field;
 				// slab.Load already undid or kept the transform.
@@ -373,7 +391,7 @@ func (h *Heap) replayWALs(c *pmem.Ctx, rep *Recovery) error {
 // the checkpoint past an entry that names one before it returns, so such
 // an entry is replayed only with its publish in flight — which is what
 // makes it safe to free by address: the space cannot have been reused.
-func (h *Heap) replayPublish(c *pmem.Ctx, a *arena, e walog.Entry, last bool, retired map[pmem.PAddr]uint64) {
+func (h *Heap) replayPublish(c *pmem.Ctx, a *arena, e walog.Entry, last bool, void map[pmem.PAddr]uint64) {
 	slot, new, old := e.Addr, pmem.PAddr(e.Aux), e.Old
 	newTag, oldTag := int(e.Aux2>>8), int(e.Aux2&0xFF)
 	if uint64(slot)+8 > h.dev.Size() {
@@ -384,7 +402,7 @@ func (h *Heap) replayPublish(c *pmem.Ctx, a *arena, e walog.Entry, last bool, re
 		if tag == 0 || tag == tagLarge {
 			return
 		}
-		if s := h.slabs.Lookup(p &^ (slab.Size - 1)); s != nil && e.Seq > retired[s.Base] {
+		if s := h.slabs.Lookup(p &^ (slab.Size - 1)); s != nil && e.Seq > void[s.Base] {
 			h.replayBit(c, a, s, p, tag-1, val)
 		}
 	}
@@ -414,7 +432,8 @@ func (h *Heap) replayPublish(c *pmem.Ctx, a *arena, e walog.Entry, last bool, re
 // by address, to state val. class is the size class p was a block of when
 // the entry was logged; as for a bit entry, a slab that has since morphed
 // away from it is left alone — unless p is one of the morph's surviving
-// old-class blocks, whose free goes to the index table.
+// old-class blocks, whose free goes to the index table: the caller has
+// established that the entry was logged after that morph (replayWALs, void).
 func (h *Heap) replayBit(c *pmem.Ctx, a *arena, s *slab.Slab, p pmem.PAddr, class int, val bool) {
 	if !val && s.OldClass == class {
 		if oi := s.OldBlockIndex(p); oi >= 0 {
@@ -431,26 +450,19 @@ func (h *Heap) replayBit(c *pmem.Ctx, a *arena, s *slab.Slab, p pmem.PAddr, clas
 }
 
 // forceBit sets the allocation state of a slab block to val regardless of
-// its current state (idempotent). WAL replay passes the arena whose ring
-// covers the bit: the line is then listed for that ring's write-back
-// instead of being flushed and fenced here, as the GC sweep (wb nil) does.
+// its current state (idempotent), in the cache image: the bit's line is
+// listed on wb for write-back (arena.writeBack), which recovery runs once
+// the whole group of bits is written — ahead of a ring's checkpoint after
+// WAL replay, at the end of the GC variant's sweep — so each distinct line
+// is flushed once, however many of its bits changed.
 func (h *Heap) forceBit(c *pmem.Ctx, s *slab.Slab, idx int, val bool, wb *arena) {
-	if idx < 0 || idx >= s.Blocks {
+	if idx < 0 || idx >= s.Blocks || val == s.BlockAllocated(idx) {
 		return
 	}
-	allocated := s.BlockAllocated(idx)
-	if val == allocated {
-		return
-	}
-	if wb != nil {
-		wb.noteDirty(s, idx)
-	}
+	wb.noteDirty(s, idx)
 	if val {
-		s.AllocBlock(c, idx, wb == nil)
+		s.AllocBlock(c, idx, false)
 	} else {
-		s.FreeBlock(c, idx, wb == nil)
-	}
-	if wb == nil {
-		c.Fence()
+		s.FreeBlock(c, idx, false)
 	}
 }

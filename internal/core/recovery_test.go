@@ -256,12 +256,12 @@ func TestRecoveryPhaseBudget(t *testing.T) {
 		BookLogNS: 0, // one shard per arena, none over its threshold, no empty chunk
 		ExtentNS:  330,
 		SlabNS:    589,
-		WALNS:     16*1024*5 + 3795, // one scan of every slot; 12 lines, one checkpoint word, two fences
+		WALNS:     16*1024*5 + 2945, // one scan of every slot; 8 lines (one per slab: sequential bitmaps), one checkpoint word, two fences
 		StateNS:   670,
 
 		SlabsLoaded:      8,
 		EntriesReplayed:  24,
-		LinesWrittenBack: 12,
+		LinesWrittenBack: 8,
 	}
 	if got != want {
 		type raw Recovery // without the String method

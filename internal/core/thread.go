@@ -85,7 +85,7 @@ func (t *Thread) cache(class int) *tcache.Cache {
 		if bs := int(sizeclass.Size(class)); bs > 1024 {
 			cap = 8
 		}
-		c = tcache.New(t.h.tcacheStripes, cap)
+		c = tcache.New(t.h.lay.Tcache, cap)
 		t.caches[class] = c
 	}
 	return c

@@ -27,7 +27,7 @@ func TestReleasedSlabReformattedByLowerArena(t *testing.T) {
 	if thB.arena.index != 0 || thA.arena.index != 1 {
 		t.Fatalf("arenas %d,%d", thB.arena.index, thA.arena.index)
 	}
-	bps := slab.BlocksPerSlab(sizeclass.Class(64), h.bitmapStripes)
+	bps := slab.BlocksPerSlab(sizeclass.Class(64), h.lay.Bitmap)
 	// Allocate from arena 1 until a second slab appears: last is then the
 	// only allocated block of that slab, first a block of the full one.
 	first, err := thA.Malloc(64)

@@ -38,7 +38,8 @@ func morphTrace() Trace {
 // trigger op whose window contains the slab morph (via the recording's
 // morph-counter probe) and verify every boundary inside it — before the
 // transform, between each flag step, and just after — with torn
-// variants. The published old-class survivors must recover at every cut.
+// variants, and then from the cache image after each flush of the same
+// window. The published old-class survivors must recover at every cut.
 func TestMorphCrashSweep(t *testing.T) {
 	for _, v := range []core.Variant{core.LOG, core.GC, core.IC} {
 		v := v
@@ -84,6 +85,24 @@ func TestMorphCrashSweep(t *testing.T) {
 			rep := Verify(rec, cfg)
 			t.Logf("%s", rep)
 			checkReport(t, rec, rep, 0, cfg.TornSeed)
+
+			// The same window with the process killed instead of the power
+			// cut: the cache image after each flush has the stores of the
+			// step under way — the new header fields of step 3 before their
+			// line is flushed, under a flag that still says 2.
+			var ks []int
+			for k := cfg.From + 1; k <= cfg.To; k++ {
+				ks = append(ks, k)
+			}
+			if testing.Short() {
+				ks = EveryNth(ks, 3)
+			}
+			cuts := VerifyCacheCuts(rec, ks, Config{})
+			t.Logf("%s", cuts)
+			checkReport(t, rec, cuts, 0, 0)
+			if cuts.Explored != len(ks) {
+				t.Errorf("%d cache-image cuts verified, want %d", cuts.Explored, len(ks))
+			}
 		})
 	}
 }

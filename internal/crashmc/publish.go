@@ -41,9 +41,11 @@ import (
 //     ring's checkpoint moves past each such entry;
 //   - a slab drained below the morph threshold by remote frees and morphed
 //     by the first allocation of another class, with publishes in the old
-//     class before it, in the new class after it, and then replaces and
-//     deletes of the old-class survivors, which are freed through the
-//     morphed slab's index table.
+//     class before it — one of them of a block an entry a few slots back
+//     superseded, so that the ring holds, ahead of the morph, a free and a
+//     later allocation of a block the morph carries over as live — in the
+//     new class after it, and then replaces and deletes of the old-class
+//     survivors, which are freed through the morphed slab's index table.
 func PublishTrace() Trace {
 	tr := Trace{Name: "publish", Threads: 2}
 	add := func(op Op) int {
@@ -114,6 +116,14 @@ func PublishTrace() Trace {
 		add(Op{Kind: OpFree, Thread: 0, Ref: r})
 		if i%12 == 11 {
 			add(Op{Kind: OpFlush, Thread: 0})
+		}
+		if i == 59 {
+			// The slab is down to its two published blocks. Supersede one —
+			// it goes into thread 1's cache — and publish it again under
+			// another slot: an entry that frees it, then one that allocates
+			// it, both still in the ring when the slab morphs around it.
+			publish(1, 13, 1024)
+			publish(1, 7, 1024)
 		}
 	}
 	publish(1, 5, 1536)

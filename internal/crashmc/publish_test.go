@@ -69,15 +69,34 @@ func TestPublishRecoveryCrashes(t *testing.T) {
 	if testing.Short() {
 		stride = 60
 	}
-	all := rec.PublishWindows()
-	var ks []int
-	for i := 0; i < len(all); i += stride {
-		ks = append(ks, all[i])
-	}
+	ks := EveryNth(rec.PublishWindows(), stride)
 	rep := VerifyRecoveryCrashes(rec, ks, Config{Extra: LiveSetOracle(rec)})
 	t.Logf("%s", rep)
 	checkReport(t, rec, rep, 0, 0)
 	if rep.Explored < 4*len(ks) {
 		t.Errorf("%d recovery cuts over %d boundaries", rep.Explored, len(ks))
+	}
+}
+
+// TestPublishCacheCuts kills the process instead of cutting power: after
+// every flush of the trace's operations recovery starts from the cache
+// image — every store made so far, as a page-cache-backed heap file keeps
+// them — and is held to the shared and the live-set oracle. The threads of
+// the trace are bound to different arenas; the oracle's frees after each
+// recovery come from two threads bound afresh.
+func TestPublishCacheCuts(t *testing.T) {
+	rec, err := RecordPublish()
+	if err != nil {
+		t.Fatal(err)
+	}
+	ks := rec.OpFlushes()
+	if testing.Short() {
+		ks = EveryNth(ks, 40)
+	}
+	rep := VerifyCacheCuts(rec, ks, Config{Extra: LiveSetOracle(rec)})
+	t.Logf("%s", rep)
+	checkReport(t, rec, rep, 0, 0)
+	if rep.Explored != len(ks) {
+		t.Errorf("%d cache-image cuts verified, want %d", rep.Explored, len(ks))
 	}
 }

@@ -58,6 +58,9 @@ type Recording struct {
 	// Dev is the recording device after a clean shutdown (its cache and
 	// media images agree); classification reads layout fields from it.
 	Dev *pmem.Device
+	// opts is what the recording was made with, for VerifyCacheCuts, which
+	// runs the trace again.
+	opts RecordOptions
 }
 
 // Boundaries returns the number of persistence boundaries in the
@@ -90,13 +93,26 @@ func markerFor(i int) uint64 { return 0xC0FFEE0000000000 | uint64(i+1) }
 // journal — and therefore every enumerated crash image — is
 // deterministic.
 func Record(tg torture.Target, tr Trace, opts RecordOptions) (*Recording, error) {
+	return record(tg, tr, opts, nil)
+}
+
+// record is Record with a hook: onFlush, when non-nil, runs after every
+// journaled flush, Create's included, with the recording device — whose
+// cache image is then the state a process kill at that instant leaves in a
+// page-cache-backed mapping — and the number of flushes so far.
+func record(tg torture.Target, tr Trace, opts RecordOptions, onFlush func(dev *pmem.Device, flushes int)) (*Recording, error) {
 	if opts.DeviceBytes == 0 {
 		opts.DeviceBytes = DefaultDeviceBytes
 	}
-	dev := pmem.New(pmem.Config{
+	cfg := pmem.Config{
 		Size: opts.DeviceBytes, Strict: true, Journal: true,
 		JournalCheckpointEvery: opts.JournalCheckpointEvery,
-	})
+	}
+	var dev *pmem.Device
+	if onFlush != nil {
+		cfg.OnJournal = func(flushes int) { onFlush(dev, flushes) }
+	}
+	dev = pmem.New(cfg)
 	h, err := tg.Create(dev)
 	if err != nil {
 		return nil, fmt.Errorf("crashmc: create %s: %w", tg.Name, err)
@@ -108,6 +124,7 @@ func Record(tg torture.Target, tr Trace, opts RecordOptions) (*Recording, error)
 		CreatedAt:   dev.JournalLen(),
 		Ops:         make([]OpRecord, 0, len(tr.Ops)),
 		Dev:         dev,
+		opts:        opts,
 	}
 	nThreads := tr.Threads
 	if nThreads < 1 {

@@ -17,7 +17,10 @@ import (
 type Violation struct {
 	Boundary int
 	Torn     bool
-	Detail   string
+	// Cache: the image was the cache image as the boundary's in-flight
+	// flush completed (VerifyCacheCuts), not the media image.
+	Cache  bool
+	Detail string
 	// Schedule is Recording.Sched ("" for single-threaded recordings).
 	Schedule string
 	// Class is the in-flight line's structure class at the boundary;
@@ -33,6 +36,9 @@ func (v Violation) String() string {
 	t := ""
 	if v.Torn {
 		t = " (torn)"
+	}
+	if v.Cache {
+		t = " (cache image after the in-flight flush)"
 	}
 	s := fmt.Sprintf("boundary %d%s", v.Boundary, t)
 	if v.Schedule != "" {
@@ -74,6 +80,22 @@ type Report struct {
 	// Paths counts distinct recovery paths hit: (trace phase, in-flight
 	// line class) pairs.
 	Paths map[string]int
+}
+
+// newReport returns an empty report for an enumeration of rec; sweep names
+// the kind of cut when it is not Verify's ("recovery-crash", "cache-cut").
+func (rec *Recording) newReport(sweep string) *Report {
+	trace := rec.Trace.Name
+	if sweep != "" {
+		trace += "/" + sweep
+	}
+	return &Report{
+		Target:      rec.Target.Name,
+		Trace:       trace,
+		Classes:     map[string]int{},
+		TornClasses: map[string]int{},
+		Paths:       map[string]int{},
+	}
 }
 
 // maxViolations bounds the violations retained per report; the count is

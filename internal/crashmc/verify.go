@@ -139,14 +139,8 @@ func Verify(rec *Recording, cfg Config) *Report {
 	for k := cfg.From; k <= cfg.To; k += cfg.Stride {
 		ks = append(ks, k)
 	}
-	report := &Report{
-		Target:      rec.Target.Name,
-		Trace:       rec.Trace.Name,
-		Boundaries:  rec.Boundaries(),
-		Classes:     map[string]int{},
-		TornClasses: map[string]int{},
-		Paths:       map[string]int{},
-	}
+	report := rec.newReport("")
+	report.Boundaries = rec.Boundaries()
 	if len(ks) == 0 {
 		return report
 	}
@@ -160,11 +154,7 @@ func Verify(rec *Recording, cfg Config) *Report {
 	run := func(ci int) {
 		lo := ci * len(ks) / nChunk
 		hi := (ci + 1) * len(ks) / nChunk
-		part := &Report{
-			Classes:     map[string]int{},
-			TornClasses: map[string]int{},
-			Paths:       map[string]int{},
-		}
+		part := rec.newReport("")
 		cursor := rec.newCursor()
 		scratch := pmem.New(pmem.Config{Size: rec.DeviceBytes})
 		for i := lo; i < hi; i++ {
@@ -412,16 +402,20 @@ func verifyImage(rec *Recording, cfg Config, hist map[int][]slotOp, part *Report
 	}
 
 	// Every surviving published block must be allocated: freeing it
-	// succeeds exactly once (raw thread — recovery has no record of the
-	// checker's probes).
+	// succeeds exactly once (raw threads — recovery has no record of the
+	// checker's probes). The frees alternate between two threads, which a
+	// heap with two arenas binds to one each: recovery hands every slab to
+	// a new owner, so the sessions that come back after a crash free into
+	// slabs of either arena, whoever allocated from them before it.
 	if len(live) > 0 {
-		thRaw := h2.NewThread()
-		for _, lb := range live {
-			if err := thRaw.Free(pmem.PAddr(lb.addr)); err != nil {
+		raw := [2]alloc.Thread{h2.NewThread(), h2.NewThread()}
+		for i, lb := range live {
+			if err := raw[i%2].Free(pmem.PAddr(lb.addr)); err != nil {
 				fail("published block %#x (slot %d) not allocated after recovery: %v", lb.addr, lb.slot, err)
 			}
 		}
-		thRaw.Close()
+		raw[0].Close()
+		raw[1].Close()
 	}
 
 }

@@ -242,22 +242,13 @@ func VerifyRecoveryCrashes(rec *Recording, ks []int, cfg Config) *Report {
 	cfg = cfg.withDefaults(rec)
 	hist := slotHistory(rec)
 	cl := newClassifier(rec)
-	newReport := func() *Report {
-		return &Report{
-			Target:      rec.Target.Name,
-			Trace:       rec.Trace.Name + "/recovery-crash",
-			Classes:     map[string]int{},
-			TornClasses: map[string]int{},
-			Paths:       map[string]int{},
-		}
-	}
 	nChunk := 1
 	if cfg.Pool != nil {
 		nChunk = max(1, min(runtime.GOMAXPROCS(0), len(ks)))
 	}
 	parts := make([]*Report, nChunk)
 	run := func(ci int) {
-		part := newReport()
+		part := rec.newReport("recovery-crash")
 		cursor := rec.newCursor()
 		scratch := pmem.New(pmem.Config{Size: rec.DeviceBytes, Strict: true})
 		for _, k := range ks[ci*len(ks)/nChunk : (ci+1)*len(ks)/nChunk] {
@@ -301,7 +292,7 @@ func VerifyRecoveryCrashes(rec *Recording, ks []int, cfg Config) *Report {
 	} else {
 		cfg.Pool(nChunk, run)
 	}
-	report := newReport()
+	report := rec.newReport("recovery-crash")
 	for _, part := range parts {
 		report.merge(part)
 		report.Boundaries += part.Boundaries

@@ -61,7 +61,30 @@ func TestWriteBackRecoveryCrashes(t *testing.T) {
 	rep := VerifyRecoveryCrashes(rec, ks, Config{})
 	t.Logf("%s", rep)
 	checkReport(t, rec, rep, 0, 0)
-	if rep.Explored < 10*len(ks) {
+	// Four flushes of such a recovery are the two run-state words and the
+	// two rings' checkpoint words; the rest are lines it writes back (one
+	// per slab a ring's entries touched, now that bitmaps are sequential).
+	if rep.Explored < 7*len(ks) {
 		t.Errorf("%d recovery cuts over %d boundaries: recovery no longer has a write-back to cut into", rep.Explored, len(ks))
+	}
+}
+
+// TestWriteBackCacheCuts recovers from the cache image after every flush
+// of the trace's operations: the bits a ring covers are then all present,
+// ahead of the media, and replay runs over them.
+func TestWriteBackCacheCuts(t *testing.T) {
+	rec, err := RecordWriteBack()
+	if err != nil {
+		t.Fatal(err)
+	}
+	ks := rec.OpFlushes()
+	if testing.Short() {
+		ks = EveryNth(ks, 40)
+	}
+	rep := VerifyCacheCuts(rec, ks, Config{})
+	t.Logf("%s", rep)
+	checkReport(t, rec, rep, 0, 0)
+	if rep.Explored != len(ks) {
+		t.Errorf("%d cache-image cuts verified, want %d", rep.Explored, len(ks))
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
+	"slices"
 	"sort"
 
 	"nvalloc/internal/crashmc"
@@ -27,7 +28,10 @@ func init() {
 // under DPOR-reduced preemptive schedules on the NVAlloc targets, with
 // the candidate/conflict/pruning accounting the baseline enforces. The
 // fifth is the fence-elision family, then the write-back, publish and
-// compaction families.
+// compaction families; the write-back and publish tables also count the
+// cache-image cuts (cache_cuts): recoveries from the cache image as each
+// flush of the trace's operations completes, the state a killed process
+// leaves in a heap file the page cache backs.
 func runCrashMC(cfg Config) []*Table {
 	targets := crashmc.Targets()
 	seed := uint64(42)
@@ -172,11 +176,7 @@ func runCrashMCCompaction(cfg Config, bl *baselineBuild) *Table {
 	ks := rec.CompactionWindows()
 	if cfg.Scale < 1 {
 		vcfg.MaxBoundaries = cfg.ops(200)
-		thin := ks[:0:0]
-		for i := 0; i < len(ks); i += 50 {
-			thin = append(thin, ks[i])
-		}
-		ks = thin
+		ks = crashmc.EveryNth(ks, 50)
 	}
 	rep := crashmc.Verify(rec, vcfg)
 	cuts := crashmc.VerifyRecoveryCrashes(rec, ks, crashmc.Config{Pool: cfg.RunCells, Extra: oracle})
@@ -228,7 +228,7 @@ func runCrashMCPublish(cfg Config, bl *baselineBuild) *Table {
 		Title: "publish family: reserve → fill → publish groups on the minimum WAL ring, every boundary + " +
 			"torn variants against the live-set oracle, and a second crash after every flush of recovery",
 		Columns: []string{"allocator", "boundaries", "explored", "coverage", "torn", "checkpoint_moves",
-			"morphs", "replaces", "cross_arena", "republished", "extents", "recovery_cuts", "violations"},
+			"morphs", "replaces", "cross_arena", "republished", "extents", "recovery_cuts", "cache_cuts", "violations"},
 	}
 	name := crashmc.WriteBackTarget().Name
 	fail := func(msg string) *Table {
@@ -242,17 +242,14 @@ func runCrashMCPublish(cfg Config, bl *baselineBuild) *Table {
 	}
 	oracle := crashmc.LiveSetOracle(rec)
 	vcfg := crashmc.Config{Torn: true, TornSeed: 0xDECAF, CheckEvery: 64, Pool: cfg.RunCells, Extra: oracle}
-	ks := rec.PublishWindows()
+	ks, kills := rec.PublishWindows(), rec.OpFlushes()
 	if cfg.Scale < 1 {
 		vcfg.MaxBoundaries = cfg.ops(200)
-		thin := ks[:0:0]
-		for i := 0; i < len(ks); i += 50 {
-			thin = append(thin, ks[i])
-		}
-		ks = thin
+		ks, kills = crashmc.EveryNth(ks, 50), crashmc.EveryNth(kills, 50)
 	}
 	rep := crashmc.Verify(rec, vcfg)
 	cuts := crashmc.VerifyRecoveryCrashes(rec, ks, crashmc.Config{Pool: cfg.RunCells, Extra: oracle})
+	cache := crashmc.VerifyCacheCuts(rec, kills, crashmc.Config{Pool: cfg.RunCells, Extra: oracle})
 	shape := rec.PublishShape()
 	floor := func(n int) int { return n * 7 / 10 }
 	bl.Publish = &publishBaseline{
@@ -264,12 +261,14 @@ func runCrashMCPublish(cfg Config, bl *baselineBuild) *Table {
 		MinRepublished:     floor(shape.Republished),
 		MinExtents:         floor(shape.Extents),
 		MinRecoveryCuts:    floor(cuts.Explored) / 10 * 10,
+		MinCacheCuts:       floor(cache.Explored) / 10 * 10,
 	}
 	if rep.Explored < rep.Boundaries {
 		bl.refuse("%s/publish: sampled %d/%d boundaries", name, rep.Explored, rep.Boundaries)
 	}
-	if n := rep.ViolationCount + cuts.ViolationCount; n > 0 {
-		bl.refuse("%s/publish: %d oracle violations", name, n)
+	violations := rep.ViolationCount + cuts.ViolationCount + cache.ViolationCount
+	if violations > 0 {
+		bl.refuse("%s/publish: %d oracle violations", name, violations)
 	}
 	if shape.Morphs == 0 || shape.CrossArena == 0 || shape.Republished == 0 || shape.Extents == 0 {
 		bl.refuse("%s/publish: trace shape %+v lost one of its events", name, shape)
@@ -287,9 +286,10 @@ func runCrashMCPublish(cfg Config, bl *baselineBuild) *Table {
 		fmt.Sprint(shape.Republished),
 		fmt.Sprint(shape.Extents),
 		fmt.Sprint(cuts.Explored),
-		fmt.Sprint(rep.ViolationCount + cuts.ViolationCount),
+		fmt.Sprint(cache.Explored),
+		fmt.Sprint(violations),
 	})
-	for _, v := range append(rep.Violations, cuts.Violations...) {
+	for _, v := range slices.Concat(rep.Violations, cuts.Violations, cache.Violations) {
 		pub.Rows = append(pub.Rows, append([]string{"", "  " + v.String()}, make([]string, len(pub.Columns)-2)...))
 	}
 	return pub
@@ -309,26 +309,27 @@ func runCrashMCWriteBack(cfg Config, bl *baselineBuild) *Table {
 		Title: "write-back family: minimum WAL ring, every boundary + torn variants, " +
 			"and a second crash after every flush of recovery",
 		Columns: []string{"allocator", "boundaries", "explored", "coverage", "torn",
-			"checkpoint_moves", "morphs", "foreign_reformats", "recovery_cuts", "violations"},
+			"checkpoint_moves", "morphs", "foreign_reformats", "recovery_cuts", "cache_cuts", "violations"},
 	}
 	name := crashmc.WriteBackTarget().Name
 	rec, err := crashmc.RecordWriteBack()
 	if err != nil {
-		wb.Rows = append(wb.Rows, []string{name, "record failed: " + err.Error(),
-			"", "", "", "", "", "", "", ""})
+		wb.Rows = append(wb.Rows, append([]string{name, "record failed: " + err.Error()}, make([]string, len(wb.Columns)-2)...))
 		bl.refuse("%s/write-back: record failed: %v", name, err)
 		return wb
 	}
 	vcfg := crashmc.Config{Torn: true, TornSeed: 0xDECAF, CheckEvery: 64, Pool: cfg.RunCells}
-	ks := rec.WriteBackStarts()
+	ks, kills := rec.WriteBackStarts(), rec.OpFlushes()
 	if cfg.Scale < 1 {
 		vcfg.MaxBoundaries = cfg.ops(200)
 		if len(ks) > 1 {
 			ks = ks[len(ks)-1:]
 		}
+		kills = crashmc.EveryNth(kills, 50)
 	}
 	rep := crashmc.Verify(rec, vcfg)
 	cuts := crashmc.VerifyRecoveryCrashes(rec, ks, crashmc.Config{Pool: cfg.RunCells})
+	cache := crashmc.VerifyCacheCuts(rec, kills, crashmc.Config{Pool: cfg.RunCells})
 	shape := rec.WriteBackShape()
 	bl.WriteBack = &writeBackBaseline{
 		MinBoundaries:       rep.Boundaries * 7 / 10 / 10 * 10,
@@ -336,12 +337,14 @@ func runCrashMCWriteBack(cfg Config, bl *baselineBuild) *Table {
 		MinMorphs:           1,
 		MinForeignReformats: 1,
 		MinRecoveryCuts:     cuts.Explored * 7 / 10 / 10 * 10,
+		MinCacheCuts:        cache.Explored * 7 / 10 / 10 * 10,
 	}
 	if rep.Explored < rep.Boundaries {
 		bl.refuse("%s/write-back: sampled %d/%d boundaries", name, rep.Explored, rep.Boundaries)
 	}
-	if n := rep.ViolationCount + cuts.ViolationCount; n > 0 {
-		bl.refuse("%s/write-back: %d oracle violations", name, n)
+	violations := rep.ViolationCount + cuts.ViolationCount + cache.ViolationCount
+	if violations > 0 {
+		bl.refuse("%s/write-back: %d oracle violations", name, violations)
 	}
 	if shape.Morphs == 0 || shape.ForeignReformats == 0 {
 		bl.refuse("%s/write-back: trace shape %+v lost a morph or a foreign re-format", name, shape)
@@ -356,11 +359,11 @@ func runCrashMCWriteBack(cfg Config, bl *baselineBuild) *Table {
 		fmt.Sprint(shape.Morphs),
 		fmt.Sprint(shape.ForeignReformats),
 		fmt.Sprint(cuts.Explored),
-		fmt.Sprint(rep.ViolationCount + cuts.ViolationCount),
+		fmt.Sprint(cache.Explored),
+		fmt.Sprint(violations),
 	})
-	for _, v := range append(rep.Violations, cuts.Violations...) {
-		wb.Rows = append(wb.Rows, []string{"", "  " + v.String(),
-			"", "", "", "", "", "", "", ""})
+	for _, v := range slices.Concat(rep.Violations, cuts.Violations, cache.Violations) {
+		wb.Rows = append(wb.Rows, append([]string{"", "  " + v.String()}, make([]string, len(wb.Columns)-2)...))
 	}
 	return wb
 }
@@ -563,12 +566,13 @@ type publishBaseline struct {
 	MinRepublished     int `json:"min_republished"`
 	MinExtents         int `json:"min_extents"`
 	MinRecoveryCuts    int `json:"min_recovery_cuts"`
+	MinCacheCuts       int `json:"min_cache_cuts"`
 }
 
 // writeBackBaseline gates the write-back family: floors (~70% of the
 // measured counts) on its boundaries, on the checkpoint moves its trace
-// drives and on the second-crash cuts inside recovery, plus the two
-// events the trace must still reach. Coverage and zero violations are
+// drives, on the second-crash cuts inside recovery and on the cache-image
+// cuts, plus the two events the trace must still reach. Coverage and zero violations are
 // inherited from the top level.
 type writeBackBaseline struct {
 	MinBoundaries       int `json:"min_boundaries"`
@@ -576,6 +580,7 @@ type writeBackBaseline struct {
 	MinMorphs           int `json:"min_morphs"`
 	MinForeignReformats int `json:"min_foreign_reformats"`
 	MinRecoveryCuts     int `json:"min_recovery_cuts"`
+	MinCacheCuts        int `json:"min_cache_cuts"`
 }
 
 // fenceBaseline gates the fence-elision family: a boundary floor for the
@@ -636,7 +641,9 @@ func (b *baselineBuild) write(path string) {
 			"still morphs a slab and has one arena format a base the other released. The publish section " +
 			"gates the reserve-fill-publish family on the same ring, held to the live-set oracle: the same " +
 			"floors plus one per kind of publish the trace must still drive (replaces, cross-arena and " +
-			"republished old blocks, extents). The compaction section gates the family whose recoveries " +
+			"republished old blocks, extents). Both sections also floor cache_cuts: recoveries from the " +
+			"cache image after each flush of the trace's operations (a killed process, not a power cut). " +
+			"The compaction section gates the family whose recoveries " +
 			"compact the bookkeeping log: boundary, over-threshold-boundary and recovery-cut floors and " +
 			"two compactions at run time. " +
 			"Regenerate with: go run ./cmd/nvbench -exp crashmc -crashmc.update",

@@ -169,6 +169,11 @@ func openOn(dev pmem.Dev, name string) (alloc.Heap, error) {
 		return baseline.New(dev, baseline.Ralloc)
 	}
 	opts := core.DefaultOptions(core.LOG)
+	// paper is set by the rows that reproduce the paper's layout rather
+	// than the variant's own: NVAlloc-LOG as published interleaves bitmaps
+	// and tcache with the WAL, and Figure 11 adds the techniques one by one.
+	var paper *core.Layout
+	sequential := &core.Layout{Bitmap: 1, Tcache: 1, WAL: 1}
 	switch {
 	case name == "NVAlloc-LOG":
 	case name == "NVAlloc-GC":
@@ -188,20 +193,14 @@ func openOn(dev pmem.Dev, name string) (alloc.Heap, error) {
 		// pre-PR 3 hot path).
 		opts.NoExtentCache = true
 	case name == "Base":
-		opts.InterleaveBitmap = false
-		opts.InterleaveTcache = false
-		opts.InterleaveWAL = false
+		paper = sequential
 		opts.LogBookkeeping = false
 	case name == "Base+Interleaved":
-		// Only the interleaved tcache layout (Figure 11's +Interleaved).
-		opts.InterleaveBitmap = true
-		opts.InterleaveTcache = true
-		opts.InterleaveWAL = false
+		// Only the interleaved bitmap and tcache (Figure 11's +Interleaved).
+		paper = &core.Layout{Bitmap: opts.Stripes, Tcache: opts.Stripes, WAL: 1}
 		opts.LogBookkeeping = false
 	case name == "Base+Log":
-		opts.InterleaveBitmap = false
-		opts.InterleaveTcache = false
-		opts.InterleaveWAL = false
+		paper = sequential
 		opts.LogBookkeeping = true
 	case strings.HasPrefix(name, "NVAlloc-LOG su"):
 		var su int
@@ -210,24 +209,18 @@ func openOn(dev pmem.Dev, name string) (alloc.Heap, error) {
 		}
 		opts.SU = float64(su) / 100
 	case strings.HasPrefix(name, "NVAlloc-LOG s"):
-		var s int
-		if _, err := fmt.Sscanf(name, "NVAlloc-LOG s%d", &s); err != nil {
+		if _, err := fmt.Sscanf(name, "NVAlloc-LOG s%d", &opts.Stripes); err != nil {
 			return nil, fmt.Errorf("experiment: bad allocator %q", name)
-		}
-		opts.Stripes = s
-		if s == 1 {
-			opts.InterleaveBitmap = false
-			opts.InterleaveTcache = false
-			opts.InterleaveWAL = false
 		}
 	default:
 		return nil, fmt.Errorf("experiment: unknown allocator %q", name)
 	}
 	if dev.EADR() {
 		// The paper disables interleaved mapping when eADR is detected.
-		opts.InterleaveBitmap = false
-		opts.InterleaveTcache = false
-		opts.InterleaveWAL = false
+		paper = sequential
+	}
+	if paper != nil {
+		return core.CreateLayout(dev, opts, *paper)
 	}
 	return core.Create(dev, opts)
 }

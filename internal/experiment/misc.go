@@ -115,9 +115,17 @@ func fptreeRun(cfg Config, name string, threads, warm, opsPerThread int) float64
 
 // fig16a reproduces Figure 16(a): bit-stripe sweep on Threadtest across
 // thread counts (the XPBuffer pressure makes large stripe counts hurt).
+// The first table is NVAlloc-LOG as this repository builds it, where the
+// stripes are the WAL's and the bookkeeping log's alone; the second lays
+// bitmaps and tcache out over the same count, as the paper's does.
 func fig16a(cfg Config) []*Table {
-	return stripeSweep(cfg.withDefaults(), "fig16a", pmem.ModeADR,
-		"Bit-stripe sweep on Threadtest (virtual ms; ADR)")
+	cfg = cfg.withDefaults()
+	return []*Table{
+		stripeSweep(cfg, "fig16a", pmem.ModeADR, false,
+			"Bit-stripe sweep on Threadtest (virtual ms; ADR)"),
+		stripeSweep(cfg, "fig16a", pmem.ModeADR, true,
+			"Bit-stripe sweep on Threadtest, paper layout: bitmaps and tcache striped with the WAL (virtual ms; ADR)"),
+	}
 }
 
 // fig19 reproduces Figure 19: the same sweep on eADR, where stripes make
@@ -125,11 +133,11 @@ func fig16a(cfg Config) []*Table {
 func fig19(cfg Config) []*Table {
 	cfg = cfg.withDefaults()
 	cfg.Threads = []int{4}
-	return stripeSweep(cfg, "fig19", pmem.ModeEADR,
-		"Bit-stripe sweep on Threadtest (virtual ms; emulated eADR)")
+	return []*Table{stripeSweep(cfg, "fig19", pmem.ModeEADR, false,
+		"Bit-stripe sweep on Threadtest (virtual ms; emulated eADR)")}
 }
 
-func stripeSweep(cfg Config, id string, mode pmem.Mode, title string) []*Table {
+func stripeSweep(cfg Config, id string, mode pmem.Mode, paper bool, title string) *Table {
 	stripes := []int{1, 2, 3, 4, 5, 6, 7, 8, 12, 16, 24, 32}
 	t := &Table{
 		ID:    id,
@@ -147,14 +155,15 @@ func stripeSweep(cfg Config, id string, mode pmem.Mode, title string) []*Table {
 		dev := pmem.New(pmem.Config{Size: cfg.DeviceBytes, Mode: mode})
 		opts := core.DefaultOptions(core.LOG)
 		opts.Stripes = s
-		if s == 1 {
-			opts.InterleaveBitmap = false
-			opts.InterleaveTcache = false
-			opts.InterleaveWAL = false
-		}
 		// Figure 19 measures the raw effect of stripes, so eADR does
 		// NOT auto-disable interleaving here.
-		h, err := core.Create(dev, opts)
+		var h *core.Heap
+		var err error
+		if paper {
+			h, err = core.CreateLayout(dev, opts, core.Layout{Bitmap: s, Tcache: s, WAL: s})
+		} else {
+			h, err = core.Create(dev, opts)
+		}
 		if err != nil {
 			panic(err)
 		}
@@ -167,7 +176,7 @@ func stripeSweep(cfg Config, id string, mode pmem.Mode, title string) []*Table {
 		}
 		t.Rows = append(t.Rows, row)
 	}
-	return []*Table{t}
+	return t
 }
 
 // fig18 reproduces Figure 18: single-thread recovery time after a crash
@@ -253,11 +262,12 @@ func must(err error) {
 func table2(Config) []*Table {
 	t := &Table{
 		ID:      "table2",
-		Title:   "Techniques used in the two NVAlloc variants (IM = interleaved mapping)",
+		Title:   "Techniques used in the NVAlloc variants as built here (IM = interleaved mapping; the paper's NVAlloc-LOG has IM(WAL,bitmaps,tcache): EXPERIMENTS.md D2)",
 		Columns: []string{"allocator", "small allocation", "large allocation"},
 		Rows: [][]string{
-			{"NVAlloc-LOG", "IM(WAL,bitmaps,tcache); slab morphing", "IM(WAL,bookkeeping log); log-structured bookkeeping"},
+			{"NVAlloc-LOG", "IM(WAL); slab morphing", "IM(WAL,bookkeeping log); log-structured bookkeeping"},
 			{"NVAlloc-GC", "slab morphing", "IM(WAL,bookkeeping log); log-structured bookkeeping"},
+			{"NVAlloc-IC", "IM(bitmaps,tcache); slab morphing", "IM(WAL,bookkeeping log); log-structured bookkeeping"},
 		},
 	}
 	return []*Table{t}

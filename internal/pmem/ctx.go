@@ -331,7 +331,11 @@ func (c *Ctx) flushLine(cat Category, line uint64) {
 			mu.Unlock()
 			d.journalMu.Lock()
 			d.journalAppend(fd)
+			n := d.journalBase + len(d.journal)
 			d.journalMu.Unlock()
+			if d.onJournal != nil {
+				d.onJournal(n)
+			}
 		} else {
 			mu.Unlock()
 		}

@@ -107,6 +107,13 @@ type Config struct {
 	// journal.go), so crash images at arbitrary persistence boundaries
 	// can be reconstructed incrementally. Requires Strict.
 	Journal bool
+	// OnJournal, when set, is called after every journaled flush with the
+	// number of flushes journaled so far, on the flushing goroutine and
+	// with no device lock held. The cache image at that instant — every
+	// store made so far, flushed or not — is what killing the process
+	// leaves behind when the device is a mapping the page cache backs.
+	// Requires Journal.
+	OnJournal func(flushes int)
 	// JournalCheckpointEvery, when > 0, caps journal memory for long
 	// traces: once 2*K deltas are retained the oldest K fold into a
 	// checkpoint base image and the reconstructible boundary floor
@@ -152,6 +159,7 @@ type Device struct {
 	traceCap int
 
 	journalOn   bool
+	onJournal   func(flushes int)
 	journalMu   sync.Mutex
 	journal     []FlushDelta
 	journalCkpt int    // fold interval K (0 = unbounded)
@@ -188,6 +196,9 @@ func New(cfg Config) *Device {
 	if cfg.Journal && !cfg.Strict {
 		panic("pmem: Config.Journal requires Config.Strict")
 	}
+	if cfg.OnJournal != nil && !cfg.Journal {
+		panic("pmem: Config.OnJournal requires Config.Journal")
+	}
 	d := &Device{
 		mode:      cfg.Mode,
 		strict:    cfg.Strict,
@@ -196,6 +207,7 @@ func New(cfg Config) *Device {
 		banks:     make([]bank, nb),
 		traceCap:  cfg.TraceFlushes,
 		journalOn: cfg.Journal,
+		onJournal: cfg.OnJournal,
 	}
 	d.journalCkpt = cfg.JournalCheckpointEvery
 	if cfg.Strict {

@@ -10,11 +10,11 @@ import (
 	"nvalloc/internal/sizeclass"
 )
 
-// CanMorphTo reports whether the slab can be transformed to newClass
-// without the new metadata region (header + index table + new bitmap)
-// overlapping any live block, and without exceeding the index table's
-// 15-bit block-index capacity.
-func (s *Slab) CanMorphTo(newClass int) bool {
+// CanMorphTo reports whether the slab can be transformed to newClass,
+// its bitmap laid out over stripes stripes, without the new metadata
+// region (header + index table + new bitmap) overlapping any live block,
+// and without exceeding the index table's 15-bit block-index capacity.
+func (s *Slab) CanMorphTo(newClass, stripes int) bool {
 	if s.OldClass >= 0 || newClass == s.Class {
 		return false
 	}
@@ -27,7 +27,7 @@ func (s *Slab) CanMorphTo(newClass int) bool {
 	if len(live) > IdxCapEntries {
 		return false
 	}
-	_, _, newDataOff := geometry(newClass, s.m.Stripes())
+	_, _, newDataOff := geometry(newClass, stripes)
 	for _, idx := range live {
 		if idx > int(idxIndexMask) {
 			return false
@@ -64,17 +64,20 @@ func (s *Slab) persistFlag(c *pmem.Ctx, flag uint32, persist bool) {
 // MorphTo transforms the slab to newClass following the paper's three
 // crash-consistent steps, each sealed by an atomic flag update:
 //
-//	step 1: persist old_size_class and old_data_offset (flag 1)
+//	step 1: persist old_size_class, old_data_offset and the old stripe
+//	        count (flag 1)
 //	step 2: persist the index table of live old blocks (flag 2)
-//	step 3: persist the new size_class, data_offset, checksum and
-//	        bitmap, then set flag 3 (slab_in)
+//	step 3: persist the new size_class, data_offset, stripe count,
+//	        checksum and bitmap, then set flag 3 (slab_in)
 //
-// A crash with flag 1 or 2 is undone by Load; flag 3 is the completed
-// transform. Every flag transition is a single 8-byte-atomic word
-// update (the flag shares its word with hDataOff, so the commit carries
-// the geometry switch atomically).
-func (s *Slab) MorphTo(c *pmem.Ctx, newClass int, persist bool) error {
-	if !s.CanMorphTo(newClass) {
+// The new bitmap is laid out over stripes stripes — the heap's layout for
+// slabs it formats now, which need not be the one this slab was formatted
+// with. A crash with flag 1 or 2 is undone by Load; flag 3 is the
+// completed transform. Every flag transition is a single 8-byte-atomic
+// word update (the flag shares its word with hDataOff, so the commit
+// carries the geometry switch atomically).
+func (s *Slab) MorphTo(c *pmem.Ctx, newClass, stripes int, persist bool) error {
+	if !s.CanMorphTo(newClass, stripes) {
 		return fmt.Errorf("slab %#x: cannot morph class %d -> %d", s.Base, s.Class, newClass)
 	}
 	live := s.liveIndices()
@@ -83,7 +86,7 @@ func (s *Slab) MorphTo(c *pmem.Ctx, newClass int, persist bool) error {
 	// Step 1: stash the original geometry.
 	s.dev.WriteU32(s.Base+hOldClass, uint32(oldClass))
 	s.dev.WriteU32(s.Base+hOldDataOff, oldDataOff)
-	s.dev.WriteU32(s.Base+hOldLive, uint32(len(live)))
+	s.dev.WriteU32(s.Base+hOldLive, uint32(len(live))|uint32(s.m.Stripes())<<oldStripesShift)
 	if persist {
 		c.Flush(pmem.CatMeta, s.Base, pmem.LineSize)
 	}
@@ -102,9 +105,9 @@ func (s *Slab) MorphTo(c *pmem.Ctx, newClass int, persist bool) error {
 	s.persistFlag(c, 2, persist)
 
 	// Step 3: install the new geometry and bitmap.
-	blocks, bitmapBase, dataOff := geometry(newClass, s.m.Stripes())
+	blocks, bitmapBase, dataOff := geometry(newClass, stripes)
 	newBlockSize := sizeclass.Size(newClass)
-	m := interleave.New(blocks, 1, s.m.Stripes(), pmem.LineSize)
+	m := interleave.New(blocks, 1, stripes, pmem.LineSize)
 	s.dev.Zero(s.Base+pmem.PAddr(bitmapBase), int(dataOff-bitmapBase))
 
 	cntBlock := make([]uint16, blocks)
@@ -138,7 +141,8 @@ func (s *Slab) MorphTo(c *pmem.Ctx, newClass int, persist bool) error {
 	}
 	s.dev.WriteU32(s.Base+hClass, uint32(newClass))
 	s.dev.WriteU32(s.Base+hDataOff, dataOff)
-	s.dev.WriteU32(s.Base+hChecksum, headerCRC(uint32(newClass), dataOff, uint32(s.m.Stripes())))
+	s.dev.WriteU32(s.Base+hStripes, uint32(stripes))
+	s.dev.WriteU32(s.Base+hChecksum, headerCRC(uint32(newClass), dataOff, uint32(stripes)))
 	if persist {
 		c.Flush(pmem.CatMeta, s.Base+pmem.PAddr(bitmapBase), int(dataOff-bitmapBase))
 		c.Flush(pmem.CatMeta, s.Base, pmem.LineSize)
@@ -159,7 +163,7 @@ func (s *Slab) MorphTo(c *pmem.Ctx, newClass int, persist bool) error {
 	s.bitmapBase = bitmapBase
 	s.snapAt = nil // sized to the old bitmap
 	s.m = m
-	s.lay = layoutFor(blocks, s.m.Stripes(), m)
+	s.lay = layoutFor(blocks, stripes, m)
 	s.free = free
 	s.fresh = false
 	s.resBits = make([]uint64, (blocks+63)/64)
@@ -281,25 +285,45 @@ func (s *Slab) FreeOldBlock(c *pmem.Ctx, idx int, persist bool) (done bool, err 
 	return false, nil
 }
 
+// oldGeom is the pre-morph geometry a slab's old-class header fields
+// describe.
+type oldGeom struct {
+	class   int
+	dataOff uint32
+	stripes int
+	live    int // index table entry count
+}
+
 // validateOldFields checks the old-class header fields semantically (they
 // are excluded from the header checksum so that flag commits stay
-// single-word). Returns the old class, data offset and live count.
-func validateOldFields(dev pmem.Mem, base pmem.PAddr, stripes int) (oldClass int, oldDataOff uint32, oldLive int, err error) {
+// single-word). A morph written before the old stripe count was recorded
+// left that half-word zero and kept the slab's stripe count, so zero reads
+// as stripes, the count the header holds now.
+func validateOldFields(dev pmem.Mem, base pmem.PAddr, stripes int) (oldGeom, error) {
 	oldClassRaw := dev.ReadU32(base + hOldClass)
-	oldDataOff = dev.ReadU32(base + hOldDataOff)
-	oldLive = int(dev.ReadU32(base + hOldLive))
+	live := dev.ReadU32(base + hOldLive)
+	old := oldGeom{
+		dataOff: dev.ReadU32(base + hOldDataOff),
+		stripes: int(live >> oldStripesShift),
+		live:    int(live & (1<<oldStripesShift - 1)),
+	}
+	if old.stripes == 0 {
+		old.stripes = stripes
+	}
 	if oldClassRaw == ClassNone || int(oldClassRaw) >= sizeclass.NumClasses() {
-		return 0, 0, 0, pmem.Corrupt("slab", base, "old class %#x out of range", oldClassRaw)
+		return old, pmem.Corrupt("slab", base, "old class %#x out of range", oldClassRaw)
 	}
-	oldClass = int(oldClassRaw)
-	_, _, wantOff := geometry(oldClass, stripes)
-	if wantOff != oldDataOff {
-		return 0, 0, 0, pmem.Corrupt("slab", base, "old data offset %d inconsistent with class %d (want %d)", oldDataOff, oldClass, wantOff)
+	old.class = int(oldClassRaw)
+	if old.stripes > 64 {
+		return old, pmem.Corrupt("slab", base, "old stripe count %d out of range", old.stripes)
 	}
-	if oldLive > IdxCapEntries {
-		return 0, 0, 0, pmem.Corrupt("slab", base, "old live count %d exceeds index capacity %d", oldLive, IdxCapEntries)
+	if _, _, wantOff := geometry(old.class, old.stripes); wantOff != old.dataOff {
+		return old, pmem.Corrupt("slab", base, "old data offset %d inconsistent with class %d (want %d)", old.dataOff, old.class, wantOff)
 	}
-	return oldClass, oldDataOff, oldLive, nil
+	if old.live > IdxCapEntries {
+		return old, pmem.Corrupt("slab", base, "old live count %d exceeds index capacity %d", old.live, IdxCapEntries)
+	}
+	return old, nil
 }
 
 // Load rebuilds a vslab from the persistent image at base, undoing any
@@ -326,7 +350,9 @@ func Load(dev pmem.Mem, c *pmem.Ctx, base pmem.PAddr) (*Slab, error) {
 		return nil, pmem.Corrupt("slab", base, "morph flag %d out of range", flag)
 	}
 	if flag == flagStep1 || flag == flagStep2 {
-		if err := undoMorph(dev, c, base, flag, stripes); err != nil {
+		// The undo restores the old stripe count with the old geometry.
+		var err error
+		if stripes, err = undoMorph(dev, c, base, flag, stripes); err != nil {
 			return nil, err
 		}
 	}
@@ -373,17 +399,17 @@ func Load(dev pmem.Mem, c *pmem.Ctx, base pmem.PAddr) (*Slab, error) {
 		// Reconstruct cnt_slab and cnt_block from the index table. At any
 		// flag other than 3 the old fields are dead (a completed demotion
 		// or an undone morph leaves them stale on purpose).
-		oldClass, oldDataOffV, oldLive, err := validateOldFields(dev, base, stripes)
+		old, err := validateOldFields(dev, base, stripes)
 		if err != nil {
 			return nil, err
 		}
-		oldBlocks, _, _ := geometry(oldClass, stripes)
-		s.OldClass = oldClass
-		s.OldDataOff = oldDataOffV
+		oldBlocks, _, _ := geometry(old.class, old.stripes)
+		s.OldClass = old.class
+		s.OldDataOff = old.dataOff
 		s.oldIdx = make(map[int]int)
 		s.cntBlock = make([]uint16, blocks)
 		oldSize := int64(sizeclass.Size(s.OldClass))
-		for slot := 0; slot < oldLive; slot++ {
+		for slot := 0; slot < old.live; slot++ {
 			e := dev.ReadU16(base + pmem.PAddr(idxBase+2*slot))
 			if e&idxAllocated == 0 {
 				continue
@@ -431,29 +457,33 @@ func Load(dev pmem.Mem, c *pmem.Ctx, base pmem.PAddr) (*Slab, error) {
 	return s, nil
 }
 
-// undoMorph rolls back a morph interrupted at flag 1 or 2. At flag 1 the
-// original bitmap and geometry are untouched, so clearing the flag is the
-// whole undo. At flag 2 the new bitmap may be partially written, so the
-// old bitmap is reconstructed from the index table (which is exactly why
-// the index table exists); the restored geometry and its checksum are
-// persisted while the flag still reads 2 — a crash mid-undo simply redoes
-// it — and only then does a separate single-word commit clear the flag.
-func undoMorph(dev pmem.Mem, c *pmem.Ctx, base pmem.PAddr, flag uint32, stripes int) error {
-	oldClass, oldDataOff, oldLive, err := validateOldFields(dev, base, stripes)
+// undoMorph rolls back a morph interrupted at flag 1 or 2 and returns the
+// stripe count of the geometry it leaves. At flag 1 the original bitmap
+// and geometry are untouched, so clearing the flag is the whole undo. At
+// flag 2 the new bitmap may be partially written, so the old bitmap is
+// reconstructed from the index table (which is exactly why the index table
+// exists); the restored geometry and its checksum are persisted while the
+// flag still reads 2 — a crash mid-undo simply redoes it — and only then
+// does a separate single-word commit clear the flag. stripes is what the
+// header holds, which at flag 2 may already be the new count.
+func undoMorph(dev pmem.Mem, c *pmem.Ctx, base pmem.PAddr, flag uint32, stripes int) (int, error) {
+	old, err := validateOldFields(dev, base, stripes)
 	if err != nil {
-		return err
+		return 0, err
 	}
+	oldClass, oldDataOff := old.class, old.dataOff
+	stripes = old.stripes
 
 	if flag == flagStep2 {
 		// Restore geometry and bitmap of the original class.
 		blocks, bitmapBase, dataOff := geometry(oldClass, stripes)
 		var live []int
-		for slot := 0; slot < oldLive; slot++ {
+		for slot := 0; slot < old.live; slot++ {
 			e := dev.ReadU16(base + pmem.PAddr(idxBase+2*slot))
 			if e&idxAllocated != 0 {
 				idx := int(e & idxIndexMask)
 				if idx >= blocks {
-					return pmem.Corrupt("slab", base, "undo: index entry %d names block %d beyond %d", slot, idx, blocks)
+					return 0, pmem.Corrupt("slab", base, "undo: index entry %d names block %d beyond %d", slot, idx, blocks)
 				}
 				live = append(live, idx)
 			}
@@ -468,6 +498,7 @@ func undoMorph(dev pmem.Mem, c *pmem.Ctx, base pmem.PAddr, flag uint32, stripes 
 		}
 		dev.WriteU32(base+hClass, uint32(oldClass))
 		dev.WriteU32(base+hDataOff, oldDataOff)
+		dev.WriteU32(base+hStripes, uint32(stripes))
 		dev.WriteU32(base+hChecksum, headerCRC(uint32(oldClass), oldDataOff, uint32(stripes)))
 		c.Flush(pmem.CatMeta, base+pmem.PAddr(bitmapBase), int(dataOff-bitmapBase))
 		c.Flush(pmem.CatMeta, base, pmem.LineSize)
@@ -478,5 +509,5 @@ func undoMorph(dev pmem.Mem, c *pmem.Ctx, base pmem.PAddr, flag uint32, stripes 
 	dev.WriteU32(base+hFlag, flagStable)
 	c.Flush(pmem.CatMeta, base+hFlag, 4)
 	c.Fence()
-	return nil
+	return stripes, nil
 }

@@ -1,9 +1,11 @@
 // Package slab implements NVAlloc's slab structure for small allocations:
-// 64 KiB slab extents with a persistent header, an interleaved block
-// bitmap (Section 5.1 of the paper), a volatile vslab mirror for fast
-// free-block search, and the slab morphing state machine (Section 5.2)
-// that crash-consistently transforms a mostly-empty slab into another
-// size class while old live blocks remain co-located.
+// 64 KiB slab extents with a persistent header, a block bitmap spread over
+// the stripe count its header records (the interleaved mapping of the
+// paper's Section 5.1; one stripe is the plain sequential bitmap), a
+// volatile vslab mirror for fast free-block search, and the slab morphing
+// state machine (Section 5.2) that crash-consistently transforms a
+// mostly-empty slab into another size class while old live blocks remain
+// co-located.
 //
 // Persistent layout of a slab (offsets relative to the slab base, which
 // is always Size-aligned):
@@ -11,7 +13,7 @@
 //	[0,64)                fixed header (one cache line)
 //	[64,64+idxBytes)      index table region (fixed reservation, used
 //	                      only while the slab is a slab_in)
-//	[64+idxBytes,dataOff) block bitmap, interleaved over `stripes` stripes
+//	[64+idxBytes,dataOff) block bitmap, spread over `stripes` stripes
 //	[dataOff, Size)       blocks
 //
 // The index-table region is a fixed reservation in every slab so that
@@ -63,10 +65,16 @@ const (
 	hFlag       = 12 // u32 morph step flag (see flag* below)
 	hOldClass   = 16 // u32 (ClassNone when not a slab_in)
 	hOldDataOff = 20 // u32
-	hOldLive    = 24 // u32 index table entry count
+	hOldLive    = 24 // u32: index table entry count | old stripe count << oldStripesShift
 	hStripes    = 28 // u32 bitmap stripe count
 	hChecksum   = 32 // u32 CRC32C over (magic, class, dataOff, stripes)
 )
+
+// oldStripesShift places the pre-morph stripe count in the upper half of
+// hOldLive (the entry count is at most IdxCapEntries): a morph lays the new
+// bitmap out over the heap's current stripe count, which may differ from
+// the one the slab was formatted with, and the undo needs the old one.
+const oldStripesShift = 16
 
 // Morph flag values. Every transition is a single 8-byte-atomic header
 // word update (hDataOff and hFlag share one word, so a flag commit can

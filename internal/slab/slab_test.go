@@ -189,10 +189,10 @@ func TestMorphBasicSmallToLarge(t *testing.T) {
 		oldAddrs[i] = s.BlockAddr(idx)
 	}
 	newClass := sizeclass.Class(256)
-	if !s.CanMorphTo(newClass) {
+	if !s.CanMorphTo(newClass, s.Stripes()) {
 		t.Fatal("slab should be morphable")
 	}
-	if err := s.MorphTo(c, newClass, true); err != nil {
+	if err := s.MorphTo(c, newClass, s.Stripes(), true); err != nil {
 		t.Fatal(err)
 	}
 	if s.Class != newClass || !s.IsSlabIn() || s.CntSlab != 3 {
@@ -238,7 +238,7 @@ func TestMorphLargeToSmall(t *testing.T) {
 	s.AllocBlock(c, idx, true)
 	oldAddr := s.BlockAddr(idx)
 	newClass := sizeclass.Class(64)
-	if err := s.MorphTo(c, newClass, true); err != nil {
+	if err := s.MorphTo(c, newClass, s.Stripes(), true); err != nil {
 		t.Fatal(err)
 	}
 	// The 1024 B old block now spans many 64 B new blocks; all of them
@@ -271,26 +271,26 @@ func TestMorphRefusals(t *testing.T) {
 	// DataOff; morphing to a class whose metadata needs more space than
 	// DataOff must be refused.
 	s.AllocBlock(c, 0, true)
-	if s.CanMorphTo(sizeclass.Class(8)) {
+	if s.CanMorphTo(sizeclass.Class(8), s.Stripes()) {
 		// The 8 B class has a much larger bitmap; its dataOff exceeds the
 		// 64 B class's, so block 0 overlaps the new metadata.
 		t.Fatal("morph over live data must be refused")
 	}
-	if s.CanMorphTo(s.Class) {
+	if s.CanMorphTo(s.Class, s.Stripes()) {
 		t.Fatal("morph to the same class must be refused")
 	}
-	if err := s.MorphTo(c, sizeclass.Class(8), true); err == nil {
+	if err := s.MorphTo(c, sizeclass.Class(8), s.Stripes(), true); err == nil {
 		t.Fatal("MorphTo must fail when CanMorphTo is false")
 	}
 	// Already-morphed slabs cannot morph again.
 	s.FreeBlock(c, 0, true)
-	if err := s.MorphTo(c, sizeclass.Class(256), true); err != nil {
+	if err := s.MorphTo(c, sizeclass.Class(256), s.Stripes(), true); err != nil {
 		t.Fatal(err)
 	}
 	// Note: CntSlab == 0 because no live blocks, so it is a regular slab
 	// immediately; but OldClass persists until demotion. For a slab with
 	// zero live old blocks the morph yields CntSlab=0; treat as regular.
-	if s.CanMorphTo(sizeclass.Class(512)) && s.OldClass >= 0 {
+	if s.CanMorphTo(sizeclass.Class(512), s.Stripes()) && s.OldClass >= 0 {
 		t.Fatal("slab_in must not morph again")
 	}
 }
@@ -298,7 +298,7 @@ func TestMorphRefusals(t *testing.T) {
 func TestFreeOldBlockUnknown(t *testing.T) {
 	_, c, s := newSlab(t, sizeclass.Class(64), 6)
 	s.AllocBlock(c, s.Blocks-1, true)
-	if err := s.MorphTo(c, sizeclass.Class(256), true); err != nil {
+	if err := s.MorphTo(c, sizeclass.Class(256), s.Stripes(), true); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := s.FreeOldBlock(c, 1, true); err == nil {
@@ -308,41 +308,149 @@ func TestFreeOldBlockUnknown(t *testing.T) {
 
 func TestMorphCrashUndoAtEachStep(t *testing.T) {
 	// Crash after each flush during a morph; recovery must either undo
-	// the morph entirely (flag 1/2) or land in the completed state.
-	for cut := int64(1); cut < 20; cut++ {
+	// the morph entirely (flag 1/2) or land in the completed state. A morph
+	// may lay the new bitmap out over another stripe count than the slab
+	// was formatted with; the undo must bring the old count back with the
+	// old geometry, whichever of the two the header line held at the cut.
+	for _, st := range [][2]int{{6, 6}, {6, 1}, {1, 6}} {
+		from, to := st[0], st[1]
+		for cut := int64(1); cut < 20; cut++ {
+			dev := pmem.New(pmem.Config{Size: 4 * Size, Strict: true})
+			c := dev.NewCtx()
+			s := Format(dev.Mem(), c, slabBase, sizeclass.Class(64), from, true)
+			liveIdx := []int{s.Blocks - 1, s.Blocks - 5}
+			for _, idx := range liveIdx {
+				s.AllocBlock(c, idx, true)
+			}
+			oldClass := s.Class
+			dev.CrashAfterFlushes(cut)
+			_ = s.MorphTo(c, sizeclass.Class(256), to, true)
+			completed := !dev.Crashed()
+			dev.Crash()
+			s2, err := Load(dev.Mem(), dev.NewCtx(), slabBase)
+			if err != nil {
+				t.Fatalf("%d->%d stripes, cut=%d: %v", from, to, cut, err)
+			}
+			if completed {
+				if s2.Class != sizeclass.Class(256) || s2.CntSlab != 2 || s2.Stripes() != to {
+					t.Fatalf("%d->%d stripes, cut=%d: completed morph not recovered: %+v", from, to, cut, s2)
+				}
+			} else if s2.Class == oldClass {
+				// Undone: the original allocation state must be intact.
+				if s2.Allocated != 2 || !s2.bitTest(liveIdx[0]) || !s2.bitTest(liveIdx[1]) || s2.Stripes() != from {
+					t.Fatalf("%d->%d stripes, cut=%d: undo lost blocks: allocated=%d, %d stripes", from, to, cut, s2.Allocated, s2.Stripes())
+				}
+				if s2.OldClass >= 0 || dev.ReadU32(slabBase+hFlag) != 0 {
+					t.Fatalf("%d->%d stripes, cut=%d: undo left morph residue", from, to, cut)
+				}
+			} else {
+				// Landed in the new class despite the cut: must be complete.
+				if s2.CntSlab != 2 || s2.Stripes() != to {
+					t.Fatalf("%d->%d stripes, cut=%d: torn morph visible: %+v", from, to, cut, s2)
+				}
+			}
+			// Old blocks stay addressable under whichever geometry won.
+			for _, idx := range liveIdx {
+				a := slabBase + pmem.PAddr(s2.OldDataOff) + pmem.PAddr(idx)*64
+				if s2.OldClass < 0 {
+					a = s2.BlockAddr(idx)
+				}
+				if s2.OldClass >= 0 && s2.OldBlockIndex(a) != idx {
+					t.Fatalf("%d->%d stripes, cut=%d: old block %d not in the index table", from, to, cut, idx)
+				}
+			}
+		}
+	}
+}
+
+// TestMorphKilledAtEachFlush is the same sweep with the process killed
+// instead of the power cut: Load runs on the cache image as each flush of
+// the morph completes, which holds the stores of the step under way — in
+// step 3 the new class, data offset, stripe count and checksum, all in the
+// header line, under a flag that still reads 2.
+func TestMorphKilledAtEachFlush(t *testing.T) {
+	for _, st := range [][2]int{{6, 6}, {6, 1}, {1, 6}} {
+		from, to := st[0], st[1]
+		var dev *pmem.Device
+		var images [][]byte
+		morphing := false
+		dev = pmem.New(pmem.Config{Size: 4 * Size, Strict: true, Journal: true, OnJournal: func(int) {
+			if morphing {
+				images = append(images, append([]byte(nil), dev.Bytes(0, 4*Size)...))
+			}
+		}})
+		c := dev.NewCtx()
+		s := Format(dev.Mem(), c, slabBase, sizeclass.Class(64), from, true)
+		liveIdx := []int{s.Blocks - 1, s.Blocks - 5}
+		var addrs []pmem.PAddr
+		for _, idx := range liveIdx {
+			s.AllocBlock(c, idx, true)
+			addrs = append(addrs, s.BlockAddr(idx))
+		}
+		morphing = true
+		if err := s.MorphTo(c, sizeclass.Class(256), to, true); err != nil {
+			t.Fatal(err)
+		}
+		if len(images) < 20 {
+			t.Fatalf("%d->%d stripes: the morph issued only %d flushes", from, to, len(images))
+		}
+		for cut, img := range images {
+			killed := pmem.New(pmem.Config{Size: 4 * Size})
+			killed.Restore(img)
+			s2, err := Load(killed.Mem(), killed.NewCtx(), slabBase)
+			if err != nil {
+				t.Fatalf("%d->%d stripes, killed after flush %d: %v", from, to, cut+1, err)
+			}
+			for i, a := range addrs {
+				switch {
+				case s2.Class == sizeclass.Class(64) && s2.Stripes() == from && s2.OldClass < 0:
+					if !s2.bitTest(liveIdx[i]) || s2.BlockAddr(liveIdx[i]) != a {
+						t.Fatalf("%d->%d stripes, killed after flush %d: undo lost block %d", from, to, cut+1, liveIdx[i])
+					}
+				case s2.Class == sizeclass.Class(256) && s2.Stripes() == to:
+					if s2.OldBlockIndex(a) != liveIdx[i] {
+						t.Fatalf("%d->%d stripes, killed after flush %d: old block %d not in the index table", from, to, cut+1, liveIdx[i])
+					}
+				default:
+					t.Fatalf("%d->%d stripes, killed after flush %d: class %d with %d stripes", from, to, cut+1, s2.Class, s2.Stripes())
+				}
+			}
+		}
+	}
+}
+
+// TestLoadMorphWithoutOldStripeCount: a morph written before the header
+// recorded the old stripe count left the upper half of the entry-count
+// word zero and never changed the slab's stripes; such a slab_in, and such
+// a morph cut at flag 2, must load as before.
+func TestLoadMorphWithoutOldStripeCount(t *testing.T) {
+	for _, cut := range []int64{-1, 19} { // complete; inside step 3
 		dev := pmem.New(pmem.Config{Size: 4 * Size, Strict: true})
 		c := dev.NewCtx()
 		s := Format(dev.Mem(), c, slabBase, sizeclass.Class(64), 6, true)
-		liveIdx := []int{s.Blocks - 1, s.Blocks - 5}
-		for _, idx := range liveIdx {
-			s.AllocBlock(c, idx, true)
-		}
-		oldClass := s.Class
+		last := s.Blocks - 1
+		s.AllocBlock(c, last, true)
 		dev.CrashAfterFlushes(cut)
-		_ = s.MorphTo(c, sizeclass.Class(256), true)
-		completed := !dev.Crashed()
+		_ = s.MorphTo(c, sizeclass.Class(256), 6, true)
 		dev.Crash()
+		if cut > 0 {
+			if flag, _ := pmem.UnsealU32(dev.ReadU32(slabBase + hFlag)); flag != flagStep2 {
+				t.Fatalf("cut=%d lands at flag %d, want the cut inside step 3", cut, flag)
+			}
+		}
+		dev.WriteU32(slabBase+hOldLive, dev.ReadU32(slabBase+hOldLive)&0xFFFF)
 		s2, err := Load(dev.Mem(), dev.NewCtx(), slabBase)
 		if err != nil {
 			t.Fatalf("cut=%d: %v", cut, err)
 		}
-		if completed {
-			if s2.Class != sizeclass.Class(256) || s2.CntSlab != 2 {
-				t.Fatalf("cut=%d: completed morph not recovered: %+v", cut, s2)
-			}
-		} else if s2.Class == oldClass {
-			// Undone: the original allocation state must be intact.
-			if s2.Allocated != 2 || !s2.bitTest(liveIdx[0]) || !s2.bitTest(liveIdx[1]) {
-				t.Fatalf("cut=%d: undo lost blocks: allocated=%d", cut, s2.Allocated)
-			}
-			if s2.OldClass >= 0 || dev.ReadU32(slabBase+hFlag) != 0 {
-				t.Fatalf("cut=%d: undo left morph residue", cut)
-			}
-		} else {
-			// Landed in the new class despite the cut: must be complete.
-			if s2.CntSlab != 2 {
-				t.Fatalf("cut=%d: torn morph visible: %+v", cut, s2)
-			}
+		if s2.Stripes() != 6 {
+			t.Fatalf("cut=%d: loaded %d stripes", cut, s2.Stripes())
+		}
+		if cut < 0 && (s2.OldClass != sizeclass.Class(64) || s2.CntSlab != 1) {
+			t.Fatalf("cut=%d: old class %d with %d old blocks, want the slab_in", cut, s2.OldClass, s2.CntSlab)
+		}
+		if cut > 0 && (s2.OldClass >= 0 || !s2.bitTest(last)) {
+			t.Fatalf("cut=%d: the morph was not undone", cut)
 		}
 	}
 }
@@ -354,7 +462,7 @@ func TestMorphedSlabAllocFreeRandomized(t *testing.T) {
 	for _, idx := range liveIdx {
 		s.AllocBlock(c, idx, true)
 	}
-	if err := s.MorphTo(c, sizeclass.Class(320), true); err != nil {
+	if err := s.MorphTo(c, sizeclass.Class(320), s.Stripes(), true); err != nil {
 		t.Fatal(err)
 	}
 	held := map[int]bool{}
@@ -424,7 +532,7 @@ func TestSecondMorphAfterDemotion(t *testing.T) {
 	dev, c, s := newSlab(t, sizeclass.Class(64), 6)
 	idx := s.Blocks - 1
 	s.AllocBlock(c, idx, true)
-	if err := s.MorphTo(c, sizeclass.Class(256), true); err != nil {
+	if err := s.MorphTo(c, sizeclass.Class(256), s.Stripes(), true); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := s.FreeOldBlock(c, idx, true); err != nil {
@@ -433,7 +541,7 @@ func TestSecondMorphAfterDemotion(t *testing.T) {
 	// Now a regular 256 B slab with an idxCap hole; allocate one block
 	// high and morph once more.
 	s.AllocBlock(c, s.Blocks-1, true)
-	if err := s.MorphTo(c, sizeclass.Class(512), true); err != nil {
+	if err := s.MorphTo(c, sizeclass.Class(512), s.Stripes(), true); err != nil {
 		t.Fatal(err)
 	}
 	dev.Crash()

@@ -1,9 +1,11 @@
-// Package tcache implements NVAlloc's thread-local cache with the
-// interleaved layout of Section 5.1: per size class the cache is split
-// into one sub-tcache per bit stripe, and a cursor round-robins across
-// sub-tcaches so that consecutive allocations come from blocks whose
-// bitmap bits live in different cache lines. With interleaving disabled
-// the cache degenerates to a single LIFO list (the paper's baseline).
+// Package tcache implements NVAlloc's thread-local cache. Built with one
+// stripe it is a single LIFO list, which is what a heap uses whenever it
+// does not flush a bitmap line per allocation (NVAlloc-LOG, NVAlloc-GC).
+// Built with more it has the interleaved layout of Section 5.1: per size
+// class the cache is split into one sub-tcache per bit stripe, and a
+// cursor round-robins across sub-tcaches so that consecutive allocations
+// come from blocks whose bitmap bits live in different cache lines
+// (NVAlloc-IC, whose per-operation flush is that line).
 package tcache
 
 // Block is a cached block reference: its slab-local logical index plus an
@@ -22,8 +24,8 @@ type Cache struct {
 	cap    int
 }
 
-// New creates a cache with the given number of sub-tcaches (stripes; 1
-// disables interleaving) and total block capacity.
+// New creates a cache with the given number of sub-tcaches (stripes; 1 is
+// the single LIFO) and total block capacity.
 func New(stripes, capacity int) *Cache {
 	if stripes < 1 {
 		stripes = 1
@@ -48,7 +50,10 @@ func (c *Cache) Empty() bool { return c.count == 0 }
 
 // Push caches a block under the sub-tcache of its stripe (LIFO).
 func (c *Cache) Push(stripe int, b Block) {
-	s := stripe % len(c.subs)
+	s := 0
+	if len(c.subs) > 1 {
+		s = stripe % len(c.subs)
+	}
 	c.subs[s] = append(c.subs[s], b)
 	c.count++
 }
@@ -61,6 +66,14 @@ func (c *Cache) Pop() (Block, bool) {
 		return Block{}, false
 	}
 	n := len(c.subs)
+	if n == 1 {
+		// The single LIFO: no cursor, no division.
+		l := len(c.subs[0]) - 1
+		b := c.subs[0][l]
+		c.subs[0] = c.subs[0][:l]
+		c.count--
+		return b, true
+	}
 	for i := 0; i < n; i++ {
 		s := (c.cursor + i) % n
 		if l := len(c.subs[s]); l > 0 {

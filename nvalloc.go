@@ -2,9 +2,10 @@
 // ASPLOS 2022): a fast, fail-safe persistent memory allocator that
 // rethinks heap metadata management with three techniques —
 //
-//   - interleaved mapping: slab bitmap bits, WAL entries and
-//     bookkeeping-log entries of consecutive operations land in different
-//     CPU cache lines, eliminating cache line reflushes;
+//   - interleaved mapping: the metadata a variant flushes on every
+//     operation — WAL and bookkeeping-log entries, and NVAlloc-IC's slab
+//     bitmap bits — lands in different CPU cache lines for consecutive
+//     operations, eliminating cache line reflushes;
 //   - slab morphing: mostly-empty slabs transform crash-consistently
 //     between size classes, removing the fragmentation of static slab
 //     segregation;
@@ -97,15 +98,18 @@ type Options struct {
 	Variant Variant
 	// Arenas is the number of per-core arenas (default 16).
 	Arenas int
-	// Stripes is the interleaved-mapping stripe count (default 6).
+	// Stripes is the interleaved-mapping stripe count (default 6). What
+	// is spread over it follows from the variant: whatever it flushes on
+	// every operation (see core.Options.Stripes).
 	Stripes int
 	// SU is the slab morphing space-utilization threshold (default 0.20).
 	SU float64
-	// DisableInterleaving turns off interleaved mapping everywhere (the
-	// recommended setting on eADR devices, where flushes are free; Create
-	// applies it automatically for eADR devices unless ForceInterleaving).
+	// DisableInterleaving turns off interleaved mapping everywhere — one
+	// stripe — which is the recommended setting on eADR devices, where
+	// flushes are free; Create applies it automatically for eADR devices
+	// unless ForceInterleaving.
 	DisableInterleaving bool
-	// ForceInterleaving keeps interleaving on even on eADR.
+	// ForceInterleaving keeps the variant's interleaving on even on eADR.
 	ForceInterleaving bool
 	// DisableMorphing turns off slab morphing.
 	DisableMorphing bool
@@ -131,13 +135,10 @@ func (o Options) toCore(dev *Device) core.Options {
 	if o.DisableMorphing {
 		c.Morphing = false
 	}
-	off := o.DisableInterleaving || (dev.EADR() && !o.ForceInterleaving)
-	if off {
+	if o.DisableInterleaving || (dev.EADR() && !o.ForceInterleaving) {
 		// The paper disables interleaved mapping on eADR
 		// (pmem_has_auto_flush() detection, Section 6.7).
-		c.InterleaveBitmap = false
-		c.InterleaveTcache = false
-		c.InterleaveWAL = false
+		c.Stripes = 1
 	}
 	return c
 }

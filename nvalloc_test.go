@@ -1,8 +1,10 @@
 package nvalloc
 
 import (
+	"reflect"
 	"testing"
 
+	"nvalloc/internal/core"
 	"nvalloc/internal/pmem"
 )
 
@@ -57,18 +59,40 @@ func TestPublicCrashRecoveryFlow(t *testing.T) {
 }
 
 func TestEADRDisablesInterleavingAutomatically(t *testing.T) {
-	dev := NewDevice(DeviceConfig{Size: 64 << 20, Mode: ModeEADR})
-	opts := Options{}.toCore(dev)
-	if opts.InterleaveBitmap || opts.InterleaveTcache || opts.InterleaveWAL {
-		t.Fatal("interleaving must auto-disable on eADR")
+	// layout creates a heap of the variant on dev and reports what it
+	// spreads over how many stripes.
+	layout := func(dev *Device, o Options) core.Layout {
+		t.Helper()
+		h, err := Create(dev, o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return h.Layout()
 	}
-	forced := Options{ForceInterleaving: true}.toCore(dev)
-	if !forced.InterleaveBitmap {
-		t.Fatal("ForceInterleaving ignored")
+	eadr := func() *Device { return NewDevice(DeviceConfig{Size: 64 << 20, Mode: ModeEADR}) }
+	adr := func() *Device { return NewDevice(DeviceConfig{Size: 64 << 20}) }
+	off := core.Layout{Bitmap: 1, Tcache: 1, WAL: 1}
+	for _, v := range []Variant{LOG, GC, IC} {
+		if got := layout(eadr(), Options{Variant: v}); got != off {
+			t.Fatalf("%v: interleaving must auto-disable on eADR, got %+v", v, got)
+		}
+		if got := layout(adr(), Options{Variant: v, DisableInterleaving: true}); got != off {
+			t.Fatalf("%v: DisableInterleaving ignored, got %+v", v, got)
+		}
 	}
-	adr := NewDevice(DeviceConfig{Size: 64 << 20})
-	if o := (Options{}).toCore(adr); !o.InterleaveBitmap {
-		t.Fatal("interleaving must default on for ADR")
+	// Forced, or on ADR, a variant interleaves what it flushes per op: every
+	// variant its log entries, IC its bitmaps and tcache as well.
+	for v, want := range map[Variant]core.Layout{
+		LOG: {Bitmap: 1, Tcache: 1, WAL: 6},
+		GC:  {Bitmap: 1, Tcache: 1, WAL: 6},
+		IC:  {Bitmap: 6, Tcache: 6, WAL: 6},
+	} {
+		if got := layout(eadr(), Options{Variant: v, ForceInterleaving: true}); got != want {
+			t.Fatalf("%v: ForceInterleaving on eADR gives %+v, want %+v", v, got, want)
+		}
+		if got := layout(adr(), Options{Variant: v}); got != want {
+			t.Fatalf("%v: layout on ADR %+v, want %+v", v, got, want)
+		}
 	}
 }
 
@@ -77,6 +101,13 @@ func TestOptionKnobsReachCore(t *testing.T) {
 	o := Options{Variant: GC, Arenas: 3, Stripes: 4, SU: 0.3, DisableMorphing: true}.toCore(dev)
 	if o.Variant != GC || o.Arenas != 3 || o.Stripes != 4 || o.SU != 0.3 || o.Morphing {
 		t.Fatalf("options not forwarded: %+v", o)
+	}
+	if o := (Options{Stripes: 4, DisableInterleaving: true}).toCore(dev); o.Stripes != 1 {
+		t.Fatalf("DisableInterleaving must win over Stripes: %+v", o)
+	}
+	// The whole of core's configuration is reachable, and it is small.
+	if n := reflect.TypeOf(core.Options{}).NumField(); n > 12 {
+		t.Fatalf("core.Options has %d fields, want at most 12", n)
 	}
 }
 
