@@ -146,6 +146,7 @@ func main() {
 	if *exp == "all" {
 		ids = experiment.Names()
 	}
+	var failures []string
 	for _, id := range ids {
 		run, ok := experiment.Experiments[id]
 		if !ok {
@@ -156,6 +157,7 @@ func main() {
 		tables := run(cfg)
 		for ti, t := range tables {
 			t.Print(os.Stdout)
+			failures = append(failures, t.Failures...)
 			if *out == "" {
 				continue
 			}
@@ -179,5 +181,11 @@ func main() {
 			}
 		}
 		fmt.Printf("\n[%s completed in %.1fs wall time]\n", id, time.Since(start).Seconds())
+	}
+	if len(failures) > 0 {
+		// A table failed the gate its experiment holds it to (crashmc: the
+		// committed coverage baseline).
+		fmt.Fprintf(os.Stderr, "nvbench: regression:\n  %s\n", strings.Join(failures, "\n  "))
+		os.Exit(1)
 	}
 }

@@ -35,8 +35,8 @@ func TestCloseCheckpointWitnessErasure(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			rep := Verify(rec, Config{Torn: true, TornSeed: 0xDECAF})
-			checkReport(t, rec, rep, 0, 0xDECAF)
+			rep := Sweep(rec, PowerCut, nil, Config{Torn: true, TornSeed: 0xDECAF})
+			checkReport(t, rep, 0, 0xDECAF)
 		})
 	}
 }

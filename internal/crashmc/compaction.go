@@ -49,31 +49,23 @@ func compactionOptions() core.Options {
 //     compaction builds its chain from the chunks the first one freed.
 func CompactionTrace() Trace {
 	tr := Trace{Name: "compaction", Threads: 2}
-	add := func(op Op) int {
-		tr.Ops = append(tr.Ops, op)
-		return len(tr.Ops) - 1
-	}
 	const extent = 32 << 10
 	slot := 0
 	publish := func(th int, size uint64) {
-		add(Op{Kind: OpMallocTo, Thread: th, Slot: slot, Size: size})
+		tr.add(Op{Kind: OpMallocTo, Thread: th, Slot: slot, Size: size})
 		slot++
 	}
 	mallocs := func(th, n int) []int {
 		refs := make([]int, n)
 		for i := range refs {
-			refs[i] = add(Op{Kind: OpMalloc, Thread: th, Size: extent})
+			refs[i] = tr.add(Op{Kind: OpMalloc, Thread: th, Size: extent})
 			if i%16 == 15 {
 				publish(th, extent)
 			}
 		}
 		return refs
 	}
-	frees := func(th int, refs []int) {
-		for _, r := range refs {
-			add(Op{Kind: OpFree, Thread: th, Ref: r})
-		}
-	}
+	frees := tr.frees
 
 	publish(0, 64)
 	publish(1, 192)
@@ -91,26 +83,12 @@ func CompactionTrace() Trace {
 	return tr
 }
 
-// RecordCompaction records CompactionTrace on CompactionTarget, sampling
-// after every op the log's active-chain length (low half of the probe) and
-// its slow-GC count (high half).
-func RecordCompaction() (*Recording, error) {
-	return Record(CompactionTarget(), CompactionTrace(), RecordOptions{
-		Probe: func(h alloc.Heap) uint64 {
-			bl := h.(*core.Heap).Blog()
-			_, slow := bl.GCCounts()
-			return slow<<32 | uint64(bl.ActiveChunks())
-		},
-	})
-}
-
-// CompactionShape counts what the family's coverage argument rests on.
-type CompactionShape struct {
-	// OverThreshold is the number of boundaries at which the crash image
-	// holds a log over its threshold: the recoveries that compact.
-	OverThreshold int
-	// RuntimeCompactions is the log's slow-GC count at the end of the trace.
-	RuntimeCompactions int
+// compactionProbe samples after every op the log's active-chain length
+// (low half of the probe) and its slow-GC count (high half).
+func compactionProbe(h alloc.Heap) uint64 {
+	bl := h.(*core.Heap).Blog()
+	_, slow := bl.GCCounts()
+	return slow<<32 | uint64(bl.ActiveChunks())
 }
 
 // CompactionWindows returns every boundary from the end of an operation
@@ -130,12 +108,13 @@ func (rec *Recording) CompactionWindows() []int {
 	return ks
 }
 
-// CompactionShape derives the shape counters of a RecordCompaction
-// recording.
-func (rec *Recording) CompactionShape() CompactionShape {
-	sh := CompactionShape{OverThreshold: len(rec.CompactionWindows())}
-	if n := len(rec.Ops); n > 0 {
-		sh.RuntimeCompactions = int(rec.Ops[n-1].Probe >> 32)
+// compactionShape counts what the family's coverage argument rests on:
+// the boundaries at which the crash image holds a log over its threshold —
+// the recoveries that compact — and the log's slow-GC count at the end of
+// the trace, one compaction at run time from each thread's frees.
+func compactionShape(rec *Recording, _ *Report) []Counter {
+	return []Counter{
+		{Name: "over_threshold", N: len(rec.CompactionWindows()), Min: 100},
+		{Name: "runtime_compactions", N: rec.lastProbe() >> 32, Min: 2},
 	}
-	return sh
 }

@@ -1,14 +1,16 @@
 // Package crashmc is a deterministic crash-point model checker for every
 // allocator in the repository. Where internal/torture samples random
-// fault plans, crashmc *enumerates*: it records a single-threaded
-// operation trace on a journaled device (internal/pmem's copy-on-flush
-// journal), then reconstructs the crash image at every persistence
-// boundary — each prefix of the flush journal, plus torn-line variants of
-// the line in flight — reopens it, and validates recovery against an
+// fault plans, crashmc *enumerates*: it records an operation trace —
+// serial, or two threads' under a replayable schedule — on a journaled
+// device (internal/pmem's copy-on-flush journal), then takes every cut of
+// it (Cut: each prefix of the flush journal, torn-line variants of the
+// line in flight, a second crash inside recovery, the cache image a killed
+// process leaves), reopens the image, and validates recovery against an
 // oracle built from the recorded trace: the exact set of root-published
 // blocks that must have survived, the two legal values of every root slot
 // crossed by an in-flight operation, data markers of durable publishes,
-// free-exactly-once semantics, and space-accounting bounds.
+// free-exactly-once semantics, and space-accounting bounds. What is
+// checked is a table of families (Family; DESIGN.md §7 "Verification").
 //
 // Enumeration is tractable because image k+1 derives from image k with a
 // single 64-byte line copy (pmem.ImageCursor), so checking all n

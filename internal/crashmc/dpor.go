@@ -26,95 +26,63 @@ import (
 
 // ConcOptions parameterizes EnumerateConc.
 type ConcOptions struct {
-	Record RecordOptions
-	// PairGap is how close (in completion order) two cross-thread ops
-	// must be to count as a reorder candidate (default 3). Ops further
-	// apart are separated by full round-robin turns of intervening ops
-	// and their flush windows do not interact.
-	PairGap int
-	// PreemptsPerPair caps the preemption points tried per conflicting
-	// pair (default 3, spread evenly over the earlier op's switchable
-	// yields).
-	PreemptsPerPair int
 	// MaxSchedules caps the executed variant schedules (<= 0: no cap).
-	// Skipped schedules are reported, never silently dropped.
+	// ConcReport counts the planned ones, so a capped run still says how
+	// many it left out.
 	MaxSchedules int
-	// Slack widens the verified boundary window around a reordered
-	// pair's flush span (default 8 boundaries each side).
-	Slack int
 	// Torn adds torn-line variants at every verified boundary.
 	Torn     bool
 	TornSeed uint64
-	// Pool parallelizes the baseline full verification (variant windows
-	// are small and run serially).
-	Pool func(n int, fn func(i int))
 	// MaxBoundaries samples the baseline sweep down to at most this many
 	// boundaries (<= 0: enumerate every one). Conflict detection and the
 	// pruning accounting read the recording, not the sweep, so sampling
 	// the baseline never changes which schedules run.
 	MaxBoundaries int
-	// CheckEvery runs the offline checker on every Nth baseline boundary.
-	CheckEvery int
 }
 
-func (o ConcOptions) withDefaults() ConcOptions {
-	if o.PairGap <= 0 {
-		o.PairGap = 3
-	}
-	if o.PreemptsPerPair <= 0 {
-		o.PreemptsPerPair = 3
-	}
-	if o.Slack <= 0 {
-		o.Slack = 8
-	}
-	return o
-}
+const (
+	// pairGap is how close (in completion order) two cross-thread ops must
+	// be to count as a reorder candidate. Ops further apart are separated
+	// by full round-robin turns of intervening ops and their flush windows
+	// do not interact.
+	pairGap = 3
+	// preemptsPerPair caps the preemption points tried per conflicting
+	// pair, spread evenly over the earlier op's switchable yields.
+	preemptsPerPair = 3
+	// slack widens the verified boundary window around a reordered pair's
+	// flush span, each side.
+	slack = 8
+)
 
 // site names one scheduled op: thread t, op index j.
 type site struct{ t, j int }
 
-// ConflictPair is one candidate reorder that the footprints proved
+// conflictPair is one candidate reorder that the footprints proved
 // dependent, with the schedules generated for it.
-type ConflictPair struct {
-	A, B      site
-	Kinds     string // "malloc_to×free": the ops' kinds, A first
-	Shared    string // why they conflict: "line" or "resource"
-	Schedules []Schedule
+type conflictPair struct {
+	a, b      site
+	schedules []Schedule
 }
 
 // ConcReport aggregates one family's enumeration: the baseline full
 // sweep plus every conflict-forced variant schedule.
 type ConcReport struct {
-	Target string
-	Trace  string
+	// Report merges the baseline sweep and every variant's: Explored and
+	// TornExplored count the clean and torn images verified across all of
+	// them. For variant schedules the phase strings of Paths join the
+	// in-flight set, so conflict-pair interleavings show up as distinct
+	// "kind+kind@class" paths.
+	Report
 	// Candidates is the naive reorder set (cross-thread op pairs within
-	// PairGap); Conflicts is how many survived the footprint test.
+	// pairGap); Conflicts is how many survived the footprint test.
 	Candidates int
 	Conflicts  int
 	// NaiveSchedules is what a reduction-free enumerator would run
-	// (Candidates x PreemptsPerPair); PlannedSchedules is the post-DPOR
-	// plan; SchedulesRun is what actually executed (budget-capped);
-	// SchedulesSkipped = PlannedSchedules - SchedulesRun.
+	// (Candidates x preemptsPerPair); PlannedSchedules is the post-DPOR
+	// plan; SchedulesRun is what actually executed (budget-capped).
 	NaiveSchedules   int
 	PlannedSchedules int
 	SchedulesRun     int
-	SchedulesSkipped int
-	// Boundaries/Torn verified across the baseline and every variant.
-	BoundariesVerified int
-	TornVerified       int
-	Checks             int
-	ViolationCount     int
-	Violations         []Violation
-	// ConflictKinds counts conflicting pairs by kind pair;
-	// ConflictClasses counts them by the line class of the overlap (or
-	// "resource" for lock-only conflicts). Paths merges every
-	// sub-report's (phase@class) recovery paths — for variant schedules
-	// the phase strings join the in-flight set, so conflict-pair
-	// interleavings show up as distinct "kind+kind@class" paths.
-	ConflictKinds   map[string]int
-	ConflictClasses map[string]int
-	Paths           map[string]int
-	Steps           int32 // baseline scheduled-phase yield steps
 }
 
 // Pruning is the fraction of the naive schedule space DPOR discarded
@@ -126,23 +94,11 @@ func (r *ConcReport) Pruning() float64 {
 	return 1 - float64(r.PlannedSchedules)/float64(r.NaiveSchedules)
 }
 
-// Passed reports whether no schedule produced an oracle violation.
-func (r *ConcReport) Passed() bool { return r.ViolationCount == 0 }
-
-func (r *ConcReport) addViolations(rep *Report) {
-	r.ViolationCount += rep.ViolationCount
-	for _, v := range rep.Violations {
-		if len(r.Violations) < maxViolations {
-			r.Violations = append(r.Violations, v)
-		}
-	}
-}
-
 func (r *ConcReport) String() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "%s/%s: %d candidates -> %d conflicts, %d/%d schedules (naive %d, pruned %.0f%%), %d boundaries, %d torn, %d violations",
 		r.Target, r.Trace, r.Candidates, r.Conflicts, r.SchedulesRun, r.PlannedSchedules,
-		r.NaiveSchedules, 100*r.Pruning(), r.BoundariesVerified, r.TornVerified, r.ViolationCount)
+		r.NaiveSchedules, 100*r.Pruning(), r.Explored, r.TornExplored, r.ViolationCount)
 	for _, v := range r.Violations {
 		fmt.Fprintf(&b, "\n  %s", v)
 	}
@@ -151,7 +107,7 @@ func (r *ConcReport) String() string {
 
 // conflicts computes the candidate and conflicting cross-thread pairs of
 // a baseline recording, and builds each conflict's preempt schedules.
-func conflicts(base *ConcRecording, opt ConcOptions, cl *classifier) (cands int, pairs []ConflictPair) {
+func conflicts(base *ConcRecording) (cands int, pairs []conflictPair) {
 	// Completion order over scheduled ops only.
 	type done struct {
 		s   site
@@ -172,26 +128,20 @@ func conflicts(base *ConcRecording, opt ConcOptions, cl *classifier) (cands int,
 		lines[d.s] = base.Lines(d.s.t, d.s.j)
 	}
 	for p := 0; p < len(order); p++ {
-		for q := p + 1; q < len(order) && q-p <= opt.PairGap; q++ {
+		for q := p + 1; q < len(order) && q-p <= pairGap; q++ {
 			a, b := order[p].s, order[q].s
 			if a.t == b.t {
 				continue
 			}
 			cands++
-			shared, class := dependent(base, a, b, lines, cl)
-			if shared == "" {
+			if !dependent(base, a, b, lines) {
 				continue
-			}
-			cp := ConflictPair{
-				A: a, B: b,
-				Kinds:  base.Ops[order[p].rec].Op.Kind.String() + "×" + base.Ops[order[q].rec].Op.Kind.String(),
-				Shared: class,
 			}
 			// Force B's completion inside A: preempt A's thread at a
 			// switchable yield within A, run B's thread through op B.
-			steps := base.Meta[a.t][a.j].SwitchSteps
-			for _, at := range sample(steps, opt.PreemptsPerPair) {
-				cp.Schedules = append(cp.Schedules, Schedule{
+			cp := conflictPair{a: a, b: b}
+			for _, at := range sample(base.Meta[a.t][a.j].SwitchSteps, preemptsPerPair) {
+				cp.schedules = append(cp.schedules, Schedule{
 					Preempt: &Preempt{At: at, To: b.t, UntilOp: b.j},
 				})
 			}
@@ -201,31 +151,22 @@ func conflicts(base *ConcRecording, opt ConcOptions, cl *classifier) (cands int,
 	return cands, pairs
 }
 
-// dependent reports whether a and b conflict, returning ("line"|
-// "resource", class label) or ("", "") when independent.
-func dependent(base *ConcRecording, a, b site, lines map[site]map[uint64]bool, cl *classifier) (how, class string) {
-	la, lb := lines[a], lines[b]
-	for ln := range la {
-		if lb[ln] {
-			// Classify the overlapping line via its journal delta's class.
-			c := "line"
-			for k := range base.Journal {
-				if base.Journal[k].Line == ln {
-					c = cl.classify(&base.Journal[k])
-					break
-				}
-			}
-			return "line", c
+// dependent reports whether a and b conflict: their journaled flushes
+// touch a common line, or they acquired a common resource.
+func dependent(base *ConcRecording, a, b site, lines map[site]map[uint64]bool) bool {
+	for ln := range lines[a] {
+		if lines[b][ln] {
+			return true
 		}
 	}
 	for _, ra := range base.Meta[a.t][a.j].Res {
 		for _, rb := range base.Meta[b.t][b.j].Res {
 			if ra == rb {
-				return "resource", "resource"
+				return true
 			}
 		}
 	}
-	return "", ""
+	return false
 }
 
 // sample picks up to n values spread evenly across steps.
@@ -259,52 +200,32 @@ func sample(steps []int32, n int) []int32 {
 // and recovery is verified across the disturbed window (plus the final
 // boundary) of each variant.
 func EnumerateConc(tg torture.Target, ct ConcTrace, opt ConcOptions) (*ConcReport, error) {
-	opt = opt.withDefaults()
-	base, err := ConcRecord(tg, ct, Schedule{}, opt.Record)
+	base, err := ConcRecord(tg, ct, Schedule{}, RecordOptions{})
 	if err != nil {
 		return nil, err
 	}
-	report := &ConcReport{
-		Target:          tg.Name,
-		Trace:           ct.Name,
-		ConflictKinds:   map[string]int{},
-		ConflictClasses: map[string]int{},
-		Paths:           map[string]int{},
-		Steps:           base.Steps,
-	}
+	report := &ConcReport{Report: *newReport(tg.Name, ct.Name, PowerCut)}
 
 	// Baseline: full boundary sweep, like the single-threaded checker.
-	baseRep := Verify(base.Recording, Config{
-		Torn: opt.Torn, TornSeed: opt.TornSeed,
-		Pool: opt.Pool, CheckEvery: opt.CheckEvery,
-		MaxBoundaries: opt.MaxBoundaries,
-	})
-	report.BoundariesVerified += baseRep.Explored
-	report.TornVerified += baseRep.TornExplored
-	report.Checks += baseRep.Checks
-	report.addViolations(baseRep)
-	for k, n := range baseRep.Paths {
-		report.Paths[k] += n
-	}
+	cfg := Config{Torn: opt.Torn, TornSeed: opt.TornSeed}
+	cfg.MaxBoundaries = opt.MaxBoundaries
+	report.merge(Sweep(base.Recording, PowerCut, nil, cfg))
+	cfg.MaxBoundaries = 0
 
-	cl := newClassifier(base.Recording)
-	cands, pairs := conflicts(base, opt, cl)
+	cands, pairs := conflicts(base)
 	report.Candidates = cands
 	report.Conflicts = len(pairs)
-	report.NaiveSchedules = cands * opt.PreemptsPerPair
+	report.NaiveSchedules = cands * preemptsPerPair
 	for _, cp := range pairs {
-		report.PlannedSchedules += len(cp.Schedules)
-		report.ConflictKinds[cp.Kinds]++
-		report.ConflictClasses[cp.Shared]++
+		report.PlannedSchedules += len(cp.schedules)
 	}
 
 	for _, cp := range pairs {
-		for _, sched := range cp.Schedules {
+		for _, sched := range cp.schedules {
 			if opt.MaxSchedules > 0 && report.SchedulesRun >= opt.MaxSchedules {
-				report.SchedulesSkipped = report.PlannedSchedules - report.SchedulesRun
 				return report, nil
 			}
-			vrec, err := ConcRecord(tg, ct, sched, opt.Record)
+			vrec, err := ConcRecord(tg, ct, sched, RecordOptions{})
 			if err != nil {
 				return nil, fmt.Errorf("schedule %s: %w", sched.Key(), err)
 			}
@@ -313,26 +234,12 @@ func EnumerateConc(tg torture.Target, ct ConcTrace, opt ConcOptions) (*ConcRepor
 			// Verify the boundaries the reordering disturbed: the union of
 			// the pair's flush windows in the *variant* recording, plus
 			// slack, plus the final boundary (full-trace recovery).
-			lo, hi := vrec.pairWindow(cp.A, cp.B)
-			lo -= opt.Slack
-			hi += opt.Slack
-			cfg := Config{From: lo, To: hi, Torn: opt.Torn, TornSeed: opt.TornSeed}
-			rep := Verify(vrec.Recording, cfg)
-			last := vrec.Boundaries() - 1
-			var fin *Report
-			if last > hi {
-				fin = Verify(vrec.Recording, Config{From: last, To: last, Torn: opt.Torn, TornSeed: opt.TornSeed})
-			}
-			for _, r := range []*Report{rep, fin} {
-				if r == nil {
-					continue
-				}
-				report.BoundariesVerified += r.Explored
-				report.TornVerified += r.TornExplored
-				report.addViolations(r)
-				for k, n := range r.Paths {
-					report.Paths[k] += n
-				}
+			lo, hi := vrec.pairWindow(cp.a, cp.b)
+			cfg.From, cfg.To = lo-slack, hi+slack
+			report.merge(Sweep(vrec.Recording, PowerCut, nil, cfg))
+			if last := vrec.Boundaries() - 1; last > cfg.To {
+				cfg.From, cfg.To = last, last
+				report.merge(Sweep(vrec.Recording, PowerCut, nil, cfg))
 			}
 		}
 	}
@@ -348,12 +255,5 @@ func (cr *ConcRecording) pairWindow(a, b site) (lo, hi int) {
 		return 0, cr.Boundaries() - 1
 	}
 	oa, ob := &cr.Ops[ra], &cr.Ops[rb]
-	lo, hi = oa.FlushStart, oa.FlushEnd
-	if ob.FlushStart < lo {
-		lo = ob.FlushStart
-	}
-	if ob.FlushEnd > hi {
-		hi = ob.FlushEnd
-	}
-	return lo, hi
+	return min(oa.FlushStart, ob.FlushStart), max(oa.FlushEnd, ob.FlushEnd)
 }

@@ -1,46 +1,6 @@
 package crashmc
 
-import (
-	"testing"
-
-	"nvalloc/internal/core"
-)
-
-// TestFenceElisionFamilyLOG enumerates every persistence boundary of the
-// fence-elision trace on the LOG variant — the only variant whose hot
-// paths merge the WAL-entry fence with the bitmap-commit fence — with
-// torn variants of each in-flight line. Beyond the oracle (which proves
-// no elision window can lose an acknowledged op or resurrect a freed
-// one), it asserts the enumeration actually landed inside the windows
-// the family exists for: both the wal-entry and bitmap-stripe line
-// classes must be explored clean AND torn. A refactor that reordered the
-// flushes, or a trace regression that stopped reaching the batched
-// drain, would trip these assertions even while the oracle stays green.
-func TestFenceElisionFamilyLOG(t *testing.T) {
-	rec, err := Record(Target("NVAlloc-LOG", core.LOG), FenceElisionTrace(7), RecordOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := Config{Torn: true, TornSeed: 0xDECAF, CheckEvery: 64}
-	if testing.Short() {
-		cfg.MaxBoundaries = 150
-		cfg.CheckEvery = 16
-	}
-	rep := Verify(rec, cfg)
-	t.Logf("%s", rep)
-	checkReport(t, rec, rep, 7, cfg.TornSeed)
-	if !testing.Short() && rep.Explored != rep.Boundaries {
-		t.Errorf("coverage %d/%d, want exhaustive", rep.Explored, rep.Boundaries)
-	}
-	for _, class := range []string{"wal-entry", "bitmap-stripe"} {
-		if rep.Classes[class] == 0 {
-			t.Errorf("no clean boundary with a %s line in flight: the trace no longer drives the elided-fence window", class)
-		}
-		if rep.TornClasses[class] == 0 {
-			t.Errorf("no torn variant of an in-flight %s line verified", class)
-		}
-	}
-}
+import "testing"
 
 // TestFenceElisionTraceShape pins the structural properties the family's
 // coverage argument rests on: a cross-arena burst long enough to trip

@@ -58,9 +58,9 @@ func FuzzCrashRecover(f *testing.F) {
 			cfg.Torn = true
 			cfg.TornSeed = tearSeed
 		}
-		rep := Verify(rec, cfg)
+		rep := Sweep(rec, PowerCut, nil, cfg)
 		if !rep.Passed() {
-			path, _ := WriteRepro("", ReproFromReport(rec, rep, traceSeed, tearSeed))
+			path, _ := WriteRepro("", NewRepro(rep, traceSeed, tearSeed))
 			t.Fatalf("seed=%#x k=%d tear=%#x repro=%s: %s", traceSeed, k, tearSeed, path, rep)
 		}
 	})

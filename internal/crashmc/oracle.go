@@ -3,71 +3,12 @@ package crashmc
 import (
 	"errors"
 	"fmt"
-	"runtime"
 
 	"nvalloc/internal/alloc"
 	"nvalloc/internal/pmem"
 	"nvalloc/internal/sizeclass"
 	"nvalloc/internal/torture"
 )
-
-// Config parameterizes an enumeration run.
-type Config struct {
-	// From and To bound the boundary range verified, inclusive; To <= 0
-	// means the last boundary. Defaults cover the whole recording.
-	From, To int
-	// Stride samples every Stride'th boundary (default 1: exhaustive).
-	Stride int
-	// MaxBoundaries caps the number of explored boundaries by raising
-	// the stride (0 = no cap). Coverage drops below 100% accordingly.
-	MaxBoundaries int
-	// Torn additionally verifies, at every explored boundary with a
-	// flush in flight, the torn-line image where only a seeded subset of
-	// the in-flight line's words persisted.
-	Torn bool
-	// TornSeed seeds the torn-word masks.
-	TornSeed uint64
-	// CheckEvery runs the target's offline consistency checker
-	// (torture.Target.Check) on every Nth explored boundary at or past
-	// CreatedAt (0 = never). The checker opens a clone, so it sees the
-	// pristine crash image.
-	CheckEvery int
-	// ProbeAllocs is the number of fresh allocations probed against the
-	// surviving roots per boundary (default 64; < 0 disables).
-	ProbeAllocs int
-	// Pool executes fn(0..n-1) on a worker pool; nil runs serially. The
-	// experiment engine's pool is injected here so crashmc does not
-	// depend on internal/experiment.
-	Pool func(n int, fn func(i int))
-	// Extra, when non-nil, adds per-test invariants to every recovered
-	// heap (e.g. shard-count persistence, duplicate-object walks).
-	// Returned strings are violations.
-	Extra func(h alloc.Heap, boundary int, torn bool) []string
-}
-
-func (cfg Config) withDefaults(rec *Recording) Config {
-	last := rec.Boundaries() - 1
-	if cfg.To <= 0 || cfg.To > last {
-		cfg.To = last
-	}
-	if cfg.From < rec.JournalBase {
-		// Boundaries below a checkpointed journal's fold point are no
-		// longer reconstructible.
-		cfg.From = rec.JournalBase
-	}
-	if cfg.Stride < 1 {
-		cfg.Stride = 1
-	}
-	if cfg.MaxBoundaries > 0 {
-		for (cfg.To-cfg.From)/cfg.Stride+1 > cfg.MaxBoundaries {
-			cfg.Stride++
-		}
-	}
-	if cfg.ProbeAllocs == 0 {
-		cfg.ProbeAllocs = 64
-	}
-	return cfg
-}
 
 // slotOp is one root-slot transition derived from the trace: the slot's
 // value before and after the op at Ops[opIdx].
@@ -108,16 +49,16 @@ func slotHistory(rec *Recording) map[int][]slotOp {
 	return hist
 }
 
-// Verify enumerates the recording's persistence boundaries per cfg and
-// validates every crash image against the oracle. It is the model
-// checker's core loop: reconstruct image k (incrementally, via
-// pmem.ImageCursor), reopen it with the shared guarded open, and check
+// verifyImage recovers from one crash image of boundary k and runs every
+// oracle check, appending violations to part; torn says the image holds a
+// partial application of flush k itself. It is what every cut of every
+// sweep is held to:
 //
 //   - boundaries before CreatedAt may be refused, but only with a typed
 //     corruption error — never a panic, and never an open that then
 //     fails verification;
-//   - from CreatedAt on, recovery MUST succeed (clean and torn cuts are
-//     intact-media crashes under the fault model);
+//   - from CreatedAt on, recovery MUST succeed (every cut leaves intact
+//     media under the fault model);
 //   - every root slot holds a legal value: the value durable at k, or —
 //     when an operation's flush window straddles k — that operation's
 //     pre- or post-value (recovery may roll either way, but nowhere
@@ -126,107 +67,10 @@ func slotHistory(rec *Recording) map[int][]slotOp {
 //     durably published block still carries its data marker;
 //   - fresh allocations never collide with surviving roots;
 //   - space accounting stays within the recording's bounds.
-func Verify(rec *Recording, cfg Config) *Report {
-	cfg = cfg.withDefaults(rec)
-	hist := slotHistory(rec)
-	cl := newClassifier(rec)
-
-	// The explored boundary list, partitioned into contiguous chunks:
-	// each chunk advances its own image cursor forward, so the whole
-	// enumeration costs one journal replay per chunk plus one image copy
-	// per boundary.
-	var ks []int
-	for k := cfg.From; k <= cfg.To; k += cfg.Stride {
-		ks = append(ks, k)
-	}
-	report := rec.newReport("")
-	report.Boundaries = rec.Boundaries()
-	if len(ks) == 0 {
-		return report
-	}
-	nChunk := 1
-	if cfg.Pool != nil {
-		if nChunk = runtime.GOMAXPROCS(0); nChunk > len(ks) {
-			nChunk = len(ks)
-		}
-	}
-	parts := make([]*Report, nChunk)
-	run := func(ci int) {
-		lo := ci * len(ks) / nChunk
-		hi := (ci + 1) * len(ks) / nChunk
-		part := rec.newReport("")
-		cursor := rec.newCursor()
-		scratch := pmem.New(pmem.Config{Size: rec.DeviceBytes})
-		for i := lo; i < hi; i++ {
-			k := ks[i]
-			cursor.Advance(k)
-			class := "end-of-trace"
-			if k-rec.JournalBase < len(rec.Journal) {
-				class = cl.classify(&rec.Journal[k-rec.JournalBase])
-			}
-			part.Explored++
-			part.Classes[class]++
-			part.Paths[rec.phase(k)+"@"+class]++
-
-			cursor.MaterializeInto(scratch)
-			if cfg.CheckEvery > 0 && i%cfg.CheckEvery == 0 &&
-				k >= rec.CreatedAt && rec.Target.Check != nil {
-				part.Checks++
-				for _, p := range rec.Target.Check(scratch) {
-					part.addViolation(rec.violation(k, false, class, "check: "+p))
-				}
-				// The checker clones before opening; the image is intact.
-			}
-			verifyImage(rec, cfg, hist, part, scratch, k, false, class)
-
-			if cfg.Torn && cursor.MaterializeTornInto(scratch, cfg.TornSeed) {
-				part.TornExplored++
-				part.TornClasses[class]++
-				verifyImage(rec, cfg, hist, part, scratch, k, true, class)
-			}
-		}
-		parts[ci] = part
-	}
-	if cfg.Pool == nil || nChunk == 1 {
-		for ci := 0; ci < nChunk; ci++ {
-			run(ci)
-		}
-	} else {
-		cfg.Pool(nChunk, run)
-	}
-	for _, part := range parts {
-		report.merge(part)
-	}
-	return report
-}
-
-// newCursor returns an image cursor at the recording's first
-// reconstructible boundary.
-func (rec *Recording) newCursor() *pmem.ImageCursor {
-	if rec.BaseImage != nil {
-		return pmem.NewImageCursorAt(rec.JournalBase, rec.BaseImage, rec.Journal)
-	}
-	return pmem.NewImageCursor(rec.DeviceBytes, rec.Journal)
-}
-
-// violation builds a Violation carrying full reproduction provenance:
-// the schedule key the recording ran under, the in-flight line's class,
-// and that line's journal delta (line number, flushing thread, schedule
-// step). Together with the trace name this pins the exact crash image.
-func (rec *Recording) violation(k int, torn bool, class, detail string) Violation {
-	v := Violation{Boundary: k, Torn: torn, Detail: detail, Schedule: rec.Sched, Class: class}
-	if j := k - rec.JournalBase; j >= 0 && j < len(rec.Journal) {
-		fd := &rec.Journal[j]
-		v.Line, v.Thread, v.Step = fd.Line, fd.Thread, fd.Step
-	}
-	return v
-}
-
-// verifyImage opens one crash image and runs every oracle check,
-// appending violations to part.
-func verifyImage(rec *Recording, cfg Config, hist map[int][]slotOp, part *Report, scratch *pmem.Device, k int, torn bool, class string) {
+func (s *sweep) verifyImage(part *Report, scratch *pmem.Device, k int, torn bool, class string) {
+	rec, cfg, hist := s.rec, s.cfg, s.hist
 	fail := func(format string, args ...any) {
-		part.addViolation(rec.violation(k, torn, class, fmt.Sprintf(format, args...)))
+		s.fail(part, k, torn, class, fmt.Sprintf(format, args...))
 	}
 	h2, err := torture.OpenGuarded(rec.Target, scratch)
 	if err != nil {
@@ -238,7 +82,6 @@ func verifyImage(rec *Recording, cfg Config, hist map[int][]slotOp, part *Report
 		if k < rec.CreatedAt && errors.Is(err, pmem.ErrCorrupted) {
 			// The heap did not fully exist yet; a typed refusal is the
 			// correct answer for a mid-create image.
-			part.OpenFailures++
 			return
 		}
 		fail("intact-media crash not recovered: %v", err)
@@ -417,5 +260,4 @@ func verifyImage(rec *Recording, cfg Config, hist map[int][]slotOp, part *Report
 		raw[0].Close()
 		raw[1].Close()
 	}
-
 }

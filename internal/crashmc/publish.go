@@ -48,10 +48,7 @@ import (
 //     survivors, which are freed through the morphed slab's index table.
 func PublishTrace() Trace {
 	tr := Trace{Name: "publish", Threads: 2}
-	add := func(op Op) int {
-		tr.Ops = append(tr.Ops, op)
-		return len(tr.Ops) - 1
-	}
+	add := tr.add
 	publish := func(th, slot int, size uint64) { add(Op{Kind: OpPublish, Thread: th, Slot: slot, Size: size}) }
 	del := func(th, slot int) { add(Op{Kind: OpFreeFrom, Thread: th, Slot: slot}) }
 	const large = 40 << 10
@@ -141,39 +138,16 @@ func PublishTrace() Trace {
 	return tr
 }
 
-// RecordPublish records PublishTrace on the write-back family's target,
-// sampling the heap's morph counter after every op.
-func RecordPublish() (*Recording, error) {
-	return Record(WriteBackTarget(), PublishTrace(), RecordOptions{
-		Probe: func(h alloc.Heap) uint64 {
-			morphs, _ := h.(*core.Heap).MorphStats()
-			return morphs
-		},
-	})
-}
-
-// PublishShape counts, in a publish recording, the events the family
+// publishShape counts, in a publish recording, the events the family
 // exists to put crash boundaries around.
-type PublishShape struct {
-	// CheckpointMoves is the number of checkpoint-word flushes before
-	// shutdown: ring wraps, and one per publish that names an extent.
-	CheckpointMoves int
-	// Morphs is the heap's morph count at the end of the trace.
-	Morphs int
-	// Replaces counts publishes over an occupied slot, CrossArena those
-	// whose old block the other thread had allocated.
-	Replaces, CrossArena int
-	// Republished counts blocks published again within 16 ops of having
+func publishShape(rec *Recording, _ *Report) []Counter {
+	// replaces counts publishes over an occupied slot, crossArena those
+	// (and deletes) whose old block the other thread had allocated;
+	// republished counts blocks published again within 16 ops of having
 	// been superseded: a block freed under one entry and allocated under
-	// another while both are still in the ring.
-	Republished int
-	// Extents counts publishes and deletes naming a large block.
-	Extents int
-}
-
-// PublishShape derives the shape counters of a RecordPublish recording.
-func (rec *Recording) PublishShape() PublishShape {
-	sh := PublishShape{CheckpointMoves: len(rec.checkpointMoves())}
+	// another while both are still in the ring; extents counts publishes
+	// and deletes naming a large block.
+	var replaces, crossArena, republished, extents int
 	type block struct {
 		owner int
 		size  uint64
@@ -192,13 +166,13 @@ func (rec *Recording) PublishShape() PublishShape {
 			if old := cur[or.Op.Slot]; old != pmem.Null {
 				b := live[old]
 				if or.Op.Kind != OpFreeFrom {
-					sh.Replaces++
+					replaces++
 				}
 				if b.owner != or.Op.Thread {
-					sh.CrossArena++
+					crossArena++
 				}
 				if !sizeclass.IsSmall(b.size) {
-					sh.Extents++
+					extents++
 				}
 				delete(live, old)
 				freedAt[old] = i
@@ -206,19 +180,25 @@ func (rec *Recording) PublishShape() PublishShape {
 			cur[or.Op.Slot] = or.Addr
 			if or.Addr != pmem.Null {
 				if at, ok := freedAt[or.Addr]; ok && i-at <= 16 {
-					sh.Republished++
+					republished++
 				}
 				if !sizeclass.IsSmall(or.Op.Size) {
-					sh.Extents++
+					extents++
 				}
 				live[or.Addr] = block{or.Op.Thread, or.Op.Size}
 			}
 		}
 	}
-	if n := len(rec.Ops); n > 0 {
-		sh.Morphs = int(rec.Ops[n-1].Probe)
+	return []Counter{
+		// Ring wraps, and one move per publish that names an extent: the
+		// rings must still wrap under the publishes.
+		{Name: "checkpoint_moves", N: len(rec.checkpointMoves()), Min: 8},
+		{Name: "morphs", N: rec.lastProbe(), Min: 1},
+		{Name: "replaces", N: replaces, Min: 100},
+		{Name: "cross_arena", N: crossArena, Min: 6},
+		{Name: "republished", N: republished, Min: 50},
+		{Name: "extents", N: extents, Min: 8},
 	}
-	return sh
 }
 
 // PublishWindows returns the boundaries strictly inside the flush window
@@ -248,7 +228,7 @@ type span struct {
 	freeStart, freeEnd   int
 }
 
-// LiveSetOracle returns a Config.Extra for an NVAlloc-LOG recording that
+// LiveSetOracle returns a Family.Oracle for an NVAlloc-LOG recording that
 // holds the recovered heap's objects to the trace: every block whose
 // allocation was acknowledged before the boundary and whose free had not
 // begun must be allocated, every block whose free was durable (or whose

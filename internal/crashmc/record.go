@@ -31,15 +31,8 @@ type Recording struct {
 	Trace       Trace
 	DeviceBytes uint64
 	// Journal is the device's flush journal; boundary k is the image
-	// after the first k flushes, for k in [JournalBase, JournalBase +
-	// len(Journal)]. JournalBase is 0 (and BaseImage nil) unless the
-	// recording ran with a checkpointed journal
-	// (RecordOptions.JournalCheckpointEvery), in which case BaseImage is
-	// the media image at boundary JournalBase and earlier boundaries are
-	// no longer enumerable.
-	Journal     []pmem.FlushDelta
-	JournalBase int
-	BaseImage   []byte
+	// after the first k flushes, for k in [0, len(Journal)].
+	Journal []pmem.FlushDelta
 	// Sched is the schedule key the recording was made under ("" for
 	// single-threaded recordings, "rr"/"rr+p@..." for ConcRecord ones).
 	// Non-empty Sched means op flush windows may overlap: ops are in
@@ -58,15 +51,15 @@ type Recording struct {
 	// Dev is the recording device after a clean shutdown (its cache and
 	// media images agree); classification reads layout fields from it.
 	Dev *pmem.Device
-	// opts is what the recording was made with, for VerifyCacheCuts, which
-	// runs the trace again.
+	// opts is what the recording was made with, for the cache-image cut,
+	// which runs the trace again.
 	opts RecordOptions
 }
 
 // Boundaries returns the number of persistence boundaries in the
-// recording (every k in [JournalBase, Boundaries()) is a valid crash
-// point, where Boundaries()-1 is the fully flushed final image).
-func (r *Recording) Boundaries() int { return r.JournalBase + len(r.Journal) + 1 }
+// recording (every k in [0, Boundaries()) is a valid crash point, where
+// Boundaries()-1 is the fully flushed final image).
+func (r *Recording) Boundaries() int { return len(r.Journal) + 1 }
 
 // RecordOptions parameterizes Record.
 type RecordOptions struct {
@@ -75,11 +68,6 @@ type RecordOptions struct {
 	// Probe, when non-nil, is sampled after every op (e.g. a morph
 	// counter, to locate the op that triggered a structure transition).
 	Probe func(h alloc.Heap) uint64
-	// JournalCheckpointEvery, when > 0, records on a checkpointed journal
-	// (pmem.Config.JournalCheckpointEvery): journal memory stays bounded
-	// for long traces, at the cost of losing boundaries below the fold
-	// point (Recording.JournalBase).
-	JournalCheckpointEvery int
 }
 
 // markerFor derives the data marker written into the block published by
@@ -87,142 +75,181 @@ type RecordOptions struct {
 // conservative scan can never mistake it for a heap pointer.
 func markerFor(i int) uint64 { return 0xC0FFEE0000000000 | uint64(i+1) }
 
-// Record executes tr against a fresh heap of tg on a journaled strict
-// device and captures the flush journal plus per-op windows. The trace
-// runs on a single goroutine (thread handles are used serially), so the
-// journal — and therefore every enumerated crash image — is
-// deterministic.
-func Record(tg torture.Target, tr Trace, opts RecordOptions) (*Recording, error) {
-	return record(tg, tr, opts, nil)
+// session is one heap being driven through a trace: what the serial and
+// the scheduled recorder share — the heap's creation, the op executor
+// and the shutdown that turns the device's journal into a Recording.
+type session struct {
+	h   alloc.Heap
+	rec *Recording
 }
 
-// record is Record with a hook: onFlush, when non-nil, runs after every
-// journaled flush, Create's included, with the recording device — whose
-// cache image is then the state a process kill at that instant leaves in a
-// page-cache-backed mapping — and the number of flushes so far.
-func record(tg torture.Target, tr Trace, opts RecordOptions, onFlush func(dev *pmem.Device, flushes int)) (*Recording, error) {
+// newDevice returns the journaled strict device a recording runs on.
+// onFlush, when non-nil, runs after every journaled flush, Create's
+// included, with the device — whose cache image is then the state a
+// process kill at that instant leaves in a page-cache-backed mapping —
+// and the number of flushes so far.
+func newDevice(opts RecordOptions, onFlush func(dev *pmem.Device, flushes int)) *pmem.Device {
 	if opts.DeviceBytes == 0 {
 		opts.DeviceBytes = DefaultDeviceBytes
 	}
-	cfg := pmem.Config{
-		Size: opts.DeviceBytes, Strict: true, Journal: true,
-		JournalCheckpointEvery: opts.JournalCheckpointEvery,
-	}
+	cfg := pmem.Config{Size: opts.DeviceBytes, Strict: true, Journal: true}
 	var dev *pmem.Device
 	if onFlush != nil {
 		cfg.OnJournal = func(flushes int) { onFlush(dev, flushes) }
 	}
 	dev = pmem.New(cfg)
+	return dev
+}
+
+// open formats a fresh heap of tg on dev and starts its recording.
+func open(dev *pmem.Device, tg torture.Target, tr Trace, sched string, opts RecordOptions) (*session, error) {
 	h, err := tg.Create(dev)
 	if err != nil {
 		return nil, fmt.Errorf("crashmc: create %s: %w", tg.Name, err)
 	}
-	rec := &Recording{
+	return &session{h: h, rec: &Recording{
 		Target:      tg,
 		Trace:       tr,
-		DeviceBytes: opts.DeviceBytes,
+		DeviceBytes: dev.Size(),
+		Sched:       sched,
 		CreatedAt:   dev.JournalLen(),
-		Ops:         make([]OpRecord, 0, len(tr.Ops)),
 		Dev:         dev,
 		opts:        opts,
-	}
-	nThreads := tr.Threads
-	if nThreads < 1 {
-		nThreads = 1
-	}
-	threads := make([]alloc.Thread, nThreads)
-	thread := func(i int) alloc.Thread {
-		if threads[i] == nil {
-			threads[i] = h.NewThread()
-		}
-		return threads[i]
-	}
+	}}, nil
+}
 
-	for i, op := range tr.Ops {
-		if op.Thread < 0 || op.Thread >= nThreads {
-			return nil, fmt.Errorf("crashmc: op %d: thread %d out of range", i, op.Thread)
+// exec runs one op on th and returns its record: the package's one op
+// executor, whatever thread, schedule or device the op runs under. marker
+// is the data marker a publishing op persists in its block; ref is the
+// record of the allocation an OpFree releases, nil when that allocation
+// has not run (a deterministic skip, recorded as Err). The caller has
+// checked op.Kind with known.
+func (s *session) exec(th alloc.Thread, op Op, marker uint64, ref *OpRecord) OpRecord {
+	dev, h := s.rec.Dev, s.h
+	or := OpRecord{Op: op, FlushStart: dev.JournalLen()}
+	switch op.Kind {
+	case OpMalloc:
+		a, err := th.Malloc(op.Size)
+		or.Addr, or.Err = a, err != nil
+	case OpFree:
+		if ref == nil || ref.Err || ref.Addr == 0 {
+			or.Err = true // the alloc failed or has not run; nothing to free
+			break
 		}
-		or := OpRecord{Op: op, FlushStart: dev.JournalLen()}
-		th := thread(op.Thread)
-		switch op.Kind {
-		case OpMalloc:
-			a, err := th.Malloc(op.Size)
-			or.Addr, or.Err = a, err != nil
-		case OpFree:
-			if op.Ref < 0 || op.Ref >= i {
-				return nil, fmt.Errorf("crashmc: op %d: bad free ref %d", i, op.Ref)
-			}
-			target := rec.Ops[op.Ref]
-			if target.Err || target.Addr == 0 {
-				or.Err = true // the alloc failed; nothing to free
-				break
-			}
-			or.Addr = target.Addr
-			or.Err = th.Free(target.Addr) != nil
-		case OpMallocTo:
+		or.Addr = ref.Addr
+		or.Err = th.Free(ref.Addr) != nil
+	case OpMallocTo:
+		a, err := th.MallocTo(h.RootSlot(op.Slot), op.Size)
+		or.Addr, or.Err = a, err != nil
+		if err == nil {
+			// Persist a data marker as part of the op window: if the
+			// publish and this flush are both durable at a boundary,
+			// the recovered block must still carry the marker.
+			or.Marker = marker
+			dev.WriteU64(a, marker)
+			c := th.Ctx()
+			c.Flush(pmem.CatOther, a, 8)
+			c.Fence()
+		}
+	case OpFreeFrom:
+		or.Err = th.FreeFrom(h.RootSlot(op.Slot)) != nil
+	case OpPublish:
+		a, err := th.Reserve(op.Size)
+		if err == nil {
+			// The marker is part of the reservation's fill: wherever
+			// the publish is found done, the block must carry it.
+			or.Marker = marker
+			dev.WriteU64(a, marker)
+			th.Ctx().Flush(pmem.CatOther, a, 8)
 			slot := h.RootSlot(op.Slot)
-			a, err := th.MallocTo(slot, op.Size)
-			or.Addr, or.Err = a, err != nil
-			if err == nil {
-				// Persist a data marker as part of the op window: if the
-				// publish and this flush are both durable at a boundary,
-				// the recovered block must still carry the marker.
-				or.Marker = markerFor(i)
-				dev.WriteU64(a, or.Marker)
-				c := th.Ctx()
-				c.Flush(pmem.CatOther, a, 8)
-				c.Fence()
-			}
-		case OpFreeFrom:
-			or.Err = th.FreeFrom(h.RootSlot(op.Slot)) != nil
-		case OpPublish:
-			a, err := th.Reserve(op.Size)
-			if err == nil {
-				// The marker is part of the reservation's fill: wherever
-				// the publish is found done, the block must carry it.
-				or.Marker = markerFor(i)
-				dev.WriteU64(a, or.Marker)
-				th.Ctx().Flush(pmem.CatOther, a, 8)
-				slot := h.RootSlot(op.Slot)
-				if err = th.Publish(slot, a, pmem.PAddr(dev.ReadU64(slot))); err != nil {
-					_ = th.Unreserve(a) // the publish error is what the record keeps
-				}
-			}
-			or.Addr, or.Err = a, err != nil
-		case OpFlush:
-			if f, ok := th.(alloc.Flusher); ok {
-				f.Flush()
-			}
-		default:
-			return nil, fmt.Errorf("crashmc: op %d: unknown kind %v", i, op.Kind)
-		}
-		or.FlushEnd = dev.JournalLen()
-		or.UsedAfter = h.Used()
-		if or.UsedAfter > rec.MaxUsed {
-			rec.MaxUsed = or.UsedAfter
-		}
-		if lo, ok := h.(interface{ LeaseOverhead() uint64 }); ok {
-			if v := lo.LeaseOverhead(); v > rec.MaxLease {
-				rec.MaxLease = v
+			if err = th.Publish(slot, a, pmem.PAddr(dev.ReadU64(slot))); err != nil {
+				_ = th.Unreserve(a) // the publish error is what the record keeps
 			}
 		}
-		if opts.Probe != nil {
-			or.Probe = opts.Probe(h)
+		or.Addr, or.Err = a, err != nil
+	case OpFlush:
+		if f, ok := th.(alloc.Flusher); ok {
+			f.Flush()
 		}
-		rec.Ops = append(rec.Ops, or)
+	default:
+		panic(fmt.Sprintf("crashmc: exec of unchecked op kind %v", op.Kind))
 	}
+	or.FlushEnd = dev.JournalLen()
+	or.UsedAfter = h.Used()
+	s.rec.MaxUsed = max(s.rec.MaxUsed, or.UsedAfter)
+	if lo, ok := h.(interface{ LeaseOverhead() uint64 }); ok {
+		s.rec.MaxLease = max(s.rec.MaxLease, lo.LeaseOverhead())
+	}
+	if probe := s.rec.opts.Probe; probe != nil {
+		or.Probe = probe(h)
+	}
+	return or
+}
 
+// close shuts the heap down — thread drains, then Close — and completes
+// the recording with the device's journal.
+func (s *session) close(threads []alloc.Thread) (*Recording, error) {
+	rec, dev := s.rec, s.rec.Dev
 	rec.CloseStart = dev.JournalLen()
 	for _, th := range threads {
 		if th != nil {
 			th.Close()
 		}
 	}
-	if err := h.Close(); err != nil {
-		return nil, fmt.Errorf("crashmc: close %s: %w", tg.Name, err)
+	if err := s.h.Close(); err != nil {
+		return nil, fmt.Errorf("crashmc: close %s: %w", rec.Target.Name, err)
 	}
 	rec.Journal = dev.JournalSnapshot()
-	rec.JournalBase = dev.JournalBase()
-	rec.BaseImage = dev.JournalCheckpoint()
 	return rec, nil
+}
+
+// Record executes tr against a fresh heap of tg on a journaled strict
+// device and captures the flush journal plus per-op windows. The trace
+// runs on a single goroutine (thread handles are used serially), so the
+// journal — and therefore every enumerated crash image — is
+// deterministic.
+func Record(tg torture.Target, tr Trace, opts RecordOptions) (*Recording, error) {
+	return runOn(newDevice(opts, nil), tg, tr, opts)
+}
+
+// runOn is Record on a device the caller made: a journaled one with a
+// flush hook for the cache-image cut, or one armed to lose power, for
+// the test that holds the journal's images to the device's own.
+func runOn(dev *pmem.Device, tg torture.Target, tr Trace, opts RecordOptions) (*Recording, error) {
+	s, err := open(dev, tg, tr, "", opts)
+	if err != nil {
+		return nil, err
+	}
+	threads := make([]alloc.Thread, max(tr.Threads, 1))
+	if err := s.serial(tr.Ops, threads); err != nil {
+		return nil, err
+	}
+	return s.close(threads)
+}
+
+// serial runs ops in order, each on the handle its Thread names (created on
+// first use), and appends their records: the whole of a serial trace, the
+// setup prologue of a scheduled one. An OpFree's Ref indexes ops.
+func (s *session) serial(ops []Op, threads []alloc.Thread) error {
+	rec := s.rec
+	for i, op := range ops {
+		if !op.Kind.known() {
+			return fmt.Errorf("crashmc: op %d: unknown kind %v", i, op.Kind)
+		}
+		if op.Thread < 0 || op.Thread >= len(threads) {
+			return fmt.Errorf("crashmc: op %d: thread %d out of range", i, op.Thread)
+		}
+		var ref *OpRecord
+		if op.Kind == OpFree {
+			if op.Ref < 0 || op.Ref >= i {
+				return fmt.Errorf("crashmc: op %d: bad free ref %d", i, op.Ref)
+			}
+			ref = &rec.Ops[op.Ref]
+		}
+		if threads[op.Thread] == nil {
+			threads[op.Thread] = s.h.NewThread()
+		}
+		rec.Ops = append(rec.Ops, s.exec(threads[op.Thread], op, markerFor(i), ref))
+	}
+	return nil
 }

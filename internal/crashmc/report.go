@@ -2,7 +2,6 @@ package crashmc
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
 	"nvalloc/internal/core"
@@ -16,10 +15,10 @@ import (
 // class, line and (thread, schedule step) stamp.
 type Violation struct {
 	Boundary int
-	Torn     bool
-	// Cache: the image was the cache image as the boundary's in-flight
-	// flush completed (VerifyCacheCuts), not the media image.
-	Cache  bool
+	// Cut is the kind of cut that made the image, stamped by the sweep;
+	// Torn marks a power cut's torn-line variant.
+	Cut    Cut
+	Torn   bool
 	Detail string
 	// Schedule is Recording.Sched ("" for single-threaded recordings).
 	Schedule string
@@ -34,10 +33,12 @@ type Violation struct {
 
 func (v Violation) String() string {
 	t := ""
-	if v.Torn {
+	switch {
+	case v.Torn:
 		t = " (torn)"
-	}
-	if v.Cache {
+	case v.Cut == RecoveryCut:
+		t = " (second crash inside its recovery)"
+	case v.Cut == CacheCut:
 		t = " (cache image after the in-flight flush)"
 	}
 	s := fmt.Sprintf("boundary %d%s", v.Boundary, t)
@@ -50,22 +51,20 @@ func (v Violation) String() string {
 	return s + ": " + v.Detail
 }
 
-// Report summarizes one enumeration run over one recording.
+// Report summarizes one sweep over one recording — or, embedded in a
+// ConcReport, every sweep of one concurrent family's enumeration.
 type Report struct {
 	Target string
 	Trace  string
-	// Boundaries is the recording's total persistence-boundary count;
-	// Explored is how many this run verified (== Boundaries at stride 1
-	// with no caps: 100% coverage).
+	Cut    Cut
+	// Boundaries is how many images there were to take (see Sweep);
+	// Explored is how many this run verified (== Boundaries with no caps:
+	// 100% coverage).
 	Boundaries int
 	Explored   int
 	// TornExplored counts torn-line variants verified on top of the
 	// clean-cut images.
 	TornExplored int
-	// OpenFailures counts boundaries before CreatedAt where recovery
-	// refused the image with a typed error (allowed: the heap did not
-	// exist yet).
-	OpenFailures int
 	// Checks counts offline consistency-checker (Target.Check) runs.
 	Checks int
 	// ViolationCount is the total number of violations; Violations holds
@@ -82,16 +81,12 @@ type Report struct {
 	Paths map[string]int
 }
 
-// newReport returns an empty report for an enumeration of rec; sweep names
-// the kind of cut when it is not Verify's ("recovery-crash", "cache-cut").
-func (rec *Recording) newReport(sweep string) *Report {
-	trace := rec.Trace.Name
-	if sweep != "" {
-		trace += "/" + sweep
-	}
+// newReport returns an empty report of target's recovery on trace.
+func newReport(target, trace string, cut Cut) *Report {
 	return &Report{
-		Target:      rec.Target.Name,
+		Target:      target,
 		Trace:       trace,
+		Cut:         cut,
 		Classes:     map[string]int{},
 		TornClasses: map[string]int{},
 		Paths:       map[string]int{},
@@ -121,9 +116,9 @@ func (r *Report) addViolation(v Violation) {
 }
 
 func (r *Report) merge(o *Report) {
+	r.Boundaries += o.Boundaries
 	r.Explored += o.Explored
 	r.TornExplored += o.TornExplored
-	r.OpenFailures += o.OpenFailures
 	r.Checks += o.Checks
 	r.ViolationCount += o.ViolationCount
 	for _, v := range o.Violations {
@@ -142,20 +137,10 @@ func (r *Report) merge(o *Report) {
 	}
 }
 
-// ClassNames returns the explored line classes in sorted order.
-func (r *Report) ClassNames() []string {
-	out := make([]string, 0, len(r.Classes))
-	for k := range r.Classes {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
-}
-
 func (r *Report) String() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "%s/%s: %d/%d boundaries (%.1f%%), %d torn, %d paths, %d checks, %d violations",
-		r.Target, r.Trace, r.Explored, r.Boundaries, 100*r.Coverage(),
+	fmt.Fprintf(&b, "%s/%s %s: %d/%d boundaries (%.1f%%), %d torn, %d paths, %d checks, %d violations",
+		r.Target, r.Trace, r.Cut, r.Explored, r.Boundaries, 100*r.Coverage(),
 		r.TornExplored, len(r.Paths), r.Checks, r.ViolationCount)
 	for _, v := range r.Violations {
 		fmt.Fprintf(&b, "\n  %s", v)
@@ -241,37 +226,16 @@ func (rec *Recording) phase(k int) string {
 	if k >= rec.CloseStart {
 		return "close"
 	}
-	if rec.Sched != "" {
-		// Schedule-aware recording: windows overlap, so collect the full
-		// in-flight set (FlushStart is not monotone; scan everything).
-		var joined string
-		for i := range rec.Ops {
-			or := &rec.Ops[i]
-			if or.FlushStart < k && k < or.FlushEnd {
-				if joined != "" {
-					joined += "+"
-				}
-				joined += or.Op.Kind.String()
-			}
-		}
-		if joined == "" {
-			return "quiescent"
-		}
-		return joined
-	}
-	// Ops are in trace order with non-overlapping windows; find the op
-	// whose window contains k.
-	lo, hi := 0, len(rec.Ops)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if rec.Ops[mid].FlushEnd <= k {
-			lo = mid + 1
-		} else {
-			hi = mid
+	// Under a schedule windows overlap and FlushStart is not monotone, so
+	// scan everything; a serial recording has at most one op in flight.
+	var kinds []string
+	for i := range rec.Ops {
+		if or := &rec.Ops[i]; or.FlushStart < k && k < or.FlushEnd {
+			kinds = append(kinds, or.Op.Kind.String())
 		}
 	}
-	if lo < len(rec.Ops) && rec.Ops[lo].FlushStart < k && k < rec.Ops[lo].FlushEnd {
-		return rec.Ops[lo].Op.Kind.String()
+	if len(kinds) == 0 {
+		return "quiescent"
 	}
-	return "quiescent"
+	return strings.Join(kinds, "+")
 }

@@ -6,23 +6,21 @@ import (
 	"hash/fnv"
 	"os"
 	"path/filepath"
+	"strings"
 )
 
 // Repro is a self-contained, JSON-serializable reproduction recipe for
 // an oracle violation: everything needed to rebuild the exact crash
 // image — the target, the trace identity (name or generator seed), the
-// schedule key, and the violating boundaries with their flush-delta
-// provenance. Harnesses write one per failing report instead of burying
-// the coordinates in a test log.
+// torn seed, and the violating boundaries with their kind of cut,
+// schedule key and flush-delta provenance. Harnesses write one per
+// failing report instead of burying the coordinates in a test log.
 type Repro struct {
 	Target string `json:"target"`
 	Trace  string `json:"trace"`
 	// Seed regenerates a seeded trace (SmokeTrace/WorkloadTrace/
 	// ConcFamilies); 0 for hand-built traces identified by name alone.
 	Seed uint64 `json:"seed,omitempty"`
-	// Schedule is the interleaving key (Schedule.Key) for multi-threaded
-	// recordings; "" means single-threaded.
-	Schedule string `json:"schedule,omitempty"`
 	// TornSeed reproduces torn-line word masks.
 	TornSeed   uint64      `json:"torn_seed,omitempty"`
 	Violations []Violation `json:"violations"`
@@ -60,21 +58,10 @@ func WriteRepro(dir string, r *Repro) (string, error) {
 	return path, nil
 }
 
-// ReproFromReport builds a Repro from a failed single-recording report.
-func ReproFromReport(rec *Recording, rep *Report, seed, tornSeed uint64) *Repro {
-	return &Repro{
-		Target:     rec.Target.Name,
-		Trace:      rec.Trace.Name,
-		Seed:       seed,
-		Schedule:   rec.Sched,
-		TornSeed:   tornSeed,
-		Violations: rep.Violations,
-	}
-}
-
-// ReproFromConc builds a Repro from a failed family enumeration; each
-// violation already carries its own schedule key.
-func ReproFromConc(rep *ConcReport, seed, tornSeed uint64) *Repro {
+// NewRepro builds a Repro from a failed report — one sweep's, or a
+// concurrent family's enumeration; each violation carries the schedule
+// key it was found under.
+func NewRepro(rep *Report, seed, tornSeed uint64) *Repro {
 	return &Repro{
 		Target:     rep.Target,
 		Trace:      rep.Trace,
@@ -85,15 +72,10 @@ func ReproFromConc(rep *ConcReport, seed, tornSeed uint64) *Repro {
 }
 
 func sanitize(s string) string {
-	out := make([]byte, 0, len(s))
-	for i := 0; i < len(s); i++ {
-		c := s[i]
-		switch {
-		case c >= 'a' && c <= 'z', c >= 'A' && c <= 'Z', c >= '0' && c <= '9', c == '-', c == '_':
-			out = append(out, c)
-		default:
-			out = append(out, '_')
+	return strings.Map(func(c rune) rune {
+		if c >= 'a' && c <= 'z' || c >= 'A' && c <= 'Z' || c >= '0' && c <= '9' || c == '-' || c == '_' {
+			return c
 		}
-	}
-	return string(out)
+		return '_'
+	}, s)
 }

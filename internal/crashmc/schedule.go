@@ -101,13 +101,9 @@ func (o *OpSite) addRes(r *pmem.Resource) {
 // per-op scheduling metadata the DPOR enumerator consumes.
 type ConcRecording struct {
 	*Recording
-	Conc     ConcTrace
-	Schedule Schedule
 	// Meta[t][j] is thread t's op j's footprint; Meta[t][j].RecIdx maps
 	// it back into Recording.Ops (completion order).
 	Meta [][]OpSite
-	// SetupIdx[i] is Setup[i]'s index in Recording.Ops.
-	SetupIdx []int
 	// Steps is the total global yield-step count of the scheduled phase.
 	Steps int32
 }
@@ -122,11 +118,7 @@ func (cr *ConcRecording) Lines(t, j int) map[uint64]bool {
 	}
 	or := &cr.Ops[site.RecIdx]
 	lines := map[uint64]bool{}
-	for k := or.FlushStart; k < or.FlushEnd; k++ {
-		if k < cr.JournalBase || k-cr.JournalBase >= len(cr.Journal) {
-			continue
-		}
-		fd := &cr.Journal[k-cr.JournalBase]
+	for _, fd := range cr.Journal[or.FlushStart:or.FlushEnd] {
 		if fd.Thread == int32(t+1) {
 			lines[fd.Line] = true
 		}
@@ -146,7 +138,6 @@ const racedMarkerSpace = 4096
 type scheduler struct {
 	sched  Schedule
 	tokens []chan struct{}
-	cur    int
 	done   []bool
 	nDone  int
 	finish chan struct{}
@@ -218,7 +209,6 @@ func (s *scheduler) Yield(c *pmem.Ctx, p pmem.SchedPoint, r *pmem.Resource, swit
 // pass hands the token to thread `to` and blocks until it comes back to
 // `from`.
 func (s *scheduler) pass(from, to int) {
-	s.cur = to
 	s.tokens[to] <- struct{}{}
 	<-s.tokens[from]
 }
@@ -262,7 +252,6 @@ func (s *scheduler) exit(t int) {
 		// The split target ran out of ops before UntilOp: resume the
 		// preempted thread.
 		s.preempting = false
-		s.cur = s.preempted
 		s.tokens[s.preempted] <- struct{}{}
 		return
 	}
@@ -271,7 +260,6 @@ func (s *scheduler) exit(t int) {
 		return
 	}
 	next := s.nextThread(t)
-	s.cur = next
 	s.tokens[next] <- struct{}{}
 }
 
@@ -287,98 +275,31 @@ func (s *scheduler) abort(v any) {
 // created serially before the scheduler starts, so arena binding — and
 // therefore the whole recording — is deterministic in (tg, ct, sched).
 func ConcRecord(tg torture.Target, ct ConcTrace, sched Schedule, opts RecordOptions) (*ConcRecording, error) {
-	if opts.DeviceBytes == 0 {
-		opts.DeviceBytes = DefaultDeviceBytes
-	}
 	n := len(ct.Threads)
 	if n == 0 {
 		return nil, fmt.Errorf("crashmc: conc trace %q has no threads", ct.Name)
 	}
-	dev := pmem.New(pmem.Config{
-		Size: opts.DeviceBytes, Strict: true, Journal: true,
-		JournalCheckpointEvery: opts.JournalCheckpointEvery,
-	})
-	h, err := tg.Create(dev)
+	for t, ops := range ct.Threads {
+		for j, op := range ops {
+			if !op.Kind.known() {
+				return nil, fmt.Errorf("crashmc: thread %d op %d: unknown kind %v", t, j, op.Kind)
+			}
+		}
+	}
+	ss, err := open(newDevice(opts, nil), tg, Trace{Name: ct.Name, Threads: n}, sched.Key(), opts)
 	if err != nil {
-		return nil, fmt.Errorf("crashmc: create %s: %w", tg.Name, err)
+		return nil, err
 	}
-	rec := &Recording{
-		Target:      tg,
-		Trace:       Trace{Name: ct.Name, Threads: n},
-		DeviceBytes: opts.DeviceBytes,
-		CreatedAt:   dev.JournalLen(),
-		Dev:         dev,
-		Sched:       sched.Key(),
-	}
+	rec := ss.rec
 	threads := make([]alloc.Thread, n)
 	for t := range threads {
-		threads[t] = h.NewThread()
+		threads[t] = ss.h.NewThread()
 	}
 
-	exec := func(th alloc.Thread, op Op, marker uint64, refAddr pmem.PAddr, refOK bool) OpRecord {
-		or := OpRecord{Op: op, FlushStart: dev.JournalLen()}
-		switch op.Kind {
-		case OpMalloc:
-			a, err := th.Malloc(op.Size)
-			or.Addr, or.Err = a, err != nil
-		case OpFree:
-			if !refOK || refAddr == 0 {
-				or.Err = true
-				break
-			}
-			or.Addr = refAddr
-			or.Err = th.Free(refAddr) != nil
-		case OpMallocTo:
-			a, err := th.MallocTo(h.RootSlot(op.Slot), op.Size)
-			or.Addr, or.Err = a, err != nil
-			if err == nil {
-				or.Marker = marker
-				dev.WriteU64(a, marker)
-				c := th.Ctx()
-				c.Flush(pmem.CatOther, a, 8)
-				c.Fence()
-			}
-		case OpFreeFrom:
-			or.Err = th.FreeFrom(h.RootSlot(op.Slot)) != nil
-		case OpFlush:
-			if f, ok := th.(alloc.Flusher); ok {
-				f.Flush()
-			}
-		}
-		or.FlushEnd = dev.JournalLen()
-		or.UsedAfter = h.Used()
-		if or.UsedAfter > rec.MaxUsed {
-			rec.MaxUsed = or.UsedAfter
-		}
-		if lo, ok := h.(interface{ LeaseOverhead() uint64 }); ok {
-			if v := lo.LeaseOverhead(); v > rec.MaxLease {
-				rec.MaxLease = v
-			}
-		}
-		if opts.Probe != nil {
-			or.Probe = opts.Probe(h)
-		}
-		return or
-	}
-
-	// Serial setup prologue: plain Record semantics.
-	setupIdx := make([]int, len(ct.Setup))
-	for i, op := range ct.Setup {
-		if op.Thread < 0 || op.Thread >= n {
-			return nil, fmt.Errorf("crashmc: setup op %d: thread %d out of range", i, op.Thread)
-		}
-		var refAddr pmem.PAddr
-		refOK := true
-		if op.Kind == OpFree {
-			if op.Ref < 0 || op.Ref >= i {
-				return nil, fmt.Errorf("crashmc: setup op %d: bad free ref %d", i, op.Ref)
-			}
-			tr := &rec.Ops[setupIdx[op.Ref]]
-			refAddr, refOK = tr.Addr, !tr.Err
-		}
-		or := exec(threads[op.Thread], op, markerFor(i), refAddr, refOK)
-		setupIdx[i] = len(rec.Ops)
-		rec.Ops = append(rec.Ops, or)
+	// Serial setup prologue: plain Record semantics. Its records are the
+	// recording's first, so Setup[i] is rec.Ops[i].
+	if err := ss.serial(ct.Setup, threads); err != nil {
+		return nil, err
 	}
 
 	// Scheduled phase. The token serializes every worker: rec and the
@@ -403,28 +324,21 @@ func ConcRecord(tg torture.Target, ct ConcTrace, sched Schedule, opts RecordOpti
 			<-s.tokens[t]
 			for j, op := range ops {
 				s.curOp[t] = j
-				var refAddr pmem.PAddr
-				refOK := true
+				// A ref that is out of range, or not completed under this
+				// schedule, stays nil: a deterministic skip, not a block.
+				var ref *OpRecord
 				if op.Kind == OpFree {
 					switch {
 					case op.Thread < 0:
-						if op.Ref >= 0 && op.Ref < len(setupIdx) {
-							tr := &rec.Ops[setupIdx[op.Ref]]
-							refAddr, refOK = tr.Addr, !tr.Err
-						} else {
-							refOK = false
+						if op.Ref >= 0 && op.Ref < len(ct.Setup) {
+							ref = &rec.Ops[op.Ref]
 						}
 					case op.Thread < n && op.Ref >= 0 && op.Ref < len(s.meta[op.Thread]) &&
 						s.meta[op.Thread][op.Ref].RecIdx >= 0:
-						tr := &rec.Ops[s.meta[op.Thread][op.Ref].RecIdx]
-						refAddr, refOK = tr.Addr, !tr.Err
-					default:
-						// Cross-thread ref not completed under this schedule:
-						// deterministic skip, not a block.
-						refOK = false
+						ref = &rec.Ops[s.meta[op.Thread][op.Ref].RecIdx]
 					}
 				}
-				or := exec(threads[t], op, markerFor(racedMarkerSpace*(t+1)+j), refAddr, refOK)
+				or := ss.exec(threads[t], op, markerFor(racedMarkerSpace*(t+1)+j), ref)
 				s.meta[t][j].RecIdx = len(rec.Ops)
 				rec.Ops = append(rec.Ops, or)
 				s.afterOp(t)
@@ -433,7 +347,6 @@ func ConcRecord(tg torture.Target, ct ConcTrace, sched Schedule, opts RecordOpti
 			s.exit(t)
 		}(t, ct.Threads[t])
 	}
-	s.cur = 0
 	s.tokens[0] <- struct{}{}
 	<-s.finish
 	if s.fail != nil {
@@ -443,22 +356,8 @@ func ConcRecord(tg torture.Target, ct ConcTrace, sched Schedule, opts RecordOpti
 		threads[t].Ctx().SetSchedHook(nil)
 	}
 
-	rec.CloseStart = dev.JournalLen()
-	for _, th := range threads {
-		th.Close()
+	if _, err := ss.close(threads); err != nil {
+		return nil, err
 	}
-	if err := h.Close(); err != nil {
-		return nil, fmt.Errorf("crashmc: close %s: %w", tg.Name, err)
-	}
-	rec.Journal = dev.JournalSnapshot()
-	rec.JournalBase = dev.JournalBase()
-	rec.BaseImage = dev.JournalCheckpoint()
-	return &ConcRecording{
-		Recording: rec,
-		Conc:      ct,
-		Schedule:  sched,
-		Meta:      s.meta,
-		SetupIdx:  setupIdx,
-		Steps:     s.step,
-	}, nil
+	return &ConcRecording{Recording: rec, Meta: s.meta, Steps: s.step}, nil
 }

@@ -139,7 +139,7 @@ func TestConcFamiliesEnumerate(t *testing.T) {
 				if p := rep.Pruning(); p < 0.5 {
 					t.Errorf("%s: DPOR pruned only %.0f%% of naive schedule space, want >= 50%%", ct.Name, 100*p)
 				}
-				checkConcReport(t, rep, 42, opt.TornSeed)
+				checkReport(t, &rep.Report, 42, opt.TornSeed)
 			}
 		})
 	}

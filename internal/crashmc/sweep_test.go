@@ -92,9 +92,9 @@ func TestCrashSweepVariants(t *testing.T) {
 			if testing.Short() {
 				cfg.MaxBoundaries = 100
 			}
-			rep := Verify(rec, cfg)
+			rep := Sweep(rec, PowerCut, nil, cfg)
 			t.Logf("%s", rep)
-			checkReport(t, rec, rep, 400, cfg.TornSeed)
+			checkReport(t, rep, 400, cfg.TornSeed)
 		})
 	}
 }
@@ -155,9 +155,9 @@ func TestCrashSweepShardedBookkeeping(t *testing.T) {
 	if testing.Short() {
 		cfg.MaxBoundaries = 100
 	}
-	rep := Verify(rec, cfg)
+	rep := Sweep(rec, PowerCut, nil, cfg)
 	t.Logf("%s", rep)
-	checkReport(t, rec, rep, 15, cfg.TornSeed)
+	checkReport(t, rep, 15, cfg.TornSeed)
 }
 
 // shardsTrace is the shard-heavy mix from the retired extent-cache crash
@@ -194,9 +194,9 @@ func TestCrashSweepShards(t *testing.T) {
 	if testing.Short() {
 		cfg.MaxBoundaries = 80
 	}
-	rep := Verify(rec, cfg)
+	rep := Sweep(rec, PowerCut, nil, cfg)
 	t.Logf("%s", rep)
-	checkReport(t, rec, rep, 60, cfg.TornSeed)
+	checkReport(t, rep, 60, cfg.TornSeed)
 }
 
 // TestDoubleCrashDuringRecovery ports the retired double-crash test to
@@ -301,7 +301,7 @@ func TestRemoteFreeCrashMidDrainRecoversPrefix(t *testing.T) {
 	if testing.Short() {
 		cfg.MaxBoundaries = 80
 	}
-	rep := Verify(rec, cfg)
+	rep := Sweep(rec, PowerCut, nil, cfg)
 	t.Logf("%s", rep)
-	checkReport(t, rec, rep, 0, cfg.TornSeed)
+	checkReport(t, rep, 0, cfg.TornSeed)
 }

@@ -26,20 +26,15 @@ const (
 	OpPublish
 )
 
+var opNames = [...]string{"malloc", "free", "malloc_to", "free_from", "flush", "publish"}
+
+// known reports whether k is a kind the executor runs; both recorders
+// refuse a trace that holds any other.
+func (k OpKind) known() bool { return k >= 0 && int(k) < len(opNames) }
+
 func (k OpKind) String() string {
-	switch k {
-	case OpMalloc:
-		return "malloc"
-	case OpFree:
-		return "free"
-	case OpMallocTo:
-		return "malloc_to"
-	case OpFreeFrom:
-		return "free_from"
-	case OpFlush:
-		return "flush"
-	case OpPublish:
-		return "publish"
+	if k.known() {
+		return opNames[k]
 	}
 	return fmt.Sprintf("OpKind(%d)", int(k))
 }
@@ -61,6 +56,28 @@ type Trace struct {
 	Name    string
 	Threads int
 	Ops     []Op
+}
+
+// add appends op and returns its index, for a later OpFree's Ref.
+func (tr *Trace) add(op Op) int {
+	tr.Ops = append(tr.Ops, op)
+	return len(tr.Ops) - 1
+}
+
+// mallocs appends n anonymous allocations of size by thread th and returns
+// their indices; frees appends thread th's frees of refs.
+func (tr *Trace) mallocs(th, n int, size uint64) []int {
+	refs := make([]int, n)
+	for i := range refs {
+		refs[i] = tr.add(Op{Kind: OpMalloc, Thread: th, Size: size})
+	}
+	return refs
+}
+
+func (tr *Trace) frees(th int, refs []int) {
+	for _, r := range refs {
+		tr.add(Op{Kind: OpFree, Thread: th, Ref: r})
+	}
 }
 
 // splitmix64 mirrors the device's deterministic mixer so trace
@@ -85,10 +102,7 @@ func (s *splitmix64) next() uint64 {
 func SmokeTrace(seed uint64) Trace {
 	rng := splitmix64(seed)
 	tr := Trace{Name: "smoke", Threads: 2}
-	add := func(op Op) int {
-		tr.Ops = append(tr.Ops, op)
-		return len(tr.Ops) - 1
-	}
+	add := tr.add
 	sizes := []uint64{64, 112, 256, 768, 2048}
 
 	// Publish roots 0..15 with markers.
@@ -170,10 +184,7 @@ func SmokeTrace(seed uint64) Trace {
 func FenceElisionTrace(seed uint64) Trace {
 	rng := splitmix64(seed)
 	tr := Trace{Name: "fence-elision", Threads: 2}
-	add := func(op Op) int {
-		tr.Ops = append(tr.Ops, op)
-		return len(tr.Ops) - 1
-	}
+	add := tr.add
 	// Three small classes spread commits across bitmap stripes and slab
 	// geometries without inflating the boundary count.
 	sizes := []uint64{64, 192, 512}
@@ -236,10 +247,7 @@ func FenceElisionTrace(seed uint64) Trace {
 func WorkloadTrace(seed uint64, n int) Trace {
 	rng := splitmix64(seed)
 	tr := Trace{Name: fmt.Sprintf("workload-%#x", seed), Threads: 2}
-	add := func(op Op) int {
-		tr.Ops = append(tr.Ops, op)
-		return len(tr.Ops) - 1
-	}
+	add := tr.add
 	const slots = 24
 	occupied := make([]bool, slots)
 	var live []int

@@ -1,10 +1,6 @@
 package crashmc
 
 import (
-	"errors"
-	"fmt"
-	"runtime"
-
 	"nvalloc/internal/alloc"
 	"nvalloc/internal/core"
 	"nvalloc/internal/pmem"
@@ -58,26 +54,11 @@ func writeBackOptions() core.Options {
 //     the old class just before and in the new class just after.
 func WriteBackTrace() Trace {
 	tr := Trace{Name: "write-back", Threads: 2}
-	add := func(op Op) int {
-		tr.Ops = append(tr.Ops, op)
-		return len(tr.Ops) - 1
-	}
+	add, mallocs, frees := tr.add, tr.mallocs, tr.frees
 	slot := 0
 	publish := func(th int, size uint64) {
 		add(Op{Kind: OpMallocTo, Thread: th, Slot: slot, Size: size})
 		slot++
-	}
-	mallocs := func(th, n int, size uint64) []int {
-		refs := make([]int, n)
-		for i := range refs {
-			refs[i] = add(Op{Kind: OpMalloc, Thread: th, Size: size})
-		}
-		return refs
-	}
-	frees := func(th int, refs []int) {
-		for _, r := range refs {
-			add(Op{Kind: OpFree, Thread: th, Ref: r})
-		}
 	}
 
 	// Thread 0 binds arena 0, thread 1 arena 1.
@@ -139,32 +120,6 @@ func WriteBackTrace() Trace {
 	return tr
 }
 
-// RecordWriteBack records WriteBackTrace on WriteBackTarget, sampling the
-// heap's morph counter after every op.
-func RecordWriteBack() (*Recording, error) {
-	return Record(WriteBackTarget(), WriteBackTrace(), RecordOptions{
-		Probe: func(h alloc.Heap) uint64 {
-			morphs, _ := h.(*core.Heap).MorphStats()
-			return morphs
-		},
-	})
-}
-
-// WriteBackShape counts, in a write-back recording, the events the family
-// exists to put crash boundaries around. A trace or geometry change that
-// loses one of them must fail loudly, not thin the coverage silently.
-type WriteBackShape struct {
-	// CheckpointMoves is the number of checkpoint-word flushes before
-	// shutdown: ring wraps, each preceded by a write-back.
-	CheckpointMoves int
-	// Morphs is the heap's morph count at the end of the trace.
-	Morphs int
-	// ForeignReformats counts slab bases one thread's allocations came
-	// from and, later, the other thread's in the same class did: a release
-	// by one arena and a re-format by the other.
-	ForeignReformats int
-}
-
 // checkpointMoves returns the boundary of every checkpoint-word flush the
 // trace (not Create, not shutdown) issued: boundary m is the image in
 // which the move's write-back is on media and the word is not.
@@ -179,7 +134,7 @@ func (rec *Recording) checkpointMoves() []int {
 	}
 	var moves []int
 	for k := rec.CreatedAt; k < rec.CloseStart; k++ {
-		a := pmem.PAddr(rec.Journal[k-rec.JournalBase].Line * pmem.LineSize)
+		a := pmem.PAddr(rec.Journal[k].Line * pmem.LineSize)
 		if a >= wal.Start && a < wal.End && (a-wal.Start)%ring == 0 {
 			moves = append(moves, k)
 		}
@@ -196,7 +151,7 @@ func (rec *Recording) WriteBackStarts() []int {
 	var ks []int
 	for _, m := range rec.checkpointMoves() {
 		k := m
-		for k > rec.CreatedAt && cl.classify(&rec.Journal[k-1-rec.JournalBase]) == "bitmap-stripe" {
+		for k > rec.CreatedAt && cl.classify(&rec.Journal[k-1]) == "bitmap-stripe" {
 			k--
 		}
 		ks = append(ks, k)
@@ -204,9 +159,14 @@ func (rec *Recording) WriteBackStarts() []int {
 	return ks
 }
 
-// WriteBackShape derives the shape counters of a RecordWriteBack recording.
-func (rec *Recording) WriteBackShape() WriteBackShape {
-	sh := WriteBackShape{CheckpointMoves: len(rec.checkpointMoves())}
+// writeBackShape counts, in a write-back recording, the events the family
+// exists to put crash boundaries around. A trace or geometry change that
+// loses one of them must fail loudly, not thin the coverage silently.
+func writeBackShape(rec *Recording, _ *Report) []Counter {
+	// foreign counts slab bases one thread's allocations came from and,
+	// later, the other thread's in the same class did: a release by one
+	// arena and a re-format by the other.
+	foreign := 0
 	type key struct {
 		base pmem.PAddr
 		size uint64
@@ -222,80 +182,28 @@ func (rec *Recording) WriteBackShape() WriteBackShape {
 			firstUser[k] = or.Op.Thread
 		} else if th != or.Op.Thread && !counted[k] {
 			counted[k] = true
-			sh.ForeignReformats++
+			foreign++
 		}
 	}
-	if n := len(rec.Ops); n > 0 {
-		sh.Morphs = int(rec.Ops[n-1].Probe)
+	return []Counter{
+		// Ring wraps, each preceded by a write-back: the rings must still
+		// wrap several times.
+		{Name: "checkpoint_moves", N: len(rec.checkpointMoves()), Min: 8},
+		{Name: "morphs", N: rec.lastProbe(), Min: 1},
+		{Name: "foreign_reformats", N: foreign, Min: 1},
 	}
-	return sh
 }
 
-// VerifyRecoveryCrashes is the double-crash sweep: for each boundary in
-// ks it takes the crash image, cuts power again after every flush the
-// recovery of that image issues — state word, replayed publishes, each
-// line of the write-back, the checkpoint word of each ring, the final
-// flags — and runs the full oracle on the second recovery. Explored
-// counts the (boundary, cut) pairs verified. Like Verify, it spreads
-// contiguous shares of ks over cfg.Pool when one is given.
-func VerifyRecoveryCrashes(rec *Recording, ks []int, cfg Config) *Report {
-	cfg = cfg.withDefaults(rec)
-	hist := slotHistory(rec)
-	cl := newClassifier(rec)
-	nChunk := 1
-	if cfg.Pool != nil {
-		nChunk = max(1, min(runtime.GOMAXPROCS(0), len(ks)))
+// morphCount is the Probe of the families whose shape counts slab morphs.
+func morphCount(h alloc.Heap) uint64 {
+	morphs, _ := h.(*core.Heap).MorphStats()
+	return morphs
+}
+
+// lastProbe is the Probe value after the trace's last op.
+func (rec *Recording) lastProbe() int {
+	if n := len(rec.Ops); n > 0 {
+		return int(rec.Ops[n-1].Probe)
 	}
-	parts := make([]*Report, nChunk)
-	run := func(ci int) {
-		part := rec.newReport("recovery-crash")
-		cursor := rec.newCursor()
-		scratch := pmem.New(pmem.Config{Size: rec.DeviceBytes, Strict: true})
-		for _, k := range ks[ci*len(ks)/nChunk : (ci+1)*len(ks)/nChunk] {
-			cursor.Advance(k)
-			class := "end-of-trace"
-			if k-rec.JournalBase < len(rec.Journal) {
-				class = cl.classify(&rec.Journal[k-rec.JournalBase])
-			}
-			// One uninterrupted recovery measures how many flushes there
-			// are to cut after.
-			cursor.MaterializeInto(scratch)
-			before := scratch.Stats().Flushes
-			if _, err := torture.OpenGuarded(rec.Target, scratch); err != nil {
-				part.addViolation(rec.violation(k, false, class, "recovery failed: "+err.Error()))
-				continue
-			}
-			cuts := int64(scratch.Stats().Flushes - before)
-			part.Boundaries += int(cuts)
-			for j := int64(0); j < cuts; j++ {
-				cursor.MaterializeInto(scratch)
-				scratch.CrashAfterFlushes(j)
-				if _, err := torture.OpenGuarded(rec.Target, scratch); err != nil {
-					var pe *torture.PanicError
-					if errors.As(err, &pe) {
-						part.addViolation(rec.violation(k, false, class, fmt.Sprintf("recovery cut after %d flushes panicked: %v", j, pe.Value)))
-						continue
-					}
-					// A typed failure of the interrupted run is fine: the
-					// media is intact and the second recovery must cope.
-				}
-				scratch.Crash()
-				part.Explored++
-				part.Paths[rec.phase(k)+"@"+class]++
-				verifyImage(rec, cfg, hist, part, scratch, k, false, class)
-			}
-		}
-		parts[ci] = part
-	}
-	if nChunk == 1 {
-		run(0)
-	} else {
-		cfg.Pool(nChunk, run)
-	}
-	report := rec.newReport("recovery-crash")
-	for _, part := range parts {
-		report.merge(part)
-		report.Boundaries += part.Boundaries
-	}
-	return report
+	return 0
 }

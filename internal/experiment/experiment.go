@@ -25,6 +25,11 @@ type Table struct {
 	// CSV holds optional raw series (e.g. Figure 2's flush scatter),
 	// keyed by series name.
 	CSV map[string][]string
+	// Notes are lines printed under the table: the verdict of a gate the
+	// experiment held the table to (crashmc: each row against the committed
+	// coverage baseline). Failures are the regressions among them: nvbench
+	// exits non-zero when a table has any.
+	Notes, Failures []string
 }
 
 // CSVRows renders the table as CSV lines (header + rows), for plotting.
@@ -72,6 +77,9 @@ func (t *Table) Print(w io.Writer) {
 	for _, r := range t.Rows {
 		line(r)
 	}
+	for _, n := range t.Notes {
+		fmt.Fprintln(w, "  "+n)
+	}
 }
 
 // Config parameterizes an experiment run.
@@ -96,9 +104,10 @@ type Config struct {
 	// how many of the planned schedules actually replay.
 	CrashMCSchedBudget int
 	// CrashMCBaselineOut, when non-empty, regenerates the crashmc
-	// coverage baseline at this path after the run — refused (nothing
-	// written, loud stderr message) if any record failed, any oracle
-	// violation occurred, or the run sampled instead of enumerating.
+	// coverage baseline at this path after the run, instead of gating the
+	// run against the committed one — refused (nothing written, loud
+	// stderr message) if any record failed, any oracle violation occurred,
+	// or the run sampled instead of enumerating.
 	CrashMCBaselineOut string
 }
 
