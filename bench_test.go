@@ -13,7 +13,6 @@ import (
 	"math/rand"
 	"strconv"
 	"strings"
-	"sync/atomic"
 	"testing"
 
 	"nvalloc/internal/alloc"
@@ -402,31 +401,6 @@ func BenchmarkRealMallocFreeClass(b *testing.B) {
 			}
 		})
 	}
-}
-
-// BenchmarkGoRuntimeParallel runs the same 64 B / 40 KiB mix on Go's own
-// allocator — the calibration ceiling for BenchmarkRealMallocFreeParallel
-// (Go persists nothing and keeps magazines per-P, so it bounds what a
-// heap that must track persistent metadata could ever reach).
-func BenchmarkGoRuntimeParallel(b *testing.B) {
-	var sink atomic.Uint64
-	b.ReportAllocs()
-	b.ResetTimer()
-	b.RunParallel(func(pb *testing.PB) {
-		i := 0
-		s := uint64(0)
-		for pb.Next() {
-			size := 64
-			if i%8 == 7 {
-				size = 40 << 10
-			}
-			i++
-			p := make([]byte, size)
-			p[0] = byte(i)
-			s += uint64(p[0])
-		}
-		sink.Add(s)
-	})
 }
 
 // BenchmarkRemoteFree measures the batched remote-free path: one thread

@@ -12,7 +12,7 @@
 //	    Drive the synthetic traffic engine (zipfian keys, per-user
 //	    sessions, burst phases) and report per-op latency percentiles.
 //
-//	nvkv smoke -users 1000000 -out BENCH_pr10.json
+//	nvkv smoke -users 1000000 -out nvkv_smoke.json
 //	    The self-contained crash drill: spawn a serve child on a heap
 //	    file, push traffic, kill -9 mid-burst, restart, measure
 //	    recovery time, and verify the acknowledged-durability oracle
@@ -312,7 +312,7 @@ func cmdSmoke(args []string) {
 	killFrac := fs.Float64("kill-at", 0.45, "kill -9 the server at this fraction of sessions")
 	killAfter := fs.Duration("kill-after", 10*time.Second, "kill deadline if the fraction is not reached")
 	dir := fs.String("dir", "", "working directory (default: a temp dir)")
-	out := fs.String("out", "BENCH_pr10.json", "JSON report path")
+	out := fs.String("out", "nvkv_smoke.json", "JSON report path")
 	fs.Parse(args)
 
 	self, err := os.Executable()

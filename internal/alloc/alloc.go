@@ -92,13 +92,5 @@ type Heap interface {
 	Close() error
 }
 
-// Recoverable is implemented by heaps that support post-crash recovery.
-type Recoverable interface {
-	// Recover rebuilds volatile metadata from the device's persistent
-	// image and resolves leaks per the allocator's consistency model.
-	// It returns the virtual nanoseconds the recovery consumed.
-	Recover() (int64, error)
-}
-
 // NumRootSlots is how many persistent root pointers every heap provides.
 const NumRootSlots = 64

@@ -150,6 +150,20 @@ var (
 	}
 )
 
+// Presets lists the five baselines in the order reports show them.
+var Presets = []Config{PMDK, NvmMalloc, PAllocator, Makalu, Ralloc}
+
+// Preset returns the baseline whose Config.Name is name: the one place a
+// name a table or a target carries turns into a configuration.
+func Preset(name string) (Config, bool) {
+	for _, cfg := range Presets {
+		if cfg.Name == name {
+			return cfg, true
+		}
+	}
+	return Config{}, false
+}
+
 // Superblock layout for baseline heaps (mirrors core's, minimal).
 const (
 	superBase = pmem.PAddr(4096)

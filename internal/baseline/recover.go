@@ -41,24 +41,16 @@ func validateSuper(dev pmem.Dev) error {
 }
 
 // MetaRanges returns the device regions holding checksummed or sealed
-// baseline metadata — superblock fields, the WAL rings and the header
-// lines of the first slabs — for fault-injection harnesses that
-// restrict bit flips to allocator metadata. The device must hold a
+// baseline metadata — the superblock fields but the heap break, and the WAL
+// rings but each one's newest entry (walog.Protected) — for fault-injection
+// harnesses that restrict bit flips to metadata in which a flip must be
+// detected. Slab headers are not among them: a magic and a class-range
+// check is all the modelled allocators give theirs. The device must hold a
 // valid superblock.
 func MetaRanges(dev pmem.Dev) []pmem.Range {
-	rs := []pmem.Range{{Start: superBase, End: superBase + sbRoots}}
+	rs := []pmem.Range{{Start: superBase, End: superBase + sbBreak}, {Start: superBase + sbBreak + 8, End: superBase + sbRoots}}
 	walBase := pmem.PAddr(dev.ReadU64(superBase + sbWALBase))
-	walSize := pmem.PAddr(dev.ReadU64(superBase + sbWALSize))
-	rs = append(rs, pmem.Range{Start: walBase, End: walBase + (maxArenas+1)*walSize})
-	heapBase := pmem.PAddr(dev.ReadU64(superBase + sbHeapBase))
-	for k := pmem.PAddr(0); k < 32; k++ {
-		base := heapBase + k*SlabSize
-		if uint64(base)+pmem.LineSize > dev.Size() {
-			break
-		}
-		rs = append(rs, pmem.Range{Start: base, End: base + pmem.LineSize})
-	}
-	return rs
+	return append(rs, walog.Protected(dev, walBase, maxArenas+1, walEntriesPerArena, 1)...)
 }
 
 // Open reopens a baseline heap, rebuilding volatile state and charging

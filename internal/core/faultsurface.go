@@ -41,20 +41,20 @@ func Regions(dev pmem.Dev) []Region {
 }
 
 // MetaRanges returns the device regions holding checksummed or sealed
-// NVAlloc metadata: the superblock fields, the WAL rings, the
-// bookkeeping-log header line and the header lines of the first slabs.
-// Fault-injection harnesses restrict bit flips to these ranges to
-// exercise the detection paths (a flip in plain object data is the
-// application's problem, not the allocator's). The device must hold a
-// valid superblock.
+// NVAlloc metadata: the superblock fields but the heap break (it moves at
+// run time, so no checksum covers it), the WAL rings but each one's newest
+// entry (walog.Protected), the bookkeeping-log header line and the header
+// lines of the first slabs. Fault-injection harnesses restrict bit flips
+// to these ranges to exercise the detection paths (a flip in plain object
+// data is the application's problem, not the allocator's). The device
+// must hold a valid superblock.
 func MetaRanges(dev pmem.Dev) []pmem.Range {
-	rs := []pmem.Range{{Start: superBase, End: superBase + sbRoots}}
+	rs := []pmem.Range{{Start: superBase, End: superBase + sbBreak}, {Start: superBase + sbBreak + 8, End: superBase + sbRoots}}
 	arenas := dev.ReadU64(superBase + sbArenas)
 	walEnts := int(dev.ReadU64(superBase + sbWALEnts))
 	stripes := int(dev.ReadU64(superBase + sbStripes))
 	walBase := pmem.PAddr(dev.ReadU64(superBase + sbWALBase))
-	region := pmem.PAddr(walog.RegionSize(walEnts, stripes))
-	rs = append(rs, pmem.Range{Start: walBase, End: walBase + pmem.PAddr(arenas)*region})
+	rs = append(rs, walog.Protected(dev, walBase, int(arenas), walEnts, stripes)...)
 	if dev.ReadU64(superBase+sbBookMode) == 1 {
 		blogBase := pmem.PAddr(dev.ReadU64(superBase + sbBlogBase))
 		rs = append(rs, pmem.Range{Start: blogBase, End: blogBase + pmem.LineSize})

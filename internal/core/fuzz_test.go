@@ -71,52 +71,3 @@ func FuzzHeapOps(f *testing.F) {
 		}
 	})
 }
-
-// FuzzCrashRecovery drives a short published-object workload, cuts power
-// at a fuzz-chosen flush count, and requires recovery to restore a
-// consistent heap for every variant.
-func FuzzCrashRecovery(f *testing.F) {
-	f.Add(uint16(3), byte(0))
-	f.Add(uint16(50), byte(1))
-	f.Add(uint16(400), byte(2))
-	f.Fuzz(func(t *testing.T, cut uint16, variantRaw byte) {
-		v := Variant(variantRaw % 3)
-		dev := pmem.New(pmem.Config{Size: 64 << 20, Strict: true})
-		opts := DefaultOptions(v)
-		opts.Arenas = 2
-		h, err := Create(dev, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		dev.CrashAfterFlushes(int64(cut%2000) + 1)
-		th := h.NewThread()
-		for i := 0; i < 300 && !dev.Crashed(); i++ {
-			slot := h.RootSlot(i % alloc.NumRootSlots)
-			if i%4 == 3 {
-				if dev.ReadU64(slot) != 0 {
-					_ = th.FreeFrom(slot)
-				}
-				continue
-			}
-			_, _ = th.MallocTo(slot, uint64(64+i%512))
-		}
-		th.Ctx().Merge()
-		dev.Crash()
-		h2, _, err := Open(dev, DefaultOptions(v))
-		if err != nil {
-			t.Fatalf("recovery: %v", err)
-		}
-		// Every surviving root must reference a freeable allocation.
-		th2 := h2.NewThread()
-		defer th2.Close()
-		for i := 0; i < alloc.NumRootSlots; i++ {
-			p := pmem.PAddr(dev.ReadU64(h2.RootSlot(i)))
-			if p == pmem.Null {
-				continue
-			}
-			if err := th2.Free(p); err != nil {
-				t.Fatalf("root %d -> %#x not allocated: %v", i, p, err)
-			}
-		}
-	})
-}

@@ -4,7 +4,6 @@ import (
 	"nvalloc/internal/alloc"
 	"nvalloc/internal/blog"
 	"nvalloc/internal/core"
-	"nvalloc/internal/torture"
 )
 
 // The compaction family covers what Open does to the bookkeeping log. Open
@@ -20,7 +19,7 @@ import (
 // CompactionTarget is NVAlloc-LOG with two arenas and a single bookkeeping
 // shard (every record in one chain), opened with the same low slow-GC
 // threshold it was created with.
-func CompactionTarget() torture.Target {
+func CompactionTarget() Target {
 	return target("NVAlloc-LOG", compactionOptions, compactionOptions)
 }
 

@@ -20,8 +20,6 @@ import (
 	"fmt"
 	"sort"
 	"strings"
-
-	"nvalloc/internal/torture"
 )
 
 // ConcOptions parameterizes EnumerateConc.
@@ -199,7 +197,7 @@ func sample(steps []int32, n int) []int32 {
 // re-recorded under preemptive schedules forcing the reversed order,
 // and recovery is verified across the disturbed window (plus the final
 // boundary) of each variant.
-func EnumerateConc(tg torture.Target, ct ConcTrace, opt ConcOptions) (*ConcReport, error) {
+func EnumerateConc(tg Target, ct ConcTrace, opt ConcOptions) (*ConcReport, error) {
 	base, err := ConcRecord(tg, ct, Schedule{}, RecordOptions{})
 	if err != nil {
 		return nil, err

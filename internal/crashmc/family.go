@@ -5,19 +5,19 @@ import (
 
 	"nvalloc/internal/alloc"
 	"nvalloc/internal/core"
-	"nvalloc/internal/torture"
 )
 
 // Family is one row of the model checker's table of single-threaded
 // families. Every family checks the same property — recovery leaves the
 // heap the application's reachable set describes — so families differ in
 // data, not in code. Run applies one rule for cuts to all of them: a clean
-// and a torn power cut at every boundary of the span, a cache-image cut
-// after every flush of the span's operations, and the double-crash cut at
-// the family's windows, if it names any.
+// and a torn power cut at every boundary the family has, a cache-image cut
+// after each of those that is a flush of the span's operations, a flip cut
+// at each from CreatedAt on, and the double-crash cut at the family's
+// windows, if it names any.
 type Family struct {
 	Name   string
-	Target torture.Target
+	Target Target
 	Trace  Trace
 	// Probe, when non-nil, is sampled after every op (RecordOptions.Probe)
 	// for Span, Windows and Shape to read.
@@ -28,6 +28,9 @@ type Family struct {
 	// Span, when non-nil, bounds the boundaries the family enumerates
 	// (inclusive); nil is the whole recording.
 	Span func(rec *Recording) (from, to int)
+	// MaxBoundaries, when > 0, strides over the span so that the family has
+	// at most that many boundaries: a trace too long to cut everywhere.
+	MaxBoundaries int
 	// Windows, when non-nil, lists the boundaries whose recoveries have
 	// the work the family is about, for the double-crash cut.
 	Windows func(rec *Recording) []int
@@ -50,15 +53,15 @@ type Counter struct {
 
 // Families returns the table, in report order: the smoke trace on every
 // allocator, then NVAlloc-LOG's dedicated families, then a slab morph on
-// each NVAlloc variant. seed seeds the smoke and fence-elision traces; the
-// others are hand-built.
+// each NVAlloc variant, then the deep trace on every allocator. seed seeds
+// the smoke and fence-elision traces; the others are hand-built.
 func Families(seed uint64) []Family {
 	var fs []Family
 	for _, tg := range Targets() {
 		fs = append(fs, Family{Name: "smoke", Target: tg, Trace: SmokeTrace(seed), Shape: smokeShape})
 	}
 	fs = append(fs,
-		Family{Name: "fence-elision", Target: Target("NVAlloc-LOG", core.LOG), Trace: FenceElisionTrace(seed),
+		Family{Name: "fence-elision", Target: VariantTarget(core.LOG), Trace: FenceElisionTrace(seed),
 			Shape: fenceElisionShape},
 		Family{Name: "write-back", Target: WriteBackTarget(), Trace: WriteBackTrace(), Probe: morphCount,
 			Windows: (*Recording).WriteBackStarts, Shape: writeBackShape},
@@ -70,6 +73,9 @@ func Families(seed uint64) []Family {
 	for _, v := range []core.Variant{core.LOG, core.GC, core.IC} {
 		fs = append(fs, Family{Name: "morph", Target: morphTarget(v), Trace: morphTrace(), Probe: morphCount,
 			Span: morphSpan, Shape: morphShape})
+	}
+	for _, tg := range Targets() {
+		fs = append(fs, Family{Name: "deep", Target: tg, Trace: SweepTrace(4000), MaxBoundaries: 200})
 	}
 	return fs
 }
@@ -100,9 +106,10 @@ type RunOptions struct {
 	// sweep, its Pool to every sweep of the run; Torn is always on, and
 	// From, To and Extra are the family's.
 	Config
-	// Windows and Flushes thin the double-crash cut's windows and the
-	// cache-image cut's flushes (Every, Last; nil takes them all).
-	Windows, Flushes func(ks []int) []int
+	// Windows, Flushes and Flips thin the double-crash cut's windows, the
+	// cache-image cut's flushes and the flip cut's boundaries (Every, Last;
+	// nil takes them all).
+	Windows, Flushes, Flips func(ks []int) []int
 }
 
 // FamilyReport is one family run: a report per kind of cut and what the
@@ -111,10 +118,10 @@ type RunOptions struct {
 type FamilyReport struct {
 	Family, Target string
 	// Sweep is the power-cut report (clean and torn), Cache the cache-image
-	// cut's, Recovery the double-crash cut's: nil for a family without
-	// windows.
-	Sweep, Recovery, Cache *Report
-	Shape                  []Counter
+	// cut's, Flip the flip cut's, Recovery the double-crash cut's: nil for
+	// a family without windows.
+	Sweep, Recovery, Cache, Flip *Report
+	Shape                        []Counter
 	// Windows is how many windows the double-crash cut took, Ops and
 	// FailedOps how many ops the trace ran and how many returned an error.
 	Windows, Ops, FailedOps int
@@ -141,7 +148,11 @@ func (f Family) Run(opt RunOptions) (*FamilyReport, error) {
 			rep.FailedOps++
 		}
 	}
-	rep.Sweep = Sweep(rec, PowerCut, nil, cfg)
+	// The boundaries the family has: its span, strided if it says so.
+	span := cfg.withDefaults(rec)
+	span.MaxBoundaries = f.MaxBoundaries
+	ks := span.strided(span.boundaries())
+	rep.Sweep = Sweep(rec, PowerCut, ks, cfg)
 
 	thin := func(by func([]int) []int, ks []int) []int {
 		if by != nil {
@@ -149,20 +160,23 @@ func (f Family) Run(opt RunOptions) (*FamilyReport, error) {
 		}
 		return ks
 	}
-	cuts := Config{Pool: cfg.Pool, Extra: cfg.Extra}
+	cuts := Config{Pool: cfg.Pool, Extra: cfg.Extra, TornSeed: cfg.TornSeed}
 	if f.Windows != nil {
 		ks := thin(opt.Windows, f.Windows(rec))
 		rep.Windows = len(ks)
 		rep.Recovery = Sweep(rec, RecoveryCut, ks, cuts)
 	}
-	// The cache-image cuts there are: the flushes of the span's operations,
-	// from the end of Create to the start of shutdown.
-	span := cfg.withDefaults(rec)
+	// The cache-image cuts there are: those of the family's boundaries that
+	// are flushes of the span's operations, from the end of Create to the
+	// start of shutdown.
 	var flushes []int
-	for k := max(rec.CreatedAt, span.From) + 1; k <= min(rec.CloseStart, span.To); k++ {
-		flushes = append(flushes, k)
+	for _, k := range ks {
+		if k > max(rec.CreatedAt, span.From) && k <= rec.CloseStart {
+			flushes = append(flushes, k)
+		}
 	}
 	rep.Cache = Sweep(rec, CacheCut, thin(opt.Flushes, flushes), cuts)
+	rep.Flip = Sweep(rec, FlipCut, thin(opt.Flips, ks), cuts)
 	if f.Shape != nil {
 		rep.Shape = f.Shape(rec, rep.Sweep)
 	}
@@ -175,12 +189,12 @@ func (r *FamilyReport) Reports() []*Report {
 	if r.Recovery != nil {
 		reps = append(reps, r.Recovery)
 	}
-	return append(reps, r.Cache)
+	return append(reps, r.Cache, r.Flip)
 }
 
 // Counters returns everything the run counted, in table order: the
 // power-cut sweep's coverage, the shape counters, the cuts of the other
-// two kinds and the violations of all three.
+// kinds, the flip cuts recovery refused, and the violations of all.
 func (r *FamilyReport) Counters() []Counter {
 	cs := []Counter{
 		{Name: "boundaries", N: r.Sweep.Boundaries},
@@ -195,7 +209,8 @@ func (r *FamilyReport) Counters() []Counter {
 	for _, rep := range r.Reports() {
 		violations += rep.ViolationCount
 	}
-	return append(cs, Counter{Name: "cache_cuts", N: r.Cache.Explored}, Counter{Name: "violations", N: violations})
+	return append(cs, Counter{Name: "cache_cuts", N: r.Cache.Explored}, Counter{Name: "flip_cuts", N: r.Flip.Explored},
+		Counter{Name: "detected", N: r.Flip.Detected}, Counter{Name: "violations", N: violations})
 }
 
 // ShapeFailures names every shape counter under its Min: an event the

@@ -31,26 +31,31 @@ func sweepOf(maxBoundaries, checkEvery int) Config {
 
 var familyCases = map[string]familyCase{
 	"smoke": {seed: 42, tornSeed: 0xDECAF,
-		full:  RunOptions{Config: sweepOf(0, 64), Flushes: Every(8)},
-		short: RunOptions{Config: sweepOf(120, 16), Flushes: Every(40)}},
+		full:  RunOptions{Config: sweepOf(0, 64), Flushes: Every(8), Flips: Every(8)},
+		short: RunOptions{Config: sweepOf(120, 16), Flushes: Every(40), Flips: Every(40)}},
 	"fence-elision": {seed: 7, tornSeed: 0xDECAF,
-		full:  RunOptions{Config: sweepOf(0, 64), Flushes: Every(8)},
-		short: RunOptions{Config: sweepOf(150, 16), Flushes: Every(40)}},
+		full:  RunOptions{Config: sweepOf(0, 64), Flushes: Every(8), Flips: Every(8)},
+		short: RunOptions{Config: sweepOf(150, 16), Flushes: Every(40), Flips: Every(40)}},
 	// Four flushes of a recovery from a full, unwritten ring are the two
 	// run-state words and the two rings' checkpoint words; the rest are
 	// lines it writes back (one per slab a ring's entries touched).
 	"write-back": {tornSeed: 0xB17, perWindow: 7,
-		full:  RunOptions{Config: sweepOf(0, 64)},
-		short: RunOptions{Config: sweepOf(150, 64), Windows: Last(2), Flushes: Every(40)}},
+		full:  RunOptions{Config: sweepOf(0, 64), Flips: Every(8)},
+		short: RunOptions{Config: sweepOf(150, 64), Windows: Last(2), Flushes: Every(40), Flips: Every(40)}},
 	"publish": {tornSeed: 0xB17, perWindow: 4, opsSucceed: true,
-		full:  RunOptions{Config: sweepOf(0, 64), Windows: Every(5)},
-		short: RunOptions{Config: sweepOf(100, 64), Windows: Every(60), Flushes: Every(40)}},
+		full:  RunOptions{Config: sweepOf(0, 64), Windows: Every(5), Flips: Every(8)},
+		short: RunOptions{Config: sweepOf(100, 64), Windows: Every(60), Flushes: Every(40), Flips: Every(40)}},
 	"compaction": {tornSeed: 0xB17, perWindow: 30, opsSucceed: true,
-		full:  RunOptions{Config: sweepOf(0, 64), Windows: Every(16), Flushes: Every(8)},
-		short: RunOptions{Config: sweepOf(100, 64), Windows: Every(80), Flushes: Every(40)}},
+		full:  RunOptions{Config: sweepOf(0, 64), Windows: Every(16), Flushes: Every(8), Flips: Every(8)},
+		short: RunOptions{Config: sweepOf(100, 64), Windows: Every(80), Flushes: Every(40), Flips: Every(40)}},
 	"morph": {tornSeed: 13,
 		full:  RunOptions{Config: sweepOf(0, 16)},
-		short: RunOptions{Config: sweepOf(30, 16), Flushes: Every(3)}},
+		short: RunOptions{Config: sweepOf(30, 16), Flushes: Every(3), Flips: Every(3)}},
+	// The family strides by itself; every third of its boundaries is
+	// enough flipped images to count on.
+	"deep": {tornSeed: 0x7047,
+		full:  RunOptions{Config: sweepOf(0, 64), Flips: Every(3)},
+		short: RunOptions{Config: sweepOf(16, 64), Flips: Every(40)}},
 }
 
 // familyOf returns the table's entry for name on target, with the seed the
@@ -72,7 +77,8 @@ const (
 	partSweep
 	partRecovery
 	partCache
-	partAll = partShape | partSweep | partRecovery | partCache
+	partFlip
+	partAll = partShape | partSweep | partRecovery | partCache | partFlip
 )
 
 // none thins a kind of cut away.
@@ -82,8 +88,8 @@ func none([]int) []int { return nil }
 // (family, target) entry as its case says and holds the parts of the run
 // named by parts to what the family promises. A part not named is not
 // taken either — one boundary of the power-cut sweep, no windows, no
-// flushes — so a test costs what it asserts.
-func checkFamily(t *testing.T, name, target string, parts int) {
+// flushes, no flips — so a test costs what it asserts.
+func checkFamily(t *testing.T, name, target string, parts int) *FamilyReport {
 	t.Helper()
 	f, fc := familyOf(t, name, target), familyCases[name]
 	opt := fc.full
@@ -99,6 +105,9 @@ func checkFamily(t *testing.T, name, target string, parts int) {
 	}
 	if parts&partCache == 0 {
 		opt.Flushes = none
+	}
+	if parts&partFlip == 0 {
+		opt.Flips = none
 	}
 	rep, err := f.Run(opt)
 	if err != nil {
@@ -134,6 +143,14 @@ func checkFamily(t *testing.T, name, target string, parts int) {
 			t.Errorf("%d cache-image cuts verified, want %d", rep.Cache.Explored, rep.Cache.Boundaries)
 		}
 	}
+	if parts&partFlip != 0 {
+		t.Logf("%s", rep.Flip)
+		checkReport(t, rep.Flip, fc.seed, fc.tornSeed)
+		if rep.Flip.Explored == 0 || rep.Flip.Explored != rep.Flip.Boundaries {
+			t.Errorf("%d flip cuts verified, want %d", rep.Flip.Explored, rep.Flip.Boundaries)
+		}
+	}
+	return rep
 }
 
 // The tests below are checkFamily under the names the suite has always
@@ -143,7 +160,8 @@ func checkFamily(t *testing.T, name, target string, parts int) {
 
 // TestSmokeTraceAllTargets: the smoke trace on every allocator, every
 // persistence boundary clean and torn, a cache-image cut at every eighth
-// flush. Short mode samples boundaries instead.
+// flush and a flip cut at every eighth boundary. Short mode samples
+// boundaries instead.
 func TestSmokeTraceAllTargets(t *testing.T) {
 	for _, tg := range Targets() {
 		t.Run(tg.Name, func(t *testing.T) {
@@ -167,9 +185,12 @@ func TestFenceElisionFamilyLOG(t *testing.T) { checkFamily(t, "fence-elision", "
 // trips); a second power cut after every flush of the recovery that starts
 // from a full, unwritten ring; and recovery from the cache image, where the
 // bits a ring covers are all present, ahead of the media, and replay runs
-// over them.
+// over them. The family test takes the flip cuts too: metadata bits flipped
+// under rings that are the only record of what they cover.
 func TestWriteBackTraceShape(t *testing.T) { checkFamily(t, "write-back", "NVAlloc-LOG", partShape) }
-func TestWriteBackFamily(t *testing.T)     { checkFamily(t, "write-back", "NVAlloc-LOG", partSweep) }
+func TestWriteBackFamily(t *testing.T) {
+	checkFamily(t, "write-back", "NVAlloc-LOG", partSweep|partFlip)
+}
 func TestWriteBackRecoveryCrashes(t *testing.T) {
 	checkFamily(t, "write-back", "NVAlloc-LOG", partRecovery)
 }
@@ -188,7 +209,9 @@ func TestWriteBackCacheCuts(t *testing.T) { checkFamily(t, "write-back", "NVAllo
 // killed instead, the oracle's frees after each recovery coming from two
 // threads bound afresh.
 func TestPublishTraceShape(t *testing.T) { checkFamily(t, "publish", "NVAlloc-LOG", partShape) }
-func TestPublishFamily(t *testing.T)     { checkFamily(t, "publish", "NVAlloc-LOG", partSweep) }
+func TestPublishFamily(t *testing.T) {
+	checkFamily(t, "publish", "NVAlloc-LOG", partSweep|partFlip)
+}
 func TestPublishRecoveryCrashes(t *testing.T) {
 	checkFamily(t, "publish", "NVAlloc-LOG", partRecovery)
 }
@@ -232,13 +255,13 @@ func TestCompactionTraceShape(t *testing.T) {
 
 // TestCompactionFamily: every boundary against the shared and the live-set
 // oracle — an extent record a compaction dropped, or a tombstone it forgot,
-// shows as a lost or a leaked block at the boundary that did it — and the
-// cache-image cut. TestCompactionRecoveryCrashes: a second power cut after
+// shows as a lost or a leaked block at the boundary that did it — the
+// cache-image cut and the flip cut. TestCompactionRecoveryCrashes: a second power cut after
 // every flush of recoveries that compact the log — each chunk of the new
 // chain, the spare head pointer, the alt flip — the second recovery finding
 // the first one's abandoned chain below the break.
 func TestCompactionFamily(t *testing.T) {
-	checkFamily(t, "compaction", "NVAlloc-LOG", partSweep|partCache)
+	checkFamily(t, "compaction", "NVAlloc-LOG", partSweep|partCache|partFlip)
 }
 func TestCompactionRecoveryCrashes(t *testing.T) {
 	checkFamily(t, "compaction", "NVAlloc-LOG", partRecovery)

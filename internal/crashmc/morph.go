@@ -2,7 +2,6 @@ package crashmc
 
 import (
 	"nvalloc/internal/core"
-	"nvalloc/internal/torture"
 )
 
 // The morph family puts every step of a slab morph (§5.2's flag protocol)
@@ -16,7 +15,7 @@ import (
 
 // morphTarget is one NVAlloc variant on a single arena, so the slabs the
 // trace drains are the ones its later allocations find.
-func morphTarget(v core.Variant) torture.Target {
+func morphTarget(v core.Variant) Target {
 	return TargetOpts(v.String(), func() core.Options {
 		opts := core.DefaultOptions(v)
 		opts.Arenas = 1

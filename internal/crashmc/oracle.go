@@ -7,7 +7,6 @@ import (
 	"nvalloc/internal/alloc"
 	"nvalloc/internal/pmem"
 	"nvalloc/internal/sizeclass"
-	"nvalloc/internal/torture"
 )
 
 // slotOp is one root-slot transition derived from the trace: the slot's
@@ -56,9 +55,9 @@ func slotHistory(rec *Recording) map[int][]slotOp {
 //
 //   - boundaries before CreatedAt may be refused, but only with a typed
 //     corruption error — never a panic, and never an open that then
-//     fails verification;
-//   - from CreatedAt on, recovery MUST succeed (every cut leaves intact
-//     media under the fault model);
+//     fails verification; so may a flip cut's image (Report.Detected);
+//   - from CreatedAt on, recovery MUST otherwise succeed (every other
+//     cut leaves intact media under the fault model);
 //   - every root slot holds a legal value: the value durable at k, or —
 //     when an operation's flush window straddles k — that operation's
 //     pre- or post-value (recovery may roll either way, but nowhere
@@ -72,19 +71,25 @@ func (s *sweep) verifyImage(part *Report, scratch *pmem.Device, k int, torn bool
 	fail := func(format string, args ...any) {
 		s.fail(part, k, torn, class, fmt.Sprintf(format, args...))
 	}
-	h2, err := torture.OpenGuarded(rec.Target, scratch)
+	h2, err := OpenGuarded(rec.Target, scratch)
 	if err != nil {
-		var pe *torture.PanicError
+		var pe *PanicError
 		if errors.As(err, &pe) {
 			fail("recovery panicked: %v", pe.Value)
 			return
 		}
-		if k < rec.CreatedAt && errors.Is(err, pmem.ErrCorrupted) {
-			// The heap did not fully exist yet; a typed refusal is the
-			// correct answer for a mid-create image.
-			return
+		if errors.Is(err, pmem.ErrCorrupted) {
+			if s.cut == FlipCut {
+				part.Detected++
+				return
+			}
+			if k < rec.CreatedAt {
+				// The heap did not fully exist yet; a typed refusal is
+				// the correct answer for a mid-create image.
+				return
+			}
 		}
-		fail("intact-media crash not recovered: %v", err)
+		fail("crash image not recovered: %v", err)
 		return
 	}
 

@@ -5,7 +5,6 @@ import (
 
 	"nvalloc/internal/alloc"
 	"nvalloc/internal/pmem"
-	"nvalloc/internal/torture"
 )
 
 // OpRecord is one executed trace op with everything the oracle needs:
@@ -27,7 +26,7 @@ type OpRecord struct {
 // Recording is a fully executed, journaled trace: the raw material the
 // verifier enumerates.
 type Recording struct {
-	Target      torture.Target
+	Target      Target
 	Trace       Trace
 	DeviceBytes uint64
 	// Journal is the device's flush journal; boundary k is the image
@@ -102,7 +101,7 @@ func newDevice(opts RecordOptions, onFlush func(dev *pmem.Device, flushes int)) 
 }
 
 // open formats a fresh heap of tg on dev and starts its recording.
-func open(dev *pmem.Device, tg torture.Target, tr Trace, sched string, opts RecordOptions) (*session, error) {
+func open(dev *pmem.Device, tg Target, tr Trace, sched string, opts RecordOptions) (*session, error) {
 	h, err := tg.Create(dev)
 	if err != nil {
 		return nil, fmt.Errorf("crashmc: create %s: %w", tg.Name, err)
@@ -208,14 +207,14 @@ func (s *session) close(threads []alloc.Thread) (*Recording, error) {
 // runs on a single goroutine (thread handles are used serially), so the
 // journal — and therefore every enumerated crash image — is
 // deterministic.
-func Record(tg torture.Target, tr Trace, opts RecordOptions) (*Recording, error) {
+func Record(tg Target, tr Trace, opts RecordOptions) (*Recording, error) {
 	return runOn(newDevice(opts, nil), tg, tr, opts)
 }
 
 // runOn is Record on a device the caller made: a journaled one with a
 // flush hook for the cache-image cut, or one armed to lose power, for
 // the test that holds the journal's images to the device's own.
-func runOn(dev *pmem.Device, tg torture.Target, tr Trace, opts RecordOptions) (*Recording, error) {
+func runOn(dev *pmem.Device, tg Target, tr Trace, opts RecordOptions) (*Recording, error) {
 	s, err := open(dev, tg, tr, "", opts)
 	if err != nil {
 		return nil, err

@@ -40,6 +40,8 @@ func (v Violation) String() string {
 		t = " (second crash inside its recovery)"
 	case v.Cut == CacheCut:
 		t = " (cache image after the in-flight flush)"
+	case v.Cut == FlipCut:
+		t = " (metadata bits flipped)"
 	}
 	s := fmt.Sprintf("boundary %d%s", v.Boundary, t)
 	if v.Schedule != "" {
@@ -67,6 +69,10 @@ type Report struct {
 	TornExplored int
 	// Checks counts offline consistency-checker (Target.Check) runs.
 	Checks int
+	// Detected counts the flip-cut images recovery refused with a typed
+	// corruption error; the other Explored - Detected opened and were held
+	// to the oracle.
+	Detected int
 	// ViolationCount is the total number of violations; Violations holds
 	// the first maxViolations of them.
 	ViolationCount int
@@ -120,6 +126,7 @@ func (r *Report) merge(o *Report) {
 	r.Explored += o.Explored
 	r.TornExplored += o.TornExplored
 	r.Checks += o.Checks
+	r.Detected += o.Detected
 	r.ViolationCount += o.ViolationCount
 	for _, v := range o.Violations {
 		if len(r.Violations) < maxViolations {
@@ -142,6 +149,9 @@ func (r *Report) String() string {
 	fmt.Fprintf(&b, "%s/%s %s: %d/%d boundaries (%.1f%%), %d torn, %d paths, %d checks, %d violations",
 		r.Target, r.Trace, r.Cut, r.Explored, r.Boundaries, 100*r.Coverage(),
 		r.TornExplored, len(r.Paths), r.Checks, r.ViolationCount)
+	if r.Cut == FlipCut {
+		fmt.Fprintf(&b, ", %d detected", r.Detected)
+	}
 	for _, v := range r.Violations {
 		fmt.Fprintf(&b, "\n  %s", v)
 	}

@@ -28,7 +28,6 @@ import (
 
 	"nvalloc/internal/alloc"
 	"nvalloc/internal/pmem"
-	"nvalloc/internal/torture"
 )
 
 // ConcTrace is a multi-threaded trace: a serial setup prologue followed
@@ -274,7 +273,7 @@ func (s *scheduler) abort(v any) {
 // schedule and captures a journaled recording. Thread handles are
 // created serially before the scheduler starts, so arena binding — and
 // therefore the whole recording — is deterministic in (tg, ct, sched).
-func ConcRecord(tg torture.Target, ct ConcTrace, sched Schedule, opts RecordOptions) (*ConcRecording, error) {
+func ConcRecord(tg Target, ct ConcTrace, sched Schedule, opts RecordOptions) (*ConcRecording, error) {
 	n := len(ct.Threads)
 	if n == 0 {
 		return nil, fmt.Errorf("crashmc: conc trace %q has no threads", ct.Name)

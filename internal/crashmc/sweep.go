@@ -4,10 +4,10 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"slices"
 
 	"nvalloc/internal/alloc"
 	"nvalloc/internal/pmem"
-	"nvalloc/internal/torture"
 )
 
 // Cut is the kind of crash a sweep takes at each boundary it visits.
@@ -37,9 +37,18 @@ const (
 	// k-1: every operation that returned before the flush is complete, the
 	// one issuing it is in flight, nothing later has begun.
 	CacheCut
+	// FlipCut is a power cut onto damaged media: boundary k's image (k at
+	// or past CreatedAt — before it there is no superblock to name the
+	// metadata) with 1–4 bits flipped in the written lines of the target's
+	// MetaRanges, the count and the sites seeded by Config.TornSeed and k.
+	// Flipped metadata may be unrecoverable, but then it must be detected:
+	// recovery refusing the image with a typed pmem.ErrCorrupted counts as
+	// Report.Detected, a panic is a violation, and an image that opens is
+	// held to the oracle of a clean cut at k.
+	FlipCut
 )
 
-var cutNames = [...]string{"power-cut", "recovery-crash", "cache-cut"}
+var cutNames = [...]string{"power-cut", "recovery-crash", "cache-cut", "flip-cut"}
 
 func (c Cut) String() string { return cutNames[c] }
 
@@ -63,17 +72,18 @@ type Config struct {
 	// explicit boundary list visits, inclusive; To <= 0 means the last
 	// boundary. Defaults cover the whole recording.
 	From, To int
-	// MaxBoundaries caps the boundaries taken from that range by striding
-	// over it (0 = every one). Coverage drops below 100% accordingly.
+	// MaxBoundaries caps the boundaries a power-cut sweep takes, from that
+	// range or from an explicit list, by striding over them (0 = every
+	// one). Coverage drops below 100% accordingly.
 	MaxBoundaries int
 	// Torn additionally verifies, at every power cut with a flush in
 	// flight, the torn-line image where only a seeded subset of the
 	// in-flight line's words persisted.
 	Torn bool
-	// TornSeed seeds the torn-word masks.
+	// TornSeed seeds the torn-word masks and a flip cut's bit sites.
 	TornSeed uint64
 	// CheckEvery runs the target's offline consistency checker
-	// (torture.Target.Check) on every Nth power cut at or past CreatedAt
+	// (Target.Check) on every Nth power cut at or past CreatedAt
 	// (0 = never). The checker opens a clone, so it sees the pristine
 	// crash image.
 	CheckEvery int
@@ -103,17 +113,22 @@ func (cfg Config) withDefaults(rec *Recording) Config {
 	return cfg
 }
 
-// boundaries lists From..To at the smallest stride MaxBoundaries allows.
+// boundaries lists From..To; strided thins a list to at most MaxBoundaries
+// entries at the smallest stride that allows it.
 func (cfg Config) boundaries() []int {
-	stride := 1
-	for cfg.MaxBoundaries > 0 && (cfg.To-cfg.From)/stride+1 > cfg.MaxBoundaries {
-		stride++
-	}
-	var ks []int
-	for k := cfg.From; k <= cfg.To; k += stride {
+	ks := make([]int, 0, cfg.To-cfg.From+1)
+	for k := cfg.From; k <= cfg.To; k++ {
 		ks = append(ks, k)
 	}
 	return ks
+}
+
+func (cfg Config) strided(ks []int) []int {
+	stride := 1
+	for cfg.MaxBoundaries > 0 && (len(ks)-1)/stride+1 > cfg.MaxBoundaries {
+		stride++
+	}
+	return Every(stride)(ks)
 }
 
 // sweep is one enumeration in progress: what every share of it reads.
@@ -129,21 +144,28 @@ type sweep struct {
 // Sweep is the model checker's one driver: it takes cut at every boundary
 // in ks, recovers from each image and holds the result to the oracle
 // (verifyImage). A PowerCut sweep given no list (nil) takes the boundaries
-// cfg selects — From, To, MaxBoundaries; the other two cuts take exactly
-// ks, and an empty list is an empty sweep. The boundaries are split into
-// contiguous shares, one per worker of cfg.Pool, each with its own image
-// cursor and scratch device: the whole enumeration costs one journal
-// replay per share plus one image copy per recovery.
+// From..To, and thins what it takes to cfg.MaxBoundaries; the other cuts
+// take exactly ks, and an empty list is an empty sweep. The boundaries are
+// split into contiguous shares, one per worker of cfg.Pool, each with its
+// own image cursor and scratch device: the whole enumeration costs one
+// journal replay per share plus one image copy per recovery.
 //
 // Report.Explored counts the images verified (for RecoveryCut the
 // (boundary, cut) pairs), Report.Boundaries how many there were to take:
 // the range's size, len(ks), or for RecoveryCut the flushes of the
-// recoveries cut into.
+// recoveries cut into. A FlipCut sweep drops the boundaries of ks before
+// CreatedAt first.
 func Sweep(rec *Recording, cut Cut, ks []int, cfg Config) *Report {
 	cfg = cfg.withDefaults(rec)
-	total := len(ks)
 	if cut == PowerCut && ks == nil {
-		ks, total = cfg.boundaries(), cfg.To-cfg.From+1
+		ks = cfg.boundaries()
+	}
+	if cut == FlipCut {
+		ks = slices.DeleteFunc(slices.Clone(ks), func(k int) bool { return k < rec.CreatedAt })
+	}
+	total := len(ks)
+	if cut == PowerCut {
+		ks = cfg.strided(ks)
 	}
 	s := &sweep{rec: rec, cfg: cfg, cut: cut, ks: ks, hist: slotHistory(rec), cl: newClassifier(rec)}
 	visit := s.powerCuts
@@ -152,6 +174,8 @@ func Sweep(rec *Recording, cut Cut, ks []int, cfg Config) *Report {
 		visit = s.recoveryCuts
 	case CacheCut:
 		visit = s.cacheCuts
+	case FlipCut:
+		visit = s.flipCuts
 	}
 	nChunk := 1
 	if cfg.Pool != nil {
@@ -257,7 +281,7 @@ func (s *sweep) recoveryCuts(part *Report, scratch *pmem.Device, lo, hi int) {
 		// to cut after.
 		cursor.MaterializeInto(scratch)
 		before := scratch.Stats().Flushes
-		if _, err := torture.OpenGuarded(rec.Target, scratch); err != nil {
+		if _, err := OpenGuarded(rec.Target, scratch); err != nil {
 			s.fail(part, k, false, class, "recovery failed: "+err.Error())
 			continue
 		}
@@ -266,8 +290,8 @@ func (s *sweep) recoveryCuts(part *Report, scratch *pmem.Device, lo, hi int) {
 		for j := int64(0); j < cuts; j++ {
 			cursor.MaterializeInto(scratch)
 			scratch.CrashAfterFlushes(j)
-			if _, err := torture.OpenGuarded(rec.Target, scratch); err != nil {
-				var pe *torture.PanicError
+			if _, err := OpenGuarded(rec.Target, scratch); err != nil {
+				var pe *PanicError
 				if errors.As(err, &pe) {
 					s.fail(part, k, false, class, fmt.Sprintf("recovery cut after %d flushes panicked: %v", j, pe.Value))
 					continue
@@ -312,6 +336,43 @@ func (s *sweep) cacheCuts(part *Report, scratch *pmem.Device, lo, hi int) {
 	case again.Boundaries() != rec.Boundaries():
 		part.addViolation(Violation{Cut: CacheCut, Detail: fmt.Sprintf(
 			"the trace is not deterministic: %d boundaries when run again, %d recorded", again.Boundaries(), rec.Boundaries())})
+	}
+}
+
+// holdsData reports whether r overlaps a block the trace allocated.
+func (rec *Recording) holdsData(r pmem.Range) bool {
+	for i := range rec.Ops {
+		or := &rec.Ops[i]
+		if or.Op.Size > 0 && or.Addr != 0 && r.Start < or.Addr+pmem.PAddr(or.Op.Size) && or.Addr < r.End {
+			return true
+		}
+	}
+	return false
+}
+
+// flipCuts verifies boundary k's image with seeded bits flipped in its
+// metadata, for each k of ks[lo:hi]. MetaRanges takes the first line of
+// every slab-sized region at the head of the heap for a slab header; where
+// the trace put an extent there instead the line is object data — a flip in
+// it is the application's to detect — and the recording says so.
+func (s *sweep) flipCuts(part *Report, scratch *pmem.Device, lo, hi int) {
+	rec := s.rec
+	cursor := rec.newCursor()
+	for _, k := range s.ks[lo:hi] {
+		cursor.Advance(k)
+		class := s.classAt(k)
+		s.count(part, k, class)
+		cursor.MaterializeInto(scratch)
+		rng := splitmix64(s.cfg.TornSeed + uint64(k)*977)
+		n := 1 + int(rng.next()%4)
+		meta := slices.DeleteFunc(rec.Target.MetaRanges(scratch), rec.holdsData)
+		bits := pmem.FlipBits(scratch.Bytes(0, int(scratch.Size())), meta, n, rng.next())
+		found := len(part.Violations)
+		s.verifyImage(part, scratch, k, false, class)
+		for i := found; i < len(part.Violations); i++ {
+			v := &part.Violations[i]
+			v.Detail = fmt.Sprintf("image bits %#x flipped: %s", bits, v.Detail)
+		}
 	}
 }
 

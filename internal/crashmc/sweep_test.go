@@ -8,10 +8,9 @@ import (
 	"nvalloc/internal/alloc"
 	"nvalloc/internal/core"
 	"nvalloc/internal/pmem"
-	"nvalloc/internal/torture"
 )
 
-func targetByName(t *testing.T, name string) torture.Target {
+func targetByName(t *testing.T, name string) Target {
 	t.Helper()
 	for _, tg := range Targets() {
 		if tg.Name == name {
@@ -19,35 +18,7 @@ func targetByName(t *testing.T, name string) torture.Target {
 		}
 	}
 	t.Fatalf("no target %q", name)
-	return torture.Target{}
-}
-
-// sweepTrace mirrors the retired internal/core crashWorkload mix —
-// publish, retract, anonymous churn, periodic large publications — as a
-// deterministic trace. Where the old sweeps sampled ~10 hand-picked cut
-// points of this workload, the model checker verifies every boundary.
-func sweepTrace(n int) Trace {
-	tr := Trace{Name: "sweep", Threads: 1}
-	sizes := []uint64{64, 96, 160, 224, 288}
-	slot := 0
-	for i := 0; i < n; i++ {
-		switch i % 5 {
-		case 0, 1:
-			tr.Ops = append(tr.Ops, Op{Kind: OpMallocTo, Slot: slot % alloc.NumRootSlots,
-				Size: sizes[i%len(sizes)]})
-			slot++
-		case 2:
-			tr.Ops = append(tr.Ops, Op{Kind: OpFreeFrom, Slot: (slot + 3) % alloc.NumRootSlots})
-		case 3:
-			tr.Ops = append(tr.Ops, Op{Kind: OpMalloc, Size: 128})
-		case 4:
-			if i%25 == 4 {
-				tr.Ops = append(tr.Ops, Op{Kind: OpMallocTo, Slot: slot % alloc.NumRootSlots, Size: 64 << 10})
-				slot++
-			}
-		}
-	}
-	return tr
+	return Target{}
 }
 
 // icDuplicateCheck walks the internal collection and reports duplicate
@@ -81,7 +52,7 @@ func TestCrashSweepVariants(t *testing.T) {
 		name := name
 		t.Run(name, func(t *testing.T) {
 			t.Parallel()
-			rec, err := Record(targetByName(t, name), sweepTrace(400), RecordOptions{})
+			rec, err := Record(targetByName(t, name), SweepTrace(400), RecordOptions{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -209,7 +180,7 @@ func TestDoubleCrashDuringRecovery(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			t.Parallel()
 			tg := targetByName(t, name)
-			rec, err := Record(tg, sweepTrace(400), RecordOptions{})
+			rec, err := Record(tg, SweepTrace(400), RecordOptions{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -220,15 +191,15 @@ func TestDoubleCrashDuringRecovery(t *testing.T) {
 				scratch := pmem.New(pmem.Config{Size: rec.DeviceBytes, Strict: true})
 				cursor.MaterializeInto(scratch)
 				scratch.CrashAfterFlushes(j)
-				if _, err := torture.OpenGuarded(tg, scratch); err != nil {
-					var pe *torture.PanicError
+				if _, err := OpenGuarded(tg, scratch); err != nil {
+					var pe *PanicError
 					if errors.As(err, &pe) {
 						t.Fatalf("j=%d: interrupted recovery panicked: %v", j, pe.Value)
 					}
 					// A typed failure is fine; the image is still intact.
 				}
 				scratch.Crash()
-				h2, err := torture.OpenGuarded(tg, scratch)
+				h2, err := OpenGuarded(tg, scratch)
 				if err != nil {
 					t.Fatalf("j=%d: second recovery failed: %v", j, err)
 				}

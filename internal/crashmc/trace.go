@@ -1,6 +1,10 @@
 package crashmc
 
-import "fmt"
+import (
+	"fmt"
+
+	"nvalloc/internal/alloc"
+)
 
 // OpKind identifies one trace operation.
 type OpKind int
@@ -237,6 +241,35 @@ func FenceElisionTrace(seed uint64) Trace {
 	}
 	// Tail publish: a durable root right before shutdown.
 	add(Op{Kind: OpMallocTo, Slot: 8, Size: 256})
+	return tr
+}
+
+// SweepTrace is the publish-heavy mix crash sweeps have always run, n steps
+// long: two publishes in five steps, cycling through every root slot (a
+// publish over an occupied slot abandons the old block), a retraction three
+// slots ahead of the cursor, an anonymous allocation that is never freed,
+// and a 64 KiB publication every 25th step. 400 steps are short enough to
+// cut at every boundary; the deep family runs 4 000 and strides.
+func SweepTrace(n int) Trace {
+	tr := Trace{Name: "sweep", Threads: 1}
+	sizes := []uint64{64, 96, 160, 224, 288}
+	slot := 0
+	for i := 0; i < n; i++ {
+		switch i % 5 {
+		case 0, 1:
+			tr.add(Op{Kind: OpMallocTo, Slot: slot % alloc.NumRootSlots, Size: sizes[i%len(sizes)]})
+			slot++
+		case 2:
+			tr.add(Op{Kind: OpFreeFrom, Slot: (slot + 3) % alloc.NumRootSlots})
+		case 3:
+			tr.add(Op{Kind: OpMalloc, Size: 128})
+		case 4:
+			if i%25 == 4 {
+				tr.add(Op{Kind: OpMallocTo, Slot: slot % alloc.NumRootSlots, Size: 64 << 10})
+				slot++
+			}
+		}
+	}
 	return tr
 }
 

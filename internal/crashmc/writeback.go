@@ -5,7 +5,6 @@ import (
 	"nvalloc/internal/core"
 	"nvalloc/internal/pmem"
 	"nvalloc/internal/slab"
-	"nvalloc/internal/torture"
 	"nvalloc/internal/walog"
 )
 
@@ -20,7 +19,7 @@ import (
 // WriteBackTarget is NVAlloc-LOG on the smallest legal ring, with two
 // arenas and no arena extent caches, so a slab one arena releases is
 // immediately another's to format.
-func WriteBackTarget() torture.Target {
+func WriteBackTarget() Target {
 	return TargetOpts("NVAlloc-LOG", writeBackOptions)
 }
 

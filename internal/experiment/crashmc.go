@@ -10,7 +10,6 @@ import (
 	"strings"
 
 	"nvalloc/internal/crashmc"
-	"nvalloc/internal/torture"
 )
 
 func init() {
@@ -77,10 +76,11 @@ func (t *Table) note(text string) {
 // runCrashMCFamilies runs every family of the table and builds one table
 // per family name, in table order, from what the reports count: the
 // columns are allocator, the power-cut sweep's coverage, the family's
-// shape counters, recovery_cuts where the family has windows, cache_cuts
-// and violations. The smoke family's own table is followed by its explored
-// boundaries by in-flight line class and by the recovery paths (trace
-// phase × line class) it drove. failed lists the runs that did not record.
+// shape counters, recovery_cuts where the family has windows, cache_cuts,
+// flip_cuts with how many of them recovery detected, and violations. The
+// smoke family's own table is followed by its explored boundaries by
+// in-flight line class and by the recovery paths (trace phase × line
+// class) it drove. failed lists the runs that did not record.
 func runCrashMCFamilies(cfg Config, seed uint64) (reps []*crashmc.FamilyReport, tables []*Table, failed []string) {
 	full := crashmc.RunOptions{Config: crashmc.Config{TornSeed: 0xDECAF, CheckEvery: 64, Pool: cfg.RunCells}}
 	classes := &Table{
@@ -98,8 +98,13 @@ func runCrashMCFamilies(cfg Config, seed uint64) (reps []*crashmc.FamilyReport, 
 	for _, f := range crashmc.Families(seed) {
 		tab := byName[f.Name]
 		if tab == nil {
-			tab = &Table{ID: "crashmc-" + f.Name, Title: fmt.Sprintf("%s family (seed %d): every boundary + torn "+
-				"variants, a cache-image cut after every flush of its operations", f.Name, seed)}
+			every := "every boundary"
+			if f.MaxBoundaries > 0 {
+				every = fmt.Sprintf("up to %d boundaries at one stride", f.MaxBoundaries)
+			}
+			tab = &Table{ID: "crashmc-" + f.Name, Title: fmt.Sprintf("%s family (seed %d): %s + torn variants, "+
+				"a cache-image cut after each that is a flush of its operations, a flip cut at each",
+				f.Name, seed, every)}
 			if f.Windows != nil {
 				tab.Title += ", a second crash after every flush of recovery in its windows"
 			}
@@ -115,7 +120,7 @@ func runCrashMCFamilies(cfg Config, seed uint64) (reps []*crashmc.FamilyReport, 
 			// boundary space instead of enumerating it; -exp crashmc at the
 			// default scale stays exhaustive.
 			opt.MaxBoundaries = cfg.ops(200)
-			opt.Windows, opt.Flushes = crashmc.Every(50), crashmc.Every(50)
+			opt.Windows, opt.Flushes, opt.Flips = crashmc.Every(50), crashmc.Every(50), crashmc.Every(50)
 			switch f.Name {
 			case "smoke":
 				opt.MaxBoundaries = cfg.ops(750)
@@ -198,7 +203,7 @@ func runCrashMCConc(cfg Config, seed uint64) (reps []*crashmc.ConcReport, conc *
 		opt.MaxSchedules = 0 // ConcOptions: <= 0 means uncapped (the nightly run)
 	}
 	type cell struct {
-		tg  torture.Target
+		tg  crashmc.Target
 		ct  crashmc.ConcTrace
 		rep *crashmc.ConcReport
 		err error
@@ -383,9 +388,11 @@ func gateCrashMC(fams []*crashmc.FamilyReport, conc []*crashmc.ConcReport, base 
 // newCrashBaseline snapshots a run: boundary and cut floors at ~70% of the
 // measured counts, rounded down to a multiple of 10 (absorbing geometry
 // drift); a floor of ~70%, and at least 1, under every shape counter the
-// family gates; the torn classes each NVAlloc smoke sweep reached (the
-// baseline-model allocators' line classes are emulation details); and per
-// concurrent family the minimum conflict count across targets.
+// family gates and under the flip cuts recovery detected, where it did —
+// flips that stop reaching anything checksummed test nothing; the torn
+// classes each NVAlloc smoke sweep reached (the baseline-model allocators'
+// line classes are emulation details); and per concurrent family the
+// minimum conflict count across targets.
 func newCrashBaseline(fams []*crashmc.FamilyReport, conc []*crashmc.ConcReport) *crashBaseline {
 	doc := &crashBaseline{
 		Comment: "Crash-point model-checker coverage baseline: floors under the tables of nvbench -exp crashmc, " +
@@ -408,7 +415,7 @@ func newCrashBaseline(fams []*crashmc.FamilyReport, conc []*crashmc.ConcReport) 
 			switch {
 			case c.Name == "boundaries" || strings.HasSuffix(c.Name, "_cuts"):
 				floors["min_"+c.Name] = c.N * 7 / 10 / 10 * 10
-			case c.Min > 0:
+			case c.Min > 0, c.Name == "detected" && c.N > 0:
 				floors["min_"+c.Name] = max(1, c.N*7/10)
 			}
 		}

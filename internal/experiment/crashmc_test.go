@@ -29,19 +29,19 @@ func TestCrashMCConcTableShape(t *testing.T) {
 		}
 	}
 	want := []string{"crashmc", "crashmc-classes", "crashmc-paths", "crashmc-concurrent", "crashmc-fence-elision",
-		"crashmc-write-back", "crashmc-publish", "crashmc-compaction", "crashmc-morph"}
+		"crashmc-write-back", "crashmc-publish", "crashmc-compaction", "crashmc-morph", "crashmc-deep"}
 	if strings.Join(ids, " ") != strings.Join(want, " ") {
 		t.Fatalf("runCrashMC produced tables %v, want %v", ids, want)
 	}
 
-	nvalloc := []string{"NVAlloc-LOG", "NVAlloc-GC", "NVAlloc-IC"}
+	all := []string{"NVAlloc-LOG", "NVAlloc-GC", "NVAlloc-IC", "PMDK", "nvm_malloc", "PAllocator", "Makalu", "Ralloc"}
+	nvalloc := all[:3]
 	for _, fam := range []struct {
 		id   string
 		rows []string
 		min  map[string]float64
 	}{
-		{"crashmc", []string{"NVAlloc-LOG", "NVAlloc-GC", "NVAlloc-IC", "PMDK", "nvm_malloc", "PAllocator", "Makalu", "Ralloc"},
-			map[string]float64{"cache_cuts": 1}},
+		{"crashmc", all, map[string]float64{"cache_cuts": 1}},
 		{"crashmc-fence-elision", nvalloc[:1], map[string]float64{"cache_cuts": 1}},
 		{"crashmc-write-back", nvalloc[:1], map[string]float64{"checkpoint_moves": 8, "morphs": 1, "foreign_reformats": 1,
 			"recovery_cuts": 10, "cache_cuts": 1}},
@@ -50,6 +50,7 @@ func TestCrashMCConcTableShape(t *testing.T) {
 		{"crashmc-compaction", nvalloc[:1], map[string]float64{"over_threshold": 100, "runtime_compactions": 2,
 			"recovery_cuts": 60, "cache_cuts": 1}},
 		{"crashmc-morph", nvalloc, map[string]float64{"morphs": 1, "cache_cuts": 1}},
+		{"crashmc-deep", all, map[string]float64{"boundaries": 190, "cache_cuts": 1}},
 	} {
 		tab := byID[fam.id]
 		if len(tab.Rows) != len(fam.rows) {
@@ -59,6 +60,7 @@ func TestCrashMCConcTableShape(t *testing.T) {
 			if tab.Rows[ri][0] != name {
 				t.Fatalf("%s row %d is %q, want %q", fam.id, ri, tab.Rows[ri][0], name)
 			}
+			fam.min["flip_cuts"] = 1 // every family takes the fourth cut
 			for col, min := range fam.min {
 				if v := cell(t, tab, ri, colIndex(t, tab, col)); v < min {
 					t.Errorf("%s %s: %s = %.0f, want >= %.0f", fam.id, name, col, v, min)
@@ -105,12 +107,17 @@ func gateFixture() (fams []*crashmc.FamilyReport, conc []*crashmc.ConcReport) {
 		return r
 	}
 	cuts := func(n int) *crashmc.Report { return &crashmc.Report{Boundaries: n, Explored: n} }
+	flips := func(n, detected int) *crashmc.Report {
+		return &crashmc.Report{Boundaries: n, Explored: n, Detected: detected}
+	}
 	fams = []*crashmc.FamilyReport{
-		{Family: "smoke", Target: "NVAlloc-LOG", Sweep: sweep(392, "wal-entry", "bitmap-stripe"), Cache: cuts(350)},
-		{Family: "smoke", Target: "PMDK", Sweep: sweep(760, "other"), Cache: cuts(700)},
+		{Family: "smoke", Target: "NVAlloc-LOG", Sweep: sweep(392, "wal-entry", "bitmap-stripe"), Cache: cuts(350),
+			Flip: flips(370, 340)},
+		{Family: "smoke", Target: "PMDK", Sweep: sweep(760, "other"), Cache: cuts(700), Flip: flips(740, 0)},
 		{Family: "publish", Target: "NVAlloc-LOG", Sweep: sweep(923), Recovery: cuts(3136), Cache: cuts(842),
+			Flip:  flips(900, 880),
 			Shape: []crashmc.Counter{{Name: "morphs", N: 1, Min: 1}, {Name: "replaces", N: 168, Min: 100}}},
-		{Family: "morph", Target: "NVAlloc-GC", Sweep: sweep(34), Cache: cuts(33),
+		{Family: "morph", Target: "NVAlloc-GC", Sweep: sweep(34), Cache: cuts(33), Flip: flips(34, 27),
 			Shape: []crashmc.Counter{{Name: "morphs", N: 1, Min: 1}}},
 	}
 	for _, tg := range []string{"NVAlloc-LOG", "NVAlloc-GC"} {
@@ -132,6 +139,9 @@ func TestCrashMCGate(t *testing.T) {
 	}
 	if got := base.Rows["NVAlloc-LOG/publish"]["min_morphs"]; got != 1 {
 		t.Fatalf("publish min_morphs = %d: an event floor must not round down to 0", got)
+	}
+	if floor, ok := base.Rows["PMDK/smoke"]["min_detected"]; ok {
+		t.Fatalf("PMDK/smoke min_detected = %d: a row that detected nothing has nothing to floor", floor)
 	}
 	if _, regressions := gateCrashMC(fams, conc, base); len(regressions) > 0 {
 		t.Errorf("the fixture fails its own baseline: %v", regressions)
@@ -181,6 +191,18 @@ func TestCrashMCGate(t *testing.T) {
 			f[2].Cache.Explored = 100
 			return f, c
 		}, "NVAlloc-LOG/publish: cache_cuts 100 < baseline floor 580"},
+		{"violation in a flip cut", func(f []*crashmc.FamilyReport, c []*crashmc.ConcReport) ([]*crashmc.FamilyReport, []*crashmc.ConcReport) {
+			f[3].Flip.ViolationCount = 1
+			return f, c
+		}, "NVAlloc-GC/morph: 1 oracle violations"},
+		{"flip cut floor", func(f []*crashmc.FamilyReport, c []*crashmc.ConcReport) ([]*crashmc.FamilyReport, []*crashmc.ConcReport) {
+			f[0].Flip.Explored = 240
+			return f, c
+		}, "NVAlloc-LOG/smoke: flip_cuts 240 < baseline floor 250"},
+		{"flips no longer detected", func(f []*crashmc.FamilyReport, c []*crashmc.ConcReport) ([]*crashmc.FamilyReport, []*crashmc.ConcReport) {
+			f[0].Flip.Detected = 200
+			return f, c
+		}, "NVAlloc-LOG/smoke: detected 200 < baseline floor 238"},
 		{"conflicts", func(f []*crashmc.FamilyReport, c []*crashmc.ConcReport) ([]*crashmc.FamilyReport, []*crashmc.ConcReport) {
 			c[1].Conflicts = 8
 			return f, c

@@ -165,17 +165,8 @@ func OpenHeap(name string, cfg Config) (alloc.Heap, error) {
 }
 
 func openOn(dev pmem.Dev, name string) (alloc.Heap, error) {
-	switch name {
-	case "PMDK":
-		return baseline.New(dev, baseline.PMDK)
-	case "nvm_malloc":
-		return baseline.New(dev, baseline.NvmMalloc)
-	case "PAllocator":
-		return baseline.New(dev, baseline.PAllocator)
-	case "Makalu":
-		return baseline.New(dev, baseline.Makalu)
-	case "Ralloc":
-		return baseline.New(dev, baseline.Ralloc)
+	if preset, ok := baseline.Preset(name); ok {
+		return baseline.New(dev, preset)
 	}
 	opts := core.DefaultOptions(core.LOG)
 	// paper is set by the rows that reproduce the paper's layout rather

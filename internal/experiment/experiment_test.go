@@ -41,7 +41,7 @@ func TestRegistryComplete(t *testing.T) {
 		"fig1a", "fig1b", "fig2", "fig9", "fig10", "fig11", "fig12",
 		"fig13", "fig14", "fig15", "fig16a", "fig16b", "fig17", "fig18",
 		"fig19", "fig20", "fig21", "table2", "ablation", "hashindex",
-		"torture", "contention", "crashmc", "hotpath",
+		"contention", "crashmc", "hotpath",
 	}
 	for _, id := range want {
 		if Experiments[id] == nil {

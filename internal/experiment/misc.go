@@ -224,32 +224,14 @@ func recoveryRun(cfg Config, name string, nodes int) int64 {
 	th.Ctx().Merge()
 	dev.Crash()
 
-	switch name {
-	case "nvm_malloc":
-		_, ns, err := baseline.Open(dev, baseline.NvmMalloc)
-		must(err)
-		return ns
-	case "PMDK":
-		_, ns, err := baseline.Open(dev, baseline.PMDK)
-		must(err)
-		return ns
-	case "PAllocator":
-		_, ns, err := baseline.Open(dev, baseline.PAllocator)
-		must(err)
-		return ns
-	case "Makalu":
-		_, ns, err := baseline.Open(dev, baseline.Makalu)
-		must(err)
-		return ns
-	case "Ralloc":
-		_, ns, err := baseline.Open(dev, baseline.Ralloc)
-		must(err)
-		return ns
-	default:
-		_, ns, err := core.Open(dev, core.Options{})
-		must(err)
-		return ns
+	var ns int64
+	if preset, ok := baseline.Preset(name); ok {
+		_, ns, err = baseline.Open(dev, preset)
+	} else {
+		_, ns, err = core.Open(dev, core.Options{})
 	}
+	must(err)
+	return ns
 }
 
 func must(err error) {

@@ -2,10 +2,6 @@ package experiment
 
 import (
 	"fmt"
-	"math/rand"
-	"sync"
-	"sync/atomic"
-	"time"
 
 	"nvalloc/internal/alloc"
 	"nvalloc/internal/pmem"
@@ -15,9 +11,7 @@ import (
 // Real-concurrency execution mode: the same workload drivers on the same
 // allocators, but on a direct device — plain memory, no virtual-time
 // model, flushes reduced to counters — so goroutines contend for real and
-// the reported throughput is wall-clock Mops/s. Go's runtime allocator
-// runs the same drivers natively as a calibration series: it persists
-// nothing, so it is an upper bound, not a competitor.
+// the reported throughput is wall-clock Mops/s.
 //
 // The "real" experiment is registered in Experiments but deliberately NOT
 // in Order: it is wall-clock (machine-dependent, nondeterministic), so it
@@ -39,30 +33,21 @@ func OpenHeapDirect(name string, cfg Config) (alloc.Heap, error) {
 	return openOn(dev, name)
 }
 
-// realAllocators is the wall-clock comparison set: NVAlloc's two
-// consistency modes, the five baselines, and Go's runtime allocator.
-const goRuntime = "Go runtime"
-
 // realBenches are the wall-clock workloads: the thread-scaling trio
 // (Larson, Threadtest, Prod-con) with the same parameters as the
 // virtual-time figures, so flush-per-op ratios stay comparable.
 func realBenches(cfg Config) []struct {
-	name   string
-	run    func(h alloc.Heap, threads int) workload.Result
-	native func(threads int) workload.Result
+	name string
+	run  func(h alloc.Heap, threads int) workload.Result
 } {
 	return []struct {
-		name   string
-		run    func(h alloc.Heap, threads int) workload.Result
-		native func(threads int) workload.Result
+		name string
+		run  func(h alloc.Heap, threads int) workload.Result
 	}{
 		{
 			"Larson-small",
 			func(h alloc.Heap, t int) workload.Result {
 				return workload.Larson(h, t, 256, cfg.ops(10000), 64, 256)
-			},
-			func(t int) workload.Result {
-				return nativeLarson(t, 256, cfg.ops(10000), 64, 256)
 			},
 		},
 		{
@@ -70,17 +55,11 @@ func realBenches(cfg Config) []struct {
 			func(h alloc.Heap, t int) workload.Result {
 				return workload.Threadtest(h, t, cfg.ops(10), 1000, 64)
 			},
-			func(t int) workload.Result {
-				return nativeThreadtest(t, cfg.ops(10), 1000, 64)
-			},
 		},
 		{
 			"Prod-con",
 			func(h alloc.Heap, t int) workload.Result {
 				return workload.ProdCon(h, t, cfg.ops(10000), 64)
-			},
-			func(t int) workload.Result {
-				return nativeProdCon(t, cfg.ops(10000), 64)
 			},
 		},
 	}
@@ -92,7 +71,6 @@ func realBenches(cfg Config) []struct {
 // not the allocator.
 func realExp(cfg Config) []*Table {
 	cfg = cfg.withDefaults()
-	names := append(append([]string{}, AllAllocators...), goRuntime)
 	benches := realBenches(cfg)
 	tables := make([]*Table, 0, len(benches))
 	for _, b := range benches {
@@ -104,19 +82,14 @@ func realExp(cfg Config) []*Table {
 		for _, th := range cfg.Threads {
 			t.Columns = append(t.Columns, fmt.Sprintf("T=%d", th))
 		}
-		for _, name := range names {
+		for _, name := range AllAllocators {
 			row := []string{name}
 			for _, th := range cfg.Threads {
-				var r workload.Result
-				if name == goRuntime {
-					r = b.native(th)
-				} else {
-					h, err := OpenHeapDirect(name, cfg)
-					if err != nil {
-						panic(err)
-					}
-					r = b.run(h, th)
+				h, err := OpenHeapDirect(name, cfg)
+				if err != nil {
+					panic(err)
 				}
+				r := b.run(h, th)
 				row = append(row, f2(r.WallMopsPerSec()))
 			}
 			t.Rows = append(t.Rows, row)
@@ -124,146 +97,4 @@ func realExp(cfg Config) []*Table {
 		tables = append(tables, t)
 	}
 	return tables
-}
-
-// nativeSink keeps the Go-runtime series honest: every allocated buffer
-// contributes a byte, so the compiler cannot elide the allocations.
-var nativeSink atomic.Uint64
-
-// runNative mirrors workload.Run for the Go-runtime series: same worker
-// spawning, same op accounting, wall clock only.
-func runNative(name string, threads int, body func(w int, rng *rand.Rand) uint64) workload.Result {
-	var (
-		wg    sync.WaitGroup
-		mu    sync.Mutex
-		total uint64
-	)
-	start := time.Now()
-	for w := 0; w < threads; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			rng := rand.New(rand.NewSource(int64(w)*2654435761 + 12345))
-			ops := body(w, rng)
-			mu.Lock()
-			total += ops
-			mu.Unlock()
-		}(w)
-	}
-	wg.Wait()
-	return workload.Result{
-		Name:    name,
-		Threads: threads,
-		Ops:     total,
-		WallNS:  time.Since(start).Nanoseconds(),
-	}
-}
-
-// nativeThreadtest is workload.Threadtest on make([]byte): allocate n
-// objects, then free them (drop the references) — both counted as ops,
-// matching the allocator drivers.
-func nativeThreadtest(threads, iters, n int, size uint64) workload.Result {
-	return runNative("Threadtest", threads, func(_ int, _ *rand.Rand) uint64 {
-		ptrs := make([][]byte, 0, n)
-		ops := uint64(0)
-		sink := uint64(0)
-		for it := 0; it < iters; it++ {
-			ptrs = ptrs[:0]
-			for j := 0; j < n; j++ {
-				b := make([]byte, size)
-				b[0] = byte(j)
-				sink += uint64(b[0])
-				ptrs = append(ptrs, b)
-				ops++
-			}
-			for j := range ptrs {
-				ptrs[j] = nil
-				ops++
-			}
-		}
-		nativeSink.Add(sink)
-		return ops
-	})
-}
-
-// nativeProdCon mirrors workload.ProdCon: producers allocate batches of
-// 64 buffers, consumers drop them.
-func nativeProdCon(threads, nPerPair int, size uint64) workload.Result {
-	type batch [][]byte
-	chans := make([]chan batch, threads/2)
-	for i := range chans {
-		chans[i] = make(chan batch, 16)
-	}
-	return runNative("Prod-con", threads, func(w int, _ *rand.Rand) uint64 {
-		ops := uint64(0)
-		sink := uint64(0)
-		defer func() { nativeSink.Add(sink) }()
-		if threads == 1 || (w == threads-1 && threads%2 == 1) {
-			for j := 0; j < nPerPair; j++ {
-				b := make([]byte, size)
-				b[0] = byte(j)
-				sink += uint64(b[0])
-				ops += 2 // alloc + free
-			}
-			return ops
-		}
-		pair := w / 2
-		if w%2 == 0 {
-			const batchSize = 64
-			for sent := 0; sent < nPerPair; {
-				b := make(batch, 0, batchSize)
-				for j := 0; j < batchSize && sent < nPerPair; j++ {
-					p := make([]byte, size)
-					p[0] = byte(j)
-					sink += uint64(p[0])
-					b = append(b, p)
-					ops++
-					sent++
-				}
-				chans[pair] <- b
-			}
-			chans[pair] <- nil
-			return ops
-		}
-		for b := range chans[pair] {
-			if b == nil {
-				break
-			}
-			for i := range b {
-				b[i] = nil
-				ops++
-			}
-		}
-		return ops
-	})
-}
-
-// nativeLarson mirrors workload.Larson: replace a random slot per op.
-func nativeLarson(threads, slots, opsPerThread int, minSize, maxSize uint64) workload.Result {
-	return runNative("Larson-small", threads, func(_ int, rng *rand.Rand) uint64 {
-		ops := uint64(0)
-		sink := uint64(0)
-		held := make([][]byte, slots)
-		span := int64(maxSize - minSize + 1)
-		for i := 0; i < opsPerThread; i++ {
-			s := rng.Intn(slots)
-			if held[s] != nil {
-				held[s] = nil
-				ops++
-			}
-			b := make([]byte, minSize+uint64(rng.Int63n(span)))
-			b[0] = byte(i)
-			sink += uint64(b[0])
-			held[s] = b
-			ops++
-		}
-		for s := range held {
-			if held[s] != nil {
-				held[s] = nil
-				ops++
-			}
-		}
-		nativeSink.Add(sink)
-		return ops
-	})
 }

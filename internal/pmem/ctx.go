@@ -214,9 +214,9 @@ func (c *Ctx) flushLine(cat Category, line uint64) {
 	}
 	d := c.sim
 
-	// Rare-feature checks (crash flag, flush countdown, fault plan, flush
-	// tracing) sit behind a single pre-armed gate: the steady-state flush
-	// pays one atomic load for all four.
+	// Rare-feature checks (crash flag, flush countdown, flush tracing) sit
+	// behind a single pre-armed gate: the steady-state flush pays one
+	// atomic load for all three.
 	if d.flushArmed.Load() && d.flushSlowPath(cat, line) {
 		return
 	}
@@ -343,9 +343,9 @@ func (c *Ctx) flushLine(cat Category, line uint64) {
 	c.yield(PointFlush, nil)
 }
 
-// flushSlowPath runs the rare flush-time features — fault injection,
-// crash countdown, flush tracing — and reports whether the flush must be
-// dropped (device crashed: nothing persists any more).
+// flushSlowPath runs the rare flush-time features — crash countdown, flush
+// tracing — and reports whether the flush must be dropped (device crashed:
+// nothing persists any more).
 func (d *Device) flushSlowPath(cat Category, line uint64) bool {
 	if d.crashed.Load() {
 		return true
@@ -354,18 +354,6 @@ func (d *Device) flushSlowPath(cat Category, line uint64) bool {
 		if d.crashAfter.Add(-1) < 0 {
 			d.crashed.Store(true)
 			return true
-		}
-	}
-	if fs := d.fault.Load(); fs != nil {
-		if fs.plan.Category == CatAny || fs.plan.Category == cat {
-			if fs.remaining.Add(-1) < 0 {
-				if d.crashed.CompareAndSwap(false, true) && fs.plan.TornLine {
-					// The crash-triggering flush was mid-flight: a seeded
-					// subset of its 8-byte words reaches the media.
-					d.tearLine(line, fs.plan.Seed)
-				}
-				return true
-			}
 		}
 	}
 	if d.traceCap > 0 {

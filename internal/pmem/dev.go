@@ -13,7 +13,7 @@ package pmem
 //
 // The interface is deliberately exactly the surface the allocator layers
 // (core, baseline, slab, walog, blog, extent) use; the simulation-only
-// features (Crash, SaveImage, FlushTrace, fault plans) stay on the concrete
+// features (Crash, SaveImage, FlushTrace, the flush journal) stay on the concrete
 // *Device so a glance at a signature tells whether code can be reached from
 // real mode.
 //

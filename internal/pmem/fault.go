@@ -4,7 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
-	"sync/atomic"
+	"slices"
 )
 
 // ErrCorrupted is the sentinel wrapped by every CorruptError, so callers
@@ -92,49 +92,9 @@ func UnsealU32(w uint32) (v uint32, ok bool) {
 	return v, SealU32(v) == w
 }
 
-// CatAny matches every flush category in a FaultPlan.
-const CatAny Category = -1
-
 // Range is a half-open device address interval [Start, End).
 type Range struct {
 	Start, End PAddr
-}
-
-func (r Range) contains(addr PAddr) bool { return addr >= r.Start && addr < r.End }
-
-// FaultPlan programs deterministic fault injection. CrashAfter counts
-// flushes of Category (CatAny = all): that many persist normally, then the
-// next one triggers the crash. If TornLine is set the triggering flush
-// persists only a seeded subset of its line's eight 8-byte words (8-byte
-// stores are atomic; the line is not). Flips > 0 additionally flips that
-// many seeded bits in nonzero persisted lines inside FlipIn (whole device
-// when empty) at Crash time, modelling media corruption.
-type FaultPlan struct {
-	CrashAfter int64
-	Category   Category
-	TornLine   bool
-	Seed       uint64
-	Flips      int
-	FlipIn     []Range
-}
-
-type faultState struct {
-	plan      FaultPlan
-	remaining atomic.Int64
-}
-
-// InjectFaults arms plan on the device (replacing any armed plan; nil
-// disarms). The plan triggers at most once and is cleared by Crash.
-func (d *Device) InjectFaults(plan *FaultPlan) {
-	if plan == nil {
-		d.fault.Store(nil)
-		d.armFlushGate()
-		return
-	}
-	fs := &faultState{plan: *plan}
-	fs.remaining.Store(plan.CrashAfter)
-	d.fault.Store(fs)
-	d.armFlushGate()
 }
 
 // splitmix64 is the usual 64-bit mixer; good enough for deterministic
@@ -149,73 +109,51 @@ func (s *splitmix64) next() uint64 {
 	return z ^ z>>31
 }
 
-// tearLine persists a seeded subset of the line's eight 8-byte words from
-// the cache image to the media image (strict ADR only): the torn state a
-// power cut leaves when a 64-byte line was mid-flight.
-func (d *Device) tearLine(line, seed uint64) {
-	if !d.strict || d.mode == ModeEADR {
-		return
-	}
-	rng := splitmix64(seed ^ line*0xA24BAED4963EE407)
-	mask := rng.next() // bit i set => word i persists
-	off := line * LineSize
-	mu := d.lineLock(line)
-	mu.Lock()
-	for w := uint64(0); w < LineSize/8; w++ {
-		if mask&(1<<w) != 0 {
-			copy(d.media[off+w*8:off+w*8+8], d.data[off+w*8:off+w*8+8])
-		}
-	}
-	mu.Unlock()
-}
-
-// applyFlips flips plan.Flips seeded bits in nonzero persisted lines
-// within plan.FlipIn. Called from Crash before the media image becomes
-// the visible one.
-func (d *Device) applyFlips(fs *faultState) {
-	p := &fs.plan
-	if p.Flips <= 0 {
-		return
-	}
-	ranges := p.FlipIn
+// FlipBits models media corruption of an image at rest: it flips n
+// distinct seeded bits of img inside ranges (the whole image when ranges is
+// empty) and returns their bit offsets into img, in the order flipped. Only
+// bytes of lines that hold something are candidates — a flip in
+// never-written space exercises nothing — and with none it flips nothing.
+// Equal arguments flip equal bits.
+func FlipBits(img []byte, ranges []Range, n int, seed uint64) []uint64 {
+	size := PAddr(len(img))
 	if len(ranges) == 0 {
-		ranges = []Range{{0, PAddr(d.size)}}
+		ranges = []Range{{0, size}}
 	}
-	// Candidate lines: persisted (nonzero) lines intersecting a range.
-	var cand []uint64
+	// The candidates: each range cut at line boundaries, a piece kept when
+	// the line it lies in is nonzero.
+	var cand []Range
+	room := 0 // bits there are to flip
 	for _, r := range ranges {
-		first := uint64(r.Start) / LineSize
-		last := (uint64(r.End) + LineSize - 1) / LineSize
-		if last > d.size/LineSize {
-			last = d.size / LineSize
-		}
-		for line := first; line < last; line++ {
-			off := line * LineSize
-			zero := true
-			for _, b := range d.media[off : off+LineSize] {
+		for lo := r.Start; lo < min(r.End, size); {
+			line := lo &^ (LineSize - 1)
+			hi := min(line+LineSize, r.End, size)
+			for _, b := range img[line:min(line+LineSize, size)] {
 				if b != 0 {
-					zero = false
+					cand = append(cand, Range{lo, hi})
+					room += int(hi-lo) * 8
 					break
 				}
 			}
-			if !zero {
-				cand = append(cand, line)
-			}
+			lo = hi
 		}
 	}
-	if len(cand) == 0 {
-		return
+	rng := splitmix64(seed ^ 0xD1B54A32D192ED03)
+	bits := make([]uint64, 0, n)
+	for len(bits) < min(n, room) {
+		piece := cand[rng.next()%uint64(len(cand))]
+		bit := uint64(piece.Start)*8 + rng.next()%(uint64(piece.End-piece.Start)*8)
+		if slices.Contains(bits, bit) {
+			continue // a second flip would restore the bit
+		}
+		img[bit/8] ^= 1 << (bit % 8)
+		bits = append(bits, bit)
 	}
-	rng := splitmix64(p.Seed ^ 0xD1B54A32D192ED03)
-	for i := 0; i < p.Flips; i++ {
-		line := cand[rng.next()%uint64(len(cand))]
-		bit := rng.next() % (LineSize * 8)
-		d.media[line*LineSize+bit/8] ^= 1 << (bit % 8)
-	}
+	return bits
 }
 
 // Clone returns an independent copy of the device (images and
-// configuration; statistics and armed faults are not carried over). Used
+// configuration; statistics and an armed crash are not carried over). Used
 // for read-only consistency checks against a live image.
 func (d *Device) Clone() *Device {
 	nd := New(Config{Size: d.size, Mode: d.mode, Strict: d.strict, Banks: len(d.banks)})

@@ -99,8 +99,8 @@ func (d *Device) JournalCheckpoint() []byte {
 }
 
 // Restore replaces the device's images with img and clears every piece of
-// runtime state — crash flags, armed faults, flush counters, traces, bank
-// clocks, statistics and the journal — as if the device had been freshly
+// runtime state — crash flags, flush counters, traces, bank clocks,
+// statistics and the journal — as if the device had been freshly
 // created already holding img. It is the scratch-device reset used when
 // materializing journal checkpoints.
 func (d *Device) Restore(img []byte) {
@@ -113,17 +113,11 @@ func (d *Device) Restore(img []byte) {
 	}
 	d.crashed.Store(false)
 	d.crashAfter.Store(-1)
-	d.fault.Store(nil)
 	d.armFlushGate()
 	d.statsMu.Lock()
 	d.flushTotal = 0
 	d.statsMu.Unlock()
-	for i := range d.banks {
-		d.banks[i].mu.Lock()
-		d.banks[i].clock = 0
-		d.banks[i].xplines = [xpLinesPerBank]uint64{}
-		d.banks[i].mu.Unlock()
-	}
+	d.ResetTimeline()
 	d.ResetStats() // statistics and trace
 	d.journalMu.Lock()
 	d.journal = nil
@@ -196,9 +190,9 @@ func (c *ImageCursor) MaterializeInto(d *Device) {
 
 // MaterializeTornInto restores d to the cursor's boundary image plus a
 // torn variant of the *next* flush: the line that was mid-flight when
-// power was lost persists only a seeded subset of its eight 8-byte words,
-// with the same word-mask derivation as FaultPlan{TornLine: true}. It
-// reports false (leaving d untouched) when the cursor sits at the final
+// power was lost persists only a seeded subset of its eight 8-byte words
+// (8-byte stores are atomic; the line is not): the one place a torn line is
+// made. It reports false (leaving d untouched) when the cursor sits at the final
 // boundary and no flush is in flight.
 func (c *ImageCursor) MaterializeTornInto(d *Device, seed uint64) bool {
 	if c.k >= c.base+len(c.journal) {

@@ -144,12 +144,11 @@ type Device struct {
 
 	crashed    atomic.Bool
 	crashAfter atomic.Int64 // flush countdown; <0 means disabled
-	fault      atomic.Pointer[faultState]
 
 	// flushArmed is the flush fast-path gate: true whenever any of the
-	// rare flush-time features — crash flag, armed flush countdown, fault
-	// plan, flush tracing — is active, so the steady-state flushLine pays
-	// one atomic load instead of four. Arming sites store their state
+	// rare flush-time features — crash flag, armed flush countdown, flush
+	// tracing — is active, so the steady-state flushLine pays one atomic
+	// load instead of three. Arming sites store their state
 	// first, then call armFlushGate; flushes racing with arming behave as
 	// if they ordered before it, exactly as with the individual atomics.
 	flushArmed atomic.Bool
@@ -220,11 +219,10 @@ func New(cfg Config) *Device {
 }
 
 // armFlushGate recomputes the flush fast-path gate from the rare-feature
-// state. Call after any change to the crash flag, the flush countdown,
-// the fault plan, or flush tracing.
+// state. Call after any change to the crash flag, the flush countdown or
+// flush tracing.
 func (d *Device) armFlushGate() {
-	d.flushArmed.Store(d.crashed.Load() || d.crashAfter.Load() >= 0 ||
-		d.fault.Load() != nil || d.traceCap > 0)
+	d.flushArmed.Store(d.crashed.Load() || d.crashAfter.Load() >= 0 || d.traceCap > 0)
 }
 
 // Size returns the device capacity in bytes.
@@ -239,7 +237,7 @@ func (d *Device) Strict() bool { return d.strict }
 // EADR reports whether the device persistence domain includes the caches.
 func (d *Device) EADR() bool { return d.mode == ModeEADR }
 
-// CrashAfterFlushes arms fault injection: after n more successful line
+// CrashAfterFlushes arms a power cut: after n more successful line
 // flushes the device "loses power" — subsequent flushes stop persisting and
 // the device reports itself crashed. Combine with Crash to test recovery at
 // an arbitrary persistence boundary. n < 0 disarms.
@@ -248,7 +246,7 @@ func (d *Device) CrashAfterFlushes(n int64) {
 	d.armFlushGate()
 }
 
-// Crashed reports whether armed fault injection has triggered.
+// Crashed reports whether an armed power cut has triggered.
 func (d *Device) Crashed() bool { return d.crashed.Load() }
 
 // Crash simulates power loss: in strict ADR mode the cache image is
@@ -260,18 +258,10 @@ func (d *Device) Crash() {
 	if !d.strict {
 		panic("pmem: Crash requires a strict-mode device")
 	}
-	fs := d.fault.Swap(nil)
 	if d.mode == ModeEADR {
 		// Whole cache is in the persistence domain.
 		copy(d.media, d.data)
-		if fs != nil {
-			d.applyFlips(fs)
-		}
-		copy(d.data, d.media)
 	} else {
-		if fs != nil {
-			d.applyFlips(fs)
-		}
 		copy(d.data, d.media)
 	}
 	d.crashed.Store(false)

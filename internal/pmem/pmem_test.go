@@ -1,9 +1,12 @@
 package pmem
 
 import (
+	"bytes"
 	"hash/crc32"
+	"math/bits"
 	"os"
 	"path/filepath"
+	"slices"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -455,5 +458,70 @@ func TestSealU64(t *testing.T) {
 	var sink uint64
 	if n := testing.AllocsPerRun(100, func() { sink += SealU64(sink&0xFFFF + 1) }); n != 0 {
 		t.Fatalf("SealU64 allocates %v objects per call", n)
+	}
+}
+
+// TestFlipBits pins the one way an image is corrupted: the same seed flips
+// the same bits, exactly n bits differ afterwards, and every one of them
+// lies inside the ranges in a line that had been written.
+func TestFlipBits(t *testing.T) {
+	img := make([]byte, 64*LineSize)
+	for _, line := range []int{3, 4, 10, 20} {
+		img[line*LineSize+5] = 0xA5
+	}
+	ranges := []Range{
+		{2 * LineSize, 6 * LineSize},        // lines 3 and 4 are written, 2 and 5 are not
+		{20*LineSize + 8, 20*LineSize + 16}, // one word of a written line
+		{30 * LineSize, 40 * LineSize},      // never written
+	}
+	allowed := func(bit uint64) bool {
+		b := bit / 8
+		return b/LineSize == 3 || b/LineSize == 4 || (b >= 20*LineSize+8 && b < 20*LineSize+16)
+	}
+	sites := map[uint64]bool{}
+	for seed := uint64(0); seed < 200; seed++ {
+		n := 1 + int(seed%4)
+		got := append([]byte(nil), img...)
+		flipped := FlipBits(got, ranges, n, seed)
+		if len(flipped) != n {
+			t.Fatalf("seed %d: %d bits flipped, want %d", seed, len(flipped), n)
+		}
+		differ := 0
+		for i := range got {
+			differ += bits.OnesCount8(got[i] ^ img[i])
+		}
+		if differ != n {
+			t.Fatalf("seed %d: %d bits differ, want %d", seed, differ, n)
+		}
+		for _, bit := range flipped {
+			if !allowed(bit) {
+				t.Fatalf("seed %d: bit %d (line %d) is outside the written lines of the ranges", seed, bit, bit/8/LineSize)
+			}
+			if (got[bit/8]^img[bit/8])&(1<<(bit%8)) == 0 {
+				t.Fatalf("seed %d: reported bit %d did not change", seed, bit)
+			}
+			sites[bit] = true
+		}
+		again := append([]byte(nil), img...)
+		if bits2 := FlipBits(again, ranges, n, seed); !slices.Equal(flipped, bits2) || !bytes.Equal(got, again) {
+			t.Fatalf("seed %d: flipped %v, then %v", seed, flipped, bits2)
+		}
+	}
+	if len(sites) < 100 {
+		t.Errorf("200 seeds reached only %d distinct bits", len(sites))
+	}
+	var hit [3]bool // every candidate piece is reachable
+	for bit := range sites {
+		hit[map[uint64]int{3: 0, 4: 1, 20: 2}[bit/8/LineSize]] = true
+	}
+	if hit != [3]bool{true, true, true} {
+		t.Errorf("pieces reached: %v, want lines 3, 4 and 20", hit)
+	}
+	if flipped := FlipBits(make([]byte, 4*LineSize), nil, 3, 1); len(flipped) != 0 {
+		t.Errorf("flipped %v in an image nothing was written to", flipped)
+	}
+	whole := append([]byte(nil), img...)
+	if flipped := FlipBits(whole, nil, 2, 9); len(flipped) != 2 {
+		t.Errorf("no ranges: flipped %v, want 2 bits anywhere written", flipped)
 	}
 }

@@ -314,6 +314,33 @@ func (l *Log) Replay(c *pmem.Ctx) ([]Entry, error) {
 	return live, nil
 }
 
+// Protected returns the parts of the rings laid out back to back from base
+// in which a flipped bit must be detected or harmless: all of each but its
+// newest entry past the checkpoint. Invalidate that one and the bad slot is
+// exactly where the next append would have landed, so Replay has to take it
+// for a torn append and drops an entry whose operation was acknowledged
+// (DESIGN.md §7 "Residual risks") — fault-injection harnesses flip bits
+// elsewhere.
+func Protected(dev pmem.Dev, base pmem.PAddr, rings, n, stripes int) []pmem.Range {
+	var rs []pmem.Range
+	c := dev.NewCtx()
+	for ; rings > 0; rings-- {
+		ring := pmem.Range{Start: base, End: base + pmem.PAddr(RegionSize(n, stripes))}
+		base = ring.End
+		l, err := New(dev.Mem(), ring.Start, n, stripes)
+		if err == nil {
+			_, err = l.Replay(c)
+		}
+		if err != nil || l.seq-1 <= l.ckpt {
+			rs = append(rs, ring)
+			continue
+		}
+		newest := l.slotAddr(int((l.seq - 2) % uint64(n)))
+		rs = append(rs, pmem.Range{Start: ring.Start, End: newest}, pmem.Range{Start: newest + EntrySize, End: ring.End})
+	}
+	return rs
+}
+
 // Seq returns the next sequence number (for tests).
 func (l *Log) Seq() uint64 { return l.seq }
 
