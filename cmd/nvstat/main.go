@@ -21,72 +21,92 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"sort"
 
 	"nvalloc"
 	"nvalloc/internal/core"
 	"nvalloc/internal/nvkv"
-	"nvalloc/internal/sizeclass"
 )
 
-func main() {
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// run is the whole command: it returns the exit status instead of
+// exiting, so tests drive it in-process.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("nvstat", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		image    = flag.String("image", "", "heap image file written by Device.SaveImage")
-		heapFile = flag.String("heap", "", "nvkv heap file (direct-device mmap file; size inferred)")
-		size     = flag.Uint64("size", 256<<20, "device size in bytes (must match the image)")
-		demo     = flag.Bool("demo", false, "generate a demo heap instead of loading an image")
-		check    = flag.Bool("check", false, "report corruption in the image without modifying it")
-		repair   = flag.Bool("repair", false, "scavenge the image in place and rewrite it")
+		image    = fs.String("image", "", "heap image file written by Device.SaveImage")
+		heapFile = fs.String("heap", "", "nvkv heap file (direct-device mmap file; size inferred)")
+		size     = fs.Uint64("size", 256<<20, "device size in bytes (must match the image)")
+		demo     = fs.Bool("demo", false, "generate a demo heap instead of loading an image")
+		check    = fs.Bool("check", false, "report corruption in the image without modifying it")
+		repair   = fs.Bool("repair", false, "scavenge the image in place and rewrite it")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
+	fail := func(err error) int {
+		fmt.Fprintln(stderr, "nvstat:", err)
+		return 1
+	}
 
 	// A direct-device heap file is byte-identical to a saved image, so
 	// -heap is -image with the device sized from the file itself.
 	path := *image
 	if *heapFile != "" {
 		if *image != "" {
-			fmt.Fprintln(os.Stderr, "nvstat: -image and -heap are mutually exclusive")
-			os.Exit(2)
+			fmt.Fprintln(stderr, "nvstat: -image and -heap are mutually exclusive")
+			return 2
 		}
 		st, err := os.Stat(*heapFile)
 		if err != nil {
-			fatal(err)
+			return fail(err)
 		}
 		path = *heapFile
 		*size = uint64(st.Size())
 	}
 
 	dev := nvalloc.NewDevice(nvalloc.DeviceConfig{Size: *size})
-	var heap *nvalloc.Heap
+	var (
+		heap *nvalloc.Heap
+		err  error
+	)
 	switch {
 	case *demo:
-		heap = buildDemo(dev)
+		heap, err = buildDemo(stdout, dev)
 	case path != "":
 		if err := dev.LoadImage(path); err != nil {
-			fatal(err)
+			return fail(err)
 		}
 		switch {
 		case *check:
-			os.Exit(runCheck(dev))
+			return runCheck(stdout, dev)
 		case *repair:
-			heap = runRepair(dev, path)
+			heap, err = runRepair(stdout, dev, path)
 		default:
-			h, _, err := nvalloc.Open(dev, nvalloc.Options{})
-			if err != nil {
-				fatal(err)
+			heap, _, err = nvalloc.Open(dev, nvalloc.Options{})
+			if err == nil {
+				fmt.Fprintf(stdout, "opened image %s\nrecovery:         %v\n\n", path, heap.Recovery())
 			}
-			fmt.Printf("opened image %s\nrecovery:         %v\n\n", path, h.Recovery())
-			heap = h
 		}
 	default:
-		fmt.Fprintln(os.Stderr, "nvstat: need -demo, -image <file> or -heap <file>")
-		os.Exit(2)
+		fmt.Fprintln(stderr, "nvstat: need -demo, -image <file> or -heap <file>")
+		return 2
+	}
+	if err != nil {
+		return fail(err)
 	}
 
-	inspect(heap)
+	inspect(stdout, heap)
 	if *heapFile != "" {
 		// `nvkv serve` keeps its store's index at root slot 0. An index in
 		// a layout this build does not read is reported by name
@@ -94,115 +114,116 @@ func main() {
 		// depend on it.
 		st, err := nvkv.OpenStore(heap.Heap, 0, nvkv.StoreConfig{})
 		if err != nil {
-			fatal(err)
+			return fail(err)
 		}
-		fmt.Printf("\nnvkv store:       %d keys\n", st.Len())
+		fmt.Fprintf(stdout, "\nnvkv store:       %d keys\n", st.Len())
 	}
+	return 0
 }
 
 // runCheck reports every problem a scavenge would repair (on a clone of
 // the device — the loaded image is never modified). Exit status 0 means
 // the image opens cleanly, 1 means it needs repair.
-func runCheck(dev *nvalloc.Device) int {
+func runCheck(w io.Writer, dev *nvalloc.Device) int {
 	issues := nvalloc.Check(dev, nvalloc.Options{})
 	if len(issues) == 0 {
-		fmt.Println("image is clean")
+		fmt.Fprintln(w, "image is clean")
 		return 0
 	}
-	fmt.Printf("image is damaged (%d issue(s)):\n", len(issues))
+	fmt.Fprintf(w, "image is damaged (%d issue(s)):\n", len(issues))
 	for _, s := range issues {
-		fmt.Println("  -", s)
+		fmt.Fprintln(w, "  -", s)
 	}
 	return 1
 }
 
 // runRepair scavenges the device in place and rewrites the image file,
 // then returns the repaired heap for inspection.
-func runRepair(dev *nvalloc.Device, image string) *nvalloc.Heap {
+func runRepair(w io.Writer, dev *nvalloc.Device, image string) (*nvalloc.Heap, error) {
 	h, repairs, err := nvalloc.Scavenge(dev, nvalloc.Options{})
 	for _, s := range repairs {
-		fmt.Println("repair:", s)
+		fmt.Fprintln(w, "repair:", s)
 	}
 	if err != nil {
-		fatal(err)
+		return nil, err
 	}
 	if len(repairs) == 0 {
-		fmt.Println("image was clean; nothing repaired")
+		fmt.Fprintln(w, "image was clean; nothing repaired")
 	} else if err := dev.SaveImage(image); err != nil {
-		fatal(err)
+		return nil, err
 	} else {
-		fmt.Printf("repaired image rewritten to %s\n\n", image)
+		fmt.Fprintf(w, "repaired image rewritten to %s\n\n", image)
 	}
-	return h
+	return h, nil
 }
 
-func buildDemo(dev *nvalloc.Device) *nvalloc.Heap {
+func buildDemo(w io.Writer, dev *nvalloc.Device) (*nvalloc.Heap, error) {
 	heap, err := nvalloc.Create(dev, nvalloc.Options{Variant: nvalloc.IC})
 	if err != nil {
-		fatal(err)
+		return nil, err
 	}
 	th := heap.NewThread()
 	defer th.Close()
 	for i := 0; i < 20000; i++ {
 		p, err := th.Malloc(uint64(16 + i%800))
 		if err != nil {
-			fatal(err)
+			return nil, err
 		}
 		if i%3 == 0 {
 			if err := th.Free(p); err != nil {
-				fatal(err)
+				return nil, err
 			}
 		}
 	}
 	for i := 0; i < 20; i++ {
 		if _, err := th.Malloc(256 << 10); err != nil {
-			fatal(err)
+			return nil, err
 		}
 	}
-	fmt.Println("generated demo heap (NVAlloc-IC)")
-	return heap
+	fmt.Fprintln(w, "generated demo heap (NVAlloc-IC)")
+	return heap, nil
 }
 
-func inspect(heap *nvalloc.Heap) {
+func inspect(w io.Writer, heap *nvalloc.Heap) {
 	opts := heap.Options()
-	fmt.Printf("variant:          %v\n", opts.Variant)
-	fmt.Printf("arenas:           %d\n", opts.Arenas)
+	fmt.Fprintf(w, "variant:          %v\n", opts.Variant)
+	fmt.Fprintf(w, "arenas:           %d\n", opts.Arenas)
 	// What the image holds, not what this open would format next: the WAL
 	// stripe count from the superblock, bitmap stripe counts from the slab
 	// headers.
 	lay := heap.Layout()
-	fmt.Printf("stripes:          %d; WAL and bookkeeping log %d-way\n", opts.Stripes, lay.WAL)
+	fmt.Fprintf(w, "stripes:          %d; WAL and bookkeeping log %d-way\n", opts.Stripes, lay.WAL)
 	census := heap.LayoutCensus()
 	counts := make([]int, 0, len(census))
 	for n := range census {
 		counts = append(counts, n)
 	}
 	sort.Ints(counts)
-	fmt.Printf("slab bitmaps:    ")
+	fmt.Fprintf(w, "slab bitmaps:    ")
 	for _, n := range counts {
-		fmt.Printf(" %d slabs %d-way", census[n], n)
+		fmt.Fprintf(w, " %d slabs %d-way", census[n], n)
 	}
 	if len(counts) == 0 {
-		fmt.Printf(" no slabs")
+		fmt.Fprintf(w, " no slabs")
 	}
-	fmt.Printf(" (new slabs: %d-way)\n", lay.Bitmap)
-	fmt.Printf("slab morphing:    %v (SU %.0f%%)\n", opts.Morphing, opts.SU*100)
-	fmt.Printf("bookkeeping:      log=%v (%d shards)\n", opts.LogBookkeeping, opts.BookShards)
-	fmt.Printf("wal:              %d entries per arena\n", opts.WALEntries)
-	fmt.Printf("used:             %.1f MiB (peak %.1f MiB, lease overhead %.1f MiB)\n",
+	fmt.Fprintf(w, " (new slabs: %d-way)\n", lay.Bitmap)
+	fmt.Fprintf(w, "slab morphing:    %v (SU %.0f%%)\n", opts.Morphing, opts.SU*100)
+	fmt.Fprintf(w, "bookkeeping:      log=%v (%d shards)\n", opts.LogBookkeeping, opts.BookShards)
+	fmt.Fprintf(w, "wal:              %d entries per arena\n", opts.WALEntries)
+	fmt.Fprintf(w, "used:             %.1f MiB (peak %.1f MiB, lease overhead %.1f MiB)\n",
 		float64(heap.Used())/(1<<20), float64(heap.Peak())/(1<<20),
 		float64(heap.LeaseOverhead())/(1<<20))
 	splits, coalesces, grows := heap.LargeStats()
-	fmt.Printf("extent ops:       %d splits, %d coalesces, %d chunk grows\n", splits, coalesces, grows)
+	fmt.Fprintf(w, "extent ops:       %d splits, %d coalesces, %d chunk grows\n", splits, coalesces, grows)
 	morphs, refusals := heap.MorphStats()
-	fmt.Printf("morphs:           %d (refused candidates: %d)\n", morphs, refusals)
+	fmt.Fprintf(w, "morphs:           %d (refused candidates: %d)\n", morphs, refusals)
 	if bl := heap.Blog(); bl != nil {
 		fast, slow := bl.GCCounts()
-		fmt.Printf("bookkeeping log:  %d live entries, %d active chunks, %d free; GC fast=%d slow=%d\n",
+		fmt.Fprintf(w, "bookkeeping log:  %d live entries, %d active chunks, %d free; GC fast=%d slow=%d\n",
 			bl.Live(), bl.ActiveChunks(), bl.FreeChunks(), fast, slow)
 	}
 	b := heap.SlabUtilization()
-	fmt.Printf("slab utilization: %d slabs <30%%, %d in 30-70%%, %d >70%%\n", b[0], b[1], b[2])
+	fmt.Fprintf(w, "slab utilization: %d slabs <30%%, %d in 30-70%%, %d >70%%\n", b[0], b[1], b[2])
 
 	// Live-object census via the internal-collection iterator.
 	type classStat struct {
@@ -227,7 +248,7 @@ func inspect(heap *nvalloc.Heap) {
 		cs.bytes += o.Size
 		return true
 	})
-	fmt.Printf("live objects:     %d (%d large), %.1f MiB payload\n\n",
+	fmt.Fprintf(w, "live objects:     %d (%d large), %.1f MiB payload\n\n",
 		objects, largeObjects, float64(liveBytes)/(1<<20))
 
 	var sizes []uint64
@@ -235,15 +256,9 @@ func inspect(heap *nvalloc.Heap) {
 		sizes = append(sizes, s)
 	}
 	sort.Slice(sizes, func(i, j int) bool { return sizes[i] < sizes[j] })
-	fmt.Printf("%-12s %-10s %-12s\n", "size", "objects", "bytes")
+	fmt.Fprintf(w, "%-12s %-10s %-12s\n", "size", "objects", "bytes")
 	for _, s := range sizes {
 		cs := perSize[s]
-		fmt.Printf("%-12d %-10d %-12d\n", s, cs.count, cs.bytes)
+		fmt.Fprintf(w, "%-12d %-10d %-12d\n", s, cs.count, cs.bytes)
 	}
-	_ = sizeclass.NumClasses()
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "nvstat:", err)
-	os.Exit(1)
 }

@@ -62,7 +62,7 @@ func TestKVStoreModeEquivalence(t *testing.T) {
 
 	// Direct device: same workload, flush-and-reopen (there is no crash
 	// API in direct mode; a kill -9 on an mmap'd file is exercised by
-	// the nvkv smoke drill).
+	// the crash phase of benchmark/run.sh).
 	dirState := func() map[uint64]uint64 {
 		dev, err := pmem.NewDirect(pmem.DirectConfig{Size: 256 << 20})
 		if err != nil {

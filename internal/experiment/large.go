@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"nvalloc/internal/alloc"
-	"nvalloc/internal/baseline"
 	"nvalloc/internal/core"
 	"nvalloc/internal/pmem"
 	"nvalloc/internal/workload"
@@ -181,6 +180,3 @@ func fig21(cfg Config) []*Table {
 	}
 	return tables
 }
-
-// Silence an import that is only needed for type assertions in tests.
-var _ = baseline.PMDK

@@ -1,11 +1,3 @@
-// Package traffic is the synthetic load generator for the nvkv service:
-// zipfian key popularity, per-user sessions multiplexed over a worker
-// pool, mixed operation and value-size distributions, burst phases, and
-// per-op-type latency percentiles — plus the deterministic replay
-// machinery (replay.go) the crash-restart harness records and verifies
-// with. It scales to millions of simulated user sessions because a user
-// carries no state: a session's behaviour is derived on the fly from its
-// user id and the engine seed.
 package traffic
 
 import (

@@ -1,124 +1,31 @@
+// Package traffic holds what the repo's two nvkv harnesses share, and no
+// load generator of its own:
+//
+//   - the deterministic half (replay.go): a seeded script of SET / GET /
+//     DEL / EXPIRE operations with a logical clock, and the model that
+//     says what a recovered store must hold after any prefix of it —
+//     internal/nvkv's boundary sweeps record the script against a
+//     virtual-time server and reopen the image at every persist boundary;
+//   - the acked-state oracle pieces (this file): the wire name of key i,
+//     the regenerable payload of its seq'th mutation, the record of a
+//     key's last acknowledged mutation, and VerifyAcked, which holds a
+//     restarted server to those records. benchmark/ (BENCHMARK.json) is
+//     the one wall-clock load generator and the one kill -9 drill; its
+//     clients keep the records and its crash phase calls VerifyAcked.
+//
+// Hist (hist.go) is the latency histogram benchmark/ reports with. It
+// lives here because benchmark/ is frozen and imports it from here.
 package traffic
 
 import (
 	"bufio"
 	"bytes"
 	"fmt"
-	"math/rand"
 	"net"
 	"strconv"
-	"sync/atomic"
-	"time"
 
-	"nvalloc/internal/experiment"
 	"nvalloc/internal/nvkv"
 )
-
-// Engine is the wall-clock load generator: it simulates Users sessions
-// over Conns pipelined connections, fanned out on the experiment worker
-// pool. A session carries no allocated state — its behaviour (op count,
-// op mix via its phase, key choices, value sizes) derives on the fly
-// from the session id and the engine seed, which is what lets one
-// process simulate millions of users.
-//
-// Key popularity is zipfian (hot keys absorb most churn). Mutations are
-// sharded: worker w only ever writes keys congruent to w modulo Conns,
-// so "the last acknowledged mutation per key" is well-defined even
-// though workers run concurrently — that makes the acknowledgement log
-// (Report.Acked) a sound durability oracle after a kill -9. Reads are
-// unsharded and keep the full zipfian skew.
-//
-// Phases run in session order, so a weighted phase list produces a
-// temporal load profile (steady traffic, then a write burst, ...).
-type Engine struct {
-	cfg Config
-
-	claimed  atomic.Uint64 // sessions handed to workers
-	finished atomic.Uint64 // sessions fully generated
-	ops      atomic.Uint64 // replies received
-	stop     atomic.Bool
-}
-
-// Phase shapes a contiguous slice of the session stream.
-type Phase struct {
-	Name string
-	// Weight is the phase's share of all sessions (relative to the sum
-	// of weights).
-	Weight int
-	// Mix holds op weights indexed by OpKind (get, set, del, expire).
-	Mix [4]int
-	// Sizes / SizeW pick SET value sizes.
-	Sizes []int
-	SizeW []int
-	// TTLPct of SETs carry a TTL, uniform in [1, MaxTTLms].
-	TTLPct   int
-	MaxTTLms int64
-}
-
-// Config parameterizes an Engine.
-type Config struct {
-	// Addr is the server address ("host:port").
-	Addr string
-	// Conns is the number of concurrent connections (= workers).
-	Conns int
-	// Pipeline is the number of commands in flight per connection.
-	Pipeline int
-	// Users is the total number of simulated sessions.
-	Users uint64
-	// Keys is the key-universe size (must exceed Conns).
-	Keys uint64
-	// ZipfS is the zipfian skew; values <= 1 are clamped to 1.01
-	// ("s ~= 1.0" key popularity).
-	ZipfS float64
-	// SessionOps is the mean operations per session.
-	SessionOps int
-	// Seed makes the whole workload reproducible.
-	Seed uint64
-	// Phases defaults to a steady phase followed by a write burst.
-	Phases []Phase
-	// TrackAcks records the last acknowledged mutation per key for the
-	// post-crash durability oracle (VerifyAcked). Costs one map entry
-	// per touched key.
-	TrackAcks bool
-	// DialTimeout bounds how long a worker keeps retrying a dial after
-	// a disconnect (covers the server's kill -9 restart window).
-	DialTimeout time.Duration
-}
-
-func (c Config) withDefaults() Config {
-	if c.Conns <= 0 {
-		c.Conns = 8
-	}
-	if c.Pipeline <= 0 {
-		c.Pipeline = 64
-	}
-	if c.Keys == 0 {
-		c.Keys = 1 << 16
-	}
-	if c.Keys < uint64(c.Conns)*2 {
-		c.Keys = uint64(c.Conns) * 2
-	}
-	if c.ZipfS <= 1 {
-		c.ZipfS = 1.01
-	}
-	if c.SessionOps <= 0 {
-		c.SessionOps = 4
-	}
-	if c.DialTimeout <= 0 {
-		c.DialTimeout = 30 * time.Second
-	}
-	if len(c.Phases) == 0 {
-		c.Phases = []Phase{
-			{Name: "steady", Weight: 4, Mix: [4]int{55, 30, 10, 5},
-				Sizes: []int{16, 64, 256, 1024}, SizeW: []int{40, 35, 20, 5},
-				TTLPct: 10, MaxTTLms: 60_000},
-			{Name: "burst", Weight: 1, Mix: [4]int{20, 65, 10, 5},
-				Sizes: []int{64, 1024, 16 << 10}, SizeW: []int{50, 40, 10},
-				TTLPct: 5, MaxTTLms: 60_000},
-		}
-	}
-	return c
-}
 
 // Ack is the last acknowledged mutation of one key.
 type Ack struct {
@@ -132,26 +39,7 @@ type Ack struct {
 	Unsafe bool
 }
 
-// Report is the merged outcome of a Run.
-type Report struct {
-	Sessions    uint64
-	Ops         uint64
-	Disconnects uint64
-	// Errors counts error replies and reply-verification mismatches.
-	Errors uint64
-	// PerOp holds latency histograms indexed by OpKind; All is their
-	// union.
-	PerOp [4]Hist
-	All   Hist
-	// Acked / Tainted are populated under TrackAcks: last acked
-	// mutation per key, and keys whose mutation was in flight (sent,
-	// unacknowledged) at a disconnect — their state is unknowable, so
-	// the oracle excludes them.
-	Acked   map[uint64]Ack
-	Tainted map[uint64]bool
-}
-
-// KeyName is the wire form of engine key i.
+// KeyName is the wire form of key i.
 func KeyName(i uint64) string { return "u" + strconv.FormatUint(i, 10) }
 
 // ValBytes deterministically regenerates the payload of key's seq'th
@@ -168,317 +56,13 @@ func ValBytes(key, seq uint64, size int) []byte {
 	return b
 }
 
-// New builds an engine; Run executes it.
-func New(cfg Config) *Engine { return &Engine{cfg: cfg.withDefaults()} }
-
-// Sessions returns sessions claimed so far (progress; monotone).
-func (e *Engine) Sessions() uint64 { return e.claimed.Load() }
-
-// Finished returns sessions fully generated.
-func (e *Engine) Finished() uint64 { return e.finished.Load() }
-
-// Ops returns replies received so far.
-func (e *Engine) Ops() uint64 { return e.ops.Load() }
-
-// Stop asks workers to drain and exit early (the smoke driver uses it
-// on timeout).
-func (e *Engine) Stop() { e.stop.Store(true) }
-
-type workerResult struct {
-	perOp       [4]Hist
-	errors      uint64
-	disconnects uint64
-	acks        map[uint64]Ack
-	taint       map[uint64]bool
-	err         error
-}
-
-// pend is one in-flight command.
-type pend struct {
-	kind   OpKind
-	key    uint64
-	seq    uint64
-	size   int
-	unsafe bool
-	sent   time.Time
-}
-
-// session is the per-worker cursor into the session stream.
-type session struct {
-	rng       *rand.Rand
-	phase     *Phase
-	remaining int
-}
-
-// Run drives the full workload and returns the merged report. Worker
-// dial failures (beyond DialTimeout of retrying) surface as an error,
-// with whatever was measured still in the report.
-func (e *Engine) Run() (*Report, error) {
-	cfg := e.cfg
-	results := make([]workerResult, cfg.Conns)
-	experiment.Config{Workers: cfg.Conns}.RunCells(cfg.Conns, func(w int) {
-		e.worker(w, &results[w])
-	})
-	rep := &Report{
-		Sessions: min64(e.claimed.Load(), cfg.Users),
-		Ops:      e.ops.Load(),
-	}
-	if cfg.TrackAcks {
-		rep.Acked = make(map[uint64]Ack)
-		rep.Tainted = make(map[uint64]bool)
-	}
-	var firstErr error
-	for i := range results {
-		r := &results[i]
-		for k := range r.perOp {
-			rep.PerOp[k].Merge(&r.perOp[k])
-			rep.All.Merge(&r.perOp[k])
-		}
-		rep.Errors += r.errors
-		rep.Disconnects += r.disconnects
-		// Mutation keyspaces are disjoint across workers, so the maps
-		// merge without conflicts.
-		for k, a := range r.acks {
-			rep.Acked[k] = a
-		}
-		for k := range r.taint {
-			rep.Tainted[k] = true
-		}
-		if r.err != nil && firstErr == nil {
-			firstErr = r.err
-		}
-	}
-	return rep, firstErr
-}
-
-func min64(a, b uint64) uint64 {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-func (e *Engine) dial() (net.Conn, error) {
-	deadline := time.Now().Add(e.cfg.DialTimeout)
-	for {
-		c, err := net.Dial("tcp", e.cfg.Addr)
-		if err == nil {
-			return c, nil
-		}
-		if e.stop.Load() || time.Now().After(deadline) {
-			return nil, err
-		}
-		time.Sleep(50 * time.Millisecond)
-	}
-}
-
-// phaseBounds precomputes the session-id boundary below which each
-// phase applies.
-func phaseBounds(phases []Phase, users uint64) []uint64 {
-	total := 0
-	for _, p := range phases {
-		if p.Weight <= 0 {
-			total++
-		} else {
-			total += p.Weight
-		}
-	}
-	bounds := make([]uint64, len(phases))
-	cum := 0
-	for i, p := range phases {
-		w := p.Weight
-		if w <= 0 {
-			w = 1
-		}
-		cum += w
-		bounds[i] = users / uint64(total) * uint64(cum)
-	}
-	bounds[len(bounds)-1] = users
-	return bounds
-}
-
-func (e *Engine) worker(w int, res *workerResult) {
-	cfg := e.cfg
-	if cfg.TrackAcks {
-		res.acks = make(map[uint64]Ack)
-		res.taint = make(map[uint64]bool)
-	}
-	rng := rand.New(rand.NewSource(int64(cfg.Seed*0x9E3779B97F4A7C15 + uint64(w)*0xBF58476D1CE4E5B9 + 1)))
-	zipf := rand.NewZipf(rng, cfg.ZipfS, 1, cfg.Keys-1)
-	bounds := phaseBounds(cfg.Phases, cfg.Users)
-
-	conn, err := e.dial()
-	if err != nil {
-		res.err = fmt.Errorf("worker %d: dial: %w", w, err)
-		return
-	}
-	defer func() { conn.Close() }()
-	br := bufio.NewReaderSize(conn, 64<<10)
-	bw := bufio.NewWriterSize(conn, 64<<10)
-
-	seqs := make(map[uint64]uint64)
-	pending := make([]pend, 0, cfg.Pipeline)
-	var cur session
-
-	// reconnect taints in-flight mutations and re-establishes the
-	// connection; it reports whether the worker should keep going.
-	reconnect := func() bool {
-		for _, p := range pending {
-			if p.kind != OpGet {
-				if res.taint != nil {
-					res.taint[p.key] = true
-				}
-			}
-		}
-		pending = pending[:0]
-		res.disconnects++
-		conn.Close()
-		c, err := e.dial()
-		if err != nil {
-			res.err = fmt.Errorf("worker %d: redial: %w", w, err)
-			return false
-		}
-		conn = c
-		br.Reset(conn)
-		bw.Reset(conn)
-		return true
-	}
-
-	// drain flushes the write side and consumes one reply per pending
-	// command; false means the connection died and was not (or could
-	// not be) re-established for continuing.
-	drain := func() bool {
-		if err := bw.Flush(); err != nil {
-			return reconnect()
-		}
-		for len(pending) > 0 {
-			rep, err := nvkv.ReadReply(br)
-			if err != nil {
-				return reconnect()
-			}
-			p := pending[0]
-			pending = pending[1:]
-			ns := uint64(time.Since(p.sent))
-			res.perOp[p.kind].Record(ns)
-			e.ops.Add(1)
-			if rep.Kind == nvkv.ReplyError {
-				res.errors++
-				// An error reply leaves the key's durable state
-				// uncertain from out here; exclude it from the oracle.
-				if p.kind != OpGet && res.taint != nil {
-					res.taint[p.key] = true
-				}
-				continue
-			}
-			if res.acks == nil {
-				continue
-			}
-			switch p.kind {
-			case OpSet:
-				res.acks[p.key] = Ack{Seq: p.seq, Size: p.size, Unsafe: p.unsafe}
-			case OpDel:
-				res.acks[p.key] = Ack{Deleted: true}
-			case OpExpire:
-				if a, ok := res.acks[p.key]; ok && !a.Deleted {
-					a.Unsafe = true
-					res.acks[p.key] = a
-				}
-			}
-		}
-		return true
-	}
-
-	for !e.stop.Load() {
-		// Fill the pipeline.
-		for len(pending) < cfg.Pipeline {
-			if cur.remaining == 0 {
-				sid := e.claimed.Add(1) - 1
-				if sid >= cfg.Users {
-					break
-				}
-				srng := rand.New(rand.NewSource(int64(cfg.Seed ^ (sid+1)*0xD1B54A32D192ED03)))
-				pi := 0
-				for pi < len(bounds)-1 && sid >= bounds[pi] {
-					pi++
-				}
-				cur = session{
-					rng:       srng,
-					phase:     &cfg.Phases[pi],
-					remaining: 1 + srng.Intn(2*cfg.SessionOps),
-				}
-			}
-			p, err := e.sendOp(bw, &cur, zipf, seqs, w)
-			cur.remaining--
-			if cur.remaining == 0 {
-				e.finished.Add(1)
-			}
-			if err != nil {
-				if !reconnect() {
-					return
-				}
-				continue
-			}
-			pending = append(pending, p)
-		}
-		if len(pending) == 0 {
-			break // session stream exhausted
-		}
-		if !drain() {
-			return
-		}
-	}
-	// Final drain of anything buffered when Stop() hit mid-fill.
-	if len(pending) > 0 {
-		drain()
-	}
-}
-
-// sendOp generates and writes the session's next operation.
-func (e *Engine) sendOp(bw *bufio.Writer, cur *session, zipf *rand.Zipf, seqs map[uint64]uint64, w int) (pend, error) {
-	cfg := e.cfg
-	ph := cur.phase
-	kind := OpKind(weighted(cur.rng, ph.Mix[:]))
-	key := zipf.Uint64()
-	if kind != OpGet {
-		// Shard mutations onto this worker's congruence class, keeping
-		// the zipfian block structure (hot blocks stay hot).
-		key = key - key%uint64(cfg.Conns) + uint64(w)
-		if key >= cfg.Keys {
-			key -= uint64(cfg.Conns)
-		}
-	}
-	p := pend{kind: kind, key: key, sent: time.Now()}
-	kb := []byte(KeyName(key))
-	switch kind {
-	case OpGet:
-		return p, nvkv.WriteCommand(bw, []byte("GET"), kb)
-	case OpSet:
-		p.seq = seqs[key] + 1
-		seqs[key] = p.seq
-		p.size = ph.Sizes[weighted(cur.rng, ph.SizeW)]
-		val := ValBytes(key, p.seq, p.size)
-		if ph.TTLPct > 0 && cur.rng.Intn(100) < ph.TTLPct {
-			p.unsafe = true
-			ttl := 1 + cur.rng.Int63n(ph.MaxTTLms)
-			return p, nvkv.WriteCommand(bw, []byte("SET"), kb, val,
-				[]byte("TTL"), []byte(strconv.FormatInt(ttl, 10)))
-		}
-		return p, nvkv.WriteCommand(bw, []byte("SET"), kb, val)
-	case OpDel:
-		return p, nvkv.WriteCommand(bw, []byte("DEL"), kb)
-	default: // OpExpire
-		p.unsafe = true
-		ttl := 1 + cur.rng.Int63n(ph.MaxTTLms)
-		return p, nvkv.WriteCommand(bw, []byte("EXPIRE"), kb,
-			[]byte(strconv.FormatInt(ttl, 10)))
-	}
-}
-
 // VerifyAcked is the post-restart durability oracle: over a fresh
 // connection it GETs every acked, non-tainted, expiry-free key and
 // asserts the exact acknowledged outcome — last-set bytes present, or
-// deleted keys absent. It returns how many keys were checked and how
-// many skipped (tainted or expiry-dependent).
+// deleted keys absent. tainted names the keys whose mutation was in
+// flight (sent, unacknowledged) when the server died: their state is
+// unknowable from outside. It returns how many keys were checked and how
+// many skipped (tainted or expiry-dependent); nothing else is skipped.
 func VerifyAcked(conn net.Conn, acked map[uint64]Ack, tainted map[uint64]bool) (checked, skipped int, err error) {
 	br := bufio.NewReaderSize(conn, 256<<10)
 	bw := bufio.NewWriterSize(conn, 256<<10)

@@ -60,7 +60,10 @@ func (r Result) WallMopsPerSec() float64 {
 
 // Run drives `threads` workers against the heap. body returns the number
 // of operations the worker performed. The device's merged stats are reset
-// before the run so Result.Stats covers only this run.
+// before the run so Result.Stats covers only this run. Worker w runs on
+// the w-th handle the heap hands out: handles are created in worker
+// order before any worker starts, so which arena a worker (and its fixed
+// rng seed) lands on is the heap's rule, not goroutine start order.
 func Run(name string, h alloc.Heap, threads int, body func(w int, th alloc.Thread, rng *rand.Rand) uint64) Result {
 	h.Device().ResetStats()
 	h.ResetPeak()
@@ -71,11 +74,14 @@ func Run(name string, h alloc.Heap, threads int, body func(w int, th alloc.Threa
 		span  int64
 	)
 	start := time.Now()
-	for w := 0; w < threads; w++ {
+	ths := make([]alloc.Thread, threads)
+	for w := range ths {
+		ths[w] = h.NewThread()
+	}
+	for w, th := range ths {
 		wg.Add(1)
-		go func(w int) {
+		go func(w int, th alloc.Thread) {
 			defer wg.Done()
-			th := h.NewThread()
 			rng := rand.New(rand.NewSource(int64(w)*2654435761 + 12345))
 			ops := body(w, th, rng)
 			now := th.Ctx().Now
@@ -86,7 +92,7 @@ func Run(name string, h alloc.Heap, threads int, body func(w int, th alloc.Threa
 				span = now
 			}
 			mu.Unlock()
-		}(w)
+		}(w, th)
 	}
 	wg.Wait()
 	return Result{

@@ -2,6 +2,7 @@ package workload
 
 import (
 	"math/rand"
+	"sync/atomic"
 	"testing"
 
 	"nvalloc/internal/alloc"
@@ -145,6 +146,43 @@ func TestPoissonSizeBounds(t *testing.T) {
 		s := poissonSize(rng, 32<<10, 512<<10)
 		if s < 32<<10 || s > 512<<10 {
 			t.Fatalf("size %d out of range", s)
+		}
+	}
+}
+
+// countingHeap numbers the handles a real heap hands out.
+type countingHeap struct {
+	alloc.Heap
+	handed atomic.Int32
+}
+
+type numberedThread struct {
+	alloc.Thread
+	n int
+}
+
+func (h *countingHeap) NewThread() alloc.Thread {
+	return &numberedThread{h.Heap.NewThread(), int(h.handed.Add(1)) - 1}
+}
+
+// TestRunBindsWorkerToItsHandleInOrder: worker w always runs on the
+// w-th handle the heap created, so its arena follows from the heap's
+// least-loaded rule alone. Created inside the worker goroutines, handle
+// order was the scheduler's.
+func TestRunBindsWorkerToItsHandleInOrder(t *testing.T) {
+	const threads = 8
+	h := &countingHeap{Heap: nvheap(t, core.LOG)}
+	for round := 0; round < 50; round++ {
+		h.handed.Store(0)
+		var got [threads]int
+		Run("binding", h, threads, func(w int, th alloc.Thread, _ *rand.Rand) uint64 {
+			got[w] = th.(*numberedThread).n
+			return 0
+		})
+		for w, n := range got {
+			if n != w {
+				t.Fatalf("round %d: worker %d ran on handle %d (all: %v)", round, w, n, got)
+			}
 		}
 	}
 }
