@@ -44,19 +44,44 @@ type Server struct {
 	// snapshotPath, when non-empty, enables the SNAPSHOT command.
 	snapshotPath string
 
-	// snapMu quiesces heap mutation for SNAPSHOT: every server-side
-	// path that can write the device (command execution, thread
-	// open/close, deferred-free drains) holds it for read; Snapshot
-	// holds it for write while the image copy is taken, so the copy is
-	// a consistent point-in-time cut, not a torn read of live memory.
-	snapMu sync.RWMutex
+	// writeTimeout is batchWriteTimeout, unless a test has shortened it.
+	writeTimeout time.Duration
 
 	mu       sync.Mutex
 	listener net.Listener
 	conns    map[net.Conn]struct{}
 	closed   bool
 
+	// sessions holds every connection being served. A connection takes
+	// its own gate — a mutex no other connection touches — around each
+	// call that can write the device (a store operation, thread open and
+	// close, a deferred-free drain) and around nothing that waits for its
+	// peer. Snapshot holds gateMu, so that none joins or leaves, and every
+	// gate while the image copy is taken: the copy is a consistent
+	// point-in-time cut, not a torn read of live memory.
+	gateMu   sync.Mutex
+	sessions map[*session]struct{}
+
 	ops atomic.Uint64
+}
+
+// session is what one connection's goroutine owns.
+type session struct {
+	gate sync.Mutex
+	th   alloc.Thread
+	bw   *bufio.Writer
+	// val is the GET scratch; now the service clock, read once per batch.
+	val []byte
+	now int64
+}
+
+// drain empties the thread's deferred buffers (batched remote frees).
+func (c *session) drain() {
+	c.gate.Lock()
+	if f, ok := c.th.(alloc.Flusher); ok {
+		f.Flush()
+	}
+	c.gate.Unlock()
 }
 
 // ServerConfig parameterizes NewServer.
@@ -78,11 +103,14 @@ func NewServer(store *Store, cfg ServerConfig) *Server {
 		heap:         store.Heap(),
 		now:          now,
 		snapshotPath: cfg.SnapshotPath,
+		writeTimeout: batchWriteTimeout,
 		conns:        make(map[net.Conn]struct{}),
+		sessions:     make(map[*session]struct{}),
 	}
 }
 
-// Ops returns the total commands served.
+// Ops returns the total commands served, counted when a batch's replies
+// are flushed.
 func (s *Server) Ops() uint64 { return s.ops.Load() }
 
 // Serve accepts connections until the listener is closed (Close does
@@ -149,56 +177,81 @@ const maxTTLms = math.MaxInt64 / int64(time.Millisecond)
 // flushEvery bounds how many commands a connection serves between
 // explicit drains of the thread's deferred buffers (batched remote
 // frees). Acknowledged mutations are durable regardless — the drain only
-// bounds how much reclaimable storage a crash can leak.
+// bounds how much reclaimable storage a crash can leak. It also bounds a
+// batch, and with it how stale the batch's clock can be.
 const flushEvery = 4096
+
+// batchWriteTimeout bounds the socket writes of one batch. A peer that does
+// not read its replies for this long, or takes this long to finish sending
+// a command it began mid-batch, loses its connection.
+const batchWriteTimeout = 30 * time.Second
 
 // ServeConn serves one connection synchronously and closes it on
 // return. Exposed so tests can serve a net.Pipe end without a listener.
+//
+// The unit of everything that is not per key is the batch: the commands
+// served between two reply flushes, which is a client's pipeline as far
+// as it has arrived. The clock is read, the write deadline set and
+// Server.ops added to once per batch.
 func (s *Server) ServeConn(conn net.Conn) {
 	defer conn.Close()
-	s.snapMu.RLock()
-	th := s.heap.NewThread()
-	s.snapMu.RUnlock()
+	c := &session{bw: bufio.NewWriterSize(conn, 64<<10)}
+	// Joining waits out a snapshot in progress, so the thread is opened
+	// after its copy is taken.
+	s.gateMu.Lock()
+	s.sessions[c] = struct{}{}
+	s.gateMu.Unlock()
+	c.gate.Lock()
+	c.th = s.heap.NewThread()
+	c.gate.Unlock()
+	// served counts the commands dispatched, flushed those of them whose
+	// batch has ended.
+	served, flushed := 0, 0
 	defer func() {
-		s.snapMu.RLock()
-		th.Close()
-		s.snapMu.RUnlock()
+		s.ops.Add(uint64(served - flushed))
+		c.gate.Lock()
+		c.th.Close()
+		c.gate.Unlock()
+		s.gateMu.Lock()
+		delete(s.sessions, c)
+		s.gateMu.Unlock()
 	}()
-	bw := bufio.NewWriterSize(conn, 64<<10)
 	// The connection owns both request-path buffers: cr's command
 	// buffer, which the arguments of the current command alias until the
-	// next one is read, and val, the GET scratch. dispatch has finished
+	// next one is read, and c.val, the GET scratch. dispatch has finished
 	// with both (bw has copied or written the reply) before either is
 	// reused.
 	cr := commandReader{br: bufio.NewReaderSize(conn, 64<<10)}
-	var val []byte
-	served := 0
 	for {
 		args, err := cr.next()
+		if served == flushed {
+			c.now = s.now()
+			// A failure to set it is the connection's, and the next
+			// write reports it.
+			_ = conn.SetWriteDeadline(time.Now().Add(s.writeTimeout))
+		}
 		if err != nil {
 			if errors.Is(err, ErrProtocol) {
-				writeErrorReply(bw, err.Error())
-				bw.Flush()
+				writeErrorReply(c.bw, err.Error())
+				c.bw.Flush()
 			}
 			return
 		}
-		quit := s.dispatch(bw, th, args, &val)
-		if cap(val) > retainBytes {
-			val = nil
+		quit := s.dispatch(c, args)
+		if cap(c.val) > retainBytes {
+			c.val = nil
 		}
-		s.ops.Add(1)
 		served++
-		if served%flushEvery == 0 {
-			s.snapMu.RLock()
-			if f, ok := th.(alloc.Flusher); ok {
-				f.Flush()
-			}
-			s.snapMu.RUnlock()
+		drain := served%flushEvery == 0
+		if drain {
+			c.drain()
 		}
 		// Pipelining: only pay the write syscall when no further
 		// command is already buffered.
-		if cr.br.Buffered() == 0 || quit {
-			if err := bw.Flush(); err != nil {
+		if cr.br.Buffered() == 0 || quit || drain {
+			s.ops.Add(uint64(served - flushed))
+			flushed = served
+			if err := c.bw.Flush(); err != nil {
 				return
 			}
 		}
@@ -225,30 +278,13 @@ func commandIs(name []byte, cmd string) bool {
 }
 
 // dispatch executes one command and writes its reply. A GET's value
-// goes through *val, the connection's scratch, reusing its capacity: the
-// copy out of the heap happens inside the store, under the key's stripe
-// lock, and the write to bw after it, so a slow peer never holds a
-// stripe. dispatch reports whether the connection should close (QUIT).
-func (s *Server) dispatch(bw *bufio.Writer, th alloc.Thread, args [][]byte, val *[]byte) bool {
-	name := args[0]
-	if commandIs(name, "SNAPSHOT") {
-		// Drain this thread's deferred buffers under the read lock,
-		// then let Snapshot take the write lock (RWMutex does not
-		// upgrade, so SNAPSHOT stays outside the RLock'd switch).
-		s.snapMu.RLock()
-		if f, ok := th.(alloc.Flusher); ok {
-			f.Flush()
-		}
-		s.snapMu.RUnlock()
-		if err := s.Snapshot(); err != nil {
-			writeErrorReply(bw, err.Error())
-			return false
-		}
-		writeStatus(bw, "saved "+s.snapshotPath)
-		return false
-	}
-	s.snapMu.RLock()
-	defer s.snapMu.RUnlock()
+// goes through c.val, the connection's scratch, reusing its capacity: the
+// copy out of the heap happens inside the store, under the key's index
+// stripe, and the write to bw after stripe and gate are released, so a
+// slow peer holds up no key and no snapshot. dispatch reports whether the
+// connection should close (QUIT).
+func (s *Server) dispatch(c *session, args [][]byte) bool {
+	bw, name := c.bw, args[0]
 	switch {
 	case commandIs(name, "PING"):
 		writeStatus(bw, "PONG")
@@ -257,8 +293,10 @@ func (s *Server) dispatch(bw *bufio.Writer, th alloc.Thread, args [][]byte, val 
 			writeErrorReply(bw, "GET needs 1 argument")
 			return false
 		}
-		v, ok, err := s.store.AppendGet(th, s.now(), (*val)[:0], args[1])
-		*val = v
+		c.gate.Lock()
+		v, ok, err := s.store.AppendGet(c.th, c.now, c.val[:0], args[1])
+		c.gate.Unlock()
+		c.val = v
 		switch {
 		case err != nil:
 			writeErrorReply(bw, err.Error())
@@ -285,7 +323,10 @@ func (s *Server) dispatch(bw *bufio.Writer, th alloc.Thread, args [][]byte, val 
 			}
 			ttl = ms * int64(time.Millisecond)
 		}
-		if err := s.store.Set(th, s.now(), args[1], args[2], ttl); err != nil {
+		c.gate.Lock()
+		err := s.store.Set(c.th, c.now, args[1], args[2], ttl)
+		c.gate.Unlock()
+		if err != nil {
 			writeErrorReply(bw, err.Error())
 			return false
 		}
@@ -295,7 +336,9 @@ func (s *Server) dispatch(bw *bufio.Writer, th alloc.Thread, args [][]byte, val 
 			writeErrorReply(bw, "DEL needs 1 argument")
 			return false
 		}
-		ok, err := s.store.Del(th, args[1])
+		c.gate.Lock()
+		ok, err := s.store.Del(c.th, args[1])
+		c.gate.Unlock()
 		if err != nil {
 			writeErrorReply(bw, err.Error())
 			return false
@@ -317,17 +360,24 @@ func (s *Server) dispatch(bw *bufio.Writer, th alloc.Thread, args [][]byte, val 
 		if ms > 0 {
 			ttl = ms * int64(time.Millisecond)
 		}
-		ok, err := s.store.Expire(th, s.now(), args[1], ttl)
+		c.gate.Lock()
+		ok, err := s.store.Expire(c.th, c.now, args[1], ttl)
+		c.gate.Unlock()
 		if err != nil {
 			writeErrorReply(bw, err.Error())
 			return false
 		}
 		writeInt(bw, b2i(ok))
 	case commandIs(name, "STATS"):
-		if f, ok := th.(alloc.Flusher); ok {
-			f.Flush()
-		}
+		c.drain()
 		writeBulk(bw, []byte(s.store.StatsText()))
+	case commandIs(name, "SNAPSHOT"):
+		c.drain()
+		if err := s.Snapshot(); err != nil {
+			writeErrorReply(bw, err.Error())
+			return false
+		}
+		writeStatus(bw, "saved "+s.snapshotPath)
 	case commandIs(name, "QUIT"):
 		writeStatus(bw, "OK")
 		return true
@@ -337,31 +387,45 @@ func (s *Server) dispatch(bw *bufio.Writer, th alloc.Thread, args [][]byte, val 
 	return false
 }
 
+// quiesce stops every connection at its gate and keeps others from
+// joining or leaving, until resume.
+func (s *Server) quiesce() {
+	s.gateMu.Lock()
+	for c := range s.sessions {
+		c.gate.Lock()
+	}
+}
+
+func (s *Server) resume() {
+	for c := range s.sessions {
+		c.gate.Unlock()
+	}
+	s.gateMu.Unlock()
+}
+
 // Snapshot writes a point-in-time copy of the heap image to the
 // configured path (temp file + rename, so a host crash mid-save never
-// leaves a torn snapshot). Mutations are quiesced (snapMu held for
-// write) while the image is captured, so the snapshot is a consistent
-// cut on both device kinds: on a simulated device the persisted media
-// image is saved; on a direct device the mmap is copied to a private
-// buffer under the lock and written out after serving resumes.
-// `nvstat -check` (or -repair) still validates a snapshot before it is
-// trusted, guarding against media-level corruption.
+// leaves a torn snapshot). Mutations are quiesced while the image is
+// captured, so the snapshot is a consistent cut on both device kinds: on
+// a simulated device the persisted media image is saved; on a direct
+// device the mmap is copied to a private buffer and written out after
+// serving resumes. `nvstat -check` (or -repair) still validates a
+// snapshot before it is trusted, guarding against media-level corruption.
 func (s *Server) Snapshot() error {
 	if s.snapshotPath == "" {
 		return errors.New("nvkv: snapshots disabled (no snapshot path configured)")
 	}
+	s.quiesce()
 	switch dev := s.heap.Device().(type) {
 	case *pmem.Device:
-		s.snapMu.Lock()
 		err := dev.SaveImage(s.snapshotPath)
-		s.snapMu.Unlock()
+		s.resume()
 		return err
 	default:
-		s.snapMu.Lock()
 		src := dev.Bytes(0, int(dev.Size()))
 		img := make([]byte, len(src))
 		copy(img, src)
-		s.snapMu.Unlock()
+		s.resume()
 		dir := filepath.Dir(s.snapshotPath)
 		tmp, err := os.CreateTemp(dir, ".nvkv-snap-*")
 		if err != nil {

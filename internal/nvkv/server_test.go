@@ -7,11 +7,14 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"path/filepath"
 	"runtime"
 	"strconv"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"nvalloc/internal/alloc"
 	"nvalloc/internal/core"
@@ -19,9 +22,9 @@ import (
 	"nvalloc/internal/pmem"
 )
 
-// newDirectServer serves a fresh store on the direct device, the mode
-// `nvkv serve` runs in.
-func newDirectServer(tb testing.TB) *Server {
+// newDirectHeap formats a heap on the direct device, the mode `nvkv
+// serve` runs in.
+func newDirectHeap(tb testing.TB) *core.Heap {
 	tb.Helper()
 	dev, err := pmem.NewDirect(pmem.DirectConfig{Size: 64 << 20})
 	if err != nil {
@@ -31,6 +34,12 @@ func newDirectServer(tb testing.TB) *Server {
 	if err != nil {
 		tb.Fatal(err)
 	}
+	return h
+}
+
+// serveOn serves a fresh store on h.
+func serveOn(tb testing.TB, h alloc.Heap, cfg ServerConfig) *Server {
+	tb.Helper()
 	th := h.NewThread()
 	store, err := CreateStore(h, th, 0, StoreConfig{Buckets: 128})
 	if err != nil {
@@ -40,7 +49,11 @@ func newDirectServer(tb testing.TB) *Server {
 		f.Flush()
 	}
 	th.Close()
-	return NewServer(store, ServerConfig{})
+	return NewServer(store, cfg)
+}
+
+func newDirectServer(tb testing.TB) *Server {
+	return serveOn(tb, newDirectHeap(tb), ServerConfig{})
 }
 
 // encode renders one command in array framing.
@@ -59,8 +72,8 @@ func encode(args ...string) []byte {
 // loopConn is an in-memory connection that plays cmds in order, rounds
 // times over, then reports EOF. A Read never crosses a command boundary,
 // so the server sees an unpipelined client and flushes every reply.
-// Replies are counted and dropped. Only Read, Write and Close are
-// implemented; ServeConn calls nothing else.
+// Replies are counted and dropped. Only Read, Write, Close and
+// SetWriteDeadline are implemented; ServeConn calls nothing else.
 type loopConn struct {
 	net.Conn
 	cmds   [][]byte
@@ -89,6 +102,8 @@ func (c *loopConn) Read(p []byte) (int, error) {
 
 func (c *loopConn) Write(p []byte) (int, error) { c.wrote += len(p); return len(p), nil }
 func (c *loopConn) Close() error                { return nil }
+
+func (c *loopConn) SetWriteDeadline(time.Time) error { return nil }
 
 var valueSizes = []struct {
 	name string
@@ -274,15 +289,39 @@ func BenchmarkServeConn(b *testing.B) {
 // reservingHeap hands out threads that keep the books on reservations —
 // every Reserve must end in a Publish or an Unreserve — and, once
 // noBuckets is set, refuse to reserve an index bucket, which is what a
-// heap too full for another slab of that class does.
+// heap too full for another slab of that class does. It also counts the
+// threads opened and closed, and calls onCopy when the whole device is
+// read at once, which is Snapshot taking its copy.
 type reservingHeap struct {
 	alloc.Heap
-	outstanding atomic.Int64
-	noBuckets   atomic.Bool
+	outstanding    atomic.Int64
+	noBuckets      atomic.Bool
+	opened, closed atomic.Int64
+	onCopy         func()
 }
 
 func (h *reservingHeap) NewThread() alloc.Thread {
+	h.opened.Add(1)
 	return &reservingThread{Thread: h.Heap.NewThread(), h: h}
+}
+
+func (h *reservingHeap) Device() pmem.Dev { return copyHookDev{h.Heap.Device(), h} }
+
+type copyHookDev struct {
+	pmem.Dev
+	h *reservingHeap
+}
+
+func (d copyHookDev) Bytes(addr pmem.PAddr, n int) []byte {
+	if addr == 0 && uint64(n) == d.Size() && d.h.onCopy != nil {
+		d.h.onCopy()
+	}
+	return d.Dev.Bytes(addr, n)
+}
+
+func (t *reservingThread) Close() {
+	t.Thread.Close()
+	t.h.closed.Add(1)
 }
 
 type reservingThread struct {
@@ -317,6 +356,26 @@ func (t *reservingThread) Publish(slot, new, old pmem.PAddr) error {
 	return err
 }
 
+// liveBytes sums the heap's objects and fails unless they are exactly the
+// blocks the store references.
+func liveBytes(t *testing.T, when string, store *Store, ch *core.Heap) (bytes uint64) {
+	t.Helper()
+	refs := map[pmem.PAddr]bool{}
+	store.References(func(a pmem.PAddr) { refs[a] = true })
+	ch.Objects(func(o core.Object) bool {
+		if !refs[o.Addr] {
+			t.Fatalf("%s: %d-byte object at %#x is allocated and not referenced by the store", when, o.Size, o.Addr)
+		}
+		delete(refs, o.Addr)
+		bytes += o.Size
+		return true
+	})
+	if len(refs) != 0 {
+		t.Fatalf("%s: the store references %d blocks that are not allocated", when, len(refs))
+	}
+	return bytes
+}
+
 // TestStoreFullHeap drives SET against a heap with no room left, through
 // a connection. A SET the heap cannot hold is answered with the
 // allocator's typed error, changes nothing — Used() reads what it read
@@ -341,27 +400,13 @@ func TestStoreFullHeap(t *testing.T) {
 		t.Fatal(err)
 	}
 	th.Close()
-	// live sums the heap's objects and fails unless they are exactly the
-	// blocks the store references and no reservation is outstanding.
-	live := func(when string) (bytes uint64) {
+	// live is liveBytes, and fails on an outstanding reservation.
+	live := func(when string) uint64 {
 		t.Helper()
-		refs := map[pmem.PAddr]bool{}
-		store.References(func(a pmem.PAddr) { refs[a] = true })
-		ch.Objects(func(o core.Object) bool {
-			if !refs[o.Addr] {
-				t.Fatalf("%s: %d-byte object at %#x is allocated and not referenced by the store", when, o.Size, o.Addr)
-			}
-			delete(refs, o.Addr)
-			bytes += o.Size
-			return true
-		})
-		if len(refs) != 0 {
-			t.Fatalf("%s: the store references %d blocks that are not allocated", when, len(refs))
-		}
 		if n := h.outstanding.Load(); n != 0 {
 			t.Fatalf("%s: %d reservations neither published nor returned", when, n)
 		}
-		return bytes
+		return liveBytes(t, when, store, ch)
 	}
 	baseline := live("empty store")
 
@@ -462,4 +507,300 @@ func TestStoreFullHeap(t *testing.T) {
 	if err := store.Set(th, 1, []byte(key(0)), []byte("w"), 0); err != nil {
 		t.Fatalf("replacement in a full chain: %v", err)
 	}
+}
+
+// exchange writes batch, n encoded commands, to the server in one write —
+// one pipeline — and reads their replies; an error reply is an error.
+func exchange(conn net.Conn, br *bufio.Reader, batch []byte, n int) ([]Reply, error) {
+	if _, err := conn.Write(batch); err != nil {
+		return nil, err
+	}
+	reps := make([]Reply, n)
+	for i := range reps {
+		var err error
+		if reps[i], err = ReadReply(br); err != nil {
+			return nil, err
+		}
+		if reps[i].Kind == ReplyError {
+			return nil, fmt.Errorf("reply %d of %d: %s", i, n, reps[i].Status)
+		}
+	}
+	return reps, nil
+}
+
+// pipeline is exchange on the test's own goroutine.
+func pipeline(t *testing.T, conn net.Conn, br *bufio.Reader, cmds ...[]byte) []Reply {
+	t.Helper()
+	reps, err := exchange(conn, br, bytes.Join(cmds, nil), len(cmds))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return reps
+}
+
+// TestClockReadOncePerBatch: what is not per key is per batch. A pipeline
+// of 32 writes reads the service clock once, the next batch reads it again
+// — a TTL set in one batch runs out in a later batch whose clock is past
+// it — and Ops has counted every command by the time its reply is read.
+func TestClockReadOncePerBatch(t *testing.T) {
+	var clock, reads atomic.Int64
+	clock.Store(1000)
+	srv := serveOn(t, newDirectHeap(t), ServerConfig{Now: func() int64 {
+		reads.Add(1)
+		return clock.Load()
+	}})
+	client, done := pipeClient(srv)
+	defer func() {
+		client.Close()
+		<-done
+	}()
+	br := bufio.NewReader(client)
+
+	cmds := [][]byte{encode("SET", "brief", "v", "TTL", "5")}
+	for i := 1; i < 32; i++ {
+		cmds = append(cmds, encode("SET", "k"+strconv.Itoa(i), "v"))
+	}
+	pipeline(t, client, br, cmds...)
+	if n := reads.Load(); n != 1 {
+		t.Fatalf("a 32-command pipeline read the clock %d times", n)
+	}
+	if rep := pipeline(t, client, br, encode("GET", "brief"))[0]; rep.Kind != ReplyBulk {
+		t.Fatalf("GET before the TTL ran out: %+v", rep)
+	}
+	clock.Add(int64(5 * time.Millisecond))
+	if rep := pipeline(t, client, br, encode("GET", "brief"), encode("GET", "k1"))[0]; rep.Kind != ReplyNil {
+		t.Fatalf("GET in a batch whose clock is past the TTL: %+v", rep)
+	}
+	if n := reads.Load(); n != 3 {
+		t.Fatalf("three batches read the clock %d times", n)
+	}
+	if n := srv.Ops(); n != 35 {
+		t.Fatalf("Ops() = %d after 35 replies", n)
+	}
+}
+
+// signalConn closes writing when the server first writes to it.
+type signalConn struct {
+	net.Conn
+	once    sync.Once
+	writing chan struct{}
+}
+
+func (c *signalConn) Write(p []byte) (int, error) {
+	c.once.Do(func() { close(c.writing) })
+	return c.Conn.Write(p)
+}
+
+// stallPeer serves a connection whose peer asks for a 128 KiB value and
+// never reads it, and returns once the server is writing the reply.
+func stallPeer(t *testing.T, srv *Server) (peer net.Conn, done <-chan struct{}) {
+	t.Helper()
+	th := srv.heap.NewThread()
+	if err := srv.store.Set(th, 0, []byte("big"), make([]byte, 128<<10), 0); err != nil {
+		t.Fatal(err)
+	}
+	th.Close()
+	near, far := net.Pipe()
+	stalled := &signalConn{Conn: far, writing: make(chan struct{})}
+	d := make(chan struct{})
+	go func() {
+		srv.ServeConn(stalled)
+		close(d)
+	}()
+	if _, err := near.Write(encode("GET", "big")); err != nil {
+		t.Fatal(err)
+	}
+	<-stalled.writing
+	return near, d
+}
+
+// TestSnapshotPassesAStalledPeer: a peer that does not read its reply
+// holds nothing a snapshot needs. The reply was once written under the
+// snapshot lock, and SNAPSHOT waited for as long as the peer pleased.
+func TestSnapshotPassesAStalledPeer(t *testing.T) {
+	srv := serveOn(t, newDirectHeap(t), ServerConfig{SnapshotPath: filepath.Join(t.TempDir(), "snap.img")})
+	peer, done := stallPeer(t, srv)
+	snap := make(chan error, 1)
+	go func() { snap <- srv.Snapshot() }()
+	select {
+	case err := <-snap:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(batchWriteTimeout / 2):
+		t.Fatal("Snapshot waits for a peer that does not read")
+	}
+	peer.Close()
+	<-done
+}
+
+// TestStalledPeerLosesItsConnection: the write deadline ends the
+// connection of a peer that never reads, through the usual path — its
+// allocator thread is closed — while a peer that reads its replies, 32
+// commands deep, is served right through, for longer than the deadline.
+func TestStalledPeerLosesItsConnection(t *testing.T) {
+	h := &reservingHeap{Heap: newDirectHeap(t)}
+	srv := serveOn(t, h, ServerConfig{})
+	srv.writeTimeout = time.Second
+
+	reader, readerDone := pipeClient(srv)
+	stop, stopped := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(stopped)
+		br := bufio.NewReader(reader)
+		var cmds []byte
+		for i := 0; i < 16; i++ {
+			cmds = append(cmds, encode("SET", "k"+strconv.Itoa(i), "v")...)
+			cmds = append(cmds, encode("GET", "k"+strconv.Itoa(i))...)
+		}
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			if _, err := exchange(reader, br, cmds, 32); err != nil {
+				t.Errorf("the reading peer: %v", err)
+				return
+			}
+		}
+	}()
+
+	peer, done := stallPeer(t, srv)
+	defer peer.Close()
+	closed := h.closed.Load()
+	select {
+	case <-done:
+	case <-time.After(30 * time.Second):
+		t.Fatal("a peer that never reads keeps its connection")
+	}
+	if got := h.closed.Load(); got != closed+1 {
+		t.Fatalf("%d allocator threads closed with the stalled connection, want 1", got-closed)
+	}
+	close(stop)
+	<-stopped
+	reader.Close()
+	<-readerDone
+}
+
+// TestSnapshotIsAConsistentCut: four connections pipeline SETs and DELs of
+// records of every kind while snapshots are taken. Each image must recover
+// like a crashed heap and hold a store whose every record passes its CRC
+// and whose references are exactly the heap's objects — a cut between
+// commands, on every connection at once. A connection accepted while the
+// copy is being taken opens its allocator thread after it.
+func TestSnapshotIsAConsistentCut(t *testing.T) {
+	h := &reservingHeap{Heap: newDirectHeap(t)}
+	snapPath := filepath.Join(t.TempDir(), "snap.img")
+	srv := serveOn(t, h, ServerConfig{SnapshotPath: snapPath})
+
+	const writers, keysPer, depth = 4, 48, 32
+	key := func(w, k int) string { return fmt.Sprintf("w%d-k%d", w, k) }
+	var universe []string
+	for i := 0; i < writers*keysPer; i++ {
+		universe = append(universe, key(i/keysPer, i%keysPer))
+	}
+	sizes := []int{16, 100, 700, 5000, 40 << 10}
+	stop := make(chan struct{})
+	var sent atomic.Int64
+	var wg sync.WaitGroup
+	for w := 0; w < writers; w++ {
+		client, done := pipeClient(srv)
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			defer func() {
+				client.Close()
+				<-done
+			}()
+			br := bufio.NewReader(client)
+			for n := 0; ; {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				var batch []byte
+				for i := 0; i < depth; i, n = i+1, n+1 {
+					if n%3 == 2 {
+						batch = append(batch, encode("DEL", key(w, n%keysPer))...)
+					} else {
+						batch = append(batch, encode("SET", key(w, n%keysPer), string(make([]byte, sizes[n%len(sizes)])))...)
+					}
+				}
+				if _, err := exchange(client, br, batch, depth); err != nil {
+					t.Errorf("writer %d: %v", w, err)
+					return
+				}
+				sent.Add(depth)
+			}
+		}(w)
+	}
+
+	var late net.Conn
+	var lateDone <-chan struct{}
+	h.onCopy = func() {
+		opened := h.opened.Load()
+		late, lateDone = pipeClient(srv)
+		// Nothing announces a thread that was not opened: give a server
+		// that would open it during the copy the time to.
+		time.Sleep(50 * time.Millisecond)
+		if got := h.opened.Load(); got != opened {
+			t.Errorf("%d allocator threads opened while the snapshot's copy was being taken", got-opened)
+		}
+	}
+	for i := 0; i < 6 && !t.Failed(); i++ {
+		if err := srv.Snapshot(); err != nil {
+			t.Fatal(err)
+		}
+		h.onCopy = nil
+		checkSnapshot(t, snapPath, universe)
+	}
+	close(stop)
+	wg.Wait()
+	if rep := pipeline(t, late, bufio.NewReader(late), encode("PING"))[0]; rep.Status != "PONG" {
+		t.Fatalf("the connection accepted during a snapshot: %+v", rep)
+	}
+	late.Close()
+	<-lateDone
+	if got, want := srv.Ops(), uint64(sent.Load())+1; got != want {
+		t.Fatalf("Ops() = %d, %d commands were answered", got, want)
+	}
+}
+
+// checkSnapshot opens the image at path the way a restart would and holds
+// it to a consistent store: every key of the universe reads clean, the
+// keys found are all the store's, and the heap's objects are exactly what
+// the store references.
+func checkSnapshot(t *testing.T, path string, universe []string) {
+	t.Helper()
+	dev, err := pmem.NewDirect(pmem.DirectConfig{Size: 64 << 20, Path: path})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer dev.Close()
+	h, _, err := core.Open(dev, core.DefaultOptions(core.LOG))
+	if err != nil {
+		t.Fatalf("snapshot image does not open: %v", err)
+	}
+	st, err := OpenStore(h, 0, StoreConfig{Buckets: 128})
+	if err != nil {
+		t.Fatalf("snapshot store does not open: %v", err)
+	}
+	th := h.NewThread()
+	defer th.Close()
+	var live int64
+	for _, key := range universe {
+		_, ok, err := st.Get(th, 1, []byte(key))
+		if err != nil {
+			t.Fatalf("snapshot GET %s: %v", key, err)
+		}
+		if ok {
+			live++
+		}
+	}
+	if live != st.Len() {
+		t.Fatalf("snapshot holds %d keys, %d of them the writers'", st.Len(), live)
+	}
+	liveBytes(t, "snapshot", st, h)
 }

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"hash/crc32"
 	"math"
-	"sync"
 	"sync/atomic"
 
 	"nvalloc/internal/alloc"
@@ -30,7 +29,7 @@ import (
 //
 // Consistency: every mutation is one reserve → fill → publish group. Set
 // reserves the record (nothing persistent happens), writes and flushes it,
-// and hands it to phash.Map.Publish, which runs alloc.Thread.Publish on
+// and hands it to phash.Cursor.Publish, which runs alloc.Thread.Publish on
 // the index entry's value word: one WAL entry names that word, the new
 // record and the record it supersedes; one fence makes the entry, the
 // record and the index key durable; one 8-byte persist of the value word
@@ -65,19 +64,15 @@ var (
 	ErrRecordCorrupt = errors.New("nvkv: record corrupt")
 )
 
-const storeStripes = 256
-
 // Store is the persistent KV engine: a phash directory of record blobs
-// on an NVAlloc heap. It is safe for concurrent use; every read-modify-
-// write on a key holds that key's service-level stripe lock around the
-// whole lookup/reserve/publish sequence (phash's own bucket locks only
-// cover single index operations).
+// on an NVAlloc heap. It is safe for concurrent use; every operation on a
+// key holds one phash.Cursor — the key's index stripe and the slot the one
+// probe found — around its whole lookup/reserve/publish sequence.
 type Store struct {
 	heap   alloc.Heap
 	dev    pmem.Dev
 	idx    *phash.Map
 	maxVal uint64
-	locks  [storeStripes]sync.Mutex
 
 	// Volatile counters (rebuilt or re-zeroed on open).
 	liveKeys   atomic.Int64
@@ -145,10 +140,6 @@ func hashKey(key []byte) uint64 {
 	return h
 }
 
-func (s *Store) lockFor(k64 uint64) *sync.Mutex {
-	return &s.locks[k64%storeStripes]
-}
-
 // recMeta is a record's decoded, sanity-checked header.
 type recMeta struct {
 	klen, vlen uint64
@@ -172,12 +163,12 @@ func (s *Store) readRecordMeta(rec pmem.PAddr) (recMeta, error) {
 	return m, nil
 }
 
-// lookup resolves key to its record and the header it decoded on the
-// way, verifying the stored key bytes. Caller holds the stripe lock.
+// lookup resolves key, whose digest cur has located, to its record and the
+// header it decoded on the way, verifying the stored key bytes.
 // found=false with rec!=Null never happens; a digest collision reports
 // collision=true.
-func (s *Store) lookup(th alloc.Thread, k64 uint64, key []byte) (rec pmem.PAddr, m recMeta, found, collision bool, err error) {
-	v, ok := s.idx.Get(th, k64)
+func (s *Store) lookup(cur *phash.Cursor, key []byte) (rec pmem.PAddr, m recMeta, found, collision bool, err error) {
+	v, ok := cur.Value()
 	if !ok {
 		return pmem.Null, recMeta{}, false, false, nil
 	}
@@ -241,12 +232,9 @@ func (s *Store) Set(th alloc.Thread, now int64, key, val []byte, ttl int64) erro
 	if ttl > 0 {
 		expiry = expiryAt(now, ttl)
 	}
-	k64 := hashKey(key)
-	lk := s.lockFor(k64)
-	lk.Lock()
-	defer lk.Unlock()
-
-	old, _, found, collision, err := s.lookup(th, k64, key)
+	cur := s.idx.Find(th, hashKey(key))
+	defer cur.Release()
+	old, _, found, collision, err := s.lookup(&cur, key)
 	if err != nil {
 		return err
 	}
@@ -257,7 +245,7 @@ func (s *Store) Set(th alloc.Thread, now int64, key, val []byte, ttl int64) erro
 	if err != nil {
 		return err
 	}
-	if err := s.idx.Publish(th, k64, rec, old); err != nil {
+	if err := cur.Publish(th, rec, old); err != nil {
 		// The record never became reachable; the reservation goes back.
 		return errors.Join(err, th.Unreserve(rec))
 	}
@@ -277,21 +265,18 @@ func (s *Store) Get(th alloc.Thread, now int64, key []byte) ([]byte, bool, error
 // AppendGet appends the value stored under key to dst and returns the
 // extended slice, or dst unchanged and ok=false when the key is absent
 // or expired at now. The record is CRC-checked where it lies in the
-// mapped heap and its value copied out once, under the stripe lock, so
-// the caller owns the bytes it gets and may write them to a socket after
-// the lock is gone. Expired records are left in place (lazy expiry): a
+// mapped heap and its value copied out once, under the key's index stripe,
+// so the caller owns the bytes it gets and may write them to a socket after
+// the stripe is released. Expired records are left in place (lazy expiry): a
 // later Set or Del reclaims them, keeping Get read-only.
 func (s *Store) AppendGet(th alloc.Thread, now int64, dst, key []byte) ([]byte, bool, error) {
 	if len(key) == 0 || len(key) > MaxKeyLen {
 		return dst, false, ErrKeyTooLarge
 	}
-	k64 := hashKey(key)
-	lk := s.lockFor(k64)
-	lk.Lock()
-	defer lk.Unlock()
+	cur := s.idx.Find(th, hashKey(key))
+	defer cur.Release()
 	s.gets.Add(1)
-
-	rec, m, found, _, err := s.lookup(th, k64, key)
+	rec, m, found, _, err := s.lookup(&cur, key)
 	if err != nil || !found || m.expired(now) {
 		return dst, false, err
 	}
@@ -309,22 +294,20 @@ func (s *Store) Del(th alloc.Thread, key []byte) (bool, error) {
 	if len(key) == 0 || len(key) > MaxKeyLen {
 		return false, ErrKeyTooLarge
 	}
-	k64 := hashKey(key)
-	lk := s.lockFor(k64)
-	lk.Lock()
-	defer lk.Unlock()
-	rec, _, found, _, err := s.lookup(th, k64, key)
+	cur := s.idx.Find(th, hashKey(key))
+	defer cur.Release()
+	rec, _, found, _, err := s.lookup(&cur, key)
 	if err != nil || !found {
 		return false, err
 	}
-	return true, s.delRecord(th, k64, rec)
+	return true, s.delRecord(th, &cur, rec)
 }
 
-// delRecord unpublishes and frees the record lookup found for k64, as one
-// publish of Null over it: a nil return is a durable delete with the
-// record free. Caller holds the stripe lock.
-func (s *Store) delRecord(th alloc.Thread, k64 uint64, rec pmem.PAddr) error {
-	if err := s.idx.Publish(th, k64, pmem.Null, rec); err != nil {
+// delRecord unpublishes and frees the record lookup found under cur, as
+// one publish of Null over it: a nil return is a durable delete with the
+// record free.
+func (s *Store) delRecord(th alloc.Thread, cur *phash.Cursor, rec pmem.PAddr) error {
+	if err := cur.Publish(th, pmem.Null, rec); err != nil {
 		return err
 	}
 	s.dels.Add(1)
@@ -339,17 +322,14 @@ func (s *Store) Expire(th alloc.Thread, now int64, key []byte, ttl int64) (bool,
 	if len(key) == 0 || len(key) > MaxKeyLen {
 		return false, ErrKeyTooLarge
 	}
-	k64 := hashKey(key)
-	lk := s.lockFor(k64)
-	lk.Lock()
-	defer lk.Unlock()
-
-	rec, m, found, _, err := s.lookup(th, k64, key)
+	cur := s.idx.Find(th, hashKey(key))
+	defer cur.Release()
+	rec, m, found, _, err := s.lookup(&cur, key)
 	if err != nil || !found || m.expired(now) {
 		return false, err
 	}
 	if ttl <= 0 {
-		return true, s.delRecord(th, k64, rec)
+		return true, s.delRecord(th, &cur, rec)
 	}
 	c := th.Ctx()
 	// An 8-byte atomic persist: the expiry flips in one commit.

@@ -302,6 +302,62 @@ func TestStorePersistSchedule(t *testing.T) {
 	}
 }
 
+// TestMutationProbesIndexOnce: a mutation looks its key up and commits on
+// the slot that one probe found. On the simulated device, where a chain
+// scan is charged per bucket, every mutation costs the search time of one
+// Get of the same key in the state it was in; looking up and then
+// publishing by key read twice that.
+func TestMutationProbesIndexOnce(t *testing.T) {
+	dev := pmem.New(pmem.Config{Size: 64 << 20, Strict: true})
+	h, err := core.Create(dev, core.DefaultOptions(core.LOG))
+	if err != nil {
+		t.Fatal(err)
+	}
+	th := h.NewThread()
+	defer th.Close()
+	// One directory bucket, so keys sit up to three buckets down a chain.
+	st, err := CreateStore(h, th, 0, StoreConfig{Buckets: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	val := bytes.Repeat([]byte("v"), 40)
+	key := func(i int) []byte { return []byte(fmt.Sprintf("k%03d", i)) }
+	for i := 0; i < 20; i++ {
+		if err := st.Set(th, 1, key(i), val, 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	c := th.Ctx()
+	search := func(fn func() error) int64 {
+		t.Helper()
+		before := c.Local().CatNS[pmem.CatSearch]
+		if err := fn(); err != nil {
+			t.Fatal(err)
+		}
+		return c.Local().CatNS[pmem.CatSearch] - before
+	}
+	for _, tc := range []struct {
+		what string
+		key  []byte
+		op   func(k []byte) error
+	}{
+		{"Set new", key(100), func(k []byte) error { return st.Set(th, 1, k, val, 0) }},
+		{"Set replace", key(3), func(k []byte) error { return st.Set(th, 1, k, val, 0) }},
+		{"Set replace, down the chain", key(19), func(k []byte) error { return st.Set(th, 1, k, val, 0) }},
+		{"Del", key(17), func(k []byte) error { _, err := st.Del(th, k); return err }},
+		{"Expire", key(10), func(k []byte) error { _, err := st.Expire(th, 1, k, 1000); return err }},
+		{"Expire now", key(9), func(k []byte) error { _, err := st.Expire(th, 1, k, 0); return err }},
+	} {
+		get := search(func() error { _, _, err := st.Get(th, 1, tc.key); return err })
+		if got := search(func() error { return tc.op(tc.key) }); got != get || get == 0 {
+			t.Errorf("%s: %d ns of search, one Get of the key %d", tc.what, got, get)
+		}
+	}
+	if st.Len() != 19 {
+		t.Fatalf("Len %d, want 19", st.Len())
+	}
+}
+
 // TestOpenStoreRejectsOldIndexLayout: the format guard of phash.Open must
 // reach the caller of OpenStore as a typed error.
 func TestOpenStoreRejectsOldIndexLayout(t *testing.T) {

@@ -83,7 +83,9 @@ func TestCrashSlotReuseEveryBoundary(t *testing.T) {
 				marks = append(marks, dev.JournalLen())
 				if key, ok := inserted[i]; ok {
 					// k1, then k2, must sit in the contested slot.
-					p := m.findSlot(th.Ctx(), key)
+					cur := m.Find(th, key)
+					p := cur.p
+					cur.Release()
 					if !p.live || p.slot != tc.slot || (p.b != m.bucketAddr(0)) != tc.overflow {
 						t.Fatalf("key %d in bucket %#x slot %d (live %v), want slot %d, overflow %v",
 							key, p.b, p.slot, p.live, tc.slot, tc.overflow)

@@ -29,7 +29,7 @@
 // §3.1) and follows it as a sequential flush.
 //
 // Because the commit word is a plain 8-byte slot, it can be the slot of
-// an alloc.Thread.Publish: Map.Publish binds a key to an allocator block
+// an alloc.Thread.Publish: Cursor.Publish binds a key to an allocator block
 // — and unbinds the block it supersedes — under one WAL entry, which is
 // how nvkv.Store keeps every record either reachable or free. A bucket
 // chained as overflow is attached the same way: reserved, zeroed with its
@@ -96,8 +96,8 @@ func fromWord(w uint64) uint64 {
 	return w
 }
 
-// ErrStale is returned by Publish when the index does not hold, for the
-// key, the block the caller says it supersedes.
+// ErrStale is returned by Cursor.Publish when the index does not hold, for
+// the key, the block the caller says it supersedes.
 var ErrStale = errors.New("phash: key is not bound to the block to supersede")
 
 // FormatError is returned by Open for an index written in a bucket layout
@@ -118,7 +118,10 @@ func magicString(m uint64) string {
 	return string(b[:])
 }
 
-const lockStripes = 64
+// lockStripes is how many keys' chains can be held at once. nvkv.Store
+// holds a stripe from its lookup to its publish, so this is also the
+// store's exclusion granularity.
+const lockStripes = 256
 
 // Map is a persistent hash index bound to a heap.
 type Map struct {
@@ -207,10 +210,6 @@ func (m *Map) bucketAddr(i uint64) pmem.PAddr {
 func keyAddr(b pmem.PAddr, slot int) pmem.PAddr   { return b + bKeys + pmem.PAddr(slot*8) }
 func valueAddr(b pmem.PAddr, slot int) pmem.PAddr { return b + bValues + pmem.PAddr(slot*8) }
 
-func (m *Map) lockFor(h uint64) *pmem.Resource {
-	return &m.locks[(h&(m.nBuckets-1))%lockStripes]
-}
-
 // place is where findSlot says key lives or should go.
 type place struct {
 	b    pmem.PAddr // bucket of slot; the chain's last bucket when slot < 0
@@ -221,12 +220,11 @@ type place struct {
 	live, keyed bool
 }
 
-// findSlot scans key's bucket chain. An absent key is given the empty slot
-// it was last deleted from if there is one, else the chain's first empty
-// slot. Caller holds the stripe lock.
-func (m *Map) findSlot(c *pmem.Ctx, key uint64) place {
+// findSlot scans key's bucket chain from its directory bucket b. An absent
+// key is given the empty slot it was last deleted from if there is one,
+// else the chain's first empty slot. Caller holds the stripe lock.
+func (m *Map) findSlot(c *pmem.Ctx, b pmem.PAddr, key uint64) place {
 	free := place{slot: -1}
-	b := m.bucketAddr(hash64(key) & (m.nBuckets - 1))
 	for {
 		c.Charge(pmem.CatSearch, 10)
 		// Reads only: every writer of this bucket holds the stripe lock.
@@ -260,7 +258,7 @@ func (m *Map) findSlot(c *pmem.Ctx, key uint64) place {
 // fenced; the caller's commit sequence fences before it persists the
 // value — or slot 0 of a fresh overflow bucket when the chain is full. value
 // is what a chained bucket is built with in that slot: Put passes the
-// value itself (the link is then the commit), Publish zero.
+// value itself (the link is then the commit), Cursor.Publish zero.
 func (m *Map) claim(th alloc.Thread, key uint64, p place, value uint64) (pmem.PAddr, error) {
 	c := th.Ctx()
 	if p.slot >= 0 {
@@ -284,18 +282,74 @@ func (m *Map) claim(th alloc.Thread, key uint64, p place, value uint64) (pmem.PA
 	return valueAddr(nb, 0), nil
 }
 
+// Cursor is one probe of the index: key's stripe, held, and the place
+// findSlot gave the key under it. Whoever holds a cursor excludes every
+// other operation on the key (and on the keys that share its stripe) until
+// Release, so a caller can read the key's value, decide, and commit on the
+// same slot without the index scanning the chain again. A cursor commits
+// at most once and is not to be held across anything that blocks.
+type Cursor struct {
+	m   *Map
+	c   *pmem.Ctx
+	lk  *pmem.Resource
+	key uint64
+	p   place
+}
+
+// Find locks key's stripe and locates key. The caller must Release.
+func (m *Map) Find(th alloc.Thread, key uint64) Cursor {
+	c := th.Ctx()
+	i := hash64(key) & (m.nBuckets - 1)
+	lk := &m.locks[i%lockStripes]
+	lk.Acquire(c)
+	return Cursor{m: m, c: c, lk: lk, key: key, p: m.findSlot(c, m.bucketAddr(i), key)}
+}
+
+// Release unlocks the stripe.
+func (cur *Cursor) Release() { cur.lk.Release(cur.c) }
+
+// Value returns the value stored under the key and whether there is one.
+func (cur *Cursor) Value() (uint64, bool) {
+	if !cur.p.live {
+		return 0, false
+	}
+	return fromWord(cur.m.dev.ReadU64(valueAddr(cur.p.b, cur.p.slot))), true
+}
+
+// Publish binds the key to the allocator block new in place of old,
+// through th.Publish on the slot's value word: the index entry, new's
+// allocation and old's release commit or vanish together. new is a
+// reservation of th the caller has filled and flushed (Null deletes the
+// key); old is the block Value reported (Null when the key is absent). On
+// an error the reservation is still the caller's.
+func (cur *Cursor) Publish(th alloc.Thread, new, old pmem.PAddr) error {
+	m, p := cur.m, cur.p
+	var va pmem.PAddr
+	if p.live {
+		if va = valueAddr(p.b, p.slot); pmem.PAddr(m.dev.ReadU64(va)) != old {
+			return ErrStale
+		}
+	} else {
+		if old != pmem.Null {
+			return ErrStale
+		}
+		var err error
+		if va, err = m.claim(th, cur.key, p, 0); err != nil {
+			return err
+		}
+	}
+	return th.Publish(va, new, old)
+}
+
 // Put inserts or updates key with value, which must not be ^0.
 func (m *Map) Put(th alloc.Thread, key, value uint64) error {
 	if value == zeroWord {
 		return ErrReservedValue
 	}
 	value = toWord(value)
-	c := th.Ctx()
-	lk := m.lockFor(hash64(key))
-	lk.Acquire(c)
-	defer lk.Release(c)
-
-	p := m.findSlot(c, key)
+	cur := m.Find(th, key)
+	defer cur.Release()
+	c, p := cur.c, cur.p
 	var va pmem.PAddr
 	if p.live {
 		va = valueAddr(p.b, p.slot)
@@ -314,64 +368,25 @@ func (m *Map) Put(th alloc.Thread, key, value uint64) error {
 	return nil
 }
 
-// Publish binds key to the allocator block new in place of old, through
-// th.Publish on the slot's value word: the index entry, new's allocation
-// and old's release commit or vanish together. new is a reservation of th
-// the caller has filled and flushed (Null deletes the key); old is the
-// block the key is bound to now (Null when it is absent). On an error the
-// reservation is still the caller's.
-func (m *Map) Publish(th alloc.Thread, key uint64, new, old pmem.PAddr) error {
-	c := th.Ctx()
-	lk := m.lockFor(hash64(key))
-	lk.Acquire(c)
-	defer lk.Release(c)
-
-	p := m.findSlot(c, key)
-	var va pmem.PAddr
-	if p.live {
-		if va = valueAddr(p.b, p.slot); pmem.PAddr(m.dev.ReadU64(va)) != old {
-			return ErrStale
-		}
-	} else {
-		if old != pmem.Null {
-			return ErrStale
-		}
-		var err error
-		if va, err = m.claim(th, key, p, 0); err != nil {
-			return err
-		}
-	}
-	return th.Publish(va, new, old)
-}
-
 // Get returns the value stored under key.
 func (m *Map) Get(th alloc.Thread, key uint64) (uint64, bool) {
-	c := th.Ctx()
-	lk := m.lockFor(hash64(key))
-	lk.Acquire(c)
-	defer lk.Release(c)
-	p := m.findSlot(c, key)
-	if !p.live {
-		return 0, false
-	}
-	return fromWord(m.dev.ReadU64(valueAddr(p.b, p.slot))), true
+	cur := m.Find(th, key)
+	defer cur.Release()
+	return cur.Value()
 }
 
 // Delete removes key and reports whether it was present. It makes no
 // allocator call and never fails; the error result is kept for callers
 // written against the older, freeing index.
 func (m *Map) Delete(th alloc.Thread, key uint64) (bool, error) {
-	c := th.Ctx()
-	lk := m.lockFor(hash64(key))
-	lk.Acquire(c)
-	defer lk.Release(c)
-	p := m.findSlot(c, key)
-	if !p.live {
+	cur := m.Find(th, key)
+	defer cur.Release()
+	if !cur.p.live {
 		return false, nil
 	}
 	// Zeroing the value word is the atomic delete.
-	c.PersistU64(pmem.CatOther, valueAddr(p.b, p.slot), 0)
-	c.Fence()
+	cur.c.PersistU64(pmem.CatOther, valueAddr(cur.p.b, cur.p.slot), 0)
+	cur.c.Fence()
 	return true, nil
 }
 
@@ -390,8 +405,8 @@ func (m *Map) Len() int {
 
 // References calls fn with the address of every heap block the index
 // holds a pointer to: its header, its directory, each overflow bucket and,
-// read as block addresses, the values (what Publish bound). For an index
-// used through Publish alone that is the application's whole reachable
+// read as block addresses, the values (what Cursor.Publish bound). For an
+// index used through it alone that is the application's whole reachable
 // set: after recovery the heap's allocated objects must be exactly these.
 func (m *Map) References(fn func(addr pmem.PAddr)) {
 	fn(m.header)

@@ -350,3 +350,92 @@ func TestOpenRejectsOldLayout(t *testing.T) {
 		t.Fatalf("Open of a non-index: %v", err)
 	}
 }
+
+// TestCursorPublish: a cursor commits on the slot its one probe found.
+// Binding, rebinding and unbinding a key each cost the search charge of one
+// Get of the key in the state it was in, in the directory bucket and down
+// an overflow chain; a block the key is not bound to is refused and the
+// reservation stays the caller's; and what the index references is what
+// the heap holds.
+func TestCursorPublish(t *testing.T) {
+	_, h, th, m := newMap(t, 1) // one bucket: keys past the eighth chain
+	defer th.Close()
+	c := th.Ctx()
+	search := func(fn func()) int64 {
+		before := c.Local().CatNS[pmem.CatSearch]
+		fn()
+		return c.Local().CatNS[pmem.CatSearch] - before
+	}
+	// publish binds key to a fresh block of size bytes (none when 0) in
+	// place of old, which must be what the cursor reports.
+	publish := func(key, size uint64, old pmem.PAddr) pmem.PAddr {
+		t.Helper()
+		blk := pmem.Null
+		if size > 0 {
+			var err error
+			if blk, err = th.Reserve(size); err != nil {
+				t.Fatal(err)
+			}
+		}
+		get := search(func() { m.Get(th, key) })
+		got := search(func() {
+			cur := m.Find(th, key)
+			defer cur.Release()
+			if v, ok := cur.Value(); ok != (old != pmem.Null) || pmem.PAddr(v) != old {
+				t.Fatalf("key %d: cursor reads %#x, %v; want %#x", key, v, ok, old)
+			}
+			if err := cur.Publish(th, blk, old); err != nil {
+				t.Fatalf("key %d: %v", key, err)
+			}
+		})
+		if got != get {
+			t.Errorf("key %d: find and publish charged %d ns of search, one Get %d", key, got, get)
+		}
+		return blk
+	}
+	bound := map[uint64]pmem.PAddr{}
+	for k := uint64(1); k <= 20; k++ {
+		bound[k] = publish(k, 64, pmem.Null)
+	}
+	for _, k := range []uint64{2, 9, 20} {
+		bound[k] = publish(k, 192, bound[k])
+	}
+	for _, k := range []uint64{1, 8, 17} {
+		publish(k, 0, bound[k])
+		delete(bound, k)
+	}
+	bound[17] = publish(17, 64, pmem.Null) // back into the slot it left
+
+	blk, err := th.Reserve(64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for k, old := range map[uint64]pmem.PAddr{2: bound[9], 9: pmem.Null, 1: bound[2]} {
+		cur := m.Find(th, k)
+		if err := cur.Publish(th, blk, old); !errors.Is(err, ErrStale) {
+			t.Errorf("key %d published over %#x: %v, want ErrStale", k, old, err)
+		}
+		cur.Release()
+	}
+	if err := th.Unreserve(blk); err != nil {
+		t.Fatalf("the refused block is no longer the caller's reservation: %v", err)
+	}
+
+	for k := uint64(1); k <= 20; k++ {
+		if v, ok := m.Get(th, k); ok != (bound[k] != pmem.Null) || pmem.PAddr(v) != bound[k] {
+			t.Errorf("Get(%d) = %#x, %v; want %#x", k, v, ok, bound[k])
+		}
+	}
+	refs := map[pmem.PAddr]bool{}
+	m.References(func(a pmem.PAddr) { refs[a] = true })
+	h.(*core.Heap).Objects(func(o core.Object) bool {
+		if !refs[o.Addr] {
+			t.Errorf("%d-byte object at %#x is allocated and not referenced by the index", o.Size, o.Addr)
+		}
+		delete(refs, o.Addr)
+		return true
+	})
+	if len(refs) != 0 {
+		t.Errorf("the index references %d blocks that are not allocated", len(refs))
+	}
+}
