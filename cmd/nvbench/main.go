@@ -50,7 +50,7 @@ func main() {
 		memProf  = flag.String("memprofile", "", "write a heap profile to this file on exit")
 		traceOut = flag.String("trace", "", "write a runtime execution trace to this file")
 		cont     = flag.Bool("contention", false, "shorthand for -exp contention (per-resource lock-load report)")
-		real     = flag.Bool("real", false, "real-concurrency mode: wall-clock Larson/Threadtest/Prod-con on a direct device, with Go's runtime allocator as a calibration series (shorthand for -exp real; default -threads becomes 1..64)")
+		real     = flag.Bool("real", false, "real-concurrency mode: wall-clock Larson/Threadtest/Prod-con on a direct device, one row per allocator (shorthand for -exp real; default -threads becomes 1..64)")
 		mcBudget = flag.Int("crashmc.budget", 0, "variant schedules per concurrent crashmc family (0 = smoke default 6, negative = unlimited)")
 		mcUpdate = flag.Bool("crashmc.update", false, "regenerate crashmc_baseline.json from this run (refused in CI, on violations, or on sampled runs)")
 	)

@@ -198,7 +198,7 @@ func Open(dev pmem.Dev, cfg Config) (*Heap, int64, error) {
 					return nil, 0, err
 				}
 			}
-			if _, err := h.largeWAL.Replay(c); err != nil {
+			if _, err := h.travel(c, h.largeWAL); err != nil {
 				return nil, 0, err
 			}
 		}
@@ -300,9 +300,19 @@ func (h *Heap) rebuildFreelists() {
 	})
 }
 
-// replayRing scans w and re-applies its live entries in sequence order.
+// travel returns ring w's live entries and charges c the travel of every
+// slot of the ring. The recovery profiles modelled here are inputs taken
+// from the paper (Figure 18: PMDK and PAllocator "travel every WAL
+// region"), so the charge is the whole ring's even though walog.Replay
+// reads only the live window — which it does on a context of its own.
+func (h *Heap) travel(c *pmem.Ctx, w *walog.Log) ([]walog.Entry, error) {
+	c.Charge(pmem.CatSearch, walog.SlotReadNS*int64(w.Capacity()))
+	return w.Replay(h.dev.NewCtx())
+}
+
+// replayRing travels w and re-applies its live entries in sequence order.
 func (h *Heap) replayRing(c *pmem.Ctx, w *walog.Log) error {
-	ents, err := w.Replay(c)
+	ents, err := h.travel(c, w)
 	if err != nil {
 		return err
 	}

@@ -114,7 +114,8 @@ func (h *Heap) Recovery() Recovery { return h.recovery }
 // slab (morph undo inside slab.Load), reopen the WAL rings and, if the
 // persisted state word shows the previous run did not shut down cleanly,
 // resolve leaks per the variant's consistency model: one scan of each
-// ring and a replay for NVAlloc-LOG, conservative GC for NVAlloc-GC. It
+// ring's live window and a replay for NVAlloc-LOG, conservative GC for
+// NVAlloc-GC. It
 // returns the recovery's virtual nanoseconds; Heap.Recovery breaks them
 // down.
 func Open(dev pmem.Dev, opts Options) (*Heap, int64, error) {
@@ -260,8 +261,8 @@ func Open(dev pmem.Dev, opts Options) (*Heap, int64, error) {
 				// The crash hit Close's checkpoint window: every logged
 				// operation already persisted in full before Close began, so
 				// the surviving entries are retired unapplied. The scan still
-				// CRC-validates the rings and advances each log's sequence so
-				// the checkpoint lands past them.
+				// CRC-validates each ring's live window and advances each
+				// log's sequence so the checkpoint lands past them.
 				for _, a := range h.arenas {
 					ents, err := a.wal.Replay(c)
 					if err != nil {

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"errors"
 	"testing"
 
 	"nvalloc/internal/pmem"
@@ -50,13 +49,18 @@ func crashedLOGHeap(t *testing.T, ringEntries int) *pmem.Device {
 	return dev
 }
 
-// TestOpenScansEachRingOnce: the ring scan charges 5 ns of CatSearch per
-// slot, so two heaps that differ only in ring capacity differ, in Open's
-// search time, by arenas × (capacity difference) × 5 per scan Open makes
-// of each ring. It must make exactly one.
-func TestOpenScansEachRingOnce(t *testing.T) {
-	search := func(ringEntries int) (int64, Recovery) {
+// TestOpenScanFollowsLiveEntries: the ring scan charges
+// walog.SlotReadNS of CatSearch per slot it reads, and it reads each
+// ring's live entries and the one slot where the log stops. The same
+// crashed session on rings of two capacities costs the same search time,
+// and the scan's share of it — what the crash adds over opening the same
+// image as if it had shut down cleanly — is exactly that.
+func TestOpenScanFollowsLiveEntries(t *testing.T) {
+	search := func(ringEntries int, crashed bool) (int64, Recovery) {
 		dev := crashedLOGHeap(t, ringEntries)
+		if !crashed {
+			dev.WriteU64(superBase+sbState, pmem.SealU64(stateShutdown))
+		}
 		before := dev.Stats().CatNS[pmem.CatSearch]
 		h, _, err := Open(dev, Options{})
 		if err != nil {
@@ -64,24 +68,32 @@ func TestOpenScansEachRingOnce(t *testing.T) {
 		}
 		return dev.Stats().CatNS[pmem.CatSearch] - before, h.Recovery()
 	}
-	small, _ := search(MinWALEntries)
-	large, rep := search(1024)
+	small, _ := search(MinWALEntries, true)
+	large, rep := search(1024, true)
 	if rep.EntriesReplayed == 0 {
 		t.Fatal("no live WAL entry at the crash: the test replays nothing")
 	}
+	if large != small {
+		t.Fatalf("Open's search time is %d ns on %d-slot rings and %d ns on 1024-slot rings: the scan grows with capacity",
+			small, MinWALEntries, large)
+	}
+	clean, _ := search(1024, false)
 	const arenas = 16
-	if got, want := large-small, int64(arenas*(1024-MinWALEntries)*5); got != want {
-		t.Fatalf("Open's search time grows by %d ns from %d-slot to 1024-slot rings, want %d: %.2f scans per ring",
-			got, MinWALEntries, want, float64(got)/float64(want))
+	if got, want := large-clean, int64(walog.SlotReadNS*(rep.EntriesReplayed+arenas)); got != want {
+		t.Fatalf("the ring scans charge %d ns of search, want %d: %d live entries and one stop slot in each of %d rings",
+			got, want, rep.EntriesReplayed, arenas)
 	}
 }
 
-// TestOpenValidatesRetiredSlotsOfIdleRings: the one scan is not a shorter
-// scan. Arena 1 worked in a session that closed cleanly, so every entry of
-// its ring is below the checkpoint, and it sits idle through the session
-// that crashes; a bit flipped in one of those retired slots must still
-// fail the open with the ring's typed corruption error.
-func TestOpenValidatesRetiredSlotsOfIdleRings(t *testing.T) {
+// TestOpenIgnoresRetiredSlots: recovery reads the live window of a ring,
+// not its retired slots. Arena 1 worked in a session that closed cleanly,
+// so every entry of its ring is below the checkpoint, and it sits idle
+// through the session that crashes; a bit flipped in one of those retired
+// slots is never read — the open succeeds and replays nothing from that
+// ring. Nor is it left to trip a later recovery: arena 1 then appends more
+// than a lap, which rewrites the slot whole, and a second crash replays
+// every live entry of both rings.
+func TestOpenIgnoresRetiredSlots(t *testing.T) {
 	dev := pmem.New(pmem.Config{Size: 64 << 20, Strict: true})
 	h, err := Create(dev, DefaultOptions(LOG))
 	if err != nil {
@@ -112,14 +124,26 @@ func TestOpenValidatesRetiredSlotsOfIdleRings(t *testing.T) {
 		}
 	}
 	th.Ctx().Merge()
-	dev.Crash()
 
 	opts := h.Options()
 	region := pmem.PAddr(walog.RegionSize(opts.WALEntries, opts.Stripes))
+	// live counts ring i's entries past its persisted checkpoint.
+	live := func(h *Heap, i int) int {
+		ckpt, _ := pmem.UnsealU64(dev.ReadU64(h.walBase() + pmem.PAddr(i)*region))
+		return int(h.arenas[i].wal.Seq() - 1 - ckpt)
+	}
+	if live(h, 1) != 0 {
+		t.Fatalf("arena 1's ring holds %d live entries at the crash, want none", live(h, 1))
+	}
+	want := live(h, 0)
+	dev.Crash()
+
 	ring1 := pmem.Range{Start: h.walBase() + region, End: h.walBase() + 2*region}
-	flipped := pmem.Null
-	for a := ring1.Start + pmem.LineSize; a < ring1.End; a += 8 { // past the checkpoint line
-		if dev.ReadU64(a) != 0 {
+	// Flip the first entry past the checkpoint line: its first nonzero
+	// word is its sequence number.
+	flipped, seq := pmem.Null, uint64(0)
+	for a := ring1.Start + pmem.LineSize; a < ring1.End; a += 8 {
+		if seq = dev.ReadU64(a); seq != 0 {
 			dev.WriteU8(a, dev.ReadU8(a)^0x10)
 			flipped = a
 			break
@@ -128,13 +152,53 @@ func TestOpenValidatesRetiredSlotsOfIdleRings(t *testing.T) {
 	if flipped == pmem.Null {
 		t.Fatal("arena 1's ring holds no entry")
 	}
-	_, _, err = Open(dev, Options{})
-	var ce *pmem.CorruptError
-	if !errors.Is(err, pmem.ErrCorrupted) || !errors.As(err, &ce) {
-		t.Fatalf("Open after flipping a retired slot of an idle ring: %v, want a CorruptError", err)
+	h, _, err = Open(dev, Options{})
+	if err != nil {
+		t.Fatalf("Open after flipping a retired slot of an idle ring: %v", err)
 	}
-	if ce.Region != "wal" || ce.Addr < ring1.Start || ce.Addr >= ring1.End {
-		t.Fatalf("CorruptError names %s %#x, want wal inside arena 1's ring [%#x,%#x)", ce.Region, ce.Addr, ring1.Start, ring1.End)
+	if got := h.Recovery().EntriesReplayed; got != want {
+		t.Fatalf("replayed %d entries, want arena 0's %d", got, want)
+	}
+
+	// Arena 1 appends past a lap, until the flipped slot sits a few entries
+	// behind its newest; a publish and a retraction of one root slot append
+	// one entry each.
+	h.NewThread()
+	w1 := h.NewThread().(*Thread)
+	if w1.arena.index != 1 {
+		t.Fatalf("second thread runs on arena %d, want 1", w1.arena.index)
+	}
+	ring, n := h.arenas[1].wal, uint64(opts.WALEntries)
+	start := ring.Seq()
+	var p pmem.PAddr
+	for ring.Seq()-start <= n || (ring.Seq()-1-seq)%n != 8 {
+		if ring.Seq()-start > 4*n {
+			t.Fatal("arena 1's ring does not reach the flipped slot")
+		}
+		if p == pmem.Null {
+			p, err = w1.MallocTo(h.RootSlot(0), 64)
+		} else {
+			p, err = pmem.Null, w1.FreeFrom(h.RootSlot(0))
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	w1.Ctx().Merge()
+	if live(h, 1) <= 8 {
+		t.Fatalf("arena 1's live window holds %d entries, not the flipped slot 8 behind its newest", live(h, 1))
+	}
+	want = live(h, 0) + live(h, 1)
+	dev.Crash()
+	h, _, err = Open(dev, Options{})
+	if err != nil {
+		t.Fatalf("Open after arena 1 rewrote the flipped slot: %v", err)
+	}
+	if got := h.Recovery().EntriesReplayed; got != want {
+		t.Fatalf("replayed %d entries, want every live one of both rings: %d", got, want)
+	}
+	if got := pmem.PAddr(dev.ReadU64(h.RootSlot(0))); got != p || (p != pmem.Null && !h.BlockAllocated(p)) {
+		t.Fatalf("root slot holds %#x after recovery, want %#x allocated", got, p)
 	}
 }
 
@@ -256,7 +320,7 @@ func TestRecoveryPhaseBudget(t *testing.T) {
 		BookLogNS: 0, // one shard per arena, none over its threshold, no empty chunk
 		ExtentNS:  330,
 		SlabNS:    589,
-		WALNS:     16*1024*5 + 2945, // one scan of every slot; 8 lines (one per slab: sequential bitmaps), one checkpoint word, two fences
+		WALNS:     (24+16)*5 + 2945, // each live entry and one stop slot per ring read; 8 lines (one per slab: sequential bitmaps), one checkpoint word, two fences
 		StateNS:   670,
 
 		SlabsLoaded:      8,

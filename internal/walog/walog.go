@@ -17,7 +17,7 @@
 //
 // The log is a ring. Every entry carries a monotonically increasing
 // sequence number; a persisted checkpoint sequence bounds replay: entries
-// with Seq <= checkpoint have fully persisted effects and are skipped.
+// with Seq <= checkpoint have fully persisted effects and are not read.
 // Entry application must be idempotent (all users re-apply absolute
 // states, not deltas).
 //
@@ -33,7 +33,6 @@ package walog
 
 import (
 	"encoding/binary"
-	"sort"
 
 	"nvalloc/internal/interleave"
 	"nvalloc/internal/pmem"
@@ -244,99 +243,118 @@ func (l *Log) Checkpoint(c *pmem.Ctx) {
 	}
 }
 
-// Replay is the one scan of the ring recovery makes: it returns every valid
-// entry with Seq > checkpoint, in sequence order, and leaves the log ready
-// to append after the highest sequence seen. Every nonzero slot is
-// CRC-checked and must sit at ring position (Seq-1) mod capacity. One
-// invalid slot is tolerated if it is exactly where the next append would
-// have landed (a torn in-flight append; its operation was never
-// acknowledged) and is dropped; any other invalid or misplaced slot is
-// reported as corruption.
+// SlotReadNS is the virtual time Replay charges (CatSearch) per slot it
+// reads.
+const SlotReadNS = 5
+
+// slotState classifies what a ring slot holds.
+type slotState uint8
+
+const (
+	slotEmpty   slotState = iota // all zero: never written
+	slotInvalid                  // fails its checksum, or sits off its sequence's ring position
+	slotValid
+)
+
+// read decodes ring slot slot and charges its read.
+func (l *Log) read(c *pmem.Ctx, slot int) (Entry, slotState) {
+	raw := l.dev.Bytes(l.slotAddr(slot), EntrySize)
+	c.Charge(pmem.CatSearch, SlotReadNS)
+	seq := binary.LittleEndian.Uint64(raw[0:])
+	w1 := binary.LittleEndian.Uint64(raw[8:])
+	w2 := binary.LittleEndian.Uint64(raw[16:])
+	w3 := binary.LittleEndian.Uint64(raw[24:])
+	if seq|w1|w2|w3 == 0 {
+		return Entry{}, slotEmpty
+	}
+	crc := uint32(w3 >> 40)
+	w3 &= 1<<40 - 1
+	if entryCheck(seq, w1, w2, w3) != crc || seq == 0 || int((seq-1)%uint64(l.n)) != slot {
+		return Entry{}, slotInvalid
+	}
+	e := Entry{Seq: seq}
+	e.unpack(w1, w2, w3)
+	return e, slotValid
+}
+
+// Replay returns the ring's live entries — those past the checkpoint — in
+// sequence order, and leaves the log ready to append after the last of
+// them. It reads the live window only: from slot ckpt mod capacity on,
+// each slot must hold a valid entry with exactly the next sequence number,
+// and the first that does not is where the next append would have landed.
+// There a stale entry of an earlier lap or a never-written slot ends the
+// log, and an entry ahead of the window is corruption. An invalid slot
+// there is a torn in-flight append (its operation was never acknowledged)
+// and is dropped — unless the slot after it is invalid too or holds an
+// entry of the current lap, neither of which one torn append leaves.
+//
+// The rest of the ring is retired: recovery applies nothing from it, and
+// every retired slot is rewritten whole before the ring reaches it again,
+// so it is not read. A ring costs SlotReadNS × (live entries + 1), + 2 when
+// the stop slot is torn.
 func (l *Log) Replay(c *pmem.Ctx) ([]Entry, error) {
 	ckpt, ok := pmem.UnsealU64(l.dev.ReadU64(l.base))
 	if !ok {
 		return nil, pmem.Corrupt("wal", l.base, "checkpoint word fails seal check")
 	}
 	var live []Entry
-	maxSeq := ckpt
-	invalid := -1
-	for slot := 0; slot < l.n; slot++ {
-		a := l.slotAddr(slot)
-		raw := l.dev.Bytes(a, EntrySize)
-		c.Charge(pmem.CatSearch, 5) // scan cost
-		zero := true
-		for _, b := range raw {
-			if b != 0 {
-				zero = false
-				break
+	next := ckpt + 1 // the sequence the scan expects
+	for {
+		slot := int((next - 1) % uint64(l.n))
+		e, st := l.read(c, slot)
+		if st == slotInvalid {
+			after := (slot + 1) % l.n
+			switch e2, st2 := l.read(c, after); {
+			case st2 == slotInvalid:
+				return nil, pmem.Corrupt("wal", l.slotAddr(after), "multiple invalid entries (slots %d and %d)", slot, after)
+			case st2 == slotValid && e2.Seq > next:
+				return nil, pmem.Corrupt("wal", l.slotAddr(slot),
+					"invalid entry at slot %d, not the in-flight append slot: slot %d holds sequence %d", slot, after, e2.Seq)
 			}
+			break
 		}
-		if zero {
-			continue // never written
+		if st == slotValid && e.Seq > next {
+			return nil, pmem.Corrupt("wal", l.slotAddr(slot), "sequence %d at slot %d is ahead of the log, which ends at %d", e.Seq, slot, next-1)
 		}
-		seq := binary.LittleEndian.Uint64(raw[0:])
-		w1 := binary.LittleEndian.Uint64(raw[8:])
-		w2 := binary.LittleEndian.Uint64(raw[16:])
-		w3 := binary.LittleEndian.Uint64(raw[24:])
-		crc := uint32(w3 >> 40)
-		w3 &= 1<<40 - 1
-		if entryCheck(seq, w1, w2, w3) != crc || seq == 0 || int((seq-1)%uint64(l.n)) != slot {
-			if invalid >= 0 {
-				return nil, pmem.Corrupt("wal", a, "multiple invalid entries (slots %d and %d)", invalid, slot)
-			}
-			invalid = slot
-			continue
+		if st == slotEmpty || e.Seq < next {
+			break
 		}
-		if seq <= ckpt {
-			continue
-		}
-		e := Entry{Seq: seq}
-		e.unpack(w1, w2, w3)
 		live = append(live, e)
-		if seq > maxSeq {
-			maxSeq = seq
-		}
+		next++
 	}
-	if invalid >= 0 && invalid != int(maxSeq%uint64(l.n)) {
-		return nil, pmem.Corrupt("wal", l.slotAddr(invalid),
-			"invalid entry at slot %d, not the in-flight append slot %d", invalid, int(maxSeq%uint64(l.n)))
-	}
-	sort.Slice(live, func(i, j int) bool { return live[i].Seq < live[j].Seq })
-	for i := 1; i < len(live); i++ {
-		if live[i].Seq == live[i-1].Seq {
-			return nil, pmem.Corrupt("wal", l.base, "duplicate sequence %d", live[i].Seq)
-		}
-	}
-	// Resume appending after the highest sequence seen.
-	l.seq = maxSeq + 1
+	// Resume appending after the last live entry.
+	l.seq = next
 	l.ckpt = ckpt
-	l.cursor = int(maxSeq % uint64(l.n))
+	l.cursor = int((next - 1) % uint64(l.n))
 	return live, nil
 }
 
-// Protected returns the parts of the rings laid out back to back from base
-// in which a flipped bit must be detected or harmless: all of each but its
-// newest entry past the checkpoint. Invalidate that one and the bad slot is
-// exactly where the next append would have landed, so Replay has to take it
-// for a torn append and drops an entry whose operation was acknowledged
-// (DESIGN.md §7 "Residual risks") — fault-injection harnesses flip bits
+// Protected returns the bytes of the rings laid out back to back from base
+// that Replay reads and must defend against a flipped bit: each ring's
+// checkpoint line and every live entry but the newest. Invalidate the
+// newest and the bad slot is exactly where the next append would have
+// landed, so Replay has to take it for a torn append and drops an entry
+// whose operation was acknowledged (DESIGN.md §7 "Residual risks");
+// retired slots are never read. Fault-injection harnesses flip bits
 // elsewhere.
 func Protected(dev pmem.Dev, base pmem.PAddr, rings, n, stripes int) []pmem.Range {
 	var rs []pmem.Range
 	c := dev.NewCtx()
 	for ; rings > 0; rings-- {
-		ring := pmem.Range{Start: base, End: base + pmem.PAddr(RegionSize(n, stripes))}
-		base = ring.End
-		l, err := New(dev.Mem(), ring.Start, n, stripes)
-		if err == nil {
-			_, err = l.Replay(c)
-		}
-		if err != nil || l.seq-1 <= l.ckpt {
-			rs = append(rs, ring)
+		rs = append(rs, pmem.Range{Start: base, End: base + headerSize})
+		l, err := New(dev.Mem(), base, n, stripes)
+		base += pmem.PAddr(RegionSize(n, stripes))
+		if err != nil {
 			continue
 		}
-		newest := l.slotAddr(int((l.seq - 2) % uint64(n)))
-		rs = append(rs, pmem.Range{Start: ring.Start, End: newest}, pmem.Range{Start: newest + EntrySize, End: ring.End})
+		live, err := l.Replay(c)
+		if err != nil || len(live) == 0 {
+			continue
+		}
+		for _, e := range live[:len(live)-1] {
+			a := l.slotAddr(int((e.Seq - 1) % uint64(n)))
+			rs = append(rs, pmem.Range{Start: a, End: a + EntrySize})
+		}
 	}
 	return rs
 }

@@ -283,6 +283,131 @@ func TestReplayDropsTornInFlightAppend(t *testing.T) {
 	}
 }
 
+// replayCounted replays a fresh log over the ring at 4096 and returns its
+// entries, its error and the number of slots it read.
+func replayCounted(t *testing.T, dev *pmem.Device, n, stripes int) ([]Entry, error, int64) {
+	t.Helper()
+	c := dev.NewCtx()
+	got, err := mustNew(t, dev, 4096, n, stripes).Replay(c)
+	return got, err, c.Local().CatNS[pmem.CatSearch] / SlotReadNS
+}
+
+// TestReplayReadsLiveWindow: the scan reads the live entries and the one
+// slot after them where the log stops — never-written or stale — whatever
+// the ring's capacity, wrapped or not.
+func TestReplayReadsLiveWindow(t *testing.T) {
+	for _, tc := range []struct{ n, appends int }{{16, 0}, {16, 5}, {1024, 5}, {16, 40}, {16, 16}} {
+		dev, l := newLog(t, tc.n, 2)
+		c := dev.NewCtx()
+		for i := 0; i < tc.appends; i++ {
+			l.Append(c, Entry{Addr: pmem.PAddr(0x1000 + i), Op: OpAllocBit})
+		}
+		dev.Crash()
+		got, err, read := replayCounted(t, dev, tc.n, 2)
+		if err != nil {
+			t.Fatalf("n=%d appends=%d: %v", tc.n, tc.appends, err)
+		}
+		if read != int64(len(got))+1 {
+			t.Errorf("n=%d appends=%d: read %d slots for %d live entries, want live + 1", tc.n, tc.appends, read, len(got))
+		}
+		if tc.appends > 0 && got[len(got)-1].Addr != pmem.PAddr(0x1000+tc.appends-1) {
+			t.Errorf("n=%d appends=%d: newest entry lost: %+v", tc.n, tc.appends, got)
+		}
+	}
+}
+
+// TestReplayAfterCheckpointReadsOneSlot: a ring closed by Checkpoint has an
+// empty window; the scan reads the one slot the next append would take.
+func TestReplayAfterCheckpointReadsOneSlot(t *testing.T) {
+	dev, l := newLog(t, 16, 2)
+	c := dev.NewCtx()
+	for i := 0; i < 21; i++ {
+		l.Append(c, Entry{Addr: pmem.PAddr(i), Op: OpAllocBit})
+	}
+	l.Checkpoint(c)
+	dev.Crash()
+	got, err, read := replayCounted(t, dev, 16, 2)
+	if err != nil || len(got) != 0 || read != 1 {
+		t.Fatalf("closed ring: %d entries, err %v, %d slots read; want none, nil, 1", len(got), err, read)
+	}
+}
+
+// TestReplayDetectsFlippedLiveEntry: a bad slot inside the live window is
+// corruption, named at that slot — the entry after it is of the current
+// lap, which no torn append leaves.
+func TestReplayDetectsFlippedLiveEntry(t *testing.T) {
+	dev, l := newLog(t, 16, 2)
+	c := dev.NewCtx()
+	for i := 0; i < 20; i++ { // wraps: the window is seqs 10..20
+		l.Append(c, Entry{Addr: pmem.PAddr(0x1000 + i), Op: OpAllocBit})
+	}
+	dev.Crash()
+	for _, seq := range []uint64{10, 15, 19} { // oldest, middle, newest but one
+		img := dev.Clone()
+		a := l.slotAddr(int((seq - 1) % 16))
+		img.WriteU8(a+9, img.ReadU8(a+9)^0x20)
+		_, err, _ := replayCounted(t, img, 16, 2)
+		var ce *pmem.CorruptError
+		if !errors.As(err, &ce) || ce.Addr != a {
+			t.Fatalf("flipped live entry %d at %#x: %v, want a CorruptError there", seq, a, err)
+		}
+	}
+}
+
+// TestReplayDetectsAdjacentInvalidSlots: a torn stop slot is tolerated
+// only alone; a second invalid slot right after it is corruption.
+func TestReplayDetectsAdjacentInvalidSlots(t *testing.T) {
+	dev, l := newLog(t, 16, 2)
+	c := dev.NewCtx()
+	for i := 0; i < 20; i++ {
+		l.Append(c, Entry{Addr: pmem.PAddr(i), Op: OpAllocBit})
+	}
+	dev.Crash()
+	for _, slot := range []int{4, 5} { // the stop slot (seq 21's) and the one after
+		a := l.slotAddr(slot)
+		dev.WriteU64(a+8, ^dev.ReadU64(a+8))
+	}
+	if _, err, _ := replayCounted(t, dev, 16, 2); !errors.Is(err, pmem.ErrCorrupted) {
+		t.Fatalf("two adjacent invalid slots: %v, want ErrCorrupted", err)
+	}
+}
+
+// TestReplayToleratesTornStopSlotBeforeStale: a torn append over a stale
+// slot, followed by another stale slot, is the in-flight append — dropped,
+// with the scan reading two slots past the window.
+func TestReplayToleratesTornStopSlotBeforeStale(t *testing.T) {
+	dev, l := newLog(t, 16, 2)
+	c := dev.NewCtx()
+	for i := 0; i < 20; i++ {
+		l.Append(c, Entry{Addr: pmem.PAddr(0x1000 + i), Op: OpAllocBit})
+	}
+	dev.Crash()
+	a := l.slotAddr(4) // seq 21 would land here over seq 5; slot 5 holds seq 6
+	dev.WriteU64(a, 21)
+	got, err, read := replayCounted(t, dev, 16, 2)
+	if err != nil {
+		t.Fatalf("torn stop slot before a stale one: %v", err)
+	}
+	if len(got) != 11 || got[0].Seq != 10 || got[10].Addr != 0x1000+19 || read != int64(len(got))+2 {
+		t.Fatalf("replayed %d entries (%+v) reading %d slots, want seqs 10..20 and live + 2", len(got), got, read)
+	}
+}
+
+// TestReplayRefusesEntryAheadOfWindow: a valid entry at the stop slot
+// whose sequence is a lap ahead of the log cannot be stale or torn.
+func TestReplayRefusesEntryAheadOfWindow(t *testing.T) {
+	dev, l := newLog(t, 16, 2)
+	c := dev.NewCtx()
+	for i := 0; i < 20; i++ {
+		l.Append(c, Entry{Addr: pmem.PAddr(i), Op: OpAllocBit})
+	}
+	dev.Crash()
+	dev.WriteU64(4096, pmem.SealU64(0)) // the checkpoint goes back: slot 0 holds seq 17, not 1
+	if _, err, _ := replayCounted(t, dev, 16, 2); !errors.Is(err, pmem.ErrCorrupted) {
+		t.Fatalf("entry a lap ahead of the window: %v, want ErrCorrupted", err)
+	}
+}
+
 func TestNewDetectsCorruptCheckpoint(t *testing.T) {
 	dev, l := newLog(t, 16, 2)
 	c := dev.NewCtx()
