@@ -194,7 +194,8 @@ func (a *arena) fill(c *pmem.Ctx, class int, tc *tcache.Cache, want int) int {
 // Depot magazines are consumed first: each one restocks MagCap blocks
 // with no slab lock, no bitmap search and no persistent write (the
 // blocks are already volatile-reserved). Only then are fresh blocks
-// carved out of freelist slabs.
+// carved out of freelist slabs. A slab Open listed unread is built first;
+// one that turns out full reserves nothing and leaves the list.
 func (a *arena) fillLocked(c *pmem.Ctx, class int, tc *tcache.Cache, want int) int {
 	got := 0
 	for got < want {
@@ -221,6 +222,7 @@ func (a *arena) fillLocked(c *pmem.Ctx, class int, tc *tcache.Cache, want int) i
 			}
 		}
 		s.Mu.Lock()
+		s.Build(c)
 		idxBuf = s.Reserve(want-got, idxBuf[:0])
 		full := s.FreeCount() == 0
 		for _, idx := range idxBuf {
@@ -292,7 +294,10 @@ type blockRef struct {
 // the call (lockSlabs false). drainRemote's group spans slabs none of
 // which it holds, so commit takes each in turn (lockSlabs true). A free
 // may also drop its slab below the morph threshold; that is noted here,
-// under the same Mu, in the order the bits clear.
+// under the same Mu, in the order the bits clear. A free is also where a
+// slab Open left unbuilt is first touched without a refill (directly,
+// through the bypass, or in a remote-free drain): its bitmap is built
+// here, under the same Mu, before its bit changes.
 //
 // covered is set by publish (LOG only), whose one OpPublish entry, already
 // flushed and fenced, stands for steps 1 and 3 of every block it names.
@@ -312,6 +317,7 @@ func (a *arena) commit(c *pmem.Ctx, tr transition, ops []blockRef, lockSlabs, co
 		if lockSlabs {
 			b.s.Mu.Lock()
 		}
+		b.s.Build(c)
 		if h.useWAL {
 			a.noteDirty(b.s, b.idx)
 		}

@@ -37,7 +37,8 @@ type Object struct {
 // had been persisted.
 //
 // The snapshot is consistent per slab/extent but not globally atomic;
-// quiesce mutators for an exact enumeration.
+// quiesce mutators for an exact enumeration. It builds the bitmap of every
+// slab Open left unbuilt, uncharged: it runs on no thread's clock.
 func (h *Heap) Objects(fn func(Object) bool) {
 	// Collect slab bases and extents, then walk in address order (the
 	// page map already ranges in ascending base order).
@@ -64,6 +65,7 @@ func (h *Heap) Objects(fn func(Object) bool) {
 			ei++
 		}
 		s.Mu.Lock()
+		s.Build(nil)
 		var objs []Object
 		for idx := 0; idx < s.Blocks; idx++ {
 			// Reserved (tcache) blocks are not live objects; new-class

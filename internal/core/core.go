@@ -475,7 +475,8 @@ func (h *Heap) Blog() *blog.Sharded { return h.blog }
 // still exists and the block's bit (or, on a morphed slab, its old-class
 // index entry) is set. It is the read-only probe crash tests use to ask
 // whether a free survived recovery — unlike Free, it never mutates and
-// is safe on already-freed addresses.
+// is safe on already-freed addresses. Like Objects, it builds an unbuilt
+// slab's bitmap uncharged.
 func (h *Heap) BlockAllocated(addr pmem.PAddr) bool {
 	s := h.slabs.Lookup(addr &^ (slab.Size - 1))
 	if s == nil {
@@ -483,6 +484,7 @@ func (h *Heap) BlockAllocated(addr pmem.PAddr) bool {
 	}
 	s.Mu.Lock()
 	defer s.Mu.Unlock()
+	s.Build(nil)
 	if s.OldBlockIndex(addr) >= 0 {
 		return true
 	}
@@ -507,10 +509,12 @@ func (h *Heap) MorphStats() (morphs, refusals uint64) {
 }
 
 // SlabUtilization buckets live slabs by occupancy — <30%, 30-70%, >70% —
-// and returns the slab counts per bucket (Figure 15(b)'s breakdown).
+// and returns the slab counts per bucket (Figure 15(b)'s breakdown). Like
+// Objects, it builds every unbuilt slab's bitmap uncharged.
 func (h *Heap) SlabUtilization() (buckets [3]int) {
 	h.slabs.Range(func(_ pmem.PAddr, s *slab.Slab) bool {
 		s.Mu.Lock()
+		s.Build(nil)
 		u := s.Usage()
 		s.Mu.Unlock()
 		switch {
@@ -549,6 +553,7 @@ func (h *Heap) Close() error {
 		// volatile truth now so normal-shutdown recovery is cheap.
 		h.slabs.Range(func(_ pmem.PAddr, s *slab.Slab) bool {
 			s.Mu.Lock()
+			s.Build(c)
 			s.SyncBitmap(c)
 			s.Mu.Unlock()
 			return true

@@ -75,9 +75,11 @@ func (h *Heap) conservativeGC(c *pmem.Ctx) error {
 	}
 
 	// Sweep slabs in address order (deterministic freelist rebuild):
-	// allocation state becomes exactly the marked set.
+	// allocation state becomes exactly the marked set. The sweep reads
+	// every slab, so it builds every bitmap.
 	h.slabs.Range(func(_ pmem.PAddr, s *slab.Slab) bool {
 		a := h.arenas[s.Owner]
+		h.recoveryBuild(c, s)
 		wasFree := s.FreeCount() > 0
 		for idx := 0; idx < s.Blocks; idx++ {
 			if s.IsSlabIn() {

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"time"
 
 	"nvalloc/internal/blog"
 	"nvalloc/internal/extent"
@@ -80,15 +81,32 @@ type Recovery struct {
 
 	BookLogNS int64 // bookkeeping-log GC policy, or the in-place header scan
 	ExtentNS  int64 // extent tree and free lists from the live records
-	SlabNS    int64 // slab headers and volatile bitmaps, morph undo
-	WALNS     int64 // ring scans, replay, write-back and checkpoints (or the GC variant's mark and sweep)
+	SlabNS    int64 // slab headers, morph undo and slab_in index tables
+	WALNS     int64 // ring scans, replay, write-back and checkpoints (or the GC variant's mark and sweep), with the bitmaps they build
 	StateNS   int64 // the two run-state word commits
 
 	ShardsCompacted  int // bookkeeping-log shards found over their slow-GC threshold
-	SlabsLoaded      int
+	SlabsOpened      int // slab headers read
+	BitmapsBuilt     int // of those, slabs whose bitmap recovery read: the ones replay or the GC sweep touched
 	EntriesReplayed  int // live WAL entries the ring scans returned
 	EntriesRetired   int // of those, dropped unapplied: voided by a later slab release, or all of them after a crash inside Close
 	LinesWrittenBack int // bitmap lines flushed ahead of the rings' checkpoints
+
+	// Wall is the same phases in wall-clock time. It varies run to run, so
+	// nothing that must repeat compares it.
+	Wall RecoveryWall
+}
+
+// RecoveryWall is the wall-clock time of each phase of one Open. They add
+// up to the whole of Open: State also holds the superblock validation and
+// the volatile set-up that precede the first state commit.
+type RecoveryWall struct {
+	BookLog, Extent, Slab, WAL, State time.Duration
+}
+
+// Total is the wall-clock time Open took.
+func (w RecoveryWall) Total() time.Duration {
+	return w.BookLog + w.Extent + w.Slab + w.WAL + w.State
 }
 
 // TotalNS is the recovery's virtual time: what Open returned.
@@ -98,10 +116,14 @@ func (r Recovery) TotalNS() int64 {
 
 func (r Recovery) String() string {
 	us := func(ns int64) float64 { return float64(ns) / 1e3 }
+	ms := func(d time.Duration) float64 { return float64(d) / 1e6 }
+	w := r.Wall
 	return fmt.Sprintf("%.1f us virtual (book log %.1f, extents %.1f, slabs %.1f, wal %.1f, state %.1f); "+
-		"crashed=%v, %d shards compacted, %d slabs loaded, %d wal entries (%d retired), %d lines written back",
+		"%.2f ms wall (book log %.2f, extents %.2f, slabs %.2f, wal %.2f, state %.2f); "+
+		"crashed=%v, %d shards compacted, %d slabs opened, %d bitmaps built, %d wal entries (%d retired), %d lines written back",
 		us(r.TotalNS()), us(r.BookLogNS), us(r.ExtentNS), us(r.SlabNS), us(r.WALNS), us(r.StateNS),
-		r.Crashed, r.ShardsCompacted, r.SlabsLoaded, r.EntriesReplayed, r.EntriesRetired, r.LinesWrittenBack)
+		ms(w.Total()), ms(w.BookLog), ms(w.Extent), ms(w.Slab), ms(w.WAL), ms(w.State),
+		r.Crashed, r.ShardsCompacted, r.SlabsOpened, r.BitmapsBuilt, r.EntriesReplayed, r.EntriesRetired, r.LinesWrittenBack)
 }
 
 // Recovery reports what the Open that produced this heap did. It is the
@@ -110,15 +132,17 @@ func (h *Heap) Recovery() Recovery { return h.recovery }
 
 // Open reopens an existing heap after a restart or crash (Section 4.4).
 // It does each recovery job once: reopen the bookkeeping log and run its
-// GC policy, rebuild the extent tree from the live records, load every
-// slab (morph undo inside slab.Load), reopen the WAL rings and, if the
-// persisted state word shows the previous run did not shut down cleanly,
-// resolve leaks per the variant's consistency model: one scan of each
-// ring's live window and a replay for NVAlloc-LOG, conservative GC for
-// NVAlloc-GC. It
-// returns the recovery's virtual nanoseconds; Heap.Recovery breaks them
-// down.
+// GC policy, rebuild the extent tree from the live records, open every
+// slab's header (morph undo inside slab.Open), reopen the WAL rings and,
+// if the persisted state word shows the previous run did not shut down
+// cleanly, resolve leaks per the variant's consistency model: one scan of
+// each ring's live window and a replay for NVAlloc-LOG, conservative GC
+// for NVAlloc-GC. A slab's bitmap is read the first time something
+// touches the slab: replay or the sweep here, an allocation or a free
+// later. It returns the recovery's virtual nanoseconds; Heap.Recovery
+// breaks them down.
 func Open(dev pmem.Dev, opts Options) (*Heap, int64, error) {
+	wallStart := time.Now()
 	if err := validateSuper(dev); err != nil {
 		return nil, 0, err
 	}
@@ -148,12 +172,15 @@ func Open(dev pmem.Dev, opts Options) (*Heap, int64, error) {
 	// must not queue behind the bank load the previous session left.
 	dev.ResetTimeline()
 	c := dev.NewCtx()
-	// lap closes a phase: the virtual time since the previous lap.
+	// lap closes a phase: it adds the virtual and the wall-clock time since
+	// the previous lap to the phase's fields.
 	var lapped int64
-	lap := func() int64 {
-		d := c.Now - lapped
+	lap := func(ns *int64, wall *time.Duration) {
+		*ns += c.Now - lapped
 		lapped = c.Now
-		return d
+		now := time.Now()
+		*wall += now.Sub(wallStart)
+		wallStart = now
 	}
 	rep := &h.recovery
 	state, ok := pmem.UnsealU64(dev.ReadU64(superBase + sbState))
@@ -171,7 +198,7 @@ func Open(dev pmem.Dev, opts Options) (*Heap, int64, error) {
 		c.PersistU64(pmem.CatMeta, superBase+sbState, pmem.SealU64(stateRecovery))
 		c.Fence()
 	}
-	rep.StateNS = lap()
+	lap(&rep.StateNS, &rep.Wall.State)
 
 	// Reopen the bookkeeper and enumerate live extents.
 	var records []extent.LiveRecord
@@ -202,7 +229,7 @@ func Open(dev pmem.Dev, opts Options) (*Heap, int64, error) {
 		h.book = ib
 		records = ib.Recover(c)
 	}
-	rep.BookLogNS = lap()
+	lap(&rep.BookLogNS, &rep.Wall.BookLog)
 
 	// Rebuild the large allocator (gaps become reclaimed extents).
 	// Slab caches and shard pools start empty: leases and cached extents
@@ -213,9 +240,13 @@ func Open(dev pmem.Dev, opts Options) (*Heap, int64, error) {
 		return nil, 0, err
 	}
 	h.large = large
-	rep.ExtentNS = lap()
+	lap(&rep.ExtentNS, &rep.Wall.Extent)
 
-	// Rebuild vslabs; morph undo happens inside slab.Load.
+	// Open every slab's header; morph undo happens inside slab.Open. Every
+	// slab goes on its class freelist unread, so a full one is listed until
+	// something builds it: recovery's own touches take it off at once
+	// (recoveryBuild), any other falls out of fillLocked's full branch.
+	// The order of the slabs with room is the one an eager load gives.
 	next := 0
 	for _, v := range live {
 		if !v.Slab {
@@ -227,7 +258,7 @@ func Open(dev pmem.Dev, opts Options) (*Heap, int64, error) {
 		if uint64(v.Addr)%slab.Size != 0 || v.Size != slab.Size {
 			return nil, 0, pmem.Corrupt("extent", v.Addr, "slab record misaligned or sized %d, want %d", v.Size, uint64(slab.Size))
 		}
-		s, err := slab.Load(dev.Mem(), c, v.Addr)
+		s, err := slab.Open(dev.Mem(), c, v.Addr)
 		if err != nil {
 			return nil, 0, err
 		}
@@ -235,15 +266,13 @@ func Open(dev pmem.Dev, opts Options) (*Heap, int64, error) {
 		next++
 		h.slabs.Store(v.Addr, s)
 		a := h.arenas[s.Owner]
-		if s.FreeCount() > 0 {
-			a.freelistPush(s)
-		}
+		a.freelistPush(s)
 		if !s.IsSlabIn() {
 			a.lruPushTail(s)
 		}
 	}
-	rep.SlabsLoaded = next
-	rep.SlabNS = lap()
+	rep.SlabsOpened = next
+	lap(&rep.SlabNS, &rep.Wall.Slab)
 
 	// Reopen the WALs.
 	for i := range h.arenas {
@@ -286,12 +315,12 @@ func Open(dev pmem.Dev, opts Options) (*Heap, int64, error) {
 		}
 	}
 
-	rep.WALNS = lap()
+	lap(&rep.WALNS, &rep.Wall.WAL)
 
 	// Back in business.
 	c.PersistU64(pmem.CatMeta, superBase+sbState, pmem.SealU64(stateRunning))
 	c.Fence()
-	rep.StateNS += lap()
+	lap(&rep.StateNS, &rep.Wall.State)
 	ns := c.Now
 	c.Merge()
 	return h, ns, nil
@@ -368,7 +397,7 @@ func (h *Heap) replayWALs(c *pmem.Ctx, rep *Recovery) error {
 				h.replayPublish(c, a, e, k == len(ents)-1, void)
 			case walog.OpMorph:
 				// Morph steps are sealed by the slab's own flag field;
-				// slab.Load already undid or kept the transform.
+				// slab.Open already undid or kept the transform.
 			}
 		}
 		// Checkpoint's CatMeta flushes are the write-back's bitmap lines;
@@ -438,6 +467,7 @@ func (h *Heap) replayPublish(c *pmem.Ctx, a *arena, e walog.Entry, last bool, vo
 func (h *Heap) replayBit(c *pmem.Ctx, a *arena, s *slab.Slab, p pmem.PAddr, class int, val bool) {
 	if !val && s.OldClass == class {
 		if oi := s.OldBlockIndex(p); oi >= 0 {
+			h.recoveryBuild(c, s)
 			_, _ = s.FreeOldBlock(c, oi, true) // cannot fail: oi was just resolved
 			return
 		}
@@ -457,7 +487,11 @@ func (h *Heap) replayBit(c *pmem.Ctx, a *arena, s *slab.Slab, p pmem.PAddr, clas
 // WAL replay, at the end of the GC variant's sweep — so each distinct line
 // is flushed once, however many of its bits changed.
 func (h *Heap) forceBit(c *pmem.Ctx, s *slab.Slab, idx int, val bool, wb *arena) {
-	if idx < 0 || idx >= s.Blocks || val == s.BlockAllocated(idx) {
+	if idx < 0 || idx >= s.Blocks {
+		return
+	}
+	h.recoveryBuild(c, s)
+	if val == s.BlockAllocated(idx) {
 		return
 	}
 	wb.noteDirty(s, idx)
@@ -465,5 +499,22 @@ func (h *Heap) forceBit(c *pmem.Ctx, s *slab.Slab, idx int, val bool, wb *arena)
 		s.AllocBlock(c, idx, false)
 	} else {
 		s.FreeBlock(c, idx, false)
+	}
+}
+
+// recoveryBuild is recovery's first touch of a slab (WAL replay, the GC
+// variant's sweep): it builds the bitmap on Open's context and counts it.
+// Open listed the slab on its freelist unread, and one that turns out full
+// leaves the list here, where an eager load would have left it off.
+// Recovery runs before any thread exists, so it may edit the freelist of
+// an arena it does not hold.
+func (h *Heap) recoveryBuild(c *pmem.Ctx, s *slab.Slab) {
+	if s.Built() {
+		return
+	}
+	s.Build(c)
+	h.recovery.BitmapsBuilt++
+	if s.FreeCount() == 0 {
+		h.arenas[s.Owner].freelistRemove(s)
 	}
 }

@@ -1,9 +1,15 @@
 package core
 
 import (
+	"math/rand"
+	"slices"
+	"sync"
 	"testing"
 
+	"nvalloc/internal/alloc"
 	"nvalloc/internal/pmem"
+	"nvalloc/internal/sizeclass"
+	"nvalloc/internal/slab"
 	"nvalloc/internal/walog"
 )
 
@@ -53,10 +59,11 @@ func crashedLOGHeap(t *testing.T, ringEntries int) *pmem.Device {
 // walog.SlotReadNS of CatSearch per slot it reads, and it reads each
 // ring's live entries and the one slot where the log stops. The same
 // crashed session on rings of two capacities costs the same search time,
-// and the scan's share of it — what the crash adds over opening the same
-// image as if it had shut down cleanly — is exactly that.
+// and what the crash adds over opening the same image as if it had shut
+// down cleanly is exactly that scan plus the bitmaps replay built
+// (blocks/8 each): a clean open builds none.
 func TestOpenScanFollowsLiveEntries(t *testing.T) {
-	search := func(ringEntries int, crashed bool) (int64, Recovery) {
+	search := func(ringEntries int, crashed bool) (int64, *Heap) {
 		dev := crashedLOGHeap(t, ringEntries)
 		if !crashed {
 			dev.WriteU64(superBase+sbState, pmem.SealU64(stateShutdown))
@@ -66,10 +73,11 @@ func TestOpenScanFollowsLiveEntries(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return dev.Stats().CatNS[pmem.CatSearch] - before, h.Recovery()
+		return dev.Stats().CatNS[pmem.CatSearch] - before, h
 	}
 	small, _ := search(MinWALEntries, true)
-	large, rep := search(1024, true)
+	large, h := search(1024, true)
+	rep := h.Recovery()
 	if rep.EntriesReplayed == 0 {
 		t.Fatal("no live WAL entry at the crash: the test replays nothing")
 	}
@@ -77,9 +85,19 @@ func TestOpenScanFollowsLiveEntries(t *testing.T) {
 		t.Fatalf("Open's search time is %d ns on %d-slot rings and %d ns on 1024-slot rings: the scan grows with capacity",
 			small, MinWALEntries, large)
 	}
-	clean, _ := search(1024, false)
+	clean, hc := search(1024, false)
+	if b := hc.Recovery().BitmapsBuilt; b != 0 {
+		t.Fatalf("a clean open built %d bitmaps", b)
+	}
+	var builds int64
+	h.slabs.Range(func(_ pmem.PAddr, s *slab.Slab) bool {
+		if s.Built() {
+			builds += int64(s.Blocks) / 8
+		}
+		return true
+	})
 	const arenas = 16
-	if got, want := large-clean, int64(walog.SlotReadNS*(rep.EntriesReplayed+arenas)); got != want {
+	if got, want := large-clean-builds, int64(walog.SlotReadNS*(rep.EntriesReplayed+arenas)); got != want {
 		t.Fatalf("the ring scans charge %d ns of search, want %d: %d live entries and one stop slot in each of %d rings",
 			got, want, rep.EntriesReplayed, arenas)
 	}
@@ -319,16 +337,439 @@ func TestRecoveryPhaseBudget(t *testing.T) {
 		Crashed:   true,
 		BookLogNS: 0, // one shard per arena, none over its threshold, no empty chunk
 		ExtentNS:  330,
-		SlabNS:    589,
-		WALNS:     (24+16)*5 + 2945, // each live entry and one stop slot per ring read; 8 lines (one per slab: sequential bitmaps), one checkpoint word, two fences
+		SlabNS:    8 * 20,                 // the headers; each bitmap is built when replay first touches its slab
+		WALNS:     (24+16)*5 + 2945 + 429, // each live entry and one stop slot per ring read; 8 lines (one per slab: sequential bitmaps), one checkpoint word, two fences; the 8 bitmaps
 		StateNS:   670,
 
-		SlabsLoaded:      8,
+		SlabsOpened:      8,
+		BitmapsBuilt:     8,
 		EntriesReplayed:  24,
 		LinesWrittenBack: 8,
 	}
+	got.Wall = RecoveryWall{} // wall-clock time varies run to run
 	if got != want {
 		type raw Recovery // without the String method
 		t.Errorf("recovery report\n got %+v\nwant %+v", raw(got), raw(want))
+	}
+}
+
+// builtSlabs returns the bases of h's slabs whose bitmap is built, and how
+// many slabs h has.
+func builtSlabs(h *Heap) (built map[pmem.PAddr]bool, slabs int) {
+	built = map[pmem.PAddr]bool{}
+	h.slabs.Range(func(base pmem.PAddr, s *slab.Slab) bool {
+		slabs++
+		if s.Built() {
+			built[base] = true
+		}
+		return true
+	})
+	return built, slabs
+}
+
+// TestOpenBuildsOnlyTouchedBitmaps: a crashed LOG heap whose rings name a
+// few of its slabs. Open reads every header, charging 20 ns each, and
+// builds exactly the bitmaps of the slabs replay applied an entry to.
+func TestOpenBuildsOnlyTouchedBitmaps(t *testing.T) {
+	dev := pmem.New(pmem.Config{Size: 64 << 20, Strict: true})
+	h, err := Create(dev, DefaultOptions(LOG))
+	if err != nil {
+		t.Fatal(err)
+	}
+	th := h.NewThread()
+	var first []pmem.PAddr
+	for i := 0; i < 600; i++ {
+		p, err := th.Malloc(uint64(32 << (i % 6)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		first = append(first, p)
+	}
+	th.Close()
+	if err := h.Close(); err != nil {
+		t.Fatal(err)
+	}
+	// The session that crashes frees one block and allocates a few: only
+	// their slabs are named past the rings' checkpoints.
+	h, _, err = Open(dev, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	th = h.NewThread()
+	named := map[pmem.PAddr]bool{}
+	if err := th.Free(first[3]); err != nil {
+		t.Fatal(err)
+	}
+	named[first[3]&^(slab.Size-1)] = true
+	for i := 0; i < 10; i++ {
+		p, err := th.Malloc(128)
+		if err != nil {
+			t.Fatal(err)
+		}
+		named[p&^(slab.Size-1)] = true
+	}
+	th.Ctx().Merge()
+	dev.Crash()
+
+	h, _, err = Open(dev, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep := h.Recovery()
+	built, slabs := builtSlabs(h)
+	if rep.SlabsOpened != slabs || rep.SlabsOpened <= len(named) {
+		t.Fatalf("%d slabs opened of %d; the test needs more slabs than the %d replay names", rep.SlabsOpened, slabs, len(named))
+	}
+	if rep.BitmapsBuilt != len(named) || len(built) != len(named) {
+		t.Fatalf("%d bitmaps built (%d reported), want the %d slabs replay named", len(built), rep.BitmapsBuilt, len(named))
+	}
+	for base := range named {
+		if !built[base] {
+			t.Errorf("slab %#x, named by a live entry, is unbuilt", base)
+		}
+	}
+	if want := int64(20 * rep.SlabsOpened); rep.SlabNS != want {
+		t.Errorf("slab phase %d ns, want 20 ns for each of %d headers", rep.SlabNS, rep.SlabsOpened)
+	}
+}
+
+// openTwice opens two clones of dev: built has every bitmap built through
+// Objects (uncharged), lazy is left as Open left it.
+func openTwice(t *testing.T, dev *pmem.Device) (built, lazy *Heap) {
+	t.Helper()
+	var err error
+	if built, _, err = Open(dev.Clone(), Options{}); err != nil {
+		t.Fatal(err)
+	}
+	built.Objects(func(Object) bool { return true })
+	if lazy, _, err = Open(dev.Clone(), Options{}); err != nil {
+		t.Fatal(err)
+	}
+	return built, lazy
+}
+
+// TestFirstTouchChargesOnce: after a clean reopen no bitmap is built. A
+// refill from an unbuilt slab, a free into one and a publish that
+// supersedes a block of one charge the touching thread blocks/8 on top of
+// what the same op costs on a slab already built; the next touch of each
+// slab costs exactly what it costs there.
+func TestFirstTouchChargesOnce(t *testing.T) {
+	dev := pmem.New(pmem.Config{Size: 32 << 20, Strict: true})
+	opts := DefaultOptions(LOG)
+	opts.Arenas = 1 // every free is local: it reaches the bitmap at once
+	h, err := Create(dev, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	th := h.NewThread()
+	var small, big []pmem.PAddr
+	for i := 0; i < 3; i++ {
+		p, err := th.Malloc(64)
+		if err != nil {
+			t.Fatal(err)
+		}
+		small = append(small, p)
+		if p, err = th.Malloc(256); err != nil {
+			t.Fatal(err)
+		}
+		big = append(big, p)
+	}
+	slot := h.RootSlot(0)
+	rooted, err := th.MallocTo(slot, 1024)
+	if err != nil {
+		t.Fatal(err)
+	}
+	th.Close()
+	if err := h.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	built, lazy := openTwice(t, dev)
+	if n := lazy.Recovery().BitmapsBuilt; n != 0 {
+		t.Fatalf("a clean open built %d bitmaps", n)
+	}
+	slabOf := func(h *Heap, p pmem.PAddr) *slab.Slab { return h.slabs.Lookup(p &^ (slab.Size - 1)) }
+	// An op returns the block a malloc handed out, Null for a free.
+	type op func(th alloc.Thread) (pmem.PAddr, error)
+	malloc := func(th alloc.Thread) (pmem.PAddr, error) { return th.Malloc(64) }
+	free := func(p pmem.PAddr) op {
+		return func(th alloc.Thread) (pmem.PAddr, error) { return pmem.Null, th.Free(p) }
+	}
+	freeFrom := func(th alloc.Thread) (pmem.PAddr, error) { return pmem.Null, th.FreeFrom(slot) }
+	ops := []struct {
+		name  string
+		do    op
+		touch *slab.Slab // the lazy heap's slab this op touches first, if any
+	}{
+		{"refill", malloc, slabOf(lazy, small[0])},
+		{"tcache pop", malloc, nil},
+		{"free", free(big[0]), slabOf(lazy, big[0])},
+		{"second free", free(big[1]), nil},
+		{"free into the refilled slab", free(small[1]), nil},
+		{"publish superseding a block", freeFrom, slabOf(lazy, rooted)},
+	}
+	bt, lt := built.NewThread(), lazy.NewThread()
+	for _, o := range ops {
+		search := func(th alloc.Thread) (pmem.PAddr, int64) {
+			ctx := th.(*Thread).Ctx()
+			before := ctx.Local().CatNS[pmem.CatSearch]
+			p, err := o.do(th)
+			if err != nil {
+				t.Fatalf("%s: %v", o.name, err)
+			}
+			return p, ctx.Local().CatNS[pmem.CatSearch] - before
+		}
+		if o.touch != nil && o.touch.Built() {
+			t.Fatalf("%s: slab %#x built before its first touch", o.name, o.touch.Base)
+		}
+		pb, nsBuilt := search(bt)
+		pl, nsLazy := search(lt)
+		if pb != pl {
+			t.Fatalf("%s: address %#x on the lazy heap, %#x on the built one", o.name, pl, pb)
+		}
+		var want int64
+		if o.touch != nil {
+			want = int64(o.touch.Blocks) / 8
+			if !o.touch.Built() {
+				t.Fatalf("%s: slab %#x still unbuilt", o.name, o.touch.Base)
+			}
+		}
+		if got := nsLazy - nsBuilt; got != want {
+			t.Errorf("%s: the lazy heap charged %d ns more search, want %d", o.name, got, want)
+		}
+	}
+}
+
+// TestFirstTouchRace: two threads make the first touch of one unbuilt slab
+// at once, each freeing a block of it (NVAlloc-IC: no arena resource on
+// the free path, only the slab's Mu), while a reader probes it. The bitmap
+// is built once and both frees land. Run it under -race.
+func TestFirstTouchRace(t *testing.T) {
+	dev := pmem.New(pmem.Config{Size: 32 << 20, Strict: true})
+	opts := DefaultOptions(IC)
+	opts.Arenas = 2
+	h, err := Create(dev, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	th := h.NewThread()
+	var blocks []pmem.PAddr
+	for i := 0; i < 8; i++ {
+		p, err := th.Malloc(64)
+		if err != nil {
+			t.Fatal(err)
+		}
+		blocks = append(blocks, p)
+	}
+	th.Close()
+	if err := h.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if h, _, err = Open(dev, Options{}); err != nil {
+		t.Fatal(err)
+	}
+	s := h.slabs.Lookup(blocks[0] &^ (slab.Size - 1))
+	if s.Built() {
+		t.Fatal("slab built by a clean open")
+	}
+	var wg sync.WaitGroup
+	for i := 0; i < 2; i++ {
+		th := h.NewThread()
+		wg.Add(1)
+		go func(p pmem.PAddr) {
+			defer wg.Done()
+			if err := th.Free(p); err != nil {
+				t.Error(err)
+			}
+		}(blocks[i])
+	}
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		if !h.BlockAllocated(blocks[2]) {
+			t.Error("a live block reads free")
+		}
+	}()
+	wg.Wait()
+	s.Mu.Lock()
+	defer s.Mu.Unlock()
+	if !s.Built() || s.Allocated != len(blocks)-2 || s.Reserved != 2 {
+		t.Fatalf("after two concurrent first frees: built %v, %d allocated, %d reserved; want %d and 2",
+			s.Built(), s.Allocated, s.Reserved, len(blocks)-2)
+	}
+}
+
+// TestLazyBuildMatchesEager: the same crashed image, opened twice. On one
+// copy Objects builds every bitmap before anything runs; the other builds
+// them as the ops touch them. The same 10 000 mixed mallocs and frees from
+// two threads return the same addresses on both, and both end with the
+// same objects. NVAlloc-LOG replays into some slabs at Open; NVAlloc-IC
+// builds none there.
+func TestLazyBuildMatchesEager(t *testing.T) {
+	sizes := []uint64{32, 64, 128, 256, 512, 1024, 2048, 4096}
+	for _, v := range []Variant{LOG, IC} {
+		t.Run(v.String(), func(t *testing.T) {
+			dev := pmem.New(pmem.Config{Size: 64 << 20, Strict: true})
+			h, err := Create(dev, DefaultOptions(v))
+			if err != nil {
+				t.Fatal(err)
+			}
+			rng := rand.New(rand.NewSource(27))
+			var live []pmem.PAddr
+			session := func(th alloc.Thread, ops int) {
+				for i := 0; i < ops; i++ {
+					if len(live) > 0 && rng.Intn(10) < 4 {
+						k := rng.Intn(len(live))
+						if err := th.Free(live[k]); err != nil {
+							t.Fatal(err)
+						}
+						live[k] = live[len(live)-1]
+						live = live[:len(live)-1]
+						continue
+					}
+					p, err := th.Malloc(sizes[rng.Intn(len(sizes))])
+					if err != nil {
+						t.Fatal(err)
+					}
+					live = append(live, p)
+				}
+			}
+			// A session that closes cleanly, then a short one that crashes:
+			// its entries name only some of the slabs.
+			th := h.NewThread()
+			session(th, 6000)
+			th.Close()
+			if err := h.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if h, _, err = Open(dev, Options{}); err != nil {
+				t.Fatal(err)
+			}
+			th = h.NewThread()
+			session(th, 300)
+			th.Ctx().Merge()
+			dev.Crash()
+
+			eager, lazy := openTwice(t, dev)
+			if _, n := builtSlabs(lazy); lazy.Recovery().BitmapsBuilt >= n {
+				t.Fatalf("Open built %d of %d bitmaps: nothing is left to build lazily", lazy.Recovery().BitmapsBuilt, n)
+			}
+			run := func(h *Heap) []pmem.PAddr {
+				rng := rand.New(rand.NewSource(28))
+				ths := []alloc.Thread{h.NewThread(), h.NewThread()}
+				live := append([]pmem.PAddr(nil), live...)
+				var got []pmem.PAddr
+				for i := 0; i < 10000; i++ {
+					th := ths[i%2]
+					if len(live) > 0 && rng.Intn(10) < 5 {
+						k := rng.Intn(len(live))
+						if err := th.Free(live[k]); err != nil {
+							t.Fatalf("op %d: free %#x: %v", i, live[k], err)
+						}
+						live[k] = live[len(live)-1]
+						live = live[:len(live)-1]
+						continue
+					}
+					p, err := th.Malloc(sizes[rng.Intn(len(sizes))])
+					if err != nil {
+						t.Fatalf("op %d: %v", i, err)
+					}
+					got = append(got, p)
+					live = append(live, p)
+				}
+				for _, th := range ths {
+					th.Close()
+				}
+				return got
+			}
+			a, b := run(eager), run(lazy)
+			for i := range a {
+				if a[i] != b[i] {
+					t.Fatalf("malloc %d: %#x with every bitmap built at open, %#x built on first touch", i, a[i], b[i])
+				}
+			}
+			objects := func(h *Heap) (out []Object) {
+				h.Objects(func(o Object) bool { out = append(out, o); return true })
+				return out
+			}
+			if oa, ob := objects(eager), objects(lazy); !slices.Equal(oa, ob) {
+				t.Fatalf("%d objects on the eagerly built copy, %d on the lazy one, or different ones", len(oa), len(ob))
+			}
+		})
+	}
+}
+
+// TestRecoveryUnlistsFullSlabs: Open lists every slab on its freelist
+// unread; a slab recovery itself builds and finds full leaves the list
+// there, as an eager load would have left it off. A session that closes
+// cleanly fills one 2 KiB slab and starts another, every block reachable
+// from a root; the session that crashes frees a block of the full slab
+// and takes it back, so NVAlloc-LOG's replay touches the slab, and
+// NVAlloc-GC's sweep touches every slab, and neither frees anything.
+func TestRecoveryUnlistsFullSlabs(t *testing.T) {
+	for _, v := range []Variant{LOG, GC} {
+		t.Run(v.String(), func(t *testing.T) {
+			dev := pmem.New(pmem.Config{Size: 32 << 20, Strict: true})
+			opts := DefaultOptions(v)
+			opts.Arenas = 1 // the free and the malloc after it meet in one tcache
+			h, err := Create(dev, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			th := h.NewThread()
+			per := slab.BlocksPerSlab(sizeclass.Class(2048), h.lay.Bitmap)
+			var chain []pmem.PAddr
+			prev := pmem.Null
+			for i := 0; i < per+4; i++ {
+				p, err := th.Malloc(2048)
+				if err != nil {
+					t.Fatal(err)
+				}
+				th.Ctx().PersistU64(pmem.CatOther, p, uint64(prev))
+				chain = append(chain, p)
+				prev = p
+			}
+			th.Ctx().PersistU64(pmem.CatOther, h.RootSlot(0), uint64(prev))
+			th.Close()
+			if err := h.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if h, _, err = Open(dev, Options{}); err != nil {
+				t.Fatal(err)
+			}
+			th = h.NewThread()
+			if err := th.Free(chain[0]); err != nil {
+				t.Fatal(err)
+			}
+			if p, err := th.Malloc(2048); err != nil || p != chain[0] {
+				t.Fatalf("malloc after the free: %#x, %v; want %#x back", p, err, chain[0])
+			}
+			th.Ctx().Merge()
+			dev.Crash()
+
+			if h, _, err = Open(dev, Options{}); err != nil {
+				t.Fatal(err)
+			}
+			full := 0
+			h.slabs.Range(func(_ pmem.PAddr, s *slab.Slab) bool {
+				listed := h.arenas[s.Owner].onFreelist(s)
+				switch {
+				case !s.Built():
+					if !listed {
+						t.Errorf("unbuilt slab %#x is off its freelist", s.Base)
+					}
+				case s.FreeCount() == 0 && listed:
+					t.Errorf("full slab %#x is on its freelist after recovery", s.Base)
+				case s.FreeCount() == 0:
+					full++
+				case !listed:
+					t.Errorf("slab %#x with %d free blocks is off its freelist", s.Base, s.FreeCount())
+				}
+				return true
+			})
+			if full != 1 {
+				t.Fatalf("recovery built %d full slabs, want the one the crashed session touched", full)
+			}
+		})
 	}
 }

@@ -168,6 +168,7 @@ func (h *Heap) pinFreeBlocks() string {
 	pinned := 0
 	h.slabs.Range(func(_ pmem.PAddr, s *slab.Slab) bool {
 		before := pinned
+		s.Build(c)
 		for idx := 0; idx < s.Blocks; idx++ {
 			if !s.BlockAllocated(idx) {
 				s.AllocBlock(c, idx, false)
@@ -195,7 +196,7 @@ func (h *Heap) scrubRoots() []string {
 	for i := 0; i < alloc.NumRootSlots; i++ {
 		slot := h.RootSlot(i)
 		p := pmem.PAddr(h.dev.ReadU64(slot))
-		if p == pmem.Null || h.resolvesLive(p) {
+		if p == pmem.Null || h.resolvesLive(c, p) {
 			continue
 		}
 		c.PersistU64(pmem.CatMeta, slot, 0)
@@ -206,8 +207,9 @@ func (h *Heap) scrubRoots() []string {
 }
 
 // resolvesLive reports whether p is the start address of a live slab
-// block (current or old class) or large extent.
-func (h *Heap) resolvesLive(p pmem.PAddr) bool {
+// block (current or old class) or large extent. A slab it reads is built
+// on c.
+func (h *Heap) resolvesLive(c *pmem.Ctx, p pmem.PAddr) bool {
 	if p < h.heapBase || uint64(p) >= h.dev.Size() || p%8 != 0 {
 		return false
 	}
@@ -216,6 +218,7 @@ func (h *Heap) resolvesLive(p pmem.PAddr) bool {
 		s.Mu.Lock()
 		defer s.Mu.Unlock()
 		if idx := s.BlockIndex(p); idx >= 0 {
+			s.Build(c)
 			return s.BlockAllocated(idx)
 		}
 		return s.OldBlockIndex(p) >= 0

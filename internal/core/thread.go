@@ -283,6 +283,7 @@ func (t *Thread) freeOld(owner *arena, s *slab.Slab, oldIdx int) error {
 // freeOldLocked is freeOld's body; caller holds the owner's resource.
 func (t *Thread) freeOldLocked(owner *arena, s *slab.Slab, oldIdx int) error {
 	s.Mu.Lock()
+	s.Build(t.ctx)
 	done, err := s.FreeOldBlock(t.ctx, oldIdx, t.h.persistSmall)
 	if err == nil && s.UsageBelowMille(t.h.suMille) {
 		owner.noteCandidate(s)
@@ -431,14 +432,15 @@ func (t *Thread) Reserve(size uint64) (pmem.PAddr, error) {
 
 // reserved resolves a small reservation to its block. A reservation pins
 // its slab's geometry (CanMorphTo requires Reserved == 0), so the index is
-// stable from Reserve to Publish or Unreserve.
+// stable from Reserve to Publish or Unreserve. A slab Open left unbuilt
+// holds no reservation.
 func reserved(s *slab.Slab, addr pmem.PAddr) (int, bool) {
 	idx := s.BlockIndex(addr)
 	if idx < 0 {
 		return 0, false
 	}
 	s.Mu.Lock()
-	ok := s.BlockReserved(idx)
+	ok := s.Built() && s.BlockReserved(idx)
 	s.Mu.Unlock()
 	return idx, ok
 }
@@ -565,6 +567,7 @@ func (t *Thread) Publish(slot, new, old pmem.PAddr) error {
 	oldIdx := -1 // old's index as a block_before of a morphed slab
 	if os != nil && !remoteOld {
 		os.Mu.Lock()
+		os.Build(c)
 		if i := os.OldBlockIndex(old); i >= 0 {
 			oldIdx = i
 			e.Aux2 |= uint16(os.OldClass + 1)

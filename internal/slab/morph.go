@@ -15,6 +15,7 @@ import (
 // region (header + index table + new bitmap) overlapping any live block,
 // and without exceeding the index table's 15-bit block-index capacity.
 func (s *Slab) CanMorphTo(newClass, stripes int) bool {
+	s.checkBuilt()
 	if s.OldClass >= 0 || newClass == s.Class {
 		return false
 	}
@@ -72,7 +73,7 @@ func (s *Slab) persistFlag(c *pmem.Ctx, flag uint32, persist bool) {
 //
 // The new bitmap is laid out over stripes stripes — the heap's layout for
 // slabs it formats now, which need not be the one this slab was formatted
-// with. A crash with flag 1 or 2 is undone by Load; flag 3 is the
+// with. A crash with flag 1 or 2 is undone by Open; flag 3 is the
 // completed transform. Every flag transition is a single 8-byte-atomic
 // word update (the flag shares its word with hDataOff, so the commit
 // carries the geometry switch atomically).
@@ -230,13 +231,14 @@ func (s *Slab) OldBlockAddr(idx int) pmem.PAddr {
 // occupied becomes allocatable, then its index-table state is set to free
 // and persisted, and the occupancy counters are updated. The index-table
 // word is the free's commit point and goes last: a crash before it leaves
-// the block live — Load pins the new-class blocks under a live index entry
+// the block live — Open pins the new-class blocks under a live index entry
 // again, whatever their bits say — so the free either did not happen or,
 // for a caller that logged it, is simply run again by replay; nothing is
 // left allocated that no block covers. It reports whether the slab just
 // finished morphing (no old blocks remain), in which case the caller
 // reinserts it into the LRU list as a regular slab.
 func (s *Slab) FreeOldBlock(c *pmem.Ctx, idx int, persist bool) (done bool, err error) {
+	s.checkBuilt() // before cntBlock changes: the bits it unpins are cleared below
 	slot, ok := s.oldIdx[idx]
 	if !ok {
 		return false, fmt.Errorf("slab %#x: free of unknown old block %d", s.Base, idx)
@@ -273,7 +275,7 @@ func (s *Slab) FreeOldBlock(c *pmem.Ctx, idx int, persist bool) (done bool, err 
 	if s.CntSlab == 0 {
 		// The slab_in becomes a regular slab_after. The demotion is a
 		// single atomic flag commit; the old-class fields go stale but are
-		// dead at flag 0 (Load ignores them entirely).
+		// dead at flag 0 (Open ignores them entirely).
 		s.persistFlag(c, flagStable, persist)
 		s.OldClass = -1
 		s.OldDataOff = 0
@@ -326,12 +328,17 @@ func validateOldFields(dev pmem.Mem, base pmem.PAddr, stripes int) (oldGeom, err
 	return old, nil
 }
 
-// Load rebuilds a vslab from the persistent image at base, undoing any
-// partially completed morph (flag 1 or 2) first. Every header field is
-// validated — geometry against the header checksum, old-class fields
-// semantically — so a torn or corrupted image yields a CorruptError, not
-// a panic or a silently wrong heap. Recovery costs are charged to c.
-func Load(dev pmem.Mem, c *pmem.Ctx, base pmem.PAddr) (*Slab, error) {
+// Open rebuilds an unbuilt vslab from the persistent header at base,
+// undoing any partially completed morph (flag 1 or 2) first. Every header
+// field is validated — geometry against the header checksum, old-class
+// fields semantically — so a torn or corrupted image yields a
+// CorruptError, not a panic or a silently wrong heap. A slab_in's index
+// table is read too: it is header state (which old blocks are live, which
+// new blocks they pin), and a slab_in whose last old block was freed
+// finishes its demotion here, on media. The bitmap is not read: Build
+// does that at the slab's first touch. Open charges c the per-slab
+// constant of recovery, Build the per-block part.
+func Open(dev pmem.Mem, c *pmem.Ctx, base pmem.PAddr) (*Slab, error) {
 	if uint64(base)+Size > dev.Size() || base%Size != 0 {
 		return nil, pmem.Corrupt("slab", base, "slab extent out of device bounds or misaligned")
 	}
@@ -378,22 +385,10 @@ func Load(dev pmem.Mem, c *pmem.Ctx, base pmem.PAddr) (*Slab, error) {
 		dev:        dev,
 		m:          interleave.New(blocks, 1, stripes, pmem.LineSize),
 		bitmapBase: bitmapBase,
-		free:       bitfit.New(blocks),
-		resBits:    make([]uint64, (blocks+63)/64),
 		OldClass:   -1,
 	}
 	s.lay = layoutFor(blocks, stripes, s.m)
-	// Rebuild the volatile bitmap (leaf + summary index) from the
-	// persistent interleaved one, read through one view of the region:
-	// nothing else touches the slab until Load returns it.
-	bitmap := dev.Bytes(base+pmem.PAddr(bitmapBase), int(dataOff-bitmapBase))
-	for idx, off := range s.lay.off {
-		if bitmap[off>>3]&(1<<(off&7)) != 0 {
-			s.free.Set(idx)
-			s.Allocated++
-		}
-	}
-	c.Charge(pmem.CatSearch, int64(blocks)/8+20)
+	c.Charge(pmem.CatSearch, 20)
 
 	if flag == flagSlabIn {
 		// Reconstruct cnt_slab and cnt_block from the index table. At any
@@ -433,16 +428,6 @@ func Load(dev pmem.Mem, c *pmem.Ctx, base pmem.PAddr) (*Slab, error) {
 				}
 			}
 		}
-		// Repair the volatile view for new blocks pinned by old-class data
-		// whose bitmap bits never persisted (GC variant defers bitmap
-		// flushes): they must read as unavailable or a later FreeOldBlock
-		// would double-free them.
-		for nb := 0; nb < blocks; nb++ {
-			if s.cntBlock[nb] > 0 && !s.bitTest(nb) {
-				s.free.Set(nb)
-				s.Allocated++
-			}
-		}
 		if s.CntSlab == 0 {
 			// All old blocks were already freed; finish the demotion that
 			// may have been cut short by the crash.
@@ -455,6 +440,45 @@ func Load(dev pmem.Mem, c *pmem.Ctx, base pmem.PAddr) (*Slab, error) {
 	}
 	s.publishGeom()
 	return s, nil
+}
+
+// Build makes an opened slab's block states readable, the first time
+// something needs them: it rebuilds the volatile bitmap (leaf + summary)
+// and the allocated count from the persistent bitmap, read through one
+// view of the region and the shared bit-layout table, and charges c the
+// per-block part of recovery. It writes nothing persistent. On a slab
+// already built it does nothing. Caller holds Mu, or is recovery, which
+// runs before any thread exists; c may be nil for a reader outside every
+// thread's clock.
+func (s *Slab) Build(c *pmem.Ctx) {
+	if s.free == nil { // inlined: the hot paths call Build on every commit
+		s.build(c)
+	}
+}
+
+func (s *Slab) build(c *pmem.Ctx) {
+	free := bitfit.New(s.Blocks)
+	allocated := 0
+	bitmap := s.dev.Bytes(s.Base+pmem.PAddr(s.bitmapBase), int(s.DataOff-s.bitmapBase))
+	for idx, off := range s.lay.off {
+		if bitmap[off>>3]&(1<<(off&7)) != 0 {
+			free.Set(idx)
+			allocated++
+		}
+	}
+	// New blocks pinned by old-class data whose bitmap bits never persisted
+	// (the GC variant defers bitmap flushes) must read as unavailable, or a
+	// later FreeOldBlock would double-free them.
+	for nb, cnt := range s.cntBlock {
+		if cnt > 0 && !free.Test(nb) {
+			free.Set(nb)
+			allocated++
+		}
+	}
+	s.free, s.resBits, s.Allocated = free, make([]uint64, (s.Blocks+63)/64), allocated
+	if c != nil {
+		c.Charge(pmem.CatSearch, int64(s.Blocks)/8)
+	}
 }
 
 // undoMorph rolls back a morph interrupted at flag 1 or 2 and returns the

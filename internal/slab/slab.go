@@ -43,7 +43,7 @@ var crcTable = crc32.MakeTable(crc32.Castagnoli)
 // (magic, class, dataOff, stripes). The morph flag and the old-class
 // fields are deliberately excluded: every flag transition must remain a
 // single-word atomic commit (no companion CRC update that could tear
-// against it), and the old fields are validated semantically by Load
+// against it), and the old fields are validated semantically by Open
 // instead.
 func headerCRC(class, dataOff, stripes uint32) uint32 {
 	var b [16]byte
@@ -142,7 +142,11 @@ const (
 )
 
 // Slab is the volatile vslab: the in-DRAM mirror of one persistent slab.
-// It is reconstructed from the persistent header during recovery.
+// Recovery reconstructs it in two steps: Open reads the persistent header,
+// and Build reads the persistent bitmap the first time something needs it.
+// Until then the slab is unbuilt: its geometry and morph state are known,
+// its block states are not, and every method that would read them panics
+// rather than report a live block as free.
 //
 // A block can be in three states: free, reserved (sitting in some
 // thread's tcache: unavailable to others but still free in the
@@ -174,7 +178,7 @@ type Slab struct {
 	m          interleave.Mapping
 	lay        *bitLayout // shared (blocks, stripes) bit-layout table
 	bitmapBase uint32
-	free       *bitfit.Bitmap // logical-index bitmap: 1 = allocated or reserved (leaf + summary)
+	free       *bitfit.Bitmap // logical-index bitmap: 1 = allocated or reserved (leaf + summary); nil until Build
 	resBits    []uint64       // logical-index bitmap: 1 = reserved in a tcache
 
 	// dirty is the write-back set of the LOG variant: bit i means line i of
@@ -254,7 +258,7 @@ func (g *Geom) BlockIndex(base, addr pmem.PAddr) int {
 func (g *Geom) Stripe(idx int) int { return int(g.lay.stripe[idx]) }
 
 // publishGeom snapshots the current geometry fields. Called while the
-// slab is still private (Format/Load) or with Mu held (morph,
+// slab is still private (Format/Open) or with Mu held (morph,
 // demotion).
 func (s *Slab) publishGeom() {
 	s.geom.Store(&Geom{
@@ -269,7 +273,7 @@ func (s *Slab) publishGeom() {
 }
 
 // Geometry returns the current geometry snapshot (never nil for a slab
-// produced by Format or Load).
+// produced by Format or Open).
 func (s *Slab) Geometry() *Geom { return s.geom.Load() }
 
 // geometry computes the block count, bitmap base and data offset for a
@@ -349,7 +353,7 @@ func Format(dev pmem.Mem, c *pmem.Ctx, base pmem.PAddr, class, stripes int, pers
 
 // Quarantine reformats the header of a damaged slab in place as a
 // stable slab of class 0 with every block marked allocated, so a
-// subsequent Load accepts it without ever handing out one of its
+// subsequent Open accepts it without ever handing out one of its
 // blocks. The payload bytes are untouched: quarantining turns a slab
 // that would fail recovery into a permanent leak instead of a loss.
 func Quarantine(dev pmem.Mem, c *pmem.Ctx, base pmem.PAddr, stripes int) {
@@ -399,7 +403,32 @@ func (s *Slab) BlockIndex(addr pmem.PAddr) int {
 	return idx
 }
 
-func (s *Slab) bitTest(idx int) bool { return s.free.Test(idx) }
+// Built reports whether the slab's volatile bitmap exists: Format made it,
+// or Build has run since Open.
+func (s *Slab) Built() bool { return s.free != nil }
+
+// checkBuilt guards every method that reads or changes block states. An
+// unbuilt slab's zero counters and missing bitmap would read as "all
+// free", so a caller that forgot to Build would hand out live blocks.
+func (s *Slab) checkBuilt() {
+	if s.free == nil {
+		panic(unbuiltError(s.Base))
+	}
+}
+
+// unbuiltError is checkBuilt's panic value: a type, not a formatted
+// string, so that the guard stays small enough to inline into the hot
+// paths it sits on.
+type unbuiltError pmem.PAddr
+
+func (e unbuiltError) Error() string {
+	return fmt.Sprintf("slab %#x: block state used before Build", pmem.PAddr(e))
+}
+
+func (s *Slab) bitTest(idx int) bool {
+	s.checkBuilt()
+	return s.free.Test(idx)
+}
 
 // BlockAllocated reports whether block idx is marked unavailable in the
 // volatile bitmap (allocated, or reserved in a tcache).
@@ -408,6 +437,7 @@ func (s *Slab) BlockAllocated(idx int) bool { return s.bitTest(idx) }
 // BlockReserved reports whether block idx currently sits in a tcache
 // (unavailable but not a live object).
 func (s *Slab) BlockReserved(idx int) bool {
+	s.checkBuilt()
 	return s.resBits[idx/64]&(1<<(idx%64)) != 0
 }
 
@@ -529,6 +559,7 @@ func (s *Slab) FreeBlock(c *pmem.Ctx, idx int, persist bool) {
 // TrailingZeros64 ops per block). Both paths hand out the lowest free
 // indices, so they are observationally identical to the old linear scan.
 func (s *Slab) Reserve(n int, out []int) []int {
+	s.checkBuilt()
 	if s.fresh {
 		k := s.Blocks - s.bump
 		if k > n {
@@ -577,6 +608,7 @@ func setBitRange(words []uint64, lo, hi int) {
 
 // Unreserve returns a reserved block to the free state (tcache drain).
 func (s *Slab) Unreserve(idx int) {
+	s.checkBuilt()
 	s.free.Clear(idx)
 	s.fresh = false
 	s.resBits[idx/64] &^= 1 << (idx % 64)
@@ -588,6 +620,7 @@ func (s *Slab) Unreserve(idx int) {
 // LOG passes false, having called MarkDirty). This is the per-malloc metadata
 // write whose cache line the interleaved mapping varies.
 func (s *Slab) CommitAlloc(c *pmem.Ctx, idx int, persist bool) {
+	s.checkBuilt()
 	s.resBits[idx/64] &^= 1 << (idx % 64)
 	s.Reserved--
 	s.Allocated++
@@ -597,6 +630,7 @@ func (s *Slab) CommitAlloc(c *pmem.Ctx, idx int, persist bool) {
 // CommitFreeToCache clears the persistent bit of an allocated block that
 // moves into a tcache (it stays volatile-reserved).
 func (s *Slab) CommitFreeToCache(c *pmem.Ctx, idx int, persist bool) {
+	s.checkBuilt()
 	s.resBits[idx/64] |= 1 << (idx % 64)
 	s.Allocated--
 	s.Reserved++
@@ -613,6 +647,7 @@ func (s *Slab) CommitFreeToCache(c *pmem.Ctx, idx int, persist bool) {
 // instead of one read-modify-write device call per block. Shutdown is
 // single-threaded, so the bulk view cannot race a concurrent line flush.
 func (s *Slab) SyncBitmap(c *pmem.Ctx) {
+	s.checkBuilt()
 	buf := s.dev.Bytes(s.Base+pmem.PAddr(s.bitmapBase), int(s.DataOff-s.bitmapBase))
 	for i := range buf {
 		buf[i] = 0
@@ -631,11 +666,15 @@ func (s *Slab) SyncBitmap(c *pmem.Ctx) {
 }
 
 // FreeCount returns the number of blocks neither allocated nor reserved.
-func (s *Slab) FreeCount() int { return s.Blocks - s.Allocated - s.Reserved }
+func (s *Slab) FreeCount() int {
+	s.checkBuilt()
+	return s.Blocks - s.Allocated - s.Reserved
+}
 
 // Usage returns the occupancy ratio used by the morphing policy
 // (reserved blocks count as occupied).
 func (s *Slab) Usage() float64 {
+	s.checkBuilt()
 	if s.Blocks == 0 {
 		return 1
 	}
@@ -647,6 +686,7 @@ func (s *Slab) Usage() float64 {
 // Usage() < threshold, sparing the free paths a float division per op.
 // An empty geometry (Blocks == 0) reads as fully occupied, like Usage.
 func (s *Slab) UsageBelowMille(mille int) bool {
+	s.checkBuilt()
 	return (s.Allocated+s.Reserved)*1000 < mille*s.Blocks
 }
 

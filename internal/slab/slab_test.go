@@ -20,6 +20,142 @@ func newSlab(t *testing.T, class, stripes int) (*pmem.Device, *pmem.Ctx, *Slab) 
 	return dev, c, s
 }
 
+// load opens the slab at slabBase and builds its bitmap: what recovery
+// does to a slab something touches.
+func load(dev *pmem.Device) (*Slab, error) {
+	c := dev.NewCtx()
+	s, err := Open(dev.Mem(), c, slabBase)
+	if err == nil {
+		s.Build(c)
+	}
+	return s, err
+}
+
+// TestOpenLeavesBitmapToBuild: Open reads the header and charges the
+// per-slab constant; Build reads the bitmap, charges blocks/8 once, and
+// writes nothing.
+func TestOpenLeavesBitmapToBuild(t *testing.T) {
+	dev, c, s := newSlab(t, sizeclass.Class(64), 6)
+	for _, idx := range []int{2, 9, s.Blocks - 1} {
+		s.AllocBlock(c, idx, true)
+	}
+	c.Fence()
+	dev.Crash()
+	c = dev.NewCtx()
+	s2, err := Open(dev.Mem(), c, slabBase)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s2.Built() || c.Now != 20 {
+		t.Fatalf("Open: built %v, charged %d ns; want unbuilt, 20", s2.Built(), c.Now)
+	}
+	image := string(dev.Bytes(slabBase, Size))
+	before := c.Local()
+	s2.Build(c)
+	s2.Build(c)
+	if got, want := c.Now-20, int64(s.Blocks)/8; got != want {
+		t.Fatalf("two Builds charged %d ns, want one blocks/8 = %d", got, want)
+	}
+	if after := c.Local(); after.Flushes != before.Flushes || string(dev.Bytes(slabBase, Size)) != image {
+		t.Fatal("Build wrote the slab")
+	}
+	if !s2.Built() || s2.Allocated != 3 || !s2.BlockAllocated(9) || s2.BlockAllocated(10) {
+		t.Fatalf("built slab: %d allocated, want blocks 2, 9 and %d", s2.Allocated, s.Blocks-1)
+	}
+}
+
+// TestUnbuiltSlabPanics: every method that reads or changes block states
+// refuses an unbuilt slab, whose zero counters would read as all free.
+func TestUnbuiltSlabPanics(t *testing.T) {
+	dev, c, s := newSlab(t, sizeclass.Class(64), 6)
+	s.AllocBlock(c, s.Blocks-40, true)
+	if err := s.MorphTo(c, sizeclass.Class(256), 6, true); err != nil {
+		t.Fatal(err)
+	}
+	dev.Crash()
+	c = dev.NewCtx()
+	s2, err := Open(dev.Mem(), c, slabBase)
+	if err != nil {
+		t.Fatal(err)
+	}
+	old := s.OldIndices()[0]
+	for name, fn := range map[string]func(){
+		"BlockAllocated":    func() { s2.BlockAllocated(0) },
+		"BlockReserved":     func() { s2.BlockReserved(0) },
+		"Reserve":           func() { s2.Reserve(1, nil) },
+		"Unreserve":         func() { s2.Unreserve(0) },
+		"CommitAlloc":       func() { s2.CommitAlloc(c, 0, true) },
+		"CommitFreeToCache": func() { s2.CommitFreeToCache(c, 0, true) },
+		"AllocBlock":        func() { s2.AllocBlock(c, 0, true) },
+		"FreeBlock":         func() { s2.FreeBlock(c, 0, true) },
+		"FreeCount":         func() { s2.FreeCount() },
+		"Usage":             func() { s2.Usage() },
+		"UsageBelowMille":   func() { s2.UsageBelowMille(200) },
+		"CanMorphTo":        func() { s2.CanMorphTo(sizeclass.Class(512), 6) },
+		"SyncBitmap":        func() { s2.SyncBitmap(c) },
+		"FreeOldBlock":      func() { _, _ = s2.FreeOldBlock(c, old, true) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s on an unbuilt slab did not panic", name)
+				}
+			}()
+			fn()
+		}()
+	}
+	pinned := 0
+	for _, n := range s2.cntBlock {
+		pinned += int(n)
+	}
+	if s2.CntSlab != 1 || pinned == 0 {
+		t.Fatalf("the refused FreeOldBlock changed the index-table state: %d old blocks pinning %d", s2.CntSlab, pinned)
+	}
+	s2.Build(c)
+	if _, err := s2.FreeOldBlock(c, old, true); err != nil || s2.Allocated != 0 {
+		t.Fatalf("after Build: FreeOldBlock %v, %d allocated", err, s2.Allocated)
+	}
+}
+
+// TestBuildPinsOldBlocks: a new-class block a live old block covers reads
+// allocated after Build even when its bit is clear on media (the GC
+// variant never flushes bitmap bits), so a later FreeOldBlock does not
+// free it twice.
+func TestBuildPinsOldBlocks(t *testing.T) {
+	dev, c, s := newSlab(t, sizeclass.Class(64), 6)
+	s.AllocBlock(c, s.Blocks-40, true)
+	if err := s.MorphTo(c, sizeclass.Class(256), 6, true); err != nil {
+		t.Fatal(err)
+	}
+	var pinned []int
+	for nb := 0; nb < s.Blocks; nb++ {
+		if s.OverlapCount(nb) > 0 {
+			pinned = append(pinned, nb)
+			off := int(s.lay.off[nb])
+			a := s.Base + pmem.PAddr(s.bitmapBase) + pmem.PAddr(off/8)
+			dev.WriteU8(a, dev.ReadU8(a)&^(1<<(off%8)))
+			c.FlushU64(pmem.CatMeta, a)
+		}
+	}
+	if len(pinned) == 0 {
+		t.Fatal("the old block pins no new block")
+	}
+	c.Fence()
+	dev.Crash()
+	s2, err := load(dev)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, nb := range pinned {
+		if !s2.BlockAllocated(nb) {
+			t.Fatalf("new block %d, pinned by a live old block, reads free", nb)
+		}
+	}
+	if s2.Allocated != len(pinned) {
+		t.Fatalf("%d allocated, want the %d pinned blocks", s2.Allocated, len(pinned))
+	}
+}
+
 func TestGeometrySanity(t *testing.T) {
 	for class := 0; class < sizeclass.NumClasses(); class++ {
 		for _, stripes := range []int{1, 4, 6, 8} {
@@ -152,7 +288,7 @@ func TestLoadRebuildsVslab(t *testing.T) {
 		want[idx] = true
 	}
 	dev.Crash()
-	s2, err := Load(dev.Mem(), dev.NewCtx(), slabBase)
+	s2, err := load(dev)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,7 +307,7 @@ func TestLoadRebuildsVslab(t *testing.T) {
 
 func TestLoadBadMagic(t *testing.T) {
 	dev := pmem.New(pmem.Config{Size: 4 * Size})
-	if _, err := Load(dev.Mem(), dev.NewCtx(), slabBase); err == nil {
+	if _, err := load(dev); err == nil {
 		t.Fatal("expected bad-magic error")
 	}
 }
@@ -223,7 +359,7 @@ func TestMorphBasicSmallToLarge(t *testing.T) {
 		}
 	}
 	dev.Crash() // morph must be fully persistent
-	s2, err := Load(dev.Mem(), dev.NewCtx(), slabBase)
+	s2, err := load(dev)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -327,7 +463,7 @@ func TestMorphCrashUndoAtEachStep(t *testing.T) {
 			_ = s.MorphTo(c, sizeclass.Class(256), to, true)
 			completed := !dev.Crashed()
 			dev.Crash()
-			s2, err := Load(dev.Mem(), dev.NewCtx(), slabBase)
+			s2, err := load(dev)
 			if err != nil {
 				t.Fatalf("%d->%d stripes, cut=%d: %v", from, to, cut, err)
 			}
@@ -364,7 +500,7 @@ func TestMorphCrashUndoAtEachStep(t *testing.T) {
 }
 
 // TestMorphKilledAtEachFlush is the same sweep with the process killed
-// instead of the power cut: Load runs on the cache image as each flush of
+// instead of the power cut: Open and Build run on the cache image as each flush of
 // the morph completes, which holds the stores of the step under way — in
 // step 3 the new class, data offset, stripe count and checksum, all in the
 // header line, under a flag that still reads 2.
@@ -397,7 +533,7 @@ func TestMorphKilledAtEachFlush(t *testing.T) {
 		for cut, img := range images {
 			killed := pmem.New(pmem.Config{Size: 4 * Size})
 			killed.Restore(img)
-			s2, err := Load(killed.Mem(), killed.NewCtx(), slabBase)
+			s2, err := load(killed)
 			if err != nil {
 				t.Fatalf("%d->%d stripes, killed after flush %d: %v", from, to, cut+1, err)
 			}
@@ -439,7 +575,7 @@ func TestLoadMorphWithoutOldStripeCount(t *testing.T) {
 			}
 		}
 		dev.WriteU32(slabBase+hOldLive, dev.ReadU32(slabBase+hOldLive)&0xFFFF)
-		s2, err := Load(dev.Mem(), dev.NewCtx(), slabBase)
+		s2, err := load(dev)
 		if err != nil {
 			t.Fatalf("cut=%d: %v", cut, err)
 		}
@@ -496,7 +632,7 @@ func TestMorphedSlabAllocFreeRandomized(t *testing.T) {
 	}
 	// Crash + reload preserves everything.
 	dev.Crash()
-	s2, err := Load(dev.Mem(), dev.NewCtx(), slabBase)
+	s2, err := load(dev)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -518,7 +654,7 @@ func TestMorphedSlabAllocFreeRandomized(t *testing.T) {
 	}
 	// And the demotion is persistent.
 	dev.Crash()
-	s3, err := Load(dev.Mem(), dev.NewCtx(), slabBase)
+	s3, err := load(dev)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -545,7 +681,7 @@ func TestSecondMorphAfterDemotion(t *testing.T) {
 		t.Fatal(err)
 	}
 	dev.Crash()
-	s2, err := Load(dev.Mem(), dev.NewCtx(), slabBase)
+	s2, err := load(dev)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -589,7 +725,7 @@ func TestSyncBitmapPersistsVolatileTruth(t *testing.T) {
 	}
 	s.SyncBitmap(c)
 	dev.Crash()
-	s2, err := Load(dev.Mem(), dev.NewCtx(), slabBase)
+	s2, err := load(dev)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -672,7 +808,7 @@ func TestMarkDirtyFlushDirty(t *testing.T) {
 		t.Fatal("FlushDirty fenced")
 	}
 	dev.Crash()
-	s2, err := Load(dev.Mem(), dev.NewCtx(), slabBase)
+	s2, err := load(dev)
 	if err != nil {
 		t.Fatal(err)
 	}
