@@ -80,7 +80,7 @@ type Recovery struct {
 	Crashed bool
 
 	BookLogNS int64 // bookkeeping-log GC policy, or the in-place header scan
-	ExtentNS  int64 // extent tree and free lists from the live records
+	ExtentNS  int64 // free lists from the gaps between the live records (a record is indexed when a free first needs it)
 	SlabNS    int64 // slab headers, morph undo and slab_in index tables
 	WALNS     int64 // ring scans, replay, write-back and checkpoints (or the GC variant's mark and sweep), with the bitmaps they build
 	StateNS   int64 // the two run-state word commits
@@ -88,6 +88,7 @@ type Recovery struct {
 	ShardsCompacted  int // bookkeeping-log shards found over their slow-GC threshold
 	SlabsOpened      int // slab headers read
 	BitmapsBuilt     int // of those, slabs whose bitmap recovery read: the ones replay or the GC sweep touched
+	ExtentsIndexed   int // live records Open gave an entry: the extents replay's last publish or the GC sweep freed
 	EntriesReplayed  int // live WAL entries the ring scans returned
 	EntriesRetired   int // of those, dropped unapplied: voided by a later slab release, or all of them after a crash inside Close
 	LinesWrittenBack int // bitmap lines flushed ahead of the rings' checkpoints
@@ -120,10 +121,10 @@ func (r Recovery) String() string {
 	w := r.Wall
 	return fmt.Sprintf("%.1f us virtual (book log %.1f, extents %.1f, slabs %.1f, wal %.1f, state %.1f); "+
 		"%.2f ms wall (book log %.2f, extents %.2f, slabs %.2f, wal %.2f, state %.2f); "+
-		"crashed=%v, %d shards compacted, %d slabs opened, %d bitmaps built, %d wal entries (%d retired), %d lines written back",
+		"crashed=%v, %d shards compacted, %d slabs opened, %d bitmaps built, %d extents indexed, %d wal entries (%d retired), %d lines written back",
 		us(r.TotalNS()), us(r.BookLogNS), us(r.ExtentNS), us(r.SlabNS), us(r.WALNS), us(r.StateNS),
 		ms(w.Total()), ms(w.BookLog), ms(w.Extent), ms(w.Slab), ms(w.WAL), ms(w.State),
-		r.Crashed, r.ShardsCompacted, r.SlabsOpened, r.BitmapsBuilt, r.EntriesReplayed, r.EntriesRetired, r.LinesWrittenBack)
+		r.Crashed, r.ShardsCompacted, r.SlabsOpened, r.BitmapsBuilt, r.ExtentsIndexed, r.EntriesReplayed, r.EntriesRetired, r.LinesWrittenBack)
 }
 
 // Recovery reports what the Open that produced this heap did. It is the
@@ -132,15 +133,15 @@ func (h *Heap) Recovery() Recovery { return h.recovery }
 
 // Open reopens an existing heap after a restart or crash (Section 4.4).
 // It does each recovery job once: reopen the bookkeeping log and run its
-// GC policy, rebuild the extent tree from the live records, open every
-// slab's header (morph undo inside slab.Open), reopen the WAL rings and,
-// if the persisted state word shows the previous run did not shut down
-// cleanly, resolve leaks per the variant's consistency model: one scan of
-// each ring's live window and a replay for NVAlloc-LOG, conservative GC
-// for NVAlloc-GC. A slab's bitmap is read the first time something
-// touches the slab: replay or the sweep here, an allocation or a free
-// later. It returns the recovery's virtual nanoseconds; Heap.Recovery
-// breaks them down.
+// GC policy, rebuild the extent free lists from the gaps between the live
+// records, open every slab's header (morph undo inside slab.Open), reopen
+// the WAL rings and, if the persisted state word shows the previous run
+// did not shut down cleanly, resolve leaks per the variant's consistency
+// model: one scan of each ring's live window and a replay for NVAlloc-LOG,
+// conservative GC for NVAlloc-GC. A slab's bitmap is read, and a live
+// record gets its extent entry, the first time something needs it: replay
+// or the sweep here, an allocation or a free later. It returns the
+// recovery's virtual nanoseconds; Heap.Recovery breaks them down.
 func Open(dev pmem.Dev, opts Options) (*Heap, int64, error) {
 	wallStart := time.Now()
 	if err := validateSuper(dev); err != nil {
@@ -231,11 +232,12 @@ func Open(dev pmem.Dev, opts Options) (*Heap, int64, error) {
 	}
 	lap(&rep.BookLogNS, &rep.Wall.BookLog)
 
-	// Rebuild the large allocator (gaps become reclaimed extents).
-	// Slab caches and shard pools start empty: leases and cached extents
-	// never survive a restart. Unrecorded space is rebuilt as free, recorded
-	// shard sub-allocations as ordinary global extents.
-	large, live, err := extent.Rebuild(dev, h.book, h.extentConfig(), opts.extentTiers(), c, records)
+	// Rebuild the large allocator (gaps become reclaimed extents; a record
+	// gets its entry when a free first needs it). Slab caches and shard
+	// pools start empty: leases and cached extents never survive a restart.
+	// Unrecorded space is rebuilt as free, recorded shard sub-allocations as
+	// ordinary global extents.
+	large, records, err := extent.Rebuild(dev, h.book, h.extentConfig(), opts.extentTiers(), c, records)
 	if err != nil {
 		return nil, 0, err
 	}
@@ -248,23 +250,23 @@ func Open(dev pmem.Dev, opts Options) (*Heap, int64, error) {
 	// (recoveryBuild), any other falls out of fillLocked's full branch.
 	// The order of the slabs with room is the one an eager load gives.
 	next := 0
-	for _, v := range live {
-		if !v.Slab {
+	for _, r := range records {
+		if !r.Slab {
 			continue
 		}
 		// A record flagged as a slab must have slab shape before its
 		// header is interpreted. The record (not the slab) is at fault,
 		// so the error names the bookkeeping layer.
-		if uint64(v.Addr)%slab.Size != 0 || v.Size != slab.Size {
-			return nil, 0, pmem.Corrupt("extent", v.Addr, "slab record misaligned or sized %d, want %d", v.Size, uint64(slab.Size))
+		if uint64(r.Addr)%slab.Size != 0 || r.Size != slab.Size {
+			return nil, 0, pmem.Corrupt("extent", r.Addr, "slab record misaligned or sized %d, want %d", r.Size, uint64(slab.Size))
 		}
-		s, err := slab.Open(dev.Mem(), c, v.Addr)
+		s, err := slab.Open(dev.Mem(), c, r.Addr)
 		if err != nil {
 			return nil, 0, err
 		}
 		s.Owner = next % len(h.arenas)
 		next++
-		h.slabs.Store(v.Addr, s)
+		h.slabs.Store(r.Addr, s)
 		a := h.arenas[s.Owner]
 		a.freelistPush(s)
 		if !s.IsSlabIn() {
@@ -316,6 +318,7 @@ func Open(dev pmem.Dev, opts Options) (*Heap, int64, error) {
 	}
 
 	lap(&rep.WALNS, &rep.Wall.WAL)
+	rep.ExtentsIndexed = large.Indexed()
 
 	// Back in business.
 	c.PersistU64(pmem.CatMeta, superBase+sbState, pmem.SealU64(stateRunning))

@@ -336,10 +336,13 @@ func TestRecoveryPhaseBudget(t *testing.T) {
 	want := Recovery{
 		Crashed:   true,
 		BookLogNS: 0, // one shard per arena, none over its threshold, no empty chunk
-		ExtentNS:  330,
-		SlabNS:    8 * 20,                 // the headers; each bitmap is built when replay first touches its slab
-		WALNS:     (24+16)*5 + 2945 + 429, // each live entry and one stop slot per ring read; 8 lines (one per slab: sequential bitmaps), one checkpoint word, two fences; the 8 bitmaps
-		StateNS:   670,
+		// 11 live records (3 extents, 8 slabs): replay frees none, so none
+		// is indexed, and no gap between them reaches past a chunk, so none
+		// coalesces.
+		ExtentNS: 0,
+		SlabNS:   8 * 20,                 // the headers; each bitmap is built when replay first touches its slab
+		WALNS:    (24+16)*5 + 2945 + 429, // each live entry and one stop slot per ring read; 8 lines (one per slab: sequential bitmaps), one checkpoint word, two fences; the 8 bitmaps
+		StateNS:  670,
 
 		SlabsOpened:      8,
 		BitmapsBuilt:     8,

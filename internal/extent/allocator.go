@@ -238,13 +238,19 @@ func (a *Allocator) Live(addr pmem.PAddr) (uint64, bool) {
 
 // Each calls fn for every extent Live reports, in no particular order.
 func (a *Allocator) Each(fn func(addr pmem.PAddr, size uint64)) {
-	a.pool.Res.Lock()
-	for addr, v := range a.pool.activated {
+	p := a.pool
+	p.Res.Lock()
+	for addr, v := range p.activated {
 		if !v.Slab {
 			fn(addr, v.Size)
 		}
 	}
-	a.pool.Res.Unlock()
+	for i, r := range p.recovered {
+		if !p.indexed[i] && !r.Slab {
+			fn(r.Addr, r.Size)
+		}
+	}
+	p.Res.Unlock()
 	for _, sh := range a.shards {
 		sh.Res.Lock()
 		for addr, size := range sh.allocated {
@@ -252,6 +258,31 @@ func (a *Allocator) Each(fn func(addr pmem.PAddr, size uint64)) {
 		}
 		sh.Res.Unlock()
 	}
+}
+
+// Indexed returns how many of the records Rebuild was handed have been
+// given their entry so far: each one a free or a release needed.
+func (a *Allocator) Indexed() int {
+	a.pool.Res.Lock()
+	defer a.pool.Res.Unlock()
+	return len(a.pool.recovered) - a.pool.pending
+}
+
+// IndexAll gives every recovered record that has no entry yet its entry,
+// uncharged: the state an eager rebuild leaves. Nothing in the allocator
+// calls it; tests compare a heap indexed this way with one that indexes on
+// first use.
+func (a *Allocator) IndexAll() {
+	p := a.pool
+	p.Res.Lock()
+	defer p.Res.Unlock()
+	for i, r := range p.recovered {
+		if !p.indexed[i] {
+			p.indexed[i] = true
+			p.activated[r.Addr] = &VEH{Addr: r.Addr, Size: r.Size, State: Activated, Slab: r.Slab}
+		}
+	}
+	p.pending = 0
 }
 
 // Used returns committed bytes: metadata regions, live extents and dirty

@@ -24,9 +24,9 @@ func TestSlabCacheBatchAmortization(t *testing.T) {
 		if err != nil {
 			t.Fatalf("carve %d: %v", i, err)
 		}
-		v, ok := a.pool.activated[p]
-		if !ok || !v.Slab || v.Size != slabSize {
-			t.Fatalf("cached extent %#x not an activated slab VEH: %+v %v", p, v, ok)
+		size, slab, ok := a.pool.lookup(p)
+		if !ok || !slab || size != slabSize {
+			t.Fatalf("cached extent %#x not an activated slab extent: size %d, slab %v, activated %v", p, size, slab, ok)
 		}
 	}
 	acq := a.pool.Res.Acquires() - before
@@ -73,7 +73,7 @@ func TestSlabCachePutOverflowAndFlush(t *testing.T) {
 	// Overflowed extents were deactivated; exactly the cached ones remain.
 	active := 0
 	for _, p := range ps {
-		if _, ok := a.pool.activated[p]; ok {
+		if _, _, ok := a.pool.lookup(p); ok {
 			active++
 		}
 	}
@@ -84,7 +84,7 @@ func TestSlabCachePutOverflowAndFlush(t *testing.T) {
 		t.Fatalf("flush left %d extents cached", len(sc.free))
 	}
 	for _, p := range ps {
-		if _, ok := a.pool.activated[p]; ok {
+		if _, _, ok := a.pool.lookup(p); ok {
 			t.Fatalf("flushed extent %#x still activated", p)
 		}
 	}
@@ -99,7 +99,7 @@ func TestSlabCachePutOverflowAndFlush(t *testing.T) {
 
 // reopen crashes dev and rebuilds the degenerate allocator from the
 // bookkeeping log, as recovery does.
-func reopen(t *testing.T, dev *pmem.Device, c *pmem.Ctx) (*Allocator, []*VEH, *pmem.Ctx) {
+func reopen(t *testing.T, dev *pmem.Device, c *pmem.Ctx) (*Allocator, []LiveRecord, *pmem.Ctx) {
 	t.Helper()
 	c.Merge()
 	dev.Crash()
@@ -143,11 +143,11 @@ func TestCachedExtentsFreeAfterCrash(t *testing.T) {
 		cached = append(cached, p)
 	}
 	a2, live, _ := reopen(t, dev, c)
-	if _, ok := a2.pool.activated[rec]; !ok {
+	if _, _, ok := a2.pool.lookup(rec); !ok {
 		t.Fatalf("recorded extent %#x lost in rebuild", rec)
 	}
 	for _, p := range cached {
-		if _, ok := a2.pool.activated[p]; ok {
+		if _, _, ok := a2.pool.lookup(p); ok {
 			t.Fatalf("cached extent %#x resurrected by rebuild", p)
 		}
 	}
@@ -212,7 +212,7 @@ func TestShardAllocFreeLifecycle(t *testing.T) {
 	// Oversized requests are the global pool's.
 	acq = sh.Res.Acquires()
 	p, err := a.Alloc(c, 0, MaxShardAlloc+1)
-	if _, global := a.pool.activated[p]; err != nil || !global || sh.Res.Acquires() != acq {
+	if _, _, global := a.pool.lookup(p); err != nil || !global || sh.Res.Acquires() != acq {
 		t.Fatalf("oversized alloc: err=%v, in global pool=%v, shard acquired %d times", err, global, sh.Res.Acquires()-acq)
 	}
 }
@@ -232,13 +232,13 @@ func TestShardSubAllocsSurviveCrash(t *testing.T) {
 		t.Fatal(err)
 	}
 	a2, _, c2 := reopen(t, dev, c)
-	v1, ok1 := a2.pool.activated[p1]
-	v2, ok2 := a2.pool.activated[p2]
-	if !ok1 || v1.Size != 40<<10 || v1.Slab {
-		t.Fatalf("sub-alloc %#x: %+v %v", p1, v1, ok1)
+	size1, slab1, ok1 := a2.pool.lookup(p1)
+	size2, slab2, ok2 := a2.pool.lookup(p2)
+	if !ok1 || size1 != 40<<10 || slab1 {
+		t.Fatalf("sub-alloc %#x: size %d, slab %v, activated %v", p1, size1, slab1, ok1)
 	}
-	if !ok2 || v2.Size != 200<<10 || v2.Slab {
-		t.Fatalf("sub-alloc %#x: %+v %v", p2, v2, ok2)
+	if !ok2 || size2 != 200<<10 || slab2 {
+		t.Fatalf("sub-alloc %#x: size %d, slab %v, activated %v", p2, size2, slab2, ok2)
 	}
 	// They free through the ordinary global path now.
 	if err := a2.Free(c2, 0, p1, false); err != nil {
@@ -265,7 +265,7 @@ func TestFreeBatchTombstones(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, p := range ps {
-		if _, ok := a.pool.activated[p]; ok {
+		if _, _, ok := a.pool.lookup(p); ok {
 			t.Fatalf("%#x still activated after FreeBatch", p)
 		}
 	}

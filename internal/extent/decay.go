@@ -116,14 +116,17 @@ func (p *Pool) drainFIFO(fifo *[]*VEH, want State, fn func(*VEH) bool) {
 // the records are the live extents (from the bookkeeper), and every gap
 // between them inside [heapBase, break) becomes a reclaimed free extent —
 // slab caches and shard pools start empty, because what they held was
-// carved and never recorded. It returns the VEHs of the live extents in
-// address order.
+// carved and never recorded. It returns the records in address order.
 //
 // The record set is validated before it is trusted — each record must be
 // page-aligned, inside the heap and non-overlapping — and the stored
 // break self-heals: if it is torn or flipped it is rewritten to the
-// smallest chunk-aligned value covering every live record.
-func Rebuild(dev pmem.Dev, book Bookkeeper, cfg Config, t Tiers, c *pmem.Ctx, records []LiveRecord) (*Allocator, []*VEH, error) {
+// smallest chunk-aligned value covering every live record. The records
+// themselves are kept as they are: a record gets its entry in the
+// activated set, and its caller the 30 ns that costs, the first time a free
+// or a release needs it (Pool.take). Lookups, Each, Len and the byte
+// counts read the records without one.
+func Rebuild(dev pmem.Dev, book Bookkeeper, cfg Config, t Tiers, c *pmem.Ctx, records []LiveRecord) (*Allocator, []LiveRecord, error) {
 	p := newPool(dev, book, cfg)
 	sort.Slice(records, func(i, j int) bool { return records[i].Addr < records[j].Addr })
 
@@ -139,7 +142,9 @@ func Rebuild(dev pmem.Dev, book Bookkeeper, cfg Config, t Tiers, c *pmem.Ctx, re
 			return nil, nil, pmem.Corrupt("extent", r.Addr, "live record overlaps its predecessor ending at %#x", check)
 		}
 		check = r.Addr + pmem.PAddr(r.Size)
+		p.activatedBytes += r.Size
 	}
+	p.recovered, p.indexed, p.pending = records, make([]bool, len(records)), len(records)
 	minBrk := p.heapBase + pmem.PAddr((uint64(check-p.heapBase)+ChunkSize-1)&^uint64(ChunkSize-1))
 	brk := pmem.PAddr(dev.ReadU64(cfg.BreakPtr))
 	if brk < minBrk || brk > cfg.HeapEnd || uint64(brk-p.heapBase)%ChunkSize != 0 {
@@ -155,7 +160,6 @@ func Rebuild(dev pmem.Dev, book Bookkeeper, cfg Config, t Tiers, c *pmem.Ctx, re
 		p.metaBytes += n * res
 	}
 
-	live := make([]*VEH, 0, len(records))
 	cursor := p.heapBase
 	flushGap := func(from, to pmem.PAddr) {
 		for from < to {
@@ -183,18 +187,13 @@ func Rebuild(dev pmem.Dev, book Bookkeeper, cfg Config, t Tiers, c *pmem.Ctx, re
 		if r.Addr > cursor {
 			flushGap(cursor, r.Addr)
 		}
-		v := &VEH{Addr: r.Addr, Size: r.Size, State: Activated, Slab: r.Slab}
-		p.activated[r.Addr] = v
-		p.activatedBytes += r.Size
-		live = append(live, v)
-		cursor = v.End()
-		c.Charge(pmem.CatSearch, 30)
+		cursor = r.Addr + pmem.PAddr(r.Size)
 	}
 	if cursor < brk {
 		flushGap(cursor, brk)
 	}
 	p.notePeak()
-	return newAllocator(p, t), live, nil
+	return newAllocator(p, t), records, nil
 }
 
 // LiveRecord is a live-extent record handed to Rebuild (mirrors

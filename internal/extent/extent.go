@@ -29,15 +29,18 @@
 //
 // Everything else exported reads or constructs. Allocator: Live, Each,
 // Used, Peak, ResetPeak (restarts a statistic), LeaseOverhead, Stats,
-// CacheStats, Locks, Global. Pool: the field Res, and Len. Constructors: New,
-// Rebuild (recovery), NewInPlace. Types: Config, Tiers, VEH, State,
-// LiveRecord, the Bookkeeper interface and InPlace, which implements it
-// (Recover lists the records its header tables hold). Constants of the
-// geometry (PageSize, ChunkSize, HeaderBytes, LeaseSize, LeaseAlign,
-// MaxShardAlloc) and of decay (DecayEpochNS, DecayWindowNS, Smootherstep).
+// CacheStats, Locks, Global, Indexed, and IndexAll (for tests: the eagerly
+// indexed state a rebuild no longer builds). Pool: the field Res, and Len.
+// Constructors: New, Rebuild (recovery), NewInPlace. Types: Config, Tiers,
+// VEH, State, LiveRecord, the Bookkeeper interface and InPlace, which
+// implements it (Recover lists the records its header tables hold).
+// Constants of the geometry (PageSize, ChunkSize, HeaderBytes, LeaseSize,
+// LeaseAlign, MaxShardAlloc) and of decay (DecayEpochNS, DecayWindowNS,
+// Smootherstep).
 package extent
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
 	"sync/atomic"
@@ -165,6 +168,14 @@ type Pool struct {
 	brkAddr        pmem.PAddr // persistent cell holding the heap break
 
 	activated map[pmem.PAddr]*VEH
+	// recovered holds the live records Rebuild was handed, in address
+	// order. A record has no entry in activated until deactivate first
+	// needs one (take); until then lookup, Len and Each read it here.
+	// indexed marks the records that got their entry, pending counts the
+	// rest.
+	recovered []LiveRecord
+	indexed   []bool
+	pending   int
 	bySize    [2]*rbtree.Tree[sizeKey, *VEH] // [Reclaimed-?], indexed by state-1... see idx()
 	byAddr    *rbtree.Tree[pmem.PAddr, *VEH] // all free extents (coalescing)
 	released  *rbtree.Tree[sizeKey, *VEH]    // OS-returned ranges, reusable last
@@ -289,16 +300,51 @@ func (p *Pool) notePeak() {
 	}
 }
 
-// Len returns the number of activated extents.
-func (p *Pool) Len() int { return len(p.activated) }
+// Len returns the number of activated extents, recovered records that have
+// no entry yet included.
+func (p *Pool) Len() int { return len(p.activated) + p.pending }
 
-// lookup returns the size and kind of the activated extent at addr.
+// lookup returns the size and kind of the activated extent at addr. A
+// recovered record answers without getting an entry.
 func (p *Pool) lookup(addr pmem.PAddr) (size uint64, slab, ok bool) {
-	v, ok := p.activated[addr]
-	if !ok {
-		return 0, false, false
+	if v, ok := p.activated[addr]; ok {
+		return v.Size, v.Slab, true
 	}
-	return v.Size, v.Slab, true
+	if i, ok := p.pendingAt(addr); ok {
+		r := p.recovered[i]
+		return r.Size, r.Slab, true
+	}
+	return 0, false, false
+}
+
+// pendingAt returns the index of the recovered record that starts at addr
+// and has no entry yet.
+func (p *Pool) pendingAt(addr pmem.PAddr) (int, bool) {
+	if p.pending == 0 {
+		return 0, false
+	}
+	i, found := slices.BinarySearchFunc(p.recovered, addr, func(r LiveRecord, a pmem.PAddr) int { return cmp.Compare(r.Addr, a) })
+	return i, found && !p.indexed[i]
+}
+
+// take removes the activated extent at addr from the activated set and
+// returns it. A recovered record gets its entry here, the first time a
+// free or a release needs it, and the caller pays the 30 ns an eager
+// rebuild would have charged at open.
+func (p *Pool) take(c *pmem.Ctx, addr pmem.PAddr) (*VEH, bool) {
+	if v, ok := p.activated[addr]; ok {
+		delete(p.activated, addr)
+		return v, true
+	}
+	i, ok := p.pendingAt(addr)
+	if !ok {
+		return nil, false
+	}
+	p.indexed[i] = true
+	p.pending--
+	c.Charge(pmem.CatSearch, 30)
+	r := p.recovered[i]
+	return &VEH{Addr: r.Addr, Size: r.Size, State: Activated, Slab: r.Slab}, true
 }
 
 func align(v, al pmem.PAddr) pmem.PAddr { return (v + al - 1) &^ (al - 1) }
@@ -488,11 +534,10 @@ func (p *Pool) carve(c *pmem.Ctx, size uint64, alignTo pmem.PAddr, slab bool) (p
 // deactivate returns the activated extent at addr to the reclaimed list and
 // coalesces it with free neighbours.
 func (p *Pool) deactivate(c *pmem.Ctx, addr pmem.PAddr) (size uint64, err error) {
-	v, ok := p.activated[addr]
+	v, ok := p.take(c, addr)
 	if !ok {
 		return 0, fmt.Errorf("extent: free of unknown extent %#x", addr)
 	}
-	delete(p.activated, addr)
 	p.activatedBytes -= v.Size
 	size = v.Size // coalesce may grow v
 	p.insertFree(v, Reclaimed, c.Now)
@@ -554,7 +599,7 @@ func (p *Pool) Free(c *pmem.Ctx, addr pmem.PAddr) error { return p.free(c, p, ad
 // never stay activated without a record.
 func (p *Pool) freeBatch(c *pmem.Ctx, addrs []pmem.PAddr) error {
 	for _, addr := range addrs {
-		if _, ok := p.activated[addr]; !ok {
+		if _, _, ok := p.lookup(addr); !ok {
 			return fmt.Errorf("extent: free of unknown extent %#x", addr)
 		}
 	}

@@ -2,6 +2,7 @@ package extent
 
 import (
 	"math/rand"
+	"strings"
 	"testing"
 
 	"nvalloc/internal/blog"
@@ -46,14 +47,14 @@ func TestAllocFreeRoundtrip(t *testing.T) {
 	if p1 == p2 || p1 < heapBase || p2 < heapBase {
 		t.Fatalf("bad extents %#x %#x", p1, p2)
 	}
-	v1, ok := a.pool.activated[p1]
-	if !ok || v1.Size != 32<<10 {
-		t.Fatalf("lookup: %+v %v", v1, ok)
+	size, _, ok := a.pool.lookup(p1)
+	if !ok || size != 32<<10 {
+		t.Fatalf("lookup: size %d, activated %v", size, ok)
 	}
 	if err := a.Free(c, 0, p1, false); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := a.pool.activated[p1]; ok {
+	if _, _, ok := a.pool.lookup(p1); ok {
 		t.Fatal("freed extent still activated")
 	}
 	if err := a.Free(c, 0, p1, false); err == nil {
@@ -67,8 +68,8 @@ func TestSizeRoundingAndAlignment(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if v, _ := a.pool.activated[p]; v.Size != PageSize {
-		t.Fatalf("size not page rounded: %d", v.Size)
+	if size, _, _ := a.pool.lookup(p); size != PageSize {
+		t.Fatalf("size not page rounded: %d", size)
 	}
 	// Slab extents need 64 KiB alignment.
 	s, err := a.Global().Alloc(c, 64<<10, 64<<10, true)
@@ -78,7 +79,7 @@ func TestSizeRoundingAndAlignment(t *testing.T) {
 	if s%(64<<10) != 0 {
 		t.Fatalf("slab extent %#x not aligned", s)
 	}
-	if v, _ := a.pool.activated[s]; !v.Slab {
+	if _, slab, _ := a.pool.lookup(s); !slab {
 		t.Fatal("slab flag lost")
 	}
 }
@@ -315,7 +316,7 @@ func TestRebuildFromRecords(t *testing.T) {
 		lrs[i] = LiveRecord{Addr: r.Addr, Size: r.Size, Slab: r.Slab}
 	}
 	c2 := dev.NewCtx()
-	a2, vehs, err := Rebuild(dev, bk, Config{
+	a2, records, err := Rebuild(dev, bk, Config{
 		HeapBase: heapBase,
 		HeapEnd:  pmem.PAddr(dev.Size()),
 		BreakPtr: brkPtr,
@@ -323,12 +324,12 @@ func TestRebuildFromRecords(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(vehs) != len(want) {
-		t.Fatalf("rebuilt %d live extents, want %d", len(vehs), len(want))
+	if len(records) != len(want) {
+		t.Fatalf("rebuilt %d live extents, want %d", len(records), len(want))
 	}
 	for _, e := range want {
-		v, ok := a2.pool.activated[e.addr]
-		if !ok || v.Size != e.size {
+		size, _, ok := a2.pool.lookup(e.addr)
+		if !ok || size != e.size {
 			t.Fatalf("extent %#x missing or wrong size after rebuild", e.addr)
 		}
 	}
@@ -345,6 +346,55 @@ func TestRebuildFromRecords(t *testing.T) {
 	// And freeing a recovered extent works.
 	if err := a2.Free(c2, 0, want[0].addr, false); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestRecoveredRecordsIndexOnFirstFree: Rebuild gives no record an entry.
+// Live, Each, Len and Used answer for the records all the same; the first
+// free of one gives it its entry, and a second free of it, or a free of an
+// address inside another that is not its start, is a free of an unknown
+// extent that indexes nothing.
+func TestRecoveredRecordsIndexOnFirstFree(t *testing.T) {
+	dev, a, c := newAlloc(t, 64<<20)
+	var ps []pmem.PAddr
+	for i := 0; i < 3; i++ {
+		p, err := a.Alloc(c, 0, uint64(i+1)*32<<10)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ps = append(ps, p)
+	}
+	used := a.Used()
+	a2, _, c2 := reopen(t, dev, c)
+	if len(a2.pool.activated) != 0 || a2.Indexed() != 0 {
+		t.Fatalf("Rebuild built %d entries", len(a2.pool.activated))
+	}
+	if n := a2.Global().Len(); n != len(ps) {
+		t.Fatalf("Len %d, want the %d records", n, len(ps))
+	}
+	each := map[pmem.PAddr]uint64{}
+	a2.Each(func(addr pmem.PAddr, size uint64) { each[addr] = size })
+	for i, p := range ps {
+		if size, ok := a2.Live(p); !ok || size != uint64(i+1)*32<<10 || each[p] != size {
+			t.Fatalf("record %#x: Live %d %v, Each %d", p, size, ok, each[p])
+		}
+	}
+	if a2.Used() != used {
+		t.Fatalf("Used %d after rebuild, %d before the crash", a2.Used(), used)
+	}
+	if err := a2.Free(c2, 0, ps[0], false); err != nil {
+		t.Fatal(err)
+	}
+	if a2.Indexed() != 1 {
+		t.Fatalf("%d records indexed after one free", a2.Indexed())
+	}
+	for _, bad := range []pmem.PAddr{ps[0], ps[1] + PageSize} {
+		if err := a2.Free(c2, 0, bad, false); err == nil || !strings.Contains(err.Error(), "free of unknown extent") {
+			t.Fatalf("free of %#x: %v, want a free of an unknown extent", bad, err)
+		}
+	}
+	if _, ok := a2.Live(ps[1]); !ok || a2.Indexed() != 1 || a2.Global().Len() != len(ps)-1 {
+		t.Fatalf("after the failed frees: %#x live %v, %d indexed, Len %d", ps[1], ok, a2.Indexed(), a2.Global().Len())
 	}
 }
 

@@ -43,7 +43,7 @@ func TestFreeBatchAppliesPersistedPrefix(t *testing.T) {
 			}
 			freed := 0
 			for _, p := range ps {
-				if _, ok := a.pool.activated[p]; !ok {
+				if _, _, ok := a.pool.lookup(p); !ok {
 					freed++
 				}
 			}
@@ -62,7 +62,7 @@ func TestFreeBatchAppliesPersistedPrefix(t *testing.T) {
 				recorded[r.Addr] = true
 			}
 			for _, p := range ps {
-				if _, activated := a.pool.activated[p]; activated != recorded[p] {
+				if _, _, activated := a.pool.lookup(p); activated != recorded[p] {
 					t.Fatalf("extent %#x: activated=%v but recorded=%v", p, activated, recorded[p])
 				}
 			}
@@ -92,7 +92,7 @@ func TestFreeBatchAppliesPersistedPrefix(t *testing.T) {
 			t.Fatal("FreeBatch accepted an address with no header slot")
 		}
 		for i, p := range ps {
-			if _, activated := a.pool.activated[p]; activated != (i >= 3) {
+			if _, _, activated := a.pool.lookup(p); activated != (i >= 3) {
 				t.Fatalf("extent %d: activated=%v, want the three before the failure freed and the rest kept", i, activated)
 			}
 		}

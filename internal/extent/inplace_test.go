@@ -83,7 +83,7 @@ func TestInPlaceFreeBatchThroughAllocator(t *testing.T) {
 			len(ps)-1, batchFences, perFree)
 	}
 	for _, p := range ps {
-		if _, ok := a.pool.activated[p]; ok {
+		if _, _, ok := a.pool.lookup(p); ok {
 			t.Fatalf("%#x still activated after batch free", p)
 		}
 	}
