@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"slices"
 	"sort"
+	"sync"
 
 	"nvalloc/internal/pmem"
 )
@@ -96,21 +97,36 @@ func New(dev pmem.Mem, base pmem.PAddr, size uint64, stripes, n int) *Sharded {
 }
 
 // Open reopens n log shards after a restart or crash. Every shard
-// recovers independently (each is persistently self-contained), and the
-// per-shard live sets are merged into one deterministic, address-ordered
-// record list. A crash with any subset of shards mid-append recovers
-// each shard's valid prefix.
+// recovers independently (each is persistently self-contained), so the
+// shards are read concurrently; the repairs a read finds owed then run
+// shard by shard, which leaves the flushes and the error (the lowest
+// shard's) of a serial open. The per-shard live sets are merged into one
+// deterministic, address-ordered record list. A crash with any subset of
+// shards mid-append recovers each shard's valid prefix.
 func Open(dev pmem.Dev, base pmem.PAddr, size uint64, stripes, n int) (*Sharded, []Record, error) {
 	n, per := shardLayout(size, n)
 	s := &Sharded{shards: make([]*Log, n), res: make([]pmem.Resource, n)}
+	reads := make([]shardRead, n)
+	var wg sync.WaitGroup
+	for i := range reads {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			reads[i] = openLog(dev, base+pmem.PAddr(uint64(i)*per), per, stripes)
+		}()
+	}
+	wg.Wait()
 	var all []Record
-	for i := range s.shards {
-		l, recs, err := openLog(dev, base+pmem.PAddr(uint64(i)*per), per, stripes)
-		if err != nil {
-			return nil, nil, fmt.Errorf("blog shard %d: %w", i, err)
+	for i, r := range reads {
+		for _, fix := range r.fixes {
+			fix()
 		}
-		s.shards[i] = l
-		all = append(all, recs...)
+		r.c.Merge()
+		if r.err != nil {
+			return nil, nil, fmt.Errorf("blog shard %d: %w", i, r.err)
+		}
+		s.shards[i] = r.l
+		all = append(all, r.recs...)
 	}
 	// Shards hold disjoint address sets (routing is by address), so the
 	// merge is a plain sort: deterministic and collision-free.

@@ -2,6 +2,9 @@ package blog
 
 import (
 	"fmt"
+	"runtime"
+	"slices"
+	"strings"
 	"sync"
 	"testing"
 
@@ -97,6 +100,51 @@ func TestShardedRecordRecoverMergedUnion(t *testing.T) {
 		if i > 0 && recs[i-1].Addr >= r.Addr {
 			t.Fatalf("merged records not strictly address-ordered at %d", i)
 		}
+	}
+}
+
+// TestShardedOpenLowestShardErrorWins: Open reads the shards concurrently,
+// yet it merges the same records at GOMAXPROCS 1 and 8 and returns the
+// error a serial open meets first: with shards 1 and 3 damaged, the error
+// names shard 1 at every GOMAXPROCS.
+func TestShardedOpenLowestShardErrorWins(t *testing.T) {
+	dev, s := newTestSharded(t)
+	c := dev.NewCtx()
+	for i := 0; i < 40; i++ {
+		if err := s.RecordAlloc(c, shardedAddr(i), 4096, false); err != nil {
+			t.Fatal(err)
+		}
+	}
+	c.Merge()
+	_, per := shardLayout(testShardedSize, testShards)
+	alt := func(i int) pmem.PAddr { return 4096 + pmem.PAddr(uint64(i)*per) + offAlt }
+	var recs []Record
+	for _, procs := range []int{1, 8} {
+		func() {
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+			_, got, err := Open(dev, 4096, testShardedSize, 6, testShards)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if recs != nil && !slices.Equal(got, recs) {
+				t.Fatalf("GOMAXPROCS %d: merged records differ from GOMAXPROCS 1's", procs)
+			}
+			recs = got
+		}()
+	}
+	for _, i := range []int{1, 3} {
+		dev.WriteU64(alt(i), dev.ReadU64(alt(i))^0xff)
+	}
+	for _, procs := range []int{1, 2, 8} {
+		func() {
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+			for rep := 0; rep < 5; rep++ {
+				_, _, err := Open(dev, 4096, testShardedSize, 6, testShards)
+				if err == nil || !strings.HasPrefix(err.Error(), "blog shard 1:") {
+					t.Fatalf("GOMAXPROCS %d: Open returned %v, want shard 1's error", procs, err)
+				}
+			}
+		}()
 	}
 }
 

@@ -2,6 +2,8 @@ package core
 
 import (
 	"fmt"
+	"runtime"
+	"sync"
 	"time"
 
 	"nvalloc/internal/blog"
@@ -71,9 +73,9 @@ func validateSuper(dev pmem.Dev) error {
 }
 
 // Recovery is what one Open did, phase by phase in the order it ran them.
-// The *NS fields are virtual nanoseconds of Open's own context and add up
-// to the figure Open returns (reading the bookkeeping log back is charged
-// to a context of the log's own and appears in neither).
+// The *NS fields but SlabWorkNS are virtual nanoseconds of Open's own
+// context and add up to the figure Open returns (reading the bookkeeping
+// log back is charged to a context of the log's own and appears in none).
 type Recovery struct {
 	// Crashed: the previous session did not Close; the variant's failure
 	// recovery (WAL replay for LOG, conservative GC for GC) ran.
@@ -81,9 +83,13 @@ type Recovery struct {
 
 	BookLogNS int64 // bookkeeping-log GC policy, or the in-place header scan
 	ExtentNS  int64 // free lists from the gaps between the live records (a record is indexed when a free first needs it)
-	SlabNS    int64 // slab headers, morph undo and slab_in index tables
+	SlabNS    int64 // slab headers, morph undo and slab_in index tables: the span, the arenas' headers being read in parallel
 	WALNS     int64 // ring scans, replay, write-back and checkpoints (or the GC variant's mark and sweep), with the bitmaps they build
 	StateNS   int64 // the two run-state word commits
+
+	// SlabWorkNS is the slab phase's work: every arena's header reads plus
+	// the repairs, summed. It is SlabNS had the phase run serially.
+	SlabWorkNS int64
 
 	ShardsCompacted  int // bookkeeping-log shards found over their slow-GC threshold
 	SlabsOpened      int // slab headers read
@@ -119,10 +125,10 @@ func (r Recovery) String() string {
 	us := func(ns int64) float64 { return float64(ns) / 1e3 }
 	ms := func(d time.Duration) float64 { return float64(d) / 1e6 }
 	w := r.Wall
-	return fmt.Sprintf("%.1f us virtual (book log %.1f, extents %.1f, slabs %.1f, wal %.1f, state %.1f); "+
+	return fmt.Sprintf("%.1f us virtual (book log %.1f, extents %.1f, slabs %.1f of %.1f work, wal %.1f, state %.1f); "+
 		"%.2f ms wall (book log %.2f, extents %.2f, slabs %.2f, wal %.2f, state %.2f); "+
 		"crashed=%v, %d shards compacted, %d slabs opened, %d bitmaps built, %d extents indexed, %d wal entries (%d retired), %d lines written back",
-		us(r.TotalNS()), us(r.BookLogNS), us(r.ExtentNS), us(r.SlabNS), us(r.WALNS), us(r.StateNS),
+		us(r.TotalNS()), us(r.BookLogNS), us(r.ExtentNS), us(r.SlabNS), us(r.SlabWorkNS), us(r.WALNS), us(r.StateNS),
 		ms(w.Total()), ms(w.BookLog), ms(w.Extent), ms(w.Slab), ms(w.WAL), ms(w.State),
 		r.Crashed, r.ShardsCompacted, r.SlabsOpened, r.BitmapsBuilt, r.ExtentsIndexed, r.EntriesReplayed, r.EntriesRetired, r.LinesWrittenBack)
 }
@@ -134,14 +140,15 @@ func (h *Heap) Recovery() Recovery { return h.recovery }
 // Open reopens an existing heap after a restart or crash (Section 4.4).
 // It does each recovery job once: reopen the bookkeeping log and run its
 // GC policy, rebuild the extent free lists from the gaps between the live
-// records, open every slab's header (morph undo inside slab.Open), reopen
-// the WAL rings and, if the persisted state word shows the previous run
-// did not shut down cleanly, resolve leaks per the variant's consistency
-// model: one scan of each ring's live window and a replay for NVAlloc-LOG,
-// conservative GC for NVAlloc-GC. A slab's bitmap is read, and a live
-// record gets its extent entry, the first time something needs it: replay
-// or the sweep here, an allocation or a free later. It returns the
-// recovery's virtual nanoseconds; Heap.Recovery breaks them down.
+// records, open every slab's header (one arena's share per worker, morph
+// undo inside slab.Open), reopen the WAL rings and, if the persisted state
+// word shows the previous run did not shut down cleanly, resolve leaks per
+// the variant's consistency model: one scan of each ring's live window and
+// a replay for NVAlloc-LOG, conservative GC for NVAlloc-GC. A slab's
+// bitmap is read, and a live record gets its extent entry, the first time
+// something needs it: replay or the sweep here, an allocation or a free
+// later. It returns the recovery's virtual nanoseconds; Heap.Recovery
+// breaks them down.
 func Open(dev pmem.Dev, opts Options) (*Heap, int64, error) {
 	wallStart := time.Now()
 	if err := validateSuper(dev); err != nil {
@@ -244,36 +251,9 @@ func Open(dev pmem.Dev, opts Options) (*Heap, int64, error) {
 	h.large = large
 	lap(&rep.ExtentNS, &rep.Wall.Extent)
 
-	// Open every slab's header; morph undo happens inside slab.Open. Every
-	// slab goes on its class freelist unread, so a full one is listed until
-	// something builds it: recovery's own touches take it off at once
-	// (recoveryBuild), any other falls out of fillLocked's full branch.
-	// The order of the slabs with room is the one an eager load gives.
-	next := 0
-	for _, r := range records {
-		if !r.Slab {
-			continue
-		}
-		// A record flagged as a slab must have slab shape before its
-		// header is interpreted. The record (not the slab) is at fault,
-		// so the error names the bookkeeping layer.
-		if uint64(r.Addr)%slab.Size != 0 || r.Size != slab.Size {
-			return nil, 0, pmem.Corrupt("extent", r.Addr, "slab record misaligned or sized %d, want %d", r.Size, uint64(slab.Size))
-		}
-		s, err := slab.Open(dev.Mem(), c, r.Addr)
-		if err != nil {
-			return nil, 0, err
-		}
-		s.Owner = next % len(h.arenas)
-		next++
-		h.slabs.Store(r.Addr, s)
-		a := h.arenas[s.Owner]
-		a.freelistPush(s)
-		if !s.IsSlabIn() {
-			a.lruPushTail(s)
-		}
+	if err := h.openSlabs(c, records, rep); err != nil {
+		return nil, 0, err
 	}
-	rep.SlabsOpened = next
 	lap(&rep.SlabNS, &rep.Wall.Slab)
 
 	// Reopen the WALs.
@@ -327,6 +307,97 @@ func Open(dev pmem.Dev, opts Options) (*Heap, int64, error) {
 	ns := c.Now
 	c.Merge()
 	return h, ns, nil
+}
+
+// openSlabs opens the header of every slab record, one partition per
+// arena: arena a owns the slab records whose position among them is ≡ a
+// mod arenas. Each partition is read on a context of its own that starts
+// at c's clock, by min(GOMAXPROCS, arenas) goroutines; forking and joining
+// them charges nothing, and c resumes at the latest partition's clock, so
+// the virtual time depends on neither the worker count nor the goroutine
+// order. The partitions only read (slab.Inspect). Everything that writes
+// runs after the join on c, in address order — the repairs slab.Open makes
+// (morph undo, a pending demotion) and the freelist and LRU pushes — so the
+// flushes, their order and the list order are those of one serial pass,
+// and so is the error: the first bad header in address order.
+//
+// Every slab goes on its class freelist unread, so a full one is listed
+// until something builds it: recovery's own touches take it off at once
+// (recoveryBuild), any other falls out of fillLocked's full branch. The
+// order of the slabs with room is the one an eager load gives.
+func (h *Heap) openSlabs(c *pmem.Ctx, records []extent.LiveRecord, rep *Recovery) error {
+	var slabs []extent.LiveRecord
+	for _, r := range records {
+		if r.Slab {
+			slabs = append(slabs, r)
+		}
+	}
+	type header struct {
+		s   *slab.Slab // nil: slab.Open must repair it (or err is set)
+		err error
+	}
+	heads := make([]header, len(slabs))
+	n := len(h.arenas)
+	clocks := make([]*pmem.Ctx, n)
+	workers := min(runtime.GOMAXPROCS(0), n)
+	var wg sync.WaitGroup
+	for w := range workers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for a := w; a < n; a += workers {
+				ac := h.dev.NewCtx()
+				ac.Now = c.Now
+				clocks[a] = ac
+				// A partition stops at its first bad header: the serial
+				// pass returns there before it reaches any slab after it.
+				for i := a; i < len(slabs); i += n {
+					if heads[i].s, heads[i].err = inspectSlab(h.mem, ac, slabs[i]); heads[i].err != nil {
+						break
+					}
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	start := c.Now
+	for _, ac := range clocks {
+		rep.SlabWorkNS += ac.Now - start
+		c.Now = max(c.Now, ac.Now)
+		ac.Merge()
+	}
+
+	for i, r := range slabs {
+		s, err := heads[i].s, heads[i].err
+		if err == nil && s == nil {
+			before := c.Now
+			s, err = slab.Open(h.mem, c, r.Addr)
+			rep.SlabWorkNS += c.Now - before
+		}
+		if err != nil {
+			return err
+		}
+		s.Owner = i % n
+		h.slabs.Store(r.Addr, s)
+		a := h.arenas[s.Owner]
+		a.freelistPush(s)
+		if !s.IsSlabIn() {
+			a.lruPushTail(s)
+		}
+	}
+	rep.SlabsOpened = len(slabs)
+	return nil
+}
+
+// inspectSlab reads the header of slab record r (slab.Inspect). A record
+// flagged as a slab must have slab shape before its header is interpreted;
+// the record (not the slab) is then at fault, so the error names the
+// bookkeeping layer.
+func inspectSlab(mem pmem.Mem, c *pmem.Ctx, r extent.LiveRecord) (*slab.Slab, error) {
+	if uint64(r.Addr)%slab.Size != 0 || r.Size != slab.Size {
+		return nil, pmem.Corrupt("extent", r.Addr, "slab record misaligned or sized %d, want %d", r.Size, uint64(slab.Size))
+	}
+	return slab.Inspect(mem, c, r.Addr)
 }
 
 // replayWALs applies every un-checkpointed WAL entry idempotently

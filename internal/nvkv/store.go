@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"math"
+	"runtime"
 	"sync/atomic"
 
 	"nvalloc/internal/alloc"
@@ -114,7 +115,8 @@ func CreateStore(h alloc.Heap, th alloc.Thread, rootSlot int, cfg StoreConfig) (
 }
 
 // OpenStore attaches to an existing store after a restart or crash
-// recovery. The live-key counter is rebuilt by walking the directory.
+// recovery. The live-key counter is rebuilt by walking the directory, a
+// range of buckets per GOMAXPROCS worker.
 func OpenStore(h alloc.Heap, rootSlot int, cfg StoreConfig) (*Store, error) {
 	cfg = cfg.withDefaults()
 	idx, err := phash.Open(h, rootSlot)
@@ -122,7 +124,7 @@ func OpenStore(h alloc.Heap, rootSlot int, cfg StoreConfig) (*Store, error) {
 		return nil, err
 	}
 	s := &Store{heap: h, dev: h.Device(), idx: idx, maxVal: cfg.MaxValLen}
-	s.liveKeys.Store(int64(idx.Len()))
+	s.liveKeys.Store(int64(idx.Count(runtime.GOMAXPROCS(0))))
 	return s, nil
 }
 

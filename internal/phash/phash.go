@@ -41,6 +41,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"sync"
 
 	"nvalloc/internal/alloc"
 	"nvalloc/internal/pmem"
@@ -391,9 +392,35 @@ func (m *Map) Delete(th alloc.Thread, key uint64) (bool, error) {
 }
 
 // Len counts live entries by walking every bucket chain.
-func (m *Map) Len() int {
+func (m *Map) Len() int { return m.count(0, m.nBuckets) }
+
+// Count is Len on up to workers goroutines, each walking the chains of a
+// contiguous range of directory buckets. A chain belongs to the range of
+// its directory bucket, so every bucket is counted once.
+func (m *Map) Count(workers int) int {
+	w := min(uint64(max(workers, 1)), m.nBuckets)
+	counts := make([]int, w)
+	var wg sync.WaitGroup
+	for i := range w {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			counts[i] = m.count(m.nBuckets*i/w, m.nBuckets*(i+1)/w)
+		}()
+	}
+	wg.Wait()
 	n := 0
-	m.walk(func(_ pmem.PAddr, values []byte) {
+	for _, c := range counts {
+		n += c
+	}
+	return n
+}
+
+// count counts the live entries of the chains of directory buckets
+// [lo, hi).
+func (m *Map) count(lo, hi uint64) int {
+	n := 0
+	m.walk(lo, hi, func(_ pmem.PAddr, values []byte) {
 		for s := 0; s < Slots; s++ {
 			if binary.LittleEndian.Uint64(values[8*s:]) != 0 {
 				n++
@@ -412,7 +439,7 @@ func (m *Map) References(fn func(addr pmem.PAddr)) {
 	fn(m.header)
 	fn(m.dir)
 	end := m.bucketAddr(m.nBuckets)
-	m.walk(func(b pmem.PAddr, values []byte) {
+	m.walk(0, m.nBuckets, func(b pmem.PAddr, values []byte) {
 		if b < m.dir || b >= end {
 			fn(b)
 		}
@@ -424,11 +451,12 @@ func (m *Map) References(fn func(addr pmem.PAddr)) {
 	})
 }
 
-// walk calls fn on every bucket, directory buckets and overflow buckets
-// alike, with the bucket's eight value words. Like findSlot it reads a
-// bucket through one view; the caller excludes writers.
-func (m *Map) walk(fn func(b pmem.PAddr, values []byte)) {
-	for i := uint64(0); i < m.nBuckets; i++ {
+// walk calls fn on every bucket of the chains of directory buckets
+// [lo, hi), directory buckets and overflow buckets alike, with the
+// bucket's eight value words. Like findSlot it reads a bucket through one
+// view; the caller excludes writers.
+func (m *Map) walk(lo, hi uint64, fn func(b pmem.PAddr, values []byte)) {
+	for i := lo; i < hi; i++ {
 		for b := m.bucketAddr(i); b != pmem.Null; {
 			words := m.mem.Bytes(b, bOverflow+8)
 			fn(b, words[bValues:bValues+8*Slots])

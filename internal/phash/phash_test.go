@@ -122,6 +122,45 @@ func TestOverflowChains(t *testing.T) {
 	}
 }
 
+// TestCountSplitsAtBucketRanges: Count hands each worker a range of
+// directory buckets, and every chain belongs to its directory bucket's
+// range. On seven buckets, every one chained past its directory bucket and
+// with holes left by deletes, every worker count — one, counts that split
+// the directory unevenly, and more workers than buckets — counts what Len
+// counts.
+func TestCountSplitsAtBucketRanges(t *testing.T) {
+	_, _, th, m := newMap(t, 7)
+	defer th.Close()
+	live := 0
+	for k := uint64(0); k < 400; k++ {
+		if err := m.Put(th, k, k); err != nil {
+			t.Fatal(err)
+		}
+		live++
+	}
+	for k := uint64(0); k < 400; k += 3 {
+		if ok, err := m.Delete(th, k); err != nil || !ok {
+			t.Fatalf("delete %d: %v %v", k, ok, err)
+		}
+		live--
+	}
+	for i := uint64(0); i < m.nBuckets; i++ {
+		chain := 0
+		m.walk(i, i+1, func(pmem.PAddr, []byte) { chain++ })
+		if chain < 2 {
+			t.Fatalf("directory bucket %d has no overflow bucket", i)
+		}
+	}
+	if m.Len() != live {
+		t.Fatalf("Len %d, want %d", m.Len(), live)
+	}
+	for _, w := range []int{0, 1, 2, 3, 4, 6, 7, 8, 64} {
+		if got := m.Count(w); got != live {
+			t.Errorf("Count(%d) = %d, want %d", w, got, live)
+		}
+	}
+}
+
 func TestRandomizedAgainstModel(t *testing.T) {
 	_, _, th, m := newMap(t, 256)
 	defer th.Close()

@@ -204,12 +204,15 @@ func (s *Slab) OverlapCount(idx int) int {
 	return int(s.cntBlock[idx])
 }
 
-// OldIndices returns the live old-class block indices of a slab_in.
+// OldIndices returns the live old-class block indices of a slab_in, in
+// ascending order: a caller that frees them in turn (the GC variant's
+// sweep) flushes, and charges, the same sequence every run.
 func (s *Slab) OldIndices() []int {
 	out := make([]int, 0, len(s.oldIdx))
 	for idx := range s.oldIdx {
 		out = append(out, idx)
 	}
+	sort.Ints(out)
 	return out
 }
 
@@ -339,6 +342,20 @@ func validateOldFields(dev pmem.Mem, base pmem.PAddr, stripes int) (oldGeom, err
 // does that at the slab's first touch. Open charges c the per-slab
 // constant of recovery, Build the per-block part.
 func Open(dev pmem.Mem, c *pmem.Ctx, base pmem.PAddr) (*Slab, error) {
+	return open(dev, c, base, true)
+}
+
+// Inspect is Open without its writes, for a caller that reads many headers
+// at once and repairs afterwards, in an order of its own. It validates the
+// header exactly as Open does, returns the same errors and charges the same
+// constant. A slab Open would repair — a morph cut at flag 1 or 2, or a
+// slab_in whose demotion must finish — comes back nil with no error and
+// nothing charged: the caller Opens it.
+func Inspect(dev pmem.Mem, c *pmem.Ctx, base pmem.PAddr) (*Slab, error) {
+	return open(dev, c, base, false)
+}
+
+func open(dev pmem.Mem, c *pmem.Ctx, base pmem.PAddr, repair bool) (*Slab, error) {
 	if uint64(base)+Size > dev.Size() || base%Size != 0 {
 		return nil, pmem.Corrupt("slab", base, "slab extent out of device bounds or misaligned")
 	}
@@ -357,6 +374,9 @@ func Open(dev pmem.Mem, c *pmem.Ctx, base pmem.PAddr) (*Slab, error) {
 		return nil, pmem.Corrupt("slab", base, "morph flag %d out of range", flag)
 	}
 	if flag == flagStep1 || flag == flagStep2 {
+		if !repair {
+			return nil, nil
+		}
 		// The undo restores the old stripe count with the old geometry.
 		var err error
 		if stripes, err = undoMorph(dev, c, base, flag, stripes); err != nil {
@@ -388,58 +408,70 @@ func Open(dev pmem.Mem, c *pmem.Ctx, base pmem.PAddr) (*Slab, error) {
 		OldClass:   -1,
 	}
 	s.lay = layoutFor(blocks, stripes, s.m)
-	c.Charge(pmem.CatSearch, 20)
 
+	// At any flag other than 3 the old fields are dead (a completed
+	// demotion or an undone morph leaves them stale on purpose).
 	if flag == flagSlabIn {
-		// Reconstruct cnt_slab and cnt_block from the index table. At any
-		// flag other than 3 the old fields are dead (a completed demotion
-		// or an undone morph leaves them stale on purpose).
-		old, err := validateOldFields(dev, base, stripes)
-		if err != nil {
+		if err := s.readIndexTable(stripes); err != nil {
 			return nil, err
 		}
-		oldBlocks, _, _ := geometry(old.class, old.stripes)
-		s.OldClass = old.class
-		s.OldDataOff = old.dataOff
-		s.oldIdx = make(map[int]int)
-		s.cntBlock = make([]uint16, blocks)
-		oldSize := int64(sizeclass.Size(s.OldClass))
-		for slot := 0; slot < old.live; slot++ {
-			e := dev.ReadU16(base + pmem.PAddr(idxBase+2*slot))
-			if e&idxAllocated == 0 {
-				continue
-			}
-			idx := int(e & idxIndexMask)
-			if idx >= oldBlocks {
-				return nil, pmem.Corrupt("slab", base, "index entry %d names old block %d beyond %d", slot, idx, oldBlocks)
-			}
-			if _, dup := s.oldIdx[idx]; dup {
-				return nil, pmem.Corrupt("slab", base, "old block %d appears twice in index table", idx)
-			}
-			s.oldIdx[idx] = slot
-			s.CntSlab++
-			lo := int64(s.OldDataOff) + int64(idx)*oldSize
-			hi := lo + oldSize - 1
-			nbLo := (lo - int64(dataOff)) / int64(s.BlockSize)
-			nbHi := (hi - int64(dataOff)) / int64(s.BlockSize)
-			for nb := nbLo; nb <= nbHi && nb < int64(blocks); nb++ {
-				if nb >= 0 {
-					s.cntBlock[nb]++
-				}
-			}
+		if s.CntSlab == 0 && !repair {
+			return nil, nil
 		}
-		if s.CntSlab == 0 {
-			// All old blocks were already freed; finish the demotion that
-			// may have been cut short by the crash.
-			s.persistFlag(c, flagStable, true)
-			s.OldClass = -1
-			s.OldDataOff = 0
-			s.oldIdx = nil
-			s.cntBlock = nil
-		}
+	}
+	c.Charge(pmem.CatSearch, 20)
+	if flag == flagSlabIn && s.CntSlab == 0 {
+		// All old blocks were already freed; finish the demotion that
+		// may have been cut short by the crash.
+		s.persistFlag(c, flagStable, true)
+		s.OldClass = -1
+		s.OldDataOff = 0
+		s.oldIdx = nil
+		s.cntBlock = nil
 	}
 	s.publishGeom()
 	return s, nil
+}
+
+// readIndexTable reconstructs a slab_in's cnt_slab and cnt_block from its
+// index table. stripes is the stripe count the header holds.
+func (s *Slab) readIndexTable(stripes int) error {
+	dev, base := s.dev, s.Base
+	old, err := validateOldFields(dev, base, stripes)
+	if err != nil {
+		return err
+	}
+	oldBlocks, _, _ := geometry(old.class, old.stripes)
+	s.OldClass = old.class
+	s.OldDataOff = old.dataOff
+	s.oldIdx = make(map[int]int)
+	s.cntBlock = make([]uint16, s.Blocks)
+	oldSize := int64(sizeclass.Size(s.OldClass))
+	for slot := 0; slot < old.live; slot++ {
+		e := dev.ReadU16(base + pmem.PAddr(idxBase+2*slot))
+		if e&idxAllocated == 0 {
+			continue
+		}
+		idx := int(e & idxIndexMask)
+		if idx >= oldBlocks {
+			return pmem.Corrupt("slab", base, "index entry %d names old block %d beyond %d", slot, idx, oldBlocks)
+		}
+		if _, dup := s.oldIdx[idx]; dup {
+			return pmem.Corrupt("slab", base, "old block %d appears twice in index table", idx)
+		}
+		s.oldIdx[idx] = slot
+		s.CntSlab++
+		lo := int64(s.OldDataOff) + int64(idx)*oldSize
+		hi := lo + oldSize - 1
+		nbLo := (lo - int64(s.DataOff)) / int64(s.BlockSize)
+		nbHi := (hi - int64(s.DataOff)) / int64(s.BlockSize)
+		for nb := nbLo; nb <= nbHi && nb < int64(s.Blocks); nb++ {
+			if nb >= 0 {
+				s.cntBlock[nb]++
+			}
+		}
+	}
+	return nil
 }
 
 // Build makes an opened slab's block states readable, the first time
