@@ -15,7 +15,8 @@ import (
 // arena is one per-core allocation domain: per-class freelists of
 // partially full slabs, the LRU list of morph candidates, and the
 // arena's WAL. Its resource lock serializes all structural operations
-// and models the paper's arena synchronization in virtual time.
+// and models the paper's arena synchronization in virtual time; in LOG it
+// is also the slab lock of every slab the arena owns (see lockSlab).
 type arena struct {
 	h     *Heap
 	index int
@@ -179,6 +180,48 @@ func (a *arena) lruTouch(s *slab.Slab) {
 	a.lruPushTail(s)
 }
 
+// ---- slab locks ----------------------------------------------------------
+
+// What guards a slab's volatile and bitmap state depends on the variant.
+// In LOG it is the owner arena's resource alone: every writer holds that
+// resource for the ring already. GC and IC write a slab on their free path
+// without the arena resource, so there slab.Mu guards it, taken inside the
+// resource by writers that hold one.
+
+// lockSlab takes what a caller holding s's owner arena resource still
+// needs to touch s: nothing in LOG, s.Mu in GC and IC.
+func (h *Heap) lockSlab(s *slab.Slab) {
+	if !h.useWAL {
+		s.Mu.Lock()
+	}
+}
+
+func (h *Heap) unlockSlab(s *slab.Slab) {
+	if !h.useWAL {
+		s.Mu.Unlock()
+	}
+}
+
+// lockSlabState takes what guards s for a caller that holds no arena
+// resource: in LOG the owner's resource, by Lock (no virtual time, no
+// schedule point), in GC and IC s.Mu. Never call it under an arena
+// resource: in LOG that may be the very mutex it takes.
+func (h *Heap) lockSlabState(s *slab.Slab) {
+	if h.useWAL {
+		h.arenas[s.Owner].res.Lock()
+		return
+	}
+	s.Mu.Lock()
+}
+
+func (h *Heap) unlockSlabState(s *slab.Slab) {
+	if h.useWAL {
+		h.arenas[s.Owner].res.Unlock()
+		return
+	}
+	s.Mu.Unlock()
+}
+
 // ---- slab acquisition ---------------------------------------------------
 
 // fill refills tc with up to want blocks of the class. Caller does NOT
@@ -192,7 +235,7 @@ func (a *arena) fill(c *pmem.Ctx, class int, tc *tcache.Cache, want int) int {
 // fillLocked is fill's body; caller holds the arena lock.
 //
 // Depot magazines are consumed first: each one restocks MagCap blocks
-// with no slab lock, no bitmap search and no persistent write (the
+// with no slab access, no bitmap search and no persistent write (the
 // blocks are already volatile-reserved). Only then are fresh blocks
 // carved out of freelist slabs. A slab Open listed unread is built first;
 // one that turns out full reserves nothing and leaves the list.
@@ -221,14 +264,14 @@ func (a *arena) fillLocked(c *pmem.Ctx, class int, tc *tcache.Cache, want int) i
 				break
 			}
 		}
-		s.Mu.Lock()
+		a.h.lockSlab(s)
 		s.Build(c)
 		idxBuf = s.Reserve(want-got, idxBuf[:0])
 		full := s.FreeCount() == 0
 		for _, idx := range idxBuf {
 			tc.Push(a.tcacheStripe(s, idx), tcache.Block{Slab: s, Idx: idx})
 		}
-		s.Mu.Unlock()
+		a.h.unlockSlab(s)
 		got += len(idxBuf)
 		a.lruTouch(s)
 		if full {
@@ -290,14 +333,16 @@ type blockRef struct {
 // flight, its at most one torn slot is the last one written, and that is
 // exactly the one invalid slot walog.Replay tolerates.
 //
-// Callers that revalidated a geometry snapshot hold the slab's Mu across
-// the call (lockSlabs false). drainRemote's group spans slabs none of
-// which it holds, so commit takes each in turn (lockSlabs true). A free
-// may also drop its slab below the morph threshold; that is noted here,
-// under the same Mu, in the order the bits clear. A free is also where a
-// slab Open left unbuilt is first touched without a refill (directly,
-// through the bypass, or in a remote-free drain): its bitmap is built
-// here, under the same Mu, before its bit changes.
+// The same resource is the slab lock of every block in ops in LOG, so a
+// LOG caller passes lockSlabs false. In GC and IC slab.Mu is: a caller
+// that revalidated a geometry snapshot holds it across the call (lockSlabs
+// false), and one that holds no lock has commit take each slab's Mu in
+// turn (lockSlabs true: mallocSmall and Publish). A free may also drop its
+// slab below the morph threshold; that is noted here, under the same
+// lock, in the order the bits clear. A free is also where a slab Open left
+// unbuilt is first touched without a refill (directly, through the
+// bypass, or in a remote-free drain): its bitmap is built here, under the
+// same lock, before its bit changes.
 //
 // covered is set by publish (LOG only), whose one OpPublish entry, already
 // flushed and fenced, stands for steps 1 and 3 of every block it names.
@@ -368,14 +413,20 @@ func (a *arena) writeBack(c *pmem.Ctx) bool {
 	return flushed
 }
 
-// retire prepares a slab for release in the LOG variant. Another arena
-// may format the same base in the same class while this ring still holds
-// bit entries for it, and replay runs rings in arena order, not time
-// order, so those entries must not outlive the slab: its dirty lines are
-// flushed (the bitmap on media is then final) and an OpRetire entry voids
-// every earlier bit entry of this ring for the base. Fenced here, inside
-// the resource section, like every entry. Caller holds the arena resource.
+// retire prepares a slab, already off every list, for release. It marks
+// the slab dead under its slab lock, so neither morphInto nor noteCandidate
+// picks it up once the resource is dropped for releaseSlab. In the LOG
+// variant, another arena may format the same base in the same class while
+// this ring still holds bit entries for it, and replay runs rings in arena
+// order, not time order, so those entries must not outlive the slab: its
+// dirty lines are flushed (the bitmap on media is then final) and an
+// OpRetire entry voids every earlier bit entry of this ring for the base.
+// Fenced here, inside the resource section, like every entry. Caller holds
+// the arena resource.
 func (a *arena) retire(c *pmem.Ctx, s *slab.Slab) {
+	a.h.lockSlab(s)
+	s.Dead = true
+	a.h.unlockSlab(s)
 	if !a.h.useWAL {
 		return
 	}
@@ -401,7 +452,15 @@ func (a *arena) fillAndCommit(c *pmem.Ctx, class int, tc *tcache.Cache, want int
 		return pmem.Null, false
 	}
 	s := b.Slab.(*slab.Slab)
-	a.commit(c, commitAlloc, []blockRef{{s, b.Idx, s.Class}}, true, false)
+	// a's resource is s's slab lock because a owns s: a LOG thread's tcache
+	// and its arena's depots hold blocks of that arena's slabs only. Refills
+	// take them from a's own freelists and depots, and a free or Unreserve
+	// of another arena's block returns it to its owner's slab, never to a
+	// cache (freeSmall, Unreserve).
+	if s.Owner != a.index {
+		panic("core: a tcache holds a block of another arena's slab")
+	}
+	a.commit(c, commitAlloc, []blockRef{{s, b.Idx, s.Class}}, false, false)
 	return s.BlockAddr(b.Idx), true
 }
 
@@ -480,12 +539,12 @@ func (a *arena) morphInto(c *pmem.Ctx, class int) *slab.Slab {
 		if s.Dead || s.Owner != a.index {
 			continue
 		}
-		s.Mu.Lock()
+		h.lockSlab(s)
 		if s.Class == class || !s.UsageBelowMille(h.suMille) || !s.CanMorphTo(class, h.lay.Bitmap) {
 			// Not usable for this class; keep it queued if it remains a
 			// plausible candidate for other classes.
 			requeue := s.OldClass < 0 && s.UsageBelowMille(h.suMille)
-			s.Mu.Unlock()
+			h.unlockSlab(s)
 			a.morphRefusals++
 			if requeue {
 				keep = append(keep, s)
@@ -503,7 +562,7 @@ func (a *arena) morphInto(c *pmem.Ctx, class int) *slab.Slab {
 		// slab to pre-morph geometry underneath live new-class blocks.
 		// Variants with persistSmall=false only defer bitmap persistence.
 		err := s.MorphTo(c, class, h.lay.Bitmap, true)
-		s.Mu.Unlock()
+		h.unlockSlab(s)
 		if err != nil {
 			a.freelistPush(s)
 			a.morphRefusals++
@@ -555,10 +614,9 @@ func (a *arena) newSlab(c *pmem.Ctx, class int) *slab.Slab {
 	return s
 }
 
-// releaseSlab returns a completely empty slab to the large allocator. The
-// slab is already off every list and unpublished.
+// releaseSlab returns a completely empty slab, retired, to the large
+// allocator.
 func (a *arena) releaseSlab(c *pmem.Ctx, s *slab.Slab) {
-	s.Dead = true
 	a.h.slabs.Delete(s.Base)
 	// If the tombstone cannot be written the extent stays recorded and
 	// activated: leaked until restart.
@@ -595,9 +653,9 @@ func (a *arena) freeBypass(c *pmem.Ctx, s *slab.Slab, idx int, from origin, g *s
 // class left: it is off every list and retired, and the caller hands it to
 // releaseSlab once the resource is dropped.
 func (a *arena) returnToSlab(c *pmem.Ctx, s *slab.Slab, idx int, from origin, g *slab.Geom) (ok, release bool) {
-	s.Mu.Lock()
+	a.h.lockSlab(s)
 	if g != nil && s.Geometry() != g {
-		s.Mu.Unlock()
+		a.h.unlockSlab(s)
 		return false, false
 	}
 	if from == fromCache {
@@ -610,7 +668,7 @@ func (a *arena) returnToSlab(c *pmem.Ctx, s *slab.Slab, idx int, from origin, g 
 	}
 	empty := s.Allocated == 0 && s.Reserved == 0
 	wasOff := !a.onFreelist(s)
-	s.Mu.Unlock()
+	a.h.unlockSlab(s)
 	if wasOff && !empty {
 		a.freelistPush(s)
 	}

@@ -64,7 +64,7 @@ func (h *Heap) Objects(fn func(Object) bool) {
 			}
 			ei++
 		}
-		s.Mu.Lock()
+		h.lockSlabState(s)
 		s.Build(nil)
 		var objs []Object
 		for idx := 0; idx < s.Blocks; idx++ {
@@ -81,7 +81,7 @@ func (h *Heap) Objects(fn func(Object) bool) {
 				objs = append(objs, Object{Addr: s.OldBlockAddr(oldIdx), Size: oldSize, Slab: true})
 			}
 		}
-		s.Mu.Unlock()
+		h.unlockSlabState(s)
 		sort.Slice(objs, func(i, j int) bool { return objs[i].Addr < objs[j].Addr })
 		for _, o := range objs {
 			if !emit(o) {

@@ -422,9 +422,9 @@ func (h *Heap) Layout() Layout { return h.lay }
 func (h *Heap) LayoutCensus() map[int]int {
 	census := map[int]int{}
 	h.slabs.Range(func(_ pmem.PAddr, s *slab.Slab) bool {
-		s.Mu.Lock()
+		h.lockSlabState(s)
 		census[s.Stripes()]++
-		s.Mu.Unlock()
+		h.unlockSlabState(s)
 		return true
 	})
 	return census
@@ -482,8 +482,8 @@ func (h *Heap) BlockAllocated(addr pmem.PAddr) bool {
 	if s == nil {
 		return false
 	}
-	s.Mu.Lock()
-	defer s.Mu.Unlock()
+	h.lockSlabState(s)
+	defer h.unlockSlabState(s)
 	s.Build(nil)
 	if s.OldBlockIndex(addr) >= 0 {
 		return true
@@ -513,10 +513,10 @@ func (h *Heap) MorphStats() (morphs, refusals uint64) {
 // Objects, it builds every unbuilt slab's bitmap uncharged.
 func (h *Heap) SlabUtilization() (buckets [3]int) {
 	h.slabs.Range(func(_ pmem.PAddr, s *slab.Slab) bool {
-		s.Mu.Lock()
+		h.lockSlabState(s)
 		s.Build(nil)
 		u := s.Usage()
-		s.Mu.Unlock()
+		h.unlockSlabState(s)
 		switch {
 		case u < 0.30:
 			buckets[0]++

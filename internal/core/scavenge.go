@@ -215,8 +215,8 @@ func (h *Heap) resolvesLive(c *pmem.Ctx, p pmem.PAddr) bool {
 	}
 	base := p &^ (slab.Size - 1)
 	if s := h.slabs.Lookup(base); s != nil {
-		s.Mu.Lock()
-		defer s.Mu.Unlock()
+		h.lockSlabState(s)
+		defer h.unlockSlabState(s)
 		if idx := s.BlockIndex(p); idx >= 0 {
 			s.Build(c)
 			return s.BlockAllocated(idx)

@@ -133,7 +133,7 @@ func (t *Thread) mallocSmall(class int) (pmem.PAddr, error) {
 	if t.h.useWAL {
 		a.res.Acquire(t.ctx)
 	}
-	a.commit(t.ctx, commitAlloc, []blockRef{{s, b.Idx, s.Class}}, true, false)
+	a.commit(t.ctx, commitAlloc, []blockRef{{s, b.Idx, s.Class}}, !t.h.useWAL, false)
 	if t.h.useWAL {
 		a.res.Release(t.ctx)
 	}
@@ -174,26 +174,28 @@ func (t *Thread) Free(addr pmem.PAddr) error {
 // freeSmall returns a block to its slab through a single critical
 // section. Address-to-index resolution runs lock-free against the
 // slab's published geometry snapshot; pointer identity of the snapshot
-// is revalidated under s.Mu (or the arena lock on the bypass path)
-// before the index is applied, and the whole operation retries on the
-// rare concurrent morph. In the WAL variant a cross-arena free is
-// buffered instead (buffer=true) and applied later by drainRemote;
-// drain retries pass buffer=false to keep the retry path acyclic.
+// is revalidated under the slab lock (in LOG the owner's resource, in GC
+// and IC s.Mu) before the index is applied, and the whole operation
+// retries on the rare concurrent morph. In the WAL variant a cross-arena
+// free is buffered instead (buffer=true) and applied later by
+// drainRemote; drain retries pass buffer=false to keep the retry path
+// acyclic, and return the block straight to its slab.
 func (t *Thread) freeSmall(s *slab.Slab, addr pmem.PAddr, buffer bool) error {
-	owner := t.h.arenas[s.Owner]
+	h := t.h
+	owner := h.arenas[s.Owner]
 	for {
 		g := s.Geometry()
 		if g.SlabIn {
 			// A block_before (old size class) bypasses the tcache entirely.
 			// Old-class membership is an index-table property, not a
 			// geometric one, so it is decided under the slab lock.
-			s.Mu.Lock()
+			h.lockSlabState(s)
 			if s.Geometry() != g {
-				s.Mu.Unlock()
+				h.unlockSlabState(s)
 				continue
 			}
 			oldIdx := s.OldBlockIndex(addr)
-			s.Mu.Unlock()
+			h.unlockSlabState(s)
 			if oldIdx >= 0 {
 				return t.freeOld(owner, s, oldIdx)
 			}
@@ -202,36 +204,44 @@ func (t *Thread) freeSmall(s *slab.Slab, addr pmem.PAddr, buffer bool) error {
 		if idx < 0 {
 			return alloc.ErrBadAddress
 		}
-		if buffer && t.h.useWAL && s.Owner != t.arena.index {
-			// Cross-arena free: buffer it for a batched drain instead of
-			// taking the owner's resource (and paying two fences) per free.
-			t.bufferRemoteFree(s, g, addr, idx)
-			return nil
+		bypass := false
+		if h.useWAL && s.Owner != t.arena.index {
+			if buffer {
+				// Cross-arena free: buffer it for a batched drain instead of
+				// taking the owner's resource (and paying two fences) per free.
+				t.bufferRemoteFree(s, g, addr, idx)
+				return nil
+			}
+			// A LOG thread caches blocks of its own arena only (see
+			// fillAndCommit).
+			bypass = true
 		}
 		tc := t.cache(g.Class)
-		if tc.Full() && !t.evictMagazine(tc, g.Class) {
-			// Depot full too: return directly to the slab.
+		if bypass || (tc.Full() && !t.evictMagazine(tc, g.Class)) {
+			// Not this thread's to cache, or its tcache and the depot are
+			// full: return the block directly to its slab.
 			if !owner.freeBypass(t.ctx, s, idx, fromUser, g) {
 				continue
 			}
 			return nil
 		}
 		// Persist the free, then cache the block in this thread's tcache.
-		if t.h.useWAL {
+		if h.useWAL {
 			owner.res.Acquire(t.ctx)
+		} else {
+			s.Mu.Lock()
 		}
-		s.Mu.Lock()
-		if s.Geometry() != g {
-			s.Mu.Unlock()
-			if t.h.useWAL {
-				owner.res.Release(t.ctx)
-			}
-			continue
+		same := s.Geometry() == g
+		if same {
+			owner.commit(t.ctx, freeToCache, []blockRef{{s, idx, g.Class}}, false, false)
 		}
-		owner.commit(t.ctx, freeToCache, []blockRef{{s, idx, g.Class}}, false, false)
-		s.Mu.Unlock()
-		if t.h.useWAL {
+		if h.useWAL {
 			owner.res.Release(t.ctx)
+		} else {
+			s.Mu.Unlock()
+		}
+		if !same {
+			continue
 		}
 		tc.Push(owner.tcacheStripeGeom(g, idx), tcache.Block{Slab: s, Idx: idx})
 		return nil
@@ -282,14 +292,14 @@ func (t *Thread) freeOld(owner *arena, s *slab.Slab, oldIdx int) error {
 
 // freeOldLocked is freeOld's body; caller holds the owner's resource.
 func (t *Thread) freeOldLocked(owner *arena, s *slab.Slab, oldIdx int) error {
-	s.Mu.Lock()
+	t.h.lockSlab(s)
 	s.Build(t.ctx)
 	done, err := s.FreeOldBlock(t.ctx, oldIdx, t.h.persistSmall)
 	if err == nil && s.UsageBelowMille(t.h.suMille) {
 		owner.noteCandidate(s)
 	}
 	hasFree := err == nil && s.FreeCount() > 0
-	s.Mu.Unlock()
+	t.h.unlockSlab(s)
 	if err != nil {
 		return err
 	}
@@ -353,7 +363,9 @@ func (t *Thread) drainRemote(ai int) {
 		}
 		return
 	}
-	owner.commit(t.ctx, freeToSlab, apply, true, false)
+	// The owner's resource is the slab lock of every slab in the group
+	// (remote frees exist in LOG only).
+	owner.commit(t.ctx, freeToSlab, apply, false, false)
 	slabs := t.drainSlabs[:0]
 	for _, b := range apply {
 		if !slices.Contains(slabs, b.s) {
@@ -365,10 +377,8 @@ func (t *Thread) drainRemote(ai int) {
 	// spare is released (outside the resource, like every release).
 	var release []*slab.Slab
 	for _, s := range slabs {
-		s.Mu.Lock()
 		empty := s.Allocated == 0 && s.Reserved == 0
 		old := s.OldClass >= 0
-		s.Mu.Unlock()
 		wasOff := !owner.onFreelist(s)
 		if wasOff && !empty {
 			owner.freelistPush(s)
@@ -433,36 +443,34 @@ func (t *Thread) Reserve(size uint64) (pmem.PAddr, error) {
 // reserved resolves a small reservation to its block. A reservation pins
 // its slab's geometry (CanMorphTo requires Reserved == 0), so the index is
 // stable from Reserve to Publish or Unreserve. A slab Open left unbuilt
-// holds no reservation.
+// holds no reservation. Caller holds s's slab lock: lockSlabState, or in
+// LOG the owner arena's resource.
 func reserved(s *slab.Slab, addr pmem.PAddr) (int, bool) {
 	idx := s.BlockIndex(addr)
-	if idx < 0 {
-		return 0, false
-	}
-	s.Mu.Lock()
-	ok := s.Built() && s.BlockReserved(idx)
-	s.Mu.Unlock()
-	return idx, ok
+	return idx, idx >= 0 && s.Built() && s.BlockReserved(idx)
 }
 
 // Unreserve returns a reservation that was never published: back into the
-// thread's cache, or to its slab when the cache is full. It writes nothing
-// persistent.
+// thread's cache, or to its slab when the cache is full (or, in LOG, when
+// another arena owns the slab). It writes nothing persistent.
 func (t *Thread) Unreserve(addr pmem.PAddr) error {
 	if addr == pmem.Null {
 		return alloc.ErrBadAddress
 	}
 	t.ctx.Charge(pmem.CatOther, opBaseNS)
-	s := t.h.slabs.Lookup(addr &^ (slab.Size - 1))
+	h := t.h
+	s := h.slabs.Lookup(addr &^ (slab.Size - 1))
 	if s == nil {
-		return badAddr(t.h.large.Release(t.ctx, t.arena.index, addr, false))
+		return badAddr(h.large.Release(t.ctx, t.arena.index, addr, false))
 	}
+	h.lockSlabState(s)
 	idx, ok := reserved(s, addr)
+	h.unlockSlabState(s)
 	if !ok {
 		return alloc.ErrBadAddress
 	}
-	owner := t.h.arenas[s.Owner]
-	if tc := t.cache(s.Class); !tc.Full() {
+	owner := h.arenas[s.Owner]
+	if tc := t.cache(s.Class); !tc.Full() && (!h.useWAL || owner == t.arena) {
 		tc.Push(owner.tcacheStripe(s, idx), tcache.Block{Slab: s, Idx: idx})
 		return nil
 	}
@@ -516,19 +524,17 @@ func (t *Thread) Publish(slot, new, old pmem.PAddr) error {
 	}
 	newLarge, oldLarge := new != pmem.Null && ns == nil, old != pmem.Null && os == nil
 
-	var nb blockRef
-	if ns != nil {
-		idx, ok := reserved(ns, new)
-		if !ok {
-			return alloc.ErrBadAddress
-		}
-		nb = blockRef{ns, idx, ns.Class}
-	}
 	if !h.useWAL {
 		// Commit new, persist the slot, free old: three steps, as GC and
 		// IC allow.
 		if ns != nil {
-			h.arenas[ns.Owner].commit(c, commitAlloc, []blockRef{nb}, true, false)
+			h.lockSlabState(ns)
+			idx, ok := reserved(ns, new)
+			h.unlockSlabState(ns)
+			if !ok {
+				return alloc.ErrBadAddress
+			}
+			h.arenas[ns.Owner].commit(c, commitAlloc, []blockRef{{ns, idx, ns.Class}}, true, false)
 		} else if newLarge && h.large.Record(c, t.arena.index, new, false) != nil {
 			return alloc.ErrOutOfMemory
 		}
@@ -560,13 +566,22 @@ func (t *Thread) Publish(slot, new, old pmem.PAddr) error {
 		e.Aux2 = tagLarge << 8
 	}
 
+	// ring's resource is the slab lock of new's slab, which ring owns, and
+	// of old's unless remoteOld: both blocks are resolved under it, and old's
+	// geometry only changes there (morphInto, freeOld's demotion).
 	ring.res.Acquire(c)
-	// Resolve old under the resource: its slab's geometry only changes
-	// there (morphInto, freeOld's demotion).
+	var nb blockRef
+	if ns != nil {
+		idx, ok := reserved(ns, new)
+		if !ok {
+			ring.res.Release(c)
+			return alloc.ErrBadAddress
+		}
+		nb = blockRef{ns, idx, ns.Class}
+	}
 	var ob blockRef
 	oldIdx := -1 // old's index as a block_before of a morphed slab
 	if os != nil && !remoteOld {
-		os.Mu.Lock()
 		os.Build(c)
 		if i := os.OldBlockIndex(old); i >= 0 {
 			oldIdx = i
@@ -575,7 +590,6 @@ func (t *Thread) Publish(slot, new, old pmem.PAddr) error {
 			ob = blockRef{os, i, os.Class}
 			e.Aux2 |= uint16(os.Class + 1)
 		}
-		os.Mu.Unlock()
 		if oldIdx < 0 && ob.s == nil {
 			ring.res.Release(c)
 			return alloc.ErrBadAddress
@@ -603,7 +617,7 @@ func (t *Thread) Publish(slot, new, old pmem.PAddr) error {
 	c.Fence()
 
 	if ns != nil {
-		ring.commit(c, commitAlloc, []blockRef{nb}, true, true)
+		ring.commit(c, commitAlloc, []blockRef{nb}, false, true)
 	}
 	var err error
 	var release *slab.Slab
@@ -619,7 +633,7 @@ func (t *Thread) Publish(slot, new, old pmem.PAddr) error {
 			}
 		}
 		if tc != nil {
-			ring.commit(c, freeToCache, []blockRef{ob}, true, true)
+			ring.commit(c, freeToCache, []blockRef{ob}, false, true)
 			tc.Push(ring.tcacheStripe(os, ob.idx), tcache.Block{Slab: os, Idx: ob.idx})
 		} else if _, rel := ring.returnToSlab(c, os, ob.idx, fromPublish, nil); rel {
 			release = os

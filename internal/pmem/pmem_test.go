@@ -151,6 +151,33 @@ func TestSequentialVsRandomClassification(t *testing.T) {
 	}
 }
 
+// TestXPBufferMissesOnEverySequentialLine pins a known deviation of the
+// model (DESIGN.md §4): a flush picks its bank by line % banks, but an
+// XPLine is four lines, so the four lines of one XPLine land in four banks
+// and the write-combining buffer never combines neighbours. A sequential
+// 12-line stream pays the miss on every line, the three that share the
+// first line's XPLine included. Fixing it changes every sim_* column, so a
+// fix must change this test on purpose.
+func TestXPBufferMissesOnEverySequentialLine(t *testing.T) {
+	d := New(Config{Size: 1 << 20})
+	c := d.NewCtx()
+	base := PAddr(16 * XPLineSize)
+	for i := 0; i < 12; i++ {
+		start := c.Now
+		c.FlushU64(CatMeta, base+PAddr(i*LineSize))
+		want := int64(SeqFlushNS + XPMissNS) // 175
+		if i == 0 {
+			want = RandFlushNS + XPMissNS // 325
+		}
+		if got := c.Now - start; got != want {
+			t.Fatalf("line %d of a sequential stream costs %d virtual ns, want %d", i, got, want)
+		}
+	}
+	if c.Local().BankWaitNS != 0 {
+		t.Fatalf("a single writer waited %d ns on banks", c.Local().BankWaitNS)
+	}
+}
+
 func TestSequentialCheaperThanRandom(t *testing.T) {
 	run := func(stride int) int64 {
 		d := New(Config{Size: 1 << 22})

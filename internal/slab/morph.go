@@ -479,9 +479,9 @@ func (s *Slab) readIndexTable(stripes int) error {
 // and the allocated count from the persistent bitmap, read through one
 // view of the region and the shared bit-layout table, and charges c the
 // per-block part of recovery. It writes nothing persistent. On a slab
-// already built it does nothing. Caller holds Mu, or is recovery, which
-// runs before any thread exists; c may be nil for a reader outside every
-// thread's clock.
+// already built it does nothing. Caller holds the slab lock, or is
+// recovery, which runs before any thread exists; c may be nil for a reader
+// outside every thread's clock.
 func (s *Slab) Build(c *pmem.Ctx) {
 	if s.free == nil { // inlined: the hot paths call Build on every commit
 		s.build(c)

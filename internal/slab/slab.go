@@ -163,15 +163,18 @@ type Slab struct {
 	Reserved  int
 
 	// Mu serializes slab-internal state (counters, volatile bits,
-	// persistent bitmap read-modify-writes) across threads. Lock order:
-	// arena resource before slab Mu.
+	// persistent bitmap read-modify-writes) across threads in heaps whose
+	// free path writes a slab without its arena's lock (NVAlloc-GC and
+	// NVAlloc-IC). Lock order: arena resource before slab Mu. An
+	// NVAlloc-LOG heap never takes it: there the owner arena's resource
+	// alone is the slab lock.
 	Mu sync.Mutex
 
 	// geom is the atomically published snapshot of the slab's geometry.
 	// Each snapshot is immutable; morphing (and demotion back to a
-	// stable slab) installs a fresh pointer under Mu. Lock-free readers
-	// resolve block indices against a snapshot and revalidate pointer
-	// identity under Mu before acting on the index.
+	// stable slab) installs a fresh pointer under the slab lock. Lock-free
+	// readers resolve block indices against a snapshot and revalidate
+	// pointer identity under the slab lock before acting on the index.
 	geom atomic.Pointer[Geom]
 
 	dev        pmem.Mem
@@ -223,9 +226,9 @@ type Slab struct {
 
 // Geom is an immutable snapshot of a slab's geometry, published with an
 // atomic pointer so the free path can resolve a block index without
-// taking the slab lock. A slab's geometry only changes under Mu (morph
-// to a new class, or demotion of a slab_in back to a stable slab), and
-// every change installs a *new* Geom: pointer identity is the
+// taking the slab lock. A slab's geometry only changes under the slab
+// lock (morph to a new class, or demotion of a slab_in back to a stable
+// slab), and every change installs a *new* Geom: pointer identity is the
 // revalidation token. SlabIn snapshots route to the slow path because
 // old-class block membership cannot be decided geometrically (an
 // old-grid-aligned address may also start a valid new-class block).
@@ -258,7 +261,7 @@ func (g *Geom) BlockIndex(base, addr pmem.PAddr) int {
 func (g *Geom) Stripe(idx int) int { return int(g.lay.stripe[idx]) }
 
 // publishGeom snapshots the current geometry fields. Called while the
-// slab is still private (Format/Open) or with Mu held (morph,
+// slab is still private (Format/Open) or under the slab lock (morph,
 // demotion).
 func (s *Slab) publishGeom() {
 	s.geom.Store(&Geom{
