@@ -3,7 +3,6 @@ package core
 import (
 	"cmp"
 	"slices"
-	"sync"
 
 	"nvalloc/internal/pmem"
 	"nvalloc/internal/sizeclass"
@@ -14,9 +13,9 @@ import (
 
 // arena is one per-core allocation domain: per-class freelists of
 // partially full slabs, the LRU list of morph candidates, and the
-// arena's WAL. Its resource lock serializes all structural operations
-// and models the paper's arena synchronization in virtual time; in LOG it
-// is also the slab lock of every slab the arena owns (see lockSlab).
+// arena's WAL. Its resource lock serializes all structural operations,
+// models the paper's arena synchronization in virtual time, and is the
+// slab lock of every slab the arena owns.
 type arena struct {
 	h     *Heap
 	index int
@@ -47,9 +46,7 @@ type arena struct {
 	lruHead, lruTail *slab.Slab
 	// candidates holds slabs whose usage dropped below the SU threshold;
 	// morphInto validates and consumes them in O(1) instead of scanning
-	// the whole LRU list on every slab acquisition. candMu protects it
-	// because the GC variant's free path runs without the arena lock.
-	candMu     sync.Mutex
+	// the whole LRU list on every slab acquisition.
 	candidates []*slab.Slab
 
 	// depots[class] stacks full magazines of volatile-reserved blocks
@@ -182,45 +179,13 @@ func (a *arena) lruTouch(s *slab.Slab) {
 
 // ---- slab locks ----------------------------------------------------------
 
-// What guards a slab's volatile and bitmap state depends on the variant.
-// In LOG it is the owner arena's resource alone: every writer holds that
-// resource for the ring already. GC and IC write a slab on their free path
-// without the arena resource, so there slab.Mu guards it, taken inside the
-// resource by writers that hold one.
+// lockSlabState takes s's slab lock, its owner arena's resource, for a
+// reader that holds no arena resource: by Lock, so no virtual time and no
+// schedule point. Never call it under an arena resource: that may be the
+// very mutex it takes.
+func (h *Heap) lockSlabState(s *slab.Slab) { h.arenas[s.Owner].res.Lock() }
 
-// lockSlab takes what a caller holding s's owner arena resource still
-// needs to touch s: nothing in LOG, s.Mu in GC and IC.
-func (h *Heap) lockSlab(s *slab.Slab) {
-	if !h.useWAL {
-		s.Mu.Lock()
-	}
-}
-
-func (h *Heap) unlockSlab(s *slab.Slab) {
-	if !h.useWAL {
-		s.Mu.Unlock()
-	}
-}
-
-// lockSlabState takes what guards s for a caller that holds no arena
-// resource: in LOG the owner's resource, by Lock (no virtual time, no
-// schedule point), in GC and IC s.Mu. Never call it under an arena
-// resource: in LOG that may be the very mutex it takes.
-func (h *Heap) lockSlabState(s *slab.Slab) {
-	if h.useWAL {
-		h.arenas[s.Owner].res.Lock()
-		return
-	}
-	s.Mu.Lock()
-}
-
-func (h *Heap) unlockSlabState(s *slab.Slab) {
-	if h.useWAL {
-		h.arenas[s.Owner].res.Unlock()
-		return
-	}
-	s.Mu.Unlock()
-}
+func (h *Heap) unlockSlabState(s *slab.Slab) { h.arenas[s.Owner].res.Unlock() }
 
 // ---- slab acquisition ---------------------------------------------------
 
@@ -264,14 +229,12 @@ func (a *arena) fillLocked(c *pmem.Ctx, class int, tc *tcache.Cache, want int) i
 				break
 			}
 		}
-		a.h.lockSlab(s)
 		s.Build(c)
 		idxBuf = s.Reserve(want-got, idxBuf[:0])
 		full := s.FreeCount() == 0
 		for _, idx := range idxBuf {
 			tc.Push(a.tcacheStripe(s, idx), tcache.Block{Slab: s, Idx: idx})
 		}
-		a.h.unlockSlab(s)
 		got += len(idxBuf)
 		a.lruTouch(s)
 		if full {
@@ -327,26 +290,19 @@ type blockRef struct {
 // line: the slab's earlier entries are void (replayWALs); an undone morph
 // restores the old geometry, over which the surviving entries replay.
 //
-// The fence stays inside the caller's arena-resource section, which in
-// the LOG variant every caller holds (the ring and the dirty list are
-// guarded by it): a log therefore never has more than one commit in
-// flight, its at most one torn slot is the last one written, and that is
-// exactly the one invalid slot walog.Replay tolerates.
-//
-// The same resource is the slab lock of every block in ops in LOG, so a
-// LOG caller passes lockSlabs false. In GC and IC slab.Mu is: a caller
-// that revalidated a geometry snapshot holds it across the call (lockSlabs
-// false), and one that holds no lock has commit take each slab's Mu in
-// turn (lockSlabs true: mallocSmall and Publish). A free may also drop its
-// slab below the morph threshold; that is noted here, under the same
-// lock, in the order the bits clear. A free is also where a slab Open left
-// unbuilt is first touched without a refill (directly, through the
-// bypass, or in a remote-free drain): its bitmap is built here, under the
-// same lock, before its bit changes.
+// Every caller holds a's resource, which guards the ring and the dirty
+// list and is the slab lock of every block in ops. The fence stays inside
+// that section: a log therefore never has more than one commit in flight,
+// its at most one torn slot is the last one written, and that is exactly
+// the one invalid slot walog.Replay tolerates. A free may also drop its
+// slab below the morph threshold; that is noted here, in the order the
+// bits clear. A free is also where a slab Open left unbuilt is first
+// touched without a refill (directly, through the bypass, or in a
+// remote-free drain): its bitmap is built here, before its bit changes.
 //
 // covered is set by publish (LOG only), whose one OpPublish entry, already
 // flushed and fenced, stands for steps 1 and 3 of every block it names.
-func (a *arena) commit(c *pmem.Ctx, tr transition, ops []blockRef, lockSlabs, covered bool) {
+func (a *arena) commit(c *pmem.Ctx, tr transition, ops []blockRef, covered bool) {
 	h := a.h
 	if h.useWAL && !covered {
 		op := walog.OpFreeBit
@@ -359,9 +315,6 @@ func (a *arena) commit(c *pmem.Ctx, tr transition, ops []blockRef, lockSlabs, co
 	}
 	flushNow := h.persistSmall && !h.useWAL
 	for _, b := range ops {
-		if lockSlabs {
-			b.s.Mu.Lock()
-		}
 		b.s.Build(c)
 		if h.useWAL {
 			a.noteDirty(b.s, b.idx)
@@ -376,9 +329,6 @@ func (a *arena) commit(c *pmem.Ctx, tr transition, ops []blockRef, lockSlabs, co
 		}
 		if tr != commitAlloc && b.s.UsageBelowMille(h.suMille) {
 			a.noteCandidate(b.s)
-		}
-		if lockSlabs {
-			b.s.Mu.Unlock()
 		}
 	}
 	if h.persistSmall && !covered {
@@ -414,19 +364,17 @@ func (a *arena) writeBack(c *pmem.Ctx) bool {
 }
 
 // retire prepares a slab, already off every list, for release. It marks
-// the slab dead under its slab lock, so neither morphInto nor noteCandidate
-// picks it up once the resource is dropped for releaseSlab. In the LOG
-// variant, another arena may format the same base in the same class while
-// this ring still holds bit entries for it, and replay runs rings in arena
-// order, not time order, so those entries must not outlive the slab: its
-// dirty lines are flushed (the bitmap on media is then final) and an
-// OpRetire entry voids every earlier bit entry of this ring for the base.
-// Fenced here, inside the resource section, like every entry. Caller holds
-// the arena resource.
+// the slab dead, so neither morphInto nor noteCandidate picks it up once
+// the resource is dropped for releaseSlab. In the LOG variant, another
+// arena may format the same base in the same class while this ring still
+// holds bit entries for it, and replay runs rings in arena order, not
+// time order, so those entries must not outlive the slab: its dirty lines
+// are flushed (the bitmap on media is then final) and an OpRetire entry
+// voids every earlier bit entry of this ring for the base. Fenced here,
+// inside the resource section, like every entry. Caller holds the arena
+// resource.
 func (a *arena) retire(c *pmem.Ctx, s *slab.Slab) {
-	a.h.lockSlab(s)
 	s.Dead = true
-	a.h.unlockSlab(s)
 	if !a.h.useWAL {
 		return
 	}
@@ -435,11 +383,8 @@ func (a *arena) retire(c *pmem.Ctx, s *slab.Slab) {
 	c.Fence()
 }
 
-// fillAndCommit refills tc and, in the WAL variant, pops and commits the
-// first block under the same arena-resource acquisition — mallocSmall
-// would otherwise release the arena only to re-acquire it immediately for
-// the commit. The charge sequence is identical to fill-then-commit; only
-// the redundant handoff disappears. Returns the committed block's
+// fillAndCommit refills tc, then pops and commits the first block under
+// the same arena-resource acquisition. Returns the committed block's
 // address, or ok=false when the heap is exhausted.
 func (a *arena) fillAndCommit(c *pmem.Ctx, class int, tc *tcache.Cache, want int) (pmem.PAddr, bool) {
 	a.res.Acquire(c)
@@ -452,15 +397,15 @@ func (a *arena) fillAndCommit(c *pmem.Ctx, class int, tc *tcache.Cache, want int
 		return pmem.Null, false
 	}
 	s := b.Slab.(*slab.Slab)
-	// a's resource is s's slab lock because a owns s: a LOG thread's tcache
-	// and its arena's depots hold blocks of that arena's slabs only. Refills
+	// a's resource is s's slab lock because a owns s: a thread's tcache and
+	// its arena's depots hold blocks of that arena's slabs only. Refills
 	// take them from a's own freelists and depots, and a free or Unreserve
 	// of another arena's block returns it to its owner's slab, never to a
 	// cache (freeSmall, Unreserve).
 	if s.Owner != a.index {
 		panic("core: a tcache holds a block of another arena's slab")
 	}
-	a.commit(c, commitAlloc, []blockRef{{s, b.Idx, s.Class}}, false, false)
+	a.commit(c, commitAlloc, []blockRef{{s, b.Idx, s.Class}}, false)
 	return s.BlockAddr(b.Idx), true
 }
 
@@ -492,23 +437,14 @@ func (a *arena) acquireSlab(c *pmem.Ctx, class int) *slab.Slab {
 	return a.newSlab(c, class)
 }
 
-// noteCandidate queues a slab whose occupancy fell below the SU
-// threshold. Caller holds the slab lock; list membership is guarded by
-// candMu, because morphInto manipulates it without the slab lock. The
-// lock-free MorphCand pre-check keeps the steady state (slab already
-// queued, which is where every free of a below-threshold slab lands)
-// off candMu entirely; a stale true at worst skips one re-queue that
-// the next free retries.
+// noteCandidate queues a slab of a's whose occupancy fell below the SU
+// threshold. Caller holds the arena resource.
 func (a *arena) noteCandidate(s *slab.Slab) {
-	if !a.h.opts.Morphing || s.Dead || s.OldClass >= 0 || s.MorphCand.Load() {
+	if !a.h.opts.Morphing || s.Dead || s.OldClass >= 0 || s.MorphCand {
 		return
 	}
-	a.candMu.Lock()
-	if !s.MorphCand.Load() {
-		s.MorphCand.Store(true)
-		a.candidates = append(a.candidates, s)
-	}
-	a.candMu.Unlock()
+	s.MorphCand = true
+	a.candidates = append(a.candidates, s)
 }
 
 // morphInto consumes the candidate list — slabs whose usage dropped below
@@ -516,37 +452,24 @@ func (a *arena) noteCandidate(s *slab.Slab) {
 // into the requested class (the paper scans the LRU list; the candidate
 // list finds the same slabs without a per-acquisition O(n) walk). On
 // success the slab is re-labelled and moved to the class's freelist.
+// Caller holds the arena resource.
 func (a *arena) morphInto(c *pmem.Ctx, class int) *slab.Slab {
 	h := a.h
-	a.candMu.Lock()
-	cands := a.candidates
-	a.candidates = nil
-	// Clear the queued flags while still holding candMu: MorphCand means
-	// exactly "in the candidate list", and these slabs just left it. A
-	// concurrent noteCandidate may re-queue one of them before the merge
-	// below; the merge checks the flag again so the list never holds
-	// duplicates.
-	for _, s := range cands {
-		s.MorphCand.Store(false)
-	}
-	a.candMu.Unlock()
 	var keep []*slab.Slab
 	var winner *slab.Slab
-	for len(cands) > 0 && winner == nil {
-		s := cands[len(cands)-1]
-		cands = cands[:len(cands)-1]
+	for n := len(a.candidates); n > 0 && winner == nil; n = len(a.candidates) {
+		s := a.candidates[n-1]
+		a.candidates = a.candidates[:n-1]
+		s.MorphCand = false
 		c.Charge(pmem.CatSearch, 15)
-		if s.Dead || s.Owner != a.index {
+		if s.Dead {
 			continue
 		}
-		h.lockSlab(s)
 		if s.Class == class || !s.UsageBelowMille(h.suMille) || !s.CanMorphTo(class, h.lay.Bitmap) {
 			// Not usable for this class; keep it queued if it remains a
 			// plausible candidate for other classes.
-			requeue := s.OldClass < 0 && s.UsageBelowMille(h.suMille)
-			h.unlockSlab(s)
 			a.morphRefusals++
-			if requeue {
+			if s.OldClass < 0 && s.UsageBelowMille(h.suMille) {
 				keep = append(keep, s)
 			}
 			continue
@@ -562,7 +485,6 @@ func (a *arena) morphInto(c *pmem.Ctx, class int) *slab.Slab {
 		// slab to pre-morph geometry underneath live new-class blocks.
 		// Variants with persistSmall=false only defer bitmap persistence.
 		err := s.MorphTo(c, class, h.lay.Bitmap, true)
-		h.unlockSlab(s)
 		if err != nil {
 			a.freelistPush(s)
 			a.morphRefusals++
@@ -575,14 +497,10 @@ func (a *arena) morphInto(c *pmem.Ctx, class int) *slab.Slab {
 		a.morphs++
 		winner = s
 	}
-	a.candMu.Lock()
-	for _, s := range append(cands, keep...) {
-		if !s.MorphCand.Load() {
-			s.MorphCand.Store(true)
-			a.candidates = append(a.candidates, s)
-		}
+	for _, s := range keep {
+		s.MorphCand = true
 	}
-	a.candMu.Unlock()
+	a.candidates = append(a.candidates, keep...)
 	return winner
 }
 
@@ -653,9 +571,7 @@ func (a *arena) freeBypass(c *pmem.Ctx, s *slab.Slab, idx int, from origin, g *s
 // class left: it is off every list and retired, and the caller hands it to
 // releaseSlab once the resource is dropped.
 func (a *arena) returnToSlab(c *pmem.Ctx, s *slab.Slab, idx int, from origin, g *slab.Geom) (ok, release bool) {
-	a.h.lockSlab(s)
 	if g != nil && s.Geometry() != g {
-		a.h.unlockSlab(s)
 		return false, false
 	}
 	if from == fromCache {
@@ -664,11 +580,10 @@ func (a *arena) returnToSlab(c *pmem.Ctx, s *slab.Slab, idx int, from origin, g 
 			a.noteCandidate(s)
 		}
 	} else {
-		a.commit(c, freeToSlab, []blockRef{{s, idx, s.Class}}, false, from == fromPublish)
+		a.commit(c, freeToSlab, []blockRef{{s, idx, s.Class}}, from == fromPublish)
 	}
 	empty := s.Allocated == 0 && s.Reserved == 0
 	wasOff := !a.onFreelist(s)
-	a.h.unlockSlab(s)
 	if wasOff && !empty {
 		a.freelistPush(s)
 	}
@@ -696,12 +611,9 @@ func (a *arena) returnToSlab(c *pmem.Ctx, s *slab.Slab, idx int, from origin, g 
 // shutdown SyncBitmap requires reservations drained first, and after the
 // arena's last thread detaches every acknowledged free must read as free
 // (a depot block is a reservation, which BlockAllocated counts as live).
+// The magazines are detached under the arena lock, then each block goes
+// back through freeBypass.
 func (a *arena) drainDepots(c *pmem.Ctx) {
-	// Detach the magazines under the arena lock, then return each block
-	// through its owner's bypass path: depot blocks can sit in foreign
-	// slabs (the GC variant caches cross-arena frees), and freeBypass is
-	// the one place that does freelist/release maintenance correctly under
-	// the owner's resource.
 	a.res.Acquire(c)
 	var mags []*tcache.Magazine
 	for class := range a.depots {
@@ -712,8 +624,7 @@ func (a *arena) drainDepots(c *pmem.Ctx) {
 	for _, m := range mags {
 		for i := 0; i < m.N; i++ {
 			b := m.Blocks[i]
-			s := b.Slab.(*slab.Slab)
-			a.h.arenas[s.Owner].freeBypass(c, s, b.Idx, fromCache, nil)
+			a.freeBypass(c, b.Slab.(*slab.Slab), b.Idx, fromCache, nil)
 			m.Blocks[i] = tcache.Block{}
 		}
 		m.N = 0

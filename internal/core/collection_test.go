@@ -113,13 +113,16 @@ func TestICVariantCrashKeepsAllPersistedAllocations(t *testing.T) {
 		}
 	}
 	// The application resolves leaks by iterating and freeing.
-	th2 := h2.NewThread()
+	th2 := h2.NewThread().(*Thread)
 	defer th2.Close()
 	for p := range want {
 		if err := th2.Free(p); err != nil {
 			t.Fatalf("collection object %#x not freeable: %v", p, err)
 		}
 	}
+	// Open deals the slabs out over every arena: the frees of blocks
+	// another arena owns wait in th2's remote-free buffers until a drain.
+	th2.Flush()
 	if n := len(objectSet(h2)); n != 0 {
 		t.Fatalf("%d objects remain after freeing everything", n)
 	}

@@ -2,8 +2,10 @@
 // with per-class slab freelists and an LRU list of morph candidates,
 // per-thread tcaches, per-arena write-ahead logs, the global
 // large allocator with log-structured bookkeeping, slab morphing, and
-// the two consistency variants of the paper — NVAlloc-LOG (WAL-based)
-// and NVAlloc-GC (post-crash conservative garbage collection).
+// three consistency variants: the paper's NVAlloc-LOG (WAL-based) and
+// NVAlloc-GC (post-crash conservative garbage collection), and its
+// future-work NVAlloc-IC (internal collection). They differ in where small
+// metadata lives and when it is flushed, not in how a slab is locked.
 package core
 
 import (
@@ -552,10 +554,10 @@ func (h *Heap) Close() error {
 		// GC variant: bitmaps were never flushed at runtime; persist the
 		// volatile truth now so normal-shutdown recovery is cheap.
 		h.slabs.Range(func(_ pmem.PAddr, s *slab.Slab) bool {
-			s.Mu.Lock()
+			h.lockSlabState(s)
 			s.Build(c)
 			s.SyncBitmap(c)
-			s.Mu.Unlock()
+			h.unlockSlabState(s)
 			return true
 		})
 	}

@@ -100,8 +100,8 @@ func TestLastThreadCloseDrainsDepots(t *testing.T) {
 		}
 	}
 	h.slabs.Range(func(_ pmem.PAddr, s *slab.Slab) bool {
-		s.Mu.Lock()
-		defer s.Mu.Unlock()
+		h.lockSlabState(s)
+		defer h.unlockSlabState(s)
 		if s.Reserved != 0 {
 			t.Fatalf("slab %#x has %d reservations after last thread closed", s.Base, s.Reserved)
 		}

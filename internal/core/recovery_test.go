@@ -551,10 +551,11 @@ func TestFirstTouchChargesOnce(t *testing.T) {
 	}
 }
 
-// TestFirstTouchRace: two threads make the first touch of one unbuilt slab
-// at once, each freeing a block of it (NVAlloc-IC: no arena resource on
-// the free path, only the slab's Mu), while a reader probes it. The bitmap
-// is built once and both frees land. Run it under -race.
+// TestFirstTouchRace: two threads of the slab's owner arena make the first
+// touch of one unbuilt slab at once, each freeing a block of it into its
+// tcache (NVAlloc-IC; each free takes the owner's resource, the slab lock),
+// while a reader probes it. The bitmap is built once and both frees land.
+// Run it under -race.
 func TestFirstTouchRace(t *testing.T) {
 	dev := pmem.New(pmem.Config{Size: 32 << 20, Strict: true})
 	opts := DefaultOptions(IC)
@@ -584,8 +585,11 @@ func TestFirstTouchRace(t *testing.T) {
 		t.Fatal("slab built by a clean open")
 	}
 	var wg sync.WaitGroup
-	for i := 0; i < 2; i++ {
-		th := h.NewThread()
+	for i := 0; i < 2; {
+		th := h.NewThread().(*Thread)
+		if th.arena.index != s.Owner {
+			continue
+		}
 		wg.Add(1)
 		go func(p pmem.PAddr) {
 			defer wg.Done()
@@ -593,6 +597,7 @@ func TestFirstTouchRace(t *testing.T) {
 				t.Error(err)
 			}
 		}(blocks[i])
+		i++
 	}
 	wg.Add(1)
 	go func() {
@@ -602,8 +607,8 @@ func TestFirstTouchRace(t *testing.T) {
 		}
 	}()
 	wg.Wait()
-	s.Mu.Lock()
-	defer s.Mu.Unlock()
+	h.lockSlabState(s)
+	defer h.unlockSlabState(s)
 	if !s.Built() || s.Allocated != len(blocks)-2 || s.Reserved != 2 {
 		t.Fatalf("after two concurrent first frees: built %v, %d allocated, %d reserved; want %d and 2",
 			s.Built(), s.Allocated, s.Reserved, len(blocks)-2)

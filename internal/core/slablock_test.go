@@ -4,28 +4,32 @@ import (
 	"math/rand"
 	"sync"
 	"testing"
-	"time"
 
 	"nvalloc/internal/pmem"
-	"nvalloc/internal/sizeclass"
 	"nvalloc/internal/slab"
+	"nvalloc/internal/tcache"
 )
 
-// TestLOGSlabStateUnderArenaLock runs NVAlloc-LOG's small path from four
+// TestSlabStateUnderArenaLock runs each variant's small path from four
 // threads on two arenas — mallocs, frees handed to a thread of the other
 // arena, forced remote-free drains, publishes that replace and delete a
 // root slot, and reservations given back — while a reader walks every slab
-// through BlockAllocated, Objects, SlabUtilization and LayoutCensus. In
-// LOG the owner arena's resource is the only lock on a slab, so under the
-// race detector a reader that took slab.Mu instead would race with every
-// writer here.
-func TestLOGSlabStateUnderArenaLock(t *testing.T) {
+// through BlockAllocated, Objects, SlabUtilization and LayoutCensus. The
+// owner arena's resource is the only lock on a slab, so under the race
+// detector a writer or reader that skipped it would race with the rest.
+func TestSlabStateUnderArenaLock(t *testing.T) {
+	for _, v := range []Variant{LOG, GC, IC} {
+		t.Run(v.String(), func(t *testing.T) { slabStateUnderArenaLock(t, v) })
+	}
+}
+
+func slabStateUnderArenaLock(t *testing.T, v Variant) {
 	dev, err := pmem.NewDirect(pmem.DirectConfig{Size: 64 << 20})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer dev.Close()
-	opts := DefaultOptions(LOG)
+	opts := DefaultOptions(v)
 	opts.Arenas = 2
 	h, err := Create(dev, opts)
 	if err != nil {
@@ -139,131 +143,6 @@ func TestLOGSlabStateUnderArenaLock(t *testing.T) {
 	})
 }
 
-// TestLOGSmallPathTakesNoSlabMutex holds every slab's Mu and drives each
-// small-path operation against it: a tcache-hit malloc, a refill, a free
-// that evicts a magazine, a free that bypasses a full depot, a remote free
-// and its drain, a publish that allocates, replaces, deletes, or frees a
-// slab_in's old-class block, and an Unreserve. In NVAlloc-LOG each one
-// completes, because the owner arena's resource is the slab lock there. In
-// NVAlloc-GC and NVAlloc-IC, whose free path writes a slab without the
-// arena resource, slab.Mu is the slab lock, and each one waits for it.
-func TestLOGSmallPathTakesNoSlabMutex(t *testing.T) {
-	for _, v := range []Variant{LOG, GC, IC} {
-		t.Run(v.String(), func(t *testing.T) {
-			_, h := newHeap(t, v, func(o *Options) { o.Arenas = 2 })
-			a := h.NewThread().(*Thread) // arena 0
-			b := h.NewThread().(*Thread) // arena 1
-			defer a.Close()
-			defer b.Close()
-			check := func(err error) {
-				t.Helper()
-				if err != nil {
-					t.Fatal(err)
-				}
-			}
-			must := func(p pmem.PAddr, err error) pmem.PAddr {
-				t.Helper()
-				check(err)
-				return p
-			}
-
-			// step runs path with every slab's Mu held by the test.
-			step := func(name string, path func() error) {
-				t.Helper()
-				var held []*slab.Slab
-				h.slabs.Range(func(_ pmem.PAddr, s *slab.Slab) bool {
-					s.Mu.Lock()
-					held = append(held, s)
-					return true
-				})
-				release := func() {
-					for _, s := range held {
-						s.Mu.Unlock()
-					}
-				}
-				done := make(chan error, 1)
-				go func() { done <- path() }()
-				wait := 10 * time.Second
-				if v != LOG {
-					wait = 50 * time.Millisecond
-				}
-				select {
-				case err := <-done:
-					release()
-					if err != nil {
-						t.Fatalf("%s: %v", name, err)
-					}
-					if v != LOG {
-						t.Fatalf("%s completed while the test held every slab mutex; %v's small path takes them", name, v)
-					}
-				case <-time.After(wait):
-					release()
-					err := <-done
-					if v == LOG {
-						t.Fatalf("%s waited %v for a slab mutex", name, wait)
-					}
-					if err != nil {
-						t.Fatalf("%s: %v", name, err)
-					}
-				}
-			}
-
-			slot0, slot1 := h.RootSlot(0), h.RootSlot(1)
-			keep, _ := slabInAround(t, h, a, slot0)
-
-			class := sizeclass.Class(256)
-			tc := a.cache(class)
-			depot := func() int { return len(h.arenas[0].depots[class]) }
-			var allocs []pmem.PAddr
-			malloc := func() error {
-				p, err := a.Malloc(256)
-				allocs = append(allocs, p)
-				return err
-			}
-			pop := func() pmem.PAddr {
-				p := allocs[len(allocs)-1]
-				allocs = allocs[:len(allocs)-1]
-				return p
-			}
-
-			check(malloc()) // formats a slab, caches the rest of the refill
-			step("tcache-hit malloc", malloc)
-			for !tc.Empty() {
-				check(malloc())
-			}
-			step("refill", malloc)
-			for len(allocs) < 150 {
-				check(malloc())
-			}
-			for !tc.Full() {
-				check(a.Free(pop()))
-			}
-			step("free evicting a magazine", func() error { return a.Free(pop()) })
-			if depot() == 0 {
-				t.Fatal("setup: the eviction parked no magazine")
-			}
-			for depot() < depotMags || !tc.Full() {
-				check(a.Free(pop()))
-			}
-			step("free bypassing the full depot", func() error { return a.Free(pop()) })
-			step("remote free and drain", func() error {
-				err := b.Free(pop())
-				b.Flush()
-				return err
-			})
-
-			r1 := must(a.Reserve(256))
-			step("publish (allocate)", func() error { return a.Publish(slot1, r1, pmem.Null) })
-			r2 := must(a.Reserve(256))
-			step("publish (replace)", func() error { return a.Publish(slot1, r2, r1) })
-			step("publish (delete)", func() error { return a.Publish(slot1, pmem.Null, r2) })
-			step("publish (delete a slab_in's old-class block)", func() error { return a.Publish(slot0, pmem.Null, keep) })
-			r3 := must(a.Reserve(256))
-			step("unreserve", func() error { return a.Unreserve(r3) })
-		})
-	}
-}
-
 // slabInAround leaves a slab_in owned by th's arena whose one old-class
 // block, keep, is published under slot: it fills a slab of 1024-byte
 // blocks, empties it around keep through short-lived threads (whose Close
@@ -311,30 +190,140 @@ func slabInAround(t *testing.T, h *Heap, th *Thread, slot pmem.PAddr) (keep, fre
 // block of another arena's slab_in, then frees the slab's last old-class
 // block, which demotes the slab. The drain finds the buffered entry's
 // geometry gone and retries it unbuffered. The retry must return the block
-// to its owner's slab: in NVAlloc-LOG a thread's cache holds blocks of its
-// own arena only, because a refill commits what it pops under its own
-// arena's resource, which is the slab lock of that arena's slabs alone.
+// to its owner's slab: a thread's cache holds blocks of its own arena
+// only, because a refill commits what it pops under its own arena's
+// resource, which is the slab lock of that arena's slabs alone.
 func TestDrainRetryFreesForeignBlockToItsSlab(t *testing.T) {
-	_, h := newHeap(t, LOG, func(o *Options) { o.Arenas = 2 })
-	a := h.NewThread().(*Thread) // arena 0
-	b := h.NewThread().(*Thread) // arena 1
-	defer a.Close()
-	defer b.Close()
-	keep, fresh := slabInAround(t, h, a, h.RootSlot(0))
-	if err := b.Free(fresh); err != nil {
-		t.Fatal(err)
+	for _, v := range []Variant{LOG, GC, IC} {
+		t.Run(v.String(), func(t *testing.T) {
+			_, h := newHeap(t, v, func(o *Options) { o.Arenas = 2 })
+			a := h.NewThread().(*Thread) // arena 0
+			b := h.NewThread().(*Thread) // arena 1
+			defer a.Close()
+			defer b.Close()
+			keep, fresh := slabInAround(t, h, a, h.RootSlot(0))
+			if err := b.Free(fresh); err != nil {
+				t.Fatal(err)
+			}
+			if b.remote[0].Len() != 1 {
+				t.Fatal("setup: the cross-arena free was not buffered")
+			}
+			if err := b.FreeFrom(h.RootSlot(0)); err != nil {
+				t.Fatal(err)
+			}
+			if h.slabs.Lookup(keep &^ (slab.Size - 1)).IsSlabIn() {
+				t.Fatal("setup: freeing the last old-class block did not demote the slab")
+			}
+			b.Flush()
+			if h.BlockAllocated(fresh) {
+				t.Fatalf("block %#x of arena 0 is still held after the drain: the retry cached it in a thread of arena 1", fresh)
+			}
+		})
 	}
-	if b.remote[0].Len() != 1 {
-		t.Fatal("setup: the cross-arena free was not buffered")
+}
+
+// foreignCached counts the blocks th's tcaches and its arena's depots hold
+// of slabs another arena owns.
+func foreignCached(th *Thread) int {
+	n := 0
+	count := func(b tcache.Block) {
+		if b.Slab.(*slab.Slab).Owner != th.arena.index {
+			n++
+		}
 	}
-	if err := b.FreeFrom(h.RootSlot(0)); err != nil {
-		t.Fatal(err)
+	for _, tc := range th.caches {
+		if tc == nil {
+			continue
+		}
+		for _, b := range tc.Drain() {
+			count(b)
+			tc.Push(th.arena.tcacheStripe(b.Slab.(*slab.Slab), b.Idx), b)
+		}
 	}
-	if h.slabs.Lookup(keep &^ (slab.Size - 1)).IsSlabIn() {
-		t.Fatal("setup: freeing the last old-class block did not demote the slab")
+	for _, d := range th.arena.depots {
+		for _, m := range d {
+			for _, b := range m.Blocks[:m.N] {
+				count(b)
+			}
+		}
 	}
-	b.Flush()
-	if h.BlockAllocated(fresh) {
-		t.Fatalf("block %#x of arena 0 is still held after the drain: the retry cached it in a thread of arena 1", fresh)
+	return n
+}
+
+// TestForeignFreeNeverCached: in every variant a Free of another arena's
+// block goes to the remote-free buffer of its owner, never into the
+// freeing thread's tcache or its arena's depot. Then a Larson-style loop
+// of two threads on two arenas, which swap their live blocks every 250
+// steps so that half the frees are cross-arena, runs 10 000 steps with no
+// foreign block ever cached, and ends with every small block free.
+func TestForeignFreeNeverCached(t *testing.T) {
+	for _, v := range []Variant{LOG, GC, IC} {
+		t.Run(v.String(), func(t *testing.T) {
+			_, h := newHeap(t, v, func(o *Options) { o.Arenas = 2 })
+			a := h.NewThread().(*Thread) // arena 0
+			b := h.NewThread().(*Thread) // arena 1
+			var blocks []pmem.PAddr
+			for i := 0; i < 200; i++ {
+				p, err := a.Malloc(64)
+				if err != nil {
+					t.Fatal(err)
+				}
+				blocks = append(blocks, p)
+			}
+			for _, p := range blocks {
+				if err := b.Free(p); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if n := foreignCached(b); n != 0 {
+				t.Fatalf("%d of arena 0's blocks cached in arena 1 after cross-arena frees", n)
+			}
+			if b.remote[0].Len() == 0 {
+				t.Fatal("no cross-arena free was buffered")
+			}
+
+			const slots, steps, swapEvery = 64, 10000, 250
+			rng := rand.New(rand.NewSource(1))
+			threads := [2]*Thread{a, b}
+			var live [2][slots]pmem.PAddr
+			for step := 0; step < steps; step++ {
+				w := step % 2
+				th, i := threads[w], rng.Intn(slots)
+				if p := live[w][i]; p != pmem.Null {
+					if err := th.Free(p); err != nil {
+						t.Fatalf("step %d: free: %v", step, err)
+					}
+				}
+				p, err := th.Malloc(uint64(16 + rng.Intn(497)))
+				if err != nil {
+					t.Fatalf("step %d: malloc: %v", step, err)
+				}
+				live[w][i] = p
+				if step%swapEvery == swapEvery-1 {
+					live[0], live[1] = live[1], live[0]
+					for _, th := range threads {
+						if n := foreignCached(th); n != 0 {
+							t.Fatalf("step %d: arena %d caches %d blocks of the other arena", step, th.arena.index, n)
+						}
+					}
+				}
+			}
+			for w, th := range threads {
+				for _, p := range live[w] {
+					if p != pmem.Null {
+						if err := th.Free(p); err != nil {
+							t.Fatal(err)
+						}
+					}
+				}
+				th.Close()
+			}
+			h.Objects(func(o Object) bool {
+				if o.Slab {
+					t.Errorf("small block %#x still allocated after both threads freed all they held and closed", o.Addr)
+				}
+				return true
+			})
+		})
 	}
 }

@@ -19,9 +19,9 @@ type Thread struct {
 	arena  *arena
 	ctx    *pmem.Ctx
 	caches []*tcache.Cache
-	// remote holds one cross-arena free buffer per owner arena (LOG
-	// variant only): frees of blocks another arena owns accumulate here
-	// and drain in one owner-resource section (see drainRemote).
+	// remote holds one cross-arena free buffer per owner arena: frees of
+	// blocks another arena owns accumulate here and drain in one
+	// owner-resource section (see drainRemote).
 	remote []tcache.RemoteBuf
 	closed bool
 
@@ -110,33 +110,21 @@ func (t *Thread) Malloc(size uint64) (pmem.PAddr, error) {
 func (t *Thread) mallocSmall(class int) (pmem.PAddr, error) {
 	tc := t.cache(class)
 	if tc.Empty() {
-		if t.h.useWAL {
-			// The refill already holds the arena resource: batch the first
-			// block's WAL append + bitmap commit into the same acquisition.
-			if addr, ok := t.arena.fillAndCommit(t.ctx, class, tc, tc.Cap()); ok {
-				return addr, nil
-			}
-			return pmem.Null, alloc.ErrOutOfMemory
+		// The refill already holds the arena resource: the first block's
+		// commit goes into the same acquisition.
+		if addr, ok := t.arena.fillAndCommit(t.ctx, class, tc, tc.Cap()); ok {
+			return addr, nil
 		}
-		if t.arena.fill(t.ctx, class, tc, tc.Cap()) == 0 {
-			return pmem.Null, alloc.ErrOutOfMemory
-		}
-	}
-	b, ok := tc.Pop()
-	if !ok {
 		return pmem.Null, alloc.ErrOutOfMemory
 	}
+	b, _ := tc.Pop()
 	s := b.Slab.(*slab.Slab)
 	// Persist the allocation: a WAL entry (LOG) or the interleaved bitmap
-	// bit's line (IC); the GC variant commits in DRAM only.
-	a := t.h.arenas[s.Owner]
-	if t.h.useWAL {
-		a.res.Acquire(t.ctx)
-	}
-	a.commit(t.ctx, commitAlloc, []blockRef{{s, b.Idx, s.Class}}, !t.h.useWAL, false)
-	if t.h.useWAL {
-		a.res.Release(t.ctx)
-	}
+	// bit's line (IC); the GC variant commits in DRAM only. The tcache holds
+	// blocks of t's arena only (fillAndCommit).
+	t.arena.res.Acquire(t.ctx)
+	t.arena.commit(t.ctx, commitAlloc, []blockRef{{s, b.Idx, s.Class}}, false)
+	t.arena.res.Release(t.ctx)
 	return s.BlockAddr(b.Idx), nil
 }
 
@@ -174,12 +162,11 @@ func (t *Thread) Free(addr pmem.PAddr) error {
 // freeSmall returns a block to its slab through a single critical
 // section. Address-to-index resolution runs lock-free against the
 // slab's published geometry snapshot; pointer identity of the snapshot
-// is revalidated under the slab lock (in LOG the owner's resource, in GC
-// and IC s.Mu) before the index is applied, and the whole operation
-// retries on the rare concurrent morph. In the WAL variant a cross-arena
-// free is buffered instead (buffer=true) and applied later by
-// drainRemote; drain retries pass buffer=false to keep the retry path
-// acyclic, and return the block straight to its slab.
+// is revalidated under the slab lock (the owner's resource) before the
+// index is applied, and the whole operation retries on the rare
+// concurrent morph. A cross-arena free is buffered instead (buffer=true)
+// and applied later by drainRemote; drain retries pass buffer=false to
+// keep the retry path acyclic, and return the block straight to its slab.
 func (t *Thread) freeSmall(s *slab.Slab, addr pmem.PAddr, buffer bool) error {
 	h := t.h
 	owner := h.arenas[s.Owner]
@@ -205,14 +192,14 @@ func (t *Thread) freeSmall(s *slab.Slab, addr pmem.PAddr, buffer bool) error {
 			return alloc.ErrBadAddress
 		}
 		bypass := false
-		if h.useWAL && s.Owner != t.arena.index {
+		if s.Owner != t.arena.index {
 			if buffer {
 				// Cross-arena free: buffer it for a batched drain instead of
 				// taking the owner's resource (and paying two fences) per free.
 				t.bufferRemoteFree(s, g, addr, idx)
 				return nil
 			}
-			// A LOG thread caches blocks of its own arena only (see
+			// A thread caches blocks of its own arena only (see
 			// fillAndCommit).
 			bypass = true
 		}
@@ -226,20 +213,12 @@ func (t *Thread) freeSmall(s *slab.Slab, addr pmem.PAddr, buffer bool) error {
 			return nil
 		}
 		// Persist the free, then cache the block in this thread's tcache.
-		if h.useWAL {
-			owner.res.Acquire(t.ctx)
-		} else {
-			s.Mu.Lock()
-		}
+		owner.res.Acquire(t.ctx)
 		same := s.Geometry() == g
 		if same {
-			owner.commit(t.ctx, freeToCache, []blockRef{{s, idx, g.Class}}, false, false)
+			owner.commit(t.ctx, freeToCache, []blockRef{{s, idx, g.Class}}, false)
 		}
-		if h.useWAL {
-			owner.res.Release(t.ctx)
-		} else {
-			s.Mu.Unlock()
-		}
+		owner.res.Release(t.ctx)
 		if !same {
 			continue
 		}
@@ -292,14 +271,12 @@ func (t *Thread) freeOld(owner *arena, s *slab.Slab, oldIdx int) error {
 
 // freeOldLocked is freeOld's body; caller holds the owner's resource.
 func (t *Thread) freeOldLocked(owner *arena, s *slab.Slab, oldIdx int) error {
-	t.h.lockSlab(s)
 	s.Build(t.ctx)
 	done, err := s.FreeOldBlock(t.ctx, oldIdx, t.h.persistSmall)
 	if err == nil && s.UsageBelowMille(t.h.suMille) {
 		owner.noteCandidate(s)
 	}
 	hasFree := err == nil && s.FreeCount() > 0
-	t.h.unlockSlab(s)
 	if err != nil {
 		return err
 	}
@@ -315,10 +292,10 @@ func (t *Thread) freeOldLocked(owner *arena, s *slab.Slab, oldIdx int) error {
 
 // bufferRemoteFree queues a cross-arena free for its owner arena,
 // draining the buffer when it reaches remoteBatch. The free is
-// acknowledged immediately; until the drain persists its WAL entry a
-// crash leaks the block (the block stays allocated on media, exactly as
-// if the free had never been called), while a clean Close — and any
-// explicit Flush — always drains. Callers that need the stronger
+// acknowledged immediately; until the drain commits it a crash leaks the
+// block (the block stays allocated on media, exactly as if the free had
+// never been called), while a clean Close — and any explicit Flush —
+// always drains. Callers that need the stronger
 // "freed-before-crash" guarantee use FreeFrom, which logs the free in the
 // owner's ring itself and never comes here. A publish whose old block
 // another arena owns does: that block is freed when the buffer drains.
@@ -363,9 +340,8 @@ func (t *Thread) drainRemote(ai int) {
 		}
 		return
 	}
-	// The owner's resource is the slab lock of every slab in the group
-	// (remote frees exist in LOG only).
-	owner.commit(t.ctx, freeToSlab, apply, false, false)
+	// The owner's resource is the slab lock of every slab in the group.
+	owner.commit(t.ctx, freeToSlab, apply, false)
 	slabs := t.drainSlabs[:0]
 	for _, b := range apply {
 		if !slices.Contains(slabs, b.s) {
@@ -443,16 +419,16 @@ func (t *Thread) Reserve(size uint64) (pmem.PAddr, error) {
 // reserved resolves a small reservation to its block. A reservation pins
 // its slab's geometry (CanMorphTo requires Reserved == 0), so the index is
 // stable from Reserve to Publish or Unreserve. A slab Open left unbuilt
-// holds no reservation. Caller holds s's slab lock: lockSlabState, or in
-// LOG the owner arena's resource.
+// holds no reservation. Caller holds s's slab lock: lockSlabState, or the
+// owner arena's resource.
 func reserved(s *slab.Slab, addr pmem.PAddr) (int, bool) {
 	idx := s.BlockIndex(addr)
 	return idx, idx >= 0 && s.Built() && s.BlockReserved(idx)
 }
 
 // Unreserve returns a reservation that was never published: back into the
-// thread's cache, or to its slab when the cache is full (or, in LOG, when
-// another arena owns the slab). It writes nothing persistent.
+// thread's cache, or to its slab when the cache is full or another arena
+// owns the slab. It writes nothing persistent.
 func (t *Thread) Unreserve(addr pmem.PAddr) error {
 	if addr == pmem.Null {
 		return alloc.ErrBadAddress
@@ -470,7 +446,7 @@ func (t *Thread) Unreserve(addr pmem.PAddr) error {
 		return alloc.ErrBadAddress
 	}
 	owner := h.arenas[s.Owner]
-	if tc := t.cache(s.Class); !tc.Full() && (!h.useWAL || owner == t.arena) {
+	if tc := t.cache(s.Class); !tc.Full() && owner == t.arena {
 		tc.Push(owner.tcacheStripe(s, idx), tcache.Block{Slab: s, Idx: idx})
 		return nil
 	}
@@ -528,13 +504,16 @@ func (t *Thread) Publish(slot, new, old pmem.PAddr) error {
 		// Commit new, persist the slot, free old: three steps, as GC and
 		// IC allow.
 		if ns != nil {
-			h.lockSlabState(ns)
+			a := h.arenas[ns.Owner]
+			a.res.Acquire(c)
 			idx, ok := reserved(ns, new)
-			h.unlockSlabState(ns)
+			if ok {
+				a.commit(c, commitAlloc, []blockRef{{ns, idx, ns.Class}}, false)
+			}
+			a.res.Release(c)
 			if !ok {
 				return alloc.ErrBadAddress
 			}
-			h.arenas[ns.Owner].commit(c, commitAlloc, []blockRef{{ns, idx, ns.Class}}, true, false)
 		} else if newLarge && h.large.Record(c, t.arena.index, new, false) != nil {
 			return alloc.ErrOutOfMemory
 		}
@@ -617,7 +596,7 @@ func (t *Thread) Publish(slot, new, old pmem.PAddr) error {
 	c.Fence()
 
 	if ns != nil {
-		ring.commit(c, commitAlloc, []blockRef{nb}, false, true)
+		ring.commit(c, commitAlloc, []blockRef{nb}, true)
 	}
 	var err error
 	var release *slab.Slab
@@ -633,7 +612,7 @@ func (t *Thread) Publish(slot, new, old pmem.PAddr) error {
 			}
 		}
 		if tc != nil {
-			ring.commit(c, freeToCache, []blockRef{ob}, false, true)
+			ring.commit(c, freeToCache, []blockRef{ob}, true)
 			tc.Push(ring.tcacheStripe(os, ob.idx), tcache.Block{Slab: os, Idx: ob.idx})
 		} else if _, rel := ring.returnToSlab(c, os, ob.idx, fromPublish, nil); rel {
 			release = os
@@ -698,8 +677,7 @@ func (t *Thread) Close() {
 			continue
 		}
 		for _, b := range tc.Drain() {
-			s := b.Slab.(*slab.Slab)
-			t.h.arenas[s.Owner].freeBypass(t.ctx, s, b.Idx, fromCache, nil)
+			t.arena.freeBypass(t.ctx, b.Slab.(*slab.Slab), b.Idx, fromCache, nil)
 		}
 	}
 	t.h.threadsMu.Lock()

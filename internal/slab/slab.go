@@ -162,13 +162,8 @@ type Slab struct {
 	Allocated int
 	Reserved  int
 
-	// Mu serializes slab-internal state (counters, volatile bits,
-	// persistent bitmap read-modify-writes) across threads in heaps whose
-	// free path writes a slab without its arena's lock (NVAlloc-GC and
-	// NVAlloc-IC). Lock order: arena resource before slab Mu. An
-	// NVAlloc-LOG heap never takes it: there the owner arena's resource
-	// alone is the slab lock.
-	Mu sync.Mutex
+	// A slab has no mutex of its own: "the slab lock" below is the lock its
+	// owner serializes it with (in core, the owning arena's resource).
 
 	// geom is the atomically published snapshot of the slab's geometry.
 	// Each snapshot is immutable; morphing (and demotion back to a
@@ -217,11 +212,11 @@ type Slab struct {
 	cntBlock   []uint16    // per new block: old blocks occupying it
 
 	// Intrusive links managed by the owning arena.
-	LRUPrev, LRUNext   *Slab       // arena LRU list (morph candidates)
-	FreePrev, FreeNext *Slab       // per-class freelist of partially full slabs
-	Owner              int         // arena index owning this slab
-	MorphCand          atomic.Bool // queued in the arena's morph-candidate list
-	Dead               bool        // released back to the large allocator
+	LRUPrev, LRUNext   *Slab // arena LRU list (morph candidates)
+	FreePrev, FreeNext *Slab // per-class freelist of partially full slabs
+	Owner              int   // arena index owning this slab
+	MorphCand          bool  // queued in the arena's morph-candidate list
+	Dead               bool  // released back to the large allocator
 }
 
 // Geom is an immutable snapshot of a slab's geometry, published with an
