@@ -332,13 +332,3 @@ func (s *bslab) syncShutdownMeta(h *Heap) {
 		}
 	}
 }
-
-// ArenaLoads returns each arena resource's accumulated virtual load in
-// microseconds (diagnostics).
-func (h *Heap) ArenaLoads() []int64 {
-	out := make([]int64, len(h.arenas))
-	for i, a := range h.arenas {
-		out[i] = a.res.Load() / 1000
-	}
-	return out
-}

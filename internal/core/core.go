@@ -591,16 +591,6 @@ func (h *Heap) Close() error {
 	return nil
 }
 
-// ArenaLoads returns each arena resource's accumulated virtual load in
-// microseconds (diagnostics).
-func (h *Heap) ArenaLoads() []int64 {
-	out := make([]int64, len(h.arenas))
-	for i, a := range h.arenas {
-		out[i] = a.res.Load() / 1000
-	}
-	return out
-}
-
 // ResourceLoad is one lock's contention record: total virtual time spent
 // inside its critical sections (LoadNS), total virtual time threads spent
 // waiting for it (WaitNS), and how many times it was acquired.

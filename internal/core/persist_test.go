@@ -336,7 +336,7 @@ func TestReplayWritesEachLineOnce(t *testing.T) {
 	}
 	bitmap := map[uint64]int{}
 	walFlushes := 0
-	for _, fd := range dev.JournalSnapshot()[start-dev.JournalBase():] {
+	for _, fd := range dev.JournalSnapshot()[start:] {
 		addr := pmem.PAddr(fd.Line * pmem.LineSize)
 		switch {
 		case addr >= regions.wal.Start && addr < regions.wal.End:

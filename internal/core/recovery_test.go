@@ -278,7 +278,7 @@ func TestOpenCompactsOnlyOverThreshold(t *testing.T) {
 			t.Fatal(err)
 		}
 		flushes, extents := 0, 0
-		for _, fd := range dev.JournalSnapshot()[start-dev.JournalBase():] {
+		for _, fd := range dev.JournalSnapshot()[start:] {
 			if a := pmem.PAddr(fd.Line * pmem.LineSize); fd.Cat == pmem.CatMeta && a >= blog.Start && a < blog.End {
 				flushes++
 			}

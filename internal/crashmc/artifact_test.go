@@ -7,8 +7,8 @@ import (
 	"testing"
 )
 
-// checkReport asserts a report — one sweep's, or a concurrent family's
-// enumeration — passed; on violation it writes a reproduction artifact
+// checkReport asserts a report — one sweep's, or a raced family's sweeps
+// of every schedule — passed; on violation it writes a reproduction artifact
 // (target, trace, seed, and per violation the kind of cut, schedule key
 // and boundary provenance) and fails with the artifact path, so a CI log
 // line is enough to replay the exact crash image locally.

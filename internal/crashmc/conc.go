@@ -1,6 +1,6 @@
 package crashmc
 
-// The concurrent trace families: small two-thread traces aimed at the
+// The raced trace families: small two-thread traces aimed at the
 // allocator's genuinely concurrent persistence machinery, where the
 // ordering decisions live outside any lock — sharded bookkeeping-log
 // appends racing that shard's inline GC, batched remote-free drains
@@ -17,31 +17,28 @@ package crashmc
 // frees of pre-allocated extents drop tombstones into the same shards,
 // triggering the shard's inline incremental GC under the smoke targets'
 // low threshold. Conflicts: shard resources and blog-entry lines.
-func ConcShardGC(seed uint64) ConcTrace {
+func ConcShardGC(seed uint64) Trace {
 	rng := splitmix64(seed)
 	big := func() uint64 { return (64 + rng.next()%64) << 10 }
 	// One fixed small size class per family: the slabs are created during
-	// setup (below), so scheduled small churn is pure arena-private
+	// the prologue (below), so scheduled small churn is pure arena-private
 	// tcache/bitmap traffic — the independent pairs DPOR should prune.
 	small := func() Op { return Op{Kind: OpMalloc, Size: 96} }
-	ct := ConcTrace{Name: "shard-append-gc"}
-	// Setup: published extents for the raced FreeFroms, plus anonymous
+	tr := Trace{Name: "shard-append-gc"}
+	// Prologue: published extents for the raced FreeFroms, plus anonymous
 	// extents thread 1 will free (tombstone + GC traffic).
 	for s := 0; s < 4; s++ {
-		ct.Setup = append(ct.Setup, Op{Kind: OpMallocTo, Slot: s, Size: big()})
+		tr.add(Op{Kind: OpMallocTo, Slot: s, Size: big()})
 	}
 	var anon []int
 	for i := 0; i < 5; i++ {
-		ct.Setup = append(ct.Setup, Op{Kind: OpMalloc, Size: big()})
-		anon = append(anon, len(ct.Setup)-1)
+		anon = append(anon, tr.add(Op{Kind: OpMalloc, Size: big()}))
 	}
 	// Warm both threads' small class so slab creation (a bookkeeping
 	// record, hence a conflict) happens before the scheduled phase.
-	ct.Setup = append(ct.Setup,
-		Op{Kind: OpMalloc, Size: 96},
-		Op{Kind: OpMalloc, Thread: 1, Size: 96},
-	)
-	ct.Threads = [][]Op{
+	tr.add(Op{Kind: OpMalloc, Size: 96})
+	tr.add(Op{Kind: OpMalloc, Thread: 1, Size: 96})
+	tr.Raced = [][]Op{
 		{ // t0: append stream — publishes and unpublishes of fresh
 			// extents — padded with arena-private slab churn.
 			{Kind: OpMallocTo, Slot: 10, Size: big()},
@@ -68,7 +65,7 @@ func ConcShardGC(seed uint64) ConcTrace {
 			{Kind: OpFreeFrom, Slot: 1},
 		},
 	}
-	return ct
+	return tr
 }
 
 // ConcRemoteFree is the remote-free×owner-alloc family: thread 1 frees
@@ -77,25 +74,18 @@ func ConcShardGC(seed uint64) ConcTrace {
 // allocating from the same size class. Conflicts: the drain's WAL/bin
 // traffic against the owner's allocation path. The buffered frees
 // themselves are footprint-free, so DPOR prunes every pair they are in.
-func ConcRemoteFree(seed uint64) ConcTrace {
+func ConcRemoteFree(seed uint64) Trace {
 	rng := splitmix64(seed)
-	ct := ConcTrace{Name: "remote-free-drain"}
-	var owned []int
-	for i := 0; i < 8; i++ {
-		ct.Setup = append(ct.Setup, Op{Kind: OpMalloc, Size: 256})
-		owned = append(owned, len(ct.Setup)-1)
-	}
-	// A shard-pool extent (leased to the setup thread's arena): thread
+	tr := Trace{Name: "remote-free-drain"}
+	owned := tr.mallocs(0, 8, 256)
+	// A shard-pool extent (leased to the prologue thread's arena): thread
 	// 1's drain hands it back to the owner's pool while thread 0 is
 	// carving from the same pool — the remote-free×owner-alloc race at
 	// the extent layer, and the conflict that persists even where small
 	// frees never touch media (the GC variant's volatile bitmaps).
-	ct.Setup = append(ct.Setup, Op{Kind: OpMalloc, Size: 48 << 10})
-	ext := len(ct.Setup) - 1
-	ct.Setup = append(ct.Setup,
-		Op{Kind: OpMallocTo, Slot: 0, Size: 256 + rng.next()%256},
-		Op{Kind: OpMallocTo, Slot: 1, Size: 256 + rng.next()%256},
-	)
+	ext := tr.add(Op{Kind: OpMalloc, Size: 48 << 10})
+	tr.add(Op{Kind: OpMallocTo, Slot: 0, Size: 256 + rng.next()%256})
+	tr.add(Op{Kind: OpMallocTo, Slot: 1, Size: 256 + rng.next()%256})
 	t1 := []Op{}
 	for _, r := range owned {
 		t1 = append(t1, Op{Kind: OpFree, Thread: -1, Ref: r})
@@ -105,7 +95,7 @@ func ConcRemoteFree(seed uint64) ConcTrace {
 		Op{Kind: OpFree, Thread: -1, Ref: ext},
 		Op{Kind: OpMalloc, Size: 512},
 	)
-	ct.Threads = [][]Op{
+	tr.Raced = [][]Op{
 		{ // t0: owner keeps allocating the drained size class, with a
 			// late shard-pool carve racing thread 1's extent return.
 			{Kind: OpMalloc, Size: 256},
@@ -120,7 +110,7 @@ func ConcRemoteFree(seed uint64) ConcTrace {
 		},
 		t1,
 	}
-	return ct
+	return tr
 }
 
 // ConcExtentRefill is the extent-refill×free family: thread 0's large
@@ -128,14 +118,14 @@ func ConcRemoteFree(seed uint64) ConcTrace {
 // extent state while thread 1 frees previously published extents back
 // into it. Conflicts: global extent metadata and bookkeeping entries;
 // the small-slab churn on both sides stays arena-private and prunes.
-func ConcExtentRefill(seed uint64) ConcTrace {
+func ConcExtentRefill(seed uint64) Trace {
 	rng := splitmix64(seed)
 	big := func() uint64 { return (96 + rng.next()%64) << 10 }
-	ct := ConcTrace{Name: "extent-refill-free"}
+	tr := Trace{Name: "extent-refill-free"}
 	for s := 0; s < 6; s++ {
-		ct.Setup = append(ct.Setup, Op{Kind: OpMallocTo, Slot: s, Size: big()})
+		tr.add(Op{Kind: OpMallocTo, Slot: s, Size: big()})
 	}
-	ct.Threads = [][]Op{
+	tr.Raced = [][]Op{
 		{ // t0: refill pressure — fresh large extents.
 			{Kind: OpMallocTo, Slot: 10, Size: big()},
 			{Kind: OpMalloc, Size: 64 + rng.next()%256},
@@ -154,13 +144,13 @@ func ConcExtentRefill(seed uint64) ConcTrace {
 			{Kind: OpFreeFrom, Slot: 4},
 		},
 	}
-	return ct
+	return tr
 }
 
-// ConcFamilies returns the three conflicting-pair trace families the
-// concurrent checker explores, seeded deterministically.
-func ConcFamilies(seed uint64) []ConcTrace {
-	return []ConcTrace{
+// racedTraces returns the three raced traces of the family table, seeded
+// deterministically.
+func racedTraces(seed uint64) []Trace {
+	return []Trace{
 		ConcShardGC(seed),
 		ConcRemoteFree(seed ^ 0x9E3779B97F4A7C15),
 		ConcExtentRefill(seed ^ 0xA24BAED4963EE407),

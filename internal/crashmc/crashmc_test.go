@@ -67,20 +67,20 @@ func TestJournalMatchesCrashImages(t *testing.T) {
 
 // TestRecordersShareTheExecutor pins the two ways the scheduled recorder's
 // private copy of the op switch had drifted from Record's: a publish in a
-// concurrent trace must really publish — the slot word holds the block the
+// raced trace must really publish — the slot word holds the block the
 // op reserved — and a kind the executor does not know is an error from
 // both recorders, not a silent no-op.
 func TestRecordersShareTheExecutor(t *testing.T) {
 	tg := targetByName(t, "NVAlloc-LOG")
-	ct := ConcTrace{
-		Name:  "conc-publish",
-		Setup: []Op{{Kind: OpMallocTo, Slot: 0, Size: 64}},
-		Threads: [][]Op{
+	tr := Trace{
+		Name: "raced-publish",
+		Ops:  []Op{{Kind: OpMallocTo, Slot: 0, Size: 64}},
+		Raced: [][]Op{
 			{{Kind: OpPublish, Slot: 0, Size: 192}, {Kind: OpPublish, Slot: 2, Size: 64}},
 			{{Kind: OpPublish, Slot: 1, Size: 48 << 10}, {Kind: OpMalloc, Size: 64}},
 		},
 	}
-	cr, err := ConcRecord(tg, ct, Schedule{}, RecordOptions{})
+	cr, err := ConcRecord(tg, tr, Schedule{}, RecordOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,12 +110,12 @@ func TestRecordersShareTheExecutor(t *testing.T) {
 	if _, err := Record(tg, Trace{Name: "bogus", Threads: 1, Ops: []Op{bogus}}, RecordOptions{}); err == nil {
 		t.Error("Record ran a trace with an unknown op kind")
 	}
-	for _, ct := range []ConcTrace{
-		{Name: "bogus-setup", Setup: []Op{bogus}, Threads: [][]Op{{}, {}}},
-		{Name: "bogus-thread", Threads: [][]Op{{{Kind: OpMalloc, Size: 64}}, {bogus}}},
+	for _, tr := range []Trace{
+		{Name: "bogus-prologue", Ops: []Op{bogus}, Raced: [][]Op{{}, {}}},
+		{Name: "bogus-thread", Raced: [][]Op{{{Kind: OpMalloc, Size: 64}}, {bogus}}},
 	} {
-		if _, err := ConcRecord(tg, ct, Schedule{}, RecordOptions{}); err == nil {
-			t.Errorf("ConcRecord ran %s, a trace with an unknown op kind", ct.Name)
+		if _, err := ConcRecord(tg, tr, Schedule{}, RecordOptions{}); err == nil {
+			t.Errorf("ConcRecord ran %s, a trace with an unknown op kind", tr.Name)
 		}
 	}
 }

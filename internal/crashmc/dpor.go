@@ -19,24 +19,7 @@ package crashmc
 import (
 	"fmt"
 	"sort"
-	"strings"
 )
-
-// ConcOptions parameterizes EnumerateConc.
-type ConcOptions struct {
-	// MaxSchedules caps the executed variant schedules (<= 0: no cap).
-	// ConcReport counts the planned ones, so a capped run still says how
-	// many it left out.
-	MaxSchedules int
-	// Torn adds torn-line variants at every verified boundary.
-	Torn     bool
-	TornSeed uint64
-	// MaxBoundaries samples the baseline sweep down to at most this many
-	// boundaries (<= 0: enumerate every one). Conflict detection and the
-	// pruning accounting read the recording, not the sweep, so sampling
-	// the baseline never changes which schedules run.
-	MaxBoundaries int
-}
 
 const (
 	// pairGap is how close (in completion order) two cross-thread ops must
@@ -55,57 +38,17 @@ const (
 // site names one scheduled op: thread t, op index j.
 type site struct{ t, j int }
 
-// conflictPair is one candidate reorder that the footprints proved
-// dependent, with the schedules generated for it.
-type conflictPair struct {
-	a, b      site
-	schedules []Schedule
+// variant is one schedule the reduction plans: a preempt that forces the
+// conflicting cross-thread pair (a, b) into the reversed order.
+type variant struct {
+	a, b  site
+	sched Schedule
 }
 
-// ConcReport aggregates one family's enumeration: the baseline full
-// sweep plus every conflict-forced variant schedule.
-type ConcReport struct {
-	// Report merges the baseline sweep and every variant's: Explored and
-	// TornExplored count the clean and torn images verified across all of
-	// them. For variant schedules the phase strings of Paths join the
-	// in-flight set, so conflict-pair interleavings show up as distinct
-	// "kind+kind@class" paths.
-	Report
-	// Candidates is the naive reorder set (cross-thread op pairs within
-	// pairGap); Conflicts is how many survived the footprint test.
-	Candidates int
-	Conflicts  int
-	// NaiveSchedules is what a reduction-free enumerator would run
-	// (Candidates x preemptsPerPair); PlannedSchedules is the post-DPOR
-	// plan; SchedulesRun is what actually executed (budget-capped).
-	NaiveSchedules   int
-	PlannedSchedules int
-	SchedulesRun     int
-}
-
-// Pruning is the fraction of the naive schedule space DPOR discarded
-// before budgeting: 1 - Planned/Naive.
-func (r *ConcReport) Pruning() float64 {
-	if r.NaiveSchedules == 0 {
-		return 0
-	}
-	return 1 - float64(r.PlannedSchedules)/float64(r.NaiveSchedules)
-}
-
-func (r *ConcReport) String() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "%s/%s: %d candidates -> %d conflicts, %d/%d schedules (naive %d, pruned %.0f%%), %d boundaries, %d torn, %d violations",
-		r.Target, r.Trace, r.Candidates, r.Conflicts, r.SchedulesRun, r.PlannedSchedules,
-		r.NaiveSchedules, 100*r.Pruning(), r.Explored, r.TornExplored, r.ViolationCount)
-	for _, v := range r.Violations {
-		fmt.Fprintf(&b, "\n  %s", v)
-	}
-	return b.String()
-}
-
-// conflicts computes the candidate and conflicting cross-thread pairs of
-// a baseline recording, and builds each conflict's preempt schedules.
-func conflicts(base *ConcRecording) (cands int, pairs []conflictPair) {
+// conflicts computes, for a round-robin recording, the candidate
+// cross-thread pairs, how many of them conflict, and the variant schedules
+// planned for those: each conflict's preempts.
+func conflicts(base *ConcRecording) (cands, pairs int, plan []variant) {
 	// Completion order over scheduled ops only.
 	type done struct {
 		s   site
@@ -137,16 +80,15 @@ func conflicts(base *ConcRecording) (cands int, pairs []conflictPair) {
 			}
 			// Force B's completion inside A: preempt A's thread at a
 			// switchable yield within A, run B's thread through op B.
-			cp := conflictPair{a: a, b: b}
+			pairs++
 			for _, at := range sample(base.Meta[a.t][a.j].SwitchSteps, preemptsPerPair) {
-				cp.schedules = append(cp.schedules, Schedule{
+				plan = append(plan, variant{a: a, b: b, sched: Schedule{
 					Preempt: &Preempt{At: at, To: b.t, UntilOp: b.j},
-				})
+				}})
 			}
-			pairs = append(pairs, cp)
 		}
 	}
-	return cands, pairs
+	return cands, pairs, plan
 }
 
 // dependent reports whether a and b conflict: their journaled flushes
@@ -191,57 +133,64 @@ func sample(steps []int32, n int) []int32 {
 	return ded
 }
 
-// EnumerateConc records ct under the baseline round-robin schedule,
-// verifies every boundary of that recording, then explores the
-// DPOR-reduced schedule space: each conflicting cross-thread op pair is
-// re-recorded under preemptive schedules forcing the reversed order,
-// and recovery is verified across the disturbed window (plus the final
-// boundary) of each variant.
-func EnumerateConc(tg Target, ct ConcTrace, opt ConcOptions) (*ConcReport, error) {
-	base, err := ConcRecord(tg, ct, Schedule{}, RecordOptions{})
-	if err != nil {
-		return nil, err
+// raceSchedules explores the reduced schedule space of the raced trace
+// recorded round robin in base: it records the trace again under each
+// planned variant (the first maxSchedules of them; <= 0 takes every one)
+// and takes clean and torn power cuts, into sweep, at the boundaries the
+// reordering disturbed — the union of the pair's flush windows in the
+// variant recording, slack on each side, and the final boundary
+// (full-trace recovery). It returns the family's shape (RaceShape).
+func raceSchedules(base *ConcRecording, cfg Config, maxSchedules int, sweep *Report) ([]Counter, error) {
+	cands, pairs, plan := conflicts(base)
+	run := plan
+	if maxSchedules > 0 && len(run) > maxSchedules {
+		run = run[:maxSchedules]
 	}
-	report := &ConcReport{Report: *newReport(tg.Name, ct.Name, PowerCut)}
-
-	// Baseline: full boundary sweep, like the single-threaded checker.
-	cfg := Config{Torn: opt.Torn, TornSeed: opt.TornSeed}
-	cfg.MaxBoundaries = opt.MaxBoundaries
-	report.merge(Sweep(base.Recording, PowerCut, nil, cfg))
-	cfg.MaxBoundaries = 0
-
-	cands, pairs := conflicts(base)
-	report.Candidates = cands
-	report.Conflicts = len(pairs)
-	report.NaiveSchedules = cands * preemptsPerPair
-	for _, cp := range pairs {
-		report.PlannedSchedules += len(cp.schedules)
-	}
-
-	for _, cp := range pairs {
-		for _, sched := range cp.schedules {
-			if opt.MaxSchedules > 0 && report.SchedulesRun >= opt.MaxSchedules {
-				return report, nil
-			}
-			vrec, err := ConcRecord(tg, ct, sched, RecordOptions{})
-			if err != nil {
-				return nil, fmt.Errorf("schedule %s: %w", sched.Key(), err)
-			}
-			report.SchedulesRun++
-
-			// Verify the boundaries the reordering disturbed: the union of
-			// the pair's flush windows in the *variant* recording, plus
-			// slack, plus the final boundary (full-trace recovery).
-			lo, hi := vrec.pairWindow(cp.a, cp.b)
-			cfg.From, cfg.To = lo-slack, hi+slack
-			report.merge(Sweep(vrec.Recording, PowerCut, nil, cfg))
-			if last := vrec.Boundaries() - 1; last > cfg.To {
-				cfg.From, cfg.To = last, last
-				report.merge(Sweep(vrec.Recording, PowerCut, nil, cfg))
-			}
+	reps, errs := make([]*Report, len(run)), make([]error, len(run))
+	each := cfg.fanOut
+	cfg.Pool, cfg.MaxBoundaries = nil, 0
+	each(len(run), func(i int) {
+		v := run[i]
+		vrec, err := ConcRecord(base.Target, base.Trace, v.sched, base.opts)
+		if err != nil {
+			errs[i] = fmt.Errorf("schedule %s: %w", v.sched.Key(), err)
+			return
 		}
+		lo, hi := vrec.pairWindow(v.a, v.b)
+		last := vrec.Boundaries() - 1
+		var ks []int
+		for k := max(lo-slack, 0); k <= min(hi+slack, last); k++ {
+			ks = append(ks, k)
+		}
+		if last > hi+slack {
+			ks = append(ks, last)
+		}
+		reps[i] = Sweep(vrec.Recording, PowerCut, ks, cfg)
+	})
+	for i := range run {
+		if errs[i] != nil {
+			return nil, errs[i]
+		}
+		sweep.merge(reps[i])
 	}
-	return report, nil
+	return RaceShape(cands, pairs, len(run), len(plan)), nil
+}
+
+// RaceShape is a raced family's shape: the naive reorder set (cands
+// cross-thread pairs, so cands x preemptsPerPair naive schedules), the
+// conflicts among them, the variant schedules run and planned, and the
+// naive schedules the reduction pruned. The family needs a conflict, a
+// schedule run, and at least half of the naive schedules pruned.
+func RaceShape(cands, conflicts, run, planned int) []Counter {
+	naive := cands * preemptsPerPair
+	return []Counter{
+		{Name: "candidates", N: cands},
+		{Name: "conflicts", N: conflicts, Min: 1},
+		{Name: "schedules_run", N: run, Min: 1},
+		{Name: "schedules_planned", N: planned},
+		{Name: "naive", N: naive},
+		{Name: "pruned", N: naive - planned, Min: (naive + 1) / 2},
+	}
 }
 
 // pairWindow returns the union of two scheduled ops' flush windows in

@@ -7,14 +7,17 @@ import (
 	"nvalloc/internal/core"
 )
 
-// Family is one row of the model checker's table of single-threaded
-// families. Every family checks the same property — recovery leaves the
-// heap the application's reachable set describes — so families differ in
-// data, not in code. Run applies one rule for cuts to all of them: a clean
-// and a torn power cut at every boundary the family has, a cache-image cut
-// after each of those that is a flush of the span's operations, a flip cut
-// at each from CreatedAt on, and the double-crash cut at the family's
-// windows, if it names any.
+// Family is one row of the model checker's table of families. Every family
+// checks the same property — recovery leaves the heap the application's
+// reachable set describes — so families differ in data, not in code. Run
+// applies one rule for cuts to all of them: a clean and a torn power cut at
+// every boundary the family has, a cache-image cut after each of those that
+// is a flush of the span's operations, a flip cut at each from CreatedAt
+// on, and the double-crash cut at the family's windows, if it names any.
+// A family whose trace is raced records it round robin instead and adds
+// the power cuts of every variant schedule the DPOR reduction plans
+// (raceSchedules); it takes no cache-image or flip cut, which would need
+// the trace run again under each schedule.
 type Family struct {
 	Name   string
 	Target Target
@@ -36,7 +39,8 @@ type Family struct {
 	Windows func(rec *Recording) []int
 	// Shape, when non-nil, counts the events the family exists to put
 	// boundaries around, in the order its table shows them; it sees the
-	// power-cut sweep's report besides the recording.
+	// power-cut sweep's report besides the recording. A raced family's
+	// shape is its schedule space's (RaceShape).
 	Shape func(rec *Recording, sweep *Report) []Counter
 }
 
@@ -53,8 +57,10 @@ type Counter struct {
 
 // Families returns the table, in report order: the smoke trace on every
 // allocator, then NVAlloc-LOG's dedicated families, then a slab morph on
-// each NVAlloc variant, then the deep trace on every allocator. seed seeds
-// the smoke and fence-elision traces; the others are hand-built.
+// each NVAlloc variant, then the deep trace on every allocator, then each
+// raced trace on NVAlloc-LOG and -GC (IC shares LOG's code paths for all
+// three; the baselines have no concurrent machinery). seed seeds the
+// smoke, fence-elision and raced traces; the others are hand-built.
 func Families(seed uint64) []Family {
 	var fs []Family
 	for _, tg := range Targets() {
@@ -76,6 +82,11 @@ func Families(seed uint64) []Family {
 	}
 	for _, tg := range Targets() {
 		fs = append(fs, Family{Name: "deep", Target: tg, Trace: SweepTrace(4000), MaxBoundaries: 200})
+	}
+	for _, tr := range racedTraces(seed) {
+		for _, v := range []core.Variant{core.LOG, core.GC} {
+			fs = append(fs, Family{Name: tr.Name, Target: VariantTarget(v), Trace: tr})
+		}
 	}
 	return fs
 }
@@ -110,6 +121,10 @@ type RunOptions struct {
 	// cache-image cut's flushes and the flip cut's boundaries (Every, Last;
 	// nil takes them all).
 	Windows, Flushes, Flips func(ks []int) []int
+	// MaxSchedules caps the variant schedules a raced family runs (<= 0:
+	// every planned one). Its shape counts the planned ones, so a capped
+	// run still says how many it left out.
+	MaxSchedules int
 }
 
 // FamilyReport is one family run: a report per kind of cut and what the
@@ -117,9 +132,10 @@ type RunOptions struct {
 // what a run costs in memory.
 type FamilyReport struct {
 	Family, Target string
-	// Sweep is the power-cut report (clean and torn), Cache the cache-image
-	// cut's, Flip the flip cut's, Recovery the double-crash cut's: nil for
-	// a family without windows.
+	// Sweep is the power-cut report (clean and torn; a raced family's
+	// merges its variant schedules'), Cache the cache-image cut's and Flip
+	// the flip cut's — nil for a raced family — and Recovery the
+	// double-crash cut's: nil for a family without windows.
 	Sweep, Recovery, Cache, Flip *Report
 	Shape                        []Counter
 	// Windows is how many windows the double-crash cut took, Ops and
@@ -130,7 +146,16 @@ type FamilyReport struct {
 // Run records the family's trace on its target and takes every kind of cut
 // the table's one rule gives it.
 func (f Family) Run(opt RunOptions) (*FamilyReport, error) {
-	rec, err := Record(f.Target, f.Trace, RecordOptions{Probe: f.Probe})
+	var rec *Recording
+	var raced *ConcRecording
+	var err error
+	if len(f.Trace.Raced) > 0 {
+		if raced, err = ConcRecord(f.Target, f.Trace, Schedule{}, RecordOptions{Probe: f.Probe}); err == nil {
+			rec = raced.Recording
+		}
+	} else {
+		rec, err = Record(f.Target, f.Trace, RecordOptions{Probe: f.Probe})
+	}
 	if err != nil {
 		return nil, err
 	}
@@ -153,6 +178,12 @@ func (f Family) Run(opt RunOptions) (*FamilyReport, error) {
 	span.MaxBoundaries = f.MaxBoundaries
 	ks := span.strided(span.boundaries())
 	rep.Sweep = Sweep(rec, PowerCut, ks, cfg)
+	if raced != nil {
+		if rep.Shape, err = raceSchedules(raced, cfg, opt.MaxSchedules, rep.Sweep); err != nil {
+			return nil, err
+		}
+		return rep, nil
+	}
 
 	thin := func(by func([]int) []int, ks []int) []int {
 		if by != nil {
@@ -186,10 +217,12 @@ func (f Family) Run(opt RunOptions) (*FamilyReport, error) {
 // Reports returns the run's reports, one per kind of cut taken.
 func (r *FamilyReport) Reports() []*Report {
 	reps := []*Report{r.Sweep}
-	if r.Recovery != nil {
-		reps = append(reps, r.Recovery)
+	for _, rep := range []*Report{r.Recovery, r.Cache, r.Flip} {
+		if rep != nil {
+			reps = append(reps, rep)
+		}
 	}
-	return append(reps, r.Cache, r.Flip)
+	return reps
 }
 
 // Counters returns everything the run counted, in table order: the
@@ -205,12 +238,17 @@ func (r *FamilyReport) Counters() []Counter {
 	if r.Recovery != nil {
 		cs = append(cs, Counter{Name: "recovery_cuts", N: r.Recovery.Explored})
 	}
+	if r.Cache != nil {
+		cs = append(cs, Counter{Name: "cache_cuts", N: r.Cache.Explored})
+	}
+	if r.Flip != nil {
+		cs = append(cs, Counter{Name: "flip_cuts", N: r.Flip.Explored}, Counter{Name: "detected", N: r.Flip.Detected})
+	}
 	violations := 0
 	for _, rep := range r.Reports() {
 		violations += rep.ViolationCount
 	}
-	return append(cs, Counter{Name: "cache_cuts", N: r.Cache.Explored}, Counter{Name: "flip_cuts", N: r.Flip.Explored},
-		Counter{Name: "detected", N: r.Flip.Detected}, Counter{Name: "violations", N: violations})
+	return append(cs, Counter{Name: "violations", N: violations})
 }
 
 // ShapeFailures names every shape counter under its Min: an event the

@@ -56,7 +56,17 @@ var familyCases = map[string]familyCase{
 	"deep": {tornSeed: 0x7047,
 		full:  RunOptions{Config: sweepOf(0, 64), Flips: Every(3)},
 		short: RunOptions{Config: sweepOf(16, 64), Flips: Every(40)}},
+	// The raced families take every boundary of the round-robin schedule
+	// and of the variant schedules they run: six of them, as CI's
+	// smoke budget, or two.
+	"shard-append-gc":    racedCase,
+	"remote-free-drain":  racedCase,
+	"extent-refill-free": racedCase,
 }
+
+var racedCase = familyCase{seed: 42, tornSeed: 0xDECAF,
+	full:  RunOptions{Config: sweepOf(0, 64), MaxSchedules: 6},
+	short: RunOptions{Config: sweepOf(0, 64), MaxSchedules: 2}}
 
 // familyOf returns the table's entry for name on target, with the seed the
 // family's test case uses.
@@ -275,6 +285,21 @@ func TestMorphCrashSweep(t *testing.T) {
 		t.Run(v.String(), func(t *testing.T) {
 			t.Parallel()
 			checkFamily(t, "morph", v.String(), partAll)
+		})
+	}
+}
+
+// TestConcFamiliesEnumerate: each raced family on each variant it runs on —
+// real conflicts, executed variant schedules and at least half of the naive
+// schedule space pruned (shape), and every boundary of every schedule run
+// clean and torn with zero oracle violations.
+func TestConcFamiliesEnumerate(t *testing.T) {
+	for _, target := range []string{"NVAlloc-GC", "NVAlloc-LOG"} {
+		t.Run(target, func(t *testing.T) {
+			t.Parallel()
+			for _, tr := range racedTraces(racedCase.seed) {
+				checkFamily(t, tr.Name, target, partShape|partSweep)
+			}
 		})
 	}
 }

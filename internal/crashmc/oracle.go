@@ -97,7 +97,7 @@ func (s *sweep) verifyImage(part *Report, scratch *pmem.Device, k int, torn bool
 
 	// Root-slot legality and the surviving live set. In a multi-threaded
 	// recording several ops can straddle k at once (at most one per
-	// thread); conc trace families keep a single scheduled writer per
+	// thread); raced trace families keep a single scheduled writer per
 	// slot, so each slot sees at most one of them, and legality stays the
 	// per-slot two-value rule — durable value, or the straddling op's
 	// pre/post. Any combination across slots is accepted: that is exactly

@@ -228,7 +228,7 @@ func runOn(dev *pmem.Device, tg Target, tr Trace, opts RecordOptions) (*Recordin
 
 // serial runs ops in order, each on the handle its Thread names (created on
 // first use), and appends their records: the whole of a serial trace, the
-// setup prologue of a scheduled one. An OpFree's Ref indexes ops.
+// prologue of a raced one. An OpFree's Ref indexes ops.
 func (s *session) serial(ops []Op, threads []alloc.Thread) error {
 	rec := s.rec
 	for i, op := range ops {

@@ -53,8 +53,8 @@ func (v Violation) String() string {
 	return s + ": " + v.Detail
 }
 
-// Report summarizes one sweep over one recording — or, embedded in a
-// ConcReport, every sweep of one concurrent family's enumeration.
+// Report summarizes one sweep over one recording — or, for a raced
+// family, every power-cut sweep of its schedules (FamilyReport.Sweep).
 type Report struct {
 	Target string
 	Trace  string

@@ -18,8 +18,9 @@ import (
 type Repro struct {
 	Target string `json:"target"`
 	Trace  string `json:"trace"`
-	// Seed regenerates a seeded trace (SmokeTrace/WorkloadTrace/
-	// ConcFamilies); 0 for hand-built traces identified by name alone.
+	// Seed regenerates a seeded trace (SmokeTrace/WorkloadTrace/the raced
+	// families of Families); 0 for hand-built traces identified by name
+	// alone.
 	Seed uint64 `json:"seed,omitempty"`
 	// TornSeed reproduces torn-line word masks.
 	TornSeed   uint64      `json:"torn_seed,omitempty"`
@@ -58,8 +59,8 @@ func WriteRepro(dir string, r *Repro) (string, error) {
 	return path, nil
 }
 
-// NewRepro builds a Repro from a failed report — one sweep's, or a
-// concurrent family's enumeration; each violation carries the schedule
+// NewRepro builds a Repro from a failed report — one sweep's, or a raced
+// family's sweeps of every schedule; each violation carries the schedule
 // key it was found under.
 func NewRepro(rep *Report, seed, tornSeed uint64) *Repro {
 	return &Repro{

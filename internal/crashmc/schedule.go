@@ -1,7 +1,7 @@
 package crashmc
 
 // The deterministic scheduler: crashmc's bridge from single-threaded
-// trace recording to schedule-aware model checking. A ConcTrace names N
+// trace recording to schedule-aware model checking. A raced Trace names N
 // per-thread op sequences; ConcRecord runs them on N goroutines that are
 // serialized by a token — exactly one runs at any instant — and context
 // switches happen only at the named schedule points pmem.Ctx exposes
@@ -30,24 +30,6 @@ import (
 	"nvalloc/internal/pmem"
 )
 
-// ConcTrace is a multi-threaded trace: a serial setup prologue followed
-// by per-thread op sequences run under a Schedule.
-//
-// Op field reinterpretation in Threads: the executing thread is the
-// outer slice index, so Op.Thread is reused as the *reference* thread of
-// an OpFree — Thread -1 refs Setup[Ref], Thread t >= 0 refs
-// Threads[t][Ref]. A referenced op that has not completed yet under the
-// current schedule makes the free a deterministic no-op (Err), never a
-// block: traces stay valid under every schedule.
-type ConcTrace struct {
-	Name string
-	// Setup runs serially before the scheduler starts (Op.Thread is the
-	// executing handle, refs are Setup indices — serial Record semantics).
-	Setup []Op
-	// Threads[t] is thread t's op sequence under the scheduler.
-	Threads [][]Op
-}
-
 // Preempt is one mid-op context switch: at the first switchable yield
 // step >= At, the running thread is suspended and thread To runs through
 // the completion of its op index UntilOp (executing any earlier
@@ -59,7 +41,7 @@ type Preempt struct {
 	UntilOp int
 }
 
-// Schedule selects one interleaving of a ConcTrace. The zero value is
+// Schedule selects one interleaving of a raced Trace. The zero value is
 // the baseline: non-preemptive round-robin, one op per turn. A Preempt
 // splits a single op mid-flight — because the baseline prefix before At
 // is deterministic, the split lands at the same micro-state every run.
@@ -126,7 +108,7 @@ func (cr *ConcRecording) Lines(t, j int) map[uint64]bool {
 }
 
 // racedMarkerSpace offsets scheduled ops' data markers per thread so
-// they never collide with setup markers (markerFor(i), i < 4096) or each
+// they never collide with prologue markers (markerFor(i), i < 4096) or each
 // other.
 const racedMarkerSpace = 4096
 
@@ -180,7 +162,7 @@ func (s *scheduler) Step() int32 { return s.step }
 func (s *scheduler) Yield(c *pmem.Ctx, p pmem.SchedPoint, r *pmem.Resource, switchable bool) {
 	t := int(c.ThreadID) - 1
 	if t < 0 || t >= len(s.tokens) {
-		return // unscheduled context (setup/close phases)
+		return // unscheduled context (prologue and close phases)
 	}
 	s.step++
 	if j := s.curOp[t]; j < len(s.meta[t]) {
@@ -269,23 +251,23 @@ func (s *scheduler) abort(v any) {
 	close(s.finish)
 }
 
-// ConcRecord executes ct against a fresh heap of tg under the given
-// schedule and captures a journaled recording. Thread handles are
-// created serially before the scheduler starts, so arena binding — and
-// therefore the whole recording — is deterministic in (tg, ct, sched).
-func ConcRecord(tg Target, ct ConcTrace, sched Schedule, opts RecordOptions) (*ConcRecording, error) {
-	n := len(ct.Threads)
+// ConcRecord executes the raced trace tr against a fresh heap of tg under
+// the given schedule and captures a journaled recording. Thread handles
+// are created serially before the scheduler starts, so arena binding — and
+// therefore the whole recording — is deterministic in (tg, tr, sched).
+func ConcRecord(tg Target, tr Trace, sched Schedule, opts RecordOptions) (*ConcRecording, error) {
+	n := len(tr.Raced)
 	if n == 0 {
-		return nil, fmt.Errorf("crashmc: conc trace %q has no threads", ct.Name)
+		return nil, fmt.Errorf("crashmc: trace %q has no raced threads", tr.Name)
 	}
-	for t, ops := range ct.Threads {
+	for t, ops := range tr.Raced {
 		for j, op := range ops {
 			if !op.Kind.known() {
 				return nil, fmt.Errorf("crashmc: thread %d op %d: unknown kind %v", t, j, op.Kind)
 			}
 		}
 	}
-	ss, err := open(newDevice(opts, nil), tg, Trace{Name: ct.Name, Threads: n}, sched.Key(), opts)
+	ss, err := open(newDevice(opts, nil), tg, tr, sched.Key(), opts)
 	if err != nil {
 		return nil, err
 	}
@@ -295,17 +277,17 @@ func ConcRecord(tg Target, ct ConcTrace, sched Schedule, opts RecordOptions) (*C
 		threads[t] = ss.h.NewThread()
 	}
 
-	// Serial setup prologue: plain Record semantics. Its records are the
-	// recording's first, so Setup[i] is rec.Ops[i].
-	if err := ss.serial(ct.Setup, threads); err != nil {
+	// Serial prologue: plain Record semantics. Its records are the
+	// recording's first, so tr.Ops[i] is rec.Ops[i].
+	if err := ss.serial(tr.Ops, threads); err != nil {
 		return nil, err
 	}
 
 	// Scheduled phase. The token serializes every worker: rec and the
 	// scheduler's own state are only ever touched by the token holder.
 	opsPer := make([]int, n)
-	for t := range ct.Threads {
-		opsPer[t] = len(ct.Threads[t])
+	for t := range tr.Raced {
+		opsPer[t] = len(tr.Raced[t])
 	}
 	s := newScheduler(sched, opsPer)
 	for t := range threads {
@@ -313,7 +295,7 @@ func ConcRecord(tg Target, ct ConcTrace, sched Schedule, opts RecordOptions) (*C
 		c.ThreadID = int32(t + 1)
 		c.SetSchedHook(s)
 	}
-	for t := range ct.Threads {
+	for t := range tr.Raced {
 		go func(t int, ops []Op) {
 			defer func() {
 				if r := recover(); r != nil {
@@ -329,7 +311,7 @@ func ConcRecord(tg Target, ct ConcTrace, sched Schedule, opts RecordOptions) (*C
 				if op.Kind == OpFree {
 					switch {
 					case op.Thread < 0:
-						if op.Ref >= 0 && op.Ref < len(ct.Setup) {
+						if op.Ref >= 0 && op.Ref < len(tr.Ops) {
 							ref = &rec.Ops[op.Ref]
 						}
 					case op.Thread < n && op.Ref >= 0 && op.Ref < len(s.meta[op.Thread]) &&
@@ -344,12 +326,12 @@ func ConcRecord(tg Target, ct ConcTrace, sched Schedule, opts RecordOptions) (*C
 			}
 			s.curOp[t] = len(ops)
 			s.exit(t)
-		}(t, ct.Threads[t])
+		}(t, tr.Raced[t])
 	}
 	s.tokens[0] <- struct{}{}
 	<-s.finish
 	if s.fail != nil {
-		return nil, fmt.Errorf("crashmc: conc trace %q schedule %s panicked: %v", ct.Name, sched.Key(), s.fail)
+		return nil, fmt.Errorf("crashmc: raced trace %q schedule %s panicked: %v", tr.Name, sched.Key(), s.fail)
 	}
 	for t := range threads {
 		threads[t].Ctx().SetSchedHook(nil)

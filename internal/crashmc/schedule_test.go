@@ -26,20 +26,20 @@ func journalBytes(rec *Recording) []byte {
 // schedule key, boundary) triple a complete reproduction recipe.
 func TestConcRecordDeterministic(t *testing.T) {
 	tg := targetByName(t, "NVAlloc-GC")
-	for _, ct := range ConcFamilies(7) {
-		a, err := ConcRecord(tg, ct, Schedule{}, RecordOptions{})
+	for _, tr := range racedTraces(7) {
+		a, err := ConcRecord(tg, tr, Schedule{}, RecordOptions{})
 		if err != nil {
-			t.Fatalf("%s: %v", ct.Name, err)
+			t.Fatalf("%s: %v", tr.Name, err)
 		}
-		b, err := ConcRecord(tg, ct, Schedule{}, RecordOptions{})
+		b, err := ConcRecord(tg, tr, Schedule{}, RecordOptions{})
 		if err != nil {
-			t.Fatalf("%s: %v", ct.Name, err)
+			t.Fatalf("%s: %v", tr.Name, err)
 		}
 		if a.Steps != b.Steps {
-			t.Errorf("%s: step counts diverge: %d vs %d", ct.Name, a.Steps, b.Steps)
+			t.Errorf("%s: step counts diverge: %d vs %d", tr.Name, a.Steps, b.Steps)
 		}
 		if !bytes.Equal(journalBytes(a.Recording), journalBytes(b.Recording)) {
-			t.Errorf("%s: journals diverge across identical runs", ct.Name)
+			t.Errorf("%s: journals diverge across identical runs", tr.Name)
 		}
 	}
 }
@@ -49,8 +49,8 @@ func TestConcRecordDeterministic(t *testing.T) {
 // the round-robin baseline.
 func TestPreemptScheduleDeterministic(t *testing.T) {
 	tg := targetByName(t, "NVAlloc-GC")
-	ct := ConcShardGC(7)
-	base, err := ConcRecord(tg, ct, Schedule{}, RecordOptions{})
+	tr := ConcShardGC(7)
+	base, err := ConcRecord(tg, tr, Schedule{}, RecordOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,11 +67,11 @@ func TestPreemptScheduleDeterministic(t *testing.T) {
 		t.Fatal("no op of t0 has a switchable yield to split at")
 	}
 	sched := Schedule{Preempt: &Preempt{At: base.Meta[0][oi].SwitchSteps[0], To: 1, UntilOp: 1}}
-	a, err := ConcRecord(tg, ct, sched, RecordOptions{})
+	a, err := ConcRecord(tg, tr, sched, RecordOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := ConcRecord(tg, ct, sched, RecordOptions{})
+	b, err := ConcRecord(tg, tr, sched, RecordOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,40 +107,5 @@ func TestThreadProvenance(t *testing.T) {
 	}
 	if byThread[1] == 0 || byThread[2] == 0 {
 		t.Fatalf("expected flushes from both scheduled threads, got %v", byThread)
-	}
-}
-
-// TestConcFamiliesEnumerate is the concurrent checker's core smoke: for
-// each family, the DPOR enumeration must find real conflicts, prune at
-// least half of the naive schedule space, and verify every explored
-// schedule x boundary with zero oracle violations.
-func TestConcFamiliesEnumerate(t *testing.T) {
-	for _, name := range []string{"NVAlloc-GC", "NVAlloc-LOG"} {
-		name := name
-		t.Run(name, func(t *testing.T) {
-			t.Parallel()
-			tg := targetByName(t, name)
-			for _, ct := range ConcFamilies(42) {
-				opt := ConcOptions{Torn: true, TornSeed: 0xDECAF, MaxSchedules: 6}
-				if testing.Short() {
-					opt.MaxSchedules = 2
-				}
-				rep, err := EnumerateConc(tg, ct, opt)
-				if err != nil {
-					t.Fatalf("%s: %v", ct.Name, err)
-				}
-				t.Logf("%s", rep)
-				if rep.Conflicts == 0 {
-					t.Errorf("%s: no conflicting pairs found — family exercises nothing", ct.Name)
-				}
-				if rep.SchedulesRun == 0 {
-					t.Errorf("%s: no variant schedules executed", ct.Name)
-				}
-				if p := rep.Pruning(); p < 0.5 {
-					t.Errorf("%s: DPOR pruned only %.0f%% of naive schedule space, want >= 50%%", ct.Name, 100*p)
-				}
-				checkReport(t, &rep.Report, 42, opt.TornSeed)
-			}
-		})
 	}
 }

@@ -113,6 +113,17 @@ func (cfg Config) withDefaults(rec *Recording) Config {
 	return cfg
 }
 
+// fanOut runs fn(0..n-1) on the Pool, or serially without one.
+func (cfg Config) fanOut(n int, fn func(i int)) {
+	if cfg.Pool == nil {
+		for i := 0; i < n; i++ {
+			fn(i)
+		}
+		return
+	}
+	cfg.Pool(n, fn)
+}
+
 // boundaries lists From..To; strided thins a list to at most MaxBoundaries
 // entries at the smallest stride that allows it.
 func (cfg Config) boundaries() []int {
@@ -189,11 +200,7 @@ func Sweep(rec *Recording, cut Cut, ks []int, cfg Config) *Report {
 			visit(parts[ci], scratch, lo, hi)
 		}
 	}
-	if nChunk == 1 {
-		run(0)
-	} else {
-		cfg.Pool(nChunk, run)
-	}
+	cfg.fanOut(nChunk, run)
 	report := newReport(rec.Target.Name, rec.Trace.Name, cut)
 	for _, part := range parts {
 		report.merge(part)

@@ -56,10 +56,21 @@ type Op struct {
 }
 
 // Trace is a deterministic operation sequence over one allocator.
+//
+// A raced trace also has per-thread sequences that run under a Schedule
+// (ConcRecord): Ops is then their serial prologue, and the executing
+// handle of a Raced[t] op is thread t. Its Op.Thread is reused as the
+// reference thread of an OpFree — -1 refs Ops[Ref], t >= 0 refs
+// Raced[t][Ref] — and a referenced op that has not completed under the
+// schedule makes the free a deterministic no-op (Err), never a block, so
+// the trace is valid under every schedule.
 type Trace struct {
-	Name    string
+	Name string
+	// Threads is how many handles a serial trace's ops run on; a raced
+	// trace has one per sequence of Raced.
 	Threads int
 	Ops     []Op
+	Raced   [][]Op
 }
 
 // add appends op and returns its index, for a later OpFree's Ref.

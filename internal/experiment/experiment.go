@@ -97,8 +97,8 @@ type Config struct {
 	// GOMAXPROCS workers, 1 forces the serial engine, N > 1 uses N.
 	// Each cell owns its device, so tables are identical at any setting.
 	Workers int
-	// CrashMCSchedBudget caps the variant schedules executed per
-	// concurrent crashmc family (0 = the smoke default of 6, negative =
+	// CrashMCSchedBudget caps the variant schedules executed per raced
+	// crashmc family row (0 = the smoke default of 6, negative =
 	// unlimited — the nightly exhaustive run). Conflict detection and the
 	// DPOR pruning numbers are budget-independent; the cap only bounds
 	// how many of the planned schedules actually replay.

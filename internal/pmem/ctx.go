@@ -141,9 +141,6 @@ func (d *Device) NewCtx() *Ctx {
 // Device returns the device this context operates on.
 func (c *Ctx) Device() Dev { return c.dev }
 
-// Direct reports whether the context runs on the real-concurrency device.
-func (c *Ctx) Direct() bool { return c.direct }
-
 // SetSchedHook installs (or, with nil, removes) the context's scheduler
 // hook. Must be called while the context is quiescent.
 func (c *Ctx) SetSchedHook(h SchedHook) { c.hook = h }
@@ -330,8 +327,8 @@ func (c *Ctx) flushLine(cat Category, line uint64) {
 			copy(fd.Data[:], d.data[off:off+LineSize])
 			mu.Unlock()
 			d.journalMu.Lock()
-			d.journalAppend(fd)
-			n := d.journalBase + len(d.journal)
+			d.journal = append(d.journal, fd)
+			n := len(d.journal)
 			d.journalMu.Unlock()
 			if d.onJournal != nil {
 				d.onJournal(n)

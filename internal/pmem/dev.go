@@ -6,13 +6,16 @@ package pmem
 //   - *Device, the simulated DIMM: virtual-time flush latencies, strict-mode
 //     media shadowing, crash injection and flush journaling. Every experiment
 //     table and the crash-point model checker run on it.
-//   - *Direct, the real-concurrency device: plain memory (anonymous or an
+//   - *DirectDev, the real-concurrency device: plain memory (anonymous or an
 //     mmap'd file), no per-line simulation locks, and flushes reduced to
 //     no-op instrumentation counters. Hot paths run at wall-clock speed under
 //     real goroutines.
 //
 // The interface is deliberately exactly the surface the allocator layers
-// (core, baseline, slab, walog, blog, extent) use; the simulation-only
+// (core, baseline, slab, walog, blog, extent) use. It does not say which
+// device it is, or whether the device shadows a media image: nothing above
+// this package branches on that, and only Ctx's fast paths, inside it, tell
+// the two apart. The simulation-only
 // features (Crash, SaveImage, FlushTrace, the flush journal) stay on the concrete
 // *Device so a glance at a signature tells whether code can be reached from
 // real mode.
@@ -27,11 +30,6 @@ type Dev interface {
 	Mode() Mode
 	// EADR reports whether the persistence domain includes the caches.
 	EADR() bool
-	// Strict reports whether crash simulation (shadow media image) is on.
-	Strict() bool
-	// Direct reports whether this is the real-concurrency device (flushes
-	// are instrumentation-only; no crash-consistency simulation).
-	Direct() bool
 
 	// Mem returns the concrete image view hot paths hold by value to
 	// avoid interface dispatch on every typed access. Both devices embed
@@ -68,9 +66,6 @@ type Dev interface {
 	// totals (Ctx.Merge). Unexported: it seals the interface.
 	mergeStats(local *Stats, flushIssued uint64, now int64)
 }
-
-// Direct reports that *Device is the simulated implementation.
-func (d *Device) Direct() bool { return false }
 
 var (
 	_ Dev = (*Device)(nil)

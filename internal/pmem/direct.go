@@ -77,12 +77,6 @@ func (d *DirectDev) Mode() Mode { return ModeADR }
 // EADR reports false; see Mode.
 func (d *DirectDev) EADR() bool { return false }
 
-// Strict reports false: there is no shadow media image.
-func (d *DirectDev) Strict() bool { return false }
-
-// Direct reports that this is the real-concurrency device.
-func (d *DirectDev) Direct() bool { return true }
-
 // ResetTimeline is a no-op: there is no virtual time to restart.
 func (d *DirectDev) ResetTimeline() {}
 

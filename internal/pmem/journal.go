@@ -7,14 +7,6 @@ package pmem
 // first k deltas applied — exactly what CrashAfterFlushes(k) followed by
 // Crash() would leave behind, but derivable from image k-1 with a single
 // 64-byte copy instead of a full workload replay.
-//
-// For long traces the journal can run in checkpointed mode
-// (Config.JournalCheckpointEvery): instead of retaining every delta, the
-// device periodically folds the oldest deltas into a base image — the
-// same incremental reconstruction an ImageCursor performs — capping
-// retained deltas at 2x the checkpoint interval. Boundaries below the
-// fold point are no longer enumerable; the ones that remain reconstruct
-// byte-identically to the unbounded journal (TestJournalCheckpointing).
 
 // FlushDelta is one journaled line flush: the line's post-flush media
 // content, plus provenance — which worker flushed it and at which
@@ -35,47 +27,16 @@ type FlushDelta struct {
 	Data [LineSize]byte
 }
 
-// journalAppend appends one delta and, in checkpointed mode, folds the
-// oldest deltas into the base image once the retained list doubles the
-// checkpoint interval. Caller holds journalMu.
-func (d *Device) journalAppend(fd FlushDelta) {
-	d.journal = append(d.journal, fd)
-	k := d.journalCkpt
-	if k <= 0 || len(d.journal) < 2*k {
-		return
-	}
-	if d.journalImg == nil {
-		d.journalImg = make([]byte, d.size)
-	}
-	for i := 0; i < k; i++ {
-		fd := &d.journal[i]
-		off := fd.Line * LineSize
-		copy(d.journalImg[off:off+LineSize], fd.Data[:])
-	}
-	d.journal = append(d.journal[:0:0], d.journal[k:]...)
-	d.journalBase += k
-}
-
-// JournalLen returns the number of journaled flushes so far (including
-// any folded into a checkpoint). With the journal enabled there are
+// JournalLen returns the number of journaled flushes so far. With the journal enabled there are
 // JournalLen()+1 persistence boundaries: the empty image (k=0) through
 // the fully flushed image (k=JournalLen()).
 func (d *Device) JournalLen() int {
 	d.journalMu.Lock()
 	defer d.journalMu.Unlock()
-	return d.journalBase + len(d.journal)
+	return len(d.journal)
 }
 
-// JournalBase returns the first reconstructible persistence boundary: 0
-// with an unbounded journal, the fold point in checkpointed mode.
-func (d *Device) JournalBase() int {
-	d.journalMu.Lock()
-	defer d.journalMu.Unlock()
-	return d.journalBase
-}
-
-// JournalSnapshot returns a copy of the retained flush deltas (those for
-// boundaries JournalBase()..JournalLen()).
+// JournalSnapshot returns a copy of the flush deltas.
 func (d *Device) JournalSnapshot() []FlushDelta {
 	d.journalMu.Lock()
 	defer d.journalMu.Unlock()
@@ -84,25 +45,11 @@ func (d *Device) JournalSnapshot() []FlushDelta {
 	return out
 }
 
-// JournalCheckpoint returns a copy of the checkpoint base image — the
-// media image at boundary JournalBase() — or nil when the journal has
-// never folded (base 0: the all-zero image).
-func (d *Device) JournalCheckpoint() []byte {
-	d.journalMu.Lock()
-	defer d.journalMu.Unlock()
-	if d.journalImg == nil {
-		return nil
-	}
-	out := make([]byte, len(d.journalImg))
-	copy(out, d.journalImg)
-	return out
-}
-
 // Restore replaces the device's images with img and clears every piece of
 // runtime state — crash flags, flush counters, traces, bank clocks,
 // statistics and the journal — as if the device had been freshly
-// created already holding img. It is the scratch-device reset used when
-// materializing journal checkpoints.
+// created already holding img. It is the scratch-device reset an
+// ImageCursor materializes crash images with.
 func (d *Device) Restore(img []byte) {
 	if uint64(len(img)) != d.size {
 		panic("pmem: Restore image size mismatch")
@@ -121,8 +68,6 @@ func (d *Device) Restore(img []byte) {
 	d.ResetStats() // statistics and trace
 	d.journalMu.Lock()
 	d.journal = nil
-	d.journalBase = 0
-	d.journalImg = nil
 	d.journalMu.Unlock()
 }
 
@@ -135,7 +80,6 @@ func (d *Device) Restore(img []byte) {
 type ImageCursor struct {
 	journal []FlushDelta
 	img     []byte
-	base    int // boundary of journal[0]; the cursor cannot rewind below it
 	k       int
 }
 
@@ -143,17 +87,6 @@ type ImageCursor struct {
 // bytes, positioned at boundary 0 (the all-zero image).
 func NewImageCursor(size uint64, journal []FlushDelta) *ImageCursor {
 	return &ImageCursor{journal: journal, img: make([]byte, size)}
-}
-
-// NewImageCursorAt creates a cursor positioned at boundary base, whose
-// image is the given checkpoint (the journal's deltas cover boundaries
-// base..base+len(journal)). This is how recordings made with a
-// checkpointed journal (Config.JournalCheckpointEvery) are enumerated:
-// img is Device.JournalCheckpoint, journal is Device.JournalSnapshot.
-func NewImageCursorAt(base int, img []byte, journal []FlushDelta) *ImageCursor {
-	c := &ImageCursor{journal: journal, img: make([]byte, len(img)), base: base, k: base}
-	copy(c.img, img)
-	return c
 }
 
 // Boundary returns the cursor's current persistence boundary.
@@ -164,17 +97,17 @@ func (c *ImageCursor) Boundary() int { return c.k }
 func (c *ImageCursor) Image() []byte { return c.img }
 
 // Boundaries returns the last boundary the cursor can reach; valid
-// boundaries are its base through Boundaries() inclusive.
-func (c *ImageCursor) Boundaries() int { return c.base + len(c.journal) }
+// boundaries are 0 through Boundaries() inclusive.
+func (c *ImageCursor) Boundaries() int { return len(c.journal) }
 
 // Advance moves the cursor forward to boundary k, applying the journal
 // deltas in [Boundary(), k). Rewinding panics.
 func (c *ImageCursor) Advance(k int) {
-	if k < c.k || k > c.base+len(c.journal) {
+	if k < c.k || k > len(c.journal) {
 		panic("pmem: ImageCursor.Advance out of range")
 	}
 	for ; c.k < k; c.k++ {
-		fd := &c.journal[c.k-c.base]
+		fd := &c.journal[c.k]
 		off := fd.Line * LineSize
 		copy(c.img[off:off+LineSize], fd.Data[:])
 	}
@@ -195,11 +128,11 @@ func (c *ImageCursor) MaterializeInto(d *Device) {
 // made. It reports false (leaving d untouched) when the cursor sits at the final
 // boundary and no flush is in flight.
 func (c *ImageCursor) MaterializeTornInto(d *Device, seed uint64) bool {
-	if c.k >= c.base+len(c.journal) {
+	if c.k >= len(c.journal) {
 		return false
 	}
 	d.Restore(c.img)
-	fd := &c.journal[c.k-c.base]
+	fd := &c.journal[c.k]
 	rng := splitmix64(seed ^ fd.Line*0xA24BAED4963EE407)
 	mask := rng.next() // bit i set => word i persists
 	off := fd.Line * LineSize

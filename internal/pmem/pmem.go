@@ -114,11 +114,6 @@ type Config struct {
 	// leaves behind when the device is a mapping the page cache backs.
 	// Requires Journal.
 	OnJournal func(flushes int)
-	// JournalCheckpointEvery, when > 0, caps journal memory for long
-	// traces: once 2*K deltas are retained the oldest K fold into a
-	// checkpoint base image and the reconstructible boundary floor
-	// (JournalBase) advances by K. 0 retains every delta.
-	JournalCheckpointEvery int
 }
 
 // Device is a simulated persistent memory DIMM.
@@ -157,13 +152,10 @@ type Device struct {
 	trace    []FlushRecord
 	traceCap int
 
-	journalOn   bool
-	onJournal   func(flushes int)
-	journalMu   sync.Mutex
-	journal     []FlushDelta
-	journalCkpt int    // fold interval K (0 = unbounded)
-	journalBase int    // boundary of journal[0]
-	journalImg  []byte // media image at journalBase (nil while base is 0)
+	journalOn bool
+	onJournal func(flushes int)
+	journalMu sync.Mutex
+	journal   []FlushDelta
 }
 
 // bank models one internal media bank: a resource clock plus a tiny LRU of
@@ -208,7 +200,6 @@ func New(cfg Config) *Device {
 		journalOn: cfg.Journal,
 		onJournal: cfg.OnJournal,
 	}
-	d.journalCkpt = cfg.JournalCheckpointEvery
 	if cfg.Strict {
 		d.media = make([]byte, cfg.Size)
 		d.lineLocks = make([]sync.Mutex, lineLockStripes)
@@ -230,9 +221,6 @@ func (d *Device) Size() uint64 { return d.size }
 
 // Mode returns the persistence mode of the device.
 func (d *Device) Mode() Mode { return d.mode }
-
-// Strict reports whether crash simulation (shadow media image) is enabled.
-func (d *Device) Strict() bool { return d.strict }
 
 // EADR reports whether the device persistence domain includes the caches.
 func (d *Device) EADR() bool { return d.mode == ModeEADR }
