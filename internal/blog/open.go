@@ -1,7 +1,8 @@
 package blog
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"nvalloc/internal/pmem"
 )
@@ -136,7 +137,7 @@ func readLog(dev pmem.Dev, base pmem.PAddr, size uint64, stripes int, c *pmem.Ct
 			l.dormant = append(l.dormant, ci.addr)
 		}
 	}
-	sort.Slice(ordered, func(i, j int) bool { return ordered[i].seq < ordered[j].seq })
+	slices.SortFunc(ordered, func(a, b chunkInfo) int { return cmp.Compare(a.seq, b.seq) })
 
 	type liveRef struct {
 		ref entryRef
@@ -216,6 +217,6 @@ func readLog(dev pmem.Dev, base pmem.PAddr, size uint64, stripes int, c *pmem.Ct
 		l.index[addr] = lr.ref
 		records = append(records, lr.rec)
 	}
-	sort.Slice(records, func(i, j int) bool { return records[i].Addr < records[j].Addr })
+	slices.SortFunc(records, func(a, b Record) int { return cmp.Compare(a.Addr, b.Addr) })
 	return l, records, nil
 }

@@ -1,9 +1,9 @@
 package blog
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
-	"sort"
 	"sync"
 
 	"nvalloc/internal/pmem"
@@ -130,7 +130,7 @@ func Open(dev pmem.Dev, base pmem.PAddr, size uint64, stripes, n int) (*Sharded,
 	}
 	// Shards hold disjoint address sets (routing is by address), so the
 	// merge is a plain sort: deterministic and collision-free.
-	sort.Slice(all, func(i, j int) bool { return all[i].Addr < all[j].Addr })
+	slices.SortFunc(all, func(a, b Record) int { return cmp.Compare(a.Addr, b.Addr) })
 	return s, all, nil
 }
 

@@ -80,7 +80,6 @@ func (h *Heap) conservativeGC(c *pmem.Ctx) error {
 	h.slabs.Range(func(_ pmem.PAddr, s *slab.Slab) bool {
 		a := h.arenas[s.Owner]
 		h.recoveryBuild(c, s)
-		wasFree := s.FreeCount() > 0
 		for idx := 0; idx < s.Blocks; idx++ {
 			if s.IsSlabIn() {
 				// Blocks pinned by live old-class data stay allocated.
@@ -97,9 +96,7 @@ func (h *Heap) conservativeGC(c *pmem.Ctx) error {
 					_, _ = s.FreeOldBlock(c, oldIdx, true)
 				}
 			}
-		}
-		if !wasFree && s.FreeCount() > 0 && !a.onFreelist(s) {
-			a.freelistPush(s)
+			h.relist(s)
 		}
 		c.Charge(pmem.CatSearch, int64(s.Blocks)/8)
 		return true

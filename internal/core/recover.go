@@ -93,7 +93,8 @@ type Recovery struct {
 
 	ShardsCompacted  int // bookkeeping-log shards found over their slow-GC threshold
 	SlabsOpened      int // slab headers read
-	BitmapsBuilt     int // of those, slabs whose bitmap recovery read: the ones replay or the GC sweep touched
+	BitmapsBuilt     int // of those, slabs whose bitmap recovery read: the ones whose persisted bits replay found at odds with its log, or the GC sweep touched
+	BitsChecked      int // kept blocks replay checked at their bitmap byte on a slab not yet built (charged up to Blocks/8 per slab)
 	ExtentsIndexed   int // live records Open gave an entry: the extents replay's last publish or the GC sweep freed
 	EntriesReplayed  int // live WAL entries the ring scans returned
 	EntriesRetired   int // of those, dropped unapplied: voided by a later slab release, or all of them after a crash inside Close
@@ -127,10 +128,10 @@ func (r Recovery) String() string {
 	w := r.Wall
 	return fmt.Sprintf("%.1f us virtual (book log %.1f, extents %.1f, slabs %.1f of %.1f work, wal %.1f, state %.1f); "+
 		"%.2f ms wall (book log %.2f, extents %.2f, slabs %.2f, wal %.2f, state %.2f); "+
-		"crashed=%v, %d shards compacted, %d slabs opened, %d bitmaps built, %d extents indexed, %d wal entries (%d retired), %d lines written back",
+		"crashed=%v, %d shards compacted, %d slabs opened, %d bitmaps built, %d bits checked, %d extents indexed, %d wal entries (%d retired), %d lines written back",
 		us(r.TotalNS()), us(r.BookLogNS), us(r.ExtentNS), us(r.SlabNS), us(r.SlabWorkNS), us(r.WALNS), us(r.StateNS),
 		ms(w.Total()), ms(w.BookLog), ms(w.Extent), ms(w.Slab), ms(w.WAL), ms(w.State),
-		r.Crashed, r.ShardsCompacted, r.SlabsOpened, r.BitmapsBuilt, r.ExtentsIndexed, r.EntriesReplayed, r.EntriesRetired, r.LinesWrittenBack)
+		r.Crashed, r.ShardsCompacted, r.SlabsOpened, r.BitmapsBuilt, r.BitsChecked, r.ExtentsIndexed, r.EntriesReplayed, r.EntriesRetired, r.LinesWrittenBack)
 }
 
 // Recovery reports what the Open that produced this heap did. It is the
@@ -402,12 +403,20 @@ func inspectSlab(mem pmem.Mem, c *pmem.Ctx, r extent.LiveRecord) (*slab.Slab, er
 
 // replayWALs applies every un-checkpointed WAL entry idempotently
 // (NVAlloc-LOG failure recovery, "replay WALs as in nvm_malloc"), ring by
-// ring in arena order and in sequence order within a ring. That order is
-// enough because every bit change of a block is logged in the ring of the
-// arena that owned its slab (arena.commit, Thread.Publish), so the last
-// entry naming a block is also the latest. Entry payloads are
-// CRC-protected, but the 24-bit checksum is thin, so every address acted
-// on is bounds-checked against the device first.
+// ring in arena order. That order is enough because every bit change of a
+// block is logged in the ring of the arena that owned its slab
+// (arena.commit, Thread.Publish), so the last entry naming a block is also
+// the latest. Entry payloads are CRC-protected, but the 24-bit checksum is
+// thin, so every address acted on is bounds-checked against the device
+// first.
+//
+// Each ring is replayed in two passes. The first walks the entries in
+// sequence order and keeps, per block, only the state the last one wants
+// (wantedBits); it runs the old-class frees (FreeOldBlock) in place, which
+// commute with the kept states: a new-class entry for a block cannot exist
+// while an old-class block pins it. The second brings the kept states
+// about in that order (forceBit), and builds a slab's bitmap only where
+// its persisted bits disagree with them.
 func (h *Heap) replayWALs(c *pmem.Ctx, rep *Recovery) error {
 	// Every ring is scanned, once, before anything is applied: a damaged
 	// ring fails the open with the heap as the crash left it.
@@ -424,8 +433,7 @@ func (h *Heap) replayWALs(c *pmem.Ctx, rep *Recovery) error {
 	// Bits are applied to the cache image and their lines listed on the
 	// replaying arena (slab ownership was just reassigned, so it is the
 	// ring, not the owner, that covers them); the write-back ahead of the
-	// ring's checkpoint then persists each distinct line once, however
-	// often sequence-order replay flipped its bits back and forth.
+	// ring's checkpoint then persists each distinct line once.
 	for i, a := range h.arenas {
 		ents := rings[i]
 		// void maps a slab base to the sequence number up to which the
@@ -452,6 +460,7 @@ func (h *Heap) replayWALs(c *pmem.Ctx, rep *Recovery) error {
 				}
 			}
 		}
+		want := wantedBits{at: map[blockKey]int{}}
 		for k, e := range ents {
 			switch e.Op {
 			case walog.OpAllocBit, walog.OpFreeBit:
@@ -464,15 +473,18 @@ func (h *Heap) replayWALs(c *pmem.Ctx, rep *Recovery) error {
 				// OpMorph entry the checkpoint has passed — applying the
 				// stale index to the new geometry would flip an unrelated
 				// block.
-				if s := h.slabs.Lookup(e.Addr); s != nil && int(e.Aux2) == s.Class {
-					h.forceBit(c, s, int(e.Aux), e.Op == walog.OpAllocBit, a)
+				if s := h.slabs.Lookup(e.Addr); s != nil && int(e.Aux2) == s.Class && e.Aux < uint64(s.Blocks) {
+					want.set(s, int(e.Aux), e.Op == walog.OpAllocBit)
 				}
 			case walog.OpPublish:
-				h.replayPublish(c, a, e, k == len(ents)-1, void)
+				h.replayPublish(c, a, e, k == len(ents)-1, void, &want)
 			case walog.OpMorph:
 				// Morph steps are sealed by the slab's own flag field;
 				// slab.Open already undid or kept the transform.
 			}
+		}
+		for _, b := range want.bits {
+			h.forceBit(c, b.s, b.idx, b.val, a)
 		}
 		// Checkpoint's CatMeta flushes are the write-back's bitmap lines;
 		// its own word is a CatWAL flush.
@@ -483,10 +495,40 @@ func (h *Heap) replayWALs(c *pmem.Ctx, rep *Recovery) error {
 	return nil
 }
 
+// wantedBits is one ring's replay collected: the state the ring's last
+// live entry naming each block wants it in, the blocks in the order they
+// first appear (never in map order, so the replay repeats bit for bit).
+type wantedBits struct {
+	bits []wantedBit
+	at   map[blockKey]int // position in bits
+}
+
+type blockKey struct {
+	s   *slab.Slab
+	idx int
+}
+
+type wantedBit struct {
+	blockKey
+	val bool
+}
+
+// set records that block idx of s must end in state val, replacing what
+// an earlier entry wanted of it.
+func (w *wantedBits) set(s *slab.Slab, idx int, val bool) {
+	ref := blockKey{s, idx}
+	if i, ok := w.at[ref]; ok {
+		w.bits[i].val = val
+		return
+	}
+	w.at[ref] = len(w.bits)
+	w.bits = append(w.bits, wantedBit{ref, val})
+}
+
 // replayPublish completes or drops one OpPublish entry of ring a. Publish
 // holds the arena resource from its append to its last bit, so every entry
 // a ring holds except its last is known to have run to completion and its
-// bits are re-applied like a bit entry's. The last one may have been cut
+// bits are wanted like a bit entry's. The last one may have been cut
 // anywhere, and the slot word decides: if it holds new, the slot persist
 // happened and the publish is completed; otherwise the publish was never
 // acknowledged and nothing of it is applied.
@@ -495,7 +537,7 @@ func (h *Heap) replayWALs(c *pmem.Ctx, rep *Recovery) error {
 // the checkpoint past an entry that names one before it returns, so such
 // an entry is replayed only with its publish in flight — which is what
 // makes it safe to free by address: the space cannot have been reused.
-func (h *Heap) replayPublish(c *pmem.Ctx, a *arena, e walog.Entry, last bool, void map[pmem.PAddr]uint64) {
+func (h *Heap) replayPublish(c *pmem.Ctx, a *arena, e walog.Entry, last bool, void map[pmem.PAddr]uint64, want *wantedBits) {
 	slot, new, old := e.Addr, pmem.PAddr(e.Aux), e.Old
 	newTag, oldTag := int(e.Aux2>>8), int(e.Aux2&0xFF)
 	if uint64(slot)+8 > h.dev.Size() {
@@ -507,7 +549,7 @@ func (h *Heap) replayPublish(c *pmem.Ctx, a *arena, e walog.Entry, last bool, vo
 			return
 		}
 		if s := h.slabs.Lookup(p &^ (slab.Size - 1)); s != nil && e.Seq > void[s.Base] {
-			h.replayBit(c, a, s, p, tag-1, val)
+			h.replayBit(c, s, p, tag-1, val, want)
 		}
 	}
 	if done {
@@ -532,17 +574,19 @@ func (h *Heap) replayPublish(c *pmem.Ctx, a *arena, e walog.Entry, last bool, vo
 	}
 }
 
-// replayBit brings the block at p of slab s, which a publish entry named
-// by address, to state val. class is the size class p was a block of when
-// the entry was logged; as for a bit entry, a slab that has since morphed
-// away from it is left alone — unless p is one of the morph's surviving
-// old-class blocks, whose free goes to the index table: the caller has
-// established that the entry was logged after that morph (replayWALs, void).
-func (h *Heap) replayBit(c *pmem.Ctx, a *arena, s *slab.Slab, p pmem.PAddr, class int, val bool) {
+// replayBit wants the block at p of slab s, which a publish entry named by
+// address, in state val. class is the size class p was a block of when the
+// entry was logged; as for a bit entry, a slab that has since morphed away
+// from it is left alone — unless p is one of the morph's surviving
+// old-class blocks, whose free goes to the index table at once: the caller
+// has established that the entry was logged after that morph (replayWALs,
+// void).
+func (h *Heap) replayBit(c *pmem.Ctx, s *slab.Slab, p pmem.PAddr, class int, val bool, want *wantedBits) {
 	if !val && s.OldClass == class {
 		if oi := s.OldBlockIndex(p); oi >= 0 {
 			h.recoveryBuild(c, s)
 			_, _ = s.FreeOldBlock(c, oi, true) // cannot fail: oi was just resolved
+			h.relist(s)
 			return
 		}
 	}
@@ -550,7 +594,7 @@ func (h *Heap) replayBit(c *pmem.Ctx, a *arena, s *slab.Slab, p pmem.PAddr, clas
 		return
 	}
 	if idx := s.BlockIndex(p); idx >= 0 {
-		h.forceBit(c, s, idx, val, a)
+		want.set(s, idx, val)
 	}
 }
 
@@ -560,9 +604,19 @@ func (h *Heap) replayBit(c *pmem.Ctx, a *arena, s *slab.Slab, p pmem.PAddr, clas
 // the whole group of bits is written — ahead of a ring's checkpoint after
 // WAL replay, at the end of the GC variant's sweep — so each distinct line
 // is flushed once, however many of its bits changed.
+//
+// A slab not yet built is first checked at the one bitmap byte that holds
+// the block (slab.PersistedAllocated, charged as Build charges): while
+// every block forced there already reads as wanted, nothing changes and
+// the slab stays unbuilt for its first use to build. The first block that
+// does not builds it. The GC variant's sweep builds every slab first, so
+// it checks nothing.
 func (h *Heap) forceBit(c *pmem.Ctx, s *slab.Slab, idx int, val bool, wb *arena) {
-	if idx < 0 || idx >= s.Blocks {
-		return
+	if !s.Built() {
+		h.recovery.BitsChecked++
+		if s.PersistedAllocated(c, idx) == val {
+			return
+		}
 	}
 	h.recoveryBuild(c, s)
 	if val == s.BlockAllocated(idx) {
@@ -574,6 +628,7 @@ func (h *Heap) forceBit(c *pmem.Ctx, s *slab.Slab, idx int, val bool, wb *arena)
 	} else {
 		s.FreeBlock(c, idx, false)
 	}
+	h.relist(s)
 }
 
 // recoveryBuild is recovery's first touch of a slab (WAL replay, the GC
@@ -588,7 +643,19 @@ func (h *Heap) recoveryBuild(c *pmem.Ctx, s *slab.Slab) {
 	}
 	s.Build(c)
 	h.recovery.BitmapsBuilt++
-	if s.FreeCount() == 0 {
-		h.arenas[s.Owner].freelistRemove(s)
+	h.relist(s)
+}
+
+// relist keeps a slab recovery built on its freelist exactly while it has
+// a free block. Every recovery step that changes a built slab's bits calls
+// it: replay or the GC sweep may fill a slab that had room when it was
+// built, or free a block of one that was full.
+func (h *Heap) relist(s *slab.Slab) {
+	a := h.arenas[s.Owner]
+	switch listed := a.onFreelist(s); {
+	case listed && s.FreeCount() == 0:
+		a.freelistRemove(s)
+	case !listed && s.FreeCount() > 0:
+		a.freelistPush(s)
 	}
 }

@@ -16,8 +16,10 @@ import (
 // crashedLOGHeap builds a 16-arena NVAlloc-LOG heap with ringEntries-slot
 // rings, runs a fixed single-thread session on it — publishes, anonymous
 // blocks, a few extents, fewer appends than the smallest ring holds — and
-// drops it without Close.
-func crashedLOGHeap(t *testing.T, ringEntries int) *pmem.Device {
+// drops it without Close. With lose, the power fails (pmem.Device.Crash)
+// and every line not flushed is lost; without, the cache image survives,
+// as a killed process's mapped heap file does.
+func crashedLOGHeap(t *testing.T, ringEntries int, lose bool) *pmem.Device {
 	t.Helper()
 	dev := pmem.New(pmem.Config{Size: 64 << 20, Strict: true})
 	opts := DefaultOptions(LOG)
@@ -51,7 +53,9 @@ func crashedLOGHeap(t *testing.T, ringEntries int) *pmem.Device {
 		}
 	}
 	th.Ctx().Merge()
-	dev.Crash()
+	if lose {
+		dev.Crash()
+	}
 	return dev
 }
 
@@ -60,46 +64,59 @@ func crashedLOGHeap(t *testing.T, ringEntries int) *pmem.Device {
 // ring's live entries and the one slot where the log stops. The same
 // crashed session on rings of two capacities costs the same search time,
 // and what the crash adds over opening the same image as if it had shut
-// down cleanly is exactly that scan plus the bitmaps replay built
-// (blocks/8 each): a clean open builds none.
+// down cleanly (which builds no bitmap) is exactly that scan plus replay's
+// bitmap reads, counted apart: after a power failure, blocks/8 for each
+// slab whose lost bits replay rebuilt; after a kill, whose cache image
+// survives, one per bit checked and no slab built.
 func TestOpenScanFollowsLiveEntries(t *testing.T) {
-	search := func(ringEntries int, crashed bool) (int64, *Heap) {
-		dev := crashedLOGHeap(t, ringEntries)
-		if !crashed {
-			dev.WriteU64(superBase+sbState, pmem.SealU64(stateShutdown))
-		}
-		before := dev.Stats().CatNS[pmem.CatSearch]
-		h, _, err := Open(dev, Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return dev.Stats().CatNS[pmem.CatSearch] - before, h
-	}
-	small, _ := search(MinWALEntries, true)
-	large, h := search(1024, true)
-	rep := h.Recovery()
-	if rep.EntriesReplayed == 0 {
-		t.Fatal("no live WAL entry at the crash: the test replays nothing")
-	}
-	if large != small {
-		t.Fatalf("Open's search time is %d ns on %d-slot rings and %d ns on 1024-slot rings: the scan grows with capacity",
-			small, MinWALEntries, large)
-	}
-	clean, hc := search(1024, false)
-	if b := hc.Recovery().BitmapsBuilt; b != 0 {
-		t.Fatalf("a clean open built %d bitmaps", b)
-	}
-	var builds int64
-	h.slabs.Range(func(_ pmem.PAddr, s *slab.Slab) bool {
-		if s.Built() {
-			builds += int64(s.Blocks) / 8
-		}
-		return true
-	})
 	const arenas = 16
-	if got, want := large-clean-builds, int64(walog.SlotReadNS*(rep.EntriesReplayed+arenas)); got != want {
-		t.Fatalf("the ring scans charge %d ns of search, want %d: %d live entries and one stop slot in each of %d rings",
-			got, want, rep.EntriesReplayed, arenas)
+	for _, lose := range []bool{true, false} {
+		search := func(ringEntries int, crashed bool) (int64, *Heap) {
+			dev := crashedLOGHeap(t, ringEntries, lose)
+			if !crashed {
+				dev.WriteU64(superBase+sbState, pmem.SealU64(stateShutdown))
+			}
+			before := dev.Stats().CatNS[pmem.CatSearch]
+			h, _, err := Open(dev, Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			return dev.Stats().CatNS[pmem.CatSearch] - before, h
+		}
+		small, _ := search(MinWALEntries, true)
+		large, h := search(1024, true)
+		rep := h.Recovery()
+		if rep.EntriesReplayed == 0 {
+			t.Fatal("no live WAL entry at the crash: the test replays nothing")
+		}
+		if large != small {
+			t.Fatalf("lose=%v: Open's search time is %d ns on %d-slot rings and %d ns on 1024-slot rings: the scan grows with capacity",
+				lose, small, MinWALEntries, large)
+		}
+		clean, hc := search(1024, false)
+		if b := hc.Recovery().BitmapsBuilt; b != 0 {
+			t.Fatalf("a clean open built %d bitmaps", b)
+		}
+		var builds int64
+		h.slabs.Range(func(_ pmem.PAddr, s *slab.Slab) bool {
+			if s.Built() {
+				builds += int64(s.Blocks) / 8
+			}
+			return true
+		})
+		var reads int64
+		switch {
+		case lose && rep.BitmapsBuilt > 0:
+			reads = builds
+		case !lose && rep.BitmapsBuilt == 0 && rep.BitsChecked > 0:
+			reads = int64(rep.BitsChecked)
+		default:
+			t.Fatalf("lose=%v: replay built %d bitmaps and checked %d bits", lose, rep.BitmapsBuilt, rep.BitsChecked)
+		}
+		if got, want := large-clean-reads, int64(walog.SlotReadNS*(rep.EntriesReplayed+arenas)); got != want {
+			t.Fatalf("lose=%v: the ring scans charge %d ns of search, want %d: %d live entries and one stop slot in each of %d rings",
+				lose, got, want, rep.EntriesReplayed, arenas)
+		}
 	}
 }
 
@@ -325,15 +342,26 @@ func TestOpenCompactsOnlyOverThreshold(t *testing.T) {
 // phase that starts doing a job twice, or a job moved between phases,
 // shows here by name.
 func TestRecoveryPhaseBudget(t *testing.T) {
-	h, ns, err := Open(crashedLOGHeap(t, 1024), Options{})
-	if err != nil {
-		t.Fatal(err)
+	check := func(lose bool, want Recovery) {
+		t.Helper()
+		h, ns, err := Open(crashedLOGHeap(t, 1024, lose), Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := h.Recovery()
+		if got.TotalNS() != ns {
+			t.Errorf("lose=%v: phases sum to %d ns, Open returned %d", lose, got.TotalNS(), ns)
+		}
+		got.Wall = RecoveryWall{} // wall-clock time varies run to run
+		if got != want {
+			type raw Recovery // without the String method
+			t.Errorf("lose=%v: recovery report\n got %+v\nwant %+v", lose, raw(got), raw(want))
+		}
 	}
-	got := h.Recovery()
-	if got.TotalNS() != ns {
-		t.Errorf("phases sum to %d ns, Open returned %d", got.TotalNS(), ns)
-	}
-	want := Recovery{
+	// After a power failure every slab replay names lost a bit: the first
+	// check of each disagrees, and its bitmap is built for what Build alone
+	// charges.
+	check(true, Recovery{
 		Crashed:   true,
 		BookLogNS: 0, // one shard per arena, none over its threshold, no empty chunk
 		// 11 live records (3 extents, 8 slabs): replay frees none, so none
@@ -341,8 +369,7 @@ func TestRecoveryPhaseBudget(t *testing.T) {
 		// coalesces.
 		ExtentNS: 0,
 		// The headers, 8 over 16 arenas: the arena with the most reads 1
-		// while the others read theirs. Each bitmap is built when replay
-		// first touches its slab.
+		// while the others read theirs.
 		SlabNS:     1 * 20,
 		SlabWorkNS: 8 * 20,
 		WALNS:      (24+16)*5 + 2945 + 429, // each live entry and one stop slot per ring read; 8 lines (one per slab: sequential bitmaps), one checkpoint word, two fences; the 8 bitmaps
@@ -350,14 +377,25 @@ func TestRecoveryPhaseBudget(t *testing.T) {
 
 		SlabsOpened:      8,
 		BitmapsBuilt:     8,
+		BitsChecked:      8,
 		EntriesReplayed:  24,
 		LinesWrittenBack: 8,
-	}
-	got.Wall = RecoveryWall{} // wall-clock time varies run to run
-	if got != want {
-		type raw Recovery // without the String method
-		t.Errorf("recovery report\n got %+v\nwant %+v", raw(got), raw(want))
-	}
+	})
+	// After a kill the cache image holds every bit the rings want: replay
+	// checks each of the 16 wanted blocks' bytes, builds no bitmap and
+	// writes nothing back.
+	check(false, Recovery{
+		Crashed:    true,
+		SlabNS:     1 * 20,
+		SlabWorkNS: 8 * 20,
+		WALNS:      (24+16)*5 + 16 + 664, // the scan; 16 bytes checked; the one checkpoint word and its fence
+		// The second state word's flush queues on its bank behind the
+		// earlier flushes, which a WAL phase this short no longer hides.
+		StateNS:         1105,
+		SlabsOpened:     8,
+		BitsChecked:     16,
+		EntriesReplayed: 24,
+	})
 }
 
 // builtSlabs returns the bases of h's slabs whose bitmap is built, and how
@@ -376,71 +414,83 @@ func builtSlabs(h *Heap) (built map[pmem.PAddr]bool, slabs int) {
 
 // TestOpenBuildsOnlyTouchedBitmaps: a crashed LOG heap whose rings name a
 // few of its slabs. Open reads every header, charging 20 ns each, and
-// builds exactly the bitmaps of the slabs replay applied an entry to.
+// checks one bitmap byte per block the rings name. After a power failure,
+// which lost a bit of every named slab, it builds exactly the named slabs'
+// bitmaps, each at its first check; after a kill, whose cache image holds
+// every named bit, it builds none.
 func TestOpenBuildsOnlyTouchedBitmaps(t *testing.T) {
-	dev := pmem.New(pmem.Config{Size: 64 << 20, Strict: true})
-	h, err := Create(dev, DefaultOptions(LOG))
-	if err != nil {
-		t.Fatal(err)
-	}
-	th := h.NewThread()
-	var first []pmem.PAddr
-	for i := 0; i < 600; i++ {
-		p, err := th.Malloc(uint64(32 << (i % 6)))
+	for _, lose := range []bool{true, false} {
+		dev := pmem.New(pmem.Config{Size: 64 << 20, Strict: true})
+		h, err := Create(dev, DefaultOptions(LOG))
 		if err != nil {
 			t.Fatal(err)
 		}
-		first = append(first, p)
-	}
-	th.Close()
-	if err := h.Close(); err != nil {
-		t.Fatal(err)
-	}
-	// The session that crashes frees one block and allocates a few: only
-	// their slabs are named past the rings' checkpoints.
-	h, _, err = Open(dev, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	th = h.NewThread()
-	named := map[pmem.PAddr]bool{}
-	if err := th.Free(first[3]); err != nil {
-		t.Fatal(err)
-	}
-	named[first[3]&^(slab.Size-1)] = true
-	for i := 0; i < 10; i++ {
-		p, err := th.Malloc(128)
+		th := h.NewThread()
+		var first []pmem.PAddr
+		for i := 0; i < 600; i++ {
+			p, err := th.Malloc(uint64(32 << (i % 6)))
+			if err != nil {
+				t.Fatal(err)
+			}
+			first = append(first, p)
+		}
+		th.Close()
+		if err := h.Close(); err != nil {
+			t.Fatal(err)
+		}
+		// The session that crashes frees one block and allocates a few:
+		// only their slabs are named past the rings' checkpoints.
+		h, _, err = Open(dev, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		named[p&^(slab.Size-1)] = true
-	}
-	th.Ctx().Merge()
-	dev.Crash()
+		th = h.NewThread()
+		named := map[pmem.PAddr]bool{}
+		if err := th.Free(first[3]); err != nil {
+			t.Fatal(err)
+		}
+		named[first[3]&^(slab.Size-1)] = true
+		for i := 0; i < 10; i++ {
+			p, err := th.Malloc(128)
+			if err != nil {
+				t.Fatal(err)
+			}
+			named[p&^(slab.Size-1)] = true
+		}
+		th.Ctx().Merge()
+		if lose {
+			dev.Crash()
+		}
 
-	h, _, err = Open(dev, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rep := h.Recovery()
-	built, slabs := builtSlabs(h)
-	if rep.SlabsOpened != slabs || rep.SlabsOpened <= len(named) {
-		t.Fatalf("%d slabs opened of %d; the test needs more slabs than the %d replay names", rep.SlabsOpened, slabs, len(named))
-	}
-	if rep.BitmapsBuilt != len(named) || len(built) != len(named) {
-		t.Fatalf("%d bitmaps built (%d reported), want the %d slabs replay named", len(built), rep.BitmapsBuilt, len(named))
-	}
-	for base := range named {
-		if !built[base] {
-			t.Errorf("slab %#x, named by a live entry, is unbuilt", base)
+		h, _, err = Open(dev, Options{})
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	if want := int64(20 * rep.SlabsOpened); rep.SlabWorkNS != want {
-		t.Errorf("slab phase worked %d ns, want 20 ns for each of %d headers", rep.SlabWorkNS, rep.SlabsOpened)
-	}
-	arenas := len(h.arenas)
-	if want := int64(20 * ((rep.SlabsOpened + arenas - 1) / arenas)); rep.SlabNS != want {
-		t.Errorf("slab phase spans %d ns, want 20 ns for each header of the largest of %d partitions", rep.SlabNS, arenas)
+		rep := h.Recovery()
+		built, slabs := builtSlabs(h)
+		if rep.SlabsOpened != slabs || rep.SlabsOpened <= len(named) {
+			t.Fatalf("%d slabs opened of %d; the test needs more slabs than the %d replay names", rep.SlabsOpened, slabs, len(named))
+		}
+		want, checks := len(named), len(named)
+		if !lose {
+			want, checks = 0, 11 // the freed block and the ten allocated
+		}
+		if rep.BitmapsBuilt != want || len(built) != want || rep.BitsChecked != checks {
+			t.Fatalf("lose=%v: %d bitmaps built (%d reported) after %d checks, want %d after %d checks (%d slabs named)",
+				lose, len(built), rep.BitmapsBuilt, rep.BitsChecked, want, checks, len(named))
+		}
+		for base := range built {
+			if !named[base] {
+				t.Errorf("slab %#x, named by no live entry, is built", base)
+			}
+		}
+		if want := int64(20 * rep.SlabsOpened); rep.SlabWorkNS != want {
+			t.Errorf("slab phase worked %d ns, want 20 ns for each of %d headers", rep.SlabWorkNS, rep.SlabsOpened)
+		}
+		arenas := len(h.arenas)
+		if want := int64(20 * ((rep.SlabsOpened + arenas - 1) / arenas)); rep.SlabNS != want {
+			t.Errorf("slab phase spans %d ns, want 20 ns for each header of the largest of %d partitions", rep.SlabNS, arenas)
+		}
 	}
 }
 
@@ -719,9 +769,12 @@ func TestLazyBuildMatchesEager(t *testing.T) {
 // unread; a slab recovery itself builds and finds full leaves the list
 // there, as an eager load would have left it off. A session that closes
 // cleanly fills one 2 KiB slab and starts another, every block reachable
-// from a root; the session that crashes frees a block of the full slab
-// and takes it back, so NVAlloc-LOG's replay touches the slab, and
-// NVAlloc-GC's sweep touches every slab, and neither frees anything.
+// from a root; the session that crashes frees a block of the full slab,
+// publishes an extent — which writes the freed bit back ahead of the
+// ring's checkpoint — and takes the block back, whose bit the crash then
+// loses. So NVAlloc-LOG's replay finds the slab's persisted bits unlike
+// what its ring wants and builds it, NVAlloc-GC's sweep touches every
+// slab, and neither frees anything.
 func TestRecoveryUnlistsFullSlabs(t *testing.T) {
 	for _, v := range []Variant{LOG, GC} {
 		t.Run(v.String(), func(t *testing.T) {
@@ -755,6 +808,9 @@ func TestRecoveryUnlistsFullSlabs(t *testing.T) {
 			}
 			th = h.NewThread()
 			if err := th.Free(chain[0]); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := th.MallocTo(h.RootSlot(1), 40<<10); err != nil {
 				t.Fatal(err)
 			}
 			if p, err := th.Malloc(2048); err != nil || p != chain[0] {

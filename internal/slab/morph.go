@@ -478,10 +478,11 @@ func (s *Slab) readIndexTable(stripes int) error {
 // something needs them: it rebuilds the volatile bitmap (leaf + summary)
 // and the allocated count from the persistent bitmap, read through one
 // view of the region and the shared bit-layout table, and charges c the
-// per-block part of recovery. It writes nothing persistent. On a slab
-// already built it does nothing. Caller holds the slab lock, or is
-// recovery, which runs before any thread exists; c may be nil for a reader
-// outside every thread's clock.
+// per-block part of recovery: one nanosecond per bitmap byte (Blocks/8),
+// less the bytes PersistedAllocated already charged. It writes nothing
+// persistent. On a slab already built it does nothing. Caller holds the
+// slab lock, or is recovery, which runs before any thread exists; c may be
+// nil for a reader outside every thread's clock.
 func (s *Slab) Build(c *pmem.Ctx) {
 	if s.free == nil { // inlined: the hot paths call Build on every commit
 		s.build(c)
@@ -509,8 +510,27 @@ func (s *Slab) build(c *pmem.Ctx) {
 	}
 	s.free, s.resBits, s.Allocated = free, make([]uint64, (s.Blocks+63)/64), allocated
 	if c != nil {
-		c.Charge(pmem.CatSearch, int64(s.Blocks)/8)
+		c.Charge(pmem.CatSearch, int64(s.Blocks/8-s.bytesRead))
 	}
+}
+
+// PersistedAllocated reports what Build would make block idx of an unbuilt
+// slab: allocated if its persisted bit is set or an old-class block still
+// pins it. It reads the one bitmap byte that holds the bit and charges it
+// at Build's rate, 1 ns, until the charges reach what Build would have
+// charged, after which reads are free; Build then charges only the rest.
+// So checking some blocks and then building costs what building alone
+// does. It writes nothing. Caller holds the slab lock, or is recovery.
+func (s *Slab) PersistedAllocated(c *pmem.Ctx, idx int) bool {
+	if s.bytesRead < s.Blocks/8 {
+		s.bytesRead++
+		c.Charge(pmem.CatSearch, 1)
+	}
+	if s.cntBlock != nil && s.cntBlock[idx] > 0 {
+		return true
+	}
+	off := int(s.lay.off[idx])
+	return s.dev.ReadU8(s.Base+pmem.PAddr(s.bitmapBase)+pmem.PAddr(off/8))&(1<<(off%8)) != 0
 }
 
 // undoMorph rolls back a morph interrupted at flag 1 or 2 and returns the

@@ -177,6 +177,7 @@ type Slab struct {
 	lay        *bitLayout // shared (blocks, stripes) bit-layout table
 	bitmapBase uint32
 	free       *bitfit.Bitmap // logical-index bitmap: 1 = allocated or reserved (leaf + summary); nil until Build
+	bytesRead  int            // bitmap bytes PersistedAllocated charged before Build (at most Blocks/8)
 	resBits    []uint64       // logical-index bitmap: 1 = reserved in a tcache
 
 	// dirty is the write-back set of the LOG variant: bit i means line i of

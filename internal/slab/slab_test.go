@@ -156,6 +156,70 @@ func TestBuildPinsOldBlocks(t *testing.T) {
 	}
 }
 
+// TestPersistedAllocatedMatchesBuild: on an unbuilt slab, checking one
+// block reads what Build would make of it — the persisted bit, or a morph
+// pin — and the checks and a later Build together charge Build's Blocks/8
+// and no more. The slab is a slab_in with scattered allocated new-class
+// blocks and pinned blocks whose bits were cleared on media, as the GC
+// variant leaves them; the blocks are checked in random order, a random
+// number of them (some twice), before the Build.
+func TestPersistedAllocatedMatchesBuild(t *testing.T) {
+	for seed := int64(1); seed <= 16; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		dev, c, s := newSlab(t, sizeclass.Class(64), 6)
+		s.AllocBlock(c, s.Blocks-40, true)
+		if err := s.MorphTo(c, sizeclass.Class(256), 6, true); err != nil {
+			t.Fatal(err)
+		}
+		for nb := 0; nb < s.Blocks; nb++ {
+			off := int(s.lay.off[nb])
+			a := s.Base + pmem.PAddr(s.bitmapBase) + pmem.PAddr(off/8)
+			switch {
+			case s.OverlapCount(nb) > 0 && rng.Intn(2) == 0:
+				dev.WriteU8(a, dev.ReadU8(a)&^(1<<(off%8)))
+				c.FlushU64(pmem.CatMeta, a)
+			case s.OverlapCount(nb) == 0 && rng.Intn(3) == 0:
+				s.AllocBlock(c, nb, true)
+			}
+		}
+		c.Fence()
+		dev.Crash()
+
+		c = dev.NewCtx()
+		lazy, err := Open(dev.Mem(), c, slabBase)
+		if err != nil {
+			t.Fatal(err)
+		}
+		built, err := load(dev)
+		if err != nil {
+			t.Fatal(err)
+		}
+		start := c.Now
+		checks := rng.Intn(2 * s.Blocks)
+		for i := 0; i < checks; i++ {
+			nb := rng.Intn(s.Blocks)
+			if got, want := lazy.PersistedAllocated(c, nb), built.BlockAllocated(nb); got != want {
+				t.Fatalf("seed %d: block %d checks as allocated=%v, Build makes it %v", seed, nb, got, want)
+			}
+			if lazy.Built() {
+				t.Fatal("PersistedAllocated built the slab")
+			}
+		}
+		if got, want := c.Now-start, int64(min(checks, s.Blocks/8)); got != want {
+			t.Fatalf("seed %d: %d checks charged %d ns, want one per check up to Blocks/8 = %d", seed, checks, got, want)
+		}
+		lazy.Build(c)
+		if got, want := c.Now-start, int64(s.Blocks)/8; got != want {
+			t.Fatalf("seed %d: %d checks and a Build charged %d ns, want Build's Blocks/8 = %d", seed, checks, got, want)
+		}
+		for nb := 0; nb < s.Blocks; nb++ {
+			if lazy.BlockAllocated(nb) != built.BlockAllocated(nb) {
+				t.Fatalf("seed %d: block %d differs between a checked-then-built slab and a built one", seed, nb)
+			}
+		}
+	}
+}
+
 func TestGeometrySanity(t *testing.T) {
 	for class := 0; class < sizeclass.NumClasses(); class++ {
 		for _, stripes := range []int{1, 4, 6, 8} {
