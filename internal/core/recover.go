@@ -73,9 +73,11 @@ func validateSuper(dev pmem.Dev) error {
 }
 
 // Recovery is what one Open did, phase by phase in the order it ran them.
-// The *NS fields but SlabWorkNS are virtual nanoseconds of Open's own
-// context and add up to the figure Open returns (reading the bookkeeping
-// log back is charged to a context of the log's own and appears in none).
+// The *NS fields but SlabWorkNS and WALWorkNS are virtual nanoseconds of
+// Open's own context and add up to the figure Open returns (reading the
+// bookkeeping log back is charged to a context of the log's own and
+// appears in none). The two *WorkNS fields sum their phase's per-arena
+// reads where SlabNS and WALNS count the longest of them.
 type Recovery struct {
 	// Crashed: the previous session did not Close; the variant's failure
 	// recovery (WAL replay for LOG, conservative GC for GC) ran.
@@ -84,12 +86,16 @@ type Recovery struct {
 	BookLogNS int64 // bookkeeping-log GC policy, or the in-place header scan
 	ExtentNS  int64 // free lists from the gaps between the live records (a record is indexed when a free first needs it)
 	SlabNS    int64 // slab headers, morph undo and slab_in index tables: the span, the arenas' headers being read in parallel
-	WALNS     int64 // ring scans, replay, write-back and checkpoints (or the GC variant's mark and sweep), with the bitmaps they build
+	WALNS     int64 // ring scans (the span, the rings being read in parallel), replay, write-back and checkpoints (or the GC variant's mark and sweep), with the bitmaps they build
 	StateNS   int64 // the two run-state word commits
 
 	// SlabWorkNS is the slab phase's work: every arena's header reads plus
 	// the repairs, summed. It is SlabNS had the phase run serially.
 	SlabWorkNS int64
+	// WALWorkNS is the WAL phase's work: every ring's scan plus what
+	// follows them on Open's context (apply, write-back, checkpoints, or
+	// the GC variant's mark and sweep), summed.
+	WALWorkNS int64
 
 	ShardsCompacted  int // bookkeeping-log shards found over their slow-GC threshold
 	SlabsOpened      int // slab headers read
@@ -126,10 +132,10 @@ func (r Recovery) String() string {
 	us := func(ns int64) float64 { return float64(ns) / 1e3 }
 	ms := func(d time.Duration) float64 { return float64(d) / 1e6 }
 	w := r.Wall
-	return fmt.Sprintf("%.1f us virtual (book log %.1f, extents %.1f, slabs %.1f of %.1f work, wal %.1f, state %.1f); "+
+	return fmt.Sprintf("%.1f us virtual (book log %.1f, extents %.1f, slabs %.1f of %.1f work, wal %.1f of %.1f work, state %.1f); "+
 		"%.2f ms wall (book log %.2f, extents %.2f, slabs %.2f, wal %.2f, state %.2f); "+
 		"crashed=%v, %d shards compacted, %d slabs opened, %d bitmaps built, %d bits checked, %d extents indexed, %d wal entries (%d retired), %d lines written back",
-		us(r.TotalNS()), us(r.BookLogNS), us(r.ExtentNS), us(r.SlabNS), us(r.SlabWorkNS), us(r.WALNS), us(r.StateNS),
+		us(r.TotalNS()), us(r.BookLogNS), us(r.ExtentNS), us(r.SlabNS), us(r.SlabWorkNS), us(r.WALNS), us(r.WALWorkNS), us(r.StateNS),
 		ms(w.Total()), ms(w.BookLog), ms(w.Extent), ms(w.Slab), ms(w.WAL), ms(w.State),
 		r.Crashed, r.ShardsCompacted, r.SlabsOpened, r.BitmapsBuilt, r.BitsChecked, r.ExtentsIndexed, r.EntriesReplayed, r.EntriesRetired, r.LinesWrittenBack)
 }
@@ -144,12 +150,12 @@ func (h *Heap) Recovery() Recovery { return h.recovery }
 // records, open every slab's header (one arena's share per worker, morph
 // undo inside slab.Open), reopen the WAL rings and, if the persisted state
 // word shows the previous run did not shut down cleanly, resolve leaks per
-// the variant's consistency model: one scan of each ring's live window and
-// a replay for NVAlloc-LOG, conservative GC for NVAlloc-GC. A slab's
-// bitmap is read, and a live record gets its extent entry, the first time
-// something needs it: replay or the sweep here, an allocation or a free
-// later. It returns the recovery's virtual nanoseconds; Heap.Recovery
-// breaks them down.
+// the variant's consistency model: one scan of each ring's live window
+// (one ring per worker) and a replay for NVAlloc-LOG, conservative GC for
+// NVAlloc-GC. A slab's bitmap is read, and a live record gets its extent
+// entry, the first time something needs it: replay or the sweep here, an
+// allocation or a free later. It returns the recovery's virtual
+// nanoseconds; Heap.Recovery breaks them down.
 func Open(dev pmem.Dev, opts Options) (*Heap, int64, error) {
 	wallStart := time.Now()
 	if err := validateSuper(dev); err != nil {
@@ -269,23 +275,22 @@ func Open(dev pmem.Dev, opts Options) (*Heap, int64, error) {
 	if crashed {
 		switch opts.Variant {
 		case LOG:
+			rings, err := h.scanRings(c, rep)
+			if err != nil {
+				return nil, 0, err
+			}
 			if closing {
 				// The crash hit Close's checkpoint window: every logged
 				// operation already persisted in full before Close began, so
 				// the surviving entries are retired unapplied. The scan still
-				// CRC-validates each ring's live window and advances each
-				// log's sequence so the checkpoint lands past them.
-				for _, a := range h.arenas {
-					ents, err := a.wal.Replay(c)
-					if err != nil {
-						return nil, 0, err
-					}
-					rep.EntriesReplayed += len(ents)
-					rep.EntriesRetired += len(ents)
+				// CRC-validated each ring's live window and advanced each
+				// log's sequence, so the checkpoint lands past them.
+				for i, a := range h.arenas {
+					rep.EntriesRetired += len(rings[i])
 					a.wal.Checkpoint(c)
 				}
-			} else if err := h.replayWALs(c, rep); err != nil {
-				return nil, 0, err
+			} else {
+				h.replayWALs(c, rings, rep)
 			}
 		case GC:
 			if err := h.conservativeGC(c); err != nil {
@@ -299,6 +304,7 @@ func Open(dev pmem.Dev, opts Options) (*Heap, int64, error) {
 	}
 
 	lap(&rep.WALNS, &rep.Wall.WAL)
+	rep.WALWorkNS += rep.WALNS
 	rep.ExtentsIndexed = large.Indexed()
 
 	// Back in business.
@@ -310,17 +316,50 @@ func Open(dev pmem.Dev, opts Options) (*Heap, int64, error) {
 	return h, ns, nil
 }
 
+// forkArenas runs fn once per arena, each on a context of its own that
+// starts at c's clock, by min(GOMAXPROCS, arenas) goroutines. Forking and
+// joining them charges nothing, and c resumes at the latest arena's clock,
+// so the virtual time depends on neither the worker count nor the
+// goroutine order. The arena contexts' statistics merge into the device.
+// It returns the work: every arena's time, summed. fn may only read the
+// device and write what belongs to its arena: whatever writes persistent
+// state runs after the join, on c, in an order of its own.
+func (h *Heap) forkArenas(c *pmem.Ctx, fn func(a int, ac *pmem.Ctx)) (work int64) {
+	n := len(h.arenas)
+	start := c.Now
+	clocks := make([]*pmem.Ctx, n)
+	workers := min(runtime.GOMAXPROCS(0), n)
+	var wg sync.WaitGroup
+	for w := range workers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for a := w; a < n; a += workers {
+				ac := h.dev.NewCtx()
+				ac.Now = start
+				clocks[a] = ac
+				fn(a, ac)
+			}
+		}()
+	}
+	wg.Wait()
+	for _, ac := range clocks {
+		work += ac.Now - start
+		c.Now = max(c.Now, ac.Now)
+		ac.Merge()
+	}
+	return work
+}
+
 // openSlabs opens the header of every slab record, one partition per
 // arena: arena a owns the slab records whose position among them is ≡ a
-// mod arenas. Each partition is read on a context of its own that starts
-// at c's clock, by min(GOMAXPROCS, arenas) goroutines; forking and joining
-// them charges nothing, and c resumes at the latest partition's clock, so
-// the virtual time depends on neither the worker count nor the goroutine
-// order. The partitions only read (slab.Inspect). Everything that writes
-// runs after the join on c, in address order — the repairs slab.Open makes
-// (morph undo, a pending demotion) and the freelist and LRU pushes — so the
-// flushes, their order and the list order are those of one serial pass,
-// and so is the error: the first bad header in address order.
+// mod arenas, and each partition is read on its arena's context
+// (forkArenas). The partitions only read (slab.Inspect). Everything that
+// writes runs after the join on c, in address order — the repairs
+// slab.Open makes (morph undo, a pending demotion) and the freelist and
+// LRU pushes — so the flushes, their order and the list order are those
+// of one serial pass, and so is the error: the first bad header in
+// address order.
 //
 // Every slab goes on its class freelist unread, so a full one is listed
 // until something builds it: recovery's own touches take it off at once
@@ -339,34 +378,15 @@ func (h *Heap) openSlabs(c *pmem.Ctx, records []extent.LiveRecord, rep *Recovery
 	}
 	heads := make([]header, len(slabs))
 	n := len(h.arenas)
-	clocks := make([]*pmem.Ctx, n)
-	workers := min(runtime.GOMAXPROCS(0), n)
-	var wg sync.WaitGroup
-	for w := range workers {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for a := w; a < n; a += workers {
-				ac := h.dev.NewCtx()
-				ac.Now = c.Now
-				clocks[a] = ac
-				// A partition stops at its first bad header: the serial
-				// pass returns there before it reaches any slab after it.
-				for i := a; i < len(slabs); i += n {
-					if heads[i].s, heads[i].err = inspectSlab(h.mem, ac, slabs[i]); heads[i].err != nil {
-						break
-					}
-				}
+	rep.SlabWorkNS += h.forkArenas(c, func(a int, ac *pmem.Ctx) {
+		// A partition stops at its first bad header: the serial pass
+		// returns there before it reaches any slab after it.
+		for i := a; i < len(slabs); i += n {
+			if heads[i].s, heads[i].err = inspectSlab(h.mem, ac, slabs[i]); heads[i].err != nil {
+				break
 			}
-		}()
-	}
-	wg.Wait()
-	start := c.Now
-	for _, ac := range clocks {
-		rep.SlabWorkNS += ac.Now - start
-		c.Now = max(c.Now, ac.Now)
-		ac.Merge()
-	}
+		}
+	})
 
 	for i, r := range slabs {
 		s, err := heads[i].s, heads[i].err
@@ -401,6 +421,32 @@ func inspectSlab(mem pmem.Mem, c *pmem.Ctx, r extent.LiveRecord) (*slab.Slab, er
 	return slab.Inspect(mem, c, r.Addr)
 }
 
+// scanRings reads every WAL ring's live window (walog.Replay), one ring
+// per arena context (forkArenas), and returns each ring's live entries. A
+// scan reads and CRC-checks, and it flushes nothing, so only the scans
+// run in parallel: what acts on the entries runs after the join, on c, in
+// arena order. Every ring is scanned before anything is applied, so a
+// damaged ring fails the open with the heap as the crash left it, and the
+// error is the first damaged ring's in arena order, as a serial scan
+// would return.
+func (h *Heap) scanRings(c *pmem.Ctx, rep *Recovery) ([][]walog.Entry, error) {
+	rings := make([][]walog.Entry, len(h.arenas))
+	errs := make([]error, len(h.arenas))
+	start := c.Now
+	work := h.forkArenas(c, func(a int, ac *pmem.Ctx) {
+		rings[a], errs[a] = h.arenas[a].wal.Replay(ac)
+	})
+	// The scans' work past their span; Open adds the phase's own time.
+	rep.WALWorkNS += work - (c.Now - start)
+	for i, err := range errs {
+		if err != nil {
+			return nil, err
+		}
+		rep.EntriesReplayed += len(rings[i])
+	}
+	return rings, nil
+}
+
 // replayWALs applies every un-checkpointed WAL entry idempotently
 // (NVAlloc-LOG failure recovery, "replay WALs as in nvm_malloc"), ring by
 // ring in arena order. That order is enough because every bit change of a
@@ -417,19 +463,7 @@ func inspectSlab(mem pmem.Mem, c *pmem.Ctx, r extent.LiveRecord) (*slab.Slab, er
 // while an old-class block pins it. The second brings the kept states
 // about in that order (forceBit), and builds a slab's bitmap only where
 // its persisted bits disagree with them.
-func (h *Heap) replayWALs(c *pmem.Ctx, rep *Recovery) error {
-	// Every ring is scanned, once, before anything is applied: a damaged
-	// ring fails the open with the heap as the crash left it.
-	rings := make([][]walog.Entry, len(h.arenas))
-	for i, a := range h.arenas {
-		ents, err := a.wal.Replay(c)
-		if err != nil {
-			return err
-		}
-		rings[i] = ents
-		rep.EntriesReplayed += len(ents)
-	}
-
+func (h *Heap) replayWALs(c *pmem.Ctx, rings [][]walog.Entry, rep *Recovery) {
 	// Bits are applied to the cache image and their lines listed on the
 	// replaying arena (slab ownership was just reassigned, so it is the
 	// ring, not the owner, that covers them); the write-back ahead of the
@@ -492,7 +526,6 @@ func (h *Heap) replayWALs(c *pmem.Ctx, rep *Recovery) error {
 		a.wal.Checkpoint(c)
 		rep.LinesWrittenBack += int(c.Local().CatFlush[pmem.CatMeta] - lines)
 	}
-	return nil
 }
 
 // wantedBits is one ring's replay collected: the state the ring's last

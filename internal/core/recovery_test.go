@@ -372,8 +372,14 @@ func TestRecoveryPhaseBudget(t *testing.T) {
 		// while the others read theirs.
 		SlabNS:     1 * 20,
 		SlabWorkNS: 8 * 20,
-		WALNS:      (24+16)*5 + 2945 + 429, // each live entry and one stop slot per ring read; 8 lines (one per slab: sequential bitmaps), one checkpoint word, two fences; the 8 bitmaps
-		StateNS:    670,
+		// The rings are scanned one per worker: the span is the one ring
+		// that holds all 24 live entries, read with its stop slot, while the
+		// 15 empty rings read their stop slot each beside it. Then, on
+		// Open's context: 8 lines (one per slab: sequential bitmaps), one
+		// checkpoint word, two fences; the 8 bitmaps.
+		WALNS:     (24+1)*5 + 2945 + 429,
+		WALWorkNS: (24+16)*5 + 2945 + 429,
+		StateNS:   670,
 
 		SlabsOpened:      8,
 		BitmapsBuilt:     8,
@@ -388,10 +394,19 @@ func TestRecoveryPhaseBudget(t *testing.T) {
 		Crashed:    true,
 		SlabNS:     1 * 20,
 		SlabWorkNS: 8 * 20,
-		WALNS:      (24+16)*5 + 16 + 664, // the scan; 16 bytes checked; the one checkpoint word and its fence
-		// The second state word's flush queues on its bank behind the
-		// earlier flushes, which a WAL phase this short no longer hides.
-		StateNS:         1105,
+		// The scan's span and work as above; 16 bytes checked; the one
+		// checkpoint word (a random flush, 265 + 60 for the write-combining
+		// miss) and its fence. That word's line shares bank 0 with the first
+		// state word and the 14 lines the bookkeeping log's reopen flushed
+		// on its own context, 15 × 60 ns of load, so the flush waits there
+		// until 900: issued at 496 (state word 335, headers 20, scan 125,
+		// checks 16), it waits 404 ns. A serial scan issued it 75 ns later
+		// and waited 75 ns less, so the phase ends at 1235 either way.
+		WALNS:     (24+1)*5 + 16 + 404 + 325 + 10,
+		WALWorkNS: (24+16)*5 + 16 + 404 + 325 + 10,
+		// The second state word's flush is a reflush of the first at
+		// distance 1 (700 + 60), and its fence.
+		StateNS:         335 + 770,
 		SlabsOpened:     8,
 		BitsChecked:     16,
 		EntriesReplayed: 24,
