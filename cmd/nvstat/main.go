@@ -208,7 +208,7 @@ func inspect(w io.Writer, heap *nvalloc.Heap) {
 	}
 	fmt.Fprintf(w, " (new slabs: %d-way)\n", lay.Bitmap)
 	fmt.Fprintf(w, "slab morphing:    %v (SU %.0f%%)\n", opts.Morphing, opts.SU*100)
-	fmt.Fprintf(w, "bookkeeping:      log=%v (%d shards)\n", opts.LogBookkeeping, opts.BookShards)
+	fmt.Fprintf(w, "bookkeeping:      log=%v\n", opts.LogBookkeeping)
 	fmt.Fprintf(w, "wal:              %d entries per arena\n", opts.WALEntries)
 	fmt.Fprintf(w, "used:             %.1f MiB (peak %.1f MiB, lease overhead %.1f MiB)\n",
 		float64(heap.Used())/(1<<20), float64(heap.Peak())/(1<<20),

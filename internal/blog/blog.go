@@ -26,16 +26,23 @@ package blog
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/crc32"
+	"runtime"
 
 	"nvalloc/internal/interleave"
 	"nvalloc/internal/pmem"
 	"nvalloc/internal/rbtree"
+	"nvalloc/internal/sizeclass"
 )
 
 // ChunkSize is the persistent footprint of one log chunk.
 const ChunkSize = 1024
+
+// minPerChunk is the smallest PerChunk over every stripe count (eight
+// stripes of one line each).
+const minPerChunk = 64
 
 // PerChunk returns the entry capacity of a chunk for a given stripe
 // count. A chunk has 15 usable lines after its header; interleaving pads
@@ -137,12 +144,14 @@ func (v *vchunk) set(slot int)        { v.bits[slot/64] |= 1 << (slot % 64); v.l
 func (v *vchunk) clear(slot int)      { v.bits[slot/64] &^= 1 << (slot % 64); v.live-- }
 func (v *vchunk) valid(slot int) bool { return v.bits[slot/64]&(1<<(slot%64)) != 0 }
 
-// Log is one shard of the bookkeeping log: a self-contained chunk chain
-// over its own sub-region. It offers no record API of its own — Sharded
-// reserves and publishes entry slots and owns the fences — and is not
-// goroutine-safe: Sharded holds the shard's resource around every call
-// except publish.
+// Log is the bookkeeping log: one chunk chain over the log region behind
+// one resource, so that consecutive appends land in one chunk and reach
+// the media as sequential writes. It implements extent.Bookkeeper and
+// serializes itself: the resource covers slot reservation and GC, and an
+// entry's publish and fence run outside it (see RecordAlloc).
 type Log struct {
+	res pmem.Resource
+
 	dev     pmem.Mem
 	base    pmem.PAddr
 	size    uint64
@@ -184,24 +193,57 @@ type Log struct {
 	gc *gcState
 
 	// outstanding counts reserved-but-unpublished entry slots (see
-	// reserve/publish). Sharded's record calls bump it under the shard lock
-	// around out-of-lock publishes; GC must only run when it is zero, so
-	// it never snapshots, copies or reconciles a slot whose entry word
-	// has not been written yet.
+	// reserve/publish). The record calls bump it under the resource around
+	// out-of-lock publishes; GC must only run when it is zero, so it never
+	// snapshots, copies or reconciles a slot whose entry word has not been
+	// written yet.
 	outstanding int
 
 	lastGCCopied     int
 	fastGCs, slowGCs uint64
 
 	// gcWhileOutstanding counts GC passes that began (or stepped) while a
-	// reserved slot's publish was still in flight. The sharded facade's
-	// outstanding gate must keep this at zero: a nonzero value means GC
-	// snapshotted, copied or reconciled an entry word that had not been
-	// written yet. Exposed for the race tests.
+	// reserved slot's publish was still in flight. The outstanding gate
+	// must keep this at zero: a nonzero value means GC snapshotted, copied
+	// or reconciled an entry word that had not been written yet. Exposed
+	// for the race tests.
 	gcWhileOutstanding uint64
 }
 
-func newLog(dev pmem.Mem, base pmem.PAddr, size uint64, stripes int) *Log {
+// ErrFull is returned for a record when the live set leaves no room for
+// its own copy, even in a compacted log (see room). RegionSize provisions
+// the region so that no heap can get there.
+var ErrFull = errors.New("blog: log region exhausted")
+
+// RegionSize returns the log-region size for a heap of heapBytes bytes.
+//
+// The log holds one live record per live extent, and no recorded extent
+// is smaller than sizeclass.SmallMax: a large allocation is bigger and a
+// slab is 64 KiB. A heap therefore holds at most heapBytes/SmallMax live
+// records, heapBytes/2048 bytes of 8-byte entries. Entries pack at least
+// minPerChunk to a chunk, so the chain that holds them is at most
+// heapBytes/1024 bytes. Slow GC copies that chain while the old one still
+// stands, and the append path keeps room for the copy (see room):
+// records and tombstones may fill what the live set leaves, but the live
+// set alone must fit in half the region. Four times the largest live
+// chain, heapBytes/256, leaves the tombstones of one compaction cycle at
+// least as much room as the live set and its copy. (The paper provisions
+// about 100 MB per TB.) Small heaps get a floor of 64 chunks.
+func RegionSize(heapBytes uint64) uint64 {
+	liveChain := heapBytes / sizeclass.SmallMax * ChunkSize / minPerChunk
+	size := (4*liveChain + ChunkSize - 1) &^ (ChunkSize - 1)
+	return max(size, 64*ChunkSize)
+}
+
+// New formats a fresh log over [base, base+size).
+//
+// Formatting is lazy: a fresh (zeroed) region already reads as a valid
+// empty log — zero chain pointers and alt word unseal as zero, and a zero
+// break word means "nothing carved yet" (see readBreak). The first
+// persistent write happens with the first chunk carve, so creating a log
+// that is never appended to costs nothing. Like walog.New, this assumes a
+// fresh device: Create never reformats a region holding a previous image.
+func New(dev pmem.Mem, base pmem.PAddr, size uint64, stripes int) *Log {
 	if stripes < 1 {
 		stripes = 1
 	}
@@ -247,12 +289,9 @@ func (l *Log) sparePtrOff() pmem.PAddr {
 
 // newChunk obtains a chunk and makes it current. Preference order:
 // reactivate a dormant chunk in place, relink a free chunk at the tail,
-// or carve a fresh chunk from the region break. If no chunk is at hand it
-// first attempts a fast GC pass.
+// or carve a fresh chunk from the region break. Whether the append may
+// take an unlinked chunk is the record call's decision (room).
 func (l *Log) newChunk(c *pmem.Ctx) error {
-	if len(l.dormant) == 0 && len(l.free) == 0 && !l.breakHasRoom() {
-		l.FastGC(c)
-	}
 	var addr pmem.PAddr
 	switch {
 	case len(l.dormant) > 0:
@@ -279,7 +318,7 @@ func (l *Log) newChunk(c *pmem.Ctx) error {
 	default:
 		brk := pmem.PAddr(l.readBreak())
 		if uint64(brk)+ChunkSize > uint64(l.base)+l.size {
-			return fmt.Errorf("blog: log region exhausted (%d bytes)", l.size)
+			return l.full()
 		}
 		addr = brk
 		c.PersistU64(pmem.CatMeta, l.base+offBreak, uint64(brk)+ChunkSize)
@@ -293,8 +332,59 @@ func (l *Log) newChunk(c *pmem.Ctx) error {
 	return nil
 }
 
-func (l *Log) breakHasRoom() bool {
-	return l.readBreak()+ChunkSize <= uint64(l.base)+l.size
+func (l *Log) full() error {
+	return fmt.Errorf("%w (%d bytes, %d live records)", ErrFull, l.size, len(l.index))
+}
+
+// room reports whether an append may go ahead and still leave slow GC the
+// chunks to copy the live set: the unlinked chunks, less the one the
+// append takes when the current chunk is full and no dormant one is at
+// hand, must hold the chain of the live records as they stand after the
+// append — delta is +1 for a record, -1 for a tombstone. Chunks of an
+// incremental GC underway count as unlinked: aborting it returns them.
+//
+// Every record is admitted this way, so whenever an append finds no room
+// a slow GC can run at once: a synchronous one copies exactly the live
+// set. A tombstone that still finds no room after one (makeRoom) goes
+// ahead anyway; allocations are then refused until frees have shrunk the
+// live set back under the unlinked chunks.
+func (l *Log) room(delta int) bool {
+	unlinked := len(l.free) + int((uint64(l.base)+l.size-l.readBreak())/ChunkSize)
+	if l.gc != nil {
+		unlinked += len(l.gc.chunks)
+	}
+	if (l.current == nil || l.cursor >= l.perChunk) && len(l.dormant) == 0 {
+		unlinked--
+	}
+	return unlinked >= (len(l.index)+delta+l.perChunk-1)/l.perChunk
+}
+
+// makeRoom compacts the log for an append that found no room (see room):
+// it waits for the publishes in flight (GC must not run while a reserved
+// slot is unwritten), retires empty chunks, and if that is not enough
+// runs slow GC to completion rather than in GCBudgetChunks steps. It
+// reports whether there is room now; there is not only when the live set
+// leaves no room for its own copy, which RegionSize rules out for any
+// heap. The caller holds the resource.
+func (l *Log) makeRoom(c *pmem.Ctx, delta int) bool {
+	for l.outstanding != 0 {
+		l.res.Release(c)
+		runtime.Gosched()
+		l.res.Acquire(c)
+	}
+	l.FastGC(c)
+	if l.room(delta) {
+		return true
+	}
+	// Compact only if a compacted log could have room: its chain then
+	// holds the live records alone.
+	chunks := int((l.size - headerSize) / ChunkSize)
+	live := (len(l.index) + l.perChunk - 1) / l.perChunk
+	if chunks-live < (len(l.index)+delta+l.perChunk-1)/l.perChunk {
+		return false
+	}
+	_, _ = l.SlowGC(c) // refused up front when the region cannot hold the copy
+	return l.room(delta)
 }
 
 // readBreak returns the region break, mapping the never-written zero
@@ -327,9 +417,9 @@ func (l *Log) initAndLink(c *pmem.Ctx, addr pmem.PAddr) {
 	l.tail = addr
 }
 
-// reserve claims the next entry slot (carving a new chunk when the
+// reserve claims the next entry slot (taking a new chunk when the
 // current one is full) and marks its validity bit, leaving the
-// persistent entry word zero. Callers hold the log's lock; publish may
+// persistent entry word zero. Callers hold the resource; publish may
 // then run outside it. A crash between the two leaves a zero slot,
 // which recovery skips (the entry scan tolerates interior holes and the
 // cursor resumes after the last occupied slot), and the set vbit keeps
@@ -358,6 +448,143 @@ func (l *Log) reserve(c *pmem.Ctx) (entryRef, error) {
 func (l *Log) publish(c *pmem.Ctx, ref entryRef, e uint64) {
 	c.PersistU64(pmem.CatMeta, l.entryAddr(ref.chunk, ref.slot), e)
 }
+
+// SelfLocked implements extent.Bookkeeper: the log serializes its own
+// calls, so the extent layer takes no external bookkeeper resource.
+func (l *Log) SelfLocked() bool { return true }
+
+// DataOffset implements extent.Bookkeeper: the log lives in its own
+// region, so heap chunks carry no per-chunk reservation.
+func (l *Log) DataOffset() uint64 { return 0 }
+
+// RecordAlloc persists that [addr,addr+size) is live. It fails only when
+// the live set leaves no room for its copy (ErrFull).
+//
+// The resource covers only slot reservation (a cursor bump, an index
+// insert, the occasional chunk carve); the entry's flush and the trailing
+// fence run outside it. Concurrent appends therefore serialize only on
+// the near-free reservation — the media write is slot-private — instead
+// of queueing behind each other's flush+fence. The outstanding counter
+// keeps GC away while any reserved slot's word is still unwritten.
+func (l *Log) RecordAlloc(c *pmem.Ctx, addr pmem.PAddr, size uint64, slab bool) error {
+	t := TypeExtent
+	if slab {
+		t = TypeSlab
+	}
+	e := encode(addr, size, t)
+	l.res.Acquire(c)
+	var ref entryRef
+	var err error
+	if l.room(1) || l.makeRoom(c, 1) {
+		ref, err = l.reserve(c)
+	} else {
+		err = l.full()
+	}
+	if err == nil {
+		l.index[addr] = ref
+		l.outstanding++
+	}
+	l.res.Release(c)
+	if err != nil {
+		return err
+	}
+	l.publish(c, ref, e)
+	c.Fence()
+	l.res.Lock()
+	l.outstanding--
+	l.res.Unlock()
+	return nil
+}
+
+// RecordFree persists a tombstone for every address, with one trailing
+// fence, and runs the GC policy (MaybeGC) first. A single free is a group
+// of one. A group that finds no room (see room) is split there: the
+// tombstones reserved so far are published and fenced, the log compacts
+// (makeRoom), and the rest follow as a group of their own — so a free
+// never fails for want of log space while the region has a chunk left.
+// It returns how many tombstones it persisted: on an error (an
+// unrecorded address) those are addrs[:n], persisted and fenced.
+func (l *Log) RecordFree(c *pmem.Ctx, addrs []pmem.PAddr) (int, error) {
+	done, first, force := 0, true, false
+	for {
+		k, err := l.freeGroup(c, addrs[done:], first, force)
+		done += k
+		if err != errNoRoom {
+			return done, err
+		}
+		first = false
+		l.res.Acquire(c)
+		force = !l.makeRoom(c, -1)
+		l.res.Release(c)
+	}
+}
+
+// errNoRoom splits a tombstone group where room says no.
+var errNoRoom = errors.New("blog: no room before a compaction")
+
+// freeGroup tombstones addrs until one fails or, unless force, finds no
+// room. Like RecordAlloc, only slot reservation — with the index removals
+// and vbit invalidations — runs under the resource; the publishes and the
+// single fence run outside it. gc runs the GC policy first.
+func (l *Log) freeGroup(c *pmem.Ctx, addrs []pmem.PAddr, gc, force bool) (int, error) {
+	var buf [8]entryRef // a small group's slots never leave the stack
+	refs := buf[:0]
+	l.res.Acquire(c)
+	if gc && l.outstanding == 0 {
+		l.MaybeGC(c)
+	}
+	var err error
+	for _, a := range addrs {
+		ref, ok := l.index[a]
+		if !ok {
+			err = fmt.Errorf("blog: free of unrecorded extent %#x", a)
+			break
+		}
+		if !force && !l.room(-1) {
+			err = errNoRoom
+			break
+		}
+		var tref entryRef
+		if tref, err = l.reserve(c); err != nil {
+			break
+		}
+		delete(l.index, a)
+		if v, ok := l.chunks.Get(ref.chunk); ok {
+			v.clear(ref.slot)
+			l.noteEmpty(v)
+		}
+		refs = append(refs, tref)
+	}
+	if len(refs) > 0 {
+		l.outstanding++ // one increment covers the whole group
+	}
+	l.res.Release(c)
+	if len(refs) == 0 {
+		return 0, err
+	}
+	for k, tref := range refs {
+		l.publish(c, tref, encode(addrs[k], 0, TypeTombstone))
+	}
+	c.Fence()
+	l.res.Lock()
+	l.outstanding--
+	l.res.Unlock()
+	return len(refs), err
+}
+
+// OpenGC runs the GC policy once on a reopened log (MaybeGC, what its
+// next free would run first) and reports whether the log was over its
+// slow-GC threshold: compacted, or with a compaction begun.
+func (l *Log) OpenGC(c *pmem.Ctx) bool {
+	l.res.Acquire(c)
+	defer l.res.Release(c)
+	before := l.slowGCs
+	l.MaybeGC(c)
+	return l.gc != nil || l.slowGCs != before
+}
+
+// Res exposes the log's resource for contention instrumentation.
+func (l *Log) Res() *pmem.Resource { return &l.res }
 
 // noteEmpty queues a fully invalidated chunk for fast GC.
 func (l *Log) noteEmpty(v *vchunk) {

@@ -1,6 +1,7 @@
 package blog
 
 import (
+	"errors"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -10,39 +11,21 @@ import (
 
 const testRegion = 256 * ChunkSize
 
-// testLog is a one-shard bookkeeping log as the single-log tests see it:
-// records go through the one record API (Sharded), while the shard's GC
-// and chunk internals the tests drive and inspect are promoted from *Log.
-type testLog struct {
-	s *Sharded
-	*Log
-}
+// testLog is the log as the tests drive it: RecordFree takes one address
+// (a group of one).
+type testLog struct{ *Log }
 
-func oneShard(s *Sharded) testLog { return testLog{s: s, Log: s.Shard(0)} }
-
-func (l testLog) RecordAlloc(c *pmem.Ctx, addr pmem.PAddr, size uint64, slab bool) error {
-	return l.s.RecordAlloc(c, addr, size, slab)
-}
-
-// RecordFree tombstones one address: a group of one.
-func (l testLog) RecordFree(c *pmem.Ctx, addr pmem.PAddr) error {
-	return freeOne(l.s, c, addr)
-}
-
-func freeOne(s *Sharded, c *pmem.Ctx, addr pmem.PAddr) error {
-	_, err := s.RecordFree(c, []pmem.PAddr{addr})
-	return err
-}
+func (l testLog) RecordFree(c *pmem.Ctx, addr pmem.PAddr) error { return freeOne(l.Log, c, addr) }
 
 func newTestLog(t *testing.T) (*pmem.Device, testLog, *pmem.Ctx) {
 	t.Helper()
 	dev := pmem.New(pmem.Config{Size: 8 << 20, Strict: true})
-	return dev, oneShard(New(dev.Mem(), 4096, testRegion, 6, 1)), dev.NewCtx()
+	return dev, testLog{New(dev.Mem(), 4096, testRegion, 6)}, dev.NewCtx()
 }
 
 func reopen(t *testing.T, dev *pmem.Device) (testLog, map[pmem.PAddr]Record) {
 	t.Helper()
-	s, recs, err := Open(dev, 4096, testRegion, 6, 1)
+	l, recs, err := Open(dev, 4096, testRegion, 6)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,7 +33,7 @@ func reopen(t *testing.T, dev *pmem.Device) (testLog, map[pmem.PAddr]Record) {
 	for _, r := range recs {
 		m[r.Addr] = r
 	}
-	return oneShard(s), m
+	return testLog{l}, m
 }
 
 func TestEncodeDecodeProperty(t *testing.T) {
@@ -153,7 +136,7 @@ func TestFastGCRetiresEmptyChunksAndReusesThem(t *testing.T) {
 	if active0 < 3 {
 		t.Fatalf("expected >=3 chunks, got %d", active0)
 	}
-	// Hold the shard's GC gate closed while freeing, so retirement is left
+	// Hold the log's GC gate closed while freeing, so retirement is left
 	// to the explicit pass below instead of running inline with the frees.
 	l.outstanding++
 	for _, a := range addrs[:l.EntriesPerChunk()*2] {
@@ -367,7 +350,7 @@ func TestAppendsAreSequentialNotRandom(t *testing.T) {
 func TestInterleavedAppendsAvoidReflush(t *testing.T) {
 	run := func(stripes int) uint64 {
 		dev := pmem.New(pmem.Config{Size: 8 << 20})
-		l := oneShard(New(dev.Mem(), 4096, testRegion, stripes, 1))
+		l := testLog{New(dev.Mem(), 4096, testRegion, stripes)}
 		c := dev.NewCtx()
 		// The first append creates the chunk (break + head pointer share
 		// the log header line, a one-time reflush); measure steady state.
@@ -391,30 +374,59 @@ func TestInterleavedAppendsAvoidReflush(t *testing.T) {
 }
 
 func TestRegionSizeScaling(t *testing.T) {
-	if RegionSize(1<<20, 1)%ChunkSize != 0 {
+	if RegionSize(1<<20)%ChunkSize != 0 {
 		t.Fatal("region size must be chunk aligned")
 	}
-	if RegionSize(1<<30, 1) <= RegionSize(1<<20, 1) {
+	if RegionSize(1<<30) <= RegionSize(1<<20) {
 		t.Fatal("region must scale with heap size")
 	}
-	if RegionSize(0, 1) < 64*ChunkSize {
+	if RegionSize(0) < 64*ChunkSize {
 		t.Fatal("region floor violated")
+	}
+	if got := RegionSize(256 << 20); got != 1<<20 {
+		t.Fatalf("a 256 MiB heap's region is %d bytes, want 1 MiB (heap/256)", got)
+	}
+	// The live-record bound at the worst stripe count: one record per
+	// 16 KiB of heap, minPerChunk to a chunk. The region holds that chain
+	// four times over.
+	for s := 1; s <= (ChunkSize-chunkHdrSize)/pmem.LineSize; s++ {
+		if PerChunk(s) < minPerChunk {
+			t.Fatalf("PerChunk(%d) = %d, below minPerChunk", s, PerChunk(s))
+		}
+	}
+	heap := uint64(1 << 30)
+	liveChunks := (heap/(16<<10) + minPerChunk - 1) / minPerChunk
+	if chunks := (RegionSize(heap) - headerSize) / ChunkSize; chunks < 4*liveChunks-1 {
+		t.Fatalf("region of %d chunks, live chain up to %d", chunks, liveChunks)
 	}
 }
 
 func TestLogRegionExhaustion(t *testing.T) {
 	dev := pmem.New(pmem.Config{Size: 8 << 20})
-	l := oneShard(New(dev.Mem(), 4096, 2*ChunkSize, 6, 1)) // tiny: 2 chunks only
+	l := testLog{New(dev.Mem(), 4096, 4*ChunkSize, 6)} // tiny: 3 chunks only
 	c := dev.NewCtx()
 	var err error
-	for i := 0; i < 3*l.EntriesPerChunk(); i++ {
-		err = l.RecordAlloc(c, pmem.PAddr(0x100000+i*0x1000), 4096, false)
+	n := 0
+	for ; n < 3*l.EntriesPerChunk(); n++ {
+		err = l.RecordAlloc(c, pmem.PAddr(0x100000+n*0x1000), 4096, false)
 		if err != nil {
 			break
 		}
 	}
-	if err == nil {
-		t.Fatal("expected exhaustion error")
+	if !errors.Is(err, ErrFull) {
+		t.Fatalf("expected ErrFull, got %v after %d records", err, n)
+	}
+	// The live set may fill one chunk: its copy takes a second, and
+	// appends need a third.
+	if n != l.EntriesPerChunk() {
+		t.Fatalf("log of 3 chunks took %d records, want one chunk's worth (%d)", n, l.EntriesPerChunk())
+	}
+	// Frees still succeed: each compacts the log to make room for its
+	// tombstone.
+	for i := 0; i < n; i++ {
+		if err := l.RecordFree(c, pmem.PAddr(0x100000+i*0x1000)); err != nil {
+			t.Fatalf("free %d of a full log: %v", i, err)
+		}
 	}
 }
 
@@ -460,20 +472,20 @@ func TestCrashFuzzEveryFlushBoundary(t *testing.T) {
 	// One clean pass to collect the address universe.
 	{
 		dev := pmem.New(pmem.Config{Size: 8 << 20, Strict: true})
-		l := oneShard(New(dev.Mem(), 4096, testRegion, 6, 1))
+		l := testLog{New(dev.Mem(), 4096, testRegion, 6)}
 		script(l, dev, dev.NewCtx(), true)
 	}
 	for cut := int64(1); cut < 400; cut += 13 {
 		dev := pmem.New(pmem.Config{Size: 8 << 20, Strict: true})
-		l := oneShard(New(dev.Mem(), 4096, testRegion, 6, 1))
+		l := testLog{New(dev.Mem(), 4096, testRegion, 6)}
 		dev.CrashAfterFlushes(cut)
 		script(l, dev, dev.NewCtx(), false)
 		dev.Crash()
-		s2, recs, err := Open(dev, 4096, testRegion, 6, 1)
+		s2, recs, err := Open(dev, 4096, testRegion, 6)
 		if err != nil {
 			t.Fatalf("cut=%d: recovery failed: %v", cut, err)
 		}
-		l2 := oneShard(s2)
+		l2 := testLog{s2}
 		seen := map[pmem.PAddr]bool{}
 		for _, r := range recs {
 			if seen[r.Addr] {
@@ -526,7 +538,7 @@ func TestRecordGroupSingleFenceAndRecovery(t *testing.T) {
 		t.Fatalf("%d alloc records issued %d fences, want one each", len(recs), fences)
 	}
 	f0 = c.Local().Fences
-	n, err := l.s.RecordFree(c, []pmem.PAddr{0x20000, 0x40000})
+	n, err := l.Log.RecordFree(c, []pmem.PAddr{0x20000, 0x40000})
 	if err != nil || n != 2 {
 		t.Fatalf("free group persisted %d of 2: %v", n, err)
 	}
@@ -554,7 +566,7 @@ func TestRecordFreeGroupUnknownAddrFailsFenced(t *testing.T) {
 	// The first address tombstones fine; the unknown one aborts the group
 	// but the persisted prefix must be reported, fenced and recoverable.
 	f0 := c.Local().Fences
-	n, err := l.s.RecordFree(c, []pmem.PAddr{0x10000, 0x99000})
+	n, err := l.Log.RecordFree(c, []pmem.PAddr{0x10000, 0x99000})
 	if err == nil {
 		t.Fatal("free group with unrecorded address must error")
 	}
@@ -577,13 +589,13 @@ func TestSingleRecordAllocatesNothing(t *testing.T) {
 	// Not strict: the simulator's strict-mode line locks allocate an
 	// unlock closure per typed store, which is not the path under test.
 	dev := pmem.New(pmem.Config{Size: 8 << 20})
-	l, c := oneShard(New(dev.Mem(), 4096, testRegion, 6, 1)), dev.NewCtx()
+	l, c := testLog{New(dev.Mem(), 4096, testRegion, 6)}, dev.NewCtx()
 	addrs := []pmem.PAddr{0x70000}
 	pair := func() {
-		if err := l.s.RecordAlloc(c, addrs[0], 4096, false); err != nil {
+		if err := l.RecordAlloc(c, addrs[0], 4096, false); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := l.s.RecordFree(c, addrs); err != nil {
+		if _, err := l.Log.RecordFree(c, addrs); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -325,20 +325,25 @@ func (l *Log) finishSlowGC(c *pmem.Ctx) error {
 // entry into a fresh chunk chain built on the spare header pointer, then
 // commits by flipping the alt bit. Tombstones and dead entries are
 // dropped; every chunk of the old chain (active or dormant) becomes
-// free. If an incremental GC is already underway it is driven to
-// completion. Returns the number of live entries copied.
+// free. An incremental GC already underway is driven to completion; if
+// that runs out of chunks (its copy holds entries freed since its
+// snapshot), it is aborted, which returns its chunks, and a fresh one
+// copies the live set alone. Returns the number of live entries copied.
 func (l *Log) SlowGC(c *pmem.Ctx) (int, error) {
-	if err := l.startSlowGC(c); err != nil {
-		return 0, err
-	}
+	resumed := l.gc != nil
 	for {
-		done, err := l.slowGCStep(c, 1<<30)
-		if err != nil {
+		if err := l.startSlowGC(c); err != nil {
 			return 0, err
 		}
-		if done {
-			return l.lastGCCopied, nil
+		// One unbounded step copies everything and commits, or fails.
+		if _, err := l.slowGCStep(c, 1<<30); err != nil {
+			if resumed {
+				resumed = false
+				continue
+			}
+			return 0, err
 		}
+		return l.lastGCCopied, nil
 	}
 }
 

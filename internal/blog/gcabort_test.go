@@ -1,6 +1,7 @@
 package blog
 
 import (
+	"errors"
 	"testing"
 
 	"nvalloc/internal/pmem"
@@ -13,8 +14,8 @@ func gcAddr(i int) pmem.PAddr { return pmem.PAddr(1<<24) + pmem.PAddr(i)*0x1000 
 
 // TestSlowGCAbortOnChunkExhaustion drives the incremental slow GC into
 // mid-flight chunk exhaustion: the upfront capacity check passes, then
-// interleaved appends carve the region break out from under the copy
-// steps. The GC must abort cleanly — old chain untouched, log usable,
+// chunks taken past the record calls' room check carve the region break
+// out from under the copy steps. The GC must abort cleanly — old chain untouched, log usable,
 // records recoverable — and a restart must succeed once space exists.
 func TestSlowGCAbortOnChunkExhaustion(t *testing.T) {
 	dev, l, c := newTestLog(t)
@@ -35,11 +36,11 @@ func TestSlowGCAbortOnChunkExhaustion(t *testing.T) {
 		t.Fatal("GC not active after start")
 	}
 
-	// Steal the headroom: appends during the GC carve ~30 chunks from the
-	// break, which the capacity check had counted for the new chain.
-	for i := 0; i < 30*per; i++ {
-		if err := l.RecordAlloc(c, gcAddr(nFill+i), 4096, false); err != nil {
-			t.Fatalf("interleaved append %d: %v", i, err)
+	// Steal the headroom: take ~30 chunks from the break, which the
+	// capacity check had counted for the new chain.
+	for i := 0; i < 30; i++ {
+		if err := l.newChunk(c); err != nil {
+			t.Fatalf("chunk %d: %v", i, err)
 		}
 	}
 
@@ -62,24 +63,24 @@ func TestSlowGCAbortOnChunkExhaustion(t *testing.T) {
 		t.Fatal("GC still active after abort")
 	}
 
-	// The log must remain fully usable after the abort...
-	if err := l.RecordAlloc(c, gcAddr(nFill+30*per), 8192, false); err != nil {
-		t.Fatalf("append after abort: %v", err)
-	}
-	// ...and an immediate restart must be refused by the capacity check
-	// (the region genuinely cannot hold a full copy any more).
+	// An immediate restart must be refused by the capacity check (the
+	// region genuinely cannot hold a full copy any more)...
 	if _, err := l.SlowGC(c); err == nil {
 		t.Fatal("SlowGC restarted without capacity; want upfront refusal")
 	}
+	// ...so a record is refused, and a free still goes ahead.
+	if err := l.RecordAlloc(c, gcAddr(nFill), 8192, false); !errors.Is(err, ErrFull) {
+		t.Fatalf("append after abort: %v, want ErrFull", err)
+	}
+	if err := l.RecordFree(c, gcAddr(0)); err != nil {
+		t.Fatalf("free after abort: %v", err)
+	}
 
 	// The old chain was never touched: a crash right after the abort
-	// recovers every record. (A *restart* in this region is genuinely
-	// impossible — free tombstones consume exactly the capacity the frees
-	// release, and the abort's carved chunks stay unreachable until a GC
-	// completes — which is what the upfront refusal above verified.)
+	// recovers every record but the freed one.
 	dev.Crash()
 	_, recs := reopen(t, dev)
-	want := nFill + 30*per + 1
+	want := nFill - 1
 	if len(recs) != want {
 		t.Fatalf("recovered %d records, want %d", len(recs), want)
 	}
@@ -149,7 +150,7 @@ func TestSlowGCAbortAndRestart(t *testing.T) {
 // interleaves single-chunk slow-GC steps with appends and frees, so crash
 // boundaries land between arbitrary copy steps of the new chain.
 func gcInterleaveRun(dev *pmem.Device) []uint64 {
-	l := oneShard(New(dev.Mem(), 4096, testRegion, 6, 1))
+	l := testLog{New(dev.Mem(), 4096, testRegion, 6)}
 	c := dev.NewCtx()
 	per := l.EntriesPerChunk()
 

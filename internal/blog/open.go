@@ -16,25 +16,11 @@ func (l *Log) validChunkAddr(a pmem.PAddr) bool {
 	return (uint64(a)-uint64(l.base)-headerSize)%ChunkSize == 0
 }
 
-// shardRead is one shard as openLog read it. fixes are the writes the
-// read found owed, in the order it found them; they run on c, the shard's
-// own uncharged context, when the caller calls them — Open does so after
-// every shard has been read, shard by shard, so concurrent reads leave the
-// flush sequence of one serial pass. On an error, fixes holds the writes
-// owed before it.
-type shardRead struct {
-	l     *Log
-	recs  []Record
-	c     *pmem.Ctx
-	fixes []func()
-	err   error
-}
-
-// openLog reads one shard back after a restart or crash. It walks the
-// active chunk chain, replays normal and tombstone entries in activation
-// order, rebuilds the volatile vchunks/index/free structures, and returns
-// the records of every live extent. Recovery work is charged to the
-// shard's own context. It writes nothing itself: see shardRead.
+// Open reads the log back after a restart or crash. It walks the active
+// chunk chain, replays normal and tombstone entries in activation order,
+// rebuilds the volatile vchunks/index/free structures, and returns the
+// records of every live extent in address order. Recovery work and the
+// repairs it makes are charged to a context of the log's own.
 //
 // Every pointer followed is validated before it is dereferenced (sealed
 // head/alt words, chunk alignment and range, header magic and checksum),
@@ -42,14 +28,10 @@ type shardRead struct {
 // silently truncated chain. The region break self-heals: it is raised to
 // cover every chunk the chain reaches and persisted back if the stored
 // value is torn or stale.
-func openLog(dev pmem.Dev, base pmem.PAddr, size uint64, stripes int) (r shardRead) {
-	r.c = dev.NewCtx()
-	r.l, r.recs, r.err = readLog(dev, base, size, stripes, r.c, &r.fixes)
-	return r
-}
-
-func readLog(dev pmem.Dev, base pmem.PAddr, size uint64, stripes int, c *pmem.Ctx, fixes *[]func()) (*Log, []Record, error) {
-	l := newLog(dev.Mem(), base, size, stripes)
+func Open(dev pmem.Dev, base pmem.PAddr, size uint64, stripes int) (*Log, []Record, error) {
+	c := dev.NewCtx()
+	defer c.Merge()
+	l := New(dev.Mem(), base, size, stripes)
 
 	alt, ok := pmem.UnsealU64(dev.ReadU64(base + offAlt))
 	if !ok {
@@ -92,12 +74,9 @@ func readLog(dev pmem.Dev, base pmem.PAddr, size uint64, stripes int, c *pmem.Ct
 					return nil, nil, pmem.Corrupt("blog", a, "chunk checksum %#x, want %#x", got, want)
 				}
 			}
-			chunk := a
-			*fixes = append(*fixes, func() {
-				dev.WriteU32(chunk+coCRC, want)
-				c.Flush(pmem.CatMeta, chunk, chunkHdrSize)
-				c.Fence()
-			})
+			dev.WriteU32(a+coCRC, want)
+			c.Flush(pmem.CatMeta, a, chunkHdrSize)
+			c.Fence()
 		}
 		chain = append(chain, chunkInfo{
 			addr:   a,
@@ -122,10 +101,8 @@ func readLog(dev pmem.Dev, base pmem.PAddr, size uint64, stripes int, c *pmem.Ct
 	brkBad := brk < uint64(base)+headerSize || brk > uint64(base)+size ||
 		(brk-uint64(base)-headerSize)%ChunkSize != 0 || brk < maxEnd
 	if brkBad {
-		*fixes = append(*fixes, func() {
-			c.PersistU64(pmem.CatMeta, base+offBreak, maxEnd)
-			c.Fence()
-		})
+		c.PersistU64(pmem.CatMeta, base+offBreak, maxEnd)
+		c.Fence()
 	}
 
 	// Replay entries in global activation order.

@@ -6,15 +6,15 @@ import (
 	"nvalloc/internal/pmem"
 )
 
-// scrubLog repairs one damaged shard in place so a subsequent Open
+// Scrub repairs a damaged log region in place so a subsequent Open
 // succeeds: an unsealable alt or head word empties the log, the chunk
 // chain is truncated before the first corrupt chunk, and an empty chunk
 // with a stale checksum is repaired in place (mirroring Open's
 // mid-reactivation tolerance). Entries in dropped chunks are lost —
 // scavenging trades tail records for a mountable heap. It returns a
 // description of every repair made (empty when nothing was wrong).
-func scrubLog(dev pmem.Dev, base pmem.PAddr, size uint64, stripes int) []string {
-	l := newLog(dev.Mem(), base, size, stripes)
+func Scrub(dev pmem.Dev, base pmem.PAddr, size uint64, stripes int) []string {
+	l := New(dev.Mem(), base, size, stripes)
 	c := dev.NewCtx()
 	defer c.Merge()
 	var done []string
@@ -90,14 +90,14 @@ func scrubLog(dev pmem.Dev, base pmem.PAddr, size uint64, stripes int) []string 
 	return done
 }
 
-// dropRecordLog zeroes every normal entry for addr in one shard's chunk chain —
+// DropRecord zeroes every normal entry for addr in the log's chunk chain —
 // the scavenger's tool for discarding a live-extent record that failed
 // extent-level validation (misaligned, overlapping, out of range).
 // Returns how many entries were cleared. The chain must already be
 // structurally sound (run Scrub first); a damaged chain stops the walk
 // early rather than erroring.
-func dropRecordLog(dev pmem.Dev, base pmem.PAddr, size uint64, stripes int, addr pmem.PAddr) int {
-	l := newLog(dev.Mem(), base, size, stripes)
+func DropRecord(dev pmem.Dev, base pmem.PAddr, size uint64, stripes int, addr pmem.PAddr) int {
+	l := New(dev.Mem(), base, size, stripes)
 	c := dev.NewCtx()
 	defer c.Merge()
 	alt, ok := pmem.UnsealU64(dev.ReadU64(base + offAlt))

@@ -89,9 +89,6 @@ type Options struct {
 	// and a slab one arena releases is at once another's to format
 	// (contention reference, crashmc's write-back family).
 	NoExtentCache bool
-	// BookShards is the number of independent bookkeeping-log shards
-	// (default: one per arena). Ignored with in-place bookkeeping.
-	BookShards int
 }
 
 // DefaultOptions returns the paper's configuration for a variant.
@@ -165,9 +162,6 @@ func (o Options) withDefaults() Options {
 	if o.WALEntries < MinWALEntries {
 		o.WALEntries = MinWALEntries
 	}
-	if o.BookShards <= 0 {
-		o.BookShards = o.Arenas
-	}
 	return o
 }
 
@@ -197,8 +191,7 @@ const (
 	sbWALBase    = 80
 	sbWALEnts    = 88
 	sbBookMode   = 96
-	sbWALStripes = 104 // stripe count used by WAL + blog entry layout
-	sbBookShards = 112 // bookkeeping-log shard count
+	sbWALStripes = 104 // stripe count used by WAL + blog entry layout; [112,120) reserved
 	sbChecksum   = 120 // CRC-32C over [0,120) with state and break zeroed
 	sbRoots      = 128 // alloc.NumRootSlots * 8 bytes
 
@@ -207,7 +200,11 @@ const (
 	// publish op replaces the malloc_to/free_from pair (walog.OpPublish).
 	// A version 3 ring holds op codes and a field layout this build would
 	// misread, so Open refuses it (FormatError).
-	superVersion = 4
+	// superVersion 5: the bookkeeping log is one chunk chain over its
+	// region (blog.RegionSize). A version 4 region is split into
+	// address-routed shards, each with a header of its own, which this
+	// build would read as one corrupt log.
+	superVersion = 5
 )
 
 // FormatError is returned by Open for a heap whose superblock is intact
@@ -217,7 +214,7 @@ type FormatError struct {
 }
 
 func (e *FormatError) Error() string {
-	return fmt.Sprintf("core: heap has format version %d (written by another build: its WAL rings use a different entry layout and op codes); this build reads only version %d and cannot convert it",
+	return fmt.Sprintf("core: heap has format version %d (written by another build: its WAL rings or bookkeeping log have a different layout); this build reads only version %d and cannot convert it",
 		e.Version, uint64(superVersion))
 }
 
@@ -271,7 +268,7 @@ type Heap struct {
 	arenas []*arena
 	large  *extent.Allocator
 	book   extent.Bookkeeper
-	blog   *blog.Sharded // non-nil iff LogBookkeeping
+	blog   *blog.Log // non-nil iff LogBookkeeping
 
 	// slabs maps slab base addresses to vslabs through a lock-free
 	// two-level page map: Free resolves an address to its slab with two
@@ -326,7 +323,6 @@ func CreateLayout(dev pmem.Dev, opts Options, lay Layout) (*Heap, error) {
 		bookMode = 1
 	}
 	w(sbBookMode, bookMode)
-	w(sbBookShards, uint64(opts.BookShards))
 	dev.Zero(superBase+sbRoots, alloc.NumRootSlots*8)
 
 	h.initVolatile(dev, opts, lay)
@@ -336,9 +332,9 @@ func CreateLayout(dev pmem.Dev, opts Options, lay Layout) (*Heap, error) {
 	c.Fence()
 	// Fresh persistent structures.
 	if opts.LogBookkeeping {
-		h.blog = blog.New(dev.Mem(), h.blogBase(), h.blogSize(), h.lay.WAL, opts.BookShards)
+		h.blog = blog.New(dev.Mem(), h.blogBase(), h.blogSize(), h.lay.WAL)
 		if opts.BlogGCThreshold > 0 {
-			h.blog.SetSlowGCThreshold(opts.BlogGCThreshold)
+			h.blog.SlowGCThreshold = opts.BlogGCThreshold
 		}
 		h.book = h.blog
 	} else {
@@ -362,7 +358,7 @@ func regions(dev pmem.Dev, opts Options) (*Heap, error) {
 	walBytes := uint64(opts.Arenas) * uint64(walog.RegionSize(opts.WALEntries, opts.Stripes))
 	walBase := uint64(8192)
 	blogBase := (walBase + walBytes + 4095) &^ 4095
-	blogSize := blog.RegionSize(dev.Size(), opts.BookShards)
+	blogSize := blog.RegionSize(dev.Size())
 	heapBase := (blogBase + blogSize + extent.ChunkSize - 1) &^ (extent.ChunkSize - 1)
 	if heapBase+extent.ChunkSize > dev.Size() {
 		return nil, fmt.Errorf("core: device too small (%d bytes) for metadata regions", dev.Size())
@@ -469,9 +465,9 @@ func (h *Heap) Peak() uint64 { return h.large.Peak() }
 // ResetPeak restarts peak tracking.
 func (h *Heap) ResetPeak() { h.large.ResetPeak() }
 
-// Blog exposes the sharded bookkeeping log (nil when in-place
-// bookkeeping is configured); used by GC-overhead experiments.
-func (h *Heap) Blog() *blog.Sharded { return h.blog }
+// Blog exposes the bookkeeping log (nil when in-place bookkeeping is
+// configured); used by GC-overhead experiments.
+func (h *Heap) Blog() *blog.Log { return h.blog }
 
 // BlockAllocated reports whether addr holds a live small block: its slab
 // still exists and the block's bit (or, on a morphed slab, its old-class
@@ -609,25 +605,10 @@ func (h *Heap) Contention() []ResourceLoad {
 		return ResourceLoad{Name: name, LoadNS: r.Load(), WaitNS: r.WaitNS(), Acquires: r.Acquires()}
 	}
 	global, book, shards := h.large.Locks()
-	out := []ResourceLoad{row("large", global)}
 	if h.blog != nil {
-		// The sharded log serializes itself per shard; the "book" row
-		// aggregates all shards (comparable to the in-place scheme's one
-		// book lock) and each shard also reports its own row.
-		agg := ResourceLoad{Name: "book"}
-		for i := 0; i < h.blog.NumShards(); i++ {
-			r := h.blog.Res(i)
-			agg.LoadNS += r.Load()
-			agg.WaitNS += r.WaitNS()
-			agg.Acquires += r.Acquires()
-		}
-		out = append(out, agg)
-		for i := 0; i < h.blog.NumShards(); i++ {
-			out = append(out, row(fmt.Sprintf("book%d", i), h.blog.Res(i)))
-		}
-	} else {
-		out = append(out, row("book", book))
+		book = h.blog.Res() // the log serializes itself
 	}
+	out := []ResourceLoad{row("large", global), row("book", book)}
 	for i, r := range shards {
 		out = append(out, row(fmt.Sprintf("shard%d", i), r))
 	}

@@ -32,7 +32,7 @@ func Regions(dev pmem.Dev) []Region {
 	rs = append(rs, Region{Name: "wal", Range: pmem.Range{Start: walBase, End: walBase + pmem.PAddr(arenas)*region}})
 	if dev.ReadU64(superBase+sbBookMode) == 1 {
 		blogBase := pmem.PAddr(dev.ReadU64(superBase + sbBlogBase))
-		blogSize := dev.ReadU64(superBase + sbBlogSize) // total across shards
+		blogSize := dev.ReadU64(superBase + sbBlogSize)
 		rs = append(rs, Region{Name: "blog", Range: pmem.Range{Start: blogBase, End: blogBase + pmem.PAddr(blogSize)}})
 	}
 	heapBase := pmem.PAddr(dev.ReadU64(superBase + sbHeapBase))

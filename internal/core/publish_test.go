@@ -320,9 +320,10 @@ func TestPublishRefusesBadBlocks(t *testing.T) {
 }
 
 // TestOpenRefusesOtherFormatVersion: version 3 rings hold the malloc_to /
-// free_from op codes in another entry layout. An intact superblock of that
-// version is not corruption and nothing to repair — Open and Scavenge both
-// return the *FormatError — while a flipped version bit still is.
+// free_from op codes in another entry layout, and version 4 splits the
+// bookkeeping log into shards. An intact superblock of either version is
+// not corruption and nothing to repair — Open and Scavenge both return the
+// *FormatError — while a flipped version bit still is.
 func TestOpenRefusesOtherFormatVersion(t *testing.T) {
 	dev, h := newHeap(t, LOG, nil)
 	if err := h.Close(); err != nil {
@@ -334,16 +335,19 @@ func TestOpenRefusesOtherFormatVersion(t *testing.T) {
 		t.Fatalf("Open with a flipped version bit: %v, want a corruption error", err)
 	}
 
-	dev.WriteU64(superBase+sbVersion, 3)
-	dev.WriteU64(superBase+sbChecksum, uint64(superCRC(dev)))
-	var fe *FormatError
-	if _, _, err := Open(dev.Clone(), Options{}); !errors.As(err, &fe) || fe.Version != 3 {
-		t.Fatalf("Open of a version 3 heap: %v, want a *FormatError naming it", err)
-	} else if errors.Is(err, pmem.ErrCorrupted) {
-		t.Fatalf("a heap of another version reported as corrupt: %v", err)
-	}
-	if _, repairs, err := Scavenge(dev, Options{}); !errors.As(err, &fe) || len(repairs) != 0 {
-		t.Fatalf("Scavenge of a version 3 heap: %v after repairs %q, want the *FormatError and no repair", err, repairs)
+	for _, v := range []uint64{3, 4} {
+		old := dev.Clone()
+		old.WriteU64(superBase+sbVersion, v)
+		old.WriteU64(superBase+sbChecksum, uint64(superCRC(old)))
+		var fe *FormatError
+		if _, _, err := Open(old.Clone(), Options{}); !errors.As(err, &fe) || fe.Version != v {
+			t.Fatalf("Open of a version %d heap: %v, want a *FormatError naming it", v, err)
+		} else if errors.Is(err, pmem.ErrCorrupted) {
+			t.Fatalf("a heap of another version reported as corrupt: %v", err)
+		}
+		if _, repairs, err := Scavenge(old, Options{}); !errors.As(err, &fe) || len(repairs) != 0 {
+			t.Fatalf("Scavenge of a version %d heap: %v after repairs %q, want the *FormatError and no repair", v, err, repairs)
+		}
 	}
 }
 

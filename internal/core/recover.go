@@ -39,7 +39,6 @@ func validateSuper(dev pmem.Dev) error {
 	bookMode := dev.ReadU64(superBase + sbBookMode)
 	walEnts := dev.ReadU64(superBase + sbWALEnts)
 	walStripes := dev.ReadU64(superBase + sbWALStripes)
-	bookShards := dev.ReadU64(superBase + sbBookShards)
 	switch {
 	case arenas < 1 || arenas > 1024:
 		return pmem.Corrupt("superblock", superBase+sbArenas, "arena count %d out of range", arenas)
@@ -53,8 +52,6 @@ func validateSuper(dev pmem.Dev) error {
 		return pmem.Corrupt("superblock", superBase+sbWALEnts, "WAL ring capacity %d out of range", walEnts)
 	case walStripes < 1 || walStripes > 64:
 		return pmem.Corrupt("superblock", superBase+sbWALStripes, "WAL stripe count %d out of range", walStripes)
-	case bookMode == 1 && (bookShards < 1 || bookShards > 1024):
-		return pmem.Corrupt("superblock", superBase+sbBookShards, "bookkeeping shard count %d out of range", bookShards)
 	}
 	walBase := dev.ReadU64(superBase + sbWALBase)
 	blogBase := dev.ReadU64(superBase + sbBlogBase)
@@ -97,14 +94,14 @@ type Recovery struct {
 	// the GC variant's mark and sweep), summed.
 	WALWorkNS int64
 
-	ShardsCompacted  int // bookkeeping-log shards found over their slow-GC threshold
-	SlabsOpened      int // slab headers read
-	BitmapsBuilt     int // of those, slabs whose bitmap recovery read: the ones whose persisted bits replay found at odds with its log, or the GC sweep touched
-	BitsChecked      int // kept blocks replay checked at their bitmap byte on a slab not yet built (charged up to Blocks/8 per slab)
-	ExtentsIndexed   int // live records Open gave an entry: the extents replay's last publish or the GC sweep freed
-	EntriesReplayed  int // live WAL entries the ring scans returned
-	EntriesRetired   int // of those, dropped unapplied: voided by a later slab release, or all of them after a crash inside Close
-	LinesWrittenBack int // bitmap lines flushed ahead of the rings' checkpoints
+	LogCompacted     bool // the bookkeeping log was over its slow-GC threshold: Open compacted it, or began to
+	SlabsOpened      int  // slab headers read
+	BitmapsBuilt     int  // of those, slabs whose bitmap recovery read: the ones whose persisted bits replay found at odds with its log, or the GC sweep touched
+	BitsChecked      int  // kept blocks replay checked at their bitmap byte on a slab not yet built (charged up to Blocks/8 per slab)
+	ExtentsIndexed   int  // live records Open gave an entry: the extents replay's last publish or the GC sweep freed
+	EntriesReplayed  int  // live WAL entries the ring scans returned
+	EntriesRetired   int  // of those, dropped unapplied: voided by a later slab release, or all of them after a crash inside Close
+	LinesWrittenBack int  // bitmap lines flushed ahead of the rings' checkpoints
 
 	// Wall is the same phases in wall-clock time. It varies run to run, so
 	// nothing that must repeat compares it.
@@ -134,10 +131,10 @@ func (r Recovery) String() string {
 	w := r.Wall
 	return fmt.Sprintf("%.1f us virtual (book log %.1f, extents %.1f, slabs %.1f of %.1f work, wal %.1f of %.1f work, state %.1f); "+
 		"%.2f ms wall (book log %.2f, extents %.2f, slabs %.2f, wal %.2f, state %.2f); "+
-		"crashed=%v, %d shards compacted, %d slabs opened, %d bitmaps built, %d bits checked, %d extents indexed, %d wal entries (%d retired), %d lines written back",
+		"crashed=%v, log compacted=%v, %d slabs opened, %d bitmaps built, %d bits checked, %d extents indexed, %d wal entries (%d retired), %d lines written back",
 		us(r.TotalNS()), us(r.BookLogNS), us(r.ExtentNS), us(r.SlabNS), us(r.SlabWorkNS), us(r.WALNS), us(r.WALWorkNS), us(r.StateNS),
 		ms(w.Total()), ms(w.BookLog), ms(w.Extent), ms(w.Slab), ms(w.WAL), ms(w.State),
-		r.Crashed, r.ShardsCompacted, r.SlabsOpened, r.BitmapsBuilt, r.BitsChecked, r.ExtentsIndexed, r.EntriesReplayed, r.EntriesRetired, r.LinesWrittenBack)
+		r.Crashed, r.LogCompacted, r.SlabsOpened, r.BitmapsBuilt, r.BitsChecked, r.ExtentsIndexed, r.EntriesReplayed, r.EntriesRetired, r.LinesWrittenBack)
 }
 
 // Recovery reports what the Open that produced this heap did. It is the
@@ -168,11 +165,6 @@ func Open(dev pmem.Dev, opts Options) (*Heap, int64, error) {
 	opts.Variant = Variant(dev.ReadU64(superBase + sbVariant))
 	opts.LogBookkeeping = dev.ReadU64(superBase+sbBookMode) == 1
 	opts.WALEntries = int(dev.ReadU64(superBase + sbWALEnts))
-	if opts.LogBookkeeping {
-		// The shard count determines the region split and the record
-		// routing, so the persisted value always wins.
-		opts.BookShards = int(dev.ReadU64(superBase + sbBookShards))
-	}
 
 	h := &Heap{dev: dev, mem: dev.Mem(), opts: opts}
 	h.heapBase = pmem.PAddr(dev.ReadU64(superBase + sbHeapBase))
@@ -218,22 +210,20 @@ func Open(dev pmem.Dev, opts Options) (*Heap, int64, error) {
 	// Reopen the bookkeeper and enumerate live extents.
 	var records []extent.LiveRecord
 	if opts.LogBookkeeping {
-		// Every shard recovers independently; the merged record list is
-		// address-ordered across shards.
-		bl, recs, err := blog.Open(dev, h.blogBase(), h.blogSize(), h.lay.WAL, opts.BookShards)
+		bl, recs, err := blog.Open(dev, h.blogBase(), h.blogSize(), h.lay.WAL)
 		if err != nil {
 			return nil, 0, err
 		}
 		if opts.BlogGCThreshold > 0 {
-			bl.SetSlowGCThreshold(opts.BlogGCThreshold)
+			bl.SlowGCThreshold = opts.BlogGCThreshold
 		}
-		// The paper compacts the log at every open (Section 4.4). Here a
-		// shard is compacted only when it is over its threshold, which is
+		// The paper compacts the log at every open (Section 4.4). Here the
+		// log is compacted only when it is over its threshold, which is
 		// when its next free would have begun the same compaction:
 		// tombstones come only from frees, and every free runs this
 		// policy, so the log stays bounded without an unconditional
 		// rewrite at open.
-		rep.ShardsCompacted = bl.MaybeGCAll(c)
+		rep.LogCompacted = bl.OpenGC(c)
 		h.blog = bl
 		h.book = bl
 		for _, r := range recs {

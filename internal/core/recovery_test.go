@@ -239,7 +239,7 @@ func TestOpenIgnoresRetiredSlots(t *testing.T) {
 
 // TestOpenCompactsOnlyOverThreshold: Open runs the bookkeeping log's GC
 // policy, not an unconditional rewrite. The same crashed image — five
-// chunks of records and tombstones in one shard, none of them empty — is
+// chunks of records and tombstones, none of them empty — is
 // opened under the default threshold (far above it) and under a one-chunk
 // threshold.
 func TestOpenCompactsOnlyOverThreshold(t *testing.T) {
@@ -248,7 +248,6 @@ func TestOpenCompactsOnlyOverThreshold(t *testing.T) {
 		dev := pmem.New(pmem.Config{Size: 128 << 20, Strict: true, Journal: true})
 		opts := DefaultOptions(LOG)
 		opts.Arenas = 2
-		opts.BookShards = 1
 		h, err := Create(dev, opts)
 		if err != nil {
 			t.Fatal(err)
@@ -316,18 +315,18 @@ func TestOpenCompactsOnlyOverThreshold(t *testing.T) {
 	}
 
 	under, flushes := reopen(0)
-	if flushes != 0 || under.Recovery().ShardsCompacted != 0 {
-		t.Errorf("under the threshold Open flushed %d bookkeeping-log lines and compacted %d shards, want none",
-			flushes, under.Recovery().ShardsCompacted)
+	if flushes != 0 || under.Recovery().LogCompacted {
+		t.Errorf("under the threshold Open flushed %d bookkeeping-log lines (log compacted: %v), want none",
+			flushes, under.Recovery().LogCompacted)
 	}
 	if _, slow := under.Blog().GCCounts(); slow != 0 {
 		t.Errorf("under the threshold Open ran %d slow GCs", slow)
 	}
 
 	over, flushes := reopen(1)
-	if flushes == 0 || over.Recovery().ShardsCompacted != 1 {
-		t.Errorf("over the threshold Open flushed %d bookkeeping-log lines and compacted %d shards, want the one shard rewritten",
-			flushes, over.Recovery().ShardsCompacted)
+	if flushes == 0 || !over.Recovery().LogCompacted {
+		t.Errorf("over the threshold Open flushed %d bookkeeping-log lines (log compacted: %v), want the log rewritten",
+			flushes, over.Recovery().LogCompacted)
 	}
 	if _, slow := over.Blog().GCCounts(); slow != 1 {
 		t.Errorf("over the threshold Open ran %d slow GCs, want 1", slow)
@@ -363,7 +362,7 @@ func TestRecoveryPhaseBudget(t *testing.T) {
 	// charges.
 	check(true, Recovery{
 		Crashed:   true,
-		BookLogNS: 0, // one shard per arena, none over its threshold, no empty chunk
+		BookLogNS: 0, // the log under its threshold, no empty chunk
 		// 11 live records (3 extents, 8 slabs): replay frees none, so none
 		// is indexed, and no gap between them reaches past a chunk, so none
 		// coalesces.
@@ -379,7 +378,10 @@ func TestRecoveryPhaseBudget(t *testing.T) {
 		// checkpoint word, two fences; the 8 bitmaps.
 		WALNS:     (24+1)*5 + 2945 + 429,
 		WALWorkNS: (24+16)*5 + 2945 + 429,
-		StateNS:   670,
+		// The first state word as below; the second a random flush and its
+		// fence. The bookkeeping log's reopen flushed nothing (its break
+		// word was written with its first chunk), so neither waits on bank 0.
+		StateNS: 335 + 265 + 10,
 
 		SlabsOpened:      8,
 		BitmapsBuilt:     8,
@@ -397,16 +399,14 @@ func TestRecoveryPhaseBudget(t *testing.T) {
 		// The scan's span and work as above; 16 bytes checked; the one
 		// checkpoint word (a random flush, 265 + 60 for the write-combining
 		// miss) and its fence. That word's line shares bank 0 with the first
-		// state word and the 14 lines the bookkeeping log's reopen flushed
-		// on its own context, 15 × 60 ns of load, so the flush waits there
-		// until 900: issued at 496 (state word 335, headers 20, scan 125,
-		// checks 16), it waits 404 ns. A serial scan issued it 75 ns later
-		// and waited 75 ns less, so the phase ends at 1235 either way.
-		WALNS:     (24+1)*5 + 16 + 404 + 325 + 10,
-		WALWorkNS: (24+16)*5 + 16 + 404 + 325 + 10,
+		// state word only — the bookkeeping log's reopen flushed nothing —
+		// so it does not wait: issued at 496 (state word 335, headers 20,
+		// scan 125, checks 16), it ends the phase at 831.
+		WALNS:     (24+1)*5 + 16 + 325 + 10,
+		WALWorkNS: (24+16)*5 + 16 + 325 + 10,
 		// The second state word's flush is a reflush of the first at
-		// distance 1 (700 + 60), and its fence.
-		StateNS:         335 + 770,
+		// distance 1 (700), and its fence.
+		StateNS:         335 + 710,
 		SlabsOpened:     8,
 		BitsChecked:     16,
 		EntriesReplayed: 24,

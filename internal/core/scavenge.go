@@ -107,8 +107,7 @@ func repairOne(dev pmem.Dev, ce *pmem.CorruptError) (string, bool) {
 		base := pmem.PAddr(dev.ReadU64(superBase + sbBlogBase))
 		size := dev.ReadU64(superBase + sbBlogSize)
 		stripes := int(dev.ReadU64(superBase + sbWALStripes))
-		shards := int(dev.ReadU64(superBase + sbBookShards))
-		if done := blog.Scrub(dev, base, size, stripes, shards); len(done) > 0 {
+		if done := blog.Scrub(dev, base, size, stripes); len(done) > 0 {
 			return strings.Join(done, "; "), true
 		}
 		return "", false
@@ -132,8 +131,7 @@ func repairOne(dev pmem.Dev, ce *pmem.CorruptError) (string, bool) {
 			base := pmem.PAddr(dev.ReadU64(superBase + sbBlogBase))
 			size := dev.ReadU64(superBase + sbBlogSize)
 			stripes := int(dev.ReadU64(superBase + sbWALStripes))
-			shards := int(dev.ReadU64(superBase + sbBookShards))
-			if n := blog.DropRecord(dev, base, size, stripes, shards, ce.Addr); n > 0 {
+			if n := blog.DropRecord(dev, base, size, stripes, ce.Addr); n > 0 {
 				return fmt.Sprintf("dropped %d bookkeeping-log record(s) for %#x", n, ce.Addr), true
 			}
 			return "", false

@@ -1,9 +1,12 @@
 package core
 
 import (
+	"errors"
+	"fmt"
 	"slices"
 
 	"nvalloc/internal/alloc"
+	"nvalloc/internal/extent"
 	"nvalloc/internal/pmem"
 	"nvalloc/internal/sizeclass"
 	"nvalloc/internal/slab"
@@ -129,19 +132,29 @@ func (t *Thread) mallocSmall(class int) (pmem.PAddr, error) {
 }
 
 // oom reports a failed extent carve or record as the heap being full.
+// When the extent layer had the space and the bookkeeper failed, the
+// bookkeeper's error is wrapped alongside.
 func oom(addr pmem.PAddr, err error) (pmem.PAddr, error) {
-	if err != nil {
+	switch {
+	case err == nil:
+		return addr, nil
+	case errors.Is(err, extent.ErrNoSpace):
 		return pmem.Null, alloc.ErrOutOfMemory
 	}
-	return addr, nil
+	return pmem.Null, fmt.Errorf("%w: bookkeeping: %w", alloc.ErrOutOfMemory, err)
 }
 
-// badAddr reports a failed extent free or release as a bad address.
+// badAddr reports a failed extent free or release as a bad address when
+// the address is not a live extent. Any other failure is the
+// bookkeeper's, and is returned wrapped.
 func badAddr(err error) error {
-	if err != nil {
+	switch {
+	case err == nil:
+		return nil
+	case errors.Is(err, extent.ErrUnknown):
 		return alloc.ErrBadAddress
 	}
-	return nil
+	return fmt.Errorf("core: bookkeeping: %w", err)
 }
 
 // Free releases a block or extent.
@@ -514,8 +527,10 @@ func (t *Thread) Publish(slot, new, old pmem.PAddr) error {
 			if !ok {
 				return alloc.ErrBadAddress
 			}
-		} else if newLarge && h.large.Record(c, t.arena.index, new, false) != nil {
-			return alloc.ErrOutOfMemory
+		} else if newLarge {
+			if _, err := oom(new, h.large.Record(c, t.arena.index, new, false)); err != nil {
+				return err
+			}
 		}
 		c.PersistU64(pmem.CatOther, slot, uint64(new))
 		c.Fence()
@@ -582,12 +597,12 @@ func (t *Thread) Publish(slot, new, old pmem.PAddr) error {
 	ring.wal.Append(c, e)
 	if newLarge {
 		// RecordAlloc fences its record, and the entry with it.
-		if err := h.large.Record(c, t.arena.index, new, false); err != nil {
+		if _, err := oom(new, h.large.Record(c, t.arena.index, new, false)); err != nil {
 			// The entry names an extent that will never exist: retire it
 			// before anything can follow it in the ring.
 			ring.wal.Checkpoint(c)
 			ring.res.Release(c)
-			return alloc.ErrOutOfMemory
+			return err
 		}
 	} else {
 		c.Fence()
@@ -620,7 +635,7 @@ func (t *Thread) Publish(slot, new, old pmem.PAddr) error {
 	case oldLarge:
 		// RecordFree fences the tombstone.
 		t.tombOne[0] = old
-		err = h.large.Tombstone(c, t.tombOne[:])
+		err = badAddr(h.large.Tombstone(c, t.tombOne[:]))
 	}
 	if newLarge || oldLarge {
 		ring.wal.Checkpoint(c)

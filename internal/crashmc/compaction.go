@@ -7,7 +7,7 @@ import (
 )
 
 // The compaction family covers what Open does to the bookkeeping log. Open
-// compacts a shard only when it is over its slow-GC threshold, and the
+// compacts the log only when it is over its slow-GC threshold, and the
 // threshold is a volatile option: the other families recover with the
 // default one, which no trace this small ever crosses, so none of their
 // recoveries compacts. This target passes the smoke threshold to Open as
@@ -16,9 +16,8 @@ import (
 // compaction — chunk copies, the spare head pointer, the alt flip — and
 // inside the runtime one a crashed free left half done.
 
-// CompactionTarget is NVAlloc-LOG with two arenas and a single bookkeeping
-// shard (every record in one chain), opened with the same low slow-GC
-// threshold it was created with.
+// CompactionTarget is NVAlloc-LOG with two arenas, opened with the same low
+// slow-GC threshold it was created with.
 func CompactionTarget() Target {
 	return target("NVAlloc-LOG", compactionOptions, compactionOptions)
 }
@@ -26,7 +25,6 @@ func CompactionTarget() Target {
 func compactionOptions() core.Options {
 	opts := core.DefaultOptions(core.LOG)
 	opts.Arenas = 2
-	opts.BookShards = 1
 	opts.BlogGCThreshold = SmokeGCThreshold
 	return opts
 }

@@ -2,8 +2,8 @@ package crashmc
 
 // The raced trace families: small two-thread traces aimed at the
 // allocator's genuinely concurrent persistence machinery, where the
-// ordering decisions live outside any lock — sharded bookkeeping-log
-// appends racing that shard's inline GC, batched remote-free drains
+// ordering decisions live outside any lock — bookkeeping-log appends
+// racing the log's inline GC, batched remote-free drains
 // racing the owner arena's allocations, and extent-cache refills racing
 // extent frees. Each family keeps a single scheduled writer per root
 // slot, so the per-slot oracle stays the two-value legality rule while
@@ -12,11 +12,11 @@ package crashmc
 // buffered frees that flush nothing) — those pairs are what DPOR proves
 // independent and prunes.
 
-// ConcShardGC is the shard-append×GC family: thread 0 streams large
-// publishes/unpublishes through the bookkeeping log while thread 1's
-// frees of pre-allocated extents drop tombstones into the same shards,
-// triggering the shard's inline incremental GC under the smoke targets'
-// low threshold. Conflicts: shard resources and blog-entry lines.
+// ConcShardGC is the shard-append-gc family, log appends × GC: thread 0
+// streams large publishes/unpublishes through the bookkeeping log while
+// thread 1's frees of pre-allocated extents drop tombstones into the same
+// log, triggering its inline incremental GC under the smoke targets' low
+// threshold. Conflicts: the log's resource and blog-entry lines.
 func ConcShardGC(seed uint64) Trace {
 	rng := splitmix64(seed)
 	big := func() uint64 { return (64 + rng.next()%64) << 10 }
@@ -52,7 +52,7 @@ func ConcShardGC(seed uint64) Trace {
 			{Kind: OpFreeFrom, Slot: 11},
 			{Kind: OpMallocTo, Slot: 13, Size: big()},
 		},
-		{ // t1: tombstones driving the shards' inline GC, same padding.
+		{ // t1: tombstones driving the log's inline GC, same padding.
 			{Kind: OpFree, Thread: -1, Ref: anon[0]},
 			small(), small(),
 			{Kind: OpFree, Thread: -1, Ref: anon[1]},
@@ -116,8 +116,11 @@ func ConcRemoteFree(seed uint64) Trace {
 // ConcExtentRefill is the extent-refill×free family: thread 0's large
 // publishes force its arena's extent cache to refill from the global
 // extent state while thread 1 frees previously published extents back
-// into it. Conflicts: global extent metadata and bookkeeping entries;
-// the small-slab churn on both sides stays arena-private and prunes.
+// into it. Conflicts: global extent metadata and bookkeeping entries.
+// The small mallocs between them use size classes each thread warmed in
+// the prologue, so they create no slab — a slab's record would be one
+// more append to the bookkeeping log — and stay arena-private: the pairs
+// DPOR prunes.
 func ConcExtentRefill(seed uint64) Trace {
 	rng := splitmix64(seed)
 	big := func() uint64 { return (96 + rng.next()%64) << 10 }
@@ -143,6 +146,13 @@ func ConcExtentRefill(seed uint64) Trace {
 			{Kind: OpFreeFrom, Slot: 3},
 			{Kind: OpFreeFrom, Slot: 4},
 		},
+	}
+	for th, ops := range tr.Raced {
+		for _, op := range ops {
+			if op.Kind == OpMalloc {
+				tr.add(Op{Kind: OpMalloc, Thread: th, Size: op.Size})
+			}
+		}
 	}
 	return tr
 }

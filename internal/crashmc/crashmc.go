@@ -124,8 +124,8 @@ func VariantTarget(v core.Variant) Target {
 }
 
 // TargetOpts builds an NVAlloc target from an options constructor, for
-// tests that need non-default geometry (arena counts, bookkeeping
-// shards). Recovery always runs with DefaultOptions for the variant:
+// tests that need non-default geometry (arena counts, the bookkeeping
+// log's slow-GC threshold). Recovery always runs with DefaultOptions for the variant:
 // persisted parameters override the caller's, which is itself part of
 // what the checker exercises.
 func TargetOpts(name string, mk func() core.Options) Target {

@@ -8,7 +8,7 @@ package crashmc
 // worth reordering. Conflict is judged from the baseline recording's
 // dynamic footprints: two cross-thread ops conflict iff their journaled
 // flush deltas touch an overlapping cache line, or they acquired the
-// same pmem.Resource (same shard, same arena lock — ordering through a
+// same pmem.Resource (the bookkeeping log, the same arena lock — ordering through a
 // lock changes who flushes what even when the line sets end up
 // disjoint). For every conflicting pair the enumerator replays the
 // trace under preemptive schedules that force the reversed order, and

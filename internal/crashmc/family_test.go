@@ -239,7 +239,7 @@ func TestCompactionTraceShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	compacted := func(k int) int {
+	compacted := func(k int) bool {
 		cursor := rec.newCursor()
 		cursor.Advance(k)
 		scratch := pmem.New(pmem.Config{Size: rec.DeviceBytes, Strict: true})
@@ -248,17 +248,17 @@ func TestCompactionTraceShape(t *testing.T) {
 		if err != nil {
 			t.Fatalf("boundary %d: %v", k, err)
 		}
-		return h.Recovery().ShardsCompacted
+		return h.Recovery().LogCompacted
 	}
 	ks := f.Windows(rec)
 	// (The last boundaries of a window sit inside the free that compacts
 	// at run time, past its alt flip: nothing is left for Open there.)
 	for _, k := range []int{ks[0], ks[len(ks)/2]} {
-		if n := compacted(k); n != 1 {
-			t.Errorf("recovery at boundary %d, inside a compaction window, compacted %d shards", k, n)
+		if !compacted(k) {
+			t.Errorf("recovery at boundary %d, inside a compaction window, did not compact the log", k)
 		}
 	}
-	if k := rec.Ops[0].FlushEnd; compacted(k) != 0 {
+	if k := rec.Ops[0].FlushEnd; compacted(k) {
 		t.Errorf("recovery at boundary %d, after the first op, compacted the log", k)
 	}
 }

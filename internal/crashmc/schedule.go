@@ -19,7 +19,7 @@ package crashmc
 // with respect to the explored interleavings, which is faithful: the
 // allocator's real locks serialize those sections anyway. What the
 // scheduler *does* reorder is everything the locks do not protect — the
-// publish/flush/fence tails that run outside shard resources, drain
+// publish/flush/fence tails that run outside the bookkeeping log's resource, drain
 // batches, GC copy loops — which is precisely where concurrent crash
 // bugs live.
 

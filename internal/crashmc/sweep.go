@@ -95,7 +95,7 @@ type Config struct {
 	// depend on internal/experiment.
 	Pool func(n int, fn func(i int))
 	// Extra, when non-nil, adds invariants to every recovered heap (a
-	// family's oracle; shard-count persistence, duplicate-object walks).
+	// family's oracle; duplicate-object walks).
 	// torn says that flush `boundary` itself is partly applied, so the op
 	// issuing it is in flight. Returned strings are violations.
 	Extra func(h alloc.Heap, boundary int, torn bool) []string

@@ -70,11 +70,11 @@ func TestCrashSweepVariants(t *testing.T) {
 	}
 }
 
-// shardedTrace drives interleaved large publications and retractions
-// from four thread handles, so bookkeeping records stream into many blog
-// shards and a boundary can land with any subset of shards mid-append.
-func shardedTrace(rounds int) Trace {
-	tr := Trace{Name: "sharded", Threads: 4}
+// handlesTrace drives interleaved large publications and retractions
+// from four thread handles, so the bookkeeping log's records and
+// tombstones come from four arenas in turn.
+func handlesTrace(rounds int) Trace {
+	tr := Trace{Name: "handles", Threads: 4}
 	slots := alloc.NumRootSlots / 4
 	pub := make([]int, 4)
 	for r := 0; r < rounds; r++ {
@@ -93,36 +93,22 @@ func shardedTrace(rounds int) Trace {
 	return tr
 }
 
-// TestCrashSweepShardedBookkeeping ports the retired sharded-bookkeeping
-// sweep: four handles publish and retract large extents across eight
-// blog shards, and at every boundary the reopened heap must have merged
-// the shard prefixes consistently — with the shard count taken from the
-// superblock, not the (default) open options.
-func TestCrashSweepShardedBookkeeping(t *testing.T) {
+// TestCrashSweepHandlesBookkeeping: four handles publish and retract
+// large extents through the one bookkeeping log, under the smoke slow-GC
+// threshold, and every boundary, clean and torn, must recover to the
+// oracle.
+func TestCrashSweepHandlesBookkeeping(t *testing.T) {
 	tg := TargetOpts("NVAlloc-LOG", func() core.Options {
 		opts := core.DefaultOptions(core.LOG)
 		opts.Arenas = 4
-		opts.BookShards = 8
 		opts.BlogGCThreshold = SmokeGCThreshold
 		return opts
 	})
-	rec, err := Record(tg, shardedTrace(15), RecordOptions{DeviceBytes: 48 << 20})
+	rec, err := Record(tg, handlesTrace(15), RecordOptions{DeviceBytes: 48 << 20})
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := Config{
-		Torn: true, TornSeed: 11, CheckEvery: 64,
-		Extra: func(h alloc.Heap, boundary int, torn bool) []string {
-			ch, ok := h.(*core.Heap)
-			if !ok {
-				return []string{"not a core.Heap"}
-			}
-			if got := ch.Blog().NumShards(); got != 8 {
-				return []string{fmt.Sprintf("reopened with %d blog shards, want persisted 8", got)}
-			}
-			return nil
-		},
-	}
+	cfg := Config{Torn: true, TornSeed: 11, CheckEvery: 64}
 	if testing.Short() {
 		cfg.MaxBoundaries = 100
 	}

@@ -68,19 +68,13 @@ func contention(cfg Config) []*Table {
 		ID:    "contention",
 		Title: fmt.Sprintf("Extent-layer contention summary, %d threads", threads),
 		Columns: []string{"benchmark", "config", "large_wait_us", "large_acquires",
-			"book_wait_us", "book_shards", "book_max_shard_us",
-			"slabs", "acq_per_slab", "cache_hits", "Mops/s"},
+			"book_wait_us", "slabs", "acq_per_slab", "cache_hits", "Mops/s"},
 	}
-	// The first eight columns keep the PR 3 layout so older parsers of
-	// contention_summary.csv still work; the sharded-book columns append.
-	csv := []string{"bench,config,large_wait_ns,large_acquires,book_wait_ns,slabs,acq_per_slab,mops,book_shards,book_max_shard_wait_ns"}
-	// Per-shard bookkeeping wait: one row per (bench, config, shard).
-	bookCSV := []string{"bench,config,shard,wait_ns,load_ns,acquires"}
+	csv := []string{"bench,config,large_wait_ns,large_acquires,book_wait_ns,slabs,acq_per_slab,mops"}
 	for bi, b := range benches {
 		for ci, name := range configs {
 			c := cells[bi][ci]
 			var large, book core.ResourceLoad
-			var bookShards []core.ResourceLoad
 			var shardWait, arenaWait int64
 			var shardAcq, arenaAcq uint64
 			for _, r := range c.res {
@@ -89,9 +83,6 @@ func contention(cfg Config) []*Table {
 					large = r
 				case r.Name == "book":
 					book = r
-				case len(r.Name) > 4 && r.Name[:4] == "book":
-					// Per-shard bookkeeping-log resources ("book0"...).
-					bookShards = append(bookShards, r)
 				case len(r.Name) > 5 && r.Name[:5] == "shard":
 					shardWait += r.WaitNS
 					shardAcq += r.Acquires
@@ -109,30 +100,20 @@ func contention(cfg Config) []*Table {
 			breakdown.Rows = append(breakdown.Rows, []string{
 				b.name, name, "arenas(sum)", "-", usec(arenaWait), fmt.Sprint(arenaAcq),
 			})
-			var maxBookWait int64
-			for _, r := range bookShards {
-				if r.WaitNS > maxBookWait {
-					maxBookWait = r.WaitNS
-				}
-				bookCSV = append(bookCSV, fmt.Sprintf("%s,%s,%s,%d,%d,%d",
-					b.name, name, r.Name, r.WaitNS, r.LoadNS, r.Acquires))
-			}
 			acqPerSlab := 0.0
 			if c.slabs > 0 {
 				acqPerSlab = float64(large.Acquires) / float64(c.slabs)
 			}
 			summary.Rows = append(summary.Rows, []string{
 				b.name, name, usec(large.WaitNS), fmt.Sprint(large.Acquires),
-				usec(book.WaitNS), fmt.Sprint(len(bookShards)), usec(maxBookWait),
-				fmt.Sprint(c.slabs), f2(acqPerSlab),
+				usec(book.WaitNS), fmt.Sprint(c.slabs), f2(acqPerSlab),
 				fmt.Sprint(c.hits), f2(c.mops),
 			})
-			csv = append(csv, fmt.Sprintf("%s,%s,%d,%d,%d,%d,%.3f,%.3f,%d,%d",
+			csv = append(csv, fmt.Sprintf("%s,%s,%d,%d,%d,%d,%.3f,%.3f",
 				b.name, name, large.WaitNS, large.Acquires, book.WaitNS,
-				c.slabs, acqPerSlab, c.mops, len(bookShards), maxBookWait))
+				c.slabs, acqPerSlab, c.mops))
 		}
 	}
 	breakdown.CSV["contention_summary"] = csv
-	breakdown.CSV["contention_bookshards"] = bookCSV
 	return []*Table{summary, breakdown}
 }

@@ -41,7 +41,7 @@ type Tiers struct {
 // and takes that tier's lock, so callers hold none. Requests name the arena
 // they come from (it selects the slab cache and the shard pool) and whether
 // the extent is a slab's. Lock order: arena, slab cache, shard pool, global
-// pool, book shard.
+// pool, bookkeeper.
 type Allocator struct {
 	pool   *Pool
 	caches []*slabCache // per arena; none in the degenerate construction
@@ -184,7 +184,7 @@ func (a *Allocator) Record(c *pmem.Ctx, arena int, addr pmem.PAddr, slab bool) e
 			return a.pool.record(c, addr, size, slab)
 		}
 	}
-	return fmt.Errorf("extent: record of unknown extent %#x", addr)
+	return fmt.Errorf("extent: record of %w %#x", ErrUnknown, addr)
 }
 
 // Tombstone persists that the recorded extent in the one-address group is

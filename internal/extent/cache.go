@@ -61,7 +61,7 @@ func (sc *slabCache) carve(c *pmem.Ctx, _ uint64, _ pmem.PAddr, _ bool) (pmem.PA
 			sc.batch = min(2*sc.batch, maxSlabBatch)
 		}
 		if len(sc.free) == 0 {
-			return pmem.Null, fmt.Errorf("extent: heap cannot supply a %d-byte slab extent", sc.size)
+			return pmem.Null, fmt.Errorf("extent: %w: no %d-byte slab extent", ErrNoSpace, sc.size)
 		}
 	} else {
 		sc.hits++

@@ -39,7 +39,7 @@ func TestSlabCacheBatchAmortization(t *testing.T) {
 	}
 	// Unrecorded: nothing was recorded, so the bookkeeping log must hold
 	// zero live records despite the activated extents.
-	if n := a.pool.book.(*blog.Sharded).Live(); n != 0 {
+	if n := a.pool.book.(*blog.Log).Live(); n != 0 {
 		t.Fatalf("cache carves produced %d bookkeeping records, want 0", n)
 	}
 }
@@ -103,7 +103,7 @@ func reopen(t *testing.T, dev *pmem.Device, c *pmem.Ctx) (*Allocator, []LiveReco
 	t.Helper()
 	c.Merge()
 	dev.Crash()
-	bk, recs, err := blog.Open(dev, logBase, logSize, 6, 1)
+	bk, recs, err := blog.Open(dev, logBase, logSize, 6)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -183,7 +183,7 @@ func TestShardAllocFreeLifecycle(t *testing.T) {
 	if len(sh.allocated) != 8 || sh.leasesTaken == 0 {
 		t.Fatalf("shard holds %d sub-allocations in %d leases", len(sh.allocated), sh.leasesTaken)
 	}
-	if n := a.pool.book.(*blog.Sharded).Live(); n != 8 {
+	if n := a.pool.book.(*blog.Log).Live(); n != 8 {
 		t.Fatalf("%d bookkeeping records for 8 sub-allocations", n)
 	}
 	// Foreign address: the global pool's to refuse, not the shard's.
@@ -271,7 +271,7 @@ func TestFreeBatchTombstones(t *testing.T) {
 	}
 	c.Merge()
 	dev.Crash()
-	_, recs, err := blog.Open(dev, logBase, logSize, 6, 1)
+	_, recs, err := blog.Open(dev, logBase, logSize, 6)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -37,9 +37,9 @@ func newDoorEnv(t *testing.T, devSize uint64, tiers Tiers, inPlace bool) *doorEn
 		e.a = New(dev, NewInPlace(dev, heapBase, brkPtr), cfg, tiers)
 		_, e.book, _ = e.a.Locks()
 	} else {
-		bk := blog.New(dev.Mem(), logBase, logSize, 6, 1)
+		bk := blog.New(dev.Mem(), logBase, logSize, 6)
 		e.a = New(dev, bk, cfg, tiers)
-		e.book = bk.Res(0)
+		e.book = bk.Res()
 	}
 	e.c = dev.NewCtx()
 	return e
@@ -210,7 +210,7 @@ func TestDoorVerbSequences(t *testing.T) {
 				// after a crash.
 				e.c.Merge()
 				e.dev.Crash()
-				_, recs, err := blog.Open(e.dev, logBase, logSize, 6, 1)
+				_, recs, err := blog.Open(e.dev, logBase, logSize, 6)
 				e.must(err)
 				if len(recs) != 0 {
 					t.Errorf("%d records survive a sequence that freed all it recorded: %+v", len(recs), recs)
@@ -232,7 +232,8 @@ func TestDoorVerbSequences(t *testing.T) {
 // TestAllocUndoesCarveWhenRecordFails: an allocation whose record cannot be
 // written hands the carved extent back, on every route, so the failure
 // leaves nothing activated, unrecorded and unreachable. The log is header
-// plus two chunks: the 97th record has no slot to go to.
+// plus two chunks, one for live records and one kept for their copy: the
+// 97th record is refused.
 func TestAllocUndoesCarveWhenRecordFails(t *testing.T) {
 	// A slab is carved, formatted, recorded; its owner undoes the carve
 	// with Release when the record fails (core's and baseline's newSlab).
@@ -259,30 +260,32 @@ func TestAllocUndoesCarveWhenRecordFails(t *testing.T) {
 	} {
 		t.Run(route.name, func(t *testing.T) {
 			dev := pmem.New(pmem.Config{Size: 64 << 20, Strict: true})
-			bk := blog.New(dev.Mem(), logBase, 3*blog.ChunkSize, 6, 1)
+			bk := blog.New(dev.Mem(), logBase, 3*blog.ChunkSize, 6)
 			a := New(dev, bk, Config{HeapBase: heapBase, HeapEnd: pmem.PAddr(dev.Size()), BreakPtr: brkPtr}, route.tiers)
 			c := dev.NewCtx()
 			// Activated bytes that are not parked idle in a cache or a lease
-			// belong to someone; Used also counts the free space of a heap
-			// that grew, so it is compared only when the heap did not.
+			// belong to someone. Committed bytes (Used, plus what a refill
+			// parks in a cache) also count the free space of a heap that
+			// grew, so they are compared only when the heap did not.
 			owned := func() uint64 { return a.pool.activatedBytes - a.LeaseOverhead() }
+			committed := func() uint64 { return a.Used() + a.LeaseOverhead() }
 			for n := 0; ; n++ {
-				before, used, grows := owned(), a.Used(), a.pool.grows
+				before, used, grows := owned(), committed(), a.pool.grows
 				_, err := route.alloc(a, c)
 				if err == nil {
 					continue
 				}
-				if want := 2 * bk.EntriesPerChunk(); n != want || bk.Live() != n {
+				// Two chunks: one of live records, and room for its copy.
+				if want := bk.EntriesPerChunk(); n != want || bk.Live() != n {
 					t.Fatalf("allocation %d failed (%v) with %d records in the log, want it to take %d", n+1, err, bk.Live(), want)
 				}
-				if owned() != before || (a.pool.grows == grows && a.Used() != used) {
-					t.Fatalf("the failed allocation (%v) moved owned bytes %d -> %d, Used %d -> %d", err, before, owned(), used, a.Used())
+				if owned() != before || (a.pool.grows == grows && committed() != used) {
+					t.Fatalf("the failed allocation (%v) moved owned bytes %d -> %d, committed %d -> %d", err, before, owned(), used, committed())
 				}
 				break
 			}
 			// And again: the space a failed allocation carved is carved by
-			// the next one, not lost. (A full log cannot take a tombstone
-			// either, so no free can make room for the record.)
+			// the next one, not lost.
 			before := owned()
 			if _, err := route.alloc(a, c); err == nil || owned() != before {
 				t.Fatalf("second failing allocation: err=%v, owned bytes %d -> %d", err, before, owned())

@@ -22,7 +22,7 @@
 //	Allocator.Release    carved or tombstoned -> free
 //	Allocator.Alloc      Carve + Record, the carve undone by Release if the record fails
 //	Allocator.Free       Tombstone + Release
-//	Allocator.FreeBatch  Free of a group under one fence per log shard (recovery sweeps)
+//	Allocator.FreeBatch  Free of a group under one fence (recovery sweeps)
 //	Pool.Alloc, Pool.Free  the same two compositions on the global pool alone,
 //	                       for a caller that holds Pool.Res across sections of
 //	                       its own (package baseline)
@@ -41,12 +41,22 @@ package extent
 
 import (
 	"cmp"
+	"errors"
 	"fmt"
 	"slices"
 	"sync/atomic"
 
 	"nvalloc/internal/pmem"
 	"nvalloc/internal/rbtree"
+)
+
+// The verbs' own errors wrap one of these; any other error is the
+// bookkeeper's.
+var (
+	// ErrUnknown: the address is not an extent the verb's tier holds.
+	ErrUnknown = errors.New("unknown extent")
+	// ErrNoSpace: the heap cannot supply the extent.
+	ErrNoSpace = errors.New("heap exhausted")
 )
 
 // PageSize is the allocation granularity of the large allocator.
@@ -84,8 +94,8 @@ type VEH struct {
 func (v *VEH) End() pmem.PAddr { return v.Addr + pmem.PAddr(v.Size) }
 
 // Bookkeeper persists which extents are live. Implementations:
-// *blog.Sharded (NVAlloc's log-structured bookkeeping) and *InPlace
-// (classic region headers).
+// *blog.Log (NVAlloc's log-structured bookkeeping) and *InPlace (classic
+// region headers).
 type Bookkeeper interface {
 	// RecordAlloc persists that [addr,addr+size) is live, fenced. Alloc
 	// records are never grouped: each must follow its own extent's
@@ -93,23 +103,21 @@ type Bookkeeper interface {
 	RecordAlloc(c *pmem.Ctx, addr pmem.PAddr, size uint64, slab bool) error
 	// RecordFree persists that each addr is no longer live. Tombstones are
 	// written and flushed individually and closed by one trailing fence
-	// per group (the whole call, or one group per log shard), so a crash
-	// mid-call persists a prefix of independently valid records — callers
-	// only pass several addresses where that is safe (idempotent recovery
-	// sweeps). It returns how many tombstones it persisted; on an error
-	// that valid prefix stays persisted and fenced. The bookkeeper may
-	// reorder addrs (grouping by shard): the persisted ones are addrs[:n]
-	// as the slice reads on return.
+	// per group (the whole call, or each part of a call the log splits to
+	// compact), so a crash mid-call persists a prefix of independently
+	// valid records — callers only pass several addresses where that is
+	// safe (idempotent recovery sweeps). It returns how many tombstones it
+	// persisted, addrs[:n]; on an error that prefix stays persisted and
+	// fenced.
 	RecordFree(c *pmem.Ctx, addrs []pmem.PAddr) (n int, err error)
 	// DataOffset returns how many bytes at the start of each fresh chunk
 	// the bookkeeper reserves for itself (0 for the log; a header table
 	// for in-place bookkeeping).
 	DataOffset() uint64
 	// SelfLocked reports whether the bookkeeper serializes its own calls
-	// (the sharded log takes a per-shard resource inside each record
-	// append) and may be called concurrently. The pool skips its own
-	// book resource for such bookkeepers, so appends routed to different
-	// shards never serialize.
+	// (the log takes its resource for slot reservation only) and may be
+	// called concurrently. The pool skips its own book resource for such
+	// bookkeepers, so an append's flush and fence never run under a lock.
 	SelfLocked() bool
 }
 
@@ -462,7 +470,7 @@ func (p *Pool) grow(c *pmem.Ctx, need uint64, now int64) (*VEH, error) {
 		g += ChunkSize
 	}
 	if uint64(brk)+g > uint64(p.heapEnd) {
-		return nil, fmt.Errorf("extent: heap exhausted (break %#x + %d > %#x)", brk, g, p.heapEnd)
+		return nil, fmt.Errorf("extent: %w (break %#x + %d > %#x)", ErrNoSpace, brk, g, p.heapEnd)
 	}
 	nbrk := brk + pmem.PAddr(g)
 	c.PersistU64(pmem.CatMeta, p.brkAddr, uint64(nbrk))
@@ -536,7 +544,7 @@ func (p *Pool) carve(c *pmem.Ctx, size uint64, alignTo pmem.PAddr, slab bool) (p
 func (p *Pool) deactivate(c *pmem.Ctx, addr pmem.PAddr) (size uint64, err error) {
 	v, ok := p.take(c, addr)
 	if !ok {
-		return 0, fmt.Errorf("extent: free of unknown extent %#x", addr)
+		return 0, fmt.Errorf("extent: free of %w %#x", ErrUnknown, addr)
 	}
 	p.activatedBytes -= v.Size
 	size = v.Size // coalesce may grow v
@@ -574,7 +582,7 @@ func (p *Pool) alloc(c *pmem.Ctx, t tier, size uint64, alignTo pmem.PAddr, slab 
 // be written the extent stays recorded and activated.
 func (p *Pool) free(c *pmem.Ctx, t tier, addr pmem.PAddr) error {
 	if _, _, ok := t.lookup(addr); !ok {
-		return fmt.Errorf("extent: free of unknown extent %#x", addr)
+		return fmt.Errorf("extent: free of %w %#x", ErrUnknown, addr)
 	}
 	if _, err := p.tombstone(c, t.group(addr)); err != nil {
 		return err
@@ -591,7 +599,7 @@ func (p *Pool) Alloc(c *pmem.Ctx, size uint64, alignTo pmem.PAddr, slab bool) (p
 func (p *Pool) Free(c *pmem.Ctx, addr pmem.PAddr) error { return p.free(c, p, addr) }
 
 // freeBatch frees a group of extents with their tombstones persisted as
-// one RecordFree group (one trailing fence per log shard). A crash
+// one RecordFree group. A crash
 // mid-batch leaves a prefix of the tombstones persisted, which is safe
 // wherever the batch is idempotent (recovery GC re-runs). If the
 // bookkeeper fails mid-batch, exactly the extents whose tombstones it
@@ -600,22 +608,14 @@ func (p *Pool) Free(c *pmem.Ctx, addr pmem.PAddr) error { return p.free(c, p, ad
 func (p *Pool) freeBatch(c *pmem.Ctx, addrs []pmem.PAddr) error {
 	for _, addr := range addrs {
 		if _, _, ok := p.lookup(addr); !ok {
-			return fmt.Errorf("extent: free of unknown extent %#x", addr)
+			return fmt.Errorf("extent: free of %w %#x", ErrUnknown, addr)
 		}
 	}
 	if len(addrs) == 0 {
 		return nil
 	}
-	// The bookkeeper may regroup its argument; the volatile frees below
-	// keep the caller's (address) order, which recovery relies on for
-	// deterministic free lists.
-	dead := addrs
-	routed := slices.Clone(addrs)
-	n, err := p.tombstone(c, routed)
-	if err != nil {
-		dead = routed[:n]
-	}
-	for _, addr := range dead {
+	n, err := p.tombstone(c, addrs)
+	for _, addr := range addrs[:n] {
 		_, _ = p.deactivate(c, addr) // cannot fail: checked above
 	}
 	p.maybeDecay(c)

@@ -25,7 +25,7 @@ func newAlloc(t *testing.T, devSize uint64) (*pmem.Device, *Allocator, *pmem.Ctx
 func newTiered(t *testing.T, devSize uint64, tiers Tiers) (*pmem.Device, *Allocator, *pmem.Ctx) {
 	t.Helper()
 	dev := pmem.New(pmem.Config{Size: devSize, Strict: true})
-	bk := blog.New(dev.Mem(), logBase, logSize, 6, 1)
+	bk := blog.New(dev.Mem(), logBase, logSize, 6)
 	a := New(dev, bk, Config{
 		HeapBase: heapBase,
 		HeapEnd:  pmem.PAddr(dev.Size()),
@@ -163,7 +163,7 @@ func TestCoalesceNeighbors(t *testing.T) {
 
 func TestHeapExhaustion(t *testing.T) {
 	dev := pmem.New(pmem.Config{Size: 16 << 20})
-	bk := blog.New(dev.Mem(), logBase, logSize, 6, 1)
+	bk := blog.New(dev.Mem(), logBase, logSize, 6)
 	a := New(dev, bk, Config{HeapBase: heapBase, HeapEnd: 12 << 20, BreakPtr: brkPtr}, Tiers{})
 	c := dev.NewCtx()
 	if _, err := a.Alloc(c, 0, 4<<20); err != nil {
@@ -307,7 +307,7 @@ func TestRebuildFromRecords(t *testing.T) {
 	dev.Crash()
 
 	// Recover the bookkeeping log and rebuild.
-	bk, recs, err := blog.Open(dev, logBase, logSize, 6, 1)
+	bk, recs, err := blog.Open(dev, logBase, logSize, 6)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -432,7 +432,7 @@ func TestInPlaceWritesAreRandomFlushes(t *testing.T) {
 		dev := pmem.New(pmem.Config{Size: 256 << 20})
 		var bk Bookkeeper
 		if useLog {
-			bk = blog.New(dev.Mem(), logBase, logSize, 6, 1)
+			bk = blog.New(dev.Mem(), logBase, logSize, 6)
 		} else {
 			bk = NewInPlace(dev, heapBase, brkPtr)
 		}
@@ -471,7 +471,7 @@ func TestInPlaceWritesAreRandomFlushes(t *testing.T) {
 
 func TestFirstFitSelection(t *testing.T) {
 	dev := pmem.New(pmem.Config{Size: 64 << 20})
-	bk := blog.New(dev.Mem(), logBase, logSize, 6, 1)
+	bk := blog.New(dev.Mem(), logBase, logSize, 6)
 	a := New(dev, bk, Config{HeapBase: heapBase, HeapEnd: pmem.PAddr(dev.Size()), BreakPtr: brkPtr, FirstFit: true}, Tiers{})
 	c := dev.NewCtx()
 	var ptrs []pmem.PAddr

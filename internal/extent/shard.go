@@ -90,7 +90,7 @@ func (sh *shard) carve(c *pmem.Ctx, size uint64, _ pmem.PAddr, _ bool) (pmem.PAd
 			return pmem.Null, err
 		}
 		if addr, ok = sh.fit(c, size); !ok {
-			return pmem.Null, fmt.Errorf("extent: fresh lease cannot hold %d bytes", size)
+			return pmem.Null, fmt.Errorf("extent: %w: a fresh lease cannot hold %d bytes", ErrNoSpace, size)
 		}
 	}
 	sh.allocated[addr] = size
@@ -143,7 +143,7 @@ func (sh *shard) sizeOf(addr pmem.PAddr) (uint64, bool) {
 func (sh *shard) release(c *pmem.Ctx, addr pmem.PAddr) error {
 	size, ok := sh.allocated[addr]
 	if !ok {
-		return fmt.Errorf("extent: shard free of unknown extent %#x", addr)
+		return fmt.Errorf("extent: shard free of %w %#x", ErrUnknown, addr)
 	}
 	delete(sh.allocated, addr)
 	l := sh.a.leases.Lookup(addr)
@@ -162,7 +162,7 @@ func (sh *shard) addLease(c *pmem.Ctx) error {
 	var one [1]pmem.PAddr
 	got := sh.a.pool.lease(c, LeaseSize, LeaseAlign, 1, one[:0])
 	if len(got) == 0 {
-		return fmt.Errorf("extent: heap cannot supply a %d-byte lease", LeaseSize)
+		return fmt.Errorf("extent: %w: no %d-byte lease", ErrNoSpace, LeaseSize)
 	}
 	l := &lease{shard: sh, base: got[0], free: []run{{0, LeaseSize}}}
 	sh.leases = append(sh.leases, l)
