@@ -181,7 +181,7 @@ func New(dev pmem.Dev, cfg Config) (*Heap, error) {
 	h := &Heap{cfg: cfg, dev: dev, slabs: pagemap.New[bslab](dev.Size(), SlabSize)}
 	walRegion := walog.RegionSize(walEntriesPerArena, 1)
 	walBase := uint64(8192)
-	heapBase := (walBase + uint64((maxArenas+1)*walRegion) + extent.ChunkSize - 1) &^ (extent.ChunkSize - 1)
+	heapBase := extent.HeapBase(walBase + uint64((maxArenas+1)*walRegion))
 	if heapBase+extent.ChunkSize > dev.Size() {
 		return nil, fmt.Errorf("baseline: device too small")
 	}

@@ -34,7 +34,7 @@ func validateSuper(dev pmem.Dev) error {
 		return pmem.Corrupt("superblock", superBase+sbWALSize, "WAL region size %d, want %d", walSize, walog.RegionSize(walEntriesPerArena, 1))
 	case walBase < uint64(superBase)+4096 || walBase%8 != 0 || walBase+uint64(maxArenas+1)*walSize > heapBase:
 		return pmem.Corrupt("superblock", superBase+sbWALBase, "WAL region [%#x,%#x) overlaps neighbours", walBase, walBase+uint64(maxArenas+1)*walSize)
-	case heapBase%extent.ChunkSize != 0 || heapBase+extent.ChunkSize > dev.Size():
+	case heapBase%extent.LeaseAlign != 0 || heapBase+extent.ChunkSize > dev.Size():
 		return pmem.Corrupt("superblock", superBase+sbHeapBase, "heap base %#x misaligned or past device end", heapBase)
 	}
 	return nil

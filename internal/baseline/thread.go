@@ -471,7 +471,7 @@ func (h *Heap) newSlab(c *pmem.Ctx, a *barena, class int) *bslab {
 	c.Flush(pmem.CatMeta, base, int(dataOff))
 	c.Fence()
 	if h.large.Record(c, 0, base, true) != nil {
-		_ = h.large.Release(c, 0, base, true) // cannot fail: base was just carved
+		_ = h.large.Uncarve(c, 0, base, true) // cannot fail: base was just carved
 		return nil
 	}
 	h.slabs.Store(base, s)

@@ -155,6 +155,30 @@ func (a *arena) lruPushTail(s *slab.Slab) {
 	}
 }
 
+// adopt makes a the owner of slabs that no thread can hold blocks of,
+// moving them onto its freelists and LRU list.
+func (a *arena) adopt(slabs []*slab.Slab) {
+	for _, s := range slabs {
+		if s.Owner == a.index {
+			continue
+		}
+		a.h.arenas[s.Owner].unlist(s)
+		s.Owner = a.index
+		a.freelistPush(s)
+		if !s.IsSlabIn() {
+			a.lruPushTail(s)
+		}
+	}
+}
+
+// unlist takes s off a's freelist and LRU list.
+func (a *arena) unlist(s *slab.Slab) {
+	if a.onFreelist(s) {
+		a.freelistRemove(s)
+	}
+	a.lruRemove(s)
+}
+
 func (a *arena) lruRemove(s *slab.Slab) {
 	if s.LRUPrev != nil {
 		s.LRUPrev.LRUNext = s.LRUNext
@@ -519,7 +543,7 @@ func (a *arena) newSlab(c *pmem.Ctx, class int) *slab.Slab {
 	s := slab.Format(h.mem, c, base, class, h.lay.Bitmap, h.persistSmall)
 	if h.large.Record(c, a.index, base, true) != nil {
 		// Bookkeeping exhausted: surface as allocation failure.
-		_ = h.large.Release(c, a.index, base, true) // cannot fail: base was just carved
+		_ = h.large.Uncarve(c, a.index, base, true) // cannot fail: base was just carved
 		return nil
 	}
 	s.Owner = a.index
@@ -591,10 +615,7 @@ func (a *arena) returnToSlab(c *pmem.Ctx, s *slab.Slab, idx int, from origin, g 
 	if empty && s.OldClass < 0 {
 		// Keep one spare slab per class; release the rest.
 		if a.spareExists(s) {
-			if a.onFreelist(s) {
-				a.freelistRemove(s)
-			}
-			a.lruRemove(s)
+			a.unlist(s)
 			a.retire(c, s)
 			return true, true
 		}

@@ -82,17 +82,20 @@ func TestWorstCaseChurnNeverFillsTheLog(t *testing.T) {
 	}
 }
 
-// TestFreshHeapReservesOneChunk: the WAL rings and the bookkeeping log fit
-// in the heap's first 4 MiB chunk on every device size the benchmark
-// runs, so a fresh heap has committed that chunk and nothing else.
-func TestFreshHeapReservesOneChunk(t *testing.T) {
-	for _, mib := range []uint64{64, 256, 512, 768} {
-		h, err := Create(pmem.New(pmem.Config{Size: mib << 20}), DefaultOptions(LOG))
+// TestFreshHeapUsesItsHeapBase: a fresh heap has committed its metadata
+// (superblock, WAL rings, a bookkeeping log of heap/256) up to the heap
+// base, the next 64 KiB boundary, and nothing else, on every device size
+// the benchmark runs.
+func TestFreshHeapUsesItsHeapBase(t *testing.T) {
+	for _, tc := range []struct{ mib, base uint64 }{
+		{64, 851968}, {256, 1638400}, {512, 2686976}, {768, 3735552},
+	} {
+		h, err := Create(pmem.New(pmem.Config{Size: tc.mib << 20}), DefaultOptions(LOG))
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got := h.Used(); got != extent.ChunkSize {
-			t.Errorf("fresh %d MiB heap: Used %d bytes, want %d", mib, got, extent.ChunkSize)
+		if uint64(h.heapBase) != tc.base || h.Used() != tc.base || h.Peak() != tc.base {
+			t.Errorf("fresh %d MiB heap: base %d, Used %d, Peak %d bytes, want %d", tc.mib, h.heapBase, h.Used(), h.Peak(), tc.base)
 		}
 	}
 }

@@ -204,7 +204,12 @@ const (
 	// region (blog.RegionSize). A version 4 region is split into
 	// address-routed shards, each with a header of its own, which this
 	// build would read as one corrupt log.
-	superVersion = 5
+	// superVersion 6: the heap starts where its metadata ends, rounded up
+	// to extent.LeaseAlign rather than to a whole chunk (extent.HeapBase),
+	// and its chunks are counted from there. A version 5 build would read
+	// such a heap base as corrupt and might repair it; the bump makes each
+	// build refuse the other's heaps by name instead.
+	superVersion = 6
 )
 
 // FormatError is returned by Open for a heap whose superblock is intact
@@ -214,7 +219,7 @@ type FormatError struct {
 }
 
 func (e *FormatError) Error() string {
-	return fmt.Sprintf("core: heap has format version %d (written by another build: its WAL rings or bookkeeping log have a different layout); this build reads only version %d and cannot convert it",
+	return fmt.Sprintf("core: heap has format version %d (written by another build: its metadata regions have a different layout); this build reads only version %d and cannot convert it",
 		e.Version, uint64(superVersion))
 }
 
@@ -279,6 +284,11 @@ type Heap struct {
 	threadsMu sync.Mutex
 	nextOwner int
 	closed    bool
+	// strays are the slabs with a free block that the GC variant's
+	// recovery swept. The arena the first thread attaches to adopts them
+	// (NewThread): until then no thread exists, so no block of theirs is
+	// cached or buffered anywhere. Guarded by threadsMu.
+	strays []*slab.Slab
 
 	heapBase pmem.PAddr
 
@@ -359,7 +369,7 @@ func regions(dev pmem.Dev, opts Options) (*Heap, error) {
 	walBase := uint64(8192)
 	blogBase := (walBase + walBytes + 4095) &^ 4095
 	blogSize := blog.RegionSize(dev.Size())
-	heapBase := (blogBase + blogSize + extent.ChunkSize - 1) &^ (extent.ChunkSize - 1)
+	heapBase := extent.HeapBase(blogBase + blogSize)
 	if heapBase+extent.ChunkSize > dev.Size() {
 		return nil, fmt.Errorf("core: device too small (%d bytes) for metadata regions", dev.Size())
 	}

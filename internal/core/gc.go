@@ -109,9 +109,31 @@ func (h *Heap) conservativeGC(c *pmem.Ctx) error {
 		c.Fence()
 	}
 
+	// Open dealt the slabs round robin over the arenas, and a heap may get
+	// fewer threads than it has arenas: a slab on an arena no thread
+	// attaches to keeps the blocks the sweep freed for good. So the slabs
+	// the sweep left empty go back to the large allocator with the leaks,
+	// and the first thread's arena adopts the rest that have a free block
+	// (Heap.strays).
+	var leaked []pmem.PAddr
+	h.slabs.Range(func(base pmem.PAddr, s *slab.Slab) bool {
+		switch {
+		case s.Allocated == 0 && s.OldClass < 0:
+			leaked = append(leaked, base)
+		case s.FreeCount() > 0:
+			h.strays = append(h.strays, s)
+		}
+		return true
+	})
+	for _, base := range leaked {
+		s := h.slabs.Lookup(base)
+		h.arenas[s.Owner].unlist(s)
+		h.arenas[s.Owner].retire(c, s)
+		h.slabs.Delete(base)
+	}
+
 	// Sweep extents: unreachable non-slab extents are leaks; free them in
 	// address order so the rebuilt extent freelists are deterministic.
-	var leaked []pmem.PAddr
 	h.large.Each(func(addr pmem.PAddr, _ uint64) {
 		if !marked[addr] {
 			leaked = append(leaked, addr)

@@ -63,7 +63,7 @@ func validateSuper(dev pmem.Dev) error {
 		return pmem.Corrupt("superblock", superBase+sbWALBase, "WAL region [%#x,%#x) overlaps neighbours", walBase, walBase+walBytes)
 	case bookMode == 1 && blogBase+blogSize > heapBase:
 		return pmem.Corrupt("superblock", superBase+sbBlogBase, "bookkeeping-log region [%#x,%#x) overlaps the heap", blogBase, blogBase+blogSize)
-	case heapBase%extent.ChunkSize != 0 || heapBase+extent.ChunkSize > dev.Size():
+	case heapBase%extent.LeaseAlign != 0 || heapBase+extent.ChunkSize > dev.Size():
 		return pmem.Corrupt("superblock", superBase+sbHeapBase, "heap base %#x misaligned or past device end", heapBase)
 	}
 	return nil

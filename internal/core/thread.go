@@ -65,6 +65,8 @@ func (h *Heap) NewThread() alloc.Thread {
 	}
 	h.nextOwner++
 	best.threads++
+	best.adopt(h.strays)
+	h.strays = nil
 	h.threadsMu.Unlock()
 
 	t := &Thread{

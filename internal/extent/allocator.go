@@ -19,6 +19,10 @@ type tier interface {
 	lookup(addr pmem.PAddr) (size uint64, slab, ok bool)
 	// release: carved or tombstoned -> free (volatile).
 	release(c *pmem.Ctx, addr pmem.PAddr) error
+	// uncarve undoes the tier's last carve, of addr, whose record failed:
+	// carved -> free, with the tier and the free lists as the carve found
+	// them.
+	uncarve(c *pmem.Ctx, addr pmem.PAddr) error
 	// group returns the tier's one-address tombstone group holding addr.
 	group(addr pmem.PAddr) []pmem.PAddr
 }
@@ -158,7 +162,7 @@ func (a *Allocator) Carve(c *pmem.Ctx, arena int, size uint64, slab bool) (pmem.
 }
 
 // Alloc is Carve + Record for an extent that needs no initialization in
-// between; a carve that cannot be recorded is released again.
+// between; a carve that cannot be recorded is undone (Uncarve).
 func (a *Allocator) Alloc(c *pmem.Ctx, arena int, size uint64) (pmem.PAddr, error) {
 	return a.serve(c, arena, size, false, func(t tier) (pmem.PAddr, error) { return a.pool.alloc(c, t, size, 0, false) })
 }
@@ -203,6 +207,17 @@ func (a *Allocator) Release(c *pmem.Ctx, arena int, addr pmem.PAddr, slab bool) 
 	t := a.holder(c, arena, addr, slab)
 	defer t.unlock(c)
 	return t.release(c, addr)
+}
+
+// Uncarve undoes the caller's last Carve, of addr, after its Record failed
+// (carved -> free): the space goes back to the state the carve took it
+// from, and a slab-cache refill or a lease the carve took goes back with
+// it unless the tier served another call in between. It writes nothing
+// persistent.
+func (a *Allocator) Uncarve(c *pmem.Ctx, arena int, addr pmem.PAddr, slab bool) error {
+	t := a.holder(c, arena, addr, slab)
+	defer t.unlock(c)
+	return t.uncarve(c, addr)
 }
 
 // Free is Tombstone + Release in one critical section of the tier that
@@ -279,7 +294,7 @@ func (a *Allocator) IndexAll() {
 	for i, r := range p.recovered {
 		if !p.indexed[i] {
 			p.indexed[i] = true
-			p.activated[r.Addr] = &VEH{Addr: r.Addr, Size: r.Size, State: Activated, Slab: r.Slab}
+			p.activated[r.Addr] = &VEH{Addr: r.Addr, Size: r.Size, State: Activated, Slab: r.Slab, From: Reclaimed}
 		}
 	}
 	p.pending = 0

@@ -36,6 +36,10 @@ type slabCache struct {
 	free   []pmem.PAddr // LIFO: most recently returned extent reused first
 	batch  int
 	streak int // consecutive refills since the last flush
+	// refilled is the extent the last carve popped from the batch it
+	// leased: its uncarve gives the whole batch back, so the pool is left
+	// as the carve found it. Any other call on the cache clears it.
+	refilled pmem.PAddr
 	oneAddr
 
 	hits, refills, flushes, carved uint64
@@ -50,7 +54,9 @@ func (sc *slabCache) lookup(pmem.PAddr) (size uint64, slab, ok bool) { return sc
 // carve pops a cached extent, refilling the cache from the global pool
 // when empty. It fails only when the heap cannot supply a single extent.
 func (sc *slabCache) carve(c *pmem.Ctx, _ uint64, _ pmem.PAddr, _ bool) (pmem.PAddr, error) {
-	if len(sc.free) == 0 {
+	refill := len(sc.free) == 0
+	sc.refilled = pmem.Null
+	if refill {
 		sc.free = sc.pool.lease(c, sc.size, pmem.PAddr(sc.size), sc.batch, sc.free)
 		sc.refills++
 		sc.carved += uint64(len(sc.free))
@@ -68,15 +74,35 @@ func (sc *slabCache) carve(c *pmem.Ctx, _ uint64, _ pmem.PAddr, _ bool) (pmem.PA
 	}
 	addr := sc.free[len(sc.free)-1]
 	sc.free = sc.free[:len(sc.free)-1]
+	if refill {
+		sc.refilled = addr
+	}
 	// Leaving the cache to become a live slab: no longer overhead.
-	sc.pool.cacheOverhead.Add(-int64(sc.size))
+	sc.pool.handOut(sc.size)
 	return addr, nil
+}
+
+// uncarve takes back an extent whose record failed. One that came from
+// the cache goes back into it; one whose carve refilled the cache takes
+// the rest of that batch with it, back to the free state each was leased
+// from.
+func (sc *slabCache) uncarve(c *pmem.Ctx, addr pmem.PAddr) error {
+	if addr != sc.refilled {
+		return sc.release(c, addr)
+	}
+	sc.refilled = pmem.Null
+	sc.free = append(sc.free, addr)
+	sc.pool.cacheOverhead.Add(int64(sc.size))
+	sc.pool.reclaim(c, sc.free, true)
+	sc.free = sc.free[:0]
+	return nil
 }
 
 // release takes an extent back into the cache. When the cache overflows
 // its working set, the oldest extents are handed back to the global pool
 // in one critical section.
 func (sc *slabCache) release(c *pmem.Ctx, addr pmem.PAddr) error {
+	sc.refilled = pmem.Null
 	sc.free = append(sc.free, addr)
 	// Back in the cache: idle again. (Extents dropped by the overflow
 	// flush are un-counted inside reclaim.)
@@ -90,7 +116,8 @@ func (sc *slabCache) release(c *pmem.Ctx, addr pmem.PAddr) error {
 // drop hands the n oldest cached extents back to the global pool and
 // restarts the demand adaptation.
 func (sc *slabCache) drop(c *pmem.Ctx, n int) {
-	sc.pool.reclaim(c, sc.free[:n])
+	sc.refilled = pmem.Null
+	sc.pool.reclaim(c, sc.free[:n], false)
 	sc.free = append(sc.free[:0], sc.free[n:]...)
 	sc.flushes++
 	sc.streak = 0

@@ -164,7 +164,7 @@ func Rebuild(dev pmem.Dev, book Bookkeeper, cfg Config, t Tiers, c *pmem.Ctx, re
 	flushGap := func(from, to pmem.PAddr) {
 		for from < to {
 			// Carve out bookkeeper reservations chunk by chunk.
-			chunkBase := from &^ (ChunkSize - 1)
+			chunkBase := p.heapBase + (from-p.heapBase)&^(ChunkSize-1)
 			dataStart := chunkBase + pmem.PAddr(res)
 			if from < dataStart {
 				from = dataStart
@@ -177,7 +177,7 @@ func Rebuild(dev pmem.Dev, book Bookkeeper, cfg Config, t Tiers, c *pmem.Ctx, re
 			}
 			if end > from {
 				v := &VEH{Addr: from, Size: uint64(end - from)}
-				p.insertFree(v, Reclaimed, 0)
+				p.insertFree(v, Retained, 0)
 				p.coalesce(c, v)
 			}
 			from = end

@@ -20,7 +20,8 @@
 //	Allocator.Record     carved -> recorded
 //	Allocator.Tombstone  recorded -> tombstoned
 //	Allocator.Release    carved or tombstoned -> free
-//	Allocator.Alloc      Carve + Record, the carve undone by Release if the record fails
+//	Allocator.Uncarve    carved -> free, in the state the carve took it from
+//	Allocator.Alloc      Carve + Record, the carve undone by Uncarve if the record fails
 //	Allocator.Free       Tombstone + Release
 //	Allocator.FreeBatch  Free of a group under one fence (recovery sweeps)
 //	Pool.Alloc, Pool.Free  the same two compositions on the global pool alone,
@@ -63,7 +64,13 @@ var (
 const PageSize = 4096
 
 // ChunkSize is the growth quantum requested from the device ("mmap").
+// Chunks are counted from the heap base.
 const ChunkSize = 4 << 20
+
+// HeapBase returns where a heap starts whose metadata regions end at
+// metaEnd: the next LeaseAlign boundary. Slabs and leases keep their
+// alignment, and the heap reserves no more than its metadata holds.
+func HeapBase(metaEnd uint64) uint64 { return (metaEnd + LeaseAlign - 1) &^ (LeaseAlign - 1) }
 
 // State is a VEH's list membership.
 type State int
@@ -72,10 +79,12 @@ type State int
 const (
 	// Activated extents hold live data.
 	Activated State = iota
-	// Reclaimed extents are free with physical memory still mapped.
+	// Reclaimed extents are free with physical memory still mapped: space
+	// this process activated and then released.
 	Reclaimed
 	// Retained extents are free with physical memory unmapped (virtual
-	// reservation only).
+	// reservation only): fresh growth, the gaps a rebuild finds, and
+	// reclaimed space that decayed.
 	Retained
 	// Released extents have been returned to the OS entirely.
 	Released
@@ -88,6 +97,7 @@ type VEH struct {
 	State    State
 	Slab     bool
 	LastFree int64 // virtual time of the last transition to a free state
+	From     State // an activated extent's free state before its carve
 }
 
 // End returns the first address past the extent.
@@ -226,7 +236,7 @@ func (p *Pool) idx(s State) *rbtree.Tree[sizeKey, *VEH] {
 
 // Config places a large allocator on its device.
 type Config struct {
-	HeapBase pmem.PAddr // first usable heap byte (chunk aligned)
+	HeapBase pmem.PAddr // first usable heap byte (LeaseAlign aligned: see HeapBase)
 	HeapEnd  pmem.PAddr // one past the last usable heap byte
 	BreakPtr pmem.PAddr // persistent 8-byte cell storing the heap break
 	// MetaBytes is counted into Used (superblock, WAL and log regions).
@@ -237,8 +247,8 @@ type Config struct {
 }
 
 func newPool(dev pmem.Dev, book Bookkeeper, cfg Config) *Pool {
-	if cfg.HeapBase%ChunkSize != 0 {
-		panic(fmt.Sprintf("extent: heap base %#x must be %d-aligned", cfg.HeapBase, ChunkSize))
+	if cfg.HeapBase%LeaseAlign != 0 {
+		panic(fmt.Sprintf("extent: heap base %#x must be %d-aligned", cfg.HeapBase, LeaseAlign))
 	}
 	p := &Pool{
 		dev:            dev,
@@ -290,7 +300,8 @@ func (p *Pool) tombstone(c *pmem.Ctx, group []pmem.PAddr) (int, error) {
 // (reclaimed) free extents, minus cache/lease overhead — activated space
 // parked in slab caches and shard leases holds no live data and would
 // otherwise inflate usage by whole 2 MiB leases. Retained and released
-// memory is unmapped and not counted.
+// memory is unmapped and not counted, and so is growth no carve has
+// reached yet.
 func (p *Pool) used() uint64 {
 	u := p.metaBytes + p.activatedBytes + p.reclaimedBytes
 	if ov := p.cacheOverhead.Load(); ov > 0 {
@@ -352,7 +363,7 @@ func (p *Pool) take(c *pmem.Ctx, addr pmem.PAddr) (*VEH, bool) {
 	p.pending--
 	c.Charge(pmem.CatSearch, 30)
 	r := p.recovered[i]
-	return &VEH{Addr: r.Addr, Size: r.Size, State: Activated, Slab: r.Slab}, true
+	return &VEH{Addr: r.Addr, Size: r.Size, State: Activated, Slab: r.Slab, From: Reclaimed}, true
 }
 
 func align(v, al pmem.PAddr) pmem.PAddr { return (v + al - 1) &^ (al - 1) }
@@ -453,7 +464,7 @@ func (p *Pool) split(v *VEH, start pmem.PAddr, size uint64, now int64) *VEH {
 		p.insertFree(tail, state, now)
 		p.splits++
 	}
-	nv := &VEH{Addr: start, Size: size, State: Activated}
+	nv := &VEH{Addr: start, Size: size, State: Activated, From: state}
 	p.activated[start] = nv
 	p.activatedBytes += size
 	return nv
@@ -461,7 +472,8 @@ func (p *Pool) split(v *VEH, start pmem.PAddr, size uint64, now int64) *VEH {
 
 // grow extends the heap break by at least `need` bytes (in ChunkSize
 // units) and returns the new free extent covering the data part of the
-// growth.
+// growth. The growth is retained: nothing has touched it yet, so what the
+// carve leaves of it is not committed.
 func (p *Pool) grow(c *pmem.Ctx, need uint64, now int64) (*VEH, error) {
 	brk := pmem.PAddr(p.dev.ReadU64(p.brkAddr))
 	res := p.book.DataOffset()
@@ -483,7 +495,7 @@ func (p *Pool) grow(c *pmem.Ctx, need uint64, now int64) (*VEH, error) {
 	var first *VEH
 	for off := uint64(0); off < g; off += ChunkSize {
 		v := &VEH{Addr: brk + pmem.PAddr(off+res), Size: ChunkSize - res}
-		p.insertFree(v, Reclaimed, now)
+		p.insertFree(v, Retained, now)
 		if first == nil {
 			first = v
 		} else {
@@ -495,7 +507,7 @@ func (p *Pool) grow(c *pmem.Ctx, need uint64, now int64) (*VEH, error) {
 	}
 	// Re-fetch: coalescing may have merged `first` away.
 	if res == 0 {
-		if _, v, ok := p.byAddr.Floor(brk); ok && v.State == Reclaimed && v.End() >= nbrk {
+		if _, v, ok := p.byAddr.Floor(brk); ok && v.State == Retained && v.End() >= nbrk {
 			return v, nil
 		}
 	}
@@ -539,16 +551,21 @@ func (p *Pool) carve(c *pmem.Ctx, size uint64, alignTo pmem.PAddr, slab bool) (p
 	return nv.Addr, nil
 }
 
-// deactivate returns the activated extent at addr to the reclaimed list and
-// coalesces it with free neighbours.
-func (p *Pool) deactivate(c *pmem.Ctx, addr pmem.PAddr) (size uint64, err error) {
+// deactivate returns the activated extent at addr to the free lists and
+// coalesces it with free neighbours: to the reclaimed list, or with
+// restore to the state its carve took it from.
+func (p *Pool) deactivate(c *pmem.Ctx, addr pmem.PAddr, restore bool) (size uint64, err error) {
 	v, ok := p.take(c, addr)
 	if !ok {
 		return 0, fmt.Errorf("extent: free of %w %#x", ErrUnknown, addr)
 	}
 	p.activatedBytes -= v.Size
 	size = v.Size // coalesce may grow v
-	p.insertFree(v, Reclaimed, c.Now)
+	state := Reclaimed
+	if restore {
+		state = v.From
+	}
+	p.insertFree(v, state, c.Now)
 	p.coalesce(c, v)
 	return size, nil
 }
@@ -556,14 +573,22 @@ func (p *Pool) deactivate(c *pmem.Ctx, addr pmem.PAddr) (size uint64, err error)
 // release frees an extent that has no live record: carved and never
 // recorded, or tombstoned. Carved or tombstoned -> free.
 func (p *Pool) release(c *pmem.Ctx, addr pmem.PAddr) error {
-	_, err := p.deactivate(c, addr)
+	_, err := p.deactivate(c, addr, false)
+	p.maybeDecay(c)
+	return err
+}
+
+// uncarve undoes the carve of an extent that was never recorded: carved ->
+// free, in the state it was carved from.
+func (p *Pool) uncarve(c *pmem.Ctx, addr pmem.PAddr) error {
+	_, err := p.deactivate(c, addr, true)
 	p.maybeDecay(c)
 	return err
 }
 
 // alloc is carve + record on tier t, whose lock the caller holds; a carve
-// that cannot be recorded is undone by release, so a failed allocation
-// leaves nothing activated.
+// that cannot be recorded is undone by uncarve, so a failed allocation
+// leaves the tier and the free lists as it found them.
 func (p *Pool) alloc(c *pmem.Ctx, t tier, size uint64, alignTo pmem.PAddr, slab bool) (pmem.PAddr, error) {
 	addr, err := t.carve(c, size, alignTo, slab)
 	if err != nil {
@@ -571,7 +596,7 @@ func (p *Pool) alloc(c *pmem.Ctx, t tier, size uint64, alignTo pmem.PAddr, slab 
 	}
 	size, slab, _ = t.lookup(addr)
 	if err := p.record(c, addr, size, slab); err != nil {
-		_ = t.release(c, addr) // cannot fail: addr was carved under this lock
+		_ = t.uncarve(c, addr) // cannot fail: addr was carved under this lock
 		return pmem.Null, err
 	}
 	return addr, nil
@@ -616,7 +641,7 @@ func (p *Pool) freeBatch(c *pmem.Ctx, addrs []pmem.PAddr) error {
 	}
 	n, err := p.tombstone(c, addrs)
 	for _, addr := range addrs[:n] {
-		_, _ = p.deactivate(c, addr) // cannot fail: checked above
+		_, _ = p.deactivate(c, addr, false) // cannot fail: checked above
 	}
 	p.maybeDecay(c)
 	return err
@@ -645,19 +670,34 @@ func (p *Pool) lease(c *pmem.Ctx, size uint64, alignTo pmem.PAddr, n int, out []
 }
 
 // reclaim takes idle extents back from a slab cache or a shard pool (cache
-// overflow and flush, a returned lease) in one Res critical section.
-func (p *Pool) reclaim(c *pmem.Ctx, addrs []pmem.PAddr) {
+// overflow and flush, a returned lease) in one Res critical section: to the
+// reclaimed list, or with restore (an undone carve's lease) to the state
+// they were leased from. Idle space that turns reclaimed counts in Used
+// again.
+func (p *Pool) reclaim(c *pmem.Ctx, addrs []pmem.PAddr, restore bool) {
 	if len(addrs) == 0 {
 		return
 	}
 	p.lock(c)
 	defer p.unlock(c)
 	for _, addr := range addrs {
-		if size, err := p.deactivate(c, addr); err == nil {
+		if size, err := p.deactivate(c, addr, restore); err == nil {
 			p.cacheOverhead.Add(-int64(size))
 		}
 	}
+	p.notePeak()
 	p.maybeDecay(c)
+}
+
+// handOut moves size idle bytes of a slab cache or a lease to a caller:
+// they stop being overhead, so Used rises by as much. The peak is noted
+// under the pool's lock, taken without touching virtual time: the tier
+// lock the caller holds is what models the operation.
+func (p *Pool) handOut(size uint64) {
+	p.Res.Lock()
+	defer p.Res.Unlock()
+	p.cacheOverhead.Add(-int64(size))
+	p.notePeak()
 }
 
 // coalesce merges v with its free neighbours of the same state.

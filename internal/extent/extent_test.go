@@ -200,22 +200,34 @@ func TestUsedAndPeakAccounting(t *testing.T) {
 func TestDecayDemotesIdleExtents(t *testing.T) {
 	_, a, c := newAlloc(t, 64<<20)
 	p, _ := a.Alloc(c, 0, 1<<20)
+	// The rest of the growth starts retained: nothing has touched it.
+	if rec, ret := a.pool.reclaimedBytes, a.pool.retainedBytes; rec != 0 || ret != ChunkSize-1<<20 {
+		t.Fatalf("after the first growth: %d bytes reclaimed and %d retained, want 0 and %d", rec, ret, ChunkSize-1<<20)
+	}
 	if err := a.Free(c, 0, p, false); err != nil {
 		t.Fatal(err)
 	}
-	rec0, ret0 := a.pool.reclaimedBytes, a.pool.retainedBytes
-	if rec0 == 0 {
-		t.Fatal("freed bytes must be reclaimed")
+	// state is the free state of the extent that held data.
+	state := func() State {
+		v, ok := a.pool.byAddr.Get(p)
+		if !ok || v.Addr != p || v.Size != 1<<20 {
+			t.Fatalf("freed extent %#x is not a free extent of its own: %+v", p, v)
+		}
+		return v.State
+	}
+	rec0 := a.pool.reclaimedBytes
+	if rec0 != 1<<20 || state() != Reclaimed {
+		t.Fatalf("freed bytes must be reclaimed: %d reclaimed, extent %v", rec0, state())
 	}
 	// Let a full decay window of virtual time pass.
 	c.Charge(pmem.CatOther, DecayWindowNS+DecayEpochNS)
 	a.pool.decayTick(c)
-	rec1, ret1 := a.pool.reclaimedBytes, a.pool.retainedBytes
+	rec1 := a.pool.reclaimedBytes
 	if rec1 >= rec0 {
 		t.Fatalf("decay did not demote reclaimed bytes: %d -> %d", rec0, rec1)
 	}
-	if ret1 <= ret0 {
-		t.Fatalf("retained bytes did not grow: %d -> %d", ret0, ret1)
+	if s := state(); s != Retained {
+		t.Fatalf("the extent that held data decayed to %v, want retained", s)
 	}
 	// And Used drops, because retained memory is unmapped.
 	// (metaBytes unchanged, activated unchanged.)
@@ -223,10 +235,11 @@ func TestDecayDemotesIdleExtents(t *testing.T) {
 		t.Fatal("used accounting inconsistent")
 	}
 	// A second full window releases retained memory to the OS.
+	ret1 := a.pool.retainedBytes
 	c.Charge(pmem.CatOther, DecayWindowNS+DecayEpochNS)
 	a.pool.decayTick(c)
-	if ret2 := a.pool.retainedBytes; ret2 >= ret1 && ret1 > 0 {
-		t.Fatalf("retained bytes not released: %d -> %d", ret1, ret2)
+	if ret2 := a.pool.retainedBytes; ret2 >= ret1 || state() != Released {
+		t.Fatalf("retained bytes not released: %d -> %d, extent %v", ret1, ret2, state())
 	}
 }
 

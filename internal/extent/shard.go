@@ -76,6 +76,10 @@ type shard struct {
 	a         *Allocator
 	leases    []*lease
 	allocated map[pmem.PAddr]uint64 // live sub-allocation sizes
+	// added is the lease the last carve had to take: the uncarve of that
+	// carve gives it back, so the pool is left as the carve found it. Any
+	// other call on the shard clears it.
+	added *lease
 
 	leasesTaken, leasesReturned uint64
 }
@@ -84,11 +88,13 @@ type shard struct {
 // space from the global pool when the shard runs dry.
 func (sh *shard) carve(c *pmem.Ctx, size uint64, _ pmem.PAddr, _ bool) (pmem.PAddr, error) {
 	size = (size + PageSize - 1) &^ (PageSize - 1)
+	sh.added = nil
 	addr, ok := sh.fit(c, size)
 	if !ok {
 		if err := sh.addLease(c); err != nil {
 			return pmem.Null, err
 		}
+		sh.added = sh.leases[len(sh.leases)-1]
 		if addr, ok = sh.fit(c, size); !ok {
 			return pmem.Null, fmt.Errorf("extent: %w: a fresh lease cannot hold %d bytes", ErrNoSpace, size)
 		}
@@ -96,7 +102,7 @@ func (sh *shard) carve(c *pmem.Ctx, size uint64, _ pmem.PAddr, _ bool) (pmem.PAd
 	sh.allocated[addr] = size
 	// The carved bytes are the caller's now; the rest of the lease stays
 	// counted as overhead.
-	sh.a.pool.cacheOverhead.Add(-int64(size))
+	sh.a.pool.handOut(size)
 	return addr, nil
 }
 
@@ -141,6 +147,22 @@ func (sh *shard) sizeOf(addr pmem.PAddr) (uint64, bool) {
 // release returns a sub-allocation's bytes to its lease, and the lease to
 // the global pool once it is empty and a spare remains.
 func (sh *shard) release(c *pmem.Ctx, addr pmem.PAddr) error {
+	sh.added = nil
+	return sh.put(c, addr, nil)
+}
+
+// uncarve takes back a sub-allocation whose record failed, and with it the
+// lease its carve had to take, back to the free state it was leased from.
+func (sh *shard) uncarve(c *pmem.Ctx, addr pmem.PAddr) error {
+	added := sh.added
+	sh.added = nil
+	return sh.put(c, addr, added)
+}
+
+// put returns a sub-allocation's bytes to its lease, and the lease to the
+// global pool once it is empty and either is added (in the state it was
+// leased from) or a spare remains.
+func (sh *shard) put(c *pmem.Ctx, addr pmem.PAddr, added *lease) error {
 	size, ok := sh.allocated[addr]
 	if !ok {
 		return fmt.Errorf("extent: shard free of %w %#x", ErrUnknown, addr)
@@ -150,8 +172,8 @@ func (sh *shard) release(c *pmem.Ctx, addr pmem.PAddr) error {
 	l.insert(uint32(addr-l.base), uint32(size))
 	l.live--
 	sh.a.pool.cacheOverhead.Add(int64(size))
-	if l.live == 0 && l.empty() && sh.spareEmptyLease(l) {
-		sh.dropLease(c, l)
+	if l.live == 0 && l.empty() && (l == added || sh.spareEmptyLease(l)) {
+		sh.dropLease(c, l, l == added)
 	}
 	return nil
 }
@@ -174,8 +196,8 @@ func (sh *shard) addLease(c *pmem.Ctx) error {
 }
 
 // dropLease unregisters an empty lease and returns its extent to the
-// global pool.
-func (sh *shard) dropLease(c *pmem.Ctx, l *lease) {
+// global pool: reclaimed, or with restore in the state it was leased from.
+func (sh *shard) dropLease(c *pmem.Ctx, l *lease, restore bool) {
 	for i, x := range sh.leases {
 		if x == l {
 			sh.leases = append(sh.leases[:i], sh.leases[i+1:]...)
@@ -185,7 +207,7 @@ func (sh *shard) dropLease(c *pmem.Ctx, l *lease) {
 	for off := pmem.PAddr(0); off < LeaseSize; off += LeaseAlign {
 		sh.a.leases.Delete(l.base + off)
 	}
-	sh.a.pool.reclaim(c, []pmem.PAddr{l.base})
+	sh.a.pool.reclaim(c, []pmem.PAddr{l.base}, restore)
 	sh.leasesReturned++
 }
 

@@ -1,0 +1,110 @@
+package nvalloc
+
+import (
+	"testing"
+
+	"nvalloc/internal/alloc"
+	"nvalloc/internal/core"
+	"nvalloc/internal/pmem"
+	"nvalloc/internal/slab"
+)
+
+// larsonSim is one worker of a Larson stream played from one goroutine:
+// every step frees a random slot's block and allocates its replacement of
+// 64-256 B, and one step in 16 trades the new block with the neighbour,
+// which frees it remotely later. The stream is benchmark/'s alloc-larson
+// (same generator, slot count and hand-over rule).
+type larsonSim struct {
+	th    alloc.Thread
+	rng   uint64 // splitmix64 state
+	slots [1024]pmem.PAddr
+	inbox []pmem.PAddr // blocks the neighbour allocated for this worker
+	out   *larsonSim
+}
+
+func (w *larsonSim) next() (slot int, size uint64, cross bool) {
+	w.rng += 0x9E3779B97F4A7C15
+	z := w.rng
+	z = (z ^ z>>30) * 0xBF58476D1CE4E5B9
+	z = (z ^ z>>27) * 0x94D049BB133111EB
+	r := z ^ z>>31
+	return int(r % 1024), 64 + (r>>16)%25*8, (r>>40)%16 == 0
+}
+
+func (w *larsonSim) malloc(t *testing.T, size uint64) pmem.PAddr {
+	t.Helper()
+	p, err := w.th.Malloc(size)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return p
+}
+
+func (w *larsonSim) step(t *testing.T) {
+	slot, size, cross := w.next()
+	if old := w.slots[slot]; old != pmem.Null {
+		if err := w.th.Free(old); err != nil {
+			t.Fatal(err)
+		}
+	}
+	nb := w.malloc(t, size)
+	if cross && len(w.out.inbox) < 64 {
+		w.out.inbox = append(w.out.inbox, nb)
+		if n := len(w.inbox); n > 0 {
+			nb, w.inbox = w.inbox[0], w.inbox[1:]
+		} else {
+			nb = w.malloc(t, size)
+		}
+	}
+	w.slots[slot] = nb
+}
+
+// TestLarsonSpaceGolden: a fixed two-thread Larson stream on the simulated
+// device, played thread by thread from one goroutine as benchmark/'s
+// virtual-time twin plays it. A heap commits its metadata up to the heap
+// base, then only what it touches: Used is exactly the heap base plus the
+// slabs that hold the blocks, and both are pinned, so a change to what the
+// heap commits shows up here as a golden diff.
+func TestLarsonSpaceGolden(t *testing.T) {
+	const (
+		wantBase  = 1638400 // 256 MiB device: metadata rounded up to 64 KiB
+		wantSlabs = 18
+		rounds    = 64 * 1024 // the benchmark's set-up: every slot replaced 64 times over
+	)
+	h, err := core.Create(pmem.New(pmem.Config{Size: 256 << 20}), core.DefaultOptions(core.LOG))
+	if err != nil {
+		t.Fatal(err)
+	}
+	base := h.Used()
+	ws := make([]*larsonSim, 2)
+	for i := range ws {
+		ws[i] = &larsonSim{th: h.NewThread(), rng: 1*0x9E3779B97F4A7C15 + uint64(i)*0xBF58476D1CE4E5B9 + 7}
+	}
+	for i, w := range ws {
+		w.out = ws[(i+1)%len(ws)]
+	}
+	for _, w := range ws {
+		for i := range w.slots {
+			_, size, _ := w.next()
+			w.slots[i] = w.malloc(t, size)
+		}
+	}
+	for i := 0; i < rounds; i++ {
+		for _, w := range ws {
+			w.step(t)
+		}
+	}
+	slabs := 0
+	for _, n := range h.LayoutCensus() {
+		slabs += n
+	}
+	if base != wantBase || slabs != wantSlabs {
+		t.Errorf("heap base %d and %d slabs, want %d and %d", base, slabs, wantBase, wantSlabs)
+	}
+	if got, want := h.Used(), base+uint64(slabs)*slab.Size; got != want {
+		t.Errorf("Used %d, want the heap base %d plus %d slabs of %d B = %d", got, base, slabs, slab.Size, want)
+	}
+	if h.Peak() < h.Used() {
+		t.Errorf("Peak %d below Used %d", h.Peak(), h.Used())
+	}
+}
