@@ -195,13 +195,7 @@ func BenchmarkFig21EADRLarge(b *testing.B) {
 	})
 }
 
-// ---- Ablations and micro-benchmarks ----------------------------------------
-
-func BenchmarkAblationExtentFit(b *testing.B) {
-	runExperiment(b, "ablation", "firstfit_mops", func(ts []*experiment.Table) float64 {
-		return lastCell(b, ts[0])
-	})
-}
+// ---- Micro-benchmarks -------------------------------------------------------
 
 // BenchmarkMallocFreeSmall measures the raw hot path (real wall time per
 // op, not virtual time) of NVAlloc-LOG's small allocator.

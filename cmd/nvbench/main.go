@@ -39,7 +39,7 @@ func flagSet(name string) bool {
 
 func main() {
 	var (
-		exp      = flag.String("exp", "", "experiment ID (figNN, table2, ablation) or 'all'")
+		exp      = flag.String("exp", "", "experiment ID (see -list) or 'all'")
 		list     = flag.Bool("list", false, "list experiment IDs")
 		threads  = flag.String("threads", "1,2,4,8", "comma-separated thread counts")
 		scale    = flag.Float64("scale", 1.0, "operation-count scale factor")
@@ -49,15 +49,11 @@ func main() {
 		cpuProf  = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		memProf  = flag.String("memprofile", "", "write a heap profile to this file on exit")
 		traceOut = flag.String("trace", "", "write a runtime execution trace to this file")
-		cont     = flag.Bool("contention", false, "shorthand for -exp contention (per-resource lock-load report)")
 		real     = flag.Bool("real", false, "real-concurrency mode: wall-clock Larson/Threadtest/Prod-con on a direct device, one row per allocator (shorthand for -exp real; default -threads becomes 1..64)")
 		mcBudget = flag.Int("crashmc.budget", 0, "variant schedules per concurrent crashmc family (0 = smoke default 6, negative = unlimited)")
 		mcUpdate = flag.Bool("crashmc.update", false, "regenerate crashmc_baseline.json from this run (refused in CI, on violations, or on sampled runs)")
 	)
 	flag.Parse()
-	if *cont && *exp == "" {
-		*exp = "contention"
-	}
 	if *real {
 		if *exp == "" {
 			*exp = "real"

@@ -374,45 +374,18 @@ func (h *Heap) applyWAL(c *pmem.Ctx, e walog.Entry) {
 // additionally scans every block of every slab; false (Ralloc) touches
 // only reachable nodes.
 func (h *Heap) conservativeGC(c *pmem.Ctx, full bool) {
-	resolve := func(p pmem.PAddr) (pmem.PAddr, uint64, bool) {
+	resolve := func(p pmem.PAddr) (uint64, bool) {
 		if p == pmem.Null || uint64(p) >= h.dev.Size() || p%8 != 0 {
-			return 0, 0, false
+			return 0, false
 		}
-		base := p &^ (SlabSize - 1)
-		if s := h.slabs.Lookup(base); s != nil {
-			if idx := s.blockIndex(p); idx >= 0 {
-				return p, uint64(s.blockSize), true
-			}
-			return 0, 0, false
+		if s := h.slabs.Lookup(p &^ (SlabSize - 1)); s != nil {
+			return uint64(s.blockSize), s.blockIndex(p) >= 0
 		}
-		size, ok := h.large.Live(p)
-		return p, size, ok
+		return h.large.Live(p)
 	}
-	type obj struct {
-		addr pmem.PAddr
-		size uint64
-	}
-	marked := map[pmem.PAddr]bool{}
-	var work []obj
-	for i := 0; i < alloc.NumRootSlots; i++ {
-		p := pmem.PAddr(h.dev.ReadU64(h.RootSlot(i)))
-		if a, sz, ok := resolve(p); ok && !marked[a] {
-			marked[a] = true
-			work = append(work, obj{a, sz})
-		}
-	}
-	for len(work) > 0 {
-		o := work[len(work)-1]
-		work = work[:len(work)-1]
-		c.Charge(pmem.CatSearch, int64(o.size)/8+60)
-		for off := uint64(0); off+8 <= o.size; off += 8 {
-			p := pmem.PAddr(h.dev.ReadU64(o.addr + pmem.PAddr(off)))
-			if a, sz, ok := resolve(p); ok && !marked[a] {
-				marked[a] = true
-				work = append(work, obj{a, sz})
-			}
-		}
-	}
+	marked := alloc.Mark(h, resolve, func(size uint64) {
+		c.Charge(pmem.CatSearch, int64(size)/8+60)
+	})
 	// Sweep in address order so the rebuilt freelists are deterministic.
 	h.slabs.Range(func(_ pmem.PAddr, s *bslab) bool {
 		if full {

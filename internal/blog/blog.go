@@ -183,10 +183,9 @@ type Log struct {
 	// escalates from fast to slow GC.
 	SlowGCThreshold uint64
 
-	// GCBudgetChunks bounds how many chunks' worth of live entries one
-	// incremental slow-GC step copies, so GC work interleaves with
-	// appends instead of stalling them on a large live set.
-	GCBudgetChunks int
+	// gcBudget is how many chunks' worth of live entries one incremental
+	// slow-GC step copies (gcBudgetChunks; a test lowers it).
+	gcBudget int
 
 	// gc holds the state of an in-progress incremental slow GC (nil when
 	// no slow GC is underway).
@@ -262,7 +261,7 @@ func New(dev pmem.Mem, base pmem.PAddr, size uint64, stripes int) *Log {
 		chunks:          rbtree.New[pmem.PAddr, *vchunk](func(a, b pmem.PAddr) bool { return a < b }),
 		index:           make(map[pmem.PAddr]entryRef),
 		SlowGCThreshold: size * 3 / 4,
-		GCBudgetChunks:  defaultGCBudgetChunks,
+		gcBudget:        gcBudgetChunks,
 	}
 }
 
@@ -362,7 +361,7 @@ func (l *Log) room(delta int) bool {
 // makeRoom compacts the log for an append that found no room (see room):
 // it waits for the publishes in flight (GC must not run while a reserved
 // slot is unwritten), retires empty chunks, and if that is not enough
-// runs slow GC to completion rather than in GCBudgetChunks steps. It
+// runs slow GC to completion rather than in gcBudgetChunks steps. It
 // reports whether there is room now; there is not only when the live set
 // leaves no room for its own copy, which RegionSize rules out for any
 // heap. The caller holds the resource.

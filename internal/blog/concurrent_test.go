@@ -41,7 +41,7 @@ func TestAppendersRaceIncrementalGC(t *testing.T) {
 	// time, so compaction interleaves with appends as finely as the
 	// implementation allows.
 	s.SlowGCThreshold = 4 * ChunkSize
-	s.GCBudgetChunks = 1
+	s.gcBudget = 1
 
 	live := make([]map[pmem.PAddr]bool, workers)
 	var wg sync.WaitGroup

@@ -8,11 +8,12 @@ import (
 	"nvalloc/internal/rbtree"
 )
 
-// defaultGCBudgetChunks is the per-step copy budget of the incremental
-// slow GC: each MaybeGC call while a slow GC is underway copies at most
-// this many chunks' worth of live entries before returning to the
-// append path.
-const defaultGCBudgetChunks = 4
+// gcBudgetChunks is the per-step copy budget of the incremental slow GC:
+// each MaybeGC call while a slow GC is underway copies at most this many
+// chunks' worth of live entries before returning to the append path, so GC
+// work interleaves with appends instead of stalling them on a large live
+// set.
+const gcBudgetChunks = 4
 
 // FastGC retires every active chunk whose validity bitmap is empty by
 // clearing its activeness bit (one flush per retired chunk, no entry
@@ -349,20 +350,20 @@ func (l *Log) SlowGC(c *pmem.Ctx) (int, error) {
 
 // MaybeGC applies the paper's policy: run fast GC routinely; escalate to
 // slow GC once the active chain exceeds SlowGCThreshold bytes. Slow GC
-// proceeds incrementally — each call copies at most GCBudgetChunks
+// proceeds incrementally — each call copies at most gcBudgetChunks
 // chunks' worth of live entries, so the append path never stalls behind
 // a full-log rewrite. Call it periodically (the large allocator invokes
 // it on frees).
 func (l *Log) MaybeGC(c *pmem.Ctx) {
 	l.FastGC(c)
 	if l.gc != nil {
-		_, _ = l.slowGCStep(c, l.GCBudgetChunks)
+		_, _ = l.slowGCStep(c, l.gcBudget)
 		return
 	}
 	if uint64(l.chunks.Len())*ChunkSize > l.SlowGCThreshold {
 		// Best effort: a full region with everything live cannot shrink.
 		if err := l.startSlowGC(c); err == nil {
-			_, _ = l.slowGCStep(c, l.GCBudgetChunks)
+			_, _ = l.slowGCStep(c, l.gcBudget)
 		}
 	}
 }

@@ -237,7 +237,7 @@ func (a *arena) fillLocked(c *pmem.Ctx, class int, tc *tcache.Cache, want int) i
 		}
 		for i := 0; i < m.N; i++ {
 			b := m.Blocks[i]
-			tc.Push(a.tcacheStripe(b.Slab.(*slab.Slab), b.Idx), b)
+			tc.Push(a.tcacheStripe(b.Slab.(*slab.Slab).Geometry(), b.Idx), b)
 			m.Blocks[i] = tcache.Block{}
 		}
 		got += m.N
@@ -257,7 +257,7 @@ func (a *arena) fillLocked(c *pmem.Ctx, class int, tc *tcache.Cache, want int) i
 		idxBuf = s.Reserve(want-got, idxBuf[:0])
 		full := s.FreeCount() == 0
 		for _, idx := range idxBuf {
-			tc.Push(a.tcacheStripe(s, idx), tcache.Block{Slab: s, Idx: idx})
+			tc.Push(a.tcacheStripe(s.Geometry(), idx), tcache.Block{Slab: s, Idx: idx})
 		}
 		got += len(idxBuf)
 		a.lruTouch(s)
@@ -433,16 +433,9 @@ func (a *arena) fillAndCommit(c *pmem.Ctx, class int, tc *tcache.Cache, want int
 	return s.BlockAddr(b.Idx), true
 }
 
-func (a *arena) tcacheStripe(s *slab.Slab, idx int) int {
-	if a.h.lay.Tcache == 1 {
-		return 0
-	}
-	return s.Stripe(idx)
-}
-
-// tcacheStripeGeom is tcacheStripe against a geometry snapshot, for
-// callers that resolved the block index lock-free.
-func (a *arena) tcacheStripeGeom(g *slab.Geom, idx int) int {
+// tcacheStripe returns the sub-tcache that takes block idx of a slab with
+// geometry g.
+func (a *arena) tcacheStripe(g *slab.Geom, idx int) int {
 	if a.h.lay.Tcache == 1 {
 		return 0
 	}
@@ -606,6 +599,16 @@ func (a *arena) returnToSlab(c *pmem.Ctx, s *slab.Slab, idx int, from origin, g 
 	} else {
 		a.commit(c, freeToSlab, []blockRef{{s, idx, s.Class}}, from == fromPublish)
 	}
+	return true, a.regained(c, s)
+}
+
+// regained is the list upkeep for slab s after blocks returned to it: a
+// slab with free blocks is on its class's freelist and at the LRU tail, and
+// a slab left completely empty with a spare of its class besides it is
+// taken off every list and retired. It reports the latter; the caller hands
+// the slab to releaseSlab once the resource is dropped. Caller holds the
+// arena resource.
+func (a *arena) regained(c *pmem.Ctx, s *slab.Slab) (release bool) {
 	empty := s.Allocated == 0 && s.Reserved == 0
 	wasOff := !a.onFreelist(s)
 	if wasOff && !empty {
@@ -617,13 +620,13 @@ func (a *arena) returnToSlab(c *pmem.Ctx, s *slab.Slab, idx int, from origin, g 
 		if a.spareExists(s) {
 			a.unlist(s)
 			a.retire(c, s)
-			return true, true
+			return true
 		}
 		if wasOff {
 			a.freelistPush(s)
 		}
 	}
-	return true, false
+	return false
 }
 
 // drainDepots unreserves every depot-magazine block back into its slab,

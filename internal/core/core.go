@@ -81,9 +81,6 @@ type Options struct {
 	// region; the paper's Usage_pmem is a small fraction of the heap).
 	// BlogGCNever turns the slow GC off.
 	BlogGCThreshold uint64
-	// FirstFitExtents switches the large allocator to address-ordered
-	// first fit (ablation).
-	FirstFitExtents bool
 	// NoExtentCache builds the large allocator without arena slab caches
 	// and shard pools: one global critical section per extent operation,
 	// and a slab one arena releases is at once another's to format
@@ -453,7 +450,6 @@ func (h *Heap) extentConfig() extent.Config {
 		HeapEnd:   pmem.PAddr(h.dev.Size()),
 		BreakPtr:  superBase + sbBreak,
 		MetaBytes: uint64(h.heapBase),
-		FirstFit:  h.opts.FirstFitExtents,
 	}
 }
 

@@ -539,6 +539,73 @@ func TestMorphedHeapSurvivesCrash(t *testing.T) {
 	}
 }
 
+// TestGCScansOldClassSurvivorWhole: NVAlloc-GC's recovery mark scans a
+// morphed slab's surviving old-class block over its own size, not the new
+// class's. The root points at a survivor of the 1 024-byte class in a slab
+// morphed to the 112-byte class, and the only reference to a child sits
+// past the new class's block size; the child must still be live after a
+// crash.
+func TestGCScansOldClassSurvivorWhole(t *testing.T) {
+	dev, h := newHeap(t, GC, func(o *Options) { o.Arenas = 1 })
+	th := h.NewThread()
+	var olds []pmem.PAddr
+	for i := 0; i < 2000; i++ {
+		p, err := th.Malloc(1000)
+		if err != nil {
+			t.Fatal(err)
+		}
+		olds = append(olds, p)
+	}
+	for i, p := range olds {
+		if i%64 != 0 {
+			if err := th.Free(p); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	for i := 0; i < 20000; i++ {
+		if _, err := th.Malloc(100); err != nil {
+			t.Fatal(err)
+		}
+	}
+	survivor := pmem.Null
+	for i := 0; i < len(olds) && survivor == pmem.Null; i += 64 {
+		s := h.slabs.Lookup(olds[i] &^ (slab.Size - 1))
+		if s.IsSlabIn() && s.OldBlockIndex(olds[i]) >= 0 {
+			survivor = olds[i]
+		}
+	}
+	if survivor == pmem.Null {
+		t.Skip("no 1 024-byte survivor in a morphed slab; geometry changed?")
+	}
+	s := h.slabs.Lookup(survivor &^ (slab.Size - 1))
+	const at = 512
+	if at+8 <= uint64(s.BlockSize) || at+8 > s.OldBlockSize() {
+		t.Fatalf("offset %d must lie past the new class (%d B) and inside the old (%d B)", at, s.BlockSize, s.OldBlockSize())
+	}
+	child, err := th.Malloc(64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := th.Ctx()
+	c.PersistU64(pmem.CatOther, survivor+at, uint64(child))
+	c.PersistU64(pmem.CatOther, h.RootSlot(0), uint64(survivor))
+	c.Merge()
+	dev.Crash()
+
+	h2, _, err := Open(dev, DefaultOptions(GC))
+	if err != nil {
+		t.Fatal(err)
+	}
+	live := objectSet(h2)
+	if _, ok := live[survivor]; !ok {
+		t.Fatalf("old-class survivor %#x freed by recovery", survivor)
+	}
+	if _, ok := live[child]; !ok {
+		t.Fatalf("child %#x, referenced from byte %d of the survivor, freed by recovery", child, at)
+	}
+}
+
 func TestUsedPeakAndRootSlots(t *testing.T) {
 	_, h := newHeap(t, LOG, nil)
 	if h.Used() == 0 {

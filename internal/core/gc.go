@@ -3,6 +3,7 @@ package core
 import (
 	"sort"
 
+	"nvalloc/internal/alloc"
 	"nvalloc/internal/pmem"
 	"nvalloc/internal/slab"
 )
@@ -24,55 +25,23 @@ import (
 // means the bookkeeper could not tombstone every leaked extent; the ones
 // it did tombstone are freed, the rest stay allocated and recorded.
 func (h *Heap) conservativeGC(c *pmem.Ctx) error {
-	type object struct {
-		addr pmem.PAddr
-		size uint64
-	}
-
-	// resolve maps a candidate pointer value to the object it starts.
-	resolve := func(p pmem.PAddr) (object, bool) {
+	// resolve sizes the object a candidate pointer value starts. A live
+	// old-class block of a morphing slab is scanned over its own size.
+	resolve := func(p pmem.PAddr) (uint64, bool) {
 		if p < h.heapBase || uint64(p) >= h.dev.Size() || p%8 != 0 {
-			return object{}, false
+			return 0, false
 		}
-		base := p &^ (slab.Size - 1)
-		if s := h.slabs.Lookup(base); s != nil {
-			if idx := s.BlockIndex(p); idx >= 0 {
-				return object{addr: p, size: uint64(s.BlockSize)}, true
+		if s := h.slabs.Lookup(p &^ (slab.Size - 1)); s != nil {
+			if s.OldBlockIndex(p) >= 0 {
+				return s.OldBlockSize(), true
 			}
-			if oldIdx := s.OldBlockIndex(p); oldIdx >= 0 {
-				return object{addr: p, size: uint64(s.BlockSize)}, true
-			}
-			return object{}, false
+			return uint64(s.BlockSize), s.BlockIndex(p) >= 0
 		}
-		size, ok := h.large.Live(p)
-		return object{addr: p, size: size}, ok
+		return h.large.Live(p)
 	}
-
-	marked := make(map[pmem.PAddr]bool)
-	var work []object
-
-	// Roots: the heap's root pointer slots.
-	for i := 0; i < 64; i++ {
-		p := pmem.PAddr(h.dev.ReadU64(h.RootSlot(i)))
-		if o, ok := resolve(p); ok && !marked[o.addr] {
-			marked[o.addr] = true
-			work = append(work, o)
-		}
-	}
-
-	// Mark: scan every reachable object for further pointers.
-	for len(work) > 0 {
-		o := work[len(work)-1]
-		work = work[:len(work)-1]
-		c.Charge(pmem.CatSearch, int64(o.size)/16+10)
-		for off := uint64(0); off+8 <= o.size; off += 8 {
-			p := pmem.PAddr(h.dev.ReadU64(o.addr + pmem.PAddr(off)))
-			if no, ok := resolve(p); ok && !marked[no.addr] {
-				marked[no.addr] = true
-				work = append(work, no)
-			}
-		}
-	}
+	marked := alloc.Mark(h, resolve, func(size uint64) {
+		c.Charge(pmem.CatSearch, int64(size)/16+10)
+	})
 
 	// Sweep slabs in address order (deterministic freelist rebuild):
 	// allocation state becomes exactly the marked set. The sweep reads

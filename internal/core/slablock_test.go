@@ -237,7 +237,7 @@ func foreignCached(th *Thread) int {
 		}
 		for _, b := range tc.Drain() {
 			count(b)
-			tc.Push(th.arena.tcacheStripe(b.Slab.(*slab.Slab), b.Idx), b)
+			tc.Push(th.arena.tcacheStripe(b.Slab.(*slab.Slab).Geometry(), b.Idx), b)
 		}
 	}
 	for _, d := range th.arena.depots {

@@ -237,7 +237,7 @@ func (t *Thread) freeSmall(s *slab.Slab, addr pmem.PAddr, buffer bool) error {
 		if !same {
 			continue
 		}
-		tc.Push(owner.tcacheStripeGeom(g, idx), tcache.Block{Slab: s, Idx: idx})
+		tc.Push(owner.tcacheStripe(g, idx), tcache.Block{Slab: s, Idx: idx})
 		return nil
 	}
 }
@@ -363,31 +363,12 @@ func (t *Thread) drainRemote(ai int) {
 			slabs = append(slabs, b.s)
 		}
 	}
-	// Per-slab list maintenance, mirroring freeBypass: refreshed slabs
-	// rejoin their freelist, and a fully empty slab beyond the per-class
-	// spare is released (outside the resource, like every release).
+	// A fully empty slab beyond the per-class spare is released outside
+	// the resource, like every release.
 	var release []*slab.Slab
 	for _, s := range slabs {
-		empty := s.Allocated == 0 && s.Reserved == 0
-		old := s.OldClass >= 0
-		wasOff := !owner.onFreelist(s)
-		if wasOff && !empty {
-			owner.freelistPush(s)
-		}
-		owner.lruTouch(s)
-		if empty && !old {
-			if owner.spareExists(s) {
-				if owner.onFreelist(s) {
-					owner.freelistRemove(s)
-				}
-				owner.lruRemove(s)
-				owner.retire(t.ctx, s)
-				release = append(release, s)
-				continue
-			}
-			if wasOff {
-				owner.freelistPush(s)
-			}
+		if owner.regained(t.ctx, s) {
+			release = append(release, s)
 		}
 	}
 	owner.res.Release(t.ctx)
@@ -462,7 +443,7 @@ func (t *Thread) Unreserve(addr pmem.PAddr) error {
 	}
 	owner := h.arenas[s.Owner]
 	if tc := t.cache(s.Class); !tc.Full() && owner == t.arena {
-		tc.Push(owner.tcacheStripe(s, idx), tcache.Block{Slab: s, Idx: idx})
+		tc.Push(owner.tcacheStripe(s.Geometry(), idx), tcache.Block{Slab: s, Idx: idx})
 		return nil
 	}
 	owner.freeBypass(t.ctx, s, idx, fromCache, nil)
@@ -630,7 +611,7 @@ func (t *Thread) Publish(slot, new, old pmem.PAddr) error {
 		}
 		if tc != nil {
 			ring.commit(c, freeToCache, []blockRef{ob}, true)
-			tc.Push(ring.tcacheStripe(os, ob.idx), tcache.Block{Slab: os, Idx: ob.idx})
+			tc.Push(ring.tcacheStripe(os.Geometry(), ob.idx), tcache.Block{Slab: os, Idx: ob.idx})
 		} else if _, rel := ring.returnToSlab(c, os, ob.idx, fromPublish, nil); rel {
 			release = os
 		}

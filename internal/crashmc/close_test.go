@@ -35,7 +35,7 @@ func TestCloseCheckpointWitnessErasure(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			rep := Sweep(rec, PowerCut, nil, Config{Torn: true, TornSeed: 0xDECAF})
+			rep := Sweep(rec, PowerCut, nil, Config{TornSeed: 0xDECAF})
 			checkReport(t, rep, 0, 0xDECAF)
 		})
 	}

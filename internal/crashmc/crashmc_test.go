@@ -103,7 +103,7 @@ func TestRecordersShareTheExecutor(t *testing.T) {
 	if published != 3 {
 		t.Fatalf("%d publishes recorded, want 3", published)
 	}
-	rep := Sweep(cr.Recording, PowerCut, nil, Config{Torn: true, TornSeed: 0xDECAF})
+	rep := Sweep(cr.Recording, PowerCut, nil, Config{TornSeed: 0xDECAF})
 	checkReport(t, rep, 0, 0xDECAF)
 
 	bogus := Op{Kind: OpPublish + 1}

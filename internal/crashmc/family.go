@@ -114,8 +114,8 @@ func fenceElisionShape(_ *Recording, sweep *Report) []Counter {
 // RunOptions scales a family run down; the zero value takes every cut.
 type RunOptions struct {
 	// Config's TornSeed, CheckEvery and MaxBoundaries apply to the power-cut
-	// sweep, its Pool to every sweep of the run; Torn is always on, and
-	// From, To and Extra are the family's.
+	// sweep, its Pool to every sweep of the run; From, To and Extra are the
+	// family's.
 	Config
 	// Windows, Flushes and Flips thin the double-crash cut's windows, the
 	// cache-image cut's flushes and the flip cut's boundaries (Every, Last;
@@ -160,7 +160,6 @@ func (f Family) Run(opt RunOptions) (*FamilyReport, error) {
 		return nil, err
 	}
 	cfg := opt.Config
-	cfg.Torn = true
 	if f.Oracle != nil {
 		cfg.Extra = f.Oracle(rec)
 	}

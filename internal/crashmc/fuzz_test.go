@@ -61,7 +61,7 @@ func FuzzCrashRecover(f *testing.F) {
 				t.Fatalf("seed=%#x k=%d tear=%#x flip=%#x repro=%s: %s", traceSeed, k, tearSeed, flipSeed, path, rep)
 			}
 		}
-		check(PowerCut, Config{Torn: tearSeed != 0, TornSeed: tearSeed})
+		check(PowerCut, Config{TornSeed: tearSeed})
 		if flipSeed != 0 {
 			check(FlipCut, Config{TornSeed: flipSeed})
 		}

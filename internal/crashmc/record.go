@@ -62,8 +62,6 @@ func (r *Recording) Boundaries() int { return len(r.Journal) + 1 }
 
 // RecordOptions parameterizes Record.
 type RecordOptions struct {
-	// DeviceBytes sizes the device (default DefaultDeviceBytes).
-	DeviceBytes uint64
 	// Probe, when non-nil, is sampled after every op (e.g. a morph
 	// counter, to locate the op that triggered a structure transition).
 	Probe func(h alloc.Heap) uint64
@@ -87,11 +85,8 @@ type session struct {
 // included, with the device — whose cache image is then the state a
 // process kill at that instant leaves in a page-cache-backed mapping —
 // and the number of flushes so far.
-func newDevice(opts RecordOptions, onFlush func(dev *pmem.Device, flushes int)) *pmem.Device {
-	if opts.DeviceBytes == 0 {
-		opts.DeviceBytes = DefaultDeviceBytes
-	}
-	cfg := pmem.Config{Size: opts.DeviceBytes, Strict: true, Journal: true}
+func newDevice(onFlush func(dev *pmem.Device, flushes int)) *pmem.Device {
+	cfg := pmem.Config{Size: DefaultDeviceBytes, Strict: true, Journal: true}
 	var dev *pmem.Device
 	if onFlush != nil {
 		cfg.OnJournal = func(flushes int) { onFlush(dev, flushes) }
@@ -208,7 +203,7 @@ func (s *session) close(threads []alloc.Thread) (*Recording, error) {
 // journal — and therefore every enumerated crash image — is
 // deterministic.
 func Record(tg Target, tr Trace, opts RecordOptions) (*Recording, error) {
-	return runOn(newDevice(opts, nil), tg, tr, opts)
+	return runOn(newDevice(nil), tg, tr, opts)
 }
 
 // runOn is Record on a device the caller made: a journaled one with a

@@ -267,7 +267,7 @@ func ConcRecord(tg Target, tr Trace, sched Schedule, opts RecordOptions) (*ConcR
 			}
 		}
 	}
-	ss, err := open(newDevice(opts, nil), tg, tr, sched.Key(), opts)
+	ss, err := open(newDevice(nil), tg, tr, sched.Key(), opts)
 	if err != nil {
 		return nil, err
 	}

@@ -15,8 +15,9 @@ type Cut int
 
 const (
 	// PowerCut recovers from the media image after the first k flushes —
-	// stores no flush has reached are lost — and, with Config.Torn, from
-	// that image plus a seeded subset of the words of flush k's line.
+	// stores no flush has reached are lost — and, when Config.TornSeed is
+	// set, from that image plus a seeded subset of the words of flush k's
+	// line.
 	PowerCut Cut = iota
 	// RecoveryCut is the double crash: take boundary k's image, cut power
 	// again after every flush its recovery issues — state word, replayed
@@ -76,11 +77,10 @@ type Config struct {
 	// range or from an explicit list, by striding over them (0 = every
 	// one). Coverage drops below 100% accordingly.
 	MaxBoundaries int
-	// Torn additionally verifies, at every power cut with a flush in
-	// flight, the torn-line image where only a seeded subset of the
-	// in-flight line's words persisted.
-	Torn bool
-	// TornSeed seeds the torn-word masks and a flip cut's bit sites.
+	// TornSeed seeds the torn-word masks and a flip cut's bit sites. When
+	// it is nonzero a power-cut sweep also verifies, at every cut with a
+	// flush in flight, the torn-line image where only a seeded subset of
+	// the in-flight line's words persisted.
 	TornSeed uint64
 	// CheckEvery runs the target's offline consistency checker
 	// (Target.Check) on every Nth power cut at or past CreatedAt
@@ -249,7 +249,7 @@ func (s *sweep) fail(part *Report, k int, torn bool, class, detail string) {
 	part.addViolation(v)
 }
 
-// powerCuts verifies the clean image, and with Config.Torn the torn one,
+// powerCuts verifies the clean image, and with a Config.TornSeed the torn one,
 // at ks[lo:hi].
 func (s *sweep) powerCuts(part *Report, scratch *pmem.Device, lo, hi int) {
 	rec, cfg := s.rec, s.cfg
@@ -268,7 +268,7 @@ func (s *sweep) powerCuts(part *Report, scratch *pmem.Device, lo, hi int) {
 			// The checker clones before opening; the image is intact.
 		}
 		s.verifyImage(part, scratch, k, false, class)
-		if cfg.Torn && cursor.MaterializeTornInto(scratch, cfg.TornSeed) {
+		if cfg.TornSeed != 0 && cursor.MaterializeTornInto(scratch, cfg.TornSeed) {
 			part.TornExplored++
 			part.TornClasses[class]++
 			s.verifyImage(part, scratch, k, true, class)
@@ -328,7 +328,7 @@ func (s *sweep) cacheCuts(part *Report, scratch *pmem.Device, lo, hi int) {
 	if len(want) == 0 {
 		return
 	}
-	dev := newDevice(rec.opts, func(dev *pmem.Device, k int) {
+	dev := newDevice(func(dev *pmem.Device, k int) {
 		if want[k] {
 			class := s.classAt(k - 1)
 			s.count(part, k-1, class)

@@ -56,7 +56,7 @@ func TestCrashSweepVariants(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			cfg := Config{Torn: true, TornSeed: 7, CheckEvery: 100}
+			cfg := Config{TornSeed: 7, CheckEvery: 100}
 			if name == "NVAlloc-IC" {
 				cfg.Extra = icDuplicateCheck
 			}
@@ -104,11 +104,11 @@ func TestCrashSweepHandlesBookkeeping(t *testing.T) {
 		opts.BlogGCThreshold = SmokeGCThreshold
 		return opts
 	})
-	rec, err := Record(tg, handlesTrace(15), RecordOptions{DeviceBytes: 48 << 20})
+	rec, err := Record(tg, handlesTrace(15), RecordOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := Config{Torn: true, TornSeed: 11, CheckEvery: 64}
+	cfg := Config{TornSeed: 11, CheckEvery: 64}
 	if testing.Short() {
 		cfg.MaxBoundaries = 100
 	}
@@ -142,12 +142,11 @@ func shardsTrace(n int) Trace {
 // acknowledged publications surviving as ordinary extents, leases
 // dissolved, and allocation overlap-free.
 func TestCrashSweepShards(t *testing.T) {
-	rec, err := Record(targetByName(t, "NVAlloc-LOG"), shardsTrace(60),
-		RecordOptions{DeviceBytes: 64 << 20})
+	rec, err := Record(targetByName(t, "NVAlloc-LOG"), shardsTrace(60), RecordOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := Config{Torn: true, TornSeed: 5, CheckEvery: 64}
+	cfg := Config{TornSeed: 5, CheckEvery: 64}
 	if testing.Short() {
 		cfg.MaxBoundaries = 80
 	}
@@ -236,7 +235,7 @@ func TestRemoteFreeCrashMidDrainRecoversPrefix(t *testing.T) {
 	}
 	cfg := Config{
 		From: rec.Ops[K].FlushStart, To: rec.Ops[2*K].FlushEnd,
-		Torn: true, TornSeed: 3,
+		TornSeed:    3,
 		ProbeAllocs: -1,
 		Extra: func(h alloc.Heap, boundary int, torn bool) []string {
 			ch := h.(*core.Heap)

@@ -192,7 +192,7 @@ func SmokeTrace(seed uint64) Trace {
 //   - root republishes interleave so the oracle tracks surviving
 //     publishes across every window.
 //
-// Verified with Config.Torn, every boundary also gets torn variants of
+// Verified with a Config.TornSeed, every boundary also gets torn variants of
 // the in-flight line, so partially persisted WAL entries (wal-entry) and
 // bitmap words (bitmap-stripe) are both recovered from, not just clean
 // prefixes.

@@ -87,8 +87,8 @@ func TestRunJobsRunsEverything(t *testing.T) {
 // workload thread: multi-threaded workload cells are nondeterministic
 // with EITHER engine (real goroutine interleaving through shared slabs
 // perturbs the virtual-time sums), so they cannot distinguish the
-// engines. Experiments that hardcode multi-thread runs (fig11, fig17,
-// ablation) are excluded for the same reason.
+// engines. Experiments that hardcode multi-thread runs (fig11, fig17) are
+// excluded for the same reason.
 func TestParallelMatchesSerial(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")

@@ -156,9 +156,8 @@ var (
 // OpenHeap instantiates an allocator by name on a fresh device.
 // Recognized names: the seven allocators above plus the ablations
 // "Base" (no optimizations), "Base+Interleaved", "Base+Log",
-// "NVAlloc-LOG w/o SM", "NVAlloc-GC w/o SM", "NVAlloc-LOG ff"
-// (first-fit extents) and parameterized "NVAlloc-LOG sN" (stripes=N),
-// "NVAlloc-LOG suN" (SU=N%).
+// "NVAlloc-LOG w/o SM", "NVAlloc-GC w/o SM" and parameterized
+// "NVAlloc-LOG sN" (stripes=N), "NVAlloc-LOG suN" (SU=N%).
 func OpenHeap(name string, cfg Config) (alloc.Heap, error) {
 	dev := pmem.New(pmem.Config{Size: cfg.DeviceBytes, Mode: cfg.Mode})
 	return openOn(dev, name)
@@ -185,8 +184,6 @@ func openOn(dev pmem.Dev, name string) (alloc.Heap, error) {
 	case name == "NVAlloc-GC w/o SM":
 		opts = core.DefaultOptions(core.GC)
 		opts.Morphing = false
-	case name == "NVAlloc-LOG ff":
-		opts.FirstFitExtents = true
 	case name == "NVAlloc-LOG nocache":
 		// Contention baseline: no arena extent caches, no shard pools —
 		// every extent operation takes the global allocator lock (the

@@ -40,7 +40,7 @@ func TestRegistryComplete(t *testing.T) {
 	want := []string{
 		"fig1a", "fig1b", "fig2", "fig9", "fig10", "fig11", "fig12",
 		"fig13", "fig14", "fig15", "fig16a", "fig16b", "fig17", "fig18",
-		"fig19", "fig20", "fig21", "table2", "ablation", "hashindex",
+		"fig19", "fig20", "fig21", "table2", "hashindex",
 		"contention", "crashmc", "hotpath",
 	}
 	for _, id := range want {
@@ -56,7 +56,7 @@ func TestRegistryComplete(t *testing.T) {
 func TestOpenHeapNames(t *testing.T) {
 	names := append([]string{}, AllAllocators...)
 	names = append(names, "Base", "Base+Interleaved", "Base+Log",
-		"NVAlloc-LOG w/o SM", "NVAlloc-GC w/o SM", "NVAlloc-LOG ff",
+		"NVAlloc-LOG w/o SM", "NVAlloc-GC w/o SM",
 		"NVAlloc-LOG s4", "NVAlloc-LOG su30", "NVAlloc-LOG nocache")
 	for _, n := range names {
 		h, err := OpenHeap(n, Config{DeviceBytes: 64 << 20})

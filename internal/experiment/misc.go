@@ -18,7 +18,6 @@ func init() {
 	register("fig18", fig18)
 	register("fig19", fig19)
 	register("table2", table2)
-	register("ablation", ablation)
 }
 
 // fig14 reproduces Figure 14: FPTree throughput with a 50% insert / 50%
@@ -251,30 +250,6 @@ func table2(Config) []*Table {
 			{"NVAlloc-GC", "slab morphing", "IM(WAL,bookkeeping log); log-structured bookkeeping"},
 			{"NVAlloc-IC", "IM(bitmaps,tcache); slab morphing", "IM(WAL,bookkeeping log); log-structured bookkeeping"},
 		},
-	}
-	return []*Table{t}
-}
-
-// ablation benchmarks the design choices DESIGN.md calls out beyond the
-// paper's own ablations: best-fit vs first-fit extent selection.
-func ablation(cfg Config) []*Table {
-	cfg = cfg.withDefaults()
-	t := &Table{
-		ID:      "ablation",
-		Title:   "Extent selection: best-fit (size tree) vs first-fit (address scan)",
-		Columns: []string{"variant", "DBMStest Mops", "peak MiB"},
-	}
-	names := []string{"NVAlloc-LOG", "NVAlloc-LOG ff"}
-	results := grid(cfg, 1, len(names), func(_, ni int) workload.Result {
-		h, err := OpenHeap(names[ni], cfg)
-		if err != nil {
-			panic(err)
-		}
-		return workload.DBMStest(h, 2, cfg.ops(5), cfg.ops(120))
-	})
-	for ni, name := range names {
-		r := results[0][ni]
-		t.Rows = append(t.Rows, []string{name, f2(r.MopsPerSec()), mib(r.PeakBytes)})
 	}
 	return []*Table{t}
 }

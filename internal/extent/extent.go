@@ -218,8 +218,6 @@ type Pool struct {
 
 	lastDecay int64 // virtual time of the last decay pass
 
-	firstFit bool // Config.FirstFit
-
 	splits, coalesces, grows uint64
 }
 
@@ -241,9 +239,6 @@ type Config struct {
 	BreakPtr pmem.PAddr // persistent 8-byte cell storing the heap break
 	// MetaBytes is counted into Used (superblock, WAL and log regions).
 	MetaBytes uint64
-	// FirstFit switches extent selection from best fit (size-ordered tree)
-	// to address-ordered first fit (ablation experiments).
-	FirstFit bool
 }
 
 func newPool(dev pmem.Dev, book Bookkeeper, cfg Config) *Pool {
@@ -262,7 +257,6 @@ func newPool(dev pmem.Dev, book Bookkeeper, cfg Config) *Pool {
 		released:       rbtree.New[sizeKey, *VEH](sizeLess),
 		metaBytes:      cfg.MetaBytes,
 		peak:           cfg.MetaBytes,
-		firstFit:       cfg.FirstFit,
 	}
 	p.bySize[0] = rbtree.New[sizeKey, *VEH](sizeLess)
 	p.bySize[1] = rbtree.New[sizeKey, *VEH](sizeLess)
@@ -405,33 +399,8 @@ func (p *Pool) insertFree(v *VEH, s State, now int64) {
 }
 
 // bestFit finds the smallest free extent in the given state that can hold
-// size bytes at the requested alignment. Returns nil if none fits. With
-// Config.FirstFit it instead scans the address index in order, charging one
-// probe per candidate (the classic algorithm's cost profile).
+// size bytes at the requested alignment. Returns nil if none fits.
 func (p *Pool) bestFit(tree *rbtree.Tree[sizeKey, *VEH], size uint64, al pmem.PAddr, c *pmem.Ctx) *VEH {
-	if p.firstFit {
-		var hit *VEH
-		wantReclaimed := tree == p.bySize[0]
-		wantRetained := tree == p.bySize[1]
-		p.byAddr.Ascend(func(_ pmem.PAddr, v *VEH) bool {
-			c.Charge(pmem.CatSearch, 20)
-			switch {
-			case wantReclaimed && v.State != Reclaimed:
-				return true
-			case wantRetained && v.State != Retained:
-				return true
-			case !wantReclaimed && !wantRetained && v.State != Released:
-				return true
-			}
-			start := align(v.Addr, al)
-			if uint64(start-v.Addr)+size <= v.Size {
-				hit = v
-				return false
-			}
-			return true
-		})
-		return hit
-	}
 	key := sizeKey{size: size}
 	for {
 		k, v, ok := tree.Ceiling(key)

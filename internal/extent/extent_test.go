@@ -481,34 +481,3 @@ func TestInPlaceWritesAreRandomFlushes(t *testing.T) {
 		t.Fatalf("in-place should be more random than logged: %f vs %f", inplace, logged)
 	}
 }
-
-func TestFirstFitSelection(t *testing.T) {
-	dev := pmem.New(pmem.Config{Size: 64 << 20})
-	bk := blog.New(dev.Mem(), logBase, logSize, 6)
-	a := New(dev, bk, Config{HeapBase: heapBase, HeapEnd: pmem.PAddr(dev.Size()), BreakPtr: brkPtr, FirstFit: true}, Tiers{})
-	c := dev.NewCtx()
-	var ptrs []pmem.PAddr
-	for _, sz := range []uint64{128 << 10, 32 << 10, 64 << 10, 1 << 20} {
-		p, err := a.Alloc(c, 0, sz)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ptrs = append(ptrs, p)
-	}
-	// Free the 128K (lowest address) and the 64K holes.
-	if err := a.Free(c, 0, ptrs[0], false); err != nil {
-		t.Fatal(err)
-	}
-	if err := a.Free(c, 0, ptrs[2], false); err != nil {
-		t.Fatal(err)
-	}
-	// First fit must take the lowest-address hole that fits, even though
-	// the 64K hole is the better (best) fit for a 48K request.
-	p, err := a.Alloc(c, 0, 48<<10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p != ptrs[0] {
-		t.Fatalf("first fit picked %#x, want lowest hole %#x", p, ptrs[0])
-	}
-}

@@ -55,7 +55,7 @@ const (
 var (
 	// ErrKeyTooLarge is returned for keys above MaxKeyLen or empty keys.
 	ErrKeyTooLarge = errors.New("nvkv: key empty or exceeds MaxKeyLen")
-	// ErrValueTooLarge is returned for values above the store's cap.
+	// ErrValueTooLarge is returned for values above MaxBulk.
 	ErrValueTooLarge = errors.New("nvkv: value exceeds maximum size")
 	// ErrHashCollision is returned when a Set would land on a different
 	// key with the same 64-bit digest. The store refuses to clobber it.
@@ -70,10 +70,9 @@ var (
 // key holds one phash.Cursor — the key's index stripe and the slot the one
 // probe found — around its whole lookup/reserve/publish sequence.
 type Store struct {
-	heap   alloc.Heap
-	dev    pmem.Dev
-	idx    *phash.Map
-	maxVal uint64
+	heap alloc.Heap
+	dev  pmem.Dev
+	idx  *phash.Map
 
 	// Volatile counters (rebuilt or re-zeroed on open).
 	liveKeys   atomic.Int64
@@ -89,41 +88,32 @@ type Store struct {
 type StoreConfig struct {
 	// Buckets sizes the phash directory (default 1<<15).
 	Buckets int
-	// MaxValLen caps value sizes (default MaxBulk).
-	MaxValLen uint64
-}
-
-func (c StoreConfig) withDefaults() StoreConfig {
-	if c.Buckets <= 0 {
-		c.Buckets = 1 << 15
-	}
-	if c.MaxValLen == 0 {
-		c.MaxValLen = MaxBulk
-	}
-	return c
 }
 
 // CreateStore formats a fresh store whose index header persists in the
 // heap's rootSlot.
 func CreateStore(h alloc.Heap, th alloc.Thread, rootSlot int, cfg StoreConfig) (*Store, error) {
-	cfg = cfg.withDefaults()
-	idx, err := phash.Create(h, th, rootSlot, cfg.Buckets, 0)
+	buckets := cfg.Buckets
+	if buckets <= 0 {
+		buckets = 1 << 15
+	}
+	idx, err := phash.Create(h, th, rootSlot, buckets, 0)
 	if err != nil {
 		return nil, err
 	}
-	return &Store{heap: h, dev: h.Device(), idx: idx, maxVal: cfg.MaxValLen}, nil
+	return &Store{heap: h, dev: h.Device(), idx: idx}, nil
 }
 
 // OpenStore attaches to an existing store after a restart or crash
-// recovery. The live-key counter is rebuilt by walking the directory, a
+// recovery; the directory's size is read from the heap, so cfg is not
+// consulted. The live-key counter is rebuilt by walking the directory, a
 // range of buckets per GOMAXPROCS worker.
 func OpenStore(h alloc.Heap, rootSlot int, cfg StoreConfig) (*Store, error) {
-	cfg = cfg.withDefaults()
 	idx, err := phash.Open(h, rootSlot)
 	if err != nil {
 		return nil, err
 	}
-	s := &Store{heap: h, dev: h.Device(), idx: idx, maxVal: cfg.MaxValLen}
+	s := &Store{heap: h, dev: h.Device(), idx: idx}
 	s.liveKeys.Store(int64(idx.Count(runtime.GOMAXPROCS(0))))
 	return s, nil
 }
@@ -227,7 +217,7 @@ func (s *Store) Set(th alloc.Thread, now int64, key, val []byte, ttl int64) erro
 	if len(key) == 0 || len(key) > MaxKeyLen {
 		return ErrKeyTooLarge
 	}
-	if uint64(len(val)) > s.maxVal {
+	if len(val) > MaxBulk {
 		return ErrValueTooLarge
 	}
 	var expiry int64

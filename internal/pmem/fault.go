@@ -156,7 +156,7 @@ func FlipBits(img []byte, ranges []Range, n int, seed uint64) []uint64 {
 // configuration; statistics and an armed crash are not carried over). Used
 // for read-only consistency checks against a live image.
 func (d *Device) Clone() *Device {
-	nd := New(Config{Size: d.size, Mode: d.mode, Strict: d.strict, Banks: len(d.banks)})
+	nd := New(Config{Size: d.size, Mode: d.mode, Strict: d.strict})
 	copy(nd.data, d.data)
 	if d.strict {
 		copy(nd.media, d.media)

@@ -98,8 +98,6 @@ type Config struct {
 	// simulated faithfully. It roughly doubles memory use and adds a copy
 	// per flush, so benchmarks leave it off.
 	Strict bool
-	// Banks overrides the number of media banks (default 8).
-	Banks int
 	// TraceFlushes, when > 0, records the address and category of the
 	// first N flushed lines (used to reproduce Figure 2).
 	TraceFlushes int
@@ -180,10 +178,6 @@ func New(cfg Config) *Device {
 		cfg.Size = 64 << 20
 	}
 	cfg.Size = (cfg.Size + 4095) &^ 4095
-	nb := cfg.Banks
-	if nb <= 0 {
-		nb = defaultBanks
-	}
 	if cfg.Journal && !cfg.Strict {
 		panic("pmem: Config.Journal requires Config.Strict")
 	}
@@ -195,7 +189,7 @@ func New(cfg Config) *Device {
 		strict:    cfg.Strict,
 		size:      cfg.Size,
 		image:     image{data: make([]byte, cfg.Size)},
-		banks:     make([]bank, nb),
+		banks:     make([]bank, defaultBanks),
 		traceCap:  cfg.TraceFlushes,
 		journalOn: cfg.Journal,
 		onJournal: cfg.OnJournal,

@@ -363,12 +363,12 @@ func TestBankQueueingLimitsParallelism(t *testing.T) {
 	}
 	// ...but 24 workers all flushing lines of the same bank exceed its
 	// service bandwidth and must queue.
-	d2 := New(Config{Size: 1 << 20, Banks: 1})
+	d2 := New(Config{Size: 1 << 20})
 	var worst int64
 	for w := 0; w < 24; w++ {
 		c := d2.NewCtx()
 		for i := 0; i < 100; i++ {
-			c.FlushU64(CatMeta, PAddr((i%8)*64)) // distinct lines, one bank
+			c.FlushU64(CatMeta, PAddr((i%8)*defaultBanks*LineSize)) // distinct lines, one bank
 		}
 		if c.Now > worst {
 			worst = c.Now

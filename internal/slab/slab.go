@@ -252,8 +252,9 @@ func (g *Geom) BlockIndex(base, addr pmem.PAddr) int {
 	return idx
 }
 
-// Stripe returns the bitmap stripe of logical block idx under this
-// geometry.
+// Stripe returns the bitmap stripe (and thus metadata cache line group) of
+// logical block idx under this geometry; the tcache uses it to pick a
+// sub-tcache.
 func (g *Geom) Stripe(idx int) int { return int(g.lay.stripe[idx]) }
 
 // publishGeom snapshots the current geometry fields. Called while the
@@ -378,10 +379,6 @@ func Quarantine(dev pmem.Mem, c *pmem.Ctx, base pmem.PAddr, stripes int) {
 
 // Stripes returns the bitmap stripe count.
 func (s *Slab) Stripes() int { return s.m.Stripes() }
-
-// Stripe returns the bit stripe (and thus metadata cache line group) of
-// logical block idx; the tcache uses it to pick a sub-tcache.
-func (s *Slab) Stripe(idx int) int { return int(s.lay.stripe[idx]) }
 
 // BlockAddr returns the persistent address of block idx.
 func (s *Slab) BlockAddr(idx int) pmem.PAddr {

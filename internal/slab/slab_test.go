@@ -770,8 +770,8 @@ func TestGCVariantSkipsBitmapFlushes(t *testing.T) {
 func TestStripeAssignmentMatchesMapping(t *testing.T) {
 	_, _, s := newSlab(t, sizeclass.Class(64), 6)
 	for i := 0; i < 32; i++ {
-		if s.Stripe(i) != i%6 {
-			t.Fatalf("stripe of %d = %d", i, s.Stripe(i))
+		if s.Geometry().Stripe(i) != i%6 {
+			t.Fatalf("stripe of %d = %d", i, s.Geometry().Stripe(i))
 		}
 	}
 }

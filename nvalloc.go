@@ -92,36 +92,24 @@ const (
 type Object = core.Object
 
 // Options configures a heap; the zero value gives the paper's defaults
-// for NVAlloc-LOG. See core.Options for every knob.
+// for NVAlloc-LOG.
 type Options struct {
 	// Variant selects NVAlloc-LOG (default) or NVAlloc-GC.
 	Variant Variant
 	// Arenas is the number of per-core arenas (default 16).
 	Arenas int
-	// Stripes is the interleaved-mapping stripe count (default 6). What
-	// is spread over it follows from the variant: whatever it flushes on
-	// every operation (see core.Options.Stripes).
+	// Stripes is the interleaved-mapping stripe count (default 6); 1 turns
+	// interleaving off. What is spread over it follows from the variant:
+	// whatever it flushes on every operation (see core.Options.Stripes).
+	// On an eADR device, where flushes are free, it is always 1.
 	Stripes int
 	// SU is the slab morphing space-utilization threshold (default 0.20).
 	SU float64
-	// DisableInterleaving turns off interleaved mapping everywhere — one
-	// stripe — which is the recommended setting on eADR devices, where
-	// flushes are free; Create applies it automatically for eADR devices
-	// unless ForceInterleaving.
-	DisableInterleaving bool
-	// ForceInterleaving keeps the variant's interleaving on even on eADR.
-	ForceInterleaving bool
 	// DisableMorphing turns off slab morphing.
 	DisableMorphing bool
-	// Advanced exposes every internal toggle; when non-nil it overrides
-	// all the fields above.
-	Advanced *core.Options
 }
 
 func (o Options) toCore(dev *Device) core.Options {
-	if o.Advanced != nil {
-		return *o.Advanced
-	}
 	c := core.DefaultOptions(o.Variant)
 	if o.Arenas > 0 {
 		c.Arenas = o.Arenas
@@ -135,7 +123,7 @@ func (o Options) toCore(dev *Device) core.Options {
 	if o.DisableMorphing {
 		c.Morphing = false
 	}
-	if o.DisableInterleaving || (dev.EADR() && !o.ForceInterleaving) {
+	if dev.EADR() {
 		// The paper disables interleaved mapping on eADR
 		// (pmem_has_auto_flush() detection, Section 6.7).
 		c.Stripes = 1

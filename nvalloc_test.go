@@ -76,20 +76,20 @@ func TestEADRDisablesInterleavingAutomatically(t *testing.T) {
 		if got := layout(eadr(), Options{Variant: v}); got != off {
 			t.Fatalf("%v: interleaving must auto-disable on eADR, got %+v", v, got)
 		}
-		if got := layout(adr(), Options{Variant: v, DisableInterleaving: true}); got != off {
-			t.Fatalf("%v: DisableInterleaving ignored, got %+v", v, got)
+		if got := layout(eadr(), Options{Variant: v, Stripes: 4}); got != off {
+			t.Fatalf("%v: eADR must stay sequential whatever Stripes says, got %+v", v, got)
+		}
+		if got := layout(adr(), Options{Variant: v, Stripes: 1}); got != off {
+			t.Fatalf("%v: Stripes 1 must be sequential, got %+v", v, got)
 		}
 	}
-	// Forced, or on ADR, a variant interleaves what it flushes per op: every
-	// variant its log entries, IC its bitmaps and tcache as well.
+	// On ADR a variant interleaves what it flushes per op: every variant
+	// its log entries, IC its bitmaps and tcache as well.
 	for v, want := range map[Variant]core.Layout{
 		LOG: {Bitmap: 1, Tcache: 1, WAL: 6},
 		GC:  {Bitmap: 1, Tcache: 1, WAL: 6},
 		IC:  {Bitmap: 6, Tcache: 6, WAL: 6},
 	} {
-		if got := layout(eadr(), Options{Variant: v, ForceInterleaving: true}); got != want {
-			t.Fatalf("%v: ForceInterleaving on eADR gives %+v, want %+v", v, got, want)
-		}
 		if got := layout(adr(), Options{Variant: v}); got != want {
 			t.Fatalf("%v: layout on ADR %+v, want %+v", v, got, want)
 		}
@@ -102,12 +102,9 @@ func TestOptionKnobsReachCore(t *testing.T) {
 	if o.Variant != GC || o.Arenas != 3 || o.Stripes != 4 || o.SU != 0.3 || o.Morphing {
 		t.Fatalf("options not forwarded: %+v", o)
 	}
-	if o := (Options{Stripes: 4, DisableInterleaving: true}).toCore(dev); o.Stripes != 1 {
-		t.Fatalf("DisableInterleaving must win over Stripes: %+v", o)
-	}
-	// The whole of core's configuration is reachable, and it is small.
-	if n := reflect.TypeOf(core.Options{}).NumField(); n > 12 {
-		t.Fatalf("core.Options has %d fields, want at most 12", n)
+	// core's configuration stays small: a new knob has to edit this count.
+	if n := reflect.TypeOf(core.Options{}).NumField(); n != 9 {
+		t.Fatalf("core.Options has %d fields, want 9", n)
 	}
 }
 
