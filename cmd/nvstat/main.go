@@ -210,6 +210,10 @@ func inspect(w io.Writer, heap *nvalloc.Heap) {
 	fmt.Fprintf(w, "slab morphing:    %v (SU %.0f%%)\n", opts.Morphing, opts.SU*100)
 	fmt.Fprintf(w, "bookkeeping:      log=%v\n", opts.LogBookkeeping)
 	fmt.Fprintf(w, "wal:              %d entries per arena\n", opts.WALEntries)
+	kib := func(b uint64) float64 { return float64(b) / (1 << 10) }
+	m := heap.Metadata()
+	fmt.Fprintf(w, "metadata:         %.1f KiB in service of %.1f KiB reserved: superblock %.1f KiB, WAL rings %d of %d in service (%.1f KiB each), bookkeeping log %.1f of %.1f KiB to its break\n",
+		kib(m.InService()), kib(m.Reserved()), kib(m.Superblock), m.RingsInService, m.Rings, kib(m.RingBytes), kib(m.LogBytes), kib(m.LogRegion))
 	fmt.Fprintf(w, "used:             %.1f MiB (peak %.1f MiB, lease overhead %.1f MiB)\n",
 		float64(heap.Used())/(1<<20), float64(heap.Peak())/(1<<20),
 		float64(heap.LeaseOverhead())/(1<<20))

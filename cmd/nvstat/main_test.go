@@ -79,3 +79,38 @@ func TestHeapFileLeftByKill9(t *testing.T) {
 		t.Fatalf("nvstat -heap -check: exit %d\n%s%s", code, out.String(), errb.String())
 	}
 }
+
+// TestMetadataLine: nvstat reports an image's metadata in service against
+// what its regions reserve: the superblock, the rings that were appended
+// to (one thread, one of four) and the log up to its break.
+func TestMetadataLine(t *testing.T) {
+	dev := pmem.New(pmem.Config{Size: 64 << 20})
+	opts := core.DefaultOptions(core.LOG)
+	opts.Arenas = 4
+	h, err := core.Create(dev, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	th := h.NewThread()
+	for i := 0; i < 100; i++ {
+		if _, err := th.Malloc(64); err != nil {
+			t.Fatal(err)
+		}
+	}
+	th.Close()
+	if err := h.Close(); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "heap.img")
+	if err := dev.SaveImage(path); err != nil {
+		t.Fatal(err)
+	}
+	var out, errb bytes.Buffer
+	if code := run([]string{"-image", path, "-size", fmt.Sprint(64 << 20)}, &out, &errb); code != 0 {
+		t.Fatalf("nvstat -image: exit %d, stderr %q", code, errb.String())
+	}
+	want := "metadata:         41.4 KiB in service of 393.2 KiB reserved: superblock 8.0 KiB, WAL rings 1 of 4 in service (32.3 KiB each), bookkeeping log 1.1 of 256.0 KiB to its break\n"
+	if !strings.Contains(out.String(), want) {
+		t.Errorf("nvstat output lacks %q:\n%s", want, out.String())
+	}
+}

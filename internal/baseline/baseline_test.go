@@ -8,6 +8,7 @@ import (
 
 	"nvalloc/internal/alloc"
 	"nvalloc/internal/pmem"
+	"nvalloc/internal/walog"
 )
 
 var allConfigs = []Config{PMDK, NvmMalloc, PAllocator, Makalu, Ralloc}
@@ -381,5 +382,58 @@ func TestOpenUnformattedDevice(t *testing.T) {
 	dev := pmem.New(pmem.Config{Size: 64 << 20})
 	if _, _, err := Open(dev, PMDK); err == nil {
 		t.Fatal("expected error for unformatted device")
+	}
+}
+
+// TestUsedCountsRingsInService: a baseline counts its metadata by the rule
+// NVAlloc's heaps use: the superblock bytes from format, a WAL ring from
+// its first append, and the same count after a clean reopen (which
+// instantiates the arenas of a per-thread model only as threads come).
+func TestUsedCountsRingsInService(t *testing.T) {
+	ring := uint64(walog.RegionSize(walEntriesPerArena, 1))
+	for _, cfg := range allConfigs {
+		t.Run(cfg.Name, func(t *testing.T) {
+			dev, h := newBaseHeap(t, cfg)
+			if h.Used() != 8192 {
+				t.Fatalf("fresh heap: Used %d, want the 8192 superblock bytes", h.Used())
+			}
+			th := h.NewThread()
+			p, err := th.Malloc(64)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rings := uint64(0)
+			for i := range h.ringInService {
+				if h.ringInService[i].Load() {
+					rings++
+				}
+			}
+			wantRings := uint64(0) // a style that logs nothing appends to no ring
+			if cfg.Persist != PersistNone {
+				wantRings = 1
+			}
+			if rings != wantRings {
+				t.Fatalf("%d rings in service after one malloc, want %d", rings, wantRings)
+			}
+			// The in-place bookkeeping's header table heads the one chunk.
+			if want := 8192 + rings*ring + h.book.DataOffset() + SlabSize; h.Used() != want {
+				t.Fatalf("Used %d after one malloc, want the superblock, %d rings, a chunk header and a slab = %d", h.Used(), rings, want)
+			}
+			if err := th.Free(p); err != nil {
+				t.Fatal(err)
+			}
+			th.Close()
+			used := h.Used()
+			if err := h.Close(); err != nil {
+				t.Fatal(err)
+			}
+			h2, _, err := Open(dev, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if cfg.Model != ArenaPerThread && h2.Used() != used {
+				t.Errorf("Used %d after a clean reopen, %d before", h2.Used(), used)
+			}
+		})
 	}
 }

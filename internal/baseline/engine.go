@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/bits"
 	"sync"
+	"sync/atomic"
 
 	"nvalloc/internal/alloc"
 	"nvalloc/internal/bitfit"
@@ -164,6 +165,9 @@ type Heap struct {
 	nextWAL  int
 	rr       int
 
+	// ringInService marks the WAL ring slots counted into Used (serveRing).
+	ringInService [maxArenas + 1]atomic.Bool
+
 	// slabs is the lock-free base-address index shared with the NVAlloc
 	// engines: Free resolves slabs with atomic loads, no global lock.
 	slabs *pagemap.Map[bslab]
@@ -205,12 +209,13 @@ func New(dev pmem.Dev, cfg Config) (*Heap, error) {
 		HeapBase:  pmem.PAddr(heapBase),
 		HeapEnd:   pmem.PAddr(dev.Size()),
 		BreakPtr:  superBase + sbBreak,
-		MetaBytes: heapBase,
+		MetaBytes: walBase,
 	}, extent.Tiers{})
 	largeWAL, err := walog.New(dev.Mem(), pmem.PAddr(walBase), walEntriesPerArena, 1)
 	if err != nil {
 		return nil, err
 	}
+	h.serveRing(0, largeWAL)
 	h.largeWAL = largeWAL
 	h.nextWAL = 1
 	if cfg.Model != ArenaPerThread {
@@ -243,12 +248,31 @@ func (h *Heap) newArena() *barena {
 		h.dev.Zero(base, walog.RegionSize(walEntriesPerArena, 1))
 		wal, _ = walog.New(h.dev.Mem(), base, walEntriesPerArena, 1)
 	}
+	h.serveRing(slot, wal)
 	a := &barena{
 		index: slot,
 		wal:   wal,
 		free:  make([]*bslab, sizeclass.NumClasses()),
 	}
 	return a
+}
+
+// serveRing counts WAL ring slot into Used once, by NVAlloc's rule for its
+// metadata: from the first append of a log over it (w's or another arena's
+// that shares the slot), or at once if it already holds entries. Used
+// starts with the superblock bytes; the rings the heap formatted but never
+// appended to stay out of it.
+func (h *Heap) serveRing(slot int, w *walog.Log) {
+	serve := func() {
+		if h.ringInService[slot].CompareAndSwap(false, true) {
+			h.large.CommitMeta(uint64(walog.RegionSize(walEntriesPerArena, 1)))
+		}
+	}
+	if w.InService() {
+		serve()
+	} else {
+		w.OnInService = serve
+	}
 }
 
 // Device returns the underlying device.

@@ -80,7 +80,7 @@ func Open(dev pmem.Dev, cfg Config) (*Heap, int64, error) {
 		HeapBase:  heapBase,
 		HeapEnd:   pmem.PAddr(dev.Size()),
 		BreakPtr:  superBase + sbBreak,
-		MetaBytes: uint64(heapBase),
+		MetaBytes: uint64(walBase),
 	}, extent.Tiers{}, c, records)
 	if err != nil {
 		return nil, 0, err
@@ -158,6 +158,7 @@ func Open(dev pmem.Dev, cfg Config) (*Heap, int64, error) {
 	if err != nil {
 		return nil, 0, err
 	}
+	h.serveRing(0, largeWAL)
 	h.largeWAL = largeWAL
 	h.nextWAL = 1
 	if cfg.Model != ArenaPerThread {

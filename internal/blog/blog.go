@@ -183,6 +183,11 @@ type Log struct {
 	// escalates from fast to slow GC.
 	SlowGCThreshold uint64
 
+	// OnGrow, when set, is called with the bytes each move of the region
+	// break puts in service (InService): a chunk, and the header with the
+	// first. It runs under the log's resource.
+	OnGrow func(bytes uint64)
+
 	// gcBudget is how many chunks' worth of live entries one incremental
 	// slow-GC step copies (gcBudgetChunks; a test lowers it).
 	gcBudget int
@@ -236,12 +241,13 @@ func RegionSize(heapBytes uint64) uint64 {
 
 // New formats a fresh log over [base, base+size).
 //
-// Formatting is lazy: a fresh (zeroed) region already reads as a valid
-// empty log — zero chain pointers and alt word unseal as zero, and a zero
-// break word means "nothing carved yet" (see readBreak). The first
-// persistent write happens with the first chunk carve, so creating a log
-// that is never appended to costs nothing. Like walog.New, this assumes a
-// fresh device: Create never reformats a region holding a previous image.
+// Formatting is lazy: a zeroed region already reads as a valid empty log
+// — zero chain pointers and alt word unseal as zero, and a zero break word
+// means "nothing carved yet" (see readBreak). The first persistent write
+// happens with the first chunk carve, so creating a log that is never
+// appended to costs nothing and puts nothing in service. The caller
+// provides a zeroed region: core.Create formats the log in place on a
+// fresh device and zeroes it first on any other (core.freshDevice).
 func New(dev pmem.Mem, base pmem.PAddr, size uint64, stripes int) *Log {
 	if stripes < 1 {
 		stripes = 1
@@ -320,7 +326,7 @@ func (l *Log) newChunk(c *pmem.Ctx) error {
 			return l.full()
 		}
 		addr = brk
-		c.PersistU64(pmem.CatMeta, l.base+offBreak, uint64(brk)+ChunkSize)
+		l.advanceBreak(c, uint64(brk))
 		l.initAndLink(c, addr)
 	}
 	l.nextSeq++
@@ -394,6 +400,32 @@ func (l *Log) readBreak() uint64 {
 		brk = uint64(l.base) + headerSize
 	}
 	return brk
+}
+
+// advanceBreak persists the region break one chunk past brk, the break
+// readBreak returned, and reports what that puts in service to OnGrow.
+func (l *Log) advanceBreak(c *pmem.Ctx, brk uint64) {
+	c.PersistU64(pmem.CatMeta, l.base+offBreak, brk+ChunkSize)
+	if l.OnGrow != nil {
+		grown := uint64(ChunkSize)
+		if brk == uint64(l.base)+headerSize {
+			grown += headerSize
+		}
+		l.OnGrow(grown)
+	}
+}
+
+// InService returns the bytes of the region the log has put in service:
+// from its base to its break once a chunk has been carved, none before.
+// They only grow: chunks that slow GC frees are reused below the break.
+func (l *Log) InService() uint64 {
+	l.res.Lock()
+	defer l.res.Unlock()
+	brk := l.dev.ReadU64(l.base + offBreak)
+	if brk <= uint64(l.base)+headerSize {
+		return 0
+	}
+	return brk - uint64(l.base)
 }
 
 // initAndLink writes a fresh header for an unlinked chunk and splices it

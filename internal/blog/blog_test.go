@@ -606,3 +606,29 @@ func TestSingleRecordAllocatesNothing(t *testing.T) {
 		t.Fatalf("record+tombstone pair allocates %.1f objects, want 0", avg)
 	}
 }
+
+// TestBreakMovesReportWhatTheyPutInService: a fresh log has nothing in
+// service; each break move reports its growth to OnGrow (the header with
+// the first chunk), and the reports add up to InService, which a reopen
+// reads back from the break.
+func TestBreakMovesReportWhatTheyPutInService(t *testing.T) {
+	dev, l, c := newTestLog(t)
+	var grown uint64
+	l.OnGrow = func(n uint64) { grown += n }
+	if l.InService() != 0 {
+		t.Fatalf("fresh log: %d bytes in service, want 0", l.InService())
+	}
+	for i := 0; i < 300; i++ {
+		if err := l.RecordAlloc(c, pmem.PAddr(1<<20+i*4096), 4096, false); err != nil {
+			t.Fatal(err)
+		}
+		chunks := uint64(i/l.EntriesPerChunk() + 1)
+		if want := headerSize + chunks*ChunkSize; l.InService() != want || grown != want {
+			t.Fatalf("after %d records: %d bytes in service, %d reported, want %d", i+1, l.InService(), grown, want)
+		}
+	}
+	r, _ := reopen(t, dev)
+	if r.InService() != l.InService() {
+		t.Fatalf("reopened log: %d bytes in service, %d before", r.InService(), l.InService())
+	}
+}

@@ -127,7 +127,7 @@ func (l *Log) gcTakeChunk(c *pmem.Ctx) bool {
 		// never carve the same chunk. A crash mid-GC leaves the chunk
 		// unreachable below the break, which Open's break self-heal
 		// tolerates (the chunk is recycled by the next completed GC).
-		c.PersistU64(pmem.CatMeta, l.base+offBreak, brk+ChunkSize)
+		l.advanceBreak(c, brk)
 	}
 	l.dev.WriteU32(a+coMagic, chunkMagic)
 	l.dev.WriteU32(a+coActive, 1)

@@ -82,11 +82,13 @@ func TestWorstCaseChurnNeverFillsTheLog(t *testing.T) {
 	}
 }
 
-// TestFreshHeapUsesItsHeapBase: a fresh heap has committed its metadata
-// (superblock, WAL rings, a bookkeeping log of heap/256) up to the heap
-// base, the next 64 KiB boundary, and nothing else, on every device size
-// the benchmark runs.
+// TestFreshHeapUsesItsHeapBase: a fresh heap reserves its metadata
+// regions (superblock, WAL rings, a bookkeeping log of heap/256) up to the
+// heap base, the next 64 KiB boundary, on every device size the benchmark
+// runs, and has committed only the superblock bytes below the first ring:
+// no ring has been appended to and the log has carved nothing.
 func TestFreshHeapUsesItsHeapBase(t *testing.T) {
+	const superblock = 8192
 	for _, tc := range []struct{ mib, base uint64 }{
 		{64, 851968}, {256, 1638400}, {512, 2686976}, {768, 3735552},
 	} {
@@ -94,8 +96,9 @@ func TestFreshHeapUsesItsHeapBase(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if uint64(h.heapBase) != tc.base || h.Used() != tc.base || h.Peak() != tc.base {
-			t.Errorf("fresh %d MiB heap: base %d, Used %d, Peak %d bytes, want %d", tc.mib, h.heapBase, h.Used(), h.Peak(), tc.base)
+		if uint64(h.heapBase) != tc.base || h.Used() != superblock || h.Peak() != superblock {
+			t.Errorf("fresh %d MiB heap: base %d, Used %d, Peak %d bytes, want base %d, Used and Peak %d",
+				tc.mib, h.heapBase, h.Used(), h.Peak(), tc.base, superblock)
 		}
 	}
 }

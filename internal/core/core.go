@@ -13,6 +13,7 @@ import (
 	"hash/crc32"
 	"math"
 	"sync"
+	"sync/atomic"
 
 	"nvalloc/internal/alloc"
 	"nvalloc/internal/blog"
@@ -289,6 +290,10 @@ type Heap struct {
 
 	heapBase pmem.PAddr
 
+	// ringsInService counts the WAL rings that have been appended to
+	// (walog.Log.InService): their bytes are in Used.
+	ringsInService atomic.Int32
+
 	recovery Recovery // what Open did; zero on a heap Create formatted
 }
 
@@ -308,12 +313,23 @@ func Create(dev pmem.Dev, opts Options) (*Heap, error) {
 // formats new slabs and builds tcaches by its variant's rule.
 func CreateLayout(dev pmem.Dev, opts Options, lay Layout) (*Heap, error) {
 	opts = opts.withDefaults()
+	fresh := freshDevice(dev)
 	h, err := regions(dev, opts)
 	if err != nil {
 		return nil, err
 	}
 	c := dev.NewCtx()
 	defer c.Merge()
+	if !fresh {
+		// The metadata regions may hold the rings and the log of the heap
+		// this device held, and a crash must not bring their entries back
+		// into the new heap's: they are zeroed on media before the new
+		// superblock is written.
+		meta := int(h.heapBase - firstRing)
+		dev.Zero(firstRing, meta)
+		c.Flush(pmem.CatMeta, firstRing, meta)
+		c.Fence()
+	}
 
 	// Persist the superblock.
 	w := func(off pmem.PAddr, v uint64) { dev.WriteU64(superBase+off, v) }
@@ -348,8 +364,9 @@ func CreateLayout(dev pmem.Dev, opts Options, lay Layout) (*Heap, error) {
 		h.book = extent.NewInPlace(dev, h.heapBase, superBase+sbBreak)
 	}
 	h.large = extent.New(dev, h.book, h.extentConfig(), opts.extentTiers())
+	h.serveLog()
 	for i := range h.arenas {
-		wal, err := h.newWAL(i, true)
+		wal, err := h.newWAL(i)
 		if err != nil {
 			return nil, err
 		}
@@ -358,12 +375,33 @@ func CreateLayout(dev pmem.Dev, opts Options, lay Layout) (*Heap, error) {
 	return h, nil
 }
 
+// firstRing is where the first WAL ring starts: below it lie the null
+// guard page and the superblock.
+const firstRing = pmem.PAddr(8192)
+
+// freshDevice reports whether dev is fresh: the bytes below the first WAL
+// ring read zero. Every format — NVAlloc's and the baselines' — writes and
+// flushes its superblock there before it writes any ring or log, so a
+// device that ever held a heap is not fresh, and a fresh one holds zeros
+// in every metadata region too. Create relies on this rule: it formats
+// the WAL rings and the bookkeeping log in place, as the zeros that
+// already read as empty rings and an empty log, and writes them only on a
+// device that is not fresh.
+func freshDevice(dev pmem.Dev) bool {
+	for _, b := range dev.Bytes(0, int(firstRing)) {
+		if b != 0 {
+			return false
+		}
+	}
+	return true
+}
+
 // regions computes region addresses for a fresh heap and records them in
 // the (not yet flushed) superblock.
 func regions(dev pmem.Dev, opts Options) (*Heap, error) {
 	h := &Heap{dev: dev, mem: dev.Mem(), opts: opts}
 	walBytes := uint64(opts.Arenas) * uint64(walog.RegionSize(opts.WALEntries, opts.Stripes))
-	walBase := uint64(8192)
+	walBase := uint64(firstRing)
 	blogBase := (walBase + walBytes + 4095) &^ 4095
 	blogSize := blog.RegionSize(dev.Size())
 	heapBase := extent.HeapBase(blogBase + blogSize)
@@ -399,16 +437,81 @@ func (h *Heap) initVolatile(dev pmem.Dev, opts Options, lay Layout) {
 	}
 }
 
-func (h *Heap) newWAL(i int, fresh bool) (*walog.Log, error) {
-	base := h.walBase() + pmem.PAddr(i*walog.RegionSize(h.opts.WALEntries, h.opts.Stripes))
-	if fresh {
-		h.dev.Zero(base, walog.RegionSize(h.opts.WALEntries, h.opts.Stripes))
-	}
+// newWAL opens arena i's WAL ring. The ring counts into Used from its
+// first append (ringInService).
+func (h *Heap) newWAL(i int) (*walog.Log, error) {
+	base := h.walBase() + pmem.PAddr(uint64(i)*h.ringBytes())
 	wal, err := walog.New(h.mem, base, h.opts.WALEntries, h.lay.WAL)
-	if err == nil && h.useWAL {
-		wal.WriteBack = h.arenas[i].writeBack
+	if err == nil {
+		wal.OnInService = h.ringInService
+		if h.useWAL {
+			wal.WriteBack = h.arenas[i].writeBack
+		}
 	}
 	return wal, err
+}
+
+// ringBytes is the size of one WAL ring's region.
+func (h *Heap) ringBytes() uint64 {
+	return uint64(walog.RegionSize(h.opts.WALEntries, h.opts.Stripes))
+}
+
+// ringInService counts a WAL ring that its first append has just put in
+// service.
+func (h *Heap) ringInService() {
+	h.ringsInService.Add(1)
+	h.large.CommitMeta(h.ringBytes())
+}
+
+// Metadata is what a heap's metadata regions hold in service against what
+// they reserve below the heap base. The bytes in service are the metadata
+// Used counts.
+type Metadata struct {
+	// Superblock is the bytes below the first WAL ring: the null guard
+	// page and the superblock, in service from format.
+	Superblock uint64
+	// RingsInService of the Rings WAL rings, RingBytes each, have been
+	// appended to.
+	Rings, RingsInService int
+	RingBytes             uint64
+	// LogBytes of the bookkeeping log's LogRegion bytes lie below its
+	// break (none with in-place bookkeeping, whose region stays unused).
+	LogBytes, LogRegion uint64
+}
+
+// InService returns the metadata bytes Used counts.
+func (m Metadata) InService() uint64 {
+	return m.Superblock + uint64(m.RingsInService)*m.RingBytes + m.LogBytes
+}
+
+// Reserved returns the bytes the metadata regions reserve.
+func (m Metadata) Reserved() uint64 {
+	return m.Superblock + uint64(m.Rings)*m.RingBytes + m.LogRegion
+}
+
+// Metadata reports the heap's metadata in service against what its
+// regions reserve.
+func (h *Heap) Metadata() Metadata {
+	m := Metadata{
+		Superblock:     uint64(h.walBase()),
+		Rings:          len(h.arenas),
+		RingsInService: int(h.ringsInService.Load()),
+		RingBytes:      h.ringBytes(),
+		LogRegion:      h.blogSize(),
+	}
+	if h.blog != nil {
+		m.LogBytes = h.blog.InService()
+	}
+	return m
+}
+
+// serveLog counts the bookkeeping log into Used up to its break, and
+// whatever it puts in service later as it carves.
+func (h *Heap) serveLog() {
+	if h.blog != nil {
+		h.large.CommitMeta(h.blog.InService())
+		h.blog.OnGrow = h.large.CommitMeta
+	}
 }
 
 // Device returns the underlying device.
@@ -443,13 +546,16 @@ func (h *Heap) RootSlot(i int) pmem.PAddr {
 	return superBase + sbRoots + pmem.PAddr(i*8)
 }
 
-// extentConfig places the large allocator on the device.
+// extentConfig places the large allocator on the device. Its Used starts
+// with the superblock bytes, which are in service from format; the WAL
+// rings and the bookkeeping log are added as they go into service
+// (serveLog, ringInService).
 func (h *Heap) extentConfig() extent.Config {
 	return extent.Config{
 		HeapBase:  h.heapBase,
 		HeapEnd:   pmem.PAddr(h.dev.Size()),
 		BreakPtr:  superBase + sbBreak,
-		MetaBytes: uint64(h.heapBase),
+		MetaBytes: uint64(h.walBase()),
 	}
 }
 

@@ -246,6 +246,7 @@ func Open(dev pmem.Dev, opts Options) (*Heap, int64, error) {
 		return nil, 0, err
 	}
 	h.large = large
+	h.serveLog()
 	lap(&rep.ExtentNS, &rep.Wall.Extent)
 
 	if err := h.openSlabs(c, records, rep); err != nil {
@@ -255,7 +256,7 @@ func Open(dev pmem.Dev, opts Options) (*Heap, int64, error) {
 
 	// Reopen the WALs.
 	for i := range h.arenas {
-		wal, err := h.newWAL(i, false)
+		wal, err := h.newWAL(i)
 		if err != nil {
 			return nil, 0, err
 		}
@@ -290,6 +291,15 @@ func Open(dev pmem.Dev, opts Options) (*Heap, int64, error) {
 			// Internal collection: the eagerly persisted bitmaps are the
 			// truth; crash-time leaks stay allocated until the application
 			// walks Heap.Objects and frees what it does not recognize.
+		}
+	}
+
+	// A ring is in service if it was ever appended to: Close and replay
+	// leave its checkpoint above 0. Rings of arenas no thread ever bound
+	// stay out of Used until their first append.
+	for _, a := range h.arenas {
+		if a.wal.InService() {
+			h.ringInService()
 		}
 	}
 

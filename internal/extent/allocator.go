@@ -300,9 +300,9 @@ func (a *Allocator) IndexAll() {
 	p.pending = 0
 }
 
-// Used returns committed bytes: metadata regions, live extents and dirty
-// (reclaimed) free extents; space parked idle in slab caches and shard
-// leases is not counted.
+// Used returns committed bytes: metadata in service, live extents and
+// dirty (reclaimed) free extents; space parked idle in slab caches and
+// shard leases is not counted.
 func (a *Allocator) Used() uint64 {
 	a.pool.Res.Lock()
 	defer a.pool.Res.Unlock()
@@ -313,15 +313,21 @@ func (a *Allocator) Used() uint64 {
 func (a *Allocator) Peak() uint64 {
 	a.pool.Res.Lock()
 	defer a.pool.Res.Unlock()
-	return a.pool.peak
+	return a.pool.peak.Load()
 }
 
 // ResetPeak restarts peak tracking.
 func (a *Allocator) ResetPeak() {
 	a.pool.Res.Lock()
 	defer a.pool.Res.Unlock()
-	a.pool.peak = a.pool.used()
+	a.pool.peak.Store(a.pool.used())
 }
+
+// CommitMeta counts n more bytes of metadata into Used — a metadata region
+// that went into service after the allocator was built (Config.MetaBytes)
+// — and notes the peak. It takes no lock and touches no virtual time, so
+// a bookkeeper may call it from inside any verb.
+func (a *Allocator) CommitMeta(n uint64) { a.pool.commitMeta(n) }
 
 // LeaseOverhead returns the bytes of carved-but-idle space parked in slab
 // caches and shard-pool leases (the amount Used leaves out).

@@ -72,7 +72,7 @@ func (p *Pool) decayTick(c *pmem.Ctx) {
 
 	th := limit(&p.fifoReclaimed, Reclaimed)
 	p.drainFIFO(&p.fifoReclaimed, Reclaimed, func(v *VEH) bool {
-		if p.reclaimedBytes <= th {
+		if p.reclaimedBytes.Load() <= th {
 			return false
 		}
 		p.removeFree(v)
@@ -142,7 +142,7 @@ func Rebuild(dev pmem.Dev, book Bookkeeper, cfg Config, t Tiers, c *pmem.Ctx, re
 			return nil, nil, pmem.Corrupt("extent", r.Addr, "live record overlaps its predecessor ending at %#x", check)
 		}
 		check = r.Addr + pmem.PAddr(r.Size)
-		p.activatedBytes += r.Size
+		p.activatedBytes.Add(r.Size)
 	}
 	p.recovered, p.indexed, p.pending = records, make([]bool, len(records)), len(records)
 	minBrk := p.heapBase + pmem.PAddr((uint64(check-p.heapBase)+ChunkSize-1)&^uint64(ChunkSize-1))
@@ -157,7 +157,7 @@ func Rebuild(dev pmem.Dev, book Bookkeeper, cfg Config, t Tiers, c *pmem.Ctx, re
 		// Header reservations at the start of every grown chunk are
 		// metadata, not free space.
 		n := uint64(brk-p.heapBase) / ChunkSize
-		p.metaBytes += n * res
+		p.metaBytes.Add(n * res)
 	}
 
 	cursor := p.heapBase

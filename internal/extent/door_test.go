@@ -273,7 +273,7 @@ func TestAllocUndoesCarveWhenRecordFails(t *testing.T) {
 			// belong to someone. Committed bytes (Used, plus what a refill
 			// parks in a cache) also count the free space of a heap that
 			// grew, so they are compared only when the heap did not.
-			owned := func() uint64 { return a.pool.activatedBytes - a.LeaseOverhead() }
+			owned := func() uint64 { return a.pool.activatedBytes.Load() - a.LeaseOverhead() }
 			committed := func() uint64 { return a.Used() + a.LeaseOverhead() }
 			for n := 0; ; n++ {
 				before, used, grows := owned(), committed(), a.pool.grows

@@ -28,8 +28,9 @@
 //	                       for a caller that holds Pool.Res across sections of
 //	                       its own (package baseline)
 //
-// Everything else exported reads or constructs. Allocator: Live, Each,
-// Used, Peak, ResetPeak (restarts a statistic), LeaseOverhead, Stats,
+// Everything else exported reads, constructs or keeps a statistic.
+// Allocator: Live, Each, Used, Peak, ResetPeak (restarts a statistic),
+// CommitMeta (counts metadata the caller put in service), LeaseOverhead, Stats,
 // CacheStats, Locks, Global, Indexed, and IndexAll (for tests: the eagerly
 // indexed state a rebuild no longer builds). Pool: the field Res, and Len.
 // Constructors: New, Rebuild (recovery), NewInPlace. Types: Config, Tiers,
@@ -201,11 +202,15 @@ type Pool struct {
 	fifoReclaimed []*VEH
 	fifoRetained  []*VEH
 
-	metaBytes      uint64
-	activatedBytes uint64
-	reclaimedBytes uint64
+	// metaBytes, activatedBytes and reclaimedBytes are the terms of used,
+	// and peak its high-water mark. They are atomic because metadata is
+	// committed (CommitMeta) by callers that may hold Res already or hold
+	// no lock of the pool's at all; the other writers hold Res.
+	metaBytes      atomic.Uint64
+	activatedBytes atomic.Uint64
+	reclaimedBytes atomic.Uint64
 	retainedBytes  uint64
-	peak           uint64
+	peak           atomic.Uint64
 
 	// cacheOverhead counts activated-but-idle bytes parked in arena slab
 	// caches and shard-pool leases: space that is carved out of the free
@@ -237,7 +242,9 @@ type Config struct {
 	HeapBase pmem.PAddr // first usable heap byte (LeaseAlign aligned: see HeapBase)
 	HeapEnd  pmem.PAddr // one past the last usable heap byte
 	BreakPtr pmem.PAddr // persistent 8-byte cell storing the heap break
-	// MetaBytes is counted into Used (superblock, WAL and log regions).
+	// MetaBytes is the metadata counted into Used from the start: what the
+	// heap's metadata regions hold in service when the allocator is built.
+	// What they put in service later is added by CommitMeta.
 	MetaBytes uint64
 }
 
@@ -255,9 +262,9 @@ func newPool(dev pmem.Dev, book Bookkeeper, cfg Config) *Pool {
 		activated:      make(map[pmem.PAddr]*VEH),
 		byAddr:         rbtree.New[pmem.PAddr, *VEH](func(x, y pmem.PAddr) bool { return x < y }),
 		released:       rbtree.New[sizeKey, *VEH](sizeLess),
-		metaBytes:      cfg.MetaBytes,
-		peak:           cfg.MetaBytes,
 	}
+	p.metaBytes.Store(cfg.MetaBytes)
+	p.peak.Store(cfg.MetaBytes)
 	p.bySize[0] = rbtree.New[sizeKey, *VEH](sizeLess)
 	p.bySize[1] = rbtree.New[sizeKey, *VEH](sizeLess)
 	return p
@@ -297,7 +304,7 @@ func (p *Pool) tombstone(c *pmem.Ctx, group []pmem.PAddr) (int, error) {
 // memory is unmapped and not counted, and so is growth no carve has
 // reached yet.
 func (p *Pool) used() uint64 {
-	u := p.metaBytes + p.activatedBytes + p.reclaimedBytes
+	u := p.metaBytes.Load() + p.activatedBytes.Load() + p.reclaimedBytes.Load()
 	if ov := p.cacheOverhead.Load(); ov > 0 {
 		if uint64(ov) >= u {
 			return 0
@@ -307,10 +314,25 @@ func (p *Pool) used() uint64 {
 	return u
 }
 
+// notePeak raises the peak to Used. Every writer of a term of Used calls
+// it after its write, so whichever of two concurrent writers notes last
+// sees both writes.
 func (p *Pool) notePeak() {
-	if u := p.used(); u > p.peak {
-		p.peak = u
+	u := p.used()
+	for {
+		pk := p.peak.Load()
+		if u <= pk || p.peak.CompareAndSwap(pk, u) {
+			return
+		}
 	}
+}
+
+// commitMeta counts n more bytes of metadata as committed and notes the
+// peak. It takes no lock, so a bookkeeper may call it while a tier holds
+// Res.
+func (p *Pool) commitMeta(n uint64) {
+	p.metaBytes.Add(n)
+	p.notePeak()
 }
 
 // Len returns the number of activated extents, recovered records that have
@@ -366,7 +388,7 @@ func align(v, al pmem.PAddr) pmem.PAddr { return (v + al - 1) &^ (al - 1) }
 func (p *Pool) removeFree(v *VEH) {
 	switch v.State {
 	case Reclaimed:
-		p.reclaimedBytes -= v.Size
+		p.reclaimedBytes.Add(-v.Size)
 	case Retained:
 		p.retainedBytes -= v.Size
 	case Released:
@@ -385,7 +407,7 @@ func (p *Pool) insertFree(v *VEH, s State, now int64) {
 	v.Slab = false
 	switch s {
 	case Reclaimed:
-		p.reclaimedBytes += v.Size
+		p.reclaimedBytes.Add(v.Size)
 		p.fifoReclaimed = append(p.fifoReclaimed, v)
 		p.idx(s).Put(sizeKey{v.Size, v.Addr}, v)
 	case Retained:
@@ -435,7 +457,7 @@ func (p *Pool) split(v *VEH, start pmem.PAddr, size uint64, now int64) *VEH {
 	}
 	nv := &VEH{Addr: start, Size: size, State: Activated, From: state}
 	p.activated[start] = nv
-	p.activatedBytes += size
+	p.activatedBytes.Add(size)
 	return nv
 }
 
@@ -458,7 +480,7 @@ func (p *Pool) grow(c *pmem.Ctx, need uint64, now int64) (*VEH, error) {
 	c.Fence()
 	p.grows++
 	if res > 0 {
-		p.metaBytes += res * (g / ChunkSize)
+		p.metaBytes.Add(res * (g / ChunkSize))
 	}
 	// Each chunk in the growth may reserve a bookkeeper header.
 	var first *VEH
@@ -528,7 +550,7 @@ func (p *Pool) deactivate(c *pmem.Ctx, addr pmem.PAddr, restore bool) (size uint
 	if !ok {
 		return 0, fmt.Errorf("extent: free of %w %#x", ErrUnknown, addr)
 	}
-	p.activatedBytes -= v.Size
+	p.activatedBytes.Add(-v.Size)
 	size = v.Size // coalesce may grow v
 	state := Reclaimed
 	if restore {

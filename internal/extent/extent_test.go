@@ -201,7 +201,7 @@ func TestDecayDemotesIdleExtents(t *testing.T) {
 	_, a, c := newAlloc(t, 64<<20)
 	p, _ := a.Alloc(c, 0, 1<<20)
 	// The rest of the growth starts retained: nothing has touched it.
-	if rec, ret := a.pool.reclaimedBytes, a.pool.retainedBytes; rec != 0 || ret != ChunkSize-1<<20 {
+	if rec, ret := a.pool.reclaimedBytes.Load(), a.pool.retainedBytes; rec != 0 || ret != ChunkSize-1<<20 {
 		t.Fatalf("after the first growth: %d bytes reclaimed and %d retained, want 0 and %d", rec, ret, ChunkSize-1<<20)
 	}
 	if err := a.Free(c, 0, p, false); err != nil {
@@ -215,14 +215,14 @@ func TestDecayDemotesIdleExtents(t *testing.T) {
 		}
 		return v.State
 	}
-	rec0 := a.pool.reclaimedBytes
+	rec0 := a.pool.reclaimedBytes.Load()
 	if rec0 != 1<<20 || state() != Reclaimed {
 		t.Fatalf("freed bytes must be reclaimed: %d reclaimed, extent %v", rec0, state())
 	}
 	// Let a full decay window of virtual time pass.
 	c.Charge(pmem.CatOther, DecayWindowNS+DecayEpochNS)
 	a.pool.decayTick(c)
-	rec1 := a.pool.reclaimedBytes
+	rec1 := a.pool.reclaimedBytes.Load()
 	if rec1 >= rec0 {
 		t.Fatalf("decay did not demote reclaimed bytes: %d -> %d", rec0, rec1)
 	}
@@ -231,7 +231,7 @@ func TestDecayDemotesIdleExtents(t *testing.T) {
 	}
 	// And Used drops, because retained memory is unmapped.
 	// (metaBytes unchanged, activated unchanged.)
-	if a.Used() > a.pool.metaBytes+a.pool.activatedBytes+rec1 {
+	if a.Used() > a.pool.metaBytes.Load()+a.pool.activatedBytes.Load()+rec1 {
 		t.Fatal("used accounting inconsistent")
 	}
 	// A second full window releases retained memory to the OS.

@@ -138,10 +138,10 @@ func TestRebuildCountsChunksFromHeapBase(t *testing.T) {
 		t.Fatal(err)
 	}
 	p := a2.pool
-	if p.reclaimedBytes != 0 {
-		t.Fatalf("rebuild filed %d bytes reclaimed, want every gap retained", p.reclaimedBytes)
+	if p.reclaimedBytes.Load() != 0 {
+		t.Fatalf("rebuild filed %d bytes reclaimed, want every gap retained", p.reclaimedBytes.Load())
 	}
-	if got, want := p.metaBytes, uint64(3*HeaderBytes); got != want {
+	if got, want := p.metaBytes.Load(), uint64(3*HeaderBytes); got != want {
 		t.Fatalf("rebuild counts %d bytes of header tables, want %d (three chunks)", got, want)
 	}
 	// Used loses the freed extent, which was dirty before the crash.
@@ -164,5 +164,19 @@ func TestRebuildCountsChunksFromHeapBase(t *testing.T) {
 	}
 	if q < base || (q-base)%ChunkSize < HeaderBytes {
 		t.Fatalf("carve after rebuild returned %#x, inside a header table", q)
+	}
+}
+
+// TestCommitMetaNotesPeak: committed metadata adds to Used, and the peak
+// follows it.
+func TestCommitMetaNotesPeak(t *testing.T) {
+	_, a, c := newTiered(t, 48<<20, Tiers{})
+	if _, err := a.Alloc(c, 0, 1<<20); err != nil {
+		t.Fatal(err)
+	}
+	before := a.Used()
+	a.CommitMeta(4096)
+	if a.Used() != before+4096 || a.Peak() != a.Used() {
+		t.Fatalf("Used %d and Peak %d after committing 4096 B over %d, want both %d", a.Used(), a.Peak(), before, before+4096)
 	}
 }

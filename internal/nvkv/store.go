@@ -9,6 +9,7 @@ import (
 	"sync/atomic"
 
 	"nvalloc/internal/alloc"
+	"nvalloc/internal/core"
 	"nvalloc/internal/phash"
 	"nvalloc/internal/pmem"
 )
@@ -336,18 +337,28 @@ func (s *Store) Expire(th alloc.Thread, now int64, key []byte, ttl int64) (bool,
 func (s *Store) Len() int64 { return s.liveKeys.Load() }
 
 // StatsText renders the operational counters and heap accounting as the
-// STATS reply body.
+// STATS reply body. An NVAlloc heap adds its metadata in service against
+// what its regions reserve (core.Metadata).
 func (s *Store) StatsText() string {
 	var lease uint64
 	if lo, ok := s.heap.(interface{ LeaseOverhead() uint64 }); ok {
 		lease = lo.LeaseOverhead()
 	}
-	return fmt.Sprintf(
+	text := fmt.Sprintf(
 		"keys:%d\nused_bytes:%d\npeak_bytes:%d\nlease_overhead_bytes:%d\n"+
 			"sets:%d\ngets:%d\nhits:%d\ndels:%d\nexpires:%d\ncollisions:%d\n",
 		s.liveKeys.Load(), s.heap.Used(), s.heap.Peak(), lease,
 		s.sets.Load(), s.gets.Load(), s.hits.Load(), s.dels.Load(),
 		s.expires.Load(), s.collisions.Load())
+	if mh, ok := s.heap.(interface{ Metadata() core.Metadata }); ok {
+		m := mh.Metadata()
+		text += fmt.Sprintf(
+			"meta_bytes:%d\nmeta_reserved_bytes:%d\nmeta_superblock_bytes:%d\n"+
+				"wal_rings_in_service:%d\nwal_rings:%d\nwal_ring_bytes:%d\nblog_bytes:%d\nblog_region_bytes:%d\n",
+			m.InService(), m.Reserved(), m.Superblock,
+			m.RingsInService, m.Rings, m.RingBytes, m.LogBytes, m.LogRegion)
+	}
+	return text
 }
 
 // References calls fn with the address of every heap block the store can

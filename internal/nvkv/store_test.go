@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"strconv"
+	"strings"
 	"sync"
 	"testing"
 
@@ -374,5 +376,35 @@ func TestOpenStoreRejectsOldIndexLayout(t *testing.T) {
 		if !errors.As(err, &fe) || fe.Magic != magic {
 			t.Fatalf("OpenStore over magic %#x: %v, want a *phash.FormatError naming it", magic, err)
 		}
+	}
+}
+
+// TestStatsReportMetadataInService: on an NVAlloc heap STATS adds the
+// metadata in service against what its regions reserve, every line a
+// name and an unsigned count, and the parts add up to the total.
+func TestStatsReportMetadataInService(t *testing.T) {
+	_, _, th, st := newStore(t)
+	defer th.Close()
+	if err := st.Set(th, 1, []byte("k"), []byte("v"), 0); err != nil {
+		t.Fatal(err)
+	}
+	stats := map[string]uint64{}
+	for _, line := range strings.Split(strings.TrimSuffix(st.StatsText(), "\n"), "\n") {
+		k, v, ok := strings.Cut(line, ":")
+		n, err := strconv.ParseUint(v, 10, 64)
+		if !ok || err != nil {
+			t.Fatalf("STATS line %q is not name:count", line)
+		}
+		stats[k] = n
+	}
+	if stats["wal_rings_in_service"] != 1 || stats["wal_rings"] != 16 {
+		t.Errorf("%d of %d rings in service, want 1 of 16", stats["wal_rings_in_service"], stats["wal_rings"])
+	}
+	if stats["blog_bytes"] == 0 || stats["blog_bytes"] >= stats["blog_region_bytes"] {
+		t.Errorf("log %d B to its break of a %d B region", stats["blog_bytes"], stats["blog_region_bytes"])
+	}
+	sum := stats["meta_superblock_bytes"] + stats["wal_rings_in_service"]*stats["wal_ring_bytes"] + stats["blog_bytes"]
+	if stats["meta_bytes"] != sum || stats["meta_bytes"] >= stats["meta_reserved_bytes"] {
+		t.Errorf("meta_bytes %d, want its parts' sum %d, below the %d B reserved", stats["meta_bytes"], sum, stats["meta_reserved_bytes"])
 	}
 }

@@ -120,6 +120,12 @@ type Log struct {
 	// the checkpoint word moves only after that write-back is fenced, so
 	// the checkpoint never passes an entry whose effect is not on media.
 	WriteBack func(c *pmem.Ctx) (flushed bool)
+
+	// OnInService, when set, is called by the append that puts the ring in
+	// service: its first, sequence 1. A ring is in service from then on
+	// (InService), so a heap can count its region as committed from that
+	// append and not from format.
+	OnInService func()
 }
 
 // RegionSize returns the PM bytes needed for a log of n entries.
@@ -206,6 +212,10 @@ func (l *Log) Append(c *pmem.Ctx, e Entry) uint64 {
 	// half-ring of appends.
 	if e.Seq > uint64(l.n) && l.ckpt < e.Seq-uint64(l.n) {
 		l.setCheckpoint(c, e.Seq-uint64(l.n/2))
+	}
+
+	if e.Seq == 1 && l.OnInService != nil {
+		l.OnInService()
 	}
 
 	a := l.slotAddr(slot)
@@ -361,6 +371,11 @@ func Protected(dev pmem.Dev, base pmem.PAddr, rings, n, stripes int) []pmem.Rang
 
 // Seq returns the next sequence number (for tests).
 func (l *Log) Seq() uint64 { return l.seq }
+
+// InService reports whether the ring has ever been appended to: its next
+// sequence is past 1. On a reopened ring that holds once its checkpoint is
+// above 0 or Replay has found a live entry.
+func (l *Log) InService() bool { return l.seq > 1 }
 
 // Capacity returns the ring size in entries.
 func (l *Log) Capacity() int { return l.n }

@@ -582,3 +582,28 @@ func TestEntryCheckSeesEveryWord(t *testing.T) {
 		t.Fatalf("%d of %d near-miss entries share the checksum", collisions, trials)
 	}
 }
+
+// TestFirstAppendPutsRingInService: OnInService fires once, on the append
+// of sequence 1, and never for a ring that reopens in service.
+func TestFirstAppendPutsRingInService(t *testing.T) {
+	dev, l := newLog(t, 64, 6)
+	c := dev.NewCtx()
+	calls := 0
+	l.OnInService = func() { calls++ }
+	if l.InService() {
+		t.Fatal("a fresh ring is in service")
+	}
+	for i := 0; i < 100; i++ {
+		l.Append(c, Entry{Op: OpAllocBit, Addr: 4096, Aux: uint64(i)})
+		if !l.InService() || calls != 1 {
+			t.Fatalf("after append %d: in service %v, %d calls, want true and 1", i+1, l.InService(), calls)
+		}
+	}
+	l.Checkpoint(c)
+	again := mustNew(t, dev, 4096, 64, 6)
+	again.OnInService = func() { calls++ }
+	again.Append(c, Entry{Op: OpAllocBit, Addr: 4096})
+	if !again.InService() || calls != 1 {
+		t.Fatalf("reopened ring: in service %v, %d calls, want true and still 1", again.InService(), calls)
+	}
+}

@@ -61,13 +61,18 @@ func (w *larsonSim) step(t *testing.T) {
 
 // TestLarsonSpaceGolden: a fixed two-thread Larson stream on the simulated
 // device, played thread by thread from one goroutine as benchmark/'s
-// virtual-time twin plays it. A heap commits its metadata up to the heap
-// base, then only what it touches: Used is exactly the heap base plus the
-// slabs that hold the blocks, and both are pinned, so a change to what the
-// heap commits shows up here as a golden diff.
+// virtual-time twin plays it. A heap commits only what it touches, its
+// metadata regions included: Used is exactly the superblock bytes, the two
+// WAL rings the threads append to, the bookkeeping log up to its break
+// (its header and one chunk) and the slabs that hold the blocks. All of
+// them are pinned, so a change to what the heap commits shows up here as a
+// golden diff.
 func TestLarsonSpaceGolden(t *testing.T) {
 	const (
-		wantBase  = 1638400 // 256 MiB device: metadata rounded up to 64 KiB
+		wantSuper = 8192  // the null guard page and the superblock
+		wantRing  = 33088 // a 1024-entry ring, 6-way
+		wantRings = 2
+		wantLog   = 1088 // the log header and one chunk
 		wantSlabs = 18
 		rounds    = 64 * 1024 // the benchmark's set-up: every slot replaced 64 times over
 	)
@@ -75,7 +80,6 @@ func TestLarsonSpaceGolden(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	base := h.Used()
 	ws := make([]*larsonSim, 2)
 	for i := range ws {
 		ws[i] = &larsonSim{th: h.NewThread(), rng: 1*0x9E3779B97F4A7C15 + uint64(i)*0xBF58476D1CE4E5B9 + 7}
@@ -98,11 +102,14 @@ func TestLarsonSpaceGolden(t *testing.T) {
 	for _, n := range h.LayoutCensus() {
 		slabs += n
 	}
-	if base != wantBase || slabs != wantSlabs {
-		t.Errorf("heap base %d and %d slabs, want %d and %d", base, slabs, wantBase, wantSlabs)
+	m := h.Metadata()
+	if m.Superblock != wantSuper || m.RingBytes != wantRing || m.RingsInService != wantRings || m.LogBytes != wantLog || slabs != wantSlabs {
+		t.Errorf("superblock %d B, %d rings of %d B, log %d B and %d slabs, want %d, %d of %d, %d and %d",
+			m.Superblock, m.RingsInService, m.RingBytes, m.LogBytes, slabs, wantSuper, wantRings, wantRing, wantLog, wantSlabs)
 	}
-	if got, want := h.Used(), base+uint64(slabs)*slab.Size; got != want {
-		t.Errorf("Used %d, want the heap base %d plus %d slabs of %d B = %d", got, base, slabs, slab.Size, want)
+	want := uint64(wantSuper + wantRings*wantRing + wantLog + wantSlabs*slab.Size)
+	if got := h.Used(); got != want {
+		t.Errorf("Used %d, want the superblock, %d rings, the log to its break and %d slabs = %d", got, wantRings, wantSlabs, want)
 	}
 	if h.Peak() < h.Used() {
 		t.Errorf("Peak %d below Used %d", h.Peak(), h.Used())
