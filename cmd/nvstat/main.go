@@ -214,9 +214,10 @@ func inspect(w io.Writer, heap *nvalloc.Heap) {
 	m := heap.Metadata()
 	fmt.Fprintf(w, "metadata:         %.1f KiB in service of %.1f KiB reserved: superblock %.1f KiB, WAL rings %d of %d in service (%.1f KiB each), bookkeeping log %.1f of %.1f KiB to its break\n",
 		kib(m.InService()), kib(m.Reserved()), kib(m.Superblock), m.RingsInService, m.Rings, kib(m.RingBytes), kib(m.LogBytes), kib(m.LogRegion))
-	fmt.Fprintf(w, "used:             %.1f MiB (peak %.1f MiB, lease overhead %.1f MiB)\n",
+	dirty, retained := heap.FreeBytes()
+	fmt.Fprintf(w, "used:             %.1f MiB (peak %.1f MiB, lease overhead %.1f MiB); free extents %.1f MiB dirty (in used), %.1f MiB retained\n",
 		float64(heap.Used())/(1<<20), float64(heap.Peak())/(1<<20),
-		float64(heap.LeaseOverhead())/(1<<20))
+		float64(heap.LeaseOverhead())/(1<<20), float64(dirty)/(1<<20), float64(retained)/(1<<20))
 	splits, coalesces, grows := heap.LargeStats()
 	fmt.Fprintf(w, "extent ops:       %d splits, %d coalesces, %d chunk grows\n", splits, coalesces, grows)
 	morphs, refusals := heap.MorphStats()

@@ -82,7 +82,8 @@ func TestHeapFileLeftByKill9(t *testing.T) {
 
 // TestMetadataLine: nvstat reports an image's metadata in service against
 // what its regions reserve: the superblock, the rings that were appended
-// to (one thread, one of four) and the log up to its break.
+// to (one thread, one of four) and the log up to its break; and its used
+// line splits the free extents into dirty and retained space.
 func TestMetadataLine(t *testing.T) {
 	dev := pmem.New(pmem.Config{Size: 64 << 20})
 	opts := core.DefaultOptions(core.LOG)
@@ -110,6 +111,12 @@ func TestMetadataLine(t *testing.T) {
 		t.Fatalf("nvstat -image: exit %d, stderr %q", code, errb.String())
 	}
 	want := "metadata:         41.4 KiB in service of 393.2 KiB reserved: superblock 8.0 KiB, WAL rings 1 of 4 in service (32.3 KiB each), bookkeeping log 1.1 of 256.0 KiB to its break\n"
+	if !strings.Contains(out.String(), want) {
+		t.Errorf("nvstat output lacks %q:\n%s", want, out.String())
+	}
+	// The one 64 KiB slab heads the one chunk the heap grew; the rest of
+	// it is a gap, which a rebuild keeps as retained space.
+	want = "lease overhead 0.0 MiB); free extents 0.0 MiB dirty (in used), 3.9 MiB retained\n"
 	if !strings.Contains(out.String(), want) {
 		t.Errorf("nvstat output lacks %q:\n%s", want, out.String())
 	}

@@ -378,6 +378,50 @@ func TestFreeFromAndUsedPeak(t *testing.T) {
 	}
 }
 
+// TestNewOverOldHeapForgetsIt: New on a device that holds a crashed
+// nvm_malloc heap formats a heap that holds none of it. The old heap's
+// slabs are recorded in the header tables at the head of its chunks, and
+// Open scans every chunk's table up to the device end: after a crash of
+// the new heap none of the old blocks may come back allocated.
+func TestNewOverOldHeapForgetsIt(t *testing.T) {
+	dev := pmem.New(pmem.Config{Size: 64 << 20, Strict: true})
+	old, err := New(dev, NvmMalloc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	th := old.NewThread()
+	var blocks []pmem.PAddr
+	for i := 0; i < 300; i++ {
+		p, err := th.Malloc(64)
+		if err != nil {
+			t.Fatal(err)
+		}
+		blocks = append(blocks, p)
+	}
+	th.Ctx().Merge()
+	dev.Crash()
+
+	if _, err := New(dev, NvmMalloc); err != nil {
+		t.Fatal(err)
+	}
+	dev.Crash()
+	h, _, err := Open(dev, NvmMalloc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	th2 := h.NewThread()
+	defer th2.Close()
+	back := 0
+	for _, p := range blocks {
+		if th2.Free(p) == nil {
+			back++
+		}
+	}
+	if back > 0 {
+		t.Errorf("%d of the old heap's %d blocks are allocated in the new one", back, len(blocks))
+	}
+}
+
 func TestOpenUnformattedDevice(t *testing.T) {
 	dev := pmem.New(pmem.Config{Size: 64 << 20})
 	if _, _, err := Open(dev, PMDK); err == nil {

@@ -191,6 +191,12 @@ func New(dev pmem.Dev, cfg Config) (*Heap, error) {
 	}
 	c := dev.NewCtx()
 	defer c.Merge()
+	book := extent.NewInPlace(dev, pmem.PAddr(heapBase), superBase+sbBreak)
+	if !freshDevice(dev, walBase) {
+		// The chunks may hold the record tables of the heap this device
+		// held, which Open would read back after a crash of this one.
+		book.Clear(c)
+	}
 	dev.WriteU64(superBase+sbMagic, baseMagic)
 	dev.WriteU64(superBase+sbState, pmem.SealU64(stateRunning))
 	dev.WriteU64(superBase+sbArenas, uint64(cfg.Arenas))
@@ -204,7 +210,7 @@ func New(dev pmem.Dev, cfg Config) (*Heap, error) {
 	// A reformatted device may carry WAL rings from a previous heap.
 	dev.Zero(pmem.PAddr(walBase), (maxArenas+1)*walRegion)
 
-	h.book = extent.NewInPlace(dev, pmem.PAddr(heapBase), superBase+sbBreak)
+	h.book = book
 	h.large = extent.New(dev, h.book, extent.Config{
 		HeapBase:  pmem.PAddr(heapBase),
 		HeapEnd:   pmem.PAddr(dev.Size()),
@@ -228,6 +234,18 @@ func New(dev pmem.Dev, cfg Config) (*Heap, error) {
 		}
 	}
 	return h, nil
+}
+
+// freshDevice reports whether dev never held a heap: the bytes below
+// ringBase, where every format writes its superblock first, read zero
+// (the rule core.Create formats by).
+func freshDevice(dev pmem.Dev, ringBase uint64) bool {
+	for _, b := range dev.Bytes(0, int(ringBase)) {
+		if b != 0 {
+			return false
+		}
+	}
+	return true
 }
 
 func (h *Heap) newArena() *barena {

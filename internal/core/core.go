@@ -320,15 +320,23 @@ func CreateLayout(dev pmem.Dev, opts Options, lay Layout) (*Heap, error) {
 	}
 	c := dev.NewCtx()
 	defer c.Merge()
+	var inPlace *extent.InPlace
+	if !opts.LogBookkeeping {
+		inPlace = extent.NewInPlace(dev, h.heapBase, superBase+sbBreak)
+	}
 	if !fresh {
 		// The metadata regions may hold the rings and the log of the heap
-		// this device held, and a crash must not bring their entries back
-		// into the new heap's: they are zeroed on media before the new
-		// superblock is written.
+		// this device held, and in-place bookkeeping the record tables of
+		// its chunks. A crash must not bring their entries back into the
+		// new heap's: they are zeroed on media before the new superblock
+		// is written.
 		meta := int(h.heapBase - firstRing)
 		dev.Zero(firstRing, meta)
 		c.Flush(pmem.CatMeta, firstRing, meta)
 		c.Fence()
+		if inPlace != nil {
+			inPlace.Clear(c)
+		}
 	}
 
 	// Persist the superblock.
@@ -361,7 +369,7 @@ func CreateLayout(dev pmem.Dev, opts Options, lay Layout) (*Heap, error) {
 		}
 		h.book = h.blog
 	} else {
-		h.book = extent.NewInPlace(dev, h.heapBase, superBase+sbBreak)
+		h.book = inPlace
 	}
 	h.large = extent.New(dev, h.book, h.extentConfig(), opts.extentTiers())
 	h.serveLog()
@@ -605,6 +613,11 @@ func (h *Heap) BlockAllocated(addr pmem.PAddr) bool {
 // LeaseOverhead returns the bytes of activated-but-idle space parked in
 // arena slab caches and shard-pool leases (see extent.LeaseOverhead).
 func (h *Heap) LeaseOverhead() uint64 { return h.large.LeaseOverhead() }
+
+// FreeBytes returns the large allocator's free space by what backs it:
+// dirty pages (in Used) and retained space that holds none (see
+// extent.Allocator.FreeBytes).
+func (h *Heap) FreeBytes() (dirty, retained uint64) { return h.large.FreeBytes() }
 
 // LargeStats returns split/coalesce/grow counters.
 func (h *Heap) LargeStats() (splits, coalesces, grows uint64) { return h.large.Stats() }

@@ -24,16 +24,26 @@ func (s heldSet) malloc(t *testing.T, th alloc.Thread, size uint64) {
 // TestCreateOverOldHeapForgetsIt: Create on a device that holds a crashed
 // NVAlloc-LOG heap — rings with live entries past their checkpoints, a
 // bookkeeping log with large-object records, in one case after a slow GC
-// moved the log to its other chain — formats a heap that holds only what
-// it allocated itself. After a crash of the new heap, Open replays none of
-// the old entries and brings back none of the old extents, and every
-// block the new heap holds is allocated.
+// moved the log to its other chain, in another with in-place bookkeeping,
+// whose records sit in a table at the head of every chunk — formats a heap
+// that holds only what it allocated itself. After a crash of the new heap,
+// Open replays none of the old entries and brings back none of the old
+// extents, and every block the new heap holds is allocated.
 func TestCreateOverOldHeapForgetsIt(t *testing.T) {
-	for _, slowGC := range []bool{false, true} {
-		t.Run(fmt.Sprintf("slowGC=%v", slowGC), func(t *testing.T) {
+	for _, tc := range []struct {
+		name            string
+		slowGC, inPlace bool
+	}{
+		{name: "slowGC=false"},
+		{name: "slowGC=true", slowGC: true},
+		{name: "inPlace", inPlace: true},
+	} {
+		slowGC := tc.slowGC
+		t.Run(tc.name, func(t *testing.T) {
 			dev := pmem.New(pmem.Config{Size: 32 << 20, Strict: true})
 			opts := DefaultOptions(LOG)
 			opts.Arenas = 2
+			opts.LogBookkeeping = !tc.inPlace
 			if slowGC {
 				opts.BlogGCThreshold = 2 << 10
 			}

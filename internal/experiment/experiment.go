@@ -160,10 +160,12 @@ var (
 // "NVAlloc-LOG sN" (stripes=N), "NVAlloc-LOG suN" (SU=N%).
 func OpenHeap(name string, cfg Config) (alloc.Heap, error) {
 	dev := pmem.New(pmem.Config{Size: cfg.DeviceBytes, Mode: cfg.Mode})
-	return openOn(dev, name)
+	return OpenHeapOn(dev, name)
 }
 
-func openOn(dev pmem.Dev, name string) (alloc.Heap, error) {
+// OpenHeapOn instantiates an allocator by name (same names as OpenHeap)
+// on dev.
+func OpenHeapOn(dev pmem.Dev, name string) (alloc.Heap, error) {
 	if preset, ok := baseline.Preset(name); ok {
 		return baseline.New(dev, preset)
 	}

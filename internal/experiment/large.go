@@ -53,7 +53,7 @@ func fig2(cfg Config) []*Table {
 	}
 	results := grid(cfg, 1, len(names), func(_, ni int) traceResult {
 		dev := pmem.New(pmem.Config{Size: cfg.DeviceBytes, TraceFlushes: 4000})
-		h, err := openOn(dev, names[ni])
+		h, err := OpenHeapOn(dev, names[ni])
 		if err != nil {
 			panic(err)
 		}

@@ -202,7 +202,7 @@ func fig18(cfg Config) []*Table {
 // heap, returning the recovery's virtual nanoseconds.
 func recoveryRun(cfg Config, name string, nodes int) int64 {
 	dev := pmem.New(pmem.Config{Size: cfg.DeviceBytes, Strict: true})
-	h, err := openOn(dev, name)
+	h, err := OpenHeapOn(dev, name)
 	if err != nil {
 		panic(err)
 	}

@@ -30,7 +30,7 @@ func OpenHeapDirect(name string, cfg Config) (alloc.Heap, error) {
 	if err != nil {
 		return nil, err
 	}
-	return openOn(dev, name)
+	return OpenHeapOn(dev, name)
 }
 
 // realBenches are the wall-clock workloads: the thread-scaling trio

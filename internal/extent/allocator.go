@@ -335,6 +335,17 @@ func (a *Allocator) LeaseOverhead() uint64 {
 	return uint64(max(a.pool.cacheOverhead.Load(), 0))
 }
 
+// FreeBytes returns the global pool's free space below the break by what
+// backs it: dirty, the reclaimed extents, whose pages are backed and
+// counted in Used; and retained, the retained and released extents, which
+// hold none (growth no carve has reached, and space whose pages decay gave
+// back).
+func (a *Allocator) FreeBytes() (dirty, retained uint64) {
+	a.pool.Res.Lock()
+	defer a.pool.Res.Unlock()
+	return a.pool.reclaimedBytes.Load(), a.pool.retainedBytes + a.pool.releasedBytes
+}
+
 // Stats returns the global pool's split, coalesce and heap-growth counts.
 func (a *Allocator) Stats() (splits, coalesces, grows uint64) {
 	return a.pool.splits, a.pool.coalesces, a.pool.grows

@@ -6,12 +6,14 @@ import (
 	"nvalloc/internal/pmem"
 )
 
-// Decay parameters: every DecayEpochNS of virtual time the allocator
-// recomputes the smootherstep threshold TH_decay for the reclaimed and
-// retained lists and demotes the oldest free extents above it (the
-// paper's Section 2.2, following jemalloc's 50 ms decay interval).
+// Decay parameters: every DecayEpochNS the allocator recomputes the
+// smootherstep threshold TH_decay for the reclaimed and retained lists and
+// demotes the oldest free extents above it (the paper's Section 2.2,
+// following jemalloc's 50 ms decay interval). Time is the Clock of the
+// device the heap lives on: virtual time on the simulated device, the wall
+// clock on the direct one.
 const (
-	// DecayEpochNS is the tick interval (50 ms of virtual time).
+	// DecayEpochNS is the tick interval (50 ms).
 	DecayEpochNS = 50 * 1000 * 1000
 	// DecayWindowNS is the time over which a fully idle list decays to
 	// zero allowed bytes.
@@ -30,13 +32,15 @@ func Smootherstep(t float64) float64 {
 	return t * t * t * (t*(t*6-15) + 10)
 }
 
-// maybeDecay runs the decay pass if a full epoch of virtual time has
-// passed. Callers hold Res.
+// maybeDecay runs the decay pass if a full epoch has passed. Callers hold
+// Res.
 func (p *Pool) maybeDecay(c *pmem.Ctx) {
-	if c.Now-p.lastDecay < DecayEpochNS {
+	now := c.Clock()
+	if now-p.lastDecay < DecayEpochNS {
 		return
 	}
-	p.lastDecay = c.Now
+	p.lastDecay = now
+	p.decays++
 	p.decayTick(c)
 }
 
@@ -44,10 +48,15 @@ func (p *Pool) maybeDecay(c *pmem.Ctx) {
 // list is the sum over its extents of size*(1-Smootherstep(age/window)):
 // freshly freed extents contribute their full size, fully aged extents
 // contribute nothing. While the list holds more than TH_decay, the
-// oldest extents are demoted — reclaimed to retained ("unmap physical"),
-// retained to released ("return to OS").
+// oldest extents are demoted — reclaimed to retained ("unmap physical":
+// the device discards their pages), retained to released ("return to
+// OS"). An extent whose pages the device keeps stays reclaimed, and the
+// pass stops there: Used never leaves out a byte that is still backed.
+//
+// The pass runs inside whichever verb crosses the epoch, so it allocates
+// nothing: demote reuses index nodes, and the FIFOs keep their capacity.
 func (p *Pool) decayTick(c *pmem.Ctx) {
-	now := c.Now
+	now := c.Clock()
 	// limit computes the allowed bytes and, as a side effect, compacts
 	// the FIFO: entries whose extents were reactivated or merged since
 	// they were queued are dropped, so the queue stays proportional to
@@ -72,11 +81,10 @@ func (p *Pool) decayTick(c *pmem.Ctx) {
 
 	th := limit(&p.fifoReclaimed, Reclaimed)
 	p.drainFIFO(&p.fifoReclaimed, Reclaimed, func(v *VEH) bool {
-		if p.reclaimedBytes.Load() <= th {
+		if p.reclaimedBytes.Load() <= th || p.dev.Discard(v.Addr, int(v.Size)) != nil {
 			return false
 		}
-		p.removeFree(v)
-		p.insertFree(v, Retained, now)
+		p.demote(v, Retained, now)
 		c.Charge(pmem.CatOther, 40) // madvise-equivalent cost
 		return true
 	})
@@ -86,8 +94,7 @@ func (p *Pool) decayTick(c *pmem.Ctx) {
 		if p.retainedBytes <= th {
 			return false
 		}
-		p.removeFree(v)
-		p.insertFree(v, Released, now)
+		p.demote(v, Released, now)
 		c.Charge(pmem.CatOther, 60) // munmap-equivalent cost
 		return true
 	})
@@ -95,7 +102,9 @@ func (p *Pool) decayTick(c *pmem.Ctx) {
 
 // drainFIFO pops entries from the front of a free-extent FIFO in
 // insertion (age) order, skipping stale entries (extents that were
-// reactivated or merged since). fn returns false to stop.
+// reactivated or merged since). fn returns false to stop. What is left
+// moves to the front, so the FIFO keeps its capacity and appends to it
+// stop allocating once it has reached its working size.
 func (p *Pool) drainFIFO(fifo *[]*VEH, want State, fn func(*VEH) bool) {
 	q := *fifo
 	i := 0
@@ -109,7 +118,9 @@ func (p *Pool) drainFIFO(fifo *[]*VEH, want State, fn func(*VEH) bool) {
 			break
 		}
 	}
-	*fifo = q[i:]
+	n := copy(q, q[i:])
+	clear(q[n:])
+	*fifo = q[:n]
 }
 
 // Rebuild reconstructs the allocator's volatile state during recovery:

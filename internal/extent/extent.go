@@ -30,12 +30,14 @@
 //
 // Everything else exported reads, constructs or keeps a statistic.
 // Allocator: Live, Each, Used, Peak, ResetPeak (restarts a statistic),
-// CommitMeta (counts metadata the caller put in service), LeaseOverhead, Stats,
+// CommitMeta (counts metadata the caller put in service), LeaseOverhead,
+// FreeBytes, Stats,
 // CacheStats, Locks, Global, Indexed, and IndexAll (for tests: the eagerly
 // indexed state a rebuild no longer builds). Pool: the field Res, and Len.
 // Constructors: New, Rebuild (recovery), NewInPlace. Types: Config, Tiers,
 // VEH, State, LiveRecord, the Bookkeeper interface and InPlace, which
-// implements it (Recover lists the records its header tables hold).
+// implements it (Recover lists the records its header tables hold, Clear
+// empties them for a format over an older heap).
 // Constants of the geometry (PageSize, ChunkSize, HeaderBytes, LeaseSize,
 // LeaseAlign, MaxShardAlloc) and of decay (DecayEpochNS, DecayWindowNS,
 // Smootherstep).
@@ -80,12 +82,12 @@ type State int
 const (
 	// Activated extents hold live data.
 	Activated State = iota
-	// Reclaimed extents are free with physical memory still mapped: space
+	// Reclaimed extents are free with their pages still backed: space
 	// this process activated and then released.
 	Reclaimed
-	// Retained extents are free with physical memory unmapped (virtual
-	// reservation only): fresh growth, the gaps a rebuild finds, and
-	// reclaimed space that decayed.
+	// Retained extents are free and hold no pages (address space only):
+	// fresh growth, the gaps a rebuild finds, and reclaimed space that
+	// decayed, whose pages the device gave back (pmem.Dev.Discard).
 	Retained
 	// Released extents have been returned to the OS entirely.
 	Released
@@ -97,7 +99,7 @@ type VEH struct {
 	Size     uint64
 	State    State
 	Slab     bool
-	LastFree int64 // virtual time of the last transition to a free state
+	LastFree int64 // Clock time of the last transition to a free state
 	From     State // an activated extent's free state before its carve
 }
 
@@ -195,9 +197,8 @@ type Pool struct {
 	recovered []LiveRecord
 	indexed   []bool
 	pending   int
-	bySize    [2]*rbtree.Tree[sizeKey, *VEH] // [Reclaimed-?], indexed by state-1... see idx()
+	bySize    [3]*rbtree.Tree[sizeKey, *VEH] // free extents by size, one tree per free state (idx)
 	byAddr    *rbtree.Tree[pmem.PAddr, *VEH] // all free extents (coalescing)
-	released  *rbtree.Tree[sizeKey, *VEH]    // OS-returned ranges, reusable last
 
 	fifoReclaimed []*VEH
 	fifoRetained  []*VEH
@@ -210,6 +211,7 @@ type Pool struct {
 	activatedBytes atomic.Uint64
 	reclaimedBytes atomic.Uint64
 	retainedBytes  uint64
+	releasedBytes  uint64
 	peak           atomic.Uint64
 
 	// cacheOverhead counts activated-but-idle bytes parked in arena slab
@@ -221,20 +223,19 @@ type Pool struct {
 	// shard paths adjust it without holding Res.
 	cacheOverhead atomic.Int64
 
-	lastDecay int64 // virtual time of the last decay pass
+	lastDecay int64 // Clock time of the last decay pass
 
 	splits, coalesces, grows uint64
+	decays                   uint64 // decay passes run
 }
 
+// idx returns the size index of free state s: the reclaimed and the
+// retained lists, and the released ranges, reused last.
 func (p *Pool) idx(s State) *rbtree.Tree[sizeKey, *VEH] {
-	switch s {
-	case Reclaimed:
-		return p.bySize[0]
-	case Retained:
-		return p.bySize[1]
-	default:
+	if s < Reclaimed || s > Released {
 		panic("extent: no size index for state")
 	}
+	return p.bySize[s-Reclaimed]
 }
 
 // Config places a large allocator on its device.
@@ -261,12 +262,12 @@ func newPool(dev pmem.Dev, book Bookkeeper, cfg Config) *Pool {
 		brkAddr:        cfg.BreakPtr,
 		activated:      make(map[pmem.PAddr]*VEH),
 		byAddr:         rbtree.New[pmem.PAddr, *VEH](func(x, y pmem.PAddr) bool { return x < y }),
-		released:       rbtree.New[sizeKey, *VEH](sizeLess),
 	}
 	p.metaBytes.Store(cfg.MetaBytes)
 	p.peak.Store(cfg.MetaBytes)
-	p.bySize[0] = rbtree.New[sizeKey, *VEH](sizeLess)
-	p.bySize[1] = rbtree.New[sizeKey, *VEH](sizeLess)
+	for i := range p.bySize {
+		p.bySize[i] = rbtree.New[sizeKey, *VEH](sizeLess)
+	}
 	return p
 }
 
@@ -301,8 +302,8 @@ func (p *Pool) tombstone(c *pmem.Ctx, group []pmem.PAddr) (int, error) {
 // (reclaimed) free extents, minus cache/lease overhead — activated space
 // parked in slab caches and shard leases holds no live data and would
 // otherwise inflate usage by whole 2 MiB leases. Retained and released
-// memory is unmapped and not counted, and so is growth no carve has
-// reached yet.
+// extents hold no pages and are not counted: growth no carve has reached
+// yet, and reclaimed space whose pages decay gave back.
 func (p *Pool) used() uint64 {
 	u := p.metaBytes.Load() + p.activatedBytes.Load() + p.reclaimedBytes.Load()
 	if ov := p.cacheOverhead.Load(); ov > 0 {
@@ -386,38 +387,57 @@ func align(v, al pmem.PAddr) pmem.PAddr { return (v + al - 1) &^ (al - 1) }
 
 // removeFree detaches a free VEH from the size and address indexes.
 func (p *Pool) removeFree(v *VEH) {
-	switch v.State {
-	case Reclaimed:
-		p.reclaimedBytes.Add(-v.Size)
-	case Retained:
-		p.retainedBytes -= v.Size
-	case Released:
-		p.released.Delete(sizeKey{v.Size, v.Addr})
-		p.byAddr.Delete(v.Addr)
-		return
-	}
+	p.leaveList(v)
 	p.idx(v.State).Delete(sizeKey{v.Size, v.Addr})
 	p.byAddr.Delete(v.Addr)
 }
 
 // insertFree registers a free VEH under the given state.
 func (p *Pool) insertFree(v *VEH, s State, now int64) {
+	v.Slab = false
+	p.joinList(v, s, now)
+	p.idx(s).Put(sizeKey{v.Size, v.Addr}, v)
+	p.byAddr.Put(v.Addr, v)
+}
+
+// demote moves a free VEH to a lower free state: reclaimed to retained,
+// retained to released. Its address entry stays as it is and its size
+// entry keeps its node, so a decay pass, which runs inside the request
+// path, allocates nothing.
+func (p *Pool) demote(v *VEH, s State, now int64) {
+	from := p.idx(v.State)
+	p.leaveList(v)
+	p.joinList(v, s, now)
+	from.MoveTo(p.idx(s), sizeKey{v.Size, v.Addr})
+}
+
+// leaveList takes v's bytes off its free list's count.
+func (p *Pool) leaveList(v *VEH) {
+	switch v.State {
+	case Reclaimed:
+		p.reclaimedBytes.Add(-v.Size)
+	case Retained:
+		p.retainedBytes -= v.Size
+	case Released:
+		p.releasedBytes -= v.Size
+	}
+}
+
+// joinList puts v on the free list of state s: its count and, for the
+// lists decay ages, its FIFO.
+func (p *Pool) joinList(v *VEH, s State, now int64) {
 	v.State = s
 	v.LastFree = now
-	v.Slab = false
 	switch s {
 	case Reclaimed:
 		p.reclaimedBytes.Add(v.Size)
 		p.fifoReclaimed = append(p.fifoReclaimed, v)
-		p.idx(s).Put(sizeKey{v.Size, v.Addr}, v)
 	case Retained:
 		p.retainedBytes += v.Size
 		p.fifoRetained = append(p.fifoRetained, v)
-		p.idx(s).Put(sizeKey{v.Size, v.Addr}, v)
 	case Released:
-		p.released.Put(sizeKey{v.Size, v.Addr}, v)
+		p.releasedBytes += v.Size
 	}
-	p.byAddr.Put(v.Addr, v)
 }
 
 // bestFit finds the smallest free extent in the given state that can hold
@@ -520,13 +540,13 @@ func (p *Pool) carve(c *pmem.Ctx, size uint64, alignTo pmem.PAddr, slab bool) (p
 	if alignTo < PageSize {
 		alignTo = PageSize
 	}
-	now := c.Now
+	now := c.Clock()
 	v := p.bestFit(p.idx(Reclaimed), size, alignTo, c)
 	if v == nil {
 		v = p.bestFit(p.idx(Retained), size, alignTo, c)
 	}
 	if v == nil {
-		v = p.bestFit(p.released, size, alignTo, c)
+		v = p.bestFit(p.idx(Released), size, alignTo, c)
 	}
 	if v == nil {
 		nv, err := p.grow(c, size+uint64(alignTo), now)
@@ -556,7 +576,7 @@ func (p *Pool) deactivate(c *pmem.Ctx, addr pmem.PAddr, restore bool) (size uint
 	if restore {
 		state = v.From
 	}
-	p.insertFree(v, state, c.Now)
+	p.insertFree(v, state, c.Clock())
 	p.coalesce(c, v)
 	return size, nil
 }

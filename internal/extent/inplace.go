@@ -88,18 +88,38 @@ func (b *InPlace) RecordFree(c *pmem.Ctx, addrs []pmem.PAddr) (n int, err error)
 // through its own book resource.
 func (b *InPlace) SelfLocked() bool { return false }
 
+// end returns the end of the last whole chunk on the device: every header
+// table lies below it.
+func (b *InPlace) end() pmem.PAddr {
+	end := pmem.PAddr(b.dev.Size())
+	if end < b.heapBase {
+		end = b.heapBase
+	}
+	return end - (end-b.heapBase)%ChunkSize
+}
+
+// Clear zeroes every header table Recover reads, flushed and fenced. A
+// heap formatted where another heap was calls it before it writes its
+// superblock: Recover scans past the break, so a table the old heap left
+// would otherwise come back as live records after the new heap's first
+// crash.
+func (b *InPlace) Clear(c *pmem.Ctx) {
+	for chunk := b.heapBase; chunk < b.end(); chunk += ChunkSize {
+		b.dev.Zero(chunk, HeaderBytes)
+		c.Flush(pmem.CatMeta, chunk, HeaderBytes)
+	}
+	c.Fence()
+}
+
 // Recover scans every chunk header table in the heap region and returns
 // the live extents. The scan deliberately ignores the stored break: a
 // torn or flipped break word must neither walk the scan out of bounds
 // nor hide live chunks beyond a corrupted (shrunken) value. Chunks that
-// were never grown read as all-zero header tables and contribute
-// nothing; Rebuild re-validates and heals the stored break afterwards.
+// were never grown read as all-zero header tables (a format over an older
+// heap clears them: Clear) and contribute nothing; Rebuild re-validates
+// and heals the stored break afterwards.
 func (b *InPlace) Recover(c *pmem.Ctx) []LiveRecord {
-	brk := pmem.PAddr(b.dev.Size())
-	if brk < b.heapBase {
-		brk = b.heapBase
-	}
-	brk -= (brk - b.heapBase) % ChunkSize
+	brk := b.end()
 	var out []LiveRecord
 	for chunk := b.heapBase; chunk < brk; chunk += ChunkSize {
 		for page := HeaderBytes / PageSize; page < ChunkSize/PageSize; page++ {

@@ -337,8 +337,9 @@ func (s *Store) Expire(th alloc.Thread, now int64, key []byte, ttl int64) (bool,
 func (s *Store) Len() int64 { return s.liveKeys.Load() }
 
 // StatsText renders the operational counters and heap accounting as the
-// STATS reply body. An NVAlloc heap adds its metadata in service against
-// what its regions reserve (core.Metadata).
+// STATS reply body. An NVAlloc heap adds its large allocator's free space
+// by what backs it (core.Heap.FreeBytes) and its metadata in service
+// against what its regions reserve (core.Metadata).
 func (s *Store) StatsText() string {
 	var lease uint64
 	if lo, ok := s.heap.(interface{ LeaseOverhead() uint64 }); ok {
@@ -350,6 +351,10 @@ func (s *Store) StatsText() string {
 		s.liveKeys.Load(), s.heap.Used(), s.heap.Peak(), lease,
 		s.sets.Load(), s.gets.Load(), s.hits.Load(), s.dels.Load(),
 		s.expires.Load(), s.collisions.Load())
+	if fh, ok := s.heap.(interface{ FreeBytes() (uint64, uint64) }); ok {
+		dirty, retained := fh.FreeBytes()
+		text += fmt.Sprintf("free_dirty_bytes:%d\nfree_retained_bytes:%d\n", dirty, retained)
+	}
 	if mh, ok := s.heap.(interface{ Metadata() core.Metadata }); ok {
 		m := mh.Metadata()
 		text += fmt.Sprintf(

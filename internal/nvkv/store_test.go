@@ -380,8 +380,10 @@ func TestOpenStoreRejectsOldIndexLayout(t *testing.T) {
 }
 
 // TestStatsReportMetadataInService: on an NVAlloc heap STATS adds the
-// metadata in service against what its regions reserve, every line a
-// name and an unsigned count, and the parts add up to the total.
+// metadata in service against what its regions reserve and the free
+// extents by what backs them, every line a name and an unsigned count;
+// the metadata parts add up to the total, and dirty free space is part of
+// used_bytes.
 func TestStatsReportMetadataInService(t *testing.T) {
 	_, _, th, st := newStore(t)
 	defer th.Close()
@@ -406,5 +408,27 @@ func TestStatsReportMetadataInService(t *testing.T) {
 	sum := stats["meta_superblock_bytes"] + stats["wal_rings_in_service"]*stats["wal_ring_bytes"] + stats["blog_bytes"]
 	if stats["meta_bytes"] != sum || stats["meta_bytes"] >= stats["meta_reserved_bytes"] {
 		t.Errorf("meta_bytes %d, want its parts' sum %d, below the %d B reserved", stats["meta_bytes"], sum, stats["meta_reserved_bytes"])
+	}
+
+	// A freed large value is dirty free space, counted in used_bytes; the
+	// growth no carve has reached is retained.
+	k, big := []byte("big"), make([]byte, 1<<20)
+	if err := st.Set(th, 1, k, big, 0); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := st.Del(th, k); err != nil {
+		t.Fatal(err)
+	}
+	stats = map[string]uint64{}
+	for _, line := range strings.Split(strings.TrimSuffix(st.StatsText(), "\n"), "\n") {
+		k, v, _ := strings.Cut(line, ":")
+		stats[k], _ = strconv.ParseUint(v, 10, 64)
+	}
+	dirty, retained := stats["free_dirty_bytes"], stats["free_retained_bytes"]
+	if dirty < 1<<20 || retained == 0 {
+		t.Errorf("free_dirty_bytes %d and free_retained_bytes %d after a 1 MiB value was freed, want at least 1 MiB and above 0", dirty, retained)
+	}
+	if used := stats["used_bytes"]; used < stats["meta_bytes"]+dirty {
+		t.Errorf("used_bytes %d, want the meta_bytes %d and the dirty %d in it", used, stats["meta_bytes"], dirty)
 	}
 }

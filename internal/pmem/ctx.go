@@ -108,6 +108,9 @@ type Ctx struct {
 	// Now is the worker's virtual clock in nanoseconds.
 	Now int64
 
+	// clock is the direct device's clock (nil on the simulated device).
+	clock func() int64
+
 	// ThreadID labels this worker's journaled flush deltas
 	// (FlushDelta.Thread); recorders of multi-threaded traces assign it.
 	ThreadID int32
@@ -150,6 +153,18 @@ func (c *Ctx) yield(p SchedPoint, r *Resource) {
 	if c.hook != nil {
 		c.hook.Yield(c, p, r, c.held == 0)
 	}
+}
+
+// Clock returns the time, in nanoseconds, that state kept across calls
+// (free-extent decay) ages by: the worker's virtual clock Now on the
+// simulated device, and on the direct device its one clock for every
+// context, the monotonic wall clock since the device was created unless
+// DirectConfig.Clock replaced it.
+func (c *Ctx) Clock() int64 {
+	if c.clock != nil {
+		return c.clock()
+	}
+	return c.Now
 }
 
 // Charge advances the virtual clock by ns, attributing it to cat.

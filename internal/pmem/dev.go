@@ -61,6 +61,11 @@ type Dev interface {
 	// ResetTimeline starts a fresh virtual timeline (a reboot); a no-op
 	// on the direct device, which has no virtual time.
 	ResetTimeline()
+	// Discard gives back the pages behind [addr, addr+n), a free range
+	// nothing will read before it is written again. On the direct device
+	// the range then reads zero and holds no memory; on the simulated one
+	// Discard is a no-op. An error means the pages are still there.
+	Discard(addr PAddr, n int) error
 
 	// mergeStats folds a finishing worker's local counters into the device
 	// totals (Ctx.Merge). Unexported: it seals the interface.

@@ -1,6 +1,9 @@
 package pmem
 
-import "fmt"
+import (
+	"fmt"
+	"time"
+)
 
 // DirectDev is the real-concurrency device: the heap region is plain
 // memory — anonymous by default, or an mmap'd file when DirectConfig.Path
@@ -22,6 +25,9 @@ type DirectDev struct {
 
 	size uint64
 
+	// clock is every context's Clock.
+	clock func() int64
+
 	// unmap releases a file mapping on Close (nil for anonymous memory).
 	unmap func() error
 }
@@ -34,6 +40,11 @@ type DirectConfig struct {
 	// bytes (created or truncated), emulating a DAX heap file. Empty uses
 	// anonymous memory.
 	Path string
+	// Clock, when set, replaces the wall clock the contexts' Clock reads
+	// (nanoseconds since the device was created), so a test can step the
+	// time free-extent decay ages by, or stop it. It must be safe for
+	// concurrent use and never go back.
+	Clock func() int64
 }
 
 // NewDirect creates a real-concurrency device.
@@ -42,7 +53,11 @@ func NewDirect(cfg DirectConfig) (*DirectDev, error) {
 		cfg.Size = 64 << 20
 	}
 	cfg.Size = (cfg.Size + 4095) &^ 4095
-	d := &DirectDev{size: cfg.Size}
+	d := &DirectDev{size: cfg.Size, clock: cfg.Clock}
+	if d.clock == nil {
+		born := time.Now()
+		d.clock = func() int64 { return int64(time.Since(born)) }
+	}
 	if cfg.Path == "" {
 		d.data = make([]byte, cfg.Size)
 		return d, nil
@@ -84,5 +99,19 @@ func (d *DirectDev) ResetTimeline() {}
 // flushes and fences but never advance virtual time or touch bank or
 // line-lock state.
 func (d *DirectDev) NewCtx() *Ctx {
-	return &Ctx{dev: d, direct: true, mem: d.Mem()}
+	return &Ctx{dev: d, direct: true, mem: d.Mem(), clock: d.clock}
+}
+
+// Discard gives the pages behind [addr, addr+n) back: it punches the
+// range out of a heap file (MADV_REMOVE), so the file's blocks are freed
+// too, and drops anonymous pages (MADV_DONTNEED). Either way the range
+// reads zero afterwards. The range must cover whole pages of the
+// operating system; where it does not, or the kernel refuses, the pages
+// stay and Discard says so.
+func (d *DirectDev) Discard(addr PAddr, n int) error {
+	if n <= 0 {
+		return nil
+	}
+	d.check(addr, n)
+	return discard(d.data[addr:int(addr)+n], d.unmap != nil)
 }

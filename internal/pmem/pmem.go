@@ -266,6 +266,11 @@ func (d *Device) ResetTimeline() {
 	}
 }
 
+// Discard is a no-op: the simulated device holds no pages to give back,
+// and nothing reads free space, so what a free extent holds does not
+// matter.
+func (d *Device) Discard(addr PAddr, n int) error { return nil }
+
 // SaveImage writes the persisted image (strict mode) or the cache image to
 // path, emulating the DAX heap file surviving a process exit. The image is
 // written to a temporary file in the same directory and renamed into

@@ -57,7 +57,10 @@ func (t *Tree[K, V]) Get(key K) (V, bool) {
 }
 
 // Put inserts or replaces the value under key.
-func (t *Tree[K, V]) Put(key K, val V) {
+func (t *Tree[K, V]) Put(key K, val V) { t.put(key, val, nil) }
+
+// put is Put with the node a new entry takes, when the caller has one.
+func (t *Tree[K, V]) put(key K, val V, nn *node[K, V]) {
 	var parent *node[K, V]
 	n := t.root
 	for n != nil {
@@ -72,7 +75,10 @@ func (t *Tree[K, V]) Put(key K, val V) {
 			return
 		}
 	}
-	nn := &node[K, V]{key: key, val: val, parent: parent, color: red}
+	if nn == nil {
+		nn = new(node[K, V])
+	}
+	*nn = node[K, V]{key: key, val: val, parent: parent, color: red}
 	t.size++
 	if parent == nil {
 		t.root = nn
@@ -92,6 +98,20 @@ func (t *Tree[K, V]) Delete(key K) bool {
 	}
 	t.deleteNode(n)
 	t.size--
+	return true
+}
+
+// MoveTo moves the entry under key to dst, replacing dst's value under
+// the same key if it has one; it reports whether the key was present.
+// The entry keeps its node, so a move allocates nothing.
+func (t *Tree[K, V]) MoveTo(dst *Tree[K, V], key K) bool {
+	n := t.find(key)
+	if n == nil {
+		return false
+	}
+	t.deleteNode(n)
+	t.size--
+	dst.put(n.key, n.val, n)
 	return true
 }
 

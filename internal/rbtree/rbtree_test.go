@@ -106,6 +106,51 @@ func TestRandomizedInvariants(t *testing.T) {
 	}
 }
 
+// TestMoveTo: entries moved back and forth between two trees keep their
+// values and both trees their invariants, and a move allocates nothing.
+func TestMoveTo(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	a, b := New[int, int](intLess), New[int, int](intLess)
+	for k := 0; k < 400; k++ {
+		a.Put(k, -k)
+	}
+	inA := make(map[int]bool, 400)
+	for k := 0; k < 400; k++ {
+		inA[k] = true
+	}
+	for i := 0; i < 3000; i++ {
+		k := rng.Intn(400)
+		src, dst := a, b
+		if !inA[k] {
+			src, dst = b, a
+		}
+		if !src.MoveTo(dst, k) || src.MoveTo(dst, k) {
+			t.Fatalf("move %d: present once, absent after", k)
+		}
+		inA[k] = !inA[k]
+	}
+	checkInvariants(t, a)
+	checkInvariants(t, b)
+	if a.Len()+b.Len() != 400 {
+		t.Fatalf("%d + %d entries, want 400", a.Len(), b.Len())
+	}
+	for k := 0; k < 400; k++ {
+		tr := b
+		if inA[k] {
+			tr = a
+		}
+		if v, ok := tr.Get(k); !ok || v != -k {
+			t.Fatalf("key %d: %d, %v after its moves", k, v, ok)
+		}
+	}
+	if n := testing.AllocsPerRun(100, func() {
+		a.MoveTo(b, 1)
+		b.MoveTo(a, 1)
+	}); n != 0 {
+		t.Fatalf("%.1f allocations per pair of moves, want 0", n)
+	}
+}
+
 func TestMinMax(t *testing.T) {
 	tr := New[int, int](intLess)
 	if _, _, ok := tr.Min(); ok {
