@@ -7,8 +7,8 @@ import (
 )
 
 // Decay parameters: every DecayEpochNS the allocator recomputes the
-// smootherstep threshold TH_decay for the reclaimed and retained lists and
-// demotes the oldest free extents above it (the paper's Section 2.2,
+// smootherstep threshold TH_decay for the reclaimed list and demotes the
+// oldest reclaimed extents above it to retained (the paper's Section 2.2,
 // following jemalloc's 50 ms decay interval). Time is the Clock of the
 // device the heap lives on: virtual time on the simulated device, the wall
 // clock on the direct one.
@@ -44,88 +44,38 @@ func (p *Pool) maybeDecay(c *pmem.Ctx) {
 	p.decayTick(c)
 }
 
-// decayTick runs one decay pass. The allowed bytes TH_decay of a free
-// list is the sum over its extents of size*(1-Smootherstep(age/window)):
-// freshly freed extents contribute their full size, fully aged extents
-// contribute nothing. While the list holds more than TH_decay, the
-// oldest extents are demoted — reclaimed to retained ("unmap physical":
-// the device discards their pages), retained to released ("return to
-// OS"). An extent whose pages the device keeps stays reclaimed, and the
-// pass stops there: Used never leaves out a byte that is still backed.
+// decayTick runs one decay pass. The allowed bytes TH_decay of the
+// reclaimed list is the sum over its extents of
+// size*(1-Smootherstep(age/window)): freshly freed extents contribute their
+// full size, fully aged extents contribute nothing. While the list holds
+// more than TH_decay, the oldest extents are demoted to retained ("unmap
+// physical": the device discards their pages), where decay ends. An extent
+// whose pages the device keeps stays reclaimed, and the pass stops there:
+// Used never leaves out a byte that is still backed.
 //
 // The pass runs inside whichever verb crosses the epoch, so it allocates
-// nothing: demote reuses index nodes, and the FIFOs keep their capacity.
+// nothing: the decay list runs through the VEHs, and demote reuses index
+// nodes.
 func (p *Pool) decayTick(c *pmem.Ctx) {
 	now := c.Clock()
-	// limit computes the allowed bytes and, as a side effect, compacts
-	// the FIFO: entries whose extents were reactivated or merged since
-	// they were queued are dropped, so the queue stays proportional to
-	// the live free-extent population instead of growing with the total
-	// number of frees.
-	limit := func(fifo *[]*VEH, want State) uint64 {
-		var allowed float64
-		q := *fifo
-		kept := q[:0]
-		for _, v := range q {
-			cur, ok := p.byAddr.Get(v.Addr)
-			if !ok || cur != v || v.State != want {
-				continue
-			}
-			kept = append(kept, v)
-			age := float64(now-v.LastFree) / float64(DecayWindowNS)
-			allowed += float64(v.Size) * (1 - Smootherstep(age))
-		}
-		*fifo = kept
-		return uint64(allowed)
+	var allowed float64
+	for v := p.decay.next; v != &p.decay; v = v.next {
+		age := float64(now-v.LastFree) / float64(DecayWindowNS)
+		allowed += float64(v.Size) * (1 - Smootherstep(age))
 	}
-
-	th := limit(&p.fifoReclaimed, Reclaimed)
-	p.drainFIFO(&p.fifoReclaimed, Reclaimed, func(v *VEH) bool {
-		if p.reclaimedBytes.Load() <= th || p.dev.Discard(v.Addr, int(v.Size)) != nil {
-			return false
+	th := uint64(allowed)
+	for v := p.decay.next; v != &p.decay && p.reclaimedBytes.Load() > th; v = p.decay.next {
+		if p.dev.Discard(v.Addr, int(v.Size)) != nil {
+			return
 		}
-		p.demote(v, Retained, now)
+		p.demote(v, now)
 		c.Charge(pmem.CatOther, 40) // madvise-equivalent cost
-		return true
-	})
-
-	th = limit(&p.fifoRetained, Retained)
-	p.drainFIFO(&p.fifoRetained, Retained, func(v *VEH) bool {
-		if p.retainedBytes <= th {
-			return false
-		}
-		p.demote(v, Released, now)
-		c.Charge(pmem.CatOther, 60) // munmap-equivalent cost
-		return true
-	})
-}
-
-// drainFIFO pops entries from the front of a free-extent FIFO in
-// insertion (age) order, skipping stale entries (extents that were
-// reactivated or merged since). fn returns false to stop. What is left
-// moves to the front, so the FIFO keeps its capacity and appends to it
-// stop allocating once it has reached its working size.
-func (p *Pool) drainFIFO(fifo *[]*VEH, want State, fn func(*VEH) bool) {
-	q := *fifo
-	i := 0
-	for ; i < len(q); i++ {
-		v := q[i]
-		cur, ok := p.byAddr.Get(v.Addr)
-		if !ok || cur != v || v.State != want {
-			continue // stale entry
-		}
-		if !fn(v) {
-			break
-		}
 	}
-	n := copy(q, q[i:])
-	clear(q[n:])
-	*fifo = q[:n]
 }
 
 // Rebuild reconstructs the allocator's volatile state during recovery:
 // the records are the live extents (from the bookkeeper), and every gap
-// between them inside [heapBase, break) becomes a reclaimed free extent —
+// between them inside [heapBase, break) becomes a retained free extent —
 // slab caches and shard pools start empty, because what they held was
 // carved and never recorded. It returns the records in address order.
 //

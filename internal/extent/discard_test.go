@@ -191,50 +191,55 @@ func TestDirectDecayStress(t *testing.T) {
 }
 
 // TestDecayPassAllocatesNothing: a decay pass runs inside whichever verb
-// crosses an epoch, so once the free lists have reached their working
-// size a pass that demotes extents allocates nothing.
+// crosses an epoch, so once the free lists have reached their working size
+// a round of carves and releases around a pass that demotes extents
+// allocates nothing: not the pass, and not the carves that split what it
+// demoted. Carve and Release write no record, so the bookkeeper's own
+// allocations stay out of the count.
 func TestDecayPassAllocatesNothing(t *testing.T) {
 	var clock atomic.Int64
 	dev, a := newDirect(t, "", clock.Load, Tiers{})
 	c := dev.NewCtx()
 	const n = 32
 	var ps [n]pmem.PAddr
+	release := func(first int) {
+		for i := first; i < n; i += 2 {
+			if err := a.Release(c, 0, ps[i], false); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
 	round := func() (mallocs uint64) {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
 		for i := range ps {
-			p, err := a.Alloc(c, 0, 64<<10)
+			p, err := a.Carve(c, 0, 64<<10, false)
 			if err != nil {
 				t.Fatal(err)
 			}
 			ps[i] = p
-			if i%2 == 1 { // every other extent stays apart from its neighbours
-				if err := a.Free(c, 0, ps[i-1], false); err != nil {
-					t.Fatal(err)
-				}
-			}
 		}
+		release(0) // every other extent stays apart from its neighbours
 		clock.Add(2 * DecayWindowNS)
-		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
 		a.pool.lock(c)
 		a.pool.maybeDecay(c)
 		a.pool.unlock(c)
+		release(1)
 		runtime.ReadMemStats(&after)
-		for i := 1; i < n; i += 2 {
-			if err := a.Free(c, 0, ps[i], false); err != nil {
-				t.Fatal(err)
-			}
-		}
 		return after.Mallocs - before.Mallocs
 	}
-	round() // the free lists and FIFOs reach their working size
+	round() // the free lists and the spare headers and nodes reach their working size
 	if rec := a.pool.reclaimedBytes.Load(); rec == 0 {
 		t.Fatal("nothing reclaimed to demote in the next round")
 	}
-	if m := round(); m != 0 {
-		t.Errorf("a decay pass that demoted %d extents made %d allocations, want 0", n/2, m)
-	}
-	if rec := a.pool.reclaimedBytes.Load(); rec != n/2*64<<10 {
-		t.Errorf("%d bytes reclaimed after the round, want the %d its last frees left", rec, n/2*64<<10)
+	for r := 1; r <= 7; r++ {
+		decays := a.pool.decays
+		if m := round(); m != 0 || a.pool.decays != decays+1 {
+			t.Errorf("round %d: %d decay passes, %d allocations, want 1 pass and 0 allocations", r, a.pool.decays-decays, m)
+		}
+		if rec := a.pool.reclaimedBytes.Load(); rec != n/2*64<<10 {
+			t.Errorf("round %d: %d bytes reclaimed after the round, want the %d its last releases left", r, rec, n/2*64<<10)
+		}
 	}
 }

@@ -2,10 +2,10 @@
 // extents from 16 KiB to a few MiB managed through virtual extent headers
 // (VEHs) in DRAM, three lists (activated / reclaimed / retained), best-fit
 // selection over a size-ordered red-black tree, split and coalesce via an
-// address index (the paper's "R-tree"), decay-based demotion of free
-// extents using a smootherstep threshold, and pluggable persistent
-// bookkeeping: the log-structured bookkeeping log (package blog) or the
-// classic in-place region headers the paper's baselines use.
+// address index (the paper's "R-tree"), decay-based demotion of reclaimed
+// extents to retained using a smootherstep threshold, and pluggable
+// persistent bookkeeping: the log-structured bookkeeping log (package blog)
+// or the classic in-place region headers the paper's baselines use.
 //
 // An extent is free, then carved (activated, volatile), then recorded
 // (persistent), then tombstoned (persistent), then released (volatile) and
@@ -87,10 +87,9 @@ const (
 	Reclaimed
 	// Retained extents are free and hold no pages (address space only):
 	// fresh growth, the gaps a rebuild finds, and reclaimed space that
-	// decayed, whose pages the device gave back (pmem.Dev.Discard).
+	// decayed, whose pages the device gave back (pmem.Dev.Discard). Decay
+	// ends here: a retained extent stays retained until a carve takes it.
 	Retained
-	// Released extents have been returned to the OS entirely.
-	Released
 )
 
 // VEH is a virtual extent header: the DRAM descriptor of one extent.
@@ -101,6 +100,10 @@ type VEH struct {
 	Slab     bool
 	LastFree int64 // Clock time of the last transition to a free state
 	From     State // an activated extent's free state before its carve
+
+	// prev and next thread a reclaimed extent on the pool's decay list; next
+	// threads a header coalesce merged away on the pool's spare list.
+	prev, next *VEH
 }
 
 // End returns the first address past the extent.
@@ -197,11 +200,14 @@ type Pool struct {
 	recovered []LiveRecord
 	indexed   []bool
 	pending   int
-	bySize    [3]*rbtree.Tree[sizeKey, *VEH] // free extents by size, one tree per free state (idx)
+	bySize    [2]*rbtree.Tree[sizeKey, *VEH] // free extents by size, one tree per free state (idx)
 	byAddr    *rbtree.Tree[pmem.PAddr, *VEH] // all free extents (coalescing)
 
-	fifoReclaimed []*VEH
-	fifoRetained  []*VEH
+	// decay heads the decay list, a ring through the sentinel: the
+	// reclaimed extents in the order they joined it, oldest (decay.next)
+	// first. spare holds the headers coalesce merged away, for split to take.
+	decay VEH
+	spare *VEH
 
 	// metaBytes, activatedBytes and reclaimedBytes are the terms of used,
 	// and peak its high-water mark. They are atomic because metadata is
@@ -211,7 +217,6 @@ type Pool struct {
 	activatedBytes atomic.Uint64
 	reclaimedBytes atomic.Uint64
 	retainedBytes  uint64
-	releasedBytes  uint64
 	peak           atomic.Uint64
 
 	// cacheOverhead counts activated-but-idle bytes parked in arena slab
@@ -229,10 +234,10 @@ type Pool struct {
 	decays                   uint64 // decay passes run
 }
 
-// idx returns the size index of free state s: the reclaimed and the
-// retained lists, and the released ranges, reused last.
+// idx returns the size index of free state s: the reclaimed or the
+// retained list.
 func (p *Pool) idx(s State) *rbtree.Tree[sizeKey, *VEH] {
-	if s < Reclaimed || s > Released {
+	if s != Reclaimed && s != Retained {
 		panic("extent: no size index for state")
 	}
 	return p.bySize[s-Reclaimed]
@@ -265,6 +270,7 @@ func newPool(dev pmem.Dev, book Bookkeeper, cfg Config) *Pool {
 	}
 	p.metaBytes.Store(cfg.MetaBytes)
 	p.peak.Store(cfg.MetaBytes)
+	p.decay.prev, p.decay.next = &p.decay, &p.decay
 	for i := range p.bySize {
 		p.bySize[i] = rbtree.New[sizeKey, *VEH](sizeLess)
 	}
@@ -301,9 +307,9 @@ func (p *Pool) tombstone(c *pmem.Ctx, group []pmem.PAddr) (int, error) {
 // used returns committed bytes: metadata regions, live extents and dirty
 // (reclaimed) free extents, minus cache/lease overhead — activated space
 // parked in slab caches and shard leases holds no live data and would
-// otherwise inflate usage by whole 2 MiB leases. Retained and released
-// extents hold no pages and are not counted: growth no carve has reached
-// yet, and reclaimed space whose pages decay gave back.
+// otherwise inflate usage by whole 2 MiB leases. Retained extents hold no
+// pages and are not counted: growth no carve has reached yet, and
+// reclaimed space whose pages decay gave back.
 func (p *Pool) used() uint64 {
 	u := p.metaBytes.Load() + p.activatedBytes.Load() + p.reclaimedBytes.Load()
 	if ov := p.cacheOverhead.Load(); ov > 0 {
@@ -400,44 +406,61 @@ func (p *Pool) insertFree(v *VEH, s State, now int64) {
 	p.byAddr.Put(v.Addr, v)
 }
 
-// demote moves a free VEH to a lower free state: reclaimed to retained,
-// retained to released. Its address entry stays as it is and its size
-// entry keeps its node, so a decay pass, which runs inside the request
-// path, allocates nothing.
-func (p *Pool) demote(v *VEH, s State, now int64) {
-	from := p.idx(v.State)
+// demote moves a reclaimed VEH to the retained list. Its address entry
+// stays as it is, and its size entry moves to the retained tree, which
+// takes the node of an earlier delete: a decay pass, which runs inside the
+// request path, allocates nothing once the trees have their working size.
+func (p *Pool) demote(v *VEH, now int64) {
 	p.leaveList(v)
-	p.joinList(v, s, now)
-	from.MoveTo(p.idx(s), sizeKey{v.Size, v.Addr})
+	p.joinList(v, Retained, now)
+	k := sizeKey{v.Size, v.Addr}
+	p.idx(Reclaimed).Delete(k)
+	p.idx(Retained).Put(k, v)
 }
 
-// leaveList takes v's bytes off its free list's count.
+// leaveList takes v off its free list: its count and, for a reclaimed
+// extent, the decay list.
 func (p *Pool) leaveList(v *VEH) {
-	switch v.State {
-	case Reclaimed:
-		p.reclaimedBytes.Add(-v.Size)
-	case Retained:
+	if v.State == Retained {
 		p.retainedBytes -= v.Size
-	case Released:
-		p.releasedBytes -= v.Size
+		return
 	}
+	p.reclaimedBytes.Add(-v.Size)
+	v.prev.next, v.next.prev = v.next, v.prev
+	v.prev, v.next = nil, nil
 }
 
 // joinList puts v on the free list of state s: its count and, for the
-// lists decay ages, its FIFO.
+// reclaimed list, which decay ages, the tail of the decay list.
 func (p *Pool) joinList(v *VEH, s State, now int64) {
 	v.State = s
 	v.LastFree = now
-	switch s {
-	case Reclaimed:
-		p.reclaimedBytes.Add(v.Size)
-		p.fifoReclaimed = append(p.fifoReclaimed, v)
-	case Retained:
+	if s == Retained {
 		p.retainedBytes += v.Size
-		p.fifoRetained = append(p.fifoRetained, v)
-	case Released:
-		p.releasedBytes += v.Size
+		return
 	}
+	p.reclaimedBytes.Add(v.Size)
+	v.prev, v.next = p.decay.prev, &p.decay
+	v.prev.next, p.decay.prev = v, v
+}
+
+// newVEH returns a header for the free extent [addr, addr+size): one that
+// coalesce merged away, or a new one.
+func (p *Pool) newVEH(addr pmem.PAddr, size uint64) *VEH {
+	v := p.spare
+	if v == nil {
+		return &VEH{Addr: addr, Size: size}
+	}
+	p.spare = v.next
+	*v = VEH{Addr: addr, Size: size}
+	return v
+}
+
+// retire puts the header of an extent coalesce merged away on the spare
+// list.
+func (p *Pool) retire(v *VEH) {
+	*v = VEH{next: p.spare}
+	p.spare = v
 }
 
 // bestFit finds the smallest free extent in the given state that can hold
@@ -460,25 +483,23 @@ func (p *Pool) bestFit(tree *rbtree.Tree[sizeKey, *VEH], size uint64, al pmem.PA
 }
 
 // split cuts the free extent v so that [start,start+size) becomes an
-// activated extent; any head or tail remainder stays free in v's former
-// state.
+// activated extent, which keeps v's header; any head or tail remainder
+// stays free in v's former state.
 func (p *Pool) split(v *VEH, start pmem.PAddr, size uint64, now int64) *VEH {
-	state := v.State
+	state, addr, end := v.State, v.Addr, v.End()
 	p.removeFree(v)
-	if start > v.Addr {
-		head := &VEH{Addr: v.Addr, Size: uint64(start - v.Addr)}
-		p.insertFree(head, state, now)
+	if start > addr {
+		p.insertFree(p.newVEH(addr, uint64(start-addr)), state, now)
 		p.splits++
 	}
-	if end := start + pmem.PAddr(size); end < v.End() {
-		tail := &VEH{Addr: end, Size: uint64(v.End() - end)}
-		p.insertFree(tail, state, now)
+	if e := start + pmem.PAddr(size); e < end {
+		p.insertFree(p.newVEH(e, uint64(end-e)), state, now)
 		p.splits++
 	}
-	nv := &VEH{Addr: start, Size: size, State: Activated, From: state}
-	p.activated[start] = nv
+	*v = VEH{Addr: start, Size: size, State: Activated, From: state}
+	p.activated[start] = v
 	p.activatedBytes.Add(size)
-	return nv
+	return v
 }
 
 // grow extends the heap break by at least `need` bytes (in ChunkSize
@@ -526,7 +547,7 @@ func (p *Pool) grow(c *pmem.Ctx, need uint64, now int64) (*VEH, error) {
 }
 
 // carve takes an extent off the free lists: best fit over the reclaimed
-// list, then the retained list, then OS-released ranges, then heap growth.
+// list, then the retained list, then heap growth.
 // Free -> carved: the extent is activated in this process only, and a crash
 // before its record returns the space. Slabs are carved this way so that the
 // record is written only after the slab header is formatted and flushed — a
@@ -544,9 +565,6 @@ func (p *Pool) carve(c *pmem.Ctx, size uint64, alignTo pmem.PAddr, slab bool) (p
 	v := p.bestFit(p.idx(Reclaimed), size, alignTo, c)
 	if v == nil {
 		v = p.bestFit(p.idx(Retained), size, alignTo, c)
-	}
-	if v == nil {
-		v = p.bestFit(p.idx(Released), size, alignTo, c)
 	}
 	if v == nil {
 		nv, err := p.grow(c, size+uint64(alignTo), now)
@@ -721,6 +739,7 @@ func (p *Pool) coalesce(c *pmem.Ctx, v *VEH) {
 			p.removeFree(v)
 			left.Size += v.Size
 			p.insertFree(left, v.State, maxI64(left.LastFree, v.LastFree))
+			p.retire(v)
 			v = left
 			p.coalesces++
 			merged = true
@@ -731,6 +750,7 @@ func (p *Pool) coalesce(c *pmem.Ctx, v *VEH) {
 			p.removeFree(v)
 			v.Size += right.Size
 			p.insertFree(v, v.State, maxI64(v.LastFree, right.LastFree))
+			p.retire(right)
 			p.coalesces++
 			merged = true
 			c.Charge(pmem.CatSearch, 30)

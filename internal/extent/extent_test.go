@@ -234,16 +234,54 @@ func TestDecayDemotesIdleExtents(t *testing.T) {
 	if a.Used() > a.pool.metaBytes.Load()+a.pool.activatedBytes.Load()+rec1 {
 		t.Fatal("used accounting inconsistent")
 	}
-	// A second full window releases retained memory to the OS.
-	ret1 := a.pool.retainedBytes
+	// Decay ends at retained: a second full window changes nothing.
+	used := a.Used()
+	dirty, retained := a.FreeBytes()
 	c.Charge(pmem.CatOther, DecayWindowNS+DecayEpochNS)
 	a.pool.decayTick(c)
-	if ret2 := a.pool.retainedBytes; ret2 >= ret1 || state() != Released {
-		t.Fatalf("retained bytes not released: %d -> %d, extent %v", ret1, ret2, state())
+	if s := state(); s != Retained {
+		t.Fatalf("the retained extent is %v after a second window, want retained", s)
+	}
+	if d, r := a.FreeBytes(); a.Used() != used || d != dirty || r != retained {
+		t.Fatalf("a second window moved Used %d -> %d and FreeBytes (%d, %d) -> (%d, %d)", used, a.Used(), dirty, retained, d, r)
 	}
 }
 
-func TestRetainedAndReleasedAreReusable(t *testing.T) {
+// TestDecayCountsMergedExtentOnce: an extent that coalesce merged from
+// three frees is one extent on the decay list, so half a window later its
+// allowance is half its size, not once per merge: the pass demotes it.
+func TestDecayCountsMergedExtentOnce(t *testing.T) {
+	_, a, c := newAlloc(t, 64<<20)
+	var ps [3]pmem.PAddr
+	for i := range ps {
+		p, err := a.Alloc(c, 0, 64<<10)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ps[i] = p
+	}
+	if ps[1] != ps[0]+64<<10 || ps[2] != ps[1]+64<<10 {
+		t.Fatalf("extents not adjacent (%#x %#x %#x)", ps[0], ps[1], ps[2])
+	}
+	for _, i := range []int{0, 2, 1} {
+		if err := a.Free(c, 0, ps[i], false); err != nil {
+			t.Fatal(err)
+		}
+	}
+	v, ok := a.pool.byAddr.Get(ps[0])
+	if !ok || v.Size != 192<<10 || v.State != Reclaimed {
+		t.Fatalf("the three frees left %+v at %#x, want one reclaimed 192 KiB extent", v, ps[0])
+	}
+	c.Charge(pmem.CatOther, DecayWindowNS/2)
+	a.pool.decayTick(c)
+	if v.State != Retained {
+		t.Fatalf("the merged extent is %v half a window after its frees, want retained", v.State)
+	}
+}
+
+// TestRetainedIsReusable: space that decayed to retained is carved again
+// without growing the heap.
+func TestRetainedIsReusable(t *testing.T) {
 	_, a, c := newAlloc(t, 64<<20)
 	p, _ := a.Alloc(c, 0, 1<<20)
 	if err := a.Free(c, 0, p, false); err != nil {
@@ -254,8 +292,8 @@ func TestRetainedAndReleasedAreReusable(t *testing.T) {
 	c.Charge(pmem.CatOther, 2*DecayWindowNS)
 	a.pool.decayTick(c)
 	grows := a.pool.grows
-	// Everything is retained/released now, but allocation must still
-	// succeed without growing the heap (remap).
+	// Everything is retained now, but allocation must still succeed
+	// without growing the heap (remap).
 	q, err := a.Alloc(c, 0, 1<<20)
 	if err != nil {
 		t.Fatal(err)

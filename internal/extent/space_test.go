@@ -13,7 +13,8 @@ import (
 // tombstones, releases, undone carves, cache flushes and decay — and checks
 // after every step that Peak is at least Used: every rise of Used is seen,
 // including the ones where idle cache or lease space is handed out, or
-// taken back reclaimed.
+// taken back reclaimed. It also checks the decay list after every step
+// (checkDecayList).
 func TestPeakCoversUsed(t *testing.T) {
 	type held struct {
 		addr     pmem.PAddr
@@ -31,6 +32,9 @@ func TestPeakCoversUsed(t *testing.T) {
 					t.Helper()
 					if u, p := a.Used(), a.Peak(); p < u {
 						t.Fatalf("step %d (%s): Peak %d < Used %d", step, op, p, u)
+					}
+					if err := checkDecayList(a.pool); err != nil {
+						t.Fatalf("step %d (%s): %v", step, op, err)
 					}
 				}
 				carve := func(arena int, slab bool) (pmem.PAddr, uint64, bool) {
@@ -99,6 +103,48 @@ func TestPeakCoversUsed(t *testing.T) {
 			})
 		}
 	}
+}
+
+// checkDecayList reports where the decay list is not exactly the reclaimed
+// extents, each once, with reclaimedBytes its bytes.
+func checkDecayList(p *Pool) error {
+	on := make(map[*VEH]bool)
+	var bytes uint64
+	prev := &p.decay
+	for v := p.decay.next; v != &p.decay; prev, v = v, v.next {
+		if on[v] {
+			return fmt.Errorf("extent %#x is on the decay list twice", v.Addr)
+		}
+		if v.prev != prev {
+			return fmt.Errorf("extent %#x on the decay list does not link back to its predecessor", v.Addr)
+		}
+		on[v] = true
+		bytes += v.Size
+	}
+	if p.decay.prev != prev {
+		return fmt.Errorf("the decay list's sentinel does not link back to its last extent")
+	}
+	var err error
+	reclaimed := 0
+	p.byAddr.Ascend(func(_ pmem.PAddr, v *VEH) bool {
+		if (v.State == Reclaimed) != on[v] {
+			err = fmt.Errorf("free extent %#x in state %d is on the decay list: %v", v.Addr, v.State, on[v])
+			return false
+		}
+		if on[v] {
+			reclaimed++
+		}
+		return true
+	})
+	switch {
+	case err != nil:
+		return err
+	case reclaimed != len(on):
+		return fmt.Errorf("%d extents on the decay list, %d of them free and reclaimed", len(on), reclaimed)
+	case bytes != p.reclaimedBytes.Load():
+		return fmt.Errorf("the decay list holds %d bytes, reclaimedBytes %d", bytes, p.reclaimedBytes.Load())
+	}
+	return nil
 }
 
 // TestRebuildCountsChunksFromHeapBase: on a heap whose base is not chunk

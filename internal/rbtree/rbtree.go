@@ -22,6 +22,10 @@ type Tree[K, V any] struct {
 	root *node[K, V]
 	less func(a, b K) bool
 	size int
+	// spare holds the nodes of deleted entries, threaded through their
+	// right links, for Put to take: a tree allocates a node only when it
+	// holds more entries than it ever held before.
+	spare *node[K, V]
 }
 
 // New creates a tree ordered by less.
@@ -56,11 +60,9 @@ func (t *Tree[K, V]) Get(key K) (V, bool) {
 	return zero, false
 }
 
-// Put inserts or replaces the value under key.
-func (t *Tree[K, V]) Put(key K, val V) { t.put(key, val, nil) }
-
-// put is Put with the node a new entry takes, when the caller has one.
-func (t *Tree[K, V]) put(key K, val V, nn *node[K, V]) {
+// Put inserts or replaces the value under key. A new entry takes a spare
+// node when there is one.
+func (t *Tree[K, V]) Put(key K, val V) {
 	var parent *node[K, V]
 	n := t.root
 	for n != nil {
@@ -75,8 +77,11 @@ func (t *Tree[K, V]) put(key K, val V, nn *node[K, V]) {
 			return
 		}
 	}
+	nn := t.spare
 	if nn == nil {
 		nn = new(node[K, V])
+	} else {
+		t.spare = nn.right
 	}
 	*nn = node[K, V]{key: key, val: val, parent: parent, color: red}
 	t.size++
@@ -90,7 +95,8 @@ func (t *Tree[K, V]) put(key K, val V, nn *node[K, V]) {
 	t.insertFix(nn)
 }
 
-// Delete removes key; it reports whether the key was present.
+// Delete removes key; it reports whether the key was present. The entry's
+// node goes on the spare list.
 func (t *Tree[K, V]) Delete(key K) bool {
 	n := t.find(key)
 	if n == nil {
@@ -98,20 +104,8 @@ func (t *Tree[K, V]) Delete(key K) bool {
 	}
 	t.deleteNode(n)
 	t.size--
-	return true
-}
-
-// MoveTo moves the entry under key to dst, replacing dst's value under
-// the same key if it has one; it reports whether the key was present.
-// The entry keeps its node, so a move allocates nothing.
-func (t *Tree[K, V]) MoveTo(dst *Tree[K, V], key K) bool {
-	n := t.find(key)
-	if n == nil {
-		return false
-	}
-	t.deleteNode(n)
-	t.size--
-	dst.put(n.key, n.val, n)
+	*n = node[K, V]{right: t.spare}
+	t.spare = n
 	return true
 }
 

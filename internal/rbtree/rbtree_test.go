@@ -106,9 +106,12 @@ func TestRandomizedInvariants(t *testing.T) {
 	}
 }
 
-// TestMoveTo: entries moved back and forth between two trees keep their
-// values and both trees their invariants, and a move allocates nothing.
-func TestMoveTo(t *testing.T) {
+// TestDeletedNodesAreReused: entries moved back and forth between two trees
+// (a Delete from one, a Put into the other) keep their values and both trees
+// their invariants, and once each tree has reached its working size a
+// delete and an insert allocate nothing: the insert takes the node of an
+// earlier delete.
+func TestDeletedNodesAreReused(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	a, b := New[int, int](intLess), New[int, int](intLess)
 	for k := 0; k < 400; k++ {
@@ -118,13 +121,21 @@ func TestMoveTo(t *testing.T) {
 	for k := 0; k < 400; k++ {
 		inA[k] = true
 	}
+	move := func(src, dst *Tree[int, int], k int) bool {
+		v, ok := src.Get(k)
+		if ok {
+			src.Delete(k)
+			dst.Put(k, v)
+		}
+		return ok
+	}
 	for i := 0; i < 3000; i++ {
 		k := rng.Intn(400)
 		src, dst := a, b
 		if !inA[k] {
 			src, dst = b, a
 		}
-		if !src.MoveTo(dst, k) || src.MoveTo(dst, k) {
+		if !move(src, dst, k) || move(src, dst, k) {
 			t.Fatalf("move %d: present once, absent after", k)
 		}
 		inA[k] = !inA[k]
@@ -143,9 +154,14 @@ func TestMoveTo(t *testing.T) {
 			t.Fatalf("key %d: %d, %v after its moves", k, v, ok)
 		}
 	}
+	src, dst := a, b
+	if !inA[1] {
+		src, dst = b, a
+	}
 	if n := testing.AllocsPerRun(100, func() {
-		a.MoveTo(b, 1)
-		b.MoveTo(a, 1)
+		move(src, dst, 1)
+		move(dst, src, 1)
+		src.Put(1, -1) // a replacement takes no node
 	}); n != 0 {
 		t.Fatalf("%.1f allocations per pair of moves, want 0", n)
 	}
