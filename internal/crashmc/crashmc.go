@@ -1,7 +1,8 @@
 // Package crashmc is a deterministic crash-point model checker for every
-// allocator in the repository. It has one way to make a crash image: it
-// records an operation trace — serial, or two threads' under a replayable
-// schedule — on a journaled device (internal/pmem's copy-on-flush
+// allocator in the repository, and for the nvkv service above one. It has
+// one way to make a crash image: it records an operation trace — serial,
+// two threads' under a replayable schedule, or a service session — on a
+// journaled device (internal/pmem's copy-on-flush
 // journal), then takes every cut of it (Cut: each prefix of the flush
 // journal, torn-line variants of the line in flight, a second crash inside
 // recovery, the cache image a killed process leaves, seeded bit flips in
@@ -45,6 +46,9 @@ type Target struct {
 	// checker against the image (read-only: it must clone the device)
 	// and returns every problem found (Config.CheckEvery).
 	Check func(dev *pmem.Device) []string
+	// DeviceBytes, when nonzero, sizes the recording's device in place of
+	// DefaultDeviceBytes, for a target whose heap stays far smaller.
+	DeviceBytes uint64
 }
 
 // PanicError reports a panic recovered during a guarded heap open. Under
@@ -74,7 +78,7 @@ func OpenGuarded(tg Target, dev *pmem.Device) (h alloc.Heap, err error) {
 
 // DefaultDeviceBytes sizes the model checker's devices: every cut copies
 // the full image into the scratch device, so the image size multiplies
-// directly into enumeration cost.
+// directly into enumeration cost (Target.DeviceBytes).
 const DefaultDeviceBytes = 24 << 20
 
 // SmokeGCThreshold is the bookkeeping-log slow-GC trigger used by the

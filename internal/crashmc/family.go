@@ -59,8 +59,10 @@ type Counter struct {
 // allocator, then NVAlloc-LOG's dedicated families, then a slab morph on
 // each NVAlloc variant, then the deep trace on every allocator, then each
 // raced trace on NVAlloc-LOG and -GC (IC shares LOG's code paths for all
-// three; the baselines have no concurrent machinery). seed seeds the
-// smoke, fence-elision and raced traces; the others are hand-built.
+// three; the baselines have no concurrent machinery), then the nvkv
+// service's scripted session on NVAlloc-LOG. seed seeds the smoke,
+// fence-elision and raced traces and the session's script; the others are
+// hand-built.
 func Families(seed uint64) []Family {
 	var fs []Family
 	for _, tg := range Targets() {
@@ -88,7 +90,7 @@ func Families(seed uint64) []Family {
 			fs = append(fs, Family{Name: tr.Name, Target: VariantTarget(v), Trace: tr})
 		}
 	}
-	return fs
+	return append(fs, kvFamily(seed))
 }
 
 // smokeShape reports the distinct recovery paths the sweep drove and the

@@ -48,6 +48,11 @@ var familyCases = map[string]familyCase{
 	"compaction": {tornSeed: 0xB17, perWindow: 30, opsSucceed: true,
 		full:  RunOptions{Config: sweepOf(0, 64), Windows: Every(16), Flushes: Every(8), Flips: Every(8)},
 		short: RunOptions{Config: sweepOf(100, 64), Windows: Every(80), Flushes: Every(40), Flips: Every(40)}},
+	// Every power cut, clean and torn; cache-image and flip cuts at the
+	// stride the other rows take.
+	"kv-session": {seed: 1, tornSeed: 0xDECAF,
+		full:  RunOptions{Config: sweepOf(0, 64), Flushes: Every(8), Flips: Every(8)},
+		short: RunOptions{Config: sweepOf(150, 16), Flushes: Every(80), Flips: Every(80)}},
 	"morph": {tornSeed: 13,
 		full:  RunOptions{Config: sweepOf(0, 16)},
 		short: RunOptions{Config: sweepOf(30, 16), Flushes: Every(3), Flips: Every(3)}},
@@ -275,6 +280,16 @@ func TestCompactionFamily(t *testing.T) {
 }
 func TestCompactionRecoveryCrashes(t *testing.T) {
 	checkFamily(t, "compaction", "NVAlloc-LOG", partRecovery)
+}
+
+// TestKVSessionFamily: the nvkv service under the allocator's cuts — a
+// scripted session served over a pipe, every boundary of it clean and torn,
+// cache-image and flip cuts at a stride — against acknowledged durability
+// and allocated == reachable.
+func TestKVSessionFamily(t *testing.T) {
+	t.Parallel()
+	rep := checkFamily(t, "kv-session", "NVAlloc-LOG", partAll)
+	t.Logf("%d images verified", rep.Sweep.Explored+rep.Sweep.TornExplored+rep.Cache.Explored+rep.Flip.Explored)
 }
 
 // TestMorphCrashSweep: the window of the allocation that morphs a slab, on

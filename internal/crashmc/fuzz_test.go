@@ -55,7 +55,6 @@ func FuzzCrashRecover(f *testing.F) {
 		rec := fuzzRecording(t, traceSeed)
 		k := int(crashIdx) % rec.Boundaries()
 		check := func(cut Cut, cfg Config) {
-			cfg.ProbeAllocs = 32
 			if rep := Sweep(rec, cut, []int{k}, cfg); !rep.Passed() {
 				path, _ := WriteRepro("", NewRepro(rep, traceSeed, cfg.TornSeed))
 				t.Fatalf("seed=%#x k=%d tear=%#x flip=%#x repro=%s: %s", traceSeed, k, tearSeed, flipSeed, path, rep)

@@ -22,10 +22,11 @@ type slotOp struct {
 }
 
 // slotHistory derives every root slot's transition sequence from the
-// recorded ops (failed ops leave the slot untouched).
+// recorded ops (failed ops leave the slot untouched), starting from the
+// roots durable at CreatedAt.
 func slotHistory(rec *Recording) map[int][]slotOp {
 	hist := map[int][]slotOp{}
-	cur := map[int]uint64{}
+	cur := rec.Roots
 	for i, or := range rec.Ops {
 		if or.Err {
 			continue
@@ -48,6 +49,10 @@ func slotHistory(rec *Recording) map[int][]slotOp {
 	return hist
 }
 
+// probeAllocs is how many fresh allocations verifyImage probes against the
+// surviving roots of every recovered image.
+const probeAllocs = 64
+
 // verifyImage recovers from one crash image of boundary k and runs every
 // oracle check, appending violations to part; torn says the image holds a
 // partial application of flush k itself. It is what every cut of every
@@ -61,7 +66,7 @@ func slotHistory(rec *Recording) map[int][]slotOp {
 //   - every root slot holds a legal value: the value durable at k, or —
 //     when an operation's flush window straddles k — that operation's
 //     pre- or post-value (recovery may roll either way, but nowhere
-//     else);
+//     else); before CreatedAt a slot Create publishes may still be empty;
 //   - no two roots alias; each published block frees exactly once; a
 //     durably published block still carries its data marker;
 //   - fresh allocations never collide with surviving roots;
@@ -114,7 +119,7 @@ func (s *sweep) verifyImage(part *Report, scratch *pmem.Device, k int, torn bool
 	for s := 0; s < alloc.NumRootSlots; s++ {
 		ops := hist[s]
 		actual := scratch.ReadU64(h2.RootSlot(s))
-		var durable uint64
+		durable := rec.Roots[s]
 		durableIdx := -1
 		var inflight *slotOp
 		for idx := range ops {
@@ -132,7 +137,7 @@ func (s *sweep) verifyImage(part *Report, scratch *pmem.Device, k int, torn bool
 				break
 			}
 		}
-		legal := actual == durable
+		legal := actual == durable || k < rec.CreatedAt && actual == 0
 		if inflight != nil && (actual == inflight.pre || actual == inflight.post) {
 			legal = true
 		}
@@ -230,24 +235,22 @@ func (s *sweep) verifyImage(part *Report, scratch *pmem.Device, k int, torn bool
 
 	// Fresh allocations must not collide with surviving roots, and the
 	// checker must observe no overlaps among them.
-	if cfg.ProbeAllocs > 0 {
-		ck := alloc.NewChecker(h2)
-		th := ck.NewThread()
-		for i := 0; i < cfg.ProbeAllocs; i++ {
-			p, err := th.Malloc(uint64(64 + i%256))
-			if err != nil {
-				fail("probe alloc %d failed after recovery: %v", i, err)
-				break
-			}
-			if s, dup := seen[uint64(p)]; dup {
-				fail("published block %#x (slot %d) handed out again", p, s)
-			}
+	ck := alloc.NewChecker(h2)
+	th := ck.NewThread()
+	for i := 0; i < probeAllocs; i++ {
+		p, err := th.Malloc(uint64(64 + i%256))
+		if err != nil {
+			fail("probe alloc %d failed after recovery: %v", i, err)
+			break
 		}
-		for _, e := range ck.Errors() {
-			fail("probe checker: %s", e)
+		if s, dup := seen[uint64(p)]; dup {
+			fail("published block %#x (slot %d) handed out again", p, s)
 		}
-		th.Close()
 	}
+	for _, e := range ck.Errors() {
+		fail("probe checker: %s", e)
+	}
+	th.Close()
 
 	// Every surviving published block must be allocated: freeing it
 	// succeeds exactly once (raw threads — recovery has no record of the

@@ -1,6 +1,7 @@
 package crashmc
 
 import (
+	"encoding/binary"
 	"fmt"
 
 	"nvalloc/internal/alloc"
@@ -11,7 +12,7 @@ import (
 // its result, its window of journaled flushes, and the heap's space
 // accounting after it completed.
 type OpRecord struct {
-	Op   Op
+	Op   Op         // the zero Op for an operation of a service trace
 	Addr pmem.PAddr // result of OpMalloc/OpMallocTo/OpPublish (0 on error or skip)
 	Err  bool       // the op returned an error (or was skipped)
 	// FlushStart and FlushEnd bound the op's journaled flushes: the
@@ -41,6 +42,9 @@ type Recording struct {
 	// before it, recovery may refuse the image (typed error); from it
 	// on, every boundary MUST recover.
 	CreatedAt int
+	// Roots holds every root slot's value durable at CreatedAt: 0, or what
+	// the target's Create published (a service's index).
+	Roots [alloc.NumRootSlots]uint64
 	// CloseStart is the boundary at which heap shutdown (thread drains
 	// plus Close) began.
 	CloseStart int
@@ -80,13 +84,16 @@ type session struct {
 	rec *Recording
 }
 
-// newDevice returns the journaled strict device a recording runs on.
+// newDevice returns the journaled strict device a recording of tg runs on.
 // onFlush, when non-nil, runs after every journaled flush, Create's
 // included, with the device — whose cache image is then the state a
 // process kill at that instant leaves in a page-cache-backed mapping —
 // and the number of flushes so far.
-func newDevice(onFlush func(dev *pmem.Device, flushes int)) *pmem.Device {
+func newDevice(tg Target, onFlush func(dev *pmem.Device, flushes int)) *pmem.Device {
 	cfg := pmem.Config{Size: DefaultDeviceBytes, Strict: true, Journal: true}
+	if tg.DeviceBytes > 0 {
+		cfg.Size = tg.DeviceBytes
+	}
 	var dev *pmem.Device
 	if onFlush != nil {
 		cfg.OnJournal = func(flushes int) { onFlush(dev, flushes) }
@@ -168,42 +175,82 @@ func (s *session) exec(th alloc.Thread, op Op, marker uint64, ref *OpRecord) OpR
 	default:
 		panic(fmt.Sprintf("crashmc: exec of unchecked op kind %v", op.Kind))
 	}
-	or.FlushEnd = dev.JournalLen()
+	s.done(&or)
+	return or
+}
+
+// done closes or's flush window now and notes the heap's space after it.
+func (s *session) done(or *OpRecord) {
+	rec, h := s.rec, s.h
+	or.FlushEnd = rec.Dev.JournalLen()
 	or.UsedAfter = h.Used()
-	s.rec.MaxUsed = max(s.rec.MaxUsed, or.UsedAfter)
+	rec.MaxUsed = max(rec.MaxUsed, or.UsedAfter)
 	if lo, ok := h.(interface{ LeaseOverhead() uint64 }); ok {
-		s.rec.MaxLease = max(s.rec.MaxLease, lo.LeaseOverhead())
+		rec.MaxLease = max(rec.MaxLease, lo.LeaseOverhead())
 	}
-	if probe := s.rec.opts.Probe; probe != nil {
+	if probe := rec.opts.Probe; probe != nil {
 		or.Probe = probe(h)
 	}
-	return or
 }
 
 // close shuts the heap down — thread drains, then Close — and completes
 // the recording with the device's journal.
 func (s *session) close(threads []alloc.Thread) (*Recording, error) {
-	rec, dev := s.rec, s.rec.Dev
-	rec.CloseStart = dev.JournalLen()
+	s.rec.CloseStart = s.rec.Dev.JournalLen()
 	for _, th := range threads {
 		if th != nil {
 			th.Close()
 		}
 	}
+	return s.finish()
+}
+
+// finish closes the heap, whose shutdown began at CloseStart, and completes
+// the recording with the device's journal and the roots durable at
+// CreatedAt.
+func (s *session) finish() (*Recording, error) {
+	rec, dev := s.rec, s.rec.Dev
 	if err := s.h.Close(); err != nil {
 		return nil, fmt.Errorf("crashmc: close %s: %w", rec.Target.Name, err)
 	}
 	rec.Journal = dev.JournalSnapshot()
+	for i := range rec.Roots {
+		a := s.h.RootSlot(i)
+		for _, fd := range rec.Journal[:rec.CreatedAt] {
+			if fd.Line == uint64(a)/pmem.LineSize {
+				off := uint64(a) % pmem.LineSize
+				rec.Roots[i] = binary.LittleEndian.Uint64(fd.Data[off : off+8])
+			}
+		}
+	}
 	return rec, nil
+}
+
+// serve runs a service trace's session (Trace.Serve) and records each
+// operation it acknowledges.
+func (s *session) serve(run func(h alloc.Heap, acked func(i int)) error) (*Recording, error) {
+	rec := s.rec
+	start := rec.Dev.JournalLen()
+	err := run(s.h, func(int) {
+		or := OpRecord{FlushStart: start}
+		s.done(&or)
+		rec.Ops = append(rec.Ops, or)
+		start = or.FlushEnd
+	})
+	if err != nil {
+		return nil, fmt.Errorf("crashmc: %s on %s: %w", rec.Trace.Name, rec.Target.Name, err)
+	}
+	rec.CloseStart = start
+	return s.finish()
 }
 
 // Record executes tr against a fresh heap of tg on a journaled strict
 // device and captures the flush journal plus per-op windows. The trace
-// runs on a single goroutine (thread handles are used serially), so the
-// journal — and therefore every enumerated crash image — is
-// deterministic.
+// runs on a single goroutine (thread handles are used serially; a service
+// session serves one operation at a time), so the journal — and therefore
+// every enumerated crash image — is deterministic.
 func Record(tg Target, tr Trace, opts RecordOptions) (*Recording, error) {
-	return runOn(newDevice(nil), tg, tr, opts)
+	return runOn(newDevice(tg, nil), tg, tr, opts)
 }
 
 // runOn is Record on a device the caller made: a journaled one with a
@@ -213,6 +260,9 @@ func runOn(dev *pmem.Device, tg Target, tr Trace, opts RecordOptions) (*Recordin
 	s, err := open(dev, tg, tr, "", opts)
 	if err != nil {
 		return nil, err
+	}
+	if tr.Serve != nil {
+		return s.serve(tr.Serve)
 	}
 	threads := make([]alloc.Thread, max(tr.Threads, 1))
 	if err := s.serial(tr.Ops, threads); err != nil {

@@ -241,7 +241,11 @@ func (rec *Recording) phase(k int) string {
 	var kinds []string
 	for i := range rec.Ops {
 		if or := &rec.Ops[i]; or.FlushStart < k && k < or.FlushEnd {
-			kinds = append(kinds, or.Op.Kind.String())
+			kind := or.Op.Kind.String()
+			if rec.Trace.Serve != nil {
+				kind = "serve"
+			}
+			kinds = append(kinds, kind)
 		}
 	}
 	if len(kinds) == 0 {

@@ -87,9 +87,6 @@ type Config struct {
 	// (0 = never). The checker opens a clone, so it sees the pristine
 	// crash image.
 	CheckEvery int
-	// ProbeAllocs is the number of fresh allocations probed against the
-	// surviving roots per image (default 64; < 0 disables).
-	ProbeAllocs int
 	// Pool executes fn(0..n-1) on a worker pool; nil runs serially. The
 	// experiment engine's pool is injected here so crashmc does not
 	// depend on internal/experiment.
@@ -107,9 +104,6 @@ func (cfg Config) withDefaults(rec *Recording) Config {
 		cfg.To = last
 	}
 	cfg.From = max(cfg.From, 0)
-	if cfg.ProbeAllocs == 0 {
-		cfg.ProbeAllocs = 64
-	}
 	return cfg
 }
 
@@ -328,7 +322,7 @@ func (s *sweep) cacheCuts(part *Report, scratch *pmem.Device, lo, hi int) {
 	if len(want) == 0 {
 		return
 	}
-	dev := newDevice(func(dev *pmem.Device, k int) {
+	dev := newDevice(rec.Target, func(dev *pmem.Device, k int) {
 		if want[k] {
 			class := s.classAt(k - 1)
 			s.count(part, k-1, class)

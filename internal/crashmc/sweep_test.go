@@ -208,9 +208,9 @@ func TestDoubleCrashDuringRecovery(t *testing.T) {
 // TestRemoteFreeCrashMidDrainRecoversPrefix ports the retired core test:
 // thread 1 frees thread 0's blocks cross-arena (buffered, batch-drained),
 // and at every boundary inside the drain window the applied frees must
-// form a prefix of the acknowledged free order. Probe allocations are
-// disabled — they could legitimately reuse an applied-free's block and
-// fake a lost free.
+// form a prefix of the acknowledged free order. The prefix check is an
+// Extra invariant, so it sees the heap before the oracle's probe
+// allocations can reuse an applied free's block.
 func TestRemoteFreeCrashMidDrainRecoversPrefix(t *testing.T) {
 	const K = 48
 	tr := Trace{Name: "remotefree", Threads: 2}
@@ -235,8 +235,7 @@ func TestRemoteFreeCrashMidDrainRecoversPrefix(t *testing.T) {
 	}
 	cfg := Config{
 		From: rec.Ops[K].FlushStart, To: rec.Ops[2*K].FlushEnd,
-		TornSeed:    3,
-		ProbeAllocs: -1,
+		TornSeed: 3,
 		Extra: func(h alloc.Heap, boundary int, torn bool) []string {
 			ch := h.(*core.Heap)
 			lost := -1

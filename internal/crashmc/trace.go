@@ -64,6 +64,14 @@ type Op struct {
 // Raced[t][Ref] — and a referenced op that has not completed under the
 // schedule makes the free a deterministic no-op (Err), never a block, so
 // the trace is valid under every schedule.
+//
+// A service trace has Serve instead of ops: a session that drives the heap
+// through a layer above the allocator and calls acked(i) as its i'th
+// operation is acknowledged. The recording then has one OpRecord per
+// acknowledged operation, whose flush window runs from the previous
+// acknowledgement to its own, and shutdown begins at the last one. The
+// session must be as deterministic as a serial trace: the cache-image cut
+// runs it again.
 type Trace struct {
 	Name string
 	// Threads is how many handles a serial trace's ops run on; a raced
@@ -71,6 +79,7 @@ type Trace struct {
 	Threads int
 	Ops     []Op
 	Raced   [][]Op
+	Serve   func(h alloc.Heap, acked func(i int)) error
 }
 
 // add appends op and returns its index, for a later OpFree's Ref.

@@ -30,7 +30,7 @@ func TestCrashMCConcTableShape(t *testing.T) {
 	}
 	want := []string{"crashmc", "crashmc-classes", "crashmc-paths", "crashmc-fence-elision",
 		"crashmc-write-back", "crashmc-publish", "crashmc-compaction", "crashmc-morph", "crashmc-deep",
-		"crashmc-shard-append-gc", "crashmc-remote-free-drain", "crashmc-extent-refill-free"}
+		"crashmc-shard-append-gc", "crashmc-remote-free-drain", "crashmc-extent-refill-free", "crashmc-kv-session"}
 	if strings.Join(ids, " ") != strings.Join(want, " ") {
 		t.Fatalf("runCrashMC produced tables %v, want %v", ids, want)
 	}
@@ -56,6 +56,7 @@ func TestCrashMCConcTableShape(t *testing.T) {
 		{"crashmc-shard-append-gc", nvalloc[:2], raced},
 		{"crashmc-remote-free-drain", nvalloc[:2], raced},
 		{"crashmc-extent-refill-free", nvalloc[:2], raced},
+		{"crashmc-kv-session", nvalloc[:1], map[string]float64{"cache_cuts": 1, "flip_cuts": 1}},
 	} {
 		tab := byID[fam.id]
 		if len(tab.Rows) != len(fam.rows) {

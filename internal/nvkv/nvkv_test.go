@@ -6,53 +6,28 @@ import (
 	"fmt"
 	"net"
 	"path/filepath"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"testing"
 
 	"nvalloc/internal/alloc"
 	"nvalloc/internal/core"
-	"nvalloc/internal/experiment"
 	"nvalloc/internal/nvkv"
 	"nvalloc/internal/pmem"
 	"nvalloc/internal/traffic"
 )
 
-// The crash-restart harness: record one deterministic traffic script
-// against a virtual-time server with the flush journal on, sampling the
-// journal watermark after every acknowledged operation; then reopen the
-// device image at EVERY persistence boundary (plus a torn variant of
-// each) and hold the recovered store to the acknowledged-durability
-// contract. Because the replay is single-connection and serial, the
-// watermark after op i is exact: boundaries in (marks[i], marks[i+1])
-// have exactly op i+1 in flight, and no other key may move.
-
-const (
-	harnessDevBytes = 24 << 20
-	harnessBuckets  = 256
-	harnessRootSlot = 0
-	tornSeed        = 0xDECAF
-)
-
-type recording struct {
-	script    traffic.Script
-	journal   []pmem.FlushDelta
-	setupMark int
-	marks     []int // journal watermark after op i was acknowledged
-}
-
-// startVirtualServer builds a fresh store on a strict, journaling
-// simulated device and serves it over a net.Pipe.
+// startVirtualServer builds a fresh store on a strict simulated device
+// and serves it over a net.Pipe.
 func startVirtualServer(t *testing.T, clock *atomic.Int64) (*pmem.Device, net.Conn, func()) {
 	t.Helper()
-	dev := pmem.New(pmem.Config{Size: harnessDevBytes, Strict: true, Journal: true})
+	dev := pmem.New(pmem.Config{Size: 24 << 20, Strict: true})
 	h, err := core.Create(dev, core.DefaultOptions(core.LOG))
 	if err != nil {
 		t.Fatal(err)
 	}
 	th := h.NewThread()
-	store, err := nvkv.CreateStore(h, th, harnessRootSlot, nvkv.StoreConfig{Buckets: harnessBuckets})
+	store, err := nvkv.CreateStore(h, th, 0, nvkv.StoreConfig{Buckets: 256})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,266 +48,9 @@ func startVirtualServer(t *testing.T, clock *atomic.Int64) (*pmem.Device, net.Co
 	}
 }
 
-// record replays a generated script and returns the journal plus the
-// per-op watermarks.
-func record(t *testing.T, seed uint64, nOps, keys int) recording {
-	t.Helper()
-	var clock atomic.Int64
-	dev, client, shutdown := startVirtualServer(t, &clock)
-	setupMark := dev.JournalLen()
-
-	script := traffic.GenScript(seed, nOps, keys)
-	marks := make([]int, len(script.Ops))
-	err := traffic.Replay(client, script,
-		func(now int64) { clock.Store(now) },
-		func(i int) { marks[i] = dev.JournalLen() })
-	if err != nil {
-		t.Fatalf("seed %d: replay: %v", seed, err)
-	}
-	shutdown()
-	return recording{script: script, journal: dev.JournalSnapshot(), setupMark: setupMark, marks: marks}
-}
-
-// entryVisible mirrors the store's lazy-expiry read rule.
-func entryVisible(e traffic.Entry, now int64) bool {
-	return e.Expiry == 0 || e.Expiry > now
-}
-
-// applyEntry computes a single key's post-state for an op executed at
-// now, given its pre-state (the per-key projection of Model.Apply).
-func applyEntry(op traffic.Op, now int64, pre traffic.Entry, preOk bool) (traffic.Entry, bool) {
-	switch op.Kind {
-	case traffic.OpSet:
-		var exp int64
-		if op.TTLms > 0 {
-			exp = now + op.TTLms*1e6
-		}
-		return traffic.Entry{Val: op.Val, Expiry: exp}, true
-	case traffic.OpDel:
-		return traffic.Entry{}, false
-	case traffic.OpExpire:
-		if !preOk || !entryVisible(pre, now) {
-			return pre, preOk
-		}
-		if op.TTLms <= 0 {
-			return traffic.Entry{}, false
-		}
-		return traffic.Entry{Val: pre.Val, Expiry: now + op.TTLms*1e6}, true
-	}
-	return pre, preOk // GET
-}
-
-// expectKey asserts one recovered key matches entry state (e, ok) at
-// probeNow.
-func expectKey(st *nvkv.Store, th alloc.Thread, key string, e traffic.Entry, ok bool, probeNow int64) error {
-	val, found, err := st.Get(th, probeNow, []byte(key))
-	if err != nil {
-		return fmt.Errorf("GET %s: %v", key, err)
-	}
-	if ok && entryVisible(e, probeNow) {
-		if !found {
-			return fmt.Errorf("acknowledged SET lost: %s absent", key)
-		}
-		if !bytes.Equal(val, e.Val) {
-			return fmt.Errorf("acknowledged SET corrupted: %s has %d bytes, want %d", key, len(val), len(e.Val))
-		}
-	} else if found {
-		return fmt.Errorf("deleted/expired key resurrected: %s present", key)
-	}
-	return nil
-}
-
-// checkImage opens the heap+store in a materialized crash image and
-// verifies the recovered state against the model after op i.
-//
-// At an exact acknowledgement boundary (k == marks[i], untorn) nothing
-// is in flight and the full key universe must match the model. At an
-// intermediate or torn boundary op i+1 is in flight: its key may read as
-// either its pre- or its post-state, while a deterministic sample of
-// other keys (plus periodic full sweeps) must match the model exactly.
-func checkImage(scratch *pmem.Device, rec *recording, model traffic.Model, i, k int, torn bool) error {
-	h, _, err := core.Open(scratch, core.DefaultOptions(core.LOG))
-	if err != nil {
-		return fmt.Errorf("core.Open: %v", err)
-	}
-	st, err := nvkv.OpenStore(h, harnessRootSlot, nvkv.StoreConfig{Buckets: harnessBuckets})
-	if err != nil {
-		return fmt.Errorf("OpenStore: %v", err)
-	}
-	th := h.NewThread()
-	defer th.Close()
-	probeNow := traffic.ProbeNow(len(rec.script.Ops))
-
-	atAck := !torn && i >= 0 && k == rec.marks[i]
-	var inflight *traffic.Op
-	if !atAck && i+1 < len(rec.script.Ops) {
-		inflight = &rec.script.Ops[i+1]
-	}
-
-	if atAck || k%64 == 0 {
-		// Full-universe sweep, relaxing only the in-flight key.
-		var relax map[string]bool
-		if inflight != nil {
-			relax = map[string]bool{inflight.Key: true}
-		}
-		if err := traffic.CheckRecovered(st, th, model, rec.script.Keys, probeNow, relax); err != nil {
-			return err
-		}
-	} else {
-		// Targeted: a deterministic sample of settled keys.
-		uni := rec.script.Keys
-		for j := 0; j < 8; j++ {
-			key := uni[(k*13+j*37)%len(uni)]
-			if inflight != nil && key == inflight.Key {
-				continue
-			}
-			e, ok := model[key]
-			if err := expectKey(st, th, key, e, ok, probeNow); err != nil {
-				return err
-			}
-		}
-	}
-
-	// Allocated == reachable: whichever state the op in flight recovered
-	// to, the heap holds the index's blocks and the records it references
-	// and nothing else. A record a crash left allocated but unbound, or
-	// bound but free, fails here at the boundary that did it.
-	reachable := map[pmem.PAddr]bool{}
-	st.References(func(a pmem.PAddr) { reachable[a] = true })
-	var stray error
-	h.Objects(func(o core.Object) bool {
-		if !reachable[o.Addr] {
-			stray = fmt.Errorf("leak: %d-byte object at %#x is allocated and unreachable from the index", o.Size, o.Addr)
-			return false
-		}
-		delete(reachable, o.Addr)
-		return true
-	})
-	if stray != nil {
-		return stray
-	}
-	for a := range reachable {
-		return fmt.Errorf("dangling: the index references %#x, which is not an allocated object", a)
-	}
-
-	if inflight != nil {
-		// The in-flight op's key must be in its pre- or post-state —
-		// nothing in between, nothing else.
-		pre, preOk := model[inflight.Key]
-		post, postOk := applyEntry(*inflight, traffic.NowAt(i+1), pre, preOk)
-		errPre := expectKey(st, th, inflight.Key, pre, preOk, probeNow)
-		errPost := expectKey(st, th, inflight.Key, post, postOk, probeNow)
-		if errPre != nil && errPost != nil {
-			return fmt.Errorf("in-flight %s %s in neither admissible state: pre: %v / post: %v",
-				inflight.Kind, inflight.Key, errPre, errPost)
-		}
-	}
-	return nil
-}
-
-// verify enumerates every persistence boundary of a recording — and a
-// torn variant of each — on the experiment worker pool.
-func verify(t *testing.T, rec recording) (boundaries int) {
-	t.Helper()
-	end := len(rec.journal) // boundaries rec.setupMark..end inclusive
-
-	// Boundaries inside heap/store creation precede any service
-	// acknowledgement; sample them for panic-free typed-error (or
-	// successful) opens.
-	{
-		cur := pmem.NewImageCursor(harnessDevBytes, rec.journal)
-		scratch := pmem.New(pmem.Config{Size: harnessDevBytes})
-		for k := 0; k < rec.setupMark; k += 97 {
-			cur.Advance(k)
-			cur.MaterializeInto(scratch)
-			if h, _, err := core.Open(scratch, core.DefaultOptions(core.LOG)); err == nil {
-				// A successfully opened partial heap must still refuse
-				// or survive a store open without panicking.
-				_, _ = nvkv.OpenStore(h, harnessRootSlot, nvkv.StoreConfig{Buckets: harnessBuckets})
-			}
-			boundaries++
-		}
-	}
-
-	const workers = 4
-	total := end - rec.setupMark + 1
-	errs := make([]error, workers)
-	counts := make([]int, workers)
-	experiment.Config{Workers: workers}.RunCells(workers, func(w int) {
-		lo := rec.setupMark + total*w/workers
-		hi := rec.setupMark + total*(w+1)/workers // exclusive
-		cur := pmem.NewImageCursor(harnessDevBytes, rec.journal)
-		scratch := pmem.New(pmem.Config{Size: harnessDevBytes})
-		model := make(traffic.Model)
-		i := -1 // last op with marks[i] <= current boundary
-		for i+1 < len(rec.marks) && rec.marks[i+1] <= lo {
-			i++
-			model.Apply(rec.script.Ops[i], traffic.NowAt(i))
-		}
-		for k := lo; k < hi; k++ {
-			cur.Advance(k)
-			for i+1 < len(rec.marks) && rec.marks[i+1] <= k {
-				i++
-				model.Apply(rec.script.Ops[i], traffic.NowAt(i))
-			}
-			if k%64 == 0 {
-				cur.MaterializeInto(scratch)
-				if probs := core.Check(scratch, core.DefaultOptions(core.LOG)); len(probs) > 0 {
-					errs[w] = fmt.Errorf("boundary %d: core.Check: %v", k, probs[0])
-					return
-				}
-			}
-			cur.MaterializeInto(scratch)
-			if err := checkImage(scratch, &rec, model, i, k, false); err != nil {
-				errs[w] = fmt.Errorf("boundary %d: %v", k, err)
-				return
-			}
-			counts[w]++
-			if cur.MaterializeTornInto(scratch, tornSeed) {
-				if err := checkImage(scratch, &rec, model, i, k, true); err != nil {
-					errs[w] = fmt.Errorf("boundary %d (torn): %v", k, err)
-					return
-				}
-				counts[w]++
-			}
-		}
-	})
-	for _, err := range errs {
-		if err != nil {
-			t.Fatal(err)
-		}
-	}
-	for _, c := range counts {
-		boundaries += c
-	}
-	return boundaries
-}
-
-// TestCrashRestartBoundaries is the service-level crash-consistency
-// proof: across three seeds, every acknowledged SET survives and every
-// acknowledged DEL stays deleted at every enumerated cut point.
-func TestCrashRestartBoundaries(t *testing.T) {
-	nOps := 260
-	if testing.Short() {
-		nOps = 90
-	}
-	for _, seed := range []uint64{1, 2, 3} {
-		seed := seed
-		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
-			rec := record(t, seed, nOps, 96)
-			if !sort.IntsAreSorted(rec.marks) {
-				t.Fatal("journal watermarks are not monotone")
-			}
-			n := verify(t, rec)
-			t.Logf("seed %d: %d ops, %d journal deltas, %d boundary images verified",
-				seed, nOps, len(rec.journal), n)
-		})
-	}
-}
-
 // TestReplayAgainstModel runs a longer script live (no crashes) and
-// relies on Replay's built-in reply verification, then reopens the final
-// image cold and sweeps it.
+// relies on Replay's built-in reply verification, then cuts power after
+// the session's last flush and sweeps the reopened store.
 func TestReplayAgainstModel(t *testing.T) {
 	var clock atomic.Int64
 	dev, client, shutdown := startVirtualServer(t, &clock)
@@ -349,39 +67,33 @@ func TestReplayAgainstModel(t *testing.T) {
 	}
 	shutdown()
 
-	// Cold restart on the final persisted image (a power cut right
-	// after the last acknowledged flush).
-	journal := dev.JournalSnapshot()
-	cur := pmem.NewImageCursor(harnessDevBytes, journal)
-	cur.Advance(len(journal))
-	dev2 := pmem.New(pmem.Config{Size: harnessDevBytes})
-	cur.MaterializeInto(dev2)
-	h, _, err := core.Open(dev2, core.DefaultOptions(core.LOG))
+	// Cold restart on the persisted image alone.
+	dev.Crash()
+	h, _, err := core.Open(dev, core.DefaultOptions(core.LOG))
 	if err != nil {
 		t.Fatal(err)
 	}
-	st, err := nvkv.OpenStore(h, harnessRootSlot, nvkv.StoreConfig{Buckets: harnessBuckets})
+	st, err := nvkv.OpenStore(h, 0, nvkv.StoreConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	th := h.NewThread()
 	defer th.Close()
-	if err := traffic.CheckRecovered(st, th, model, script.Keys, traffic.ProbeNow(len(script.Ops)), nil); err != nil {
+	probeNow := traffic.ProbeNow(len(script.Ops))
+	if err := traffic.CheckRecovered(st, th, model, script.Keys, probeNow, nil); err != nil {
 		t.Fatal(err)
 	}
-	if got, want := st.Len(), int64(countVisible(model, traffic.ProbeNow(len(script.Ops)))); got < want {
-		t.Fatalf("recovered store Len %d < %d visible model keys", got, want)
-	}
-}
-
-func countVisible(m traffic.Model, now int64) int {
-	n := 0
-	for _, e := range m {
-		if entryVisible(e, now) {
-			n++
+	// The sweep above passed, so the keys GET finds are the model's
+	// visible ones; Len may also count expired keys not yet reclaimed.
+	visible := 0
+	for _, key := range script.Keys {
+		if _, ok, _ := st.Get(th, probeNow, []byte(key)); ok {
+			visible++
 		}
 	}
-	return n
+	if got := st.Len(); got < int64(visible) {
+		t.Fatalf("recovered store Len %d < %d visible model keys", got, visible)
+	}
 }
 
 // TestServeBasic covers the command surface over a pipe: TTL expiry
@@ -563,7 +275,7 @@ func TestSnapshotConcurrentDirect(t *testing.T) {
 		t.Fatal(err)
 	}
 	th := h.NewThread()
-	store, err := nvkv.CreateStore(h, th, harnessRootSlot, nvkv.StoreConfig{Buckets: harnessBuckets})
+	store, err := nvkv.CreateStore(h, th, 0, nvkv.StoreConfig{Buckets: 256})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -650,7 +362,7 @@ func TestSnapshotConcurrentDirect(t *testing.T) {
 	if err != nil {
 		t.Fatalf("snapshot image does not open: %v", err)
 	}
-	st2, err := nvkv.OpenStore(h2, harnessRootSlot, nvkv.StoreConfig{Buckets: harnessBuckets})
+	st2, err := nvkv.OpenStore(h2, 0, nvkv.StoreConfig{})
 	if err != nil {
 		t.Fatalf("snapshot store does not open: %v", err)
 	}

@@ -12,10 +12,10 @@ import (
 	"nvalloc/internal/nvkv"
 )
 
-// Deterministic replay: the crash-restart harness records one traffic
-// script against a virtual-time server with the flush journal on, noting
-// the journal watermark after every acknowledged operation, then reopens
-// the device image at every persistence boundary and holds the recovered
+// Deterministic replay: internal/crashmc's kv-session family records one
+// traffic script against a virtual-time server, closing each operation's
+// flush window as its reply is read (Replay's acked hook), then cuts the
+// device image at every persistence boundary and holds the recovered
 // store to the acknowledged-durability oracle:
 //
 //   - every acknowledged SET is readable with exactly the acknowledged
@@ -199,8 +199,8 @@ func (m Model) Apply(op Op, now int64) {
 
 // Replay drives script over conn (a live server connection), one
 // operation at a time: before op i it calls setNow(NowAt(i)), and after
-// op i's reply it calls acked(i) — the recording hook samples the flush
-// journal there. Every reply is verified against the rolling model, so
+// op i's reply it calls acked(i) — the crash checker closes op i's flush
+// window there. Every reply is verified against the rolling model, so
 // the recording itself is an oracle run.
 func Replay(conn net.Conn, script Script, setNow func(int64), acked func(i int)) error {
 	br := bufio.NewReaderSize(conn, 256<<10)

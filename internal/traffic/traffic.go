@@ -2,10 +2,11 @@
 // load generator of its own:
 //
 //   - the deterministic half (replay.go): a seeded script of SET / GET /
-//     DEL / EXPIRE operations with a logical clock, and the model that
-//     says what a recovered store must hold after any prefix of it —
-//     internal/nvkv's boundary sweeps record the script against a
-//     virtual-time server and reopen the image at every persist boundary;
+//     DEL / EXPIRE operations with a logical clock, the one function that
+//     runs it (Replay), and the model that says what a recovered store
+//     must hold after any prefix of it — internal/crashmc's kv-session
+//     family records the script against a virtual-time server and cuts
+//     the image at every persistence boundary;
 //   - the acked-state oracle pieces (this file): the wire name of key i,
 //     the regenerable payload of its seq'th mutation, the record of a
 //     key's last acknowledged mutation, and VerifyAcked, which holds a

@@ -98,13 +98,6 @@ type Options struct {
 	Variant Variant
 	// Arenas is the number of per-core arenas (default 16).
 	Arenas int
-	// Stripes is the interleaved-mapping stripe count (default 6); 1 turns
-	// interleaving off. What is spread over it follows from the variant:
-	// whatever it flushes on every operation (see core.Options.Stripes).
-	// On an eADR device, where flushes are free, it is always 1.
-	Stripes int
-	// SU is the slab morphing space-utilization threshold (default 0.20).
-	SU float64
 	// DisableMorphing turns off slab morphing.
 	DisableMorphing bool
 }
@@ -113,12 +106,6 @@ func (o Options) toCore(dev *Device) core.Options {
 	c := core.DefaultOptions(o.Variant)
 	if o.Arenas > 0 {
 		c.Arenas = o.Arenas
-	}
-	if o.Stripes > 0 {
-		c.Stripes = o.Stripes
-	}
-	if o.SU > 0 {
-		c.SU = o.SU
 	}
 	if o.DisableMorphing {
 		c.Morphing = false

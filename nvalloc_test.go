@@ -76,12 +76,6 @@ func TestEADRDisablesInterleavingAutomatically(t *testing.T) {
 		if got := layout(eadr(), Options{Variant: v}); got != off {
 			t.Fatalf("%v: interleaving must auto-disable on eADR, got %+v", v, got)
 		}
-		if got := layout(eadr(), Options{Variant: v, Stripes: 4}); got != off {
-			t.Fatalf("%v: eADR must stay sequential whatever Stripes says, got %+v", v, got)
-		}
-		if got := layout(adr(), Options{Variant: v, Stripes: 1}); got != off {
-			t.Fatalf("%v: Stripes 1 must be sequential, got %+v", v, got)
-		}
 	}
 	// On ADR a variant interleaves what it flushes per op: every variant
 	// its log entries, IC its bitmaps and tcache as well.
@@ -98,8 +92,8 @@ func TestEADRDisablesInterleavingAutomatically(t *testing.T) {
 
 func TestOptionKnobsReachCore(t *testing.T) {
 	dev := NewDevice(DeviceConfig{Size: 64 << 20})
-	o := Options{Variant: GC, Arenas: 3, Stripes: 4, SU: 0.3, DisableMorphing: true}.toCore(dev)
-	if o.Variant != GC || o.Arenas != 3 || o.Stripes != 4 || o.SU != 0.3 || o.Morphing {
+	o := Options{Variant: GC, Arenas: 3, DisableMorphing: true}.toCore(dev)
+	if o.Variant != GC || o.Arenas != 3 || o.Morphing {
 		t.Fatalf("options not forwarded: %+v", o)
 	}
 	// core's configuration stays small: a new knob has to edit this count.
