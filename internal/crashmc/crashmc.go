@@ -16,9 +16,12 @@
 //
 // Enumeration is tractable because image k+1 derives from image k with a
 // single 64-byte line copy (pmem.ImageCursor), so checking all n
-// boundaries costs n recoveries, not n workload replays; boundary ranges
-// are partitioned across a caller-supplied worker pool (the experiment
-// engine's, for nvbench and CI).
+// boundaries costs n recoveries, not n workload replays; and because
+// putting image k on the scratch device a recovery just ran on copies only
+// the lines that recovery wrote and the lines the cursor moved over, not
+// the whole device, so a cut costs what its recovery touches. Boundary
+// ranges are partitioned across a caller-supplied worker pool (the
+// experiment engine's, for nvbench and CI).
 package crashmc
 
 import (
@@ -46,9 +49,6 @@ type Target struct {
 	// checker against the image (read-only: it must clone the device)
 	// and returns every problem found (Config.CheckEvery).
 	Check func(dev *pmem.Device) []string
-	// DeviceBytes, when nonzero, sizes the recording's device in place of
-	// DefaultDeviceBytes, for a target whose heap stays far smaller.
-	DeviceBytes uint64
 }
 
 // PanicError reports a panic recovered during a guarded heap open. Under
@@ -76,9 +76,11 @@ func OpenGuarded(tg Target, dev *pmem.Device) (h alloc.Heap, err error) {
 	return tg.Open(dev)
 }
 
-// DefaultDeviceBytes sizes the model checker's devices: every cut copies
-// the full image into the scratch device, so the image size multiplies
-// directly into enumeration cost (Target.DeviceBytes).
+// DefaultDeviceBytes sizes the model checker's devices, every target's. A
+// cut resets its scratch device by copying only the lines the recovery
+// before it wrote and the lines that differ between the two images, so the
+// device's size costs a cut almost nothing: one full copy per scratch
+// device and sweep share, and a bitmap of one bit per line to walk.
 const DefaultDeviceBytes = 24 << 20
 
 // SmokeGCThreshold is the bookkeeping-log slow-GC trigger used by the

@@ -69,7 +69,8 @@ func TestJournalMatchesCrashImages(t *testing.T) {
 // private copy of the op switch had drifted from Record's: a publish in a
 // raced trace must really publish — the slot word holds the block the
 // op reserved — and a kind the executor does not know is an error from
-// both recorders, not a silent no-op.
+// both recorders, not a silent no-op. The raced trace, run as a family of
+// the table's, recovers at every boundary of its schedules.
 func TestRecordersShareTheExecutor(t *testing.T) {
 	tg := targetByName(t, "NVAlloc-LOG")
 	tr := Trace{
@@ -103,8 +104,11 @@ func TestRecordersShareTheExecutor(t *testing.T) {
 	if published != 3 {
 		t.Fatalf("%d publishes recorded, want 3", published)
 	}
-	rep := Sweep(cr.Recording, PowerCut, nil, Config{TornSeed: 0xDECAF})
-	checkReport(t, rep, 0, 0xDECAF)
+	rep, err := Family{Name: tr.Name, Target: tg, Trace: tr}.Run(RunOptions{Config: Config{TornSeed: 0xDECAF}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkReport(t, rep.Sweep, 0, 0xDECAF)
 
 	bogus := Op{Kind: OpPublish + 1}
 	if _, err := Record(tg, Trace{Name: "bogus", Threads: 1, Ops: []Op{bogus}}, RecordOptions{}); err == nil {

@@ -60,9 +60,12 @@ type Counter struct {
 // each NVAlloc variant, then the deep trace on every allocator, then each
 // raced trace on NVAlloc-LOG and -GC (IC shares LOG's code paths for all
 // three; the baselines have no concurrent machinery), then the nvkv
-// service's scripted session on NVAlloc-LOG. seed seeds the smoke,
-// fence-elision and raced traces and the session's script; the others are
-// hand-built.
+// service's scripted session on NVAlloc-LOG, then the serial families
+// (serialFamilies): the sweep trace on each NVAlloc variant, the handles,
+// shards and remote-free-prefix traces on NVAlloc-LOG, and the
+// close-witness trace on NVAlloc-LOG and -GC. seed seeds
+// the smoke, fence-elision and raced traces and the session's script; the
+// others are hand-built.
 func Families(seed uint64) []Family {
 	var fs []Family
 	for _, tg := range Targets() {
@@ -90,7 +93,8 @@ func Families(seed uint64) []Family {
 			fs = append(fs, Family{Name: tr.Name, Target: VariantTarget(v), Trace: tr})
 		}
 	}
-	return append(fs, kvFamily(seed))
+	fs = append(fs, kvFamily(seed))
+	return append(fs, serialFamilies()...)
 }
 
 // smokeShape reports the distinct recovery paths the sweep drove and the

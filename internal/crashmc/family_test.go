@@ -53,6 +53,25 @@ var familyCases = map[string]familyCase{
 	"kv-session": {seed: 1, tornSeed: 0xDECAF,
 		full:  RunOptions{Config: sweepOf(0, 64), Flushes: Every(8), Flips: Every(8)},
 		short: RunOptions{Config: sweepOf(150, 16), Flushes: Every(80), Flips: Every(80)}},
+	// The serial families, the sweep trace's with a second crash after
+	// every flush of the recovery at two thirds of its journal: on IC that
+	// recovery sets and clears the recovery flag, two flushes, so a cut
+	// inside the recovery and one after it.
+	"sweep": {tornSeed: 7, perWindow: 2,
+		full:  RunOptions{Config: sweepOf(0, 100), Flushes: Every(8), Flips: Every(8)},
+		short: RunOptions{Config: sweepOf(100, 100), Flushes: Every(40), Flips: Every(40)}},
+	"handles": {tornSeed: 11,
+		full:  RunOptions{Config: sweepOf(0, 64), Flushes: Every(8), Flips: Every(8)},
+		short: RunOptions{Config: sweepOf(100, 64), Flushes: Every(40), Flips: Every(40)}},
+	"shards": {tornSeed: 5,
+		full:  RunOptions{Config: sweepOf(0, 64), Flushes: Every(8), Flips: Every(8)},
+		short: RunOptions{Config: sweepOf(80, 64), Flushes: Every(40), Flips: Every(40)}},
+	"remote-free-prefix": {tornSeed: 3, opsSucceed: true,
+		full:  RunOptions{Config: sweepOf(0, 64), Flushes: Every(4), Flips: Every(4)},
+		short: RunOptions{Config: sweepOf(80, 64), Flushes: Every(16), Flips: Every(16)}},
+	"close-witness": {tornSeed: 0xDECAF,
+		full:  RunOptions{Config: sweepOf(0, 0), Flushes: Every(4), Flips: Every(4)},
+		short: RunOptions{Config: sweepOf(0, 0), Flushes: Every(16), Flips: Every(16)}},
 	"morph": {tornSeed: 13,
 		full:  RunOptions{Config: sweepOf(0, 16)},
 		short: RunOptions{Config: sweepOf(30, 16), Flushes: Every(3), Flips: Every(3)}},

@@ -33,12 +33,9 @@ const (
 )
 
 // kvTarget is NVAlloc-LOG as the checker runs it (VariantTarget) with an
-// empty store created on it before CreatedAt. The session's heap peaks
-// under 1 MiB, so it records on 8 MiB: the image copy every cut makes is
-// most of what a cut costs.
+// empty store created on it before CreatedAt.
 func kvTarget() Target {
 	tg := VariantTarget(core.LOG)
-	tg.DeviceBytes = 8 << 20
 	create := tg.Create
 	tg.Create = func(dev *pmem.Device) (alloc.Heap, error) {
 		h, err := create(dev)

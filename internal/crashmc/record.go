@@ -84,16 +84,13 @@ type session struct {
 	rec *Recording
 }
 
-// newDevice returns the journaled strict device a recording of tg runs on.
+// newDevice returns the journaled strict device a recording runs on.
 // onFlush, when non-nil, runs after every journaled flush, Create's
 // included, with the device — whose cache image is then the state a
 // process kill at that instant leaves in a page-cache-backed mapping —
 // and the number of flushes so far.
-func newDevice(tg Target, onFlush func(dev *pmem.Device, flushes int)) *pmem.Device {
+func newDevice(onFlush func(dev *pmem.Device, flushes int)) *pmem.Device {
 	cfg := pmem.Config{Size: DefaultDeviceBytes, Strict: true, Journal: true}
-	if tg.DeviceBytes > 0 {
-		cfg.Size = tg.DeviceBytes
-	}
 	var dev *pmem.Device
 	if onFlush != nil {
 		cfg.OnJournal = func(flushes int) { onFlush(dev, flushes) }
@@ -250,7 +247,7 @@ func (s *session) serve(run func(h alloc.Heap, acked func(i int)) error) (*Recor
 // session serves one operation at a time), so the journal — and therefore
 // every enumerated crash image — is deterministic.
 func Record(tg Target, tr Trace, opts RecordOptions) (*Recording, error) {
-	return runOn(newDevice(tg, nil), tg, tr, opts)
+	return runOn(newDevice(nil), tg, tr, opts)
 }
 
 // runOn is Record on a device the caller made: a journaled one with a

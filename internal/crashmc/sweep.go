@@ -22,8 +22,9 @@ const (
 	// RecoveryCut is the double crash: take boundary k's image, cut power
 	// again after every flush its recovery issues — state word, replayed
 	// publishes, each line of a write-back, the checkpoint word of each
-	// ring, a compacted chain's chunks and head pointer, the final flags —
-	// and hold the second recovery to the oracle of boundary k.
+	// ring, a compacted chain's chunks and head pointer, the final flags,
+	// the last of which leaves power lost after a finished recovery — and
+	// hold the second recovery to the oracle of boundary k.
 	RecoveryCut
 	// CacheCut kills the process instead: as flush k completes (the one
 	// that takes the media from boundary k-1 to k) recover from a copy of
@@ -153,7 +154,8 @@ type sweep struct {
 // take exactly ks, and an empty list is an empty sweep. The boundaries are
 // split into contiguous shares, one per worker of cfg.Pool, each with its
 // own image cursor and scratch device: the whole enumeration costs one
-// journal replay per share plus one image copy per recovery.
+// journal replay per share, one full image copy per scratch device, and
+// per recovery a copy of the lines it and the cursor changed.
 //
 // Report.Explored counts the images verified (for RecoveryCut the
 // (boundary, cut) pairs), Report.Boundaries how many there were to take:
@@ -205,6 +207,20 @@ func Sweep(rec *Recording, cut Cut, ks []int, cfg Config) *Report {
 	return report
 }
 
+// checkResets, set by the reset test, holds the scratch device after every
+// reset a sweep makes to the image a full copy would have left, byte for
+// byte (pmem.Device.Holds): a line the reset missed is a violation at the
+// boundary. A line missed in a torn, crashed or recovered image shows at the
+// reset after it.
+var checkResets bool
+
+// held is the reset check at boundary k: scratch must hold want.
+func (s *sweep) held(part *Report, scratch *pmem.Device, k int, class string, want []byte) {
+	if err := scratch.Holds(want); err != nil {
+		s.fail(part, k, false, class, "reset: "+err.Error())
+	}
+}
+
 // newCursor returns an image cursor at the recording's boundary 0.
 func (rec *Recording) newCursor() *pmem.ImageCursor {
 	return pmem.NewImageCursor(rec.DeviceBytes, rec.Journal)
@@ -254,6 +270,9 @@ func (s *sweep) powerCuts(part *Report, scratch *pmem.Device, lo, hi int) {
 		class := s.classAt(k)
 		s.count(part, k, class)
 		cursor.MaterializeInto(scratch)
+		if checkResets {
+			s.held(part, scratch, k, class, cursor.Image())
+		}
 		if cfg.CheckEvery > 0 && i%cfg.CheckEvery == 0 && k >= rec.CreatedAt && rec.Target.Check != nil {
 			part.Checks++
 			for _, p := range rec.Target.Check(scratch) {
@@ -271,7 +290,8 @@ func (s *sweep) powerCuts(part *Report, scratch *pmem.Device, lo, hi int) {
 }
 
 // recoveryCuts crashes the recovery of each image at ks[lo:hi] after every
-// one of its flushes.
+// one of its flushes: after the last, power is lost once recovery is done.
+// A cut before the first would leave the power cut's image.
 func (s *sweep) recoveryCuts(part *Report, scratch *pmem.Device, lo, hi int) {
 	rec := s.rec
 	cursor := rec.newCursor()
@@ -279,8 +299,11 @@ func (s *sweep) recoveryCuts(part *Report, scratch *pmem.Device, lo, hi int) {
 		cursor.Advance(k)
 		class := s.classAt(k)
 		// One uninterrupted recovery measures how many flushes there are
-		// to cut after.
+		// to cut after, and is the cut after the last of them.
 		cursor.MaterializeInto(scratch)
+		if checkResets {
+			s.held(part, scratch, k, class, cursor.Image())
+		}
 		before := scratch.Stats().Flushes
 		if _, err := OpenGuarded(rec.Target, scratch); err != nil {
 			s.fail(part, k, false, class, "recovery failed: "+err.Error())
@@ -288,17 +311,22 @@ func (s *sweep) recoveryCuts(part *Report, scratch *pmem.Device, lo, hi int) {
 		}
 		cuts := int64(scratch.Stats().Flushes - before)
 		part.Boundaries += int(cuts)
-		for j := int64(0); j < cuts; j++ {
-			cursor.MaterializeInto(scratch)
-			scratch.CrashAfterFlushes(j)
-			if _, err := OpenGuarded(rec.Target, scratch); err != nil {
-				var pe *PanicError
-				if errors.As(err, &pe) {
-					s.fail(part, k, false, class, fmt.Sprintf("recovery cut after %d flushes panicked: %v", j, pe.Value))
-					continue
+		for j := cuts; j >= 1; j-- {
+			if j < cuts {
+				cursor.MaterializeInto(scratch)
+				if checkResets {
+					s.held(part, scratch, k, class, cursor.Image())
 				}
-				// A typed failure of the interrupted run is fine: the
-				// media is intact and the second recovery must cope.
+				scratch.CrashAfterFlushes(j)
+				if _, err := OpenGuarded(rec.Target, scratch); err != nil {
+					var pe *PanicError
+					if errors.As(err, &pe) {
+						s.fail(part, k, false, class, fmt.Sprintf("recovery cut after %d flushes panicked: %v", j, pe.Value))
+						continue
+					}
+					// A typed failure of the interrupted run is fine: the
+					// media is intact and the second recovery must cope.
+				}
 			}
 			scratch.Crash()
 			s.count(part, k, class)
@@ -322,11 +350,15 @@ func (s *sweep) cacheCuts(part *Report, scratch *pmem.Device, lo, hi int) {
 	if len(want) == 0 {
 		return
 	}
-	dev := newDevice(rec.Target, func(dev *pmem.Device, k int) {
+	dev := newDevice(func(dev *pmem.Device, k int) {
 		if want[k] {
 			class := s.classAt(k - 1)
 			s.count(part, k-1, class)
-			scratch.Restore(dev.Bytes(0, int(dev.Size())))
+			scratch.RestoreFrom(dev)
+			if checkResets {
+				ref := dev.Clone() // a copy that reads dev marks nothing on it
+				s.held(part, scratch, k-1, class, ref.Bytes(0, int(ref.Size())))
+			}
 			s.verifyImage(part, scratch, k-1, true, class)
 		}
 	})
@@ -367,7 +399,13 @@ func (s *sweep) flipCuts(part *Report, scratch *pmem.Device, lo, hi int) {
 		rng := splitmix64(s.cfg.TornSeed + uint64(k)*977)
 		n := 1 + int(rng.next()%4)
 		meta := slices.DeleteFunc(rec.Target.MetaRanges(scratch), rec.holdsData)
-		bits := pmem.FlipBits(scratch.Bytes(0, int(scratch.Size())), meta, n, rng.next())
+		seed := rng.next()
+		bits := scratch.FlipBits(meta, n, seed)
+		if checkResets {
+			want := slices.Clone(cursor.Image())
+			pmem.FlipBits(want, meta, n, seed)
+			s.held(part, scratch, k, class, want)
+		}
 		found := len(part.Violations)
 		s.verifyImage(part, scratch, k, false, class)
 		for i := found; i < len(part.Violations); i++ {

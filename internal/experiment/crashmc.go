@@ -270,14 +270,15 @@ func gateCrashMC(fams []*crashmc.FamilyReport, base *crashBaseline) (verdict, re
 
 // newCrashBaseline snapshots a run: boundary and cut floors at ~70% of the
 // measured counts, rounded down to a multiple of 10 (absorbing geometry
-// drift); a raced row's conflicts at the measured count, which the
-// recording alone decides; a floor of ~70%, and at least 1, under every
-// other shape counter the family gates and under the flip cuts recovery
-// detected, where it did — flips that stop reaching anything checksummed
-// test nothing; and the torn classes each NVAlloc smoke sweep reached (the
-// baseline-model allocators' line classes are emulation details). Snapshot
-// a run at the default schedule budget: the raced rows' boundaries and
-// schedules_run floors follow it.
+// drift) — or, for a count under 15, at the count: each of a row's few
+// recovery cuts is a case it exists for; a raced row's conflicts at
+// the measured count, which the recording alone decides; a floor of ~70%,
+// and at least 1, under every other shape counter the family gates and
+// under the flip cuts recovery detected, where it did — flips that stop
+// reaching anything checksummed test nothing; and the torn classes each
+// NVAlloc smoke sweep reached (the baseline-model allocators' line classes
+// are emulation details). Snapshot a run at the default schedule budget:
+// the raced rows' boundaries and schedules_run floors follow it.
 func newCrashBaseline(fams []*crashmc.FamilyReport) *crashBaseline {
 	doc := &crashBaseline{
 		Comment: "Crash-point model-checker coverage baseline: floors under the tables of nvbench -exp crashmc, " +
@@ -300,6 +301,9 @@ func newCrashBaseline(fams []*crashmc.FamilyReport) *crashBaseline {
 				floors["min_"+c.Name] = c.N
 			case c.Name == "boundaries" || strings.HasSuffix(c.Name, "_cuts"):
 				floors["min_"+c.Name] = c.N * 7 / 10 / 10 * 10
+				if c.N < 15 {
+					floors["min_"+c.Name] = c.N
+				}
 			case c.Min > 0, c.Name == "detected" && c.N > 0:
 				floors["min_"+c.Name] = max(1, c.N*7/10)
 			}

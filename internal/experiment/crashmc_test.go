@@ -4,10 +4,18 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 
 	"nvalloc/internal/crashmc"
 )
+
+// crashMCMicro is the package's one run of the crashmc experiment, at micro
+// scale: the table-shape test and the every-experiment smoke test both
+// read it, so the families are recorded and cut once per test binary.
+var crashMCMicro = sync.OnceValue(func() []*Table {
+	return runCrashMC(Config{Threads: []int{1}, Scale: 0.05, DeviceBytes: 256 << 20}.withDefaults())
+})
 
 // TestCrashMCConcTableShape checks the tables the CI baseline enforces, at
 // micro scale: one table per family of crashmc.Families, found by ID, with
@@ -18,7 +26,7 @@ import (
 // recording-derived, so the scaled-down run asserts the same floors as
 // CI's full enumeration.
 func TestCrashMCConcTableShape(t *testing.T) {
-	tabs := runCrashMC(Config{Threads: []int{1}, Scale: 0.05, DeviceBytes: 256 << 20}.withDefaults())
+	tabs := crashMCMicro()
 	byID := map[string]*Table{}
 	var ids []string
 	for _, tab := range tabs {
@@ -30,7 +38,8 @@ func TestCrashMCConcTableShape(t *testing.T) {
 	}
 	want := []string{"crashmc", "crashmc-classes", "crashmc-paths", "crashmc-fence-elision",
 		"crashmc-write-back", "crashmc-publish", "crashmc-compaction", "crashmc-morph", "crashmc-deep",
-		"crashmc-shard-append-gc", "crashmc-remote-free-drain", "crashmc-extent-refill-free", "crashmc-kv-session"}
+		"crashmc-shard-append-gc", "crashmc-remote-free-drain", "crashmc-extent-refill-free", "crashmc-kv-session",
+		"crashmc-sweep", "crashmc-handles", "crashmc-shards", "crashmc-remote-free-prefix", "crashmc-close-witness"}
 	if strings.Join(ids, " ") != strings.Join(want, " ") {
 		t.Fatalf("runCrashMC produced tables %v, want %v", ids, want)
 	}
@@ -57,6 +66,11 @@ func TestCrashMCConcTableShape(t *testing.T) {
 		{"crashmc-remote-free-drain", nvalloc[:2], raced},
 		{"crashmc-extent-refill-free", nvalloc[:2], raced},
 		{"crashmc-kv-session", nvalloc[:1], map[string]float64{"cache_cuts": 1, "flip_cuts": 1}},
+		{"crashmc-sweep", nvalloc, map[string]float64{"recovery_cuts": 2, "cache_cuts": 1, "flip_cuts": 1}},
+		{"crashmc-handles", nvalloc[:1], map[string]float64{"cache_cuts": 1, "flip_cuts": 1}},
+		{"crashmc-shards", nvalloc[:1], map[string]float64{"cache_cuts": 1, "flip_cuts": 1}},
+		{"crashmc-remote-free-prefix", nvalloc[:1], map[string]float64{"cache_cuts": 1, "flip_cuts": 1}},
+		{"crashmc-close-witness", nvalloc[:2], map[string]float64{"cache_cuts": 1, "flip_cuts": 1}},
 	} {
 		tab := byID[fam.id]
 		if len(tab.Rows) != len(fam.rows) {
@@ -263,6 +277,14 @@ func TestCrashMCBaselineWrite(t *testing.T) {
 	}
 	if _, regressions := gateCrashMC(fams, doc); len(regressions) > 0 {
 		t.Errorf("the run fails the baseline written from it: %v", regressions)
+	}
+	// A row with a few recovery cuts floors every one of them, not 0.
+	for n, want := range map[int]int{2: 2, 10: 10, 20: 10} {
+		few := newCrashBaseline([]*crashmc.FamilyReport{{Family: "sweep", Target: "NVAlloc-IC",
+			Sweep: &crashmc.Report{Boundaries: 810, Explored: 810}, Recovery: &crashmc.Report{Boundaries: n, Explored: n}}})
+		if got := few.Rows["NVAlloc-IC/sweep"]["min_recovery_cuts"]; got != want {
+			t.Errorf("%d recovery cuts floored at %d, want %d", n, got, want)
+		}
 	}
 	if _, err := loadCrashBaseline(filepath.Join(dir, "absent.json")); err == nil {
 		t.Error("a missing baseline loaded")

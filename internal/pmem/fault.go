@@ -116,6 +116,11 @@ func (s *splitmix64) next() uint64 {
 // never-written space exercises nothing — and with none it flips nothing.
 // Equal arguments flip equal bits.
 func FlipBits(img []byte, ranges []Range, n int, seed uint64) []uint64 {
+	return flipBits(img, ranges, n, seed, func(bit uint64) { img[bit/8] ^= 1 << (bit % 8) })
+}
+
+// flipBits picks FlipBits' bits from img and has flip flip each.
+func flipBits(img []byte, ranges []Range, n int, seed uint64, flip func(bit uint64)) []uint64 {
 	size := PAddr(len(img))
 	if len(ranges) == 0 {
 		ranges = []Range{{0, size}}
@@ -146,7 +151,7 @@ func FlipBits(img []byte, ranges []Range, n int, seed uint64) []uint64 {
 		if slices.Contains(bits, bit) {
 			continue // a second flip would restore the bit
 		}
-		img[bit/8] ^= 1 << (bit % 8)
+		flip(bit)
 		bits = append(bits, bit)
 	}
 	return bits

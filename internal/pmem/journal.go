@@ -45,32 +45,6 @@ func (d *Device) JournalSnapshot() []FlushDelta {
 	return out
 }
 
-// Restore replaces the device's images with img and clears every piece of
-// runtime state — crash flags, flush counters, traces, bank clocks,
-// statistics and the journal — as if the device had been freshly
-// created already holding img. It is the scratch-device reset an
-// ImageCursor materializes crash images with.
-func (d *Device) Restore(img []byte) {
-	if uint64(len(img)) != d.size {
-		panic("pmem: Restore image size mismatch")
-	}
-	copy(d.data, img)
-	if d.strict {
-		copy(d.media, img)
-	}
-	d.crashed.Store(false)
-	d.crashAfter.Store(-1)
-	d.armFlushGate()
-	d.statsMu.Lock()
-	d.flushTotal = 0
-	d.statsMu.Unlock()
-	d.ResetTimeline()
-	d.ResetStats() // statistics and trace
-	d.journalMu.Lock()
-	d.journal = nil
-	d.journalMu.Unlock()
-}
-
 // ImageCursor incrementally reconstructs the media image at successive
 // persistence boundaries of a recorded flush journal. Advancing from
 // boundary k to k+1 applies one 64-byte delta; enumerating every boundary
@@ -81,6 +55,11 @@ type ImageCursor struct {
 	journal []FlushDelta
 	img     []byte
 	k       int
+	// dev is the device the cursor last materialized into and last the
+	// boundary it did so at: journal[last:k] holds every line a reset of
+	// dev has to take from the cursor.
+	dev  *Device
+	last int
 }
 
 // NewImageCursor creates a cursor over journal for a device of size
@@ -116,9 +95,20 @@ func (c *ImageCursor) Advance(k int) {
 // MaterializeInto restores d to the image at the cursor's boundary: the
 // exact state a power cut at this persistence boundary would leave. The
 // device is fully reset (Restore), so one scratch device can be reused
-// across the whole enumeration.
+// across the whole enumeration; when the cursor last materialized into d,
+// the reset copies only the lines the cursor advanced over and the lines
+// d changed since.
 func (c *ImageCursor) MaterializeInto(d *Device) {
-	d.Restore(c.img)
+	var changed func(add func(line uint64))
+	if c.dev == d {
+		changed = func(add func(line uint64)) {
+			for i := range c.journal[c.last:c.k] {
+				add(c.journal[c.last+i].Line)
+			}
+		}
+	}
+	d.reset(c.img, c, changed)
+	c.dev, c.last = d, c.k
 }
 
 // MaterializeTornInto restores d to the cursor's boundary image plus a
@@ -131,11 +121,12 @@ func (c *ImageCursor) MaterializeTornInto(d *Device, seed uint64) bool {
 	if c.k >= len(c.journal) {
 		return false
 	}
-	d.Restore(c.img)
+	c.MaterializeInto(d)
 	fd := &c.journal[c.k]
 	rng := splitmix64(seed ^ fd.Line*0xA24BAED4963EE407)
 	mask := rng.next() // bit i set => word i persists
 	off := fd.Line * LineSize
+	d.mark(PAddr(off), LineSize)
 	for w := uint64(0); w < LineSize/8; w++ {
 		if mask&(1<<w) != 0 {
 			copy(d.data[off+w*8:off+w*8+8], fd.Data[w*8:w*8+8])

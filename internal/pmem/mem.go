@@ -23,6 +23,10 @@ type Mem struct {
 	data []byte
 	// lineLocks stripe-locks cache lines (strict simulated devices only).
 	lineLocks []sync.Mutex
+	// lines, once a simulated device tracks what it changes (reset.go),
+	// collects the lines every store and Bytes view may have written; nil
+	// before then and on direct devices.
+	lines *lineSet
 }
 
 // image is Mem under the name the devices embed it by: a field called
@@ -38,6 +42,18 @@ func (d *DirectDev) Mem() Mem { return d.image }
 func (m Mem) check(addr PAddr, n int) {
 	if uint64(addr)+uint64(n) > uint64(len(m.data)) {
 		panic(fmt.Sprintf("pmem: access [%#x,+%d) out of device bounds %#x", addr, n, len(m.data)))
+	}
+}
+
+// checkWrite is check for an access that may write [addr, addr+n): on a
+// tracked image it also notes the lines (reset.go). It costs a direct
+// device's stores what check does.
+func (m Mem) checkWrite(addr PAddr, n int) {
+	if uint64(addr)+uint64(n) > uint64(len(m.data)) {
+		m.check(addr, n)
+	}
+	if m.lines != nil {
+		m.lines.addRange(addr, n)
 	}
 }
 
@@ -75,9 +91,10 @@ func (m Mem) lockSpan(addr PAddr, n int) func() {
 // caller is responsible for flushing any stores it performs through the
 // view, and — since the view bypasses the line-lock stripes — for its own
 // line-level synchronization if it shares lines across goroutines. This
-// is the bulk-access escape hatch; prefer the typed accessors.
+// is the bulk-access escape hatch; prefer the typed accessors. On a
+// tracked device the whole range counts as changed.
 func (m Mem) Bytes(addr PAddr, n int) []byte {
-	m.check(addr, n)
+	m.checkWrite(addr, n)
 	return m.data[addr : uint64(addr)+uint64(n) : uint64(addr)+uint64(n)]
 }
 
@@ -89,7 +106,7 @@ func (m Mem) ReadU64(addr PAddr) uint64 {
 
 // WriteU64 stores a little-endian uint64.
 func (m Mem) WriteU64(addr PAddr, v uint64) {
-	m.check(addr, 8)
+	m.checkWrite(addr, 8)
 	if m.lineLocks != nil {
 		defer m.lockSpan(addr, 8)()
 	}
@@ -104,7 +121,7 @@ func (m Mem) ReadU32(addr PAddr) uint32 {
 
 // WriteU32 stores a little-endian uint32.
 func (m Mem) WriteU32(addr PAddr, v uint32) {
-	m.check(addr, 4)
+	m.checkWrite(addr, 4)
 	if m.lineLocks != nil {
 		defer m.lockSpan(addr, 4)()
 	}
@@ -119,7 +136,7 @@ func (m Mem) ReadU16(addr PAddr) uint16 {
 
 // WriteU16 stores a little-endian uint16.
 func (m Mem) WriteU16(addr PAddr, v uint16) {
-	m.check(addr, 2)
+	m.checkWrite(addr, 2)
 	if m.lineLocks != nil {
 		defer m.lockSpan(addr, 2)()
 	}
@@ -134,7 +151,7 @@ func (m Mem) ReadU8(addr PAddr) byte {
 
 // WriteU8 stores one byte.
 func (m Mem) WriteU8(addr PAddr, v byte) {
-	m.check(addr, 1)
+	m.checkWrite(addr, 1)
 	if m.lineLocks != nil {
 		mu := m.lineLock(uint64(addr) / LineSize)
 		mu.Lock()
@@ -147,7 +164,7 @@ func (m Mem) WriteU8(addr PAddr, v byte) {
 
 // Write copies p into the image at addr.
 func (m Mem) Write(addr PAddr, p []byte) {
-	m.check(addr, len(p))
+	m.checkWrite(addr, len(p))
 	if m.lineLocks != nil && len(p) > 0 {
 		// Chunk the copy one line at a time so at most one stripe is held
 		// and arbitrary spans cannot deadlock against each other.
@@ -170,7 +187,7 @@ func (m Mem) Write(addr PAddr, p []byte) {
 
 // Zero clears [addr, addr+n).
 func (m Mem) Zero(addr PAddr, n int) {
-	m.check(addr, n)
+	m.checkWrite(addr, n)
 	if m.lineLocks != nil && n > 0 {
 		for off := 0; off < n; {
 			line := (uint64(addr) + uint64(off)) / LineSize

@@ -154,6 +154,10 @@ type Device struct {
 	onJournal func(flushes int)
 	journalMu sync.Mutex
 	journal   []FlushDelta
+
+	// peer is what the device last synchronized its images with (reset.go):
+	// the source it was reset from, or outTo the device it was copied into.
+	peer any
 }
 
 // bank models one internal media bank: a resource clock plus a tiny LRU of
@@ -198,6 +202,11 @@ func New(cfg Config) *Device {
 		d.media = make([]byte, cfg.Size)
 		d.lineLocks = make([]sync.Mutex, lineLockStripes)
 	}
+	if cfg.Journal {
+		// A recording device: its cache image is what a cache-image cut
+		// copies out, a line it changed at a time (RestoreFrom).
+		d.lines = newLineSet(cfg.Size)
+	}
 	d.crashAfter.Store(-1)
 	d.armFlushGate()
 	return d
@@ -235,16 +244,28 @@ func (d *Device) Crashed() bool { return d.crashed.Load() }
 // replaced by the persisted image, discarding every unflushed store. On
 // eADR the cache image *is* persistent, so nothing is lost. The device
 // remains usable afterwards (as if the machine rebooted and remapped the
-// heap file).
+// heap file). On a device that tracks what it changes since its last
+// reset, only those lines can differ between the images, and only they
+// are copied.
 func (d *Device) Crash() {
 	if !d.strict {
 		panic("pmem: Crash requires a strict-mode device")
 	}
+	dst, src := d.data, d.media
 	if d.mode == ModeEADR {
 		// Whole cache is in the persistence domain.
-		copy(d.media, d.data)
+		dst, src = d.media, d.data
+	}
+	if _, out := d.peer.(outTo); d.lines == nil || out {
+		// A device copied out of tracks only what changed since the copy:
+		// the images can differ anywhere, and the copy no longer matches.
+		copy(dst, src)
+		d.peer = nil
 	} else {
-		copy(d.data, d.media)
+		d.lines.each(false, func(line uint64) {
+			off := line * LineSize
+			copy(dst[off:off+LineSize], src[off:off+LineSize])
+		})
 	}
 	d.crashed.Store(false)
 	d.crashAfter.Store(-1)
@@ -326,6 +347,7 @@ func (d *Device) LoadImage(path string) error {
 	if d.strict {
 		copy(d.media, b)
 	}
+	d.peer = nil // every line changed: the next reset copies them all
 	return nil
 }
 
