@@ -226,11 +226,12 @@ func BenchmarkMallocFreeSmall(b *testing.B) {
 // number. Sizes cover the small-class
 // spectrum from the minimum class through SmallMax, plus one shard-pool
 // extent size for the large path.
-func BenchmarkMallocFreeClass(b *testing.B) {
+func BenchmarkMallocFreeClass(b *testing.B) { mallocFreeClass(b, simDevice) }
+
+func mallocFreeClass(b *testing.B, newDev func(testing.TB) pmem.Dev) {
 	for _, size := range []uint64{32, 64, 256, 1024, 4096, 16 << 10, 40 << 10} {
 		b.Run(strconv.FormatUint(size, 10), func(b *testing.B) {
-			dev := pmem.New(pmem.Config{Size: 512 << 20})
-			h, err := core.Create(dev, core.DefaultOptions(core.LOG))
+			h, err := core.Create(newDev(b), core.DefaultOptions(core.LOG))
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -279,9 +280,10 @@ func BenchmarkMallocFreeLarge(b *testing.B) {
 // (shard pools). Run with -benchmem: allocs/op shows the Go-side garbage
 // the hot path produces, which the extent cache and the lock-only stats
 // path are meant to keep flat.
-func BenchmarkMallocFreeParallel(b *testing.B) {
-	dev := pmem.New(pmem.Config{Size: 512 << 20})
-	h, err := core.Create(dev, core.DefaultOptions(core.LOG))
+func BenchmarkMallocFreeParallel(b *testing.B) { mallocFreeParallel(b, simDevice) }
+
+func mallocFreeParallel(b *testing.B, newDev func(testing.TB) pmem.Dev) {
+	h, err := core.Create(newDev(b), core.DefaultOptions(core.LOG))
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -297,6 +299,18 @@ func BenchmarkMallocFreeParallel(b *testing.B) {
 			}
 		}
 	})
+}
+
+// simDevice and directDevice open the 512 MiB device of a MallocFree
+// benchmark in each of the two modes.
+func simDevice(testing.TB) pmem.Dev { return pmem.New(pmem.Config{Size: 512 << 20}) }
+
+func directDevice(tb testing.TB) pmem.Dev {
+	dev, err := pmem.NewDirect(pmem.DirectConfig{Size: 512 << 20})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return dev
 }
 
 // mallocFreePair is the i-th operation of BenchmarkMallocFreeParallel's
@@ -343,59 +357,12 @@ func TestMallocFreeLoopAllocatesNothing(t *testing.T) {
 // cost of the simulator itself; the number's own trend across commits is
 // the real-concurrency hot path (printed by CI, not gated — wall-clock on
 // shared CI is too noisy for a hard threshold).
-func BenchmarkRealMallocFreeParallel(b *testing.B) {
-	dev, err := pmem.NewDirect(pmem.DirectConfig{Size: 512 << 20})
-	if err != nil {
-		b.Fatal(err)
-	}
-	h, err := core.Create(dev, core.DefaultOptions(core.LOG))
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	b.RunParallel(func(pb *testing.PB) {
-		th := h.NewThread()
-		defer th.Close()
-		for i := 0; pb.Next(); i++ {
-			if err := mallocFreePair(th, i); err != nil {
-				b.Error(err)
-				return
-			}
-		}
-	})
-}
+func BenchmarkRealMallocFreeParallel(b *testing.B) { mallocFreeParallel(b, directDevice) }
 
 // BenchmarkRealMallocFreeClass is the per-class sweep on the direct
 // device — wall-clock nanoseconds per malloc/free pair with the
 // simulator out of the way.
-func BenchmarkRealMallocFreeClass(b *testing.B) {
-	for _, size := range []uint64{32, 64, 256, 1024, 4096, 16 << 10, 40 << 10} {
-		b.Run(strconv.FormatUint(size, 10), func(b *testing.B) {
-			dev, err := pmem.NewDirect(pmem.DirectConfig{Size: 512 << 20})
-			if err != nil {
-				b.Fatal(err)
-			}
-			h, err := core.Create(dev, core.DefaultOptions(core.LOG))
-			if err != nil {
-				b.Fatal(err)
-			}
-			th := h.NewThread()
-			defer th.Close()
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				p, err := th.Malloc(size)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if err := th.Free(p); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
+func BenchmarkRealMallocFreeClass(b *testing.B) { mallocFreeClass(b, directDevice) }
 
 // BenchmarkRemoteFree measures the batched remote-free path: one thread
 // allocates small blocks, a second thread bound to another arena frees

@@ -26,17 +26,6 @@ import (
 	"nvalloc/internal/experiment"
 )
 
-// flagSet reports whether the named flag was given explicitly.
-func flagSet(name string) bool {
-	set := false
-	flag.Visit(func(f *flag.Flag) {
-		if f.Name == name {
-			set = true
-		}
-	})
-	return set
-}
-
 func main() {
 	var (
 		exp      = flag.String("exp", "", "experiment ID (see -list) or 'all'")
@@ -49,20 +38,10 @@ func main() {
 		cpuProf  = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		memProf  = flag.String("memprofile", "", "write a heap profile to this file on exit")
 		traceOut = flag.String("trace", "", "write a runtime execution trace to this file")
-		real     = flag.Bool("real", false, "real-concurrency mode: wall-clock Larson/Threadtest/Prod-con on a direct device, one row per allocator (shorthand for -exp real; default -threads becomes 1..64)")
 		mcBudget = flag.Int("crashmc.budget", 0, "variant schedules per concurrent crashmc family (0 = smoke default 6, negative = unlimited)")
 		mcUpdate = flag.Bool("crashmc.update", false, "regenerate crashmc_baseline.json from this run (refused in CI, on violations, or on sampled runs)")
 	)
 	flag.Parse()
-	if *real {
-		if *exp == "" {
-			*exp = "real"
-		}
-		// Wall-clock scaling curves default to the full goroutine sweep.
-		if !flagSet("threads") {
-			*threads = "1,2,4,8,16,32,64"
-		}
-	}
 	mcBaselineOut := ""
 	if *mcUpdate {
 		if os.Getenv("CI") != "" {

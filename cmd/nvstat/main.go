@@ -6,18 +6,22 @@
 //
 // Usage:
 //
-//	nvstat -demo                # build a demo heap and inspect it
-//	nvstat -image heap.img -size 268435456
+//	nvstat -demo [-size 268435456]    # build a demo heap and inspect it
+//	nvstat -image heap.img            # inspect an image
 //	nvstat -image heap.img -check     # report corruption, modify nothing
 //	nvstat -image heap.img -repair    # scavenge in place, rewrite image
 //	nvstat -heap nvkv.heap            # inspect an nvkv server's heap file
 //
-// -heap loads the mmap'd device file behind `nvkv serve` (size inferred
-// from the file itself); since a kill -9'd server leaves a dirty state
-// flag, the open performs crash recovery before inspection, and -check /
-// -repair work on heap files the same way they do on images. After the
-// heap census -heap attaches the store's index and prints its key count,
-// or exits 1 naming the format if an older build wrote it.
+// A file is named by its flag: parsing stops at a bare argument, so
+// `nvstat -check heap.img` names none. A file sizes the device itself;
+// -size sizes only the demo heap.
+//
+// -heap loads the mmap'd device file behind `nvkv serve`; since a kill
+// -9'd server leaves a dirty state flag, the open performs crash recovery
+// before inspection, and -check / -repair work on heap files the same way
+// they do on images. After the heap census -heap attaches the store's
+// index and prints its key count, or exits 1 naming the format if an older
+// build wrote it.
 package main
 
 import (
@@ -42,8 +46,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs.SetOutput(stderr)
 	var (
 		image    = fs.String("image", "", "heap image file written by Device.SaveImage")
-		heapFile = fs.String("heap", "", "nvkv heap file (direct-device mmap file; size inferred)")
-		size     = fs.Uint64("size", 256<<20, "device size in bytes (must match the image)")
+		heapFile = fs.String("heap", "", "nvkv heap file (the direct device's mmap file)")
+		size     = fs.Uint64("size", 256<<20, "device size in bytes of the -demo heap (a file sizes its own)")
 		demo     = fs.Bool("demo", false, "generate a demo heap instead of loading an image")
 		check    = fs.Bool("check", false, "report corruption in the image without modifying it")
 		repair   = fs.Bool("repair", false, "scavenge the image in place and rewrite it")
@@ -60,18 +64,21 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 
 	// A direct-device heap file is byte-identical to a saved image, so
-	// -heap is -image with the device sized from the file itself.
+	// -heap is -image plus the store census. Either file sizes the device:
+	// LoadImage takes no other size.
 	path := *image
 	if *heapFile != "" {
 		if *image != "" {
 			fmt.Fprintln(stderr, "nvstat: -image and -heap are mutually exclusive")
 			return 2
 		}
-		st, err := os.Stat(*heapFile)
+		path = *heapFile
+	}
+	if path != "" && !*demo {
+		st, err := os.Stat(path)
 		if err != nil {
 			return fail(err)
 		}
-		path = *heapFile
 		*size = uint64(st.Size())
 	}
 

@@ -138,13 +138,7 @@ type Runner func(cfg Config) []*Table
 // Experiments is the registry, keyed by figure/table ID.
 var Experiments = map[string]Runner{}
 
-// Order lists experiment IDs in presentation order.
-var Order []string
-
-func register(id string, r Runner) {
-	Experiments[id] = r
-	Order = append(Order, id)
-}
+func register(id string, r Runner) { Experiments[id] = r }
 
 // Allocator names (strongly consistent, weakly consistent, ablations).
 var (
@@ -224,9 +218,12 @@ func OpenHeapOn(dev pmem.Dev, name string) (alloc.Heap, error) {
 	return core.Create(dev, opts)
 }
 
-// Names returns registered experiment IDs in order.
+// Names returns the registered experiment IDs, sorted.
 func Names() []string {
-	out := append([]string(nil), Order...)
+	out := make([]string, 0, len(Experiments))
+	for id := range Experiments {
+		out = append(out, id)
+	}
 	sort.Strings(out)
 	return out
 }

@@ -21,7 +21,10 @@
 // paper's baselines.
 package interleave
 
-import "fmt"
+import (
+	"fmt"
+	"sync"
+)
 
 // Mapping is an interleaved layout of fixed-size units over cache lines.
 // The zero value is not usable; call New.
@@ -112,4 +115,44 @@ func (m Mapping) Index(line, slot int) int {
 		return -1
 	}
 	return i
+}
+
+// Table is a Mapping tabulated per logical index. The mapping arithmetic
+// costs two hardware divisions per lookup, and the allocator resolves an
+// offset on every malloc and free (a slab bitmap bit, a WAL slot), so its
+// hot paths read a table instead. Tables are shared process-wide and must
+// not be written: the allocator uses a handful of geometries (one per size
+// class and stripe count, one per ring size), and a table is a pure
+// function of its mapping.
+type Table struct {
+	Bit    []int32 // logical index -> BitOffset
+	Byte   []int32 // logical index -> ByteOffset; nil unless units are whole bytes
+	Stripe []uint8 // logical index -> Stripe
+}
+
+var tables sync.Map // Mapping -> *Table
+
+// Table returns m's shared table, building it on the geometry's first use.
+// It panics on more than 256 stripes, which Stripe's entries cannot name.
+func (m Mapping) Table() *Table {
+	if v, ok := tables.Load(m); ok {
+		return v.(*Table)
+	}
+	if m.stripes > 256 {
+		panic(fmt.Sprintf("interleave: %d stripes do not fit a table", m.stripes))
+	}
+	t := &Table{Bit: make([]int32, m.count), Stripe: make([]uint8, m.count)}
+	if m.unitBits%8 == 0 {
+		t.Byte = make([]int32, m.count)
+	}
+	for i := range t.Bit {
+		off := m.BitOffset(i)
+		t.Bit[i] = int32(off)
+		t.Stripe[i] = uint8(m.Stripe(i))
+		if t.Byte != nil {
+			t.Byte[i] = int32(off / 8)
+		}
+	}
+	v, _ := tables.LoadOrStore(m, t)
+	return v.(*Table)
 }

@@ -182,3 +182,25 @@ func TestMappingArithmeticExhaustive(t *testing.T) {
 		}
 	}
 }
+
+// TestTableMatchesMapping: a table holds its mapping's offsets and stripes,
+// bytes only for whole-byte units, and one geometry has one table.
+func TestTableMatchesMapping(t *testing.T) {
+	for _, m := range []Mapping{New(1000, 1, 6, 64), New(1024, 256, 6, 64), New(77, 64, 1, 64)} {
+		tab := m.Table()
+		if tab != m.Table() {
+			t.Fatal("one geometry, two tables")
+		}
+		if whole := m.unitBits%8 == 0; (tab.Byte != nil) != whole {
+			t.Fatalf("%d-bit units: byte table present = %v", m.unitBits, tab.Byte != nil)
+		}
+		for i := 0; i < m.Count(); i++ {
+			if int(tab.Bit[i]) != m.BitOffset(i) || int(tab.Stripe[i]) != m.Stripe(i) {
+				t.Fatalf("index %d: table (%d, %d), mapping (%d, %d)", i, tab.Bit[i], tab.Stripe[i], m.BitOffset(i), m.Stripe(i))
+			}
+			if tab.Byte != nil && int(tab.Byte[i]) != m.ByteOffset(i) {
+				t.Fatalf("index %d: byte %d, mapping %d", i, tab.Byte[i], m.ByteOffset(i))
+			}
+		}
+	}
+}

@@ -6,8 +6,6 @@ import (
 	"fmt"
 	"math"
 	"net"
-	"os"
-	"path/filepath"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -404,49 +402,20 @@ func (s *Server) resume() {
 }
 
 // Snapshot writes a point-in-time copy of the heap image to the
-// configured path (temp file + rename, so a host crash mid-save never
-// leaves a torn snapshot). Mutations are quiesced while the image is
-// captured, so the snapshot is a consistent cut on both device kinds: on
-// a simulated device the persisted media image is saved; on a direct
-// device the mmap is copied to a private buffer and written out after
-// serving resumes. `nvstat -check` (or -repair) still validates a
-// snapshot before it is trusted, guarding against media-level corruption.
+// configured path. Mutations are quiesced only while the bytes a restart
+// reads are copied (pmem.Image), so the snapshot is a consistent cut; the
+// copy is written after serving resumes, atomically (pmem.WriteImage), so
+// a host crash mid-save never leaves a torn snapshot. `nvstat -check` (or
+// -repair) still validates a snapshot before it is trusted, guarding
+// against media-level corruption.
 func (s *Server) Snapshot() error {
 	if s.snapshotPath == "" {
 		return errors.New("nvkv: snapshots disabled (no snapshot path configured)")
 	}
 	s.quiesce()
-	switch dev := s.heap.Device().(type) {
-	case *pmem.Device:
-		err := dev.SaveImage(s.snapshotPath)
-		s.resume()
-		return err
-	default:
-		src := dev.Bytes(0, int(dev.Size()))
-		img := make([]byte, len(src))
-		copy(img, src)
-		s.resume()
-		dir := filepath.Dir(s.snapshotPath)
-		tmp, err := os.CreateTemp(dir, ".nvkv-snap-*")
-		if err != nil {
-			return err
-		}
-		name := tmp.Name()
-		_, err = tmp.Write(img)
-		if err == nil {
-			err = tmp.Sync()
-		}
-		if err != nil {
-			tmp.Close()
-			os.Remove(name)
-			return err
-		}
-		if err := tmp.Close(); err != nil {
-			os.Remove(name)
-			return err
-		}
-		return os.Rename(name, s.snapshotPath)
-	}
+	img := pmem.Image(s.heap.Device())
+	s.resume()
+	return pmem.WriteImage(s.snapshotPath, img)
 }
 
 func b2i(b bool) int64 {

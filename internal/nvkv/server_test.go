@@ -3,10 +3,12 @@ package nvkv
 import (
 	"bufio"
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
 	"net"
+	"os"
 	"path/filepath"
 	"runtime"
 	"strconv"
@@ -632,6 +634,85 @@ func TestSnapshotPassesAStalledPeer(t *testing.T) {
 	}
 	peer.Close()
 	<-done
+}
+
+// TestSnapshotOfAStrictDeviceIsItsMedia: on a strict simulated device a
+// restart reads the media image, so SNAPSHOT must save that and not the
+// cache image: a store left unflushed after the acked SETs is absent from
+// the file, and a fresh device loaded from it opens with every acked key.
+func TestSnapshotOfAStrictDeviceIsItsMedia(t *testing.T) {
+	const size = 64 << 20
+	dev := pmem.New(pmem.Config{Size: size, Strict: true})
+	h, err := core.Create(dev, core.DefaultOptions(core.LOG))
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	snapPath := filepath.Join(dir, "snap.img")
+	srv := serveOn(t, h, ServerConfig{SnapshotPath: snapPath})
+	client, done := pipeClient(srv)
+	defer func() {
+		client.Close()
+		<-done
+	}()
+	br, bw := bufio.NewReader(client), bufio.NewWriter(client)
+	acked := map[string]string{}
+	for i := 0; i < 32; i++ {
+		k, v := "k"+strconv.Itoa(i), strings.Repeat(strconv.Itoa(i), 1+i*40)
+		if rep := roundTrip(t, br, bw, "SET", k, v); rep.Kind != ReplyStatus {
+			t.Fatalf("SET %s: %+v", k, rep)
+		}
+		acked[k] = v
+	}
+
+	const marker = 0x5EED5EED5EED5EED
+	last := pmem.PAddr(size - 8)
+	dev.WriteU64(last, marker) // stored, never flushed
+	if rep := roundTrip(t, br, bw, "SNAPSHOT"); rep.Kind != ReplyStatus {
+		t.Fatalf("SNAPSHOT: %+v", rep)
+	}
+	snap, err := os.ReadFile(snapPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := binary.LittleEndian.Uint64(snap[last:]); got != 0 || dev.ReadU64(last) != marker {
+		t.Fatalf("snapshot word %#x = %#x, cache image %#x: the unflushed store must be absent", last, got, dev.ReadU64(last))
+	}
+	mediaPath := filepath.Join(dir, "media.img")
+	if err := dev.SaveImage(mediaPath); err != nil {
+		t.Fatal(err)
+	}
+	media, err := os.ReadFile(mediaPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(snap, media) {
+		t.Fatal("the snapshot is not the device's media image")
+	}
+
+	fresh := pmem.New(pmem.Config{Size: size, Strict: true})
+	if err := fresh.LoadImage(snapPath); err != nil {
+		t.Fatal(err)
+	}
+	rh, _, err := core.Open(fresh, core.DefaultOptions(core.LOG))
+	if err != nil {
+		t.Fatalf("snapshot does not open: %v", err)
+	}
+	st, err := OpenStore(rh, 0, StoreConfig{Buckets: 128})
+	if err != nil {
+		t.Fatalf("snapshot store does not open: %v", err)
+	}
+	th := rh.NewThread()
+	defer th.Close()
+	for k, v := range acked {
+		got, ok, err := st.Get(th, 1, []byte(k))
+		if err != nil || !ok || string(got) != v {
+			t.Fatalf("snapshot GET %s: %d bytes, found %v, err %v; acked %d bytes", k, len(got), ok, err, len(v))
+		}
+	}
+	if st.Len() != int64(len(acked)) {
+		t.Fatalf("snapshot holds %d keys, %d were acked", st.Len(), len(acked))
+	}
 }
 
 // TestStalledPeerLosesItsConnection: the write deadline ends the

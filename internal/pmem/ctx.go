@@ -93,13 +93,11 @@ type Ctx struct {
 	dev Dev
 
 	// sim is dev's concrete type when the context runs on the simulated
-	// device (nil in direct mode), so the flush hot path reaches banks,
-	// line locks and the media image without interface dispatch.
+	// device, so the flush hot path reaches banks, line locks and the media
+	// image without interface dispatch. It is nil on the direct device,
+	// which short-circuits the virtual-time model: flushes and fences only
+	// bump local counters, and Resources degrade to plain mutexes.
 	sim *Device
-
-	// direct short-circuits the virtual-time model: flushes and fences
-	// only bump local counters, and Resources degrade to plain mutexes.
-	direct bool
 
 	// mem is the device's concrete image view, so Ctx store helpers
 	// (PersistU64) skip interface dispatch.
@@ -177,7 +175,7 @@ func (c *Ctx) Charge(cat Category, ns int64) {
 // latency, so a fence only costs the small fixed fence latency.
 func (c *Ctx) Fence() {
 	c.local.Fences++
-	if c.direct {
+	if c.sim == nil {
 		// Real mode: the fence is instrumentation only. The compiler
 		// barrier a real sfence would add is unnecessary — every ordering
 		// the allocators rely on at runtime comes from their own mutexes
@@ -217,7 +215,7 @@ func (c *Ctx) PersistU64(cat Category, addr PAddr, v uint64) {
 
 func (c *Ctx) flushLine(cat Category, line uint64) {
 	c.flushIssued++
-	if c.direct {
+	if c.sim == nil {
 		// Real mode: count the flush so call ratios stay comparable with
 		// simulated runs, but charge nothing and touch no shared state.
 		c.local.Flushes++
@@ -415,7 +413,7 @@ type Resource struct {
 // virtual load. In direct mode it is a plain mutex lock: real contention
 // is measured by the wall clock, not modelled.
 func (r *Resource) Acquire(c *Ctx) {
-	if c.direct {
+	if c.sim == nil {
 		r.mu.Lock()
 		c.held++
 		return
@@ -436,7 +434,7 @@ func (r *Resource) Acquire(c *Ctx) {
 // Release adds the critical section's virtual duration to the resource's
 // load and unlocks it.
 func (r *Resource) Release(c *Ctx) {
-	if c.direct {
+	if c.sim == nil {
 		r.mu.Unlock()
 		c.held--
 		return

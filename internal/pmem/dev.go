@@ -70,6 +70,9 @@ type Dev interface {
 	// mergeStats folds a finishing worker's local counters into the device
 	// totals (Ctx.Merge). Unexported: it seals the interface.
 	mergeStats(local *Stats, flushIssued uint64, now int64)
+	// mediaImage is a persisted image kept apart from the one Bytes
+	// views, which a restart reads instead (Image); nil if there is none.
+	mediaImage() []byte
 }
 
 var (

@@ -92,6 +92,9 @@ func (d *DirectDev) Mode() Mode { return ModeADR }
 // EADR reports false; see Mode.
 func (d *DirectDev) EADR() bool { return false }
 
+// mediaImage is nil: the mapping itself is what a restart reads.
+func (d *DirectDev) mediaImage() []byte { return nil }
+
 // ResetTimeline is a no-op: there is no virtual time to restart.
 func (d *DirectDev) ResetTimeline() {}
 
@@ -99,7 +102,7 @@ func (d *DirectDev) ResetTimeline() {}
 // flushes and fences but never advance virtual time or touch bank or
 // line-lock state.
 func (d *DirectDev) NewCtx() *Ctx {
-	return &Ctx{dev: d, direct: true, mem: d.Mem(), clock: d.clock}
+	return &Ctx{dev: d, mem: d.Mem(), clock: d.clock}
 }
 
 // Discard gives the pages behind [addr, addr+n) back: it punches the

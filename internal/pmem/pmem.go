@@ -21,6 +21,7 @@
 package pmem
 
 import (
+	"bytes"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -293,21 +294,42 @@ func (d *Device) ResetTimeline() {
 func (d *Device) Discard(addr PAddr, n int) error { return nil }
 
 // SaveImage writes the persisted image (strict mode) or the cache image to
-// path, emulating the DAX heap file surviving a process exit. The image is
-// written to a temporary file in the same directory and renamed into
-// place, so a host crash mid-save can never leave a torn image behind.
+// path with WriteImage, emulating the DAX heap file surviving a process
+// exit.
 func (d *Device) SaveImage(path string) error {
 	src := d.data
 	if d.strict {
 		src = d.media
 	}
-	dir := filepath.Dir(path)
-	tmp, err := os.CreateTemp(dir, ".pmem-img-*")
+	return WriteImage(path, src)
+}
+
+// mediaImage is the strict device's persisted image (nil otherwise).
+func (d *Device) mediaImage() []byte { return d.media }
+
+// Image returns a private copy of the bytes a restart of dev reads: a
+// strict simulated device's media image, otherwise the whole device as
+// Bytes views it — the cache image, or the direct device's memory or file
+// mapping. The copy is a consistent cut only while nothing writes the
+// device.
+func Image(dev Dev) []byte {
+	src := dev.mediaImage()
+	if src == nil {
+		src = dev.Bytes(0, int(dev.Size()))
+	}
+	return bytes.Clone(src)
+}
+
+// WriteImage writes img to path through a temporary file in the same
+// directory, synced and renamed into place, so a host crash mid-save can
+// never leave a torn image behind.
+func WriteImage(path string, img []byte) error {
+	tmp, err := os.CreateTemp(filepath.Dir(path), ".pmem-img-*")
 	if err != nil {
 		return err
 	}
 	tmpName := tmp.Name()
-	if _, err := tmp.Write(src); err != nil {
+	if _, err := tmp.Write(img); err != nil {
 		tmp.Close()
 		os.Remove(tmpName)
 		return err

@@ -164,7 +164,7 @@ func (s *Slab) MorphTo(c *pmem.Ctx, newClass, stripes int, persist bool) error {
 	s.bitmapBase = bitmapBase
 	s.snapAt = nil // sized to the old bitmap
 	s.m = m
-	s.lay = layoutFor(blocks, stripes, m)
+	s.lay = m.Table()
 	s.free = free
 	s.fresh = false
 	s.resBits = make([]uint64, (blocks+63)/64)
@@ -407,7 +407,7 @@ func open(dev pmem.Mem, c *pmem.Ctx, base pmem.PAddr, repair bool) (*Slab, error
 		bitmapBase: bitmapBase,
 		OldClass:   -1,
 	}
-	s.lay = layoutFor(blocks, stripes, s.m)
+	s.lay = s.m.Table()
 
 	// At any flag other than 3 the old fields are dead (a completed
 	// demotion or an undone morph leaves them stale on purpose).
@@ -493,7 +493,7 @@ func (s *Slab) build(c *pmem.Ctx) {
 	free := bitfit.New(s.Blocks)
 	allocated := 0
 	bitmap := s.dev.Bytes(s.Base+pmem.PAddr(s.bitmapBase), int(s.DataOff-s.bitmapBase))
-	for idx, off := range s.lay.off {
+	for idx, off := range s.lay.Bit {
 		if bitmap[off>>3]&(1<<(off&7)) != 0 {
 			free.Set(idx)
 			allocated++
@@ -529,7 +529,7 @@ func (s *Slab) PersistedAllocated(c *pmem.Ctx, idx int) bool {
 	if s.cntBlock != nil && s.cntBlock[idx] > 0 {
 		return true
 	}
-	off := int(s.lay.off[idx])
+	off := int(s.lay.Bit[idx])
 	return s.dev.ReadU8(s.Base+pmem.PAddr(s.bitmapBase)+pmem.PAddr(off/8))&(1<<(off%8)) != 0
 }
 

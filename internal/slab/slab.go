@@ -28,7 +28,6 @@ import (
 	"fmt"
 	"hash/crc32"
 	"math/bits"
-	"sync"
 	"sync/atomic"
 
 	"nvalloc/internal/bitfit"
@@ -99,39 +98,6 @@ const (
 // Magic identifies a formatted slab header.
 const Magic = 0x42414C53 // "SLAB"
 
-// bitLayout caches the interleaved bit offset and stripe of every logical
-// block index for one (blocks, stripes) geometry. The mapping arithmetic
-// costs two hardware divisions per lookup; the commit paths resolve a bit
-// offset on every malloc and free, so they read the table instead. Tables
-// are shared process-wide: the allocator only ever uses a handful of
-// geometries (one per size class and stripe count), and a table is a pure
-// function of its key.
-type bitLayout struct {
-	off    []int32 // logical block index -> bit offset in the bitmap region
-	stripe []uint8 // logical block index -> stripe (stripes <= 64 fits uint8)
-}
-
-var bitLayouts sync.Map // [2]int{blocks, stripes} -> *bitLayout
-
-// layoutFor returns the shared bit-layout table for m, building and
-// registering it on first use of the geometry.
-func layoutFor(blocks, stripes int, m interleave.Mapping) *bitLayout {
-	key := [2]int{blocks, stripes}
-	if v, ok := bitLayouts.Load(key); ok {
-		return v.(*bitLayout)
-	}
-	l := &bitLayout{
-		off:    make([]int32, blocks),
-		stripe: make([]uint8, blocks),
-	}
-	for i := 0; i < blocks; i++ {
-		l.off[i] = int32(m.BitOffset(i))
-		l.stripe[i] = uint8(m.Stripe(i))
-	}
-	v, _ := bitLayouts.LoadOrStore(key, l)
-	return v.(*bitLayout)
-}
-
 // ClassNone marks the old-class header fields as unset.
 const ClassNone = 0xFFFFFFFF
 
@@ -174,7 +140,7 @@ type Slab struct {
 
 	dev        pmem.Mem
 	m          interleave.Mapping
-	lay        *bitLayout // shared (blocks, stripes) bit-layout table
+	lay        *interleave.Table // m's shared table
 	bitmapBase uint32
 	free       *bitfit.Bitmap // logical-index bitmap: 1 = allocated or reserved (leaf + summary); nil until Build
 	bytesRead  int            // bitmap bytes PersistedAllocated charged before Build (at most Blocks/8)
@@ -235,7 +201,7 @@ type Geom struct {
 	DataOff   uint32
 	SlabIn    bool
 	m         interleave.Mapping
-	lay       *bitLayout
+	lay       *interleave.Table
 }
 
 // BlockIndex maps an address inside the slab at base to its logical
@@ -255,7 +221,7 @@ func (g *Geom) BlockIndex(base, addr pmem.PAddr) int {
 // Stripe returns the bitmap stripe (and thus metadata cache line group) of
 // logical block idx under this geometry; the tcache uses it to pick a
 // sub-tcache.
-func (g *Geom) Stripe(idx int) int { return int(g.lay.stripe[idx]) }
+func (g *Geom) Stripe(idx int) int { return int(g.lay.Stripe[idx]) }
 
 // publishGeom snapshots the current geometry fields. Called while the
 // slab is still private (Format/Open) or under the slab lock (morph,
@@ -325,7 +291,7 @@ func Format(dev pmem.Mem, c *pmem.Ctx, base pmem.PAddr, class, stripes int, pers
 		DataOff:    dataOff,
 		dev:        dev,
 		m:          m,
-		lay:        layoutFor(blocks, stripes, m),
+		lay:        m.Table(),
 		bitmapBase: bitmapBase,
 		free:       bitfit.New(blocks),
 		resBits:    make([]uint64, (blocks+63)/64),
@@ -444,7 +410,7 @@ func (s *Slab) BlockReserved(idx int) bool {
 // issues the one trailing fence (core's commit for the allocation paths,
 // the recovery sweeps and FreeOldBlock for their own bits).
 func (s *Slab) writePersistentBit(c *pmem.Ctx, idx int, val, persist bool) {
-	off := int(s.lay.off[idx])
+	off := int(s.lay.Bit[idx])
 	addr := s.Base + pmem.PAddr(s.bitmapBase) + pmem.PAddr(off/8)
 	b := s.dev.ReadU8(addr)
 	if val {
@@ -475,7 +441,7 @@ func (s *Slab) bitmapLine(i int) []byte {
 // FlushDirty, and may be emptied once every slab marked into it has been
 // flushed.
 func (s *Slab) MarkDirty(idx int, pool *[]byte) (first bool) {
-	line := int(s.lay.off[idx]) / (8 * pmem.LineSize)
+	line := int(s.lay.Bit[idx]) / (8 * pmem.LineSize)
 	if s.dirty&(1<<line) != 0 {
 		return false
 	}

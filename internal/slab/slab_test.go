@@ -131,7 +131,7 @@ func TestBuildPinsOldBlocks(t *testing.T) {
 	for nb := 0; nb < s.Blocks; nb++ {
 		if s.OverlapCount(nb) > 0 {
 			pinned = append(pinned, nb)
-			off := int(s.lay.off[nb])
+			off := int(s.lay.Bit[nb])
 			a := s.Base + pmem.PAddr(s.bitmapBase) + pmem.PAddr(off/8)
 			dev.WriteU8(a, dev.ReadU8(a)&^(1<<(off%8)))
 			c.FlushU64(pmem.CatMeta, a)
@@ -172,7 +172,7 @@ func TestPersistedAllocatedMatchesBuild(t *testing.T) {
 			t.Fatal(err)
 		}
 		for nb := 0; nb < s.Blocks; nb++ {
-			off := int(s.lay.off[nb])
+			off := int(s.lay.Bit[nb])
 			a := s.Base + pmem.PAddr(s.bitmapBase) + pmem.PAddr(off/8)
 			switch {
 			case s.OverlapCount(nb) > 0 && rng.Intn(2) == 0:

@@ -102,16 +102,15 @@ func (e *Entry) unpack(w1, w2, w3 uint64) {
 type Log struct {
 	dev    pmem.Mem
 	base   pmem.PAddr
-	m      interleave.Mapping
 	n      int
 	seq    uint64 // next sequence number to assign
 	ckpt   uint64 // last persisted checkpoint
 	cursor int    // next slot to write
 
-	// addrs caches slotAddr for every ring slot: the interleaved offset
-	// arithmetic costs two hardware divisions, paid once here instead of
-	// on every append.
-	addrs []pmem.PAddr
+	// slots is every ring slot's byte offset from the first slot, the
+	// ring geometry's shared interleave table: the interleaved offset
+	// arithmetic is paid once per geometry instead of on every append.
+	slots []int32
 
 	// WriteBack, when set, is the first step of every checkpoint move. A
 	// log whose entries are the only durable record of a metadata write
@@ -161,10 +160,10 @@ func entryCheck(seq, w1, w2, w3 uint64) uint32 {
 // word does not unseal.
 func New(dev pmem.Mem, base pmem.PAddr, n, stripes int) (*Log, error) {
 	l := &Log{
-		dev:  dev,
-		base: base,
-		m:    interleave.New(n, EntrySize*8, stripes, pmem.LineSize),
-		n:    n,
+		dev:   dev,
+		base:  base,
+		n:     n,
+		slots: interleave.New(n, EntrySize*8, stripes, pmem.LineSize).Table().Byte,
 	}
 	ckpt, ok := pmem.UnsealU64(dev.ReadU64(base))
 	if !ok {
@@ -173,14 +172,10 @@ func New(dev pmem.Mem, base pmem.PAddr, n, stripes int) (*Log, error) {
 	l.ckpt = ckpt
 	l.seq = l.ckpt + 1
 	l.cursor = int(l.ckpt % uint64(n))
-	l.addrs = make([]pmem.PAddr, n)
-	for slot := range l.addrs {
-		l.addrs[slot] = l.base + headerSize + pmem.PAddr(l.m.ByteOffset(slot))
-	}
 	return l, nil
 }
 
-func (l *Log) slotAddr(slot int) pmem.PAddr { return l.addrs[slot] }
+func (l *Log) slotAddr(slot int) pmem.PAddr { return l.base + headerSize + pmem.PAddr(l.slots[slot]) }
 
 // Append assigns the next sequence number to e, writes its interleaved
 // slot and flushes it (attributed to CatWAL), and returns the sequence.

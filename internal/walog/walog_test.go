@@ -4,6 +4,7 @@ import (
 	"errors"
 	"testing"
 
+	"nvalloc/internal/interleave"
 	"nvalloc/internal/pmem"
 )
 
@@ -605,5 +606,32 @@ func TestFirstAppendPutsRingInService(t *testing.T) {
 	again.Append(c, Entry{Op: OpAllocBit, Addr: 4096})
 	if !again.InService() || calls != 1 {
 		t.Fatalf("reopened ring: in service %v, %d calls, want true and still 1", again.InService(), calls)
+	}
+}
+
+// TestNewSharesItsSlotTable: after the first ring of a geometry, New
+// tabulates no slot: every ring of that geometry reads one shared table of
+// the interleaved slot offsets, and New allocates the Log alone.
+func TestNewSharesItsSlotTable(t *testing.T) {
+	dev := pmem.New(pmem.Config{Size: 1 << 20, Strict: true})
+	const n, stripes = 1024, 6
+	a := mustNew(t, dev, 4096, n, stripes)
+	b := mustNew(t, dev, 4096+pmem.PAddr(RegionSize(n, stripes)), n, stripes)
+	if &a.slots[0] != &b.slots[0] {
+		t.Fatal("two rings of one geometry hold two slot tables")
+	}
+	m := interleave.New(n, EntrySize*8, stripes, pmem.LineSize)
+	for slot := 0; slot < n; slot++ {
+		if got, want := b.slotAddr(slot), b.base+headerSize+pmem.PAddr(m.ByteOffset(slot)); got != want {
+			t.Fatalf("slot %d at %#x, want %#x", slot, got, want)
+		}
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		if _, err := New(dev.Mem(), 4096, n, stripes); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 1 {
+		t.Fatalf("New allocates %v objects, want 1 (the Log)", allocs)
 	}
 }

@@ -13,7 +13,6 @@ package workload
 import (
 	"math/rand"
 	"sync"
-	"time"
 
 	"nvalloc/internal/alloc"
 	"nvalloc/internal/pmem"
@@ -26,12 +25,8 @@ type Result struct {
 	// Ops is the total operations (allocations + frees) completed.
 	Ops uint64
 	// MakespanNS is the maximum worker virtual clock: the run's duration.
-	// Zero on a direct device (real mode has no virtual clock).
+	// Zero on a direct device, which has no virtual clock.
 	MakespanNS int64
-	// WallNS is the measured wall-clock duration of the run (always set;
-	// only meaningful as a throughput base in real mode, where workers are
-	// not slowed by the simulator).
-	WallNS int64
 	// PeakBytes is the heap's peak committed memory during the run.
 	PeakBytes uint64
 	// UsedBytes is the committed memory at the end of the run.
@@ -49,15 +44,6 @@ func (r Result) MopsPerSec() float64 {
 	return float64(r.Ops) * 1e3 / float64(r.MakespanNS)
 }
 
-// WallMopsPerSec returns throughput in million operations per wall-clock
-// second — the real-mode figure of merit.
-func (r Result) WallMopsPerSec() float64 {
-	if r.WallNS <= 0 {
-		return 0
-	}
-	return float64(r.Ops) * 1e3 / float64(r.WallNS)
-}
-
 // Run drives `threads` workers against the heap. body returns the number
 // of operations the worker performed. The device's merged stats are reset
 // before the run so Result.Stats covers only this run. Worker w runs on
@@ -73,7 +59,6 @@ func Run(name string, h alloc.Heap, threads int, body func(w int, th alloc.Threa
 		total uint64
 		span  int64
 	)
-	start := time.Now()
 	ths := make([]alloc.Thread, threads)
 	for w := range ths {
 		ths[w] = h.NewThread()
@@ -100,7 +85,6 @@ func Run(name string, h alloc.Heap, threads int, body func(w int, th alloc.Threa
 		Threads:    threads,
 		Ops:        total,
 		MakespanNS: span,
-		WallNS:     time.Since(start).Nanoseconds(),
 		PeakBytes:  h.Peak(),
 		UsedBytes:  h.Used(),
 		Stats:      h.Device().Stats(),

@@ -36,7 +36,13 @@ func TestConcurrentStressAllAllocators(t *testing.T) {
 // publish protocols at full concurrency. Standing test: runs in every
 // `go test ./...`, not just under -race.
 func TestConcurrentStressAllAllocatorsReal(t *testing.T) {
-	stressAll(t, experiment.OpenHeapDirect)
+	stressAll(t, func(name string, cfg experiment.Config) (alloc.Heap, error) {
+		dev, err := pmem.NewDirect(pmem.DirectConfig{Size: cfg.DeviceBytes})
+		if err != nil {
+			return nil, err
+		}
+		return experiment.OpenHeapOn(dev, name)
+	})
 }
 
 func stressAll(t *testing.T, open func(name string, cfg experiment.Config) (alloc.Heap, error)) {
