@@ -42,7 +42,7 @@ func main() {
 
 	// Crash-safe allocation: MallocTo persists the new address into a
 	// root slot, so the object is reachable after a restart.
-	durable, err := th.MallocTo(heap.RootSlot(0), 256)
+	durable, err := nvalloc.MallocTo(th, heap.RootSlot(0), 256)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -54,7 +54,7 @@ func main() {
 			log.Fatal(err)
 		}
 	}
-	if err := th.FreeFrom(heap.RootSlot(0)); err != nil {
+	if err := nvalloc.FreeFrom(th, heap.RootSlot(0)); err != nil {
 		log.Fatal(err)
 	}
 

@@ -43,20 +43,38 @@ type Thread interface {
 	// block slot referenced until now (or Null). Whatever the caller
 	// flushed before the call is durable when Publish returns nil.
 	Publish(slot, new, old pmem.PAddr) error
-	// MallocTo atomically allocates size bytes and persists the result's
-	// address into the persistent pointer slot at slot, so that a crash
-	// leaves either no allocation or a reachable one (the paper's
-	// nvalloc_malloc_to): Reserve, then Publish(slot, block, Null).
-	MallocTo(slot pmem.PAddr, size uint64) (pmem.PAddr, error)
-	// FreeFrom atomically frees the block referenced by the persistent
-	// pointer slot and clears the slot (the paper's nvalloc_free_from):
-	// Publish(slot, Null, *slot).
-	FreeFrom(slot pmem.PAddr) error
 	// Ctx exposes the worker's pmem context for instrumentation.
 	Ctx() *pmem.Ctx
 	// Close merges the thread's statistics into the device and returns
 	// cached blocks where the allocator supports it.
 	Close()
+}
+
+// MallocTo allocates size bytes and publishes the block into the
+// persistent pointer slot, so that a crash leaves either no allocation or
+// one slot references (the paper's nvalloc_malloc_to): Reserve, then
+// Publish(slot, block, Null).
+func MallocTo(th Thread, slot pmem.PAddr, size uint64) (pmem.PAddr, error) {
+	addr, err := th.Reserve(size)
+	if err != nil {
+		return pmem.Null, err
+	}
+	if err := th.Publish(slot, addr, pmem.Null); err != nil {
+		_ = th.Unreserve(addr) // Publish's error is the one to report
+		return pmem.Null, err
+	}
+	return addr, nil
+}
+
+// FreeFrom frees the block the persistent pointer slot references and
+// clears the slot, in one crash-atomic step (the paper's
+// nvalloc_free_from): Publish(slot, Null, *slot).
+func FreeFrom(th Thread, slot pmem.PAddr) error {
+	addr := pmem.PAddr(th.Ctx().Device().ReadU64(slot))
+	if addr == pmem.Null {
+		return ErrBadAddress
+	}
+	return th.Publish(slot, pmem.Null, addr)
 }
 
 // Flusher is implemented by threads that buffer deferred work — batched

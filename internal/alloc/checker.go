@@ -2,10 +2,10 @@ package alloc
 
 import (
 	"fmt"
-	"sort"
 	"sync"
 
 	"nvalloc/internal/pmem"
+	"nvalloc/internal/rbtree"
 )
 
 // Checker wraps a Heap and verifies allocator invariants online: no two
@@ -15,13 +15,13 @@ import (
 type Checker struct {
 	Heap
 	mu   sync.Mutex
-	live map[pmem.PAddr]uint64 // addr -> requested size
+	live *rbtree.Tree[pmem.PAddr, uint64] // addr -> requested size, in address order
 	errs []string
 }
 
 // NewChecker wraps h.
 func NewChecker(h Heap) *Checker {
-	return &Checker{Heap: h, live: make(map[pmem.PAddr]uint64)}
+	return &Checker{Heap: h, live: rbtree.New[pmem.PAddr, uint64](func(a, b pmem.PAddr) bool { return a < b })}
 }
 
 // Errors returns every invariant violation observed so far.
@@ -35,7 +35,7 @@ func (c *Checker) Errors() []string {
 func (c *Checker) LiveCount() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return len(c.live)
+	return c.live.Len()
 }
 
 func (c *Checker) fail(format string, args ...any) {
@@ -52,29 +52,27 @@ func (c *Checker) noteAlloc(p pmem.PAddr, size uint64) {
 	if uint64(p)+size > c.Device().Size() {
 		c.fail("allocation [%#x,+%d) escapes the device", p, size)
 	}
-	if prev, ok := c.live[p]; ok {
+	if prev, ok := c.live.Get(p); ok {
 		c.fail("address %#x returned twice (live size %d)", p, prev)
 		return
 	}
-	// Overlap check against neighbours (live is address-keyed; scan the
-	// closest entries). A full interval tree is overkill for tests.
-	for a, sz := range c.live {
-		if p < a+pmem.PAddr(sz) && a < p+pmem.PAddr(size) {
-			c.fail("allocation [%#x,+%d) overlaps live [%#x,+%d)", p, size, a, sz)
-			break
-		}
+	// The live blocks are disjoint, so only the closest one below p and the
+	// closest one above it can overlap the new block.
+	if a, sz, ok := c.live.Floor(p); ok && p < a+pmem.PAddr(sz) {
+		c.fail("allocation [%#x,+%d) overlaps live [%#x,+%d)", p, size, a, sz)
+	} else if a, sz, ok := c.live.Ceiling(p); ok && a < p+pmem.PAddr(size) {
+		c.fail("allocation [%#x,+%d) overlaps live [%#x,+%d)", p, size, a, sz)
 	}
-	c.live[p] = size
+	c.live.Put(p, size)
 }
 
 func (c *Checker) noteFree(p pmem.PAddr) bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if _, ok := c.live[p]; !ok {
+	if !c.live.Delete(p) {
 		c.fail("free of address %#x that is not live", p)
 		return false
 	}
-	delete(c.live, p)
 	return true
 }
 
@@ -88,11 +86,11 @@ func (c *Checker) NewThread() Thread {
 func (c *Checker) Snapshot() []pmem.PAddr {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	out := make([]pmem.PAddr, 0, len(c.live))
-	for a := range c.live {
+	out := make([]pmem.PAddr, 0, c.live.Len())
+	c.live.Ascend(func(a pmem.PAddr, _ uint64) bool {
 		out = append(out, a)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+		return true
+	})
 	return out
 }
 
@@ -122,7 +120,7 @@ func (t *checkedThread) release(addr pmem.PAddr, free func() error) error {
 	err := free()
 	if err != nil && known {
 		t.c.mu.Lock()
-		t.c.live[addr] = 0
+		t.c.live.Put(addr, 0)
 		t.c.mu.Unlock()
 	}
 	return err
@@ -144,19 +142,6 @@ func (t *checkedThread) Unreserve(addr pmem.PAddr) error {
 
 func (t *checkedThread) Publish(slot, new, old pmem.PAddr) error {
 	return t.release(old, func() error { return t.Thread.Publish(slot, new, old) })
-}
-
-func (t *checkedThread) MallocTo(slot pmem.PAddr, size uint64) (pmem.PAddr, error) {
-	p, err := t.Thread.MallocTo(slot, size)
-	if err == nil {
-		t.c.noteAlloc(p, size)
-	}
-	return p, err
-}
-
-func (t *checkedThread) FreeFrom(slot pmem.PAddr) error {
-	addr := pmem.PAddr(t.c.Device().ReadU64(slot))
-	return t.release(addr, func() error { return t.Thread.FreeFrom(slot) })
 }
 
 // CountingThread wraps a Thread and counts the allocator calls made
@@ -185,14 +170,4 @@ func (t *CountingThread) Malloc(size uint64) (pmem.PAddr, error) {
 func (t *CountingThread) Free(addr pmem.PAddr) error {
 	t.Frees++
 	return t.Thread.Free(addr)
-}
-
-func (t *CountingThread) MallocTo(slot pmem.PAddr, size uint64) (pmem.PAddr, error) {
-	t.Mallocs++
-	return t.Thread.MallocTo(slot, size)
-}
-
-func (t *CountingThread) FreeFrom(slot pmem.PAddr) error {
-	t.Frees++
-	return t.Thread.FreeFrom(slot)
 }

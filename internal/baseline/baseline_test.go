@@ -168,7 +168,7 @@ func TestBaselineShutdownRecovery(t *testing.T) {
 		t.Run(cfg.Name, func(t *testing.T) {
 			dev, h := newBaseHeap(t, cfg)
 			th := h.NewThread()
-			p, err := th.MallocTo(h.RootSlot(0), 128)
+			p, err := alloc.MallocTo(th, h.RootSlot(0), 128)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -215,7 +215,7 @@ func TestBaselineCrashRecovery(t *testing.T) {
 		t.Run(cfg.Name, func(t *testing.T) {
 			dev, h := newBaseHeap(t, cfg)
 			th := h.NewThread()
-			kept, err := th.MallocTo(h.RootSlot(0), 256)
+			kept, err := alloc.MallocTo(th, h.RootSlot(0), 256)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -358,14 +358,14 @@ func TestFreeFromAndUsedPeak(t *testing.T) {
 	th := h.NewThread()
 	defer th.Close()
 	u0 := h.Used()
-	p, err := th.MallocTo(h.RootSlot(1), 2<<20)
+	p, err := alloc.MallocTo(th, h.RootSlot(1), 2<<20)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if h.Used() <= u0 || h.Peak() < h.Used() {
 		t.Fatal("usage accounting wrong")
 	}
-	if err := th.FreeFrom(h.RootSlot(1)); err != nil {
+	if err := alloc.FreeFrom(th, h.RootSlot(1)); err != nil {
 		t.Fatal(err)
 	}
 	if dev.ReadU64(h.RootSlot(1)) != 0 {
@@ -479,5 +479,69 @@ func TestUsedCountsRingsInService(t *testing.T) {
 				t.Errorf("Used %d after a clean reopen, %d before", h2.Used(), used)
 			}
 		})
+	}
+}
+
+// cutAfterEntry is a thread whose next Publish loses power once its WAL
+// entry's line is flushed: the entry is durable, the slot write is not.
+type cutAfterEntry struct {
+	alloc.Thread
+	dev *pmem.Device
+}
+
+func (t *cutAfterEntry) Publish(slot, new, old pmem.PAddr) error {
+	t.dev.CrashAfterFlushes(1)
+	return t.Thread.Publish(slot, new, old)
+}
+
+// TestPublishEntryRedoesTheSlot: each WAL-bearing baseline logs a publish
+// as one entry (slot, new, old) before it writes the slot. Power cut
+// between the two, the slot on media still holds its old value, and
+// replay must leave it holding what the entry says: the new block after
+// MallocTo, Null after FreeFrom.
+func TestPublishEntryRedoesTheSlot(t *testing.T) {
+	for _, cfg := range []Config{PMDK, NvmMalloc, PAllocator} {
+		for _, op := range []string{"MallocTo", "FreeFrom"} {
+			t.Run(cfg.Name+"/"+op, func(t *testing.T) {
+				dev, h := newBaseHeap(t, cfg)
+				slot := h.RootSlot(0)
+				th := h.NewThread()
+				var before, want pmem.PAddr
+				var err error
+				if op == "FreeFrom" {
+					if before, err = alloc.MallocTo(th, slot, 128); err != nil {
+						t.Fatal(err)
+					}
+					err = alloc.FreeFrom(&cutAfterEntry{th, dev}, slot)
+				} else {
+					want, err = alloc.MallocTo(&cutAfterEntry{th, dev}, slot, 128)
+				}
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !dev.Crashed() {
+					t.Fatal("the publish flushed nothing after its entry: the cut did not fall between entry and slot")
+				}
+				th.Ctx().Merge()
+				dev.Crash()
+				if got := pmem.PAddr(dev.ReadU64(slot)); got != before {
+					t.Fatalf("slot on media holds %#x at the cut, want the old %#x", got, before)
+				}
+				h2, _, err := Open(dev, cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got := pmem.PAddr(dev.ReadU64(slot)); got != want {
+					t.Fatalf("reopened slot holds %#x, want %#x as the entry says", got, want)
+				}
+				if want != pmem.Null {
+					th2 := h2.NewThread()
+					defer th2.Close()
+					if err := th2.Free(want); err != nil {
+						t.Fatalf("published block not allocated after recovery: %v", err)
+					}
+				}
+			})
+		}
 	}
 }

@@ -114,10 +114,10 @@ func Open(dev pmem.Dev, cfg Config) (*Heap, int64, error) {
 	if crashed && cfg.Persist != PersistNone {
 		// A WAL-bearing style must consume its logs after a crash no
 		// matter what its recovery style advertises: an in-flight root
-		// publish (OpMallocTo) or retraction (OpFreeFrom) is recorded
-		// nowhere else, so skipping replay would lose it. Every region is
-		// swept — per-thread arenas of the crashed run are not
-		// instantiated here, but their rings still hold entries.
+		// publish (OpPublish) is recorded nowhere else, so skipping
+		// replay would lose it. Every region is swept — per-thread
+		// arenas of the crashed run are not instantiated here, but their
+		// rings still hold entries.
 		// Only the rings the configuration actually uses are charged —
 		// the rest of the fixed 65-slot reservation is a layout artifact
 		// this Go model shares across arena models, and nvm_malloc's
@@ -351,20 +351,19 @@ func (h *Heap) applyWAL(c *pmem.Ctx, e walog.Entry) {
 			}
 			s.persistMeta(h, c, idx, want)
 		}
-	case walog.OpMallocTo:
+	case walog.OpPublish:
 		// Entry payloads carry a 24-bit CRC, thin enough that addresses
 		// acted on are still bounds-checked against the device.
 		if uint64(e.Addr)+8 > h.dev.Size() {
 			return
 		}
-		if pmem.PAddr(h.dev.ReadU64(e.Addr)) != pmem.PAddr(e.Aux) {
+		// Redo the slot write: a new block is written wherever the slot
+		// does not hold it yet; a detach clears the slot only while it
+		// still holds the block being freed.
+		cur := pmem.PAddr(h.dev.ReadU64(e.Addr))
+		if e.Aux != 0 && cur != pmem.PAddr(e.Aux) {
 			c.PersistU64(pmem.CatMeta, e.Addr, e.Aux)
-		}
-	case walog.OpFreeFrom:
-		if uint64(e.Addr)+8 > h.dev.Size() {
-			return
-		}
-		if pmem.PAddr(h.dev.ReadU64(e.Addr)) == pmem.PAddr(e.Aux) {
+		} else if e.Aux == 0 && cur == e.Old {
 			c.PersistU64(pmem.CatMeta, e.Addr, 0)
 		}
 	}

@@ -326,48 +326,26 @@ func (t *Thread) freeLarge(addr pmem.PAddr) error {
 	return nil
 }
 
-// MallocTo allocates and publishes into a persistent slot.
-func (t *Thread) MallocTo(slot pmem.PAddr, size uint64) (pmem.PAddr, error) {
-	addr, err := t.Malloc(size)
-	if err != nil {
-		return pmem.Null, err
-	}
-	return addr, t.Publish(slot, addr, pmem.Null)
-}
-
-// FreeFrom frees the block referenced by the slot and clears it.
-func (t *Thread) FreeFrom(slot pmem.PAddr) error {
-	addr := pmem.PAddr(t.h.dev.ReadU64(slot))
-	if addr == pmem.Null {
-		return alloc.ErrBadAddress
-	}
-	return t.Publish(slot, pmem.Null, addr)
-}
-
 // Reserve, Unreserve and Publish give the baselines the shape of
 // alloc.Thread without changing what they model: none of them can defer an
 // allocation's persistence, so a reservation is a plain Malloc, and Publish
-// is the malloc → persist → free composition of MallocTo and FreeFrom,
-// with the leak windows that composition has.
+// is a persist between that malloc and the free of old, with the leak
+// windows that composition has.
 func (t *Thread) Reserve(size uint64) (pmem.PAddr, error) { return t.Malloc(size) }
 
 // Unreserve frees a reservation.
 func (t *Thread) Unreserve(addr pmem.PAddr) error { return t.Free(addr) }
 
-// Publish logs the slot update — a publish record when there is a new
-// block, a retraction otherwise — persists the slot and then frees old.
+// Publish logs the slot update as one publish entry (slot, new, old), as
+// NVAlloc does, persists the slot and then frees old.
 func (t *Thread) Publish(slot, new, old pmem.PAddr) error {
 	if new == pmem.Null && old == pmem.Null {
 		return alloc.ErrBadAddress
 	}
 	if t.h.cfg.Persist != PersistNone {
-		e := walog.Entry{Op: walog.OpMallocTo, Addr: slot, Aux: uint64(new)}
-		if new == pmem.Null {
-			e = walog.Entry{Op: walog.OpFreeFrom, Addr: slot, Aux: uint64(old)}
-		}
 		a := t.ar
 		a.res.Acquire(t.ctx)
-		t.logEntry(a.wal, e)
+		t.logEntry(a.wal, walog.Entry{Op: walog.OpPublish, Addr: slot, Aux: uint64(new), Old: old})
 		a.res.Release(t.ctx)
 	}
 	t.ctx.PersistU64(pmem.CatOther, slot, uint64(new))

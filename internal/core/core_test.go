@@ -227,12 +227,12 @@ func TestNormalShutdownRecovery(t *testing.T) {
 			th := h.NewThread()
 			var small, large pmem.PAddr
 			var err error
-			if small, err = th.MallocTo(h.RootSlot(0), 128); err != nil {
+			if small, err = alloc.MallocTo(th, h.RootSlot(0), 128); err != nil {
 				t.Fatal(err)
 			}
 			dev.WriteU64(small, 0x1111)
 			th.Ctx().Flush(pmem.CatOther, small, 8)
-			if large, err = th.MallocTo(h.RootSlot(1), 64<<10); err != nil {
+			if large, err = alloc.MallocTo(th, h.RootSlot(1), 64<<10); err != nil {
 				t.Fatal(err)
 			}
 			dev.WriteU64(large, 0x2222)
@@ -286,7 +286,7 @@ func TestCrashRecoveryLOGPreservesPublishedObjects(t *testing.T) {
 	th := h.NewThread()
 	var ptrs []pmem.PAddr
 	for i := 0; i < 40; i++ {
-		p, err := th.MallocTo(h.RootSlot(i%alloc.NumRootSlots), uint64(64+i*16))
+		p, err := alloc.MallocTo(th, h.RootSlot(i%alloc.NumRootSlots), uint64(64+i*16))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -326,7 +326,7 @@ func TestCrashRecoveryGCReclaimsUnreachable(t *testing.T) {
 	dev, h := newHeap(t, GC, nil)
 	th := h.NewThread()
 	// One published (reachable) object and many leaked ones.
-	kept, err := th.MallocTo(h.RootSlot(0), 256)
+	kept, err := alloc.MallocTo(th, h.RootSlot(0), 256)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -420,20 +420,20 @@ func TestFreeFromClearsSlot(t *testing.T) {
 	dev, h := newHeap(t, LOG, nil)
 	th := h.NewThread()
 	defer th.Close()
-	p, err := th.MallocTo(h.RootSlot(3), 512)
+	p, err := alloc.MallocTo(th, h.RootSlot(3), 512)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if pmem.PAddr(dev.ReadU64(h.RootSlot(3))) != p {
 		t.Fatal("slot not set")
 	}
-	if err := th.FreeFrom(h.RootSlot(3)); err != nil {
+	if err := alloc.FreeFrom(th, h.RootSlot(3)); err != nil {
 		t.Fatal(err)
 	}
 	if dev.ReadU64(h.RootSlot(3)) != 0 {
 		t.Fatal("slot not cleared")
 	}
-	if err := th.FreeFrom(h.RootSlot(3)); err == nil {
+	if err := alloc.FreeFrom(th, h.RootSlot(3)); err == nil {
 		t.Fatal("double FreeFrom must error")
 	}
 }

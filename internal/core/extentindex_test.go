@@ -48,12 +48,12 @@ func TestOpenIndexesOnlyTouchedExtents(t *testing.T) {
 		}
 		th := h.NewThread()
 		for i := 0; i < kept; i++ {
-			if _, err := th.MallocTo(h.RootSlot(i), uint64(40+i*100)<<10); err != nil {
+			if _, err := alloc.MallocTo(th, h.RootSlot(i), uint64(40+i*100)<<10); err != nil {
 				t.Fatal(err)
 			}
 		}
 		for i := 0; i < 40; i++ {
-			if _, err := th.MallocTo(h.RootSlot(kept+1+i), uint64(32<<(i%6))); err != nil {
+			if _, err := alloc.MallocTo(th, h.RootSlot(kept+1+i), uint64(32<<(i%6))); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -92,14 +92,14 @@ func TestOpenIndexesOnlyTouchedExtents(t *testing.T) {
 		// checkpoint that retires its entry; cut both off.
 		_, h, th := prepared(LOG)
 		f0 := th.Ctx().Local().Flushes
-		if _, err := th.MallocTo(h.RootSlot(kept), 64<<10); err != nil {
+		if _, err := alloc.MallocTo(th, h.RootSlot(kept), 64<<10); err != nil {
 			t.Fatal(err)
 		}
 		flushes := th.Ctx().Local().Flushes - f0
 
 		dev, h, th := prepared(LOG)
 		dev.CrashAfterFlushes(int64(flushes) - 2)
-		p, err := th.MallocTo(h.RootSlot(kept), 64<<10)
+		p, err := alloc.MallocTo(th, h.RootSlot(kept), 64<<10)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -267,7 +267,7 @@ func TestLazyExtentIndexMatchesEager(t *testing.T) {
 			// Every live object's address sits in a rooted table, so the
 			// GC variant's sweep keeps what the sessions hold.
 			th := h.NewThread()
-			table, err := th.MallocTo(h.RootSlot(0), 512<<10)
+			table, err := alloc.MallocTo(th, h.RootSlot(0), 512<<10)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -153,7 +153,7 @@ func TestUsedSurvivesReopen(t *testing.T) {
 				// Everything stays reachable from root 0, so the GC
 				// variant's recovery keeps it all.
 				const n = 600
-				arr, err := th.MallocTo(h.RootSlot(0), 8*n)
+				arr, err := alloc.MallocTo(th, h.RootSlot(0), 8*n)
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"nvalloc/internal/alloc"
 	"nvalloc/internal/pmem"
 	"nvalloc/internal/slab"
 )
@@ -227,7 +228,7 @@ func TestOpenMixedBitmapLayouts(t *testing.T) {
 		th := h.NewThread().(*Thread)
 		ths = append(ths, th)
 		for j := 0; j < 30; j++ {
-			p, err := th.MallocTo(h.RootSlot(i*30+j), 1536)
+			p, err := alloc.MallocTo(th, h.RootSlot(i*30+j), 1536)
 			if err != nil {
 				t.Fatal(err)
 			}

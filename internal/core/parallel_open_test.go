@@ -7,6 +7,7 @@ import (
 	"slices"
 	"testing"
 
+	"nvalloc/internal/alloc"
 	"nvalloc/internal/pmem"
 	"nvalloc/internal/sizeclass"
 	"nvalloc/internal/slab"
@@ -578,7 +579,7 @@ func TestOpenAfterCrashInsideClose(t *testing.T) {
 			th := h.NewThread()
 			for range 4 + 3*k {
 				slot++
-				if _, err := th.MallocTo(h.RootSlot(slot), 64); err != nil {
+				if _, err := alloc.MallocTo(th, h.RootSlot(slot), 64); err != nil {
 					t.Fatal(err)
 				}
 			}

@@ -3,6 +3,7 @@ package core
 import (
 	"testing"
 
+	"nvalloc/internal/alloc"
 	"nvalloc/internal/pmem"
 	"nvalloc/internal/slab"
 )
@@ -155,7 +156,7 @@ func TestPersistSchedulePerOp(t *testing.T) {
 				p, err := th.Malloc(64)
 				must(t, err)
 				must(t, th.Free(p))
-				return measure(th, func() { _, err = th.MallocTo(h.RootSlot(0), 64) })
+				return measure(th, func() { _, err = alloc.MallocTo(th, h.RootSlot(0), 64) })
 			},
 			want: map[Variant]cost{LOG: {2, 2}, GC: {1, 1}, IC: {2, 2}},
 		},
@@ -164,9 +165,9 @@ func TestPersistSchedulePerOp(t *testing.T) {
 			run: func(t *testing.T, h *Heap) cost {
 				th := h.NewThread().(*Thread)
 				defer th.Close()
-				_, err := th.MallocTo(h.RootSlot(0), 64)
+				_, err := alloc.MallocTo(th, h.RootSlot(0), 64)
 				must(t, err)
-				c := measure(th, func() { err = th.FreeFrom(h.RootSlot(0)) })
+				c := measure(th, func() { err = alloc.FreeFrom(th, h.RootSlot(0)) })
 				must(t, err)
 				return c
 			},
@@ -179,7 +180,7 @@ func TestPersistSchedulePerOp(t *testing.T) {
 			run: func(t *testing.T, h *Heap) cost {
 				th := h.NewThread().(*Thread)
 				defer th.Close()
-				old, err := th.MallocTo(h.RootSlot(0), 64)
+				old, err := alloc.MallocTo(th, h.RootSlot(0), 64)
 				must(t, err)
 				p, err := th.Reserve(64)
 				must(t, err)

@@ -9,6 +9,7 @@ import (
 	"nvalloc/internal/alloc"
 	"nvalloc/internal/pmem"
 	"nvalloc/internal/slab"
+	"nvalloc/internal/walog"
 )
 
 // TestCleanBitmapLinesAreOnMedia holds net-change write-back to the
@@ -97,9 +98,9 @@ func TestCleanBitmapLinesAreOnMedia(t *testing.T) {
 			slot := rng.Intn(16)
 			var err error
 			if slotUsed[slot] {
-				err = th.FreeFrom(h.RootSlot(slot))
+				err = alloc.FreeFrom(th, h.RootSlot(slot))
 			} else {
-				_, err = th.MallocTo(h.RootSlot(slot), sizes[rng.Intn(len(sizes))])
+				_, err = alloc.MallocTo(th, h.RootSlot(slot), sizes[rng.Intn(len(sizes))])
 			}
 			if err != nil {
 				t.Fatal(err)
@@ -203,7 +204,7 @@ func TestPublishEveryFlushBoundary(t *testing.T) {
 				var old, blk pmem.PAddr
 				var err error
 				if tc.oldSize > 0 {
-					if old, err = th.MallocTo(slot, tc.oldSize); err != nil {
+					if old, err = alloc.MallocTo(th, slot, tc.oldSize); err != nil {
 						t.Fatal(err)
 					}
 				}
@@ -254,7 +255,7 @@ func TestPublishCrossArenaOld(t *testing.T) {
 		t.Fatal("threads share an arena")
 	}
 	slot := h.RootSlot(0)
-	old, err := a.MallocTo(slot, 64)
+	old, err := alloc.MallocTo(a, slot, 64)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -351,6 +352,24 @@ func TestOpenRefusesOtherFormatVersion(t *testing.T) {
 	}
 }
 
+// TestWALOpCodesKeepTheFormat: ring entries name their op by number, so
+// the codes NVAlloc writes are part of the version 6 format. Codes 3 and 4
+// went with the baselines' two-op publish records; the codes after them
+// did not move.
+func TestWALOpCodesKeepTheFormat(t *testing.T) {
+	if superVersion != 6 {
+		t.Fatalf("superVersion %d, want 6", superVersion)
+	}
+	for _, c := range []struct {
+		op   walog.Op
+		want uint8
+	}{{walog.OpAllocBit, 1}, {walog.OpFreeBit, 2}, {walog.OpMorph, 5}, {walog.OpRetire, 6}, {walog.OpPublish, 7}} {
+		if uint8(c.op) != c.want {
+			t.Errorf("op %d, want %d", c.op, c.want)
+		}
+	}
+}
+
 // TestReplaySkipsEntriesAMorphAbsorbed: a publish supersedes a block, the
 // block is published again under another slot, and then its slab — drained
 // by the other arena's thread — morphs around it, all inside one checkpoint
@@ -364,7 +383,7 @@ func TestReplaySkipsEntriesAMorphAbsorbed(t *testing.T) {
 	dev, h := newHeap(t, LOG, func(o *Options) { o.Arenas = 2 })
 	remote := h.NewThread().(*Thread) // arena 0
 	owner := h.NewThread().(*Thread)  // arena 1
-	keep, err := owner.MallocTo(h.RootSlot(0), 1024)
+	keep, err := alloc.MallocTo(owner, h.RootSlot(0), 1024)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -422,7 +441,7 @@ func TestReplaySkipsEntriesAMorphAbsorbed(t *testing.T) {
 		}
 	}
 	morphs, _ := h.MorphStats()
-	if _, err := owner.MallocTo(h.RootSlot(2), 1536); err != nil {
+	if _, err := alloc.MallocTo(owner, h.RootSlot(2), 1536); err != nil {
 		t.Fatal(err)
 	}
 	if after, _ := h.MorphStats(); after != morphs+1 {
@@ -447,7 +466,7 @@ func TestReplaySkipsEntriesAMorphAbsorbed(t *testing.T) {
 	}
 	th := h2.NewThread()
 	defer th.Close()
-	if err := th.FreeFrom(h2.RootSlot(1)); err != nil {
+	if err := alloc.FreeFrom(th, h2.RootSlot(1)); err != nil {
 		t.Fatalf("deleting the republished block after recovery: %v", err)
 	}
 }

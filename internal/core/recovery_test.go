@@ -32,12 +32,12 @@ func crashedLOGHeap(t *testing.T, ringEntries int, lose bool) *pmem.Device {
 	// Extents first: publishing one moves the ring's checkpoint past
 	// everything before it, and the crash should find live entries.
 	for i := 0; i < 3; i++ {
-		if _, err := th.MallocTo(h.RootSlot(20+i), 40<<10); err != nil {
+		if _, err := alloc.MallocTo(th, h.RootSlot(20+i), 40<<10); err != nil {
 			t.Fatal(err)
 		}
 	}
 	for i := 0; i < 8; i++ {
-		if _, err := th.MallocTo(h.RootSlot(i), uint64(64+i*40)); err != nil {
+		if _, err := alloc.MallocTo(th, h.RootSlot(i), uint64(64+i*40)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -211,9 +211,9 @@ func TestOpenIgnoresRetiredSlots(t *testing.T) {
 			t.Fatal("arena 1's ring does not reach the flipped slot")
 		}
 		if p == pmem.Null {
-			p, err = w1.MallocTo(h.RootSlot(0), 64)
+			p, err = alloc.MallocTo(w1, h.RootSlot(0), 64)
 		} else {
-			p, err = pmem.Null, w1.FreeFrom(h.RootSlot(0))
+			p, err = pmem.Null, alloc.FreeFrom(w1, h.RootSlot(0))
 		}
 		if err != nil {
 			t.Fatal(err)
@@ -551,7 +551,7 @@ func TestFirstTouchChargesOnce(t *testing.T) {
 		big = append(big, p)
 	}
 	slot := h.RootSlot(0)
-	rooted, err := th.MallocTo(slot, 1024)
+	rooted, err := alloc.MallocTo(th, slot, 1024)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -571,7 +571,7 @@ func TestFirstTouchChargesOnce(t *testing.T) {
 	free := func(p pmem.PAddr) op {
 		return func(th alloc.Thread) (pmem.PAddr, error) { return pmem.Null, th.Free(p) }
 	}
-	freeFrom := func(th alloc.Thread) (pmem.PAddr, error) { return pmem.Null, th.FreeFrom(slot) }
+	freeFrom := func(th alloc.Thread) (pmem.PAddr, error) { return pmem.Null, alloc.FreeFrom(th, slot) }
 	ops := []struct {
 		name  string
 		do    op
@@ -825,7 +825,7 @@ func TestRecoveryUnlistsFullSlabs(t *testing.T) {
 			if err := th.Free(chain[0]); err != nil {
 				t.Fatal(err)
 			}
-			if _, err := th.MallocTo(h.RootSlot(1), 40<<10); err != nil {
+			if _, err := alloc.MallocTo(th, h.RootSlot(1), 40<<10); err != nil {
 				t.Fatal(err)
 			}
 			if p, err := th.Malloc(2048); err != nil || p != chain[0] {

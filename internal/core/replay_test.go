@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"nvalloc/internal/alloc"
 	"nvalloc/internal/pmem"
 	"nvalloc/internal/slab"
 	"nvalloc/internal/walog"
@@ -37,7 +38,7 @@ type replayCase struct {
 func fillAroundTwo(t *testing.T, h *Heap, th *Thread) (keep [2]pmem.PAddr, rest []pmem.PAddr) {
 	t.Helper()
 	for i := range keep {
-		p, err := th.MallocTo(h.RootSlot(i), 1024)
+		p, err := alloc.MallocTo(th, h.RootSlot(i), 1024)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -152,13 +153,13 @@ func TestReplayMatchesLastEntries(t *testing.T) {
 		// stays published, so a power failure loses a bit.
 		name: "alloc-free",
 		crashed: func(t *testing.T, h *Heap, th *Thread) {
-			if _, err := th.MallocTo(h.RootSlot(1), 256); err != nil {
+			if _, err := alloc.MallocTo(th, h.RootSlot(1), 256); err != nil {
 				t.Fatal(err)
 			}
-			if _, err := th.MallocTo(h.RootSlot(0), 128); err != nil {
+			if _, err := alloc.MallocTo(th, h.RootSlot(0), 128); err != nil {
 				t.Fatal(err)
 			}
-			if err := th.FreeFrom(h.RootSlot(0)); err != nil {
+			if err := alloc.FreeFrom(th, h.RootSlot(0)); err != nil {
 				t.Fatal(err)
 			}
 		},
@@ -309,7 +310,7 @@ func TestReplayFreesOldBlockAmongNewClassStates(t *testing.T) {
 			t.Fatal(err)
 		}
 		dev.CrashAfterFlushes(cut)
-		if err := o.FreeFrom(h.RootSlot(0)); err != nil {
+		if err := alloc.FreeFrom(o, h.RootSlot(0)); err != nil {
 			t.Fatal(err)
 		}
 		o.Ctx().Merge()
@@ -389,9 +390,9 @@ func TestReplayChargesNoMoreThanBuild(t *testing.T) {
 		for op := 0; op < ops; op++ {
 			slot := rng.Intn(min(64, x.Blocks/4))
 			if live[slot] {
-				err = th.FreeFrom(h.RootSlot(slot))
+				err = alloc.FreeFrom(th, h.RootSlot(slot))
 			} else {
-				_, err = th.MallocTo(h.RootSlot(slot), size)
+				_, err = alloc.MallocTo(th, h.RootSlot(slot), size)
 			}
 			if err != nil {
 				t.Fatal(err)

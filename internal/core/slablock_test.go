@@ -5,6 +5,7 @@ import (
 	"sync"
 	"testing"
 
+	"nvalloc/internal/alloc"
 	"nvalloc/internal/pmem"
 	"nvalloc/internal/slab"
 	"nvalloc/internal/tcache"
@@ -150,7 +151,7 @@ func slabStateUnderArenaLock(t *testing.T, v Variant) {
 // block it returns as fresh.
 func slabInAround(t *testing.T, h *Heap, th *Thread, slot pmem.PAddr) (keep, fresh pmem.PAddr) {
 	t.Helper()
-	keep, err := th.MallocTo(slot, 1024)
+	keep, err := alloc.MallocTo(th, slot, 1024)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -208,7 +209,7 @@ func TestDrainRetryFreesForeignBlockToItsSlab(t *testing.T) {
 			if b.remote[0].Len() != 1 {
 				t.Fatal("setup: the cross-arena free was not buffered")
 			}
-			if err := b.FreeFrom(h.RootSlot(0)); err != nil {
+			if err := alloc.FreeFrom(b, h.RootSlot(0)); err != nil {
 				t.Fatal(err)
 			}
 			if h.slabs.Lookup(keep &^ (slab.Size - 1)).IsSlabIn() {

@@ -637,31 +637,6 @@ func (t *Thread) Publish(slot, new, old pmem.PAddr) error {
 	return err
 }
 
-// MallocTo allocates size bytes and publishes the block into the
-// persistent pointer slot (the paper's nvalloc_malloc_to): a crash leaves
-// either no allocation or one slot references.
-func (t *Thread) MallocTo(slot pmem.PAddr, size uint64) (pmem.PAddr, error) {
-	addr, err := t.Reserve(size)
-	if err != nil {
-		return pmem.Null, err
-	}
-	if err := t.Publish(slot, addr, pmem.Null); err != nil {
-		_ = t.Unreserve(addr) // Publish's error is the one to report
-		return pmem.Null, err
-	}
-	return addr, nil
-}
-
-// FreeFrom frees the block the persistent slot references and clears the
-// slot, atomically (the paper's nvalloc_free_from).
-func (t *Thread) FreeFrom(slot pmem.PAddr) error {
-	addr := pmem.PAddr(t.h.dev.ReadU64(slot))
-	if addr == pmem.Null {
-		return alloc.ErrBadAddress
-	}
-	return t.Publish(slot, pmem.Null, addr)
-}
-
 // Close drains the thread's tcaches back to their slabs and merges its
 // statistics into the device.
 func (t *Thread) Close() {

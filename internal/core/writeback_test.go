@@ -58,7 +58,7 @@ func TestReleasedSlabReformattedByLowerArena(t *testing.T) {
 	// Arena 0 allocates the class until it formats the released base.
 	var live pmem.PAddr
 	for i := 0; i < 4*bps && live == 0; i++ {
-		p, err := thB.MallocTo(h.RootSlot(0), 64)
+		p, err := alloc.MallocTo(thB, h.RootSlot(0), 64)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -200,7 +200,7 @@ func TestScavengeWALRepairNeverHandsOutLiveBlocks(t *testing.T) {
 		var p pmem.PAddr
 		var err error
 		if i < alloc.NumRootSlots {
-			p, err = th.MallocTo(h.RootSlot(i), uint64(64+i%3*64))
+			p, err = alloc.MallocTo(th, h.RootSlot(i), uint64(64+i%3*64))
 		} else {
 			p, err = th.Malloc(uint64(64 + i%3*64))
 		}

@@ -137,7 +137,7 @@ func (s *session) exec(th alloc.Thread, op Op, marker uint64, ref *OpRecord) OpR
 		or.Addr = ref.Addr
 		or.Err = th.Free(ref.Addr) != nil
 	case OpMallocTo:
-		a, err := th.MallocTo(h.RootSlot(op.Slot), op.Size)
+		a, err := alloc.MallocTo(th, h.RootSlot(op.Slot), op.Size)
 		or.Addr, or.Err = a, err != nil
 		if err == nil {
 			// Persist a data marker as part of the op window: if the
@@ -150,7 +150,7 @@ func (s *session) exec(th alloc.Thread, op Op, marker uint64, ref *OpRecord) OpR
 			c.Fence()
 		}
 	case OpFreeFrom:
-		or.Err = th.FreeFrom(h.RootSlot(op.Slot)) != nil
+		or.Err = alloc.FreeFrom(th, h.RootSlot(op.Slot)) != nil
 	case OpPublish:
 		a, err := th.Reserve(op.Size)
 		if err == nil {

@@ -229,7 +229,6 @@ func Names() []string {
 }
 
 func f2(v float64) string  { return fmt.Sprintf("%.2f", v) }
-func f1(v float64) string  { return fmt.Sprintf("%.1f", v) }
 func mib(v uint64) string  { return fmt.Sprintf("%.1f", float64(v)/(1<<20)) }
 func pct(v float64) string { return fmt.Sprintf("%.1f%%", 100*v) }
 func msec(ns int64) string { return fmt.Sprintf("%.3f", float64(ns)/1e6) }

@@ -83,7 +83,7 @@ func Create(h alloc.Heap, th alloc.Thread, rootSlot int) (*Tree, error) {
 		rootSlot: h.RootSlot(rootSlot),
 		leaves:   make(map[pmem.PAddr]*leaf),
 	}
-	addr, err := th.MallocTo(t.rootSlot, LeafBytes)
+	addr, err := alloc.MallocTo(th, t.rootSlot, LeafBytes)
 	if err != nil {
 		return nil, err
 	}

@@ -165,7 +165,7 @@ func Create(h alloc.Heap, th alloc.Thread, rootSlot int, nBuckets int, _ uint64)
 	dev.Zero(dir, int(n*BucketBytes))
 	c.Flush(pmem.CatOther, dir, int(n*BucketBytes))
 
-	header, err := th.MallocTo(h.RootSlot(rootSlot), 4096)
+	header, err := alloc.MallocTo(th, h.RootSlot(rootSlot), 4096)
 	if err != nil {
 		_ = th.Free(dir) // the MallocTo error is the one to report
 		return nil, err

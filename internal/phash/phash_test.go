@@ -363,7 +363,7 @@ func TestOpenRejectsOldLayout(t *testing.T) {
 	}
 	dev.Zero(dir, 4*160)
 	dev.WriteU64(dir, 0b1) // bucket 0: presence bit of slot 0
-	header, err := th.MallocTo(h.RootSlot(3), 4096)
+	header, err := alloc.MallocTo(th, h.RootSlot(3), 4096)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -13,9 +13,6 @@
 //     restarted server to those records. benchmark/ (BENCHMARK.json) is
 //     the one wall-clock load generator and the one kill -9 drill; its
 //     clients keep the records and its crash phase calls VerifyAcked.
-//
-// Hist (hist.go) is the latency histogram benchmark/ reports with. It
-// lives here because benchmark/ is frozen and imports it from here.
 package traffic
 
 import (

@@ -4,7 +4,6 @@ import (
 	"bufio"
 	"fmt"
 	"math"
-	"math/rand"
 	"net"
 	"sort"
 	"strings"
@@ -12,88 +11,6 @@ import (
 
 	"nvalloc/internal/nvkv"
 )
-
-// exactQuantile is the order statistic Hist.Quantile approximates: the
-// smallest sample with at least ceil(q*n) samples at or below it.
-func exactQuantile(sorted []uint64, q float64) uint64 {
-	rank := int(math.Ceil(q * float64(len(sorted))))
-	if rank < 1 {
-		rank = 1
-	}
-	return sorted[rank-1]
-}
-
-// TestHistQuantilesAgainstOrderStatistics holds every quantile of small
-// samples to the histogram's documented contract: the lower bound of the
-// bucket holding the exact order statistic, so never above it and less
-// than one sub-bucket (1/8) below it, and exact below 16 ns where buckets
-// are one nanosecond wide.
-func TestHistQuantilesAgainstOrderStatistics(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	samples := map[string][]uint64{
-		"one":        {4242},
-		"tiny exact": {0, 1, 2, 3, 5, 8, 13, 15},
-		"ties":       {100, 100, 100, 100, 7000, 7000},
-	}
-	uniform := make([]uint64, 37)
-	for i := range uniform {
-		uniform[i] = uint64(rng.Intn(1_000_000))
-	}
-	samples["uniform"] = uniform
-	heavy := make([]uint64, 200)
-	for i := range heavy {
-		heavy[i] = uint64(math.Exp(rng.Float64() * 25)) // 1 ns .. 72 s, log-uniform
-	}
-	samples["log-uniform"] = heavy
-
-	for name, s := range samples {
-		var h Hist
-		var sum uint64
-		for _, v := range s {
-			h.Record(v)
-			sum += v
-		}
-		sorted := append([]uint64(nil), s...)
-		sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
-		if h.Count() != uint64(len(s)) || h.Max() != sorted[len(sorted)-1] || h.Mean() != float64(sum)/float64(len(s)) {
-			t.Errorf("%s: count %d max %d mean %g", name, h.Count(), h.Max(), h.Mean())
-		}
-		for _, q := range []float64{0, 0.001, 0.1, 0.25, 0.5, 0.75, 0.9, 0.99, 0.999, 1} {
-			got, exact := h.Quantile(q), exactQuantile(sorted, q)
-			if got > exact || float64(got) < float64(exact)*8/9-1 {
-				t.Errorf("%s: Quantile(%g) = %d, order statistic %d", name, q, got, exact)
-			}
-			if exact < 16 && got != exact {
-				t.Errorf("%s: Quantile(%g) = %d, want exactly %d", name, q, got, exact)
-			}
-		}
-	}
-
-	var empty Hist
-	if empty.Quantile(0.5) != 0 || empty.Mean() != 0 {
-		t.Error("empty histogram must read 0")
-	}
-}
-
-// TestHistMergeEqualsRecordingTogether: per-worker histograms merged are
-// the histogram of all the samples.
-func TestHistMergeEqualsRecordingTogether(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	var a, b, all Hist
-	for i := 0; i < 500; i++ {
-		v := uint64(rng.Int63n(1 << uint(1+rng.Intn(40))))
-		all.Record(v)
-		if i%3 == 0 {
-			a.Record(v)
-		} else {
-			b.Record(v)
-		}
-	}
-	a.Merge(&b)
-	if a != all {
-		t.Fatal("merged histogram differs from the one recorded in one piece")
-	}
-}
 
 // slope is the least-squares slope of ys over xs.
 func slope(xs, ys []float64) float64 {

@@ -48,18 +48,16 @@ const headerSize = pmem.LineSize
 // Op identifies what a WAL entry records.
 type Op uint8
 
-// WAL operation codes. OpMallocTo and OpFreeFrom are the two-call
-// publish records of the paper's baseline allocators (internal/baseline);
-// NVAlloc itself logs OpPublish.
+// WAL operation codes. They are written to media, so none may move; 3 and
+// 4, once the baselines' two publish records, stay unused so that no
+// older entry reads as another op.
 const (
-	OpNone     Op = iota
-	OpAllocBit    // small block allocated: set bitmap bit
-	OpFreeBit     // small block freed: clear bitmap bit
-	OpMallocTo    // baseline malloc_to: Addr=user slot, Aux=block
-	OpFreeFrom    // baseline free_from: Addr=user slot, Aux=block
-	OpMorph       // slab morph step: Addr=slab, Aux=step
-	OpRetire      // slab released: Addr=slab; voids this ring's earlier bit entries for it
-	OpPublish     // slot commit: Addr=slot, Aux=new block, Old=superseded block (either may be 0), Aux2=their class tags
+	OpNone     Op = 0
+	OpAllocBit Op = 1 // small block allocated: set bitmap bit
+	OpFreeBit  Op = 2 // small block freed: clear bitmap bit
+	OpMorph    Op = 5 // slab morph step: Addr=slab, Aux=step
+	OpRetire   Op = 6 // slab released: Addr=slab; voids this ring's earlier bit entries for it
+	OpPublish  Op = 7 // slot commit: Addr=slot, Aux=new block, Old=superseded block (either may be 0), Aux2=their class tags
 )
 
 // AddrBits is the width of the three address fields of an entry. Append

@@ -41,7 +41,7 @@ func TestAppendReplayRoundtrip(t *testing.T) {
 	want := []Entry{
 		{Addr: 0x1000, Aux: 1, Aux2: 64, Op: OpAllocBit},
 		{Addr: 0x2000, Aux: 2, Aux2: 0, Op: OpFreeBit},
-		{Addr: 0x3000, Aux: 3, Aux2: 128, Op: OpMallocTo},
+		{Addr: 0x3000, Aux: 3, Aux2: 128, Op: OpMorph},
 		// Every field at full width: the three 48-bit addresses straddle
 		// the slot's 8-byte words.
 		{Addr: 1<<48 - 8, Aux: 1<<48 - 16, Old: 1<<48 - 24, Aux2: 0xFFFF, Op: OpPublish},
@@ -439,8 +439,8 @@ func TestAppendGroupRoundtripSingleFence(t *testing.T) {
 	es := []Entry{
 		{Addr: 0x1000, Aux: 1, Aux2: 64, Op: OpAllocBit},
 		{Addr: 0x2000, Aux: 2, Op: OpFreeBit},
-		{Addr: 0x3000, Aux: 3, Op: OpMallocTo},
-		{Addr: 0x4000, Aux: 4, Op: OpFreeFrom},
+		{Addr: 0x3000, Aux: 3, Op: OpMorph},
+		{Addr: 0x4000, Aux: 4, Op: OpRetire},
 		{Addr: 0x5000, Aux: 5, Op: OpAllocBit},
 	}
 	f0 := c.Local().Fences

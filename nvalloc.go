@@ -30,12 +30,15 @@
 //
 // For crash-safe pointers, publish allocations into root slots:
 //
-//	p, err := th.MallocTo(heap.RootSlot(0), 128)
+//	p, err := nvalloc.MallocTo(th, heap.RootSlot(0), 128)
 //	// ... crash ...
 //	heap, recoveryNS, err := nvalloc.Open(dev, nvalloc.Options{})
 //	p = nvalloc.PAddr(dev.ReadU64(heap.RootSlot(0))) // still valid
+//	th = heap.NewThread()
+//	err = nvalloc.FreeFrom(th, heap.RootSlot(0)) // slot cleared, p freed: all or nothing
 //
-// MallocTo is Reserve followed by Publish. Used apart, they replace what
+// MallocTo is th.Reserve followed by th.Publish, and FreeFrom is a
+// Publish of Null over what the slot holds. Used apart, they replace what
 // any persistent 8-byte word references in one crash-atomic step, with the
 // new block filled before it becomes reachable:
 //
@@ -128,6 +131,18 @@ type Thread = alloc.Thread
 
 // NumRootSlots is the number of persistent root pointers per heap.
 const NumRootSlots = alloc.NumRootSlots
+
+// MallocTo allocates size bytes and publishes the block into the
+// persistent pointer slot in one crash-atomic step (the paper's
+// nvalloc_malloc_to): th.Reserve, then th.Publish(slot, block, Null).
+func MallocTo(th Thread, slot PAddr, size uint64) (PAddr, error) {
+	return alloc.MallocTo(th, slot, size)
+}
+
+// FreeFrom frees the block the persistent pointer slot references and
+// clears the slot in one crash-atomic step (the paper's
+// nvalloc_free_from): th.Publish(slot, Null, *slot).
+func FreeFrom(th Thread, slot PAddr) error { return alloc.FreeFrom(th, slot) }
 
 // Create formats dev as a fresh NVAlloc heap.
 func Create(dev *Device, opts Options) (*Heap, error) {

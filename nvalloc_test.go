@@ -36,7 +36,7 @@ func TestPublicCrashRecoveryFlow(t *testing.T) {
 		t.Fatal(err)
 	}
 	th := heap.NewThread()
-	p, err := th.MallocTo(heap.RootSlot(0), 256)
+	p, err := MallocTo(th, heap.RootSlot(0), 256)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -23,11 +23,7 @@ type larsonSim struct {
 }
 
 func (w *larsonSim) next() (slot int, size uint64, cross bool) {
-	w.rng += 0x9E3779B97F4A7C15
-	z := w.rng
-	z = (z ^ z>>30) * 0xBF58476D1CE4E5B9
-	z = (z ^ z>>27) * 0x94D049BB133111EB
-	r := z ^ z>>31
+	r := (*splitmix)(&w.rng).next()
 	return int(r % 1024), 64 + (r>>16)%25*8, (r>>40)%16 == 0
 }
 
