@@ -1,68 +1,20 @@
 // Package baseline re-implements the five persistent memory allocators
 // the paper compares against — PMDK, nvm_malloc, PAllocator, Makalu and
 // Ralloc — faithfully in the dimensions the evaluation measures: where
-// their small-allocation metadata lives (sequential bitmaps vs. embedded
-// free-list links), how it is persisted (transactional WAL, single log
-// entries, 2-byte micro-log slots in page headers, or nothing until a
-// post-crash GC), how arenas are shared (one global arena, per-core
-// arenas, or PAllocator's per-thread allocators), how large-allocation
+// their small-allocation metadata lives (sequential bits or 2-byte slots in
+// the slab header, or embedded free-list links), when it is flushed (under
+// a per-operation log, or not until a post-crash GC), how arenas are shared
+// (a fixed set, or one private arena per thread), how large-allocation
 // bookkeeping is updated (always in place, in per-chunk header tables),
-// and how much work recovery does. A single configurable engine realizes
-// all five so their differences are explicit data, not scattered code.
+// and how much work recovery does. One engine realizes all five: a preset
+// is a Config literal, and the engine reads its fields, not its name.
 package baseline
 
 import (
+	"fmt"
 	"hash/crc32"
 
 	"nvalloc/internal/pmem"
-)
-
-// SmallMeta selects how free blocks inside a slab are tracked.
-type SmallMeta int
-
-// Small-allocation metadata styles.
-const (
-	// MetaBitmap: a sequentially mapped bitmap in the slab header
-	// (PMDK, nvm_malloc, PAllocator). Consecutive allocations set
-	// adjacent bits and reflush the same cache line.
-	MetaBitmap SmallMeta = iota
-	// MetaFreelist: an embedded linked list through the free blocks
-	// (Makalu, Ralloc). Every list operation touches the block's own
-	// cache line in persistent memory.
-	MetaFreelist
-)
-
-// PersistStyle selects the consistency machinery on the small path.
-type PersistStyle int
-
-// Persistence styles.
-const (
-	// PersistTxnWAL: a redo-log entry plus a separate commit record per
-	// operation (PMDK transactions).
-	PersistTxnWAL PersistStyle = iota
-	// PersistWAL: one log entry per operation (nvm_malloc).
-	PersistWAL
-	// PersistMicroLog: a 2-byte block-metadata slot in the page header
-	// plus a micro-log entry (PAllocator).
-	PersistMicroLog
-	// PersistNone: nothing persisted on the small path; a post-crash GC
-	// rebuilds metadata (Makalu, Ralloc).
-	PersistNone
-)
-
-// ArenaModel selects how threads share allocation state.
-type ArenaModel int
-
-// Arena models.
-const (
-	// ArenaGlobal: one arena, one lock (PMDK).
-	ArenaGlobal ArenaModel = iota
-	// ArenaPerCore: a fixed set of arenas, threads assigned round-robin
-	// (nvm_malloc, Makalu, Ralloc).
-	ArenaPerCore
-	// ArenaPerThread: every thread owns a private small allocator
-	// (PAllocator).
-	ArenaPerThread
 )
 
 // RecoveryStyle selects how much work Open does after a crash.
@@ -81,13 +33,28 @@ const (
 	RecoverPartialScan
 )
 
-// Config describes one classic allocator.
+// Config describes one classic allocator as a policy record. The engine
+// implements two small paths: a logged one (LogEntries 1 or 2, a bitmap
+// or slot metadata unit flushed per operation) and a GC-based one
+// (LogEntries 0 with Slots: a slab's free blocks form an embedded list
+// through the blocks themselves, nothing is flushed but the list links,
+// and the slot image is written at clean shutdown). New refuses any other
+// mix.
 type Config struct {
-	Name    string
-	Meta    SmallMeta
-	Persist PersistStyle
-	Model   ArenaModel
-	// Arenas is the arena count for ArenaPerCore.
+	Name string
+	// Slots keeps a 2-byte metadata slot per block in the slab header
+	// (PAllocator's block metadata, the freelist allocators' shutdown
+	// image) instead of one bit.
+	Slots bool
+	// LogEntries is the WAL entries a small malloc or free appends: the
+	// bit, then a commit record (PMDK's transactions have 2, nvm_malloc's
+	// and PAllocator's per-op logs 1). 0 logs nothing: the small path runs
+	// over embedded free lists (Makalu, Ralloc), and a post-crash GC
+	// rebuilds the metadata.
+	LogEntries int
+	// Arenas is the number of shared arenas threads are dealt over, least
+	// loaded first; 0 gives every thread a private arena (PAllocator),
+	// whose log needs no lock.
 	Arenas int
 	// TcacheCap is the per-class thread-cache capacity (0 disables the
 	// cache: every operation takes the arena lock).
@@ -106,37 +73,47 @@ type Config struct {
 	Recovery        RecoveryStyle
 }
 
+// freelist reports the GC-based small path: unlogged slabs keep their
+// free blocks in an embedded list.
+func (cfg *Config) freelist() bool { return cfg.LogEntries == 0 }
+
+// check refuses a record outside the two small paths the engine
+// implements, so a Config cannot describe a third one silently.
+func (cfg *Config) check() error {
+	if cfg.LogEntries < 0 || cfg.LogEntries > 2 || cfg.Arenas < 0 || cfg.freelist() && !cfg.Slots {
+		return fmt.Errorf("baseline: %s: unsupported policy (Slots %v, LogEntries %d, Arenas %d): a logged style appends 1 or 2 entries, a GC style keeps slots",
+			cfg.Name, cfg.Slots, cfg.LogEntries, cfg.Arenas)
+	}
+	return nil
+}
+
 // Presets for the five baselines, matching Section 7's descriptions.
 var (
 	// PMDK: transactional bitmap allocator, one global arena, no thread
 	// cache, redo-log WAL with commit records; recovery travels the WAL.
 	PMDK = Config{
-		Name: "PMDK", Meta: MetaBitmap, Persist: PersistTxnWAL,
-		Model: ArenaGlobal, TcacheCap: 0,
+		Name: "PMDK", LogEntries: 2, Arenas: 1, TcacheCap: 0,
 		LargeTxnFlushes: 3, Recovery: RecoverWALScan,
 	}
 	// NvmMalloc: volatile+persistent bitmap split with per-op log
 	// entries, per-core arenas, small thread cache; recovery defers
 	// reconstruction to the deallocation path.
 	NvmMalloc = Config{
-		Name: "nvm_malloc", Meta: MetaBitmap, Persist: PersistWAL,
-		Model: ArenaPerCore, Arenas: 16, TcacheCap: 16,
+		Name: "nvm_malloc", LogEntries: 1, Arenas: 16, TcacheCap: 16,
 		LargeTxnFlushes: 1, Recovery: RecoverDeferred,
 	}
 	// PAllocator: per-thread small allocators (segregated fit) with
 	// 2-byte block metadata in page headers and micro-logs; index-tree
 	// large allocation with in-place persistent headers.
 	PAllocator = Config{
-		Name: "PAllocator", Meta: MetaBitmap, Persist: PersistMicroLog,
-		Model: ArenaPerThread, TcacheCap: 16,
+		Name: "PAllocator", Slots: true, LogEntries: 1, TcacheCap: 16,
 		LargeTxnFlushes: 1, Recovery: RecoverWALScan,
 	}
 	// Makalu: GC-based, embedded free lists (head and link flushed so
 	// offline GC can trust them), slow first-fit large path; recovery is
 	// a full conservative GC.
 	Makalu = Config{
-		Name: "Makalu", Meta: MetaFreelist, Persist: PersistNone,
-		Model: ArenaPerCore, Arenas: 16, TcacheCap: 0,
+		Name: "Makalu", Slots: true, Arenas: 16, TcacheCap: 0,
 		FlushLinkOnAlloc: true, FlushLinkOnFree: true,
 		SlowLargeSearch: true, Recovery: RecoverGC,
 	}
@@ -144,8 +121,7 @@ var (
 	// volatile mirror (no flush), frees persist the link; recovery scans
 	// only reachable nodes.
 	Ralloc = Config{
-		Name: "Ralloc", Meta: MetaFreelist, Persist: PersistNone,
-		Model: ArenaPerCore, Arenas: 16, TcacheCap: 16,
+		Name: "Ralloc", Slots: true, Arenas: 16, TcacheCap: 16,
 		FlushLinkOnFree: true, Recovery: RecoverPartialScan,
 	}
 )
@@ -169,8 +145,8 @@ const (
 	superBase = pmem.PAddr(4096)
 
 	sbMagic    = 0
+	sbVersion  = 8
 	sbState    = 16
-	sbArenas   = 24
 	sbBreak    = 56
 	sbWALBase  = 80
 	sbWALSize  = 88
@@ -179,6 +155,10 @@ const (
 	sbRoots    = 128
 
 	baseMagic = 0x424153454C4F4331 // "BASELOC1"
+	// superVersion 1: a root publish is one walog.OpPublish entry. Earlier
+	// images carry no version (0) and log publishes as op codes 3 and 4,
+	// which replay would drop, so Open refuses them (pmem.FormatError).
+	superVersion = 1
 
 	stateRunning  = 1
 	stateShutdown = 2

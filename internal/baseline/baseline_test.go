@@ -1,13 +1,16 @@
 package baseline
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
+	"strings"
 	"sync"
 	"testing"
 
 	"nvalloc/internal/alloc"
 	"nvalloc/internal/pmem"
+	"nvalloc/internal/sizeclass"
 	"nvalloc/internal/walog"
 )
 
@@ -353,6 +356,57 @@ func TestPerThreadArenasDoNotContend(t *testing.T) {
 	_ = dev
 }
 
+// TestArenasDealThreads: Config.Arenas is the number of shared arenas, 0
+// a private one per thread. PMDK's threads all share its one arena;
+// nvm_malloc, Makalu and Ralloc deal threads over 16, least loaded first;
+// every PAllocator thread gets an arena of its own.
+func TestArenasDealThreads(t *testing.T) {
+	want := map[string]int{"PMDK": 1, "nvm_malloc": 16, "PAllocator": 0, "Makalu": 16, "Ralloc": 16}
+	for _, cfg := range allConfigs {
+		t.Run(cfg.Name, func(t *testing.T) {
+			if cfg.Arenas != want[cfg.Name] {
+				t.Fatalf("Arenas %d, want %d", cfg.Arenas, want[cfg.Name])
+			}
+			_, h := newBaseHeap(t, cfg)
+			const n = 40
+			var ths []*Thread
+			load := map[*barena]int{}
+			for i := 0; i < n; i++ {
+				th := h.NewThread().(*Thread)
+				ths = append(ths, th)
+				load[th.ar]++
+			}
+			if cfg.Arenas == 0 {
+				if len(load) != n || len(h.arenas) != n {
+					t.Fatalf("%d threads on %d arenas (%d in the heap), want one private arena each", n, len(load), len(h.arenas))
+				}
+				return
+			}
+			if len(h.arenas) != cfg.Arenas || len(load) != min(n, cfg.Arenas) {
+				t.Fatalf("%d threads on %d of %d arenas, want all %d used", n, len(load), len(h.arenas), cfg.Arenas)
+			}
+			lo, hi := n, 0
+			for _, a := range h.arenas {
+				lo, hi = min(lo, a.threads), max(hi, a.threads)
+			}
+			if hi-lo > 1 {
+				t.Fatalf("arena loads span %d..%d: threads are not dealt least loaded first", lo, hi)
+			}
+			// Emptied, the first thread's arena is the least loaded: the
+			// next thread goes there.
+			emptied := ths[0].ar
+			for _, th := range ths {
+				if th.ar == emptied {
+					th.Close()
+				}
+			}
+			if got := h.NewThread().(*Thread).ar; got != emptied {
+				t.Fatalf("a new thread went to an arena with %d threads, not the emptied one", got.threads-1)
+			}
+		})
+	}
+}
+
 func TestFreeFromAndUsedPeak(t *testing.T) {
 	dev, h := newBaseHeap(t, NvmMalloc)
 	th := h.NewThread()
@@ -422,6 +476,59 @@ func TestNewOverOldHeapForgetsIt(t *testing.T) {
 	}
 }
 
+// TestOpenRefusesOtherFormatVersion: an intact superblock of another
+// format version is refused by name. Version 0 is an image from before
+// the version word, whose rings log publishes as op codes replay drops.
+func TestOpenRefusesOtherFormatVersion(t *testing.T) {
+	dev, h := newBaseHeap(t, NvmMalloc)
+	if err := h.Close(); err != nil {
+		t.Fatal(err)
+	}
+	dev.WriteU64(superBase+sbVersion, 0)
+	dev.WriteU64(superBase+sbChecksum, uint64(superCRC(dev)))
+	_, _, err := Open(dev, NvmMalloc)
+	var fe *pmem.FormatError
+	if !errors.As(err, &fe) || fe.Version != 0 || fe.Component != "baseline" {
+		t.Fatalf("Open of a version 0 image: %v, want a *pmem.FormatError naming version 0", err)
+	}
+	if msg := err.Error(); !strings.Contains(msg, "version 0") || !strings.Contains(msg, fmt.Sprintf("version %d", superVersion)) {
+		t.Fatalf("%q names neither the version found nor the one wanted", msg)
+	}
+}
+
+// TestNewRefusesUnimplementedPolicies: a record the engine has no small
+// path for is refused, not run as the nearest one.
+func TestNewRefusesUnimplementedPolicies(t *testing.T) {
+	bitList := Makalu
+	bitList.Slots = false // a freelist whose shutdown image is bits
+	longTxn := PMDK
+	longTxn.LogEntries = 3 // a second commit record nothing replays
+	for _, cfg := range []Config{bitList, longTxn} {
+		if _, err := New(pmem.New(pmem.Config{Size: 16 << 20}), cfg); err == nil {
+			t.Errorf("New accepted Slots %v, LogEntries %d", cfg.Slots, cfg.LogEntries)
+		}
+	}
+}
+
+// TestSlabGeometryFits: every class's blocks end inside their slab, and
+// one block more would not. 8-byte blocks under 2-byte slots are the case
+// a fixed number of refinement rounds leaves unconverged.
+func TestSlabGeometryFits(t *testing.T) {
+	for _, cfg := range Presets {
+		for class := 0; class < sizeclass.NumClasses(); class++ {
+			blocks, dataOff := bslabGeometry(&cfg, class)
+			size := int(sizeclass.Size(class))
+			if end := int(dataOff) + blocks*size; end > SlabSize {
+				t.Errorf("%s class %d: %d blocks of %d B from %d end at %d, past the %d B slab", cfg.Name, class, blocks, size, dataOff, end, SlabSize)
+			}
+			more := (bsMetaOff + metaBytesPer(&cfg, blocks+1) + pmem.LineSize - 1) &^ (pmem.LineSize - 1)
+			if more+(blocks+1)*size <= SlabSize {
+				t.Errorf("%s class %d: %d blocks of %d B leave room for another", cfg.Name, class, blocks, size)
+			}
+		}
+	}
+}
+
 func TestOpenUnformattedDevice(t *testing.T) {
 	dev := pmem.New(pmem.Config{Size: 64 << 20})
 	if _, _, err := Open(dev, PMDK); err == nil {
@@ -453,7 +560,7 @@ func TestUsedCountsRingsInService(t *testing.T) {
 				}
 			}
 			wantRings := uint64(0) // a style that logs nothing appends to no ring
-			if cfg.Persist != PersistNone {
+			if cfg.LogEntries > 0 {
 				wantRings = 1
 			}
 			if rings != wantRings {
@@ -475,7 +582,7 @@ func TestUsedCountsRingsInService(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if cfg.Model != ArenaPerThread && h2.Used() != used {
+			if cfg.Arenas > 0 && h2.Used() != used {
 				t.Errorf("Used %d after a clean reopen, %d before", h2.Used(), used)
 			}
 		})

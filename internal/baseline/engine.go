@@ -13,11 +13,13 @@ import (
 	"nvalloc/internal/pagemap"
 	"nvalloc/internal/pmem"
 	"nvalloc/internal/sizeclass"
+	"nvalloc/internal/slab"
 	"nvalloc/internal/walog"
 )
 
-// SlabSize matches the paper's 64 KiB slabs.
-const SlabSize = 64 << 10
+// SlabSize is NVAlloc's slab size, the paper's 64 KiB, so space numbers
+// compare.
+const SlabSize = slab.Size
 
 // maxArenas bounds the WAL region reservation (per-thread allocators
 // register arenas dynamically).
@@ -29,9 +31,9 @@ const walEntriesPerArena = 1024
 //
 //	[0,64)        header: magic u32, class u32, freeHead u32 (persistent
 //	              list head: block index+1, 0 = empty)
-//	[64, dataOff) block metadata: 1 bit per block (bitmap styles) or a
-//	              2-byte slot per block (micro-log style); for freelist
-//	              allocators this region is only synced at clean shutdown
+//	[64, dataOff) block metadata: 1 bit or, with Config.Slots, a 2-byte
+//	              slot per block; for freelist allocators this region is
+//	              only synced at clean shutdown
 //	[dataOff, SlabSize) blocks; a free block's first 8 bytes hold the
 //	              embedded next link in freelist mode
 type bslab struct {
@@ -61,33 +63,27 @@ const (
 	bslabMagic = 0x42534C41 // "BSLA"
 )
 
-// twoByteMeta reports whether block metadata units are 2-byte slots
-// (PAllocator's page-header block metadata and the freelist allocators'
-// shutdown image) rather than single bits.
-func (cfg *Config) twoByteMeta() bool {
-	return cfg.Meta == MetaFreelist || cfg.Persist == PersistMicroLog
-}
-
 func metaBytesPer(cfg *Config, blocks int) int {
-	if cfg.twoByteMeta() {
+	if cfg.Slots {
 		return blocks * 2
 	}
 	return (blocks + 7) / 8
 }
 
+// bslabGeometry fits the most blocks of class behind the header and their
+// metadata units, rounded up to a cache line. Without the round-up each
+// block costs its size and its unit (an eighth of a byte or two bytes),
+// which bounds the count from above; the round-up trims a few blocks.
 func bslabGeometry(cfg *Config, class int) (blocks int, dataOff uint32) {
 	bsize := int(sizeclass.Size(class))
-	blocks = (SlabSize - bsMetaOff) / bsize
-	for i := 0; i < 4; i++ {
-		d := (bsMetaOff + metaBytesPer(cfg, blocks) + pmem.LineSize - 1) &^ (pmem.LineSize - 1)
-		nb := (SlabSize - d) / bsize
-		if nb == blocks {
-			return blocks, uint32(d)
-		}
-		blocks = nb
+	metaEnd := func(n int) int {
+		return (bsMetaOff + metaBytesPer(cfg, n) + pmem.LineSize - 1) &^ (pmem.LineSize - 1)
 	}
-	d := (bsMetaOff + metaBytesPer(cfg, blocks) + pmem.LineSize - 1) &^ (pmem.LineSize - 1)
-	return blocks, uint32(d)
+	blocks = (SlabSize - bsMetaOff) * 8 / (bsize*8 + metaBytesPer(cfg, 8))
+	for metaEnd(blocks)+blocks*bsize > SlabSize {
+		blocks--
+	}
+	return blocks, uint32(metaEnd(blocks))
 }
 
 func (s *bslab) blockAddr(idx int) pmem.PAddr {
@@ -106,16 +102,12 @@ func (s *bslab) blockIndex(addr pmem.PAddr) int {
 	return idx
 }
 
-func (s *bslab) vset(idx int)       { s.vbits.Set(idx) }
-func (s *bslab) vclear(idx int)     { s.vbits.Clear(idx) }
-func (s *bslab) vtest(idx int) bool { return s.vbits.Test(idx) }
-
 // persistMeta flushes block idx's sequential metadata unit: the bit (or
 // 2-byte slot) of consecutive blocks shares a cache line, which is
 // exactly the reflush behaviour Section 3.1 measures.
 func (s *bslab) persistMeta(h *Heap, c *pmem.Ctx, idx int, allocated bool) {
 	dev := h.dev
-	if !h.cfg.twoByteMeta() {
+	if !h.cfg.Slots {
 		a := s.base + bsMetaOff + pmem.PAddr(idx/8)
 		b := dev.ReadU8(a)
 		if allocated {
@@ -139,7 +131,6 @@ func (s *bslab) persistMeta(h *Heap, c *pmem.Ctx, idx int, allocated bool) {
 
 // barena is a baseline arena.
 type barena struct {
-	index   int
 	res     pmem.Resource
 	wal     *walog.Log
 	free    []*bslab // per-class freelist heads
@@ -179,8 +170,8 @@ var _ alloc.Heap = (*Heap)(nil)
 
 // New formats dev as a fresh heap for the given baseline configuration.
 func New(dev pmem.Dev, cfg Config) (*Heap, error) {
-	if cfg.Arenas <= 0 {
-		cfg.Arenas = 8
+	if err := cfg.check(); err != nil {
+		return nil, err
 	}
 	h := &Heap{cfg: cfg, dev: dev, slabs: pagemap.New[bslab](dev.Size(), SlabSize)}
 	walRegion := walog.RegionSize(walEntriesPerArena, 1)
@@ -199,7 +190,7 @@ func New(dev pmem.Dev, cfg Config) (*Heap, error) {
 	}
 	dev.WriteU64(superBase+sbMagic, baseMagic)
 	dev.WriteU64(superBase+sbState, pmem.SealU64(stateRunning))
-	dev.WriteU64(superBase+sbArenas, uint64(cfg.Arenas))
+	dev.WriteU64(superBase+sbVersion, superVersion)
 	dev.WriteU64(superBase+sbWALBase, walBase)
 	dev.WriteU64(superBase+sbWALSize, uint64(walRegion))
 	dev.WriteU64(superBase+sbHeapBase, heapBase)
@@ -217,23 +208,28 @@ func New(dev pmem.Dev, cfg Config) (*Heap, error) {
 		BreakPtr:  superBase + sbBreak,
 		MetaBytes: walBase,
 	}, extent.Tiers{})
-	largeWAL, err := walog.New(dev.Mem(), pmem.PAddr(walBase), walEntriesPerArena, 1)
-	if err != nil {
+	if err := h.startArenas(); err != nil {
 		return nil, err
+	}
+	return h, nil
+}
+
+// startArenas opens ring 0, the large path's log, and the Config.Arenas
+// shared arenas over the rings after it. A private arena starts with the
+// thread that owns it (NewThread).
+func (h *Heap) startArenas() error {
+	walBase := pmem.PAddr(h.dev.ReadU64(superBase + sbWALBase))
+	largeWAL, err := walog.New(h.dev.Mem(), walBase, walEntriesPerArena, 1)
+	if err != nil {
+		return err
 	}
 	h.serveRing(0, largeWAL)
 	h.largeWAL = largeWAL
 	h.nextWAL = 1
-	if cfg.Model != ArenaPerThread {
-		n := cfg.Arenas
-		if cfg.Model == ArenaGlobal {
-			n = 1
-		}
-		for i := 0; i < n; i++ {
-			h.arenas = append(h.arenas, h.newArena())
-		}
+	for i := 0; i < h.cfg.Arenas; i++ {
+		h.arenas = append(h.arenas, h.newArena())
 	}
-	return h, nil
+	return nil
 }
 
 // freshDevice reports whether dev never held a heap: the bytes below
@@ -267,12 +263,7 @@ func (h *Heap) newArena() *barena {
 		wal, _ = walog.New(h.dev.Mem(), base, walEntriesPerArena, 1)
 	}
 	h.serveRing(slot, wal)
-	a := &barena{
-		index: slot,
-		wal:   wal,
-		free:  make([]*bslab, sizeclass.NumClasses()),
-	}
-	return a
+	return &barena{wal: wal, free: make([]*bslab, sizeclass.NumClasses())}
 }
 
 // serveRing counts WAL ring slot into Used once, by NVAlloc's rule for its
@@ -327,7 +318,7 @@ func (h *Heap) Close() error {
 	h.closed = true
 	c := h.dev.NewCtx()
 	defer c.Merge()
-	if h.cfg.Persist == PersistNone {
+	if h.cfg.freelist() {
 		h.slabs.Range(func(_ pmem.PAddr, s *bslab) bool {
 			s.mu.Lock()
 			s.syncShutdownMeta(h)
@@ -347,24 +338,15 @@ func (h *Heap) Close() error {
 	return nil
 }
 
-// syncShutdownMeta stages the whole shutdown metadata image through the
-// device's bulk view — leaf words copied straight into the sequential
-// bit metadata, or 2-byte slots written per occupied block — instead of
-// one device read-modify-write per block; Close flushes the region
-// afterwards. Shutdown holds the arenas lock, so the bulk view cannot
-// race a concurrent line flush.
+// syncShutdownMeta stages a freelist slab's shutdown image, one 2-byte
+// slot per occupied block, through the device's bulk view instead of one
+// device read-modify-write per block; Close flushes the region afterwards.
+// Shutdown holds the arenas lock, so the bulk view cannot race a
+// concurrent line flush.
 func (s *bslab) syncShutdownMeta(h *Heap) {
 	buf := h.dev.Bytes(s.base+bsMetaOff, int(s.dataOff)-bsMetaOff)
 	for i := range buf {
 		buf[i] = 0
-	}
-	if !h.cfg.twoByteMeta() {
-		// Sequential bit metadata is byte-for-byte the little-endian leaf
-		// words (region padding absorbs the last partial word).
-		for w, word := range s.vbits.Words() {
-			binary.LittleEndian.PutUint64(buf[w*8:], word)
-		}
-		return
 	}
 	for w, word := range s.vbits.Words() {
 		for word != 0 {

@@ -13,9 +13,10 @@ import (
 )
 
 // validateSuper checks the baseline superblock before any of its fields
-// are trusted: magic, checksum and the region layout. A zeroed,
-// truncated or bit-flipped image yields a typed CorruptError here
-// instead of a panic deeper into recovery.
+// are trusted: magic, checksum, format version and the region layout. A
+// zeroed, truncated or bit-flipped image yields a typed CorruptError here
+// instead of a panic deeper into recovery, an intact image of another
+// format version a *pmem.FormatError.
 func validateSuper(dev pmem.Dev) error {
 	if dev.Size() < uint64(superBase)+4096 {
 		return pmem.Corrupt("superblock", superBase, "device too small (%d bytes) for a superblock page", dev.Size())
@@ -25,6 +26,9 @@ func validateSuper(dev pmem.Dev) error {
 	}
 	if got, want := dev.ReadU64(superBase+sbChecksum), uint64(superCRC(dev)); got != want {
 		return pmem.Corrupt("superblock", superBase+sbChecksum, "checksum %#x, want %#x", got, want)
+	}
+	if v := dev.ReadU64(superBase + sbVersion); v != superVersion {
+		return &pmem.FormatError{Component: "baseline", Version: v, Want: superVersion}
 	}
 	walBase := dev.ReadU64(superBase + sbWALBase)
 	walSize := dev.ReadU64(superBase + sbWALSize)
@@ -56,11 +60,11 @@ func MetaRanges(dev pmem.Dev) []pmem.Range {
 // Open reopens a baseline heap, rebuilding volatile state and charging
 // the recovery cost profile of the configured allocator (Figure 18).
 func Open(dev pmem.Dev, cfg Config) (*Heap, int64, error) {
-	if err := validateSuper(dev); err != nil {
+	if err := cfg.check(); err != nil {
 		return nil, 0, err
 	}
-	if cfg.Arenas <= 0 {
-		cfg.Arenas = 8
+	if err := validateSuper(dev); err != nil {
+		return nil, 0, err
 	}
 	h := &Heap{cfg: cfg, dev: dev, slabs: pagemap.New[bslab](dev.Size(), SlabSize)}
 	heapBase := pmem.PAddr(dev.ReadU64(superBase + sbHeapBase))
@@ -111,7 +115,7 @@ func Open(dev pmem.Dev, cfg Config) (*Heap, int64, error) {
 		slabs = append(slabs, s)
 	}
 
-	if crashed && cfg.Persist != PersistNone {
+	if crashed && cfg.LogEntries > 0 {
 		// A WAL-bearing style must consume its logs after a crash no
 		// matter what its recovery style advertises: an in-flight root
 		// publish (OpPublish) is recorded nowhere else, so skipping
@@ -119,27 +123,16 @@ func Open(dev pmem.Dev, cfg Config) (*Heap, int64, error) {
 		// arenas of the crashed run are not instantiated here, but their
 		// rings still hold entries.
 		// Only the rings the configuration actually uses are charged —
-		// the rest of the fixed 65-slot reservation is a layout artifact
-		// this Go model shares across arena models, and nvm_malloc's
-		// deferred profile keeps its nearly-free open. The uncharged
-		// sweep runs on a side context that is never merged.
+		// ring 0 and the shared arenas', or any ring with private arenas,
+		// since any may belong to a crashed thread. The rest of the fixed
+		// 65-slot reservation is a layout artifact this Go model shares
+		// across arena models, and nvm_malloc's deferred profile keeps its
+		// nearly-free open. The uncharged sweep runs on a side context
+		// that is never merged.
 		side := dev.NewCtx()
-		charged := func(slot int) bool {
-			switch {
-			case cfg.Recovery == RecoverDeferred:
-				return false
-			case cfg.Model == ArenaGlobal:
-				return slot <= 1
-			case cfg.Model == ArenaPerCore:
-				return slot <= cfg.Arenas
-			default:
-				// Per-thread: any slot may belong to a crashed thread.
-				return true
-			}
-		}
 		for slot := 0; slot <= maxArenas; slot++ {
 			rc := side
-			if charged(slot) {
+			if cfg.Recovery != RecoverDeferred && (cfg.Arenas == 0 || slot <= cfg.Arenas) {
 				rc = c
 			}
 			w, err := walog.New(dev.Mem(), walBase+pmem.PAddr(slot)*walRegion, walEntriesPerArena, 1)
@@ -151,42 +144,22 @@ func Open(dev pmem.Dev, cfg Config) (*Heap, int64, error) {
 			}
 			w.Checkpoint(rc)
 		}
-		h.rebuildFreelists()
 	}
 
-	largeWAL, err := walog.New(dev.Mem(), walBase, walEntriesPerArena, 1)
-	if err != nil {
+	if err := h.startArenas(); err != nil {
 		return nil, 0, err
-	}
-	h.serveRing(0, largeWAL)
-	h.largeWAL = largeWAL
-	h.nextWAL = 1
-	if cfg.Model != ArenaPerThread {
-		n := cfg.Arenas
-		if cfg.Model == ArenaGlobal {
-			n = 1
-		}
-		for i := 0; i < n; i++ {
-			h.arenas = append(h.arenas, h.newArena())
-		}
 	}
 
 	// Assign slab owners round-robin, in discovery (address) order.
-	next := 0
-	for _, s := range slabs {
-		var owner *barena
-		if len(h.arenas) > 0 {
-			owner = h.arenas[next%len(h.arenas)]
-		} else {
-			// Per-thread model with no threads yet: create a recovery
-			// arena that future slabs share until threads register.
-			owner = h.newArena()
-			h.arenas = append(h.arenas, owner)
-		}
-		next++
-		s.owner = owner
+	if len(h.arenas) == 0 && len(slabs) > 0 {
+		// Private arenas and no threads yet: one recovery arena owns the
+		// recovered slabs.
+		h.arenas = append(h.arenas, h.newArena())
+	}
+	for i, s := range slabs {
+		s.owner = h.arenas[i%len(h.arenas)]
 		if s.allocated < s.blocks {
-			owner.freelistPush(s)
+			s.owner.freelistPush(s)
 		}
 	}
 
@@ -249,26 +222,16 @@ func (h *Heap) loadSlab(c *pmem.Ctx, base pmem.PAddr) (*bslab, error) {
 	if class < 0 || class >= sizeclass.NumClasses() {
 		return nil, pmem.Corrupt("slab", base+bsClass, "size class %d out of range", class)
 	}
-	blocks, dataOff := bslabGeometry(&h.cfg, class)
-	s := &bslab{
-		base:      base,
-		class:     class,
-		blockSize: sizeclass.Size(class),
-		blocks:    blocks,
-		dataOff:   dataOff,
-		vbits:     bitfit.New(blocks),
-		freeHeadV: -1,
-	}
-	twoByte := h.cfg.twoByteMeta()
-	for idx := 0; idx < blocks; idx++ {
+	s := h.mirror(base, class)
+	for idx := 0; idx < s.blocks; idx++ {
 		var set bool
-		if twoByte {
+		if h.cfg.Slots {
 			set = h.dev.ReadU16(base+bsMetaOff+pmem.PAddr(idx*2))&(1<<15) != 0
 		} else {
 			set = h.dev.ReadU8(base+bsMetaOff+pmem.PAddr(idx/8))&(1<<(idx%8)) != 0
 		}
 		if set {
-			s.vset(idx)
+			s.vbits.Set(idx)
 			s.allocated++
 		}
 	}
@@ -277,33 +240,40 @@ func (h *Heap) loadSlab(c *pmem.Ctx, base pmem.PAddr) (*bslab, error) {
 		// deallocation path; the scan cost is not paid at open time.
 		c.Charge(pmem.CatSearch, 20)
 	} else {
-		c.Charge(pmem.CatSearch, int64(blocks)/8+20)
+		c.Charge(pmem.CatSearch, int64(s.blocks)/8+20)
 	}
-	if h.cfg.Meta == MetaFreelist {
+	if h.cfg.freelist() {
 		s.rebuildFreelist()
 	}
 	return s, nil
 }
 
+// mirror returns the volatile mirror of a slab of class at base with every
+// block free and no freelist.
+func (h *Heap) mirror(base pmem.PAddr, class int) *bslab {
+	blocks, dataOff := bslabGeometry(&h.cfg, class)
+	return &bslab{
+		base:      base,
+		class:     class,
+		blockSize: sizeclass.Size(class),
+		blocks:    blocks,
+		dataOff:   dataOff,
+		vbits:     bitfit.New(blocks),
+		freeHeadV: -1,
+	}
+}
+
+// rebuildFreelist threads the volatile list through the free blocks in
+// address order.
 func (s *bslab) rebuildFreelist() {
 	s.vnext = make([]int, s.blocks)
 	s.freeHeadV = -1
 	for idx := s.blocks - 1; idx >= 0; idx-- {
-		if !s.vtest(idx) {
+		if !s.vbits.Test(idx) {
 			s.vnext[idx] = s.freeHeadV
 			s.freeHeadV = idx
 		}
 	}
-}
-
-func (h *Heap) rebuildFreelists() {
-	if h.cfg.Meta != MetaFreelist {
-		return
-	}
-	h.slabs.Range(func(_ pmem.PAddr, s *bslab) bool {
-		s.rebuildFreelist()
-		return true
-	})
 }
 
 // travel returns ring w's live entries and charges c the travel of every
@@ -341,12 +311,12 @@ func (h *Heap) applyWAL(c *pmem.Ctx, e walog.Entry) {
 			return
 		}
 		want := e.Op == walog.OpAllocBit
-		if s.vtest(idx) != want {
+		if s.vbits.Test(idx) != want {
 			if want {
-				s.vset(idx)
+				s.vbits.Set(idx)
 				s.allocated++
 			} else {
-				s.vclear(idx)
+				s.vbits.Clear(idx)
 				s.allocated--
 			}
 			s.persistMeta(h, c, idx, want)
@@ -396,7 +366,7 @@ func (h *Heap) conservativeGC(c *pmem.Ctx, full bool) {
 		s.vbits.Reset()
 		for idx := 0; idx < s.blocks; idx++ {
 			if marked[s.blockAddr(idx)] {
-				s.vset(idx)
+				s.vbits.Set(idx)
 				s.allocated++
 			}
 		}

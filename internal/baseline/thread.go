@@ -2,10 +2,8 @@ package baseline
 
 import (
 	"nvalloc/internal/alloc"
-	"nvalloc/internal/bitfit"
 	"nvalloc/internal/pmem"
 	"nvalloc/internal/sizeclass"
-	"nvalloc/internal/slab"
 	"nvalloc/internal/walog"
 )
 
@@ -25,18 +23,15 @@ type cached struct {
 
 var _ alloc.Thread = (*Thread)(nil)
 
-// NewThread registers a worker, creating a private arena for
-// ArenaPerThread allocators.
+// NewThread registers a worker, creating a private arena when
+// Config.Arenas is 0.
 func (h *Heap) NewThread() alloc.Thread {
 	h.arenasMu.Lock()
 	var ar *barena
-	switch h.cfg.Model {
-	case ArenaPerThread:
+	if h.cfg.Arenas == 0 {
 		ar = h.newArena()
 		h.arenas = append(h.arenas, ar)
-	case ArenaGlobal:
-		ar = h.arenas[0]
-	default:
+	} else {
 		// Least-loaded with a rotating start so sequential short-lived
 		// threads still spread across arenas.
 		n := len(h.arenas)
@@ -128,33 +123,29 @@ func (a *barena) takeBlock(t *Thread, class int) (*bslab, int) {
 	}
 	s.mu.Lock()
 	var idx int
-	if h.cfg.Meta == MetaFreelist {
-		idx = s.freeHeadV
-		if idx < 0 {
-			s.mu.Unlock()
-			a.freelistRemove(s)
-			return a.takeBlock(t, class)
-		}
-		next := s.vnext[idx]
-		s.freeHeadV = next
-		// Persistent list head update: same header line every operation.
-		h.dev.WriteU32(s.base+bsFreeHead, uint32(next+1))
-		if h.cfg.FlushLinkOnAlloc {
-			t.ctx.Flush(pmem.CatMeta, s.base+bsFreeHead, 4)
-			t.ctx.Fence()
+	if h.cfg.freelist() {
+		if idx = s.freeHeadV; idx >= 0 {
+			next := s.vnext[idx]
+			s.freeHeadV = next
+			// Persistent list head update: same header line every operation.
+			h.dev.WriteU32(s.base+bsFreeHead, uint32(next+1))
+			if h.cfg.FlushLinkOnAlloc {
+				t.ctx.Flush(pmem.CatMeta, s.base+bsFreeHead, 4)
+				t.ctx.Fence()
+			}
 		}
 	} else {
 		// First-fit via the hierarchical index: summary word then leaf
 		// word, two TrailingZeros64 ops. Same index as the linear scan.
 		idx = s.vbits.FirstFree()
 		t.ctx.Charge(pmem.CatSearch, 12)
-		if idx < 0 {
-			s.mu.Unlock()
-			a.freelistRemove(s)
-			return a.takeBlock(t, class)
-		}
 	}
-	s.vset(idx)
+	if idx < 0 {
+		s.mu.Unlock()
+		a.freelistRemove(s)
+		return a.takeBlock(t, class)
+	}
+	s.vbits.Set(idx)
 	s.reserved++
 	exhausted := s.allocated+s.reserved == s.blocks
 	s.mu.Unlock()
@@ -173,44 +164,39 @@ func (t *Thread) logEntry(l *walog.Log, e walog.Entry) {
 	t.ctx.Fence()
 }
 
-// commitAlloc persists the allocation per the configured style.
+// logBit appends the style's Config.LogEntries entries for block idx of
+// s: the bit operation, then commit records.
+func (t *Thread) logBit(op walog.Op, s *bslab, idx int) {
+	for i := 0; i < t.h.cfg.LogEntries; i++ {
+		e := walog.Entry{Op: walog.OpNone, Addr: s.base}
+		if i == 0 {
+			e.Op, e.Aux = op, uint64(idx)
+		}
+		t.logEntry(s.owner.wal, e)
+	}
+}
+
+// commitAlloc persists the allocation: the log entries, then the block's
+// metadata unit. A shared arena's log is appended under its lock, a
+// private one's (PAllocator's micro-log) without; a style that logs
+// nothing commits in DRAM only.
 func (t *Thread) commitAlloc(s *bslab, idx int) {
-	h := t.h
-	a := s.owner
-	switch h.cfg.Persist {
-	case PersistTxnWAL:
+	h, a := t.h, s.owner
+	logs := h.cfg.LogEntries > 0
+	locked := logs && h.cfg.Arenas > 0
+	if locked {
 		a.res.Acquire(t.ctx)
-		t.logEntry(a.wal, walog.Entry{Op: walog.OpAllocBit, Addr: s.base, Aux: uint64(idx)})
-		t.logEntry(a.wal, walog.Entry{Op: walog.OpNone, Addr: s.base}) // commit record
-		s.mu.Lock()
-		s.reserved--
-		s.allocated++
+	}
+	t.logBit(walog.OpAllocBit, s, idx)
+	s.mu.Lock()
+	s.reserved--
+	s.allocated++
+	if logs {
 		s.persistMeta(h, t.ctx, idx, true)
-		s.mu.Unlock()
+	}
+	s.mu.Unlock()
+	if locked {
 		a.res.Release(t.ctx)
-	case PersistWAL:
-		a.res.Acquire(t.ctx)
-		t.logEntry(a.wal, walog.Entry{Op: walog.OpAllocBit, Addr: s.base, Aux: uint64(idx)})
-		s.mu.Lock()
-		s.reserved--
-		s.allocated++
-		s.persistMeta(h, t.ctx, idx, true)
-		s.mu.Unlock()
-		a.res.Release(t.ctx)
-	case PersistMicroLog:
-		// PAllocator: 2-byte slot write plus a micro-log entry in the
-		// thread-private log (no cross-thread lock).
-		t.logEntry(a.wal, walog.Entry{Op: walog.OpAllocBit, Addr: s.base, Aux: uint64(idx)})
-		s.mu.Lock()
-		s.reserved--
-		s.allocated++
-		s.persistMeta(h, t.ctx, idx, true)
-		s.mu.Unlock()
-	default: // PersistNone: volatile commit only
-		s.mu.Lock()
-		s.reserved--
-		s.allocated++
-		s.mu.Unlock()
 	}
 }
 
@@ -254,7 +240,7 @@ func (t *Thread) Free(addr pmem.PAddr) error {
 func (t *Thread) freeSmall(s *bslab, idx int) {
 	h := t.h
 	a := s.owner
-	if h.cfg.Model == ArenaPerThread && a != t.ar {
+	if h.cfg.Arenas == 0 && a != t.ar {
 		// PAllocator's per-thread allocators make cross-thread frees
 		// expensive: the block is queued on the owner's deferred-free
 		// list (an extra persistent write plus a handoff), which is why
@@ -265,18 +251,7 @@ func (t *Thread) freeSmall(s *bslab, idx int) {
 	}
 	a.res.Acquire(t.ctx)
 	s.mu.Lock()
-	switch h.cfg.Persist {
-	case PersistTxnWAL:
-		t.logEntry(a.wal, walog.Entry{Op: walog.OpFreeBit, Addr: s.base, Aux: uint64(idx)})
-		t.logEntry(a.wal, walog.Entry{Op: walog.OpNone, Addr: s.base})
-		s.persistMeta(h, t.ctx, idx, false)
-	case PersistWAL:
-		t.logEntry(a.wal, walog.Entry{Op: walog.OpFreeBit, Addr: s.base, Aux: uint64(idx)})
-		s.persistMeta(h, t.ctx, idx, false)
-	case PersistMicroLog:
-		t.logEntry(a.wal, walog.Entry{Op: walog.OpFreeBit, Addr: s.base, Aux: uint64(idx)})
-		s.persistMeta(h, t.ctx, idx, false)
-	default:
+	if h.cfg.freelist() {
 		// Embedded freelist push: the link lives in the freed block
 		// itself — a write (and flush) to a random data cache line.
 		h.dev.WriteU64(s.blockAddr(idx), uint64(s.freeHeadV+1))
@@ -289,12 +264,13 @@ func (t *Thread) freeSmall(s *bslab, idx int) {
 			t.ctx.Flush(pmem.CatMeta, s.base+bsFreeHead, 4)
 			t.ctx.Fence()
 		}
-	}
-	if h.cfg.Meta == MetaFreelist {
 		s.vnext[idx] = s.freeHeadV
 		s.freeHeadV = idx
+	} else {
+		t.logBit(walog.OpFreeBit, s, idx)
+		s.persistMeta(h, t.ctx, idx, false)
 	}
-	s.vclear(idx)
+	s.vbits.Clear(idx)
 	s.allocated--
 	empty := s.allocated == 0 && s.reserved == 0
 	wasFull := s.allocated+s.reserved == s.blocks-1
@@ -342,7 +318,7 @@ func (t *Thread) Publish(slot, new, old pmem.PAddr) error {
 	if new == pmem.Null && old == pmem.Null {
 		return alloc.ErrBadAddress
 	}
-	if t.h.cfg.Persist != PersistNone {
+	if t.h.cfg.LogEntries > 0 {
 		a := t.ar
 		a.res.Acquire(t.ctx)
 		t.logEntry(a.wal, walog.Entry{Op: walog.OpPublish, Addr: slot, Aux: uint64(new), Old: old})
@@ -367,9 +343,9 @@ func (t *Thread) Close() {
 			a := cb.s.owner
 			a.res.Acquire(t.ctx)
 			cb.s.mu.Lock()
-			cb.s.vclear(cb.idx)
+			cb.s.vbits.Clear(cb.idx)
 			cb.s.reserved--
-			if t.h.cfg.Meta == MetaFreelist {
+			if t.h.cfg.freelist() {
 				cb.s.vnext[cb.idx] = cb.s.freeHeadV
 				cb.s.freeHeadV = cb.idx
 			}
@@ -423,30 +399,16 @@ func (h *Heap) newSlab(c *pmem.Ctx, a *barena, class int) *bslab {
 	if err != nil {
 		return nil
 	}
-	blocks, dataOff := bslabGeometry(&h.cfg, class)
-	s := &bslab{
-		base:      base,
-		class:     class,
-		blockSize: sizeclass.Size(class),
-		blocks:    blocks,
-		dataOff:   dataOff,
-		vbits:     bitfit.New(blocks),
-		freeHeadV: -1,
-		owner:     a,
-	}
-	if h.cfg.Meta == MetaFreelist {
-		s.vnext = make([]int, blocks)
-		for i := 0; i < blocks-1; i++ {
-			s.vnext[i] = i + 1
-		}
-		s.vnext[blocks-1] = -1
-		s.freeHeadV = 0
+	s := h.mirror(base, class)
+	s.owner = a
+	if h.cfg.freelist() {
+		s.rebuildFreelist()
 	}
 	h.dev.WriteU32(base+bsMagic, bslabMagic)
 	h.dev.WriteU32(base+bsClass, uint32(class))
 	h.dev.WriteU32(base+bsFreeHead, 1)
-	h.dev.Zero(base+bsMetaOff, int(dataOff)-bsMetaOff)
-	c.Flush(pmem.CatMeta, base, int(dataOff))
+	h.dev.Zero(base+bsMetaOff, int(s.dataOff)-bsMetaOff)
+	c.Flush(pmem.CatMeta, base, int(s.dataOff))
 	c.Fence()
 	if h.large.Record(c, 0, base, true) != nil {
 		_ = h.large.Uncarve(c, 0, base, true) // cannot fail: base was just carved
@@ -462,12 +424,3 @@ func (h *Heap) releaseSlab(c *pmem.Ctx, s *bslab) {
 	h.slabs.Delete(s.base)
 	_ = h.large.Free(c, 0, s.base, true)
 }
-
-// compile-time use of slab constant parity (baseline slabs must match the
-// paper's size so space numbers are comparable).
-var _ = func() struct{} {
-	if SlabSize != slab.Size {
-		panic("baseline slab size must match nvalloc slab size")
-	}
-	return struct{}{}
-}()

@@ -140,9 +140,8 @@ type vchunk struct {
 	queued bool // sitting in the empty-candidate queue
 }
 
-func (v *vchunk) set(slot int)        { v.bits[slot/64] |= 1 << (slot % 64); v.live++ }
-func (v *vchunk) clear(slot int)      { v.bits[slot/64] &^= 1 << (slot % 64); v.live-- }
-func (v *vchunk) valid(slot int) bool { return v.bits[slot/64]&(1<<(slot%64)) != 0 }
+func (v *vchunk) set(slot int)   { v.bits[slot/64] |= 1 << (slot % 64); v.live++ }
+func (v *vchunk) clear(slot int) { v.bits[slot/64] &^= 1 << (slot % 64); v.live-- }
 
 // Log is the bookkeeping log: one chunk chain over the log region behind
 // one resource, so that consecutive appends land in one chunk and reach

@@ -197,7 +197,7 @@ const (
 	// superVersion 4: WAL entries carry three 48-bit addresses and the
 	// publish op replaces the malloc_to/free_from pair (walog.OpPublish).
 	// A version 3 ring holds op codes and a field layout this build would
-	// misread, so Open refuses it (FormatError).
+	// misread, so Open refuses it (pmem.FormatError).
 	// superVersion 5: the bookkeeping log is one chunk chain over its
 	// region (blog.RegionSize). A version 4 region is split into
 	// address-routed shards, each with a header of its own, which this
@@ -209,17 +209,6 @@ const (
 	// build refuse the other's heaps by name instead.
 	superVersion = 6
 )
-
-// FormatError is returned by Open for a heap whose superblock is intact
-// but was written in a format version this build does not read.
-type FormatError struct {
-	Version uint64
-}
-
-func (e *FormatError) Error() string {
-	return fmt.Sprintf("core: heap has format version %d (written by another build: its metadata regions have a different layout); this build reads only version %d and cannot convert it",
-		e.Version, uint64(superVersion))
-}
 
 var crcTable = crc32.MakeTable(crc32.Castagnoli)
 

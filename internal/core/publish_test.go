@@ -324,7 +324,7 @@ func TestPublishRefusesBadBlocks(t *testing.T) {
 // free_from op codes in another entry layout, and version 4 splits the
 // bookkeeping log into shards. An intact superblock of either version is
 // not corruption and nothing to repair — Open and Scavenge both return the
-// *FormatError — while a flipped version bit still is.
+// *pmem.FormatError — while a flipped version bit still is.
 func TestOpenRefusesOtherFormatVersion(t *testing.T) {
 	dev, h := newHeap(t, LOG, nil)
 	if err := h.Close(); err != nil {
@@ -340,14 +340,14 @@ func TestOpenRefusesOtherFormatVersion(t *testing.T) {
 		old := dev.Clone()
 		old.WriteU64(superBase+sbVersion, v)
 		old.WriteU64(superBase+sbChecksum, uint64(superCRC(old)))
-		var fe *FormatError
+		var fe *pmem.FormatError
 		if _, _, err := Open(old.Clone(), Options{}); !errors.As(err, &fe) || fe.Version != v {
-			t.Fatalf("Open of a version %d heap: %v, want a *FormatError naming it", v, err)
+			t.Fatalf("Open of a version %d heap: %v, want a *pmem.FormatError naming it", v, err)
 		} else if errors.Is(err, pmem.ErrCorrupted) {
 			t.Fatalf("a heap of another version reported as corrupt: %v", err)
 		}
 		if _, repairs, err := Scavenge(old, Options{}); !errors.As(err, &fe) || len(repairs) != 0 {
-			t.Fatalf("Scavenge of a version %d heap: %v after repairs %q, want the *FormatError and no repair", v, err, repairs)
+			t.Fatalf("Scavenge of a version %d heap: %v after repairs %q, want the *pmem.FormatError and no repair", v, err, repairs)
 		}
 	}
 }

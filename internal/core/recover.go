@@ -17,7 +17,7 @@ import (
 // trusted: magic, checksum, version, parameter ranges and the region
 // layout. A zeroed, truncated or bit-flipped image yields a typed
 // CorruptError here instead of a panic (or an absurd allocation) later,
-// an intact heap of another format version a FormatError.
+// an intact heap of another format version a *pmem.FormatError.
 func validateSuper(dev pmem.Dev) error {
 	if dev.Size() < uint64(superBase)+4096 {
 		return pmem.Corrupt("superblock", superBase, "device too small (%d bytes) for a superblock page", dev.Size())
@@ -31,7 +31,7 @@ func validateSuper(dev pmem.Dev) error {
 	// After the checksum: a flipped version bit is corruption, an intact
 	// superblock of another version is a heap some other build wrote.
 	if v := dev.ReadU64(superBase + sbVersion); v != superVersion {
-		return &FormatError{Version: v}
+		return &pmem.FormatError{Component: "core", Version: v, Want: superVersion}
 	}
 	arenas := dev.ReadU64(superBase + sbArenas)
 	stripes := dev.ReadU64(superBase + sbStripes)

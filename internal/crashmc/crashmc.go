@@ -93,11 +93,11 @@ const SmokeGCThreshold = 2 * 1024
 
 // Targets returns the model checker's allocator targets: the three NVAlloc
 // variants tuned for enumeration (VariantTarget) and the five baselines on
-// two arenas.
+// at most two shared arenas (PAllocator keeps its private ones).
 func Targets() []Target {
 	ts := []Target{VariantTarget(core.LOG), VariantTarget(core.GC), VariantTarget(core.IC)}
 	for _, cfg := range baseline.Presets {
-		cfg.Arenas = 2
+		cfg.Arenas = min(cfg.Arenas, 2)
 		ts = append(ts, Target{
 			Name: cfg.Name,
 			Create: func(dev *pmem.Device) (alloc.Heap, error) {

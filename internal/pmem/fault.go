@@ -33,6 +33,21 @@ func Corrupt(region string, addr PAddr, format string, args ...any) error {
 	return &CorruptError{Region: region, Addr: addr, Detail: fmt.Sprintf(format, args...)}
 }
 
+// FormatError reports a structure whose integrity checks pass but whose
+// format version this build does not read: a heap some other build
+// wrote, not corruption, and nothing to repair. Component names the
+// format ("core", "baseline").
+type FormatError struct {
+	Component string
+	Version   uint64 // found on the device
+	Want      uint64 // the one version this build reads
+}
+
+func (e *FormatError) Error() string {
+	return fmt.Sprintf("%s: heap has format version %d; this build reads only version %d and cannot convert it",
+		e.Component, e.Version, e.Want)
+}
+
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
 // SealU64 packs a 48-bit value with a 16-bit CRC (Castagnoli, over the six

@@ -10,6 +10,8 @@ import (
 	"strings"
 	"testing"
 
+	"nvalloc/internal/alloc"
+	"nvalloc/internal/baseline"
 	"nvalloc/internal/core"
 	"nvalloc/internal/nvkv"
 	"nvalloc/internal/pmem"
@@ -47,6 +49,12 @@ type simRow struct {
 	EntriesReplayed  int `json:"rec_entries_replayed"`
 	EntriesRetired   int `json:"rec_entries_retired"`
 	LinesWrittenBack int `json:"rec_lines_written_back"`
+
+	// A baseline stream's row: Used at the drop, and the virtual ns of the
+	// baseline.Open that recovers it and of the one after a clean Close.
+	Used      uint64 `json:"used,omitempty"`
+	CrashedNS int64  `json:"rec_crashed_ns,omitempty"`
+	CleanNS   int64  `json:"rec_clean_ns,omitempty"`
 }
 
 // simRun plays one stream at one seed on a fresh simulated device. It
@@ -56,16 +64,22 @@ type simRun func(t *testing.T, seed uint64) (simRow, pmem.Dev, func(h *core.Heap
 
 type simStream struct {
 	name string
-	run  simRun
+	run  func(t *testing.T, seed uint64) simRow
 }
 
 // simStreams are the golden's streams: the benchmark's three shapes, each a
 // single session from one goroutine, so a row is a pure function of its
-// seed. None replays the benchmark's op bytes.
+// seed, then a Larson stream on each baseline. None replays the benchmark's
+// op bytes.
 var simStreams = []simStream{
-	{"larson", simLarson},
-	{"kv-churn", simKV(kvChurn)},
-	{"kv-read", simKV(kvRead)},
+	{"larson", recoverCore(simLarson)},
+	{"kv-churn", recoverCore(simKV(kvChurn))},
+	{"kv-read", recoverCore(simKV(kvRead))},
+	{"larson-PMDK", simBaseline(baseline.PMDK)},
+	{"larson-nvm_malloc", simBaseline(baseline.NvmMalloc)},
+	{"larson-PAllocator", simBaseline(baseline.PAllocator)},
+	{"larson-Makalu", simBaseline(baseline.Makalu)},
+	{"larson-Ralloc", simBaseline(baseline.Ralloc)},
 }
 
 var simSeeds = []uint64{1, 2, 3}
@@ -94,40 +108,11 @@ func simLarson(t *testing.T, seed uint64) (simRow, pmem.Dev, func(*core.Heap) er
 	if err != nil {
 		t.Fatal(err)
 	}
-	ws := make([]*larsonSim, 2)
-	for i := range ws {
-		ws[i] = &larsonSim{th: h.NewThread(), rng: seed*0x9E3779B97F4A7C15 + uint64(i)*0xBF58476D1CE4E5B9 + 7}
-	}
-	for i, w := range ws {
-		w.out = ws[(i+1)%len(ws)]
-	}
-	for _, w := range ws {
-		for i := range w.slots {
-			_, size, _ := w.next()
-			w.slots[i] = w.malloc(t, size)
-		}
-	}
-	var row simRow
-	var before []pmem.Stats
-	for _, w := range ws {
-		before = append(before, w.th.Ctx().Local())
-		row.NS -= w.th.Ctx().Now
-	}
-	for i := 0; i < rounds; i++ {
-		for _, w := range ws {
-			w.step(t)
-		}
-	}
-	for i, w := range ws {
-		c := w.th.Ctx()
-		row.NS += c.Now
-		row.Flushes += c.Local().Flushes - before[i].Flushes
-		row.Fences += c.Local().Fences - before[i].Fences
-	}
-	row.Ops = rounds * int64(len(ws))
+	ws := newLarsonPair(t, h, seed, 1024)
+	row := playLarson(t, ws, rounds, nil)
 	check := func(h *core.Heap) error {
 		for _, w := range ws {
-			for _, p := range append(w.slots[:], w.inbox...) {
+			for _, p := range append(w.slots, w.inbox...) {
 				if !h.BlockAllocated(p) {
 					return fmt.Errorf("held block %#x is free after recovery", p)
 				}
@@ -231,27 +216,127 @@ func simKV(w kvShape) simRun {
 	}
 }
 
-// runSimStream plays one stream, drops its heap without Close, recovers
-// it with core.Open and fills the row's recovery columns.
-func runSimStream(t *testing.T, s simStream, seed uint64) simRow {
-	row, dev, check := s.run(t, seed)
-	row.Stream, row.Seed = s.name, seed
-	h, _, err := core.Open(dev, simOptions())
-	if err != nil {
-		t.Fatalf("core.Open after drop: %v", err)
+// recoverCore plays stream run, drops its heap without Close, recovers it
+// with core.Open and fills the row's recovery columns.
+func recoverCore(run simRun) func(*testing.T, uint64) simRow {
+	return func(t *testing.T, seed uint64) simRow {
+		row, dev, check := run(t, seed)
+		h, _, err := core.Open(dev, simOptions())
+		if err != nil {
+			t.Fatalf("core.Open after drop: %v", err)
+		}
+		r := h.Recovery()
+		if !r.Crashed {
+			t.Fatal("the dropped heap reopened as cleanly closed")
+		}
+		if err := check(h); err != nil {
+			t.Fatal(err)
+		}
+		row.BookLogNS, row.ExtentNS, row.SlabNS, row.WALNS, row.StateNS = r.BookLogNS, r.ExtentNS, r.SlabNS, r.WALNS, r.StateNS
+		row.SlabWorkNS, row.WALWorkNS = r.SlabWorkNS, r.WALWorkNS
+		row.SlabsOpened, row.BitmapsBuilt, row.BitsChecked = r.SlabsOpened, r.BitmapsBuilt, r.BitsChecked
+		row.ExtentsIndexed, row.EntriesReplayed, row.EntriesRetired, row.LinesWrittenBack = r.ExtentsIndexed, r.EntriesReplayed, r.EntriesRetired, r.LinesWrittenBack
+		return row
 	}
-	r := h.Recovery()
-	if !r.Crashed {
-		t.Fatal("the dropped heap reopened as cleanly closed")
+}
+
+// playLarson times rounds of the workers' steps, the workers taking turns,
+// and returns the row of that phase; each, if set, runs after worker j's
+// step of round i.
+func playLarson(t *testing.T, ws []*larsonSim, rounds int, each func(i, j int, w *larsonSim)) simRow {
+	var row simRow
+	var before []pmem.Stats
+	for _, w := range ws {
+		before = append(before, w.th.Ctx().Local())
+		row.NS -= w.th.Ctx().Now
 	}
-	if err := check(h); err != nil {
-		t.Fatal(err)
+	for i := 0; i < rounds; i++ {
+		for j, w := range ws {
+			w.step(t)
+			if each != nil {
+				each(i, j, w)
+			}
+		}
 	}
-	row.BookLogNS, row.ExtentNS, row.SlabNS, row.WALNS, row.StateNS = r.BookLogNS, r.ExtentNS, r.SlabNS, r.WALNS, r.StateNS
-	row.SlabWorkNS, row.WALWorkNS = r.SlabWorkNS, r.WALWorkNS
-	row.SlabsOpened, row.BitmapsBuilt, row.BitsChecked = r.SlabsOpened, r.BitmapsBuilt, r.BitsChecked
-	row.ExtentsIndexed, row.EntriesReplayed, row.EntriesRetired, row.LinesWrittenBack = r.ExtentsIndexed, r.EntriesReplayed, r.EntriesRetired, r.LinesWrittenBack
+	for i, w := range ws {
+		c := w.th.Ctx()
+		row.NS += c.Now
+		row.Flushes += c.Local().Flushes - before[i].Flushes
+		row.Fences += c.Local().Fences - before[i].Fences
+	}
+	row.Ops = int64(rounds * len(ws))
 	return row
+}
+
+// simBaseline is a Larson stream on baseline cfg: two handles over 256
+// slots each, played from one goroutine, with larsonSim's remote hand-off,
+// a 40 KiB extent replaced every 64th round and a root slot published or
+// detached every 32nd. The heap is then dropped and reopened by
+// baseline.Open, used for a short session, closed and reopened clean.
+func simBaseline(cfg baseline.Config) func(*testing.T, uint64) simRow {
+	return func(t *testing.T, seed uint64) simRow {
+		const rounds = 20_000
+		dev := pmem.New(pmem.Config{Size: 64 << 20})
+		h, err := baseline.New(dev, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ws := newLarsonPair(t, h, seed, 256)
+		extents := make([]pmem.PAddr, len(ws))
+		row := playLarson(t, ws, rounds, func(i, j int, w *larsonSim) {
+			if i%64 == 0 {
+				if extents[j] != pmem.Null {
+					if err := w.th.Free(extents[j]); err != nil {
+						t.Fatal(err)
+					}
+				}
+				extents[j] = w.malloc(t, 40<<10)
+			}
+			if i%32 == 0 {
+				var err error
+				if slot := h.RootSlot(j); dev.ReadU64(slot) == 0 {
+					_, err = alloc.MallocTo(w.th, slot, 64+uint64(i%4)*64)
+				} else {
+					err = alloc.FreeFrom(w.th, slot)
+				}
+				if err != nil {
+					t.Fatal(err)
+				}
+			}
+		})
+		row.Used = h.Used()
+		roots := []uint64{dev.ReadU64(h.RootSlot(0)), dev.ReadU64(h.RootSlot(1))}
+
+		h2, ns, err := baseline.Open(dev, cfg)
+		if err != nil {
+			t.Fatalf("baseline.Open after drop: %v", err)
+		}
+		row.CrashedNS = ns
+		for i, want := range roots {
+			if got := dev.ReadU64(h2.RootSlot(i)); got != want {
+				t.Fatalf("root slot %d holds %#x after recovery, the stream left %#x", i, got, want)
+			}
+		}
+		th := h2.NewThread()
+		w := &larsonSim{th: th, rng: seed, slots: make([]pmem.PAddr, 64)}
+		for j := range w.slots {
+			_, size, _ := w.next()
+			w.slots[j] = w.malloc(t, size)
+		}
+		for _, p := range w.slots {
+			if err := th.Free(p); err != nil {
+				t.Fatal(err)
+			}
+		}
+		th.Close()
+		if err := h2.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if _, row.CleanNS, err = baseline.Open(dev, cfg); err != nil {
+			t.Fatalf("baseline.Open after Close: %v", err)
+		}
+		return row
+	}
 }
 
 // TestSimGolden holds every stream at every seed to sim_golden.json by
@@ -266,7 +351,9 @@ func TestSimGolden(t *testing.T) {
 	for _, s := range simStreams {
 		for _, seed := range simSeeds {
 			t.Run(fmt.Sprintf("%s/seed%d", s.name, seed), func(t *testing.T) {
-				rows = append(rows, runSimStream(t, s, seed))
+				row := s.run(t, seed)
+				row.Stream, row.Seed = s.name, seed
+				rows = append(rows, row)
 			})
 		}
 	}
@@ -325,7 +412,8 @@ func TestSimGolden(t *testing.T) {
 		gv, wv := reflect.ValueOf(got), reflect.ValueOf(g)
 		for i := 0; i < rt.NumField(); i++ {
 			if a, b := gv.Field(i).Interface(), wv.Field(i).Interface(); a != b {
-				t.Errorf("stream %s seed %d column %s: %v, golden %v", got.Stream, got.Seed, rt.Field(i).Tag.Get("json"), a, b)
+				column, _, _ := strings.Cut(rt.Field(i).Tag.Get("json"), ",")
+				t.Errorf("stream %s seed %d column %s: %v, golden %v", got.Stream, got.Seed, column, a, b)
 			}
 		}
 	}

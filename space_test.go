@@ -17,14 +17,14 @@ import (
 type larsonSim struct {
 	th    alloc.Thread
 	rng   uint64 // splitmix64 state
-	slots [1024]pmem.PAddr
+	slots []pmem.PAddr
 	inbox []pmem.PAddr // blocks the neighbour allocated for this worker
 	out   *larsonSim
 }
 
 func (w *larsonSim) next() (slot int, size uint64, cross bool) {
 	r := (*splitmix)(&w.rng).next()
-	return int(r % 1024), 64 + (r>>16)%25*8, (r>>40)%16 == 0
+	return int(r % uint64(len(w.slots))), 64 + (r>>16)%25*8, (r>>40)%16 == 0
 }
 
 func (w *larsonSim) malloc(t *testing.T, size uint64) pmem.PAddr {
@@ -34,6 +34,25 @@ func (w *larsonSim) malloc(t *testing.T, size uint64) pmem.PAddr {
 		t.Fatal(err)
 	}
 	return p
+}
+
+// newLarsonPair returns two workers on h at seed, each over slots slots
+// and handing blocks to the other, every slot filled.
+func newLarsonPair(t *testing.T, h alloc.Heap, seed uint64, slots int) []*larsonSim {
+	ws := make([]*larsonSim, 2)
+	for i := range ws {
+		ws[i] = &larsonSim{th: h.NewThread(), rng: seed*0x9E3779B97F4A7C15 + uint64(i)*0xBF58476D1CE4E5B9 + 7, slots: make([]pmem.PAddr, slots)}
+	}
+	for i, w := range ws {
+		w.out = ws[(i+1)%len(ws)]
+	}
+	for _, w := range ws {
+		for i := range w.slots {
+			_, size, _ := w.next()
+			w.slots[i] = w.malloc(t, size)
+		}
+	}
+	return ws
 }
 
 func (w *larsonSim) step(t *testing.T) {
@@ -76,24 +95,8 @@ func TestLarsonSpaceGolden(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ws := make([]*larsonSim, 2)
-	for i := range ws {
-		ws[i] = &larsonSim{th: h.NewThread(), rng: 1*0x9E3779B97F4A7C15 + uint64(i)*0xBF58476D1CE4E5B9 + 7}
-	}
-	for i, w := range ws {
-		w.out = ws[(i+1)%len(ws)]
-	}
-	for _, w := range ws {
-		for i := range w.slots {
-			_, size, _ := w.next()
-			w.slots[i] = w.malloc(t, size)
-		}
-	}
-	for i := 0; i < rounds; i++ {
-		for _, w := range ws {
-			w.step(t)
-		}
-	}
+	ws := newLarsonPair(t, h, 1, 1024)
+	playLarson(t, ws, rounds, nil)
 	slabs := 0
 	for _, n := range h.LayoutCensus() {
 		slabs += n
