@@ -38,18 +38,8 @@ func main() {
 		cpuProf  = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		memProf  = flag.String("memprofile", "", "write a heap profile to this file on exit")
 		traceOut = flag.String("trace", "", "write a runtime execution trace to this file")
-		mcBudget = flag.Int("crashmc.budget", 0, "variant schedules per concurrent crashmc family (0 = smoke default 6, negative = unlimited)")
-		mcUpdate = flag.Bool("crashmc.update", false, "regenerate crashmc_baseline.json from this run (refused in CI, on violations, or on sampled runs)")
 	)
 	flag.Parse()
-	mcBaselineOut := ""
-	if *mcUpdate {
-		if os.Getenv("CI") != "" {
-			fmt.Fprintln(os.Stderr, "nvbench: -crashmc.update is disabled in CI — the baseline is an input, not an output, there")
-			os.Exit(2)
-		}
-		mcBaselineOut = "crashmc_baseline.json"
-	}
 
 	if *cpuProf != "" {
 		f, err := os.Create(*cpuProf)
@@ -112,10 +102,7 @@ func main() {
 		}
 		ths = append(ths, n)
 	}
-	cfg := experiment.Config{
-		Threads: ths, Scale: *scale, DeviceBytes: *devMiB << 20, Workers: *parallel,
-		CrashMCSchedBudget: *mcBudget, CrashMCBaselineOut: mcBaselineOut,
-	}
+	cfg := experiment.Config{Threads: ths, Scale: *scale, DeviceBytes: *devMiB << 20, Workers: *parallel}
 
 	ids := []string{*exp}
 	if *exp == "all" {
@@ -158,8 +145,8 @@ func main() {
 		fmt.Printf("\n[%s completed in %.1fs wall time]\n", id, time.Since(start).Seconds())
 	}
 	if len(failures) > 0 {
-		// A table failed the gate its experiment holds it to (crashmc: the
-		// committed coverage baseline).
+		// A table failed the checks its experiment holds it to (crashmc:
+		// a failed recording, coverage, a violation or a shape counter).
 		fmt.Fprintf(os.Stderr, "nvbench: regression:\n  %s\n", strings.Join(failures, "\n  "))
 		os.Exit(1)
 	}

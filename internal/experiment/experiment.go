@@ -25,11 +25,10 @@ type Table struct {
 	// CSV holds optional raw series (e.g. Figure 2's flush scatter),
 	// keyed by series name.
 	CSV map[string][]string
-	// Notes are lines printed under the table: the verdict of a gate the
-	// experiment held the table to (crashmc: each row against the committed
-	// coverage baseline). Failures are the regressions among them: nvbench
-	// exits non-zero when a table has any.
-	Notes, Failures []string
+	// Failures are the checks the experiment held the table to that it
+	// failed (crashmc: see gateCrashMC): nvbench exits non-zero when a
+	// table has any.
+	Failures []string
 }
 
 // CSVRows renders the table as CSV lines (header + rows), for plotting.
@@ -77,9 +76,6 @@ func (t *Table) Print(w io.Writer) {
 	for _, r := range t.Rows {
 		line(r)
 	}
-	for _, n := range t.Notes {
-		fmt.Fprintln(w, "  "+n)
-	}
 }
 
 // Config parameterizes an experiment run.
@@ -97,18 +93,6 @@ type Config struct {
 	// GOMAXPROCS workers, 1 forces the serial engine, N > 1 uses N.
 	// Each cell owns its device, so tables are identical at any setting.
 	Workers int
-	// CrashMCSchedBudget caps the variant schedules executed per raced
-	// crashmc family row (0 = the smoke default of 6, negative =
-	// unlimited — the nightly exhaustive run). Conflict detection and the
-	// DPOR pruning numbers are budget-independent; the cap only bounds
-	// how many of the planned schedules actually replay.
-	CrashMCSchedBudget int
-	// CrashMCBaselineOut, when non-empty, regenerates the crashmc
-	// coverage baseline at this path after the run, instead of gating the
-	// run against the committed one — refused (nothing written, loud
-	// stderr message) if any record failed, any oracle violation occurred,
-	// or the run sampled instead of enumerating.
-	CrashMCBaselineOut string
 }
 
 func (c Config) withDefaults() Config {
